@@ -18,7 +18,7 @@ print("general problem, finite-difference ODE residuals at midpoints:")
 for p, q in ((1.5, 3.0), (2.0, 2.0), (4.0, 1.5)):
     sol = bvp.solve_general(BvpSpec(H=1.0, p=p, q=q))
     xs = np.linspace(0.0, 1.0, 9)[1:-1]
-    worst = max(abs(bvp.residual_general(sol, x)) for x in xs)
+    worst = bvp.residual_general(sol, xs).max()
     print(f"  (p,q)=({p},{q}): max |residual| = {worst:.2e},"
           f"  u(1/2) = {sol(0.5):.12f}")
 

@@ -4,7 +4,8 @@ Library layout:
 
 - ``specfun``: log-gamma, beta, Pochhammer, regularized incomplete beta and
   its inverse, Gauss hypergeometric function on [0, 1].
-- ``gtf``: pi_pq, sin_pq, cos_pq, the inverse sine, and identity residuals.
+- ``gtf``: pi_pq, sin_pq, cos_pq, the fused pair sincos_pq, the inverse sine,
+  and identity residuals.
 - ``integrals``: primitives, definite integrals, Wallis-type formulas, the
   lemniscate catalog, generalized elliptic integrals, the infinite product.
 - ``bvp``: closed-form boundary value problem solutions and verifiers.
@@ -22,6 +23,7 @@ from .gtf import (
     extend_sin_symmetric,
     pi_pq,
     sin_pq,
+    sincos_pq,
 )
 from .quadrature import QuadResult, integrate
 
@@ -44,5 +46,6 @@ __all__ = [
     "pi_pq",
     "quadrature",
     "sin_pq",
+    "sincos_pq",
     "specfun",
 ]

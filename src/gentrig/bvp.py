@@ -15,7 +15,14 @@ solution with p* = q = r(m); the p = q case on [0, 1] collapses, through
 the multiple-angle formula, to a mirrored sin_{2,p} profile.
 
 Residual verifiers use central finite differences (one Richardson step),
-so they stay independent of the closed forms they check.
+so they stay independent of the closed forms they check.  They take a point
+or an array of points and evaluate the whole 5-point stencil x, x +- h,
+x +- h/2 of every point in one fused sin/cos call (gtf.sincos_pq).  All
+powers on that path go through the C library's pow one element at a time,
+the way scalar evaluation computes them, so each residual equals the one
+computed point by point bit for bit: numpy's vectorized power differs in the
+last ulp on a few percent of inputs, and the second difference divides that
+ulp by h^2.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError
-from .gtf import conjugate, cos_pq, extend_sin_symmetric, pi_pq, sin_pq
+from .gtf import _libm_pow, conjugate, extend_sin_symmetric, pi_pq, sincos_pq
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,12 @@ class NonlocalSpec:
 
 @dataclass(frozen=True)
 class BvpSolution:
-    """Immutable positive solution; evaluate with sol(x), vectorized in x."""
+    """Immutable positive solution; evaluate with sol(x), vectorized in x.
+
+    ``_eval(x, pointwise=False)`` evaluates the profile at points already in
+    [0, H]; pointwise=True takes every power through the C library's pow
+    element by element, so that an array gives the scalar values bit for bit.
+    """
 
     spec: object
     amplitude: float
@@ -76,7 +88,8 @@ class BvpSolution:
     def __call__(self, x):
         xx = np.asarray(x, dtype=float)
         H = self.spec.H
-        if np.any(xx < -1e-12 * H) or np.any(xx > H * (1.0 + 1e-12)):
+        # written so that NaN fails the test
+        if not ((xx >= -1e-12 * H) & (xx <= H * (1.0 + 1e-12))).all():
             raise DomainError("x must lie in [0, H]")
         out = self._eval(np.clip(xx, 0.0, H))
         return float(out) if np.ndim(x) == 0 else out
@@ -90,9 +103,9 @@ def solve_general(spec: BvpSpec) -> BvpSolution:
     omega = pi_val / (2.0 * H)
     amp = 2.0 * H / (q * pi_val)
 
-    def u(x):
-        theta = omega * x
-        return amp * cos_pq(P, q, theta) ** (P - 1.0) * sin_pq(P, q, theta)
+    def u(x, pointwise=False):
+        s, c = sincos_pq(P, q, omega * x, pointwise=pointwise)
+        return amp * (_libm_pow(c, P - 1.0) if pointwise else c ** (P - 1.0)) * s
 
     return BvpSolution(spec=spec, amplitude=amp, _eval=u)
 
@@ -107,8 +120,8 @@ def solve_nonlocal(spec: NonlocalSpec) -> BvpSolution:
     inner = solve_general(BvpSpec(H=spec.H, p=conjugate(r), q=r))
     scale = 2.0 * math.sqrt(spec.m**2 + 0.25)
 
-    def phi(x):
-        return scale * inner._eval(x)
+    def phi(x, pointwise=False):
+        return scale * inner._eval(x, pointwise)
 
     return BvpSolution(spec=spec, amplitude=scale * inner.amplitude, _eval=phi)
 
@@ -124,57 +137,59 @@ def solve_pq_equal(p: float) -> BvpSolution:
     pi_val = pi_pq(2.0, p)
     amp = 1.0 / (p * pi_val)
 
-    def u(x):
+    def u(x, pointwise=False):
+        if pointwise:  # the mirrored profile has no fused form: point by point
+            return np.array([u(v) for v in x.ravel()]).reshape(x.shape)
         return amp * extend_sin_symmetric(p, pi_val * x)
 
     return BvpSolution(spec=BvpSpec(H=1.0, p=p, q=p), amplitude=amp, _eval=u)
 
 
-def _fd1(f, x: float, h: float) -> float:
-    """Central first derivative with one Richardson extrapolation."""
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + h / 2) - f(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _fd2(f, x: float, h: float) -> float:
-    """Central second derivative with one Richardson extrapolation."""
-    f0 = f(x)
-    d1 = (f(x + h) - 2.0 * f0 + f(x - h)) / h**2
-    d2 = (f(x + h / 2) - 2.0 * f0 + f(x - h / 2)) / (h / 2) ** 2
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _fd_step(spec, x: float) -> float:
-    H = spec.H
-    if not 0.0 < x < H:
+def _interior(spec, x):
+    xx = np.asarray(x, dtype=float)
+    if not ((xx > 0.0) & (xx < spec.H)).all():
         raise DomainError("x must be interior to (0, H)")
-    return min(1e-4 * H, 0.5 * x, 0.5 * (H - x))
+    return xx
 
 
-def residual_general(sol: BvpSolution, x: float) -> float:
-    """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1| via finite differences."""
+def _stencil(sol: BvpSolution, x):
+    """sol, sol' and sol'' at interior points x by central differences with
+    one Richardson extrapolation each, from one evaluation of the stencil
+    x, x +- h, x +- h/2 of every point."""
+    H = sol.spec.H
+    xx = _interior(sol.spec, x)
+    h = np.minimum(1e-4 * H, np.minimum(0.5 * xx, 0.5 * (H - xx)))
+    f0, fp, fm, fph, fmh = sol._eval(
+        np.stack((xx, xx + h, xx - h, xx + h / 2, xx - h / 2)), pointwise=True
+    )
+    d1 = (fp - fm) / (2.0 * h)
+    d2 = (fph - fmh) / h
+    e1 = (fp - 2.0 * f0 + fm) / _libm_pow(h, 2)
+    e2 = (fph - 2.0 * f0 + fmh) / _libm_pow(h / 2, 2)
+    return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
+
+
+def residual_general(sol: BvpSolution, x):
+    """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1| via finite differences, at one
+    interior point or elementwise on an array of them."""
     spec = sol.spec
     if not isinstance(spec, BvpSpec):
         raise DomainError("residual_general needs a solution of the general problem")
-    h = _fd_step(spec, x)
     p, q = spec.p, spec.q
-    u0 = sol(x)
-    u1 = _fd1(sol, x, h)
-    u2 = _fd2(sol, x, h)
-    return abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
+    u0, u1, u2 = _stencil(sol, x)
+    r = np.abs((p - q) * u1 - p * q * _libm_pow(u1, 2) + (p + q) * u0 * u2 + 1.0)
+    return float(r) if np.ndim(x) == 0 else r
 
 
-def residual_nonlocal(sol: BvpSolution, x: float) -> float:
-    """|phi' - (phi')^2 + phi phi'' + m^2| for the local surrogate equation."""
+def residual_nonlocal(sol: BvpSolution, x):
+    """|phi' - (phi')^2 + phi phi'' + m^2| for the local surrogate equation,
+    at one interior point or elementwise on an array of them."""
     spec = sol.spec
     if not isinstance(spec, NonlocalSpec):
         raise DomainError("residual_nonlocal needs a nonlocal solution")
-    h = _fd_step(spec, x)
-    f0 = sol(x)
-    f1 = _fd1(sol, x, h)
-    f2 = _fd2(sol, x, h)
-    return abs(f1 - f1**2 + f0 * f2 + spec.m**2)
+    f0, f1, f2 = _stencil(sol, x)
+    r = np.abs(f1 - _libm_pow(f1, 2) + f0 * f2 + spec.m**2)
+    return float(r) if np.ndim(x) == 0 else r
 
 
 def nonlocal_mean_square_slope(sol: BvpSolution) -> float:
@@ -197,24 +212,26 @@ def nonlocal_mean_square_slope(sol: BvpSolution) -> float:
     return 2.0 / H * res.value
 
 
-def phase_curve_residual(sol: BvpSolution, x: float) -> float:
+def phase_curve_residual(sol: BvpSolution, x):
     """Residual of the first integral u = C |v + 1/p|^(1/p) |v - 1/q|^(1/q).
 
     v is evaluated in closed form, v = -1/p + (1/p + 1/q) cos_{p*,q}^{p*}(w x),
     and C = 2H / (p (1/p + 1/q)^(1/p+1/q) pi_{q*,p}); no differentiation
     enters, so this checks the solution against the phase-plane curve of
-    its derivation.
+    its derivation.  Takes one interior point or an array of them.
     """
     spec = sol.spec
     if not isinstance(spec, BvpSpec):
         raise DomainError("phase_curve_residual needs a general-problem solution")
     H, p, q = spec.H, spec.p, spec.q
-    if not 0.0 < x < H:
-        raise DomainError("x must be interior to (0, H)")
+    xx = _interior(spec, x)
     P = conjugate(p)
     omega = pi_pq(P, q) / (2.0 * H)
-    v = -1.0 / p + (1.0 / p + 1.0 / q) * cos_pq(P, q, omega * x) ** P
+    _, c = sincos_pq(P, q, omega * xx, pointwise=True)
+    v = -1.0 / p + (1.0 / p + 1.0 / q) * _libm_pow(c, P)
     ssum = 1.0 / p + 1.0 / q
     C = 2.0 * H / (p * ssum**ssum * pi_pq(conjugate(q), p))
-    rhs = C * abs(v + 1.0 / p) ** (1.0 / p) * abs(v - 1.0 / q) ** (1.0 / q)
-    return abs(sol(x) - rhs)
+    rhs = (C * _libm_pow(np.abs(v + 1.0 / p), 1.0 / p)
+           * _libm_pow(np.abs(v - 1.0 / q), 1.0 / q))
+    r = np.abs(sol._eval(xx, pointwise=True) - rhs)
+    return float(r) if np.ndim(x) == 0 else r

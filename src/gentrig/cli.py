@@ -94,8 +94,7 @@ def _suite_pythagorean(grid):
     for p in grid:
         for q in grid:
             half = 0.5 * gtf.pi_pq(p, q)
-            s = gtf.sin_pq(p, q, half * xs01)
-            c = gtf.cos_pq(p, q, half * xs01)
+            s, c = gtf.sincos_pq(p, q, half * xs01)
             resid = float(np.max(np.abs(c**p + s**q - 1.0)))
             cases.append((f"pythagorean p={p} q={q}", resid, 1e-11))
     return cases
@@ -178,8 +177,8 @@ def _suite_bvp(grid):
             for H in (1.0, 2.5):
                 sol = bvp.solve_general(bvp.BvpSpec(H=H, p=p, q=q))
                 xs = H * (np.arange(1, 10) / 10.0)
-                ode = max(bvp.residual_general(sol, x) for x in xs)
-                phase = max(bvp.phase_curve_residual(sol, x) for x in xs)
+                ode = bvp.residual_general(sol, xs).max()
+                phase = bvp.phase_curve_residual(sol, xs).max()
                 bc = max(abs(sol(0.0)), abs(sol(H)))
                 cases.append((f"bvp ode p={p} q={q} H={H}", ode, 1e-6))
                 cases.append((f"bvp phase p={p} q={q} H={H}", phase, 1e-9))

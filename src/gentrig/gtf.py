@@ -89,13 +89,28 @@ def _as_unit(x, top: float, what: str):
     """Validate x in [0, top] (tiny relative slack) and return clipped array."""
     xx = np.asarray(x, dtype=float)
     slack = _REL_SLACK * top
-    if np.any(xx < -slack) or np.any(xx > top + slack):
+    # written so that NaN fails the test
+    if not ((xx >= -slack) & (xx <= top + slack)).all():
         raise DomainError(f"{what} requires argument in [0, {top}]")
     return np.clip(xx, 0.0, top)
 
 
 def _maybe_scalar(v):
     return float(v) if np.ndim(v) == 0 else v
+
+
+def _libm_pow(base, exponent: float):
+    """base ** exponent one element at a time on Python floats, i.e. through
+    the C library's pow, as the scalar paths of this package compute it.
+
+    numpy's vectorized power differs from pow in the last ulp on a few
+    percent of inputs; callers that must reproduce the scalar calls bit for
+    bit on arrays raise their powers here.
+    """
+    if np.ndim(base) == 0:
+        return float(base) ** exponent
+    base = np.asarray(base, dtype=float)
+    return np.array([v ** exponent for v in base.ravel().tolist()]).reshape(base.shape)
 
 
 def asin_pq(p: float, q: float, x):
@@ -131,9 +146,33 @@ def cos_pq(p: float, q: float, x):
     return _maybe_scalar(tc ** (1.0 / p))
 
 
+def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
+    """(sin_pq(p, q, x), cos_pq(p, q, x)) from one validation and one pi_pq.
+
+    Both incomplete-beta inversions (the sine form and the swapped-tail
+    cosine form) run on the whole array.  The pair equals the two separate
+    calls bit for bit, for scalars and for arrays.  With pointwise=True the
+    two final powers are instead taken one element at a time through the C
+    library's pow, so that an array result equals the scalar calls
+    [sin_pq(p, q, xi) for xi in x] (and likewise cos_pq) bit for bit; numpy's
+    vectorized power, which the array calls use, can differ from those in
+    the last ulp.  Scalars give the same result either way.
+    """
+    _check_pq(p, q)
+    halfpi = 0.5 * pi_pq(p, q)
+    xx = _as_unit(x, halfpi, "sincos_pq")
+    a, b = 1.0 / q, 1.0 / conjugate(p)
+    t = sc.betaincinv(a, b, xx / halfpi)
+    tc = sc.betaincinv(b, a, (halfpi - xx) / halfpi)
+    if pointwise:
+        return _libm_pow(t, 1.0 / q), _libm_pow(tc, 1.0 / p)
+    return _maybe_scalar(t ** (1.0 / q)), _maybe_scalar(tc ** (1.0 / p))
+
+
 def sample(p: float, q: float, x: float) -> GtfSample:
     """Evaluate both functions at x and bundle the triple."""
-    return GtfSample(float(x), float(sin_pq(p, q, x)), float(cos_pq(p, q, x)))
+    s, c = sincos_pq(p, q, x)
+    return GtfSample(float(x), float(s), float(c))
 
 
 def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
@@ -168,13 +207,9 @@ def sin_symmetry_appendix(p: float, q: float, x01: float):
     ps, qs = conjugate(p), conjugate(q)
     half_a = 0.5 * pi_pq(p, q)
     half_b = 0.5 * pi_pq(qs, ps)
-    r_sin = sin_pq(p, q, half_a * x01) - cos_pq(qs, ps, half_b * (1.0 - x01)) ** (
-        qs - 1.0
-    )
-    r_cos = cos_pq(p, q, half_a * x01) - sin_pq(qs, ps, half_b * (1.0 - x01)) ** (
-        ps - 1.0
-    )
-    return r_sin, r_cos
+    s_a, c_a = sincos_pq(p, q, half_a * x01)
+    s_b, c_b = sincos_pq(qs, ps, half_b * (1.0 - x01))
+    return s_a - c_b ** (qs - 1.0), c_a - s_b ** (ps - 1.0)
 
 
 def multiple_angle_residual(p: float, x: float) -> float:
@@ -190,7 +225,8 @@ def multiple_angle_residual(p: float, x: float) -> float:
     # the doubled argument sweeps the full arch [0, pi_{2,p}] as x sweeps
     # the half period, since pi_{2,p} = 2^(2/p - 1) pi_{p*,p}
     lhs = extend_sin_symmetric(p, min(scale * x, pi_pq(2.0, p)))
-    rhs = scale * sin_pq(ps, p, x) * cos_pq(ps, p, x) ** (ps - 1.0)
+    s, c = sincos_pq(ps, p, x)
+    rhs = scale * s * c ** (ps - 1.0)
     return abs(lhs - rhs)
 
 

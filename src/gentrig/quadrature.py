@@ -12,6 +12,7 @@ of every closed-form-versus-quadrature check in the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,7 @@ class QuadResult:
     evaluations: int
 
 
+@functools.lru_cache(maxsize=None)
 def _level_nodes(level: int):
     """Weights and endpoint distances of the nodes added at ``level``.
 
@@ -43,6 +45,9 @@ def _level_nodes(level: int):
     t >= 0, later levels the odd multiples of h.  Returns (w, delta) for the
     positive half-axis, where delta = 1 - tanh((pi/2) sinh t) is the node's
     distance from the endpoint of the reference interval [-1, 1].
+
+    Cached on first use (all levels together hold about 0.4 MB); the arrays
+    are shared by every call and therefore read-only.
     """
     h = 2.0 ** (-level)
     if level == 0:
@@ -53,6 +58,8 @@ def _level_nodes(level: int):
     w = 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
     with np.errstate(over="ignore"):
         delta = 2.0 / (1.0 + np.exp(2.0 * u))
+    w.flags.writeable = False
+    delta.flags.writeable = False
     return w, delta
 
 

@@ -8,6 +8,56 @@ from gentrig.bvp import BvpSpec, NonlocalSpec
 from gentrig.errors import DomainError
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Point-by-point verifiers built on scalar sol(x) and cos_pq calls: the
+# reference that the fused array verifiers must reproduce bit for bit.
+
+
+def ref_stencil(sol, x):
+    H = sol.spec.H
+    h = min(1e-4 * H, 0.5 * x, 0.5 * (H - x))
+    f0 = sol(x)
+    d1 = (sol(x + h) - sol(x - h)) / (2.0 * h)
+    d2 = (sol(x + h / 2) - sol(x - h / 2)) / h
+    e1 = (sol(x + h) - 2.0 * f0 + sol(x - h)) / h**2
+    e2 = (sol(x + h / 2) - 2.0 * f0 + sol(x - h / 2)) / (h / 2) ** 2
+    return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
+
+
+def ref_residual_general(sol, x):
+    p, q = sol.spec.p, sol.spec.q
+    u0, u1, u2 = ref_stencil(sol, x)
+    return abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
+
+
+def ref_residual_nonlocal(sol, x):
+    f0, f1, f2 = ref_stencil(sol, x)
+    return abs(f1 - f1**2 + f0 * f2 + sol.spec.m**2)
+
+
+def ref_phase_curve_residual(sol, x):
+    H, p, q = sol.spec.H, sol.spec.p, sol.spec.q
+    P = gtf.conjugate(p)
+    omega = gtf.pi_pq(P, q) / (2.0 * H)
+    v = -1.0 / p + (1.0 / p + 1.0 / q) * gtf.cos_pq(P, q, omega * x) ** P
+    ssum = 1.0 / p + 1.0 / q
+    C = 2.0 * H / (p * ssum**ssum * gtf.pi_pq(gtf.conjugate(q), p))
+    rhs = C * abs(v + 1.0 / p) ** (1.0 / p) * abs(v - 1.0 / q) ** (1.0 / q)
+    return abs(sol(x) - rhs)
+
+
+def interior_points(H):
+    # an even grid plus points so close to the ends that the step shrinks
+    return np.concatenate(
+        [H * np.array([1e-6, 3e-5]), np.linspace(0.0, H, 35)[1:-1],
+         H * np.array([1.0 - 3e-5])]
+    )
+
+
 class TestSpecs:
     def test_bvp_spec_validation(self):
         with pytest.raises(DomainError):
@@ -64,6 +114,53 @@ class TestGeneralSolution:
         sol = bvp.solve_general(BvpSpec(H=1.0, p=2.0, q=2.0))
         with pytest.raises(DomainError):
             sol(1.5)
+        with pytest.raises(DomainError):
+            sol(math.nan)
+        with pytest.raises(DomainError):
+            sol(np.array([0.25, math.nan, 0.75]))
+
+
+class TestFusedVerifiers:
+    @pytest.mark.parametrize("p,q", [(1.5, 4.0), (4.0, 1.5), (2.0, 2.0), (3.0, 2.5)])
+    @pytest.mark.parametrize("H", [1.0, 2.5])
+    def test_general_equals_reference(self, p, q, H):
+        sol = bvp.solve_general(BvpSpec(H=H, p=p, q=q))
+        xs = interior_points(H)
+        for fused, ref in (
+            (bvp.residual_general, ref_residual_general),
+            (bvp.phase_curve_residual, ref_phase_curve_residual),
+        ):
+            got = fused(sol, xs)
+            assert same_bits(got, [ref(sol, x) for x in xs.tolist()])
+            assert same_bits(got, [fused(sol, x) for x in xs])
+            assert same_bits(fused(sol, xs.reshape(3, -1)), got.reshape(3, -1))
+
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_nonlocal_equals_reference(self, m):
+        sol = bvp.solve_nonlocal(NonlocalSpec(H=1.0, m=m))
+        xs = interior_points(1.0)
+        got = bvp.residual_nonlocal(sol, xs)
+        assert same_bits(got, [ref_residual_nonlocal(sol, x) for x in xs.tolist()])
+        assert same_bits(got, [bvp.residual_nonlocal(sol, x) for x in xs])
+
+    def test_mirrored_profile_equals_reference(self):
+        sol = bvp.solve_pq_equal(1.5)
+        xs = interior_points(1.0)
+        got = bvp.residual_general(sol, xs)
+        assert same_bits(got, [ref_residual_general(sol, x) for x in xs.tolist()])
+
+    def test_scalar_result_is_float(self):
+        sol = bvp.solve_general(BvpSpec(H=1.0, p=1.5, q=4.0))
+        assert type(bvp.residual_general(sol, 0.3)) is float
+        assert type(bvp.phase_curve_residual(sol, 0.3)) is float
+
+    def test_rejects_points_off_the_interior(self):
+        sol = bvp.solve_general(BvpSpec(H=1.0, p=2.0, q=3.0))
+        for x in (0.0, 1.0, math.nan, np.array([0.5, math.nan]), np.array([0.5, 1.0])):
+            with pytest.raises(DomainError):
+                bvp.residual_general(sol, x)
+            with pytest.raises(DomainError):
+                bvp.phase_curve_residual(sol, x)
 
 
 class TestEqualParameters:

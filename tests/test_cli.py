@@ -67,6 +67,23 @@ class TestVerify:
         assert code == 0
         assert "SUITE product PASS" in out
 
+    @pytest.mark.parametrize(
+        "suite,count",
+        [
+            # 9 pairs x 2 lengths x (ode, phase, boundary) + 3 closure + 3 symmetry
+            ("bvp", 60),
+            # 9 pairs x 3 n x (3 sine + 2 cosine exponents)
+            ("wallis", 135),
+        ],
+    )
+    def test_suite_passes_every_case(self, capsys, suite, count):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--grid", "small")
+        assert code == 0
+        cases = [l for l in out.splitlines() if l.startswith("  ")]
+        assert len(cases) == count
+        assert all(l.endswith(" ok") for l in cases)
+        assert f"SUITE {suite} PASS" in out
+
     def test_reports_max_residual(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--suite", "pythagorean")
         line = [l for l in out.splitlines() if l.startswith("SUITE")][0]

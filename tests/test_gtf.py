@@ -159,6 +159,61 @@ class TestSinCos:
         assert s.c == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+FUSED_PAIRS = [(1.5, 4.0), (4.0, 1.5), (2.0, 2.0), (3.0, 2.5), (1.5, 1.5)]
+
+
+class TestSinCosFused:
+    @pytest.mark.parametrize("p,q", FUSED_PAIRS)
+    def test_equals_separate_calls(self, p, q):
+        xs = np.linspace(0.0, 1.0, 257) * (gtf.pi_pq(p, q) / 2.0)
+        s, c = gtf.sincos_pq(p, q, xs)
+        assert same_bits(s, gtf.sin_pq(p, q, xs))
+        assert same_bits(c, gtf.cos_pq(p, q, xs))
+        for x in xs[::8]:
+            s, c = gtf.sincos_pq(p, q, x)
+            assert type(s) is float and type(c) is float
+            assert same_bits(s, gtf.sin_pq(p, q, x))
+            assert same_bits(c, gtf.cos_pq(p, q, x))
+
+    @pytest.mark.parametrize("p,q", FUSED_PAIRS)
+    def test_pointwise_equals_scalar_calls(self, p, q):
+        xs = np.linspace(0.0, 1.0, 257) * (gtf.pi_pq(p, q) / 2.0)
+        s, c = gtf.sincos_pq(p, q, xs.reshape(-1, 1), pointwise=True)
+        assert s.shape == c.shape == (257, 1)
+        assert same_bits(s.ravel(), [gtf.sin_pq(p, q, x) for x in xs])
+        assert same_bits(c.ravel(), [gtf.cos_pq(p, q, x) for x in xs])
+        x = float(xs[100])
+        assert same_bits(gtf.sincos_pq(p, q, x, pointwise=True), gtf.sincos_pq(p, q, x))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            gtf.sincos_pq(2.0, 3.0, gtf.pi_pq(2.0, 3.0))
+        with pytest.raises(DomainError):
+            gtf.sincos_pq(1.0, 3.0, 0.1)
+
+
+class TestNaNRejected:
+    @pytest.mark.parametrize(
+        "fn", [gtf.sin_pq, gtf.cos_pq, gtf.asin_pq, gtf.sincos_pq],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "x", [math.nan, np.array([0.1, math.nan, 0.3])], ids=["scalar", "array"]
+    )
+    def test_gtf(self, fn, x):
+        with pytest.raises(DomainError):
+            fn(2.0, 2.0, x)
+
+    def test_extension(self):
+        with pytest.raises(DomainError):
+            gtf.extend_sin_symmetric(2.0, np.array([0.5, math.nan]))
+
+
 class TestDerivativeIdentity:
     @pytest.mark.parametrize(
         "p,q,x,tol",

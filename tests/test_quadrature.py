@@ -63,6 +63,24 @@ def test_refinement_stability():
     assert abs(loose.value - tight.value) <= 2.0 * loose.err_estimate + 1e-15
 
 
+def test_node_cache_repeats_results():
+    f = lambda t: np.sqrt(1.0 - t * t)
+    first = quadrature.integrate(f, -1.0, 1.0, tol=1e-12)
+    assert quadrature.integrate(f, -1.0, 1.0, tol=1e-12) == first
+    assert quadrature.integrate(f, -1.0, 1.0, tol=1e-12) == first
+
+
+def test_node_cache_is_read_only():
+    for level in (0, 1, 5):
+        w, delta = quadrature._level_nodes(level)
+        assert quadrature._level_nodes(level)[0] is w
+        fresh_w, fresh_delta = quadrature._level_nodes.__wrapped__(level)
+        assert np.array_equal(w, fresh_w) and np.array_equal(delta, fresh_delta)
+        assert not w.flags.writeable and not delta.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         quadrature.integrate(lambda t: t, 1.0, 0.0)
