@@ -8,25 +8,11 @@ k mod 4.  This script prints the catalog and confirms each entry against
 tanh-sinh quadrature.
 """
 
-import numpy as np
-
 from gentrig import gtf, integrals, quadrature
 
 varpi = gtf.pi_pq(2.0, 4.0)
 print(f"lemniscate constant varpi = {varpi:.15f}")
 print(f"check: 2 * int_0^1 (1-t^4)^(-1/2) dt")
-
-
-def moment_oracle(exponent):
-    """int_0^{varpi/2} sl^k dt, via the substitution s = sl."""
-
-    def f(t, da, db):
-        t = np.maximum(t, 5e-324)
-        with np.errstate(divide="ignore"):
-            tail = -np.expm1(4.0 * np.log1p(-db))
-        return t**exponent * tail**-0.5
-
-    return quadrature.integrate(f, 0.0, 1.0, tol=1e-12, dist=True).value
 
 
 labels = {0: "varpi/2", 1: "pi/4", 2: "pi/(2 varpi)", 3: "1/2"}
@@ -35,7 +21,8 @@ for n in range(4):
     for residue in range(4):
         k = 4 * n + residue
         closed = integrals.lemniscate_wallis(n, residue)
-        oracle = moment_oracle(float(k))
+        # int_0^{varpi/2} sl^k dt, via the substitution s = sl
+        oracle = quadrature.power_moment(2.0, 4.0, float(k), "sin", tol=1e-12)
         print(
             f"{k:>3} {closed:>20.15f} {oracle:>20.15f} "
             f"{abs(closed - oracle):>9.1e}  {labels[residue]}"

@@ -2,14 +2,16 @@
 
 Library layout:
 
-- ``specfun``: log-gamma, beta, Pochhammer, regularized incomplete beta and
-  its inverse, Gauss hypergeometric function on [0, 1].
+- ``specfun``: log-gamma, beta, the Pochhammer ratio (a)_n / (b)_n, the
+  polished inverse of the regularized incomplete beta function, Gauss
+  hypergeometric function on [0, 1].
 - ``gtf``: pi_pq, sin_pq, cos_pq, the fused pair sincos_pq, the inverse sine,
   and identity residuals.
 - ``integrals``: primitives, definite integrals, Wallis-type formulas, the
   lemniscate catalog, generalized elliptic integrals, the infinite product.
 - ``bvp``: closed-form boundary value problem solutions and verifiers.
-- ``quadrature``: the independent tanh-sinh integration oracle.
+- ``quadrature``: the independent tanh-sinh integration oracle and its
+  Wallis-moment form power_moment.
 - ``cli``: the ``gentrig`` command (eval / verify / table).
 """
 

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError
+from .errors import DomainError, check_pq
 from .gtf import _libm_pow, conjugate, extend_sin_symmetric, pi_pq, sincos_pq
 
 
@@ -49,8 +49,7 @@ class BvpSpec:
     def __post_init__(self):
         if not self.H > 0:
             raise DomainError("need H > 0")
-        if not (1.0 < self.p < math.inf and 1.0 < self.q < math.inf):
-            raise DomainError("need p, q in (1, inf)")
+        check_pq(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ class BvpSolution:
     """
 
     spec: object
-    amplitude: float
     _eval: Callable = field(repr=False)
 
     def __call__(self, x):
@@ -107,7 +105,7 @@ def solve_general(spec: BvpSpec) -> BvpSolution:
         s, c = sincos_pq(P, q, omega * x, pointwise=pointwise)
         return amp * (_libm_pow(c, P - 1.0) if pointwise else c ** (P - 1.0)) * s
 
-    return BvpSolution(spec=spec, amplitude=amp, _eval=u)
+    return BvpSolution(spec=spec, _eval=u)
 
 
 def solve_nonlocal(spec: NonlocalSpec) -> BvpSolution:
@@ -123,7 +121,7 @@ def solve_nonlocal(spec: NonlocalSpec) -> BvpSolution:
     def phi(x, pointwise=False):
         return scale * inner._eval(x, pointwise)
 
-    return BvpSolution(spec=spec, amplitude=scale * inner.amplitude, _eval=phi)
+    return BvpSolution(spec=spec, _eval=phi)
 
 
 def solve_pq_equal(p: float) -> BvpSolution:
@@ -132,8 +130,7 @@ def solve_pq_equal(p: float) -> BvpSolution:
     Equals sin_{2,p}(pi_{2,p} x) / (p pi_{2,p}) with the mirror extension on
     [1/2, 1]; symmetric about x = 1/2.
     """
-    if not 1.0 < p < math.inf:
-        raise DomainError("need p in (1, inf)")
+    check_pq(2.0, p)
     pi_val = pi_pq(2.0, p)
     amp = 1.0 / (p * pi_val)
 
@@ -142,7 +139,7 @@ def solve_pq_equal(p: float) -> BvpSolution:
             return np.array([u(v) for v in x.ravel()]).reshape(x.shape)
         return amp * extend_sin_symmetric(p, pi_val * x)
 
-    return BvpSolution(spec=BvpSpec(H=1.0, p=p, q=p), amplitude=amp, _eval=u)
+    return BvpSolution(spec=BvpSpec(H=1.0, p=p, q=p), _eval=u)
 
 
 def _interior(spec, x):

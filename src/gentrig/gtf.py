@@ -17,19 +17,19 @@ import numpy as np
 import scipy.special as sc
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, check_pq
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 
 
 def conjugate(p: float) -> float:
-    """Hoelder conjugate p* = p / (p - 1); 1* = inf and inf* = 1."""
-    if math.isinf(p):
-        return 1.0
+    """Hoelder conjugate p* = p / (p - 1) on [1, inf]; 1* = inf, inf* = 1."""
+    if not 1.0 <= p <= math.inf:  # written so that NaN fails the test
+        raise DomainError(f"conjugate requires p in [1, inf], got {p}")
     if p == 1.0:
         return math.inf
-    if p <= 0:
-        raise DomainError("conjugate requires p in [1, inf]")
+    if p == math.inf:
+        return 1.0
     return p / (p - 1.0)
 
 
@@ -41,8 +41,7 @@ class ParamPair:
     q: float
 
     def __post_init__(self):
-        if not (1.0 < self.p < math.inf and 1.0 < self.q < math.inf):
-            raise DomainError(f"need p, q in (1, inf), got ({self.p}, {self.q})")
+        check_pq(self.p, self.q)
 
     @property
     def p_star(self) -> float:
@@ -51,20 +50,6 @@ class ParamPair:
     @property
     def q_star(self) -> float:
         return conjugate(self.q)
-
-
-@dataclass(frozen=True)
-class GtfSample:
-    """A point on the principal domain together with both function values."""
-
-    x: float
-    s: float
-    c: float
-
-
-def _check_pq(p: float, q: float):
-    if not (1.0 < p < math.inf and 1.0 < q < math.inf):
-        raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
 
 
 def pi_pq(p: float, q: float) -> float:
@@ -78,10 +63,9 @@ def pi_pq(p: float, q: float) -> float:
             raise DomainError("pi_pq with q = 1 requires p > 1")
         return 2.0 * conjugate(p)
     if math.isinf(p):
-        if not 1.0 < q < math.inf:
-            raise DomainError("pi_pq with p = inf requires finite q > 1")
+        check_pq(2.0, q)  # the convention needs q in (1, inf)
         return 2.0
-    _check_pq(p, q)
+    check_pq(p, q)
     return (2.0 / q) * specfun.beta(1.0 / conjugate(p), 1.0 / q)
 
 
@@ -115,7 +99,7 @@ def _libm_pow(base, exponent: float):
 
 def asin_pq(p: float, q: float, x):
     """Inverse generalized sine on [0, 1], via the incomplete beta form."""
-    _check_pq(p, q)
+    check_pq(p, q)
     xx = _as_unit(x, 1.0, "asin_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
     val = (1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xx**q)
@@ -124,7 +108,7 @@ def asin_pq(p: float, q: float, x):
 
 def sin_pq(p: float, q: float, x):
     """Generalized sine on the principal interval [0, pi_pq/2]."""
-    _check_pq(p, q)
+    check_pq(p, q)
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "sin_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
@@ -138,7 +122,7 @@ def cos_pq(p: float, q: float, x):
     Solved in the swapped-tail form I_{1-t}(b, a) = 1 - I_t(a, b) so that
     accuracy is retained where sin_pq is close to 1.
     """
-    _check_pq(p, q)
+    check_pq(p, q)
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "cos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
@@ -158,7 +142,7 @@ def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
     vectorized power, which the array calls use, can differ from those in
     the last ulp.  Scalars give the same result either way.
     """
-    _check_pq(p, q)
+    check_pq(p, q)
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "sincos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
@@ -169,12 +153,6 @@ def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
     return _maybe_scalar(t ** (1.0 / q)), _maybe_scalar(tc ** (1.0 / p))
 
 
-def sample(p: float, q: float, x: float) -> GtfSample:
-    """Evaluate both functions at x and bundle the triple."""
-    s, c = sincos_pq(p, q, x)
-    return GtfSample(float(x), float(s), float(c))
-
-
 def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
     """Residual of (cos_pq^(p-1))' = -((p-1) q / p) sin_pq^(q-1).
 
@@ -182,7 +160,7 @@ def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
     sits close to an endpoint); the identity carries the minus sign that
     makes sin_pq solve the p-Laplacian oscillator.
     """
-    _check_pq(p, q)
+    check_pq(p, q)
     halfpi = 0.5 * pi_pq(p, q)
     if not 0.0 < x < halfpi:
         raise DomainError("x must be interior to (0, pi_pq/2)")
@@ -201,7 +179,7 @@ def sin_symmetry_appendix(p: float, q: float, x01: float):
         sin_pq((pi_pq/2) x)  vs  cos_{q*,p*}^(q*-1)((pi_{q*,p*}/2)(1-x))
         cos_pq((pi_pq/2) x)  vs  sin_{q*,p*}^(p*-1)((pi_{q*,p*}/2)(1-x))
     """
-    _check_pq(p, q)
+    check_pq(p, q)
     if not 0.0 <= x01 <= 1.0:
         raise DomainError("x01 must lie in [0, 1]")
     ps, qs = conjugate(p), conjugate(q)
@@ -215,8 +193,7 @@ def sin_symmetry_appendix(p: float, q: float, x01: float):
 def multiple_angle_residual(p: float, x: float) -> float:
     """Residual of sin_{2,p}(2^(2/p) x) = 2^(2/p) sin_{p*,p}(x) cos_{p*,p}^(p*-1)(x)
     for x in [0, pi_{p*,p}/2]."""
-    if not 1.0 < p < math.inf:
-        raise DomainError("need p in (1, inf)")
+    check_pq(2.0, p)
     ps = conjugate(p)
     half = 0.5 * pi_pq(ps, p)
     if not 0.0 <= x <= half * (1.0 + _REL_SLACK):
@@ -233,8 +210,7 @@ def multiple_angle_residual(p: float, x: float) -> float:
 def extend_sin_symmetric(p: float, x):
     """sin_{2,p} on [0, pi_{2,p}], mirrored about the midpoint on the
     second half.  This is the only family the extension is defined for."""
-    if not 1.0 < p < math.inf:
-        raise DomainError("need p in (1, inf)")
+    check_pq(2.0, p)
     full = pi_pq(2.0, p)
     xx = _as_unit(x, full, "extend_sin_symmetric")
     folded = np.minimum(xx, full - xx)

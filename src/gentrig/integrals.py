@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, check_order, check_pq
 from .gtf import ParamPair, conjugate, pi_pq, sin_pq
 
 WALLIS_SPECIAL_KINDS = (
@@ -35,18 +35,7 @@ class WallisQuery:
     r: float
 
     def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
-            raise DomainError("n must be a nonnegative integer")
-
-    @property
-    def u(self) -> float:
-        """Sine-flavor derived exponent, 1/u = (r+1)/q."""
-        return self.params.q / (self.r + 1.0)
-
-    @property
-    def v(self) -> float:
-        """Cosine-flavor derived exponent, 1/v = (r+p-1)/p."""
-        return self.params.p / (self.r + self.params.p - 1.0)
+        check_order(self.n)
 
 
 @dataclass(frozen=True)
@@ -62,19 +51,6 @@ class EllipticQuery:
             raise DomainError("need r > 1")
         if not 0.0 <= self.k < 1.0:
             raise DomainError("need modulus k in [0, 1)")
-
-    @property
-    def k_comp(self) -> float:
-        """Complementary modulus (1 - k^q)^(1/r)."""
-        return (1.0 - self.k**self.params.q) ** (1.0 / self.r)
-
-
-def _poch_ratio(top: float, bottom: float, n: int) -> float:
-    """(top)_n / (bottom)_n as a running product of ratios."""
-    out = 1.0
-    for m in range(n):
-        out *= (top + m) / (bottom + m)
-    return out
 
 
 def _check_kl(p: float, k: float, l: float):
@@ -118,12 +94,11 @@ def primitive_finite_sum(p: float, q: float, k: float, n: int, x: float) -> floa
     """
     if not k > -1.0:
         raise DomainError("need exponent k > -1")
-    if n < 0 or n != int(n):
-        raise DomainError("n must be a nonnegative integer")
+    n = check_order(n)
     s = sin_pq(p, q, x)
     total = 0.0
-    for m in range(int(n) + 1):
-        total += (-1.0) ** m / (k + 1.0 + q * m) * math.comb(int(n), m) * s ** (
+    for m in range(n + 1):
+        total += (-1.0) ** m / (k + 1.0 + q * m) * math.comb(n, m) * s ** (
             k + 1.0 + q * m
         )
     return total
@@ -143,7 +118,7 @@ def wallis_sin(query: WallisQuery) -> float:
     else:
         u = q / (r + 1.0)
         pi_pu = pi_pq(p, u)
-    ratio = _poch_ratio(1.0 / u, 1.0 / conjugate(p) + 1.0 / u, n)
+    ratio = specfun.poch_ratio(1.0 / u, 1.0 / conjugate(p) + 1.0 / u, n)
     return u * ratio / q * (pi_pu / 2.0)
 
 
@@ -160,73 +135,59 @@ def wallis_cos(query: WallisQuery) -> float:
     else:
         v = p / (r + p - 1.0)
         pi_vq = pi_pq(conjugate(v), q)
-    ratio = _poch_ratio(1.0 / v, 1.0 / v + 1.0 / q, n)
+    ratio = specfun.poch_ratio(1.0 / v, 1.0 / v + 1.0 / q, n)
     return ratio * (pi_vq / 2.0)
 
 
 def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
-    """The six displayed special cases r in {0, q-2, q-1} / {0, 2-p, 1},
-    evaluated directly from Pochhammer ratios and generalized pi values."""
-    if n < 0 or n != int(n):
-        raise DomainError("n must be a nonnegative integer")
-    ps, qs = conjugate(p), conjugate(q)
-    if which == "sin_qn":
-        return _poch_ratio(1.0 / q, 1.0 / ps + 1.0 / q, n) * pi_pq(p, q) / 2.0
-    if which == "sin_qn_qm2":
-        ratio = _poch_ratio(1.0 / qs, 1.0 / ps + 1.0 / qs, n)
-        return ratio / (q - 1.0) * pi_pq(p, qs) / 2.0
-    if which == "sin_qn_qm1":
-        return _poch_ratio(1.0, 1.0 / ps + 1.0, n) * ps / q
-    if which == "cos_pn":
-        return _poch_ratio(1.0 / ps, 1.0 / ps + 1.0 / q, n) * pi_pq(p, q) / 2.0
-    if which == "cos_pn_2mp":
-        # ratio times pi_{p*,q}/2, consistent with the recurrence seed
-        # J_{2-p} = (1/q) B(1/q, 1/p) and with the classical n = 1 check
-        # int cos^2 = pi/4 at p = q = 2
-        return _poch_ratio(1.0 / p, 1.0 / p + 1.0 / q, n) * pi_pq(ps, q) / 2.0
-    if which == "cos_pn_1":
-        return _poch_ratio(1.0, 1.0 + 1.0 / q, n)
-    raise DomainError(f"unknown special case {which!r}")
+    """The six displayed special cases: wallis_sin at r in {0, q-2, q-1} and
+    wallis_cos at r in {0, 2-p, 1}.
+
+    Each is a Pochhammer ratio times a generalized pi value; kind cos_pn_2mp
+    is the ratio (1/p)_n / (1/p + 1/q)_n times pi_{p*,q}/2, consistent with
+    the recurrence seed J_{2-p} = (1/q) B(1/q, 1/p) and with the classical
+    n = 1 check int cos^2 = pi/4 at p = q = 2.
+    """
+    cases = {
+        "sin_qn": (wallis_sin, 0.0),
+        "sin_qn_qm2": (wallis_sin, q - 2.0),
+        "sin_qn_qm1": (wallis_sin, q - 1.0),
+        "cos_pn": (wallis_cos, 0.0),
+        "cos_pn_2mp": (wallis_cos, 2.0 - p),
+        "cos_pn_1": (wallis_cos, 1.0),
+    }
+    if which not in cases:
+        raise DomainError(f"unknown special case {which!r}")
+    flavor, r = cases[which]
+    return flavor(WallisQuery(ParamPair(p, q), n, r))
 
 
 def lemniscate_wallis(n: int, residue: int) -> float:
     """int_0^{varpi/2} sl^(4n+residue) dt for the lemniscate sine sl = sin_{2,4}.
 
-    Explicit rational products times the constant selected by the residue
-    class: varpi/2, pi/4, pi/(2 varpi), 1/2 for residues 0..3.
+    The ratio (a)_n / (a + 1/2)_n with a = (residue + 1)/4, i.e. the
+    rational product of the step-down recurrence I_k = (k-3)/(k-1) I_{k-4},
+    times the constant selected by the residue class: varpi/2, pi/4,
+    pi/(2 varpi), 1/2 for residues 0..3.
     """
-    if n < 0 or n != int(n):
-        raise DomainError("n must be a nonnegative integer")
     if residue not in (0, 1, 2, 3):
         raise DomainError("residue must be one of 0, 1, 2, 3")
     varpi = pi_pq(2.0, 4.0)
-    prod = 1.0
+    a = (residue + 1) / 4.0
+    ratio = specfun.poch_ratio(a, a + 0.5, n)
     if residue == 0:
-        for j in range(1, n + 1):
-            prod *= (4.0 * j - 3.0) / (4.0 * j - 1.0)
-        return prod * varpi / 2.0
+        return ratio * varpi / 2.0
     if residue == 1:
-        for j in range(1, n + 1):
-            prod *= (2.0 * j - 1.0) / (2.0 * j)
-        return prod * math.pi / 4.0
+        return ratio * math.pi / 4.0
     if residue == 2:
-        for j in range(1, n + 1):
-            prod *= (4.0 * j - 1.0) / (4.0 * j + 1.0)
-        return prod * math.pi / (2.0 * varpi)
-    for j in range(1, n + 1):
-        # factor from the step-down recurrence I_k = (k-3)/(k-1) I_{k-4}
-        # at k = 4j+3; cross-checked against quadrature (I_7 = 1/3)
-        prod *= (4.0 * j) / (4.0 * j + 2.0)
-    return prod * 0.5
+        return ratio * math.pi / (2.0 * varpi)
+    return ratio * 0.5
 
 
 def product_factors(p: float, q: float, N: int) -> np.ndarray:
     """The first N factors (1 - 1/(pn(qn+1-q/p)))^(-1); each exceeds 1."""
-    if not (p > 1.0 and q > 1.0):
-        raise DomainError("need p, q in (1, inf)")
-    if N < 1 or N != int(N):
-        raise DomainError("N must be a positive integer")
-    n = np.arange(1, int(N) + 1, dtype=float)
+    check_pq(p, q)
+    n = np.arange(1, check_order(N, 1) + 1, dtype=float)
     denom = p * n * (q * n + 1.0 - q / p)
     factors = 1.0 / (1.0 - 1.0 / denom)
     if not np.all(factors > 1.0):
@@ -269,8 +230,7 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     1/s = 1/p - 1/q; the identity needs p <= q (s = inf when p = q, with
     pi_{inf,r} = 2).  The classical Legendre relation is p = q = r = 2.
     """
-    if not (1.0 < p < math.inf and 1.0 < q < math.inf):
-        raise DomainError("need p, q in (1, inf)")
+    check_pq(p, q)
     if p > q:
         raise DomainError("Elliott's identity requires p <= q")
     if not r > 1.0:

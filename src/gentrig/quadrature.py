@@ -179,3 +179,26 @@ def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadRes
         return da ** (a_exp - 1.0) * (gap + db) ** (b_exp - 1.0)
 
     return integrate(f, 0.0, upper, tol=1e-12, dist=True)
+
+
+def power_moment(p: float, q: float, exponent: float, flavor: str,
+                 tol: float = 1e-10) -> float:
+    """Oracle for the half-period moments int_0^{pi_pq/2} sin_pq^e dt
+    (flavor "sin") and int_0^{pi_pq/2} cos_pq^e dt (flavor "cos").
+
+    The substitution s = sin_pq turns them into int_0^1 s^e (1-s^q)^(-1/p) ds
+    and int_0^1 (1-s^q)^((e-1)/p) ds, whose endpoint factors are exact in
+    distance form; the floors keep negative powers finite at zero-weight
+    nodes.
+    """
+    if flavor not in ("sin", "cos"):
+        raise DomainError(f"flavor must be 'sin' or 'cos', got {flavor!r}")
+
+    def f(t, da, db):
+        with np.errstate(divide="ignore"):
+            tail = np.maximum(-np.expm1(q * np.log1p(-db)), 5e-324)
+        if flavor == "sin":
+            return np.maximum(t, 5e-324) ** exponent * tail ** (-1.0 / p)
+        return tail ** ((exponent - 1.0) / p)
+
+    return integrate(f, 0.0, 1.0, tol=tol, dist=True).value

@@ -1,22 +1,21 @@
-"""Scalar special functions: log-gamma, beta, Pochhammer symbols, the
-regularized incomplete beta function with its inverse, and the Gauss
-hypergeometric function on [0, 1].
+"""Scalar special functions: log-gamma, beta, the Pochhammer ratio
+(a)_n / (b)_n, a Newton-polished inverse of the regularized incomplete beta
+function, and the Gauss hypergeometric function on [0, 1].
 
-Gamma/beta plumbing is delegated to scipy.special; the hypergeometric
-series is evaluated here directly because call sites need a certified
-absolute tail bound, the exact terminating polynomial when a parameter is
-a nonpositive integer, and Gauss summation at argument 1.
+Gamma/beta plumbing and the incomplete beta function itself are delegated
+to scipy.special; the hypergeometric series is evaluated here because call
+sites need a certified absolute tail bound, the exact terminating polynomial
+when a parameter is a nonpositive integer, and Gauss summation at argument 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sc
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_order
 
 HYP2F1_TAIL_TOL = 1e-13
 HYP2F1_MAX_TERMS = 100_000
@@ -26,31 +25,6 @@ def _is_nonpos_int(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
-@dataclass(frozen=True)
-class HyperParams:
-    """Parameter triple (a, b, c) of the Gauss hypergeometric series."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if _is_nonpos_int(self.c):
-            raise DomainError("c must not be zero or a negative integer")
-
-
-@dataclass(frozen=True)
-class BetaArgs:
-    """Strictly positive argument pair of the beta function."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (self.x > 0 and self.y > 0):
-            raise DomainError("beta arguments must be strictly positive")
-
-
 def ln_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0:
@@ -58,13 +32,15 @@ def ln_gamma(x: float) -> float:
     return float(sc.gammaln(x))
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Ascending factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0 or n != int(n):
-        raise DomainError("pochhammer order must be a nonnegative integer")
+def poch_ratio(a: float, b: float, n: int) -> float:
+    """(a)_n / (b)_n for a nonnegative integer n, as a running product of
+    the factor ratios (a + m) / (b + m); the empty product n = 0 is 1.
+
+    Every Wallis-type closed form is such a ratio times a generalized pi.
+    """
     out = 1.0
-    for m in range(int(n)):
-        out *= a + m
+    for m in range(check_order(n)):
+        out *= (a + m) / (b + m)
     return out
 
 
@@ -73,17 +49,6 @@ def beta(x: float, y: float) -> float:
     if not (x > 0 and y > 0):
         raise DomainError("beta requires positive arguments")
     return math.exp(ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y))
-
-
-def inc_beta_reg(a: float, b: float, x):
-    """Regularized incomplete beta I_x(a, b), vectorized in x."""
-    if not (a > 0 and b > 0):
-        raise DomainError("inc_beta_reg requires positive shape parameters")
-    xx = np.asarray(x, dtype=float)
-    if np.any(xx < 0) or np.any(xx > 1):
-        raise DomainError("inc_beta_reg requires x in [0, 1]")
-    out = sc.betainc(a, b, xx)
-    return float(out) if out.ndim == 0 else out
 
 
 def inc_beta_reg_inv(a: float, b: float, y):

@@ -23,33 +23,6 @@ def report(name, max_residual, tol, extra=""):
     print(f"PASS {name} max_residual={max_residual:.3e} tol={tol:.0e}{suffix}")
 
 
-def quad_sin_power(p, q, exponent, tol=1e-12):
-    """Oracle for int_0^{pi_pq/2} sin_pq^e dx via the substitution s = sin_pq,
-    which turns it into int_0^1 s^e (1 - s^q)^(-1/p) ds."""
-
-    def f(t, da, db):
-        # both endpoint factors are computed from exact distances; the
-        # floor keeps negative powers finite at zero-weight nodes
-        t = np.maximum(t, 5e-324)
-        with np.errstate(divide="ignore"):
-            tail = np.maximum(-np.expm1(q * np.log1p(-db)), 5e-324)
-        return t**exponent * tail ** (-1.0 / p)
-
-    return quadrature.integrate(f, 0.0, 1.0, tol=tol, dist=True).value
-
-
-def quad_cos_power(p, q, exponent, tol=1e-12):
-    """Oracle for int_0^{pi_pq/2} cos_pq^e dx via the same substitution,
-    giving int_0^1 (1 - s^q)^((e-1)/p) ds."""
-
-    def f(t, da, db):
-        with np.errstate(divide="ignore"):
-            tail = np.maximum(-np.expm1(q * np.log1p(-db)), 5e-324)
-        return tail ** ((exponent - 1.0) / p)
-
-    return quadrature.integrate(f, 0.0, 1.0, tol=tol, dist=True).value
-
-
 def test_01_lemniscate_constant():
     start = time.perf_counter()
     varpi = gtf.pi_pq(2.0, 4.0)
@@ -106,13 +79,14 @@ def test_04_lemniscate_wallis():
                 closed = integrals.wallis_sin(
                     WallisQuery(ParamPair(2.0, 2.0), n=n, r=r)
                 )
-            oracle = quad_sin_power(2.0, 2.0, 2.0 * n + r, tol=1e-9)
+            oracle = quadrature.power_moment(2.0, 2.0, 2.0 * n + r, "sin", tol=1e-9)
             worst = max(worst, abs(closed - oracle))
     # ... and the four lemniscate classes at (2,4)
     for n in range(6):
         for residue in range(4):
             closed = integrals.lemniscate_wallis(n, residue)
-            oracle = quad_sin_power(2.0, 4.0, 4.0 * n + residue, tol=1e-9)
+            oracle = quadrature.power_moment(
+                2.0, 4.0, 4.0 * n + residue, "sin", tol=1e-9)
             worst = max(worst, abs(closed - oracle))
     varpi = gtf.pi_pq(2.0, 4.0)
     assert abs(integrals.lemniscate_wallis(0, 1) - math.pi / 4.0) <= 1e-14
@@ -132,11 +106,11 @@ def test_05_general_wallis_grid():
             for n in range(5):
                 for r in (q - 1.0, (q - 1.0) / 2.0, -0.5):
                     closed = integrals.wallis_sin(WallisQuery(pair, n=n, r=r))
-                    oracle = quad_sin_power(p, q, q * n + r, tol=1e-9)
+                    oracle = quadrature.power_moment(p, q, q * n + r, "sin", tol=1e-9)
                     worst = max(worst, abs(closed - oracle))
                 for r in (1.0, (3.0 - p) / 2.0, 1.0 - 0.75 * (p - 1.0)):
                     closed = integrals.wallis_cos(WallisQuery(pair, n=n, r=r))
-                    oracle = quad_cos_power(p, q, p * n + r, tol=1e-9)
+                    oracle = quadrature.power_moment(p, q, p * n + r, "cos", tol=1e-9)
                     worst = max(worst, abs(closed - oracle))
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

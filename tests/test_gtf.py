@@ -19,6 +19,11 @@ class TestParamPair:
         assert gtf.conjugate(1.0) == math.inf
         assert gtf.conjugate(math.inf) == 1.0
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, -2.0, math.nan, -math.inf])
+    def test_conjugate_outside_domain(self, p):
+        with pytest.raises(DomainError):
+            gtf.conjugate(p)
+
     def test_constructor_rejects_bad_pairs(self):
         with pytest.raises(DomainError):
             ParamPair(1.0, 2.0)
@@ -153,10 +158,10 @@ class TestSinCos:
         with pytest.raises(DomainError):
             gtf.cos_pq(2.0, 3.0, -0.5)
 
-    def test_sample_bundle(self):
-        s = gtf.sample(2.0, 2.0, math.pi / 6)
-        assert s.s == pytest.approx(0.5, abs=1e-14)
-        assert s.c == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
+    def test_classical_values_at_pi_over_6(self):
+        s, c = gtf.sincos_pq(2.0, 2.0, math.pi / 6)
+        assert s == pytest.approx(0.5, abs=1e-14)
+        assert c == pytest.approx(math.sqrt(3) / 2, abs=1e-14)
 
 
 def same_bits(a, b):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gentrig import gtf, integrals, quadrature
+from gentrig import gtf, integrals, quadrature, specfun
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 from gentrig.integrals import EllipticQuery, WallisQuery
@@ -43,10 +43,6 @@ class TestWallisQuery:
             integrals.wallis_sin(WallisQuery(ParamPair(2.0, 3.0), n=0, r=-1.0))
         with pytest.raises(DomainError):
             integrals.wallis_cos(WallisQuery(ParamPair(2.0, 3.0), n=0, r=1.5))
-
-    def test_u_parameter(self):
-        qy = WallisQuery(ParamPair(2.0, 4.0), n=1, r=1.0)
-        assert qy.u == pytest.approx(2.0)
 
 
 class TestClassicalWallis:
@@ -187,6 +183,74 @@ class TestLemniscate:
             integrals.lemniscate_wallis(1, 4)
         with pytest.raises(DomainError):
             integrals.lemniscate_wallis(-1, 0)
+
+
+def lemniscate_wallis_loops(n, residue):
+    """The catalog as four hand-written products, kept as the reference the
+    Pochhammer-ratio form must reproduce bit for bit."""
+    varpi = gtf.pi_pq(2.0, 4.0)
+    prod = 1.0
+    if residue == 0:
+        for j in range(1, n + 1):
+            prod *= (4.0 * j - 3.0) / (4.0 * j - 1.0)
+        return prod * varpi / 2.0
+    if residue == 1:
+        for j in range(1, n + 1):
+            prod *= (2.0 * j - 1.0) / (2.0 * j)
+        return prod * math.pi / 4.0
+    if residue == 2:
+        for j in range(1, n + 1):
+            prod *= (4.0 * j - 1.0) / (4.0 * j + 1.0)
+        return prod * math.pi / (2.0 * varpi)
+    for j in range(1, n + 1):
+        prod *= (4.0 * j) / (4.0 * j + 2.0)
+    return prod * 0.5
+
+
+class TestLemniscateRatioForm:
+    @pytest.mark.parametrize("residue", [0, 1, 2, 3])
+    def test_bit_equal_to_loops(self, residue):
+        for n in [*range(200), 1000, 99_999]:
+            got = integrals.lemniscate_wallis(n, residue)
+            assert got == lemniscate_wallis_loops(n, residue), (n, residue)
+
+
+# callables that take an integer order n (or N), at in-domain (p, q)
+ORDER_CALLS = {
+    "WallisQuery": lambda n: integrals.wallis_sin(
+        WallisQuery(ParamPair(2.0, 3.0), n, 0.5)),
+    "lemniscate_wallis": lambda n: integrals.lemniscate_wallis(n, 1),
+    "wallis_special_cases": lambda n: integrals.wallis_special_cases(
+        2.0, 3.0, n, "cos_pn"),
+    "primitive_finite_sum": lambda n: integrals.primitive_finite_sum(
+        2.0, 3.0, 0.5, n, 0.4),
+    "product_factors": lambda n: integrals.product_factors(2.0, 3.0, n),
+    "poch_ratio": lambda n: specfun.poch_ratio(0.25, 0.75, n),
+}
+
+BAD_INPUTS = [
+    pytest.param(ORDER_CALLS[name], n, id=f"{name}-n={n}")
+    for name in ORDER_CALLS
+    for n in (math.nan, math.inf, 2.5, -1, -1.0)
+] + [
+    pytest.param(lambda _: integrals.wallis_special_cases(
+        math.inf, 0.5, 3, "sin_qn_qm1"), None, id="wallis_special_cases-p=inf"),
+    pytest.param(lambda _: integrals.product_factors(math.inf, 2.0, 3), None,
+                 id="product_factors-p=inf"),
+    pytest.param(lambda _: integrals.product_factors(2.0, 3.0, 0), None,
+                 id="product_factors-N=0"),
+]
+
+
+class TestOrderAndPairValidation:
+    @pytest.mark.parametrize("call,n", BAD_INPUTS)
+    def test_rejected_with_domain_error(self, call, n):
+        with pytest.raises(DomainError):
+            call(n)
+
+    @pytest.mark.parametrize("name", ORDER_CALLS)
+    def test_integral_float_order_accepted(self, name):
+        assert np.array_equal(ORDER_CALLS[name](3.0), ORDER_CALLS[name](3))
 
 
 class TestPrimitives:

@@ -124,11 +124,33 @@ class TestSingularBeta:
             quadrature.integrate_singular_beta(1.0, 1.0, 1.5)
 
 
+class TestPowerMoment:
+    def test_classical_moments(self):
+        # int_0^(pi/2) sin^2 = pi/4 and int_0^(pi/2) cos^3 = 2/3
+        assert quadrature.power_moment(2.0, 2.0, 2.0, "sin") == pytest.approx(
+            math.pi / 4.0, abs=1e-12)
+        assert quadrature.power_moment(2.0, 2.0, 3.0, "cos") == pytest.approx(
+            2.0 / 3.0, abs=1e-12)
+
+    def test_half_period_length(self):
+        # the zeroth moment is pi_pq/2 = (1/q) B(1/p*, 1/q); p = 3, q = 1.5
+        expected = math.gamma(2.0 / 3.0) ** 2 / math.gamma(4.0 / 3.0) / 1.5
+        for flavor in ("sin", "cos"):
+            got = quadrature.power_moment(3.0, 1.5, 0.0, flavor)
+            assert got == pytest.approx(expected, rel=1e-10)
+
+    def test_unknown_flavor(self):
+        with pytest.raises(DomainError):
+            quadrature.power_moment(2.0, 2.0, 1.0, "tan")
+
+
 def test_oracle_independence():
     # the oracle must not import the modules it is used to check
     import gentrig.quadrature as q
 
     src = open(q.__file__).read()
     for banned in ("from .gtf", "from .integrals", "from .bvp",
-                   "from . import gtf", "import gentrig.gtf"):
+                   "from . import gtf", "from . import integrals",
+                   "from . import bvp", "import gentrig.gtf",
+                   "import gentrig.integrals", "import gentrig.bvp"):
         assert banned not in src

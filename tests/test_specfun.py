@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gentrig import quadrature, specfun
 from gentrig.errors import ConvergenceError, DomainError
-from gentrig.specfun import BetaArgs, HyperParams
 
 
 class TestLnGamma:
@@ -31,24 +32,42 @@ class TestLnGamma:
 
 
 class TestPochhammer:
+    """The Pochhammer ratio (a)_n / (b)_n."""
+
     def test_empty_product(self):
-        assert specfun.pochhammer(3.0, 0) == 1.0
+        assert specfun.poch_ratio(3.0, 5.0, 0) == 1.0
 
     def test_factorial(self):
-        assert specfun.pochhammer(1.0, 4) == 24.0
+        # (1)_4 / (2)_4 = 4! / (5!/1!) = 1/5
+        assert specfun.poch_ratio(1.0, 2.0, 4) == 0.2
 
     def test_vanishing_factor(self):
-        assert specfun.pochhammer(-2.0, 3) == 0.0
+        assert specfun.poch_ratio(-2.0, 0.5, 3) == 0.0
 
     @given(
         a=st.floats(-5, 5, allow_nan=False),
+        b=st.floats(0.1, 5, allow_nan=False),
         n=st.integers(min_value=0, max_value=50),
     )
     @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, a, n):
-        lhs = specfun.pochhammer(a, n + 1)
-        rhs = specfun.pochhammer(a, n) * (a + n)
+    def test_recurrence(self, a, b, n):
+        lhs = specfun.poch_ratio(a, b, n + 1)
+        rhs = specfun.poch_ratio(a, b, n) * (a + n) / (b + n)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    # the classes at the call sites: a = (r+1)/q or (r+p-1)/p in (0, 1],
+    # b = a + 1/p* or a + 1/q, and the lemniscate's b = a + 1/2
+    @pytest.mark.parametrize("a", [0.05, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("d", [0.05, 1.0 / 3.0, 0.5, 0.6, 0.95])
+    def test_against_mpmath(self, a, d):
+        # the running product's worst relative error on this grid is
+        # 4.6e-13, at a = 0.4, d = 0.95, n = 1e4
+        b = a + d
+        for n in (0, 1, 2, 7, 10, 100, 1000, 10_000):
+            with mpmath.workdps(40):
+                exact = mpmath.rf(a, n) / mpmath.rf(b, n)
+            got = specfun.poch_ratio(a, b, n)
+            assert abs(got - exact) <= 1e-12 * exact
 
 
 class TestBeta:
@@ -87,23 +106,26 @@ class TestBeta:
         with pytest.raises(DomainError):
             specfun.beta(0.0, 1.0)
         with pytest.raises(DomainError):
-            BetaArgs(1.0, -1.0)
+            specfun.beta(1.0, -1.0)
 
 
 class TestIncBeta:
+    """The regularized incomplete beta function I_x(a, b), scipy's betainc as
+    gtf calls it, and the polished inverse specfun.inc_beta_reg_inv."""
+
     def test_endpoints(self):
-        assert specfun.inc_beta_reg(0.7, 1.3, 0.0) == 0.0
-        assert specfun.inc_beta_reg(0.7, 1.3, 1.0) == 1.0
+        assert sc.betainc(0.7, 1.3, 0.0) == 0.0
+        assert sc.betainc(0.7, 1.3, 1.0) == 1.0
 
     def test_against_oracle(self):
         # frozen: quadrature of t^(-1/2) (1-t)^(-1/4) over [0, 1/2], regularized
-        assert specfun.inc_beta_reg(0.5, 0.75, 0.5) == pytest.approx(
+        assert sc.betainc(0.5, 0.75, 0.5) == pytest.approx(
             0.6212153287087858, abs=1e-12
         )
 
     def test_monotone(self):
         xs = np.linspace(0.0, 1.0, 101)
-        vals = specfun.inc_beta_reg(0.4, 2.2, xs)
+        vals = sc.betainc(0.4, 2.2, xs)
         assert np.all(np.diff(vals) >= 0.0)
 
     def test_inverse_endpoints(self):
@@ -114,8 +136,14 @@ class TestIncBeta:
     @pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
     def test_round_trip(self, a, b):
         for x in np.arange(0.1, 0.95, 0.1):
-            y = specfun.inc_beta_reg(a, b, x)
+            y = sc.betainc(a, b, x)
             assert specfun.inc_beta_reg_inv(a, b, y) == pytest.approx(x, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [0.9666666666666666, 1.75])
+    def test_symmetric_median(self, a):
+        # I_x(a, a) = 1/2 at x = 1/2; scipy's betaincinv alone is off by
+        # 1.3e-8 and 1.0e-12 here, the polished inverse by at most 8.3e-16
+        assert abs(specfun.inc_beta_reg_inv(a, a, 0.5) - 0.5) <= 2e-15
 
     @given(
         a=st.floats(0.2, 5.0),
@@ -133,7 +161,7 @@ class TestIncBeta:
             bound = max(1e-14, 8.0 * abs(x) * np.finfo(float).eps * density)
         else:
             bound = 1e-14
-        assert abs(specfun.inc_beta_reg(a, b, x) - y) <= bound
+        assert abs(sc.betainc(a, b, x) - y) <= bound
 
 
 class TestHyp2F1:
@@ -188,7 +216,7 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             specfun.hyp2f1(1.0, 1.0, 1.5, 1.0)  # c <= a + b at x = 1
         with pytest.raises(DomainError):
-            HyperParams(0.5, 0.5, -2.0)
+            specfun.hyp2f1(0.5, 0.5, -2.0, 0.5)
 
     def test_convergence_failure_is_reported(self):
         # extremely close to 1 with tiny c-a-b: tail cannot certify in cap
