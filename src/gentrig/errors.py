@@ -8,7 +8,17 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative evaluation failed to meet its accuracy target."""
+    """An iterative evaluation failed to meet its accuracy target.
+
+    ``layer`` names the function that gave up, ``terms`` the number of
+    terms (or steps) it used and ``budget`` the number it was allowed.
+    """
+
+    def __init__(self, message, *, layer=None, terms=None, budget=None):
+        super().__init__(message)
+        self.layer = layer
+        self.terms = terms
+        self.budget = budget
 
 
 class ToleranceError(RuntimeError):

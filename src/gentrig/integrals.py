@@ -14,7 +14,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, check_order, check_pq
-from .gtf import ParamPair, conjugate, pi_pq, sin_pq
+from .gtf import ParamPair, conjugate, pi_pq, sin_pq, sincos_pq
 
 WALLIS_SPECIAL_KINDS = (
     "sin_qn",
@@ -65,6 +65,8 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
 
     Valid for k > -1, l > 1-p and x in [0, pi_pq/2]; at the right endpoint
     the value is the definite beta form (the series argument reaches 1).
+    The series argument s^q comes with its complement 1 - s^q = cos_pq^p,
+    which keeps its accuracy where sin_pq rounds to 1.
     """
     _check_kl(p, k, l)
     halfpi = 0.5 * pi_pq(p, q)
@@ -72,11 +74,11 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
         raise DomainError("x must lie in [0, pi_pq/2]")
     if x >= halfpi:
         return definite_sin_cos(p, q, k, l)
-    s = sin_pq(p, q, x)
+    s, c = sincos_pq(p, q, x)
     if s == 0.0:
         return 0.0
-    arg = min(s**q, 1.0)
-    f = specfun.hyp2f1((k + 1.0) / q, (1.0 - l) / p, 1.0 + (k + 1.0) / q, arg)
+    a = (k + 1.0) / q
+    f = specfun.hyp2f1(a, (1.0 - l) / p, 1.0 + a, min(s**q, 1.0), comp=c**p)
     return s ** (k + 1.0) / (k + 1.0) * f
 
 
@@ -185,22 +187,40 @@ def lemniscate_wallis(n: int, residue: int) -> float:
 
 
 def product_factors(p: float, q: float, N: int) -> np.ndarray:
-    """The first N factors (1 - 1/(pn(qn+1-q/p)))^(-1); each exceeds 1."""
+    """The first N factors (1 - 1/(pn(qn+1-q/p)))^(-1), each exceeding 1.
+
+    The n-th factor is [n / (n - 1/p)] [(n + 1/q - 1/p) / (n + 1/q)], formed
+    as 1 + 1/((pn - 1)(qn + 1)); where that addend is below half an ulp the
+    factor rounds to 1.0, its faithful value.
+    """
     check_pq(p, q)
     n = np.arange(1, check_order(N, 1) + 1, dtype=float)
-    denom = p * n * (q * n + 1.0 - q / p)
-    factors = 1.0 / (1.0 - 1.0 / denom)
-    if not np.all(factors > 1.0):
-        raise AssertionError("every product factor must exceed 1")
+    factors = 1.0 + 1.0 / ((p * n - 1.0) * (q * n + 1.0))
+    if not np.all(factors >= 1.0):
+        raise AssertionError("every product factor must be at least 1")
     return factors
 
 
 def pi_product_partial(p: float, q: float, N: int) -> float:
-    """Partial product of the infinite-product representation of pi_pq/2.
+    """Partial product of the first N factors of the infinite product for
+    pi_pq/2: (1)_N (1 + 1/q - 1/p)_N / ((1 - 1/p)_N (1 + 1/q)_N), two
+    Pochhammer ratios, so the cost does not grow with N.
 
     Strictly increasing in N and converging to pi_pq/2 from below.
     """
-    return float(np.prod(product_factors(p, q, N)))
+    check_pq(p, q)
+    N = check_order(N, 1)
+    ip, iq = 1.0 / p, 1.0 / q
+    return specfun.poch_ratio(1.0, 1.0 - ip, N) * specfun.poch_ratio(
+        1.0 + (iq - ip), 1.0 + iq, N
+    )
+
+
+def _power_and_complement(k: float, q: float):
+    """(k^q, 1 - k^q) for k in [0, 1), the complement without cancellation."""
+    if k == 0.0:
+        return 0.0, 1.0
+    return k**q, -math.expm1(q * math.log(k))
 
 
 def elliptic_K(query: EllipticQuery) -> float:
@@ -208,9 +228,8 @@ def elliptic_K(query: EllipticQuery) -> float:
     (pi_pq/2) F(1/q, 1/r; 1/p* + 1/q; k^q)."""
     p, q = query.params.p, query.params.q
     c = 1.0 / conjugate(p) + 1.0 / q
-    return 0.5 * pi_pq(p, q) * specfun.hyp2f1(
-        1.0 / q, 1.0 / query.r, c, query.k**q
-    )
+    kq, kpr = _power_and_complement(query.k, q)
+    return 0.5 * pi_pq(p, q) * specfun.hyp2f1(1.0 / q, 1.0 / query.r, c, kq, comp=kpr)
 
 
 def elliptic_E(query: EllipticQuery) -> float:
@@ -218,8 +237,9 @@ def elliptic_E(query: EllipticQuery) -> float:
     (pi_pq/2) F(1/q, -1/r*; 1/p* + 1/q; k^q)."""
     p, q = query.params.p, query.params.q
     c = 1.0 / conjugate(p) + 1.0 / q
+    kq, kpr = _power_and_complement(query.k, q)
     return 0.5 * pi_pq(p, q) * specfun.hyp2f1(
-        1.0 / q, -1.0 / conjugate(query.r), c, query.k**q
+        1.0 / q, -1.0 / conjugate(query.r), c, kq, comp=kpr
     )
 
 
@@ -229,6 +249,12 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     Here K = K_{p,q,r*}(k), K' = K_{p,r,q*}(k') with k'^r = 1 - k^q, and
     1/s = 1/p - 1/q; the identity needs p <= q (s = inf when p = q, with
     pi_{inf,r} = 2).  The classical Legendre relation is p = q = r = 2.
+
+    One of K, K' grows without bound as k approaches 0 or 1, so the left
+    side is formed as (E - K) K' + K E' with the roles of the two sides
+    swapped as needed: E - K comes from the two series F - 1 at the small
+    argument, which have opposite signs, so it keeps its relative accuracy
+    and the large factor multiplies no rounding error of order 1.
     """
     check_pq(p, q)
     if p > q:
@@ -238,16 +264,19 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     if not 0.0 < k < 1.0:
         raise DomainError("need modulus k in (0, 1)")
     ps = conjugate(p)
-    kq = k**q
-    kpr = 1.0 - kq  # = k'^r, exact
-    c1 = 1.0 / ps + 1.0 / q
-    c2 = 1.0 / ps + 1.0 / r
-    half1 = 0.5 * pi_pq(p, q)
-    half2 = 0.5 * pi_pq(p, r)
-    K1 = half1 * specfun.hyp2f1(1.0 / q, 1.0 / conjugate(r), c1, kq)
-    E1 = half1 * specfun.hyp2f1(1.0 / q, -1.0 / r, c1, kq)
-    K2 = half2 * specfun.hyp2f1(1.0 / r, 1.0 / conjugate(q), c2, kpr)
-    E2 = half2 * specfun.hyp2f1(1.0 / r, -1.0 / q, c2, kpr)
+    kq, kpr = _power_and_complement(k, q)  # kpr = k'^r
+    # per side: a, b of K, b of E, c, argument, its complement, pi/2 factor
+    side1 = (1.0 / q, 1.0 / conjugate(r), -1.0 / r, 1.0 / ps + 1.0 / q,
+             kq, kpr, 0.5 * pi_pq(p, q))
+    side2 = (1.0 / r, 1.0 / conjugate(q), -1.0 / q, 1.0 / ps + 1.0 / r,
+             kpr, kq, 0.5 * pi_pq(p, r))
+    small, large = (side1, side2) if kq <= 0.5 else (side2, side1)
+    a, bk, be, c, x, _, half = small
+    gk, ge = specfun.hyp2f1m1(a, bk, c, x), specfun.hyp2f1m1(a, be, c, x)
+    a, bk, be, c, x, y, half_l = large
+    K_l = half_l * specfun.hyp2f1(a, bk, c, x, comp=y)
+    E_l = half_l * specfun.hyp2f1(a, be, c, x, comp=y)
+    lhs = half * (ge - gk) * K_l + half * (1.0 + gk) * E_l
     pi_sr = 2.0 if p == q else pi_pq(p * q / (q - p), r)
-    rhs = 2.0 * half1 * pi_sr / 4.0
-    return abs(E1 * K2 + K1 * E2 - K1 * K2 - rhs)
+    rhs = side1[-1] * pi_sr / 2.0
+    return abs(lhs - rhs)

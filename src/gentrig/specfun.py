@@ -3,9 +3,13 @@
 function, and the Gauss hypergeometric function on [0, 1].
 
 Gamma/beta plumbing and the incomplete beta function itself are delegated
-to scipy.special; the hypergeometric series is evaluated here because call
-sites need a certified absolute tail bound, the exact terminating polynomial
-when a parameter is a nonpositive integer, and Gauss summation at argument 1.
+to scipy.special.  The hypergeometric function is evaluated here because
+call sites need a certified tail bound on every series, the exact
+terminating polynomial when a parameter is a nonpositive integer, Gauss
+summation at argument 1, and a cost that does not grow as the argument
+approaches 1.  Differences ln Gamma(z + e) - ln Gamma(z) come from the
+Stirling series, so large-n Pochhammer ratios and the logarithmic
+connection formulas cost the same for every n and every e.
 """
 
 from __future__ import annotations
@@ -17,12 +21,89 @@ import scipy.special as sc
 
 from .errors import ConvergenceError, DomainError, check_order
 
-HYP2F1_TAIL_TOL = 1e-13
-HYP2F1_MAX_TERMS = 100_000
+# a series stops once its certified tail is below this fraction of the sum
+# of the magnitudes of its terms, the scale of its own rounding error
+HYP2F1_TAIL_TOL = 2.0**-53
+HYP2F1_MAX_TERMS = 300
+# within this distance of an integer m, c - a - b takes the regularized
+# connection formula; beyond it the plain one loses at most a factor
+# ~1/HYP2F1_REG_EPS to the cancellation of its two Gamma poles
+HYP2F1_REG_EPS = 0.1
+# where the terms of the connection formula cancel by more than this factor
+# (large parameters near x = 1/2) and x <= 3/4, the series in x is used
+HYP2F1_CANCEL = 16.0
+# below this n poch_ratio is a running product (relative error <= ~n eps)
+POCH_SWITCH = 64
+
+_STIRLING_MIN = 10.0  # the series below is used from this argument on
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of ln Gamma (DLMF
+# 5.11.1) truncated here is exact to 1e-18 for arguments >= _STIRLING_MIN
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400)
 
 
 def _is_nonpos_int(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
+
+
+def _log1p_ratio(t: float) -> float:
+    """log1p(t) / t, continued by 1 at t = 0."""
+    return math.log1p(t) / t if t else 1.0
+
+
+def _expm1_ratio(t: float) -> float:
+    """expm1(t) / t, continued by 1 at t = 0."""
+    return math.expm1(t) / t if t else 1.0
+
+
+def _lgamma_diff(z: float, e: float) -> float:
+    """(ln|Gamma(z + e)| - ln|Gamma(z)|) / e, continued by psi(z) at e = 0.
+
+    Both arguments are shifted up to Stirling range with Gamma(z + 1) =
+    z Gamma(z), each shift adding one log1p term, and the difference of the
+    two Stirling series is formed term by term; so no two large logarithms
+    are subtracted and the quotient keeps its accuracy as e -> 0.  Needs
+    (z + j + e) / (z + j) > 0 for every shift j: no pole between z and z + e.
+    """
+    total = 0.0
+    shifts = max(0, math.ceil(_STIRLING_MIN - min(z, z + e)))
+    for j in range(shifts):
+        zj = z + j
+        total -= _log1p_ratio(e / zj) / zj
+    w = z + shifts
+    t = e / w
+    lt = _log1p_ratio(t)
+    # [(w + e - 1/2) ln(w + e) - (w - 1/2) ln w - e] / e
+    total += (w - 0.5) / w * lt + math.log(w + e) - 1.0
+    # sum_k c_k [(w + e)^(1-2k) - w^(1-2k)] / e
+    inv2 = 1.0 / (w * w)
+    power = inv2
+    l1p = t * lt
+    for k, coef in enumerate(_STIRLING, 1):
+        u = (1 - 2 * k) * l1p
+        total += coef * power * (1 - 2 * k) * _expm1_ratio(u) * lt
+        power *= inv2
+    return total
+
+
+def _gamma_quotient(num, den) -> float:
+    """prod Gamma(num) / prod Gamma(den), zero where den meets a pole."""
+    out = 1.0
+    for z in num:
+        out *= float(sc.gamma(z))
+    for z in den:
+        out *= float(sc.rgamma(z))
+    return out
+
+
+def _gamma_ratio_m1(z: float, e: float, ze: float) -> float:
+    """(Gamma(z) / Gamma(ze) - 1) / e with ze = z + e, as accurate as the
+    caller knows it; continued by -psi(z) at e = 0."""
+    pole_gap = z if z >= 0.5 else abs(z - round(z))
+    if 2.0 * abs(e) > pole_gap:  # the ratio is far from 1: no cancellation
+        return (_gamma_quotient((z,), (ze,)) - 1.0) / e
+    lam = _lgamma_diff(z, e)
+    return -lam * _expm1_ratio(-e * lam)
 
 
 def ln_gamma(x: float) -> float:
@@ -33,13 +114,23 @@ def ln_gamma(x: float) -> float:
 
 
 def poch_ratio(a: float, b: float, n: int) -> float:
-    """(a)_n / (b)_n for a nonnegative integer n, as a running product of
-    the factor ratios (a + m) / (b + m); the empty product n = 0 is 1.
+    """(a)_n / (b)_n for a nonnegative integer n; the empty product n = 0 is 1.
 
+    Below POCH_SWITCH, or unless a, b > 0, a running product of the factor
+    ratios (a + m) / (b + m).  From POCH_SWITCH on one exp of
+    [ln Gamma(n + a) - ln Gamma(n + b)] - [ln Gamma(a) - ln Gamma(b)], both
+    differences from the Stirling series, so the cost does not grow with n.
     Every Wallis-type closed form is such a ratio times a generalized pi.
     """
+    n = check_order(n)
+    if n >= POCH_SWITCH and a > 0 and b > 0:
+        e = a - b
+        try:
+            return math.exp(e * (_lgamma_diff(b + n, e) - _lgamma_diff(b, e)))
+        except OverflowError:  # as the product overflows, to inf
+            return math.inf
     out = 1.0
-    for m in range(check_order(n)):
+    for m in range(n):
         out *= (a + m) / (b + m)
     return out
 
@@ -69,18 +160,167 @@ def inc_beta_reg_inv(a: float, b: float, y):
     return float(x) if x.ndim == 0 else x
 
 
-def hyp2f1(a: float, b: float, c: float, x: float) -> float:
+def _budget_spent(what: str, a, b, c, x):
+    return ConvergenceError(
+        f"hyp2f1: {what} at argument {x} spent its budget of "
+        f"{HYP2F1_MAX_TERMS} terms (a={a}, b={b}, c={c})",
+        layer="specfun.hyp2f1", terms=HYP2F1_MAX_TERMS, budget=HYP2F1_MAX_TERMS,
+    )
+
+
+def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
+    """head - 1 plus the power series of F(a, b; c; x), x in [0, 1), summed
+    until a ratio-test bound certifies the tail (c not a nonpositive
+    integer)."""
+    # indices beyond which term ratios are bounded by a quantity < 1
+    aa, ab, ac = abs(a), abs(b), abs(c)
+    n_safe = int(math.ceil(max(aa, ab, ac))) + 2
+    term = 1.0
+    total = mag = head
+    comp = 0.0  # Kahan compensation
+    for n in range(HYP2F1_MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if term == 0.0:
+            return total
+        mag += abs(term)
+        m = n + 1
+        if m >= n_safe:
+            rho = (m + aa) * (m + ab) / ((m - ac) * (m + 1.0)) * x
+            if 0.0 <= rho < 1.0 and abs(term) * rho / (1.0 - rho) <= HYP2F1_TAIL_TOL * mag:
+                return total
+    raise _budget_spent("series", a, b, c, x)
+
+
+def _connection(a: float, b: float, c: float, s: float, y: float):
+    """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added) for y
+    in (0, 1/2) by Gauss's connection formula (A&S 15.3.6, DLMF 15.8.4), for
+    s = c - a - b at least HYP2F1_REG_EPS from an integer."""
+    t1 = _gamma_quotient((c, s), (c - a, c - b)) * _series(a, b, 1.0 - s, y)
+    t2 = _gamma_quotient((c, -s), (a, b)) * _series(c - a, c - b, 1.0 + s, y) * y**s
+    return t1 + t2, abs(t1) + abs(t2)
+
+
+def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
+                             y: float, m: int, e: float):
+    """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added) for y
+    in (0, 1/2) and c - a - b = m + e, m >= 0 an integer and |e| <=
+    HYP2F1_REG_EPS; ca and cb are c - a and c - b.
+
+    A&S 15.3.6 with the poles of Gamma(c-a-b) and Gamma(a+b-c) cancelled
+    analytically (Forrey, J. Comput. Phys. 137, 1997; Michel & Stoitsov,
+    Comput. Phys. Commun. 178, 2008): the first m terms of the first series,
+    plus (-1)^m y^m Gamma(c) / (Gamma(a) Gamma(b)) (pi e / sin(pi e)) times
+    sum_k y^k E_k with E_k = (u_k - v_k) / e,
+
+        u_k = Gamma(a+m+k) Gamma(b+m+k)
+              / (Gamma(a+m+e) Gamma(b+m+e) Gamma(k+1-e) (m+k)!),
+        v_k = y^e Gamma(a+m+k+e) Gamma(b+m+k+e)
+              / (Gamma(a+m+e) Gamma(b+m+e) Gamma(m+k+1+e) k!).
+
+    E_0 is formed from (Gamma(z) / Gamma(z + e) - 1) / e and E_k by the
+    recurrence E_{k+1} = r_u E_k + v_k (r_u - r_v) / e, with (r_u - r_v) / e
+    in closed form; nothing is divided by e numerically, so e = 0 gives the
+    logarithmic formulas A&S 15.3.10-15.3.12 and small e stays accurate.
+    """
+    head = 0.0
+    if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
+        term = total = 1.0
+        for n in range(m - 1):
+            term *= (a + n) * (b + n) / (((n + 1 - m) - e) * (n + 1.0)) * y
+            total += term
+        head = _gamma_quotient((c, m + e), (ca, cb)) * total
+
+    mfact = math.factorial(m)
+    qa = _gamma_ratio_m1(a + m, e, cb)  # a + m + e = c - b
+    qb = _gamma_ratio_m1(b + m, e, ca)
+    q1 = _gamma_ratio_m1(m + 1.0, e, m + 1.0 + e)  # m! / Gamma(m+1+e) = 1 + e q1
+    g1 = -_gamma_ratio_m1(1.0, -e, 1.0 - e)  # 1 / Gamma(1-e) = 1 + e g1
+    ly = math.log(y)
+    ey = ly * _expm1_ratio(e * ly)  # y^e = 1 + e ey
+    ek = ((qa + qb + g1 - ey - q1) + e * (qa * qb + (qa + qb) * g1 - ey * q1)
+          + e * e * qa * qb * g1) / mfact
+    vk = math.exp(e * ly) * (1.0 + e * q1) / mfact
+    al, be, ae = a + m - 1.0, b + m - 1.0, abs(e)
+    lead = a + b + m - 2.0
+    lead_abs, cross, ab_sum = abs(lead), abs(al * be), abs(al + be)
+
+    total = mag = 0.0
+    yk = 1.0
+    for k in range(HYP2F1_MAX_TERMS):
+        t = yk * ek
+        total += t
+        mag += abs(t)
+        K = k + 1.0
+        C = K + m
+        A, B = a + (m + k), b + (m + k)  # exact where they are near 0
+        r_u = A * B / ((K - e) * C)
+        r_v = (A + e) * (B + e) / ((C + e) * K)
+        d_uv = ((lead * K + 2.0 * al * be) * K + m * al * be
+                + C * e * (K + al + be + e)) / ((K - e) * C * (C + e) * K)
+        # certified tail: for j >= k, |r_u|, |r_v| <= rm and |(r_u - r_v)/e|
+        # <= delta (both bounds decrease in K), so |E_j| <= (|E_k| + (j-k)
+        # delta |v_k| / rm) rm^(j-k)
+        rm = (1.0 + (abs(al) + ae) / K) * (1.0 + (abs(be) + ae) / K) / (1.0 - ae / K)
+        delta = (lead_abs * K * K + 2.0 * cross * K + m * cross
+                 + C * ae * (K + ab_sum + ae)) / ((K - ae) ** 2 * K * K)
+        rho = y * rm
+        if rho < 1.0:
+            g = rho / (1.0 - rho)
+            tail = yk * (abs(ek) * g + delta * abs(vk) / rm * g / (1.0 - rho))
+            if tail <= HYP2F1_TAIL_TOL * mag:
+                break
+        ek = r_u * ek + d_uv * vk
+        vk *= r_v
+        yk *= y
+    else:
+        raise _budget_spent("logarithmic connection series", a, b, c, 1.0 - y)
+
+    pref = _gamma_quotient((c,), (a, b)) * (-y) ** m
+    if e:
+        pref *= math.pi * e / math.sin(math.pi * e)
+    return head + pref * total, abs(head) + abs(pref) * mag
+
+
+def hyp2f1m1(a: float, b: float, c: float, x: float) -> float:
+    """F(a, b; c; x) - 1 for x in [0, 1/2], summed without the leading 1, so
+    that it keeps its relative accuracy however small x is."""
+    if _is_nonpos_int(c):
+        raise DomainError("c must not be zero or a negative integer")
+    if not 0.0 <= x <= 0.5:
+        raise DomainError(f"hyp2f1m1 argument must lie in [0, 1/2], got {x}")
+    return _series(a, b, c, x, head=0.0)
+
+
+def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None) -> float:
     """Gauss hypergeometric F(a, b; c; x) for x in [0, 1].
 
-    The series is summed until a ratio-test bound certifies an absolute
-    tail below HYP2F1_TAIL_TOL; when a or b is a nonpositive integer the
-    exact terminating polynomial is returned.  At x = 1 (requires
-    c > a + b) the Gauss summation formula is used instead.
+    comp, when given, is 1 - x, for callers that know it more accurately
+    than 1 - x rounds to (x close to 1).  When a or b is a nonpositive
+    integer the exact terminating polynomial is returned.  At x = 1
+    (requires c > a + b) the Gauss summation formula is used.  Otherwise,
+    for x <= 1/2 the power series in x, and for x > 1/2 Gauss's connection
+    formula to series in y = 1 - x <= 1/2; when c - a - b lies within
+    HYP2F1_REG_EPS of an integer that formula is taken in a regularized form
+    that is exact at the integer itself (the logarithmic case, e.g. the
+    classical K).  Where the two parts of the connection formula cancel
+    (large parameters, x near 1/2) and x <= 3/4, the series in x is used
+    after all.  Every series stops on a certified tail bound, within
+    HYP2F1_MAX_TERMS terms, so the cost is bounded independently of x.
     """
     if _is_nonpos_int(c):
         raise DomainError("c must not be zero or a negative integer")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"hyp2f1 argument must lie in [0, 1], got {x}")
+    if comp is None:
+        y = 1.0 - x
+    elif 0.0 <= comp <= 1.0:
+        y = comp
+    else:
+        raise DomainError(f"hyp2f1 complement must lie in [0, 1], got {comp}")
 
     n_terms = None
     for s in (a, b):
@@ -94,40 +334,40 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
             total += term
         return total
 
-    if x == 1.0:
-        if c - a - b <= 0:
+    s = math.fsum((c, -a, -b))
+    if y == 0.0:
+        if s <= 0:
             raise DomainError("hyp2f1 at x = 1 requires c > a + b")
-        sign = sc.gammasgn(c) * sc.gammasgn(c - a - b)
+        sign = sc.gammasgn(c) * sc.gammasgn(s)
         sign /= sc.gammasgn(c - a) * sc.gammasgn(c - b)
         return float(
             sign
             * math.exp(
                 sc.gammaln(c)
-                + sc.gammaln(c - a - b)
+                + sc.gammaln(s)
                 - sc.gammaln(c - a)
                 - sc.gammaln(c - b)
             )
         )
 
-    # indices beyond which term ratios are bounded by a quantity < 1
-    aa, ab, ac = abs(a), abs(b), abs(c)
-    n_safe = int(math.ceil(max(aa, ab, ac))) + 2
-    total = term = 1.0
-    comp = 0.0  # Kahan compensation
-    for n in range(HYP2F1_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term == 0.0:
-            return total
-        m = n + 1
-        if m >= n_safe:
-            rho = (m + aa) * (m + ab) / ((m - ac) * (m + 1.0)) * x
-            if 0.0 <= rho < 1.0 and abs(term) * rho / (1.0 - rho) <= HYP2F1_TAIL_TOL:
-                return total
-    raise ConvergenceError(
-        f"hyp2f1 series did not converge within {HYP2F1_MAX_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, x={x})"
-    )
+    if y >= 0.5:
+        return _series(a, b, c, x)
+    m = round(s)
+    e = s - m
+    if abs(e) > HYP2F1_REG_EPS:
+        value, scale = _connection(a, b, c, s, y)
+    elif m >= 0:
+        value, scale = _connection_near_integer(a, b, c, c - a, c - b, y, m, e)
+    else:  # Euler's transformation F = y^s F(c-a, c-b; c; 1-y) turns m into -m
+        value, scale = _connection_near_integer(c - a, c - b, c, a, b, y, -m, -e)
+        value, scale = y**s * value, y**s * scale
+    if y >= 0.25 and not scale <= HYP2F1_CANCEL * abs(value):  # NaN too
+        try:
+            return _series(a, b, c, x)
+        except ConvergenceError:  # parameters too large for the budget
+            pass
+    if math.isnan(value):  # inf * 0 among the Gamma factors of huge parameters
+        raise ConvergenceError(
+            f"hyp2f1: connection coefficients overflow (a={a}, b={b}, c={c}, "
+            f"x={x})", layer="specfun.hyp2f1")
+    return value

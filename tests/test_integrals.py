@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -210,9 +211,19 @@ def lemniscate_wallis_loops(n, residue):
 class TestLemniscateRatioForm:
     @pytest.mark.parametrize("residue", [0, 1, 2, 3])
     def test_bit_equal_to_loops(self, residue):
-        for n in [*range(200), 1000, 99_999]:
+        # below the switch-over poch_ratio is the same running product
+        for n in range(specfun.POCH_SWITCH):
             got = integrals.lemniscate_wallis(n, residue)
             assert got == lemniscate_wallis_loops(n, residue), (n, residue)
+
+    @pytest.mark.parametrize("residue", [0, 1, 2, 3])
+    def test_large_n_against_mpmath(self, residue):
+        # int_0^{varpi/2} sl^k dt = (1/4) B((k+1)/4, 1/2), k = 4n + residue
+        for n in (specfun.POCH_SWITCH, 200, 1000, 99_999, 10**6):
+            with mpmath.workdps(40):
+                exact = mpmath.beta(mpmath.mpf(4 * n + residue + 1) / 4, 0.5) / 4
+            got = integrals.lemniscate_wallis(n, residue)
+            assert abs(got - exact) <= 1e-14 * exact, (n, residue)
 
 
 # callables that take an integer order n (or N), at in-domain (p, q)
@@ -300,6 +311,28 @@ class TestPrimitives:
                 b = integrals.primitive_finite_sum(p, q, k, n, x)
                 assert a == pytest.approx(b, abs=1e-11)
 
+    def test_where_the_sine_rounds_to_one(self):
+        # p near 1: sin_pq is 1.0 in double precision on much of the interval,
+        # so the argument's complement 1 - sin^q must come from cos_pq^p.
+        # Reference from the defining integral: y = 1 - sin_pq(x)^q solves
+        # (1/q) B_y(1/p*, 1/q) = pi_pq/2 - x, and the primitive is
+        # (1/q) [B(a, b) - B_y(b, a)] with a = (k+1)/q, b = 1 + (l-1)/p
+        p, q, k, l = 1.05, 2.0, 0.5, 0.5
+        half = gtf.pi_pq(p, q) / 2.0
+        x = half - 1.0
+        assert gtf.sin_pq(p, q, x) == 1.0
+        with mpmath.workdps(40):
+            P, Q, X = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(x)
+            sa, sb = 1 / Q, 1 - 1 / P
+            target = mpmath.beta(sa, sb) - Q * X
+            u = mpmath.findroot(
+                lambda u: mpmath.betainc(sb, sa, 0, mpmath.exp(u)) - target,
+                mpmath.log(sb * target) / sb)
+            a, b = (k + 1) / Q, 1 + (l - 1) / P
+            exact = (mpmath.beta(a, b) - mpmath.betainc(b, a, 0, mpmath.exp(u))) / Q
+        got = integrals.primitive_sin_cos(p, q, k, l, x)
+        assert abs(got - exact) <= 1e-13 * exact
+
     def test_domain(self):
         with pytest.raises(DomainError):
             integrals.primitive_sin_cos(2.0, 2.0, -1.5, 0.0, 0.5)
@@ -319,6 +352,32 @@ class TestInfiniteProduct:
     def test_converges_to_half_pi(self, p, q):
         got = integrals.pi_product_partial(p, q, 100000)
         assert got == pytest.approx(gtf.pi_pq(p, q) / 2.0, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "p,q,N",
+        [(2.0, 2.0, 1), (2.0, 3.0, 63), (2.0, 3.0, 64), (4.5, 3.5, 128_445),
+         (1.01, 5.9, 10**6), (3.0, 1.5, 10**9), (1e9, 1e9, 3), (1e9, 1e9, 10**5)],
+    )
+    def test_partial_against_mpmath(self, p, q, N):
+        with mpmath.workdps(40):
+            P, Q = mpmath.mpf(p), mpmath.mpf(q)
+            exact = (mpmath.rf(1, N) * mpmath.rf(1 + 1 / Q - 1 / P, N)
+                     / (mpmath.rf(1 - 1 / P, N) * mpmath.rf(1 + 1 / Q, N)))
+        got = integrals.pi_product_partial(p, q, N)
+        assert abs(got - exact) <= 1e-14 * exact
+
+    def test_huge_exponents(self):
+        # each factor exceeds 1 by about 1/(pq n^2): below half an ulp at
+        # p = q = 1e9, where 1.0 is the faithfully rounded factor
+        f = integrals.product_factors(1e9, 1e9, 3)
+        assert np.all(f >= 1.0)
+        assert integrals.pi_product_partial(1e9, 1e9, 3) >= 1.0
+
+    def test_partial_matches_factors(self):
+        for p, q in ((2.0, 3.0), (1.5, 2.5), (5.0, 1.2)):
+            for N in (1, 10, 100, 5000):
+                assert integrals.pi_product_partial(p, q, N) == pytest.approx(
+                    float(np.prod(integrals.product_factors(p, q, N))), rel=1e-12)
 
     def test_classical_wallis_product(self):
         # p = q = 2 recovers the Wallis product for pi/2
@@ -369,6 +428,29 @@ class TestElliptic:
         got = integrals.elliptic_E(EllipticQuery(ParamPair(p, q), r=r, k=k))
         assert got == pytest.approx(oracle, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0.5, 0.9, 0.99, 0.9999, 1 - 1e-6, 1 - 1e-8])
+    def test_classical_near_one_against_mpmath(self, k):
+        qy = EllipticQuery(ParamPair(2.0, 2.0), r=2.0, k=k)
+        with mpmath.workdps(40):
+            m = mpmath.mpf(k) ** 2
+            K, E = mpmath.ellipk(m), mpmath.ellipe(m)
+        assert abs(integrals.elliptic_K(qy) - K) <= 1e-14 * K
+        assert abs(integrals.elliptic_E(qy) - E) <= 1e-14 * E
+
+    @pytest.mark.parametrize("p,q,r", [(1.5, 2.0, 3.0), (3.0, 5.5, 1.2), (5.0, 1.5, 2.0)])
+    @pytest.mark.parametrize("k", [0.3, 0.9, 1 - 1e-6, 1 - 1e-8])
+    def test_general_near_one_against_mpmath(self, p, q, r, k):
+        # (pi_pq/2) F(1/q, b; 1/p* + 1/q; k^q), b = 1/r (K) or -1/r* (E)
+        qy = EllipticQuery(ParamPair(p, q), r=r, k=k)
+        with mpmath.workdps(40):
+            P, Q, R = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(r)
+            half = mpmath.beta(1 - 1 / P, 1 / Q) / Q
+            c, x = 1 - 1 / P + 1 / Q, mpmath.mpf(k) ** Q
+            K = half * mpmath.hyp2f1(1 / Q, 1 / R, c, x)
+            E = half * mpmath.hyp2f1(1 / Q, -(1 - 1 / R), c, x)
+        assert abs(integrals.elliptic_K(qy) - K) <= 1e-13 * K
+        assert abs(integrals.elliptic_E(qy) - E) <= 1e-13 * E
+
     def test_domain(self):
         with pytest.raises(DomainError):
             EllipticQuery(ParamPair(2.0, 2.0), r=2.0, k=1.5)
@@ -385,6 +467,17 @@ class TestElliott:
     @pytest.mark.parametrize("k", [0.2, 0.55, 0.85])
     def test_residual_grid(self, p, q, r, k):
         assert abs(integrals.elliott_residual(p, q, r, k)) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "p,q,r",
+        [(2.0, 2.0, 2.0), (1.5, 2.0, 2.0), (2.0, 3.0, 2.5), (1.5, 3.0, 4.0),
+         (2.5, 2.5, 1.5), (1.2, 5.5, 1.1), (3.0, 5.0, 6.0)],
+    )
+    @pytest.mark.parametrize("k", [1e-6, 1e-3, 1 - 1e-6])
+    def test_residual_near_both_ends(self, p, q, r, k):
+        # K' (small k) or K (k near 1) grows without bound; q > 2 at
+        # k = 1e-6 makes 1 - k^q round to 1
+        assert abs(integrals.elliott_residual(p, q, r, k)) <= 1e-12
 
     def test_requires_p_le_q(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,11 @@
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sc
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gentrig import quadrature, specfun
@@ -56,18 +57,34 @@ class TestPochhammer:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     # the classes at the call sites: a = (r+1)/q or (r+p-1)/p in (0, 1],
-    # b = a + 1/p* or a + 1/q, and the lemniscate's b = a + 1/2
-    @pytest.mark.parametrize("a", [0.05, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0])
-    @pytest.mark.parametrize("d", [0.05, 1.0 / 3.0, 0.5, 0.6, 0.95])
-    def test_against_mpmath(self, a, d):
-        # the running product's worst relative error on this grid is
-        # 4.6e-13, at a = 0.4, d = 0.95, n = 1e4
-        b = a + d
-        for n in (0, 1, 2, 7, 10, 100, 1000, 10_000):
+    # b = a + 1/p* or a + 1/q, and the lemniscate's b = a + 1/2; the
+    # product's (1, 1 - 1/p) and (1 + 1/q - 1/p, 1 + 1/q) are below
+    ORDERS = (0, 1, 2, 7, 10, specfun.POCH_SWITCH - 1, specfun.POCH_SWITCH,
+              100, 1000, 10_000, 99_999, 10**6, 12_345_678, 10**9)
+
+    @staticmethod
+    def assert_matches_rf(a, b):
+        for n in TestPochhammer.ORDERS:
             with mpmath.workdps(40):
                 exact = mpmath.rf(a, n) / mpmath.rf(b, n)
             got = specfun.poch_ratio(a, b, n)
-            assert abs(got - exact) <= 1e-12 * exact
+            assert abs(got - exact) <= 1e-14 * exact, (a, b, n)
+
+    @pytest.mark.parametrize("a", [0.05, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("d", [0.05, 1.0 / 3.0, 0.5, 0.6, 0.95])
+    def test_against_mpmath(self, a, d):
+        self.assert_matches_rf(a, a + d)
+
+    @pytest.mark.parametrize("p,q", [(1.01, 5.9), (2.0, 2.0), (4.5, 3.5), (6.0, 1.2)])
+    def test_product_classes_against_mpmath(self, p, q):
+        self.assert_matches_rf(1.0, 1.0 - 1.0 / p)
+        self.assert_matches_rf(1.0 + (1.0 / q - 1.0 / p), 1.0 + 1.0 / q)
+
+    def test_cost_does_not_grow_with_n(self):
+        # the running product would take minutes at n = 1e9
+        t0 = time.perf_counter()
+        specfun.poch_ratio(0.3, 0.8, 10**9)
+        assert time.perf_counter() - t0 < 0.05
 
 
 class TestBeta:
@@ -218,7 +235,148 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             specfun.hyp2f1(0.5, 0.5, -2.0, 0.5)
 
+    def test_near_one_with_tiny_excess(self):
+        # x = 1 - 1e-14 and c - a - b = 0.001: once beyond the series' reach
+        a, b, c, x = 0.5, 0.5, 1.001, 1.0 - 1e-14
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(a, b, c, x)
+        assert abs(specfun.hyp2f1(a, b, c, x) - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("a,b", [(6.0, 0.8), (10.0, 0.5), (3.0, 0.8)])
+    @pytest.mark.parametrize("x", [0.55, 0.7, 0.9])
+    def test_large_parameters_past_one_half(self, a, b, x):
+        # the two parts of the connection formula cancel by up to 3e3 here
+        # near x = 1/2; there the series in x takes over
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(a, b, 1 + a, x)
+        assert abs(specfun.hyp2f1(a, b, 1.0 + a, x) - exact) <= 1e-13 * exact
+
     def test_convergence_failure_is_reported(self):
-        # extremely close to 1 with tiny c-a-b: tail cannot certify in cap
+        # parameters far beyond any the package builds: the terms grow for
+        # about 700 steps before they decay, past the term budget
+        with pytest.raises(ConvergenceError) as info:
+            specfun.hyp2f1(300.5, 300.5, 1.5, 0.49)
+        err = info.value
+        assert err.layer == "specfun.hyp2f1"
+        assert err.terms == err.budget == specfun.HYP2F1_MAX_TERMS
+        assert f"budget of {specfun.HYP2F1_MAX_TERMS} terms" in str(err)
+
+    def test_overflowing_coefficients_are_reported(self):
+        # Gamma factors of the connection formula overflow: an error, not NaN
         with pytest.raises(ConvergenceError):
-            specfun.hyp2f1(0.5, 0.5, 1.001, 1.0 - 1e-14)
+            specfun.hyp2f1(200.5, -1.5, 0.5, 0.9)
+
+    @pytest.mark.parametrize("comp", [-1e-3, 1.5, math.nan])
+    def test_complement_outside_unit_interval(self, comp):
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(0.5, 0.5, 1.5, 0.9, comp=comp)
+
+    def test_complement_is_used_near_one(self):
+        # 1 - 1e-20 rounds to 1, where c <= a + b has no value; the exact
+        # complement still gives F(1/2, 1/2; 1; 1 - y) = (2/pi) K
+        y = 1e-20
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(0.5, 0.5, 1, 1 - mpmath.mpf(y))
+        got = specfun.hyp2f1(0.5, 0.5, 1.0, 1.0 - y, comp=y)
+        assert abs(got - exact) <= 1e-13 * exact
+
+    def test_cost_is_bounded_near_one(self):
+        t0 = time.perf_counter()
+        for y in (1e-3, 1e-8, 1e-15):
+            specfun.hyp2f1(0.5, 0.5, 1.0, 1.0 - y, comp=y)
+            specfun.hyp2f1(0.3, 0.4, 1.2, 1.0 - y, comp=y)
+        assert time.perf_counter() - t0 < 0.05
+
+
+class TestHyp2F1m1:
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-30, 1e-8, 0.1, 0.5])
+    @pytest.mark.parametrize("a,b,c", [(0.5, -0.5, 1.0), (1 / 3, 0.8, 1.1), (2.0, 1.0, 3.0)])
+    def test_against_mpmath(self, a, b, c, x):
+        with mpmath.workdps(340):  # F - 1 is as small as 1e-300
+            exact = mpmath.hyp2f1(a, b, c, x) - 1
+        assert abs(specfun.hyp2f1m1(a, b, c, x) - exact) <= 1e-15 * abs(exact)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            specfun.hyp2f1m1(0.5, 0.5, 1.5, 0.6)
+        with pytest.raises(DomainError):
+            specfun.hyp2f1m1(0.5, 0.5, -1.0, 0.1)
+
+
+# c - a - b lands on, or this close to, an integer m
+OFFSETS = (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4, -1e-4, 1e-2, -1e-2)
+
+
+def elliptic_triple(ca, a, m, offset):
+    """(a, b, c) of K (m = 0) and E (m = 1), and of the two sides of
+    Elliott's identity: a = 1/q, c = 1/p* + 1/q with ca = 1/p*, and b = 1/r
+    or -1/r* chosen so that c - a - b = m + offset."""
+    return a, ca - (m + offset), a + ca
+
+
+def primitive_triple(a, m, offset):
+    """(a, b, c) of primitive_sin_cos: a = (k+1)/q, b = (1-l)/p, c = 1 + a,
+    so c - a - b = 1 - b = m + offset."""
+    return a, 1.0 - (m + offset), 1.0 + a
+
+
+def assert_hyp2f1_matches_mpmath(a, b, c, y):
+    """hyp2f1 at x = 1 - y, with the complement given and, where 1 - y is
+    below 1, without, against 40-digit mpmath within 1e-13 relative."""
+    with mpmath.workdps(40):
+        exact = mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(y))
+    got = specfun.hyp2f1(a, b, c, 1.0 - y, comp=y)
+    assert abs(got - exact) <= 1e-13 * abs(exact), (a, b, c, y)
+    x = 1.0 - y
+    if x < 1.0:
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(a, b, c, x)
+        got = specfun.hyp2f1(a, b, c, x)
+        assert abs(got - exact) <= 1e-13 * abs(exact), (a, b, c, x)
+
+
+YS = (1e-15, 1e-12, 1e-8, 1e-4, 0.01, 0.2, 0.3, 0.49, 0.5, 0.7)
+
+
+class TestHyp2F1AgainstMpmath:
+    """The parameter families integrals builds, up to 1 - x = 1e-15 and with
+    c - a - b at and near the integers m = 0, 1, 2 (the logarithmic cases)."""
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_elliptic_grid(self, m, offset):
+        a, b, c = elliptic_triple(0.6, 1.0 / 3.0, m, offset)
+        for y in YS:
+            assert_hyp2f1_matches_mpmath(a, b, c, y)
+
+    # l > 1 - p makes c - a - b positive
+    @pytest.mark.parametrize(
+        "m,offset", [(m, d) for m in (0, 1, 2) for d in OFFSETS if m + d > 0])
+    def test_primitive_grid(self, m, offset):
+        a, b, c = primitive_triple(0.75, m, offset)
+        for y in YS:
+            assert_hyp2f1_matches_mpmath(a, b, c, y)
+
+    @given(
+        ca=st.floats(0.01, 0.99),
+        a=st.floats(0.01, 0.99),
+        m=st.sampled_from((0, 1)),
+        offset=st.sampled_from(OFFSETS) | st.floats(-0.5, 0.5),
+        log_y=st.floats(-15.0, 0.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_elliptic_family(self, ca, a, m, offset, log_y):
+        a, b, c = elliptic_triple(ca, a, m, offset)
+        assume(-0.99 <= b <= 0.99 and b != 0.0)
+        assert_hyp2f1_matches_mpmath(a, b, c, 10.0**log_y)
+
+    @given(
+        a=st.floats(0.01, 4.0),
+        m=st.sampled_from((0, 1, 2)),
+        offset=st.sampled_from(OFFSETS) | st.floats(-0.5, 0.5),
+        log_y=st.floats(-15.0, 0.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_primitive_family(self, a, m, offset, log_y):
+        assume(m + offset > 0)
+        assert_hyp2f1_matches_mpmath(*primitive_triple(a, m, offset), 10.0**log_y)
