@@ -17,12 +17,15 @@ print(f"check: 2 * int_0^1 (1-t^4)^(-1/2) dt")
 
 labels = {0: "varpi/2", 1: "pi/4", 2: "pi/(2 varpi)", 3: "1/2"}
 print(f"\n{'k':>3} {'closed form':>20} {'quadrature':>20} {'diff':>9}  constant")
+# int_0^{varpi/2} sl^k dt for k = 0..15, via the substitution s = sl, in one
+# batched quadrature pass
+oracles = quadrature.power_moment(2.0, 4.0, [float(k) for k in range(16)], "sin",
+                                  tol=1e-12)
 for n in range(4):
     for residue in range(4):
         k = 4 * n + residue
         closed = integrals.lemniscate_wallis(n, residue)
-        # int_0^{varpi/2} sl^k dt, via the substitution s = sl
-        oracle = quadrature.power_moment(2.0, 4.0, float(k), "sin", tol=1e-12)
+        oracle = oracles[k]
         print(
             f"{k:>3} {closed:>20.15f} {oracle:>20.15f} "
             f"{abs(closed - oracle):>9.1e}  {labels[residue]}"

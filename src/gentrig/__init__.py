@@ -10,8 +10,9 @@ Library layout:
 - ``integrals``: primitives, definite integrals, Wallis-type formulas, the
   lemniscate catalog, generalized elliptic integrals, the infinite product.
 - ``bvp``: closed-form boundary value problem solutions and verifiers.
-- ``quadrature``: the independent tanh-sinh integration oracle and its
-  Wallis-moment form power_moment.
+- ``quadrature``: the independent tanh-sinh integration oracle (one
+  integrand or a batch on shared nodes) and its Wallis-moment form
+  power_moment.
 - ``cli``: the ``gentrig`` command (eval / verify / table).
 """
 

@@ -93,12 +93,11 @@ def _suite_pythagorean(grid):
 
 def _suite_appendix(grid):
     cases = []
+    xs01 = np.array([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
     for p in grid:
         for q in grid:
-            worst = 0.0
-            for x01 in (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0):
-                r1, r2 = gtf.sin_symmetry_appendix(p, q, x01)
-                worst = max(worst, abs(r1), abs(r2))
+            r1, r2 = gtf.sin_symmetry_appendix(p, q, xs01)
+            worst = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
             cases.append((f"appendix p={p} q={q}", worst, 1e-10))
     return cases
 
@@ -109,21 +108,24 @@ def _suite_wallis(grid):
     for p in grid:
         for q in grid:
             pair = ParamPair(p, q)
+            kinds = (
+                ("sin", q, (q - 1.0, 0.5 * (q - 1.0), -0.5), integrals.wallis_sin),
+                ("cos", p, (1.0, 0.5 * (3.0 - p)), integrals.wallis_cos),
+            )
+            # one oracle pass per flavor yields every moment of this pair
+            oracles = {
+                flavor: iter(quadrature.power_moment(
+                    p, q, [base * n + r for n in ns for r in rs], flavor))
+                for flavor, base, rs, _ in kinds
+            }
             for n in ns:
-                for r in (q - 1.0, 0.5 * (q - 1.0), -0.5):
-                    value = integrals.wallis_sin(integrals.WallisQuery(pair, n, r))
-                    oracle = quadrature.power_moment(p, q, q * n + r, "sin")
-                    cases.append(
-                        (f"wallis_sin p={p} q={q} n={n} r={r:g}",
-                         abs(value - oracle), 1e-7)
-                    )
-                for r in (1.0, 0.5 * (3.0 - p)):
-                    value = integrals.wallis_cos(integrals.WallisQuery(pair, n, r))
-                    oracle = quadrature.power_moment(p, q, p * n + r, "cos")
-                    cases.append(
-                        (f"wallis_cos p={p} q={q} n={n} r={r:g}",
-                         abs(value - oracle), 1e-7)
-                    )
+                for flavor, _, rs, func in kinds:
+                    for r in rs:
+                        value = func(integrals.WallisQuery(pair, n, r))
+                        cases.append(
+                            (f"wallis_{flavor} p={p} q={q} n={n} r={r:g}",
+                             abs(value - next(oracles[flavor])), 1e-7)
+                        )
     return cases
 
 

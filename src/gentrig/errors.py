@@ -24,12 +24,22 @@ class ConvergenceError(RuntimeError):
 class ToleranceError(RuntimeError):
     """Quadrature could not certify the requested tolerance.
 
-    Carries the best estimate obtained so far in ``result``.
+    Carries the best estimate obtained so far in ``result``.  ``layer``
+    names the module that gave up, ``levels`` the refinement levels it
+    completed, ``evaluations`` the integrand values each failing integrand
+    used and ``budget`` the number it was allowed; for a batch of
+    integrands, ``rows`` holds the indices of those that failed.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, *, layer=None, levels=None,
+                 evaluations=None, budget=None, rows=None):
         super().__init__(message)
         self.result = result
+        self.layer = layer
+        self.levels = levels
+        self.evaluations = evaluations
+        self.budget = budget
+        self.rows = rows
 
 
 def check_pq(p: float, q: float):

@@ -172,22 +172,28 @@ def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
     return abs(lhs - rhs)
 
 
-def sin_symmetry_appendix(p: float, q: float, x01: float):
+def sin_symmetry_appendix(p: float, q: float, x01):
     """Signed residuals of the two reflection formulas tying (p, q) to
     the conjugate pair (q*, p*):
 
         sin_pq((pi_pq/2) x)  vs  cos_{q*,p*}^(q*-1)((pi_{q*,p*}/2)(1-x))
         cos_pq((pi_pq/2) x)  vs  sin_{q*,p*}^(p*-1)((pi_{q*,p*}/2)(1-x))
+
+    x01 is one point of [0, 1] (two floats are returned) or an array of
+    them (two arrays); every power is taken pointwise through the C
+    library's pow, so an array gives the scalar calls' residuals bit for
+    bit.
     """
     check_pq(p, q)
-    if not 0.0 <= x01 <= 1.0:
+    xx = np.asarray(x01, dtype=float)
+    if not ((xx >= 0.0) & (xx <= 1.0)).all():  # written so that NaN fails
         raise DomainError("x01 must lie in [0, 1]")
     ps, qs = conjugate(p), conjugate(q)
     half_a = 0.5 * pi_pq(p, q)
     half_b = 0.5 * pi_pq(qs, ps)
-    s_a, c_a = sincos_pq(p, q, half_a * x01)
-    s_b, c_b = sincos_pq(qs, ps, half_b * (1.0 - x01))
-    return s_a - c_b ** (qs - 1.0), c_a - s_b ** (ps - 1.0)
+    s_a, c_a = sincos_pq(p, q, half_a * xx, pointwise=True)
+    s_b, c_b = sincos_pq(qs, ps, half_b * (1.0 - xx), pointwise=True)
+    return s_a - _libm_pow(c_b, qs - 1.0), c_a - _libm_pow(s_b, ps - 1.0)
 
 
 def multiple_angle_residual(p: float, x: float) -> float:

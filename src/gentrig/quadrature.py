@@ -6,6 +6,12 @@ integrand that decays double-exponentially, so the trapezoidal rule in t
 converges geometrically.  Interval halving of the step gives an a-posteriori
 error estimate for free.
 
+One call can integrate a batch of integrands that share the nodes: each
+is refined until it alone meets the tolerance, and the others stop being
+evaluated once they have, so a batch gives every integrand the same value,
+bit for bit, as a call of its own.  power_moment uses this to take every
+Wallis moment of one (p, q) in one pass.
+
 This module must not import gtf, integrals or bvp: it is the independent side
 of every closed-form-versus-quadrature check in the package.
 """
@@ -13,12 +19,13 @@ of every closed-form-versus-quadrature check in the package.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, check_pq
 
 # Truncation of the transformed axis.  At t = 6 the node weight is below
 # 1e-17 even against an endpoint singularity as strong as t^(-0.9).
@@ -32,8 +39,12 @@ MAX_EVALS = 2_000_000
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    err_estimate: float
+    """value and err_estimate are floats for one integrand and arrays of
+    shape (m,) for a batch of m; evaluations counts integrand values,
+    summed over the rows of a batch."""
+
+    value: float | np.ndarray
+    err_estimate: float | np.ndarray
     evaluations: int
 
 
@@ -63,12 +74,15 @@ def _level_nodes(level: int):
     return w, delta
 
 
-def _eval(f, x, args):
-    y = f(x, *args)
-    y = np.asarray(y, dtype=float)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
-    return y
+def _eval(f, x, args, rows):
+    """f at x with one row per integrand in ``rows``; rows=None stands for
+    a single integrand, whose values become the one row."""
+    if rows is None:
+        y = np.asarray(f(x, *args), dtype=float)
+        return (y if y.shape == x.shape else np.broadcast_to(y, x.shape))[None]
+    y = np.asarray(f(x, *args, rows=rows), dtype=float)
+    shape = (len(rows), len(x))
+    return y if y.shape == shape else np.broadcast_to(y, shape)
 
 
 def integrate(
@@ -91,72 +105,120 @@ def integrate(
     near 1e-8 for an inverse-square-root singularity at such an endpoint
     (singularities at an endpoint equal to 0 are unaffected).
 
-    Raises ToleranceError (carrying the best estimate) if the halving
-    disagreement does not fall below tol within the refinement and
-    evaluation budgets.
+    A batch of m integrands on the same nodes is one f that returns shape
+    (m, len(x)).  Its first call, at the centre of [a, b], asks for every
+    row; that shape fixes m.  Every later call passes the keyword ``rows``,
+    the ascending indices of the integrands still refining, and wants
+    shape (len(rows), len(x)).  Each row stops at the level where it would
+    stop alone, with the same arithmetic, so its value and error estimate
+    equal those of a single-integrand call bit for bit; ``value`` and
+    ``err_estimate`` are then arrays of shape (m,) and ``evaluations`` the
+    total over the rows.  An empty interval returns 0.0 whatever f is.
+
+    Raises DomainError unless a <= b are finite and 0 < tol < inf, and
+    ToleranceError (carrying the best estimates) if the halving
+    disagreement of some integrand does not fall below tol within the
+    refinement and evaluation budgets.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if a > b:
-        raise DomainError("need a <= b")
+    # written so that NaN fails each test
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if not -math.inf < a <= b < math.inf:
+        raise DomainError(f"need finite limits a <= b, got [{a}, {b}]")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
 
     halfw = 0.5 * (b - a)
     width = b - a
-    raw = 0.0  # sum of w_j * f(x_j) over all nodes seen so far
-    nev = 0
-    value = np.nan
-    err = np.inf
 
     for level in range(_MAX_LEVEL + 1):
         w, delta = _level_nodes(level)
-        keep = delta * halfw >= _MIN_OFFSET
-        w, delta = w[keep], delta[keep]
         off = delta * halfw
+        keep = off >= _MIN_OFFSET
+        w, off = w[keep], off[keep]
 
         if level == 0:
             # t = 0 sits at the interval centre, shared by both half-axes.
             xc = np.array([b - off[0]])
-            if dist:
-                yc = _eval(f, xc, (xc - a, off[:1]))
-            else:
-                yc = _eval(f, xc, ())
-            raw += w[0] * yc[0]
-            nev += 1
+            yc = np.asarray(f(xc, xc - a, off[:1]) if dist else f(xc),
+                            dtype=float)
+            batch = yc.ndim == 2
+            yc = np.broadcast_to(yc, xc.shape) if not batch else yc[:, 0]
+            m = len(yc)
+            # results of every row, filled in as rows stop
+            value = np.full(m, np.nan)
+            err = np.full(m, np.inf)
+            evals = np.zeros(m, dtype=int)
+            # the rows still refining: their indices, sums of w_j * f(x_j)
+            # over all nodes seen so far, latest estimates and disagreements
+            live = np.arange(m)
+            raw = w[0] * yc + 0.0  # as a sum from 0.0: -0.0 becomes 0.0
+            est, diff = value, err  # rebound, never written through
+            nev = 1
             w, off = w[1:], off[1:]
 
         if nev + 2 * len(off) > max_evals:
-            raise ToleranceError(
-                "evaluation cap exceeded", QuadResult(value, err, nev)
-            )
+            raise _failure("evaluation budget exceeded", value, err, evals,
+                           batch, live, est, diff, level, nev, max_evals)
         x_hi = b - off
         x_lo = a + off
+        rows = live if batch else None
         if dist:
-            y_hi = _eval(f, x_hi, (width - off, off))
-            y_lo = _eval(f, x_lo, (off, width - off))
-            raw += float(np.dot(w, y_hi) + np.dot(w, y_lo))
+            rest = width - off
+            y_hi = _eval(f, x_hi, (rest, off), rows)
+            y_lo = _eval(f, x_lo, (off, rest), rows)
+            w_hi = w_lo = w
         else:
             # without exact endpoint distances, drop nodes that round onto
             # an endpoint: f may be singular exactly there
             m_hi = x_hi != b
             m_lo = x_lo != a
-            y_hi = _eval(f, x_hi[m_hi], ())
-            y_lo = _eval(f, x_lo[m_lo], ())
-            raw += float(np.dot(w[m_hi], y_hi) + np.dot(w[m_lo], y_lo))
+            y_hi = _eval(f, x_hi[m_hi], (), rows)
+            y_lo = _eval(f, x_lo[m_lo], (), rows)
+            w_hi, w_lo = w[m_hi], w[m_lo]
+        # one dot per row keeps each row's sum equal to a lone call's
+        raw += [np.dot(w_hi, r_hi) + np.dot(w_lo, r_lo)
+                for r_hi, r_lo in zip(y_hi, y_lo)]
         nev += 2 * len(off)
 
         h = 2.0 ** (-level)
-        prev_value = value
-        value = h * halfw * raw
-        if level >= 2:
-            err = abs(value - prev_value)
-            if np.isfinite(value) and err <= tol * max(1.0, abs(value)):
-                return QuadResult(value, max(err, abs(value) * 1e-16), nev)
+        est, prev = h * halfw * raw, est
+        if level < 2:
+            continue
+        diff = np.abs(est - prev)
+        done = np.isfinite(est) & (diff <= tol * np.maximum(1.0, np.abs(est)))
+        if done.any():
+            stop = live[done]
+            value[stop] = est[done]
+            err[stop] = np.maximum(diff[done], np.abs(est[done]) * 1e-16)
+            evals[stop] = nev
+            go = ~done
+            live, raw, est, diff = live[go], raw[go], est[go], diff[go]
+        if not len(live):
+            return _result(batch, value, err, evals)
 
-    raise ToleranceError(
-        f"tolerance {tol:g} not met after level {_MAX_LEVEL}",
-        QuadResult(value, err, nev),
+    raise _failure(f"tolerance {tol:g} not met", value, err, evals, batch,
+                   live, est, diff, _MAX_LEVEL + 1, nev, max_evals)
+
+
+def _result(batch, value, err, evals):
+    if batch:
+        return QuadResult(value, err, int(evals.sum()))
+    return QuadResult(value[0], err[0], int(evals[0]))
+
+
+def _failure(what, value, err, evals, batch, live, est, diff, levels, nev,
+             budget):
+    """ToleranceError for the rows in ``live``, whose latest estimates and
+    disagreements are ``est`` and ``diff``, naming where it failed."""
+    value[live], err[live], evals[live] = est, diff, nev
+    where = f" in rows {live.tolist()} of {len(value)}" if batch else ""
+    return ToleranceError(
+        f"quadrature: {what}{where} after {levels} levels, "
+        f"{nev} evaluations per integrand of a budget of {budget}",
+        _result(batch, value, err, evals), layer="quadrature", levels=levels,
+        evaluations=nev, budget=budget,
+        rows=tuple(live.tolist()) if batch else None,
     )
 
 
@@ -166,8 +228,10 @@ def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadRes
     Evaluates the integrand from exact endpoint distances, so both exponents
     may sit arbitrarily close to 0 without precision loss near t = 0 or 1.
     """
-    if a_exp <= 0 or b_exp <= 0:
-        raise DomainError("beta exponents must be positive")
+    # written so that NaN fails the test
+    if not (0.0 < a_exp < math.inf and 0.0 < b_exp < math.inf):
+        raise DomainError(
+            f"beta exponents must be positive and finite, got ({a_exp}, {b_exp})")
     if not 0.0 <= upper <= 1.0:
         raise DomainError("upper limit must lie in [0, 1]")
     if upper == 0.0:
@@ -181,8 +245,8 @@ def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadRes
     return integrate(f, 0.0, upper, tol=1e-12, dist=True)
 
 
-def power_moment(p: float, q: float, exponent: float, flavor: str,
-                 tol: float = 1e-10) -> float:
+def power_moment(p: float, q: float, exponent, flavor: str,
+                 tol: float = 1e-10):
     """Oracle for the half-period moments int_0^{pi_pq/2} sin_pq^e dt
     (flavor "sin") and int_0^{pi_pq/2} cos_pq^e dt (flavor "cos").
 
@@ -190,15 +254,38 @@ def power_moment(p: float, q: float, exponent: float, flavor: str,
     and int_0^1 (1-s^q)^((e-1)/p) ds, whose endpoint factors are exact in
     distance form; the floors keep negative powers finite at zero-weight
     nodes.
+
+    exponent is a number (the moment is returned as a float) or a 1-D
+    sequence (an array of moments is returned, each equal bit for bit to
+    its own scalar call).  A sequence is one batched integration: the
+    factor 1 - s^q is formed once per node set and each moment raises it,
+    or s, to its own exponent.  Needs p, q in (1, inf) and every exponent
+    finite with e > -1 ("sin") or e > 1 - p ("cos"), where the integral
+    converges; DomainError otherwise, NaN included.
     """
     if flavor not in ("sin", "cos"):
         raise DomainError(f"flavor must be 'sin' or 'cos', got {flavor!r}")
+    check_pq(p, q)
+    exps = np.asarray(exponent, dtype=float)
+    least = -1.0 if flavor == "sin" else 1.0 - p
+    # written so that NaN fails the test
+    if exps.ndim > 1 or not ((exps > least) & (exps < math.inf)).all():
+        raise DomainError(
+            f"{flavor} moment exponents must be finite and > {least:g}, "
+            f"given as a number or a 1-D sequence; got {exponent!r}")
+    # each row is raised to its own Python-float exponent, never to a
+    # column of them: numpy's power takes its fast paths (e = 2, 0.5, ...)
+    # only for a scalar exponent, and a moment must not depend on its batch
+    es = exps.reshape(-1).tolist()
+    if flavor == "cos":
+        es = [(e - 1.0) / p for e in es]
 
-    def f(t, da, db):
+    def f(t, da, db, rows=range(len(es))):
         with np.errstate(divide="ignore"):
             tail = np.maximum(-np.expm1(q * np.log1p(-db)), 5e-324)
-        if flavor == "sin":
-            return np.maximum(t, 5e-324) ** exponent * tail ** (-1.0 / p)
-        return tail ** ((exponent - 1.0) / p)
+        base = np.maximum(t, 5e-324) if flavor == "sin" else tail
+        y = np.array([base ** es[i] for i in rows]).reshape(len(rows), len(t))
+        return y * tail ** (-1.0 / p) if flavor == "sin" else y
 
-    return integrate(f, 0.0, 1.0, tol=tol, dist=True).value
+    value = integrate(f, 0.0, 1.0, tol=tol, dist=True).value
+    return value if exps.ndim else value[0]

@@ -71,23 +71,24 @@ def test_04_lemniscate_wallis():
     start = time.perf_counter()
     worst = 0.0
     # the two classical residue classes at (2,2) ...
-    for n in range(6):
-        for r, flavor in ((0.0, "even"), (1.0, "odd")):
-            if n == 0 and r == 0.0:
-                closed = math.pi / 2.0
-            else:
-                closed = integrals.wallis_sin(
-                    WallisQuery(ParamPair(2.0, 2.0), n=n, r=r)
-                )
-            oracle = quadrature.power_moment(2.0, 2.0, 2.0 * n + r, "sin", tol=1e-9)
-            worst = max(worst, abs(closed - oracle))
+    cases = [(n, r) for n in range(6) for r in (0.0, 1.0)]
+    oracles = quadrature.power_moment(
+        2.0, 2.0, [2.0 * n + r for n, r in cases], "sin", tol=1e-9)
+    for (n, r), oracle in zip(cases, oracles):
+        if n == 0 and r == 0.0:
+            closed = math.pi / 2.0
+        else:
+            closed = integrals.wallis_sin(
+                WallisQuery(ParamPair(2.0, 2.0), n=n, r=r)
+            )
+        worst = max(worst, abs(closed - oracle))
     # ... and the four lemniscate classes at (2,4)
-    for n in range(6):
-        for residue in range(4):
-            closed = integrals.lemniscate_wallis(n, residue)
-            oracle = quadrature.power_moment(
-                2.0, 4.0, 4.0 * n + residue, "sin", tol=1e-9)
-            worst = max(worst, abs(closed - oracle))
+    cases = [(n, residue) for n in range(6) for residue in range(4)]
+    oracles = quadrature.power_moment(
+        2.0, 4.0, [4.0 * n + residue for n, residue in cases], "sin", tol=1e-9)
+    for (n, residue), oracle in zip(cases, oracles):
+        closed = integrals.lemniscate_wallis(n, residue)
+        worst = max(worst, abs(closed - oracle))
     varpi = gtf.pi_pq(2.0, 4.0)
     assert abs(integrals.lemniscate_wallis(0, 1) - math.pi / 4.0) <= 1e-14
     assert abs(integrals.lemniscate_wallis(1, 0) - varpi / 6.0) <= 1e-14
@@ -103,14 +104,16 @@ def test_05_general_wallis_grid():
     for p in grid:
         for q in grid:
             pair = ParamPair(p, q)
-            for n in range(5):
-                for r in (q - 1.0, (q - 1.0) / 2.0, -0.5):
-                    closed = integrals.wallis_sin(WallisQuery(pair, n=n, r=r))
-                    oracle = quadrature.power_moment(p, q, q * n + r, "sin", tol=1e-9)
-                    worst = max(worst, abs(closed - oracle))
-                for r in (1.0, (3.0 - p) / 2.0, 1.0 - 0.75 * (p - 1.0)):
-                    closed = integrals.wallis_cos(WallisQuery(pair, n=n, r=r))
-                    oracle = quadrature.power_moment(p, q, p * n + r, "cos", tol=1e-9)
+            for flavor, base, rs, func in (
+                ("sin", q, (q - 1.0, (q - 1.0) / 2.0, -0.5), integrals.wallis_sin),
+                ("cos", p, (1.0, (3.0 - p) / 2.0, 1.0 - 0.75 * (p - 1.0)),
+                 integrals.wallis_cos),
+            ):
+                cases = [(n, r) for n in range(5) for r in rs]
+                oracles = quadrature.power_moment(
+                    p, q, [base * n + r for n, r in cases], flavor, tol=1e-9)
+                for (n, r), oracle in zip(cases, oracles):
+                    closed = func(WallisQuery(pair, n=n, r=r))
                     worst = max(worst, abs(closed - oracle))
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

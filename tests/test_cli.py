@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gentrig import cli, gtf
+from gentrig import cli, gtf, quadrature
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +90,15 @@ class TestVerify:
         assert "max_residual=" in line
         value = float(line.split("max_residual=")[1])
         assert 0.0 <= value <= 1e-11
+
+    def test_oracle_failure_names_where(self, capsys, monkeypatch):
+        # with two refinement levels no moment can be certified
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
+        code, _, err = run_cli(capsys, "verify", "--suite", "wallis")
+        assert code == 1
+        assert err.startswith("numerical failure: quadrature: tolerance 1e-10 not met")
+        assert "in rows [0, 1, 2, 3, 4, 5, 6, 7, 8] of 9 after 2 levels" in err
+        assert "budget of 2000000" in err
 
     def test_tolerance_override_can_fail(self, capsys, monkeypatch):
         monkeypatch.setenv("GTF_TOL", "1e-30")

@@ -243,6 +243,24 @@ class TestAppendixSymmetry:
         r1, r2 = gtf.sin_symmetry_appendix(p, q, x01)
         assert abs(r1) <= 1e-10 and abs(r2) <= 1e-10
 
+    @pytest.mark.parametrize("p", GRID)
+    @pytest.mark.parametrize("q", GRID)
+    def test_array_equals_scalar_calls(self, p, q):
+        xs = np.array([0.0, 1e-12, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0 - 1e-12, 1.0,
+                       0.123456789, 0.987654321])
+        r1, r2 = gtf.sin_symmetry_appendix(p, q, xs)
+        scalar = [gtf.sin_symmetry_appendix(p, q, float(x)) for x in xs]
+        assert same_bits(r1, [a for a, _ in scalar])
+        assert same_bits(r2, [b for _, b in scalar])
+        assert all(type(a) is float and type(b) is float for a, b in scalar)
+
+    @pytest.mark.parametrize(
+        "x01", [math.nan, -1e-300, 1.0 + 1e-15, np.array([0.5, math.nan]),
+                np.array([0.0, 1.5])])
+    def test_domain(self, x01):
+        with pytest.raises(DomainError):
+            gtf.sin_symmetry_appendix(2.0, 3.0, x01)
+
     def test_exponent_relation_pointwise(self):
         # sin_{p*,p}(t) = cos_{p*,p}^(p*-1)(pi_{p*,p}/2 - t)
         for p in GRID:

@@ -97,6 +97,99 @@ def test_eval_cap():
     assert err.value.result is not None
 
 
+@pytest.mark.parametrize(
+    "a,b,tol",
+    [(math.nan, 1.0, 1e-10), (0.0, math.nan, 1e-10), (0.0, math.inf, 1e-10),
+     (-math.inf, 0.0, 1e-10), (-math.inf, math.inf, 1e-10),
+     (0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (0.0, 1.0, -1e-10)],
+)
+def test_bad_limits_and_tolerances_rejected(a, b, tol):
+    with pytest.raises(DomainError):
+        quadrature.integrate(lambda t: np.ones_like(t), a, b, tol=tol)
+
+
+def test_tolerance_error_is_structured():
+    with pytest.raises(ToleranceError) as err:
+        quadrature.integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
+    exc = err.value
+    assert exc.layer == "quadrature" and exc.rows is None
+    assert exc.levels == quadrature._MAX_LEVEL + 1
+    assert exc.budget == quadrature.MAX_EVALS
+    assert exc.evaluations == exc.result.evaluations > 0
+    assert str(exc).startswith("quadrature: ")
+    assert f"{exc.evaluations} evaluations" in str(exc)
+    with pytest.raises(ToleranceError) as err:
+        quadrature.integrate(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0,
+                             tol=1e-13, max_evals=100)
+    assert err.value.budget == 100 and err.value.evaluations <= 100
+    assert "budget of 100" in str(err.value)
+
+
+def _batch(funcs):
+    """One batched integrand from single-integrand callables, recording the
+    rows each call asks for."""
+    asked = []
+
+    def f(x, *args, rows=range(len(funcs))):
+        asked.append(list(rows))
+        return np.array([funcs[i](x, *args) for i in rows])
+
+    return f, asked
+
+
+class TestBatch:
+    # rows that converge at different levels: smooth, oscillating and
+    # endpoint-singular integrands
+    PLAIN = [lambda t: t * t, lambda t: np.exp(-t) * np.cos(3 * t),
+             lambda t: 1.0 / np.sqrt(t), lambda t: t ** -0.9]
+    DIST = [lambda x, da, db: np.ones_like(x),
+            lambda x, da, db: 1.0 / np.sqrt(db * (1.0 + x)),
+            lambda x, da, db: da ** -0.75 * db ** -0.5,
+            lambda x, da, db: np.cos(40.0 * x)]
+
+    @pytest.mark.parametrize("dist", [False, True])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    def test_rows_equal_single_calls(self, dist, tol):
+        funcs = self.DIST if dist else self.PLAIN
+        f, asked = _batch(funcs)
+        res = quadrature.integrate(f, 0.0, 1.0, tol=tol, dist=dist)
+        alone = [quadrature.integrate(g, 0.0, 1.0, tol=tol, dist=dist) for g in funcs]
+        assert res.value.shape == res.err_estimate.shape == (len(funcs),)
+        assert np.array_equal(res.value, [r.value for r in alone])
+        assert np.array_equal(res.err_estimate, [r.err_estimate for r in alone])
+        assert type(res.evaluations) is int
+        assert res.evaluations == sum(r.evaluations for r in alone)
+        # rows stop at different levels, and a stopped row is not evaluated again
+        assert len({r.evaluations for r in alone}) > 1
+        assert asked[0] == asked[1] == list(range(len(funcs)))
+        assert all(set(later) <= set(earlier)
+                   for earlier, later in zip(asked, asked[1:]))
+        assert asked[-1] != asked[0]
+
+    def test_single_row_batch_equals_scalar(self):
+        f, _ = _batch([self.PLAIN[1]])
+        res = quadrature.integrate(f, 0.0, 2.0, tol=1e-12)
+        alone = quadrature.integrate(self.PLAIN[1], 0.0, 2.0, tol=1e-12)
+        assert res.value.tolist() == [alone.value]
+        assert res.evaluations == alone.evaluations
+
+    def test_one_diverging_row(self):
+        funcs = [self.PLAIN[0], lambda t: 1.0 / t, self.PLAIN[1]]
+        f, _ = _batch(funcs)
+        with pytest.raises(ToleranceError) as err:
+            quadrature.integrate(f, 0.0, 1.0, tol=1e-10)
+        exc = err.value
+        assert exc.layer == "quadrature"
+        assert exc.rows == (1,)
+        assert exc.levels == quadrature._MAX_LEVEL + 1
+        assert exc.budget == quadrature.MAX_EVALS
+        assert "rows [1] of 3" in str(exc)
+        for i in (0, 2):
+            alone = quadrature.integrate(funcs[i], 0.0, 1.0, tol=1e-10)
+            assert exc.result.value[i] == alone.value
+        assert exc.result.evaluations > exc.evaluations
+
+
 class TestSingularBeta:
     def test_full_uniform(self):
         assert quadrature.integrate_singular_beta(1.0, 1.0, 1.0).value == pytest.approx(
@@ -123,6 +216,15 @@ class TestSingularBeta:
         with pytest.raises(DomainError):
             quadrature.integrate_singular_beta(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "a_exp,b_exp,upper",
+        [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+         (math.inf, 0.5, 0.5), (0.5, math.inf, 1.0)],
+    )
+    def test_nan_and_inf_rejected(self, a_exp, b_exp, upper):
+        with pytest.raises(DomainError):
+            quadrature.integrate_singular_beta(a_exp, b_exp, upper)
+
 
 class TestPowerMoment:
     def test_classical_moments(self):
@@ -142,6 +244,70 @@ class TestPowerMoment:
     def test_unknown_flavor(self):
         with pytest.raises(DomainError):
             quadrature.power_moment(2.0, 2.0, 1.0, "tan")
+
+    @pytest.mark.parametrize(
+        "p,q,exponent,flavor",
+        [(0.5, 2.0, 1.0, "sin"), (math.nan, 2.0, 1.0, "sin"),
+         (2.0, math.nan, 1.0, "cos"), (2.0, 1.0, 1.0, "sin"),
+         (2.0, 2.0, -1.0, "sin"), (2.0, 2.0, math.nan, "sin"),
+         (2.0, 2.0, math.inf, "sin"), (3.0, 2.0, -2.0, "cos"),
+         (3.0, 2.0, math.nan, "cos"), (2.0, 2.0, [1.0, -1.5, 2.0], "sin"),
+         (2.0, 2.0, [1.0, math.nan], "cos"), (2.0, 2.0, [[1.0, 2.0]], "sin")],
+    )
+    def test_outside_convergence_range(self, p, q, exponent, flavor):
+        with pytest.raises(DomainError):
+            quadrature.power_moment(p, q, exponent, flavor)
+
+    def test_just_inside_convergence_range(self):
+        # int_0^(pi/2) sin^e and cos^e both equal B((e+1)/2, 1/2)/2
+        for flavor in ("sin", "cos"):
+            got = quadrature.power_moment(2.0, 2.0, -0.5, flavor)
+            expected = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75) / 2.0
+            assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_scalar_and_batch_types(self):
+        assert isinstance(quadrature.power_moment(2.0, 3.0, 1.5, "sin"), float)
+        batch = quadrature.power_moment(2.0, 3.0, (1.5,), "sin")
+        assert isinstance(batch, np.ndarray) and batch.shape == (1,)
+        assert quadrature.power_moment(2.0, 3.0, [], "cos").shape == (0,)
+
+    @pytest.mark.parametrize("flavor", ["sin", "cos"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_batch_equals_scalar_calls(self, p, q, flavor):
+        # the exponents of the CLI wallis suite and the acceptance grid
+        if flavor == "sin":
+            exps = [q * n + r for n in range(5)
+                    for r in (q - 1.0, 0.5 * (q - 1.0), (q - 1.0) / 2.0, -0.5)]
+        else:
+            exps = [p * n + r for n in range(5)
+                    for r in (1.0, 0.5 * (3.0 - p), (3.0 - p) / 2.0,
+                              1.0 - 0.75 * (p - 1.0))]
+        for tol in (1e-10, 1e-9):
+            batch = quadrature.power_moment(p, q, exps, flavor, tol=tol)
+            scalar = [quadrature.power_moment(p, q, e, flavor, tol=tol) for e in exps]
+            assert batch.tolist() == scalar
+
+    def test_batch_with_fast_power_exponents(self, monkeypatch):
+        # exponents numpy raises by special cases (square, sqrt, reciprocal,
+        # copy), next to rows that converge at other levels
+        exps = [2.0, 0.5, 1.0, 0.0, -0.5, 7.25, 3.0, 15.0]
+        results = []
+        integrate = quadrature.integrate
+
+        def spy(*args, **kwargs):
+            results.append(integrate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(quadrature, "integrate", spy)
+        for p, q, flavor in ((2.0, 2.0, "sin"), (1.5, 4.0, "sin"), (3.0, 2.5, "cos")):
+            results.clear()
+            batch = quadrature.power_moment(p, q, exps, flavor, tol=1e-12)
+            scalar = [quadrature.power_moment(p, q, e, flavor, tol=1e-12) for e in exps]
+            assert batch.tolist() == scalar
+            evals = [r.evaluations for r in results[1:]]
+            assert len(set(evals)) > 1
+            assert results[0].evaluations == sum(evals)
 
 
 def test_oracle_independence():
