@@ -35,7 +35,10 @@ import numpy as np
 
 from . import quadrature
 from .errors import DomainError, check_pq
-from .gtf import _libm_pow, conjugate, extend_sin_symmetric, pi_pq, sincos_pq
+from .gtf import (
+    _as_unit, _libm_pow, _maybe_scalar, conjugate, extend_sin_symmetric, pi_pq,
+    sincos_pq,
+)
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,8 @@ class BvpSolution:
     _eval: Callable = field(repr=False)
 
     def __call__(self, x):
-        xx = np.asarray(x, dtype=float)
-        H = self.spec.H
-        # written so that NaN fails the test
-        if not ((xx >= -1e-12 * H) & (xx <= H * (1.0 + 1e-12))).all():
-            raise DomainError("x must lie in [0, H]")
-        out = self._eval(np.clip(xx, 0.0, H))
-        return float(out) if np.ndim(x) == 0 else out
+        # gtf's validator: the same slack, and a float x takes its float lane
+        return _maybe_scalar(self._eval(_as_unit(x, self.spec.H, "sol(x)")))
 
 
 def solve_general(spec: BvpSpec) -> BvpSolution:

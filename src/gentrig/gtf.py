@@ -6,6 +6,15 @@ p = q = 2 everything reduces to the circular functions.  The numerical
 realization goes through the regularized incomplete beta function and its
 inverse; near the right end of the principal interval the inverse is solved
 in the swapped-tail form to keep cos_pq accurate.
+
+Every evaluator takes a point or an array of points.  A point given as a
+float or an int takes the float lane: it is range-checked with plain
+comparisons, the inversions call scipy's scalar kernels
+(scipy.special.cython_special, the same Boost code as the ufuncs) and the
+powers are Python float powers, i.e. the C library's pow.  No 0-d array is
+built, and the result is a Python float equal bit for bit to the one the
+array machinery gives a 0-d input.  Arrays go through the ufuncs; both lanes
+share every formula.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sc
+from scipy.special import cython_special as _cs
 
 from . import specfun
 from .errors import DomainError, check_pq
@@ -70,17 +80,38 @@ def pi_pq(p: float, q: float) -> float:
 
 
 def _as_unit(x, top: float, what: str):
-    """Validate x in [0, top] (tiny relative slack) and return clipped array."""
-    xx = np.asarray(x, dtype=float)
+    """Validate x in [0, top], with a tiny relative slack, and clip it to
+    [0, top].  A float or an int (the float lane) comes back as a Python
+    float, anything else as a float array; the comparisons and the clip are
+    the same in both, so the lanes accept the same points and give the same
+    values, -0.0 included.  NaN and infinities raise DomainError."""
     slack = _REL_SLACK * top
+    if isinstance(x, (float, int)):
+        x = float(x)
+        # written so that NaN fails the test
+        if not -slack <= x <= top + slack:
+            raise DomainError(f"{what} requires argument in [0, {top}]")
+        return min(max(x, 0.0), top)
+    xx = np.asarray(x, dtype=float)
     # written so that NaN fails the test
     if not ((xx >= -slack) & (xx <= top + slack)).all():
         raise DomainError(f"{what} requires argument in [0, {top}]")
     return np.clip(xx, 0.0, top)
 
 
+def _betaincinv(a: float, b: float, y):
+    """t with I_t(a, b) = y: scipy's scalar kernel for a float y, the ufunc
+    otherwise.  Both run the same Boost code and agree bit for bit."""
+    return _cs.betaincinv(a, b, y) if isinstance(y, float) else sc.betaincinv(a, b, y)
+
+
+def _betainc(a: float, b: float, t):
+    """I_t(a, b), dispatched like _betaincinv."""
+    return _cs.betainc(a, b, t) if isinstance(t, float) else sc.betainc(a, b, t)
+
+
 def _maybe_scalar(v):
-    return float(v) if np.ndim(v) == 0 else v
+    return float(v) if isinstance(v, float) or np.ndim(v) == 0 else v
 
 
 def _libm_pow(base, exponent: float):
@@ -91,7 +122,7 @@ def _libm_pow(base, exponent: float):
     percent of inputs; callers that must reproduce the scalar calls bit for
     bit on arrays raise their powers here.
     """
-    if np.ndim(base) == 0:
+    if isinstance(base, float) or np.ndim(base) == 0:
         return float(base) ** exponent
     base = np.asarray(base, dtype=float)
     return np.array([v ** exponent for v in base.ravel().tolist()]).reshape(base.shape)
@@ -102,7 +133,7 @@ def asin_pq(p: float, q: float, x):
     check_pq(p, q)
     xx = _as_unit(x, 1.0, "asin_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    val = (1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xx**q)
+    val = (1.0 / q) * specfun.beta(a, b) * _betainc(a, b, xx**q)
     return _maybe_scalar(val)
 
 
@@ -112,7 +143,7 @@ def sin_pq(p: float, q: float, x):
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "sin_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    t = sc.betaincinv(a, b, xx / halfpi)
+    t = _betaincinv(a, b, xx / halfpi)
     return _maybe_scalar(t ** (1.0 / q))
 
 
@@ -126,7 +157,7 @@ def cos_pq(p: float, q: float, x):
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "cos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    tc = sc.betaincinv(b, a, (halfpi - xx) / halfpi)
+    tc = _betaincinv(b, a, (halfpi - xx) / halfpi)
     return _maybe_scalar(tc ** (1.0 / p))
 
 
@@ -146,8 +177,8 @@ def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "sincos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    t = sc.betaincinv(a, b, xx / halfpi)
-    tc = sc.betaincinv(b, a, (halfpi - xx) / halfpi)
+    t = _betaincinv(a, b, xx / halfpi)
+    tc = _betaincinv(b, a, (halfpi - xx) / halfpi)
     if pointwise:
         return _libm_pow(t, 1.0 / q), _libm_pow(tc, 1.0 / p)
     return _maybe_scalar(t ** (1.0 / q)), _maybe_scalar(tc ** (1.0 / p))
@@ -219,5 +250,5 @@ def extend_sin_symmetric(p: float, x):
     check_pq(2.0, p)
     full = pi_pq(2.0, p)
     xx = _as_unit(x, full, "extend_sin_symmetric")
-    folded = np.minimum(xx, full - xx)
+    folded = min(xx, full - xx) if isinstance(xx, float) else np.minimum(xx, full - xx)
     return _maybe_scalar(sin_pq(2.0, p, folded))

@@ -115,10 +115,14 @@ def integrate(
     ``err_estimate`` are then arrays of shape (m,) and ``evaluations`` the
     total over the rows.  An empty interval returns 0.0 whatever f is.
 
-    Raises DomainError unless a <= b are finite and 0 < tol < inf, and
+    Raises DomainError unless a <= b are finite and 0 < tol < inf, or if
+    [a, b] is too narrow for the node table (width below
+    2 _MIN_OFFSET / min(tol, 1), 1e-289 at the default tolerance), and
     ToleranceError (carrying the best estimates) if the halving
     disagreement of some integrand does not fall below tol within the
-    refinement and evaluation budgets.
+    refinement and evaluation budgets.  The width rule checks the share of
+    the rule's weight on the nodes skipped near the endpoints, not the
+    error: an integrand singular at an endpoint has more of its mass there.
     """
     # written so that NaN fails each test
     if not 0.0 < tol < math.inf:
@@ -130,6 +134,17 @@ def integrate(
 
     halfw = 0.5 * (b - a)
     width = b - a
+    # the nodes skipped for lying within _MIN_OFFSET of an endpoint carry the
+    # share _MIN_OFFSET / halfw of the rule's weight; more than tol of it (or
+    # all of it, the centre node included) cannot be certified.  A share of
+    # the weight, not an error bound: t^(e-1) leaves (_MIN_OFFSET/halfw)^e of
+    # its mass there, and being relative the rule also rejects widths whose
+    # result met the stopping test, which is absolute while |est| < 1
+    if _MIN_OFFSET > min(tol, 1.0) * halfw:
+        raise DomainError(
+            f"interval width {width:g} is too narrow for tolerance {tol:g}: "
+            f"the nodes skipped within {_MIN_OFFSET:g} of an endpoint carry "
+            f"more than that share of the rule's weight")
 
     for level in range(_MAX_LEVEL + 1):
         w, delta = _level_nodes(level)

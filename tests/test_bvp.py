@@ -119,6 +119,23 @@ class TestGeneralSolution:
         with pytest.raises(DomainError):
             sol(np.array([0.25, math.nan, 0.75]))
 
+    @pytest.mark.parametrize("H", [1.0, 2.5])
+    def test_bounds_to_the_ulp(self, H):
+        # the accepted set is gtf's: [-1e-12 H, H + 1e-12 H], in both lanes
+        sol = bvp.solve_general(BvpSpec(H=H, p=3.0, q=1.5))
+        low, high = -1e-12 * H, H + 1e-12 * H
+        for x in (0.0, H, low, high):
+            value = sol(x)
+            assert type(value) is float
+            assert same_bits(value, sol._eval(np.array([min(max(x, 0.0), H)]),
+                                              pointwise=True)[0])
+            assert same_bits(sol(np.array([x])), sol(np.array([min(max(x, 0.0), H)])))
+        for x in (np.nextafter(low, -math.inf), np.nextafter(high, math.inf)):
+            with pytest.raises(DomainError):
+                sol(float(x))
+            with pytest.raises(DomainError):
+                sol(np.array([0.5 * H, x]))
+
 
 class TestFusedVerifiers:
     @pytest.mark.parametrize("p,q", [(1.5, 4.0), (4.0, 1.5), (2.0, 2.0), (3.0, 2.5)])

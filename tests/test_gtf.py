@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import cython_special
 
-from gentrig import gtf, quadrature
+from gentrig import bvp, gtf, quadrature, specfun
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 
@@ -320,3 +324,178 @@ class TestSymmetricExtension:
     def test_domain(self):
         with pytest.raises(DomainError):
             gtf.extend_sin_symmetric(2.0, 1.1 * gtf.pi_pq(2.0, 2.0))
+
+
+# ---------------------------------------------------------------- float lane
+
+
+def ufunc_formula(name, p, q, x):
+    """The scalar value as the array machinery computes it: x as a 0-d array,
+    range-checked and clipped, the scipy ufuncs, numpy scalar powers and
+    asin_pq's (1/q) B(1/q, 1/p*) factor."""
+    a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
+    top = 1.0 if name == "asin" else 0.5 * gtf.pi_pq(p, q)
+    xx = np.asarray(x, dtype=float)
+    slack = 1e-12 * top
+    if not ((xx >= -slack) & (xx <= top + slack)).all():
+        raise DomainError("outside")
+    xx = np.clip(xx, 0.0, top)
+    if name == "asin":
+        return float((1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xx**q))
+    if name == "sin":
+        return float(sc.betaincinv(a, b, xx / top) ** (1.0 / q))
+    return float(sc.betaincinv(b, a, (top - xx) / top) ** (1.0 / p))
+
+
+def same_float(a, b):
+    return type(a) is float and type(b) is float and same_bits(a, b)
+
+
+_exponent = st.one_of(
+    st.floats(1.0, 50.0, exclude_min=True),
+    st.floats(1e-9, 1e-2).map(lambda e: 1.0 + e),  # near 1
+)
+_pairs = st.one_of(
+    st.tuples(_exponent, _exponent),
+    # symmetric shapes 1/q = 1/p*, i.e. q = p*, with p in [50/49, 50]
+    st.floats(50.0 / 49.0, 50.0).map(lambda p: (p, gtf.conjugate(p))),
+)
+# (how, u): the point is built from u and the half period below
+_points = st.one_of(
+    st.tuples(st.just("uniform"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("near 0"), st.floats(0.0, 1e-15)),
+    st.tuples(st.just("near top"), st.floats(0.0, 1e-15)),
+    st.tuples(st.sampled_from(["zero", "-zero", "top", "middle"]), st.just(0.0)),
+    st.tuples(st.just("slack below"), st.floats(0.0, 0.999e-12)),
+    st.tuples(st.just("slack above"), st.floats(0.0, 0.999e-12)),
+)
+
+
+def _point(how, u, top):
+    return {
+        "uniform": u * top, "near 0": u * top, "near top": (1.0 - u) * top,
+        "zero": 0.0, "-zero": -0.0, "top": top, "middle": 0.5 * top,
+        "slack below": -u * top, "slack above": top + u * top,
+    }[how]
+
+
+class TestFloatLane:
+    @given(pq=_pairs, pt=_points)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_equals_array_and_ufunc_formula(self, pq, pt):
+        p, q = pq
+        half = 0.5 * gtf.pi_pq(p, q)
+        x = _point(*pt, half)
+        s, c = gtf.sin_pq(p, q, x), gtf.cos_pq(p, q, x)
+        assert same_float(s, ufunc_formula("sin", p, q, x))
+        assert same_float(c, ufunc_formula("cos", p, q, x))
+        assert same_bits(gtf.sincos_pq(p, q, x), (s, c))
+        arr = np.array([0.25 * half, x, half])
+        s_arr, c_arr = gtf.sincos_pq(p, q, arr, pointwise=True)
+        assert same_bits(s_arr[1], s) and same_bits(c_arr[1], c)
+        t = _point(*pt, 1.0)
+        assert same_float(gtf.asin_pq(p, q, t), ufunc_formula("asin", p, q, t))
+
+    @given(p=_exponent, pt=_points)
+    @settings(max_examples=100, deadline=None)
+    def test_extension_equals_ufunc_formula(self, p, pt):
+        full = gtf.pi_pq(2.0, p)
+        x = _point(*pt, full)
+        clipped = np.clip(np.asarray(x), 0.0, full)
+        folded = np.minimum(clipped, full - clipped)
+        value = gtf.extend_sin_symmetric(p, x)
+        assert same_float(value, ufunc_formula("sin", 2.0, p, folded))
+        assert same_bits(value, gtf.extend_sin_symmetric(p, np.float64(x)))
+
+    def test_seeded_sweep_equals_ufunc_formula(self):
+        rng = np.random.default_rng(20261018)
+        pairs = [(2.0, 2.0), (30.0, 30.0 / 29.0), (1.001, 7.0), (7.0, 1.001)]
+        pairs += [tuple(1.0 + 49.0 * rng.random(2)) for _ in range(8)]
+        for p, q in pairs:
+            half = 0.5 * gtf.pi_pq(p, q)
+            xs = np.concatenate([rng.random(40), 1.0 - 10.0 ** -rng.uniform(1, 15, 20)])
+            for u in xs.tolist():
+                x = u * half
+                assert same_float(gtf.sin_pq(p, q, x), ufunc_formula("sin", p, q, x))
+                assert same_float(gtf.cos_pq(p, q, x), ufunc_formula("cos", p, q, x))
+                assert same_float(gtf.asin_pq(p, q, u), ufunc_formula("asin", p, q, u))
+
+    @pytest.mark.parametrize(
+        "x", [0.3, np.float64(0.3), 1, 0, np.array(0.3)],
+        ids=["float", "float64", "int", "int0", "0-d"])
+    def test_scalar_input_returns_float(self, x):
+        p, q = 2.5, 3.0
+        outs = [gtf.sin_pq(p, q, x), gtf.cos_pq(p, q, x), gtf.asin_pq(p, q, x),
+                gtf.extend_sin_symmetric(q, x), *gtf.sincos_pq(p, q, x),
+                *gtf.sincos_pq(p, q, x, pointwise=True)]
+        assert all(type(v) is float for v in outs)
+        assert same_bits(outs[0], gtf.sin_pq(p, q, float(x)))
+        assert type(gtf.pi_pq(p, q)) is float
+
+    @pytest.mark.parametrize(
+        "fn", [gtf.sin_pq, gtf.cos_pq, gtf.asin_pq, gtf.sincos_pq],
+        ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, -3e-12, 1.0 + 3e-12])
+    @pytest.mark.parametrize("lane", ["float", "array"])
+    def test_out_of_domain_rejected(self, fn, x, lane):
+        # NaN in both lanes: TestNaNRejected
+        p, q = 2.0, 2.0  # the top of sin/cos is pi/2 > 1: scale onto it
+        if fn is not gtf.asin_pq and math.isfinite(x):
+            x = x * 0.5 * gtf.pi_pq(p, q)
+        with pytest.raises(DomainError):
+            fn(p, q, x if lane == "float" else np.array([0.5, x]))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1e-11])
+    def test_extension_out_of_domain_rejected(self, x):
+        for arg in (x, np.array([x])):
+            with pytest.raises(DomainError):
+                gtf.extend_sin_symmetric(3.0, arg)
+
+
+class TestNoZeroDimArrays:
+    """The float lane must not build arrays: a cost guard that needs no timer."""
+
+    def test_float_lane_makes_no_arrays(self, monkeypatch):
+        sols = [bvp.solve_general(bvp.BvpSpec(H=2.5, p=3.0, q=1.5)),
+                bvp.solve_nonlocal(bvp.NonlocalSpec(H=1.5, m=0.7)),
+                bvp.solve_pq_equal(3.0)]
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("a scalar call built an array")
+
+        monkeypatch.setattr(gtf.np, "asarray", no_arrays)
+        monkeypatch.setattr(gtf.np, "clip", no_arrays)
+        p, q = 2.5, 1.7
+        for x in (0.4, np.float64(0.4), 1, 0.0):
+            gtf.pi_pq(p, q)
+            gtf.sin_pq(p, q, x)
+            gtf.cos_pq(p, q, x)
+            gtf.sincos_pq(p, q, x)
+            gtf.sincos_pq(p, q, x, pointwise=True)
+            gtf.asin_pq(p, q, x)
+            gtf.extend_sin_symmetric(q, x)
+            for sol in sols:
+                sol(x)
+
+
+def test_scalar_kernels_equal_ufuncs():
+    """gtf's float lane calls scipy's Cython kernels, its array lane the
+    ufuncs; both must be the same Boost code, bit for bit."""
+    rng = np.random.default_rng(7)
+    n = 10_000
+    p = 1.0 + 10.0 ** rng.uniform(-6, np.log10(49.0), n)
+    q = 1.0 + 10.0 ** rng.uniform(-6, np.log10(49.0), n)
+    a, b = 1.0 / q, 1.0 - 1.0 / p  # 1/q and 1/p*, the shapes gtf uses
+    y = rng.random(n)
+    y[: n // 10] = 10.0 ** -rng.uniform(1, 300, n // 10)
+    y[n // 10: n // 5] = 1.0 - 10.0 ** -rng.uniform(1, 16, n // 10)
+    inv = sc.betaincinv(a, b, y)
+    inv_swapped = sc.betaincinv(b, a, y)
+    fwd = sc.betainc(a, b, y)
+    args = zip(a.tolist(), b.tolist(), y.tolist())
+    scalar = np.array([(cython_special.betaincinv(ai, bi, yi),
+                        cython_special.betaincinv(bi, ai, yi),
+                        cython_special.betainc(ai, bi, yi)) for ai, bi, yi in args])
+    assert same_bits(scalar[:, 0], inv)
+    assert same_bits(scalar[:, 1], inv_swapped)
+    assert same_bits(scalar[:, 2], fwd)

@@ -108,6 +108,32 @@ def test_bad_limits_and_tolerances_rejected(a, b, tol):
         quadrature.integrate(lambda t: np.ones_like(t), a, b, tol=tol)
 
 
+def _ones(dist):
+    if dist:
+        return lambda x, da, db: np.ones_like(x)
+    return lambda x: np.ones_like(x)
+
+
+@pytest.mark.parametrize("dist", [False, True])
+@pytest.mark.parametrize("width", [1e-290, 1e-298, 1e-300, 5e-324])
+def test_too_narrow_interval_rejected(width, dist):
+    # the nodes skipped near the endpoints would carry more than tol of the
+    # rule's weight: the result would be low (8% at 1e-298) or not exist
+    with pytest.raises(DomainError, match=f"width {width:g} "):
+        quadrature.integrate(_ones(dist), 0.0, width, dist=dist)
+
+
+@pytest.mark.parametrize("dist", [False, True])
+def test_narrow_interval_still_integrated(dist):
+    res = quadrature.integrate(_ones(dist), 0.0, 1e-280, dist=dist)
+    assert abs(res.value / 1e-280 - 1.0) <= 1e-10
+
+
+def test_no_node_left_is_a_domain_error_at_any_tolerance():
+    with pytest.raises(DomainError):
+        quadrature.integrate(_ones(False), 0.0, 1e-300, tol=10.0)
+
+
 def test_tolerance_error_is_structured():
     with pytest.raises(ToleranceError) as err:
         quadrature.integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
