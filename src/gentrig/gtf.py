@@ -13,13 +13,25 @@ comparisons, the inversions call scipy's scalar kernels
 (scipy.special.cython_special, the same Boost code as the ufuncs) and the
 powers are Python float powers, i.e. the C library's pow.  No 0-d array is
 built, and the result is a Python float equal bit for bit to the one the
-array machinery gives a 0-d input.  Arrays go through the ufuncs; both lanes
-share every formula.
+array machinery gives a 0-d input.  Arrays of fewer than
+specfun.INV_FIT_MIN points go through the ufuncs, bit for bit the scalar
+kernels.  The sine and cosine inversions of larger arrays take
+specfun.inc_beta_reg_inv, which starts from a fitted inverse and polishes it
+with a Newton step; their values may differ from the ufuncs' in the last
+ulps, and are accurate at the symmetric shapes 1/q = 1/p* where scipy's
+inverse is not.  sincos_pq(pointwise=True) always takes the ufuncs, so its
+arrays equal the scalar calls bit for bit at every size.  All lanes share
+every other formula.
+
+Where x^q underflows, sin_pq(x) and asin_pq(x) are x: their next term is
+O(x^(q+1)), while the incomplete-beta forms have nothing left to resolve
+there.  sin_pq tests x < DBL_MIN^(1/q), asin_pq the x^q it computes anyway.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +42,7 @@ from . import specfun
 from .errors import DomainError, check_pq
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
+_DBL_MIN = sys.float_info.min
 
 
 def conjugate(p: float) -> float:
@@ -99,15 +112,31 @@ def _as_unit(x, top: float, what: str):
     return np.clip(xx, 0.0, top)
 
 
-def _betaincinv(a: float, b: float, y):
+def _betaincinv(a: float, b: float, y, pointwise: bool = False):
     """t with I_t(a, b) = y: scipy's scalar kernel for a float y, the ufunc
-    otherwise.  Both run the same Boost code and agree bit for bit."""
-    return _cs.betaincinv(a, b, y) if isinstance(y, float) else sc.betaincinv(a, b, y)
+    for an array of fewer than specfun.INV_FIT_MIN points or with
+    pointwise=True (the same Boost code, bit for bit), and the polished
+    specfun.inc_beta_reg_inv for larger arrays."""
+    if isinstance(y, float):
+        return _cs.betaincinv(a, b, y)
+    if pointwise or y.size < specfun.INV_FIT_MIN:
+        return sc.betaincinv(a, b, y)
+    return specfun.inc_beta_reg_inv(a, b, y)
 
 
 def _betainc(a: float, b: float, t):
     """I_t(a, b), dispatched like _betaincinv."""
     return _cs.betainc(a, b, t) if isinstance(t, float) else sc.betainc(a, b, t)
+
+
+def _small_x(x, v, under):
+    """A value v of sin_pq or asin_pq at x, with x itself where x > 0 and
+    `under` says that x^q underflows; a float for a point (as
+    _maybe_scalar), and an array v is changed in place."""
+    if isinstance(v, float) or np.ndim(v) == 0:
+        return float(x) if under and x > 0.0 else float(v)
+    np.copyto(v, x, where=under & (x > 0.0))
+    return v
 
 
 def _maybe_scalar(v):
@@ -133,8 +162,9 @@ def asin_pq(p: float, q: float, x):
     check_pq(p, q)
     xx = _as_unit(x, 1.0, "asin_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    val = (1.0 / q) * specfun.beta(a, b) * _betainc(a, b, xx**q)
-    return _maybe_scalar(val)
+    xq = xx**q
+    val = (1.0 / q) * specfun.beta(a, b) * _betainc(a, b, xq)
+    return _small_x(xx, val, xq < _DBL_MIN)
 
 
 def sin_pq(p: float, q: float, x):
@@ -144,7 +174,7 @@ def sin_pq(p: float, q: float, x):
     xx = _as_unit(x, halfpi, "sin_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
     t = _betaincinv(a, b, xx / halfpi)
-    return _maybe_scalar(t ** (1.0 / q))
+    return _small_x(xx, t ** (1.0 / q), xx < _DBL_MIN ** a)
 
 
 def cos_pq(p: float, q: float, x):
@@ -167,21 +197,23 @@ def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
     Both incomplete-beta inversions (the sine form and the swapped-tail
     cosine form) run on the whole array.  The pair equals the two separate
     calls bit for bit, for scalars and for arrays.  With pointwise=True the
-    two final powers are instead taken one element at a time through the C
-    library's pow, so that an array result equals the scalar calls
-    [sin_pq(p, q, xi) for xi in x] (and likewise cos_pq) bit for bit; numpy's
-    vectorized power, which the array calls use, can differ from those in
-    the last ulp.  Scalars give the same result either way.
+    inversions take the ufuncs at every array size and the two final powers
+    are taken one element at a time through the C library's pow, so that an
+    array result equals the scalar calls [sin_pq(p, q, xi) for xi in x] (and
+    likewise cos_pq) bit for bit; the fitted inverse of large arrays and
+    numpy's vectorized power, which the array calls use, can differ from
+    those in the last ulp.  Scalars give the same result either way.
     """
     check_pq(p, q)
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "sincos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    t = _betaincinv(a, b, xx / halfpi)
-    tc = _betaincinv(b, a, (halfpi - xx) / halfpi)
+    t = _betaincinv(a, b, xx / halfpi, pointwise)
+    tc = _betaincinv(b, a, (halfpi - xx) / halfpi, pointwise)
+    under = xx < _DBL_MIN ** a
     if pointwise:
-        return _libm_pow(t, 1.0 / q), _libm_pow(tc, 1.0 / p)
-    return _maybe_scalar(t ** (1.0 / q)), _maybe_scalar(tc ** (1.0 / p))
+        return _small_x(xx, _libm_pow(t, 1.0 / q), under), _libm_pow(tc, 1.0 / p)
+    return _small_x(xx, t ** (1.0 / q), under), _maybe_scalar(tc ** (1.0 / p))
 
 
 def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
@@ -210,14 +242,20 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         sin_pq((pi_pq/2) x)  vs  cos_{q*,p*}^(q*-1)((pi_{q*,p*}/2)(1-x))
         cos_pq((pi_pq/2) x)  vs  sin_{q*,p*}^(p*-1)((pi_{q*,p*}/2)(1-x))
 
-    x01 is one point of [0, 1] (two floats are returned) or an array of
-    them (two arrays); every power is taken pointwise through the C
-    library's pow, so an array gives the scalar calls' residuals bit for
-    bit.
+    x01 is one point of [0, 1] (two floats are returned; a float or an int
+    takes the float lane) or an array of them (two arrays); every power is
+    taken pointwise through the C library's pow, so an array gives the
+    scalar calls' residuals bit for bit.  Unlike sin_pq, x01 gets no slack
+    beyond [0, 1].
     """
     check_pq(p, q)
-    xx = np.asarray(x01, dtype=float)
-    if not ((xx >= 0.0) & (xx <= 1.0)).all():  # written so that NaN fails
+    if isinstance(x01, (float, int)):
+        xx = float(x01)
+        ok = 0.0 <= xx <= 1.0
+    else:
+        xx = np.asarray(x01, dtype=float)
+        ok = ((xx >= 0.0) & (xx <= 1.0)).all()
+    if not ok:  # written so that NaN fails
         raise DomainError("x01 must lie in [0, 1]")
     ps, qs = conjugate(p), conjugate(q)
     half_a = 0.5 * pi_pq(p, q)
@@ -232,9 +270,7 @@ def multiple_angle_residual(p: float, x: float) -> float:
     for x in [0, pi_{p*,p}/2]."""
     check_pq(2.0, p)
     ps = conjugate(p)
-    half = 0.5 * pi_pq(ps, p)
-    if not 0.0 <= x <= half * (1.0 + _REL_SLACK):
-        raise DomainError("x must lie in [0, pi_{p*,p}/2]")
+    x = _as_unit(x, 0.5 * pi_pq(ps, p), "multiple_angle_residual")
     scale = 2.0 ** (2.0 / p)
     # the doubled argument sweeps the full arch [0, pi_{2,p}] as x sweeps
     # the half period, since pi_{2,p} = 2^(2/p - 1) pi_{p*,p}

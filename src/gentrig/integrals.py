@@ -14,7 +14,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, check_order, check_pq
-from .gtf import ParamPair, conjugate, pi_pq, sin_pq, sincos_pq
+from .gtf import ParamPair, _as_unit, conjugate, pi_pq, sin_pq, sincos_pq
 
 WALLIS_SPECIAL_KINDS = (
     "sin_qn",
@@ -70,8 +70,7 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
     """
     _check_kl(p, k, l)
     halfpi = 0.5 * pi_pq(p, q)
-    if not 0.0 <= x <= halfpi * (1.0 + 1e-12):
-        raise DomainError("x must lie in [0, pi_pq/2]")
+    x = _as_unit(x, halfpi, "primitive_sin_cos")
     if x >= halfpi:
         return definite_sin_cos(p, q, k, l)
     s, c = sincos_pq(p, q, x)

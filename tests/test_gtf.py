@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import cython_special
 
-from gentrig import bvp, gtf, quadrature, specfun
+from gentrig import bvp, gtf, integrals, quadrature, specfun
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 
@@ -332,7 +334,8 @@ class TestSymmetricExtension:
 def ufunc_formula(name, p, q, x):
     """The scalar value as the array machinery computes it: x as a 0-d array,
     range-checked and clipped, the scipy ufuncs, numpy scalar powers and
-    asin_pq's (1/q) B(1/q, 1/p*) factor."""
+    asin_pq's (1/q) B(1/q, 1/p*) factor; sin and asin are x itself where
+    x > 0 and x^q underflows (sin: x < DBL_MIN^(1/q), asin: x^q < DBL_MIN)."""
     a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
     top = 1.0 if name == "asin" else 0.5 * gtf.pi_pq(p, q)
     xx = np.asarray(x, dtype=float)
@@ -340,11 +343,15 @@ def ufunc_formula(name, p, q, x):
     if not ((xx >= -slack) & (xx <= top + slack)).all():
         raise DomainError("outside")
     xx = np.clip(xx, 0.0, top)
+    if name == "cos":
+        return float(sc.betaincinv(b, a, (top - xx) / top) ** (1.0 / p))
     if name == "asin":
+        if 0.0 < xx and xx**q < sys.float_info.min:
+            return float(xx)
         return float((1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xx**q))
-    if name == "sin":
-        return float(sc.betaincinv(a, b, xx / top) ** (1.0 / q))
-    return float(sc.betaincinv(b, a, (top - xx) / top) ** (1.0 / p))
+    if 0.0 < xx < sys.float_info.min ** (1.0 / q):
+        return float(xx)
+    return float(sc.betaincinv(a, b, xx / top) ** (1.0 / q))
 
 
 def same_float(a, b):
@@ -474,6 +481,7 @@ class TestNoZeroDimArrays:
             gtf.sincos_pq(p, q, x, pointwise=True)
             gtf.asin_pq(p, q, x)
             gtf.extend_sin_symmetric(q, x)
+            gtf.sin_symmetry_appendix(p, q, x)
             for sol in sols:
                 sol(x)
 
@@ -499,3 +507,242 @@ def test_scalar_kernels_equal_ufuncs():
     assert same_bits(scalar[:, 0], inv)
     assert same_bits(scalar[:, 1], inv_swapped)
     assert same_bits(scalar[:, 2], fwd)
+
+
+# ---------------------------------------------------------------- one validator
+
+
+@pytest.mark.parametrize("which", ["primitive_sin_cos", "multiple_angle_residual"])
+def test_accepts_exactly_what_sin_pq_accepts(which):
+    """Both validate x with gtf's validator: at -1e-300, at the slack below
+    0 and at the top slack they accept and reject the points sin_pq does on
+    the same half period."""
+    if which == "primitive_sin_cos":
+        p, q = 2.5, 3.0
+
+        def fn(x):
+            return integrals.primitive_sin_cos(p, q, 1.0, 1.0, x)
+    else:
+        p, q = gtf.conjugate(3.0), 3.0
+
+        def fn(x):
+            return gtf.multiple_angle_residual(3.0, x)
+    top = 0.5 * gtf.pi_pq(p, q)
+    slack = 1e-12 * top
+
+    def accepts(f, x):
+        try:
+            f(x)
+        except DomainError:
+            return False
+        return True
+
+    inside = [-1e-300, -slack, top + slack]
+    outside = [math.nextafter(-slack, -1.0), math.nextafter(top + slack, 4.0)]
+    for x in inside + outside:
+        assert accepts(fn, x) == accepts(lambda v: gtf.sin_pq(p, q, v), x) == (x in inside)
+    assert fn(-1e-300) == fn(0.0)
+
+
+# ---------------------------------------------------------------- underflow
+
+
+def mp_sin(p, q, x):
+    """sin_pq(x) at 50 digits from x = s F(1/p, 1/q; 1 + 1/q; s^q)."""
+    with mp.workdps(50):
+        p, q, x = mp.mpf(p), mp.mpf(q), mp.mpf(x)
+        return mp.findroot(lambda s: s * mp.hyp2f1(1 / p, 1 / q, 1 + 1 / q, s**q) - x, x)
+
+
+def mp_asin(p, q, x):
+    with mp.workdps(50):
+        p, q, x = mp.mpf(p), mp.mpf(q), mp.mpf(x)
+        return x * mp.hyp2f1(1 / p, 1 / q, 1 + 1 / q, x**q)
+
+
+def _lanes(fn, p, q, x):
+    """fn at x as a float, in a small array, in an array of INV_FIT_MIN
+    points, and (sin_pq only) pointwise in such an array."""
+    big = np.full(specfun.INV_FIT_MIN, x)
+    out = [fn(p, q, x), fn(p, q, np.array([x, x]))[1], fn(p, q, big)[7]]
+    if fn is gtf.sin_pq:
+        out.append(gtf.sincos_pq(p, q, big, pointwise=True)[0][7])
+    return out
+
+
+class TestUnderflow:
+    """Where x^q underflows, sin_pq(x) = asin_pq(x) = x to double precision;
+    the incomplete-beta forms gave 0.4924 for sin_pq(2, 1000, 0.1001...) and
+    0.0 for asin_pq(2, 1000, 0.1)."""
+
+    @pytest.mark.parametrize("p,q,x", [(2.0, 1000.0, 0.10013856109003356),
+                                       (2.0, 200.0, 0.01006914441748482),
+                                       (2.0, 6.0, 1.2143253239437903e-52)])
+    def test_sin(self, p, q, x):
+        ref = mp_sin(p, q, x)
+        for value in _lanes(gtf.sin_pq, p, q, x):
+            assert abs(value - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("p,q,x", [(2.0, 1000.0, 0.1), (2.0, 6.0, 1e-60)])
+    def test_asin(self, p, q, x):
+        ref = mp_asin(p, q, x)
+        for value in _lanes(gtf.asin_pq, p, q, x):
+            assert abs(value - ref) <= 1e-15 * ref
+
+
+# ---------------------------------------------------------------- fitted inverse
+
+
+N0 = specfun.INV_FIT_MIN
+
+
+def _mp_small_inverse(a, b, w):
+    """u with I_u(a, b) = w for u up to about 1/2: Newton on ln I in ln u."""
+    ln_beta = mp.log(mp.beta(a, b))
+    s = min(mp.log(a * mp.beta(a, b) * w) / a, mp.log(mp.mpf(0.5)))
+    for _ in range(60):
+        u = mp.exp(s)
+        i = mp.betainc(a, b, 0, u, regularized=True)
+        density = mp.exp((a - 1) * s + (b - 1) * mp.log1p(-u) - ln_beta)
+        step = (mp.log(i) - mp.log(w)) / (u * density / i)
+        s = min(s - step, mp.log(mp.mpf(0.75)))
+        if abs(step) < mp.mpf(10) ** -40:
+            return mp.exp(s)
+    raise AssertionError("reference inversion did not converge")
+
+
+def _mp_inverse(a, b, y):
+    if y == 0 or y == 1:
+        return mp.mpf(y)
+    lead = (a * mp.beta(a, b) * y) ** (1 / a)
+    if lead < 1e-300:  # far below DBL_MIN: the leading term will do
+        return lead
+    if y <= mp.betainc(a, b, 0, 0.5, regularized=True):
+        return _mp_small_inverse(a, b, y)
+    return 1 - _mp_small_inverse(b, a, 1 - y)
+
+
+def _mp_condition(a, b, y, t, power):
+    """|d ln(t^power) / d ln y| at I_t(a, b) = y, at least 1."""
+    if t == 0 or t == 1:
+        return 1.0
+    density = mp.exp((a - 1) * mp.log(t) + (b - 1) * mp.log1p(-t) - mp.log(mp.beta(a, b)))
+    return max(1.0, float(power * y / (t * density)))
+
+
+def mp_sincos(p, q, x):
+    """sin_pq(x), cos_pq(x) and cos_pq(x)^p at 50 digits, with the condition
+    numbers of sin and cos against a relative change of the argument of
+    their inversion.  The cosine is taken at the argument (half - x) / half
+    as the code rounds it, so that it measures the inversion and not the
+    rounding of half - x near the top (an open loss of its own)."""
+    half_f = 0.5 * gtf.pi_pq(p, q)
+    y_cos = (half_f - x) / half_f
+    with mp.workdps(50):
+        p, q, x = mp.mpf(p), mp.mpf(q), mp.mpf(x)
+        a, b = 1 / q, 1 - 1 / p
+        y = x / mp.beta(b, a) * q
+        t = _mp_inverse(a, b, y)
+        tc = _mp_inverse(b, a, mp.mpf(y_cos))
+        return (t ** (1 / q), tc ** (1 / p), tc, _mp_condition(a, b, y, t, 1 / q),
+                _mp_condition(b, a, mp.mpf(y_cos), tc, 1 / p))
+
+
+FITTED_PAIRS = [(2.5, 3.0), (4.5, 1.7), (1.3, 5.5), (5.9, 5.9), (1.01, 3.0),
+                (3.0, 1.01), (1.002, 1.003)]
+
+
+class TestFittedInverse:
+    """Arrays of at least specfun.INV_FIT_MIN points invert through the
+    fitted, Newton-polished specfun.inc_beta_reg_inv."""
+
+    def test_against_mpmath(self):
+        """Fractions of the half period uniform, near 0 and near the top.
+        Errors are relative and divided by the condition number (it reaches
+        ~1/(p - 1) in the cosine at p near 1).  At every point the fitted
+        path is within 2e-15 of mpmath or no further than the ufunc (near
+        the top both carry the ~2e-15 error of Boost's incomplete beta at
+        small arguments), and its worst error is no larger than the
+        ufunc's."""
+        rng = np.random.default_rng(20261018)
+        worst_fit = worst_ufunc = 0.0
+        for p, q in FITTED_PAIRS:
+            half = 0.5 * gtf.pi_pq(p, q)
+            u = np.concatenate([rng.random(6), 10.0 ** -rng.uniform(1, 15, 3),
+                                1.0 - 10.0 ** -rng.uniform(1, 15, 3), [1e-200]])
+            xs = u * half
+            fitted = gtf.sincos_pq(p, q, np.resize(xs, N0))
+            ufunc = gtf.sincos_pq(p, q, xs)
+            for i, x in enumerate(xs.tolist()):
+                ref_s, ref_c, ref_cp, cond_s, cond_c = mp_sincos(p, q, x)
+                checks = [(0, ref_s, cond_s)]
+                # cos^p below DBL_MIN: the inversion has nothing left to
+                # resolve (an open defect of both paths)
+                if ref_cp > sys.float_info.min:
+                    checks.append((1, ref_c, cond_c))
+                for j, ref, cond in checks:
+                    err_fit = float(abs(fitted[j][i] - ref) / ref) / cond
+                    err_ufunc = float(abs(ufunc[j][i] - ref) / ref) / cond
+                    assert err_fit <= max(2e-15, err_ufunc), (p, q, x, j)
+                    worst_fit = max(worst_fit, err_fit)
+                    worst_ufunc = max(worst_ufunc, err_ufunc)
+        assert worst_fit <= worst_ufunc
+
+    def test_symmetric_shape_at_quarter_period(self):
+        # raw betaincinv is 2.4e-8 off here (1/q = 1/p*, y = 1/2)
+        p, q = 30.0, 30.0 / 29.0
+        half = 0.5 * gtf.pi_pq(p, q)
+        xs = np.linspace(0.0, half, N0)
+        xs[N0 // 2] = x = 0.5 * half
+        ref = mp_sincos(p, q, x)[0]  # condition number 1 here
+        assert abs(gtf.sin_pq(p, q, xs)[N0 // 2] - ref) <= 2e-15 * ref
+        assert abs(gtf.sin_pq(p, q, xs[:3])[2] - gtf.sin_pq(p, q, x)) > 1e-9
+
+    @pytest.mark.parametrize("p,q", [(1.5, 4.0), (3.0, 2.5)])
+    def test_pointwise_equals_scalar_calls(self, p, q):
+        xs = np.linspace(0.0, 1.0, N0 + 1) * (gtf.pi_pq(p, q) / 2.0)
+        s, c = gtf.sincos_pq(p, q, xs, pointwise=True)
+        assert same_bits(s, [gtf.sin_pq(p, q, x) for x in xs.tolist()])
+        assert same_bits(c, [gtf.cos_pq(p, q, x) for x in xs.tolist()])
+
+    @pytest.mark.parametrize("p,q", [(1.5, 4.0), (3.0, 2.5), (1.01, 1.02)])
+    def test_below_fit_min_equals_ufunc(self, p, q, monkeypatch):
+        half = 0.5 * gtf.pi_pq(p, q)
+        xs = np.random.default_rng(5).random(N0 - 1) * half
+        a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
+
+        def polished(*args):
+            raise AssertionError("an array below INV_FIT_MIN took the polished inverse")
+
+        monkeypatch.setattr(specfun, "inc_beta_reg_inv", polished)
+        s, c = gtf.sincos_pq(p, q, xs)
+        assert same_bits(s, sc.betaincinv(a, b, xs / half) ** (1.0 / q))
+        assert same_bits(c, sc.betaincinv(b, a, (half - xs) / half) ** (1.0 / p))
+        assert same_bits(gtf.sin_pq(p, q, xs), s) and same_bits(gtf.cos_pq(p, q, xs), c)
+
+    def test_fit_min_takes_the_polished_inverse(self, monkeypatch):
+        calls = []
+        real = specfun.inc_beta_reg_inv
+        monkeypatch.setattr(specfun, "inc_beta_reg_inv",
+                            lambda a, b, y: calls.append(y.size) or real(a, b, y))
+        xs = np.linspace(0.0, 1.0, N0)
+        gtf.sincos_pq(2.5, 3.0, xs)
+        gtf.sin_pq(2.5, 3.0, xs)
+        gtf.cos_pq(2.5, 3.0, xs)
+        assert calls == [N0] * 4
+
+    def test_uncertifiable_fit_falls_back(self):
+        # q = 1e9: the sine's shape a = 1e-9 puts z = (a B w)^(1/a) beyond
+        # what doubles resolve, so its fit is refused
+        p, q = 2.0, 1e9
+        a, b = 1.0 / q, 0.5
+        lnb = float(sc.betaln(a, b))
+        assert specfun._inv_fit(a, b, lnb, float(sc.betainc(a, b, 0.5))) is None
+        y = np.random.default_rng(9).random(N0)
+        chunks = [specfun.inc_beta_reg_inv(a, b, y[i:i + 100]) for i in range(0, N0, 100)]
+        assert same_bits(specfun.inc_beta_reg_inv(a, b, y), np.concatenate(chunks))
+        half = 0.5 * gtf.pi_pq(p, q)
+        xs = np.linspace(0.0, half, N0)
+        s = gtf.sin_pq(p, q, xs)
+        ref = [gtf.sin_pq(p, q, x) for x in xs[::37].tolist()]
+        assert np.allclose(s[::37], ref, rtol=1e-14, atol=0.0)

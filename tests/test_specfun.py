@@ -155,12 +155,23 @@ class TestIncBeta:
         for x in np.arange(0.1, 0.95, 0.1):
             y = sc.betainc(a, b, x)
             assert specfun.inc_beta_reg_inv(a, b, y) == pytest.approx(x, abs=1e-12)
+        # the same points in an array large enough for the fitted start
+        xs = np.resize(np.arange(0.1, 0.95, 0.1), specfun.INV_FIT_MIN)
+        got = specfun.inc_beta_reg_inv(a, b, sc.betainc(a, b, xs))
+        assert np.allclose(got, xs, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("a", [0.9666666666666666, 1.75])
     def test_symmetric_median(self, a):
         # I_x(a, a) = 1/2 at x = 1/2; scipy's betaincinv alone is off by
         # 1.3e-8 and 1.0e-12 here, the polished inverse by at most 8.3e-16
         assert abs(specfun.inc_beta_reg_inv(a, a, 0.5) - 0.5) <= 2e-15
+        big = specfun.inc_beta_reg_inv(a, a, np.full(specfun.INV_FIT_MIN, 0.5))
+        assert np.abs(big - 0.5).max() <= 2e-15
+
+    @pytest.mark.parametrize("y", [math.nan, np.array([0.5, math.nan]), -1e-300, 1.5])
+    def test_inverse_domain(self, y):
+        with pytest.raises(DomainError):
+            specfun.inc_beta_reg_inv(0.7, 1.3, y)
 
     @given(
         a=st.floats(0.2, 5.0),
