@@ -11,8 +11,9 @@ Library layout:
   lemniscate catalog, generalized elliptic integrals, the infinite product.
 - ``bvp``: closed-form boundary value problem solutions and verifiers.
 - ``quadrature``: the independent tanh-sinh integration oracle (one
-  integrand or a batch on shared nodes) and its Wallis-moment form
-  power_moment.
+  integrand or a batch on shared nodes, one integrand call per level) and
+  its Wallis-moment forms power_moment and power_moments (many (p, q,
+  flavor) specs in one pass).
 - ``cli``: the ``gentrig`` command (eval / verify / table).
 """
 

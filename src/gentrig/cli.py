@@ -103,29 +103,32 @@ def _suite_appendix(grid):
 
 
 def _suite_wallis(grid):
-    cases = []
     ns = (0, 1, 3)
-    for p in grid:
-        for q in grid:
-            pair = ParamPair(p, q)
-            kinds = (
-                ("sin", q, (q - 1.0, 0.5 * (q - 1.0), -0.5), integrals.wallis_sin),
-                ("cos", p, (1.0, 0.5 * (3.0 - p)), integrals.wallis_cos),
-            )
-            # one oracle pass per flavor yields every moment of this pair
-            oracles = {
-                flavor: iter(quadrature.power_moment(
-                    p, q, [base * n + r for n in ns for r in rs], flavor))
-                for flavor, base, rs, _ in kinds
-            }
-            for n in ns:
-                for flavor, _, rs, func in kinds:
-                    for r in rs:
-                        value = func(integrals.WallisQuery(pair, n, r))
-                        cases.append(
-                            (f"wallis_{flavor} p={p} q={q} n={n} r={r:g}",
-                             abs(value - next(oracles[flavor])), 1e-7)
-                        )
+    kinds = {
+        (p, q): (
+            ("sin", q, (q - 1.0, 0.5 * (q - 1.0), -0.5), integrals.wallis_sin),
+            ("cos", p, (1.0, 0.5 * (3.0 - p)), integrals.wallis_cos),
+        )
+        for p in grid for q in grid
+    }
+    specs = [(p, q, flavor, [base * n + r for n in ns for r in rs])
+             for (p, q), pair_kinds in kinds.items()
+             for flavor, base, rs, _ in pair_kinds]
+    # one oracle pass yields every moment of the grid, spec after spec
+    moments = iter(quadrature.power_moments(specs).value)
+    oracles = {(p, q, flavor): iter([next(moments) for _ in exps])
+               for p, q, flavor, exps in specs}
+    cases = []
+    for (p, q), pair_kinds in kinds.items():
+        pair = ParamPair(p, q)
+        for n in ns:
+            for flavor, _, rs, func in pair_kinds:
+                for r in rs:
+                    value = func(integrals.WallisQuery(pair, n, r))
+                    cases.append(
+                        (f"wallis_{flavor} p={p} q={q} n={n} r={r:g}",
+                         abs(value - next(oracles[p, q, flavor])), 1e-7)
+                    )
     return cases
 
 

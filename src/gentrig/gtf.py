@@ -26,6 +26,12 @@ every other formula.
 Where x^q underflows, sin_pq(x) and asin_pq(x) are x: their next term is
 O(x^(q+1)), while the incomplete-beta forms have nothing left to resolve
 there.  sin_pq tests x < DBL_MIN^(1/q), asin_pq the x^q it computes anyway.
+Likewise, where the swapped-tail inverse tc = cos_pq^p falls below DBL_MIN
+(near the top of the interval at p near 1), cos_pq is its leading term
+(b B(b, a) yc)^(1/(p-1)), with yc = 1 - x/(pi_pq/2), a = 1/q and
+b = 1/p*: its relative correction is O(tc), whereas the inverse clamps tc
+near DBL_MIN there and tc^(1/p) would be far too large.  Every lane takes
+this rule, sincos_pq's included.
 """
 
 from __future__ import annotations
@@ -143,6 +149,22 @@ def _maybe_scalar(v):
     return float(v) if isinstance(v, float) or np.ndim(v) == 0 else v
 
 
+def _cos_from_tail(p: float, a: float, b: float, tc, yc, pointwise=False):
+    """cos_pq = tc^(1/p) from the swapped-tail inverse tc at yc, or its
+    leading term (b B(b, a) yc)^(1/(p-1)) where tc < DBL_MIN; pointwise
+    raises the powers through the C library's pow, as _libm_pow."""
+    power = _libm_pow if pointwise else pow
+    c = power(tc, 1.0 / p)
+    if isinstance(c, float):
+        if tc < _DBL_MIN:
+            c = power(b * specfun.beta(b, a) * yc, 1.0 / (p - 1.0))
+        return float(c)
+    under = tc < _DBL_MIN
+    if under.any():
+        c[under] = power(b * specfun.beta(b, a) * yc[under], 1.0 / (p - 1.0))
+    return c
+
+
 def _libm_pow(base, exponent: float):
     """base ** exponent one element at a time on Python floats, i.e. through
     the C library's pow, as the scalar paths of this package compute it.
@@ -187,8 +209,8 @@ def cos_pq(p: float, q: float, x):
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "cos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    tc = _betaincinv(b, a, (halfpi - xx) / halfpi)
-    return _maybe_scalar(tc ** (1.0 / p))
+    yc = (halfpi - xx) / halfpi
+    return _cos_from_tail(p, a, b, _betaincinv(b, a, yc), yc)
 
 
 def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
@@ -208,12 +230,11 @@ def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "sincos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
+    yc = (halfpi - xx) / halfpi
     t = _betaincinv(a, b, xx / halfpi, pointwise)
-    tc = _betaincinv(b, a, (halfpi - xx) / halfpi, pointwise)
-    under = xx < _DBL_MIN ** a
-    if pointwise:
-        return _small_x(xx, _libm_pow(t, 1.0 / q), under), _libm_pow(tc, 1.0 / p)
-    return _small_x(xx, t ** (1.0 / q), under), _maybe_scalar(tc ** (1.0 / p))
+    c = _cos_from_tail(p, a, b, _betaincinv(b, a, yc, pointwise), yc, pointwise)
+    s = _libm_pow(t, 1.0 / q) if pointwise else t ** (1.0 / q)
+    return _small_x(xx, s, xx < _DBL_MIN ** a), c
 
 
 def dcos_power_identity_residual(p: float, q: float, x: float) -> float:

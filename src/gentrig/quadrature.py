@@ -6,11 +6,19 @@ integrand that decays double-exponentially, so the trapezoidal rule in t
 converges geometrically.  Interval halving of the step gives an a-posteriori
 error estimate for free.
 
+The integrand is called once per refinement level, on the nodes of both
+half-axes together (level 0's call also holds the centre), so the Python
+overhead of a call is paid a handful of times per integral; it must act
+elementwise on its array of nodes.
+
 One call can integrate a batch of integrands that share the nodes: each
 is refined until it alone meets the tolerance, and the others stop being
 evaluated once they have, so a batch gives every integrand the same value,
-bit for bit, as a call of its own.  power_moment uses this to take every
-Wallis moment of one (p, q) in one pass.
+bit for bit, as a call of its own.  power_moments uses this to take the
+Wallis moments of any number of (p, q, flavor) specs, the whole verify
+grid included, in one pass with one integrand; power_moment is its
+one-spec call.  Both refuse exponents whose endpoint mass lies beyond the
+outermost node (see _check_edge_mass), as integrate_singular_beta does.
 
 This module must not import gtf, integrals or bvp: it is the independent side
 of every closed-form-versus-quadrature check in the package.
@@ -32,6 +40,8 @@ from .errors import DomainError, ToleranceError, check_pq
 _T_MAX = 6.0
 _MAX_LEVEL = 12
 _MIN_OFFSET = 5e-300  # skip nodes whose endpoint distance underflows
+# distance of the outermost node, at t = _T_MAX, from an end of [-1, 1]
+_EDGE = 2.0 / (1.0 + math.exp(math.pi * math.sinh(_T_MAX)))
 
 DEFAULT_TOL = 1e-10
 MAX_EVALS = 2_000_000
@@ -74,17 +84,6 @@ def _level_nodes(level: int):
     return w, delta
 
 
-def _eval(f, x, args, rows):
-    """f at x with one row per integrand in ``rows``; rows=None stands for
-    a single integrand, whose values become the one row."""
-    if rows is None:
-        y = np.asarray(f(x, *args), dtype=float)
-        return (y if y.shape == x.shape else np.broadcast_to(y, x.shape))[None]
-    y = np.asarray(f(x, *args, rows=rows), dtype=float)
-    shape = (len(rows), len(x))
-    return y if y.shape == shape else np.broadcast_to(y, shape)
-
-
 def integrate(
     f: Callable,
     a: float,
@@ -103,17 +102,20 @@ def integrate(
     In plain mode, nodes closer to a nonzero endpoint than one ulp are
     unrepresentable and are skipped, which caps the achievable accuracy
     near 1e-8 for an inverse-square-root singularity at such an endpoint
-    (singularities at an endpoint equal to 0 are unaffected).
+    (singularities at an endpoint equal to 0 are unaffected).  f is called
+    once per refinement level, with the nodes of both half-axes in one
+    array (level 0's call starts with the centre of [a, b]); it must act
+    elementwise, so that a node's value does not depend on its neighbours.
 
     A batch of m integrands on the same nodes is one f that returns shape
-    (m, len(x)).  Its first call, at the centre of [a, b], asks for every
-    row; that shape fixes m.  Every later call passes the keyword ``rows``,
-    the ascending indices of the integrands still refining, and wants
-    shape (len(rows), len(x)).  Each row stops at the level where it would
-    stop alone, with the same arithmetic, so its value and error estimate
-    equal those of a single-integrand call bit for bit; ``value`` and
-    ``err_estimate`` are then arrays of shape (m,) and ``evaluations`` the
-    total over the rows.  An empty interval returns 0.0 whatever f is.
+    (m, len(x)).  Its first call asks for every row; that shape fixes m.
+    Every later call passes the keyword ``rows``, the ascending indices of
+    the integrands still refining, and wants shape (len(rows), len(x)).
+    Each row stops at the level where it would stop alone, with the same
+    arithmetic, so its value and error estimate equal those of a
+    single-integrand call bit for bit; ``value`` and ``err_estimate`` are
+    then arrays of shape (m,) and ``evaluations`` the total over the rows.
+    An empty interval returns 0.0 whatever f is.
 
     Raises DomainError unless a <= b are finite and 0 < tol < inf, or if
     [a, b] is too narrow for the node table (width below
@@ -122,7 +124,8 @@ def integrate(
     disagreement of some integrand does not fall below tol within the
     refinement and evaluation budgets.  The width rule checks the share of
     the rule's weight on the nodes skipped near the endpoints, not the
-    error: an integrand singular at an endpoint has more of its mass there.
+    error: an integrand singular at an endpoint has more of its mass there
+    (power_moment and integrate_singular_beta check that mass).
     """
     # written so that NaN fails each test
     if not 0.0 < tol < math.inf:
@@ -151,15 +154,40 @@ def integrate(
         off = delta * halfw
         keep = off >= _MIN_OFFSET
         w, off = w[keep], off[keep]
-
         if level == 0:
-            # t = 0 sits at the interval centre, shared by both half-axes.
-            xc = np.array([b - off[0]])
-            yc = np.asarray(f(xc, xc - a, off[:1]) if dist else f(xc),
-                            dtype=float)
-            batch = yc.ndim == 2
-            yc = np.broadcast_to(yc, xc.shape) if not batch else yc[:, 0]
-            m = len(yc)
+            # t = 0 sits at the interval centre, shared by both half-axes; it
+            # heads level 0's call, and is all of it if the budget allows no
+            # more: that call's shape fixes the number of rows
+            xc = b - off[:1]
+            cols = [(xc, xc - a, off[:1]) if dist else (xc,)]
+            wc, w, off = w[0], w[1:], off[1:]
+            over = 1 + 2 * len(off) > max_evals
+            if over:
+                w, off = w[:0], off[:0]
+        else:
+            cols = []
+            if nev + 2 * len(off) > max_evals:
+                raise _failure("evaluation budget exceeded", value, err, evals,
+                               batch, live, est, diff, level, nev, max_evals)
+        x_hi = b - off
+        x_lo = a + off
+        if dist:
+            rest = width - off
+            cols += [(x_hi, rest, off), (x_lo, off, rest)]
+            w_hi = w_lo = w
+        else:
+            # without exact endpoint distances, drop nodes that round onto
+            # an endpoint: f may be singular exactly there
+            m_hi = x_hi != b
+            m_lo = x_lo != a
+            cols += [(x_hi[m_hi],), (x_lo[m_lo],)]
+            w_hi, w_lo = w[m_hi], w[m_lo]
+        # the level's nodes in one call, split back by position below
+        x, *args = (np.concatenate(c) for c in zip(*cols))
+        if level == 0:
+            y = np.asarray(f(x, *args), dtype=float)
+            batch = y.ndim == 2
+            m = len(y) if batch else 1
             # results of every row, filled in as rows stop
             value = np.full(m, np.nan)
             err = np.full(m, np.inf)
@@ -167,33 +195,24 @@ def integrate(
             # the rows still refining: their indices, sums of w_j * f(x_j)
             # over all nodes seen so far, latest estimates and disagreements
             live = np.arange(m)
-            raw = w[0] * yc + 0.0  # as a sum from 0.0: -0.0 becomes 0.0
             est, diff = value, err  # rebound, never written through
-            nev = 1
-            w, off = w[1:], off[1:]
-
-        if nev + 2 * len(off) > max_evals:
-            raise _failure("evaluation budget exceeded", value, err, evals,
-                           batch, live, est, diff, level, nev, max_evals)
-        x_hi = b - off
-        x_lo = a + off
-        rows = live if batch else None
-        if dist:
-            rest = width - off
-            y_hi = _eval(f, x_hi, (rest, off), rows)
-            y_lo = _eval(f, x_lo, (off, rest), rows)
-            w_hi = w_lo = w
         else:
-            # without exact endpoint distances, drop nodes that round onto
-            # an endpoint: f may be singular exactly there
-            m_hi = x_hi != b
-            m_lo = x_lo != a
-            y_hi = _eval(f, x_hi[m_hi], (), rows)
-            y_lo = _eval(f, x_lo[m_lo], (), rows)
-            w_hi, w_lo = w[m_hi], w[m_lo]
-        # one dot per row keeps each row's sum equal to a lone call's
-        raw += [np.dot(w_hi, r_hi) + np.dot(w_lo, r_lo)
-                for r_hi, r_lo in zip(y_hi, y_lo)]
+            y = np.asarray(f(x, *args, rows=live) if batch else f(x, *args),
+                           dtype=float)
+        shape = (len(live), len(x))
+        y = y if y.shape == shape else np.broadcast_to(y, shape)
+        if level == 0:
+            raw = wc * y[:, 0] + 0.0  # as a sum from 0.0: -0.0 becomes 0.0
+            y = y[:, 1:]
+            nev = 1
+            if over:
+                raise _failure("evaluation budget exceeded", value, err,
+                               evals, batch, live, est, diff, 0, nev,
+                               max_evals)
+        # one pair of dots per row keeps each row's sum equal to a lone call's
+        n_hi = len(w_hi)
+        raw += [w_hi.dot(hi) + w_lo.dot(lo)
+                for hi, lo in zip(y[:, :n_hi], y[:, n_hi:])]
         nev += 2 * len(off)
 
         h = 2.0 ** (-level)
@@ -227,7 +246,7 @@ def _failure(what, value, err, evals, batch, live, est, diff, levels, nev,
     """ToleranceError for the rows in ``live``, whose latest estimates and
     disagreements are ``est`` and ``diff``, naming where it failed."""
     value[live], err[live], evals[live] = est, diff, nev
-    where = f" in rows {live.tolist()} of {len(value)}" if batch else ""
+    where = _rows_where(live.tolist(), len(value)) if batch else ""
     return ToleranceError(
         f"quadrature: {what}{where} after {levels} levels, "
         f"{nev} evaluations per integrand of a budget of {budget}",
@@ -237,11 +256,36 @@ def _failure(what, value, err, evals, batch, live, est, diff, levels, nev,
     )
 
 
+def _rows_where(rows, m):
+    return f" in rows {rows} of {m}"
+
+
+def _check_edge_mass(k: float, width: float, tol: float, what: str):
+    """DomainError if the endpoint factor u^k (u the distance from that
+    endpoint, k > -1) has more than the share tol of its mass on an interval
+    of this width nearer the endpoint than the outermost node.
+
+    The nodes stop at the offset c = max(_MIN_OFFSET, _EDGE width/2) from
+    each endpoint, about 7e-276 on [0, 1]; the factor's mass within c of
+    the endpoint is c^(k+1)/(k+1) of width^(k+1)/(k+1), and no refinement
+    sees it, so the stopping test can pass with that much missing.
+    """
+    edge = max(_MIN_OFFSET, _EDGE * 0.5 * width)
+    share = (edge / width) ** (k + 1.0)
+    if share > tol:
+        raise DomainError(
+            f"{what}: the endpoint factor u^{k:g} has the share {share:.2g} "
+            f"of its mass beyond the outermost node, more than tol {tol:g}")
+
+
 def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadResult:
     """Oracle for beta-type integrals: int_0^upper t^(a-1) (1-t)^(b-1) dt.
 
     Evaluates the integrand from exact endpoint distances, so both exponents
-    may sit arbitrarily close to 0 without precision loss near t = 0 or 1.
+    may sit close to 0 without precision loss near t = 0 or 1.  Raises
+    DomainError for exponents outside (0, inf) or upper outside [0, 1], and
+    where an endpoint factor has more than 1e-12 of its mass beyond the
+    outermost node (an exponent near 0, or a tiny upper limit).
     """
     # written so that NaN fails the test
     if not (0.0 < a_exp < math.inf and 0.0 < b_exp < math.inf):
@@ -253,11 +297,21 @@ def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadRes
         return QuadResult(0.0, 0.0, 0)
 
     gap = 1.0 - upper
+    tol = 1e-12
+    _check_edge_mass(a_exp - 1.0, upper, tol, "integrate_singular_beta")
+    if gap == 0.0:
+        _check_edge_mass(b_exp - 1.0, upper, tol, "integrate_singular_beta")
 
     def f(x, da, db):
         return da ** (a_exp - 1.0) * (gap + db) ** (b_exp - 1.0)
 
-    return integrate(f, 0.0, upper, tol=1e-12, dist=True)
+    return integrate(f, 0.0, upper, tol=tol, dist=True)
+
+
+# exponents that numpy's power takes by a special case (reciprocal, sqrt,
+# square) when given as a scalar, and by pow when given in an array: the
+# two differ in the last ulp on a few percent of points
+_FAST_POWERS = (-1.0, 0.5, 2.0)
 
 
 def power_moment(p: float, q: float, exponent, flavor: str,
@@ -265,42 +319,124 @@ def power_moment(p: float, q: float, exponent, flavor: str,
     """Oracle for the half-period moments int_0^{pi_pq/2} sin_pq^e dt
     (flavor "sin") and int_0^{pi_pq/2} cos_pq^e dt (flavor "cos").
 
-    The substitution s = sin_pq turns them into int_0^1 s^e (1-s^q)^(-1/p) ds
-    and int_0^1 (1-s^q)^((e-1)/p) ds, whose endpoint factors are exact in
-    distance form; the floors keep negative powers finite at zero-weight
-    nodes.
-
     exponent is a number (the moment is returned as a float) or a 1-D
     sequence (an array of moments is returned, each equal bit for bit to
-    its own scalar call).  A sequence is one batched integration: the
-    factor 1 - s^q is formed once per node set and each moment raises it,
-    or s, to its own exponent.  Needs p, q in (1, inf) and every exponent
-    finite with e > -1 ("sin") or e > 1 - p ("cos"), where the integral
-    converges; DomainError otherwise, NaN included.
+    its own scalar call); a sequence is one batched integration.  The
+    one-spec call of power_moments, which documents the domain.
     """
-    if flavor not in ("sin", "cos"):
-        raise DomainError(f"flavor must be 'sin' or 'cos', got {flavor!r}")
-    check_pq(p, q)
-    exps = np.asarray(exponent, dtype=float)
-    least = -1.0 if flavor == "sin" else 1.0 - p
-    # written so that NaN fails the test
-    if exps.ndim > 1 or not ((exps > least) & (exps < math.inf)).all():
-        raise DomainError(
-            f"{flavor} moment exponents must be finite and > {least:g}, "
-            f"given as a number or a 1-D sequence; got {exponent!r}")
-    # each row is raised to its own Python-float exponent, never to a
-    # column of them: numpy's power takes its fast paths (e = 2, 0.5, ...)
-    # only for a scalar exponent, and a moment must not depend on its batch
-    es = exps.reshape(-1).tolist()
-    if flavor == "cos":
-        es = [(e - 1.0) / p for e in es]
+    value = power_moments([(p, q, flavor, exponent)], tol).value
+    return value if np.ndim(exponent) else value[0]
 
-    def f(t, da, db, rows=range(len(es))):
-        with np.errstate(divide="ignore"):
-            tail = np.maximum(-np.expm1(q * np.log1p(-db)), 5e-324)
-        base = np.maximum(t, 5e-324) if flavor == "sin" else tail
-        y = np.array([base ** es[i] for i in rows]).reshape(len(rows), len(t))
-        return y * tail ** (-1.0 / p) if flavor == "sin" else y
 
-    value = integrate(f, 0.0, 1.0, tol=tol, dist=True).value
-    return value if exps.ndim else value[0]
+def power_moments(specs, tol: float = 1e-10) -> QuadResult:
+    """Every moment of a list of specs (p, q, flavor, exponents) in one
+    batched integration; the QuadResult has one row per exponent, spec
+    after spec, each equal bit for bit to its own power_moment call.
+
+    The substitution s = sin_pq turns the moments into
+    int_0^1 s^e (1-s^q)^(-1/p) ds ("sin") and int_0^1 (1-s^q)^((e-1)/p) ds
+    ("cos"), whose endpoint factors are exact in distance form; the floors
+    keep negative powers finite at zero-weight nodes.  Per node set
+    log1p(-(1-s)) is formed once, the tail 1 - s^q once per q and
+    tail^(-1/p) once per (p, q), and each base (s, or the tail of one q)
+    is raised to all its rows' exponents in one broadcast power; an
+    exponent in _FAST_POWERS gets a power of its own with a Python float,
+    so that no moment depends on its batch.
+
+    Needs each flavor "sin" or "cos", p, q in (1, inf) and every exponent
+    finite with e > -1 ("sin") or e > 1 - p ("cos"), where the integral
+    converges, given as a number or a 1-D sequence; DomainError otherwise,
+    NaN included, and also where an endpoint factor has more than the share
+    tol of its mass beyond the outermost node (e near -1, or p near 1).  A
+    ToleranceError names the first failing spec and its own failing rows;
+    its ``rows`` are indices into the whole batch.
+    """
+    # distinct q, and distinct (index of q, -1/p) of the specs with sine rows
+    qs, pairs = [], []
+    # per row: its base (-1 for the sine's s, else the index of the q whose
+    # tail it raises), its pair (sine rows only) and its exponent
+    row_base, row_pair, row_e, sizes = [], [], [], []
+    for p, q, flavor, exponent in specs:
+        if flavor not in ("sin", "cos"):
+            raise DomainError(f"flavor must be 'sin' or 'cos', got {flavor!r}")
+        check_pq(p, q)
+        exps = np.asarray(exponent, dtype=float)
+        least = -1.0 if flavor == "sin" else 1.0 - p
+        # written so that NaN fails the test
+        if exps.ndim > 1 or not ((exps > least) & (exps < math.inf)).all():
+            raise DomainError(
+                f"{flavor} moment exponents must be finite and > {least:g}, "
+                f"given as a number or a 1-D sequence; got {exponent!r}")
+        es = exps.reshape(-1).tolist()
+        if q not in qs:
+            qs.append(q)
+        j = qs.index(q)
+        # the singular endpoint factors: s^e at s = 0 and tail^(-1/p) at
+        # s = 1 ("sin"), or tail^((e-1)/p) at s = 1 ("cos")
+        if flavor == "sin":
+            edge = [min(es), -1.0 / p] if es else []
+            if (j, -1.0 / p) not in pairs:
+                pairs.append((j, -1.0 / p))
+            pair = pairs.index((j, -1.0 / p))
+        else:
+            es = [(e - 1.0) / p for e in es]
+            edge = [min(es)] if es else []
+            pair = -1
+        for k in edge:
+            _check_edge_mass(k, 1.0, tol,
+                             f"power_moment p={p:g} q={q:g} flavor={flavor}")
+        row_base += [-1 if flavor == "sin" else j] * len(es)
+        row_pair += [pair] * len(es)
+        row_e += es
+        sizes.append(len(es))
+    row_base = np.array(row_base, dtype=int)
+    row_pair = np.array(row_pair, dtype=int)
+    row_e = np.array(row_e, dtype=float)
+    row_fast = np.isin(row_e, _FAST_POWERS)
+
+    def f(s, da, db, rows=np.arange(len(row_e))):
+        lg = np.log1p(-db)
+        tails = {}
+
+        def tail(j):
+            if j not in tails:
+                tails[j] = np.maximum(-np.expm1(qs[j] * lg), 5e-324)
+            return tails[j]
+
+        y = np.empty((len(rows), len(s)))
+        bases = row_base[rows]
+        for j in np.unique(bases).tolist():
+            base = np.maximum(s, 5e-324) if j < 0 else tail(j)
+            at = np.flatnonzero(bases == j)
+            fast = row_fast[rows[at]]
+            y[at[~fast]] = base ** row_e[rows[at[~fast]], None]
+            for i in at[fast].tolist():
+                y[i] = base ** float(row_e[rows[i]])
+        sin = bases < 0
+        if sin.any():
+            keys, which = np.unique(row_pair[rows[sin]], return_inverse=True)
+            factors = np.array([tail(pairs[k][0]) ** pairs[k][1]
+                                for k in keys.tolist()])
+            y[sin] *= factors[which]
+        return y
+
+    with np.errstate(divide="ignore"):
+        try:
+            return integrate(f, 0.0, 1.0, tol=tol, dist=True)
+        except ToleranceError as exc:
+            raise _name_spec(exc, specs, sizes) from None
+
+
+def _name_spec(exc, specs, sizes):
+    """exc, a ToleranceError of power_moments, naming the first failing
+    spec and that spec's failing rows counted within the spec."""
+    starts = np.cumsum([0] + sizes)
+    k = int(np.searchsorted(starts, exc.rows[0], side="right")) - 1
+    p, q, flavor, _ = specs[k]
+    own = [r - int(starts[k]) for r in exc.rows if starts[k] <= r < starts[k + 1]]
+    where = f" for p={p:g} q={q:g} flavor={flavor}" + _rows_where(own, sizes[k])
+    message = str(exc).replace(_rows_where(list(exc.rows), int(starts[-1])),
+                               where)
+    return ToleranceError(message, exc.result, layer=exc.layer,
+                          levels=exc.levels, evaluations=exc.evaluations,
+                          budget=exc.budget, rows=exc.rows)

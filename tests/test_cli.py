@@ -98,6 +98,8 @@ class TestVerify:
         assert code == 1
         assert err.startswith("numerical failure: quadrature: tolerance 1e-10 not met")
         assert "in rows [0, 1, 2, 3, 4, 5, 6, 7, 8] of 9 after 2 levels" in err
+        # the grid is one batch: the error names the spec of those rows
+        assert "not met for p=1.5 q=1.5 flavor=sin in rows" in err
         assert "budget of 2000000" in err
 
     def test_tolerance_override_can_fail(self, capsys, monkeypatch):

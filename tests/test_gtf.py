@@ -335,7 +335,9 @@ def ufunc_formula(name, p, q, x):
     """The scalar value as the array machinery computes it: x as a 0-d array,
     range-checked and clipped, the scipy ufuncs, numpy scalar powers and
     asin_pq's (1/q) B(1/q, 1/p*) factor; sin and asin are x itself where
-    x > 0 and x^q underflows (sin: x < DBL_MIN^(1/q), asin: x^q < DBL_MIN)."""
+    x > 0 and x^q underflows (sin: x < DBL_MIN^(1/q), asin: x^q < DBL_MIN),
+    and cos is the leading term (b B(b, a) yc)^(1/(p-1)) where the inverse
+    tc = cos^p is below DBL_MIN."""
     a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
     top = 1.0 if name == "asin" else 0.5 * gtf.pi_pq(p, q)
     xx = np.asarray(x, dtype=float)
@@ -344,7 +346,11 @@ def ufunc_formula(name, p, q, x):
         raise DomainError("outside")
     xx = np.clip(xx, 0.0, top)
     if name == "cos":
-        return float(sc.betaincinv(b, a, (top - xx) / top) ** (1.0 / p))
+        yc = (top - xx) / top
+        tc = sc.betaincinv(b, a, yc)
+        if tc < sys.float_info.min:
+            return float((b * specfun.beta(b, a) * yc) ** (1.0 / (p - 1.0)))
+        return float(tc ** (1.0 / p))
     if name == "asin":
         if 0.0 < xx and xx**q < sys.float_info.min:
             return float(xx)
@@ -562,18 +568,33 @@ def mp_asin(p, q, x):
 
 def _lanes(fn, p, q, x):
     """fn at x as a float, in a small array, in an array of INV_FIT_MIN
-    points, and (sin_pq only) pointwise in such an array."""
+    points, and (sin_pq and cos_pq) through sincos_pq as a float and in such
+    an array, plain and pointwise."""
     big = np.full(specfun.INV_FIT_MIN, x)
     out = [fn(p, q, x), fn(p, q, np.array([x, x]))[1], fn(p, q, big)[7]]
-    if fn is gtf.sin_pq:
-        out.append(gtf.sincos_pq(p, q, big, pointwise=True)[0][7])
+    if fn in (gtf.sin_pq, gtf.cos_pq):
+        j = 0 if fn is gtf.sin_pq else 1
+        out += [gtf.sincos_pq(p, q, x)[j], gtf.sincos_pq(p, q, big)[j][7],
+                gtf.sincos_pq(p, q, big, pointwise=True)[j][7]]
     return out
 
 
 class TestUnderflow:
     """Where x^q underflows, sin_pq(x) = asin_pq(x) = x to double precision;
     the incomplete-beta forms gave 0.4924 for sin_pq(2, 1000, 0.1001...) and
-    0.0 for asin_pq(2, 1000, 0.1)."""
+    0.0 for asin_pq(2, 1000, 0.1).  Where cos_pq^p underflows, cos_pq is the
+    leading term of its inversion."""
+
+    @pytest.mark.parametrize("p,q,frac", [(1.01, 3.0, 1.0 - 1e-4),
+                                          (1.05, 2.0, 1.0 - 1e-15)])
+    def test_cos(self, p, q, frac):
+        # the inverse clamps cos^p near DBL_MIN, and its (1/p)-th power gave
+        # 2.47e-305 and 9.94e-294 here; the values are 1.2e-399 (0.0 in
+        # doubles) and 1.35e-300
+        x = frac * (0.5 * gtf.pi_pq(p, q))
+        ref = float(mp_sincos(p, q, x)[1])
+        for value in _lanes(gtf.cos_pq, p, q, x):
+            assert abs(value - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("p,q,x", [(2.0, 1000.0, 0.10013856109003356),
                                        (2.0, 200.0, 0.01006914441748482),
@@ -676,9 +697,8 @@ class TestFittedInverse:
             for i, x in enumerate(xs.tolist()):
                 ref_s, ref_c, ref_cp, cond_s, cond_c = mp_sincos(p, q, x)
                 checks = [(0, ref_s, cond_s)]
-                # cos^p below DBL_MIN: the inversion has nothing left to
-                # resolve (an open defect of both paths)
-                if ref_cp > sys.float_info.min:
+                # a cosine below DBL_MIN has no full precision in doubles
+                if ref_c > sys.float_info.min:
                     checks.append((1, ref_c, cond_c))
                 for j, ref, cond in checks:
                     err_fit = float(abs(fitted[j][i] - ref) / ref) / cond
@@ -717,7 +737,13 @@ class TestFittedInverse:
         monkeypatch.setattr(specfun, "inc_beta_reg_inv", polished)
         s, c = gtf.sincos_pq(p, q, xs)
         assert same_bits(s, sc.betaincinv(a, b, xs / half) ** (1.0 / q))
-        assert same_bits(c, sc.betaincinv(b, a, (half - xs) / half) ** (1.0 / p))
+        yc = (half - xs) / half
+        tc = sc.betaincinv(b, a, yc)
+        cos = tc ** (1.0 / p)
+        # where cos^p underflows (some points at p = 1.01), the leading term
+        under = tc < sys.float_info.min
+        cos[under] = (b * specfun.beta(b, a) * yc[under]) ** (1.0 / (p - 1.0))
+        assert same_bits(c, cos)
         assert same_bits(gtf.sin_pq(p, q, xs), s) and same_bits(gtf.cos_pq(p, q, xs), c)
 
     def test_fit_min_takes_the_polished_inverse(self, monkeypatch):

@@ -1,9 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from gentrig import quadrature
+from gentrig import cli, quadrature
 from gentrig.errors import DomainError, ToleranceError
 
 
@@ -334,6 +335,159 @@ class TestPowerMoment:
             evals = [r.evaluations for r in results[1:]]
             assert len(set(evals)) > 1
             assert results[0].evaluations == sum(evals)
+
+
+def _count_calls(f, calls):
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return f(*args, **kwargs)
+    return counted
+
+
+def _count_levels(monkeypatch):
+    levels = []
+    nodes = quadrature._level_nodes
+    monkeypatch.setattr(quadrature, "_level_nodes",
+                        lambda level: levels.append(level) or nodes(level))
+    return levels
+
+
+class TestOneCallPerLevel:
+    @pytest.mark.parametrize("dist", [False, True])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_integrand_called_once_per_level(self, dist, batch, monkeypatch):
+        funcs = TestBatch.DIST if dist else TestBatch.PLAIN
+        f = _batch(funcs)[0] if batch else funcs[1]
+        calls = []
+        levels = _count_levels(monkeypatch)
+        res = quadrature.integrate(_count_calls(f, calls), 0.0, 1.0, tol=1e-12,
+                                   dist=dist)
+        assert len(calls) == len(levels) == max(levels) + 1 >= 3
+        if dist:
+            # level 0's call holds the centre and both half-axes' nodes
+            assert calls[0] == 13
+            if not batch:
+                assert sum(calls) == res.evaluations
+
+    def test_wallis_suite_is_one_integrate_call(self, monkeypatch):
+        integrate, outer, inner = quadrature.integrate, [], []
+
+        def spy(f, *args, **kwargs):
+            outer.append(kwargs)
+            return integrate(_count_calls(f, inner), *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", spy)
+        levels = _count_levels(monkeypatch)
+        cases = cli._suite_wallis(cli.GRIDS["small"])
+        assert len(cases) == 135
+        assert len(outer) == 1
+        assert len(inner) == len(levels)
+
+
+def _grid_specs(grid, extra):
+    """The verify suite's Wallis specs on a grid (n = 0, 1, 3), each with
+    the exponents of ``extra`` that lie in its convergence range, the
+    pairs taking them in rotated order."""
+    specs = []
+    for k, (p, q) in enumerate((p, q) for p in grid for q in grid):
+        k %= max(len(extra), 1)
+        mixed = extra[k:] + extra[:k]
+        specs.append((p, q, "sin", [q * n + r for n in (0, 1, 3)
+                                    for r in (q - 1.0, 0.5 * (q - 1.0), -0.5)]
+                      + [e for e in mixed if e > -1.0]))
+        specs.append((p, q, "cos", [p * n + r for n in (0, 1, 3)
+                                    for r in (1.0, 0.5 * (3.0 - p))]
+                      + [e for e in mixed if e > 1.0 - p]))
+    return specs
+
+
+class TestPowerMoments:
+    def test_grid_equals_pair_and_scalar_calls(self):
+        specs = _grid_specs(cli.GRIDS["full"], [2.0, 0.5, -1.0, 1.0, 0.0, -0.5])
+        res = quadrature.power_moments(specs)
+        pairs = [quadrature.power_moment(p, q, exps, flavor)
+                 for p, q, flavor, exps in specs]
+        assert res.value.tolist() == np.concatenate(pairs).tolist()
+        assert res.value.shape == res.err_estimate.shape
+        scalar = [quadrature.power_moment(p, q, e, flavor)
+                  for p, q, flavor, exps in specs for e in exps]
+        assert res.value.tolist() == scalar
+        # rows whose base exponent numpy's power special-cases occur in
+        # both flavors: e for the sine, (e - 1)/p for the cosine
+        assert {0.5, 2.0} <= {e for _, _, flavor, exps in specs
+                              for e in exps if flavor == "sin"}
+        assert 0.5 in {(e - 1.0) / p for p, _, flavor, exps in specs
+                       for e in exps if flavor == "cos"}
+
+    def test_verify_grid_has_375_rows(self):
+        specs = _grid_specs(cli.GRIDS["full"], [])
+        assert quadrature.power_moments(specs).value.shape == (375,)
+
+    def test_empty_and_scalar_specs(self):
+        res = quadrature.power_moments([(2.0, 3.0, "sin", []),
+                                        (2.0, 3.0, "cos", 1.5)])
+        assert res.value.tolist() == [quadrature.power_moment(2.0, 3.0, 1.5, "cos")]
+        assert quadrature.power_moments([]).value.shape == (0,)
+
+    @pytest.mark.parametrize("spec", [(2.0, 2.0, "tan", [1.0]),
+                                      (0.5, 2.0, "sin", [1.0]),
+                                      (2.0, 2.0, "sin", [1.0, -1.0]),
+                                      (3.0, 2.0, "cos", [[1.0]])])
+    def test_any_bad_spec_rejected(self, spec):
+        with pytest.raises(DomainError):
+            quadrature.power_moments([(2.0, 2.0, "sin", [1.0]), spec])
+
+    def test_failure_names_the_spec(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
+        specs = [(2.0, 2.0, "sin", [1.0, 2.0]), (3.0, 1.5, "cos", [1.0, 2.0, 4.0])]
+        with pytest.raises(ToleranceError) as err:
+            quadrature.power_moments(specs)
+        exc = err.value
+        assert exc.rows == (0, 1, 2, 3, 4)
+        assert exc.levels == 2 and exc.layer == "quadrature"
+        assert "not met for p=2 q=2 flavor=sin in rows [0, 1] of 2 after 2 levels" in str(exc)
+        assert exc.result.value.shape == (5,)
+
+
+class TestEndpointMass:
+    """The mass of an endpoint factor u^k beyond the outermost node (about
+    1e-275 from the endpoint on [0, 1]) is the share c^(k+1) of its mass;
+    more than tol of it is refused rather than silently left out."""
+
+    @staticmethod
+    def mp_sin_moment(e):
+        # int_0^(pi/2) sin^e = B((e+1)/2, 1/2)/2 at p = q = 2
+        with mp.workdps(30):
+            return float(mp.beta((mp.mpf(e) + 1) / 2, mp.mpf(0.5)) / 2)
+
+    def test_near_the_edge_accepted(self):
+        ref = self.mp_sin_moment(-0.95)
+        assert abs(quadrature.power_moment(2.0, 2.0, -0.95, "sin") - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("p,e,flavor", [(2.0, -0.97, "sin"), (2.0, -0.94, "cos"),
+                                            (1.03, 1.0, "sin")])
+    def test_beyond_the_edge_refused(self, p, e, flavor):
+        # at -0.97 the result was 5.3e-9 low (relative) with no error
+        with pytest.raises(DomainError, match="beyond the outermost node"):
+            quadrature.power_moment(p, 2.0, e, flavor)
+
+    def test_narrow_singular_beta_refused(self):
+        # was 3.4e-11 low (relative) against tol 1e-12
+        with pytest.raises(DomainError, match="beyond the outermost node"):
+            quadrature.integrate_singular_beta(0.5, 0.5, 1e-280)
+
+    def test_less_narrow_singular_beta_accepted(self):
+        with mp.workdps(30):
+            ref = float(2 * mp.asin(mp.sqrt(mp.mpf(1e-200))))
+        res = quadrature.integrate_singular_beta(0.5, 0.5, 1e-200)
+        assert abs(res.value - ref) <= 1e-12 * ref
+
+    def test_verify_exponents_untouched(self):
+        # the verify suite's least exponents are -0.5 (sin) and, at p = 4,
+        # (1 - p)/2 (cos): far from the edge
+        for p in cli.GRIDS["full"]:
+            quadrature.power_moment(p, 2.0, -0.5, "sin")
+            quadrature.power_moment(p, 2.0, 0.5 * (3.0 - p), "cos")
 
 
 def test_oracle_independence():
