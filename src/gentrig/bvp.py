@@ -23,6 +23,19 @@ the way scalar evaluation computes them, so each residual equals the one
 computed point by point bit for bit: numpy's vectorized power differs in the
 last ulp on a few percent of inputs, and the second difference divides that
 ulp by h^2.
+
+general_checks verifies the general problem at one (p, q) and several H in
+one such call: the stencils of every H and the ends 0 and H are inverted
+together, the phase-curve check reuses the stencil's centre row, and the
+results equal residual_general, phase_curve_residual and sol(0), sol(H) bit
+for bit.  Every verifier shares the stencil, Richardson, ODE, phase-curve
+and profile formulas below.
+
+Where cos_{p*,q} underflows (p above ~100 near x = H, above ~300 on much
+of (0, H); the nonlocal problem at m below ~0.1), the profile's factor
+cos^(p*-1) = cos^(1/(p-1)) is not formed from the underflowed cosine but
+from its leading term, b B(b, a) yc (gtf._cos_power); everywhere else the
+profile is amp cos^(p*-1) sin as written.
 """
 
 from __future__ import annotations
@@ -36,8 +49,8 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, check_pq
 from .gtf import (
-    _as_unit, _libm_pow, _maybe_scalar, conjugate, extend_sin_symmetric, pi_pq,
-    sincos_pq,
+    _as_unit, _cos_power, _libm_pow, _maybe_scalar, _sincos_tail, conjugate,
+    extend_sin_symmetric, pi_pq,
 )
 
 
@@ -91,17 +104,26 @@ class BvpSolution:
         return _maybe_scalar(self._eval(_as_unit(x, self.spec.H, "sol(x)")))
 
 
+def _profile_scales(H: float, P: float, q: float):
+    """(omega, amp) of the general profile amp cos^(P-1)(omega x) sin(omega x)
+    on [0, H], with P = p*: omega = pi_{P,q} / (2H), amp = 2H / (q pi_{P,q})."""
+    pi_val = pi_pq(P, q)
+    return pi_val / (2.0 * H), 2.0 * H / (q * pi_val)
+
+
+def _profile(P: float, q: float, amp, s, c, yc, pointwise=False):
+    """amp cos^(P-1) sin from _sincos_tail's (s, c, yc) at (P, q)."""
+    return amp * _cos_power(P, q, c, yc, pointwise) * s
+
+
 def solve_general(spec: BvpSpec) -> BvpSolution:
     """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H]."""
     H, p, q = spec.H, spec.p, spec.q
     P = conjugate(p)
-    pi_val = pi_pq(P, q)
-    omega = pi_val / (2.0 * H)
-    amp = 2.0 * H / (q * pi_val)
+    omega, amp = _profile_scales(H, P, q)
 
     def u(x, pointwise=False):
-        s, c = sincos_pq(P, q, omega * x, pointwise=pointwise)
-        return amp * (_libm_pow(c, P - 1.0) if pointwise else c ** (P - 1.0)) * s
+        return _profile(P, q, amp, *_sincos_tail(P, q, omega * x, pointwise), pointwise)
 
     return BvpSolution(spec=spec, _eval=u)
 
@@ -147,21 +169,45 @@ def _interior(spec, x):
     return xx
 
 
-def _stencil(sol: BvpSolution, x):
-    """sol, sol' and sol'' at interior points x by central differences with
-    one Richardson extrapolation each, from one evaluation of the stencil
-    x, x +- h, x +- h/2 of every point."""
-    H = sol.spec.H
-    xx = _interior(sol.spec, x)
+def _stencil_rows(H, xx):
+    """The step h and the stencil rows x, x + h, x - h, x + h/2, x - h/2
+    (stacked on a new first axis) of interior points xx of [0, H]; H may be
+    an array that broadcasts against xx."""
     h = np.minimum(1e-4 * H, np.minimum(0.5 * xx, 0.5 * (H - xx)))
-    f0, fp, fm, fph, fmh = sol._eval(
-        np.stack((xx, xx + h, xx - h, xx + h / 2, xx - h / 2)), pointwise=True
-    )
+    return h, np.stack((xx, xx + h, xx - h, xx + h / 2, xx - h / 2))
+
+
+def _richardson(h, rows):
+    """f, f' and f'' at the centre from values f on the stencil rows: central
+    differences with one Richardson extrapolation each."""
+    f0, fp, fm, fph, fmh = rows
     d1 = (fp - fm) / (2.0 * h)
     d2 = (fph - fmh) / h
     e1 = (fp - 2.0 * f0 + fm) / _libm_pow(h, 2)
     e2 = (fph - 2.0 * f0 + fmh) / _libm_pow(h / 2, 2)
     return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
+
+
+def _stencil(sol: BvpSolution, x):
+    """sol, sol' and sol'' at interior points x, from one evaluation of the
+    stencil of every point."""
+    h, rows = _stencil_rows(sol.spec.H, _interior(sol.spec, x))
+    return _richardson(h, sol._eval(rows, pointwise=True))
+
+
+def _ode_general(p: float, q: float, u0, u1, u2):
+    """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1|."""
+    return np.abs((p - q) * u1 - p * q * _libm_pow(u1, 2) + (p + q) * u0 * u2 + 1.0)
+
+
+def _phase_curve(H: float, p: float, q: float, P: float, c):
+    """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
+    v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*."""
+    v = -1.0 / p + (1.0 / p + 1.0 / q) * _libm_pow(c, P)
+    ssum = 1.0 / p + 1.0 / q
+    C = 2.0 * H / (p * ssum**ssum * pi_pq(conjugate(q), p))
+    return (C * _libm_pow(np.abs(v + 1.0 / p), 1.0 / p)
+            * _libm_pow(np.abs(v - 1.0 / q), 1.0 / q))
 
 
 def residual_general(sol: BvpSolution, x):
@@ -170,9 +216,7 @@ def residual_general(sol: BvpSolution, x):
     spec = sol.spec
     if not isinstance(spec, BvpSpec):
         raise DomainError("residual_general needs a solution of the general problem")
-    p, q = spec.p, spec.q
-    u0, u1, u2 = _stencil(sol, x)
-    r = np.abs((p - q) * u1 - p * q * _libm_pow(u1, 2) + (p + q) * u0 * u2 + 1.0)
+    r = _ode_general(spec.p, spec.q, *_stencil(sol, x))
     return float(r) if np.ndim(x) == 0 else r
 
 
@@ -221,12 +265,40 @@ def phase_curve_residual(sol: BvpSolution, x):
     H, p, q = spec.H, spec.p, spec.q
     xx = _interior(spec, x)
     P = conjugate(p)
-    omega = pi_pq(P, q) / (2.0 * H)
-    _, c = sincos_pq(P, q, omega * xx, pointwise=True)
-    v = -1.0 / p + (1.0 / p + 1.0 / q) * _libm_pow(c, P)
-    ssum = 1.0 / p + 1.0 / q
-    C = 2.0 * H / (p * ssum**ssum * pi_pq(conjugate(q), p))
-    rhs = (C * _libm_pow(np.abs(v + 1.0 / p), 1.0 / p)
-           * _libm_pow(np.abs(v - 1.0 / q), 1.0 / q))
-    r = np.abs(sol._eval(xx, pointwise=True) - rhs)
+    omega, _ = _profile_scales(H, P, q)
+    _, c, _ = _sincos_tail(P, q, omega * xx, pointwise=True)
+    r = np.abs(sol._eval(xx, pointwise=True) - _phase_curve(H, p, q, P, c))
     return float(r) if np.ndim(x) == 0 else r
+
+
+def general_checks(p: float, q: float, Hs, fractions):
+    """Verify the general problem at (p, q) on [0, H] for each H in Hs, at
+    the interior points x = H * fractions.
+
+    Returns one (ode, phase, boundary) per H: the arrays
+    residual_general(sol, x) and phase_curve_residual(sol, x) and the float
+    max(|sol(0)|, |sol(H)|), each equal bit for bit to those calls on
+    sol = solve_general(BvpSpec(H, p, q)).  Every H's stencil and both ends
+    are inverted in one pointwise gtf call, and the phase-curve check takes
+    its cosine from the stencil's centre row instead of inverting again.
+    """
+    specs = [BvpSpec(H=H, p=p, q=q) for H in Hs]
+    frac = np.asarray(fractions, dtype=float)
+    P = conjugate(p)
+    H = np.array([spec.H for spec in specs])[:, None]
+    xx = H * frac
+    for spec, row in zip(specs, xx):
+        _interior(spec, row)
+    omega, amp = _profile_scales(H, P, q)
+    h, rows = _stencil_rows(H, xx)  # rows: (5, len(Hs), len(fractions))
+    ends = H * np.array([0.0, 1.0])
+    cut = rows.size
+    args = np.concatenate(((omega * rows).ravel(), (omega * ends).ravel()))
+    sincos = _sincos_tail(P, q, args, pointwise=True)  # (s, c, yc)
+    at_rows = [v[:cut].reshape(rows.shape) for v in sincos]
+    at_ends = [v[cut:].reshape(ends.shape) for v in sincos]
+    u0, u1, u2 = _richardson(h, _profile(P, q, amp, *at_rows, pointwise=True))
+    ode = _ode_general(p, q, u0, u1, u2)
+    phase = np.abs(u0 - _phase_curve(H, p, q, P, at_rows[1][0]))
+    bc = np.abs(_profile(P, q, amp, *at_ends, pointwise=True)).max(axis=1)
+    return [(ode[i], phase[i], float(bc[i])) for i in range(len(specs))]

@@ -155,16 +155,13 @@ def _suite_elliott(grid):
 
 def _suite_bvp(grid):
     cases = []
+    lengths, fractions = (1.0, 2.5), np.arange(1, 10) / 10.0
     for p in grid:
         for q in grid:
-            for H in (1.0, 2.5):
-                sol = bvp.solve_general(bvp.BvpSpec(H=H, p=p, q=q))
-                xs = H * (np.arange(1, 10) / 10.0)
-                ode = bvp.residual_general(sol, xs).max()
-                phase = bvp.phase_curve_residual(sol, xs).max()
-                bc = max(abs(sol(0.0)), abs(sol(H)))
-                cases.append((f"bvp ode p={p} q={q} H={H}", ode, 1e-6))
-                cases.append((f"bvp phase p={p} q={q} H={H}", phase, 1e-9))
+            checks = bvp.general_checks(p, q, lengths, fractions)
+            for H, (ode, phase, bc) in zip(lengths, checks):
+                cases.append((f"bvp ode p={p} q={q} H={H}", ode.max(), 1e-6))
+                cases.append((f"bvp phase p={p} q={q} H={H}", phase.max(), 1e-9))
                 cases.append((f"bvp boundary p={p} q={q} H={H}", bc, 1e-10))
     for m in (0.5, 1.0, 2.0):
         sol = bvp.solve_nonlocal(bvp.NonlocalSpec(H=1.0, m=m))

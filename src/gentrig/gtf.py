@@ -23,15 +23,18 @@ inverse is not.  sincos_pq(pointwise=True) always takes the ufuncs, so its
 arrays equal the scalar calls bit for bit at every size.  All lanes share
 every other formula.
 
-Where x^q underflows, sin_pq(x) and asin_pq(x) are x: their next term is
-O(x^(q+1)), while the incomplete-beta forms have nothing left to resolve
-there.  sin_pq tests x < DBL_MIN^(1/q), asin_pq the x^q it computes anyway.
-Likewise, where the swapped-tail inverse tc = cos_pq^p falls below DBL_MIN
-(near the top of the interval at p near 1), cos_pq is its leading term
-(b B(b, a) yc)^(1/(p-1)), with yc = 1 - x/(pi_pq/2), a = 1/q and
-b = 1/p*: its relative correction is O(tc), whereas the inverse clamps tc
-near DBL_MIN there and tc^(1/p) would be far too large.  Every lane takes
-this rule, sincos_pq's included.
+Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
+the incomplete-beta form has nothing left to resolve there (the test is
+x < DBL_MIN^(1/q)).  asin_pq(x) is x wherever x^q < 2^-53, in every lane:
+that is its series x F(1/p, 1/q; 1 + 1/q; x^q) = x + x x^q / (p (q + 1))
++ O(x^(2q+1)) rounded, as p (q + 1) > 2 puts the second term below half an
+ulp of x, whereas Boost's incomplete beta loses accuracy there in
+proportion to |ln x^q| (1.6e-14 at x^q = 1e-305).  Likewise, where the
+swapped-tail inverse tc = cos_pq^p falls below DBL_MIN (near the top of the
+interval at p near 1), cos_pq is its leading term (b B(b, a) yc)^(1/(p-1)),
+with yc = 1 - x/(pi_pq/2), a = 1/q and b = 1/p*: its relative correction
+is O(tc), whereas the inverse clamps tc near DBL_MIN there and tc^(1/p)
+would be far too large.  Every lane takes this rule, sincos_pq's included.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .errors import DomainError, check_pq
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 _DBL_MIN = sys.float_info.min
+_ASIN_SERIES_MAX = 2.0**-53  # asin_pq(x) is x, its rounded series, below this x^q
 
 
 def conjugate(p: float) -> float:
@@ -137,8 +141,8 @@ def _betainc(a: float, b: float, t):
 
 def _small_x(x, v, under):
     """A value v of sin_pq or asin_pq at x, with x itself where x > 0 and
-    `under` says that x^q underflows; a float for a point (as
-    _maybe_scalar), and an array v is changed in place."""
+    `under` says that x^q is too small for the incomplete-beta form; a float
+    for a point (as _maybe_scalar), and an array v is changed in place."""
     if isinstance(v, float) or np.ndim(v) == 0:
         return float(x) if under and x > 0.0 else float(v)
     np.copyto(v, x, where=under & (x > 0.0))
@@ -149,6 +153,12 @@ def _maybe_scalar(v):
     return float(v) if isinstance(v, float) or np.ndim(v) == 0 else v
 
 
+def _lead_cos_power(a: float, b: float, yc):
+    """b B(b, a) yc: cos_pq^(p-1) to leading order where the swapped-tail
+    inverse tc = cos_pq^p is below DBL_MIN, with a = 1/q, b = 1/p*."""
+    return b * specfun.beta(b, a) * yc
+
+
 def _cos_from_tail(p: float, a: float, b: float, tc, yc, pointwise=False):
     """cos_pq = tc^(1/p) from the swapped-tail inverse tc at yc, or its
     leading term (b B(b, a) yc)^(1/(p-1)) where tc < DBL_MIN; pointwise
@@ -157,12 +167,32 @@ def _cos_from_tail(p: float, a: float, b: float, tc, yc, pointwise=False):
     c = power(tc, 1.0 / p)
     if isinstance(c, float):
         if tc < _DBL_MIN:
-            c = power(b * specfun.beta(b, a) * yc, 1.0 / (p - 1.0))
+            c = power(_lead_cos_power(a, b, yc), 1.0 / (p - 1.0))
         return float(c)
     under = tc < _DBL_MIN
     if under.any():
-        c[under] = power(b * specfun.beta(b, a) * yc[under], 1.0 / (p - 1.0))
+        c[under] = power(_lead_cos_power(a, b, yc[under]), 1.0 / (p - 1.0))
     return c
+
+
+def _cos_power(p: float, q: float, c, yc, pointwise=False):
+    """cos_pq^(p-1) from a cosine c of _sincos_tail and the argument yc of
+    its inversion: c^(p-1), except where c < DBL_MIN.  There the inverse
+    tc = cos_pq^p is below DBL_MIN too (c = tc^(1/p) >= tc), so c is the
+    leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and the
+    power is that term's base b B(b, a) yc; at p near 1 it is far from
+    underflow (1e-308^(1/400) = 0.17).  pointwise raises the power as
+    _libm_pow; a float c gives a float."""
+    e = p - 1.0
+    if isinstance(c, float):
+        if c < _DBL_MIN:
+            return float(_lead_cos_power(1.0 / q, 1.0 / conjugate(p), yc))
+        return c**e
+    cp = _libm_pow(c, e) if pointwise else c**e
+    under = c < _DBL_MIN
+    if under.any():
+        cp[under] = _lead_cos_power(1.0 / q, 1.0 / conjugate(p), yc[under])
+    return cp
 
 
 def _libm_pow(base, exponent: float):
@@ -186,7 +216,7 @@ def asin_pq(p: float, q: float, x):
     a, b = 1.0 / q, 1.0 / conjugate(p)
     xq = xx**q
     val = (1.0 / q) * specfun.beta(a, b) * _betainc(a, b, xq)
-    return _small_x(xx, val, xq < _DBL_MIN)
+    return _small_x(xx, val, xq < _ASIN_SERIES_MAX)
 
 
 def sin_pq(p: float, q: float, x):
@@ -226,6 +256,12 @@ def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
     numpy's vectorized power, which the array calls use, can differ from
     those in the last ulp.  Scalars give the same result either way.
     """
+    return _sincos_tail(p, q, x, pointwise)[:2]
+
+
+def _sincos_tail(p: float, q: float, x, pointwise: bool = False):
+    """sincos_pq's (sin, cos) and yc = 1 - x/(pi_pq/2), the argument of the
+    swapped-tail cosine inversion, which _cos_power needs."""
     check_pq(p, q)
     halfpi = 0.5 * pi_pq(p, q)
     xx = _as_unit(x, halfpi, "sincos_pq")
@@ -234,7 +270,7 @@ def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
     t = _betaincinv(a, b, xx / halfpi, pointwise)
     c = _cos_from_tail(p, a, b, _betaincinv(b, a, yc, pointwise), yc, pointwise)
     s = _libm_pow(t, 1.0 / q) if pointwise else t ** (1.0 / q)
-    return _small_x(xx, s, xx < _DBL_MIN ** a), c
+    return _small_x(xx, s, xx < _DBL_MIN ** a), c, yc
 
 
 def dcos_power_identity_residual(p: float, q: float, x: float) -> float:

@@ -4,8 +4,10 @@ point or an array; large arrays start from a fitted inverse), and the Gauss
 hypergeometric function on [0, 1].
 
 Gamma/beta plumbing and the incomplete beta function itself are delegated
-to scipy.special.  The hypergeometric function is evaluated here because
-call sites need a certified tail bound on every series, the exact
+to scipy.special; the scalar Gamma calls take its Cython kernels
+(scipy.special.cython_special: the ufuncs' own code, bit for bit, at a
+fraction of a ufunc call's cost).  The hypergeometric function is evaluated
+here because call sites need a certified tail bound on every series, the exact
 terminating polynomial when a parameter is a nonpositive integer, Gauss
 summation at argument 1, and a cost that does not grow as the argument
 approaches 1.  Differences ln Gamma(z + e) - ln Gamma(z) come from the
@@ -20,6 +22,7 @@ import sys
 
 import numpy as np
 import scipy.special as sc
+from scipy.special import cython_special as _cs
 
 from .errors import ConvergenceError, DomainError, check_order
 
@@ -109,9 +112,9 @@ def _gamma_quotient(num, den) -> float:
     """prod Gamma(num) / prod Gamma(den), zero where den meets a pole."""
     out = 1.0
     for z in num:
-        out *= float(sc.gamma(z))
+        out *= _cs.gamma(z)
     for z in den:
-        out *= float(sc.rgamma(z))
+        out *= _cs.rgamma(z)
     return out
 
 
@@ -129,7 +132,7 @@ def ln_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return float(sc.gammaln(x))
+    return _cs.gammaln(x)
 
 
 def poch_ratio(a: float, b: float, n: int) -> float:
@@ -447,16 +450,10 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     if y == 0.0:
         if s <= 0:
             raise DomainError("hyp2f1 at x = 1 requires c > a + b")
-        sign = sc.gammasgn(c) * sc.gammasgn(s)
-        sign /= sc.gammasgn(c - a) * sc.gammasgn(c - b)
-        return float(
-            sign
-            * math.exp(
-                sc.gammaln(c)
-                + sc.gammaln(s)
-                - sc.gammaln(c - a)
-                - sc.gammaln(c - b)
-            )
+        sign = _cs.gammasgn(c) * _cs.gammasgn(s)
+        sign /= _cs.gammasgn(c - a) * _cs.gammasgn(c - b)
+        return sign * math.exp(
+            _cs.gammaln(c) + _cs.gammaln(s) - _cs.gammaln(c - a) - _cs.gammaln(c - b)
         )
 
     if y >= 0.5:

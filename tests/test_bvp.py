@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from test_gtf import mp_sincos
 
-from gentrig import bvp, gtf
+from gentrig import bvp, cli, gtf
 from gentrig.bvp import BvpSpec, NonlocalSpec
 from gentrig.errors import DomainError
 
@@ -178,6 +180,103 @@ class TestFusedVerifiers:
                 bvp.residual_general(sol, x)
             with pytest.raises(DomainError):
                 bvp.phase_curve_residual(sol, x)
+
+
+class TestGeneralChecks:
+    """bvp.general_checks: every H at one (p, q) from one gtf call."""
+
+    FRACTIONS = np.arange(1, 10) / 10.0  # the verify suite's points
+
+    @pytest.mark.parametrize("p", cli.GRIDS["full"])
+    @pytest.mark.parametrize("q", cli.GRIDS["full"])
+    def test_equals_point_by_point_reference(self, p, q):
+        lengths = (1.0, 2.5)
+        checks = bvp.general_checks(p, q, lengths, self.FRACTIONS)
+        assert len(checks) == len(lengths)
+        for H, (ode, phase, bc) in zip(lengths, checks):
+            sol = bvp.solve_general(BvpSpec(H=H, p=p, q=q))
+            xs = (H * self.FRACTIONS).tolist()
+            assert same_bits(ode, [ref_residual_general(sol, x) for x in xs])
+            assert same_bits(phase, [ref_phase_curve_residual(sol, x) for x in xs])
+            assert type(bc) is float
+            assert same_bits(bc, max(abs(sol(0.0)), abs(sol(H))))
+
+    def test_one_gtf_call_per_pair(self, monkeypatch):
+        calls = []
+        real = bvp._sincos_tail
+        monkeypatch.setattr(bvp, "_sincos_tail",
+                            lambda p, q, x, pointwise=False:
+                            calls.append((p, q)) or real(p, q, x, pointwise))
+        for name in ("residual_general", "phase_curve_residual"):
+            monkeypatch.setattr(bvp, name, None)  # the suite must not need them
+        grid = cli.GRIDS["full"]
+        cli._suite_bvp(grid)
+        general = [(p, q) for p in grid for q in grid]
+        # the general cases call gtf at (p*, q); the nonlocal ones at
+        # q = r(m), which is off the grid
+        assert [c for c in calls if c[1] in grid] == [
+            (gtf.conjugate(p), q) for p, q in general]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            bvp.general_checks(1.0, 2.0, (1.0,), [0.5])
+        with pytest.raises(DomainError):
+            bvp.general_checks(2.0, 2.0, (1.0, -1.0), [0.5])
+        for fractions in ([0.0, 0.5], [0.5, 1.0], [math.nan]):
+            with pytest.raises(DomainError):
+                bvp.general_checks(2.0, 2.0, (1.0,), fractions)
+
+
+def mp_general(H, p, q, x):
+    """u(x) of the general problem at 50 digits, with cos^(p*-1) taken as
+    tc^((p*-1)/p*) from the swapped-tail inverse tc = cos^(p*), which stays
+    representable where cos_{p*,q} itself underflows.  Scale and argument
+    are rounded as the code rounds them."""
+    P = gtf.conjugate(p)
+    pi_val = gtf.pi_pq(P, q)
+    amp, arg = 2.0 * H / (q * pi_val), pi_val / (2.0 * H) * x
+    s, _, tc, _, _ = mp_sincos(P, q, arg)
+    with mp.workdps(50):
+        Pm = mp.mpf(P)
+        return amp * tc ** ((Pm - 1) / Pm) * s
+
+
+class TestCosineUnderflow:
+    """Where cos_{p*,q} underflows (large p), the profile's factor
+    cos^(p*-1) comes from the leading term of the inversion; raised from
+    the underflowed cosine it gave u = 0 and residuals of 1."""
+
+    CASES = [(300.0, 2.0), (400.0, 400.0 / 399.0), (1000.0, 3.0)]
+
+    @pytest.mark.parametrize("p,q", CASES)
+    def test_solution_against_mpmath(self, p, q):
+        H = 1.0
+        sol = bvp.solve_general(BvpSpec(H=H, p=p, q=q))
+        xs = [0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
+        arrays = (sol(np.array(xs)), sol._eval(np.array(xs), pointwise=True))
+        for i, x in enumerate(xs):
+            ref = mp_general(H, p, q, x)
+            for value in (sol(x), arrays[0][i], arrays[1][i]):
+                assert abs(value - ref) <= 2e-15 * ref, (x, value, ref)
+
+    def test_reported_point(self):
+        # u(0.9) at (400, 1.0025) read 0.0; the solution is about 2.5e-4
+        sol = bvp.solve_general(BvpSpec(1.0, 400.0, 1.0025))
+        assert sol(0.9) == pytest.approx(2.5e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("p,q", CASES)
+    def test_ode_residual(self, p, q):
+        sol = bvp.solve_general(BvpSpec(H=1.0, p=p, q=q))
+        xs = np.concatenate([np.linspace(0.0, 1.0, 41)[1:-1], [0.95, 0.99, 0.999]])
+        assert bvp.residual_general(sol, xs).max() <= 1e-6
+
+    @pytest.mark.parametrize("H", [1.0, 2.0, 2.5])
+    def test_nonlocal_closure_small_m(self, H):
+        # r(0.1) = 1.01 makes p* = r* about 100: the closure read 1.5e-5 off
+        # at H = 1 and raised ToleranceError at H = 2 and 2.5
+        m = 0.1
+        phi = bvp.solve_nonlocal(NonlocalSpec(H=H, m=m))
+        assert bvp.nonlocal_mean_square_slope(phi) == pytest.approx(m * m, rel=1e-5)
 
 
 class TestEqualParameters:

@@ -84,6 +84,16 @@ class TestVerify:
         assert all(l.endswith(" ok") for l in cases)
         assert f"SUITE {suite} PASS" in out
 
+    def test_all_suites_full_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--grid", "full")
+        assert code == 0
+        cases = [l for l in out.splitlines() if l.startswith("  ")]
+        assert len(cases) == 597
+        assert all(l.endswith(" ok") for l in cases)
+        summaries = [l for l in out.splitlines() if l.startswith("SUITE")]
+        assert len(summaries) == 6
+        assert all(" PASS " in l for l in summaries)
+
     def test_reports_max_residual(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--suite", "pythagorean")
         line = [l for l in out.splitlines() if l.startswith("SUITE")][0]

@@ -334,10 +334,11 @@ class TestSymmetricExtension:
 def ufunc_formula(name, p, q, x):
     """The scalar value as the array machinery computes it: x as a 0-d array,
     range-checked and clipped, the scipy ufuncs, numpy scalar powers and
-    asin_pq's (1/q) B(1/q, 1/p*) factor; sin and asin are x itself where
-    x > 0 and x^q underflows (sin: x < DBL_MIN^(1/q), asin: x^q < DBL_MIN),
-    and cos is the leading term (b B(b, a) yc)^(1/(p-1)) where the inverse
-    tc = cos^p is below DBL_MIN."""
+    asin_pq's (1/q) B(1/q, 1/p*) factor; sin is x itself where x > 0 and
+    x < DBL_MIN^(1/q), asin the rounded series x + x x^q / (p (q + 1)),
+    i.e. x, where x > 0 and x^q < 2^-53, and cos is the leading term
+    (b B(b, a) yc)^(1/(p-1)) where the inverse tc = cos^p is below
+    DBL_MIN."""
     a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
     top = 1.0 if name == "asin" else 0.5 * gtf.pi_pq(p, q)
     xx = np.asarray(x, dtype=float)
@@ -352,7 +353,7 @@ def ufunc_formula(name, p, q, x):
             return float((b * specfun.beta(b, a) * yc) ** (1.0 / (p - 1.0)))
         return float(tc ** (1.0 / p))
     if name == "asin":
-        if 0.0 < xx and xx**q < sys.float_info.min:
+        if 0.0 < xx and xx**q < 2.0**-53:
             return float(xx)
         return float((1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xx**q))
     if 0.0 < xx < sys.float_info.min ** (1.0 / q):
@@ -513,6 +514,13 @@ def test_scalar_kernels_equal_ufuncs():
     assert same_bits(scalar[:, 0], inv)
     assert same_bits(scalar[:, 1], inv_swapped)
     assert same_bits(scalar[:, 2], fwd)
+    # specfun's scalar Gamma calls, over [-50, 50] with the poles, the
+    # half-integers and both zeros
+    z = np.concatenate([rng.uniform(-50.0, 50.0, n), np.arange(-50.0, 51.0),
+                        np.arange(-50.0, 50.0) + 0.5, [0.0, -0.0, 1e-300, -1e-300]])
+    for name in ("gammaln", "gamma", "rgamma", "gammasgn"):
+        kernel = getattr(cython_special, name)
+        assert same_bits([kernel(v) for v in z.tolist()], getattr(sc, name)(z)), name
 
 
 # ---------------------------------------------------------------- one validator
@@ -609,6 +617,17 @@ class TestUnderflow:
         ref = mp_asin(p, q, x)
         for value in _lanes(gtf.asin_pq, p, q, x):
             assert abs(value - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("p,q", [(5.0, 2.5), (1.2, 1.1), (2.0, 2.0), (1.001, 40.0),
+                                     (30.0, 1.01), (3.0, 7.0)])
+    def test_asin_series_range(self, p, q):
+        # x^q from DBL_MIN to 2^-53, where Boost's incomplete beta lost up to
+        # 1.6e-14 (5, 2.5) and 3.0e-14 (1.2, 1.1): now within one ulp
+        for xq in np.geomspace(sys.float_info.min, 2.0**-53, 9)[:-1].tolist():
+            x = xq ** (1.0 / q)
+            ref = mp_asin(p, q, x)
+            for value in _lanes(gtf.asin_pq, p, q, x):
+                assert abs(value - ref) <= 2.3e-16 * ref, (xq, value)
 
 
 # ---------------------------------------------------------------- fitted inverse
