@@ -15,21 +15,29 @@ powers are Python float powers, i.e. the C library's pow.  No 0-d array is
 built, and the result is a Python float equal bit for bit to the one the
 array machinery gives a 0-d input.  Arrays of fewer than
 specfun.INV_FIT_MIN points go through the ufuncs, bit for bit the scalar
-kernels.  The sine and cosine inversions of larger arrays take
-specfun.inc_beta_reg_inv, which starts from a fitted inverse and polishes it
-with a Newton step; their values may differ from the ufuncs' in the last
-ulps, and are accurate at the symmetric shapes 1/q = 1/p* where scipy's
-inverse is not.  sincos_pq(pointwise=True) always takes the ufuncs, so its
-arrays equal the scalar calls bit for bit at every size.  All lanes share
-every other formula.
+kernels.  Larger arrays take specfun's own kernels: the sine and cosine
+inversions specfun.inc_beta_reg_inv, which starts from a fitted inverse and
+polishes it with a Newton step on the series specfun.inc_beta_reg, and
+asin_pq that series itself.  Their values may differ from the ufuncs' in
+the last ulps; they are accurate at the symmetric shapes 1/q = 1/p* where
+scipy's inverse is not, and the series is within 9.4e-16 of mpmath where
+Boost's incomplete beta is off by up to 3e-15.  sincos_pq(pointwise=True)
+always takes the ufuncs, so its arrays equal the scalar calls bit for bit
+at every size.  All lanes share every other formula.
 
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
-x < DBL_MIN^(1/q)).  asin_pq(x) is x wherever x^q < 2^-53, in every lane:
-that is its series x F(1/p, 1/q; 1 + 1/q; x^q) = x + x x^q / (p (q + 1))
-+ O(x^(2q+1)) rounded, as p (q + 1) > 2 puts the second term below half an
-ulp of x, whereas Boost's incomplete beta loses accuracy there in
-proportion to |ln x^q| (1.6e-14 at x^q = 1e-305).  Likewise, where the
+x < DBL_MIN^(1/q)).  asin_pq(x) is its two-term series x + x z / (p (q + 1))
+wherever 0 < z = x^q < 2^-27, in every lane, whereas Boost's incomplete
+beta loses accuracy at small z in proportion to |ln z| (1.6e-14 at z =
+1e-305, 4-5 ulps at z near 1e-15).  The series is x F(1/p, 1/q; 1 + 1/q; z):
+its third term is x d z^2 with d = (1/p)(1 + 1/p) / (2 (2q + 1)) < 1/3 and
+each later one is below z times the one before, so for z < 2^-27 the terms
+left out sum to below x 2^-54 / 3 (1 + 2^-26), a third of half an ulp of
+the value; the bound reaches half an ulp only near z = sqrt(3) 2^-27.
+Below z = 2^-53 the second term is below half an ulp of x too, and the
+value is x.  Above 2^-27 the float lane and small arrays keep Boost's
+incomplete beta.  Likewise, where the
 swapped-tail inverse tc = cos_pq^p falls below DBL_MIN (near the top of the
 interval at p near 1), cos_pq is its leading term (b B(b, a) yc)^(1/(p-1)),
 with yc = 1 - x/(pi_pq/2), a = 1/q and b = 1/p*: its relative correction
@@ -42,6 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.special as sc
@@ -52,7 +61,7 @@ from .errors import DomainError, check_pq
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 _DBL_MIN = sys.float_info.min
-_ASIN_SERIES_MAX = 2.0**-53  # asin_pq(x) is x, its rounded series, below this x^q
+_ASIN_SERIES_MAX = 2.0**-27  # asin_pq(x) is its two-term series below this x^q
 
 
 def conjugate(p: float) -> float:
@@ -135,17 +144,29 @@ def _betaincinv(a: float, b: float, y, pointwise: bool = False):
 
 
 def _betainc(a: float, b: float, t):
-    """I_t(a, b), dispatched like _betaincinv."""
-    return _cs.betainc(a, b, t) if isinstance(t, float) else sc.betainc(a, b, t)
+    """I_t(a, b), dispatched like _betaincinv: scipy's kernels for a float t
+    and for arrays of fewer than specfun.INV_FIT_MIN points, the series
+    specfun.inc_beta_reg for larger arrays."""
+    if isinstance(t, float):
+        return _cs.betainc(a, b, t)
+    if t.size < specfun.INV_FIT_MIN:
+        return sc.betainc(a, b, t)
+    return specfun.inc_beta_reg(a, b, t)
 
 
-def _small_x(x, v, under):
-    """A value v of sin_pq or asin_pq at x, with x itself where x > 0 and
-    `under` says that x^q is too small for the incomplete-beta form; a float
-    for a point (as _maybe_scalar), and an array v is changed in place."""
+def _small_x(x, v, under, z=None, d=None):
+    """A value v of sin_pq or asin_pq at x, with its series where x > 0 and
+    `under` says that x^q is too small for the incomplete-beta form: x
+    itself, or x + x z / d where d is given (z = x^q); a float for a point
+    (as _maybe_scalar), and an array v is changed in place."""
     if isinstance(v, float) or np.ndim(v) == 0:
-        return float(x) if under and x > 0.0 else float(v)
-    np.copyto(v, x, where=under & (x > 0.0))
+        if under and x > 0.0:
+            return float(x if d is None else x + x * z / d)
+        return float(v)
+    small = under & (x > 0.0)
+    if small.any():
+        xs = x[small]
+        v[small] = xs if d is None else xs + xs * z[small] / d
     return v
 
 
@@ -206,7 +227,8 @@ def _libm_pow(base, exponent: float):
     if isinstance(base, float) or np.ndim(base) == 0:
         return float(base) ** exponent
     base = np.asarray(base, dtype=float)
-    return np.array([v ** exponent for v in base.ravel().tolist()]).reshape(base.shape)
+    powers = map(math.pow, base.ravel().tolist(), repeat(exponent))
+    return np.fromiter(powers, float, base.size).reshape(base.shape)
 
 
 def asin_pq(p: float, q: float, x):
@@ -216,7 +238,7 @@ def asin_pq(p: float, q: float, x):
     a, b = 1.0 / q, 1.0 / conjugate(p)
     xq = xx**q
     val = (1.0 / q) * specfun.beta(a, b) * _betainc(a, b, xq)
-    return _small_x(xx, val, xq < _ASIN_SERIES_MAX)
+    return _small_x(xx, val, xq < _ASIN_SERIES_MAX, xq, p * (q + 1.0))
 
 
 def sin_pq(p: float, q: float, x):

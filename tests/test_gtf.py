@@ -335,8 +335,8 @@ def ufunc_formula(name, p, q, x):
     """The scalar value as the array machinery computes it: x as a 0-d array,
     range-checked and clipped, the scipy ufuncs, numpy scalar powers and
     asin_pq's (1/q) B(1/q, 1/p*) factor; sin is x itself where x > 0 and
-    x < DBL_MIN^(1/q), asin the rounded series x + x x^q / (p (q + 1)),
-    i.e. x, where x > 0 and x^q < 2^-53, and cos is the leading term
+    x < DBL_MIN^(1/q), asin its two-term series x + x x^q / (p (q + 1))
+    where x > 0 and x^q < 2^-27, and cos is the leading term
     (b B(b, a) yc)^(1/(p-1)) where the inverse tc = cos^p is below
     DBL_MIN."""
     a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
@@ -353,9 +353,10 @@ def ufunc_formula(name, p, q, x):
             return float((b * specfun.beta(b, a) * yc) ** (1.0 / (p - 1.0)))
         return float(tc ** (1.0 / p))
     if name == "asin":
-        if 0.0 < xx and xx**q < 2.0**-53:
-            return float(xx)
-        return float((1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xx**q))
+        xq = xx**q
+        if 0.0 < xx and xq < 2.0**-27:
+            return float(xx + xx * xq / (p * (q + 1.0)))
+        return float((1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xq))
     if 0.0 < xx < sys.float_info.min ** (1.0 / q):
         return float(xx)
     return float(sc.betaincinv(a, b, xx / top) ** (1.0 / q))
@@ -464,6 +465,20 @@ class TestFloatLane:
         for arg in (x, np.array([x])):
             with pytest.raises(DomainError):
                 gtf.extend_sin_symmetric(3.0, arg)
+
+
+def test_libm_pow_equals_float_pow():
+    """_libm_pow is Python's float power one element at a time, bit for bit,
+    signed zeros, 0-d arrays and shapes included."""
+    bases = np.random.default_rng(3).random(400)
+    bases[:4] = [0.0, -0.0, 1.0, 5e-324]
+    for e in (0.4, 1.0 / 3.0, 2.5):
+        expected = [v ** e for v in bases.tolist()]
+        assert same_bits(gtf._libm_pow(bases, e), expected)
+        assert same_bits(gtf._libm_pow(bases.reshape(20, 20), e).ravel(), expected)
+        for v in (-0.0, 0.0, 0.3):
+            got = gtf._libm_pow(np.array(v), e)
+            assert type(got) is float and same_bits(got, v ** e)
 
 
 class TestNoZeroDimArrays:
@@ -621,9 +636,12 @@ class TestUnderflow:
     @pytest.mark.parametrize("p,q", [(5.0, 2.5), (1.2, 1.1), (2.0, 2.0), (1.001, 40.0),
                                      (30.0, 1.01), (3.0, 7.0)])
     def test_asin_series_range(self, p, q):
-        # x^q from DBL_MIN to 2^-53, where Boost's incomplete beta lost up to
-        # 1.6e-14 (5, 2.5) and 3.0e-14 (1.2, 1.1): now within one ulp
-        for xq in np.geomspace(sys.float_info.min, 2.0**-53, 9)[:-1].tolist():
+        # x^q from DBL_MIN to 2^-27, where Boost's incomplete beta lost up to
+        # 1.6e-14 (5, 2.5) and 3.0e-14 (1.2, 1.1) below 2^-53, and still
+        # 1.2e-15 (1.2, 1.1) at 1.1e-15: the two-term series is within one ulp
+        xqs = np.concatenate([np.geomspace(sys.float_info.min, 2.0**-53, 9)[:-1],
+                              np.geomspace(2.0**-53, 2.0**-27, 9)[:-1], [0.999 * 2.0**-27]])
+        for xq in xqs.tolist():
             x = xq ** (1.0 / q)
             ref = mp_asin(p, q, x)
             for value in _lanes(gtf.asin_pq, p, q, x):
@@ -764,6 +782,70 @@ class TestFittedInverse:
         cos[under] = (b * specfun.beta(b, a) * yc[under]) ** (1.0 / (p - 1.0))
         assert same_bits(c, cos)
         assert same_bits(gtf.sin_pq(p, q, xs), s) and same_bits(gtf.cos_pq(p, q, xs), c)
+
+    def test_asin_against_mpmath(self):
+        """asin_pq on arrays of N0 points sums specfun.inc_beta_reg's series.
+        At x^q uniform, near 0 and near 1 it is within 2e-15 of mpmath or no
+        further than the ufunc at every point, and its worst error is no
+        larger than the ufunc's.  Errors are relative and divided by the
+        condition number against a relative change of x^q, which the
+        rounding of x^q makes in both lanes."""
+        rng = np.random.default_rng(20261018)
+        worst_fit = worst_ufunc = 0.0
+        for p, q in FITTED_PAIRS:
+            z = np.concatenate([rng.random(6), 10.0 ** -rng.uniform(1, 15, 3),
+                                1.0 - 10.0 ** -rng.uniform(1, 15, 3)])
+            xs = z ** (1.0 / q)
+            fitted = gtf.asin_pq(p, q, np.resize(xs, N0))
+            ufunc = gtf.asin_pq(p, q, xs)
+            for i, x in enumerate(xs.tolist()):
+                ref = mp_asin(p, q, x)
+                with mp.workdps(50):
+                    slope = x * (1 - mp.mpf(x) ** q) ** (-1 / mp.mpf(p)) / q
+                cond = max(1.0, float(slope / ref))
+                err_fit = float(abs(fitted[i] - ref) / ref) / cond
+                err_ufunc = float(abs(ufunc[i] - ref) / ref) / cond
+                assert err_fit <= max(2e-15, err_ufunc), (p, q, x)
+                worst_fit = max(worst_fit, err_fit)
+                worst_ufunc = max(worst_ufunc, err_ufunc)
+        assert worst_fit <= worst_ufunc
+
+    @pytest.mark.parametrize("p,q", [(1.5, 4.0), (3.0, 2.5), (1.01, 1.02)])
+    def test_asin_below_fit_min_equals_ufunc(self, p, q, monkeypatch):
+        xs = np.random.default_rng(5).random(N0 - 1)
+        xs[:3] = [0.0, 1e-12, 1.0]  # the series and both ends
+        a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
+
+        def series(*args):
+            raise AssertionError("an array below INV_FIT_MIN took the series")
+
+        monkeypatch.setattr(specfun, "inc_beta_reg", series)
+        xq = xs**q
+        expected = (1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xq)
+        small = (xs > 0.0) & (xq < 2.0**-27)
+        expected[small] = (xs + xs * xq / (p * (q + 1.0)))[small]
+        assert same_bits(gtf.asin_pq(p, q, xs), expected)
+
+    def test_fit_min_makes_no_array_betainc_call(self, monkeypatch):
+        """At certified shapes an array of N0 points takes the series for
+        every forward evaluation: the node polish of the fits, the Newton
+        step and asin_pq.  Scalar calls (I_{1/2} at the split) remain."""
+        arrays = []
+        real = sc.betainc
+
+        def spy(a, b, t):
+            if np.ndim(t) > 0:
+                arrays.append(np.size(t))
+            return real(a, b, t)
+
+        monkeypatch.setattr(sc, "betainc", spy)
+        for p, q in FITTED_PAIRS:
+            xs = np.linspace(0.0, 1.0, N0)
+            gtf.sincos_pq(p, q, xs * (0.5 * gtf.pi_pq(p, q)))
+            gtf.asin_pq(p, q, xs)
+        assert arrays == []
+        gtf.asin_pq(2.5, 3.0, xs[1:])  # the spy sees the ufunc lane
+        assert arrays == [N0 - 1]
 
     def test_fit_min_takes_the_polished_inverse(self, monkeypatch):
         calls = []

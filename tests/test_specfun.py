@@ -160,6 +160,38 @@ class TestIncBeta:
         got = specfun.inc_beta_reg_inv(a, b, sc.betainc(a, b, xs))
         assert np.allclose(got, xs, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [1.01, 1.002])
+    @pytest.mark.parametrize("q", [3.0, 1.003])
+    def test_series_where_one_minus_tail_cancels(self, p, q):
+        # gtf's shapes a = 1/q, b = 1/p* at p near 1: I_t(a, b) < 1/2 on
+        # (1/2, median), where 1 - I_{1-t}(b, a) would lose a factor
+        # I_{1-t}(b, a) / I_t(a, b) (up to ~600 here) and the series is
+        # anchored at t = 1/2 instead
+        a, b = 1.0 / q, 1.0 - 1.0 / p
+        ts = np.concatenate([0.5 + 0.5 * np.geomspace(1e-15, 1.0, 40)[:-1], [0.5]])
+        got = specfun.inc_beta_reg(a, b, ts)
+        with mpmath.workdps(50):
+            ref = [mpmath.betainc(a, b, 0, t, regularized=True) for t in ts.tolist()]
+        lower = [t for t, r in zip(ts.tolist(), ref) if r < 0.5 and t > 0.5]
+        assert len(lower) >= 20
+        for t, value, r in zip(ts.tolist(), got.tolist(), ref):
+            assert abs(value - r) <= 8e-16 * r, t
+
+    def test_series_endpoints_and_lanes(self):
+        assert specfun.inc_beta_reg(0.7, 0.3, 0.0) == 0.0
+        assert specfun.inc_beta_reg(0.7, 0.3, 1.0) == 1.0
+        assert type(specfun.inc_beta_reg(0.7, 0.3, 0.25)) is float
+        ts = np.linspace(0.0, 1.0, 101)
+        # other shapes take scipy's betainc as it is
+        assert np.array_equal(specfun.inc_beta_reg(0.7, 1.3, ts), sc.betainc(0.7, 1.3, ts))
+        series = specfun.inc_beta_reg(0.7, 0.3, ts.reshape(1, 101))
+        assert series.shape == (1, 101) and np.all(np.diff(series[0]) > 0.0)
+        for t in (math.nan, -1e-300, 1.5):
+            with pytest.raises(DomainError):
+                specfun.inc_beta_reg(0.7, 0.3, np.array([0.5, t]))
+        with pytest.raises(DomainError):
+            specfun.inc_beta_reg(0.0, 0.3, 0.5)
+
     @pytest.mark.parametrize("a", [0.9666666666666666, 1.75])
     def test_symmetric_median(self, a):
         # I_x(a, a) = 1/2 at x = 1/2; scipy's betaincinv alone is off by
