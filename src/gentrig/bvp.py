@@ -17,19 +17,18 @@ the multiple-angle formula, to a mirrored sin_{2,p} profile.
 Residual verifiers use central finite differences (one Richardson step),
 so they stay independent of the closed forms they check.  They take a point
 or an array of points and evaluate the whole 5-point stencil x, x +- h,
-x +- h/2 of every point in one fused sin/cos call (gtf.sincos_pq).  All
-powers on that path go through the C library's pow one element at a time,
-the way scalar evaluation computes them, so each residual equals the one
-computed point by point bit for bit: numpy's vectorized power differs in the
-last ulp on a few percent of inputs, and the second difference divides that
-ulp by h^2.
+x +- h/2 of every point in one fused sin/cos call (gtf.sincos_pq), in the
+gtf lane the stencil's size picks.  A residual agrees with one computed
+point by point from scalar sol(x) calls to 8 (p + q) eps |u| / h^2 (the ODE
+residual's second difference divides a last-ulp difference of u by h^2),
+and bit for bit with itself on one-element arrays.
 
 general_checks verifies the general problem at one (p, q) and several H in
 one such call: the stencils of every H and the ends 0 and H are inverted
 together, the phase-curve check reuses the stencil's centre row, and the
-results equal residual_general, phase_curve_residual and sol(0), sol(H) bit
-for bit.  Every verifier shares the stencil, Richardson, ODE, phase-curve
-and profile formulas below.
+residuals equal residual_general's and phase_curve_residual's on arrays bit
+for bit while their stencils take the same lane.  Every verifier shares the
+stencil, Richardson, ODE, phase-curve and profile formulas below.
 
 Where cos_{p*,q} underflows (p above ~100 near x = H, above ~300 on much
 of (0, H); the nonlocal problem at m below ~0.1), the profile's factor
@@ -49,7 +48,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, check_pq
 from .gtf import (
-    _as_unit, _cos_power, _libm_pow, _maybe_scalar, _sincos_tail, conjugate,
+    _as_unit, _cos_power, _maybe_scalar, _sincos_tail, conjugate,
     extend_sin_symmetric, pi_pq,
 )
 
@@ -91,9 +90,10 @@ class NonlocalSpec:
 class BvpSolution:
     """Immutable positive solution; evaluate with sol(x), vectorized in x.
 
-    ``_eval(x, pointwise=False)`` evaluates the profile at points already in
-    [0, H]; pointwise=True takes every power through the C library's pow
-    element by element, so that an array gives the scalar values bit for bit.
+    A float x gives a float from gtf's float lane, an array an array from
+    the lane its size selects; both are within 2e-15 of the profile at 50
+    digits, relative.  ``_eval(x)`` evaluates the profile at points already
+    in [0, H].
     """
 
     spec: object
@@ -111,9 +111,9 @@ def _profile_scales(H: float, P: float, q: float):
     return pi_val / (2.0 * H), 2.0 * H / (q * pi_val)
 
 
-def _profile(P: float, q: float, amp, s, c, yc, pointwise=False):
+def _profile(P: float, q: float, amp, s, c, yc):
     """amp cos^(P-1) sin from _sincos_tail's (s, c, yc) at (P, q)."""
-    return amp * _cos_power(P, q, c, yc, pointwise) * s
+    return amp * _cos_power(P, q, c, yc) * s
 
 
 def solve_general(spec: BvpSpec) -> BvpSolution:
@@ -122,8 +122,8 @@ def solve_general(spec: BvpSpec) -> BvpSolution:
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
 
-    def u(x, pointwise=False):
-        return _profile(P, q, amp, *_sincos_tail(P, q, omega * x, pointwise), pointwise)
+    def u(x):
+        return _profile(P, q, amp, *_sincos_tail(P, q, omega * x))
 
     return BvpSolution(spec=spec, _eval=u)
 
@@ -138,8 +138,8 @@ def solve_nonlocal(spec: NonlocalSpec) -> BvpSolution:
     inner = solve_general(BvpSpec(H=spec.H, p=conjugate(r), q=r))
     scale = 2.0 * math.sqrt(spec.m**2 + 0.25)
 
-    def phi(x, pointwise=False):
-        return scale * inner._eval(x, pointwise)
+    def phi(x):
+        return scale * inner._eval(x)
 
     return BvpSolution(spec=spec, _eval=phi)
 
@@ -154,9 +154,7 @@ def solve_pq_equal(p: float) -> BvpSolution:
     pi_val = pi_pq(2.0, p)
     amp = 1.0 / (p * pi_val)
 
-    def u(x, pointwise=False):
-        if pointwise:  # the mirrored profile has no fused form: point by point
-            return np.array([u(v) for v in x.ravel()]).reshape(x.shape)
+    def u(x):
         return amp * extend_sin_symmetric(p, pi_val * x)
 
     return BvpSolution(spec=BvpSpec(H=1.0, p=p, q=p), _eval=u)
@@ -183,8 +181,8 @@ def _richardson(h, rows):
     f0, fp, fm, fph, fmh = rows
     d1 = (fp - fm) / (2.0 * h)
     d2 = (fph - fmh) / h
-    e1 = (fp - 2.0 * f0 + fm) / _libm_pow(h, 2)
-    e2 = (fph - 2.0 * f0 + fmh) / _libm_pow(h / 2, 2)
+    e1 = (fp - 2.0 * f0 + fm) / h**2
+    e2 = (fph - 2.0 * f0 + fmh) / (h / 2) ** 2
     return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
 
 
@@ -192,22 +190,21 @@ def _stencil(sol: BvpSolution, x):
     """sol, sol' and sol'' at interior points x, from one evaluation of the
     stencil of every point."""
     h, rows = _stencil_rows(sol.spec.H, _interior(sol.spec, x))
-    return _richardson(h, sol._eval(rows, pointwise=True))
+    return _richardson(h, sol._eval(rows))
 
 
 def _ode_general(p: float, q: float, u0, u1, u2):
     """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1|."""
-    return np.abs((p - q) * u1 - p * q * _libm_pow(u1, 2) + (p + q) * u0 * u2 + 1.0)
+    return np.abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
 
 
 def _phase_curve(H: float, p: float, q: float, P: float, c):
     """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
     v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*."""
-    v = -1.0 / p + (1.0 / p + 1.0 / q) * _libm_pow(c, P)
+    v = -1.0 / p + (1.0 / p + 1.0 / q) * c**P
     ssum = 1.0 / p + 1.0 / q
     C = 2.0 * H / (p * ssum**ssum * pi_pq(conjugate(q), p))
-    return (C * _libm_pow(np.abs(v + 1.0 / p), 1.0 / p)
-            * _libm_pow(np.abs(v - 1.0 / q), 1.0 / q))
+    return C * np.abs(v + 1.0 / p) ** (1.0 / p) * np.abs(v - 1.0 / q) ** (1.0 / q)
 
 
 def residual_general(sol: BvpSolution, x):
@@ -227,7 +224,7 @@ def residual_nonlocal(sol: BvpSolution, x):
     if not isinstance(spec, NonlocalSpec):
         raise DomainError("residual_nonlocal needs a nonlocal solution")
     f0, f1, f2 = _stencil(sol, x)
-    r = np.abs(f1 - _libm_pow(f1, 2) + f0 * f2 + spec.m**2)
+    r = np.abs(f1 - f1**2 + f0 * f2 + spec.m**2)
     return float(r) if np.ndim(x) == 0 else r
 
 
@@ -258,6 +255,14 @@ def phase_curve_residual(sol: BvpSolution, x):
     and C = 2H / (p (1/p + 1/q)^(1/p+1/q) pi_{q*,p}); no differentiation
     enters, so this checks the solution against the phase-plane curve of
     its derivation.  Takes one interior point or an array of them.
+
+    Near the ends it false-fails: as x -> 0, v -> 1/q and |v - 1/q| =
+    A = (1/p + 1/q) sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1)
+    eps of v, which moves the curve by |u| ((1 + d/A)^(1/q) - 1), about eps
+    |u| / (q sin^q(w x)); likewise |v + 1/p| with c^{p*} and 1/p as x -> H.
+    At (1.5, 4, H = 1) that is 4.5e-9 at x = 1e-3 and u itself at 3e-5.
+    Substituting -(1/p + 1/q) sin^q for v - 1/q would reduce the check to
+    q pi_{p*,q} = p pi_{q*,p}.  verify samples x/H in [0.1, 0.9].
     """
     spec = sol.spec
     if not isinstance(spec, BvpSpec):
@@ -266,8 +271,8 @@ def phase_curve_residual(sol: BvpSolution, x):
     xx = _interior(spec, x)
     P = conjugate(p)
     omega, _ = _profile_scales(H, P, q)
-    _, c, _ = _sincos_tail(P, q, omega * xx, pointwise=True)
-    r = np.abs(sol._eval(xx, pointwise=True) - _phase_curve(H, p, q, P, c))
+    _, c, _ = _sincos_tail(P, q, omega * xx)
+    r = np.abs(sol._eval(xx) - _phase_curve(H, p, q, P, c))
     return float(r) if np.ndim(x) == 0 else r
 
 
@@ -276,11 +281,13 @@ def general_checks(p: float, q: float, Hs, fractions):
     the interior points x = H * fractions.
 
     Returns one (ode, phase, boundary) per H: the arrays
-    residual_general(sol, x) and phase_curve_residual(sol, x) and the float
-    max(|sol(0)|, |sol(H)|), each equal bit for bit to those calls on
-    sol = solve_general(BvpSpec(H, p, q)).  Every H's stencil and both ends
-    are inverted in one pointwise gtf call, and the phase-curve check takes
-    its cosine from the stencil's centre row instead of inverting again.
+    residual_general(sol, x) and phase_curve_residual(sol, x), equal bit for
+    bit to those calls on sol = solve_general(BvpSpec(H, p, q)) while their
+    stencils take the same gtf lane as the fused array (fewer than
+    specfun.INV_FIT_MIN points in all, as in verify), and the float
+    max(|sol(0)|, |sol(H)|) from that array.  Every H's stencil and both
+    ends are inverted in one gtf call, and the phase-curve check takes its
+    cosine from the stencil's centre row instead of inverting again.
     """
     specs = [BvpSpec(H=H, p=p, q=q) for H in Hs]
     frac = np.asarray(fractions, dtype=float)
@@ -294,11 +301,11 @@ def general_checks(p: float, q: float, Hs, fractions):
     ends = H * np.array([0.0, 1.0])
     cut = rows.size
     args = np.concatenate(((omega * rows).ravel(), (omega * ends).ravel()))
-    sincos = _sincos_tail(P, q, args, pointwise=True)  # (s, c, yc)
+    sincos = _sincos_tail(P, q, args)  # (s, c, yc)
     at_rows = [v[:cut].reshape(rows.shape) for v in sincos]
     at_ends = [v[cut:].reshape(ends.shape) for v in sincos]
-    u0, u1, u2 = _richardson(h, _profile(P, q, amp, *at_rows, pointwise=True))
+    u0, u1, u2 = _richardson(h, _profile(P, q, amp, *at_rows))
     ode = _ode_general(p, q, u0, u1, u2)
     phase = np.abs(u0 - _phase_curve(H, p, q, P, at_rows[1][0]))
-    bc = np.abs(_profile(P, q, amp, *at_ends, pointwise=True)).max(axis=1)
+    bc = np.abs(_profile(P, q, amp, *at_ends)).max(axis=1)
     return [(ode[i], phase[i], float(bc[i])) for i in range(len(specs))]

@@ -7,23 +7,24 @@ realization goes through the regularized incomplete beta function and its
 inverse; near the right end of the principal interval the inverse is solved
 in the swapped-tail form to keep cos_pq accurate.
 
-Every evaluator takes a point or an array of points.  A point given as a
-float or an int takes the float lane: it is range-checked with plain
-comparisons, the inversions call scipy's scalar kernels
-(scipy.special.cython_special, the same Boost code as the ufuncs) and the
-powers are Python float powers, i.e. the C library's pow.  No 0-d array is
-built, and the result is a Python float equal bit for bit to the one the
-array machinery gives a 0-d input.  Arrays of fewer than
-specfun.INV_FIT_MIN points go through the ufuncs, bit for bit the scalar
-kernels.  Larger arrays take specfun's own kernels: the sine and cosine
-inversions specfun.inc_beta_reg_inv, which starts from a fitted inverse and
-polishes it with a Newton step on the series specfun.inc_beta_reg, and
-asin_pq that series itself.  Their values may differ from the ufuncs' in
-the last ulps; they are accurate at the symmetric shapes 1/q = 1/p* where
-scipy's inverse is not, and the series is within 9.4e-16 of mpmath where
-Boost's incomplete beta is off by up to 3e-15.  sincos_pq(pointwise=True)
-always takes the ufuncs, so its arrays equal the scalar calls bit for bit
-at every size.  All lanes share every other formula.
+Every evaluator takes a point or an array of points, and the input alone
+picks the lane.  A float or an int takes the float lane: plain range
+comparisons, scipy's scalar kernels (scipy.special.cython_special, the same
+Boost code as the ufuncs), Python float powers, no 0-d array, and a Python
+float back.  Arrays of fewer than specfun.INV_FIT_MIN points take the
+ufuncs and numpy's powers.  Larger arrays take specfun's kernels: the
+inversions specfun.inc_beta_reg_inv (a fitted inverse Newton-polished on
+the series specfun.inc_beta_reg), and asin_pq that series.  All lanes
+share every other formula and one accuracy contract: at every point each
+is within 2e-15 of 50-digit mpmath, relative and divided by the condition
+number of its inversion, or no further than scipy's raw inverse
+(tests/test_gtf.py, TestFittedInverse).  Lanes may differ in the last ulps
+(numpy's power and the C library's pow differ on a few percent of points);
+bits match between sincos_pq and sin_pq, cos_pq, between the scalar kernels
+and the ufuncs, and wherever a point sits in an array of a given lane.  At
+1/q = 1/p*, I_{1/2}(a, a) = 1/2 and every lane inverts y = 1/2 to 1/2,
+where Boost's inverse misses it by up to 1.3e-8.  The series is within
+9.4e-16 of mpmath where Boost's incomplete beta is off by up to 3e-15.
 
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
@@ -50,7 +51,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 import scipy.special as sc
@@ -131,16 +131,22 @@ def _as_unit(x, top: float, what: str):
     return np.clip(xx, 0.0, top)
 
 
-def _betaincinv(a: float, b: float, y, pointwise: bool = False):
+def _betaincinv(a: float, b: float, y):
     """t with I_t(a, b) = y: scipy's scalar kernel for a float y, the ufunc
-    for an array of fewer than specfun.INV_FIT_MIN points or with
-    pointwise=True (the same Boost code, bit for bit), and the polished
-    specfun.inc_beta_reg_inv for larger arrays."""
+    for an array of fewer than specfun.INV_FIT_MIN points (the same Boost
+    code, bit for bit), and the polished specfun.inc_beta_reg_inv for larger
+    arrays.  At a = b, y = 1/2 gives t = 1/2 exactly in every lane, since
+    I_{1/2}(a, a) = 1/2 (DLMF 8.17.4); Boost's inverse misses it by up to
+    1.3e-8 at some a (68 of 4000 random p in (1, 100) at a = 1/p*)."""
     if isinstance(y, float):
-        return _cs.betaincinv(a, b, y)
-    if pointwise or y.size < specfun.INV_FIT_MIN:
-        return sc.betaincinv(a, b, y)
-    return specfun.inc_beta_reg_inv(a, b, y)
+        return 0.5 if a == b and y == 0.5 else _cs.betaincinv(a, b, y)
+    if y.size < specfun.INV_FIT_MIN:
+        t = sc.betaincinv(a, b, y)
+    else:
+        t = specfun.inc_beta_reg_inv(a, b, y)
+    if a == b:
+        t[y == 0.5] = 0.5
+    return t
 
 
 def _betainc(a: float, b: float, t):
@@ -180,55 +186,36 @@ def _lead_cos_power(a: float, b: float, yc):
     return b * specfun.beta(b, a) * yc
 
 
-def _cos_from_tail(p: float, a: float, b: float, tc, yc, pointwise=False):
+def _cos_from_tail(p: float, a: float, b: float, tc, yc):
     """cos_pq = tc^(1/p) from the swapped-tail inverse tc at yc, or its
-    leading term (b B(b, a) yc)^(1/(p-1)) where tc < DBL_MIN; pointwise
-    raises the powers through the C library's pow, as _libm_pow."""
-    power = _libm_pow if pointwise else pow
-    c = power(tc, 1.0 / p)
+    leading term (b B(b, a) yc)^(1/(p-1)) where tc < DBL_MIN."""
+    c = tc ** (1.0 / p)
     if isinstance(c, float):
         if tc < _DBL_MIN:
-            c = power(_lead_cos_power(a, b, yc), 1.0 / (p - 1.0))
+            c = _lead_cos_power(a, b, yc) ** (1.0 / (p - 1.0))
         return float(c)
     under = tc < _DBL_MIN
     if under.any():
-        c[under] = power(_lead_cos_power(a, b, yc[under]), 1.0 / (p - 1.0))
+        c[under] = _lead_cos_power(a, b, yc[under]) ** (1.0 / (p - 1.0))
     return c
 
 
-def _cos_power(p: float, q: float, c, yc, pointwise=False):
+def _cos_power(p: float, q: float, c, yc):
     """cos_pq^(p-1) from a cosine c of _sincos_tail and the argument yc of
     its inversion: c^(p-1), except where c < DBL_MIN.  There the inverse
     tc = cos_pq^p is below DBL_MIN too (c = tc^(1/p) >= tc), so c is the
     leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and the
     power is that term's base b B(b, a) yc; at p near 1 it is far from
-    underflow (1e-308^(1/400) = 0.17).  pointwise raises the power as
-    _libm_pow; a float c gives a float."""
-    e = p - 1.0
+    underflow (1e-308^(1/400) = 0.17).  A float c gives a float."""
     if isinstance(c, float):
         if c < _DBL_MIN:
             return float(_lead_cos_power(1.0 / q, 1.0 / conjugate(p), yc))
-        return c**e
-    cp = _libm_pow(c, e) if pointwise else c**e
+        return c ** (p - 1.0)
+    cp = c ** (p - 1.0)
     under = c < _DBL_MIN
     if under.any():
         cp[under] = _lead_cos_power(1.0 / q, 1.0 / conjugate(p), yc[under])
     return cp
-
-
-def _libm_pow(base, exponent: float):
-    """base ** exponent one element at a time on Python floats, i.e. through
-    the C library's pow, as the scalar paths of this package compute it.
-
-    numpy's vectorized power differs from pow in the last ulp on a few
-    percent of inputs; callers that must reproduce the scalar calls bit for
-    bit on arrays raise their powers here.
-    """
-    if isinstance(base, float) or np.ndim(base) == 0:
-        return float(base) ** exponent
-    base = np.asarray(base, dtype=float)
-    powers = map(math.pow, base.ravel().tolist(), repeat(exponent))
-    return np.fromiter(powers, float, base.size).reshape(base.shape)
 
 
 def asin_pq(p: float, q: float, x):
@@ -265,23 +252,18 @@ def cos_pq(p: float, q: float, x):
     return _cos_from_tail(p, a, b, _betaincinv(b, a, yc), yc)
 
 
-def sincos_pq(p: float, q: float, x, *, pointwise: bool = False):
+def sincos_pq(p: float, q: float, x):
     """(sin_pq(p, q, x), cos_pq(p, q, x)) from one validation and one pi_pq.
 
     Both incomplete-beta inversions (the sine form and the swapped-tail
-    cosine form) run on the whole array.  The pair equals the two separate
-    calls bit for bit, for scalars and for arrays.  With pointwise=True the
-    inversions take the ufuncs at every array size and the two final powers
-    are taken one element at a time through the C library's pow, so that an
-    array result equals the scalar calls [sin_pq(p, q, xi) for xi in x] (and
-    likewise cos_pq) bit for bit; the fitted inverse of large arrays and
-    numpy's vectorized power, which the array calls use, can differ from
-    those in the last ulp.  Scalars give the same result either way.
+    cosine form) run on the whole array, in the lane its type and size
+    select (see the module docstring).  The pair equals the two separate
+    calls bit for bit, for scalars and for arrays.
     """
-    return _sincos_tail(p, q, x, pointwise)[:2]
+    return _sincos_tail(p, q, x)[:2]
 
 
-def _sincos_tail(p: float, q: float, x, pointwise: bool = False):
+def _sincos_tail(p: float, q: float, x):
     """sincos_pq's (sin, cos) and yc = 1 - x/(pi_pq/2), the argument of the
     swapped-tail cosine inversion, which _cos_power needs."""
     check_pq(p, q)
@@ -289,10 +271,9 @@ def _sincos_tail(p: float, q: float, x, pointwise: bool = False):
     xx = _as_unit(x, halfpi, "sincos_pq")
     a, b = 1.0 / q, 1.0 / conjugate(p)
     yc = (halfpi - xx) / halfpi
-    t = _betaincinv(a, b, xx / halfpi, pointwise)
-    c = _cos_from_tail(p, a, b, _betaincinv(b, a, yc, pointwise), yc, pointwise)
-    s = _libm_pow(t, 1.0 / q) if pointwise else t ** (1.0 / q)
-    return _small_x(xx, s, xx < _DBL_MIN ** a), c, yc
+    t = _betaincinv(a, b, xx / halfpi)
+    c = _cos_from_tail(p, a, b, _betaincinv(b, a, yc), yc)
+    return _small_x(xx, t ** (1.0 / q), xx < _DBL_MIN ** a), c, yc
 
 
 def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
@@ -322,10 +303,11 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         cos_pq((pi_pq/2) x)  vs  sin_{q*,p*}^(p*-1)((pi_{q*,p*}/2)(1-x))
 
     x01 is one point of [0, 1] (two floats are returned; a float or an int
-    takes the float lane) or an array of them (two arrays); every power is
-    taken pointwise through the C library's pow, so an array gives the
-    scalar calls' residuals bit for bit.  Unlike sin_pq, x01 gets no slack
-    beyond [0, 1].
+    takes the float lane) or an array of them (two arrays, in the lane the
+    array's size selects); the lanes agree to within gtf's accuracy
+    contract, not bit for bit.  A residual is a few ulps except near x01 =
+    1, where the rounding of pi_pq/2 - x in the cosine dominates.  Unlike
+    sin_pq, x01 gets no slack beyond [0, 1].
     """
     check_pq(p, q)
     if isinstance(x01, (float, int)):
@@ -339,9 +321,9 @@ def sin_symmetry_appendix(p: float, q: float, x01):
     ps, qs = conjugate(p), conjugate(q)
     half_a = 0.5 * pi_pq(p, q)
     half_b = 0.5 * pi_pq(qs, ps)
-    s_a, c_a = sincos_pq(p, q, half_a * xx, pointwise=True)
-    s_b, c_b = sincos_pq(qs, ps, half_b * (1.0 - xx), pointwise=True)
-    return s_a - _libm_pow(c_b, qs - 1.0), c_a - _libm_pow(s_b, ps - 1.0)
+    s_a, c_a = sincos_pq(p, q, half_a * xx)
+    s_b, c_b = sincos_pq(qs, ps, half_b * (1.0 - xx))
+    return s_a - c_b ** (qs - 1.0), c_a - s_b ** (ps - 1.0)
 
 
 def multiple_angle_residual(p: float, x: float) -> float:

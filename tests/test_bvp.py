@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from test_gtf import mp_sincos
+from test_gtf import N0, mp_sincos
 
 from gentrig import bvp, cli, gtf
 from gentrig.bvp import BvpSpec, NonlocalSpec
@@ -15,8 +15,23 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-# Point-by-point verifiers built on scalar sol(x) and cos_pq calls: the
-# reference that the fused array verifiers must reproduce bit for bit.
+# Point-by-point verifiers built on scalar sol(x) and cos_pq calls, gtf's
+# float lane: the reference that the fused array verifiers must reproduce to
+# within the rounding of u.
+
+EPS = np.finfo(float).eps
+FRACTIONS = np.arange(1, 10) / 10.0  # the verify suite's points
+
+
+def ode_bound(sol, xs, coeff):
+    """8 coeff eps |u| / h^2 at interior points xs, coeff being the factor of
+    u u'' in the residual: how far the fused ODE residual may be from the
+    reference.  The two profiles differ in the last ulp at some stencil
+    points (numpy's power against the C library's pow), and the second
+    difference divides that by h^2."""
+    H = sol.spec.H
+    h = np.minimum(1e-4 * H, np.minimum(0.5 * xs, 0.5 * (H - xs)))
+    return 8.0 * coeff * EPS * np.abs(sol(xs)) / h**2
 
 
 def ref_stencil(sol, x):
@@ -129,8 +144,7 @@ class TestGeneralSolution:
         for x in (0.0, H, low, high):
             value = sol(x)
             assert type(value) is float
-            assert same_bits(value, sol._eval(np.array([min(max(x, 0.0), H)]),
-                                              pointwise=True)[0])
+            assert same_bits(value, sol(min(max(x, 0.0), H)))
             assert same_bits(sol(np.array([x])), sol(np.array([min(max(x, 0.0), H)])))
         for x in (np.nextafter(low, -math.inf), np.nextafter(high, math.inf)):
             with pytest.raises(DomainError):
@@ -140,33 +154,52 @@ class TestGeneralSolution:
 
 
 class TestFusedVerifiers:
+    """The fused array verifiers against the point-by-point reference: the
+    ODE residual within ode_bound, the phase residual within 1e-14 at the
+    verify fractions (near the ends it false-fails: TestPhaseCurveNearEnds);
+    bit for bit against themselves on one-element arrays and reshaped."""
+
     @pytest.mark.parametrize("p,q", [(1.5, 4.0), (4.0, 1.5), (2.0, 2.0), (3.0, 2.5)])
     @pytest.mark.parametrize("H", [1.0, 2.5])
     def test_general_equals_reference(self, p, q, H):
         sol = bvp.solve_general(BvpSpec(H=H, p=p, q=q))
         xs = interior_points(H)
-        for fused, ref in (
-            (bvp.residual_general, ref_residual_general),
-            (bvp.phase_curve_residual, ref_phase_curve_residual),
-        ):
+        got = bvp.residual_general(sol, xs)
+        ref = [ref_residual_general(sol, x) for x in xs.tolist()]
+        assert np.all(np.abs(got - ref) <= ode_bound(sol, xs, p + q))
+        at = H * FRACTIONS
+        assert bvp.phase_curve_residual(sol, at).max() <= 1e-14
+        assert max(ref_phase_curve_residual(sol, x) for x in at.tolist()) <= 1e-14
+        for fused in (bvp.residual_general, bvp.phase_curve_residual):
             got = fused(sol, xs)
-            assert same_bits(got, [ref(sol, x) for x in xs.tolist()])
-            assert same_bits(got, [fused(sol, x) for x in xs])
+            assert same_bits(got, [fused(sol, np.array([x]))[0] for x in xs])
             assert same_bits(fused(sol, xs.reshape(3, -1)), got.reshape(3, -1))
+        # the profile itself, in the float and both array lanes
+        arrays = (sol(xs), sol(np.resize(xs, N0)))
+        for i in range(0, xs.size, 9):
+            ref = mp_general(H, p, q, xs[i])
+            for value in (sol(float(xs[i])), arrays[0][i], arrays[1][i]):
+                assert abs(value - ref) <= 2e-15 * ref, (xs[i], value, ref)
 
     @pytest.mark.parametrize("m", [0.5, 2.0])
     def test_nonlocal_equals_reference(self, m):
+        # phi = s u with s = 2 sqrt(m^2 + 1/4), and its residual is s^2/(p q)
+        # times u's general one, p q = p + q: the general bound times s
         sol = bvp.solve_nonlocal(NonlocalSpec(H=1.0, m=m))
         xs = interior_points(1.0)
         got = bvp.residual_nonlocal(sol, xs)
-        assert same_bits(got, [ref_residual_nonlocal(sol, x) for x in xs.tolist()])
-        assert same_bits(got, [bvp.residual_nonlocal(sol, x) for x in xs])
+        ref = [ref_residual_nonlocal(sol, x) for x in xs.tolist()]
+        s = 2.0 * math.sqrt(m**2 + 0.25)
+        assert np.all(np.abs(got - ref) <= ode_bound(sol, xs, s))
+        assert same_bits(got, [bvp.residual_nonlocal(sol, np.array([x]))[0] for x in xs])
 
     def test_mirrored_profile_equals_reference(self):
         sol = bvp.solve_pq_equal(1.5)
         xs = interior_points(1.0)
         got = bvp.residual_general(sol, xs)
-        assert same_bits(got, [ref_residual_general(sol, x) for x in xs.tolist()])
+        ref = [ref_residual_general(sol, x) for x in xs.tolist()]
+        assert np.all(np.abs(got - ref) <= ode_bound(sol, xs, 3.0))
+        assert same_bits(got, [bvp.residual_general(sol, np.array([x]))[0] for x in xs])
 
     def test_scalar_result_is_float(self):
         sol = bvp.solve_general(BvpSpec(H=1.0, p=1.5, q=4.0))
@@ -185,28 +218,32 @@ class TestFusedVerifiers:
 class TestGeneralChecks:
     """bvp.general_checks: every H at one (p, q) from one gtf call."""
 
-    FRACTIONS = np.arange(1, 10) / 10.0  # the verify suite's points
-
     @pytest.mark.parametrize("p", cli.GRIDS["full"])
     @pytest.mark.parametrize("q", cli.GRIDS["full"])
     def test_equals_point_by_point_reference(self, p, q):
+        """Bit for bit residual_general, phase_curve_residual and the ends
+        (all in the same lane); the point-by-point reference within
+        ode_bound, and both phase residuals within 1e-14."""
         lengths = (1.0, 2.5)
-        checks = bvp.general_checks(p, q, lengths, self.FRACTIONS)
+        checks = bvp.general_checks(p, q, lengths, FRACTIONS)
         assert len(checks) == len(lengths)
         for H, (ode, phase, bc) in zip(lengths, checks):
             sol = bvp.solve_general(BvpSpec(H=H, p=p, q=q))
-            xs = (H * self.FRACTIONS).tolist()
-            assert same_bits(ode, [ref_residual_general(sol, x) for x in xs])
-            assert same_bits(phase, [ref_phase_curve_residual(sol, x) for x in xs])
+            xs = H * FRACTIONS
+            assert same_bits(ode, bvp.residual_general(sol, xs))
+            assert same_bits(phase, bvp.phase_curve_residual(sol, xs))
             assert type(bc) is float
             assert same_bits(bc, max(abs(sol(0.0)), abs(sol(H))))
+            ref = [ref_residual_general(sol, x) for x in xs.tolist()]
+            assert np.all(np.abs(ode - ref) <= ode_bound(sol, xs, p + q))
+            ref_phase = [ref_phase_curve_residual(sol, x) for x in xs.tolist()]
+            assert phase.max() <= 1e-14 and max(ref_phase) <= 1e-14
 
     def test_one_gtf_call_per_pair(self, monkeypatch):
         calls = []
         real = bvp._sincos_tail
         monkeypatch.setattr(bvp, "_sincos_tail",
-                            lambda p, q, x, pointwise=False:
-                            calls.append((p, q)) or real(p, q, x, pointwise))
+                            lambda p, q, x: calls.append((p, q)) or real(p, q, x))
         for name in ("residual_general", "phase_curve_residual"):
             monkeypatch.setattr(bvp, name, None)  # the suite must not need them
         grid = cli.GRIDS["full"]
@@ -225,6 +262,41 @@ class TestGeneralChecks:
         for fractions in ([0.0, 0.5], [0.5, 1.0], [math.nan]):
             with pytest.raises(DomainError):
                 bvp.general_checks(2.0, 2.0, (1.0,), fractions)
+
+
+def phase_bound(sol, xs):
+    """phase_curve_residual's stated bound: |u| ((1 + d/A)^(1/q) - 1) with
+    A = (1/p + 1/q) sin^q(w x) and d = 2 (p* + 1) eps the rounding of v, the
+    like term in (1/p + 1/q) c^{p*} and 1/p, and 4 eps |u| of rounding."""
+    H, p, q = sol.spec.H, sol.spec.p, sol.spec.q
+    P = gtf.conjugate(p)
+    s, c = gtf.sincos_pq(P, q, gtf.pi_pq(P, q) / (2.0 * H) * xs)
+    ssum, d = 1.0 / p + 1.0 / q, 2.0 * (P + 1.0) * EPS
+    near_0 = (1.0 + d / (ssum * s**q)) ** (1.0 / q) - 1.0
+    near_h = (1.0 + d / (ssum * c**P)) ** (1.0 / p) - 1.0
+    return np.abs(sol(xs)) * (near_0 + near_h + 4.0 * EPS)
+
+
+class TestPhaseCurveNearEnds:
+    """Near x = 0 and x = H the phase-curve check loses accuracy (v - 1/q
+    and v + 1/p cancel) and false-fails; its docstring states the bound."""
+
+    def test_measured_false_fails(self):
+        sol = bvp.solve_general(BvpSpec(H=1.0, p=1.5, q=4.0))
+        assert bvp.phase_curve_residual(sol, 3e-5) == sol(3e-5)  # v - 1/q is 0
+        assert bvp.phase_curve_residual(sol, 1e-3) > 1e-9  # verify's tolerance
+        sol = bvp.solve_general(BvpSpec(H=1.0, p=2.5, q=3.0))
+        assert bvp.phase_curve_residual(sol, 1e-6) > 1e-7
+
+    @pytest.mark.parametrize("p", cli.GRIDS["full"])
+    @pytest.mark.parametrize("q", cli.GRIDS["full"])
+    def test_stated_bound(self, p, q):
+        ends = np.geomspace(1e-14, 1e-3, 40)
+        fractions = np.concatenate([ends, np.random.default_rng(1).random(30), 1.0 - ends])
+        for H in (1.0, 2.5):
+            sol = bvp.solve_general(BvpSpec(H=H, p=p, q=q))
+            xs = H * fractions
+            assert np.all(bvp.phase_curve_residual(sol, xs) <= phase_bound(sol, xs))
 
 
 def mp_general(H, p, q, x):
@@ -253,7 +325,7 @@ class TestCosineUnderflow:
         H = 1.0
         sol = bvp.solve_general(BvpSpec(H=H, p=p, q=q))
         xs = [0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999]
-        arrays = (sol(np.array(xs)), sol._eval(np.array(xs), pointwise=True))
+        arrays = (sol(np.array(xs)), sol(np.resize(xs, N0)))
         for i, x in enumerate(xs):
             ref = mp_general(H, p, q, x)
             for value in (sol(x), arrays[0][i], arrays[1][i]):
