@@ -5,6 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import cython_special
 
 from gentrig import bvp, gtf, integrals, quadrature, specfun
@@ -173,6 +175,13 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def within_ulps(a, b, n):
+    """a and b of one shape, elementwise at most n ulps apart."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    gap = np.abs(a - b) <= n * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return a.shape == b.shape and bool(gap.all())
+
+
 FUSED_PAIRS = [(1.5, 4.0), (4.0, 1.5), (2.0, 2.0), (3.0, 2.5), (1.5, 1.5)]
 
 
@@ -188,6 +197,21 @@ class TestSinCosFused:
             assert type(s) is float and type(c) is float
             assert same_bits(s, gtf.sin_pq(p, q, x))
             assert same_bits(c, gtf.cos_pq(p, q, x))
+
+    @pytest.mark.parametrize("p,q", FUSED_PAIRS)
+    def test_pointwise_equals_scalar_calls(self, p, q):
+        """Point by point, an array of fewer than INV_FIT_MIN points (numpy's
+        power) is within 1 ulp of the float lane (the C library's pow), and
+        a point's value does not depend on the array's shape or on where the
+        point sits in it."""
+        xs = np.linspace(0.0, 1.0, 257) * (gtf.pi_pq(p, q) / 2.0)
+        s, c = gtf.sincos_pq(p, q, xs.reshape(-1, 1))
+        assert s.shape == c.shape == (257, 1)
+        assert within_ulps(s.ravel(), [gtf.sin_pq(p, q, x) for x in xs.tolist()], 1)
+        assert within_ulps(c.ravel(), [gtf.cos_pq(p, q, x) for x in xs.tolist()], 1)
+        assert same_bits(s.ravel(), gtf.sin_pq(p, q, xs))
+        x = xs[100:101]
+        assert same_bits(gtf.sincos_pq(p, q, x), (s[100], c[100]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -328,7 +352,119 @@ class TestSymmetricExtension:
 # ---------------------------------------------------------------- float lane
 
 
+def ufunc_formula(name, p, q, x):
+    """A scalar value as the formulas state it: x as a 0-d array,
+    range-checked and clipped, the scipy ufuncs, numpy scalar powers and
+    asin_pq's (1/q) B(1/q, 1/p*) factor; the inverse is 1/2 at a = b,
+    y = 1/2; sin is x itself where x > 0 and x < DBL_MIN^(1/q), asin its
+    two-term series x + x x^q / (p (q + 1)) where x > 0 and x^q < 2^-27, and
+    cos is the leading term (b B(b, a) yc)^(1/(p-1)) where the inverse
+    tc = cos^p is below DBL_MIN."""
+    a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
+    top = 1.0 if name == "asin" else 0.5 * gtf.pi_pq(p, q)
+    xx = np.asarray(x, dtype=float)
+    slack = 1e-12 * top
+    if not ((xx >= -slack) & (xx <= top + slack)).all():
+        raise DomainError("outside")
+    xx = np.clip(xx, 0.0, top)
+
+    def inverse(a, b, y):
+        return np.float64(0.5) if a == b and y == 0.5 else sc.betaincinv(a, b, y)
+
+    if name == "cos":
+        yc = (top - xx) / top
+        tc = inverse(b, a, yc)
+        if tc < sys.float_info.min:
+            return float((b * specfun.beta(b, a) * yc) ** (1.0 / (p - 1.0)))
+        return float(tc ** (1.0 / p))
+    if name == "asin":
+        xq = xx**q
+        if 0.0 < xx and xq < 2.0**-27:
+            return float(xx + xx * xq / (p * (q + 1.0)))
+        return float((1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xq))
+    if 0.0 < xx < sys.float_info.min ** (1.0 / q):
+        return float(xx)
+    return float(inverse(a, b, xx / top) ** (1.0 / q))
+
+
+def same_float(a, b):
+    return type(a) is float and type(b) is float and same_bits(a, b)
+
+
+_exponent = st.one_of(
+    st.floats(1.0, 50.0, exclude_min=True),
+    st.floats(1e-9, 1e-2).map(lambda e: 1.0 + e),  # near 1
+)
+_pairs = st.one_of(
+    st.tuples(_exponent, _exponent),
+    # symmetric shapes 1/q = 1/p*, i.e. q = p*, with p in [50/49, 50]
+    st.floats(50.0 / 49.0, 50.0).map(lambda p: (p, gtf.conjugate(p))),
+)
+# (how, u): the point is built from u and the half period below
+_points = st.one_of(
+    st.tuples(st.just("uniform"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("near 0"), st.floats(0.0, 1e-15)),
+    st.tuples(st.just("near top"), st.floats(0.0, 1e-15)),
+    st.tuples(st.sampled_from(["zero", "-zero", "top", "middle"]), st.just(0.0)),
+    st.tuples(st.just("slack below"), st.floats(0.0, 0.999e-12)),
+    st.tuples(st.just("slack above"), st.floats(0.0, 0.999e-12)),
+)
+
+
+def _point(how, u, top):
+    return {
+        "uniform": u * top, "near 0": u * top, "near top": (1.0 - u) * top,
+        "zero": 0.0, "-zero": -0.0, "top": top, "middle": 0.5 * top,
+        "slack below": -u * top, "slack above": top + u * top,
+    }[how]
+
+
 class TestFloatLane:
+    """The float lane is the formulas on scalars bit for bit (numpy's scalar
+    power is the C library's pow); the sines and cosines of arrays of fewer
+    than INV_FIT_MIN points take numpy's array power and stay within 1 ulp
+    of it.  (asin_pq's array lane is not held to 1 ulp: near x = 1 an ulp of
+    x^q moves it by up to its condition number.)"""
+
+    @given(pq=_pairs, pt=_points)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_equals_array_and_ufunc_formula(self, pq, pt):
+        p, q = pq
+        half = 0.5 * gtf.pi_pq(p, q)
+        x = _point(*pt, half)
+        s, c = gtf.sin_pq(p, q, x), gtf.cos_pq(p, q, x)
+        assert same_float(s, ufunc_formula("sin", p, q, x))
+        assert same_float(c, ufunc_formula("cos", p, q, x))
+        assert same_bits(gtf.sincos_pq(p, q, x), (s, c))
+        arr = np.array([0.25 * half, x, half])
+        s_arr, c_arr = gtf.sincos_pq(p, q, arr)
+        assert within_ulps(s_arr[1], s, 1) and within_ulps(c_arr[1], c, 1)
+        t = _point(*pt, 1.0)
+        assert same_float(gtf.asin_pq(p, q, t), ufunc_formula("asin", p, q, t))
+
+    @given(p=_exponent, pt=_points)
+    @settings(max_examples=100, deadline=None)
+    def test_extension_equals_ufunc_formula(self, p, pt):
+        full = gtf.pi_pq(2.0, p)
+        x = _point(*pt, full)
+        clipped = np.clip(np.asarray(x), 0.0, full)
+        folded = np.minimum(clipped, full - clipped)
+        value = gtf.extend_sin_symmetric(p, x)
+        assert same_float(value, ufunc_formula("sin", 2.0, p, folded))
+        assert same_bits(value, gtf.extend_sin_symmetric(p, np.float64(x)))
+
+    def test_seeded_sweep_equals_ufunc_formula(self):
+        rng = np.random.default_rng(20261018)
+        pairs = [(2.0, 2.0), (30.0, 30.0 / 29.0), (1.001, 7.0), (7.0, 1.001)]
+        pairs += [tuple(1.0 + 49.0 * rng.random(2)) for _ in range(8)]
+        for p, q in pairs:
+            half = 0.5 * gtf.pi_pq(p, q)
+            xs = np.concatenate([rng.random(40), 1.0 - 10.0 ** -rng.uniform(1, 15, 20)])
+            for u in xs.tolist():
+                x = u * half
+                assert same_float(gtf.sin_pq(p, q, x), ufunc_formula("sin", p, q, x))
+                assert same_float(gtf.cos_pq(p, q, x), ufunc_formula("cos", p, q, x))
+                assert same_float(gtf.asin_pq(p, q, u), ufunc_formula("asin", p, q, u))
     @pytest.mark.parametrize(
         "x", [0.3, np.float64(0.3), 1, 0, np.array(0.3)],
         ids=["float", "float64", "int", "int0", "0-d"])
@@ -669,6 +805,31 @@ class TestFittedInverse:
             for j, ref in ((0, 0.5 ** (1.0 / q)), (1, 0.5 ** (1.0 / p))):
                 for name, v in lanes.items():
                     assert abs(v[j][0] - ref) <= np.spacing(ref), (p, name, j)
+
+    @pytest.mark.parametrize("p,q", [(1.5, 4.0), (3.0, 2.5)])
+    def test_pointwise_equals_scalar_calls(self, p, q):
+        """Point by point, the fitted lane (N0 + 1 points) and the float
+        lane agree to the contract's 2e-15, relative and divided by the
+        condition number of the inversion (in doubles, as in _mp_condition).
+        The measured worst is 9.4e-16, in the cosine at (1.5, 4)."""
+        half = 0.5 * gtf.pi_pq(p, q)
+        xs = np.linspace(0.0, 1.0, N0 + 1) * half
+        fitted = gtf.sincos_pq(p, q, xs)
+        floats = ([gtf.sin_pq(p, q, x) for x in xs.tolist()],
+                  [gtf.cos_pq(p, q, x) for x in xs.tolist()])
+        a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
+        shapes = ((a, b, xs / half, q), (b, a, (half - xs) / half, p))
+        for j, (a_, b_, y, power) in enumerate(shapes):
+            v, ref = fitted[j], np.array(floats[j])
+            t = ref**power
+            inner = (t > 0.0) & (t < 1.0)
+            ti, yi = t[inner], y[inner]
+            density = np.exp((a_ - 1.0) * np.log(ti) + (b_ - 1.0) * np.log1p(-ti)
+                             - sc.betaln(a_, b_))
+            cond = np.ones_like(t)
+            cond[inner] = np.maximum(1.0, yi / (power * ti * density))
+            err = np.abs(v - ref) / np.where(ref > 0.0, ref, 1.0) / cond
+            assert err.max() <= 2e-15, (j, xs[np.argmax(err)])
 
     @pytest.mark.parametrize("p,q", [(1.5, 4.0), (3.0, 2.5), (1.01, 1.02)])
     def test_below_fit_min_equals_ufunc(self, p, q, monkeypatch):
