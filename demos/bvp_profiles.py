@@ -12,38 +12,34 @@ import math
 import numpy as np
 
 from gentrig import bvp
-from gentrig.bvp import BvpSpec, NonlocalSpec
 
 print("general problem, finite-difference ODE residuals at midpoints:")
 for p, q in ((1.5, 3.0), (2.0, 2.0), (4.0, 1.5)):
-    sol = bvp.solve_general(BvpSpec(H=1.0, p=p, q=q))
+    sol = bvp.solve_general(1.0, p, q)
     xs = np.linspace(0.0, 1.0, 9)[1:-1]
-    worst = bvp.residual_general(sol, xs).max()
+    worst = bvp.residual_general(1.0, p, q, xs).max()
     print(f"  (p,q)=({p},{q}): max |residual| = {worst:.2e},"
           f"  u(1/2) = {sol(0.5):.12f}")
 
 print("\np = q = 2 reduces to the classical eigenfunction sin(pi x)/(2 pi):")
-sol = bvp.solve_general(BvpSpec(H=1.0, p=2.0, q=2.0))
+sol = bvp.solve_general(1.0, 2.0, 2.0)
 xs = np.linspace(0.0, 1.0, 11)
 gap = np.max(np.abs(sol(xs) - np.sin(math.pi * xs) / (2.0 * math.pi)))
 print(f"  max deviation on [0,1]: {gap:.2e}")
 
 print("\nphase-plane first integral u = C |v+1/p|^(1/p) |v-1/q|^(1/q):")
-sol = bvp.solve_general(BvpSpec(H=2.5, p=3.0, q=1.5))
 for x in (0.5, 1.25, 2.0):
-    print(f"  x={x}: residual = {bvp.phase_curve_residual(sol, x):.2e}")
+    print(f"  x={x}: residual = {bvp.phase_curve_residual(2.5, 3.0, 1.5, x):.2e}")
 
 print("\nnonlocal problem: the exponent pair depends on m through")
 print("r(m) = 1/(1/2 + 1/(4 sqrt(m^2+1/4))), and the closure must return m^2:")
 for m in (0.5, 1.0, 2.0, 10.0):
-    spec = NonlocalSpec(H=1.0, m=m)
-    phi = bvp.solve_nonlocal(spec)
-    got = bvp.nonlocal_mean_square_slope(phi)
-    print(f"  m={m:>4}: r = {spec.r:.6f},  (2/H) int (phi')^2 = {got:.10f}"
+    got = bvp.nonlocal_mean_square_slope(1.0, m)
+    print(f"  m={m:>4}: r = {bvp.nonlocal_exponent(m):.6f},  (2/H) int (phi')^2 = {got:.10f}"
           f"  (m^2 = {m * m})")
 
 print("\nprofile table for m = 1 (peak at the midpoint):")
-phi = bvp.solve_nonlocal(NonlocalSpec(H=1.0, m=1.0))
+phi = bvp.solve_nonlocal(1.0, 1.0)
 for x in np.linspace(0.0, 1.0, 11):
     bar = "#" * int(round(60 * phi(x) / phi(0.5)))
     print(f"  x={x:.1f}  phi={phi(x):.6f}  {bar}")

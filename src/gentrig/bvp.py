@@ -11,24 +11,22 @@ has the single positive solution
 
 with w = pi_{p*,q} / (2H).  The nonlocal variant replaces the constant
 forcing by (2/H) int (phi')^2 and is solved by rescaling the general
-solution with p* = q = r(m); the p = q case on [0, 1] collapses, through
-the multiple-angle formula, to a mirrored sin_{2,p} profile.
+solution with p* = q = r(m) (nonlocal_exponent); the p = q case on [0, 1]
+collapses, through the multiple-angle formula, to a mirrored sin_{2,p}
+profile.  Every function takes the problem's numbers, H > 0, p, q in
+(1, inf) and m > 0, and rejects the rest with DomainError.
 
 Residual verifiers use central finite differences (one Richardson step),
 so they stay independent of the closed forms they check.  They take a point
-or an array of points and evaluate the whole 5-point stencil x, x +- h,
-x +- h/2 of every point in one fused sin/cos call (gtf.sincos_pq), in the
-gtf lane the stencil's size picks.  A residual agrees with one computed
-point by point from scalar sol(x) calls to 8 (p + q) eps |u| / h^2 (the ODE
-residual's second difference divides a last-ulp difference of u by h^2),
-and bit for bit with itself on one-element arrays.
-
-general_checks verifies the general problem at one (p, q) and several H in
-one such call: the stencils of every H and the ends 0 and H are inverted
-together, the phase-curve check reuses the stencil's centre row, and the
-residuals equal residual_general's and phase_curve_residual's on arrays bit
-for bit while their stencils take the same lane.  Every verifier shares the
-stencil, Richardson, ODE, phase-curve and profile formulas below.
+or an array of points; a point is evaluated as a one-element array, so it
+gives the same bits as one.  The general problem has one evaluator, behind
+residual_general, phase_curve_residual and general_checks: it inverts the
+5-point stencils x, x +- h, x +- h/2 of every point and the ends 0 and H in
+one fused sin/cos call (gtf._sincos_tail), in the gtf lane the array's size
+picks, and takes the phase curve's cosine from the stencil's centre row.
+A residual agrees with one computed point by point from scalar sol(x) calls
+to 8 (p + q) eps |u| / h^2 (the ODE residual's second difference divides a
+last-ulp difference of u by h^2).
 
 Where cos_{p*,q} underflows (p above ~100 near x = H, above ~300 on much
 of (0, H); the nonlocal problem at m below ~0.1), the profile's factor
@@ -54,41 +52,9 @@ from .gtf import (
 
 
 @dataclass(frozen=True)
-class BvpSpec:
-    """Instance (H, p, q) of the general boundary value problem."""
-
-    H: float
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not self.H > 0:
-            raise DomainError("need H > 0")
-        check_pq(self.p, self.q)
-
-
-@dataclass(frozen=True)
-class NonlocalSpec:
-    """Instance (H, m) of the nonlocal problem; m > 0 is the free amplitude."""
-
-    H: float
-    m: float
-
-    def __post_init__(self):
-        if not self.H > 0:
-            raise DomainError("need H > 0")
-        if not self.m > 0:
-            raise DomainError("need m > 0")
-
-    @property
-    def r(self) -> float:
-        """Induced exponent in (1, 2): both p* and q of the local problem."""
-        return 1.0 / (0.5 + 0.25 / math.sqrt(self.m**2 + 0.25))
-
-
-@dataclass(frozen=True)
 class BvpSolution:
-    """Immutable positive solution; evaluate with sol(x), vectorized in x.
+    """Immutable positive solution on [0, H]; evaluate with sol(x),
+    vectorized in x.
 
     A float x gives a float from gtf's float lane, an array an array from
     the lane its size selects; both are within 2e-15 of the profile at 50
@@ -96,19 +62,25 @@ class BvpSolution:
     in [0, H].
     """
 
-    spec: object
+    H: float
     _eval: Callable = field(repr=False)
 
     def __call__(self, x):
         # gtf's validator: the same slack, and a float x takes its float lane
-        return _maybe_scalar(self._eval(_as_unit(x, self.spec.H, "sol(x)")))
+        return _maybe_scalar(self._eval(_as_unit(x, self.H, "sol(x)")))
 
 
 def _profile_scales(H: float, P: float, q: float):
     """(omega, amp) of the general profile amp cos^(P-1)(omega x) sin(omega x)
-    on [0, H], with P = p*: omega = pi_{P,q} / (2H), amp = 2H / (q pi_{P,q})."""
+    on [0, H], with P = p*: omega = pi_{P,q} / (2H), amp = 2H / (q pi_{P,q}).
+    The validator of H: both must be finite and nonzero, which rejects H <= 0,
+    NaN, inf, and H so large or so small that either overflows."""
     pi_val = pi_pq(P, q)
-    return pi_val / (2.0 * H), 2.0 * H / (q * pi_val)
+    if H > 0.0:  # written so that NaN fails the test, and before dividing
+        omega, amp = pi_val / (2.0 * H), 2.0 * H / (q * pi_val)
+        if 0.0 < omega < math.inf and 0.0 < amp < math.inf:
+            return omega, amp
+    raise DomainError(f"need H > 0 with finite nonzero profile scales, got H = {H}")
 
 
 def _profile(P: float, q: float, amp, s, c, yc):
@@ -116,32 +88,47 @@ def _profile(P: float, q: float, amp, s, c, yc):
     return amp * _cos_power(P, q, c, yc) * s
 
 
-def solve_general(spec: BvpSpec) -> BvpSolution:
+def solve_general(H: float, p: float, q: float) -> BvpSolution:
     """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H]."""
-    H, p, q = spec.H, spec.p, spec.q
+    check_pq(p, q)
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
 
     def u(x):
         return _profile(P, q, amp, *_sincos_tail(P, q, omega * x))
 
-    return BvpSolution(spec=spec, _eval=u)
+    return BvpSolution(H=H, _eval=u)
 
 
-def solve_nonlocal(spec: NonlocalSpec) -> BvpSolution:
+def nonlocal_exponent(m: float) -> float:
+    """r(m) = 1 / (1/2 + 1 / (4 sqrt(m^2 + 1/4))) in (1, 2): both p* and q of
+    the general problem that the nonlocal one rescales.  Needs m in (0, inf)
+    large enough that r(m) > 1 in floating point (m above ~1e-8)."""
+    r = 1.0 / (0.5 + 0.25 / math.hypot(m, 0.5))
+    # written so that NaN fails the test
+    if not (0.0 < m < math.inf and r > 1.0):
+        raise DomainError(f"need m > 0 with r(m) > 1, got m = {m}")
+    return r
+
+
+def solve_nonlocal(H: float, m: float) -> BvpSolution:
     """Positive solution of phi' - (phi')^2 + phi phi'' + (2/H) int (phi')^2 = 0.
 
     The solution is 2 sqrt(m^2 + 1/4) times the general solution with
-    p* = q = r(m); the integral term then evaluates to exactly m^2.
+    p* = q = r(m); the integral term then evaluates to exactly m^2.  The
+    general profile stays below H, so the solution is finite wherever the
+    product of its scale and H is.
     """
-    r = spec.r
-    inner = solve_general(BvpSpec(H=spec.H, p=conjugate(r), q=r))
-    scale = 2.0 * math.sqrt(spec.m**2 + 0.25)
+    r = nonlocal_exponent(m)
+    inner = solve_general(H, conjugate(r), r)
+    scale = 2.0 * math.hypot(m, 0.5)  # m^2 would overflow from m ~ 1e154
+    if not scale * H < math.inf:
+        raise DomainError(f"the nonlocal profile overflows at m = {m}, H = {H}")
 
     def phi(x):
         return scale * inner._eval(x)
 
-    return BvpSolution(spec=spec, _eval=phi)
+    return BvpSolution(H=H, _eval=phi)
 
 
 def solve_pq_equal(p: float) -> BvpSolution:
@@ -157,20 +144,15 @@ def solve_pq_equal(p: float) -> BvpSolution:
     def u(x):
         return amp * extend_sin_symmetric(p, pi_val * x)
 
-    return BvpSolution(spec=BvpSpec(H=1.0, p=p, q=p), _eval=u)
-
-
-def _interior(spec, x):
-    xx = np.asarray(x, dtype=float)
-    if not ((xx > 0.0) & (xx < spec.H)).all():
-        raise DomainError("x must be interior to (0, H)")
-    return xx
+    return BvpSolution(H=1.0, _eval=u)
 
 
 def _stencil_rows(H, xx):
     """The step h and the stencil rows x, x + h, x - h, x + h/2, x - h/2
-    (stacked on a new first axis) of interior points xx of [0, H]; H may be
-    an array that broadcasts against xx."""
+    (stacked on a new first axis) of points xx interior to (0, H), else
+    DomainError; H may be an array that broadcasts against xx."""
+    if not ((xx > 0.0) & (xx < H)).all():
+        raise DomainError("x must be interior to (0, H)")
     h = np.minimum(1e-4 * H, np.minimum(0.5 * xx, 0.5 * (H - xx)))
     return h, np.stack((xx, xx + h, xx - h, xx + h / 2, xx - h / 2))
 
@@ -186,19 +168,7 @@ def _richardson(h, rows):
     return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
 
 
-def _stencil(sol: BvpSolution, x):
-    """sol, sol' and sol'' at interior points x, from one evaluation of the
-    stencil of every point."""
-    h, rows = _stencil_rows(sol.spec.H, _interior(sol.spec, x))
-    return _richardson(h, sol._eval(rows))
-
-
-def _ode_general(p: float, q: float, u0, u1, u2):
-    """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1|."""
-    return np.abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
-
-
-def _phase_curve(H: float, p: float, q: float, P: float, c):
+def _phase_curve(H, p: float, q: float, P: float, c):
     """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
     v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*."""
     v = -1.0 / p + (1.0 / p + 1.0 / q) * c**P
@@ -207,54 +177,53 @@ def _phase_curve(H: float, p: float, q: float, P: float, c):
     return C * np.abs(v + 1.0 / p) ** (1.0 / p) * np.abs(v - 1.0 / q) ** (1.0 / q)
 
 
-def residual_general(sol: BvpSolution, x):
-    """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1| via finite differences, at one
-    interior point or elementwise on an array of them."""
-    spec = sol.spec
-    if not isinstance(spec, BvpSpec):
-        raise DomainError("residual_general needs a solution of the general problem")
-    r = _ode_general(spec.p, spec.q, *_stencil(sol, x))
-    return float(r) if np.ndim(x) == 0 else r
+def _general(p: float, q: float, Hs, xs):
+    """(ode, phase, boundary) of the general problem at (p, q) on [0, H] for
+    each H in Hs, at the interior points xs[i] of [0, Hs[i]]: the ODE and
+    phase-curve residuals, shaped like xs, and max(|u(0)|, |u(H)|) per H.
+    One _sincos_tail call inverts every stencil row and both ends."""
+    check_pq(p, q)
+    P = conjugate(p)
+    H = np.array(Hs, dtype=float)
+    omega, amp = np.array([_profile_scales(Hi, P, q) for Hi in H]).T
+    xx = np.asarray(xs, dtype=float)
+    col = (-1,) + (1,) * (xx.ndim - 1)  # per-H values against xx
+    Hc = H.reshape(col)
+    h, rows = _stencil_rows(Hc, xx)  # rows: (5, *xx.shape)
+    ends = H[:, None] * np.array([0.0, 1.0])
+    cut = rows.size
+    args = np.concatenate(((omega.reshape(col) * rows).ravel(),
+                           (omega[:, None] * ends).ravel()))
+    sincos = _sincos_tail(P, q, args)  # (s, c, yc)
+    at_rows = [v[:cut].reshape(rows.shape) for v in sincos]
+    at_ends = [v[cut:].reshape(ends.shape) for v in sincos]
+    u0, u1, u2 = _richardson(h, _profile(P, q, amp.reshape(col), *at_rows))
+    ode = np.abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
+    phase = np.abs(u0 - _phase_curve(Hc, p, q, P, at_rows[1][0]))
+    bc = np.abs(_profile(P, q, amp[:, None], *at_ends)).max(axis=1)
+    return ode, phase, bc
 
 
-def residual_nonlocal(sol: BvpSolution, x):
-    """|phi' - (phi')^2 + phi phi'' + m^2| for the local surrogate equation,
-    at one interior point or elementwise on an array of them."""
-    spec = sol.spec
-    if not isinstance(spec, NonlocalSpec):
-        raise DomainError("residual_nonlocal needs a nonlocal solution")
-    f0, f1, f2 = _stencil(sol, x)
-    r = np.abs(f1 - f1**2 + f0 * f2 + spec.m**2)
-    return float(r) if np.ndim(x) == 0 else r
+def _at_points(which: int, H: float, p: float, q: float, x):
+    """Residual `which` (0 ode, 1 phase) of _general at x, a float for a
+    point."""
+    r = _general(p, q, [H], np.atleast_1d(np.asarray(x, dtype=float))[None])[which][0]
+    return float(r[0]) if np.ndim(x) == 0 else r
 
 
-def nonlocal_mean_square_slope(sol: BvpSolution) -> float:
-    """(2/H) int_0^H (phi')^2 dt with phi' by central differences.
-
-    For a nonlocal solution this reproduces m^2.  Stencil centres are
-    clamped a step away from the boundary; the slope is bounded there
-    (u' = 1/q at 0, -1/p at H, scaled by the amplitude), so the strips
-    contribute only O(h) of a bounded integrand to the quadrature.
-    """
-    H = sol.spec.H
-    h = 1e-5 * H
-
-    def g(x):
-        xc = np.clip(x, h, H - h)
-        d = (sol(xc + h) - sol(xc - h)) / (2.0 * h)
-        return d * d
-
-    res = quadrature.integrate(g, 0.0, H, tol=1e-9)
-    return 2.0 / H * res.value
+def residual_general(H: float, p: float, q: float, x):
+    """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1| of solve_general(H, p, q) via
+    finite differences, at one interior point or elementwise on an array."""
+    return _at_points(0, H, p, q, x)
 
 
-def phase_curve_residual(sol: BvpSolution, x):
+def phase_curve_residual(H: float, p: float, q: float, x):
     """Residual of the first integral u = C |v + 1/p|^(1/p) |v - 1/q|^(1/q).
 
     v is evaluated in closed form, v = -1/p + (1/p + 1/q) cos_{p*,q}^{p*}(w x),
     and C = 2H / (p (1/p + 1/q)^(1/p+1/q) pi_{q*,p}); no differentiation
-    enters, so this checks the solution against the phase-plane curve of
-    its derivation.  Takes one interior point or an array of them.
+    enters, so this checks solve_general(H, p, q) against the phase-plane
+    curve of its derivation.  Takes one interior point or an array of them.
 
     Near the ends it false-fails: as x -> 0, v -> 1/q and |v - 1/q| =
     A = (1/p + 1/q) sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1)
@@ -264,48 +233,49 @@ def phase_curve_residual(sol: BvpSolution, x):
     Substituting -(1/p + 1/q) sin^q for v - 1/q would reduce the check to
     q pi_{p*,q} = p pi_{q*,p}.  verify samples x/H in [0.1, 0.9].
     """
-    spec = sol.spec
-    if not isinstance(spec, BvpSpec):
-        raise DomainError("phase_curve_residual needs a general-problem solution")
-    H, p, q = spec.H, spec.p, spec.q
-    xx = _interior(spec, x)
-    P = conjugate(p)
-    omega, _ = _profile_scales(H, P, q)
-    _, c, _ = _sincos_tail(P, q, omega * xx)
-    r = np.abs(sol._eval(xx) - _phase_curve(H, p, q, P, c))
-    return float(r) if np.ndim(x) == 0 else r
+    return _at_points(1, H, p, q, x)
 
 
 def general_checks(p: float, q: float, Hs, fractions):
     """Verify the general problem at (p, q) on [0, H] for each H in Hs, at
-    the interior points x = H * fractions.
+    the interior points x = H * fractions, from one gtf call.
 
-    Returns one (ode, phase, boundary) per H: the arrays
-    residual_general(sol, x) and phase_curve_residual(sol, x), equal bit for
-    bit to those calls on sol = solve_general(BvpSpec(H, p, q)) while their
-    stencils take the same gtf lane as the fused array (fewer than
-    specfun.INV_FIT_MIN points in all, as in verify), and the float
-    max(|sol(0)|, |sol(H)|) from that array.  Every H's stencil and both
-    ends are inverted in one gtf call, and the phase-curve check takes its
-    cosine from the stencil's centre row instead of inverting again.
+    Returns one (ode, phase, boundary) per H: the arrays that
+    residual_general and phase_curve_residual return for those points (the
+    same evaluator, so equal bit for bit while the arrays take the same gtf
+    lane) and the float max(|u(0)|, |u(H)|).
     """
-    specs = [BvpSpec(H=H, p=p, q=q) for H in Hs]
-    frac = np.asarray(fractions, dtype=float)
-    P = conjugate(p)
-    H = np.array([spec.H for spec in specs])[:, None]
-    xx = H * frac
-    for spec, row in zip(specs, xx):
-        _interior(spec, row)
-    omega, amp = _profile_scales(H, P, q)
-    h, rows = _stencil_rows(H, xx)  # rows: (5, len(Hs), len(fractions))
-    ends = H * np.array([0.0, 1.0])
-    cut = rows.size
-    args = np.concatenate(((omega * rows).ravel(), (omega * ends).ravel()))
-    sincos = _sincos_tail(P, q, args)  # (s, c, yc)
-    at_rows = [v[:cut].reshape(rows.shape) for v in sincos]
-    at_ends = [v[cut:].reshape(ends.shape) for v in sincos]
-    u0, u1, u2 = _richardson(h, _profile(P, q, amp, *at_rows))
-    ode = _ode_general(p, q, u0, u1, u2)
-    phase = np.abs(u0 - _phase_curve(H, p, q, P, at_rows[1][0]))
-    bc = np.abs(_profile(P, q, amp, *at_ends)).max(axis=1)
-    return [(ode[i], phase[i], float(bc[i])) for i in range(len(specs))]
+    H = np.array(Hs, dtype=float)
+    ode, phase, bc = _general(p, q, H, H[:, None] * np.asarray(fractions, dtype=float))
+    return [(ode[i], phase[i], float(bc[i])) for i in range(len(H))]
+
+
+def residual_nonlocal(H: float, m: float, x):
+    """|phi' - (phi')^2 + phi phi'' + m^2| of solve_nonlocal(H, m), the local
+    surrogate equation, at one interior point or elementwise on an array."""
+    sol = solve_nonlocal(H, m)
+    h, rows = _stencil_rows(H, np.atleast_1d(np.asarray(x, dtype=float)))
+    f0, f1, f2 = _richardson(h, sol._eval(rows))
+    r = np.abs(f1 - f1**2 + f0 * f2 + m**2)
+    return float(r[0]) if np.ndim(x) == 0 else r
+
+
+def nonlocal_mean_square_slope(H: float, m: float) -> float:
+    """(2/H) int_0^H (phi')^2 dt of solve_nonlocal(H, m), with phi' by
+    central differences.
+
+    This reproduces m^2.  Stencil centres are clamped a step away from the
+    boundary; the slope is bounded there (u' = 1/q at 0, -1/p at H, scaled by
+    the amplitude), so the strips contribute only O(h) of a bounded
+    integrand to the quadrature.
+    """
+    sol = solve_nonlocal(H, m)
+    h = 1e-5 * H
+
+    def g(x):
+        xc = np.clip(x, h, H - h)
+        d = (sol(xc + h) - sol(xc - h)) / (2.0 * h)
+        return d * d
+
+    res = quadrature.integrate(g, 0.0, H, tol=1e-9)
+    return 2.0 / H * res.value

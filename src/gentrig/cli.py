@@ -3,7 +3,6 @@ suites, and emit tables (Wallis values, product partials, solution profiles)
 as CSV or JSON records.
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or domain error.
-The environment variable GTF_TOL, when set, overrides every suite tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -164,8 +162,7 @@ def _suite_bvp(grid):
                 cases.append((f"bvp phase p={p} q={q} H={H}", phase.max(), 1e-9))
                 cases.append((f"bvp boundary p={p} q={q} H={H}", bc, 1e-10))
     for m in (0.5, 1.0, 2.0):
-        sol = bvp.solve_nonlocal(bvp.NonlocalSpec(H=1.0, m=m))
-        closure = abs(bvp.nonlocal_mean_square_slope(sol) - m**2) / m**2
+        closure = abs(bvp.nonlocal_mean_square_slope(1.0, m) - m**2) / m**2
         cases.append((f"bvp nonlocal closure m={m}", closure, 1e-6))
     for p in grid:
         sol = bvp.solve_pq_equal(p)
@@ -188,15 +185,12 @@ _SUITE_FUNCS = {
 def cmd_verify(args) -> int:
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     grid = GRIDS[args.grid]
-    tol_override = os.environ.get("GTF_TOL")
-    override = float(tol_override) if tol_override else None
     any_fail = False
     for name in names:
         cases = _SUITE_FUNCS[name](grid)
         worst = 0.0
         ok = True
         for case, resid, tol in cases:
-            tol = override if override is not None else tol
             passed = resid <= tol
             ok = ok and passed
             worst = max(worst, resid)
@@ -261,14 +255,14 @@ def _table_rows(args):
         if (args.m is None) == (args.p is None):
             raise DomainError("--kind bvp_profile requires exactly one of --m / --p")
         if args.m is not None:
-            sol = bvp.solve_nonlocal(bvp.NonlocalSpec(H=args.H, m=args.m))
+            sol = bvp.solve_nonlocal(args.H, args.m)
             inputs = {"kind": kind, "m": args.m, "H": args.H}
         else:
             if args.H != 1.0:
                 raise DomainError("the p = q profile is defined on H = 1")
             sol = bvp.solve_pq_equal(args.p)
             inputs = {"kind": kind, "p": args.p, "H": 1.0}
-        xs = np.linspace(0.0, sol.spec.H, args.samples)
+        xs = np.linspace(0.0, sol.H, args.samples)
         us = sol(xs)
         columns = ["x", "u"]
         rows = [

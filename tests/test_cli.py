@@ -112,11 +112,15 @@ class TestVerify:
         assert "not met for p=1.5 q=1.5 flavor=sin in rows" in err
         assert "budget of 2000000" in err
 
-    def test_tolerance_override_can_fail(self, capsys, monkeypatch):
-        monkeypatch.setenv("GTF_TOL", "1e-30")
+    def test_residual_above_tolerance_fails(self, capsys, monkeypatch):
+        cases = [("held", 1e-12, 1e-11), ("broken", 2e-11, 1e-11)]
+        monkeypatch.setitem(cli._SUITE_FUNCS, "pythagorean", lambda grid: cases)
         code, out, _ = run_cli(capsys, "verify", "--suite", "pythagorean")
         assert code == 1
-        assert "FAIL" in out
+        lines = out.splitlines()
+        assert "  held: residual=1.000e-12 tol=1.0e-11 ok" in lines
+        assert "  broken: residual=2.000e-11 tol=1.0e-11 FAIL" in lines
+        assert "SUITE pythagorean FAIL max_residual=2.000e-11" in lines
 
 
 class TestTable:

@@ -500,8 +500,8 @@ class TestNoZeroDimArrays:
     """The float lane must not build arrays: a cost guard that needs no timer."""
 
     def test_float_lane_makes_no_arrays(self, monkeypatch):
-        sols = [bvp.solve_general(bvp.BvpSpec(H=2.5, p=3.0, q=1.5)),
-                bvp.solve_nonlocal(bvp.NonlocalSpec(H=1.5, m=0.7)),
+        sols = [bvp.solve_general(2.5, 3.0, 1.5),
+                bvp.solve_nonlocal(1.5, 0.7),
                 bvp.solve_pq_equal(3.0)]
 
         def no_arrays(*args, **kwargs):
