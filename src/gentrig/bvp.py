@@ -250,10 +250,21 @@ def general_checks(p: float, q: float, Hs, fractions):
     return [(ode[i], phase[i], float(bc[i])) for i in range(len(H))]
 
 
+def _nonlocal_checked(H: float, m: float) -> BvpSolution:
+    """solve_nonlocal(H, m) for the two nonlocal checks, which square the
+    slope scale 2 sqrt(m^2 + 1/4) (as m^2 and as (phi')^2): DomainError
+    naming m where that square overflows (m above ~6.7e153)."""
+    sol = solve_nonlocal(H, m)
+    scale = 2.0 * math.hypot(m, 0.5)
+    if not scale * scale < math.inf:
+        raise DomainError(f"the nonlocal checks overflow at m = {m}: m^2 is not finite")
+    return sol
+
+
 def residual_nonlocal(H: float, m: float, x):
     """|phi' - (phi')^2 + phi phi'' + m^2| of solve_nonlocal(H, m), the local
     surrogate equation, at one interior point or elementwise on an array."""
-    sol = solve_nonlocal(H, m)
+    sol = _nonlocal_checked(H, m)
     h, rows = _stencil_rows(H, np.atleast_1d(np.asarray(x, dtype=float)))
     f0, f1, f2 = _richardson(h, sol._eval(rows))
     r = np.abs(f1 - f1**2 + f0 * f2 + m**2)
@@ -269,7 +280,7 @@ def nonlocal_mean_square_slope(H: float, m: float) -> float:
     the amplitude), so the strips contribute only O(h) of a bounded
     integrand to the quadrature.
     """
-    sol = solve_nonlocal(H, m)
+    sol = _nonlocal_checked(H, m)
     h = 1e-5 * H
 
     def g(x):

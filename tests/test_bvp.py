@@ -140,6 +140,17 @@ class TestSpecs:
         with pytest.raises(DomainError, match="m = 1e"):
             bvp.solve_nonlocal(10.0, 1e308)
 
+    def test_checks_reject_overflowing_square(self):
+        # m^2 overflows: the residual raised OverflowError and the closure
+        # ToleranceError, from (phi')^2 = inf
+        with pytest.raises(DomainError, match="m = 1e"):
+            bvp.residual_nonlocal(1.0, 1e200, 0.5)
+        with pytest.raises(DomainError, match="m = 1e"):
+            bvp.nonlocal_mean_square_slope(1.0, 1e200)
+        m = 1e100
+        assert bvp.nonlocal_mean_square_slope(1.0, m) == pytest.approx(m * m, rel=1e-9)
+        assert bvp.residual_nonlocal(1.0, m, 0.5) <= 1e-6 * m * m
+
     def test_tiny_amplitude_rejected(self):
         # r(m) rounds to 1, whose conjugate is inf
         with pytest.raises(DomainError, match="m = 1e-09"):

@@ -719,6 +719,7 @@ def mp_sincos(p, q, x):
 FITTED_PAIRS = [(2.5, 3.0), (4.5, 1.7), (1.3, 5.5), (5.9, 5.9), (1.01, 3.0),
                 (3.0, 1.01), (1.002, 1.003)]
 SYMMETRIC_PAIRS = [(p, gtf.conjugate(p)) for p in (1.5, 30.0, 99.55)]  # q = p*
+EXTREME_PAIRS = [(p, q) for p in (1.001, 3.0, 1000.0) for q in (1.001, 3.0, 1000.0)]
 BIG = "INV_FIT_MIN points"
 
 
@@ -759,10 +760,12 @@ class TestFittedInverse:
     def test_against_mpmath(self):
         """Every lane at the same points: floats, 2-point arrays and arrays
         of N0 points, through sin_pq, cos_pq and sincos_pq in each, at
-        FITTED_PAIRS and at symmetric pairs.  The points are fractions of
-        the half period: uniform, near 0, near the top, 1e-200, 0 and the
-        middle.  Errors are relative and divided by the condition number (it
-        reaches ~1/(p - 1) in the cosine at p near 1).  At every point each
+        FITTED_PAIRS, at symmetric pairs and at EXTREME_PAIRS (exponents
+        near 1 and at 1000, whose fits keep up to 13 coefficients).  The
+        points are fractions of the half period: uniform, near 0, near the
+        top, 1e-200, 0 and the middle.  Errors are relative and divided by
+        the condition number (it reaches ~1/(p - 1) in the cosine at p near
+        1).  At every point each
         lane is within 2e-15 of mpmath or no further than scipy's raw
         inverse (near the top all carry the ~2e-15 error of Boost's
         incomplete beta at small arguments; the float and small lanes read
@@ -771,7 +774,7 @@ class TestFittedInverse:
         fitted lane's worst error is no larger than the ufunc lane's."""
         rng = np.random.default_rng(20261018)
         worst = {}
-        for p, q in FITTED_PAIRS + SYMMETRIC_PAIRS:
+        for p, q in FITTED_PAIRS + SYMMETRIC_PAIRS + EXTREME_PAIRS:
             u = np.concatenate([rng.random(6), 10.0 ** -rng.uniform(1, 15, 3),
                                 1.0 - 10.0 ** -rng.uniform(1, 15, 3), [1e-200, 0.0, 0.5]])
             xs = u * (0.5 * gtf.pi_pq(p, q))

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -222,6 +223,103 @@ class TestIncBeta:
         else:
             bound = 1e-14
         assert abs(sc.betainc(a, b, x) - y) <= bound
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+BLOCK = specfun.INV_FIT_BLOCK
+
+
+class TestBlockSplit:
+    """Arrays of at least INV_FIT_MIN points are inverted (and summed) a
+    block of INV_FIT_BLOCK points at a time, each block split once at y =
+    I_{1/2}(a, b) (at t = 1/2 for the series): every point gets the same
+    bits wherever it sits, across block edges, in blocks that take one
+    branch only, and at the split and the ends themselves."""
+
+    # gtf's shapes, the second with the anchored sum (small b)
+    SHAPES = [(1.0 / 3.0, 0.6), (0.5, 0.01)]
+
+    @staticmethod
+    def cases(split, rng):
+        """{name: array of points of [0, 1]} about a split point."""
+        edge = np.concatenate([[0.0, 1.0, split], rng.random(BLOCK - 2)])
+        below = split * rng.random(BLOCK)
+        above = rng.uniform(np.nextafter(split, 1.0), 1.0, BLOCK)
+        return {
+            "one block + 1": edge,
+            "two blocks": np.concatenate([edge, rng.random(BLOCK - 1)]),
+            "block below, block above": np.concatenate([below, above]),
+            "2-d": np.concatenate([edge, rng.random(BLOCK // 2 - 1)]).reshape(3, -1),
+        }
+
+    @staticmethod
+    def assert_position_free(f, y, rng):
+        """f(y) and f of a shuffled copy of y agree bit for bit point by
+        point, with no RuntimeWarning."""
+        perm = rng.permutation(y.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = f(y)
+            shuffled = f(y.ravel()[perm].reshape(y.shape))
+        assert got.shape == y.shape
+        assert same_bits(got.ravel()[perm], shuffled.ravel())
+        return got
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_inverse(self, a, b):
+        rng = np.random.default_rng(1517)
+        y_half = float(sc.betainc(a, b, 0.5))
+        for name, y in self.cases(y_half, rng).items():
+            x = self.assert_position_free(lambda v: specfun.inc_beta_reg_inv(a, b, v), y, rng)
+            flat, xf = y.ravel(), x.ravel()
+            assert np.all(xf[flat == 0.0] == 0.0) and np.all(xf[flat == 1.0] == 1.0), name
+            assert np.all(np.abs(xf[flat == y_half] - 0.5) <= 1e-15), name
+
+    @pytest.mark.parametrize("a,b", SHAPES)
+    def test_series(self, a, b):
+        rng = np.random.default_rng(1518)
+        for name, t in self.cases(0.5, rng).items():
+            v = self.assert_position_free(lambda u: specfun.inc_beta_reg(a, b, u), t, rng)
+            assert np.allclose(v, sc.betainc(a, b, t), rtol=1e-14, atol=0.0), name
+
+
+class TestFitTruncation:
+    """A certified fit of the inverse is cut to the coefficients that one
+    Newton step needs: its start is within 2^-30 of the polished inverse,
+    relative, and the step squares that."""
+
+    def test_start_within_two_to_minus_thirty(self):
+        rng = np.random.default_rng(2030)
+        for p, q in (1.0 + 99.0 * rng.random((30, 2))).tolist():
+            a, b = 1.0 / q, 1.0 - 1.0 / p
+            lnb = float(sc.betaln(a, b))
+            for s, t in ((a, b), (b, a)):
+                w_half = float(sc.betainc(s, t, 0.5))
+                fit = specfun._inv_fit(s, t, lnb, w_half)
+                assert fit is not None, (p, q)
+                assert 2 <= len(fit[3]) < specfun.INV_FIT_DEGREE + 1, (p, q)
+                # both ends of the interpolation interval, where every
+                # Chebyshev polynomial is +-1, and points between
+                w = w_half * np.concatenate([[1.0, 1e-300], rng.random(specfun.INV_FIT_MIN)])
+                start = specfun._inv_fit_eval(fit, w)
+                polished = specfun.inc_beta_reg_inv(s, t, w)
+                assert np.all(np.abs(start - polished) <= 2.0**-30 * polished), (p, q)
+
+    @pytest.mark.parametrize("a,b", [(1e-9, 0.5), (0.5, 1e-9)])
+    def test_uncertified_shapes_take_scipys_start(self, a, b):
+        # a = 1e-9 puts z = (a B w)^(1/a) beyond what doubles resolve
+        lnb = float(sc.betaln(a, b))
+        y = np.random.default_rng(9).random(specfun.INV_FIT_MIN)
+        fits = [specfun._inv_fit(s, t, lnb, float(sc.betainc(s, t, 0.5)))
+                for s, t in ((a, b), (b, a))]
+        assert None in fits
+        x0 = sc.betaincinv(a, b, y)
+        step = specfun._newton_step(a, b, lnb, x0, sc.betainc(a, b, x0) - y)
+        assert same_bits(specfun.inc_beta_reg_inv(a, b, y), step)
 
 
 class TestHyp2F1:
