@@ -46,8 +46,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, check_pq
 from .gtf import (
-    _as_unit, _cos_power, _maybe_scalar, _sincos_tail, conjugate,
-    extend_sin_symmetric, pi_pq,
+    _as_unit, _cos_power, _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
 )
 
 
@@ -67,7 +66,7 @@ class BvpSolution:
 
     def __call__(self, x):
         # gtf's validator: the same slack, and a float x takes its float lane
-        return _maybe_scalar(self._eval(_as_unit(x, self.H, "sol(x)")))
+        return self._eval(_as_unit(x, self.H, "sol(x)"))
 
 
 def _profile_scales(H: float, P: float, q: float):

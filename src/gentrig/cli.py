@@ -11,12 +11,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bvp, gtf, integrals, quadrature
-from .errors import ConvergenceError, DomainError, ToleranceError
+from .errors import ConvergenceError, DomainError, ToleranceError, check_order
 from .gtf import ParamPair
 
 GRIDS = {
@@ -28,24 +27,17 @@ SUITES = ("pythagorean", "appendix", "wallis", "product", "elliott", "bvp", "all
 TABLE_KINDS = ("wallis_sin", "wallis_cos", "lemniscate", "product_partials", "bvp_profile")
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    inputs: dict
-    value: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"command": self.command, "inputs": self.inputs, "value": self.value}
-        )
-
-
 def _machine(x: float) -> str:
     return f"{x:.17g}"
 
 
 def _human(x: float) -> str:
     return f"{x:.10g}"
+
+
+def _record(command: str, inputs: dict, value: float) -> str:
+    """One JSON output line: command, inputs (in their order), value."""
+    return json.dumps({"command": command, "inputs": inputs, "value": value})
 
 
 # ---------------------------------------------------------------- eval
@@ -63,9 +55,8 @@ def cmd_eval(args) -> int:
         inputs["x"] = args.x
         fn = {"sin": gtf.sin_pq, "cos": gtf.cos_pq, "asin": gtf.asin_pq}[args.fn]
         value = fn(args.p, args.q, args.x)
-    record = OutputRecord(command="eval", inputs=inputs, value=value)
     if args.format == "json":
-        print(record.to_json())
+        print(_record("eval", inputs, value))
     else:
         arg_txt = ", ".join(f"{k}={v}" for k, v in inputs.items() if k != "fn")
         print(f"{args.fn}({arg_txt}) = {_human(value)}")
@@ -205,72 +196,47 @@ def cmd_verify(args) -> int:
 
 
 def _table_rows(args):
-    """Yield (columns, rows) for the requested kind; rows are OutputRecords."""
-    kind = args.kind
+    """(columns, rows) of the requested kind: a row is an (inputs, value)
+    pair, and the columns name the inputs a CSV row shows, then the value."""
+    kind, p, q = args.kind, args.p, args.q
+    if kind in ("wallis_sin", "wallis_cos", "product_partials") and None in (p, q):
+        raise DomainError(f"--kind {kind} requires --p and --q")
     if kind in ("wallis_sin", "wallis_cos"):
-        if args.p is None or args.q is None:
-            raise DomainError(f"--kind {kind} requires --p and --q")
-        pair = ParamPair(args.p, args.q)
+        pair = ParamPair(p, q)
         r = args.r if args.r is not None else 0.0
-        func = integrals.wallis_sin if kind == "wallis_sin" else integrals.wallis_cos
-        base = args.q if kind == "wallis_sin" else args.p
-        columns = ["n", "r", "exponent", "value"]
-        rows = []
-        for n in range(args.nmax + 1):
-            value = func(integrals.WallisQuery(pair, n, r))
-            rows.append(OutputRecord(
-                "table",
-                {"kind": kind, "p": args.p, "q": args.q, "n": n, "r": r,
-                 "exponent": base * n + r},
-                value,
-            ))
-        return columns, rows
+        func, base = ((integrals.wallis_sin, q) if kind == "wallis_sin"
+                      else (integrals.wallis_cos, p))
+        return ["n", "r", "exponent", "value"], [
+            ({"kind": kind, "p": p, "q": q, "n": n, "r": r, "exponent": base * n + r},
+             func(integrals.WallisQuery(pair, n, r)))
+            for n in range(check_order(args.nmax) + 1)
+        ]
     if kind == "lemniscate":
-        columns = ["n", "residue", "exponent", "value"]
-        rows = []
-        for n in range(args.nmax + 1):
-            for residue in range(4):
-                value = integrals.lemniscate_wallis(n, residue)
-                rows.append(OutputRecord(
-                    "table",
-                    {"kind": kind, "n": n, "residue": residue,
-                     "exponent": 4 * n + residue},
-                    value,
-                ))
-        return columns, rows
+        return ["n", "residue", "exponent", "value"], [
+            ({"kind": kind, "n": n, "residue": residue, "exponent": 4 * n + residue},
+             integrals.lemniscate_wallis(n, residue))
+            for n in range(check_order(args.nmax) + 1) for residue in range(4)
+        ]
     if kind == "product_partials":
-        if args.p is None or args.q is None:
-            raise DomainError("--kind product_partials requires --p and --q")
-        factors = integrals.product_factors(args.p, args.q, args.N)
-        partials = np.cumprod(factors)
-        columns = ["n", "partial"]
-        rows = [
-            OutputRecord("table",
-                         {"kind": kind, "p": args.p, "q": args.q, "n": i + 1},
-                         float(v))
-            for i, v in enumerate(partials)
+        partials = np.cumprod(integrals.product_factors(p, q, args.N))
+        return ["n", "partial"], [
+            ({"kind": kind, "p": p, "q": q, "n": n}, float(v))
+            for n, v in enumerate(partials, 1)
         ]
-        return columns, rows
-    if kind == "bvp_profile":
-        if (args.m is None) == (args.p is None):
-            raise DomainError("--kind bvp_profile requires exactly one of --m / --p")
-        if args.m is not None:
-            sol = bvp.solve_nonlocal(args.H, args.m)
-            inputs = {"kind": kind, "m": args.m, "H": args.H}
-        else:
-            if args.H != 1.0:
-                raise DomainError("the p = q profile is defined on H = 1")
-            sol = bvp.solve_pq_equal(args.p)
-            inputs = {"kind": kind, "p": args.p, "H": 1.0}
-        xs = np.linspace(0.0, sol.H, args.samples)
-        us = sol(xs)
-        columns = ["x", "u"]
-        rows = [
-            OutputRecord("table", dict(inputs, x=float(x)), float(u))
-            for x, u in zip(xs, us)
-        ]
-        return columns, rows
-    raise DomainError(f"unknown table kind {kind!r}")
+    if (args.m is None) == (p is None):
+        raise DomainError("--kind bvp_profile requires exactly one of --m / --p")
+    if args.m is not None:
+        sol = bvp.solve_nonlocal(args.H, args.m)
+        inputs = {"kind": kind, "m": args.m, "H": args.H}
+    elif args.H != 1.0:
+        raise DomainError("the p = q profile is defined on H = 1")
+    else:
+        sol = bvp.solve_pq_equal(p)
+        inputs = {"kind": kind, "p": p, "H": 1.0}
+    xs = np.linspace(0.0, sol.H, check_order(args.samples, 1))
+    return ["x", "u"], [
+        (dict(inputs, x=float(x)), float(u)) for x, u in zip(xs, sol(xs))
+    ]
 
 
 def _write_table(columns, rows, fmt, out):
@@ -279,15 +245,15 @@ def _write_table(columns, rows, fmt, out):
         if fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(columns)
-            for rec in rows:
-                writer.writerow(
-                    [_machine(rec.inputs[c]) if isinstance(rec.inputs.get(c), float)
-                     else rec.inputs[c] for c in columns[:-1]]
-                    + [_machine(rec.value)]
-                )
+            writer.writerows(
+                [_machine(v) if isinstance(v, float) else v
+                 for v in (inputs[c] for c in columns[:-1])] + [_machine(value)]
+                for inputs, value in rows
+            )
         else:
-            for rec in rows:
-                stream.write(rec.to_json() + "\n")
+            stream.writelines(
+                _record("table", inputs, value) + "\n" for inputs, value in rows
+            )
     finally:
         if out:
             stream.close()

@@ -85,14 +85,6 @@ class ParamPair:
     def __post_init__(self):
         check_pq(self.p, self.q)
 
-    @property
-    def p_star(self) -> float:
-        return conjugate(self.p)
-
-    @property
-    def q_star(self) -> float:
-        return conjugate(self.q)
-
 
 def pi_pq(p: float, q: float) -> float:
     """Generalized pi: pi_pq = (2/q) B(1/p*, 1/q).
@@ -163,9 +155,9 @@ def _betainc(a: float, b: float, t):
 def _small_x(x, v, under, z=None, d=None):
     """A value v of sin_pq or asin_pq at x, with its series where x > 0 and
     `under` says that x^q is too small for the incomplete-beta form: x
-    itself, or x + x z / d where d is given (z = x^q); a float for a point
-    (as _maybe_scalar), and an array v is changed in place."""
-    if isinstance(v, float) or np.ndim(v) == 0:
+    itself, or x + x z / d where d is given (z = x^q); a Python float for a
+    point (a float v), and an array v is changed in place."""
+    if isinstance(v, float):
         if under and x > 0.0:
             return float(x if d is None else x + x * z / d)
         return float(v)
@@ -174,10 +166,6 @@ def _small_x(x, v, under, z=None, d=None):
         xs = x[small]
         v[small] = xs if d is None else xs + xs * z[small] / d
     return v
-
-
-def _maybe_scalar(v):
-    return float(v) if isinstance(v, float) or np.ndim(v) == 0 else v
 
 
 def _lead_cos_power(a: float, b: float, yc):
@@ -348,4 +336,4 @@ def extend_sin_symmetric(p: float, x):
     full = pi_pq(2.0, p)
     xx = _as_unit(x, full, "extend_sin_symmetric")
     folded = min(xx, full - xx) if isinstance(xx, float) else np.minimum(xx, full - xx)
-    return _maybe_scalar(sin_pq(2.0, p, folded))
+    return sin_pq(2.0, p, folded)

@@ -309,8 +309,9 @@ def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadRes
 
 
 # exponents that numpy's power takes by a special case (reciprocal, sqrt,
-# square) when given as a scalar, and by pow when given in an array: the
-# two differ in the last ulp on a few percent of points
+# square) when given as a scalar or a one-element array, and by pow when
+# given in an array of several rows: the two differ in the last ulp on a
+# few percent of points
 _FAST_POWERS = (-1.0, 0.5, 2.0)
 
 

@@ -45,7 +45,11 @@ POCH_SWITCH = 64
 # inc_beta_reg_inv starts arrays of at least INV_FIT_MIN points from
 # Chebyshev fits of degree INV_FIT_DEGREE, certified when their trailing
 # coefficients are within INV_FIT_TOL, evaluated INV_FIT_BLOCK points at a
-# time; INV_FIT_MIN is the measured crossover against scipy's inverse
+# time.  INV_FIT_MIN is not the crossover against scipy: at gtf's shapes
+# (a, b) = (1/3, 0.6) on a 2-vCPU Xeon, the inverse took 853 us against
+# scipy's betaincinv's 699 at 600 points and 877 against 1193 at 1000, and
+# the series inc_beta_reg 240 us against betainc's 112 at 600 points, 287
+# against 196 at 1000 and 345 against 412 at 2000
 INV_FIT_MIN = 600
 INV_FIT_DEGREE = 24
 INV_FIT_TOL = 1e-12

@@ -198,6 +198,18 @@ class TestGeneralSolution:
         with pytest.raises(DomainError):
             sol(np.array([0.25, math.nan, 0.75]))
 
+    @pytest.mark.parametrize(
+        "x", [np.array(0.3), np.float32(0.3), np.int64(0)],
+        ids=["0-d", "float32", "int64"])
+    def test_scalar_input_returns_float(self, x):
+        # a numpy scalar or a 0-d array takes gtf's float lane, as a float
+        # does, in every solver
+        for sol in (bvp.solve_general(1.0, 2.5, 3.0), bvp.solve_nonlocal(1.0, 1.0),
+                    bvp.solve_pq_equal(3.0)):
+            value = sol(x)
+            assert type(value) is float
+            assert same_bits(value, sol(float(x)))
+
     @pytest.mark.parametrize("H", [1.0, 2.5])
     def test_bounds_to_the_ulp(self, H):
         # the accepted set is gtf's: [-1e-12 H, H + 1e-12 H], in both lanes

@@ -3,9 +3,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gentrig import cli, gtf, quadrature
+from gentrig import bvp, cli, gtf, integrals, quadrature
+from gentrig.gtf import ParamPair
+from gentrig.integrals import WallisQuery
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +188,22 @@ class TestTable:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "lemniscate", "--nmax", "-1"],
+        ["--kind", "wallis_sin", "--p", "2", "--q", "3", "--nmax", "-1"],
+        ["--kind", "wallis_cos", "--p", "2", "--q", "3", "--nmax", "-1"],
+        ["--kind", "bvp_profile", "--m", "1", "--samples", "0"],
+        ["--kind", "bvp_profile", "--m", "1", "--samples", "-1"],
+        ["--kind", "bvp_profile", "--p", "3", "--samples", "0"],
+        ["--kind", "product_partials", "--p", "2", "--q", "3", "--N", "-5"],
+    ], ids=lambda argv: " ".join(argv[1::2]))
+    def test_bad_count_flags_exit_2(self, capsys, argv):
+        # --nmax below 0 printed only a header, --samples -1 a numpy traceback
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error: ")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
         code, _, _ = run_cli(
@@ -194,3 +213,122 @@ class TestTable:
         assert code == 0
         rows = list(csv.DictReader(target.open()))
         assert len(rows) == 8
+
+
+def _wallis(kind, p, q, r, nmax):
+    func, base = ((integrals.wallis_sin, q) if kind == "wallis_sin"
+                  else (integrals.wallis_cos, p))
+    return [({"kind": kind, "p": p, "q": q, "n": n, "r": r, "exponent": base * n + r},
+             func(WallisQuery(ParamPair(p, q), n, r))) for n in range(nmax + 1)]
+
+
+def _profile(sol, inputs, samples):
+    xs = np.linspace(0.0, sol.H, samples)
+    return [(dict(inputs, x=float(x)), float(u)) for x, u in zip(xs, sol(xs))]
+
+
+# argv, CSV columns, JSON input keys, and the rows rebuilt from library calls
+# as (inputs, value) pairs
+TABLES = {
+    "wallis_sin": (
+        ["--kind", "wallis_sin", "--p", "2.5", "--q", "3", "--nmax", "2"],
+        ["n", "r", "exponent", "value"], ["kind", "p", "q", "n", "r", "exponent"],
+        lambda: _wallis("wallis_sin", 2.5, 3.0, 0.0, 2)),
+    "wallis_cos": (
+        ["--kind", "wallis_cos", "--p", "2.5", "--q", "3", "--r", "0.5", "--nmax", "2"],
+        ["n", "r", "exponent", "value"], ["kind", "p", "q", "n", "r", "exponent"],
+        lambda: _wallis("wallis_cos", 2.5, 3.0, 0.5, 2)),
+    "lemniscate": (
+        ["--kind", "lemniscate", "--nmax", "1"],
+        ["n", "residue", "exponent", "value"], ["kind", "n", "residue", "exponent"],
+        lambda: [({"kind": "lemniscate", "n": n, "residue": k, "exponent": 4 * n + k},
+                  integrals.lemniscate_wallis(n, k)) for n in range(2) for k in range(4)]),
+    "product_partials": (
+        ["--kind", "product_partials", "--p", "2", "--q", "3", "--N", "4"],
+        ["n", "partial"], ["kind", "p", "q", "n"],
+        lambda: [({"kind": "product_partials", "p": 2.0, "q": 3.0, "n": n}, float(v))
+                 for n, v in enumerate(np.cumprod(integrals.product_factors(2, 3, 4)), 1)]),
+    "bvp_nonlocal": (
+        ["--kind", "bvp_profile", "--m", "1", "--H", "2", "--samples", "5"],
+        ["x", "u"], ["kind", "m", "H", "x"],
+        lambda: _profile(bvp.solve_nonlocal(2.0, 1.0),
+                         {"kind": "bvp_profile", "m": 1.0, "H": 2.0}, 5)),
+    "bvp_pq_equal": (
+        ["--kind", "bvp_profile", "--p", "3", "--samples", "5"],
+        ["x", "u"], ["kind", "p", "H", "x"],
+        lambda: _profile(bvp.solve_pq_equal(3.0),
+                         {"kind": "bvp_profile", "p": 3.0, "H": 1.0}, 5)),
+}
+
+
+class TestFormat:
+    """The exact text of tables and eval records, rebuilt from library calls
+    so that a value moving at rounding level moves both sides."""
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_table_csv(self, capsys, name):
+        argv, columns, _, rows = TABLES[name]
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert (code, err) == (0, "")
+        lines = [",".join(columns)] + [
+            ",".join([f"{v:.17g}" if isinstance(v, float) else str(v)
+                      for v in (inputs[c] for c in columns[:-1])] + [f"{value:.17g}"])
+            for inputs, value in rows()
+        ]
+        assert out == "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_table_json(self, capsys, name):
+        argv, _, keys, rows = TABLES[name]
+        code, out, err = run_cli(capsys, "table", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == "".join(
+            json.dumps({"command": "table", "inputs": inputs, "value": value}) + "\n"
+            for inputs, value in rows()
+        )
+        for line in out.splitlines():
+            record = json.loads(line)
+            assert list(record) == ["command", "inputs", "value"]
+            assert list(record["inputs"]) == keys
+
+    def test_numbers_in_csv(self, capsys):
+        # ints stay ints, floats take 17 significant digits, r = 0.0 reads 0
+        _, out, _ = run_cli(capsys, "table", *TABLES["wallis_sin"][0])
+        lines = out.splitlines()
+        assert lines[0] == "n,r,exponent,value"
+        assert lines[1].startswith("0,0,0,")
+        assert lines[2].startswith("1,0,3,")
+        value = integrals.wallis_sin(WallisQuery(ParamPair(2.5, 3.0), 1, 0.0))
+        assert lines[2].split(",")[3] == f"{value:.17g}"
+        _, out, _ = run_cli(capsys, "table", *TABLES["bvp_nonlocal"][0])
+        assert out.splitlines()[2].startswith("0.5,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", TABLES)
+    def test_out_file_equals_stdout(self, capsys, tmp_path, name, fmt):
+        argv = TABLES[name][0] + ["--format", fmt]
+        _, out, _ = run_cli(capsys, "table", *argv)
+        target = tmp_path / "t.txt"
+        code, printed, err = run_cli(capsys, "table", *argv, "--out", str(target))
+        assert (code, printed, err) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv,inputs,value", [
+        (["--fn", "asin", "--p", "2.5", "--q", "3", "--x", "0.3"],
+         {"fn": "asin", "p": 2.5, "q": 3.0, "x": 0.3}, lambda: gtf.asin_pq(2.5, 3.0, 0.3)),
+        (["--fn", "pi", "--p", "2", "--q", "4"],
+         {"fn": "pi", "p": 2.0, "q": 4.0}, lambda: gtf.pi_pq(2.0, 4.0)),
+    ], ids=["asin", "pi"])
+    def test_eval_json(self, capsys, argv, inputs, value):
+        code, out, err = run_cli(capsys, "eval", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(
+            {"command": "eval", "inputs": inputs, "value": value()}) + "\n"
+        assert list(json.loads(out)) == ["command", "inputs", "value"]
+        assert list(json.loads(out)["inputs"]) == list(inputs)
+
+    def test_eval_human(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--fn", "sin", "--p", "2", "--q", "4",
+                               "--x", "0.5")
+        assert code == 0
+        assert out == f"sin(p=2.0, q=4.0, x=0.5) = {gtf.sin_pq(2.0, 4.0, 0.5):.10g}\n"

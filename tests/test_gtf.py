@@ -36,11 +36,6 @@ class TestParamPair:
         with pytest.raises(DomainError):
             ParamPair(2.0, math.inf)
 
-    def test_star_properties(self):
-        pair = ParamPair(3.0, 1.5)
-        assert pair.p_star == pytest.approx(1.5)
-        assert pair.q_star == pytest.approx(3.0)
-
 
 class TestPi:
     def test_circular(self):
@@ -466,8 +461,8 @@ class TestFloatLane:
                 assert same_float(gtf.cos_pq(p, q, x), ufunc_formula("cos", p, q, x))
                 assert same_float(gtf.asin_pq(p, q, u), ufunc_formula("asin", p, q, u))
     @pytest.mark.parametrize(
-        "x", [0.3, np.float64(0.3), 1, 0, np.array(0.3)],
-        ids=["float", "float64", "int", "int0", "0-d"])
+        "x", [0.3, np.float64(0.3), 1, 0, np.array(0.3), np.float32(0.3), np.int64(0)],
+        ids=["float", "float64", "int", "int0", "0-d", "float32", "int64"])
     def test_scalar_input_returns_float(self, x):
         p, q = 2.5, 3.0
         outs = [gtf.sin_pq(p, q, x), gtf.cos_pq(p, q, x), gtf.asin_pq(p, q, x),

@@ -116,7 +116,7 @@ class TestGeneralWallis:
             upper = integrals.wallis_sin(WallisQuery(pair, n=n, r=r))
             lower = integrals.wallis_sin(WallisQuery(pair, n=n - 1, r=r))
             k = q * n + r
-            factor = (k - q + 1.0) / (q / pair.p_star + k - q + 1.0)
+            factor = (k - q + 1.0) / (q / gtf.conjugate(p) + k - q + 1.0)
             assert upper == pytest.approx(factor * lower, rel=1e-13)
 
 
