@@ -209,16 +209,17 @@ def _table_rows(args):
         return ["n", "r", "exponent", "value"], [
             ({"kind": kind, "p": p, "q": q, "n": n, "r": r, "exponent": base * n + r},
              func(integrals.WallisQuery(pair, n, r)))
-            for n in range(check_order(args.nmax) + 1)
+            for n in range(check_order(args.nmax, what="--nmax") + 1)
         ]
     if kind == "lemniscate":
         return ["n", "residue", "exponent", "value"], [
             ({"kind": kind, "n": n, "residue": residue, "exponent": 4 * n + residue},
              integrals.lemniscate_wallis(n, residue))
-            for n in range(check_order(args.nmax) + 1) for residue in range(4)
+            for n in range(check_order(args.nmax, what="--nmax") + 1) for residue in range(4)
         ]
     if kind == "product_partials":
-        partials = np.cumprod(integrals.product_factors(p, q, args.N))
+        N = check_order(args.N, 1, what="--N")
+        partials = np.cumprod(integrals.product_factors(p, q, N))
         return ["n", "partial"], [
             ({"kind": kind, "p": p, "q": q, "n": n}, float(v))
             for n, v in enumerate(partials, 1)
@@ -233,7 +234,7 @@ def _table_rows(args):
     else:
         sol = bvp.solve_pq_equal(p)
         inputs = {"kind": kind, "p": p, "H": 1.0}
-    xs = np.linspace(0.0, sol.H, check_order(args.samples, 1))
+    xs = np.linspace(0.0, sol.H, check_order(args.samples, 1, what="--samples"))
     return ["x", "u"], [
         (dict(inputs, x=float(x)), float(u)) for x, u in zip(xs, sol(xs))
     ]

@@ -1,5 +1,7 @@
 """Exception types and domain checks shared across the package."""
 
+from __future__ import annotations
+
 import math
 
 
@@ -48,9 +50,11 @@ def check_pq(p: float, q: float):
         raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
 
 
-def check_order(n, least: int = 0) -> int:
+def check_order(n, least: int = 0, what: str | None = None) -> int:
     """Return int(n) for a finite integer n >= least (an integral float is
-    accepted); raise DomainError otherwise, NaN and inf included."""
+    accepted); raise DomainError otherwise, NaN and inf included.  what, if
+    given, names the rejected argument at the head of the message."""
     if not (math.isfinite(n) and n >= least) or n != int(n):
-        raise DomainError(f"need an integer >= {least}, got {n}")
+        head = f"{what}: " if what else ""
+        raise DomainError(f"{head}need an integer >= {least}, got {n}")
     return int(n)

@@ -6,10 +6,11 @@ Gauss hypergeometric function on [0, 1].
 Gamma/beta plumbing is delegated to scipy.special; the scalar Gamma calls
 take its Cython kernels (scipy.special.cython_special: the ufuncs' own code,
 bit for bit, at a fraction of a ufunc call's cost).  The incomplete beta
-function is summed here, as a vectorized series, for shapes a, b <= 1 (all
-that gtf uses) and taken from scipy's betainc otherwise; scipy's betaincinv
-is the start of the inverse wherever no certified fit is.  The hypergeometric
-function is evaluated
+function is summed here for shapes a, b <= 1 (all that gtf uses), on arrays,
+as a polynomial of about 20 terms economized from its series, and taken from
+scipy's betainc otherwise; scipy's betaincinv is the start of the inverse
+wherever no certified fit is.  The fits and the polynomial share one Horner
+loop (_horner).  The hypergeometric function is evaluated
 here because call sites need a certified tail bound on every series, the exact
 terminating polynomial when a parameter is a nonpositive integer, Gauss
 summation at argument 1, and a cost that does not grow as the argument
@@ -20,6 +21,7 @@ connection formulas cost the same for every n and every e.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -45,11 +47,14 @@ POCH_SWITCH = 64
 # inc_beta_reg_inv starts arrays of at least INV_FIT_MIN points from
 # Chebyshev fits of degree INV_FIT_DEGREE, certified when their trailing
 # coefficients are within INV_FIT_TOL, evaluated INV_FIT_BLOCK points at a
-# time.  INV_FIT_MIN is not the crossover against scipy: at gtf's shapes
-# (a, b) = (1/3, 0.6) on a 2-vCPU Xeon, the inverse took 853 us against
-# scipy's betaincinv's 699 at 600 points and 877 against 1193 at 1000, and
-# the series inc_beta_reg 240 us against betainc's 112 at 600 points, 287
-# against 196 at 1000 and 345 against 412 at 2000
+# time.  INV_FIT_MIN is not a measured crossover: at gtf's shapes (a, b) =
+# (1/3, 0.6) on a shared 2-vCPU Xeon (two runs, medians of 9 repeats), the
+# inverse took 580-653 us against scipy's betaincinv's 727-1049 at 600
+# points, 659-751 against 1363-1407 at 1000 and 778-825 against 2644-2917
+# at 2000, and inc_beta_reg 193-210 us against betainc's 129-146 at 600
+# points, 154-268 against 212-239 at 1000 and 261-325 against 446-646 at
+# 2000; most of the inverse's fixed cost is the 2 x 24 scipy inversions of
+# its fits' nodes
 INV_FIT_MIN = 600
 INV_FIT_DEGREE = 24
 INV_FIT_TOL = 1e-12
@@ -58,10 +63,15 @@ INV_FIT_BLOCK = 1 << 15
 # most this fraction of its smallest node value: with the fit's own error
 # its start is within 2^-30, relative, which one Newton step squares
 INV_FIT_TRUNC = 2.0**-31
-# inc_beta_reg sums this many terms of F(a, 1 - b; a + 1; u), u <= 1/2: for
-# shapes a, b <= 1 the n-th term is positive and below u^n, so the terms left
-# out add less than 2^-56 / (1 - 1/2) = 2^-55 of the sum (whose first is 1)
+# inc_beta_reg's coefficients come from this many terms of F(a, 1 - b;
+# a + 1; u), u <= 1/2: for shapes a, b <= 1 the n-th term is positive and
+# below u^n, so the terms left out add less than 2^-56 / (1 - 1/2) = 2^-55
+# of the sum (whose first is 1).  It sums them as they are only where their
+# economized polynomial (at most _POLY_TERMS terms, within _POLY_TOL k(0);
+# 19-22 terms on every shape tried) cannot be certified
 _INC_TERMS = 56
+_POLY_TERMS = 32
+_POLY_TOL = 2.0**-56
 
 _DBL_MIN = sys.float_info.min
 _CHEB_K = np.arange(INV_FIT_DEGREE + 1)
@@ -186,14 +196,88 @@ def _inc_beta_terms(a: float, b: float):
     return a / (a + n) * np.cumprod((n - b) / n)
 
 
-def _series_m1(coef, u):
-    """sum_n coef[n - 1] u^n, n = 1 .. len(coef), by Horner's rule."""
-    acc = np.full_like(u, coef[-1])
+@functools.cache
+def _bases():
+    """(U, T), built on the first call: U[k, n] is the Chebyshev coefficient
+    of T_k(x) in u^n, u = (1 + x) / 4, for n < _INC_TERMS - 1, from
+    u^n = 8^-n [C(2n, n) + 2 sum_{k=1..n} C(2n, n - k) T_k(x)] (the power of
+    cos^2 of half the angle), so every entry is nonnegative; T[k, j] is the
+    coefficient of x^j in T_k, k, j < _POLY_TERMS, integers and exact."""
+    n = np.arange(_INC_TERMS - 1.0)
+    u2c = np.triu(sc.binom(2.0 * n, np.maximum(n - n[:, None], 0.0))) * 0.125**n
+    u2c[1:] *= 2.0
+    t2m = np.zeros((_POLY_TERMS, _POLY_TERMS))
+    t2m[0, 0] = t2m[1, 1] = 1.0
+    for k in range(2, _POLY_TERMS):  # T_k = 2x T_(k-1) - T_(k-2)
+        t2m[k, 1:] = 2.0 * t2m[k - 1, :-1]
+        t2m[k] -= t2m[k - 2]
+    return u2c, t2m
+
+
+def _monomial(cheb):
+    """The coefficients of x^j in sum_k cheb[k] T_k(x), len(cheb) <=
+    _POLY_TERMS."""
+    k = len(cheb)
+    return cheb @ _bases()[1][:k, :k]
+
+
+def _economize(kappa):
+    """Coefficients of x^j, x = 4u - 1 in [-1, 1], of a polynomial within
+    _POLY_TOL k(0) of k(u) = sum_n kappa[n] u^n on u in [0, 1/2], for
+    nonnegative kappa; None if it cannot be certified.
+
+    The Chebyshev coefficients of k in x are sums of nonnegative terms, so
+    they are accurate to rounding, and the series is cut where its dropped
+    tail is at most _POLY_TOL k(0), the minimum of k.  It is certified when
+    at most _POLY_TERMS coefficients are kept and the monomial coefficients
+    sum in magnitude to at most 2 k(0), so that Horner's rule rounds as on
+    a sum of positive terms (at most 1.55 k(0) on the shapes tried)."""
+    cheb = _bases()[0] @ kappa
+    tails = np.cumsum(cheb[::-1])[::-1]  # sum_{j >= k} c_j
+    keep = max(1, int(np.count_nonzero(tails > _POLY_TOL * kappa[0])))
+    if keep > _POLY_TERMS:
+        return None
+    mono = _monomial(cheb[:keep])
+    return mono if np.abs(mono).sum() <= 2.0 * kappa[0] else None
+
+
+def _horner(coef, x):
+    """sum_j coef[j] x^j on an array x by Horner's rule, in place on one new
+    array."""
+    acc = np.full_like(x, coef[-1])
     for c in coef[-2::-1]:
-        acc *= u
+        acc *= x
         acc += c
-    acc *= u
     return acc
+
+
+def _hyp_m1(a: float, b: float):
+    """(g, g(1/2)) for g(u) = F(a, 1 - b; a + 1; u) - 1 = u k(u) on arrays
+    of points u <= 1/2, shapes a, b <= 1: k is the _INC_TERMS-term series,
+    economized to a polynomial in x = 4u - 1 where one is certified (g(1/2)
+    is then its Horner sum at x = 1, from the top coefficient down, bit for
+    bit), and summed in u otherwise."""
+    kappa = _inc_beta_terms(a, b)
+    mono = _economize(kappa)
+    if mono is None:
+        def g(u):
+            k = _horner(kappa, u)
+            k *= u
+            return k
+
+        return g, float(kappa @ 0.5 ** np.arange(1.0, _INC_TERMS))
+
+    def g(u):
+        x = 4.0 * u
+        x -= 1.0
+        k = _horner(mono, x)
+        k *= u
+        return k
+
+    k_half = 0.0
+    for c in mono[::-1].tolist():
+        k_half += c
+    return g, 0.5 * k_half
 
 
 def _split(mask):
@@ -204,31 +288,35 @@ def _split(mask):
 
 
 def _forward(a: float, b: float):
-    """(lower, upper): I_t(a, b) on an array of points t <= 1/2, and on an
-    array of points s = 1 - t <= 1/2; inc_beta_reg's series for shapes a, b
-    <= 1, scipy's betainc otherwise."""
+    """(lower, swapped, upper): I_t(a, b) on an array of points t <= 1/2,
+    I_s(b, a) on an array of points s <= 1/2, and I_t(a, b) on an array of
+    points s = 1 - t <= 1/2; inc_beta_reg's sums for shapes a, b <= 1,
+    scipy's betainc otherwise."""
     if not (a <= 1.0 and b <= 1.0):
-        return (lambda t: sc.betainc(a, b, t)), (lambda s: sc.betainc(a, b, 1.0 - s))
-    lo, hi = _inc_beta_terms(a, b), _inc_beta_terms(b, a)
+        return ((lambda t: sc.betainc(a, b, t)), (lambda s: sc.betainc(b, a, s)),
+                (lambda s: sc.betainc(a, b, 1.0 - s)))
+    (g_lo, g_lo_half), (g_hi, g_half) = _hyp_m1(a, b), _hyp_m1(b, a)
     c_lo = _gamma_quotient((a + b,), (a + 1.0, b))  # 1 / (a B(a, b))
-    c_hi = 0.5**b * _gamma_quotient((a + b,), (a, b + 1.0))  # 2^-b / (b B)
-    half_powers = 0.5 ** np.arange(1.0, _INC_TERMS)
-    i_half = 0.5**a * c_lo * (1.0 + float(lo @ half_powers))  # I_{1/2}(a, b)
-    g_half = float(hi @ half_powers)
+    c_sw = _gamma_quotient((a + b,), (a, b + 1.0))  # 1 / (b B(a, b))
+    c_hi = 0.5**b * c_sw
+    i_half = 0.5**a * c_lo * (1.0 + g_lo_half)  # I_{1/2}(a, b)
 
     def lower(t):
-        return t**a * c_lo * (1.0 + _series_m1(lo, t))
+        return t**a * c_lo * (1.0 + g_lo(t))
+
+    def swapped(s):
+        return s**b * c_sw * (1.0 + g_hi(s))
 
     def upper(s):
         with np.errstate(divide="ignore"):  # log(0) at s = 0
             e = np.expm1(b * np.log(s + s))  # (2s)^b - 1
-        g = _series_m1(hi, s)
+        g = g_hi(s)
         s2b = 1.0 + e  # (2s)^b
         j = c_hi * s2b * (1.0 + g)  # I_s(b, a) = 1 - I_t(a, b)
         anchored = i_half + c_hi * ((g_half - e) - s2b * g)
         return np.where(j > 0.5, anchored, 1.0 - j)
 
-    return lower, upper
+    return lower, swapped, upper
 
 
 def _inc_beta(a: float, b: float, t):
@@ -238,7 +326,7 @@ def _inc_beta(a: float, b: float, t):
     owns its memory, so that numpy can reuse it in place as a temporary."""
     if not (a <= 1.0 and b <= 1.0):
         return sc.betainc(a, b, t)
-    lower, upper = _forward(a, b)
+    lower, _, upper = _forward(a, b)
     out = np.empty(t.shape)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)  # the latter a view
     for start in range(0, t.size, INV_FIT_BLOCK):
@@ -259,19 +347,27 @@ def inc_beta_reg(a: float, b: float, t):
     (a B(a, b)) (DLMF 8.17.7); above, the same series of the swapped tail
     J = I_s(b, a) = 1 - I_t(a, b), s = 1 - t (DLMF 8.17.4).  Every term is
     positive and its ratio to the one before is below 1/2, so _INC_TERMS
-    terms, summed by Horner's rule, leave a tail below 2^-55 of the sum.
-    Where J > 1/2, 1 - J would cancel (I_t(a, b) < 1/2 at t > 1/2, which
-    happens when I_{1/2}(a, b) < 1/2: small b); there the value is anchored
-    at t = 1/2 instead, as I_{1/2}(a, b) plus the mass of (1/2, t],
+    terms leave a tail below 2^-55 of the sum.  F - 1 = u k(u) is not summed
+    term by term: k's series is re-expanded in Chebyshev polynomials of x =
+    4u - 1 on u in [0, 1/2], where every coefficient is a sum of nonnegative
+    terms, cut after the 19-22 coefficients (on every shape tried) that
+    leave a tail below 2^-56 k(0), and summed by Horner's rule in x from its
+    monomial coefficients (_economize; where that cannot be certified the
+    series is summed as it is).  Where J > 1/2, 1 - J would cancel
+    (I_t(a, b) < 1/2 at t > 1/2, which happens when I_{1/2}(a, b) < 1/2:
+    small b); there the value is anchored at t = 1/2 instead, as
+    I_{1/2}(a, b) plus the mass of (1/2, t],
 
         2^-b / (b B(a, b)) [g(1/2) - ((2s)^b - 1) - (2s)^b g(s)],
 
     with g = F(b, 1 - a; b + 1; .) - 1: both parts are nonnegative and
-    (2s)^b - 1 is an expm1, so nothing cancels.  Against 50-digit mpmath,
-    over 300 shapes (a and b down to 1e-6) at 45 points each, the relative
-    error is at most 9.4e-16, most of it from the Gamma quotient in front,
-    where Boost's reaches 2.9e-15.  Other shapes take scipy's betainc
-    (Boost).
+    (2s)^b - 1 is an expm1, so nothing cancels; I_{1/2}(a, b) and g(1/2) come
+    from the same polynomials, so the two branches meet at t = 1/2.
+    Against 50-digit mpmath, over 300 shapes (a and b down to 1e-6) at 45
+    points each, the relative error is at most 9.4e-16 (7.6e-16 in a second
+    scan of 300 shapes and 13 500 points, the same as the series summed term
+    by term), most of it from the Gamma quotient in front, where Boost's
+    reaches 2.9e-15.  Other shapes take scipy's betainc (Boost).
     """
     if not (a > 0 and b > 0):
         raise DomainError("inc_beta_reg requires positive shape parameters")
@@ -291,23 +387,26 @@ def _newton_step(a: float, b: float, lnb: float, x, resid):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dens = np.exp((a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - lnb)
         step = np.where(np.isfinite(dens) & (dens > 0), resid / dens, 0.0)
-    return np.clip(x - step, 0.0, 1.0)
+    np.subtract(x, step, out=step)
+    np.maximum(0.0, step, out=step)  # the bits of np.clip, -0.0 included
+    return np.minimum(1.0, step, out=step)
 
 
-def _inv_fit(a: float, b: float, lnb: float, w_half: float):
+def _inv_fit(a: float, b: float, lnb: float, w_half: float, lower):
     """Interpolant of the inverse of w = I_t(a, b) on t in [0, 1/2], where
-    w_half = I_{1/2}(a, b), as (a, ln(a B), z_max, Chebyshev coefficients);
-    None if it cannot be certified.
+    w_half = I_{1/2}(a, b), as (a, ln(a B), z_max, coefficients of x^j on
+    x in [-1, 1]); None if it cannot be certified.  lower is I_t(a, b) on
+    arrays of points t <= 1/2 (_forward's).
 
     For small t, a B w = t^a (1 + O(t)), so z = (a B w)^(1/a) is t times a
     function analytic and positive on [0, 1/2], and h(z) = t / z is
     analytic on [0, z_max], z_max = z(w_half), with h(0) = 1 (Trefethen,
     Approximation Theory and Approximation Practice, ch. 3 and 8).  h is
     interpolated at the INV_FIT_DEGREE + 1 Chebyshev points of that
-    interval, from scipy's inverses polished on inc_beta_reg's sum (the
-    fitted lane's forward function).  The fit is certified when z_max is a
-    normal float and the last three coefficients are within INV_FIT_TOL of
-    the first: its relative error is then about INV_FIT_TOL.
+    interval, from scipy's inverses polished on lower (the fitted lane's
+    forward function).  The fit is certified when z_max is a normal float
+    and the last three coefficients are within INV_FIT_TOL of the first:
+    its relative error is then about INV_FIT_TOL.
 
     A certified fit is then cut, as Chebfun cuts a series, after the
     fewest coefficients (at least two) whose dropped tail sum |c_k| is at
@@ -322,7 +421,10 @@ def _inv_fit(a: float, b: float, lnb: float, w_half: float):
     beta density, |(a - 1) - (b - 1) t / (1 - t)| / 2 <= 1 for a, b <= 1
     and t <= 1/2, so 2^-60 is left, below the rounding of the step itself.
     The fits of gtf's shapes keep 5-11 of their INV_FIT_DEGREE + 1
-    coefficients for p, q in (1, 6], up to 13 at exponents near 1 and 1000.
+    coefficients for p, q in (1, 6], up to 13 at exponents near 1 and 1000;
+    the kept ones are turned into monomials once, here, for _horner (their
+    rounding, a few ulps of h times the growth of T_k's coefficients, stays
+    far below 2^-30).
     """
     lnab = math.log(a) + lnb
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
@@ -332,33 +434,26 @@ def _inv_fit(a: float, b: float, lnb: float, w_half: float):
         z = z_max * _CHEB_NODES[:-1]  # the last node is z = 0, where h = 1
         w = np.exp(a * np.log(z) - lnab)
         t = sc.betaincinv(a, b, w)
-        t = _newton_step(a, b, lnb, t, _forward(a, b)[0](t) - w)
+        t = _newton_step(a, b, lnb, t, lower(t) - w)
         h = np.append(t / z, 1.0)
     coef = _CHEB_DCT @ h
     if not np.abs(coef[-3:]).max() <= INV_FIT_TOL * abs(coef[0]):  # NaN fails too
         return None
     tails = np.cumsum(np.abs(coef[::-1]))[::-1]  # sum_{j >= k} |c_j|
     keep = max(2, int(np.count_nonzero(tails > INV_FIT_TRUNC * h.min())))
-    return a, lnab, z_max, coef[:keep]
+    return a, lnab, z_max, _monomial(coef[:keep])
 
 
 def _inv_fit_eval(fit, w):
     """t with I_t(a, b) = w (w <= I_{1/2}(a, b)) from a fit of _inv_fit:
-    z (a power of w) times h(z) summed by Clenshaw's recurrence."""
-    a, lnab, z_max, coef = fit
+    z (a power of w) times h(z), a polynomial in x = 2 z / z_max - 1."""
+    a, lnab, z_max, mono = fit
     z = np.exp((np.log(w) + lnab) / a)
-    x = z * (2.0 / z_max) - 1.0
-    two_x = x + x
-    b1 = np.full_like(x, coef[-1])
-    b2 = np.zeros_like(x)
-    tmp = np.empty_like(x)
-    for c in coef[-2:0:-1]:
-        # b_k = 2 x b_(k+1) - b_(k+2) + c_k, written over b_(k+2)
-        np.subtract(c, b2, out=b2)
-        np.multiply(two_x, b1, out=tmp)
-        b2 += tmp
-        b1, b2 = b2, b1
-    return z * (x * b1 - b2 + coef[0])
+    x = z * (2.0 / z_max)
+    x -= 1.0
+    t = _horner(mono, x)
+    t *= z
+    return t
 
 
 def inc_beta_reg_inv(a: float, b: float, y):
@@ -369,22 +464,23 @@ def inc_beta_reg_inv(a: float, b: float, y):
     betaincinv (Boost) and the step is taken on scipy's betainc, except for
     arrays of at least INV_FIT_MIN points, where the start comes from two
     Chebyshev fits of the inverse (_inv_fit), one on each side of y_half =
-    I_{1/2}(a, b), and the step on inc_beta_reg (its series for shapes a, b
-    <= 1, scipy's betainc otherwise).  Each block of INV_FIT_BLOCK points
-    (blocks keep temporaries small) is split once at y_half into two index
-    lists, and each branch runs its fit, its step and its forward function
-    on its own gathered points: below y_half in x <= 1/2; above it in s =
-    1 - x <= 1/2, from the fit of the swapped shapes (b, a) at 1 - y and a
-    step on the swapped tail, so that neither branch splits again.  The
-    fits cost about 2 (INV_FIT_DEGREE + 1) scipy inversions a call.  On 1e6
-    shuffled points at gtf's shapes, side by side on a shared 2-vCPU x86-64
-    VM (Xeon, AVX-512), an inversion then took 70-120 ns a point against
-    0.9-1.4 us for scipy's betaincinv, and the series 55-115 ns against
-    160-390 ns for Boost's betainc.  Where a fit cannot be certified
-    (extreme shapes) scipy's start and step are taken, as for small arrays.
-    At a = b = 1/2 Boost inverts in closed form and its value is returned
-    unpolished.  Large arrays may therefore differ from the small-array
-    result in the last ulps.
+    I_{1/2}(a, b), and the step on inc_beta_reg (its polynomial for shapes
+    a, b <= 1, scipy's betainc otherwise).  The forward functions are built
+    once a call (_forward) and serve both fits and every block.  Each block
+    of INV_FIT_BLOCK points (blocks keep temporaries small) is split once at
+    y_half into two index lists, and each branch runs its fit, its step and
+    its forward function on its own gathered points: below y_half in x <=
+    1/2; above it in s = 1 - x <= 1/2, from the fit of the swapped shapes
+    (b, a) at 1 - y and a step on the swapped tail, so that neither branch
+    splits again.  The fits cost about 2 (INV_FIT_DEGREE + 1) scipy
+    inversions a call.  On 1e6 shuffled points at gtf's shapes, side by side
+    on a shared 2-vCPU x86-64 VM (Xeon, AVX-512), an inversion then took
+    50-66 ns a point against 0.9-1.4 us for scipy's betaincinv, and
+    inc_beta_reg 28-38 ns against 160-390 ns for Boost's betainc.  Where a
+    fit cannot be certified (extreme shapes) scipy's start and step are
+    taken, as for small arrays.  At a = b = 1/2 Boost inverts in closed
+    form and its value is returned unpolished.  Large arrays may therefore
+    differ from the small-array result in the last ulps.
     """
     if not (a > 0 and b > 0):
         raise DomainError("inc_beta_reg_inv requires positive shape parameters")
@@ -397,14 +493,14 @@ def inc_beta_reg_inv(a: float, b: float, y):
     lnb = float(sc.betaln(a, b))
     fits = None
     if yy.size >= INV_FIT_MIN:
+        lower, swapped, upper = _forward(a, b)
         y_half = float(sc.betainc(a, b, 0.5))
-        fits = (_inv_fit(a, b, lnb, y_half),
-                _inv_fit(b, a, lnb, float(sc.betainc(b, a, 0.5))))
+        fits = (_inv_fit(a, b, lnb, y_half, lower),
+                _inv_fit(b, a, lnb, float(sc.betainc(b, a, 0.5)), swapped))
     if fits is None or None in fits:
         x0 = sc.betaincinv(a, b, yy)
         x = _newton_step(a, b, lnb, x0, sc.betainc(a, b, x0) - yy)
         return float(x) if x.ndim == 0 else x
-    lower, upper = _forward(a, b)
     flat = yy.ravel()
     x = np.empty_like(flat)
     with np.errstate(divide="ignore", under="ignore"):  # log(0) at y = 0, 1

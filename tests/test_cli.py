@@ -202,7 +202,7 @@ class TestTable:
         code, out, err = run_cli(capsys, "table", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("domain error: ")
+        assert err.startswith(f"domain error: {argv[-2]}: need an integer >= ")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"

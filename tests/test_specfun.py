@@ -299,7 +299,7 @@ class TestFitTruncation:
             lnb = float(sc.betaln(a, b))
             for s, t in ((a, b), (b, a)):
                 w_half = float(sc.betainc(s, t, 0.5))
-                fit = specfun._inv_fit(s, t, lnb, w_half)
+                fit = specfun._inv_fit(s, t, lnb, w_half, specfun._forward(s, t)[0])
                 assert fit is not None, (p, q)
                 assert 2 <= len(fit[3]) < specfun.INV_FIT_DEGREE + 1, (p, q)
                 # both ends of the interpolation interval, where every
@@ -314,12 +314,91 @@ class TestFitTruncation:
         # a = 1e-9 puts z = (a B w)^(1/a) beyond what doubles resolve
         lnb = float(sc.betaln(a, b))
         y = np.random.default_rng(9).random(specfun.INV_FIT_MIN)
-        fits = [specfun._inv_fit(s, t, lnb, float(sc.betainc(s, t, 0.5)))
+        fits = [specfun._inv_fit(s, t, lnb, float(sc.betainc(s, t, 0.5)), specfun._forward(s, t)[0])
                 for s, t in ((a, b), (b, a))]
         assert None in fits
         x0 = sc.betaincinv(a, b, y)
         step = specfun._newton_step(a, b, lnb, x0, sc.betainc(a, b, x0) - y)
         assert same_bits(specfun.inc_beta_reg_inv(a, b, y), step)
+
+
+def series_56(a, b, t):
+    """I_t(a, b) on an array t from the _INC_TERMS-term series of F(a, 1 - b;
+    a + 1; u), summed by Horner's rule in u, with I_{1/2} and g(1/2) from
+    dot products: what inc_beta_reg sums where no polynomial is certified."""
+
+    def g(coef, u):  # sum_n coef[n - 1] u^n
+        acc = np.full_like(u, coef[-1])
+        for c in coef[-2::-1]:
+            acc *= u
+            acc += c
+        return acc * u
+
+    lo, hi = specfun._inc_beta_terms(a, b), specfun._inc_beta_terms(b, a)
+    half = 0.5 ** np.arange(1.0, specfun._INC_TERMS)
+    c_lo = specfun._gamma_quotient((a + b,), (a + 1.0, b))
+    c_hi = 0.5**b * specfun._gamma_quotient((a + b,), (a, b + 1.0))
+    out = np.empty_like(t)
+    below = t <= 0.5
+    u, s = t[below], 1.0 - t[~below]
+    out[below] = u**a * c_lo * (1.0 + g(lo, u))
+    with np.errstate(divide="ignore"):
+        e = np.expm1(b * np.log(s + s))
+    gs, s2b = g(hi, s), 1.0 + e
+    j = c_hi * s2b * (1.0 + gs)
+    i_half = 0.5**a * c_lo * (1.0 + float(lo @ half))
+    out[~below] = np.where(j > 0.5, i_half + c_hi * ((float(hi @ half) - e) - s2b * gs), 1.0 - j)
+    return out
+
+
+EPS = np.finfo(float).eps
+
+
+class TestForwardPolynomial:
+    """For shapes a, b <= 1 inc_beta_reg sums a polynomial of about 20 terms
+    in x = 4u - 1, economized from the _INC_TERMS-term series, and the
+    series itself where no polynomial is certified."""
+
+    def test_against_mpmath(self):
+        # the docstring's 9.4e-16 on shapes a, b in [1e-6, 1], at random
+        # points of both branches and near t = 0, 1/2 and 1; small b puts
+        # points above 1/2 in the anchored sum
+        rng = np.random.default_rng(1594)
+        shapes = np.exp(rng.uniform(math.log(1e-6), 0.0, (20, 2))).tolist()
+        edges = [1e-300, 1e-9, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1.0 - 1e-9, 1.0 - 1e-15]
+        anchored = 0
+        with mpmath.workdps(50):
+            for a, b in shapes + [(1.0 / 3.0, 0.01), (0.99, 1e-6)]:
+                ts = np.concatenate([edges, 0.5 * rng.random(8), 0.5 + 0.5 * rng.random(8)])
+                for t, value in zip(ts.tolist(), specfun.inc_beta_reg(a, b, ts).tolist()):
+                    ref = mpmath.betainc(a, b, 0, t, regularized=True)
+                    anchored += t > 0.5 and ref < 0.5
+                    assert abs(value - ref) <= 9.4e-16 * ref, (a, b, t)
+        assert anchored >= 50
+
+    # gtf's shapes a = 1/q, b = 1 - 1/p and their swaps
+    @pytest.mark.parametrize("p,q", [(2.317, 4.528), (1.001, 1000.0), (1000.0, 1.001),
+                                     (100.0, 100.0), (1.18, 3.123), (1.5, 1.01)])
+    def test_certified_size_and_sum(self, p, q):
+        u = np.linspace(0.0, 0.5, 201)
+        for a, b in ((1.0 / q, 1.0 - 1.0 / p), (1.0 - 1.0 / p, 1.0 / q)):
+            kappa = specfun._inc_beta_terms(a, b)
+            mono = specfun._economize(kappa)
+            assert 19 <= len(mono) <= 22, (a, b)
+            assert np.abs(mono).sum() <= 1.55 * kappa[0], (a, b)
+            series = specfun._horner(kappa, u)
+            x = 4.0 * u - 1.0
+            assert np.all(np.abs(specfun._horner(mono, x) - series) <= 4 * EPS * series), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(1.0 / 3.0, 0.6), (0.5, 0.01), (0.9, 0.3)])
+    def test_uncertified_shapes_sum_the_series(self, monkeypatch, a, b):
+        t = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(56).random(3000)])
+        economized = specfun.inc_beta_reg(a, b, t)
+        monkeypatch.setattr(specfun, "_economize", lambda kappa: None)
+        summed = specfun.inc_beta_reg(a, b, t)
+        assert same_bits(summed, series_56(a, b, t))
+        assert not same_bits(economized, summed)
+        assert np.all(np.abs(economized - summed) <= 4 * EPS * summed)
 
 
 class TestHyp2F1:
