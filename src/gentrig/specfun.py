@@ -66,11 +66,11 @@ INV_FIT_TRUNC = 2.0**-31
 # inc_beta_reg's coefficients come from this many terms of F(a, 1 - b;
 # a + 1; u), u <= 1/2: for shapes a, b <= 1 the n-th term is positive and
 # below u^n, so the terms left out add less than 2^-56 / (1 - 1/2) = 2^-55
-# of the sum (whose first is 1).  It sums them as they are only where their
-# economized polynomial (at most _POLY_TERMS terms, within _POLY_TOL k(0);
-# 19-22 terms on every shape tried) cannot be certified
+# of the sum (whose first is 1).  They are summed as their economized
+# polynomial, within _POLY_TOL k(0), which keeps at most _POLY_TERMS terms
+# on every such shape (_economize; 19-22 on every shape tried)
 _INC_TERMS = 56
-_POLY_TERMS = 32
+_POLY_TERMS = 23
 _POLY_TOL = 2.0**-56
 
 _DBL_MIN = sys.float_info.min
@@ -223,22 +223,26 @@ def _monomial(cheb):
 
 def _economize(kappa):
     """Coefficients of x^j, x = 4u - 1 in [-1, 1], of a polynomial within
-    _POLY_TOL k(0) of k(u) = sum_n kappa[n] u^n on u in [0, 1/2], for
-    nonnegative kappa; None if it cannot be certified.
+    _POLY_TOL k(0) of k(u) = sum_n kappa[n] u^n on u in [0, 1/2], for the
+    kappa of shapes a, b <= 1 (_inc_beta_terms).
 
     The Chebyshev coefficients of k in x are sums of nonnegative terms, so
     they are accurate to rounding, and the series is cut where its dropped
-    tail is at most _POLY_TOL k(0), the minimum of k.  It is certified when
-    at most _POLY_TERMS coefficients are kept and the monomial coefficients
-    sum in magnitude to at most 2 k(0), so that Horner's rule rounds as on
-    a sum of positive terms (at most 1.55 k(0) on the shapes tried)."""
+    tail is at most _POLY_TOL k(0), the minimum of k.  For such shapes
+    0 <= kappa[n] <= kappa[n - 1], so each Chebyshev coefficient is at most
+    kappa[0] times that of 1 / (1 - u) = 4 / (3 - x), sqrt(8) rho^-k with
+    rho = 3 + sqrt(8): the tail from k = 23 on is below 0.61 _POLY_TOL
+    kappa[0], and at most _POLY_TERMS coefficients are kept.  The monomial
+    coefficients of the uncut series, sum_n kappa[n] ((1 + x) / 4)^n, are
+    nonnegative and sum to k(1/2) <= 8 (ln 2 - 1/2) kappa[0] = 1.545
+    kappa[0] (a = 1, b -> 0); the cut moves that sum by below 2e-8 kappa[0],
+    since the dropped c_k times the 1-norm (1 + sqrt(2))^k of T_k is at most
+    kappa[0] min(2^-56 (1 + sqrt(2))^k, sqrt(8) (1 + sqrt(2))^-k).  So
+    Horner's rule rounds as on a sum of positive terms."""
     cheb = _bases()[0] @ kappa
     tails = np.cumsum(cheb[::-1])[::-1]  # sum_{j >= k} c_j
     keep = max(1, int(np.count_nonzero(tails > _POLY_TOL * kappa[0])))
-    if keep > _POLY_TERMS:
-        return None
-    mono = _monomial(cheb[:keep])
-    return mono if np.abs(mono).sum() <= 2.0 * kappa[0] else None
+    return _monomial(cheb[:keep])
 
 
 def _horner(coef, x):
@@ -254,18 +258,9 @@ def _horner(coef, x):
 def _hyp_m1(a: float, b: float):
     """(g, g(1/2)) for g(u) = F(a, 1 - b; a + 1; u) - 1 = u k(u) on arrays
     of points u <= 1/2, shapes a, b <= 1: k is the _INC_TERMS-term series,
-    economized to a polynomial in x = 4u - 1 where one is certified (g(1/2)
-    is then its Horner sum at x = 1, from the top coefficient down, bit for
-    bit), and summed in u otherwise."""
-    kappa = _inc_beta_terms(a, b)
-    mono = _economize(kappa)
-    if mono is None:
-        def g(u):
-            k = _horner(kappa, u)
-            k *= u
-            return k
-
-        return g, float(kappa @ 0.5 ** np.arange(1.0, _INC_TERMS))
+    economized to a polynomial in x = 4u - 1 (_economize), and g(1/2) is g
+    itself at u = 1/2."""
+    mono = _economize(_inc_beta_terms(a, b))
 
     def g(u):
         x = 4.0 * u
@@ -274,10 +269,7 @@ def _hyp_m1(a: float, b: float):
         k *= u
         return k
 
-    k_half = 0.0
-    for c in mono[::-1].tolist():
-        k_half += c
-    return g, 0.5 * k_half
+    return g, float(g(np.array([0.5]))[0])
 
 
 def _split(mask):
@@ -350,10 +342,9 @@ def inc_beta_reg(a: float, b: float, t):
     terms leave a tail below 2^-55 of the sum.  F - 1 = u k(u) is not summed
     term by term: k's series is re-expanded in Chebyshev polynomials of x =
     4u - 1 on u in [0, 1/2], where every coefficient is a sum of nonnegative
-    terms, cut after the 19-22 coefficients (on every shape tried) that
-    leave a tail below 2^-56 k(0), and summed by Horner's rule in x from its
-    monomial coefficients (_economize; where that cannot be certified the
-    series is summed as it is).  Where J > 1/2, 1 - J would cancel
+    terms, cut after the coefficients (at most 23; 19-22 on every shape
+    tried) that leave a tail below 2^-56 k(0), and summed by Horner's rule
+    in x from its monomial coefficients (_economize).  Where J > 1/2, 1 - J would cancel
     (I_t(a, b) < 1/2 at t > 1/2, which happens when I_{1/2}(a, b) < 1/2:
     small b); there the value is anchored at t = 1/2 instead, as
     I_{1/2}(a, b) plus the mass of (1/2, t],

@@ -322,42 +322,12 @@ class TestFitTruncation:
         assert same_bits(specfun.inc_beta_reg_inv(a, b, y), step)
 
 
-def series_56(a, b, t):
-    """I_t(a, b) on an array t from the _INC_TERMS-term series of F(a, 1 - b;
-    a + 1; u), summed by Horner's rule in u, with I_{1/2} and g(1/2) from
-    dot products: what inc_beta_reg sums where no polynomial is certified."""
-
-    def g(coef, u):  # sum_n coef[n - 1] u^n
-        acc = np.full_like(u, coef[-1])
-        for c in coef[-2::-1]:
-            acc *= u
-            acc += c
-        return acc * u
-
-    lo, hi = specfun._inc_beta_terms(a, b), specfun._inc_beta_terms(b, a)
-    half = 0.5 ** np.arange(1.0, specfun._INC_TERMS)
-    c_lo = specfun._gamma_quotient((a + b,), (a + 1.0, b))
-    c_hi = 0.5**b * specfun._gamma_quotient((a + b,), (a, b + 1.0))
-    out = np.empty_like(t)
-    below = t <= 0.5
-    u, s = t[below], 1.0 - t[~below]
-    out[below] = u**a * c_lo * (1.0 + g(lo, u))
-    with np.errstate(divide="ignore"):
-        e = np.expm1(b * np.log(s + s))
-    gs, s2b = g(hi, s), 1.0 + e
-    j = c_hi * s2b * (1.0 + gs)
-    i_half = 0.5**a * c_lo * (1.0 + float(lo @ half))
-    out[~below] = np.where(j > 0.5, i_half + c_hi * ((float(hi @ half) - e) - s2b * gs), 1.0 - j)
-    return out
-
-
 EPS = np.finfo(float).eps
 
 
 class TestForwardPolynomial:
     """For shapes a, b <= 1 inc_beta_reg sums a polynomial of about 20 terms
-    in x = 4u - 1, economized from the _INC_TERMS-term series, and the
-    series itself where no polynomial is certified."""
+    in x = 4u - 1, economized from the _INC_TERMS-term series."""
 
     def test_against_mpmath(self):
         # the docstring's 9.4e-16 on shapes a, b in [1e-6, 1], at random
@@ -390,15 +360,15 @@ class TestForwardPolynomial:
             x = 4.0 * u - 1.0
             assert np.all(np.abs(specfun._horner(mono, x) - series) <= 4 * EPS * series), (a, b)
 
-    @pytest.mark.parametrize("a,b", [(1.0 / 3.0, 0.6), (0.5, 0.01), (0.9, 0.3)])
-    def test_uncertified_shapes_sum_the_series(self, monkeypatch, a, b):
-        t = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(56).random(3000)])
-        economized = specfun.inc_beta_reg(a, b, t)
-        monkeypatch.setattr(specfun, "_economize", lambda kappa: None)
-        summed = specfun.inc_beta_reg(a, b, t)
-        assert same_bits(summed, series_56(a, b, t))
-        assert not same_bits(economized, summed)
-        assert np.all(np.abs(economized - summed) <= 4 * EPS * summed)
+    # the corners of a, b in (0, 1]: a = 1, b -> 0 is where the monomial
+    # coefficients sum to most, 8 (ln 2 - 1/2) kappa[0]; b = 1 leaves k = 0
+    @pytest.mark.parametrize("a,b", [(1.0, 1e-12), (1e-12, 1e-12), (1e-12, 1.0), (1.0, 1.0),
+                                     (1.0, 0.5), (0.5, 1e-12)])
+    def test_bounds_hold_at_the_corners(self, a, b):
+        kappa = specfun._inc_beta_terms(a, b)
+        mono = specfun._economize(kappa)
+        assert len(mono) <= specfun._POLY_TERMS
+        assert np.abs(mono).sum() <= 8.0 * (math.log(2.0) - 0.5) * kappa[0] * (1.0 + 1e-12)
 
 
 class TestHyp2F1:
