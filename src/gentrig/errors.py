@@ -50,6 +50,14 @@ def check_pq(p: float, q: float):
         raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
 
 
+def within(x, lo: float, hi: float) -> bool:
+    """lo <= x <= hi at every point of the float array x (an empty array
+    passes), by one min() and one max() instead of two full-size masks.
+    Both reductions propagate NaN, and every comparison with NaN is false,
+    so NaN fails."""
+    return x.size == 0 or bool(lo <= x.min() and x.max() <= hi)
+
+
 def check_order(n, least: int = 0, what: str | None = None) -> int:
     """Return int(n) for a finite integer n >= least (an integral float is
     accepted); raise DomainError otherwise, NaN and inf included.  what, if

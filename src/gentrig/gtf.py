@@ -14,7 +14,13 @@ Boost code as the ufuncs), Python float powers, no 0-d array, and a Python
 float back.  Arrays of fewer than specfun.INV_FIT_MIN points take the
 ufuncs and numpy's powers.  Larger arrays take specfun's kernels: the
 inversions specfun.inc_beta_reg_inv (a fitted inverse Newton-polished on
-the series specfun.inc_beta_reg), and asin_pq that series.  All lanes
+the series specfun.inc_beta_reg), and asin_pq that series.  These build
+their setup once per shape (a, b), about 0.2 ms for an inversion's fits and
+forward sums, and keep it in a bounded cache: a 1000-point sin_pq or cos_pq
+call costs about 0.12 ms at a (p, q) met before and 0.35 ms at a new one,
+asin_pq 0.07 and 0.16 ms, and on 1e6 points sin_pq, cos_pq and asin_pq
+take 35, 37 and 22 ns a point either way (medians over five pairs on a
+shared 2-vCPU x86-64 VM).  All lanes
 share every other formula and one accuracy contract: at every point each
 is within 2e-15 of 50-digit mpmath, relative and divided by the condition
 number of its inversion, or no further than scipy's raw inverse
@@ -57,7 +63,7 @@ import scipy.special as sc
 from scipy.special import cython_special as _cs
 
 from . import specfun
-from .errors import DomainError, check_pq
+from .errors import DomainError, check_pq, within
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 _DBL_MIN = sys.float_info.min
@@ -117,8 +123,7 @@ def _as_unit(x, top: float, what: str):
             raise DomainError(f"{what} requires argument in [0, {top}]")
         return min(max(x, 0.0), top)
     xx = np.asarray(x, dtype=float)
-    # written so that NaN fails the test
-    if not ((xx >= -slack) & (xx <= top + slack)).all():
+    if not within(xx, -slack, top + slack):
         raise DomainError(f"{what} requires argument in [0, {top}]")
     return np.clip(xx, 0.0, top)
 
@@ -303,7 +308,7 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         ok = 0.0 <= xx <= 1.0
     else:
         xx = np.asarray(x01, dtype=float)
-        ok = ((xx >= 0.0) & (xx <= 1.0)).all()
+        ok = within(xx, 0.0, 1.0)
     if not ok:  # written so that NaN fails
         raise DomainError("x01 must lie in [0, 1]")
     ps, qs = conjugate(p), conjugate(q)

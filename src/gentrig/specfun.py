@@ -10,7 +10,8 @@ function is summed here for shapes a, b <= 1 (all that gtf uses), on arrays,
 as a polynomial of about 20 terms economized from its series, and taken from
 scipy's betainc otherwise; scipy's betaincinv is the start of the inverse
 wherever no certified fit is.  The fits and the polynomial share one Horner
-loop (_horner).  The hypergeometric function is evaluated
+loop (_horner), and both are built once per shape and kept in bounded
+caches (_inverse_setup, _forward).  The hypergeometric function is evaluated
 here because call sites need a certified tail bound on every series, the exact
 terminating polynomial when a parameter is a nonpositive integer, Gauss
 summation at argument 1, and a cost that does not grow as the argument
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.special as sc
 from scipy.special import cython_special as _cs
 
-from .errors import ConvergenceError, DomainError, check_order
+from .errors import ConvergenceError, DomainError, check_order, within
 
 # a series stops once its certified tail is below this fraction of the sum
 # of the magnitudes of its terms, the scale of its own rounding error
@@ -47,14 +48,15 @@ POCH_SWITCH = 64
 # inc_beta_reg_inv starts arrays of at least INV_FIT_MIN points from
 # Chebyshev fits of degree INV_FIT_DEGREE, certified when their trailing
 # coefficients are within INV_FIT_TOL, evaluated INV_FIT_BLOCK points at a
-# time.  INV_FIT_MIN is not a measured crossover: at gtf's shapes (a, b) =
-# (1/3, 0.6) on a shared 2-vCPU Xeon (two runs, medians of 9 repeats), the
-# inverse took 580-653 us against scipy's betaincinv's 727-1049 at 600
-# points, 659-751 against 1363-1407 at 1000 and 778-825 against 2644-2917
-# at 2000, and inc_beta_reg 193-210 us against betainc's 129-146 at 600
-# points, 154-268 against 212-239 at 1000 and 261-325 against 446-646 at
-# 2000; most of the inverse's fixed cost is the 2 x 24 scipy inversions of
-# its fits' nodes
+# time.  A shape's setup, both fits and the forward sums (_inverse_setup,
+# _forward), costs about 200 us once and is cached; each call then costs
+# 90 us at 600 points, 101 at 1000 and 125 at 2000, against 304, 316 and 341
+# when every call built its own, and scipy's betaincinv's 336, 564 and 1122
+# (at gtf's shapes (a, b) = (1/3, 0.6) on a shared 2-vCPU x86-64 VM, best of
+# 7 repeats).  inc_beta_reg, cached, took 48, 53 and 64 us against 138, 146
+# and 159 uncached and betainc's 63, 111 and 229.  INV_FIT_MIN was set where
+# the uncached lane broke even (400-700 points by shape, BENCH_7.json); a
+# cached shape wins far below it, but the first call at a shape pays its setup
 INV_FIT_MIN = 600
 INV_FIT_DEGREE = 24
 INV_FIT_TOL = 1e-12
@@ -259,8 +261,10 @@ def _hyp_m1(a: float, b: float):
     """(g, g(1/2)) for g(u) = F(a, 1 - b; a + 1; u) - 1 = u k(u) on arrays
     of points u <= 1/2, shapes a, b <= 1: k is the _INC_TERMS-term series,
     economized to a polynomial in x = 4u - 1 (_economize), and g(1/2) is g
-    itself at u = 1/2."""
+    itself at u = 1/2.  The coefficients are read-only: _forward's cache
+    shares them between calls."""
     mono = _economize(_inc_beta_terms(a, b))
+    mono.flags.writeable = False
 
     def g(u):
         x = 4.0 * u
@@ -279,11 +283,18 @@ def _split(mask):
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
+@functools.lru_cache(maxsize=128)
 def _forward(a: float, b: float):
     """(lower, swapped, upper): I_t(a, b) on an array of points t <= 1/2,
     I_s(b, a) on an array of points s <= 1/2, and I_t(a, b) on an array of
     points s = 1 - t <= 1/2; inc_beta_reg's sums for shapes a, b <= 1,
-    scipy's betainc otherwise."""
+    scipy's betainc otherwise.
+
+    Built once per shape and cached (two economizations, ~80 us; a few kB
+    an entry), since gtf repeats its shapes from call to call.  upper is
+    1 - J with J = I_s(b, a) where I_{1/2}(a, b) >= 1/2, since then J <=
+    I_{1/2}(b, a) <= 1/2 at every s <= 1/2 and 1 - J cannot cancel; only
+    the other shapes take the form anchored at t = 1/2 (inc_beta_reg)."""
     if not (a <= 1.0 and b <= 1.0):
         return ((lambda t: sc.betainc(a, b, t)), (lambda s: sc.betainc(b, a, s)),
                 (lambda s: sc.betainc(a, b, 1.0 - s)))
@@ -299,14 +310,19 @@ def _forward(a: float, b: float):
     def swapped(s):
         return s**b * c_sw * (1.0 + g_hi(s))
 
-    def upper(s):
-        with np.errstate(divide="ignore"):  # log(0) at s = 0
-            e = np.expm1(b * np.log(s + s))  # (2s)^b - 1
-        g = g_hi(s)
-        s2b = 1.0 + e  # (2s)^b
-        j = c_hi * s2b * (1.0 + g)  # I_s(b, a) = 1 - I_t(a, b)
-        anchored = i_half + c_hi * ((g_half - e) - s2b * g)
-        return np.where(j > 0.5, anchored, 1.0 - j)
+    if i_half >= 0.5:
+        def upper(s):
+            j = swapped(s)
+            return np.subtract(1.0, j, out=j)
+    else:
+        def upper(s):
+            with np.errstate(divide="ignore"):  # log(0) at s = 0
+                e = np.expm1(b * np.log(s + s))  # (2s)^b - 1
+            g = g_hi(s)
+            s2b = 1.0 + e  # (2s)^b
+            j = c_hi * s2b * (1.0 + g)  # I_s(b, a) = 1 - I_t(a, b)
+            anchored = i_half + c_hi * ((g_half - e) - s2b * g)
+            return np.where(j > 0.5, anchored, 1.0 - j)
 
     return lower, swapped, upper
 
@@ -346,7 +362,8 @@ def inc_beta_reg(a: float, b: float, t):
     tried) that leave a tail below 2^-56 k(0), and summed by Horner's rule
     in x from its monomial coefficients (_economize).  Where J > 1/2, 1 - J would cancel
     (I_t(a, b) < 1/2 at t > 1/2, which happens when I_{1/2}(a, b) < 1/2:
-    small b); there the value is anchored at t = 1/2 instead, as
+    small b; never where I_{1/2}(a, b) >= 1/2, see _forward); there the
+    value is anchored at t = 1/2 instead, as
     I_{1/2}(a, b) plus the mass of (1/2, t],
 
         2^-b / (b B(a, b)) [g(1/2) - ((2s)^b - 1) - (2s)^b g(s)],
@@ -363,7 +380,7 @@ def inc_beta_reg(a: float, b: float, t):
     if not (a > 0 and b > 0):
         raise DomainError("inc_beta_reg requires positive shape parameters")
     tt = np.asarray(t, dtype=float)
-    if not ((tt >= 0) & (tt <= 1)).all():  # written so that NaN fails
+    if not within(tt, 0.0, 1.0):
         raise DomainError("inc_beta_reg requires t in [0, 1]")
     out = _inc_beta(a, b, tt)
     return float(out) if out.ndim == 0 else out
@@ -432,7 +449,9 @@ def _inv_fit(a: float, b: float, lnb: float, w_half: float, lower):
         return None
     tails = np.cumsum(np.abs(coef[::-1]))[::-1]  # sum_{j >= k} |c_j|
     keep = max(2, int(np.count_nonzero(tails > INV_FIT_TRUNC * h.min())))
-    return a, lnab, z_max, _monomial(coef[:keep])
+    mono = _monomial(coef[:keep])
+    mono.flags.writeable = False  # shared by _inverse_setup's cache
+    return a, lnab, z_max, mono
 
 
 def _inv_fit_eval(fit, w):
@@ -447,48 +466,63 @@ def _inv_fit_eval(fit, w):
     return t
 
 
+@functools.lru_cache(maxsize=128)
+def _inverse_setup(a: float, b: float):
+    """(lnb, y_half, lower, upper, fits): what inc_beta_reg_inv's fitted
+    lane needs of the shapes (a, b), built once per shape and cached, as
+    _forward is.  lnb = ln B(a, b), y_half = I_{1/2}(a, b) (scipy's), lower
+    and upper are _forward's, and fits the two fits of _inv_fit, of (a, b)
+    below y_half and of (b, a) above it, or None unless both are certified.
+    An entry holds a few kB of coefficients, never a result."""
+    lnb = float(sc.betaln(a, b))
+    lower, swapped, upper = _forward(a, b)
+    y_half = float(sc.betainc(a, b, 0.5))
+    fits = (_inv_fit(a, b, lnb, y_half, lower),
+            _inv_fit(b, a, lnb, float(sc.betainc(b, a, 0.5)), swapped))
+    return lnb, y_half, lower, upper, None if None in fits else fits
+
+
 def inc_beta_reg_inv(a: float, b: float, y):
     """Inverse of I_x(a, b) in x, polished to |I_x(a,b) - y| <= 1e-14.
 
-    y is a point of [0, 1] or an array of them (NaN is rejected).  Each
-    start is polished by one guarded Newton step.  The start is scipy's
-    betaincinv (Boost) and the step is taken on scipy's betainc, except for
-    arrays of at least INV_FIT_MIN points, where the start comes from two
-    Chebyshev fits of the inverse (_inv_fit), one on each side of y_half =
-    I_{1/2}(a, b), and the step on inc_beta_reg (its polynomial for shapes
-    a, b <= 1, scipy's betainc otherwise).  The forward functions are built
-    once a call (_forward) and serve both fits and every block.  Each block
-    of INV_FIT_BLOCK points (blocks keep temporaries small) is split once at
-    y_half into two index lists, and each branch runs its fit, its step and
-    its forward function on its own gathered points: below y_half in x <=
-    1/2; above it in s = 1 - x <= 1/2, from the fit of the swapped shapes
-    (b, a) at 1 - y and a step on the swapped tail, so that neither branch
-    splits again.  The fits cost about 2 (INV_FIT_DEGREE + 1) scipy
-    inversions a call.  On 1e6 shuffled points at gtf's shapes, side by side
-    on a shared 2-vCPU x86-64 VM (Xeon, AVX-512), an inversion then took
-    50-66 ns a point against 0.9-1.4 us for scipy's betaincinv, and
-    inc_beta_reg 28-38 ns against 160-390 ns for Boost's betainc.  Where a
-    fit cannot be certified (extreme shapes) scipy's start and step are
-    taken, as for small arrays.  At a = b = 1/2 Boost inverts in closed
-    form and its value is returned unpolished.  Large arrays may therefore
-    differ from the small-array result in the last ulps.
+    y is a point of [0, 1] or an array of them (NaN is rejected).  Each start
+    is polished by one guarded Newton step.  The start is scipy's betaincinv
+    (Boost) and the step is taken on scipy's betainc, except for arrays of
+    at least INV_FIT_MIN points, where the start comes from two Chebyshev
+    fits of the inverse (_inv_fit), one on each side of
+    y_half = I_{1/2}(a, b), and the step on inc_beta_reg (its polynomial for
+    shapes a, b <= 1, scipy's betainc otherwise).  The fits and the forward functions are built
+    once per shape (_inverse_setup, _forward: 2 INV_FIT_DEGREE scipy
+    inversions and their polish, and two economizations) and cached for
+    later calls.  Each block of INV_FIT_BLOCK points (blocks keep temporaries
+    small) is split once at y_half into two index lists, and each branch
+    runs its fit, its step and its forward function on its own gathered
+    points: below y_half in x <= 1/2; above it in s = 1 - x <= 1/2, from the
+    fit of the swapped shapes (b, a) at 1 - y and a step on the swapped
+    tail, so that neither branch splits again.  At (a, b) = (1/3, 0.6) and
+    its swap on a shared 2-vCPU x86-64 VM, the setup cost about 200 us a
+    shape, once; then a call took about 90 us at 600 points and 27-31 ns a
+    point on 1e6 shuffled points, against 0.57 us a point for scipy's
+    betaincinv, and inc_beta_reg 15-18 ns against 127 ns for Boost's betainc
+    (INV_FIT_MIN's comment has the small sizes).  Where a fit cannot be
+    certified (extreme shapes) scipy's start and step are taken, as for
+    small arrays.  At a = b = 1/2 Boost inverts in closed form and its value
+    is returned unpolished.  Large arrays may therefore differ from the
+    small-array result in the last ulps.
     """
     if not (a > 0 and b > 0):
         raise DomainError("inc_beta_reg_inv requires positive shape parameters")
     yy = np.asarray(y, dtype=float)
-    if not ((yy >= 0) & (yy <= 1)).all():  # written so that NaN fails
+    if not within(yy, 0.0, 1.0):
         raise DomainError("inc_beta_reg_inv requires y in [0, 1]")
     if a == b == 0.5:
         x = sc.betaincinv(a, b, yy)
         return float(x) if x.ndim == 0 else x
-    lnb = float(sc.betaln(a, b))
-    fits = None
     if yy.size >= INV_FIT_MIN:
-        lower, swapped, upper = _forward(a, b)
-        y_half = float(sc.betainc(a, b, 0.5))
-        fits = (_inv_fit(a, b, lnb, y_half, lower),
-                _inv_fit(b, a, lnb, float(sc.betainc(b, a, 0.5)), swapped))
-    if fits is None or None in fits:
+        lnb, y_half, lower, upper, fits = _inverse_setup(a, b)
+    else:
+        lnb, fits = float(sc.betaln(a, b)), None
+    if fits is None:
         x0 = sc.betaincinv(a, b, yy)
         x = _newton_step(a, b, lnb, x0, sc.betainc(a, b, x0) - yy)
         return float(x) if x.ndim == 0 else x

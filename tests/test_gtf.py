@@ -582,6 +582,101 @@ def test_accepts_exactly_what_sin_pq_accepts(which):
     assert fn(-1e-300) == fn(0.0)
 
 
+class TestValidatorEdges:
+    """Every array validator (gtf._as_unit and specfun's two) tests the
+    range with one min() and one max(): empty arrays, 0-d arrays, NaN at
+    any position, infinities, -0.0 and the slack behave as the elementwise
+    masks did, and the caller's array is left alone."""
+
+    P, Q = 2.5, 3.0
+    A, B = 1.0 / 3.0, 0.6
+    GTF = {"sin_pq": gtf.sin_pq, "cos_pq": gtf.cos_pq, "asin_pq": gtf.asin_pq}
+    SPECFUN = {"inc_beta_reg": specfun.inc_beta_reg,
+               "inc_beta_reg_inv": specfun.inc_beta_reg_inv}
+    SIZES = [5, specfun.INV_FIT_MIN]  # both array lanes
+
+    @classmethod
+    def functions(cls):
+        """{name: (f of the argument alone, top of its domain, its slack)}"""
+        half = 0.5 * gtf.pi_pq(cls.P, cls.Q)
+        out = {}
+        for name, fn in cls.GTF.items():
+            top = 1.0 if name == "asin_pq" else half
+            out[name] = (lambda x, fn=fn: fn(cls.P, cls.Q, x)), top, 1e-12 * top
+        for name, fn in cls.SPECFUN.items():
+            out[name] = (lambda x, fn=fn: fn(cls.A, cls.B, x)), 1.0, 0.0
+        return out
+
+    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty(self, name, shape):
+        f, _, _ = self.functions()[name]
+        v = f(np.zeros(shape))
+        assert isinstance(v, np.ndarray) and v.shape == shape and v.dtype == float
+
+    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    def test_zero_dim_is_the_float_lane(self, name):
+        f, top, _ = self.functions()[name]
+        for x in (0.0, 0.3 * top, top):
+            v = f(np.array(x))
+            assert type(v) is float and same_bits(v, f(x)), x
+
+    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_nan_and_inf_anywhere(self, name, size):
+        f, top, _ = self.functions()[name]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                f(bad)
+            for where in (0, size // 2, size - 1):
+                x = np.linspace(0.0, top, size)
+                x[where] = bad
+                with pytest.raises(DomainError):
+                    f(x)
+                with pytest.raises(DomainError):
+                    f(x.reshape(-1, 1))
+
+    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_negative_zero_and_slack(self, name, size):
+        """-0.0 is accepted and valued as 0.0; a point within the slack
+        beyond either end is clipped to that end, and the next float beyond
+        the slack is rejected (specfun has no slack: 0 and 1 exactly)."""
+        f, top, slack = self.functions()[name]
+        x = np.linspace(0.0, top, size)
+        below = [-0.0] + ([-0.5 * slack, -slack] if slack else [])
+        above = [top + 0.5 * slack, top + slack] if slack else []
+        for end, inside, edge, out in ((0, below, -slack, -math.inf),
+                                       (-1, above, top + slack, math.inf)):
+            for point in inside:
+                y = x.copy()
+                y[end] = point
+                assert same_bits(f(y), f(x)), point
+                assert same_bits(f(point), f(x[end])), point
+            y = x.copy()
+            y[end] = math.nextafter(edge, out)
+            with pytest.raises(DomainError):
+                f(y)
+            with pytest.raises(DomainError):
+                f(float(y[end]))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_as_unit_keeps_negative_zero(self, size):
+        for x in (-0.0, np.full(size, -0.0), np.array(-0.0)):
+            assert np.all(np.signbit(gtf._as_unit(x, 2.0, "test")))
+
+    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_caller_array_untouched(self, name, size):
+        f, top, slack = self.functions()[name]
+        x = np.linspace(0.0, top, size)
+        x[0], x[-1] = -0.5 * slack if slack else -0.0, top + 0.5 * slack
+        for arg in (x, x.reshape(-1, 1), x[::-1]):
+            kept = arg.copy()
+            f(arg)
+            assert same_bits(arg, kept)
+
+
 # ---------------------------------------------------------------- underflow
 
 

@@ -9,7 +9,7 @@ import scipy.special as sc
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gentrig import quadrature, specfun
+from gentrig import gtf, quadrature, specfun
 from gentrig.errors import ConvergenceError, DomainError
 
 
@@ -285,6 +285,82 @@ class TestBlockSplit:
         for name, t in self.cases(0.5, rng).items():
             v = self.assert_position_free(lambda u: specfun.inc_beta_reg(a, b, u), t, rng)
             assert np.allclose(v, sc.betainc(a, b, t), rtol=1e-14, atol=0.0), name
+
+
+def _closure_arrays(fn):
+    """Every numpy array that fn holds in its closure, recursively through
+    the functions held there."""
+    out = []
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            out.append(v)
+        elif callable(v) and hasattr(v, "__closure__"):
+            out += _closure_arrays(v)
+    return out
+
+
+class TestShapeCache:
+    """The large-array lane builds each shape's setup once: _forward (the
+    series' polynomials) and _inverse_setup (y_half and both fits) are
+    bounded caches keyed by (a, b), and a cached setup gives the bits of a
+    fresh one.  gtf repeats its shapes from call to call."""
+
+    P, Q = 2.317, 4.528
+    CACHES = (specfun._forward, specfun._inverse_setup)
+
+    def calls(self):
+        """sin_pq, cos_pq and asin_pq on arrays of INV_FIT_MIN points."""
+        half = 0.5 * gtf.pi_pq(self.P, self.Q)
+        u = np.random.default_rng(16).random(specfun.INV_FIT_MIN)
+        return (gtf.sin_pq(self.P, self.Q, u * half), gtf.cos_pq(self.P, self.Q, u * half),
+                gtf.asin_pq(self.P, self.Q, u))
+
+    def test_cache_repeats_results(self):
+        first = self.calls()
+        hits = specfun._inverse_setup.cache_info().hits
+        again = self.calls()
+        assert specfun._inverse_setup.cache_info().hits == hits + 2  # sin and cos
+        for cache in self.CACHES:
+            cache.cache_clear()
+        fresh = self.calls()
+        for v, w, u in zip(first, again, fresh):
+            assert same_bits(v, w) and same_bits(v, u)
+
+    @pytest.mark.parametrize("a,b", [(1.0 / 3.0, 0.6), (0.5, 0.01), (0.6, 1.0 / 3.0)])
+    def test_cache_is_read_only(self, a, b):
+        lnb, y_half, lower, upper, fits = specfun._inverse_setup(a, b)
+        assert specfun._inverse_setup(a, b)[4] is fits
+        assert specfun._forward(a, b)[0] is lower
+        fresh = specfun._inverse_setup.__wrapped__(a, b)
+        assert (lnb, y_half) == fresh[:2]
+        arrays = [fit[3] for fit in fits]
+        for cached, new in zip(fits, fresh[4]):
+            assert cached[:3] == new[:3] and same_bits(cached[3], new[3])
+        for fn in specfun._forward(a, b):
+            arrays += _closure_arrays(fn)
+        assert len(arrays) >= 4  # two fits, and the polynomials of both tails
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_bounded_and_evicted_shape_rebuilds_the_same_bits(self):
+        """After maxsize other shapes the first one is evicted from both
+        caches; rebuilt, it gives the same bits."""
+        a, b = 1.0 / self.Q, 1.0 - 1.0 / self.P
+        for cache in self.CACHES:
+            assert 0 < cache.cache_info().maxsize <= 1024
+        rng = np.random.default_rng(17)
+        y = rng.random(specfun.INV_FIT_MIN)
+        before = specfun.inc_beta_reg_inv(a, b, y), specfun.inc_beta_reg(a, b, y)
+        size = max(cache.cache_info().maxsize for cache in self.CACHES)
+        for s in np.linspace(0.1, 0.9, size).tolist():
+            specfun._inverse_setup(s, 0.7)
+        misses = [cache.cache_info().misses for cache in self.CACHES]
+        after = specfun.inc_beta_reg_inv(a, b, y), specfun.inc_beta_reg(a, b, y)
+        assert [cache.cache_info().misses for cache in self.CACHES] == [m + 1 for m in misses]
+        assert same_bits(before[0], after[0]) and same_bits(before[1], after[1])
 
 
 class TestFitTruncation:
