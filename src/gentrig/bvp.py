@@ -23,7 +23,9 @@ gives the same bits as one.  The general problem has one evaluator, behind
 residual_general, phase_curve_residual and general_checks: it inverts the
 5-point stencils x, x +- h, x +- h/2 of every point and the ends 0 and H in
 one fused sin/cos call (gtf._sincos_tail), in the gtf lane the array's size
-picks, and takes the phase curve's cosine from the stencil's centre row.
+picks: one inversion gives a point's sine and cosine, two in the band
+between I_{1/2}(1/q, 1/p) and 1/2.  The phase curve's cosine comes from the
+stencil's centre row.
 A residual agrees with one computed point by point from scalar sol(x) calls
 to 8 (p + q) eps |u| / h^2 (the ODE residual's second difference divides a
 last-ulp difference of u by h^2).

@@ -4,8 +4,15 @@ sin_pq is the inverse of x -> int_0^x (1 - t^q)^(-1/p) dt on [0, 1]; pi_pq
 is twice that integral at x = 1, and cos_pq the derivative of sin_pq.  For
 p = q = 2 everything reduces to the circular functions.  The numerical
 realization goes through the regularized incomplete beta function and its
-inverse; near the right end of the principal interval the inverse is solved
-in the swapped-tail form to keep cos_pq accurate.
+inverse, in two tails (DLMF 8.17.4): with a = 1/q, b = 1/p*, y = x/(pi_pq/2)
+and yc = 1 - y, t = sin_pq^q solves I_t(a, b) = y and s = cos_pq^p = 1 - t
+solves I_s(b, a) = yc.  One inversion gives both, the other being 1 minus
+the one solved, wherever the solved value is at most 1/2 and its argument
+is the smaller of y and yc: t up to y = min(y_half, 1/2), s above max(y_half,
+1/2), y_half = I_{1/2}(a, b), kept per pair (_pair) with pi_pq/2.  In the
+band between y_half and 1/2 each is solved from its own argument, so
+sincos_pq inverts a point twice only there, and sin_pq and cos_pq always
+once (_inverse_tails).
 
 Every evaluator takes a point or an array of points, and the input alone
 picks the lane.  A float or an int takes the float lane: plain range
@@ -13,18 +20,20 @@ comparisons, scipy's scalar kernels (scipy.special.cython_special, the same
 Boost code as the ufuncs), Python float powers, no 0-d array, and a Python
 float back.  Arrays of fewer than specfun.INV_FIT_MIN points take the
 ufuncs and numpy's powers.  Larger arrays take specfun's kernels: the
-inversions specfun.inc_beta_reg_inv (a fitted inverse Newton-polished on
-the series specfun.inc_beta_reg), and asin_pq that series.  These build
-their setup once per shape (a, b), about 0.2 ms for an inversion's fits and
-forward sums, and keep it in a bounded cache: a 1000-point sin_pq or cos_pq
-call costs about 0.12 ms at a (p, q) met before and 0.35 ms at a new one,
-asin_pq 0.07 and 0.16 ms, and on 1e6 points sin_pq, cos_pq and asin_pq
-take 35, 37 and 22 ns a point either way (medians over five pairs on a
-shared 2-vCPU x86-64 VM).  All lanes
-share every other formula and one accuracy contract: at every point each
+inversions specfun._inverse_tails (fitted inverses Newton-polished on the
+series specfun.inc_beta_reg, both tails from one setup), and asin_pq that
+series.  These build their setup once per shape (a, b), about 0.2 ms for
+an inversion's fits and forward sums, and keep it in a bounded cache: a
+1000-point sin_pq or cos_pq call costs about 0.12 ms at a (p, q) met before
+(0.17 ms for the function whose tail holds the band, which takes a third
+branch) and 0.36-0.40 ms at a new one, sincos_pq 0.18 and 0.42 ms, asin_pq
+0.07 and 0.16 ms; on 1e6 points sin_pq, cos_pq, sincos_pq and asin_pq take
+36, 38, 50 and 22 ns a point (medians on a shared 2-vCPU x86-64 VM).  All
+lanes share every other formula and one accuracy contract: at every point each
 is within 2e-15 of 50-digit mpmath, relative and divided by the condition
 number of its inversion, or no further than scipy's raw inverse
-(tests/test_gtf.py, TestFittedInverse).  Lanes may differ in the last ulps
+(tests/test_gtf.py, TestFittedInverse; the band keeps it where the other
+tail's argument is the larger).  Lanes may differ in the last ulps
 (numpy's power and the C library's pow differ on a few percent of points);
 bits match between sincos_pq and sin_pq, cos_pq, between the scalar kernels
 and the ufuncs, and wherever a point sits in an array of a given lane.  At
@@ -54,6 +63,7 @@ would be far too large.  Every lane takes this rule, sincos_pq's included.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -128,22 +138,65 @@ def _as_unit(x, top: float, what: str):
     return np.clip(xx, 0.0, top)
 
 
-def _betaincinv(a: float, b: float, y):
-    """t with I_t(a, b) = y: scipy's scalar kernel for a float y, the ufunc
-    for an array of fewer than specfun.INV_FIT_MIN points (the same Boost
-    code, bit for bit), and the polished specfun.inc_beta_reg_inv for larger
-    arrays.  At a = b, y = 1/2 gives t = 1/2 exactly in every lane, since
-    I_{1/2}(a, a) = 1/2 (DLMF 8.17.4); Boost's inverse misses it by up to
-    1.3e-8 at some a (68 of 4000 random p in (1, 100) at a = 1/p*)."""
+@functools.lru_cache(maxsize=128)
+def _pair(p: float, q: float):
+    """(pi_pq/2, a, b, y_half) of a pair (p, q), valid by check_pq: the
+    shapes a = 1/q, b = 1/p* of its incomplete-beta form and y_half =
+    I_{1/2}(a, b), where its inversion splits into two tails (1/2 exactly
+    at a = b).  Kept for 128 pairs: a hit costs less than the pi_pq it
+    saves."""
+    a, b = 1.0 / q, 1.0 / conjugate(p)
+    return 0.5 * pi_pq(p, q), a, b, specfun._half_mass(a, b)
+
+
+def _inverse_tails(a: float, b: float, y_half: float, y, yc, tails=(True, True)):
+    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, those that
+    tails asks for each accurate relative to its own argument, from one
+    inversion a point wherever one serves both.
+
+    t is solved from y and s from yc, and one value serves both tails, the
+    other being 1 minus it (DLMF 8.17.4), where the solved value is <= 1/2
+    and its argument is the smaller of y and yc: t up to y = min(y_half,
+    1/2), s above max(y_half, 1/2), y_half = I_{1/2}(a, b).  In the band
+    between y_half and 1/2 each tail is solved from its own argument, so a
+    point there is inverted twice only when both tails are asked for (at a
+    = b, y_half = 1/2 and there is no band).  A float y takes scipy's
+    scalar kernel and gives both values, only those asked for accurate in
+    the band.  An array of fewer than specfun.INV_FIT_MIN points takes one
+    ufunc call with the shapes swapped point by point (the same Boost code,
+    bit for bit), and a second on the band's cosines if both tails are
+    asked for; a larger one the polished specfun._inverse_tails (or the
+    ufunc where the shape's fits are not certified).  An array call gives
+    None for a tail not asked for.  At a = b a tail's argument of 1/2 gives
+    t = s = 1/2 in every lane, since I_{1/2}(a, a) = 1/2, where Boost's
+    inverse misses it by up to 1.3e-8 at some a (68 of 4000 random p in
+    (1, 100) at a = 1/p*)."""
+    lo, hi = min(y_half, 0.5), max(y_half, 0.5)
+    t_top = hi if tails[0] else lo  # t is solved from y where y <= t_top
+    s_bottom = lo if tails[1] else hi  # s from yc where y > s_bottom
     if isinstance(y, float):
-        return 0.5 if a == b and y == 0.5 else _cs.betaincinv(a, b, y)
-    if y.size < specfun.INV_FIT_MIN:
-        t = sc.betaincinv(a, b, y)
-    else:
-        t = specfun.inc_beta_reg_inv(a, b, y)
+        t = s = None
+        if y <= t_top:
+            t = 0.5 if a == b and y == 0.5 else _cs.betaincinv(a, b, y)
+        if y > s_bottom:
+            s = 0.5 if a == b and yc == 0.5 else _cs.betaincinv(b, a, yc)
+        return (1.0 - s if t is None else t), (1.0 - t if s is None else s)
+    if y.size >= specfun.INV_FIT_MIN:
+        fitted = specfun._inverse_tails(a, b, y, yc, *tails)
+        if fitted is not None:
+            return fitted
+    up = y > t_top
+    w = np.where(up, yc, y)
+    r = sc.betaincinv(np.where(up, b, a), np.where(up, a, b), w)
     if a == b:
-        t[y == 0.5] = 0.5
-    return t
+        r[w == 0.5] = 0.5
+    rc = 1.0 - r
+    t = np.where(up, rc, r) if tails[0] else None
+    s = np.where(up, r, rc) if tails[1] else None
+    if s_bottom < t_top:  # both asked for, and a band: its s from yc
+        band = (y > s_bottom) & ~up
+        s[band] = sc.betaincinv(b, a, yc[band])
+    return t, s
 
 
 def _betainc(a: float, b: float, t):
@@ -223,50 +276,46 @@ def asin_pq(p: float, q: float, x):
 
 def sin_pq(p: float, q: float, x):
     """Generalized sine on the principal interval [0, pi_pq/2]."""
-    check_pq(p, q)
-    halfpi = 0.5 * pi_pq(p, q)
-    xx = _as_unit(x, halfpi, "sin_pq")
-    a, b = 1.0 / q, 1.0 / conjugate(p)
-    t = _betaincinv(a, b, xx / halfpi)
-    return _small_x(xx, t ** (1.0 / q), xx < _DBL_MIN ** a)
+    return _sincos_tail(p, q, x, (True, False), "sin_pq")[0]
 
 
 def cos_pq(p: float, q: float, x):
     """Generalized cosine (1 - sin_pq^q)^(1/p) on [0, pi_pq/2].
 
-    Solved in the swapped-tail form I_{1-t}(b, a) = 1 - I_t(a, b) so that
-    accuracy is retained where sin_pq is close to 1.
+    s = cos_pq^p is solved in the swapped-tail form I_s(b, a) = 1 -
+    I_{1-s}(a, b) above y = min(I_{1/2}(a, b), 1/2), so that accuracy is
+    retained where sin_pq is close to 1, and below it is 1 - t from the
+    sine's t <= 1/2, one inversion a point either way (_inverse_tails).
     """
-    check_pq(p, q)
-    halfpi = 0.5 * pi_pq(p, q)
-    xx = _as_unit(x, halfpi, "cos_pq")
-    a, b = 1.0 / q, 1.0 / conjugate(p)
-    yc = (halfpi - xx) / halfpi
-    return _cos_from_tail(p, a, b, _betaincinv(b, a, yc), yc)
+    return _sincos_tail(p, q, x, (False, True), "cos_pq")[1]
 
 
 def sincos_pq(p: float, q: float, x):
-    """(sin_pq(p, q, x), cos_pq(p, q, x)) from one validation and one pi_pq.
+    """(sin_pq(p, q, x), cos_pq(p, q, x)) from one validation and one
+    inversion a point, two in the band between I_{1/2}(a, b) and 1/2.
 
-    Both incomplete-beta inversions (the sine form and the swapped-tail
-    cosine form) run on the whole array, in the lane its type and size
-    select (see the module docstring).  The pair equals the two separate
-    calls bit for bit, for scalars and for arrays.
+    Outside the band a point is inverted once, in the tail whose argument is
+    the smaller, and the sine and the cosine both come from that inversion
+    (_inverse_tails), in the lane the input's type and size select (see the
+    module docstring).  sin_pq and cos_pq take the same path, so the pair
+    equals the two separate calls bit for bit, for scalars and for arrays.
     """
     return _sincos_tail(p, q, x)[:2]
 
 
-def _sincos_tail(p: float, q: float, x):
-    """sincos_pq's (sin, cos) and yc = 1 - x/(pi_pq/2), the argument of the
-    swapped-tail cosine inversion, which _cos_power needs."""
+def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
+    """(sin, cos, yc) at x, yc = 1 - x/(pi_pq/2) the argument of the
+    swapped-tail inversion, which _cos_power needs, from one call of
+    _inverse_tails.  An array call computes the sine and the cosine only
+    where tails says so, and gives None for the other."""
     check_pq(p, q)
-    halfpi = 0.5 * pi_pq(p, q)
-    xx = _as_unit(x, halfpi, "sincos_pq")
-    a, b = 1.0 / q, 1.0 / conjugate(p)
+    halfpi, a, b, y_half = _pair(p, q)
+    xx = _as_unit(x, halfpi, what)
     yc = (halfpi - xx) / halfpi
-    t = _betaincinv(a, b, xx / halfpi)
-    c = _cos_from_tail(p, a, b, _betaincinv(b, a, yc), yc)
-    return _small_x(xx, t ** (1.0 / q), xx < _DBL_MIN ** a), c, yc
+    t, s = _inverse_tails(a, b, y_half, xx / halfpi, yc, tails)
+    sin = _small_x(xx, t ** (1.0 / q), xx < _DBL_MIN ** a) if tails[0] else None
+    cos = _cos_from_tail(p, a, b, s, yc) if tails[1] else None
+    return sin, cos, yc
 
 
 def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
@@ -312,8 +361,8 @@ def sin_symmetry_appendix(p: float, q: float, x01):
     if not ok:  # written so that NaN fails
         raise DomainError("x01 must lie in [0, 1]")
     ps, qs = conjugate(p), conjugate(q)
-    half_a = 0.5 * pi_pq(p, q)
-    half_b = 0.5 * pi_pq(qs, ps)
+    half_a = _pair(p, q)[0]
+    half_b = _pair(qs, ps)[0]
     s_a, c_a = sincos_pq(p, q, half_a * xx)
     s_b, c_b = sincos_pq(qs, ps, half_b * (1.0 - xx))
     return s_a - c_b ** (qs - 1.0), c_a - s_b ** (ps - 1.0)

@@ -283,48 +283,65 @@ def _split(mask):
     return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
-@functools.lru_cache(maxsize=128)
-def _forward(a: float, b: float):
-    """(lower, swapped, upper): I_t(a, b) on an array of points t <= 1/2,
-    I_s(b, a) on an array of points s <= 1/2, and I_t(a, b) on an array of
-    points s = 1 - t <= 1/2; inc_beta_reg's sums for shapes a, b <= 1,
-    scipy's betainc otherwise.
-
-    Built once per shape and cached (two economizations, ~80 us; a few kB
-    an entry), since gtf repeats its shapes from call to call.  upper is
-    1 - J with J = I_s(b, a) where I_{1/2}(a, b) >= 1/2, since then J <=
-    I_{1/2}(b, a) <= 1/2 at every s <= 1/2 and 1 - J cannot cancel; only
-    the other shapes take the form anchored at t = 1/2 (inc_beta_reg)."""
-    if not (a <= 1.0 and b <= 1.0):
-        return ((lambda t: sc.betainc(a, b, t)), (lambda s: sc.betainc(b, a, s)),
-                (lambda s: sc.betainc(a, b, 1.0 - s)))
-    (g_lo, g_lo_half), (g_hi, g_half) = _hyp_m1(a, b), _hyp_m1(b, a)
-    c_lo = _gamma_quotient((a + b,), (a + 1.0, b))  # 1 / (a B(a, b))
-    c_sw = _gamma_quotient((a + b,), (a, b + 1.0))  # 1 / (b B(a, b))
-    c_hi = 0.5**b * c_sw
-    i_half = 0.5**a * c_lo * (1.0 + g_lo_half)  # I_{1/2}(a, b)
+def _lower_tail(a: float, b: float, g, g_half: float):
+    """(lower, c, i_half): I_t(a, b) = t^a c (1 + g(t)) on an array of
+    points t <= 1/2, c = 1 / (a B(a, b)) and I_{1/2}(a, b), from (g, g_half)
+    = _hyp_m1(a, b)."""
+    c = _gamma_quotient((a + b,), (a + 1.0, b))
 
     def lower(t):
-        return t**a * c_lo * (1.0 + g_lo(t))
+        return t**a * c * (1.0 + g(t))
 
-    def swapped(s):
-        return s**b * c_sw * (1.0 + g_hi(s))
+    return lower, c, 0.5**a * c * (1.0 + g_half)
 
+
+def _upper_tail(b: float, i_half: float, swapped, c_sw: float, g_sw, g_sw_half: float):
+    """I_t(a, b) on an array of points s = 1 - t <= 1/2, from the other
+    tail: i_half = I_{1/2}(a, b) and swapped = I_s(b, a) = s^b c_sw (1 +
+    g_sw(s)), with (g_sw, g_sw_half) = _hyp_m1(b, a).  It is 1 - J, J =
+    I_s(b, a), where I_{1/2}(a, b) >= 1/2, since then J <= I_{1/2}(b, a) <=
+    1/2 at every s <= 1/2 and 1 - J cannot cancel; only the other shapes
+    take the form anchored at t = 1/2 (inc_beta_reg)."""
     if i_half >= 0.5:
         def upper(s):
             j = swapped(s)
             return np.subtract(1.0, j, out=j)
-    else:
-        def upper(s):
-            with np.errstate(divide="ignore"):  # log(0) at s = 0
-                e = np.expm1(b * np.log(s + s))  # (2s)^b - 1
-            g = g_hi(s)
-            s2b = 1.0 + e  # (2s)^b
-            j = c_hi * s2b * (1.0 + g)  # I_s(b, a) = 1 - I_t(a, b)
-            anchored = i_half + c_hi * ((g_half - e) - s2b * g)
-            return np.where(j > 0.5, anchored, 1.0 - j)
+        return upper
+    c_hi = 0.5**b * c_sw
 
-    return lower, swapped, upper
+    def upper(s):
+        with np.errstate(divide="ignore"):  # log(0) at s = 0
+            e = np.expm1(b * np.log(s + s))  # (2s)^b - 1
+        g = g_sw(s)
+        s2b = 1.0 + e  # (2s)^b
+        j = c_hi * s2b * (1.0 + g)  # I_s(b, a) = 1 - I_t(a, b)
+        anchored = i_half + c_hi * ((g_sw_half - e) - s2b * g)
+        return np.where(j > 0.5, anchored, 1.0 - j)
+
+    return upper
+
+
+@functools.lru_cache(maxsize=128)
+def _forward(a: float, b: float):
+    """(lower, swapped, upper, upper_swapped): I_t(a, b) on an array of
+    points t <= 1/2, I_s(b, a) on an array of points s <= 1/2, I_t(a, b) on
+    an array of points s = 1 - t <= 1/2 and I_s(b, a) on an array of points
+    t = 1 - s <= 1/2; inc_beta_reg's sums for shapes a, b <= 1 (_lower_tail,
+    _upper_tail), scipy's betainc otherwise.  Each tail is accurate relative
+    to its own value, so the inverses of both tails of a shape take their
+    steps here.
+
+    Built once per shape and cached (two economizations, ~80 us; a few kB
+    an entry), since gtf repeats its shapes from call to call."""
+    if not (a <= 1.0 and b <= 1.0):
+        return ((lambda t: sc.betainc(a, b, t)), (lambda s: sc.betainc(b, a, s)),
+                (lambda s: sc.betainc(a, b, 1.0 - s)),
+                (lambda t: sc.betainc(b, a, 1.0 - t)))
+    (g_lo, g_lo_half), (g_hi, g_hi_half) = _hyp_m1(a, b), _hyp_m1(b, a)
+    lower, c_lo, i_half = _lower_tail(a, b, g_lo, g_lo_half)
+    swapped, c_sw, j_half = _lower_tail(b, a, g_hi, g_hi_half)
+    return (lower, swapped, _upper_tail(b, i_half, swapped, c_sw, g_hi, g_hi_half),
+            _upper_tail(a, j_half, lower, c_lo, g_lo, g_lo_half))
 
 
 def _inc_beta(a: float, b: float, t):
@@ -334,7 +351,7 @@ def _inc_beta(a: float, b: float, t):
     owns its memory, so that numpy can reuse it in place as a temporary."""
     if not (a <= 1.0 and b <= 1.0):
         return sc.betainc(a, b, t)
-    lower, _, upper = _forward(a, b)
+    lower, _, upper, _ = _forward(a, b)
     out = np.empty(t.shape)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)  # the latter a view
     for start in range(0, t.size, INV_FIT_BLOCK):
@@ -466,20 +483,115 @@ def _inv_fit_eval(fit, w):
     return t
 
 
+def _fit_step(fit, a: float, b: float, lnb: float, w, resid):
+    """x with I_x(a, b) = w on an array w: the start of a fit of _inv_fit
+    and one Newton step, where resid(x) is I_x(a, b) - w as the caller
+    evaluates it (from the argument it knows exactly, where 1 - w is
+    rounded)."""
+    x = _inv_fit_eval(fit, w)
+    return _newton_step(a, b, lnb, x, resid(x))
+
+
+def _half_mass(a: float, b: float) -> float:
+    """I_{1/2}(a, b), where the inverse of I_t(a, b) splits into its two
+    tails: 1/2 exactly at a = b (DLMF 8.17.4), where Boost's misses it on
+    most shapes, and scipy's scalar kernel otherwise."""
+    return 0.5 if a == b else _cs.betainc(a, b, 0.5)
+
+
 @functools.lru_cache(maxsize=128)
 def _inverse_setup(a: float, b: float):
-    """(lnb, y_half, lower, upper, fits): what inc_beta_reg_inv's fitted
-    lane needs of the shapes (a, b), built once per shape and cached, as
-    _forward is.  lnb = ln B(a, b), y_half = I_{1/2}(a, b) (scipy's), lower
-    and upper are _forward's, and fits the two fits of _inv_fit, of (a, b)
-    below y_half and of (b, a) above it, or None unless both are certified.
-    An entry holds a few kB of coefficients, never a result."""
+    """(lnb, y_half, lower, upper, fits): what the fitted inverses of the
+    shapes (a, b) need, built once per shape and cached, as _forward is.
+    lnb = ln B(a, b), y_half = _half_mass(a, b), lower and upper are
+    _forward's, and fits the two fits of _inv_fit, of (a, b) below y_half
+    and of (b, a) above it, or None unless both are certified.  One entry
+    serves both tails, t and s = 1 - t (_inverse_tails).  An entry holds a
+    few kB of coefficients, never a result."""
     lnb = float(sc.betaln(a, b))
-    lower, swapped, upper = _forward(a, b)
-    y_half = float(sc.betainc(a, b, 0.5))
+    lower, swapped, upper, _ = _forward(a, b)
+    y_half = _half_mass(a, b)
     fits = (_inv_fit(a, b, lnb, y_half, lower),
-            _inv_fit(b, a, lnb, float(sc.betainc(b, a, 0.5)), swapped))
+            _inv_fit(b, a, lnb, _half_mass(b, a), swapped))
     return lnb, y_half, lower, upper, None if None in fits else fits
+
+
+def _inverse_tails(a: float, b: float, y, yc, want_t=True, want_s=True):
+    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, at arrays y
+    and yc = 1 - y (rounded on its own) of points of [0, 1], each accurate
+    relative to its own argument where it is wanted (want_t, want_s; the
+    other is None): the fitted lane of gtf's inversions and of
+    inc_beta_reg_inv, from the one setup _inverse_setup(a, b), or None
+    where its fits are not certified.
+
+    t is solved from y, and s from yc, each in a branch that solves a value
+    <= 1/2: t <= 1/2 below y_half = I_{1/2}(a, b) (the fit of (a, b), one
+    Newton step on lower) and above it s' = 1 - t <= 1/2 from 1 - y (the
+    fit of (b, a), a step on upper, anchored at 1/2 where 1 - I_s(b, a)
+    would cancel); likewise s <= 1/2 above y_half (the fit of (b, a) at
+    yc, a step on swapped) and below it t' = 1 - s from 1 - yc
+    (upper_swapped).  One value serves both tails, the other being 1 minus
+    it (DLMF 8.17.4), wherever the solved value is <= 1/2 and its argument
+    is the smaller of y and yc: there the complement carries no larger
+    error than its own argument's rounding.  That holds outside the band
+    between y_half and 1/2, so a point is solved once unless it lies in the
+    band and both tails are wanted; at a = b, y_half = 1/2 and there is no
+    band.  Blocks
+    of INV_FIT_BLOCK points keep temporaries small; each block is split once
+    into the index lists of its branches, and a branch runs its fit, its
+    step and its forward function on its own gathered points.  At a = b, a
+    tail's argument 1/2 gives 1/2, since I_{1/2}(a, a) = 1/2."""
+    lnb, y_half, _, _, fits = _inverse_setup(a, b)
+    if fits is None:
+        return None
+    lower, swapped, upper, upper_swapped = _forward(a, b)
+    lo, hi = min(y_half, 0.5), max(y_half, 0.5)
+    t_top = hi if want_t else lo  # t is solved from y where y <= t_top
+    s_bottom = lo if want_s else hi  # s from yc where y > s_bottom
+    flat, flat_c = y.ravel(), yc.ravel()
+    t = np.empty_like(flat) if want_t else None
+    s = np.empty_like(flat) if want_s else None
+    with np.errstate(divide="ignore", under="ignore"):  # log(0) at y = 0, 1
+        for start in range(0, flat.size, INV_FIT_BLOCK):
+            block = slice(start, start + INV_FIT_BLOCK)
+            yb, cb = flat[block], flat_c[block]
+            tb = None if t is None else t[block]
+            sb = None if s is None else s[block]
+
+            def put(idx, x, solved_t):
+                """x, solved for t or for s at the points idx, and 1 - x
+                for the other."""
+                if tb is not None:
+                    tb[idx] = x if solved_t else 1.0 - x
+                if sb is not None:
+                    sb[idx] = 1.0 - x if solved_t else x
+
+            # t <= 1/2 from y up to y_half, s <= 1/2 from yc above it
+            own = np.flatnonzero(yb <= min(y_half, t_top))
+            w = yb.take(own)
+            x = _fit_step(fits[0], a, b, lnb, w, lambda x: lower(x) - w)
+            if a == b:
+                x[w == 0.5] = 0.5
+            put(own, x, True)
+            own = np.flatnonzero(yb > max(y_half, s_bottom))
+            w = cb.take(own)
+            x = _fit_step(fits[1], b, a, lnb, w, lambda x: swapped(x) - w)
+            if a == b:
+                x[w == 0.5] = 0.5
+            put(own, x, False)
+            # the band, over the complements just put: t > 1/2 from y as 1
+            # - s' (the fit of (b, a) at 1 - y), or s > 1/2 from yc as 1 - t'
+            if y_half < t_top:
+                band = np.flatnonzero((yb > y_half) & (yb <= t_top))
+                w = yb.take(band)
+                tb[band] = 1.0 - _fit_step(fits[1], b, a, lnb, 1.0 - w,
+                                           lambda x: w - upper(x))
+            if s_bottom < y_half:
+                band = np.flatnonzero((yb > s_bottom) & (yb <= y_half))
+                w = cb.take(band)
+                sb[band] = 1.0 - _fit_step(fits[0], a, b, lnb, 1.0 - w,
+                                           lambda x: w - upper_swapped(x))
+    return tuple(None if v is None else v.reshape(y.shape) for v in (t, s))
 
 
 def inc_beta_reg_inv(a: float, b: float, y):
@@ -491,21 +603,18 @@ def inc_beta_reg_inv(a: float, b: float, y):
     at least INV_FIT_MIN points, where the start comes from two Chebyshev
     fits of the inverse (_inv_fit), one on each side of
     y_half = I_{1/2}(a, b), and the step on inc_beta_reg (its polynomial for
-    shapes a, b <= 1, scipy's betainc otherwise).  The fits and the forward functions are built
-    once per shape (_inverse_setup, _forward: 2 INV_FIT_DEGREE scipy
-    inversions and their polish, and two economizations) and cached for
-    later calls.  Each block of INV_FIT_BLOCK points (blocks keep temporaries
-    small) is split once at y_half into two index lists, and each branch
-    runs its fit, its step and its forward function on its own gathered
-    points: below y_half in x <= 1/2; above it in s = 1 - x <= 1/2, from the
-    fit of the swapped shapes (b, a) at 1 - y and a step on the swapped
-    tail, so that neither branch splits again.  At (a, b) = (1/3, 0.6) and
-    its swap on a shared 2-vCPU x86-64 VM, the setup cost about 200 us a
-    shape, once; then a call took about 90 us at 600 points and 27-31 ns a
-    point on 1e6 shuffled points, against 0.57 us a point for scipy's
-    betaincinv, and inc_beta_reg 15-18 ns against 127 ns for Boost's betainc
-    (INV_FIT_MIN's comment has the small sizes).  Where a fit cannot be
-    certified (extreme shapes) scipy's start and step are taken, as for
+    shapes a, b <= 1, scipy's betainc otherwise): _inverse_tails at y and
+    1 - y (exact where it is used, above max(y_half, 1/2)), whose branches
+    each solve a value <= 1/2, x or s = 1 - x, and split no further.  The
+    fits and the forward functions are built once per shape
+    (_inverse_setup, _forward: 2 INV_FIT_DEGREE scipy inversions and their
+    polish, and two economizations) and cached for later calls.  At (a, b)
+    = (1/3, 0.6) and its swap on a shared 2-vCPU x86-64 VM, the setup cost
+    about 200 us a shape, once; then a call took about 90 us at 600 points
+    and 27-31 ns a point on 1e6 shuffled points, against 0.57 us a point for
+    scipy's betaincinv, and inc_beta_reg 15-18 ns against 127 ns for Boost's
+    betainc (INV_FIT_MIN's comment has the small sizes).  Where a fit cannot
+    be certified (extreme shapes) scipy's start and step are taken, as for
     small arrays.  At a = b = 1/2 Boost inverts in closed form and its value
     is returned unpolished.  Large arrays may therefore differ from the
     small-array result in the last ulps.
@@ -519,27 +628,12 @@ def inc_beta_reg_inv(a: float, b: float, y):
         x = sc.betaincinv(a, b, yy)
         return float(x) if x.ndim == 0 else x
     if yy.size >= INV_FIT_MIN:
-        lnb, y_half, lower, upper, fits = _inverse_setup(a, b)
-    else:
-        lnb, fits = float(sc.betaln(a, b)), None
-    if fits is None:
-        x0 = sc.betaincinv(a, b, yy)
-        x = _newton_step(a, b, lnb, x0, sc.betainc(a, b, x0) - yy)
-        return float(x) if x.ndim == 0 else x
-    flat = yy.ravel()
-    x = np.empty_like(flat)
-    with np.errstate(divide="ignore", under="ignore"):  # log(0) at y = 0, 1
-        for start in range(0, flat.size, INV_FIT_BLOCK):
-            yb = flat[start:start + INV_FIT_BLOCK]
-            xb = x[start:start + INV_FIT_BLOCK]
-            below, above = _split(yb <= y_half)
-            y_lo = yb.take(below)
-            t = _inv_fit_eval(fits[0], y_lo)
-            xb[below] = _newton_step(a, b, lnb, t, lower(t) - y_lo)
-            y_up = yb.take(above)
-            s = _inv_fit_eval(fits[1], 1.0 - y_up)
-            xb[above] = 1.0 - _newton_step(b, a, lnb, s, y_up - upper(s))
-    return x.reshape(yy.shape)
+        tails = _inverse_tails(a, b, yy, 1.0 - yy, want_s=False)
+        if tails is not None:
+            return tails[0]
+    x0 = sc.betaincinv(a, b, yy)
+    x = _newton_step(a, b, float(sc.betaln(a, b)), x0, sc.betainc(a, b, x0) - yy)
+    return float(x) if x.ndim == 0 else x
 
 
 def _budget_spent(what: str, a, b, c, x):

@@ -347,14 +347,29 @@ class TestSymmetricExtension:
 # ---------------------------------------------------------------- float lane
 
 
+def ufunc_tails(a, b, y, yc):
+    """(t, s) of I_t(a, b) = y, s = 1 - t, as the two-tailed formula states
+    them with scipy's ufuncs: y_half = I_{1/2}(a, b) (1/2 at a = b); t from
+    y up to max(y_half, 1/2) and 1 - s above, s from yc above min(y_half,
+    1/2) and 1 - t below; at a = b a tail's argument 1/2 gives 1/2."""
+    y_half = 0.5 if a == b else sc.betainc(a, b, 0.5)
+
+    def inverse(a, b, v):
+        return np.float64(0.5) if a == b and v == 0.5 else sc.betaincinv(a, b, v)
+
+    t = inverse(a, b, y) if y <= max(y_half, 0.5) else 1.0 - inverse(b, a, yc)
+    s = inverse(b, a, yc) if y > min(y_half, 0.5) else 1.0 - inverse(a, b, y)
+    return t, s
+
+
 def ufunc_formula(name, p, q, x):
     """A scalar value as the formulas state it: x as a 0-d array,
     range-checked and clipped, the scipy ufuncs, numpy scalar powers and
-    asin_pq's (1/q) B(1/q, 1/p*) factor; the inverse is 1/2 at a = b,
-    y = 1/2; sin is x itself where x > 0 and x < DBL_MIN^(1/q), asin its
-    two-term series x + x x^q / (p (q + 1)) where x > 0 and x^q < 2^-27, and
-    cos is the leading term (b B(b, a) yc)^(1/(p-1)) where the inverse
-    tc = cos^p is below DBL_MIN."""
+    asin_pq's (1/q) B(1/q, 1/p*) factor; the inverse is ufunc_tails at y =
+    x/top and yc = (top - x)/top; sin is x itself where x > 0 and x <
+    DBL_MIN^(1/q), asin its two-term series x + x x^q / (p (q + 1)) where x
+    > 0 and x^q < 2^-27, and cos is the leading term (b B(b, a)
+    yc)^(1/(p-1)) where the inverse tc = cos^p is below DBL_MIN."""
     a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
     top = 1.0 if name == "asin" else 0.5 * gtf.pi_pq(p, q)
     xx = np.asarray(x, dtype=float)
@@ -362,24 +377,20 @@ def ufunc_formula(name, p, q, x):
     if not ((xx >= -slack) & (xx <= top + slack)).all():
         raise DomainError("outside")
     xx = np.clip(xx, 0.0, top)
-
-    def inverse(a, b, y):
-        return np.float64(0.5) if a == b and y == 0.5 else sc.betaincinv(a, b, y)
-
-    if name == "cos":
-        yc = (top - xx) / top
-        tc = inverse(b, a, yc)
-        if tc < sys.float_info.min:
-            return float((b * specfun.beta(b, a) * yc) ** (1.0 / (p - 1.0)))
-        return float(tc ** (1.0 / p))
     if name == "asin":
         xq = xx**q
         if 0.0 < xx and xq < 2.0**-27:
             return float(xx + xx * xq / (p * (q + 1.0)))
         return float((1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xq))
+    yc = (top - xx) / top
+    t, tc = ufunc_tails(a, b, xx / top, yc)
+    if name == "cos":
+        if tc < sys.float_info.min:
+            return float((b * specfun.beta(b, a) * yc) ** (1.0 / (p - 1.0)))
+        return float(tc ** (1.0 / p))
     if 0.0 < xx < sys.float_info.min ** (1.0 / q):
         return float(xx)
-    return float(inverse(a, b, xx / top) ** (1.0 / q))
+    return float(t ** (1.0 / q))
 
 
 def same_float(a, b):
@@ -884,6 +895,31 @@ class TestFittedInverse:
                         worst[name] = max(worst.get(name, 0.0), err)
         assert worst[BIG] <= worst["2 points"]
 
+    @pytest.mark.parametrize("p,q", [(1.028, 1.031), (1.003, 1.05), (1.01, 1.2),
+                                     (1.05, 1.1), (5.0, 50.0), (1.1, 100.0)])
+    def test_band_between_median_and_half(self, p, q):
+        """Between y_half = I_{1/2}(a, b) and 1/2 one inversion cannot serve
+        both tails: there the tail solved (t <= 1/2 from y, or s <= 1/2 from
+        yc) has the larger argument, and 1 minus it carries that argument's
+        rounding into the other.  Solved each from its own argument, every
+        lane keeps the contract of test_against_mpmath; a sine taken from
+        the cosine's inversion just above a small y_half is off by up to
+        9.3e-15 at (1.028, 1.031).  The first four pairs have the band on
+        the sine's side, the last two on the cosine's."""
+        a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
+        y_half = float(sc.betainc(a, b, 0.5))
+        half = 0.5 * gtf.pi_pq(p, q)
+        xs = (y_half + (0.5 - y_half) * np.array([0.01, 0.05, 0.3])) * half
+        lanes = _sincos_lanes(p, q, xs)
+        raw = _raw_scipy(p, q, xs)
+        for i, x in enumerate(xs.tolist()):
+            ref_s, ref_c, _, cond_s, cond_c = mp_sincos(p, q, x)
+            for j, ref, cond in ((0, ref_s, cond_s), (1, ref_c, cond_c)):
+                err_raw = float(abs(raw[j][i] - ref) / ref) / cond
+                for name, v in lanes.items():
+                    err = float(abs(v[j][i] - ref) / ref) / cond
+                    assert err <= max(2e-15, err_raw), (x, name, j, err)
+
     def test_symmetric_shape_at_quarter_period(self):
         """sin_pq(p, p*, pi_pq/4) = 2^(-1/q) and cos_pq there 2^(-1/p), since
         I_{1/2}(a, a) = 1/2 (DLMF 8.17.4): within 1 ulp in every lane over a
@@ -933,11 +969,15 @@ class TestFittedInverse:
         def polished(*args):
             raise AssertionError("an array below INV_FIT_MIN took the polished inverse")
 
-        monkeypatch.setattr(specfun, "inc_beta_reg_inv", polished)
+        monkeypatch.setattr(specfun, "_inverse_tails", polished)
         s, c = gtf.sincos_pq(p, q, xs)
-        assert same_bits(s, sc.betaincinv(a, b, xs / half) ** (1.0 / q))
-        yc = (half - xs) / half
-        tc = sc.betaincinv(b, a, yc)
+        # the two-tailed formula of ufunc_tails, on whole arrays
+        y, yc = xs / half, (half - xs) / half
+        lo, hi = sorted((sc.betainc(a, b, 0.5), 0.5))
+        t_y, s_yc = sc.betaincinv(a, b, y), sc.betaincinv(b, a, yc)
+        assert np.any((y > lo) & (y <= hi))  # the band, where both are solved
+        assert same_bits(s, np.where(y <= hi, t_y, 1.0 - s_yc) ** (1.0 / q))
+        tc = np.where(y > lo, s_yc, 1.0 - t_y)
         cos = tc ** (1.0 / p)
         # where cos^p underflows (some points at p = 1.01), the leading term
         under = tc < sys.float_info.min
@@ -1015,15 +1055,16 @@ class TestFittedInverse:
         assert arrays == [N0 - 1]
 
     def test_fit_min_takes_the_polished_inverse(self, monkeypatch):
+        # one call each: sincos_pq takes both tails from one call
         calls = []
-        real = specfun.inc_beta_reg_inv
-        monkeypatch.setattr(specfun, "inc_beta_reg_inv",
-                            lambda a, b, y: calls.append(y.size) or real(a, b, y))
+        real = specfun._inverse_tails
+        monkeypatch.setattr(specfun, "_inverse_tails",
+                            lambda a, b, y, *args: calls.append(y.size) or real(a, b, y, *args))
         xs = np.linspace(0.0, 1.0, N0)
         gtf.sincos_pq(2.5, 3.0, xs)
         gtf.sin_pq(2.5, 3.0, xs)
         gtf.cos_pq(2.5, 3.0, xs)
-        assert calls == [N0] * 4
+        assert calls == [N0] * 3
 
     def test_uncertifiable_fit_falls_back(self):
         # q = 1e9: the sine's shape a = 1e-9 puts z = (a B w)^(1/a) beyond
@@ -1041,3 +1082,70 @@ class TestFittedInverse:
         s = gtf.sin_pq(p, q, xs)
         ref = [gtf.sin_pq(p, q, x) for x in xs[::37].tolist()]
         assert np.allclose(s[::37], ref, rtol=1e-14, atol=0.0)
+
+
+class TestOneInversionPerPoint:
+    """sin_pq and cos_pq invert each point once, in every lane: the float
+    lane's scalar kernel, the small arrays' ufunc and the fitted lane's start
+    (specfun._inv_fit_eval, one call a branch) together see n points for a
+    call of n points, on both sides of the split.  sincos_pq does too, but
+    for the points of the band between y_half = I_{1/2}(a, b) and 1/2,
+    whose sine and cosine each need their own; at a symmetric shape there
+    is no band."""
+
+    PAIRS = [(2.5, 3.0), (1.5, 3.0)]  # the second symmetric: 1/q = 1/p*
+    FNS = {"sincos_pq": gtf.sincos_pq, "sin_pq": gtf.sin_pq, "cos_pq": gtf.cos_pq}
+
+    @pytest.fixture
+    def points(self, monkeypatch):
+        """The list that every inversion appends its number of points to,
+        once the large-array setups (whose fits invert nodes) are built."""
+        for p, q in self.PAIRS:
+            gtf.sincos_pq(p, q, np.linspace(0.0, 0.5 * gtf.pi_pq(p, q), N0))
+        seen = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                seen.append(np.size(args[-1]))  # the points are the last argument
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(gtf._cs, "betaincinv")
+        count(sc, "betaincinv")
+        count(specfun, "_inv_fit_eval")
+        return seen
+
+    @pytest.mark.parametrize("pq", PAIRS, ids=["asymmetric", "symmetric"])
+    @pytest.mark.parametrize("name", FNS)
+    @pytest.mark.parametrize("n", [1, 7, 94, N0])
+    def test_each_point_inverted_once(self, points, pq, name, n):
+        p, q = pq
+        fn = self.FNS[name]
+        half = 0.5 * gtf.pi_pq(p, q)
+        y_half = gtf._pair(p, q)[3]
+        u = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.3, 0.9, 0.58])
+        band = (u > min(y_half, 0.5)) & (u <= max(y_half, 0.5))
+        if n == 1:  # the floats: one below the band, one above, one in it
+            assert band.tolist() == [False, False, (p, q) != (1.5, 3.0)]
+            for x in (u * half).tolist():
+                fn(p, q, x)
+        else:
+            fn(p, q, u * half)
+        assert sum(points) == u.size + (band.sum() if name == "sincos_pq" else 0), points
+
+    def test_one_setup_per_fresh_pair(self):
+        """A sine and then a cosine call at a fresh pair build one setup
+        and one set of forward sums, of the shapes (1/q, 1/p*), and the
+        cosine takes the sine's."""
+        p, q = 2.0 + math.e / 10.0, 3.0 + math.pi / 10.0
+        xs = np.linspace(0.0, 0.5 * gtf.pi_pq(p, q), N0)
+        for cache in (specfun._forward, specfun._inverse_setup):
+            cache.cache_clear()
+        gtf.sin_pq(p, q, xs)
+        gtf.cos_pq(p, q, xs)
+        setup = specfun._inverse_setup.cache_info()
+        assert (setup.currsize, setup.misses, setup.hits) == (1, 1, 1)
+        assert specfun._forward.cache_info().currsize == 1
