@@ -48,7 +48,8 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, check_pq
 from .gtf import (
-    _as_unit, _cos_power, _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
+    _DBL_MIN, _as_unit, _cos_power, _pair, _sincos_tail, conjugate,
+    extend_sin_symmetric, pi_pq,
 )
 
 
@@ -94,9 +95,13 @@ def solve_general(H: float, p: float, q: float) -> BvpSolution:
     check_pq(p, q)
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
+    _, _, b, _, _, _, _, B = _pair(P, q)
 
     def u(x):
-        return _profile(P, q, amp, *_sincos_tail(P, q, omega * x))
+        s, c, yc = _sincos_tail(P, q, omega * x)
+        if isinstance(c, float):  # a point: _cos_power's rule in floats
+            return amp * (b * B * yc if c < _DBL_MIN else c ** (P - 1.0)) * s
+        return _profile(P, q, amp, s, c, yc)
 
     return BvpSolution(H=H, _eval=u)
 

@@ -15,10 +15,13 @@ sincos_pq inverts a point twice only there, and sin_pq and cos_pq always
 once (_inverse_tails).
 
 Every evaluator takes a point or an array of points, and the input alone
-picks the lane.  A float or an int takes the float lane: plain range
-comparisons, scipy's scalar kernels (scipy.special.cython_special, the same
-Boost code as the ufuncs), Python float powers, no 0-d array, and a Python
-float back.  Arrays of fewer than specfun.INV_FIT_MIN points take the
+picks the lane.  A point (a float, an int, a numpy scalar or a 0-d array)
+takes the float lane: straight-line float code on the pair's record (_pair,
+built and validated once per pair), scipy's scalar kernels
+(scipy.special.cython_special, the same Boost code as the ufuncs), Python
+float powers, no array, and a Python float back; sin_pq and cos_pq take
+about 1.0 us a call at a (p, q) met before and 2.3 us at a new one, asin_pq
+0.5 and 1.7 us.  Arrays of fewer than specfun.INV_FIT_MIN points take the
 ufuncs and numpy's powers.  Larger arrays take specfun's kernels: the
 inversions specfun._inverse_tails (fitted inverses Newton-polished on the
 series specfun.inc_beta_reg, both tails from one setup), and asin_pq that
@@ -121,66 +124,65 @@ def pi_pq(p: float, q: float) -> float:
 
 def _as_unit(x, top: float, what: str):
     """Validate x in [0, top], with a tiny relative slack, and clip it to
-    [0, top].  A float or an int (the float lane) comes back as a Python
-    float, anything else as a float array; the comparisons and the clip are
-    the same in both, so the lanes accept the same points and give the same
-    values, -0.0 included.  NaN and infinities raise DomainError."""
+    [0, top].  A float or an int, a numpy scalar or a 0-d array (the float
+    lane) comes back as a Python float, anything else as a float array; the
+    comparisons and the clip are the same in both, so the lanes accept the
+    same points and give the same values, -0.0 included.  NaN and
+    infinities raise DomainError."""
     slack = _REL_SLACK * top
-    if isinstance(x, (float, int)):
-        x = float(x)
-        # written so that NaN fails the test
-        if not -slack <= x <= top + slack:
-            raise DomainError(f"{what} requires argument in [0, {top}]")
-        return min(max(x, 0.0), top)
-    xx = np.asarray(x, dtype=float)
-    if not within(xx, -slack, top + slack):
+    if not isinstance(x, (float, int)):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            if not within(x, -slack, top + slack):
+                raise DomainError(f"{what} requires argument in [0, {top}]")
+            return x.clip(0.0, top)  # np.clip's method, without its dispatch
+    x = float(x)
+    # written so that NaN fails the test
+    if not -slack <= x <= top + slack:
         raise DomainError(f"{what} requires argument in [0, {top}]")
-    return np.clip(xx, 0.0, top)
+    return min(max(x, 0.0), top)
 
 
 @functools.lru_cache(maxsize=128)
 def _pair(p: float, q: float):
-    """(pi_pq/2, a, b, y_half) of a pair (p, q), valid by check_pq: the
-    shapes a = 1/q, b = 1/p* of its incomplete-beta form and y_half =
-    I_{1/2}(a, b), where its inversion splits into two tails (1/2 exactly
-    at a = b).  Kept for 128 pairs: a hit costs less than the pi_pq it
-    saves."""
+    """The record of a pair (p, q), Python floats built after check_pq on a
+    miss only, so no invalid pair is kept: (pi_pq/2, a, b, lo, hi, 1/p,
+    DBL_MIN^a, B), the shapes a = 1/q, b = 1/p* of the incomplete-beta form,
+    lo and hi the smaller and the larger of 1/2 and y_half = I_{1/2}(a, b),
+    where the inversion splits (1/2 exactly at a = b), and B = B(b, a), the
+    factor of pi_pq, asin_pq and the cosine's leading term (specfun.beta is
+    symmetric bit for bit).  Kept for 128 pairs; 2, 2.0 and np.float64(2.0)
+    are one key."""
+    check_pq(p, q)
+    p, q = float(p), float(q)
     a, b = 1.0 / q, 1.0 / conjugate(p)
-    return 0.5 * pi_pq(p, q), a, b, specfun._half_mass(a, b)
+    B, y_half = specfun.beta(b, a), specfun._half_mass(a, b)
+    lo, hi = min(y_half, 0.5), max(y_half, 0.5)
+    return 0.5 * (2.0 / q * B), a, b, lo, hi, 1.0 / p, _DBL_MIN**a, B
 
 
-def _inverse_tails(a: float, b: float, y_half: float, y, yc, tails=(True, True)):
-    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, those that
-    tails asks for each accurate relative to its own argument, from one
-    inversion a point wherever one serves both.
+def _inverse_tails(a: float, b: float, lo: float, hi: float, y, yc, tails):
+    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc at arrays,
+    those that tails asks for each accurate relative to its own argument
+    (None for the other), from one inversion a point wherever one serves both.
 
     t is solved from y and s from yc, and one value serves both tails, the
     other being 1 minus it (DLMF 8.17.4), where the solved value is <= 1/2
-    and its argument is the smaller of y and yc: t up to y = min(y_half,
-    1/2), s above max(y_half, 1/2), y_half = I_{1/2}(a, b).  In the band
-    between y_half and 1/2 each tail is solved from its own argument, so a
-    point there is inverted twice only when both tails are asked for (at a
-    = b, y_half = 1/2 and there is no band).  A float y takes scipy's
-    scalar kernel and gives both values, only those asked for accurate in
-    the band.  An array of fewer than specfun.INV_FIT_MIN points takes one
-    ufunc call with the shapes swapped point by point (the same Boost code,
-    bit for bit), and a second on the band's cosines if both tails are
-    asked for; a larger one the polished specfun._inverse_tails (or the
-    ufunc where the shape's fits are not certified).  An array call gives
-    None for a tail not asked for.  At a = b a tail's argument of 1/2 gives
-    t = s = 1/2 in every lane, since I_{1/2}(a, a) = 1/2, where Boost's
-    inverse misses it by up to 1.3e-8 at some a (68 of 4000 random p in
-    (1, 100) at a = 1/p*)."""
-    lo, hi = min(y_half, 0.5), max(y_half, 0.5)
+    and its argument is the smaller of y and yc: t up to y = lo = min(y_half,
+    1/2), s above hi = max(y_half, 1/2), y_half = I_{1/2}(a, b).  In the band
+    between lo and hi each tail is solved from its own argument, so a point
+    there is inverted twice only when both tails are asked for (at a = b,
+    y_half = 1/2 and there is no band).  Fewer than specfun.INV_FIT_MIN
+    points take one ufunc call with the shapes swapped point by point (the
+    same Boost code as the float lane's scalar kernel, bit for bit), and a
+    second on the band's cosines if both tails are asked for; more the
+    polished specfun._inverse_tails (or the ufunc where the shape's fits are
+    not certified).  At a = b a tail's argument of 1/2 gives t = s = 1/2 in
+    every lane, since I_{1/2}(a, a) = 1/2, where Boost's inverse misses it
+    by up to 1.3e-8 at some a (68 of 4000 random p in (1, 100) at a =
+    1/p*)."""
     t_top = hi if tails[0] else lo  # t is solved from y where y <= t_top
     s_bottom = lo if tails[1] else hi  # s from yc where y > s_bottom
-    if isinstance(y, float):
-        t = s = None
-        if y <= t_top:
-            t = 0.5 if a == b and y == 0.5 else _cs.betaincinv(a, b, y)
-        if y > s_bottom:
-            s = 0.5 if a == b and yc == 0.5 else _cs.betaincinv(b, a, yc)
-        return (1.0 - s if t is None else t), (1.0 - t if s is None else s)
     if y.size >= specfun.INV_FIT_MIN:
         fitted = specfun._inverse_tails(a, b, y, yc, *tails)
         if fitted is not None:
@@ -199,26 +201,11 @@ def _inverse_tails(a: float, b: float, y_half: float, y, yc, tails=(True, True))
     return t, s
 
 
-def _betainc(a: float, b: float, t):
-    """I_t(a, b), dispatched like _betaincinv: scipy's kernels for a float t
-    and for arrays of fewer than specfun.INV_FIT_MIN points, the series
-    specfun.inc_beta_reg for larger arrays."""
-    if isinstance(t, float):
-        return _cs.betainc(a, b, t)
-    if t.size < specfun.INV_FIT_MIN:
-        return sc.betainc(a, b, t)
-    return specfun.inc_beta_reg(a, b, t)
-
-
 def _small_x(x, v, under, z=None, d=None):
-    """A value v of sin_pq or asin_pq at x, with its series where x > 0 and
-    `under` says that x^q is too small for the incomplete-beta form: x
-    itself, or x + x z / d where d is given (z = x^q); a Python float for a
-    point (a float v), and an array v is changed in place."""
-    if isinstance(v, float):
-        if under and x > 0.0:
-            return float(x if d is None else x + x * z / d)
-        return float(v)
+    """An array v of sin_pq or asin_pq at x, changed in place to its series
+    where x > 0 and `under` says that x^q is too small for the
+    incomplete-beta form: x itself, or x + x z / d where d is given (z =
+    x^q)."""
     small = under & (x > 0.0)
     if small.any():
         xs = x[small]
@@ -226,51 +213,50 @@ def _small_x(x, v, under, z=None, d=None):
     return v
 
 
-def _lead_cos_power(a: float, b: float, yc):
-    """b B(b, a) yc: cos_pq^(p-1) to leading order where the swapped-tail
-    inverse tc = cos_pq^p is below DBL_MIN, with a = 1/q, b = 1/p*."""
-    return b * specfun.beta(b, a) * yc
-
-
-def _cos_from_tail(p: float, a: float, b: float, tc, yc):
-    """cos_pq = tc^(1/p) from the swapped-tail inverse tc at yc, or its
-    leading term (b B(b, a) yc)^(1/(p-1)) where tc < DBL_MIN."""
+def _cos_from_tail(p: float, b: float, B: float, tc, yc):
+    """cos_pq = tc^(1/p) from the swapped-tail inverse tc at yc, an array,
+    or its leading term (b B yc)^(1/(p-1)) where tc < DBL_MIN, with b = 1/p*
+    and B = B(b, 1/q)."""
     c = tc ** (1.0 / p)
-    if isinstance(c, float):
-        if tc < _DBL_MIN:
-            c = _lead_cos_power(a, b, yc) ** (1.0 / (p - 1.0))
-        return float(c)
     under = tc < _DBL_MIN
     if under.any():
-        c[under] = _lead_cos_power(a, b, yc[under]) ** (1.0 / (p - 1.0))
+        c[under] = (b * B * yc[under]) ** (1.0 / (p - 1.0))
     return c
 
 
 def _cos_power(p: float, q: float, c, yc):
-    """cos_pq^(p-1) from a cosine c of _sincos_tail and the argument yc of
-    its inversion: c^(p-1), except where c < DBL_MIN.  There the inverse
-    tc = cos_pq^p is below DBL_MIN too (c = tc^(1/p) >= tc), so c is the
-    leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and the
-    power is that term's base b B(b, a) yc; at p near 1 it is far from
-    underflow (1e-308^(1/400) = 0.17).  A float c gives a float."""
-    if isinstance(c, float):
-        if c < _DBL_MIN:
-            return float(_lead_cos_power(1.0 / q, 1.0 / conjugate(p), yc))
-        return c ** (p - 1.0)
+    """cos_pq^(p-1) from an array c of cosines of _sincos_tail and the
+    argument yc of its inversion: c^(p-1), except where c < DBL_MIN.  There
+    the inverse tc = cos_pq^p is below DBL_MIN too (c = tc^(1/p) >= tc), so
+    c is the leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and
+    the power is that term's base b B(b, a) yc; at p near 1 it is far from
+    underflow (1e-308^(1/400) = 0.17)."""
     cp = c ** (p - 1.0)
     under = c < _DBL_MIN
     if under.any():
-        cp[under] = _lead_cos_power(1.0 / q, 1.0 / conjugate(p), yc[under])
+        _, _, b, _, _, _, _, B = _pair(p, q)
+        cp[under] = b * B * yc[under]
     return cp
 
 
 def asin_pq(p: float, q: float, x):
     """Inverse generalized sine on [0, 1], via the incomplete beta form."""
-    check_pq(p, q)
+    _, a, b, _, _, _, _, B = _pair(p, q)
+    if isinstance(x, (float, int)):  # the float lane: _as_unit's test inline
+        x = float(x)
+        if not -_REL_SLACK <= x <= 1.0 + _REL_SLACK:
+            raise DomainError("asin_pq requires argument in [0, 1.0]")
+        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x  # -0.0 kept
+        xq = x**q
+        if 0.0 < x and xq < _ASIN_SERIES_MAX:
+            return float(x + x * xq / (p * (q + 1.0)))
+        return a * B * _cs.betainc(a, b, xq)
     xx = _as_unit(x, 1.0, "asin_pq")
-    a, b = 1.0 / q, 1.0 / conjugate(p)
-    xq = xx**q
-    val = (1.0 / q) * specfun.beta(a, b) * _betainc(a, b, xq)
+    if isinstance(xx, float):  # a numpy scalar or a 0-d array
+        return asin_pq(p, q, xx)
+    xq = xx**q  # scipy's ufunc below specfun.INV_FIT_MIN points, then the series
+    val = a * B * (sc.betainc(a, b, xq) if xq.size < specfun.INV_FIT_MIN
+                   else specfun.inc_beta_reg(a, b, xq))
     return _small_x(xx, val, xq < _ASIN_SERIES_MAX, xq, p * (q + 1.0))
 
 
@@ -305,16 +291,42 @@ def sincos_pq(p: float, q: float, x):
 
 def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
     """(sin, cos, yc) at x, yc = 1 - x/(pi_pq/2) the argument of the
-    swapped-tail inversion, which _cos_power needs, from one call of
-    _inverse_tails.  An array call computes the sine and the cosine only
-    where tails says so, and gives None for the other."""
-    check_pq(p, q)
-    halfpi, a, b, y_half = _pair(p, q)
-    xx = _as_unit(x, halfpi, what)
-    yc = (halfpi - xx) / halfpi
-    t, s = _inverse_tails(a, b, y_half, xx / halfpi, yc, tails)
-    sin = _small_x(xx, t ** (1.0 / q), xx < _DBL_MIN ** a) if tails[0] else None
-    cos = _cos_from_tail(p, a, b, s, yc) if tails[1] else None
+    swapped-tail inversion, which _cos_power needs, with the sine and the
+    cosine only where tails says so (None for the other).  A point takes
+    the float lane, straight-line float code on the pair's record (_pair):
+    _as_unit's test and clip, at most one scalar inversion a tail, the
+    small-x rule and the DBL_MIN rule; an array one _inverse_tails call."""
+    halfpi, a, b, lo, hi, inv_p, tiny, B = _pair(p, q)
+    want_sin, want_cos = tails
+    if not isinstance(x, (float, int)):
+        xx = _as_unit(x, halfpi, what)
+        if isinstance(xx, float):  # a numpy scalar or a 0-d array
+            return _sincos_tail(p, q, xx, tails, what)
+        yc = (halfpi - xx) / halfpi
+        t, s = _inverse_tails(a, b, lo, hi, xx / halfpi, yc, tails)
+        sin = _small_x(xx, t**a, xx < tiny) if want_sin else None
+        cos = _cos_from_tail(p, b, B, s, yc) if want_cos else None
+        return sin, cos, yc
+    x = float(x)
+    slack = _REL_SLACK * halfpi
+    if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
+        raise DomainError(f"{what} requires argument in [0, {halfpi}]")
+    x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
+    y, yc = x / halfpi, (halfpi - x) / halfpi
+    t = s = None
+    if y <= (hi if want_sin else lo):  # as in _inverse_tails
+        t = 0.5 if a == b and y == 0.5 else _cs.betaincinv(a, b, y)
+    if y > (lo if want_cos else hi):
+        s = 0.5 if a == b and yc == 0.5 else _cs.betaincinv(b, a, yc)
+    sin = cos = None
+    if want_sin:
+        sin = x if 0.0 < x < tiny else (1.0 - s if t is None else t) ** a
+    if want_cos:
+        s = 1.0 - t if s is None else s
+        if s < _DBL_MIN:  # the leading term, as in _cos_from_tail
+            cos = float((b * B * yc) ** (1.0 / (p - 1.0)))
+        else:
+            cos = s**inv_p
     return sin, cos, yc
 
 

@@ -528,6 +528,67 @@ class TestNoZeroDimArrays:
                 sol(x)
 
 
+SCALAR_FNS = {"sin_pq": gtf.sin_pq, "cos_pq": gtf.cos_pq,
+              "sincos_pq": gtf.sincos_pq, "asin_pq": gtf.asin_pq}
+
+
+class TestPairRecord:
+    """The per-pair record gtf._pair: built and validated on a miss only,
+    one entry for equal keys, and all that a scalar call needs at a pair
+    met before."""
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, math.inf, 0.5, -2])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", SCALAR_FNS)
+    def test_invalid_pair_is_rejected_and_never_kept(self, name, warm, bad):
+        fn = SCALAR_FNS[name]
+        gtf._pair.cache_clear()
+        if warm:
+            fn(2.5, 3.0, 0.3)
+        size = gtf._pair.cache_info().currsize
+        for p, q in ((bad, 3.0), (2.5, bad), (bad, bad)):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    fn(p, q, 0.3)
+        assert gtf._pair.cache_info().currsize == size
+
+    @pytest.mark.parametrize("name", SCALAR_FNS)
+    def test_equal_keys_give_the_same_bits(self, name):
+        fn = SCALAR_FNS[name]
+        keys = [2, 2.0, np.float64(2.0)]
+        xs = [0.0, 0.3, 0.7, 1.0]
+        values = []
+        for first in keys:  # whichever key builds the record
+            gtf._pair.cache_clear()
+            values.append([fn(k, k, x) for k in [first, *keys] for x in xs])
+        ref = values[0][: len(xs)]
+        for row in values:
+            for i, v in enumerate(row):
+                assert same_bits(v, ref[i % len(xs)]), (name, i)
+                parts = v if isinstance(v, tuple) else (v,)
+                assert all(type(w) is float for w in parts), (name, i)
+
+    def test_warm_scalar_calls_recompute_nothing(self, monkeypatch):
+        """A cost guard with no timer: after one call at a pair, scalar
+        calls there and the bvp profile take every constant from the
+        record."""
+        p, q = 2.5, 1.7
+        sol = bvp.solve_general(2.0, 3.0, 1.5)
+        gtf.sin_pq(p, q, 0.1)
+        half = 0.5 * gtf.pi_pq(p, q)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm scalar call recomputed a constant")
+
+        monkeypatch.setattr(specfun, "beta", forbidden)
+        monkeypatch.setattr(specfun, "_half_mass", forbidden)
+        monkeypatch.setattr(gtf, "pi_pq", forbidden)
+        for u in (0.0, 0.2, 0.5, 0.9, 1.0):
+            for name, fn in SCALAR_FNS.items():
+                fn(p, q, u if name == "asin_pq" else u * half)
+            sol(2.0 * u)
+
+
 def test_scalar_kernels_equal_ufuncs():
     """gtf's float lane calls scipy's Cython kernels, its array lane the
     ufuncs; both must be the same Boost code, bit for bit."""
@@ -1125,9 +1186,9 @@ class TestOneInversionPerPoint:
         p, q = pq
         fn = self.FNS[name]
         half = 0.5 * gtf.pi_pq(p, q)
-        y_half = gtf._pair(p, q)[3]
+        lo, hi = gtf._pair(p, q)[3:5]  # min and max of y_half and 1/2
         u = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.3, 0.9, 0.58])
-        band = (u > min(y_half, 0.5)) & (u <= max(y_half, 0.5))
+        band = (u > lo) & (u <= hi)
         if n == 1:  # the floats: one below the band, one above, one in it
             assert band.tolist() == [False, False, (p, q) != (1.5, 3.0)]
             for x in (u * half).tolist():
