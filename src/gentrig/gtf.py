@@ -383,13 +383,13 @@ def sin_symmetry_appendix(p: float, q: float, x01):
 def multiple_angle_residual(p: float, x: float) -> float:
     """Residual of sin_{2,p}(2^(2/p) x) = 2^(2/p) sin_{p*,p}(x) cos_{p*,p}^(p*-1)(x)
     for x in [0, pi_{p*,p}/2]."""
-    check_pq(2.0, p)
+    full = 2.0 * _pair(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
     ps = conjugate(p)
-    x = _as_unit(x, 0.5 * pi_pq(ps, p), "multiple_angle_residual")
+    x = _as_unit(x, _pair(ps, p)[0], "multiple_angle_residual")
     scale = 2.0 ** (2.0 / p)
     # the doubled argument sweeps the full arch [0, pi_{2,p}] as x sweeps
     # the half period, since pi_{2,p} = 2^(2/p - 1) pi_{p*,p}
-    lhs = extend_sin_symmetric(p, min(scale * x, pi_pq(2.0, p)))
+    lhs = extend_sin_symmetric(p, min(scale * x, full))
     s, c = sincos_pq(ps, p, x)
     rhs = scale * s * c ** (ps - 1.0)
     return abs(lhs - rhs)
@@ -398,8 +398,7 @@ def multiple_angle_residual(p: float, x: float) -> float:
 def extend_sin_symmetric(p: float, x):
     """sin_{2,p} on [0, pi_{2,p}], mirrored about the midpoint on the
     second half.  This is the only family the extension is defined for."""
-    check_pq(2.0, p)
-    full = pi_pq(2.0, p)
+    full = 2.0 * _pair(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
     xx = _as_unit(x, full, "extend_sin_symmetric")
     folded = min(xx, full - xx) if isinstance(xx, float) else np.minimum(xx, full - xx)
     return sin_pq(2.0, p, folded)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, check_order, check_pq
-from .gtf import ParamPair, _as_unit, conjugate, pi_pq, sin_pq, sincos_pq
+from .gtf import ParamPair, _as_unit, _pair, conjugate, pi_pq, sin_pq, sincos_pq
 
 WALLIS_SPECIAL_KINDS = (
     "sin_qn",
@@ -69,7 +69,7 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
     which keeps its accuracy where sin_pq rounds to 1.
     """
     _check_kl(p, k, l)
-    halfpi = 0.5 * pi_pq(p, q)
+    halfpi = _pair(p, q)[0]
     x = _as_unit(x, halfpi, "primitive_sin_cos")
     if x >= halfpi:
         return definite_sin_cos(p, q, k, l)
@@ -173,15 +173,15 @@ def lemniscate_wallis(n: int, residue: int) -> float:
     """
     if residue not in (0, 1, 2, 3):
         raise DomainError("residue must be one of 0, 1, 2, 3")
-    varpi = pi_pq(2.0, 4.0)
+    half = _pair(2.0, 4.0)[0]  # varpi / 2
     a = (residue + 1) / 4.0
     ratio = specfun.poch_ratio(a, a + 0.5, n)
     if residue == 0:
-        return ratio * varpi / 2.0
+        return ratio * half
     if residue == 1:
         return ratio * math.pi / 4.0
     if residue == 2:
-        return ratio * math.pi / (2.0 * varpi)
+        return ratio * math.pi / (4.0 * half)
     return ratio * 0.5
 
 
@@ -228,7 +228,7 @@ def elliptic_K(query: EllipticQuery) -> float:
     p, q = query.params.p, query.params.q
     c = 1.0 / conjugate(p) + 1.0 / q
     kq, kpr = _power_and_complement(query.k, q)
-    return 0.5 * pi_pq(p, q) * specfun.hyp2f1(1.0 / q, 1.0 / query.r, c, kq, comp=kpr)
+    return _pair(p, q)[0] * specfun.hyp2f1(1.0 / q, 1.0 / query.r, c, kq, comp=kpr)
 
 
 def elliptic_E(query: EllipticQuery) -> float:
@@ -237,7 +237,7 @@ def elliptic_E(query: EllipticQuery) -> float:
     p, q = query.params.p, query.params.q
     c = 1.0 / conjugate(p) + 1.0 / q
     kq, kpr = _power_and_complement(query.k, q)
-    return 0.5 * pi_pq(p, q) * specfun.hyp2f1(
+    return _pair(p, q)[0] * specfun.hyp2f1(
         1.0 / q, -1.0 / conjugate(query.r), c, kq, comp=kpr
     )
 
@@ -266,7 +266,7 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     kq, kpr = _power_and_complement(k, q)  # kpr = k'^r
     # per side: a, b of K, b of E, c, argument, its complement, pi/2 factor
     side1 = (1.0 / q, 1.0 / conjugate(r), -1.0 / r, 1.0 / ps + 1.0 / q,
-             kq, kpr, 0.5 * pi_pq(p, q))
+             kq, kpr, _pair(p, q)[0])
     side2 = (1.0 / r, 1.0 / conjugate(q), -1.0 / q, 1.0 / ps + 1.0 / r,
              kpr, kq, 0.5 * pi_pq(p, r))
     small, large = (side1, side2) if kq <= 0.5 else (side2, side1)

@@ -16,8 +16,9 @@ here because call sites need a certified tail bound on every series, the exact
 terminating polynomial when a parameter is a nonpositive integer, Gauss
 summation at argument 1, and a cost that does not grow as the argument
 approaches 1.  Differences ln Gamma(z + e) - ln Gamma(z) come from the
-Stirling series, so large-n Pochhammer ratios and the logarithmic
-connection formulas cost the same for every n and every e.
+Stirling series without per-term transcendentals, and a large-n Pochhammer
+ratio is one exp of such a difference times Gamma(b) / Gamma(a), so neither
+costs more for a larger n or a smaller e.
 """
 
 from __future__ import annotations
@@ -105,34 +106,39 @@ def _expm1_ratio(t: float) -> float:
     return math.expm1(t) / t if t else 1.0
 
 
+def _stirling_diff(w: float, e: float, total: float = 0.0) -> float:
+    """total + (ln Gamma(w + e) - ln Gamma(w)) / e for w, w + e >= _STIRLING_MIN,
+    continued by psi(w) at e = 0.  With t = e / w and rho = w / (w + e), the
+    Stirling series gives (w - 1/2) ln(1 + t) / e + ln(w + e) - 1 and, a term
+    c_k w^(1-2k), -c_k w^(-2k) rho (1 + rho + ... + rho^(2k-2)): positive
+    partial sums, so nothing cancels as e -> 0.  One log1p and one log, ~2 us
+    a call (~5.6 us with an expm1 a term)."""
+    total += (w - 0.5) / w * _log1p_ratio(e / w) + math.log(w + e) - 1.0
+    inv2 = 1.0 / (w * w)
+    power, rho, rsum = inv2, w / (w + e), 1.0  # rsum = 1 + rho + ... + rho^(2k-2)
+    for coef in _STIRLING:
+        total -= coef * power * rsum * rho
+        power *= inv2
+        rsum = 1.0 + rho * (1.0 + rho * rsum)
+    return total
+
+
 def _lgamma_diff(z: float, e: float) -> float:
     """(ln|Gamma(z + e)| - ln|Gamma(z)|) / e, continued by psi(z) at e = 0.
 
-    Both arguments are shifted up to Stirling range with Gamma(z + 1) =
-    z Gamma(z), each shift adding one log1p term, and the difference of the
-    two Stirling series is formed term by term; so no two large logarithms
-    are subtracted and the quotient keeps its accuracy as e -> 0.  Needs
-    (z + j + e) / (z + j) > 0 for every shift j: no pole between z and z + e.
-    """
+    Both arguments are shifted up to _stirling_diff's range with Gamma(z + 1)
+    = z Gamma(z), each shift j adding ln(1 + t) / e, t = e / (z + j), as
+    ln((z + j + e) / (z + j)), whose numerator is exact, where t < -1/2.
+    Needs no pole between z and z + e.  Within ~1.3e-15 of mpmath relative to
+    max(1, |value|) for z in [1e-3, 1e6], |e| in [1e-12, 3]; ~2 us plus
+    ~0.45 us a shift (at most 10)."""
     total = 0.0
     shifts = max(0, math.ceil(_STIRLING_MIN - min(z, z + e)))
     for j in range(shifts):
         zj = z + j
-        total -= _log1p_ratio(e / zj) / zj
-    w = z + shifts
-    t = e / w
-    lt = _log1p_ratio(t)
-    # [(w + e - 1/2) ln(w + e) - (w - 1/2) ln w - e] / e
-    total += (w - 0.5) / w * lt + math.log(w + e) - 1.0
-    # sum_k c_k [(w + e)^(1-2k) - w^(1-2k)] / e
-    inv2 = 1.0 / (w * w)
-    power = inv2
-    l1p = t * lt
-    for k, coef in enumerate(_STIRLING, 1):
-        u = (1 - 2 * k) * l1p
-        total += coef * power * (1 - 2 * k) * _expm1_ratio(u) * lt
-        power *= inv2
-    return total
+        t = e / zj
+        total -= math.log((zj + e) / zj) / e if t < -0.5 else _log1p_ratio(t) / zj
+    return _stirling_diff(z + shifts, e, total)
 
 
 def _gamma_quotient(num, den) -> float:
@@ -166,16 +172,23 @@ def poch_ratio(a: float, b: float, n: int) -> float:
     """(a)_n / (b)_n for a nonnegative integer n; the empty product n = 0 is 1.
 
     Below POCH_SWITCH, or unless a, b > 0, a running product of the factor
-    ratios (a + m) / (b + m).  From POCH_SWITCH on one exp of
-    [ln Gamma(n + a) - ln Gamma(n + b)] - [ln Gamma(a) - ln Gamma(b)], both
-    differences from the Stirling series, so the cost does not grow with n.
+    ratios (a + m) / (b + m).  Above, Gamma(a + n) / Gamma(b + n), one exp of
+    _stirling_diff, times Gamma(b) / Gamma(a) (DLMF 5.2.5), two Gamma calls
+    where a, b lie in [DBL_MIN, _STIRLING_MIN] (Gamma(b) <= max(1/b, 9!) and
+    1 / Gamma(a) in [min(a, 1/9!), 1.13]) and the exp in e^+-708, _lgamma_diff
+    elsewhere: ~4 us for any n (14-19 us with two Stirling differences).
     Every Wallis-type closed form is such a ratio times a generalized pi.
     """
     n = check_order(n)
     if n >= POCH_SWITCH and a > 0 and b > 0:
         e = a - b
-        try:
-            return math.exp(e * (_lgamma_diff(b + n, e) - _lgamma_diff(b, e)))
+        if not e:
+            return 1.0
+        lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
+        if abs(lead) <= 708.0 and _DBL_MIN <= min(a, b) and max(a, b) <= _STIRLING_MIN:
+            return math.exp(lead) * _gamma_quotient((b,), (a,))
+        try:  # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
+            return math.exp(lead - e * _lgamma_diff(min(a, b), abs(e)))
         except OverflowError:  # as the product overflows, to inf
             return math.inf
     out = 1.0

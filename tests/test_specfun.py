@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import warnings
 
@@ -11,6 +12,13 @@ from hypothesis import strategies as st
 
 from gentrig import gtf, quadrature, specfun
 from gentrig.errors import ConvergenceError, DomainError
+
+NEXT_10 = math.nextafter(10.0, math.inf)  # just past the Gamma quotient's range
+# bounds on |error| / max(1, |value|) of the ln Gamma differences in
+# TestLgammaDiff, whose scans read 1.12e-15 (shifted, the pole at 0 included)
+# and 3.19e-16 (large arguments); other seeds of the first read up to 1.3e-15
+LGAMMA_DIFF_TOL = 1.5e-15
+STIRLING_DIFF_TOL = 6e-16
 
 
 class TestLnGamma:
@@ -86,6 +94,131 @@ class TestPochhammer:
         t0 = time.perf_counter()
         specfun.poch_ratio(0.3, 0.8, 10**9)
         assert time.perf_counter() - t0 < 0.05
+
+    @pytest.mark.parametrize("a", [1e-6, 0.3, 1.0, 10.0, NEXT_10, 150.0])
+    def test_equal_parameters_give_one(self, a):
+        for n in TestPochhammer.ORDERS:
+            assert specfun.poch_ratio(a, a, n) == 1.0, (a, n)
+
+    # the Gamma quotient's range [DBL_MIN, _STIRLING_MIN] at its lower edge,
+    # at and just past its upper one, and far outside it
+    @pytest.mark.parametrize("a,b", [
+        (1e-6, 0.5), (0.5, 1e-6), (1e-6, 2e-6), (2e-6, 1e-6), (10.0, 9.5),
+        (9.5, 10.0), (NEXT_10, 9.5), (9.5, NEXT_10), (10.0, NEXT_10),
+        (NEXT_10, 10.0), (150.0, 150.5), (150.5, 150.0), (200.0, 199.25),
+        (199.25, 200.0)])
+    def test_quotient_range_edges(self, a, b):
+        for n in (64, 10**4, 10**9):
+            with mpmath.workdps(40):
+                exact = mpmath.rf(a, n) / mpmath.rf(b, n)
+            got = specfun.poch_ratio(a, b, n)
+            assert abs(got - exact) <= 1e-14 * exact, (a, b, n)
+
+    @pytest.mark.parametrize("a,b", [
+        (10.0, 1e-6), (1e-6, 10.0), (NEXT_10, 1e-6), (1e-6, NEXT_10),
+        (150.0, 1e-6), (1e-6, 150.0), (200.0, 1e-6), (1e-6, 200.0)])
+    def test_far_apart_parameters(self, a, b):
+        # exp turns the rounding of its argument L = ln((a)_n / (b)_n) into
+        # a relative error of a few eps |L|; past the float range, inf or 0
+        for n in (64, 10**4, 10**9):
+            with mpmath.workdps(40):
+                exact = mpmath.rf(a, n) / mpmath.rf(b, n)
+            got = specfun.poch_ratio(a, b, n)
+            if exact > sys.float_info.max:
+                assert got == math.inf, (a, b, n)
+            elif exact < mpmath.mpf(2) ** -1075:  # below half the least subnormal
+                assert got == 0.0, (a, b, n)
+            else:
+                scale = max(1.0, abs(float(mpmath.log(exact))))
+                assert abs(got - exact) <= 4 * sys.float_info.epsilon * scale * exact, (a, b, n)
+
+    @pytest.mark.parametrize("a,b", [(0.25, 0.75), (1e-6, 0.5), (0.9, 0.4),
+                                     (3.0, 9.99), (1.0, 0.5), (12.0, 150.0)])
+    def test_continuous_across_the_switch(self, a, b):
+        n = specfun.POCH_SWITCH
+        below = specfun.poch_ratio(a, b, n - 1)
+        above = specfun.poch_ratio(a, b, n)
+        assert above == pytest.approx(below * (a + n - 1) / (b + n - 1), rel=1e-14)
+
+    def test_quotient_range_takes_no_shifted_difference(self, monkeypatch):
+        # a cost guard without a timer: in the quotient's range the large-n
+        # branch must not fall back on the shifted difference
+        want = {(a, b, n): specfun.poch_ratio(a, b, n)
+                for a, b in ((0.4, 0.9), (1e-6, 10.0), (10.0, 0.3), (1.0, 0.75))
+                for n in (64, 10**4, 10**9)}
+
+        def shifted(z, e):
+            raise AssertionError("poch_ratio took the shifted difference")
+
+        monkeypatch.setattr(specfun, "_lgamma_diff", shifted)
+        for (a, b, n), value in want.items():
+            assert specfun.poch_ratio(a, b, n) == value
+
+
+def _lgamma_diff_points(count, seed):
+    """Seeded (z, e): z log-uniform in [1e-3, 1e6], |e| log-uniform in
+    [1e-12, 3] with either sign and z + e > 0, one point in 20 with e = 0
+    (psi(z)) and one in 20 within 1e-3 of psi's zero near 1.4616."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        z = 10.0 ** rng.uniform(-3.0, 6.0)
+        if rng.random() < 0.05:
+            z = 1.4616321449683622 + rng.uniform(-1e-3, 1e-3)
+        if rng.random() < 0.05:
+            e = 0.0
+        else:
+            e = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, math.log10(3.0))
+        if z + e > 0.0:
+            points.append((float(z), float(e)))
+    return points
+
+
+def _lgamma_diff_exact(z, e):
+    """(ln Gamma(z + e) - ln Gamma(z)) / e with z + e exact, psi(z) at e = 0."""
+    with mpmath.workdps(50):
+        mz, me = mpmath.mpf(z), mpmath.mpf(e)
+        if e == 0.0:
+            return mpmath.digamma(mz)
+        return (mpmath.loggamma(mz + me) - mpmath.loggamma(mz)) / me
+
+
+class TestLgammaDiff:
+    """(ln Gamma(z + e) - ln Gamma(z)) / e against 50-digit mpmath,
+    |error| / max(1, |value|): the shifted form and the Stirling difference
+    of large arguments."""
+
+    def test_scan_against_mpmath(self):
+        worst = 0.0
+        for z, e in _lgamma_diff_points(2900, 19):
+            exact = _lgamma_diff_exact(z, e)
+            err = abs(specfun._lgamma_diff(z, e) - exact) / max(1, abs(exact))
+            worst = max(worst, float(err))
+        assert worst <= LGAMMA_DIFF_TOL
+
+    @pytest.mark.parametrize("z", [1e-3, 0.06698553225821334, 0.5, 3.0, 9.9])
+    @pytest.mark.parametrize("gap", [1e-5, 1e-3, 0.1])
+    def test_near_the_pole_at_zero(self, z, gap):
+        # z + e -> 0: the first shift must not take log1p of a rounded e / z
+        e = -z * (1.0 - gap)
+        exact = _lgamma_diff_exact(z, e)
+        err = abs(specfun._lgamma_diff(z, e) - exact) / max(1, abs(exact))
+        assert err <= LGAMMA_DIFF_TOL, (z, e)
+
+    def test_stirling_difference_of_large_arguments(self):
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(400):
+            w = 10.0 ** rng.uniform(1.0, 9.0)
+            e = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 3.0)
+            if rng.random() < 0.05:
+                e = 0.0
+            if w + e < specfun._STIRLING_MIN:
+                continue
+            exact = _lgamma_diff_exact(w, e)
+            err = abs(specfun._stirling_diff(w, e) - exact) / max(1, abs(exact))
+            worst = max(worst, float(err))
+        assert worst <= STIRLING_DIFF_TOL
 
 
 class TestBeta:
