@@ -30,11 +30,13 @@ A residual agrees with one computed point by point from scalar sol(x) calls
 to 8 (p + q) eps |u| / h^2 (the ODE residual's second difference divides a
 last-ulp difference of u by h^2).
 
-Where cos_{p*,q} underflows (p above ~100 near x = H, above ~300 on much
-of (0, H); the nonlocal problem at m below ~0.1), the profile's factor
-cos^(p*-1) = cos^(1/(p-1)) is not formed from the underflowed cosine but
-from its leading term, b B(b, a) yc (gtf._cos_power); everywhere else the
-profile is amp cos^(p*-1) sin as written.
+The profile's factor cos^(p*-1) = cos^(1/(p-1)) and the phase curve's
+|v + 1/p|^(1/p) = (1/p + 1/q)^(1/p) cos^(p*-1) come from gtf._cos_power,
+gtf's one rule for that power (its appendix, multiple-angle and
+derivative-identity residuals take it too): where cos_{p*,q} underflows (p
+above ~100 near x = H, above ~300 on much of (0, H); the nonlocal problem
+at m below ~0.1) it is the leading term's base b B(b, a) yc, not a power of
+the underflowed cosine.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, check_pq
 from .gtf import (
-    _DBL_MIN, _as_unit, _cos_power, _pair, _sincos_tail, conjugate,
-    extend_sin_symmetric, pi_pq,
+    _as_unit, _cos_power, _pair, _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
 )
 
 
@@ -77,7 +78,7 @@ def _profile_scales(H: float, P: float, q: float):
     on [0, H], with P = p*: omega = pi_{P,q} / (2H), amp = 2H / (q pi_{P,q}).
     The validator of H: both must be finite and nonzero, which rejects H <= 0,
     NaN, inf, and H so large or so small that either overflows."""
-    pi_val = pi_pq(P, q)
+    pi_val = 2.0 * _pair(P, q)[0]  # pi_pq(P, q) bit for bit, and the profile's record
     if H > 0.0:  # written so that NaN fails the test, and before dividing
         omega, amp = pi_val / (2.0 * H), 2.0 * H / (q * pi_val)
         if 0.0 < omega < math.inf and 0.0 < amp < math.inf:
@@ -95,13 +96,9 @@ def solve_general(H: float, p: float, q: float) -> BvpSolution:
     check_pq(p, q)
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
-    _, _, b, _, _, _, _, B = _pair(P, q)
 
     def u(x):
-        s, c, yc = _sincos_tail(P, q, omega * x)
-        if isinstance(c, float):  # a point: _cos_power's rule in floats
-            return amp * (b * B * yc if c < _DBL_MIN else c ** (P - 1.0)) * s
-        return _profile(P, q, amp, s, c, yc)
+        return _profile(P, q, amp, *_sincos_tail(P, q, omega * x))
 
     return BvpSolution(H=H, _eval=u)
 
@@ -174,13 +171,15 @@ def _richardson(h, rows):
     return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
 
 
-def _phase_curve(H, p: float, q: float, P: float, c):
+def _phase_curve(H, p: float, q: float, P: float, c, yc):
     """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
-    v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*."""
-    v = -1.0 / p + (1.0 / p + 1.0 / q) * c**P
+    v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*;
+    the first factor is (1/p + 1/q)^(1/p) c^(P-1), P/p = P - 1, from c and
+    the argument yc of its inversion (gtf._cos_power)."""
     ssum = 1.0 / p + 1.0 / q
+    v = -1.0 / p + ssum * c**P
     C = 2.0 * H / (p * ssum**ssum * pi_pq(conjugate(q), p))
-    return C * np.abs(v + 1.0 / p) ** (1.0 / p) * np.abs(v - 1.0 / q) ** (1.0 / q)
+    return C * ssum ** (1.0 / p) * _cos_power(P, q, c, yc) * np.abs(v - 1.0 / q) ** (1.0 / q)
 
 
 def _general(p: float, q: float, Hs, xs):
@@ -205,7 +204,7 @@ def _general(p: float, q: float, Hs, xs):
     at_ends = [v[cut:].reshape(ends.shape) for v in sincos]
     u0, u1, u2 = _richardson(h, _profile(P, q, amp.reshape(col), *at_rows))
     ode = np.abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
-    phase = np.abs(u0 - _phase_curve(Hc, p, q, P, at_rows[1][0]))
+    phase = np.abs(u0 - _phase_curve(Hc, p, q, P, at_rows[1][0], at_rows[2][0]))
     bc = np.abs(_profile(P, q, amp[:, None], *at_ends)).max(axis=1)
     return ode, phase, bc
 
@@ -231,13 +230,13 @@ def phase_curve_residual(H: float, p: float, q: float, x):
     enters, so this checks solve_general(H, p, q) against the phase-plane
     curve of its derivation.  Takes one interior point or an array of them.
 
-    Near the ends it false-fails: as x -> 0, v -> 1/q and |v - 1/q| =
-    A = (1/p + 1/q) sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1)
-    eps of v, which moves the curve by |u| ((1 + d/A)^(1/q) - 1), about eps
-    |u| / (q sin^q(w x)); likewise |v + 1/p| with c^{p*} and 1/p as x -> H.
-    At (1.5, 4, H = 1) that is 4.5e-9 at x = 1e-3 and u itself at 3e-5.
-    Substituting -(1/p + 1/q) sin^q for v - 1/q would reduce the check to
-    q pi_{p*,q} = p pi_{q*,p}.  verify samples x/H in [0.1, 0.9].
+    Near x = 0 it false-fails: v -> 1/q and |v - 1/q| = A = (1/p + 1/q)
+    sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1) eps of v, which
+    moves the curve by about eps |u| / (q sin^q(w x)): 4.5e-9 at x = 1e-3 and
+    u itself at 3e-5 for (1.5, 4, H = 1).  Substituting -(1/p + 1/q) sin^q for
+    v - 1/q would reduce the check to q pi_{p*,q} = p pi_{q*,p}; |v + 1/p|^(1/p)
+    is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own definition (gtf._cos_power), so
+    it neither cancels near H nor underflows.  verify samples x/H in [0.1, 0.9].
     """
     return _at_points(1, H, p, q, x)
 

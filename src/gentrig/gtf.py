@@ -19,19 +19,14 @@ picks the lane.  A point (a float, an int, a numpy scalar or a 0-d array)
 takes the float lane: straight-line float code on the pair's record (_pair,
 built and validated once per pair), scipy's scalar kernels
 (scipy.special.cython_special, the same Boost code as the ufuncs), Python
-float powers, no array, and a Python float back; sin_pq and cos_pq take
-about 1.0 us a call at a (p, q) met before and 2.3 us at a new one, asin_pq
-0.5 and 1.7 us.  Arrays of fewer than specfun.INV_FIT_MIN points take the
-ufuncs and numpy's powers.  Larger arrays take specfun's kernels: the
-inversions specfun._inverse_tails (fitted inverses Newton-polished on the
-series specfun.inc_beta_reg, both tails from one setup), and asin_pq that
-series.  These build their setup once per shape (a, b), about 0.2 ms for
-an inversion's fits and forward sums, and keep it in a bounded cache: a
-1000-point sin_pq or cos_pq call costs about 0.12 ms at a (p, q) met before
-(0.17 ms for the function whose tail holds the band, which takes a third
-branch) and 0.36-0.40 ms at a new one, sincos_pq 0.18 and 0.42 ms, asin_pq
-0.07 and 0.16 ms; on 1e6 points sin_pq, cos_pq, sincos_pq and asin_pq take
-36, 38, 50 and 22 ns a point (medians on a shared 2-vCPU x86-64 VM).  All
+float powers, no array, and a Python float back (about 1 us a sin_pq call
+at a pair met before; BENCH_18.json).  Arrays of fewer than
+specfun.INV_FIT_MIN points take the ufuncs and numpy's powers.  Larger
+arrays take specfun's kernels: the inversions specfun._inverse_tails
+(fitted inverses Newton-polished on the series specfun.inc_beta_reg, both
+tails from one setup), and asin_pq that series.  These build their setup
+once per shape (a, b), about 0.2 ms, and keep it in a bounded cache (the
+per-call and per-point costs are in BENCH_16.json and BENCH_17.json).  All
 lanes share every other formula and one accuracy contract: at every point each
 is within 2e-15 of 50-digit mpmath, relative and divided by the condition
 number of its inversion, or no further than scipy's raw inverse
@@ -61,7 +56,10 @@ swapped-tail inverse tc = cos_pq^p falls below DBL_MIN (near the top of the
 interval at p near 1), cos_pq is its leading term (b B(b, a) yc)^(1/(p-1)),
 with yc = 1 - x/(pi_pq/2), a = 1/q and b = 1/p*: its relative correction
 is O(tc), whereas the inverse clamps tc near DBL_MIN there and tc^(1/p)
-would be far too large.  Every lane takes this rule, sincos_pq's included.
+would be far too large.  Every lane takes this rule, sincos_pq's included,
+and every power cos_pq^(p-1) is that term's base b B(b, a) yc there, which
+does not underflow (_cos_power: the bvp profile and phase curve, and the
+appendix, multiple-angle and derivative-identity residuals).
 """
 
 from __future__ import annotations
@@ -225,16 +223,20 @@ def _cos_from_tail(p: float, b: float, B: float, tc, yc):
 
 
 def _cos_power(p: float, q: float, c, yc):
-    """cos_pq^(p-1) from an array c of cosines of _sincos_tail and the
-    argument yc of its inversion: c^(p-1), except where c < DBL_MIN.  There
-    the inverse tc = cos_pq^p is below DBL_MIN too (c = tc^(1/p) >= tc), so
-    c is the leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and
-    the power is that term's base b B(b, a) yc; at p near 1 it is far from
-    underflow (1e-308^(1/400) = 0.17)."""
+    """cos_pq^(p-1) from the cosine c of _sincos_tail, a point or an array,
+    and the argument yc of its inversion: c^(p-1), except where c < DBL_MIN.
+    There tc = cos_pq^p is below DBL_MIN too (c = tc^(1/p) >= tc), so c is
+    the leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and the
+    power is its base b B(b, a) yc, far from underflow at p near 1
+    (1e-308^(1/400) = 0.17).  The package's one rule for this power: the bvp
+    profile and phase curve, the appendix reflections, the multiple-angle
+    formula and the derivative identity all take it from here."""
+    _, _, b, _, _, _, _, B = _pair(p, q)
+    if isinstance(c, float):  # a point: plain float code
+        return c ** (p - 1.0) if c >= _DBL_MIN else b * B * yc
     cp = c ** (p - 1.0)
     under = c < _DBL_MIN
     if under.any():
-        _, _, b, _, _, _, _, B = _pair(p, q)
         cp[under] = b * B * yc[under]
     return cp
 
@@ -337,14 +339,13 @@ def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
     sits close to an endpoint); the identity carries the minus sign that
     makes sin_pq solve the p-Laplacian oscillator.
     """
-    check_pq(p, q)
-    halfpi = 0.5 * pi_pq(p, q)
+    halfpi = _pair(p, q)[0]  # after check_pq(p, q)
     if not 0.0 < x < halfpi:
         raise DomainError("x must be interior to (0, pi_pq/2)")
     h = min(1e-5, 0.5 * x, 0.5 * (halfpi - x))
-    lhs = (
-        cos_pq(p, q, x + h) ** (p - 1.0) - cos_pq(p, q, x - h) ** (p - 1.0)
-    ) / (2.0 * h)
+    ends = [_cos_power(p, q, *_sincos_tail(p, q, x + d, (False, True), "cos_pq")[1:])
+            for d in (h, -h)]
+    lhs = (ends[0] - ends[1]) / (2.0 * h)
     rhs = -((p - 1.0) * q / p) * sin_pq(p, q, x) ** (q - 1.0)
     return abs(lhs - rhs)
 
@@ -373,11 +374,9 @@ def sin_symmetry_appendix(p: float, q: float, x01):
     if not ok:  # written so that NaN fails
         raise DomainError("x01 must lie in [0, 1]")
     ps, qs = conjugate(p), conjugate(q)
-    half_a = _pair(p, q)[0]
-    half_b = _pair(qs, ps)[0]
-    s_a, c_a = sincos_pq(p, q, half_a * xx)
-    s_b, c_b = sincos_pq(qs, ps, half_b * (1.0 - xx))
-    return s_a - c_b ** (qs - 1.0), c_a - s_b ** (ps - 1.0)
+    s_a, c_a = sincos_pq(p, q, _pair(p, q)[0] * xx)
+    s_b, c_b, yc_b = _sincos_tail(qs, ps, _pair(qs, ps)[0] * (1.0 - xx))
+    return s_a - _cos_power(qs, ps, c_b, yc_b), c_a - s_b ** (ps - 1.0)
 
 
 def multiple_angle_residual(p: float, x: float) -> float:
@@ -390,8 +389,8 @@ def multiple_angle_residual(p: float, x: float) -> float:
     # the doubled argument sweeps the full arch [0, pi_{2,p}] as x sweeps
     # the half period, since pi_{2,p} = 2^(2/p - 1) pi_{p*,p}
     lhs = extend_sin_symmetric(p, min(scale * x, full))
-    s, c = sincos_pq(ps, p, x)
-    rhs = scale * s * c ** (ps - 1.0)
+    s, c, yc = _sincos_tail(ps, p, x)
+    rhs = scale * s * _cos_power(ps, p, c, yc)
     return abs(lhs - rhs)
 
 

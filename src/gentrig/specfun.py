@@ -177,15 +177,17 @@ def poch_ratio(a: float, b: float, n: int) -> float:
     where a, b lie in [DBL_MIN, _STIRLING_MIN] (Gamma(b) <= max(1/b, 9!) and
     1 / Gamma(a) in [min(a, 1/9!), 1.13]) and the exp in e^+-708, _lgamma_diff
     elsewhere: ~4 us for any n (14-19 us with two Stirling differences).
-    Every Wallis-type closed form is such a ratio times a generalized pi.
-    """
-    n = check_order(n)
+    Every Wallis-type closed form is such a ratio times a generalized pi."""
+    a, b, n = float(a), float(b), check_order(n)
     if n >= POCH_SWITCH and a > 0 and b > 0:
         e = a - b
         if not e:
             return 1.0
+        if min(a, b) < _DBL_MIN:  # subnormal: (a / b) (a + 1)_{n-1} / (b + 1)_{n-1}
+            ratio, q = poch_ratio(a + 1.0, b + 1.0, n - 1), a / b
+            return q * ratio if q >= _DBL_MIN else a * (ratio / b)
         lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
-        if abs(lead) <= 708.0 and _DBL_MIN <= min(a, b) and max(a, b) <= _STIRLING_MIN:
+        if abs(lead) <= 708.0 and max(a, b) <= _STIRLING_MIN:  # min(a, b) >= DBL_MIN
             return math.exp(lead) * _gamma_quotient((b,), (a,))
         try:  # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
             return math.exp(lead - e * _lgamma_diff(min(a, b), abs(e)))
@@ -407,6 +409,7 @@ def inc_beta_reg(a: float, b: float, t):
     by term), most of it from the Gamma quotient in front, where Boost's
     reaches 2.9e-15.  Other shapes take scipy's betainc (Boost).
     """
+    a, b = float(a), float(b)
     if not (a > 0 and b > 0):
         raise DomainError("inc_beta_reg requires positive shape parameters")
     tt = np.asarray(t, dtype=float)
@@ -632,6 +635,7 @@ def inc_beta_reg_inv(a: float, b: float, y):
     is returned unpolished.  Large arrays may therefore differ from the
     small-array result in the last ulps.
     """
+    a, b = float(a), float(b)
     if not (a > 0 and b > 0):
         raise DomainError("inc_beta_reg_inv requires positive shape parameters")
     yy = np.asarray(y, dtype=float)
@@ -777,6 +781,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
 def hyp2f1m1(a: float, b: float, c: float, x: float) -> float:
     """F(a, b; c; x) - 1 for x in [0, 1/2], summed without the leading 1, so
     that it keeps its relative accuracy however small x is."""
+    a, b, c, x = float(a), float(b), float(c), float(x)
     if _is_nonpos_int(c):
         raise DomainError("c must not be zero or a negative integer")
     if not 0.0 <= x <= 0.5:
@@ -800,6 +805,7 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     after all.  Every series stops on a certified tail bound, within
     HYP2F1_MAX_TERMS terms, so the cost is bounded independently of x.
     """
+    a, b, c, x = float(a), float(b), float(c), float(x)
     if _is_nonpos_int(c):
         raise DomainError("c must not be zero or a negative integer")
     if not 0.0 <= x <= 1.0:
@@ -807,18 +813,14 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     if comp is None:
         y = 1.0 - x
     elif 0.0 <= comp <= 1.0:
-        y = comp
+        y = float(comp)
     else:
         raise DomainError(f"hyp2f1 complement must lie in [0, 1], got {comp}")
 
-    n_terms = None
-    for s in (a, b):
-        if _is_nonpos_int(s):
-            k = int(-s)
-            n_terms = k if n_terms is None else min(n_terms, k)
-    if n_terms is not None:
+    orders = [int(-s) for s in (a, b) if _is_nonpos_int(s)]
+    if orders:
         total = term = 1.0
-        for n in range(n_terms):
+        for n in range(min(orders)):
             term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
             total += term
         return total

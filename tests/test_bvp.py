@@ -433,6 +433,39 @@ class TestCosineUnderflow:
         assert bvp.nonlocal_mean_square_slope(H, m) == pytest.approx(m * m, rel=1e-5)
 
 
+class TestPhaseCurveUnderflow:
+    """The phase curve's |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1),
+    from gtf._cos_power: where cos^{p*} underflows, v + 1/p no longer
+    collapses to 0, so the residual no longer reads u itself."""
+
+    @pytest.mark.parametrize("p,q", TestCosineUnderflow.CASES + [(400.0, 1.0025)])
+    @pytest.mark.parametrize("H", [1.0, 2.5])
+    def test_underflowed_cosine(self, p, q, H):
+        xs = H * np.array([0.3, 0.5, 0.9, 0.99])
+        sol = bvp.solve_general(H, p, q)
+        assert np.all(sol(xs) > 1e-6)  # the residuals read u here before
+        for r in (bvp.phase_curve_residual(H, p, q, xs),
+                  [bvp.phase_curve_residual(H, p, q, float(x)) for x in xs]):
+            assert np.max(r) <= 1e-14
+
+    def test_near_the_right_end(self):
+        # |v + 1/p| cancelled as x -> H: 9.7e-8 here, against u = 6.2e-5
+        H = 2.5
+        assert bvp.phase_curve_residual(H, 4.0, 1.5, H * (1.0 - 1e-4)) <= 1e-14
+
+    @pytest.mark.parametrize("p,q", [(400.0, 1.0025), (1.5, 4.0)])
+    def test_point_and_array_lanes_agree(self, p, q):
+        # solve_general's point lane is gtf._cos_power's float code, its
+        # array lane the array code: both within 2e-15 of 50 digits
+        sol = bvp.solve_general(1.0, p, q)
+        xs = [0.1, 0.5, 0.9, 0.999]
+        arr = sol(np.array(xs))
+        for i, x in enumerate(xs):
+            value, ref = sol(x), mp_general(1.0, p, q, x)
+            assert type(value) is float
+            assert abs(value - ref) <= 2e-15 * ref and abs(arr[i] - ref) <= 2e-15 * ref
+
+
 class TestEqualParameters:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_matches_general_on_half_interval(self, p):

@@ -204,6 +204,19 @@ class TestTable:
         assert out == ""
         assert err.startswith(f"domain error: {argv[-2]}: need an integer >= ")
 
+    def test_pq_equal_profile_needs_unit_interval(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--kind", "bvp_profile", "--p", "3", "--H", "2")
+        assert code == 2 and out == ""
+        assert "the p = q profile is defined on H = 1" in err
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "t.csv"
+        code, out, err = run_cli(
+            capsys, "table", "--kind", "lemniscate", "--nmax", "1", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"cannot write {target}")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
         code, _, _ = run_cli(

@@ -80,6 +80,11 @@ class TestPi:
         with pytest.raises(DomainError):
             gtf.pi_pq(0.5, 2.0)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+    def test_degenerate_convention_domain(self, p):
+        with pytest.raises(DomainError, match="q = 1 requires p > 1"):
+            gtf.pi_pq(p, 1.0)
+
 
 class TestAsin:
     def test_endpoints(self):
@@ -316,6 +321,49 @@ class TestMultipleAngle:
         if x is None:
             x = gtf.pi_pq(gtf.conjugate(p), p) / 4.0
         assert gtf.multiple_angle_residual(p, x) <= 1e-10
+
+
+class TestCosinePowerRule:
+    """Every cos_pq^(p-1) goes through gtf._cos_power, whose leading-term
+    rule holds where cos_pq underflows; the residuals below raised the
+    underflowed cosine to p - 1 and read 0.40, 0.40 and 3.0e-3 there."""
+
+    @pytest.mark.parametrize("p", [1.001, 100.0, 1000.0])
+    def test_appendix_at_large_q(self, p):
+        # cos_{q*,p*} at q* = 1.001 underflows for x01 up to 0.2-0.45; the
+        # first reflection's c^(q*-1) must still equal the sine there
+        xs = np.linspace(0.0, 1.0, 21)
+        scalar = [gtf.sin_symmetry_appendix(p, 1000.0, float(x))[0] for x in xs]
+        for r1 in (scalar, gtf.sin_symmetry_appendix(p, 1000.0, xs)[0],
+                   gtf.sin_symmetry_appendix(p, 1000.0, np.resize(xs, N0))[0]):
+            assert np.abs(r1).max() <= 1e-13
+
+    @pytest.mark.parametrize("p", [300.0, 1000.0])
+    def test_multiple_angle_at_large_p(self, p):
+        half = gtf.pi_pq(gtf.conjugate(p), p) / 2.0
+        # at p = 300 the cosine underflows only in the top ~5% of the half period
+        for f in np.linspace(0.0, 1.0, 201):
+            assert gtf.multiple_angle_residual(p, f * half) <= 1e-12, f
+
+    @pytest.mark.parametrize("p,q", [(1.001, 3.0), (1.0025, 2.0)])
+    def test_derivative_identity_near_p_one(self, p, q):
+        half = gtf.pi_pq(p, q) / 2.0
+        for f in (0.1, 0.3, 0.5, 0.7, 0.9):
+            assert gtf.dcos_power_identity_residual(p, q, f * half) <= 1e-10, f
+
+    @pytest.mark.parametrize("p,q", [(1.001, 3.0), (2.5, 3.0)])
+    def test_point_is_float_code_and_matches_arrays(self, p, q):
+        half = gtf.pi_pq(p, q) / 2.0
+        xs = half * np.array([0.0, 0.3, 0.9, 1.0 - 1e-9, 1.0])
+        _, c, yc = gtf._sincos_tail(p, q, xs)
+        arr = gtf._cos_power(p, q, c, yc)
+        for i, x in enumerate(xs.tolist()):
+            _, ci, yci = gtf._sincos_tail(p, q, x)
+            point = gtf._cos_power(p, q, ci, yci)
+            assert type(point) is float
+            assert abs(point - arr[i]) <= 4e-16 * arr[i]
+        if p < 2.0:  # the leading term's base, reached in both lanes
+            assert (c < sys.float_info.min).any()
 
 
 class TestSymmetricExtension:

@@ -264,6 +264,35 @@ class TestOrderAndPairValidation:
         assert np.array_equal(ORDER_CALLS[name](3.0), ORDER_CALLS[name](3))
 
 
+class TestExponentAndModulusChecks:
+    """Each domain check below rejects its boundary, a point past it and NaN."""
+
+    @pytest.mark.parametrize("r", [1.0, 0.5, math.nan])
+    def test_elliptic_query_r(self, r):
+        with pytest.raises(DomainError, match="need r > 1"):
+            EllipticQuery(ParamPair(2.0, 3.0), r=r, k=0.5)
+
+    @pytest.mark.parametrize("l", [-1.0, -2.0, math.nan])  # 1 - p = -1
+    def test_primitive_l(self, l):
+        with pytest.raises(DomainError, match="need exponent l > 1 - p"):
+            integrals.primitive_sin_cos(2.0, 3.0, 0.5, l, 0.3)
+
+    @pytest.mark.parametrize("k", [-1.0, -1.5, math.nan])
+    def test_finite_sum_k(self, k):
+        with pytest.raises(DomainError, match="need exponent k > -1"):
+            integrals.primitive_finite_sum(2.0, 3.0, k, 2, 0.3)
+
+    @pytest.mark.parametrize("r", [1.0, 0.5, math.nan])
+    def test_elliott_r(self, r):
+        with pytest.raises(DomainError, match="need r > 1"):
+            integrals.elliott_residual(2.0, 3.0, r, 0.5)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_elliott_k(self, k):
+        with pytest.raises(DomainError, match=r"need modulus k in \(0, 1\)"):
+            integrals.elliott_residual(2.0, 3.0, 2.0, k)
+
+
 class TestPrimitives:
     RNG_CASES = [
         (1.5, 2.0, 0.0, 0.0),

@@ -140,6 +140,22 @@ class TestPochhammer:
         above = specfun.poch_ratio(a, b, n)
         assert above == pytest.approx(below * (a + n - 1) / (b + n - 1), rel=1e-14)
 
+    @pytest.mark.parametrize("a,b,n", [
+        (1e-310, 0.5, 100), (5e-324, 1.0, 100), (0.5, 1e-310, 100),
+        (1e-310, 2e-310, 100), (2e-310, 1e-310, 64), (1e-320, 1e-10, 1000),
+        (1e-10, 1e-310, 100), (0.3, 5e-324, 10**6), (5e-324, 0.3, 10**9)])
+    def test_subnormal_parameters(self, a, b, n):
+        # the Gamma quotient and the shifted difference read NaN or 0 here
+        with mpmath.workdps(50):
+            exact = mpmath.rf(a, n) / mpmath.rf(b, n)
+        got = specfun.poch_ratio(a, b, n)
+        if exact > sys.float_info.max:
+            assert got == math.inf, (a, b, n)
+        elif exact < mpmath.mpf(2) ** -1075:  # below half the least subnormal
+            assert got == 0.0, (a, b, n)
+        else:  # within 1e-14, or a least subnormal where the ratio is one
+            assert abs(got - exact) <= 1e-14 * exact + 2.0**-1074, (a, b, n)
+
     def test_quotient_range_takes_no_shifted_difference(self, monkeypatch):
         # a cost guard without a timer: in the quotient's range the large-n
         # branch must not fall back on the shifted difference
@@ -153,6 +169,45 @@ class TestPochhammer:
         monkeypatch.setattr(specfun, "_lgamma_diff", shifted)
         for (a, b, n), value in want.items():
             assert specfun.poch_ratio(a, b, n) == value
+
+
+class TestIntegerParameters:
+    """A Python int, an np.int64 and a float of the same value give the same
+    bits at every public entry; scipy's Cython gamma, rgamma, betainc and
+    betaincinv have no integer signature, which raised TypeError before."""
+
+    CALLS = [
+        (specfun.poch_ratio, (1, 2, 100)), (specfun.poch_ratio, (3, 5, 10)),
+        (specfun.hyp2f1, (1, 1, 2, 0.9)), (specfun.hyp2f1, (1, 1, 3, 1)),
+        (specfun.hyp2f1, (1, 1, 2, 0)), (specfun.hyp2f1m1, (1, 1, 2, 0.3)),
+        (specfun.beta, (3, 7)), (specfun.ln_gamma, (5,)),
+        (specfun.inc_beta_reg, (1, 2, 0.3)), (specfun.inc_beta_reg_inv, (1, 2, 0.3)),
+    ]
+    ARRAY_CALLS = [
+        (specfun.inc_beta_reg, (1, 1)), (specfun.inc_beta_reg, (1, 2)),
+        (specfun.inc_beta_reg_inv, (1, 2)), (specfun.inc_beta_reg_inv, (2, 1)),
+    ]
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    @pytest.mark.parametrize("fn,args", CALLS)
+    def test_scalar(self, fn, args, kind):
+        want = fn(*(float(v) for v in args))
+        got = fn(*(kind(v) if isinstance(v, int) else v for v in args))
+        assert type(got) is float and same_bits(got, want), (fn.__name__, args)
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    @pytest.mark.parametrize("fn,shapes", ARRAY_CALLS)
+    @pytest.mark.parametrize("size", [7, specfun.INV_FIT_MIN])
+    def test_array(self, fn, shapes, size, kind):
+        t = np.linspace(0.0, 1.0, size)
+        specfun._forward.cache_clear()  # so that ints build the shape's setup
+        specfun._inverse_setup.cache_clear()
+        got = fn(*(kind(v) for v in shapes), t)
+        assert same_bits(got, fn(*(float(v) for v in shapes), t)), (fn.__name__, shapes)
+
+    def test_comp(self):
+        assert same_bits(specfun.hyp2f1(0.5, 0.5, 2.0, 1.0, comp=0),
+                         specfun.hyp2f1(0.5, 0.5, 2.0, 1.0, comp=0.0))
 
 
 def _lgamma_diff_points(count, seed):
@@ -740,6 +795,24 @@ YS = (1e-15, 1e-12, 1e-8, 1e-4, 0.01, 0.2, 0.3, 0.49, 0.5, 0.7)
 class TestHyp2F1AgainstMpmath:
     """The parameter families integrals builds, up to 1 - x = 1e-15 and with
     c - a - b at and near the integers m = 0, 1, 2 (the logarithmic cases)."""
+
+    @pytest.mark.parametrize("m", [-1, -2, -3])
+    @pytest.mark.parametrize("e", [0.0, 1e-12, -1e-8, 1e-4, -0.05, 0.09])
+    def test_euler_transformation_branch(self, m, e, monkeypatch):
+        # c - a - b near a negative integer m: Euler's transformation turns
+        # it into the logarithmic connection formula at -m
+        orders = []
+        near_integer = specfun._connection_near_integer
+
+        def spy(*args):
+            orders.append(args[6])
+            return near_integer(*args)
+
+        monkeypatch.setattr(specfun, "_connection_near_integer", spy)
+        a, b = 0.8, 1.45
+        for y in (0.4, 0.1, 0.01, 1e-6):
+            assert_hyp2f1_matches_mpmath(a, b, a + b + m + e, y)
+        assert orders and set(orders) == {-m}
 
     @pytest.mark.parametrize("offset", OFFSETS)
     @pytest.mark.parametrize("m", [0, 1])
