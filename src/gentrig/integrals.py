@@ -68,6 +68,7 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
     The series argument s^q comes with its complement 1 - s^q = cos_pq^p,
     which keeps its accuracy where sin_pq rounds to 1.
     """
+    p, q, k, l = float(p), float(q), float(k), float(l)
     _check_kl(p, k, l)
     halfpi = _pair(p, q)[0]
     x = _as_unit(x, halfpi, "primitive_sin_cos")
@@ -83,6 +84,7 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
 
 def definite_sin_cos(p: float, q: float, k: float, l: float) -> float:
     """int_0^{pi_pq/2} sin_pq^k cos_pq^l dt = (1/q) B((k+1)/q, 1 + (l-1)/p)."""
+    p, q, k, l = float(p), float(q), float(k), float(l)
     _check_kl(p, k, l)
     return (1.0 / q) * specfun.beta((k + 1.0) / q, 1.0 + (l - 1.0) / p)
 
@@ -93,6 +95,7 @@ def primitive_finite_sum(p: float, q: float, k: float, n: int, x: float) -> floa
     Coincides with primitive_sin_cos(k, l = pn+1, x): the hypergeometric
     series terminates because its second parameter is -n.
     """
+    q, k = float(q), float(k)
     if not k > -1.0:
         raise DomainError("need exponent k > -1")
     n = check_order(n)
@@ -111,7 +114,11 @@ def wallis_sin(query: WallisQuery) -> float:
     At the degenerate endpoint r = q-1 (detected exactly) the derived
     exponent u equals 1 and pi_{p,1} = 2 p* by convention.
     """
-    p, q, n, r = query.params.p, query.params.q, query.n, query.r
+    params = query.params
+    return _wallis_sin(float(params.p), float(params.q), query.n, float(query.r))
+
+
+def _wallis_sin(p: float, q: float, n: int, r: float) -> float:
     if not -1.0 < r <= q - 1.0:
         raise DomainError("sine flavor requires r in (-1, q-1]")
     if r == q - 1.0:
@@ -126,18 +133,25 @@ def wallis_sin(query: WallisQuery) -> float:
 def wallis_cos(query: WallisQuery) -> float:
     """int_0^{pi_pq/2} cos_pq^(pn+r) dt for r in (1-p, 1].
 
-    At r = 1 the derived exponent v equals 1, v* = inf, and pi_{inf,q} = 2.
+    With v = p/(r+p-1) this is (1/v)_n / (1/v + 1/q)_n pi_{v*,q}/2, and
+    pi_{v*,q}/2 = (1/q) B(1/v, 1/q) is taken from 1/v = (r + (p-1))/p
+    directly, whose numerator is exact where r nears 1 - p: re-forming 1/v
+    as 1 - 1/v* would cost ~v ulps there.  At r = 1 the derived exponent v
+    equals 1, v* = inf, and pi_{inf,q} = 2.
     """
-    p, q, n, r = query.params.p, query.params.q, query.n, query.r
+    params = query.params
+    return _wallis_cos(float(params.p), float(params.q), query.n, float(query.r))
+
+
+def _wallis_cos(p: float, q: float, n: int, r: float) -> float:
     if not 1.0 - p < r <= 1.0:
         raise DomainError("cosine flavor requires r in (1-p, 1]")
     if r == 1.0:
-        v, pi_vq = 1.0, 2.0
+        iv, half = 1.0, 1.0
     else:
-        v = p / (r + p - 1.0)
-        pi_vq = pi_pq(conjugate(v), q)
-    ratio = specfun.poch_ratio(1.0 / v, 1.0 / v + 1.0 / q, n)
-    return ratio * (pi_vq / 2.0)
+        iv = (r + (p - 1.0)) / p  # p - 1 is exact, and so is the sum near 1 - p
+        half = (1.0 / q) * specfun.beta(iv, 1.0 / q)
+    return specfun.poch_ratio(iv, iv + 1.0 / q, n) * half
 
 
 def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
@@ -149,18 +163,20 @@ def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
     the recurrence seed J_{2-p} = (1/q) B(1/q, 1/p) and with the classical
     n = 1 check int cos^2 = pi/4 at p = q = 2.
     """
+    p, q = float(p), float(q)
     cases = {
-        "sin_qn": (wallis_sin, 0.0),
-        "sin_qn_qm2": (wallis_sin, q - 2.0),
-        "sin_qn_qm1": (wallis_sin, q - 1.0),
-        "cos_pn": (wallis_cos, 0.0),
-        "cos_pn_2mp": (wallis_cos, 2.0 - p),
-        "cos_pn_1": (wallis_cos, 1.0),
+        "sin_qn": (_wallis_sin, 0.0),
+        "sin_qn_qm2": (_wallis_sin, q - 2.0),
+        "sin_qn_qm1": (_wallis_sin, q - 1.0),
+        "cos_pn": (_wallis_cos, 0.0),
+        "cos_pn_2mp": (_wallis_cos, 2.0 - p),
+        "cos_pn_1": (_wallis_cos, 1.0),
     }
     if which not in cases:
         raise DomainError(f"unknown special case {which!r}")
     flavor, r = cases[which]
-    return flavor(WallisQuery(ParamPair(p, q), n, r))
+    check_pq(p, q)
+    return flavor(p, q, check_order(n), r)
 
 
 def lemniscate_wallis(n: int, residue: int) -> float:
@@ -225,21 +241,19 @@ def _power_and_complement(k: float, q: float):
 def elliptic_K(query: EllipticQuery) -> float:
     """Generalized complete elliptic integral of the first kind,
     (pi_pq/2) F(1/q, 1/r; 1/p* + 1/q; k^q)."""
-    p, q = query.params.p, query.params.q
+    p, q, r = float(query.params.p), float(query.params.q), float(query.r)
     c = 1.0 / conjugate(p) + 1.0 / q
-    kq, kpr = _power_and_complement(query.k, q)
-    return _pair(p, q)[0] * specfun.hyp2f1(1.0 / q, 1.0 / query.r, c, kq, comp=kpr)
+    kq, kpr = _power_and_complement(float(query.k), q)
+    return _pair(p, q)[0] * specfun.hyp2f1(1.0 / q, 1.0 / r, c, kq, comp=kpr)
 
 
 def elliptic_E(query: EllipticQuery) -> float:
     """Generalized complete elliptic integral of the second kind,
     (pi_pq/2) F(1/q, -1/r*; 1/p* + 1/q; k^q)."""
-    p, q = query.params.p, query.params.q
+    p, q, r = float(query.params.p), float(query.params.q), float(query.r)
     c = 1.0 / conjugate(p) + 1.0 / q
-    kq, kpr = _power_and_complement(query.k, q)
-    return _pair(p, q)[0] * specfun.hyp2f1(
-        1.0 / q, -1.0 / conjugate(query.r), c, kq, comp=kpr
-    )
+    kq, kpr = _power_and_complement(float(query.k), q)
+    return _pair(p, q)[0] * specfun.hyp2f1(1.0 / q, -1.0 / conjugate(r), c, kq, comp=kpr)
 
 
 def elliott_residual(p: float, q: float, r: float, k: float) -> float:
@@ -253,8 +267,10 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     side is formed as (E - K) K' + K E' with the roles of the two sides
     swapped as needed: E - K comes from the two series F - 1 at the small
     argument, which have opposite signs, so it keeps its relative accuracy
-    and the large factor multiplies no rounding error of order 1.
+    and the large factor multiplies no rounding error of order 1.  The two
+    small-side series share a, c and x and are summed in one loop.
     """
+    p, q, r, k = float(p), float(q), float(r), float(k)
     check_pq(p, q)
     if p > q:
         raise DomainError("Elliott's identity requires p <= q")
@@ -271,7 +287,7 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
              kpr, kq, 0.5 * pi_pq(p, r))
     small, large = (side1, side2) if kq <= 0.5 else (side2, side1)
     a, bk, be, c, x, _, half = small
-    gk, ge = specfun.hyp2f1m1(a, bk, c, x), specfun.hyp2f1m1(a, be, c, x)
+    gk, ge = specfun._series_pair(a, bk, c, a, be, c, x, head=0.0)  # F - 1, x <= 1/2
     a, bk, be, c, x, y, half_l = large
     K_l = half_l * specfun.hyp2f1(a, bk, c, x, comp=y)
     E_l = half_l * specfun.hyp2f1(a, be, c, x, comp=y)

@@ -19,6 +19,15 @@ approaches 1.  Differences ln Gamma(z + e) - ln Gamma(z) come from the
 Stirling series without per-term transcendentals, and a large-n Pochhammer
 ratio is one exp of such a difference times Gamma(b) / Gamma(a), so neither
 costs more for a larger n or a smaller e.
+
+Costs of hyp2f1 by branch, medians in the slow state of a shared 2-vCPU
+x86-64 VM (BENCH_21.json): the power series at (1/3, 1/2, 0.93) 18 us at x =
+0.3 and 30 us at x = 1/2; Gauss's connection formula at (1/3, 1/2, 1.2),
+its two series in y in one loop and seven Gamma calls, 40 us at x = 0.7 and
+15 us at x = 0.99; the logarithmic (near-integer) form at (1/2, 1/2, 1),
+K's, 58 us at x = 0.7 and 33 us at x = 0.99.  Each series tests its tail
+after every term, and most terms settle that test with one inline product
+(_tail_certified).
 """
 
 from __future__ import annotations
@@ -77,6 +86,11 @@ _POLY_TERMS = 23
 _POLY_TOL = 2.0**-56
 
 _DBL_MIN = sys.float_info.min
+# the double specializations of scipy's fused Cython Gamma kernels: the code
+# the dispatcher picks for a float, bit for bit, without its ~0.2 us a call
+# (the dispatcher itself where a scipy build exposes no signatures)
+_gamma, _rgamma = (getattr(f, "__signatures__", {}).get("double", f)
+                   for f in (_cs.gamma, _cs.rgamma))
 _CHEB_K = np.arange(INV_FIT_DEGREE + 1)
 # Chebyshev points of the second kind mapped to [0, 1], from 1 down to 0, and
 # the DCT-I that takes values there to interpolant coefficients
@@ -90,6 +104,13 @@ _STIRLING_MIN = 10.0  # the series below is used from this argument on
 # 5.11.1) truncated here is exact to 1e-18 for arguments >= _STIRLING_MIN
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
              -691 / 360360, 1 / 156, -3617 / 122400)
+
+# c_12, c_11, ..., c_2 of 1 / Gamma(z) = sum c_k z^k (DLMF 5.7.1; c_2 is
+# Euler's gamma), rounded from 60-digit values
+_RGAMMA = (-2.013485478078824e-05, 1.280502823881162e-04, -2.1524167411495098e-04,
+           -1.1651675918590652e-03, 7.2189432466631e-03, -9.621971527876973e-03,
+           -4.219773455554433e-02, 1.6653861138229148e-01, -4.200263503409524e-02,
+           -6.558780715202539e-01, 5.772156649015329e-01)
 
 
 def _is_nonpos_int(x: float) -> bool:
@@ -112,12 +133,22 @@ def _stirling_diff(w: float, e: float, total: float = 0.0) -> float:
     Stirling series gives (w - 1/2) ln(1 + t) / e + ln(w + e) - 1 and, a term
     c_k w^(1-2k), -c_k w^(-2k) rho (1 + rho + ... + rho^(2k-2)): positive
     partial sums, so nothing cancels as e -> 0.  One log1p and one log, ~2 us
-    a call (~5.6 us with an expm1 a term)."""
+    a call (~5.6 us with an expm1 a term).
+
+    Each term is below 0.14 of the one before (|c_(k+1) / c_k| <= 4.61 and
+    the rest of the ratio is at most (rho^2 + rho + 1) / w^2 <= 3/100 with
+    w, w + e >= 10), so once a term leaves the total unchanged every later
+    one would too, even across a power of 2, and the sum stops there with
+    the same bits: after two or three terms at a large-n Pochhammer ratio's
+    w = b + n."""
     total += (w - 0.5) / w * _log1p_ratio(e / w) + math.log(w + e) - 1.0
     inv2 = 1.0 / (w * w)
     power, rho, rsum = inv2, w / (w + e), 1.0  # rsum = 1 + rho + ... + rho^(2k-2)
     for coef in _STIRLING:
-        total -= coef * power * rsum * rho
+        t = total - coef * power * rsum * rho
+        if t == total:
+            break
+        total = t
         power *= inv2
         rsum = 1.0 + rho * (1.0 + rho * rsum)
     return total
@@ -134,10 +165,13 @@ def _lgamma_diff(z: float, e: float) -> float:
     ~0.45 us a shift (at most 10)."""
     total = 0.0
     shifts = max(0, math.ceil(_STIRLING_MIN - min(z, z + e)))
-    for j in range(shifts):
+    for j in range(shifts):  # _log1p_ratio(t) / zj, inlined
         zj = z + j
         t = e / zj
-        total -= math.log((zj + e) / zj) / e if t < -0.5 else _log1p_ratio(t) / zj
+        if t < -0.5:
+            total -= math.log((zj + e) / zj) / e
+        else:
+            total -= (math.log1p(t) / t if t else 1.0) / zj
     return _stirling_diff(z + shifts, e, total)
 
 
@@ -145,20 +179,51 @@ def _gamma_quotient(num, den) -> float:
     """prod Gamma(num) / prod Gamma(den), zero where den meets a pole."""
     out = 1.0
     for z in num:
-        out *= _cs.gamma(z)
+        out *= _gamma(z)
     for z in den:
-        out *= _cs.rgamma(z)
+        out *= _rgamma(z)
     return out
 
 
 def _gamma_ratio_m1(z: float, e: float, ze: float) -> float:
     """(Gamma(z) / Gamma(ze) - 1) / e with ze = z + e, as accurate as the
-    caller knows it; continued by -psi(z) at e = 0."""
+    caller knows it; continued by -psi(z) at e = 0.  Near 1 it is one
+    _lgamma_diff, ~2 us plus ~0.45 us a shift up to z >= 10 (4-7 us at the
+    z < 1 of the connection formula, in the slow state of a shared 2-vCPU
+    VM); far from 1, two scalar Gamma calls.  The ratios at z = 1 and z = m
+    + 1, which depend on e alone, take _unit_gamma_ratios instead."""
     pole_gap = z if z >= 0.5 else abs(z - round(z))
     if 2.0 * abs(e) > pole_gap:  # the ratio is far from 1: no cancellation
         return (_gamma_quotient((z,), (ze,)) - 1.0) / e
     lam = _lgamma_diff(z, e)
     return -lam * _expm1_ratio(-e * lam)
+
+
+def _rgamma_m1(e: float) -> float:
+    """R(e) = (1 / Gamma(1 + e) - 1) / e for |e| <= HYP2F1_REG_EPS, continued
+    by Euler's gamma at e = 0: the Taylor series 1 / Gamma(z) = sum c_k z^k
+    (DLMF 5.7.1) gives R(e) = sum_{k>=2} c_k e^(k-2), here its 11 terms to
+    c_12 by Horner's rule; the next, c_13 e^11, is below 2.2e-17 R(0) there.
+    No Gamma call and nothing divided by e: ~0.5 us."""
+    out = 0.0
+    for coef in _RGAMMA:
+        out = out * e + coef
+    return out
+
+
+def _unit_gamma_ratios(m: int, e: float):
+    """(g1, q1) with 1 / Gamma(1 - e) = 1 + e g1 and m! / Gamma(m + 1 + e) =
+    1 + e q1, for an integer m >= 0 and |e| <= HYP2F1_REG_EPS, from
+    _rgamma_m1: g1 = -R(-e), and with Gamma(m + 1 + e) = Gamma(1 + e) prod_{j
+    <= m} (j + e), m! / Gamma(m + 1 + e) = (1 + e R(e)) P, where P = prod j /
+    (j + e) = 1 + e S is carried as S, S_j = S_{j-1} - P_{j-1} / (j + e), so
+    nothing cancels as e -> 0 (q1 is -psi(m + 1) at e = 0).  Within 2.5 eps
+    of 50-digit mpmath relative to max(1, |value|) for m <= 5, ~2 us, where
+    two _lgamma_diff calls read 6 eps at ~10 us."""
+    r, s = _rgamma_m1(e), 0.0
+    for j in range(1, m + 1):
+        s -= (1.0 + e * s) / (j + e)
+    return -_rgamma_m1(-e), r + s + e * r * s
 
 
 def ln_gamma(x: float) -> float:
@@ -188,7 +253,7 @@ def poch_ratio(a: float, b: float, n: int) -> float:
             return q * ratio if q >= _DBL_MIN else a * (ratio / b)
         lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
         if abs(lead) <= 708.0 and max(a, b) <= _STIRLING_MIN:  # min(a, b) >= DBL_MIN
-            return math.exp(lead) * _gamma_quotient((b,), (a,))
+            return math.exp(lead) * (_gamma(b) * _rgamma(a))
         try:  # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
             return math.exp(lead - e * _lgamma_diff(min(a, b), abs(e)))
         except OverflowError:  # as the product overflows, to inf
@@ -661,39 +726,95 @@ def _budget_spent(what: str, a, b, c, x):
     )
 
 
-def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
+def _tail_certified(size: float, mag: float, m: float, aa: float, ab: float,
+                    ac: float, x: float) -> bool:
+    """The ratio test that stops a power series after term m >= |c| + 2 of
+    magnitude size, with mag the sum of the magnitudes so far and aa, ab, ac
+    = |a|, |b|, |c|: rho = (m + |a|)(m + |b|) / ((m - |c|)(m + 1)) x bounds
+    the next ratios, and the tail size rho / (1 - rho) must be within
+    HYP2F1_TAIL_TOL mag.  rho >= m x / (m + 1) >= 2x/3 there, so the test
+    cannot pass unless size x / 2 <= HYP2F1_TAIL_TOL mag, which the loops
+    check first, inline, so that most terms skip this call."""
+    rho = (m + aa) * (m + ab) / ((m - ac) * (m + 1.0)) * x
+    return rho < 1.0 and size * rho / (1.0 - rho) <= HYP2F1_TAIL_TOL * mag
+
+
+def _series(a: float, b: float, c: float, x: float, head: float = 1.0,
+            resume=None) -> float:
     """head - 1 plus the power series of F(a, b; c; x), x in [0, 1), summed
-    until a ratio-test bound certifies the tail (c not a nonpositive
-    integer)."""
-    # indices beyond which term ratios are bounded by a quantity < 1
+    with Kahan compensation until _tail_certified (c not a nonpositive
+    integer).  resume, if given, is the state (n, term, total, compensation,
+    magnitude) after n terms of a sum that _series_pair left off."""
     aa, ab, ac = abs(a), abs(b), abs(c)
-    n_safe = int(math.ceil(max(aa, ab, ac))) + 2
-    term = 1.0
-    total = mag = head
-    comp = 0.0  # Kahan compensation
-    for n in range(HYP2F1_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+    n_safe = int(math.ceil(max(aa, ab, ac))) + 2  # the test's first term
+    n0, term, total, comp, mag = resume or (0, 1.0, head, 0.0, head)
+    tol, hx = HYP2F1_TAIL_TOL, 0.5 * x
+    for n in range(n0, HYP2F1_MAX_TERMS):
+        m = n + 1.0
+        term *= (a + n) * (b + n) / ((c + n) * m) * x
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        if term == 0.0:
+        size = abs(term)
+        mag += size
+        if m >= n_safe and size * hx <= tol * mag and _tail_certified(
+                size, mag, m, aa, ab, ac, x):
             return total
-        mag += abs(term)
-        m = n + 1
-        if m >= n_safe:
-            rho = (m + aa) * (m + ab) / ((m - ac) * (m + 1.0)) * x
-            if 0.0 <= rho < 1.0 and abs(term) * rho / (1.0 - rho) <= HYP2F1_TAIL_TOL * mag:
-                return total
     raise _budget_spent("series", a, b, c, x)
+
+
+def _series_pair(a1: float, b1: float, c1: float, a2: float, b2: float, c2: float,
+                 x: float, head: float = 1.0):
+    """(_series(a1, b1, c1, x, head), _series(a2, b2, c2, x, head)), bit for
+    bit, in one loop while both run: each keeps its own compensated sum and
+    its own tail test from its own first safe term, and the one certified
+    first stops there while the other goes on alone from where the loop
+    left it.  The shared loop saves its own overhead on every term of the
+    shorter sum."""
+    aa1, ab1, ac1, aa2, ab2, ac2 = abs(a1), abs(b1), abs(c1), abs(a2), abs(b2), abs(c2)
+    safe1 = int(math.ceil(max(aa1, ab1, ac1))) + 2
+    safe2 = int(math.ceil(max(aa2, ab2, ac2))) + 2
+    term1 = term2 = 1.0
+    total1 = mag1 = total2 = mag2 = head
+    comp1 = comp2 = 0.0
+    tol, hx = HYP2F1_TAIL_TOL, 0.5 * x
+    for n in range(HYP2F1_MAX_TERMS):
+        m = n + 1.0
+        term1 *= (a1 + n) * (b1 + n) / ((c1 + n) * m) * x
+        term2 *= (a2 + n) * (b2 + n) / ((c2 + n) * m) * x
+        y = term1 - comp1
+        t = total1 + y
+        comp1 = (t - total1) - y
+        total1 = t
+        y = term2 - comp2
+        t = total2 + y
+        comp2 = (t - total2) - y
+        total2 = t
+        size1, size2 = abs(term1), abs(term2)
+        mag1 += size1
+        mag2 += size2
+        done1 = m >= safe1 and size1 * hx <= tol * mag1 and _tail_certified(
+            size1, mag1, m, aa1, ab1, ac1, x)
+        done2 = m >= safe2 and size2 * hx <= tol * mag2 and _tail_certified(
+            size2, mag2, m, aa2, ab2, ac2, x)
+        if done1:
+            return total1, total2 if done2 else _series(
+                a2, b2, c2, x, resume=(n + 1, term2, total2, comp2, mag2))
+        if done2:
+            return _series(a1, b1, c1, x, resume=(n + 1, term1, total1, comp1, mag1)), total2
+    raise _budget_spent("series", a1, b1, c1, x)
 
 
 def _connection(a: float, b: float, c: float, s: float, y: float):
     """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added) for y
     in (0, 1/2) by Gauss's connection formula (A&S 15.3.6, DLMF 15.8.4), for
-    s = c - a - b at least HYP2F1_REG_EPS from an integer."""
-    t1 = _gamma_quotient((c, s), (c - a, c - b)) * _series(a, b, 1.0 - s, y)
-    t2 = _gamma_quotient((c, -s), (a, b)) * _series(c - a, c - b, 1.0 + s, y) * y**s
+    s = c - a - b at least HYP2F1_REG_EPS from an integer: seven scalar
+    Gamma calls and the two series in y summed in one loop."""
+    gc = _gamma(c)
+    f1, f2 = _series_pair(a, b, 1.0 - s, c - a, c - b, 1.0 + s, y)
+    t1 = gc * _gamma(s) * _rgamma(c - a) * _rgamma(c - b) * f1
+    t2 = gc * _gamma(-s) * _rgamma(a) * _rgamma(b) * f2 * y**s
     return t1 + t2, abs(t1) + abs(t2)
 
 
@@ -718,6 +839,12 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     recurrence E_{k+1} = r_u E_k + v_k (r_u - r_v) / e, with (r_u - r_v) / e
     in closed form; nothing is divided by e numerically, so e = 0 gives the
     logarithmic formulas A&S 15.3.10-15.3.12 and small e stays accurate.
+
+    Cost: two _gamma_ratio_m1 calls (qa and qb, each an _lgamma_diff), the
+    e-only ratios g1 and q1 from one 11-term polynomial (_unit_gamma_ratios,
+    ~2 us), three scalar Gamma calls (seven with the head), and ~1.3 us a
+    term of the sum in y, whose tail bound forms delta only once its first
+    part passes.
     """
     head = 0.0
     if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
@@ -730,8 +857,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     mfact = math.factorial(m)
     qa = _gamma_ratio_m1(a + m, e, cb)  # a + m + e = c - b
     qb = _gamma_ratio_m1(b + m, e, ca)
-    q1 = _gamma_ratio_m1(m + 1.0, e, m + 1.0 + e)  # m! / Gamma(m+1+e) = 1 + e q1
-    g1 = -_gamma_ratio_m1(1.0, -e, 1.0 - e)  # 1 / Gamma(1-e) = 1 + e g1
+    g1, q1 = _unit_gamma_ratios(m, e)
     ly = math.log(y)
     ey = ly * _expm1_ratio(e * ly)  # y^e = 1 + e ey
     ek = ((qa + qb + g1 - ey - q1) + e * (qa * qb + (qa + qb) * g1 - ey * q1)
@@ -740,6 +866,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     al, be, ae = a + m - 1.0, b + m - 1.0, abs(e)
     lead = a + b + m - 2.0
     lead_abs, cross, ab_sum = abs(lead), abs(al * be), abs(al + be)
+    two_albe, m_albe, ra, rb = 2.0 * al * be, m * al * be, abs(al) + ae, abs(be) + ae
 
     total = mag = 0.0
     yk = 1.0
@@ -750,22 +877,26 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
         K = k + 1.0
         C = K + m
         A, B = a + (m + k), b + (m + k)  # exact where they are near 0
-        r_u = A * B / ((K - e) * C)
+        kc = (K - e) * C
+        r_u = A * B / kc
         r_v = (A + e) * (B + e) / ((C + e) * K)
-        d_uv = ((lead * K + 2.0 * al * be) * K + m * al * be
-                + C * e * (K + al + be + e)) / ((K - e) * C * (C + e) * K)
+        d_uv = ((lead * K + two_albe) * K + m_albe
+                + C * e * (K + al + be + e)) / (kc * (C + e) * K)
         # certified tail: for j >= k, |r_u|, |r_v| <= rm and |(r_u - r_v)/e|
         # <= delta (both bounds decrease in K), so |E_j| <= (|E_k| + (j-k)
-        # delta |v_k| / rm) rm^(j-k)
-        rm = (1.0 + (abs(al) + ae) / K) * (1.0 + (abs(be) + ae) / K) / (1.0 - ae / K)
-        delta = (lead_abs * K * K + 2.0 * cross * K + m * cross
-                 + C * ae * (K + ab_sum + ae)) / ((K - ae) ** 2 * K * K)
+        # delta |v_k| / rm) rm^(j-k); its first part alone, below, decides
+        # most terms, and delta is formed only where that part passes
+        rm = (1.0 + ra / K) * (1.0 + rb / K) / (1.0 - ae / K)
         rho = y * rm
         if rho < 1.0:
             g = rho / (1.0 - rho)
-            tail = yk * (abs(ek) * g + delta * abs(vk) / rm * g / (1.0 - rho))
-            if tail <= HYP2F1_TAIL_TOL * mag:
-                break
+            tail = yk * (abs(ek) * g)
+            thr = HYP2F1_TAIL_TOL * mag
+            if tail <= thr:
+                delta = (lead_abs * K * K + 2.0 * cross * K + m * cross
+                         + C * ae * (K + ab_sum + ae)) / ((K - ae) ** 2 * K * K)
+                if yk * (abs(ek) * g + delta * abs(vk) / rm * g / (1.0 - rho)) <= thr:
+                    break
         ek = r_u * ek + d_uv * vk
         vk *= r_v
         yk *= y
@@ -817,10 +948,9 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     else:
         raise DomainError(f"hyp2f1 complement must lie in [0, 1], got {comp}")
 
-    orders = [int(-s) for s in (a, b) if _is_nonpos_int(s)]
-    if orders:
+    if _is_nonpos_int(a) or _is_nonpos_int(b):  # the lower order terminates
         total = term = 1.0
-        for n in range(min(orders)):
+        for n in range(int(-max(s for s in (a, b) if _is_nonpos_int(s)))):
             term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
             total += term
         return total

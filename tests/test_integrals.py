@@ -107,6 +107,24 @@ class TestGeneralWallis:
         oracle = quad_cos_power(p, q, 1.0)
         assert integrals.wallis_cos(qy) == pytest.approx(oracle, abs=1e-9)
 
+    @pytest.mark.parametrize("p,q", [(4.5, 2.5), (2.0, 2.0), (1.5, 3.0), (3.0, 1.2)])
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 0.0])
+    def test_cos_near_the_lower_end_of_r(self, p, q, gap):
+        # r within gap of 1 - p makes v = p / (r + p - 1) ~ p / gap: 1/v
+        # formed by way of v* would cost ~v ulps, and divide by zero once v*
+        # rounds to 1 (gap 0: the next float above 1 - p).  The bound is a
+        # few ulps plus those of B(1/v, 1/q), whose exp(ln Gamma(1/v)) has
+        # an exponent ~ln(v); the scan reads at most 11.3 eps for gap >= 1e-8
+        # and 15.6 eps at gap 0, where ln(v) ~ 37
+        r = 1.0 - p + gap if gap else math.nextafter(1.0 - p, 1.0)
+        for n in (0, 3, 1000, 10**6):
+            got = integrals.wallis_cos(WallisQuery(ParamPair(p, q), n, r))
+            with mpmath.workdps(50):
+                p_, q_, r_ = map(mpmath.mpf, (p, q, r))
+                exact = mpmath.beta(1 / q_, 1 + (p_ * n + r_ - 1) / p_) / q_
+                err = float(abs(got - exact) / exact)
+            assert err <= 24 * 2.0**-52, (p, q, r, n)
+
     def test_sine_recurrence(self):
         # I_k = (k - q + 1)/(q/p* + k - q + 1) * I_{k-q}
         p, q = 2.5, 1.8
@@ -508,6 +526,72 @@ class TestElliott:
         # k = 1e-6 makes 1 - k^q round to 1
         assert abs(integrals.elliott_residual(p, q, r, k)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "p,q,r",
+        [(2.0, 2.0, 2.0), (1.5, 2.0, 2.0), (2.5, 2.5, 1.5), (1.2, 5.5, 1.1),
+         (3.0, 5.0, 6.0), (1.05, 1.1, 30.0), (4.0, 4.0, 1.01)],
+    )
+    def test_sweep_toward_both_ends(self, p, q, r):
+        # k -> 0 sums the small side's pair of series at k^q (one loop), k ->
+        # 1 at k'^r = 1 - k^q, with the sides swapped; (1.05, 1.1, 30) reads
+        # 1.4e-14, its right side pi_pq pi_sr / 4 being ~200
+        for d in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            for k in (d, 1.0 - d):
+                assert integrals.elliott_residual(p, q, r, k) <= 1e-13, (p, q, r, k)
+
     def test_requires_p_le_q(self):
         with pytest.raises(DomainError):
             integrals.elliott_residual(3.0, 2.0, 2.0, 0.5)
+
+
+def _integrals_calls():
+    """(id, call, args) for every public integrals entry, each float given
+    once as a Python float; the query dataclasses carry theirs as fields."""
+    def wallis(fn):
+        return lambda p, q, r: fn(WallisQuery(ParamPair(p, q), 700, r))
+
+    def elliptic(fn):
+        return lambda p, q, r, k: fn(EllipticQuery(ParamPair(p, q), r, k))
+
+    calls = [
+        ("primitive_sin_cos", integrals.primitive_sin_cos, (2.5, 3.0, 0.5, 0.7, 0.9)),
+        ("definite_sin_cos", integrals.definite_sin_cos, (2.5, 3.0, 0.5, 0.7)),
+        ("primitive_finite_sum", lambda p, q, k, x: integrals.primitive_finite_sum(
+            p, q, k, 4, x), (2.5, 3.0, 0.5, 0.9)),
+        ("wallis_sin", wallis(integrals.wallis_sin), (2.5, 3.0, 0.7)),
+        ("wallis_sin_r=q-1", wallis(integrals.wallis_sin), (2.5, 3.0, 2.0)),
+        ("wallis_cos", wallis(integrals.wallis_cos), (2.5, 3.0, -1.2)),
+        ("wallis_cos_r=1", wallis(integrals.wallis_cos), (2.5, 3.0, 1.0)),
+        ("pi_product_partial", lambda p, q: integrals.pi_product_partial(p, q, 1000),
+         (2.5, 3.0)),
+        ("product_factors", lambda p, q: integrals.product_factors(p, q, 5), (2.5, 3.0)),
+        ("elliptic_K", elliptic(integrals.elliptic_K), (2.5, 3.0, 2.2, 0.95)),
+        ("elliptic_E", elliptic(integrals.elliptic_E), (2.5, 3.0, 2.2, 0.3)),
+        ("elliott_residual_small_k", integrals.elliott_residual, (2.5, 3.0, 2.2, 0.3)),
+        ("elliott_residual_k_near_1", integrals.elliott_residual, (2.5, 3.0, 2.2, 0.97)),
+    ]
+    calls += [(f"wallis_special_cases-{kind}", lambda p, q, kind=kind:
+               integrals.wallis_special_cases(p, q, 700, kind), (2.5, 3.0))
+              for kind in integrals.WALLIS_SPECIAL_KINDS]
+    return [pytest.param(call, args, id=name) for name, call, args in calls]
+
+
+class TestNumpyScalarArguments:
+    """np.float64 arguments, and np.float64 fields of WallisQuery,
+    EllipticQuery and ParamPair, give the same bits as Python floats and a
+    Python float back: every entry converts them once, so no arithmetic of
+    its own runs on numpy scalars (product_factors returns an array)."""
+
+    @pytest.mark.parametrize("call,args", _integrals_calls())
+    def test_same_bits_and_type(self, call, args):
+        want = call(*args)
+        got = call(*map(np.float64, args))
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+        assert type(got) is type(want)
+        if not isinstance(want, np.ndarray):
+            assert type(got) is float
+
+    def test_lemniscate_with_numpy_integers(self):
+        got = integrals.lemniscate_wallis(np.int64(700), np.int64(2))
+        want = integrals.lemniscate_wallis(700, 2)
+        assert type(got) is float and got == want

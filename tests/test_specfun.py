@@ -852,3 +852,136 @@ class TestHyp2F1AgainstMpmath:
     def test_primitive_family(self, a, m, offset, log_y):
         assume(m + offset > 0)
         assert_hyp2f1_matches_mpmath(*primitive_triple(a, m, offset), 10.0**log_y)
+
+
+def _unit_ratio_points():
+    """e for the e-only Gamma ratios: 0, signed powers of ten down to 1e-15,
+    the ends +-HYP2F1_REG_EPS and seeded uniform points in between."""
+    eps = specfun.HYP2F1_REG_EPS
+    points = [0.0, eps, -eps] + [s * 10.0**-j for j in (1, 2, 4, 8, 12, 15) for s in (1, -1)]
+    return points + list(np.random.default_rng(21).uniform(-eps, eps, 40))
+
+
+class TestUnitGammaRatios:
+    """R(e) = (1 / Gamma(1 + e) - 1) / e and the two ratios of the
+    logarithmic connection formula that depend on e alone, g1 = (1 /
+    Gamma(1 - e) - 1) / e and q1 = (m! / Gamma(m + 1 + e) - 1) / e, against
+    50-digit mpmath for |e| <= HYP2F1_REG_EPS, relative to max(1, |value|).
+    The scans read 0.52, 0.49 and 2.45 eps."""
+
+    @staticmethod
+    def exact(m, e):
+        """(R(e), g1, q1) at 50 digits; at e = 0 their limits gamma, -gamma
+        and -psi(m + 1)."""
+        with mpmath.workdps(50):
+            if e == 0.0:
+                return mpmath.euler, -mpmath.euler, -mpmath.digamma(m + 1)
+            e = mpmath.mpf(e)
+            return ((mpmath.rgamma(1 + e) - 1) / e, (mpmath.rgamma(1 - e) - 1) / e,
+                    (mpmath.factorial(m) * mpmath.rgamma(m + 1 + e) - 1) / e)
+
+    @staticmethod
+    def err(got, exact):
+        return float(abs(got - exact) / max(1, abs(exact))) / 2.0**-52
+
+    def test_rgamma_polynomial(self):
+        worst = max(self.err(specfun._rgamma_m1(e), self.exact(0, e)[0])
+                    for e in _unit_ratio_points())
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_ratios(self, m):
+        for e in _unit_ratio_points():
+            g1, q1 = specfun._unit_gamma_ratios(m, e)
+            _, g1_exact, q1_exact = self.exact(m, e)
+            assert self.err(g1, g1_exact) <= 1.0, (m, e)
+            assert self.err(q1, q1_exact) <= 4.0, (m, e)
+
+    @pytest.mark.parametrize("a,b,c,x", [
+        (0.5, 0.5, 1.0, 0.9),  # K at p = q = r = 2: m = 0, e = 0
+        (1 / 3, -0.25, 1.0833333333333333 + 1e-4, 0.99),  # m = 1
+        (0.75, -1.0 - 1e-8, 1.75, 0.7),  # m = 2
+        (0.8, 1.45, 0.8 + 1.45 - 1.0 + 1e-12, 0.9),  # m = -1, Euler's transformation
+    ])
+    def test_two_lgamma_diff_calls(self, a, b, c, x, monkeypatch):
+        # only qa and qb depend on a and b; the e-only ratios take no
+        # ln Gamma difference
+        calls = []
+        lgamma_diff = specfun._lgamma_diff
+
+        def spy(z, e):
+            calls.append((z, e))
+            return lgamma_diff(z, e)
+
+        monkeypatch.setattr(specfun, "_lgamma_diff", spy)
+        near_integer = specfun._connection_near_integer
+        runs = []
+
+        def count(*args):
+            runs.append(len(calls))
+            out = near_integer(*args)
+            runs[-1] = len(calls) - runs[-1]
+            return out
+
+        monkeypatch.setattr(specfun, "_connection_near_integer", count)
+        specfun.hyp2f1(a, b, c, x)
+        assert runs == [2]
+
+
+# pairs of (a, b, c) whose series in x converge at very different rates:
+# the first is certified after a few terms, the second only after dozens
+PAIR_TRIPLES = [
+    ((0.1, 0.2, 5.0), (2.5, 3.5, 0.7)),
+    ((1 / 3, 0.8, 1.1), (0.5, -0.5, 1.0)),
+    ((2.0, 1.0, 3.0), (1 / 3, -0.6, 0.9)),
+    ((-2.5, 1.5, 0.3), (0.25, 0.75, 1.25)),
+]
+
+
+class TestSeriesPair:
+    """_series_pair sums two power series in one loop: bit for bit the two
+    _series calls, under the gates of TestHyp2F1AgainstMpmath (1e-13, with
+    the leading 1) and TestHyp2F1m1 (1e-15, without it)."""
+
+    def test_bits_of_two_single_series(self):
+        rng = np.random.default_rng(22)
+        for _ in range(500):
+            t1, t2 = rng.uniform(-3.0, 6.0, 3), rng.uniform(-3.0, 6.0, 3)
+            t1[2], t2[2] = abs(t1[2]) + 0.05, abs(t2[2]) + 0.05
+            x = float(rng.choice([0.0, 10.0 ** rng.uniform(-300.0, -1.0),
+                                  rng.uniform(0.0, 0.5), rng.uniform(0.5, 0.75)]))
+            head = float(rng.choice([0.0, 1.0]))
+            got = specfun._series_pair(*t1, *t2, x, head)
+            want = specfun._series(*t1, x, head), specfun._series(*t2, x, head)
+            assert same_bits(got, want), (t1, t2, x, head)
+
+    @pytest.mark.parametrize("first,second", PAIR_TRIPLES + [p[::-1] for p in PAIR_TRIPLES])
+    @pytest.mark.parametrize("x", [1e-30, 1e-8, 0.1, 0.3, 0.5])
+    def test_against_mpmath(self, first, second, x, monkeypatch):
+        resumed = []
+        series = specfun._series
+
+        def spy(*args, resume=None, **kw):
+            resumed.append(resume is not None)
+            return series(*args, resume=resume, **kw)
+
+        monkeypatch.setattr(specfun, "_series", spy)
+        f1, f2 = specfun._series_pair(*first, *second, x)
+        g1, g2 = specfun._series_pair(*first, *second, x, head=0.0)
+        for (a, b, c), f, g in ((first, f1, g1), (second, f2, g2)):
+            with mpmath.workdps(60):  # F - 1 is as small as 1e-30
+                exact = mpmath.hyp2f1(a, b, c, x)
+                exact_m1 = exact - 1
+            assert abs(f - exact) <= 1e-13 * abs(exact), (a, b, c, x)
+            assert abs(g - exact_m1) <= 1e-15 * abs(exact_m1), (a, b, c, x)
+        if x >= 0.3:  # the slower series went on alone
+            assert resumed == [True, True]
+
+    @pytest.mark.parametrize("slow_first", [True, False])
+    def test_budget_failure_names_its_series(self, slow_first):
+        slow, fast = (300.5, 300.5, 1.5), (0.3, 0.4, 1.2)
+        pair = (*slow, *fast) if slow_first else (*fast, *slow)
+        with pytest.raises(ConvergenceError) as info:
+            specfun._series_pair(*pair, 0.49)
+        assert "a=300.5, b=300.5, c=1.5" in str(info.value)
+        assert info.value.terms == info.value.budget == specfun.HYP2F1_MAX_TERMS
