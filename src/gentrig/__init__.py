@@ -2,9 +2,10 @@
 
 Library layout:
 
-- ``specfun``: log-gamma, beta, the Pochhammer ratio (a)_n / (b)_n, the
-  polished inverse of the regularized incomplete beta function, Gauss
-  hypergeometric function on [0, 1].
+- ``specfun``: three public functions, beta, the Pochhammer ratio
+  (a)_n / (b)_n and the Gauss hypergeometric function on [0, 1], plus gtf's
+  private kernels of the regularized incomplete beta function and its
+  inverse for shapes a, b <= 1.
 - ``gtf``: pi_pq, sin_pq, cos_pq, the fused pair sincos_pq, the inverse sine,
   and identity residuals.
 - ``integrals``: primitives, definite integrals, Wallis-type formulas, the

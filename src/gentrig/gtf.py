@@ -22,9 +22,9 @@ built and validated once per pair), scipy's scalar kernels
 float powers, no array, and a Python float back (about 1 us a sin_pq call
 at a pair met before; BENCH_18.json).  Arrays of fewer than
 specfun.INV_FIT_MIN points take the ufuncs and numpy's powers.  Larger
-arrays take specfun's kernels: the inversions specfun._inverse_tails
-(fitted inverses Newton-polished on the series specfun.inc_beta_reg, both
-tails from one setup), and asin_pq that series.  These build their setup
+arrays take specfun's private kernels for shapes a, b <= 1: the inversions
+specfun._inverse_tails (fitted inverses Newton-polished on the series
+specfun._inc_beta, both tails from one setup), and asin_pq that series.  These build their setup
 once per shape (a, b), about 0.2 ms, and keep it in a bounded cache (the
 per-call and per-point costs are in BENCH_16.json and BENCH_17.json).  All
 lanes share every other formula and one accuracy contract: at every point each
@@ -258,7 +258,7 @@ def asin_pq(p: float, q: float, x):
         return asin_pq(p, q, xx)
     xq = xx**q  # scipy's ufunc below specfun.INV_FIT_MIN points, then the series
     val = a * B * (sc.betainc(a, b, xq) if xq.size < specfun.INV_FIT_MIN
-                   else specfun.inc_beta_reg(a, b, xq))
+                   else specfun._inc_beta(a, b, xq))
     return _small_x(xx, val, xq < _ASIN_SERIES_MAX, xq, p * (q + 1.0))
 
 

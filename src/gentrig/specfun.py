@@ -1,24 +1,27 @@
-"""Special functions: log-gamma, beta, the Pochhammer ratio (a)_n / (b)_n,
-the regularized incomplete beta function and its Newton-polished inverse
-(for a point or an array; large arrays start from a fitted inverse), and the
-Gauss hypergeometric function on [0, 1].
+"""Special functions: the three that the closed forms call, beta, the
+Pochhammer ratio poch_ratio = (a)_n / (b)_n and the Gauss hypergeometric
+function hyp2f1 on [0, 1], and gtf's private kernels of the regularized
+incomplete beta function and its inverse for shapes a, b <= 1.
+
+Every Wallis-type formula is a Pochhammer ratio times a generalized pi, and
+the elliptic integrals and the primitives are 2F1 values.  gtf's arrays of
+at least INV_FIT_MIN points, at its shapes a = 1/q and b = 1/p* (both below
+1), take the kernels: _inc_beta sums I_t(a, b) as a polynomial of about 20
+terms economized from its series, and _inverse_tails inverts both tails from
+Chebyshev fits, one Newton step on that sum.  The fits and the polynomials
+share one Horner loop (_horner), and both are built once per shape and kept
+in bounded caches (_inverse_setup, _forward).
 
 Gamma/beta plumbing is delegated to scipy.special; the scalar Gamma calls
 take its Cython kernels (scipy.special.cython_special: the ufuncs' own code,
-bit for bit, at a fraction of a ufunc call's cost).  The incomplete beta
-function is summed here for shapes a, b <= 1 (all that gtf uses), on arrays,
-as a polynomial of about 20 terms economized from its series, and taken from
-scipy's betainc otherwise; scipy's betaincinv is the start of the inverse
-wherever no certified fit is.  The fits and the polynomial share one Horner
-loop (_horner), and both are built once per shape and kept in bounded
-caches (_inverse_setup, _forward).  The hypergeometric function is evaluated
-here because call sites need a certified tail bound on every series, the exact
-terminating polynomial when a parameter is a nonpositive integer, Gauss
-summation at argument 1, and a cost that does not grow as the argument
-approaches 1.  Differences ln Gamma(z + e) - ln Gamma(z) come from the
-Stirling series without per-term transcendentals, and a large-n Pochhammer
-ratio is one exp of such a difference times Gamma(b) / Gamma(a), so neither
-costs more for a larger n or a smaller e.
+bit for bit, at a fraction of a ufunc call's cost).  The hypergeometric
+function is evaluated here because call sites need a certified tail bound
+on every series, the exact terminating polynomial when a parameter is a
+nonpositive integer, Gauss summation at argument 1, and a cost that does not
+grow as the argument approaches 1.  Differences ln Gamma(z + e) - ln
+Gamma(z) come from the Stirling series without per-term transcendentals, and
+a large-n Pochhammer ratio is one exp of such a difference times Gamma(b) /
+Gamma(a), so neither costs more for a larger n or a smaller e.
 
 Costs of hyp2f1 by branch, medians in the slow state of a shared 2-vCPU
 x86-64 VM (BENCH_21.json): the power series at (1/3, 1/2, 0.93) 18 us at x =
@@ -40,7 +43,7 @@ import numpy as np
 import scipy.special as sc
 from scipy.special import cython_special as _cs
 
-from .errors import ConvergenceError, DomainError, check_order, within
+from .errors import ConvergenceError, DomainError, check_order
 
 # a series stops once its certified tail is below this fraction of the sum
 # of the magnitudes of its terms, the scale of its own rounding error
@@ -55,18 +58,14 @@ HYP2F1_REG_EPS = 0.1
 HYP2F1_CANCEL = 16.0
 # below this n poch_ratio is a running product (relative error <= ~n eps)
 POCH_SWITCH = 64
-# inc_beta_reg_inv starts arrays of at least INV_FIT_MIN points from
-# Chebyshev fits of degree INV_FIT_DEGREE, certified when their trailing
-# coefficients are within INV_FIT_TOL, evaluated INV_FIT_BLOCK points at a
-# time.  A shape's setup, both fits and the forward sums (_inverse_setup,
-# _forward), costs about 200 us once and is cached; each call then costs
-# 90 us at 600 points, 101 at 1000 and 125 at 2000, against 304, 316 and 341
-# when every call built its own, and scipy's betaincinv's 336, 564 and 1122
-# (at gtf's shapes (a, b) = (1/3, 0.6) on a shared 2-vCPU x86-64 VM, best of
-# 7 repeats).  inc_beta_reg, cached, took 48, 53 and 64 us against 138, 146
-# and 159 uncached and betainc's 63, 111 and 229.  INV_FIT_MIN was set where
-# the uncached lane broke even (400-700 points by shape, BENCH_7.json); a
-# cached shape wins far below it, but the first call at a shape pays its setup
+# gtf's arrays of at least INV_FIT_MIN points take the kernels: inversions
+# start from Chebyshev fits of degree INV_FIT_DEGREE, certified when their
+# trailing coefficients are within INV_FIT_TOL, and both kernels run
+# INV_FIT_BLOCK points at a time.  A shape's setup, both fits and the forward
+# sums (_inverse_setup, _forward), costs about 200 us once and is cached.
+# INV_FIT_MIN is where a call that builds its own setup broke even with
+# scipy's ufuncs (400-700 points by shape, BENCH_7.json); a cached shape wins
+# far below it, but the first call at a shape pays its setup
 INV_FIT_MIN = 600
 INV_FIT_DEGREE = 24
 INV_FIT_TOL = 1e-12
@@ -75,7 +74,7 @@ INV_FIT_BLOCK = 1 << 15
 # most this fraction of its smallest node value: with the fit's own error
 # its start is within 2^-30, relative, which one Newton step squares
 INV_FIT_TRUNC = 2.0**-31
-# inc_beta_reg's coefficients come from this many terms of F(a, 1 - b;
+# _inc_beta's coefficients come from this many terms of F(a, 1 - b;
 # a + 1; u), u <= 1/2: for shapes a, b <= 1 the n-th term is positive and
 # below u^n, so the terms left out add less than 2^-56 / (1 - 1/2) = 2^-55
 # of the sum (whose first is 1).  They are summed as their economized
@@ -226,13 +225,6 @@ def _unit_gamma_ratios(m: int, e: float):
     return -_rgamma_m1(-e), r + s + e * r * s
 
 
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return _cs.gammaln(x)
-
-
 def poch_ratio(a: float, b: float, n: int) -> float:
     """(a)_n / (b)_n for a nonnegative integer n; the empty product n = 0 is 1.
 
@@ -265,10 +257,21 @@ def poch_ratio(a: float, b: float, n: int) -> float:
 
 
 def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) for x, y > 0."""
+    """Beta function B(x, y) for x, y > 0, symmetric bit for bit.
+
+    exp(ln Gamma(x) + ln Gamma(y) - ln Gamma(x + y)) while both are below
+    _STIRLING_MIN.  From there on that exponent loses eps ln Gamma(max) to
+    cancellation (B(1e16, 1) read about 1), so with s = min(x, y) and g =
+    max(x, y), ln B = ln Gamma(s) - s D, where D = (ln Gamma(g + s) - ln
+    Gamma(g)) / s is _lgamma_diff(g, s), which needs no shift here
+    (_stirling_diff): within ~4.2 (1 + |ln B|) eps of mpmath for 10 <= g <=
+    1e300."""
     if not (x > 0 and y > 0):
         raise DomainError("beta requires positive arguments")
-    return math.exp(ln_gamma(x) + ln_gamma(y) - ln_gamma(x + y))
+    if x < _STIRLING_MIN and y < _STIRLING_MIN:
+        return math.exp(_cs.gammaln(x) + _cs.gammaln(y) - _cs.gammaln(x + y))
+    s, g = min(x, y), max(x, y)
+    return math.exp(_cs.gammaln(s) - s * _stirling_diff(g, s))
 
 
 def _inc_beta_terms(a: float, b: float):
@@ -380,8 +383,15 @@ def _upper_tail(b: float, i_half: float, swapped, c_sw: float, g_sw, g_sw_half: 
     tail: i_half = I_{1/2}(a, b) and swapped = I_s(b, a) = s^b c_sw (1 +
     g_sw(s)), with (g_sw, g_sw_half) = _hyp_m1(b, a).  It is 1 - J, J =
     I_s(b, a), where I_{1/2}(a, b) >= 1/2, since then J <= I_{1/2}(b, a) <=
-    1/2 at every s <= 1/2 and 1 - J cannot cancel; only the other shapes
-    take the form anchored at t = 1/2 (inc_beta_reg)."""
+    1/2 at every s <= 1/2 and 1 - J cannot cancel.  On the other shapes
+    (small b) it is 1 - J where J <= 1/2, and where J > 1/2 it is anchored at
+    t = 1/2, as I_{1/2}(a, b) plus the mass of (1/2, t],
+
+        2^-b / (b B(a, b)) [g(1/2) - ((2s)^b - 1) - (2s)^b g(s)],
+
+    with g = F(b, 1 - a; b + 1; .) - 1: both parts are nonnegative and
+    (2s)^b - 1 is an expm1, so nothing cancels; I_{1/2}(a, b) and g(1/2)
+    come from the same polynomials, so the two branches meet at t = 1/2."""
     if i_half >= 0.5:
         def upper(s):
             j = swapped(s)
@@ -406,17 +416,12 @@ def _forward(a: float, b: float):
     """(lower, swapped, upper, upper_swapped): I_t(a, b) on an array of
     points t <= 1/2, I_s(b, a) on an array of points s <= 1/2, I_t(a, b) on
     an array of points s = 1 - t <= 1/2 and I_s(b, a) on an array of points
-    t = 1 - s <= 1/2; inc_beta_reg's sums for shapes a, b <= 1 (_lower_tail,
-    _upper_tail), scipy's betainc otherwise.  Each tail is accurate relative
-    to its own value, so the inverses of both tails of a shape take their
-    steps here.
+    t = 1 - s <= 1/2, for shapes a, b <= 1 (_lower_tail, _upper_tail).  Each
+    tail is accurate relative to its own value, so the inverses of both
+    tails of a shape take their steps here.
 
     Built once per shape and cached (two economizations, ~80 us; a few kB
     an entry), since gtf repeats its shapes from call to call."""
-    if not (a <= 1.0 and b <= 1.0):
-        return ((lambda t: sc.betainc(a, b, t)), (lambda s: sc.betainc(b, a, s)),
-                (lambda s: sc.betainc(a, b, 1.0 - s)),
-                (lambda t: sc.betainc(b, a, 1.0 - t)))
     (g_lo, g_lo_half), (g_hi, g_hi_half) = _hyp_m1(a, b), _hyp_m1(b, a)
     lower, c_lo, i_half = _lower_tail(a, b, g_lo, g_lo_half)
     swapped, c_sw, j_half = _lower_tail(b, a, g_hi, g_hi_half)
@@ -425,12 +430,20 @@ def _forward(a: float, b: float):
 
 
 def _inc_beta(a: float, b: float, t):
-    """I_t(a, b) on an array t of points of [0, 1]: the series of
-    inc_beta_reg for shapes a, b <= 1, split once per block of INV_FIT_BLOCK
-    points at t = 1/2, and scipy's betainc for other shapes.  The result
-    owns its memory, so that numpy can reuse it in place as a temporary."""
-    if not (a <= 1.0 and b <= 1.0):
-        return sc.betainc(a, b, t)
+    """I_t(a, b) on an array t of points of [0, 1] for shapes a, b <= 1,
+    owning its memory, so that numpy can reuse it in place as a temporary.
+    gtf.asin_pq's large arrays, validated there, are its only outside input.
+
+    For t <= 1/2, I_t(a, b) = t^a F(a, 1 - b; a + 1; t) / (a B(a, b)) (DLMF
+    8.17.7); above, the same series of the swapped tail J = I_s(b, a) = 1 -
+    I_t(a, b), s = 1 - t (DLMF 8.17.4), anchored at t = 1/2 where 1 - J
+    would cancel (_upper_tail).  Every term is positive and below half the
+    one before, and F - 1 = u k(u) is summed as k's economized polynomial in
+    x = 4u - 1 (_hyp_m1).  The array is split once at t = 1/2 per block of
+    INV_FIT_BLOCK points.  Against 50-digit mpmath, over 300 shapes (a and b
+    down to 1e-6) at 45 points each, the relative error is at most 9.4e-16,
+    most of it from the Gamma quotient in front, where Boost's betainc
+    reaches 2.9e-15."""
     lower, _, upper, _ = _forward(a, b)
     out = np.empty(t.shape)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)  # the latter a view
@@ -441,47 +454,6 @@ def _inc_beta(a: float, b: float, t):
         ob[below] = lower(tb.take(below))
         ob[above] = upper(1.0 - tb.take(above))  # 1 - t is exact here
     return out
-
-
-def inc_beta_reg(a: float, b: float, t):
-    """Regularized incomplete beta function I_t(a, b) at a point or an array
-    t of [0, 1] (NaN is rejected).
-
-    For shapes a, b <= 1, all that gtf uses, it is summed here, INV_FIT_BLOCK
-    points at a time.  For t <= 1/2, I_t(a, b) = t^a F(a, 1 - b; a + 1; t) /
-    (a B(a, b)) (DLMF 8.17.7); above, the same series of the swapped tail
-    J = I_s(b, a) = 1 - I_t(a, b), s = 1 - t (DLMF 8.17.4).  Every term is
-    positive and its ratio to the one before is below 1/2, so _INC_TERMS
-    terms leave a tail below 2^-55 of the sum.  F - 1 = u k(u) is not summed
-    term by term: k's series is re-expanded in Chebyshev polynomials of x =
-    4u - 1 on u in [0, 1/2], where every coefficient is a sum of nonnegative
-    terms, cut after the coefficients (at most 23; 19-22 on every shape
-    tried) that leave a tail below 2^-56 k(0), and summed by Horner's rule
-    in x from its monomial coefficients (_economize).  Where J > 1/2, 1 - J would cancel
-    (I_t(a, b) < 1/2 at t > 1/2, which happens when I_{1/2}(a, b) < 1/2:
-    small b; never where I_{1/2}(a, b) >= 1/2, see _forward); there the
-    value is anchored at t = 1/2 instead, as
-    I_{1/2}(a, b) plus the mass of (1/2, t],
-
-        2^-b / (b B(a, b)) [g(1/2) - ((2s)^b - 1) - (2s)^b g(s)],
-
-    with g = F(b, 1 - a; b + 1; .) - 1: both parts are nonnegative and
-    (2s)^b - 1 is an expm1, so nothing cancels; I_{1/2}(a, b) and g(1/2) come
-    from the same polynomials, so the two branches meet at t = 1/2.
-    Against 50-digit mpmath, over 300 shapes (a and b down to 1e-6) at 45
-    points each, the relative error is at most 9.4e-16 (7.6e-16 in a second
-    scan of 300 shapes and 13 500 points, the same as the series summed term
-    by term), most of it from the Gamma quotient in front, where Boost's
-    reaches 2.9e-15.  Other shapes take scipy's betainc (Boost).
-    """
-    a, b = float(a), float(b)
-    if not (a > 0 and b > 0):
-        raise DomainError("inc_beta_reg requires positive shape parameters")
-    tt = np.asarray(t, dtype=float)
-    if not within(tt, 0.0, 1.0):
-        raise DomainError("inc_beta_reg requires t in [0, 1]")
-    out = _inc_beta(a, b, tt)
-    return float(out) if out.ndim == 0 else out
 
 
 def _newton_step(a: float, b: float, lnb: float, x, resid):
@@ -582,28 +554,28 @@ def _half_mass(a: float, b: float) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _inverse_setup(a: float, b: float):
-    """(lnb, y_half, lower, upper, fits): what the fitted inverses of the
-    shapes (a, b) need, built once per shape and cached, as _forward is.
-    lnb = ln B(a, b), y_half = _half_mass(a, b), lower and upper are
-    _forward's, and fits the two fits of _inv_fit, of (a, b) below y_half
-    and of (b, a) above it, or None unless both are certified.  One entry
-    serves both tails, t and s = 1 - t (_inverse_tails).  An entry holds a
-    few kB of coefficients, never a result."""
+    """(lnb, y_half, fits): what the fitted inverses of the shapes (a, b)
+    need besides _forward's sums, built once per shape and cached, as
+    _forward is.  lnb = ln B(a, b), y_half = _half_mass(a, b), and fits the
+    two fits of _inv_fit, of (a, b) below y_half and of (b, a) above it, or
+    None unless both are certified.  One entry serves both tails, t and s =
+    1 - t (_inverse_tails).  An entry holds a few kB of coefficients, never
+    a result."""
     lnb = float(sc.betaln(a, b))
-    lower, swapped, upper, _ = _forward(a, b)
+    lower, swapped, _, _ = _forward(a, b)
     y_half = _half_mass(a, b)
     fits = (_inv_fit(a, b, lnb, y_half, lower),
             _inv_fit(b, a, lnb, _half_mass(b, a), swapped))
-    return lnb, y_half, lower, upper, None if None in fits else fits
+    return lnb, y_half, None if None in fits else fits
 
 
-def _inverse_tails(a: float, b: float, y, yc, want_t=True, want_s=True):
+def _inverse_tails(a: float, b: float, y, yc, want_t, want_s):
     """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, at arrays y
-    and yc = 1 - y (rounded on its own) of points of [0, 1], each accurate
-    relative to its own argument where it is wanted (want_t, want_s; the
-    other is None): the fitted lane of gtf's inversions and of
-    inc_beta_reg_inv, from the one setup _inverse_setup(a, b), or None
-    where its fits are not certified.
+    and yc = 1 - y (rounded on its own) of points of [0, 1], for shapes a, b
+    <= 1, each accurate relative to its own argument where it is wanted
+    (want_t, want_s; the other is None): the fitted lane of gtf's
+    inversions, from the one setup _inverse_setup(a, b), or None where its
+    fits are not certified (gtf then takes scipy's ufunc).
 
     t is solved from y, and s from yc, each in a branch that solves a value
     <= 1/2: t <= 1/2 below y_half = I_{1/2}(a, b) (the fit of (a, b), one
@@ -617,12 +589,11 @@ def _inverse_tails(a: float, b: float, y, yc, want_t=True, want_s=True):
     error than its own argument's rounding.  That holds outside the band
     between y_half and 1/2, so a point is solved once unless it lies in the
     band and both tails are wanted; at a = b, y_half = 1/2 and there is no
-    band.  Blocks
-    of INV_FIT_BLOCK points keep temporaries small; each block is split once
-    into the index lists of its branches, and a branch runs its fit, its
-    step and its forward function on its own gathered points.  At a = b, a
-    tail's argument 1/2 gives 1/2, since I_{1/2}(a, a) = 1/2."""
-    lnb, y_half, _, _, fits = _inverse_setup(a, b)
+    band.  Blocks of INV_FIT_BLOCK points keep temporaries small; each block
+    is split once into the index lists of its branches, and a branch runs
+    its fit, its step and its forward function on its own gathered points.
+    At a = b, a tail's argument 1/2 gives 1/2, since I_{1/2}(a, a) = 1/2."""
+    lnb, y_half, fits = _inverse_setup(a, b)
     if fits is None:
         return None
     lower, swapped, upper, upper_swapped = _forward(a, b)
@@ -675,49 +646,6 @@ def _inverse_tails(a: float, b: float, y, yc, want_t=True, want_s=True):
     return tuple(None if v is None else v.reshape(y.shape) for v in (t, s))
 
 
-def inc_beta_reg_inv(a: float, b: float, y):
-    """Inverse of I_x(a, b) in x, polished to |I_x(a,b) - y| <= 1e-14.
-
-    y is a point of [0, 1] or an array of them (NaN is rejected).  Each start
-    is polished by one guarded Newton step.  The start is scipy's betaincinv
-    (Boost) and the step is taken on scipy's betainc, except for arrays of
-    at least INV_FIT_MIN points, where the start comes from two Chebyshev
-    fits of the inverse (_inv_fit), one on each side of
-    y_half = I_{1/2}(a, b), and the step on inc_beta_reg (its polynomial for
-    shapes a, b <= 1, scipy's betainc otherwise): _inverse_tails at y and
-    1 - y (exact where it is used, above max(y_half, 1/2)), whose branches
-    each solve a value <= 1/2, x or s = 1 - x, and split no further.  The
-    fits and the forward functions are built once per shape
-    (_inverse_setup, _forward: 2 INV_FIT_DEGREE scipy inversions and their
-    polish, and two economizations) and cached for later calls.  At (a, b)
-    = (1/3, 0.6) and its swap on a shared 2-vCPU x86-64 VM, the setup cost
-    about 200 us a shape, once; then a call took about 90 us at 600 points
-    and 27-31 ns a point on 1e6 shuffled points, against 0.57 us a point for
-    scipy's betaincinv, and inc_beta_reg 15-18 ns against 127 ns for Boost's
-    betainc (INV_FIT_MIN's comment has the small sizes).  Where a fit cannot
-    be certified (extreme shapes) scipy's start and step are taken, as for
-    small arrays.  At a = b = 1/2 Boost inverts in closed form and its value
-    is returned unpolished.  Large arrays may therefore differ from the
-    small-array result in the last ulps.
-    """
-    a, b = float(a), float(b)
-    if not (a > 0 and b > 0):
-        raise DomainError("inc_beta_reg_inv requires positive shape parameters")
-    yy = np.asarray(y, dtype=float)
-    if not within(yy, 0.0, 1.0):
-        raise DomainError("inc_beta_reg_inv requires y in [0, 1]")
-    if a == b == 0.5:
-        x = sc.betaincinv(a, b, yy)
-        return float(x) if x.ndim == 0 else x
-    if yy.size >= INV_FIT_MIN:
-        tails = _inverse_tails(a, b, yy, 1.0 - yy, want_s=False)
-        if tails is not None:
-            return tails[0]
-    x0 = sc.betaincinv(a, b, yy)
-    x = _newton_step(a, b, float(sc.betaln(a, b)), x0, sc.betainc(a, b, x0) - yy)
-    return float(x) if x.ndim == 0 else x
-
-
 def _budget_spent(what: str, a, b, c, x):
     return ConvergenceError(
         f"hyp2f1: {what} at argument {x} spent its budget of "
@@ -739,15 +667,14 @@ def _tail_certified(size: float, mag: float, m: float, aa: float, ab: float,
     return rho < 1.0 and size * rho / (1.0 - rho) <= HYP2F1_TAIL_TOL * mag
 
 
-def _series(a: float, b: float, c: float, x: float, head: float = 1.0,
-            resume=None) -> float:
-    """head - 1 plus the power series of F(a, b; c; x), x in [0, 1), summed
-    with Kahan compensation until _tail_certified (c not a nonpositive
-    integer).  resume, if given, is the state (n, term, total, compensation,
-    magnitude) after n terms of a sum that _series_pair left off."""
+def _series(a: float, b: float, c: float, x: float, resume=None) -> float:
+    """The power series of F(a, b; c; x), x in [0, 1), summed with Kahan
+    compensation until _tail_certified (c not a nonpositive integer).
+    resume, if given, is the state (n, term, total, compensation, magnitude)
+    after n terms of a sum that _series_pair left off."""
     aa, ab, ac = abs(a), abs(b), abs(c)
     n_safe = int(math.ceil(max(aa, ab, ac))) + 2  # the test's first term
-    n0, term, total, comp, mag = resume or (0, 1.0, head, 0.0, head)
+    n0, term, total, comp, mag = resume or (0, 1.0, 1.0, 0.0, 1.0)
     tol, hx = HYP2F1_TAIL_TOL, 0.5 * x
     for n in range(n0, HYP2F1_MAX_TERMS):
         m = n + 1.0
@@ -766,12 +693,14 @@ def _series(a: float, b: float, c: float, x: float, head: float = 1.0,
 
 def _series_pair(a1: float, b1: float, c1: float, a2: float, b2: float, c2: float,
                  x: float, head: float = 1.0):
-    """(_series(a1, b1, c1, x, head), _series(a2, b2, c2, x, head)), bit for
-    bit, in one loop while both run: each keeps its own compensated sum and
-    its own tail test from its own first safe term, and the one certified
-    first stops there while the other goes on alone from where the loop
-    left it.  The shared loop saves its own overhead on every term of the
-    shorter sum."""
+    """head - 1 plus the power series of F(a1, b1; c1; x) and of F(a2, b2;
+    c2; x): at head = 1 (_series(a1, b1, c1, x), _series(a2, b2, c2, x)), bit
+    for bit, and at head = 0 each F - 1 summed without the leading 1, so
+    that it keeps its relative accuracy however small x is.  One loop runs
+    while both do: each keeps its own compensated sum and its own tail test
+    from its own first safe term, and the one certified first stops there
+    while the other goes on alone from where the loop left it.  The shared
+    loop saves its own overhead on every term of the shorter sum."""
     aa1, ab1, ac1, aa2, ab2, ac2 = abs(a1), abs(b1), abs(c1), abs(a2), abs(b2), abs(c2)
     safe1 = int(math.ceil(max(aa1, ab1, ac1))) + 2
     safe2 = int(math.ceil(max(aa2, ab2, ac2))) + 2
@@ -907,17 +836,6 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     if e:
         pref *= math.pi * e / math.sin(math.pi * e)
     return head + pref * total, abs(head) + abs(pref) * mag
-
-
-def hyp2f1m1(a: float, b: float, c: float, x: float) -> float:
-    """F(a, b; c; x) - 1 for x in [0, 1/2], summed without the leading 1, so
-    that it keeps its relative accuracy however small x is."""
-    a, b, c, x = float(a), float(b), float(c), float(x)
-    if _is_nonpos_int(c):
-        raise DomainError("c must not be zero or a negative integer")
-    if not 0.0 <= x <= 0.5:
-        raise DomainError(f"hyp2f1m1 argument must lie in [0, 1/2], got {x}")
-    return _series(a, b, c, x, head=0.0)
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None) -> float:

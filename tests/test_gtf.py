@@ -703,16 +703,13 @@ def test_accepts_exactly_what_sin_pq_accepts(which):
 
 
 class TestValidatorEdges:
-    """Every array validator (gtf._as_unit and specfun's two) tests the
-    range with one min() and one max(): empty arrays, 0-d arrays, NaN at
+    """The array validator, gtf._as_unit, tests the range with one min()
+    and one max(): empty arrays, 0-d arrays, NaN at
     any position, infinities, -0.0 and the slack behave as the elementwise
     masks did, and the caller's array is left alone."""
 
     P, Q = 2.5, 3.0
-    A, B = 1.0 / 3.0, 0.6
     GTF = {"sin_pq": gtf.sin_pq, "cos_pq": gtf.cos_pq, "asin_pq": gtf.asin_pq}
-    SPECFUN = {"inc_beta_reg": specfun.inc_beta_reg,
-               "inc_beta_reg_inv": specfun.inc_beta_reg_inv}
     SIZES = [5, specfun.INV_FIT_MIN]  # both array lanes
 
     @classmethod
@@ -723,25 +720,23 @@ class TestValidatorEdges:
         for name, fn in cls.GTF.items():
             top = 1.0 if name == "asin_pq" else half
             out[name] = (lambda x, fn=fn: fn(cls.P, cls.Q, x)), top, 1e-12 * top
-        for name, fn in cls.SPECFUN.items():
-            out[name] = (lambda x, fn=fn: fn(cls.A, cls.B, x)), 1.0, 0.0
         return out
 
-    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("name", GTF)
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty(self, name, shape):
         f, _, _ = self.functions()[name]
         v = f(np.zeros(shape))
         assert isinstance(v, np.ndarray) and v.shape == shape and v.dtype == float
 
-    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("name", GTF)
     def test_zero_dim_is_the_float_lane(self, name):
         f, top, _ = self.functions()[name]
         for x in (0.0, 0.3 * top, top):
             v = f(np.array(x))
             assert type(v) is float and same_bits(v, f(x)), x
 
-    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("name", GTF)
     @pytest.mark.parametrize("size", SIZES)
     def test_nan_and_inf_anywhere(self, name, size):
         f, top, _ = self.functions()[name]
@@ -756,16 +751,16 @@ class TestValidatorEdges:
                 with pytest.raises(DomainError):
                     f(x.reshape(-1, 1))
 
-    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("name", GTF)
     @pytest.mark.parametrize("size", SIZES)
     def test_negative_zero_and_slack(self, name, size):
         """-0.0 is accepted and valued as 0.0; a point within the slack
         beyond either end is clipped to that end, and the next float beyond
-        the slack is rejected (specfun has no slack: 0 and 1 exactly)."""
+        the slack is rejected."""
         f, top, slack = self.functions()[name]
         x = np.linspace(0.0, top, size)
-        below = [-0.0] + ([-0.5 * slack, -slack] if slack else [])
-        above = [top + 0.5 * slack, top + slack] if slack else []
+        below = [-0.0, -0.5 * slack, -slack]
+        above = [top + 0.5 * slack, top + slack]
         for end, inside, edge, out in ((0, below, -slack, -math.inf),
                                        (-1, above, top + slack, math.inf)):
             for point in inside:
@@ -785,12 +780,12 @@ class TestValidatorEdges:
         for x in (-0.0, np.full(size, -0.0), np.array(-0.0)):
             assert np.all(np.signbit(gtf._as_unit(x, 2.0, "test")))
 
-    @pytest.mark.parametrize("name", [*GTF, *SPECFUN])
+    @pytest.mark.parametrize("name", GTF)
     @pytest.mark.parametrize("size", SIZES)
     def test_caller_array_untouched(self, name, size):
         f, top, slack = self.functions()[name]
         x = np.linspace(0.0, top, size)
-        x[0], x[-1] = -0.5 * slack if slack else -0.0, top + 0.5 * slack
+        x[0], x[-1] = -0.5 * slack, top + 0.5 * slack
         for arg in (x, x.reshape(-1, 1), x[::-1]):
             kept = arg.copy()
             f(arg)
@@ -964,7 +959,7 @@ def _raw_scipy(p, q, xs):
 
 class TestFittedInverse:
     """gtf's accuracy contract, the same in every lane, and the fitted,
-    Newton-polished specfun.inc_beta_reg_inv that arrays of at least
+    Newton-polished specfun._inverse_tails that arrays of at least
     specfun.INV_FIT_MIN points invert through."""
 
     def test_against_mpmath(self):
@@ -1096,7 +1091,7 @@ class TestFittedInverse:
 
     def test_asin_against_mpmath(self):
         """The same contract for asin_pq, whose arrays of N0 points sum
-        specfun.inc_beta_reg's series: floats, 2-point arrays and arrays of
+        specfun._inc_beta's series: floats, 2-point arrays and arrays of
         N0 points at x^q uniform, near 0 and near 1, within 2e-15 of mpmath
         or no further than scipy's raw incomplete beta at every point, and
         the fitted lane's worst error no larger than the ufunc lane's.
@@ -1135,7 +1130,7 @@ class TestFittedInverse:
         def series(*args):
             raise AssertionError("an array below INV_FIT_MIN took the series")
 
-        monkeypatch.setattr(specfun, "inc_beta_reg", series)
+        monkeypatch.setattr(specfun, "_inc_beta", series)
         xq = xs**q
         expected = (1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xq)
         small = (xs > 0.0) & (xq < 2.0**-27)
@@ -1177,18 +1172,20 @@ class TestFittedInverse:
 
     def test_uncertifiable_fit_falls_back(self):
         # q = 1e9: the sine's shape a = 1e-9 puts z = (a B w)^(1/a) beyond
-        # what doubles resolve, so its fit is refused
+        # what doubles resolve, so its fit is refused, and an array of N0
+        # points takes the ufunc of the small arrays, bit for bit
         p, q = 2.0, 1e9
         a, b = 1.0 / q, 0.5
         lnb = float(sc.betaln(a, b))
         w_half, lower = float(sc.betainc(a, b, 0.5)), specfun._forward(a, b)[0]
         assert specfun._inv_fit(a, b, lnb, w_half, lower) is None
         y = np.random.default_rng(9).random(N0)
-        chunks = [specfun.inc_beta_reg_inv(a, b, y[i:i + 100]) for i in range(0, N0, 100)]
-        assert same_bits(specfun.inc_beta_reg_inv(a, b, y), np.concatenate(chunks))
+        assert specfun._inverse_tails(a, b, y, 1.0 - y, True, True) is None
         half = 0.5 * gtf.pi_pq(p, q)
         xs = np.linspace(0.0, half, N0)
         s = gtf.sin_pq(p, q, xs)
+        chunks = [gtf.sin_pq(p, q, xs[i:i + 100]) for i in range(0, N0, 100)]
+        assert same_bits(s, np.concatenate(chunks))
         ref = [gtf.sin_pq(p, q, x) for x in xs[::37].tolist()]
         assert np.allclose(s[::37], ref, rtol=1e-14, atol=0.0)
 

@@ -339,6 +339,14 @@ class TestPrimitives:
             math.pi / 4.0, rel=1e-14
         )
 
+    @pytest.mark.parametrize("k", [1e3, 1e6])
+    def test_definite_value_at_large_k(self, k):
+        # (1/3) B((k + 1)/3, 1) = 1/(k + 1); the three-term ln Gamma form of
+        # B was 1.4e-13 and 3.5e-11 off here, now within 8 (1 + |ln B|) eps
+        bound = 8.0 * (1.0 + math.log((k + 1.0) / 3.0)) * np.finfo(float).eps
+        got = integrals.definite_sin_cos(2.0, 3.0, k, 1.0)
+        assert abs(got * (k + 1.0) - 1.0) <= bound
+
     def test_primitive_at_half_period_matches_definite(self):
         p, q, k, l = 2.5, 1.5, 1.2, 0.8
         half = gtf.pi_pq(p, q) / 2.0
