@@ -4,40 +4,31 @@ sin_pq is the inverse of x -> int_0^x (1 - t^q)^(-1/p) dt on [0, 1]; pi_pq
 is twice that integral at x = 1, and cos_pq the derivative of sin_pq.  For
 p = q = 2 everything reduces to the circular functions.  The numerical
 realization goes through the regularized incomplete beta function and its
-inverse, in two tails (DLMF 8.17.4): with a = 1/q, b = 1/p*, y = x/(pi_pq/2)
-and yc = 1 - y, t = sin_pq^q solves I_t(a, b) = y and s = cos_pq^p = 1 - t
-solves I_s(b, a) = yc.  One inversion gives both, the other being 1 minus
-the one solved, wherever the solved value is at most 1/2 and its argument
-is the smaller of y and yc: t up to y = min(y_half, 1/2), s above max(y_half,
-1/2), y_half = I_{1/2}(a, b), kept per pair (_pair) with pi_pq/2.  In the
-band between y_half and 1/2 each is solved from its own argument, so
-sincos_pq inverts a point twice only there, and sin_pq and cos_pq always
-once (_inverse_tails).
+inverse (DLMF 8.17.4): with a = 1/q, b = 1/p*, y = x/(pi_pq/2) and yc = 1 -
+y, t = sin_pq^q solves I_t(a, b) = y and s = cos_pq^p = 1 - t solves I_s(b,
+a) = yc.  specfun owns every such evaluation: which tail a point is solved
+in (one inversion a point, two for sincos_pq in the band between y_half =
+I_{1/2}(a, b) and 1/2), and which lane solves it.  This module keeps the
+validation, the pair's record (_pair: pi_pq/2, the shapes and the split
+points, built once per pair) and the formulas around the inverse.
 
 Every evaluator takes a point or an array of points, and the input alone
 picks the lane.  A point (a float, an int, a numpy scalar or a 0-d array)
-takes the float lane: straight-line float code on the pair's record (_pair,
-built and validated once per pair), scipy's scalar kernels
-(scipy.special.cython_special, the same Boost code as the ufuncs), Python
-float powers, no array, and a Python float back (about 1 us a sin_pq call
-at a pair met before; BENCH_18.json).  Arrays of fewer than
-specfun.INV_FIT_MIN points take the ufuncs and numpy's powers.  Larger
-arrays take specfun's private kernels for shapes a, b <= 1: the inversions
-specfun._inverse_tails (fitted inverses Newton-polished on the series
-specfun._inc_beta, both tails from one setup), and asin_pq that series.  These build their setup
-once per shape (a, b), about 0.2 ms, and keep it in a bounded cache (the
-per-call and per-point costs are in BENCH_16.json and BENCH_17.json).  All
-lanes share every other formula and one accuracy contract: at every point each
-is within 2e-15 of 50-digit mpmath, relative and divided by the condition
-number of its inversion, or no further than scipy's raw inverse
-(tests/test_gtf.py, TestFittedInverse; the band keeps it where the other
-tail's argument is the larger).  Lanes may differ in the last ulps
-(numpy's power and the C library's pow differ on a few percent of points);
-bits match between sincos_pq and sin_pq, cos_pq, between the scalar kernels
-and the ufuncs, and wherever a point sits in an array of a given lane.  At
-1/q = 1/p*, I_{1/2}(a, a) = 1/2 and every lane inverts y = 1/2 to 1/2,
-where Boost's inverse misses it by up to 1.3e-8.  The series is within
-9.4e-16 of mpmath where Boost's incomplete beta is off by up to 3e-15.
+takes the float lane: straight-line float code on the pair's record, Boost's
+scalar kernels (specfun._point_tails, specfun._betainc), Python float
+powers, no array, and a Python float back (about 1 us a sin_pq call at a
+pair met before; BENCH_18.json).  An array takes specfun's array entries,
+specfun._inverse_tails and specfun._inc_beta, and numpy's powers; they take
+scipy's ufuncs on small arrays and fitted, Newton-polished kernels on large
+ones (the per-call and per-point costs are in BENCH_16.json and
+BENCH_17.json).  All lanes share every other formula and one accuracy
+contract: at every point each is within 2e-15 of 50-digit mpmath, relative
+and divided by the condition number of its inversion, or no further than
+scipy's raw inverse (tests/test_gtf.py, TestFittedInverse).  Lanes may
+differ in the last ulps (numpy's power and the C library's pow differ on a
+few percent of points); bits match between sincos_pq and sin_pq, cos_pq,
+between the scalar kernels and the ufuncs, and wherever a point sits in an
+array of a given lane.
 
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
@@ -50,16 +41,16 @@ each later one is below z times the one before, so for z < 2^-27 the terms
 left out sum to below x 2^-54 / 3 (1 + 2^-26), a third of half an ulp of
 the value; the bound reaches half an ulp only near z = sqrt(3) 2^-27.
 Below z = 2^-53 the second term is below half an ulp of x too, and the
-value is x.  Above 2^-27 the float lane and small arrays keep Boost's
-incomplete beta.  Likewise, where the
-swapped-tail inverse tc = cos_pq^p falls below DBL_MIN (near the top of the
-interval at p near 1), cos_pq is its leading term (b B(b, a) yc)^(1/(p-1)),
-with yc = 1 - x/(pi_pq/2), a = 1/q and b = 1/p*: its relative correction
-is O(tc), whereas the inverse clamps tc near DBL_MIN there and tc^(1/p)
-would be far too large.  Every lane takes this rule, sincos_pq's included,
-and every power cos_pq^(p-1) is that term's base b B(b, a) yc there, which
-does not underflow (_cos_power: the bvp profile and phase curve, and the
-appendix, multiple-angle and derivative-identity residuals).
+value is x; above 2^-27 asin_pq is specfun's incomplete beta.  Likewise,
+where the swapped-tail inverse tc = cos_pq^p falls below DBL_MIN (near the
+top of the interval at p near 1), cos_pq is its leading term (b B(b, a)
+yc)^(1/(p-1)), with yc = 1 - x/(pi_pq/2), a = 1/q and b = 1/p*: its
+relative correction is O(tc), whereas the inverse clamps tc near DBL_MIN
+there and tc^(1/p) would be far too large.  Every lane takes this rule,
+sincos_pq's included, and every power cos_pq^(p-1) is that term's base b
+B(b, a) yc there, which does not underflow (_cos_power: the bvp profile and
+phase curve, and the appendix, multiple-angle and derivative-identity
+residuals).
 """
 
 from __future__ import annotations
@@ -70,8 +61,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
-from scipy.special import cython_special as _cs
 
 from . import specfun
 from .errors import DomainError, check_pq, within
@@ -147,9 +136,9 @@ def _pair(p: float, q: float):
     miss only, so no invalid pair is kept: (pi_pq/2, a, b, lo, hi, 1/p,
     DBL_MIN^a, B), the shapes a = 1/q, b = 1/p* of the incomplete-beta form,
     lo and hi the smaller and the larger of 1/2 and y_half = I_{1/2}(a, b),
-    where the inversion splits (1/2 exactly at a = b), and B = B(b, a), the
-    factor of pi_pq, asin_pq and the cosine's leading term (specfun.beta is
-    symmetric bit for bit).  Kept for 128 pairs; 2, 2.0 and np.float64(2.0)
+    where specfun splits the inversion (1/2 exactly at a = b), and B = B(b,
+    a), the factor of pi_pq, asin_pq and the cosine's leading term
+    (specfun.beta is symmetric bit for bit).  Kept for 128 pairs; 2, 2.0 and np.float64(2.0)
     are one key."""
     check_pq(p, q)
     p, q = float(p), float(q)
@@ -157,46 +146,6 @@ def _pair(p: float, q: float):
     B, y_half = specfun.beta(b, a), specfun._half_mass(a, b)
     lo, hi = min(y_half, 0.5), max(y_half, 0.5)
     return 0.5 * (2.0 / q * B), a, b, lo, hi, 1.0 / p, _DBL_MIN**a, B
-
-
-def _inverse_tails(a: float, b: float, lo: float, hi: float, y, yc, tails):
-    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc at arrays,
-    those that tails asks for each accurate relative to its own argument
-    (None for the other), from one inversion a point wherever one serves both.
-
-    t is solved from y and s from yc, and one value serves both tails, the
-    other being 1 minus it (DLMF 8.17.4), where the solved value is <= 1/2
-    and its argument is the smaller of y and yc: t up to y = lo = min(y_half,
-    1/2), s above hi = max(y_half, 1/2), y_half = I_{1/2}(a, b).  In the band
-    between lo and hi each tail is solved from its own argument, so a point
-    there is inverted twice only when both tails are asked for (at a = b,
-    y_half = 1/2 and there is no band).  Fewer than specfun.INV_FIT_MIN
-    points take one ufunc call with the shapes swapped point by point (the
-    same Boost code as the float lane's scalar kernel, bit for bit), and a
-    second on the band's cosines if both tails are asked for; more the
-    polished specfun._inverse_tails (or the ufunc where the shape's fits are
-    not certified).  At a = b a tail's argument of 1/2 gives t = s = 1/2 in
-    every lane, since I_{1/2}(a, a) = 1/2, where Boost's inverse misses it
-    by up to 1.3e-8 at some a (68 of 4000 random p in (1, 100) at a =
-    1/p*)."""
-    t_top = hi if tails[0] else lo  # t is solved from y where y <= t_top
-    s_bottom = lo if tails[1] else hi  # s from yc where y > s_bottom
-    if y.size >= specfun.INV_FIT_MIN:
-        fitted = specfun._inverse_tails(a, b, y, yc, *tails)
-        if fitted is not None:
-            return fitted
-    up = y > t_top
-    w = np.where(up, yc, y)
-    r = sc.betaincinv(np.where(up, b, a), np.where(up, a, b), w)
-    if a == b:
-        r[w == 0.5] = 0.5
-    rc = 1.0 - r
-    t = np.where(up, rc, r) if tails[0] else None
-    s = np.where(up, r, rc) if tails[1] else None
-    if s_bottom < t_top:  # both asked for, and a band: its s from yc
-        band = (y > s_bottom) & ~up
-        s[band] = sc.betaincinv(b, a, yc[band])
-    return t, s
 
 
 def _small_x(x, v, under, z=None, d=None):
@@ -252,13 +201,12 @@ def asin_pq(p: float, q: float, x):
         xq = x**q
         if 0.0 < x and xq < _ASIN_SERIES_MAX:
             return float(x + x * xq / (p * (q + 1.0)))
-        return a * B * _cs.betainc(a, b, xq)
+        return a * B * specfun._betainc(a, b, xq)
     xx = _as_unit(x, 1.0, "asin_pq")
     if isinstance(xx, float):  # a numpy scalar or a 0-d array
         return asin_pq(p, q, xx)
-    xq = xx**q  # scipy's ufunc below specfun.INV_FIT_MIN points, then the series
-    val = a * B * (sc.betainc(a, b, xq) if xq.size < specfun.INV_FIT_MIN
-                   else specfun._inc_beta(a, b, xq))
+    xq = xx**q
+    val = a * B * specfun._inc_beta(a, b, xq)
     return _small_x(xx, val, xq < _ASIN_SERIES_MAX, xq, p * (q + 1.0))
 
 
@@ -273,7 +221,8 @@ def cos_pq(p: float, q: float, x):
     s = cos_pq^p is solved in the swapped-tail form I_s(b, a) = 1 -
     I_{1-s}(a, b) above y = min(I_{1/2}(a, b), 1/2), so that accuracy is
     retained where sin_pq is close to 1, and below it is 1 - t from the
-    sine's t <= 1/2, one inversion a point either way (_inverse_tails).
+    sine's t <= 1/2, one inversion a point either way
+    (specfun._inverse_tails).
     """
     return _sincos_tail(p, q, x, (False, True), "cos_pq")[1]
 
@@ -284,9 +233,10 @@ def sincos_pq(p: float, q: float, x):
 
     Outside the band a point is inverted once, in the tail whose argument is
     the smaller, and the sine and the cosine both come from that inversion
-    (_inverse_tails), in the lane the input's type and size select (see the
-    module docstring).  sin_pq and cos_pq take the same path, so the pair
-    equals the two separate calls bit for bit, for scalars and for arrays.
+    (specfun._inverse_tails), in the lane the input's type and size select
+    (see the module docstring).  sin_pq and cos_pq take the same path, so
+    the pair equals the two separate calls bit for bit, for scalars and for
+    arrays.
     """
     return _sincos_tail(p, q, x)[:2]
 
@@ -297,7 +247,8 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
     cosine only where tails says so (None for the other).  A point takes
     the float lane, straight-line float code on the pair's record (_pair):
     _as_unit's test and clip, at most one scalar inversion a tail, the
-    small-x rule and the DBL_MIN rule; an array one _inverse_tails call."""
+    small-x rule and the DBL_MIN rule; an array one specfun._inverse_tails
+    call."""
     halfpi, a, b, lo, hi, inv_p, tiny, B = _pair(p, q)
     want_sin, want_cos = tails
     if not isinstance(x, (float, int)):
@@ -305,7 +256,7 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
         if isinstance(xx, float):  # a numpy scalar or a 0-d array
             return _sincos_tail(p, q, xx, tails, what)
         yc = (halfpi - xx) / halfpi
-        t, s = _inverse_tails(a, b, lo, hi, xx / halfpi, yc, tails)
+        t, s = specfun._inverse_tails(a, b, lo, hi, xx / halfpi, yc, tails)
         sin = _small_x(xx, t**a, xx < tiny) if want_sin else None
         cos = _cos_from_tail(p, b, B, s, yc) if want_cos else None
         return sin, cos, yc
@@ -314,17 +265,12 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
     if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
         raise DomainError(f"{what} requires argument in [0, {halfpi}]")
     x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
-    y, yc = x / halfpi, (halfpi - x) / halfpi
-    t = s = None
-    if y <= (hi if want_sin else lo):  # as in _inverse_tails
-        t = 0.5 if a == b and y == 0.5 else _cs.betaincinv(a, b, y)
-    if y > (lo if want_cos else hi):
-        s = 0.5 if a == b and yc == 0.5 else _cs.betaincinv(b, a, yc)
+    yc = (halfpi - x) / halfpi
+    t, s = specfun._point_tails(a, b, lo, hi, x / halfpi, yc, tails)
     sin = cos = None
     if want_sin:
-        sin = x if 0.0 < x < tiny else (1.0 - s if t is None else t) ** a
+        sin = x if 0.0 < x < tiny else t**a
     if want_cos:
-        s = 1.0 - t if s is None else s
         if s < _DBL_MIN:  # the leading term, as in _cos_from_tail
             cos = float((b * B * yc) ** (1.0 / (p - 1.0)))
         else:

@@ -121,11 +121,8 @@ def wallis_sin(query: WallisQuery) -> float:
 def _wallis_sin(p: float, q: float, n: int, r: float) -> float:
     if not -1.0 < r <= q - 1.0:
         raise DomainError("sine flavor requires r in (-1, q-1]")
-    if r == q - 1.0:
-        u, pi_pu = 1.0, 2.0 * conjugate(p)
-    else:
-        u = q / (r + 1.0)
-        pi_pu = pi_pq(p, u)
+    u = 1.0 if r == q - 1.0 else q / (r + 1.0)
+    pi_pu = pi_pq(p, u)  # 2 p* at u = 1
     ratio = specfun.poch_ratio(1.0 / u, 1.0 / conjugate(p) + 1.0 / u, n)
     return u * ratio / q * (pi_pu / 2.0)
 
@@ -292,6 +289,6 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     K_l = half_l * specfun.hyp2f1(a, bk, c, x, comp=y)
     E_l = half_l * specfun.hyp2f1(a, be, c, x, comp=y)
     lhs = half * (ge - gk) * K_l + half * (1.0 + gk) * E_l
-    pi_sr = 2.0 if p == q else pi_pq(p * q / (q - p), r)
+    pi_sr = pi_pq(math.inf if p == q else p * q / (q - p), r)
     rhs = side1[-1] * pi_sr / 2.0
     return abs(lhs - rhs)

@@ -117,12 +117,15 @@ def integrate(
     then arrays of shape (m,) and ``evaluations`` the total over the rows.
     An empty interval returns 0.0 whatever f is.
 
-    Raises DomainError unless a <= b are finite and 0 < tol < inf, or if
+    Raises DomainError unless a <= b are finite and 0 < tol < inf, if
     [a, b] is too narrow for the node table (width below
-    2 _MIN_OFFSET / min(tol, 1), 1e-289 at the default tolerance), and
-    ToleranceError (carrying the best estimates) if the halving
-    disagreement of some integrand does not fall below tol within the
-    refinement and evaluation budgets.  The width rule checks the share of
+    2 _MIN_OFFSET / min(tol, 1), 1e-289 at the default tolerance), or if
+    max_evals is below level 0's node count (13 unless nodes are skipped),
+    all before f is called; and ToleranceError (carrying the best
+    estimates) if the halving disagreement of some integrand does not fall
+    below tol within the refinement and evaluation budgets.  The default
+    MAX_EVALS never binds: all _MAX_LEVEL + 1 levels are 49 153
+    evaluations per integrand.  The width rule checks the share of
     the rule's weight on the nodes skipped near the endpoints, not the
     error: an integrand singular at an endpoint has more of its mass there
     (power_moment and integrate_singular_beta check that mass).
@@ -156,14 +159,14 @@ def integrate(
         w, off = w[keep], off[keep]
         if level == 0:
             # t = 0 sits at the interval centre, shared by both half-axes; it
-            # heads level 0's call, and is all of it if the budget allows no
-            # more: that call's shape fixes the number of rows
+            # heads level 0's call, whose shape fixes the number of rows
             xc = b - off[:1]
             cols = [(xc, xc - a, off[:1]) if dist else (xc,)]
             wc, w, off = w[0], w[1:], off[1:]
-            over = 1 + 2 * len(off) > max_evals
-            if over:
-                w, off = w[:0], off[:0]
+            if 1 + 2 * len(off) > max_evals:
+                raise DomainError(
+                    f"max_evals {max_evals} is below the {1 + 2 * len(off)} "
+                    f"evaluations of level 0")
         else:
             cols = []
             if nev + 2 * len(off) > max_evals:
@@ -205,10 +208,6 @@ def integrate(
             raw = wc * y[:, 0] + 0.0  # as a sum from 0.0: -0.0 becomes 0.0
             y = y[:, 1:]
             nev = 1
-            if over:
-                raise _failure("evaluation budget exceeded", value, err,
-                               evals, batch, live, est, diff, 0, nev,
-                               max_evals)
         # one pair of dots per row keeps each row's sum equal to a lone call's
         n_hi = len(w_hi)
         raw += [w_hi.dot(hi) + w_lo.dot(lo)

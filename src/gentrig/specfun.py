@@ -1,19 +1,19 @@
 """Special functions: the three that the closed forms call, beta, the
 Pochhammer ratio poch_ratio = (a)_n / (b)_n and the Gauss hypergeometric
-function hyp2f1 on [0, 1], and gtf's private kernels of the regularized
-incomplete beta function and its inverse for shapes a, b <= 1.
+function hyp2f1 on [0, 1], and every evaluation of the regularized
+incomplete beta function and its inverse that gtf makes.  This is the
+package's only module that imports scipy.
 
 Every Wallis-type formula is a Pochhammer ratio times a generalized pi, and
-the elliptic integrals and the primitives are 2F1 values.  gtf's arrays of
-at least INV_FIT_MIN points, at its shapes a = 1/q and b = 1/p* (both below
-1), take the kernels: _inc_beta sums I_t(a, b) as a polynomial of about 20
-terms economized from its series, and _inverse_tails inverts both tails from
-Chebyshev fits, one Newton step on that sum.  The fits and the polynomials
-share one Horner loop (_horner), and both are built once per shape and kept
-in bounded caches (_inverse_setup, _forward).
-
-Gamma/beta plumbing is delegated to scipy.special; the scalar Gamma calls
-take its Cython kernels (scipy.special.cython_special: the ufuncs' own code,
+the elliptic integrals and the primitives are 2F1 values.  gtf calls three
+entries at its shapes a = 1/q, b = 1/p* (both at most 1), and each picks
+its lane: _point_tails inverts a point, _inverse_tails an array and
+_inc_beta sums I_t(a, b) on an array.  Arrays of fewer than INV_FIT_MIN
+points take scipy's ufuncs, larger ones the fitted lane: _inc_beta's
+polynomial of about 20 terms economized from its series, and inverses from
+Chebyshev fits, one Newton step on that sum (_fitted_tails).  Both are
+built once per shape, in bounded caches (_inverse_setup, _forward).  Scalar
+Gamma and Boost calls take scipy's Cython kernels (the ufuncs' own code,
 bit for bit, at a fraction of a ufunc call's cost).  The hypergeometric
 function is evaluated here because call sites need a certified tail bound
 on every series, the exact terminating polynomial when a parameter is a
@@ -58,14 +58,14 @@ HYP2F1_REG_EPS = 0.1
 HYP2F1_CANCEL = 16.0
 # below this n poch_ratio is a running product (relative error <= ~n eps)
 POCH_SWITCH = 64
-# gtf's arrays of at least INV_FIT_MIN points take the kernels: inversions
-# start from Chebyshev fits of degree INV_FIT_DEGREE, certified when their
-# trailing coefficients are within INV_FIT_TOL, and both kernels run
-# INV_FIT_BLOCK points at a time.  A shape's setup, both fits and the forward
-# sums (_inverse_setup, _forward), costs about 200 us once and is cached.
-# INV_FIT_MIN is where a call that builds its own setup broke even with
-# scipy's ufuncs (400-700 points by shape, BENCH_7.json); a cached shape wins
-# far below it, but the first call at a shape pays its setup
+# arrays of at least INV_FIT_MIN points take the fitted lanes of _inc_beta
+# and _inverse_tails, fewer scipy's ufuncs.  Inversions start from Chebyshev
+# fits of degree INV_FIT_DEGREE, certified when their trailing coefficients
+# are within INV_FIT_TOL; both lanes run INV_FIT_BLOCK points at a time.  A
+# shape's setup (_inverse_setup, _forward) costs about 200 us once and is
+# cached.  INV_FIT_MIN is where a call that builds its setup broke even with
+# the ufuncs (400-700 points by shape, BENCH_7.json); a cached shape wins far
+# below it
 INV_FIT_MIN = 600
 INV_FIT_DEGREE = 24
 INV_FIT_TOL = 1e-12
@@ -85,11 +85,13 @@ _POLY_TERMS = 23
 _POLY_TOL = 2.0**-56
 
 _DBL_MIN = sys.float_info.min
-# the double specializations of scipy's fused Cython Gamma kernels: the code
-# the dispatcher picks for a float, bit for bit, without its ~0.2 us a call
-# (the dispatcher itself where a scipy build exposes no signatures)
-_gamma, _rgamma = (getattr(f, "__signatures__", {}).get("double", f)
-                   for f in (_cs.gamma, _cs.rgamma))
+# the double specializations of scipy's fused Cython kernels, Gamma's and
+# Boost's incomplete beta and its inverse: the code the dispatcher picks for
+# a float, bit for bit, without its ~0.2 us a call (the dispatcher itself
+# where a scipy build exposes no signatures)
+_gamma, _rgamma, _betainc, _betaincinv = (
+    getattr(f, "__signatures__", {}).get("double", f)
+    for f in (_cs.gamma, _cs.rgamma, _cs.betainc, _cs.betaincinv))
 _CHEB_K = np.arange(INV_FIT_DEGREE + 1)
 # Chebyshev points of the second kind mapped to [0, 1], from 1 down to 0, and
 # the DCT-I that takes values there to interpolant coefficients
@@ -265,13 +267,18 @@ def beta(x: float, y: float) -> float:
     max(x, y), ln B = ln Gamma(s) - s D, where D = (ln Gamma(g + s) - ln
     Gamma(g)) / s is _lgamma_diff(g, s), which needs no shift here
     (_stirling_diff): within ~4.2 (1 + |ln B|) eps of mpmath for 10 <= g <=
-    1e300."""
+    1e300.  inf where B is beyond the doubles, 0 where it underflows."""
     if not (x > 0 and y > 0):
         raise DomainError("beta requires positive arguments")
     if x < _STIRLING_MIN and y < _STIRLING_MIN:
-        return math.exp(_cs.gammaln(x) + _cs.gammaln(y) - _cs.gammaln(x + y))
-    s, g = min(x, y), max(x, y)
-    return math.exp(_cs.gammaln(s) - s * _stirling_diff(g, s))
+        ln_b = _cs.gammaln(x) + _cs.gammaln(y) - _cs.gammaln(x + y)
+    else:
+        s = min(x, y)
+        ln_b = _cs.gammaln(s) - s * _stirling_diff(max(x, y), s)
+    try:  # NaN is inf - inf: x, y both below ~5.6e-309 or both above ~2.5e305
+        return math.exp(ln_b) if ln_b == ln_b else math.inf if x < 1.0 else 0.0
+    except OverflowError:  # B > 1/x at x, y near 1e-308
+        return math.inf
 
 
 def _inc_beta_terms(a: float, b: float):
@@ -431,8 +438,10 @@ def _forward(a: float, b: float):
 
 def _inc_beta(a: float, b: float, t):
     """I_t(a, b) on an array t of points of [0, 1] for shapes a, b <= 1,
-    owning its memory, so that numpy can reuse it in place as a temporary.
-    gtf.asin_pq's large arrays, validated there, are its only outside input.
+    owning its memory, so that numpy can reuse it in place as a temporary:
+    gtf.asin_pq's arrays, validated there.  Fewer than INV_FIT_MIN points
+    take scipy's ufunc (the float lane's Boost code, bit for bit), more the
+    series below.
 
     For t <= 1/2, I_t(a, b) = t^a F(a, 1 - b; a + 1; t) / (a B(a, b)) (DLMF
     8.17.7); above, the same series of the swapped tail J = I_s(b, a) = 1 -
@@ -444,6 +453,8 @@ def _inc_beta(a: float, b: float, t):
     down to 1e-6) at 45 points each, the relative error is at most 9.4e-16,
     most of it from the Gamma quotient in front, where Boost's betainc
     reaches 2.9e-15."""
+    if t.size < INV_FIT_MIN:
+        return sc.betainc(a, b, t)
     lower, _, upper, _ = _forward(a, b)
     out = np.empty(t.shape)
     flat_t, flat_out = t.reshape(-1), out.reshape(-1)  # the latter a view
@@ -548,8 +559,8 @@ def _fit_step(fit, a: float, b: float, lnb: float, w, resid):
 def _half_mass(a: float, b: float) -> float:
     """I_{1/2}(a, b), where the inverse of I_t(a, b) splits into its two
     tails: 1/2 exactly at a = b (DLMF 8.17.4), where Boost's misses it on
-    most shapes, and scipy's scalar kernel otherwise."""
-    return 0.5 if a == b else _cs.betainc(a, b, 0.5)
+    most shapes, and Boost's scalar kernel otherwise."""
+    return 0.5 if a == b else _betainc(a, b, 0.5)
 
 
 @functools.lru_cache(maxsize=128)
@@ -569,40 +580,72 @@ def _inverse_setup(a: float, b: float):
     return lnb, y_half, None if None in fits else fits
 
 
-def _inverse_tails(a: float, b: float, y, yc, want_t, want_s):
-    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, at arrays y
-    and yc = 1 - y (rounded on its own) of points of [0, 1], for shapes a, b
-    <= 1, each accurate relative to its own argument where it is wanted
-    (want_t, want_s; the other is None): the fitted lane of gtf's
-    inversions, from the one setup _inverse_setup(a, b), or None where its
-    fits are not certified (gtf then takes scipy's ufunc).
+def _point_tails(a: float, b: float, lo: float, hi: float, y: float, yc: float, tails):
+    """(t, s) of _inverse_tails at one point, Python floats from Boost's
+    scalar kernel (the ufunc's code, bit for bit): gtf's float lane.  A tail
+    not asked for is 1 minus the other."""
+    t = s = None
+    if y <= (hi if tails[0] else lo):
+        t = 0.5 if a == b and y == 0.5 else _betaincinv(a, b, y)
+    if y > (lo if tails[1] else hi):
+        s = 0.5 if a == b and yc == 0.5 else _betaincinv(b, a, yc)
+    return 1.0 - s if t is None else t, 1.0 - t if s is None else s
 
-    t is solved from y, and s from yc, each in a branch that solves a value
-    <= 1/2: t <= 1/2 below y_half = I_{1/2}(a, b) (the fit of (a, b), one
-    Newton step on lower) and above it s' = 1 - t <= 1/2 from 1 - y (the
-    fit of (b, a), a step on upper, anchored at 1/2 where 1 - I_s(b, a)
-    would cancel); likewise s <= 1/2 above y_half (the fit of (b, a) at
-    yc, a step on swapped) and below it t' = 1 - s from 1 - yc
-    (upper_swapped).  One value serves both tails, the other being 1 minus
-    it (DLMF 8.17.4), wherever the solved value is <= 1/2 and its argument
-    is the smaller of y and yc: there the complement carries no larger
-    error than its own argument's rounding.  That holds outside the band
-    between y_half and 1/2, so a point is solved once unless it lies in the
-    band and both tails are wanted; at a = b, y_half = 1/2 and there is no
-    band.  Blocks of INV_FIT_BLOCK points keep temporaries small; each block
-    is split once into the index lists of its branches, and a branch runs
-    its fit, its step and its forward function on its own gathered points.
-    At a = b, a tail's argument 1/2 gives 1/2, since I_{1/2}(a, a) = 1/2."""
-    lnb, y_half, fits = _inverse_setup(a, b)
-    if fits is None:
-        return None
+
+def _inverse_tails(a: float, b: float, lo: float, hi: float, y, yc, tails):
+    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, at arrays y
+    and yc = 1 - y (rounded on its own) of points of [0, 1], shapes a, b <=
+    1, and lo, hi the smaller and the larger of 1/2 and I_{1/2}(a, b)
+    (gtf._pair): those that tails = (want_t, want_s) asks for (None for the
+    other), each accurate relative to its own argument.
+
+    One solved value serves both tails, the other being 1 minus it (DLMF
+    8.17.4), where it is <= 1/2 and its argument is the smaller of y and yc,
+    so that its complement carries no larger error than that argument's
+    rounding: t up to y = lo, s above hi.  In the band between them each
+    tail is solved from its own argument, so a point is inverted twice only
+    there, and only when both tails are asked for.  Fewer than INV_FIT_MIN
+    points, and shapes whose fits are not certified, take scipy's ufunc
+    with the shapes swapped point by point (the float lane's Boost code,
+    bit for bit); a small array never builds a setup.  More take
+    _fitted_tails.  At a = b a tail's argument 1/2 gives 1/2 in every lane,
+    since I_{1/2}(a, a) = 1/2, where Boost's inverse misses it by up to
+    1.3e-8 at some a (68 of 4000 random p in (1, 100) at a = 1/p*)."""
+    t_top = hi if tails[0] else lo  # t is solved from y where y <= t_top
+    s_bottom = lo if tails[1] else hi  # s from yc where y > s_bottom
+    if y.size >= INV_FIT_MIN:
+        lnb, y_half, fits = _inverse_setup(a, b)
+        if fits is not None:
+            return _fitted_tails(a, b, lnb, y_half, fits, y, yc, t_top, s_bottom, tails)
+    up = y > t_top
+    w = np.where(up, yc, y)
+    r = sc.betaincinv(np.where(up, b, a), np.where(up, a, b), w)
+    if a == b:
+        r[w == 0.5] = 0.5
+    rc = 1.0 - r
+    t = np.where(up, rc, r) if tails[0] else None
+    s = np.where(up, r, rc) if tails[1] else None
+    if s_bottom < t_top:  # both asked for, and a band: its s from yc
+        band = (y > s_bottom) & ~up
+        s[band] = sc.betaincinv(b, a, yc[band])
+    return t, s
+
+
+def _fitted_tails(a: float, b: float, lnb: float, y_half: float, fits, y, yc,
+                  t_top: float, s_bottom: float, tails):
+    """_inverse_tails' fitted lane, on a certified setup (lnb, y_half, fits)
+    of _inverse_setup(a, b): t from y where y <= t_top, s from yc where y >
+    s_bottom.  Each branch solves a value <= 1/2: t below y_half (the fit of
+    (a, b), one Newton step on lower), s' = 1 - t above it from 1 - y (the
+    fit of (b, a), a step on upper, anchored where 1 - I_s(b, a) would
+    cancel); likewise s above y_half (the fit of (b, a) at yc, a step on
+    swapped) and t' = 1 - s below it from 1 - yc (upper_swapped).  Blocks of
+    INV_FIT_BLOCK points keep temporaries small, each split once into the
+    index lists of its branches."""
     lower, swapped, upper, upper_swapped = _forward(a, b)
-    lo, hi = min(y_half, 0.5), max(y_half, 0.5)
-    t_top = hi if want_t else lo  # t is solved from y where y <= t_top
-    s_bottom = lo if want_s else hi  # s from yc where y > s_bottom
     flat, flat_c = y.ravel(), yc.ravel()
-    t = np.empty_like(flat) if want_t else None
-    s = np.empty_like(flat) if want_s else None
+    t = np.empty_like(flat) if tails[0] else None
+    s = np.empty_like(flat) if tails[1] else None
     with np.errstate(divide="ignore", under="ignore"):  # log(0) at y = 0, 1
         for start in range(0, flat.size, INV_FIT_BLOCK):
             block = slice(start, start + INV_FIT_BLOCK)

@@ -638,8 +638,9 @@ class TestPairRecord:
 
 
 def test_scalar_kernels_equal_ufuncs():
-    """gtf's float lane calls scipy's Cython kernels, its array lane the
-    ufuncs; both must be the same Boost code, bit for bit."""
+    """gtf's float lane calls scipy's Cython kernels (specfun binds their
+    double specializations), its array lane the ufuncs; both must be the
+    same Boost code, bit for bit."""
     rng = np.random.default_rng(7)
     n = 10_000
     p = 1.0 + 10.0 ** rng.uniform(-6, np.log10(49.0), n)
@@ -658,6 +659,9 @@ def test_scalar_kernels_equal_ufuncs():
     assert same_bits(scalar[:, 0], inv)
     assert same_bits(scalar[:, 1], inv_swapped)
     assert same_bits(scalar[:, 2], fwd)
+    bound = np.array([(specfun._betaincinv(ai, bi, yi), specfun._betainc(ai, bi, yi))
+                      for ai, bi, yi in zip(a.tolist(), b.tolist(), y.tolist())])
+    assert same_bits(bound[:, 0], inv) and same_bits(bound[:, 1], fwd)
     # specfun's scalar Gamma calls, over [-50, 50] with the poles, the
     # half-integers and both zeros
     z = np.concatenate([rng.uniform(-50.0, 50.0, n), np.arange(-50.0, 51.0),
@@ -959,8 +963,8 @@ def _raw_scipy(p, q, xs):
 
 class TestFittedInverse:
     """gtf's accuracy contract, the same in every lane, and the fitted,
-    Newton-polished specfun._inverse_tails that arrays of at least
-    specfun.INV_FIT_MIN points invert through."""
+    Newton-polished lane (specfun._fitted_tails) that specfun._inverse_tails
+    takes on arrays of at least specfun.INV_FIT_MIN points."""
 
     def test_against_mpmath(self):
         """Every lane at the same points: floats, 2-point arrays and arrays
@@ -1070,10 +1074,10 @@ class TestFittedInverse:
         xs = np.random.default_rng(5).random(N0 - 1) * half
         a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
 
-        def polished(*args):
-            raise AssertionError("an array below INV_FIT_MIN took the polished inverse")
+        def setup(*args):
+            raise AssertionError("an array below INV_FIT_MIN built the fitted lane's setup")
 
-        monkeypatch.setattr(specfun, "_inverse_tails", polished)
+        monkeypatch.setattr(specfun, "_inverse_setup", setup)
         s, c = gtf.sincos_pq(p, q, xs)
         # the two-tailed formula of ufunc_tails, on whole arrays
         y, yc = xs / half, (half - xs) / half
@@ -1128,9 +1132,9 @@ class TestFittedInverse:
         a, b = 1.0 / q, 1.0 / gtf.conjugate(p)
 
         def series(*args):
-            raise AssertionError("an array below INV_FIT_MIN took the series")
+            raise AssertionError("an array below INV_FIT_MIN built the series")
 
-        monkeypatch.setattr(specfun, "_inc_beta", series)
+        monkeypatch.setattr(specfun, "_forward", series)
         xq = xs**q
         expected = (1.0 / q) * specfun.beta(a, b) * sc.betainc(a, b, xq)
         small = (xs > 0.0) & (xq < 2.0**-27)
@@ -1161,9 +1165,9 @@ class TestFittedInverse:
     def test_fit_min_takes_the_polished_inverse(self, monkeypatch):
         # one call each: sincos_pq takes both tails from one call
         calls = []
-        real = specfun._inverse_tails
-        monkeypatch.setattr(specfun, "_inverse_tails",
-                            lambda a, b, y, *args: calls.append(y.size) or real(a, b, y, *args))
+        real = specfun._fitted_tails
+        monkeypatch.setattr(specfun, "_fitted_tails",
+                            lambda *args: calls.append(args[5].size) or real(*args))
         xs = np.linspace(0.0, 1.0, N0)
         gtf.sincos_pq(2.5, 3.0, xs)
         gtf.sin_pq(2.5, 3.0, xs)
@@ -1179,8 +1183,7 @@ class TestFittedInverse:
         lnb = float(sc.betaln(a, b))
         w_half, lower = float(sc.betainc(a, b, 0.5)), specfun._forward(a, b)[0]
         assert specfun._inv_fit(a, b, lnb, w_half, lower) is None
-        y = np.random.default_rng(9).random(N0)
-        assert specfun._inverse_tails(a, b, y, 1.0 - y, True, True) is None
+        assert specfun._inverse_setup(a, b)[2] is None
         half = 0.5 * gtf.pi_pq(p, q)
         xs = np.linspace(0.0, half, N0)
         s = gtf.sin_pq(p, q, xs)
@@ -1219,7 +1222,7 @@ class TestOneInversionPerPoint:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(gtf._cs, "betaincinv")
+        count(specfun, "_betaincinv")
         count(sc, "betaincinv")
         count(specfun, "_inv_fit_eval")
         return seen

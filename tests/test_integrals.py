@@ -347,6 +347,11 @@ class TestPrimitives:
         got = integrals.definite_sin_cos(2.0, 3.0, k, 1.0)
         assert abs(got * (k + 1.0) - 1.0) <= bound
 
+    def test_definite_value_underflows_to_zero(self):
+        # (1/2) B(3e305 + 1/2, 3e305 + 1/2), far below the least subnormal:
+        # ln B was inf - inf, and the value NaN
+        assert integrals.definite_sin_cos(2.0, 2.0, 6e305, 6e305) == 0.0
+
     def test_primitive_at_half_period_matches_definite(self):
         p, q, k, l = 2.5, 1.5, 1.2, 0.8
         half = gtf.pi_pq(p, q) / 2.0

@@ -98,6 +98,34 @@ def test_eval_cap():
     assert err.value.result is not None
 
 
+@pytest.mark.parametrize("dist", [False, True])
+def test_budget_below_level_zero_rejected(dist):
+    # level 0 holds 13 nodes on [0, 1]: a smaller budget is refused before
+    # the integrand is called, naming the count, and 13 runs level 0
+    calls = []
+
+    def f(x, *args):
+        calls.append(x.size)
+        return np.ones_like(x)
+
+    with pytest.raises(DomainError, match="max_evals 12 is below the 13 evaluations"):
+        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=12)
+    assert calls == []
+    with pytest.raises(ToleranceError) as err:
+        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=13)
+    assert len(calls) == 1 and err.value.evaluations == 13 and err.value.levels == 1
+
+
+def test_default_budget_never_binds():
+    # every level of the node table, on [0, 1] where none is skipped
+    total = sum(2 * len(quadrature._level_nodes(level)[0])
+                for level in range(quadrature._MAX_LEVEL + 1)) - 1
+    assert total == 49_153 < quadrature.MAX_EVALS
+    with pytest.raises(ToleranceError) as err:
+        quadrature.integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
+    assert err.value.evaluations == total
+
+
 @pytest.mark.parametrize(
     "a,b,tol",
     [(math.nan, 1.0, 1e-10), (0.0, math.nan, 1e-10), (0.0, math.inf, 1e-10),

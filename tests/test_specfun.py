@@ -290,10 +290,13 @@ class TestBeta:
 
     def assert_beta_matches_mpmath(self, x, y):
         """Within 8 (1 + |ln B|) eps of mpmath, relative; 0 where B is below
-        half the least subnormal."""
+        half the least subnormal, and inf from 2^1024 on."""
         exact, got = self.exact(x, y), specfun.beta(x, y)
         if exact < mpmath.mpf(2) ** -1075:
             assert got == 0.0, (x, y)
+            return
+        if exact >= mpmath.mpf(2) ** 1024:
+            assert got == math.inf, (x, y)
             return
         bound = 8.0 * (1.0 + abs(float(mpmath.log(exact)))) * EPS
         assert abs(got - exact) <= bound * exact + 2.0**-1074, (x, y, got)
@@ -303,6 +306,16 @@ class TestBeta:
     def test_large_argument_against_mpmath(self, x, y):
         # exp(ln Gamma(x) + ln Gamma(y) - ln Gamma(x + y)) was 256, 1.0e4
         # and 9.5e8 eps off at the first three and read ~1 at the fourth
+        self.assert_beta_matches_mpmath(x, y)
+        self.assert_beta_matches_mpmath(y, x)
+
+    @pytest.mark.parametrize("x,y", [(1e-310, 1e-310), (5e-324, 5e-324), (1e-308, 1e-308),
+                                     (6e-309, 6e-309), (1e-320, 0.5), (1e308, 1e308),
+                                     (3e305, 3e305), (1e308, 0.5)])
+    def test_beyond_the_doubles(self, x, y):
+        # B overflows at the first five and underflows at the next two: ln B
+        # was inf - inf and B read NaN at the first two and at the sixth and
+        # seventh, and exp(ln B) raised OverflowError at the third and fourth
         self.assert_beta_matches_mpmath(x, y)
         self.assert_beta_matches_mpmath(y, x)
 
@@ -328,17 +341,34 @@ class TestBeta:
         assert same_bits(specfun.beta(x, y), want)
 
 
+def split_points(a, b):
+    """lo and hi of gtf._pair: the smaller and the larger of 1/2 and
+    I_{1/2}(a, b)."""
+    y_half = specfun._half_mass(a, b)
+    return min(y_half, 0.5), max(y_half, 0.5)
+
+
 def inverse_t(a, b, y):
-    """t with I_t(a, b) = y at an array y, from the fitted lane of gtf's
-    inversions, at a shape whose fits are certified."""
-    return specfun._inverse_tails(a, b, y, 1.0 - y, True, False)[0]
+    """t with I_t(a, b) = y at an array y of at least INV_FIT_MIN points,
+    from the fitted lane of gtf's inversions, at a shape whose fits are
+    certified."""
+    assert y.size >= specfun.INV_FIT_MIN and specfun._inverse_setup(a, b)[2] is not None
+    return specfun._inverse_tails(a, b, *split_points(a, b), y, 1.0 - y, (True, False))[0]
+
+
+def series(a, b, t):
+    """_inc_beta's series at an array t of any size: t tiled to
+    INV_FIT_MIN points, where the size rule picks the series, and cut back
+    (every point gets the same bits wherever it sits; TestBlockSplit)."""
+    n = max(t.size, specfun.INV_FIT_MIN)
+    return specfun._inc_beta(a, b, np.resize(t, n))[:t.size].reshape(t.shape)
 
 
 class TestIncBeta:
     """The regularized incomplete beta function I_x(a, b): scipy's betainc
     as gtf's float lane and small arrays call it, and gtf's kernels for
-    shapes a, b <= 1, the sum specfun._inc_beta and the fitted inverse
-    specfun._inverse_tails."""
+    shapes a, b <= 1, the sum specfun._inc_beta and the inverse
+    specfun._inverse_tails in their fitted lanes."""
 
     def test_endpoints(self):
         assert sc.betainc(0.7, 1.3, 0.0) == 0.0
@@ -357,7 +387,8 @@ class TestIncBeta:
 
     def test_inverse_endpoints(self):
         y = np.resize([0.0, 1.0], specfun.INV_FIT_MIN)
-        t, s = specfun._inverse_tails(0.7, 0.3, y, 1.0 - y, True, True)
+        lo, hi = split_points(0.7, 0.3)
+        t, s = specfun._inverse_tails(0.7, 0.3, lo, hi, y, 1.0 - y, (True, True))
         assert np.array_equal(t, y) and np.array_equal(s, 1.0 - y)
 
     @pytest.mark.parametrize("a", [0.3, 1.0])
@@ -376,7 +407,7 @@ class TestIncBeta:
         # anchored at t = 1/2 instead
         a, b = 1.0 / q, 1.0 - 1.0 / p
         ts = np.concatenate([0.5 + 0.5 * np.geomspace(1e-15, 1.0, 40)[:-1], [0.5]])
-        got = specfun._inc_beta(a, b, ts)
+        got = series(a, b, ts)
         with mpmath.workdps(50):
             ref = [mpmath.betainc(a, b, 0, t, regularized=True) for t in ts.tolist()]
         lower = [t for t, r in zip(ts.tolist(), ref) if r < 0.5 and t > 0.5]
@@ -385,11 +416,15 @@ class TestIncBeta:
             assert abs(value - r) <= 8e-16 * r, t
 
     def test_series_endpoints_and_lanes(self):
-        ts = np.linspace(0.0, 1.0, 101)
-        series = specfun._inc_beta(0.7, 0.3, ts.reshape(1, 101))
-        assert series.shape == (1, 101) and np.all(np.diff(series[0]) > 0.0)
-        assert series[0, 0] == 0.0 and series[0, -1] == 1.0
-        assert series.base is None  # owns its memory
+        # six rows of the same 101 points, enough for the series
+        ts = np.resize(np.linspace(0.0, 1.0, 101), (6, 101))
+        got = specfun._inc_beta(0.7, 0.3, ts)
+        assert got.shape == (6, 101) and np.all(np.diff(got) > 0.0)
+        assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 1.0)
+        assert got.base is None  # owns its memory
+        # below INV_FIT_MIN points, scipy's ufunc: the float lane's bits
+        small = specfun._inc_beta(0.7, 0.3, ts[0])
+        assert same_bits(small, [specfun._betainc(0.7, 0.3, t) for t in ts[0].tolist()])
 
     @given(
         a=st.floats(0.2, 1.0),
@@ -573,18 +608,18 @@ class TestFitTruncation:
     @pytest.mark.parametrize("a,b", [(1e-9, 0.5), (0.5, 1e-9)])
     def test_uncertified_shapes_take_scipys_start(self, a, b):
         # a = 1e-9 puts z = (a B w)^(1/a) beyond what doubles resolve; the
-        # fitted lane declines the shape, and gtf's arrays of any size then
-        # take the ufunc of its small arrays
+        # setup declines the shape, and arrays of any size then take the
+        # ufunc of the small arrays
         lnb = float(sc.betaln(a, b))
         y = np.random.default_rng(9).random(specfun.INV_FIT_MIN)
         fits = [specfun._inv_fit(s, t, lnb, float(sc.betainc(s, t, 0.5)), specfun._forward(s, t)[0])
                 for s, t in ((a, b), (b, a))]
         assert None in fits
-        assert specfun._inverse_tails(a, b, y, 1.0 - y, True, True) is None
+        assert specfun._inverse_setup(a, b)[2] is None
         lo, hi = sorted((float(sc.betainc(a, b, 0.5)), 0.5))
-        whole = gtf._inverse_tails(a, b, lo, hi, y, 1.0 - y, (True, True))
-        parts = [gtf._inverse_tails(a, b, lo, hi, y[i:i + 100], 1.0 - y[i:i + 100], (True, True))
-                 for i in range(0, y.size, 100)]
+        whole = specfun._inverse_tails(a, b, lo, hi, y, 1.0 - y, (True, True))
+        parts = [specfun._inverse_tails(a, b, lo, hi, v, 1.0 - v, (True, True))
+                 for v in np.split(y, range(100, y.size, 100))]
         for j in (0, 1):
             assert same_bits(whole[j], np.concatenate([v[j] for v in parts]))
 
@@ -607,7 +642,7 @@ class TestForwardPolynomial:
         with mpmath.workdps(50):
             for a, b in shapes + [(1.0 / 3.0, 0.01), (0.99, 1e-6)]:
                 ts = np.concatenate([edges, 0.5 * rng.random(8), 0.5 + 0.5 * rng.random(8)])
-                for t, value in zip(ts.tolist(), specfun._inc_beta(a, b, ts).tolist()):
+                for t, value in zip(ts.tolist(), series(a, b, ts).tolist()):
                     ref = mpmath.betainc(a, b, 0, t, regularized=True)
                     anchored += t > 0.5 and ref < 0.5
                     assert abs(value - ref) <= 9.4e-16 * ref, (a, b, t)
@@ -1017,3 +1052,39 @@ class TestPublicSurface:
         defined, used = referenced_names(package, "specfun")
         assert {"beta", "poch_ratio", "hyp2f1"} <= defined  # the scan sees them
         assert sorted(defined - used) == []
+
+
+def modules_that(package, test):
+    """The stems of the package's modules with an ast node for which test
+    is true."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(test(node) for node in ast.walk(tree)):
+            found.add(path.stem)
+    return found
+
+
+def imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
+def names_inv_fit_min(node):
+    return ((isinstance(node, ast.Name) and node.id == "INV_FIT_MIN")
+            or (isinstance(node, ast.Attribute) and node.attr == "INV_FIT_MIN")
+            or (isinstance(node, ast.alias) and node.name == "INV_FIT_MIN"))
+
+
+class TestModuleBoundaries:
+    """specfun owns every incomplete-beta evaluation: it alone imports scipy,
+    and it alone decides which lane an array takes."""
+
+    PACKAGE = pathlib.Path(specfun.__file__).parent
+
+    def test_only_specfun_imports_scipy(self):
+        assert modules_that(self.PACKAGE, imports_scipy) == {"specfun"}
+
+    def test_only_specfun_names_inv_fit_min(self):
+        assert modules_that(self.PACKAGE, names_inv_fit_min) == {"specfun"}
