@@ -283,14 +283,16 @@ def nonlocal_mean_square_slope(H: float, m: float) -> float:
     This reproduces m^2.  Stencil centres are clamped a step away from the
     boundary; the slope is bounded there (u' = 1/q at 0, -1/p at H, scaled by
     the amplitude), so the strips contribute only O(h) of a bounded
-    integrand to the quadrature.
+    integrand to the quadrature.  One profile call per node set serves both
+    sides of every stencil.
     """
     sol = _nonlocal_checked(H, m)
     h = 1e-5 * H
 
     def g(x):
         xc = np.clip(x, h, H - h)
-        d = (sol(xc + h) - sol(xc - h)) / (2.0 * h)
+        hi, lo = sol(np.concatenate((xc + h, xc - h))).reshape(2, -1)
+        d = (hi - lo) / (2.0 * h)
         return d * d
 
     res = quadrature.integrate(g, 0.0, H, tol=1e-9)

@@ -179,15 +179,12 @@ def cmd_verify(args) -> int:
     any_fail = False
     for name in names:
         cases = _SUITE_FUNCS[name](grid)
-        worst = 0.0
-        ok = True
-        for case, resid, tol in cases:
-            passed = resid <= tol
-            ok = ok and passed
-            worst = max(worst, resid)
-            print(f"  {case}: residual={resid:.3e} tol={tol:.1e} "
-                  f"{'ok' if passed else 'FAIL'}")
-        print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_residual={worst:.3e}")
+        ok = all(resid <= tol for _, resid, tol in cases)
+        worst = max([0.0] + [resid for _, resid, _ in cases])
+        lines = [f"  {case}: residual={resid:.3e} tol={tol:.1e} "
+                 f"{'ok' if resid <= tol else 'FAIL'}\n" for case, resid, tol in cases]
+        lines.append(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_residual={worst:.3e}\n")
+        sys.stdout.write("".join(lines))  # the suite's lines in one write
         any_fail = any_fail or not ok
     return 1 if any_fail else 0
 

@@ -7,18 +7,20 @@ converges geometrically.  Interval halving of the step gives an a-posteriori
 error estimate for free.
 
 The integrand is called once per refinement level, on the nodes of both
-half-axes together (level 0's call also holds the centre), so the Python
-overhead of a call is paid a handful of times per integral; it must act
-elementwise on its array of nodes.
+half-axes together (level 0's call also holds the centre), and the level
+is summed by one reduction per half-axis, so the Python overhead is paid a
+handful of times per integral; f must act elementwise on its array of nodes.
 
 One call can integrate a batch of integrands that share the nodes: each
 is refined until it alone meets the tolerance, and the others stop being
-evaluated once they have, so a batch gives every integrand the same value,
-bit for bit, as a call of its own.  power_moments uses this to take the
-Wallis moments of any number of (p, q, flavor) specs, the whole verify
-grid included, in one pass with one integrand; power_moment is its
-one-spec call.  Both refuse exponents whose endpoint mass lies beyond the
-outermost node (see _check_edge_mass), as integrate_singular_beta does.
+evaluated once they have.  A lone integrand is a batch of one row, and the
+reduction sums each row alone, the same way for any number of rows, so a
+batch gives every integrand the same value, bit for bit, as a call of its
+own.  power_moments uses this to take the Wallis moments of any number of
+(p, q, flavor) specs, the whole verify grid included, in one pass with one
+integrand; power_moment is its one-spec call.  Both refuse exponents whose
+endpoint mass lies beyond the outermost node (see _check_edge_mass), as
+integrate_singular_beta does.
 
 This module must not import gtf, integrals or bvp: it is the independent side
 of every closed-form-versus-quadrature check in the package.
@@ -50,8 +52,8 @@ MAX_EVALS = 2_000_000
 @dataclass(frozen=True)
 class QuadResult:
     """value and err_estimate are floats for one integrand and arrays of
-    shape (m,) for a batch of m; evaluations counts integrand values,
-    summed over the rows of a batch."""
+    shape (m,) for a batch of m; evaluations counts the nodes passed to
+    the integrand, summed over the rows of a batch."""
 
     value: float | np.ndarray
     err_estimate: float | np.ndarray
@@ -99,13 +101,14 @@ def integrate(
     where da = x - a and db = b - x are endpoint distances computed without
     cancellation; use this for integrands singular at an endpoint that need
     the distance to far better than machine epsilon of the interval length.
-    In plain mode, nodes closer to a nonzero endpoint than one ulp are
-    unrepresentable and are skipped, which caps the achievable accuracy
-    near 1e-8 for an inverse-square-root singularity at such an endpoint
-    (singularities at an endpoint equal to 0 are unaffected).  f is called
-    once per refinement level, with the nodes of both half-axes in one
-    array (level 0's call starts with the centre of [a, b]); it must act
-    elementwise, so that a node's value does not depend on its neighbours.
+    In plain mode, nodes closer to a nonzero endpoint than one ulp round
+    onto it and are dropped, neither evaluated nor counted, which caps the
+    achievable accuracy near 1e-8 for an inverse-square-root singularity
+    at such an endpoint (singularities at an endpoint equal to 0 are
+    unaffected).  f is called once per refinement level, with the nodes of
+    both half-axes in one array (level 0's call starts with the centre of
+    [a, b]); it must act elementwise, so that a node's value does not
+    depend on its neighbours.
 
     A batch of m integrands on the same nodes is one f that returns shape
     (m, len(x)).  Its first call asks for every row; that shape fixes m.
@@ -120,15 +123,16 @@ def integrate(
     Raises DomainError unless a <= b are finite and 0 < tol < inf, if
     [a, b] is too narrow for the node table (width below
     2 _MIN_OFFSET / min(tol, 1), 1e-289 at the default tolerance), or if
-    max_evals is below level 0's node count (13 unless nodes are skipped),
-    all before f is called; and ToleranceError (carrying the best
-    estimates) if the halving disagreement of some integrand does not fall
-    below tol within the refinement and evaluation budgets.  The default
-    MAX_EVALS never binds: all _MAX_LEVEL + 1 levels are 49 153
-    evaluations per integrand.  The width rule checks the share of
-    the rule's weight on the nodes skipped near the endpoints, not the
-    error: an integrand singular at an endpoint has more of its mass there
-    (power_moment and integrate_singular_beta check that mass).
+    max_evals is below the nodes level 0 passes to f (13 unless some are
+    skipped or dropped: 10 on [0, 1] in plain mode), all before f is
+    called; and ToleranceError (carrying the best estimates) if the halving
+    disagreement of some integrand does not fall below tol within the
+    refinement and evaluation budgets.  The default MAX_EVALS never binds:
+    all _MAX_LEVEL + 1 levels are 49 153 evaluations per integrand.  The
+    width rule checks the share of the rule's weight on the nodes skipped
+    near the endpoints, not the error: an integrand singular at an endpoint
+    has more of its mass there (power_moment and integrate_singular_beta
+    check that mass).
     """
     # written so that NaN fails each test
     if not 0.0 < tol < math.inf:
@@ -152,28 +156,20 @@ def integrate(
             f"the nodes skipped within {_MIN_OFFSET:g} of an endpoint carry "
             f"more than that share of the rule's weight")
 
+    nev = 0  # integrand values per row so far
     for level in range(_MAX_LEVEL + 1):
         w, delta = _level_nodes(level)
         off = delta * halfw
         keep = off >= _MIN_OFFSET
         w, off = w[keep], off[keep]
+        cols = []
         if level == 0:
             # t = 0 sits at the interval centre, shared by both half-axes; it
             # heads level 0's call, whose shape fixes the number of rows
             xc = b - off[:1]
-            cols = [(xc, xc - a, off[:1]) if dist else (xc,)]
+            cols.append((xc, xc - a, off[:1]) if dist else (xc,))
             wc, w, off = w[0], w[1:], off[1:]
-            if 1 + 2 * len(off) > max_evals:
-                raise DomainError(
-                    f"max_evals {max_evals} is below the {1 + 2 * len(off)} "
-                    f"evaluations of level 0")
-        else:
-            cols = []
-            if nev + 2 * len(off) > max_evals:
-                raise _failure("evaluation budget exceeded", value, err, evals,
-                               batch, live, est, diff, level, nev, max_evals)
-        x_hi = b - off
-        x_lo = a + off
+        x_hi, x_lo = b - off, a + off
         if dist:
             rest = width - off
             cols += [(x_hi, rest, off), (x_lo, off, rest)]
@@ -188,6 +184,9 @@ def integrate(
         # the level's nodes in one call, split back by position below
         x, *args = (np.concatenate(c) for c in zip(*cols))
         if level == 0:
+            if len(x) > max_evals:
+                raise DomainError(f"max_evals {max_evals} is below the "
+                                  f"{len(x)} evaluations of level 0")
             y = np.asarray(f(x, *args), dtype=float)
             batch = y.ndim == 2
             m = len(y) if batch else 1
@@ -200,6 +199,9 @@ def integrate(
             live = np.arange(m)
             est, diff = value, err  # rebound, never written through
         else:
+            if nev + len(x) > max_evals:
+                raise _failure("evaluation budget exceeded", value, err, evals,
+                               batch, live, est, diff, level, nev, max_evals)
             y = np.asarray(f(x, *args, rows=live) if batch else f(x, *args),
                            dtype=float)
         shape = (len(live), len(x))
@@ -207,12 +209,10 @@ def integrate(
         if level == 0:
             raw = wc * y[:, 0] + 0.0  # as a sum from 0.0: -0.0 becomes 0.0
             y = y[:, 1:]
-            nev = 1
-        # one pair of dots per row keeps each row's sum equal to a lone call's
+        # one reduction a half-axis sums each row as a lone call would
         n_hi = len(w_hi)
-        raw += [w_hi.dot(hi) + w_lo.dot(lo)
-                for hi, lo in zip(y[:, :n_hi], y[:, n_hi:])]
-        nev += 2 * len(off)
+        raw += (y[:, :n_hi] * w_hi).sum(axis=1) + (y[:, n_hi:] * w_lo).sum(axis=1)
+        nev += len(x)
 
         h = 2.0 ** (-level)
         est, prev = h * halfw * raw, est

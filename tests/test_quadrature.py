@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gentrig import cli, quadrature
+from gentrig import bvp, cli, quadrature
 from gentrig.errors import DomainError, ToleranceError
 
 
@@ -100,30 +100,37 @@ def test_eval_cap():
 
 @pytest.mark.parametrize("dist", [False, True])
 def test_budget_below_level_zero_rejected(dist):
-    # level 0 holds 13 nodes on [0, 1]: a smaller budget is refused before
-    # the integrand is called, naming the count, and 13 runs level 0
+    # level 0 passes n nodes to f on [0, 1]: 13 in distance form, 10 in
+    # plain mode, which drops the three that round onto 1; a smaller budget
+    # is refused before the integrand is called, naming the count, and n
+    # runs level 0
+    n = 13 if dist else 10
     calls = []
 
     def f(x, *args):
         calls.append(x.size)
         return np.ones_like(x)
 
-    with pytest.raises(DomainError, match="max_evals 12 is below the 13 evaluations"):
-        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=12)
+    with pytest.raises(DomainError,
+                       match=f"max_evals {n - 1} is below the {n} evaluations"):
+        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=n - 1)
     assert calls == []
     with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=13)
-    assert len(calls) == 1 and err.value.evaluations == 13 and err.value.levels == 1
+        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=n)
+    assert calls == [n] and err.value.evaluations == n and err.value.levels == 1
 
 
 def test_default_budget_never_binds():
-    # every level of the node table, on [0, 1] where none is skipped
+    # every level of the node table, in distance form, where none is dropped
     total = sum(2 * len(quadrature._level_nodes(level)[0])
                 for level in range(quadrature._MAX_LEVEL + 1)) - 1
     assert total == 49_153 < quadrature.MAX_EVALS
+    calls = []
     with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
-    assert err.value.evaluations == total
+        quadrature.integrate(_count_calls(lambda x, da, db: 1.0 / da, calls),
+                             0.0, 1.0, tol=1e-10, dist=True)
+    assert len(calls) == quadrature._MAX_LEVEL + 1
+    assert err.value.evaluations == sum(calls) == total
 
 
 @pytest.mark.parametrize(
@@ -394,8 +401,29 @@ class TestOneCallPerLevel:
         if dist:
             # level 0's call holds the centre and both half-axes' nodes
             assert calls[0] == 13
-            if not batch:
-                assert sum(calls) == res.evaluations
+        if not batch:
+            # the count is the nodes passed to f, in plain mode too
+            assert sum(calls) == res.evaluations
+
+    @pytest.mark.parametrize("H,m", [(1.0, 0.5), (2.5, 1.0)])
+    def test_nonlocal_closure_is_one_profile_call_per_level(self, H, m,
+                                                            monkeypatch):
+        # both sides of every stencil go to the profile in one gtf call
+        sincos_tail, sizes = bvp._sincos_tail, []
+
+        def spy(p, q, x, *args):
+            sizes.append(np.size(x))
+            return sincos_tail(p, q, x, *args)
+
+        monkeypatch.setattr(bvp, "_sincos_tail", spy)
+        calls = []
+        integrate = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate", lambda f, *args, **kwargs:
+                            integrate(_count_calls(f, calls), *args, **kwargs))
+        levels = _count_levels(monkeypatch)
+        assert bvp.nonlocal_mean_square_slope(H, m) == pytest.approx(m * m, rel=1e-6)
+        assert len(sizes) == len(calls) == len(levels) >= 3
+        assert sizes == [2 * n for n in calls]
 
     def test_wallis_suite_is_one_integrate_call(self, monkeypatch):
         integrate, outer, inner = quadrature.integrate, [], []
