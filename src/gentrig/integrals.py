@@ -40,24 +40,26 @@ class WallisQuery:
 
 @dataclass(frozen=True)
 class EllipticQuery:
-    """Generalized complete elliptic integral query (params, r, modulus k)."""
+    """Generalized complete elliptic integral query (params, r, modulus k)
+    for finite r > 1 and k in [0, 1); r = inf is rejected, as
+    elliott_residual rejects it."""
 
     params: ParamPair
     r: float
     k: float
 
     def __post_init__(self):
-        if not self.r > 1.0:
-            raise DomainError("need r > 1")
+        if not 1.0 < self.r < math.inf:
+            raise DomainError(f"need r > 1, finite, got {self.r}")
         if not 0.0 <= self.k < 1.0:
             raise DomainError("need modulus k in [0, 1)")
 
 
 def _check_kl(p: float, k: float, l: float):
-    if not k > -1.0:
-        raise DomainError("need exponent k > -1")
-    if not l > 1.0 - p:
-        raise DomainError("need exponent l > 1 - p")
+    if not -1.0 < k < math.inf:
+        raise DomainError(f"need exponent k > -1, finite, got {k}")
+    if not 1.0 - p < l < math.inf:
+        raise DomainError(f"need exponent l > 1 - p, finite, got {l}")
 
 
 def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float:
@@ -85,6 +87,7 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
 def definite_sin_cos(p: float, q: float, k: float, l: float) -> float:
     """int_0^{pi_pq/2} sin_pq^k cos_pq^l dt = (1/q) B((k+1)/q, 1 + (l-1)/p)."""
     p, q, k, l = float(p), float(q), float(k), float(l)
+    check_pq(p, q)
     _check_kl(p, k, l)
     return (1.0 / q) * specfun.beta((k + 1.0) / q, 1.0 + (l - 1.0) / p)
 
@@ -96,8 +99,8 @@ def primitive_finite_sum(p: float, q: float, k: float, n: int, x: float) -> floa
     series terminates because its second parameter is -n.
     """
     q, k = float(q), float(k)
-    if not k > -1.0:
-        raise DomainError("need exponent k > -1")
+    if not -1.0 < k < math.inf:
+        raise DomainError(f"need exponent k > -1, finite, got {k}")
     n = check_order(n)
     s = sin_pq(p, q, x)
     total = 0.0
@@ -264,15 +267,16 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     side is formed as (E - K) K' + K E' with the roles of the two sides
     swapped as needed: E - K comes from the two series F - 1 at the small
     argument, which have opposite signs, so it keeps its relative accuracy
-    and the large factor multiplies no rounding error of order 1.  The two
-    small-side series share a, c and x and are summed in one loop.
+    and the large factor multiplies no rounding error of order 1.  Each
+    small-side F - 1 is one specfun._series at head = 0, the loop that sums
+    every power series of hyp2f1.
     """
     p, q, r, k = float(p), float(q), float(r), float(k)
     check_pq(p, q)
     if p > q:
         raise DomainError("Elliott's identity requires p <= q")
-    if not r > 1.0:
-        raise DomainError("need r > 1")
+    if not 1.0 < r < math.inf:
+        raise DomainError(f"need r > 1, finite, got {r}")
     if not 0.0 < k < 1.0:
         raise DomainError("need modulus k in (0, 1)")
     ps = conjugate(p)
@@ -284,7 +288,8 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
              kpr, kq, 0.5 * pi_pq(p, r))
     small, large = (side1, side2) if kq <= 0.5 else (side2, side1)
     a, bk, be, c, x, _, half = small
-    gk, ge = specfun._series_pair(a, bk, c, a, be, c, x, head=0.0)  # F - 1, x <= 1/2
+    gk = specfun._series(a, bk, c, x, head=0.0)  # F - 1, x <= 1/2
+    ge = specfun._series(a, be, c, x, head=0.0)
     a, bk, be, c, x, y, half_l = large
     K_l = half_l * specfun.hyp2f1(a, bk, c, x, comp=y)
     E_l = half_l * specfun.hyp2f1(a, be, c, x, comp=y)

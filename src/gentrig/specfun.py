@@ -26,11 +26,11 @@ Gamma(a), so neither costs more for a larger n or a smaller e.
 Costs of hyp2f1 by branch, medians in the slow state of a shared 2-vCPU
 x86-64 VM (BENCH_21.json): the power series at (1/3, 1/2, 0.93) 18 us at x =
 0.3 and 30 us at x = 1/2; Gauss's connection formula at (1/3, 1/2, 1.2),
-its two series in y in one loop and seven Gamma calls, 40 us at x = 0.7 and
-15 us at x = 0.99; the logarithmic (near-integer) form at (1/2, 1/2, 1),
-K's, 58 us at x = 0.7 and 33 us at x = 0.99.  Each series tests its tail
-after every term, and most terms settle that test with one inline product
-(_tail_certified).
+its two series in y and seven Gamma calls, 40 us at x = 0.7 and 15 us at
+x = 0.99; the logarithmic (near-integer) form at (1/2, 1/2, 1), K's, 58 us
+at x = 0.7 and 33 us at x = 0.99.  Every power series of F, in x or in y,
+is summed by one loop, _series, which tests its tail after every term; most
+terms settle that test with one inline product (_tail_certified).
 """
 
 from __future__ import annotations
@@ -236,8 +236,11 @@ def poch_ratio(a: float, b: float, n: int) -> float:
     where a, b lie in [DBL_MIN, _STIRLING_MIN] (Gamma(b) <= max(1/b, 9!) and
     1 / Gamma(a) in [min(a, 1/9!), 1.13]) and the exp in e^+-708, _lgamma_diff
     elsewhere: ~4 us for any n (14-19 us with two Stirling differences).
-    Every Wallis-type closed form is such a ratio times a generalized pi."""
+    Every Wallis-type closed form is such a ratio times a generalized pi.
+    DomainError unless a and b are finite and (b)_n is nonzero."""
     a, b, n = float(a), float(b), check_order(n)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"poch_ratio requires finite a and b, got ({a}, {b})")
     if n >= POCH_SWITCH and a > 0 and b > 0:
         e = a - b
         if not e:
@@ -252,6 +255,8 @@ def poch_ratio(a: float, b: float, n: int) -> float:
             return math.exp(lead - e * _lgamma_diff(min(a, b), abs(e)))
         except OverflowError:  # as the product overflows, to inf
             return math.inf
+    if b <= 0.0 and b == math.floor(b) and -b < n:  # b + m = 0 for some m < n
+        raise DomainError(f"poch_ratio: (b)_n has a zero factor at b = {b}, n = {n}")
     out = 1.0
     for m in range(n):
         out *= (a + m) / (b + m)
@@ -259,7 +264,8 @@ def poch_ratio(a: float, b: float, n: int) -> float:
 
 
 def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) for x, y > 0, symmetric bit for bit.
+    """Beta function B(x, y) for x, y > 0, symmetric bit for bit; either
+    may be inf, where B(x, inf) = 0.
 
     exp(ln Gamma(x) + ln Gamma(y) - ln Gamma(x + y)) while both are below
     _STIRLING_MIN.  From there on that exponent loses eps ln Gamma(max) to
@@ -275,8 +281,10 @@ def beta(x: float, y: float) -> float:
     else:
         s = min(x, y)
         ln_b = _cs.gammaln(s) - s * _stirling_diff(max(x, y), s)
-    try:  # NaN is inf - inf: x, y both below ~5.6e-309 or both above ~2.5e305
-        return math.exp(ln_b) if ln_b == ln_b else math.inf if x < 1.0 else 0.0
+    # NaN is inf - inf: x, y both below ~5.6e-309 (B = inf), or both above
+    # ~2.5e305 or one of them inf (B = 0)
+    try:
+        return math.exp(ln_b) if ln_b == ln_b else math.inf if max(x, y) < 1.0 else 0.0
     except OverflowError:  # B > 1/x at x, y near 1e-308
         return math.inf
 
@@ -710,16 +718,16 @@ def _tail_certified(size: float, mag: float, m: float, aa: float, ab: float,
     return rho < 1.0 and size * rho / (1.0 - rho) <= HYP2F1_TAIL_TOL * mag
 
 
-def _series(a: float, b: float, c: float, x: float, resume=None) -> float:
-    """The power series of F(a, b; c; x), x in [0, 1), summed with Kahan
-    compensation until _tail_certified (c not a nonpositive integer).
-    resume, if given, is the state (n, term, total, compensation, magnitude)
-    after n terms of a sum that _series_pair left off."""
+def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
+    """head - 1 plus the power series of F(a, b; c; x), x in [0, 1), summed
+    with Kahan compensation until _tail_certified (c not a nonpositive
+    integer): F itself at head = 1, and at head = 0 F - 1 without the leading
+    1, so that it keeps its relative accuracy however small x is."""
     aa, ab, ac = abs(a), abs(b), abs(c)
     n_safe = int(math.ceil(max(aa, ab, ac))) + 2  # the test's first term
-    n0, term, total, comp, mag = resume or (0, 1.0, 1.0, 0.0, 1.0)
+    term, total, comp, mag = 1.0, head, 0.0, head
     tol, hx = HYP2F1_TAIL_TOL, 0.5 * x
-    for n in range(n0, HYP2F1_MAX_TERMS):
+    for n in range(HYP2F1_MAX_TERMS):
         m = n + 1.0
         term *= (a + n) * (b + n) / ((c + n) * m) * x
         y = term - comp
@@ -734,57 +742,13 @@ def _series(a: float, b: float, c: float, x: float, resume=None) -> float:
     raise _budget_spent("series", a, b, c, x)
 
 
-def _series_pair(a1: float, b1: float, c1: float, a2: float, b2: float, c2: float,
-                 x: float, head: float = 1.0):
-    """head - 1 plus the power series of F(a1, b1; c1; x) and of F(a2, b2;
-    c2; x): at head = 1 (_series(a1, b1, c1, x), _series(a2, b2, c2, x)), bit
-    for bit, and at head = 0 each F - 1 summed without the leading 1, so
-    that it keeps its relative accuracy however small x is.  One loop runs
-    while both do: each keeps its own compensated sum and its own tail test
-    from its own first safe term, and the one certified first stops there
-    while the other goes on alone from where the loop left it.  The shared
-    loop saves its own overhead on every term of the shorter sum."""
-    aa1, ab1, ac1, aa2, ab2, ac2 = abs(a1), abs(b1), abs(c1), abs(a2), abs(b2), abs(c2)
-    safe1 = int(math.ceil(max(aa1, ab1, ac1))) + 2
-    safe2 = int(math.ceil(max(aa2, ab2, ac2))) + 2
-    term1 = term2 = 1.0
-    total1 = mag1 = total2 = mag2 = head
-    comp1 = comp2 = 0.0
-    tol, hx = HYP2F1_TAIL_TOL, 0.5 * x
-    for n in range(HYP2F1_MAX_TERMS):
-        m = n + 1.0
-        term1 *= (a1 + n) * (b1 + n) / ((c1 + n) * m) * x
-        term2 *= (a2 + n) * (b2 + n) / ((c2 + n) * m) * x
-        y = term1 - comp1
-        t = total1 + y
-        comp1 = (t - total1) - y
-        total1 = t
-        y = term2 - comp2
-        t = total2 + y
-        comp2 = (t - total2) - y
-        total2 = t
-        size1, size2 = abs(term1), abs(term2)
-        mag1 += size1
-        mag2 += size2
-        done1 = m >= safe1 and size1 * hx <= tol * mag1 and _tail_certified(
-            size1, mag1, m, aa1, ab1, ac1, x)
-        done2 = m >= safe2 and size2 * hx <= tol * mag2 and _tail_certified(
-            size2, mag2, m, aa2, ab2, ac2, x)
-        if done1:
-            return total1, total2 if done2 else _series(
-                a2, b2, c2, x, resume=(n + 1, term2, total2, comp2, mag2))
-        if done2:
-            return _series(a1, b1, c1, x, resume=(n + 1, term1, total1, comp1, mag1)), total2
-    raise _budget_spent("series", a1, b1, c1, x)
-
-
 def _connection(a: float, b: float, c: float, s: float, y: float):
     """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added) for y
     in (0, 1/2) by Gauss's connection formula (A&S 15.3.6, DLMF 15.8.4), for
     s = c - a - b at least HYP2F1_REG_EPS from an integer: seven scalar
-    Gamma calls and the two series in y summed in one loop."""
+    Gamma calls and the two series in y, each a _series."""
     gc = _gamma(c)
-    f1, f2 = _series_pair(a, b, 1.0 - s, c - a, c - b, 1.0 + s, y)
+    f1, f2 = _series(a, b, 1.0 - s, y), _series(c - a, c - b, 1.0 + s, y)
     t1 = gc * _gamma(s) * _rgamma(c - a) * _rgamma(c - b) * f1
     t2 = gc * _gamma(-s) * _rgamma(a) * _rgamma(b) * f2 * y**s
     return t1 + t2, abs(t1) + abs(t2)
@@ -895,9 +859,13 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     classical K).  Where the two parts of the connection formula cancel
     (large parameters, x near 1/2) and x <= 3/4, the series in x is used
     after all.  Every series stops on a certified tail bound, within
-    HYP2F1_MAX_TERMS terms, so the cost is bounded independently of x.
+    HYP2F1_MAX_TERMS terms, so the cost is bounded independently of x; each
+    power series, in x or in y, is one _series loop.  NaN or +-inf in a, b
+    or c raises DomainError.
     """
     a, b, c, x = float(a), float(b), float(c), float(x)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"hyp2f1 requires finite a, b and c, got ({a}, {b}, {c})")
     if _is_nonpos_int(c):
         raise DomainError("c must not be zero or a negative integer")
     if not 0.0 <= x <= 1.0:

@@ -1,0 +1,112 @@
+"""The domain edges of every public entry of specfun and integrals, the
+query dataclasses included: NaN, +inf and -inf in any scalar argument raise
+DomainError, and nothing else (no other exception, no silent NaN or inf),
+except at the infinite ends that an entry documents (DOCUMENTED)."""
+
+import math
+
+import pytest
+
+from gentrig import integrals, specfun
+from gentrig.errors import DomainError
+from gentrig.gtf import ParamPair
+from gentrig.integrals import EllipticQuery, WallisQuery
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _wallis(flavor):
+    """A Wallis flavor on its query: a WallisQuery's r is checked by the
+    flavor it is passed to, since its range depends on the flavor."""
+    return lambda p, q, n, r: flavor(WallisQuery(ParamPair(p, q), n, r))
+
+
+def _elliptic(kind):
+    return lambda p, q, r, k: kind(EllipticQuery(ParamPair(p, q), r, k))
+
+
+# entry: (call on keyword arguments, in-domain arguments); each scalar
+# argument is replaced in turn by each non-finite value
+ENTRIES = {
+    "beta": (specfun.beta, dict(x=0.5, y=3.0)),
+    "poch_ratio": (specfun.poch_ratio, dict(a=0.25, b=0.75, n=100)),
+    "hyp2f1": (specfun.hyp2f1, dict(a=0.5, b=0.5, c=1.0, x=0.7, comp=0.3)),
+    "primitive_sin_cos": (integrals.primitive_sin_cos, dict(p=2.0, q=3.0, k=0.5, l=1.5, x=0.4)),
+    "definite_sin_cos": (integrals.definite_sin_cos, dict(p=2.0, q=3.0, k=0.5, l=1.5)),
+    "primitive_finite_sum": (integrals.primitive_finite_sum,
+                             dict(p=2.0, q=3.0, k=0.5, n=2, x=0.4)),
+    "wallis_sin": (_wallis(integrals.wallis_sin), dict(p=2.0, q=3.0, n=5, r=0.5)),
+    "wallis_cos": (_wallis(integrals.wallis_cos), dict(p=2.0, q=3.0, n=5, r=0.5)),
+    "wallis_special_cases": (
+        lambda p, q, n: integrals.wallis_special_cases(p, q, n, "cos_pn_2mp"),
+        dict(p=2.0, q=3.0, n=5)),
+    "lemniscate_wallis": (integrals.lemniscate_wallis, dict(n=5, residue=1)),
+    "product_factors": (integrals.product_factors, dict(p=2.0, q=3.0, N=5)),
+    "pi_product_partial": (integrals.pi_product_partial, dict(p=2.0, q=3.0, N=100)),
+    "EllipticQuery": (lambda p, q, r, k: EllipticQuery(ParamPair(p, q), r, k),
+                      dict(p=2.0, q=3.0, r=2.5, k=0.5)),
+    "elliptic_K": (_elliptic(integrals.elliptic_K), dict(p=2.0, q=3.0, r=2.5, k=0.5)),
+    "elliptic_E": (_elliptic(integrals.elliptic_E), dict(p=2.0, q=3.0, r=2.5, k=0.5)),
+    "elliott_residual": (integrals.elliott_residual, dict(p=2.0, q=3.0, r=2.5, k=0.5)),
+}
+
+# the infinite ends an entry documents, with the value it returns there.
+# EllipticQuery's r = inf is not one: the query rejects it, as
+# elliott_residual does
+DOCUMENTED = {
+    ("beta", "x", math.inf): "0.0",  # B(inf, y) = 0
+    ("beta", "y", math.inf): "0.0",  # B(x, inf) = 0
+}
+
+
+def outcome(call, kwargs):
+    """'DomainError', the name of any other exception, or the repr of the
+    value returned."""
+    try:
+        value = call(**kwargs)
+    except DomainError:
+        return "DomainError"
+    except Exception as exc:  # any other: reported by name
+        return type(exc).__name__
+    return repr(value)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_non_finite_arguments(name):
+    call, base = ENTRIES[name]
+    call(**base)  # in the domain
+    wrong = []
+    for arg in base:
+        for bad in NON_FINITE:
+            got = outcome(call, {**base, arg: bad})
+            want = DOCUMENTED.get((name, arg, bad), "DomainError")
+            if got != want:
+                wrong.append((arg, bad, got))
+    assert wrong == []
+
+
+# inputs that once returned a wrong value or raised another exception
+LISTED = [
+    (specfun.poch_ratio, (math.nan, 1.0, 100)),  # NaN
+    (specfun.poch_ratio, (1.0, math.inf, 100)),  # NaN
+    (specfun.poch_ratio, (1.0, math.inf, 3)),  # 0.0
+    (specfun.poch_ratio, (1.0, -2.0, 5)),  # ZeroDivisionError at the pole of (b)_n
+    (specfun.hyp2f1, (math.nan, 1.0, 2.0, 0.5)),  # ValueError
+    (specfun.hyp2f1, (math.inf, 1.0, 2.0, 0.5)),  # OverflowError
+    (specfun.hyp2f1, (1.0, 1.0, math.inf, 0.5)),  # OverflowError
+    (specfun.hyp2f1, (1.0, 1.0, math.nan, 0.5)),  # ConvergenceError
+    (integrals.primitive_sin_cos, (2.0, 2.0, 0.0, math.inf, 0.5)),  # OverflowError
+    (integrals.definite_sin_cos, (0.5, 2.0, 0.0, 1.0)),  # 1.0
+    (integrals.definite_sin_cos, (2.0, 0.5, 0.0, 1.0)),  # 1.0
+    (integrals.definite_sin_cos, (2.0, 2.0, math.inf, 1.0)),  # 0.0
+    (integrals.definite_sin_cos, (2.0, 2.0, 0.0, math.inf)),  # inf
+    (integrals.primitive_finite_sum, (2.0, 2.0, math.inf, 2, 0.5)),  # 0.0
+]
+
+
+@pytest.mark.parametrize("call,args", LISTED,
+                         ids=[f"{call.__name__}{args}" for call, args in LISTED])
+def test_listed_inputs_raise_domain_error(call, args):
+    with pytest.raises(DomainError):
+        call(*args)
+

@@ -283,24 +283,26 @@ class TestOrderAndPairValidation:
 
 
 class TestExponentAndModulusChecks:
-    """Each domain check below rejects its boundary, a point past it and NaN."""
+    """Each domain check below rejects its boundary, a point past it, NaN
+    and, where the boundary is finite, inf: EllipticQuery rejects r = inf as
+    elliott_residual does."""
 
-    @pytest.mark.parametrize("r", [1.0, 0.5, math.nan])
+    @pytest.mark.parametrize("r", [1.0, 0.5, math.nan, math.inf])
     def test_elliptic_query_r(self, r):
         with pytest.raises(DomainError, match="need r > 1"):
             EllipticQuery(ParamPair(2.0, 3.0), r=r, k=0.5)
 
-    @pytest.mark.parametrize("l", [-1.0, -2.0, math.nan])  # 1 - p = -1
+    @pytest.mark.parametrize("l", [-1.0, -2.0, math.nan, math.inf])  # 1 - p = -1
     def test_primitive_l(self, l):
         with pytest.raises(DomainError, match="need exponent l > 1 - p"):
             integrals.primitive_sin_cos(2.0, 3.0, 0.5, l, 0.3)
 
-    @pytest.mark.parametrize("k", [-1.0, -1.5, math.nan])
+    @pytest.mark.parametrize("k", [-1.0, -1.5, math.nan, math.inf])
     def test_finite_sum_k(self, k):
         with pytest.raises(DomainError, match="need exponent k > -1"):
             integrals.primitive_finite_sum(2.0, 3.0, k, 2, 0.3)
 
-    @pytest.mark.parametrize("r", [1.0, 0.5, math.nan])
+    @pytest.mark.parametrize("r", [1.0, 0.5, math.nan, math.inf])
     def test_elliott_r(self, r):
         with pytest.raises(DomainError, match="need r > 1"):
             integrals.elliott_residual(2.0, 3.0, r, 0.5)
