@@ -25,7 +25,8 @@ residual_general, phase_curve_residual and general_checks: it inverts the
 one fused sin/cos call (gtf._sincos_tail), in the gtf lane the array's size
 picks: one inversion gives a point's sine and cosine, two in the band
 between I_{1/2}(1/q, 1/p) and 1/2.  The phase curve's cosine comes from the
-stencil's centre row.
+stencil's centre row.  general_checks also takes numpy arrays p and q, and
+then makes that one call for every pair (gtf's lane for several pairs).
 A residual agrees with one computed point by point from scalar sol(x) calls
 to 8 (p + q) eps |u| / h^2 (the ODE residual's second difference divides a
 last-ulp difference of u by h^2).
@@ -41,6 +42,7 @@ the underflowed cosine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -50,7 +52,8 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, check_pq
 from .gtf import (
-    _as_unit, _cos_power, _pair, _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
+    _as_unit, _cos_power, _pair, _per_pair, _power, _several, _sincos_tail,
+    conjugate, extend_sin_symmetric, pi_pq,
 )
 
 
@@ -171,42 +174,72 @@ def _richardson(h, rows):
     return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
 
 
-def _phase_curve(H, p: float, q: float, P: float, c, yc):
-    """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
-    v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*;
-    the first factor is (1/p + 1/q)^(1/p) c^(P-1), P/p = P - 1, from c and
-    the argument yc of its inversion (gtf._cos_power)."""
+def _general_scalars(p: float, q: float, Hs):
+    """The Python floats of the general problem at one pair that _general
+    needs, after check_pq(p, q): P = p*; then the phase curve's 1/p + 1/q,
+    the denominator p (1/p + 1/q)^(1/p + 1/q) pi_{q*,p} of its constant and
+    its factor (1/p + 1/q)^(1/p); then omega and amp at each H in Hs
+    (_profile_scales)."""
+    check_pq(p, q)
+    P = conjugate(p)
     ssum = 1.0 / p + 1.0 / q
-    v = -1.0 / p + ssum * c**P
-    C = 2.0 * H / (p * ssum**ssum * pi_pq(conjugate(q), p))
-    return C * ssum ** (1.0 / p) * _cos_power(P, q, c, yc) * np.abs(v - 1.0 / q) ** (1.0 / q)
+    den = p * ssum**ssum * pi_pq(conjugate(q), p)
+    return (P, ssum, den, ssum ** (1.0 / p),
+            *[v for H in Hs for v in _profile_scales(H, P, q)])
 
 
-def _general(p: float, q: float, Hs, xs):
+def _phase_curve(H, p, q, P, ssum, den, root, c, yc):
+    """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
+    v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*,
+    and C = 2H / den; the first factor is root c^(P-1), root = (1/p +
+    1/q)^(1/p) and P/p = P - 1, from c and the argument yc of its inversion
+    (gtf._cos_power).  The per-pair values are floats, or arrays that
+    broadcast against c."""
+    v = -1.0 / p + ssum * _power(c, P)
+    C = 2.0 * H / den
+    return C * root * _cos_power(P, q, c, yc) * _power(np.abs(v - 1.0 / q), 1.0 / q)
+
+
+def _general(p, q, Hs, xs):
     """(ode, phase, boundary) of the general problem at (p, q) on [0, H] for
     each H in Hs, at the interior points xs[i] of [0, Hs[i]]: the ODE and
     phase-curve residuals, shaped like xs, and max(|u(0)|, |u(H)|) per H.
-    One _sincos_tail call inverts every stencil row and both ends."""
-    check_pq(p, q)
-    P = conjugate(p)
+    Arrays p and q put the shape S of their broadcast in front of those,
+    and each pair's floats (_general_scalars) come from one call a pair.
+    One _sincos_tail call inverts every stencil row and both ends of every
+    pair."""
     H = np.array(Hs, dtype=float)
-    omega, amp = np.array([_profile_scales(Hi, P, q) for Hi in H]).T
     xx = np.asarray(xs, dtype=float)
-    col = (-1,) + (1,) * (xx.ndim - 1)  # per-H values against xx
-    Hc = H.reshape(col)
-    h, rows = _stencil_rows(Hc, xx)  # rows: (5, *xx.shape)
+    h, rows = _stencil_rows(H[:, None], xx.reshape(len(H), -1))  # rows: (5, len(H), n)
     ends = H[:, None] * np.array([0.0, 1.0])
+    fn = functools.partial(_general_scalars, Hs=H.tolist())
+    several = _several(p, q)
+    if several:
+        P, ssum, den, root, *scales = _per_pair(fn, p, q)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    else:
+        P, ssum, den, root, *scales = fn(p, q)
+    omega, amp = np.stack(scales[::2], -1), np.stack(scales[1::2], -1)  # S + (len(H),)
+    lead = omega.shape[:-1]  # S
+
+    def lifted(k, *vals):
+        """The per-pair vals with k trailing axes, against the points."""
+        return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
+
+    args = np.concatenate(((omega[..., None, :, None] * rows).reshape(lead + (-1,)),
+                           (omega[..., None] * ends).reshape(lead + (-1,))), axis=-1)
+    sincos = _sincos_tail(*lifted(1, P, q), args)  # (s, c, yc)
     cut = rows.size
-    args = np.concatenate(((omega.reshape(col) * rows).ravel(),
-                           (omega[:, None] * ends).ravel()))
-    sincos = _sincos_tail(P, q, args)  # (s, c, yc)
-    at_rows = [v[:cut].reshape(rows.shape) for v in sincos]
-    at_ends = [v[cut:].reshape(ends.shape) for v in sincos]
-    u0, u1, u2 = _richardson(h, _profile(P, q, amp.reshape(col), *at_rows))
+    at_rows = [v[..., :cut].reshape(lead + rows.shape) for v in sincos]
+    at_ends = [v[..., cut:].reshape(lead + ends.shape) for v in sincos]
+    profile = _profile(*lifted(3, P, q), amp[..., None, :, None], *at_rows)
+    u0, u1, u2 = _richardson(h, np.moveaxis(profile, -3, 0))
+    p, q, P, ssum, den, root = lifted(2, p, q, P, ssum, den, root)
     ode = np.abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
-    phase = np.abs(u0 - _phase_curve(Hc, p, q, P, at_rows[1][0], at_rows[2][0]))
-    bc = np.abs(_profile(P, q, amp[:, None], *at_ends)).max(axis=1)
-    return ode, phase, bc
+    c0, yc0 = at_rows[1][..., 0, :, :], at_rows[2][..., 0, :, :]
+    phase = np.abs(u0 - _phase_curve(H[:, None], p, q, P, ssum, den, root, c0, yc0))
+    bc = np.abs(_profile(P, q, amp[..., None], *at_ends)).max(axis=-1)
+    return ode.reshape(lead + xx.shape), phase.reshape(lead + xx.shape), bc
 
 
 def _at_points(which: int, H: float, p: float, q: float, x):
@@ -245,13 +278,20 @@ def general_checks(p: float, q: float, Hs, fractions):
     """Verify the general problem at (p, q) on [0, H] for each H in Hs, at
     the interior points x = H * fractions, from one gtf call.
 
-    Returns one (ode, phase, boundary) per H: the arrays that
-    residual_general and phase_curve_residual return for those points (the
-    same evaluator, so equal bit for bit while the arrays take the same gtf
-    lane) and the float max(|u(0)|, |u(H)|).
+    At numbers p and q, returns one (ode, phase, boundary) per H: the
+    arrays that residual_general and phase_curve_residual return for those
+    points (the same evaluator, so equal bit for bit while the arrays take
+    the same gtf lane) and the float max(|u(0)|, |u(H)|).  At arrays p and
+    q, which broadcast to a shape S, every pair takes that one gtf call
+    (gtf's lane for several pairs), and it returns (ode, phase, boundary)
+    stacked, of shapes S + (len(Hs), len(fractions)) twice and S +
+    (len(Hs),): each pair's values equal its own call's bit for bit where
+    that call takes scipy's ufuncs (fewer than specfun.INV_FIT_MIN points).
     """
     H = np.array(Hs, dtype=float)
     ode, phase, bc = _general(p, q, H, H[:, None] * np.asarray(fractions, dtype=float))
+    if _several(p, q):
+        return ode, phase, bc
     return [(ode[i], phase[i], float(bc[i])) for i in range(len(H))]
 
 

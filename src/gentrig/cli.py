@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -68,27 +69,30 @@ def cmd_eval(args) -> int:
 # Each suite returns a list of (case name, residual, tolerance).
 
 
+def _pairs(grid):
+    """p and q of every pair of the grid as arrays that broadcast to
+    (len(grid), len(grid), 1), p first as the suites list the pairs, with a
+    last axis for points: each suite makes one gtf call for all pairs."""
+    g = np.asarray(grid, dtype=float)
+    return g[:, None, None], g[None, :, None]
+
+
 def _suite_pythagorean(grid):
-    cases = []
     xs01 = np.linspace(0.0, 1.0, 33)
-    for p in grid:
-        for q in grid:
-            half = 0.5 * gtf.pi_pq(p, q)
-            s, c = gtf.sincos_pq(p, q, half * xs01)
-            resid = float(np.max(np.abs(c**p + s**q - 1.0)))
-            cases.append((f"pythagorean p={p} q={q}", resid, 1e-11))
-    return cases
+    p, q = _pairs(grid)
+    half = np.array([[0.5 * gtf.pi_pq(pi, qi) for qi in grid] for pi in grid])
+    s, c = gtf.sincos_pq(p, q, half[..., None] * xs01)
+    resid = np.abs(gtf._power(c, p) + gtf._power(s, q) - 1.0).max(axis=-1)
+    return [(f"pythagorean p={pi} q={qi}", float(resid[i, j]), 1e-11)
+            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
 
 
 def _suite_appendix(grid):
-    cases = []
     xs01 = np.array([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
-    for p in grid:
-        for q in grid:
-            r1, r2 = gtf.sin_symmetry_appendix(p, q, xs01)
-            worst = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-            cases.append((f"appendix p={p} q={q}", worst, 1e-10))
-    return cases
+    r1, r2 = gtf.sin_symmetry_appendix(*_pairs(grid), xs01)
+    worst = np.maximum(np.abs(r1).max(axis=-1), np.abs(r2).max(axis=-1))
+    return [(f"appendix p={pi} q={qi}", float(worst[i, j]), 1e-10)
+            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
 
 
 def _suite_wallis(grid):
@@ -145,13 +149,14 @@ def _suite_elliott(grid):
 def _suite_bvp(grid):
     cases = []
     lengths, fractions = (1.0, 2.5), np.arange(1, 10) / 10.0
-    for p in grid:
-        for q in grid:
-            checks = bvp.general_checks(p, q, lengths, fractions)
-            for H, (ode, phase, bc) in zip(lengths, checks):
-                cases.append((f"bvp ode p={p} q={q} H={H}", ode.max(), 1e-6))
-                cases.append((f"bvp phase p={p} q={q} H={H}", phase.max(), 1e-9))
-                cases.append((f"bvp boundary p={p} q={q} H={H}", bc, 1e-10))
+    ode, phase, bc = bvp.general_checks(*(v[..., 0] for v in _pairs(grid)), lengths, fractions)
+    ode, phase, bc = ode.max(axis=-1), phase.max(axis=-1), bc.tolist()
+    for i, p in enumerate(grid):
+        for j, q in enumerate(grid):
+            for k, H in enumerate(lengths):
+                cases.append((f"bvp ode p={p} q={q} H={H}", ode[i, j, k], 1e-6))
+                cases.append((f"bvp phase p={p} q={q} H={H}", phase[i, j, k], 1e-9))
+                cases.append((f"bvp boundary p={p} q={q} H={H}", bc[i][j][k], 1e-10))
     for m in (0.5, 1.0, 2.0):
         closure = abs(bvp.nonlocal_mean_square_slope(1.0, m) - m**2) / m**2
         cases.append((f"bvp nonlocal closure m={m}", closure, 1e-6))
@@ -284,12 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--q", type=float, required=True)
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--format", choices=("human", "json"), default="human")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run an identity-verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--grid", choices=tuple(GRIDS), default="small")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a CSV/JSON table")
     p_table.add_argument("--kind", required=True, choices=TABLE_KINDS)
@@ -303,16 +306,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--samples", type=int, default=101)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", default=None)
-    p_table.set_defaults(func=cmd_table)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call of a process
+    (parse_args leaves it as it was, so every call can reuse it)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # by name at each call: the cached parser must not pin the functions,
+    # which a tracer (benchmarks/layertrace.py) rebinds
+    command = {"eval": cmd_eval, "verify": cmd_verify, "table": cmd_table}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

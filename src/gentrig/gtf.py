@@ -30,6 +30,22 @@ few percent of points); bits match between sincos_pq and sin_pq, cos_pq,
 between the scalar kernels and the ufuncs, and wherever a point sits in an
 array of a given lane.
 
+sin_pq, cos_pq, sincos_pq and sin_symmetry_appendix also take numpy arrays
+p and q (of at least one dimension) that broadcast against x: the lane for
+several pairs, one call for a whole grid of pairs (the verify suites).  It
+builds each distinct pair's record once through _pair, which validates it,
+so an invalid pair anywhere raises DomainError; every other per-pair value
+is computed as the Python float of a single-pair call and broadcast
+afterwards (_per_pair).  Its inversions take Boost's ufunc with each point's
+own shapes at any size, one call for all pairs plus one for the band.  A
+power whose exponent varies with the pair is numpy's pow at every point,
+except at the exponents -1, 1/2 and 2, which numpy takes by a special case
+(reciprocal, sqrt, square) when given as a float: those points are raised
+to a float exponent (_power; quadrature._FAST_POWERS holds the three).  So
+each point equals its own pair's call in scipy's ufunc lane (an array of
+fewer than specfun.INV_FIT_MIN points) bit for bit.  asin_pq and pi_pq take
+one pair.
+
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
 x < DBL_MIN^(1/q)).  asin_pq(x) is its two-term series x + x z / (p (q + 1))
@@ -64,6 +80,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, check_pq, within
+from .quadrature import _FAST_POWERS
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 _DBL_MIN = sys.float_info.min
@@ -117,6 +134,11 @@ def _as_unit(x, top: float, what: str):
     same points and give the same values, -0.0 included.  NaN and
     infinities raise DomainError."""
     slack = _REL_SLACK * top
+    if isinstance(top, np.ndarray):  # a top a point, from several pairs
+        x = np.asarray(x, dtype=float)
+        if not ((x >= -slack) & (x <= top + slack)).all():  # NaN fails too
+            raise DomainError(f"{what} requires argument in [0, pi_pq/2] of its pair")
+        return x.clip(0.0, top)
     if not isinstance(x, (float, int)):
         x = np.asarray(x, dtype=float)
         if x.ndim:
@@ -148,6 +170,43 @@ def _pair(p: float, q: float):
     return 0.5 * (2.0 / q * B), a, b, lo, hi, 1.0 / p, _DBL_MIN**a, B
 
 
+def _several(p, q) -> bool:
+    """Whether p or q is an array of at least one dimension, the lane for
+    several pairs, tested without building an array."""
+    return bool(isinstance(p, np.ndarray) and p.ndim or isinstance(q, np.ndarray) and q.ndim)
+
+
+def _per_pair(fn, p, q):
+    """fn(p, q), a tuple of Python floats at one pair that validates the
+    pair (as _pair does), at every pair of the broadcast of the arrays p and
+    q: one float array a field, shaped like that broadcast.  fn runs once
+    per distinct pair, so that each value is its single-pair float, bit for
+    bit, and an invalid pair anywhere raises its DomainError."""
+    pp, qq = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    index = {}
+    at = [index.setdefault(k, len(index)) for k in zip(pp.ravel().tolist(), qq.ravel().tolist())]
+    table = np.array([fn(*k) for k in index], dtype=float)
+    return table[at].T.reshape((-1,) + pp.shape)
+
+
+def _power(base, e):
+    """base ** e at an array base, e a float or an array of exponents that
+    broadcasts against it, equal at every point bit for bit to base ** e
+    with that point's exponent given as a float: numpy takes a float
+    exponent of _FAST_POWERS (-1, 1/2, 2) by a special case (reciprocal,
+    sqrt, square), which differs from pow in the last ulp on a few percent
+    of points, and every other exponent, a float or an array, by pow.  base
+    has the shape of the result."""
+    if not isinstance(e, np.ndarray):
+        return base ** e
+    out = base ** e
+    for f in _FAST_POWERS:
+        at = e == f
+        if at.any():
+            np.copyto(out, base ** f, where=at)
+    return out
+
+
 def _small_x(x, v, under, z=None, d=None):
     """An array v of sin_pq or asin_pq at x, changed in place to its series
     where x > 0 and `under` says that x^q is too small for the
@@ -160,14 +219,16 @@ def _small_x(x, v, under, z=None, d=None):
     return v
 
 
-def _cos_from_tail(p: float, b: float, B: float, tc, yc):
+def _cos_from_tail(p, b, B, tc, yc):
     """cos_pq = tc^(1/p) from the swapped-tail inverse tc at yc, an array,
     or its leading term (b B yc)^(1/(p-1)) where tc < DBL_MIN, with b = 1/p*
-    and B = B(b, 1/q)."""
-    c = tc ** (1.0 / p)
+    and B = B(b, 1/q); p, b and B are floats or arrays that broadcast
+    against tc."""
+    c = _power(tc, 1.0 / p)
     under = tc < _DBL_MIN
     if under.any():
-        c[under] = (b * B * yc[under]) ** (1.0 / (p - 1.0))
+        at = specfun._at
+        c[under] = _power(at(b, under) * at(B, under) * yc[under], 1.0 / (at(p, under) - 1.0))
     return c
 
 
@@ -179,14 +240,16 @@ def _cos_power(p: float, q: float, c, yc):
     power is its base b B(b, a) yc, far from underflow at p near 1
     (1e-308^(1/400) = 0.17).  The package's one rule for this power: the bvp
     profile and phase curve, the appendix reflections, the multiple-angle
-    formula and the derivative identity all take it from here."""
-    _, _, b, _, _, _, _, B = _pair(p, q)
+    formula and the derivative identity all take it from here.  Arrays p
+    and q that broadcast against c give each point its own pair's power."""
     if isinstance(c, float):  # a point: plain float code
+        _, _, b, _, _, _, _, B = _pair(p, q)
         return c ** (p - 1.0) if c >= _DBL_MIN else b * B * yc
-    cp = c ** (p - 1.0)
+    _, _, b, _, _, _, _, B = _per_pair(_pair, p, q) if _several(p, q) else _pair(p, q)
+    cp = _power(c, p - 1.0)
     under = c < _DBL_MIN
     if under.any():
-        cp[under] = b * B * yc[under]
+        cp[under] = specfun._at(b, under) * specfun._at(B, under) * yc[under]
     return cp
 
 
@@ -248,8 +311,16 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
     the float lane, straight-line float code on the pair's record (_pair):
     _as_unit's test and clip, at most one scalar inversion a tail, the
     small-x rule and the DBL_MIN rule; an array one specfun._inverse_tails
-    call."""
-    halfpi, a, b, lo, hi, inv_p, tiny, B = _pair(p, q)
+    call.  Arrays p and q (the lane for several pairs) give every point
+    of the broadcast of p, q and x its own pair's record, and take the
+    array code: one specfun._inverse_tails call for every pair."""
+    try:
+        halfpi, a, b, lo, hi, inv_p, tiny, B = _pair(p, q)
+    except TypeError:  # no cache hashes an array
+        if not _several(p, q):
+            raise
+        halfpi, a, b, lo, hi, inv_p, tiny, B = _per_pair(_pair, p, q)
+        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
     want_sin, want_cos = tails
     if not isinstance(x, (float, int)):
         xx = _as_unit(x, halfpi, what)
@@ -257,7 +328,7 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
             return _sincos_tail(p, q, xx, tails, what)
         yc = (halfpi - xx) / halfpi
         t, s = specfun._inverse_tails(a, b, lo, hi, xx / halfpi, yc, tails)
-        sin = _small_x(xx, t**a, xx < tiny) if want_sin else None
+        sin = _small_x(xx, _power(t, a), xx < tiny) if want_sin else None
         cos = _cos_from_tail(p, b, B, s, yc) if want_cos else None
         return sin, cos, yc
     x = float(x)
@@ -308,10 +379,18 @@ def sin_symmetry_appendix(p: float, q: float, x01):
     array's size selects); the lanes agree to within gtf's accuracy
     contract, not bit for bit.  A residual is a few ulps except near x01 =
     1, where the rounding of pi_pq/2 - x in the cosine dominates.  Unlike
-    sin_pq, x01 gets no slack beyond [0, 1].
+    sin_pq, x01 gets no slack beyond [0, 1].  Arrays p and q that broadcast
+    against x01 take the lane for several pairs: two gtf calls for all of
+    them, each point equal bit for bit to its own pair's call in scipy's
+    ufunc lane.
     """
-    check_pq(p, q)
-    if isinstance(x01, (float, int)):
+    several = _several(p, q)
+    if several:
+        halfpi, ps, qs, halfpi_c = _per_pair(_reflected, p, q)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    else:
+        halfpi, ps, qs, halfpi_c = _reflected(p, q)
+    if isinstance(x01, (float, int)) and not several:
         xx = float(x01)
         ok = 0.0 <= xx <= 1.0
     else:
@@ -319,10 +398,17 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         ok = within(xx, 0.0, 1.0)
     if not ok:  # written so that NaN fails
         raise DomainError("x01 must lie in [0, 1]")
+    s_a, c_a = sincos_pq(p, q, halfpi * xx)
+    s_b, c_b, yc_b = _sincos_tail(qs, ps, halfpi_c * (1.0 - xx))
+    return s_a - _cos_power(qs, ps, c_b, yc_b), c_a - _power(s_b, ps - 1.0)
+
+
+def _reflected(p: float, q: float):
+    """(pi_pq/2, p*, q*, pi_{q*,p*}/2) of sin_symmetry_appendix, after
+    check_pq(p, q)."""
+    halfpi = _pair(p, q)[0]
     ps, qs = conjugate(p), conjugate(q)
-    s_a, c_a = sincos_pq(p, q, _pair(p, q)[0] * xx)
-    s_b, c_b, yc_b = _sincos_tail(qs, ps, _pair(qs, ps)[0] * (1.0 - xx))
-    return s_a - _cos_power(qs, ps, c_b, yc_b), c_a - s_b ** (ps - 1.0)
+    return halfpi, ps, qs, _pair(qs, ps)[0]
 
 
 def multiple_angle_residual(p: float, x: float) -> float:

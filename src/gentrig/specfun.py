@@ -605,7 +605,10 @@ def _inverse_tails(a: float, b: float, lo: float, hi: float, y, yc, tails):
     and yc = 1 - y (rounded on its own) of points of [0, 1], shapes a, b <=
     1, and lo, hi the smaller and the larger of 1/2 and I_{1/2}(a, b)
     (gtf._pair): those that tails = (want_t, want_s) asks for (None for the
-    other), each accurate relative to its own argument.
+    other), each accurate relative to its own argument.  a, b, lo and hi are
+    floats, or arrays that broadcast against y with a point's own values
+    (gtf's lane for several pairs), and each rule below then holds per
+    point.
 
     One solved value serves both tails, the other being 1 minus it (DLMF
     8.17.4), where it is <= 1/2 and its argument is the smaller of y and yc,
@@ -613,30 +616,45 @@ def _inverse_tails(a: float, b: float, lo: float, hi: float, y, yc, tails):
     rounding: t up to y = lo, s above hi.  In the band between them each
     tail is solved from its own argument, so a point is inverted twice only
     there, and only when both tails are asked for.  Fewer than INV_FIT_MIN
-    points, and shapes whose fits are not certified, take scipy's ufunc
-    with the shapes swapped point by point (the float lane's Boost code,
-    bit for bit); a small array never builds a setup.  More take
-    _fitted_tails.  At a = b a tail's argument 1/2 gives 1/2 in every lane,
-    since I_{1/2}(a, a) = 1/2, where Boost's inverse misses it by up to
-    1.3e-8 at some a (68 of 4000 random p in (1, 100) at a = 1/p*)."""
+    points, arrays of shapes, and shapes whose fits are not certified, take
+    scipy's ufunc with the shapes swapped point by point (the float lane's
+    Boost code, bit for bit, whether the shapes are floats or arrays); a
+    small array never builds a setup.  More take _fitted_tails.  At a = b a
+    tail's argument 1/2 gives 1/2 in every lane, since I_{1/2}(a, a) = 1/2,
+    where Boost's inverse misses it by up to 1.3e-8 at some a (68 of 4000
+    random p in (1, 100) at a = 1/p*)."""
     t_top = hi if tails[0] else lo  # t is solved from y where y <= t_top
     s_bottom = lo if tails[1] else hi  # s from yc where y > s_bottom
-    if y.size >= INV_FIT_MIN:
+    if y.size >= INV_FIT_MIN and not isinstance(a, np.ndarray):
         lnb, y_half, fits = _inverse_setup(a, b)
         if fits is not None:
             return _fitted_tails(a, b, lnb, y_half, fits, y, yc, t_top, s_bottom, tails)
     up = y > t_top
     w = np.where(up, yc, y)
     r = sc.betaincinv(np.where(up, b, a), np.where(up, a, b), w)
-    if a == b:
-        r[w == 0.5] = 0.5
+    equal = a == b
+    if _anywhere(equal):
+        r[(w == 0.5) & equal] = 0.5
     rc = 1.0 - r
     t = np.where(up, rc, r) if tails[0] else None
     s = np.where(up, r, rc) if tails[1] else None
-    if s_bottom < t_top:  # both asked for, and a band: its s from yc
+    if _anywhere(s_bottom < t_top):  # both asked for, and a band: its s from yc
         band = (y > s_bottom) & ~up
-        s[band] = sc.betaincinv(b, a, yc[band])
+        s[band] = sc.betaincinv(_at(b, band), _at(a, band), yc[band])
     return t, s
+
+
+def _anywhere(cond) -> bool:
+    """Whether a comparison holds anywhere: as it is for two floats (a
+    bool), at any point for arrays of shapes (a bool array)."""
+    return cond if isinstance(cond, bool) else bool(cond.any())
+
+
+def _at(v, mask):
+    """A shape, or any per-pair value, at the points a boolean mask selects:
+    a float as it is, an array (a value a point or a pair) broadcast to the
+    mask's shape first."""
+    return v if isinstance(v, float) else np.broadcast_to(v, mask.shape)[mask]
 
 
 def _fitted_tails(a: float, b: float, lnb: float, y_half: float, fits, y, yc,
@@ -849,8 +867,12 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     """Gauss hypergeometric F(a, b; c; x) for x in [0, 1].
 
     comp, when given, is 1 - x, for callers that know it more accurately
-    than 1 - x rounds to (x close to 1).  When a or b is a nonpositive
-    integer the exact terminating polynomial is returned.  At x = 1
+    than 1 - x rounds to (x close to 1).  It must lie in [0, 1] and within
+    1e-9 of 1 - x, else DomainError: a bound far above the rounding that
+    comp corrects (half an ulp of 1) and above what the package's callers
+    miss 1 - x by (elliptic_K, elliptic_E and elliott_residual 2.2e-16,
+    primitive_sin_cos 5.3e-14 at p, q up to 1000).  When a or b is a
+    nonpositive integer the exact terminating polynomial is returned.  At x = 1
     (requires c > a + b) the Gauss summation formula is used.  Otherwise,
     for x <= 1/2 the power series in x, and for x > 1/2 Gauss's connection
     formula to series in y = 1 - x <= 1/2; when c - a - b lies within
@@ -872,10 +894,11 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
         raise DomainError(f"hyp2f1 argument must lie in [0, 1], got {x}")
     if comp is None:
         y = 1.0 - x
-    elif 0.0 <= comp <= 1.0:
+    elif 0.0 <= comp <= 1.0 and abs(comp - (1.0 - x)) <= 1e-9:
         y = float(comp)
     else:
-        raise DomainError(f"hyp2f1 complement must lie in [0, 1], got {comp}")
+        raise DomainError(
+            f"hyp2f1 complement must lie in [0, 1] within 1e-9 of 1 - x, got {comp} at x = {x}")
 
     if _is_nonpos_int(a) or _is_nonpos_int(b):  # the lower order terminates
         total = term = 1.0

@@ -324,7 +324,7 @@ class TestGeneralChecks:
             ref_phase = [ref_phase_curve_residual(sol, p, q, x) for x in xs.tolist()]
             assert phase.max() <= 1e-14 and max(ref_phase) <= 1e-14
 
-    def test_one_gtf_call_per_pair(self, monkeypatch):
+    def test_one_gtf_call_for_the_grids_general_cases(self, monkeypatch):
         calls = []
         real = bvp._sincos_tail
         monkeypatch.setattr(bvp, "_sincos_tail",
@@ -333,11 +333,38 @@ class TestGeneralChecks:
             monkeypatch.setattr(bvp, name, None)  # the suite must not need them
         grid = cli.GRIDS["full"]
         cli._suite_bvp(grid)
-        general = [(p, q) for p in grid for q in grid]
-        # the general cases call gtf at (p*, q); the nonlocal ones at
-        # q = r(m), which is off the grid
-        assert [c for c in calls if c[1] in grid] == [
-            (gtf.conjugate(p), q) for p, q in general]
+        # the general cases take one call at every (p*, q) of the grid; the
+        # nonlocal ones call at the single pair (r(m)*, r(m)), off the grid
+        several = [c for c in calls if np.ndim(c[0])]
+        assert len(several) == 1
+        P, Q = (v.reshape(-1).tolist() for v in np.broadcast_arrays(*several[0]))
+        assert list(zip(P, Q)) == [(gtf.conjugate(p), q) for p in grid for q in grid]
+        assert not [c for c in calls if not np.ndim(c[0]) and c[1] in grid]
+
+    def test_grid_equals_single_pair_calls(self):
+        """Arrays p and q: every pair's residuals and ends equal its own
+        call's bit for bit (both in scipy's ufunc lane), stacked in the
+        shape of the pairs."""
+        grid = cli.GRIDS["full"]
+        lengths = (1.0, 2.5)
+        p, q = np.array(grid)[:, None], np.array(grid)[None, :]
+        ode, phase, bc = bvp.general_checks(p, q, lengths, FRACTIONS)
+        assert ode.shape == phase.shape == (len(grid), len(grid), len(lengths), FRACTIONS.size)
+        assert bc.shape == (len(grid), len(grid), len(lengths))
+        for i, pi in enumerate(grid):
+            for j, qj in enumerate(grid):
+                for k, (o, f, b) in enumerate(bvp.general_checks(pi, qj, lengths, FRACTIONS)):
+                    assert same_bits(ode[i, j, k], o) and same_bits(phase[i, j, k], f)
+                    assert same_bits(bc[i, j, k], b), (pi, qj)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, 0.5, math.inf, -math.inf])
+    def test_grid_rejects_an_invalid_pair_anywhere(self, bad):
+        for k in (0, 2):
+            for which in (0, 1):
+                pq = [np.array([2.0, 3.0, 1.5]), np.array([2.5, 2.0, 4.0])]
+                pq[which][k] = bad
+                with pytest.raises(DomainError):
+                    bvp.general_checks(*pq, (1.0, 2.5), FRACTIONS)
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):

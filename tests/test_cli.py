@@ -115,6 +115,17 @@ class TestVerify:
         assert "not met for p=1.5 q=1.5 flavor=sin in rows" in err
         assert "budget of 2000000" in err
 
+    @pytest.mark.parametrize("suite,calls", [("pythagorean", 1), ("appendix", 2)])
+    def test_one_gtf_call_for_all_pairs(self, monkeypatch, suite, calls):
+        """The pythagorean suite inverts every pair of the grid in one gtf
+        call, the appendix in two (the pair and its reflection)."""
+        seen = []
+        real = gtf._sincos_tail
+        monkeypatch.setattr(gtf, "_sincos_tail",
+                            lambda p, q, x, *rest: seen.append(np.shape(x)) or real(p, q, x, *rest))
+        cli._SUITE_FUNCS[suite](cli.GRIDS["full"])
+        assert len(seen) == calls and all(shape[:2] == (5, 5) for shape in seen)
+
     def test_residual_above_tolerance_fails(self, capsys, monkeypatch):
         cases = [("held", 1e-12, 1e-11), ("broken", 2e-11, 1e-11)]
         monkeypatch.setitem(cli._SUITE_FUNCS, "pythagorean", lambda grid: cases)
@@ -124,6 +135,36 @@ class TestVerify:
         assert "  held: residual=1.000e-12 tol=1.0e-11 ok" in lines
         assert "  broken: residual=2.000e-11 tol=1.0e-11 FAIL" in lines
         assert "SUITE pythagorean FAIL max_residual=2.000e-11" in lines
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        """main builds its parser on the first call only; later calls parse
+        with the same one, and bad flags still exit 2 with the same text."""
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            errors = []
+            for _ in range(2):
+                code, out, _ = run_cli(capsys, "eval", "--fn", "pi", "--p", "2", "--q", "2")
+                assert code == 0 and out == f"pi(p=2.0, q=2.0) = {math.pi:.10g}\n"
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["verify", "--suite", "nope"])
+                assert exc.value.code == 2
+                errors.append(capsys.readouterr().err)
+            assert len(built) == 1
+            assert errors[0] == errors[1] and "invalid choice: 'nope'" in errors[0]
+        finally:
+            cli._parser.cache_clear()
+
+    def test_commands_looked_up_at_each_call(self, monkeypatch):
+        """A command rebound after the parser was built is the one that runs."""
+        argv = ["eval", "--fn", "pi", "--p", "2", "--q", "2"]
+        cli._parser()
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+        assert cli.main(argv) == 7
 
 
 class TestTable:

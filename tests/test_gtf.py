@@ -312,6 +312,100 @@ class TestAppendixSymmetry:
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+class TestSeveralPairs:
+    """Arrays p and q broadcast against x: one gtf call for every pair (the
+    verify suites' lane), each point equal bit for bit to its own pair's
+    call in scipy's ufunc lane.  The full grid holds every exponent that
+    numpy powers by a special case: a = 1/2 at q = 2, 1/p = 1/2 at p = 2,
+    and P - 1 = 2 at P = p* = 3 (p = 1.5); (2, 2), (1.5, 3) and (3, 1.5)
+    are symmetric shapes, where y = 1/2 (x01 = 1/2) gives 1/2 exactly."""
+
+    P, Q = np.array(GRID)[:, None, None], np.array(GRID)[None, :, None]
+    X01 = np.concatenate((np.linspace(0.0, 1.0, 33), [1e-300, 1e-12, 1.0 - 1e-12]))
+
+    def halves(self):
+        return np.array([[gtf._pair(p, q)[0] for q in GRID] for p in GRID])[..., None]
+
+    def test_sincos_equals_single_pair_calls(self):
+        xs = self.halves() * self.X01
+        tails = gtf._sincos_tail(self.P, self.Q, xs)
+        got = {"sincos_pq": gtf.sincos_pq(self.P, self.Q, xs),
+               "sin_pq": gtf.sin_pq(self.P, self.Q, xs),
+               "cos_pq": gtf.cos_pq(self.P, self.Q, xs)}
+        assert tails[0].shape == (len(GRID), len(GRID), self.X01.size)
+        s, c = got["sincos_pq"]
+        power, cos_power = gtf._power(c, self.P), gtf._cos_power(self.P, self.Q, c, tails[2])
+        for i, p in enumerate(GRID):
+            for j, q in enumerate(GRID):
+                one = gtf._sincos_tail(p, q, xs[i, j])
+                assert all(same_bits(v[i, j], w) for v, w in zip(tails, one)), (p, q)
+                assert same_bits(s[i, j], one[0]) and same_bits(c[i, j], one[1])
+                assert same_bits(got["sin_pq"][i, j], one[0])
+                assert same_bits(got["cos_pq"][i, j], one[1])
+                assert same_bits(power[i, j], one[1] ** p)
+                assert same_bits(cos_power[i, j], gtf._cos_power(p, q, one[1], one[2]))
+
+    def test_appendix_equals_single_pair_calls(self):
+        x01 = np.linspace(0.0, 1.0, 41)
+        r1, r2 = gtf.sin_symmetry_appendix(self.P, self.Q, x01)
+        for i, p in enumerate(GRID):
+            for j, q in enumerate(GRID):
+                o1, o2 = gtf.sin_symmetry_appendix(p, q, x01)
+                assert same_bits(r1[i, j], o1) and same_bits(r2[i, j], o2), (p, q)
+
+    def test_a_pair_a_point(self):
+        """Flat arrays p, q and x of one length: each point at its own pair,
+        repeated pairs among them, as its own one-point array call."""
+        p = np.array([2.5, 3.0, 2.5, 1.5, 2.0])
+        q = np.array([3.0, 1.5, 3.0, 3.0, 2.0])
+        x = np.array([0.1, 0.9, 1.3, 0.5, 0.7]) * [gtf._pair(*k)[0] for k in zip(p, q)] / 1.5
+        s, c = gtf.sincos_pq(p, q, x)
+        for k in range(p.size):
+            one = gtf.sincos_pq(p[k], q[k], x[k:k + 1])
+            assert same_bits(s[k:k + 1], one[0]) and same_bits(c[k:k + 1], one[1])
+        # a number q and a point x broadcast against an array p
+        s = gtf.sin_pq(p, 2.0, 0.25)
+        assert same_bits(s, [gtf.sin_pq(v, 2.0, np.array([0.25]))[0] for v in p])
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, 0.5, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["p", "q"])
+    @pytest.mark.parametrize("name", ["sin_pq", "cos_pq", "sincos_pq", "appendix"])
+    def test_invalid_pair_anywhere_raises(self, name, where, bad):
+        fn = {"sin_pq": gtf.sin_pq, "cos_pq": gtf.cos_pq, "sincos_pq": gtf.sincos_pq,
+              "appendix": gtf.sin_symmetry_appendix}[name]
+        size = gtf._pair.cache_info().currsize
+        for k in (0, 3, 5):
+            p, q = np.full(6, 2.5), np.full(6, 3.0)
+            (p if where == "p" else q)[k] = bad
+            with pytest.raises(DomainError):
+                fn(p, q, np.full(6, 0.5))
+        assert gtf._pair.cache_info().currsize <= size + 1  # the valid pair only
+
+    def test_argument_beyond_its_own_pair_raises(self):
+        """x is checked against the half period of its own pair: 1.5 is
+        inside pi_{2,2}/2 but not inside pi_{4,4}/2 = 1.11."""
+        p = q = np.array([2.0, 4.0])
+        gtf.sin_pq(p[:1], q[:1], 1.5)
+        for x in (1.5, math.nan):
+            with pytest.raises(DomainError):
+                gtf.sin_pq(p, q, x)
+
+    def test_inverse_tails_at_shapes_a_point(self):
+        """specfun._inverse_tails at arrays of shapes equals its calls at
+        each point's floats, bit for bit: the a = b fix at y = 1/2 and the
+        band lo < y <= hi per point."""
+        pairs = [(2.0, 2.0), (2.5, 3.0), (1.5, 3.0), (4.0, 1.5)]
+        y = np.array([0.5, 0.3, 0.5, 0.45, 0.499, 0.7, 1e-20, 1.0])
+        fields = np.array([gtf._pair(p, q) for p, q in pairs])[:, 1:5].T  # a, b, lo, hi
+        for tails in [(True, True), (True, False), (False, True)]:
+            for i, (a, b, lo, hi) in enumerate(fields.T.tolist()):
+                got = specfun._inverse_tails(*(v[i][None] for v in fields), y[None], 1.0 - y[None], tails)
+                one = specfun._inverse_tails(a, b, lo, hi, y, 1.0 - y, tails)
+                for g, o in zip(got, one):
+                    assert (g is None) == (o is None)
+                    assert g is None or same_bits(g[0], o)
+
+
 class TestMultipleAngle:
     def test_classical_double_angle(self):
         assert gtf.multiple_angle_residual(2.0, math.pi / 6) <= 1e-13

@@ -773,6 +773,19 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             specfun.hyp2f1(0.5, 0.5, 1.5, 0.9, comp=comp)
 
+    @pytest.mark.parametrize("comp", [0.5, 0.1 + 2e-9, 0.1 - 2e-9])
+    def test_complement_disagreeing_with_x(self, comp):
+        """A comp more than 1e-9 from 1 - x is rejected; (1, 1, 2, 0.9) with
+        comp = 0.5 spent the 300-term budget before the check."""
+        with pytest.raises(DomainError, match="within 1e-9 of 1 - x"):
+            specfun.hyp2f1(1, 1, 2, 0.9, comp=comp)
+
+    def test_complement_within_its_bound(self):
+        # F(1, 1; 2; x) = -ln(1 - x) / x, whose slope in 1 - x is about 11
+        for comp in (0.1 - 5e-10, 0.1 + 5e-10):
+            got = specfun.hyp2f1(1, 1, 2, 0.9, comp=comp)
+            assert got == pytest.approx(-math.log(0.1) / 0.9, rel=1e-8)
+
     def test_complement_is_used_near_one(self):
         # 1 - 1e-20 rounds to 1, where c <= a + b has no value; the exact
         # complement still gives F(1/2, 1/2; 1; 1 - y) = (2/pi) K
