@@ -16,10 +16,16 @@ collapses, through the multiple-angle formula, to a mirrored sin_{2,p}
 profile.  Every function takes the problem's numbers, H > 0, p, q in
 (1, inf) and m > 0, and rejects the rest with DomainError.
 
-Residual verifiers use central finite differences (one Richardson step),
-so they stay independent of the closed forms they check.  They take a point
-or an array of points; a point is evaluated as a one-element array, so it
-gives the same bits as one.  The general problem has one evaluator, behind
+The residual verifiers (residual_general, residual_nonlocal) use central
+finite differences (one Richardson step), so they stay independent of the
+closed forms they check.  The nonlocal closure, nonlocal_mean_square_slope,
+takes no difference step: it integrates the square of the closed form's own
+slope, S v with v = u' the phase variable of the derivation, by the
+tanh-sinh oracle, every m of an array one row of one batch that makes one
+gtf call a level.  solve_pq_equal takes an array p, and its sol(x) makes
+one gtf call for every p.  The residual verifiers take a point or an array
+of points; a point is evaluated as a one-element array, so it gives the
+same bits as one.  The general problem has one evaluator, behind
 residual_general, phase_curve_residual and general_checks: it inverts the
 5-point stencils x, x +- h, x +- h/2 of every point and the ends 0 and H in
 one fused sin/cos call (gtf._sincos_tail), in the gtf lane the array's size
@@ -52,8 +58,8 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, check_pq
 from .gtf import (
-    _as_unit, _cos_power, _pair, _per_pair, _power, _several, _sincos_tail,
-    conjugate, extend_sin_symmetric, pi_pq,
+    _as_unit, _cos_power, _pair, _per_pair, _power, _records, _several,
+    _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
 )
 
 
@@ -141,10 +147,12 @@ def solve_pq_equal(p: float) -> BvpSolution:
     """Positive solution of -p^2(u')^2 + 2p u u'' + 1 = 0 on [0, 1].
 
     Equals sin_{2,p}(pi_{2,p} x) / (p pi_{2,p}) with the mirror extension on
-    [1/2, 1]; symmetric about x = 1/2.
+    [1/2, 1]; symmetric about x = 1/2.  A numpy array p gives the solutions
+    of all its p at once: sol(x) broadcasts p against x and makes one gtf
+    call (gtf's lane for several pairs), each value equal bit for bit to its
+    own p's solution in scipy's ufunc lane.
     """
-    check_pq(2.0, p)
-    pi_val = pi_pq(2.0, p)
+    pi_val = 2.0 * _records(2.0, p)[0]  # pi_pq(2, p) bit for bit, after check_pq(2, p)
     amp = 1.0 / (p * pi_val)
 
     def u(x):
@@ -188,6 +196,13 @@ def _general_scalars(p: float, q: float, Hs):
             *[v for H in Hs for v in _profile_scales(H, P, q)])
 
 
+def _slope(p, ssum, P, c):
+    """u' = v = -1/p + (1/p + 1/q) c^P of the general profile, from its
+    cosine c = cos_{P,q}(w x), P = p*, and ssum = 1/p + 1/q: the phase
+    variable of the derivation."""
+    return -1.0 / p + ssum * _power(c, P)
+
+
 def _phase_curve(H, p, q, P, ssum, den, root, c, yc):
     """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
     v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*,
@@ -195,7 +210,7 @@ def _phase_curve(H, p, q, P, ssum, den, root, c, yc):
     1/q)^(1/p) and P/p = P - 1, from c and the argument yc of its inversion
     (gtf._cos_power).  The per-pair values are floats, or arrays that
     broadcast against c."""
-    v = -1.0 / p + ssum * _power(c, P)
+    v = _slope(p, ssum, P, c)
     C = 2.0 * H / den
     return C * root * _cos_power(P, q, c, yc) * _power(np.abs(v - 1.0 / q), 1.0 / q)
 
@@ -316,24 +331,49 @@ def residual_nonlocal(H: float, m: float, x):
     return float(r[0]) if np.ndim(x) == 0 else r
 
 
-def nonlocal_mean_square_slope(H: float, m: float) -> float:
-    """(2/H) int_0^H (phi')^2 dt of solve_nonlocal(H, m), with phi' by
-    central differences.
+def _closure_scalars(H: float, m: float):
+    """The Python floats of the closure at one m, after _nonlocal_checked(H,
+    m): p, q, P = p* and 1/p + 1/q of the general problem with p = r(m)*
+    and q = r(m) (_general_scalars), its omega, and the slope scale
+    S = 2 sqrt(m^2 + 1/4)."""
+    _nonlocal_checked(H, m)
+    q = nonlocal_exponent(m)
+    p = conjugate(q)
+    P, ssum, _, _, omega, _ = _general_scalars(p, q, [H])
+    return p, q, P, ssum, omega, 2.0 * math.hypot(m, 0.5)
 
-    This reproduces m^2.  Stencil centres are clamped a step away from the
-    boundary; the slope is bounded there (u' = 1/q at 0, -1/p at H, scaled by
-    the amplitude), so the strips contribute only O(h) of a bounded
-    integrand to the quadrature.  One profile call per node set serves both
-    sides of every stencil.
+
+def nonlocal_mean_square_slope(H: float, m):
+    """(2/H) int_0^H (phi')^2 dt of solve_nonlocal(H, m), which reproduces
+    m^2, by the tanh-sinh oracle (Takahasi and Mori 1974) at tol 1e-13 from
+    the closed form's own slope: phi' = S v with S = 2 sqrt(m^2 + 1/4) and
+    v = -1/p + (1/p + 1/q) cos_{P,q}^P(w x), p = r(m)*, q = P = r(m), which
+    the phase curve takes too (_slope).  No difference step enters.
+
+    m is a number (a float is returned) or a numpy array (an array of its
+    shape): every m is one row of a single quadrature.integrate batch, each
+    level makes one gtf call at the rows still refining (gtf's lane for
+    several pairs, also for one m), and each row equals its own call bit for
+    bit.  DomainError as _nonlocal_checked for an invalid H or any invalid
+    m: NaN, m <= 0, inf, or m^2 not finite (m above ~6.7e153).
+
+    Bound: the oracle stops once two levels agree to tol = 1e-13 relative to
+    the integral H m^2 / 2 where that is at least 1, and absolutely below,
+    so |value - m^2| <= 1e-13 max(m^2, 2/H) plus a few roundings of m^2.
+    The stop test is pessimistic: at H in {1, 2, 2.5} the value reads within
+    6.1e-14 of m^2, relative, at m = 0.05 and within 3.3e-16 from m = 0.5
+    to 1e100.  At small m the absolute bound rules: the value reads 1.9e-10
+    off, relative, at m = 1e-3 and up to 2.8e-2 at m = 1e-6, at most 2.8e-14
+    absolute.
     """
-    sol = _nonlocal_checked(H, m)
-    h = 1e-5 * H
+    ms = np.asarray(m, dtype=float)
+    p, q, P, ssum, omega, S = np.array(
+        [_closure_scalars(H, v) for v in ms.ravel().tolist()]).T[..., None]
 
-    def g(x):
-        xc = np.clip(x, h, H - h)
-        hi, lo = sol(np.concatenate((xc + h, xc - h))).reshape(2, -1)
-        d = (hi - lo) / (2.0 * h)
-        return d * d
+    def f(x, rows=slice(None)):
+        _, c, _ = _sincos_tail(P[rows], q[rows], omega[rows] * x, (False, True))
+        slope = S[rows] * _slope(p[rows], ssum[rows], P[rows], c)
+        return slope * slope
 
-    res = quadrature.integrate(g, 0.0, H, tol=1e-9)
-    return 2.0 / H * res.value
+    value = 2.0 / H * quadrature.integrate(f, 0.0, H, tol=1e-13).value
+    return float(value[0]) if ms.ndim == 0 else value.reshape(ms.shape)

@@ -31,20 +31,20 @@ between the scalar kernels and the ufuncs, and wherever a point sits in an
 array of a given lane.
 
 sin_pq, cos_pq, sincos_pq and sin_symmetry_appendix also take numpy arrays
-p and q (of at least one dimension) that broadcast against x: the lane for
-several pairs, one call for a whole grid of pairs (the verify suites).  It
-builds each distinct pair's record once through _pair, which validates it,
-so an invalid pair anywhere raises DomainError; every other per-pair value
-is computed as the Python float of a single-pair call and broadcast
-afterwards (_per_pair).  Its inversions take Boost's ufunc with each point's
-own shapes at any size, one call for all pairs plus one for the band.  A
-power whose exponent varies with the pair is numpy's pow at every point,
-except at the exponents -1, 1/2 and 2, which numpy takes by a special case
-(reciprocal, sqrt, square) when given as a float: those points are raised
-to a float exponent (_power; quadrature._FAST_POWERS holds the three).  So
-each point equals its own pair's call in scipy's ufunc lane (an array of
-fewer than specfun.INV_FIT_MIN points) bit for bit.  asin_pq and pi_pq take
-one pair.
+p and q (of at least one dimension) that broadcast against x, and
+extend_sin_symmetric an array p: the lane for several pairs, one call for a
+whole grid of pairs (the verify suites).  It builds each distinct pair's
+record once through _pair, which validates it, so an invalid pair anywhere
+raises DomainError; every other per-pair value is computed as the Python
+float of a single-pair call and broadcast afterwards (_per_pair).  Its
+inversions take Boost's ufunc with each point's own shapes at any size, one
+call for all pairs plus one for the band.  A power whose exponent varies
+with the pair is numpy's pow at every point, except at the exponents -1,
+1/2 and 2, which numpy takes by a special case (reciprocal, sqrt, square)
+when given as a float: those points are raised to a float exponent (_power;
+quadrature._FAST_POWERS holds the three).  So each point equals its own
+pair's call in scipy's ufunc lane (an array of fewer than
+specfun.INV_FIT_MIN points) bit for bit.  asin_pq and pi_pq take one pair.
 
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
@@ -189,6 +189,12 @@ def _per_pair(fn, p, q):
     return table[at].T.reshape((-1,) + pp.shape)
 
 
+def _records(p, q):
+    """_pair(p, q), or at arrays p and q (the lane for several pairs) its
+    fields as arrays over their broadcast (_per_pair)."""
+    return _per_pair(_pair, p, q) if _several(p, q) else _pair(p, q)
+
+
 def _power(base, e):
     """base ** e at an array base, e a float or an array of exponents that
     broadcasts against it, equal at every point bit for bit to base ** e
@@ -245,7 +251,7 @@ def _cos_power(p: float, q: float, c, yc):
     if isinstance(c, float):  # a point: plain float code
         _, _, b, _, _, _, _, B = _pair(p, q)
         return c ** (p - 1.0) if c >= _DBL_MIN else b * B * yc
-    _, _, b, _, _, _, _, B = _per_pair(_pair, p, q) if _several(p, q) else _pair(p, q)
+    _, _, b, _, _, _, _, B = _records(p, q)
     cp = _power(c, p - 1.0)
     under = c < _DBL_MIN
     if under.any():
@@ -428,8 +434,11 @@ def multiple_angle_residual(p: float, x: float) -> float:
 
 def extend_sin_symmetric(p: float, x):
     """sin_{2,p} on [0, pi_{2,p}], mirrored about the midpoint on the
-    second half.  This is the only family the extension is defined for."""
-    full = 2.0 * _pair(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
+    second half.  This is the only family the extension is defined for.
+    An array p that broadcasts against x takes the lane for several pairs:
+    one sin_pq call, each point equal bit for bit to its own p's call in
+    scipy's ufunc lane."""
+    full = 2.0 * _records(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
     xx = _as_unit(x, full, "extend_sin_symmetric")
     folded = min(xx, full - xx) if isinstance(xx, float) else np.minimum(xx, full - xx)
     return sin_pq(2.0, p, folded)

@@ -205,7 +205,7 @@ def test_09_bvp_residuals():
     for m in (0.5, 1.0, 2.0, 10.0):
         got = bvp.nonlocal_mean_square_slope(1.0, m)
         worst_closure = max(worst_closure, abs(got / (m * m) - 1.0))
-    assert worst_closure <= 1e-6
+    assert worst_closure <= 1e-12
 
     worst_phase = 0.0
     for p, q, H in ((1.5, 3.0, 1.0), (4.0, 2.0, 2.5), (2.0, 2.0, 1.0)):

@@ -324,22 +324,46 @@ class TestGeneralChecks:
             ref_phase = [ref_phase_curve_residual(sol, p, q, x) for x in xs.tolist()]
             assert phase.max() <= 1e-14 and max(ref_phase) <= 1e-14
 
-    def test_one_gtf_call_for_the_grids_general_cases(self, monkeypatch):
+    @staticmethod
+    def _suite_calls(monkeypatch):
+        """The pairs (P, q) of every bvp._sincos_tail call of the full
+        grid's bvp suite, flattened, in call order."""
         calls = []
         real = bvp._sincos_tail
-        monkeypatch.setattr(bvp, "_sincos_tail",
-                            lambda p, q, x: calls.append((p, q)) or real(p, q, x))
+
+        def spy(p, q, x, *rest):
+            P, Q = (v.reshape(-1).tolist() for v in np.broadcast_arrays(p, q))
+            calls.append(list(zip(P, Q)))
+            return real(p, q, x, *rest)
+
+        monkeypatch.setattr(bvp, "_sincos_tail", spy)
         for name in ("residual_general", "phase_curve_residual"):
             monkeypatch.setattr(bvp, name, None)  # the suite must not need them
+        cli._suite_bvp(cli.GRIDS["full"])
+        return calls
+
+    def test_one_gtf_call_for_the_grids_general_cases(self, monkeypatch):
+        # the general cases take one call at every (p*, q) of the grid, the
+        # first; no other call is at a pair of the grid
         grid = cli.GRIDS["full"]
-        cli._suite_bvp(grid)
-        # the general cases take one call at every (p*, q) of the grid; the
-        # nonlocal ones call at the single pair (r(m)*, r(m)), off the grid
-        several = [c for c in calls if np.ndim(c[0])]
-        assert len(several) == 1
-        P, Q = (v.reshape(-1).tolist() for v in np.broadcast_arrays(*several[0]))
-        assert list(zip(P, Q)) == [(gtf.conjugate(p), q) for p in grid for q in grid]
-        assert not [c for c in calls if not np.ndim(c[0]) and c[1] in grid]
+        general, *rest = self._suite_calls(monkeypatch)
+        assert general == [(gtf.conjugate(p), q) for p in grid for q in grid]
+        assert not [pair for call in rest for pair in call if pair[1] in grid]
+
+    def test_closure_calls_apart_from_the_grids(self, monkeypatch):
+        # every later call is the closure's: one an oracle level, at the
+        # pairs (r(m), r(m)) of the m still refining, all three at first
+        rest = self._suite_calls(monkeypatch)[1:]
+        pairs = [(r, r) for r in map(bvp.nonlocal_exponent, (0.5, 1.0, 2.0))]
+        assert len(rest) >= 3 and rest[0] == pairs
+        assert all(call and set(call) <= set(pairs) for call in rest)
+
+    def test_symmetry_is_one_sin_call(self, monkeypatch):
+        calls = []
+        real = gtf.sin_pq
+        monkeypatch.setattr(gtf, "sin_pq", lambda p, q, x: calls.append(np.shape(x)) or real(p, q, x))
+        cli._suite_bvp(cli.GRIDS["full"])
+        assert calls == [(5, 42)]  # the five p, at 21 points and their mirrors
 
     def test_grid_equals_single_pair_calls(self):
         """Arrays p and q: every pair's residuals and ends equal its own
@@ -457,7 +481,7 @@ class TestCosineUnderflow:
         # r(0.1) = 1.01 makes p* = r* about 100: the closure read 1.5e-5 off
         # at H = 1 and raised ToleranceError at H = 2 and 2.5
         m = 0.1
-        assert bvp.nonlocal_mean_square_slope(H, m) == pytest.approx(m * m, rel=1e-5)
+        assert bvp.nonlocal_mean_square_slope(H, m) == pytest.approx(m * m, rel=1e-12)
 
 
 class TestPhaseCurveUnderflow:
@@ -519,10 +543,10 @@ class TestNonlocal:
     def test_closure_relation(self, m):
         # the squared-slope integral must reproduce m^2
         got = bvp.nonlocal_mean_square_slope(1.0, m)
-        assert got == pytest.approx(m * m, rel=1e-6)
+        assert got == pytest.approx(m * m, rel=1e-12)
 
     def test_closure_other_length(self):
-        assert bvp.nonlocal_mean_square_slope(2.5, 1.0) == pytest.approx(1.0, rel=1e-6)
+        assert bvp.nonlocal_mean_square_slope(2.5, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary(self):
         phi = bvp.solve_nonlocal(1.0, 1.0)
@@ -544,3 +568,81 @@ class TestNonlocal:
         xs = np.linspace(0.0, 1.0, 11)[1:-1]
         res = np.array([bvp.residual_nonlocal(1.0, 1.0, x) for x in xs])
         assert np.max(np.abs(res)) <= 1e-5
+
+
+VERIFY_M = (0.5, 1.0, 2.0)  # the verify suite's closure cases
+
+
+class TestClosure:
+    """nonlocal_mean_square_slope from the closed form's own slope, by the
+    oracle at tol 1e-13, every m of an array in one batch."""
+
+    @pytest.mark.parametrize("H", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("m", [0.05, 0.1, 0.5, 2.0, 10.0, 1e3, 1e100])
+    def test_relative_accuracy(self, m, H):
+        # the central-difference slope missed m^2 by 2.7e-5 at m = 0.05
+        assert abs(bvp.nonlocal_mean_square_slope(H, m) / (m * m) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("H", [1.0, 2.5])
+    @pytest.mark.parametrize("m", [1e-3, 1e-6])
+    def test_stated_bound_at_small_m(self, m, H):
+        # the oracle's stop test is absolute while the integral H m^2 / 2
+        # is below 1: the stencil read 0.95 off, relative, at m = 1e-3
+        err = abs(bvp.nonlocal_mean_square_slope(H, m) - m * m)
+        assert err <= 1e-13 * max(m * m, 2.0 / H) + 8.0 * EPS * m * m
+
+    @pytest.mark.parametrize("H", [1.0, 2.5])
+    def test_array_equals_scalar_calls(self, H):
+        ms = np.array(VERIFY_M + (0.05, 10.0))
+        got = bvp.nonlocal_mean_square_slope(H, ms)
+        assert same_bits(got, [bvp.nonlocal_mean_square_slope(H, m) for m in ms.tolist()])
+        grid = bvp.nonlocal_mean_square_slope(H, ms[::-1].reshape(1, 5))
+        assert same_bits(grid, got[::-1].reshape(1, 5))  # any shape, any order
+
+    def test_float_for_a_number(self):
+        for m in (1.0, 1, np.float64(1.0)):
+            assert type(bvp.nonlocal_mean_square_slope(1.0, m)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, 1e200])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_invalid_m_anywhere_rejected(self, bad, at):
+        ms = np.array(VERIFY_M)
+        ms[at] = bad
+        with pytest.raises(DomainError, match="m = ") as scalar:
+            bvp.nonlocal_mean_square_slope(1.0, bad)
+        with pytest.raises(DomainError) as array:
+            bvp.nonlocal_mean_square_slope(1.0, ms)
+        assert str(array.value) == str(scalar.value)
+
+    def test_verify_sees_a_perturbed_slope(self, monkeypatch):
+        """A slope 1e-10 too large, relative, fails verify's closure cases,
+        which the old tolerance 1e-6 let pass."""
+        real = bvp._closure_scalars
+
+        def perturbed(H, m):
+            *head, S = real(H, m)
+            return (*head, S * (1.0 + 1e-10))
+
+        monkeypatch.setattr(bvp, "_closure_scalars", perturbed)
+        cases = [c for c in cli._suite_bvp(cli.GRIDS["small"]) if "closure" in c[0]]
+        assert len(cases) == len(VERIFY_M)
+        for _, resid, tol in cases:
+            assert tol <= 1e-12 < resid <= 1e-6
+
+
+class TestSymmetryGrid:
+    def test_equals_per_p_calls(self):
+        """solve_pq_equal at an array p: each row equals its own p's
+        solution bit for bit (both in scipy's ufunc lane)."""
+        grid = cli.GRIDS["full"]
+        xs = np.linspace(0.0, 1.0, 21)
+        rows = bvp.solve_pq_equal(np.array(grid)[:, None])(np.concatenate((xs, 1.0 - xs)))
+        assert rows.shape == (len(grid), 2 * xs.size)
+        for p, row in zip(grid, rows):
+            sol = bvp.solve_pq_equal(p)
+            assert same_bits(row, np.concatenate((sol(xs), sol(1.0 - xs))))
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, 0.5, math.inf])
+    def test_invalid_p_anywhere_rejected(self, bad):
+        with pytest.raises(DomainError):
+            bvp.solve_pq_equal(np.array([[2.0], [bad]]))

@@ -408,22 +408,32 @@ class TestOneCallPerLevel:
     @pytest.mark.parametrize("H,m", [(1.0, 0.5), (2.5, 1.0)])
     def test_nonlocal_closure_is_one_profile_call_per_level(self, H, m,
                                                             monkeypatch):
-        # both sides of every stencil go to the profile in one gtf call
-        sincos_tail, sizes = bvp._sincos_tail, []
+        # the closure at m, 2m and 4m (at m = 0.5 verify's three) is one
+        # batch: each oracle level makes one gtf call, n nodes a live row
+        sincos_tail, shapes = bvp._sincos_tail, []
 
         def spy(p, q, x, *args):
-            sizes.append(np.size(x))
+            shapes.append(np.shape(x))
             return sincos_tail(p, q, x, *args)
 
         monkeypatch.setattr(bvp, "_sincos_tail", spy)
-        calls = []
+        calls, live = [], []
         integrate = quadrature.integrate
-        monkeypatch.setattr(quadrature, "integrate", lambda f, *args, **kwargs:
-                            integrate(_count_calls(f, calls), *args, **kwargs))
+
+        ms = m * np.array([1.0, 2.0, 4.0])
+
+        def counted(f, *args, **kwargs):
+            def g(x, **rows):  # the first call asks for every row
+                live.append(len(rows.get("rows", ms)))
+                return f(x, **rows)
+            return integrate(_count_calls(g, calls), *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
         levels = _count_levels(monkeypatch)
-        assert bvp.nonlocal_mean_square_slope(H, m) == pytest.approx(m * m, rel=1e-6)
-        assert len(sizes) == len(calls) == len(levels) >= 3
-        assert sizes == [2 * n for n in calls]
+        got = bvp.nonlocal_mean_square_slope(H, ms)
+        assert np.all(np.abs(got / ms**2 - 1.0) <= 1e-12)
+        assert len(shapes) == len(calls) == len(levels) >= 3
+        assert shapes == list(zip(live, calls)) and live[0] == 3
 
     def test_wallis_suite_is_one_integrate_call(self, monkeypatch):
         integrate, outer, inner = quadrature.integrate, [], []
