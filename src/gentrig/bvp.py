@@ -335,8 +335,18 @@ def _closure_scalars(H: float, m: float):
     """The Python floats of the closure at one m, after _nonlocal_checked(H,
     m): p, q, P = p* and 1/p + 1/q of the general problem with p = r(m)*
     and q = r(m) (_general_scalars), its omega, and the slope scale
-    S = 2 sqrt(m^2 + 1/4)."""
+    S = 2 sqrt(m^2 + 1/4).
+
+    DomainError naming m and H where the oracle would overflow: at level
+    L its running sum of weighted (phi')^2 is about 2^L m^2, and it stops
+    at level 4 for every m from 0.5 up (the integrand, in the oracle's
+    variable, does not depend on H), while its estimate is H m^2 / 2.  So
+    m^2 max(16, H/2) must be finite: m below ~3.35e153 for H <= 32.
+    """
     _nonlocal_checked(H, m)
+    if not m * m * max(16.0, 0.5 * H) < math.inf:
+        raise DomainError(f"the nonlocal closure overflows at m = {m}, H = {H}: "
+                          f"m^2 max(16, H/2) is not finite")
     q = nonlocal_exponent(m)
     p = conjugate(q)
     P, ssum, _, _, omega, _ = _general_scalars(p, q, [H])
@@ -355,7 +365,9 @@ def nonlocal_mean_square_slope(H: float, m):
     level makes one gtf call at the rows still refining (gtf's lane for
     several pairs, also for one m), and each row equals its own call bit for
     bit.  DomainError as _nonlocal_checked for an invalid H or any invalid
-    m: NaN, m <= 0, inf, or m^2 not finite (m above ~6.7e153).
+    m: NaN, m <= 0, inf, or m^2 not finite (m above ~6.7e153); and as
+    _closure_scalars where the oracle's sums overflow, m^2 max(16, H/2)
+    not finite (m above ~3.35e153 for H <= 32, ~1.9e153 at H = 100).
 
     Bound: the oracle stops once two levels agree to tol = 1e-13 relative to
     the integral H m^2 / 2 where that is at least 1, and absolutely below,

@@ -18,9 +18,11 @@ reduction sums each row alone, the same way for any number of rows, so a
 batch gives every integrand the same value, bit for bit, as a call of its
 own.  power_moments uses this to take the Wallis moments of any number of
 (p, q, flavor) specs, the whole verify grid included, in one pass with one
-integrand; power_moment is its one-spec call.  Both refuse exponents whose
-endpoint mass lies beyond the outermost node (see _check_edge_mass), as
-integrate_singular_beta does.
+integrand; power_moment is its one-spec call.  It checks its specs and
+groups their rows into distinct (base, exponent) powers once per batch, so
+its integrand's cost per level grows with those powers, not with its rows
+or specs.  Both refuse exponents whose endpoint mass lies beyond the
+outermost node (see _edge_share), as integrate_singular_beta does.
 
 This module must not import gtf, integrals or bvp: it is the independent side
 of every closed-form-versus-quadrature check in the package.
@@ -259,10 +261,10 @@ def _rows_where(rows, m):
     return f" in rows {rows} of {m}"
 
 
-def _check_edge_mass(k: float, width: float, tol: float, what: str):
-    """DomainError if the endpoint factor u^k (u the distance from that
-    endpoint, k > -1) has more than the share tol of its mass on an interval
-    of this width nearer the endpoint than the outermost node.
+def _edge_share(k: float, width: float) -> float:
+    """The share of the mass of the endpoint factor u^k (u the distance
+    from that endpoint, k > -1) that lies, on an interval of this width,
+    nearer the endpoint than the outermost node.
 
     The nodes stop at the offset c = max(_MIN_OFFSET, _EDGE width/2) from
     each endpoint, about 7e-276 on [0, 1]; the factor's mass within c of
@@ -270,7 +272,13 @@ def _check_edge_mass(k: float, width: float, tol: float, what: str):
     sees it, so the stopping test can pass with that much missing.
     """
     edge = max(_MIN_OFFSET, _EDGE * 0.5 * width)
-    share = (edge / width) ** (k + 1.0)
+    return (edge / width) ** (k + 1.0)
+
+
+def _check_edge_mass(k: float, width: float, tol: float, what: str):
+    """DomainError if the endpoint factor u^k has more than the share tol
+    of its mass beyond the outermost node (see _edge_share)."""
+    share = _edge_share(k, width)
     if share > tol:
         raise DomainError(
             f"{what}: the endpoint factor u^{k:g} has the share {share:.2g} "
@@ -336,88 +344,84 @@ def power_moments(specs, tol: float = 1e-10) -> QuadResult:
     The substitution s = sin_pq turns the moments into
     int_0^1 s^e (1-s^q)^(-1/p) ds ("sin") and int_0^1 (1-s^q)^((e-1)/p) ds
     ("cos"), whose endpoint factors are exact in distance form; the floors
-    keep negative powers finite at zero-weight nodes.  Per node set
-    log1p(-(1-s)) is formed once, the tail 1 - s^q once per q and
-    tail^(-1/p) once per (p, q), and each base (s, or the tail of one q)
-    is raised to all its rows' exponents in one broadcast power; an
-    exponent in _FAST_POWERS gets a power of its own with a Python float,
-    so that no moment depends on its batch.
+    keep negative powers finite at zero-weight nodes.  Each row is a power
+    of its base (s, or the tail 1 - s^q of its q) times a factor, another
+    such power: tail^(-1/p) for a sine row, s^0 = 1.0 exactly for a cosine
+    row.  Per batch the rows' powers and factors are grouped once into the
+    distinct (base, exponent) powers, 132 for verify's 375 rows on the full
+    grid, with each row's index into them; the grouping is redone only
+    when rows stop.  Per node set the integrand then takes one log1p, one
+    expm1 for the tails of the live rows' q, one broadcast power for all
+    their distinct powers, each power whose exponent is in _FAST_POWERS
+    again with a Python float (numpy's special cases, so that no moment
+    depends on its batch), and two row gathers and a product.
 
     Needs each flavor "sin" or "cos", p, q in (1, inf) and every exponent
     finite with e > -1 ("sin") or e > 1 - p ("cos"), where the integral
     converges, given as a number or a 1-D sequence; DomainError otherwise,
     NaN included, and also where an endpoint factor has more than the share
-    tol of its mass beyond the outermost node (e near -1, or p near 1).  A
+    tol of its mass beyond the outermost node (e near -1, or p near 1).
+    The checks run over all specs as arrays; the error names the first
+    failing spec and its first failing check, as _check_spec does.  A
     ToleranceError names the first failing spec and its own failing rows;
     its ``rows`` are indices into the whole batch.
     """
-    # distinct q, and distinct (index of q, -1/p) of the specs with sine rows
-    qs, pairs = [], []
-    # per row: its base (-1 for the sine's s, else the index of the q whose
-    # tail it raises), its pair (sine rows only) and its exponent
-    row_base, row_pair, row_e, sizes = [], [], [], []
-    for p, q, flavor, exponent in specs:
-        if flavor not in ("sin", "cos"):
-            raise DomainError(f"flavor must be 'sin' or 'cos', got {flavor!r}")
-        check_pq(p, q)
-        exps = np.asarray(exponent, dtype=float)
-        least = -1.0 if flavor == "sin" else 1.0 - p
-        # written so that NaN fails the test
-        if exps.ndim > 1 or not ((exps > least) & (exps < math.inf)).all():
-            raise DomainError(
-                f"{flavor} moment exponents must be finite and > {least:g}, "
-                f"given as a number or a 1-D sequence; got {exponent!r}")
-        es = exps.reshape(-1).tolist()
-        if q not in qs:
-            qs.append(q)
-        j = qs.index(q)
-        # the singular endpoint factors: s^e at s = 0 and tail^(-1/p) at
-        # s = 1 ("sin"), or tail^((e-1)/p) at s = 1 ("cos")
-        if flavor == "sin":
-            edge = [min(es), -1.0 / p] if es else []
-            if (j, -1.0 / p) not in pairs:
-                pairs.append((j, -1.0 / p))
-            pair = pairs.index((j, -1.0 / p))
-        else:
-            es = [(e - 1.0) / p for e in es]
-            edge = [min(es)] if es else []
-            pair = -1
-        for k in edge:
-            _check_edge_mass(k, 1.0, tol,
-                             f"power_moment p={p:g} q={q:g} flavor={flavor}")
-        row_base += [-1 if flavor == "sin" else j] * len(es)
-        row_pair += [pair] * len(es)
-        row_e += es
-        sizes.append(len(es))
-    row_base = np.array(row_base, dtype=int)
-    row_pair = np.array(row_pair, dtype=int)
-    row_e = np.array(row_e, dtype=float)
-    row_fast = np.isin(row_e, _FAST_POWERS)
+    # one row an exponent; a spec of more dimensions gets a NaN row, which fails
+    flat = [x.reshape(-1) if x.ndim < 2 else np.full(1, np.nan)
+            for x in (np.asarray(s[3], dtype=float) for s in specs)]
+    sizes = [len(x) for x in flat]
+    spec = np.repeat(np.arange(len(flat)), np.array(sizes, dtype=int))
+    e = np.concatenate([np.empty(0)] + flat)
+    p, q = pq = np.array([s[:2] for s in specs], dtype=float).reshape(-1, 2).T
+    sin, cos = (np.array([s[2] == f for s in specs], dtype=bool)
+                for f in ("sin", "cos"))
+    # written so that NaN fails the test
+    if not ((sin | cos) & (pq.min(axis=0) > 1.0) & (pq.max(axis=0) < math.inf)).all():
+        for s in specs:
+            _check_spec(*s, tol)
 
-    def f(s, da, db, rows=np.arange(len(row_e))):
-        lg = np.log1p(-db)
-        tails = {}
+    # row i is bases[b] ** k * bases[b2] ** k2, where bases[0] = s and
+    # bases[1 + j] is the tail of qs[j]: its power (b, k) is (0, e) ("sin")
+    # or (1 + j, (e-1)/p) ("cos"), its factor (b2, k2) is (1 + j, -1/p)
+    # ("sin") or (0, 0), exactly 1.0 ("cos")
+    qs, spec_q = np.unique(q, return_inverse=True)
+    rsin, tail, rp = sin[spec], 1 + spec_q[spec], p[spec]
+    power = np.where(rsin, e, (e - 1.0) / rp)
+    factor = np.where(rsin, -1.0 / rp, 0.0)
+    # rows out of range or with too much endpoint mass, give or take a
+    # rounding error: _check_spec decides, spec by spec
+    kmin = np.maximum(np.minimum(power, factor), -1.0)
+    least = np.where(sin, -1.0, 1.0 - p)[spec]
+    bad = ~((e > least) & (e < math.inf)) | (_edge_share(kmin, 1.0) > tol * (1 - 1e-9))
+    for j in np.unique(spec[bad]).tolist():
+        _check_spec(*specs[j], tol)
+    # the distinct powers, as b + 1j k sorted by base, then exponent
+    keys, at = np.unique(np.concatenate([np.where(rsin, 0, tail), np.where(rsin, tail, 0)])
+                         + 1j * np.concatenate([power, factor]), return_inverse=True)
+    kb, kp, row_keys = keys.real.astype(int), keys.imag, at.reshape(2, -1)
+    fast = np.any(kp[:, None] == _FAST_POWERS, axis=1)
 
-        def tail(j):
-            if j not in tails:
-                tails[j] = np.maximum(-np.expm1(qs[j] * lg), 5e-324)
-            return tails[j]
+    def group(rows):
+        """The bases and powers that these rows use, and the index of each
+        row's power and factor among those powers."""
+        used, index = np.unique(row_keys[:, rows].reshape(-1), return_inverse=True)
+        tails = np.unique(kb[used])
+        again = [(i, kb[u], kp[u]) for i, u in enumerate(used.tolist()) if fast[u]]
+        return tails[tails > 0], kb[used], kp[used, None], again, index.reshape(2, -1)
 
-        y = np.empty((len(rows), len(s)))
-        bases = row_base[rows]
-        for j in np.unique(bases).tolist():
-            base = np.maximum(s, 5e-324) if j < 0 else tail(j)
-            at = np.flatnonzero(bases == j)
-            fast = row_fast[rows[at]]
-            y[at[~fast]] = base ** row_e[rows[at[~fast]], None]
-            for i in at[fast].tolist():
-                y[i] = base ** float(row_e[rows[i]])
-        sin = bases < 0
-        if sin.any():
-            keys, which = np.unique(row_pair[rows[sin]], return_inverse=True)
-            factors = np.array([tail(pairs[k][0]) ** pairs[k][1]
-                                for k in keys.tolist()])
-            y[sin] *= factors[which]
+    groups = {}  # by the number of live rows, which only ever shrinks
+
+    def f(s, da, db, rows=np.arange(len(e))):
+        tails, b, k, again, (pw, fc) = (
+            groups.get(len(rows)) or groups.setdefault(len(rows), group(rows)))
+        bases = np.empty((len(qs) + 1, len(s)))
+        bases[0] = np.maximum(s, 5e-324)
+        bases[tails] = np.maximum(-np.expm1(qs[tails - 1, None] * np.log1p(-db)), 5e-324)
+        table = bases[b] ** k
+        for i, bi, ki in again:  # a fast power, taken again with a Python float
+            table[i] = bases[bi] ** ki
+        y = table.take(pw, axis=0)
+        y *= table.take(fc, axis=0)
         return y
 
     with np.errstate(divide="ignore"):
@@ -425,6 +429,29 @@ def power_moments(specs, tol: float = 1e-10) -> QuadResult:
             return integrate(f, 0.0, 1.0, tol=tol, dist=True)
         except ToleranceError as exc:
             raise _name_spec(exc, specs, sizes) from None
+
+
+def _check_spec(p, q, flavor, exponent, tol):
+    """DomainError for the first fault of one power_moments spec: its
+    flavor, p and q, its exponents' shape and range, then the mass of each
+    singular endpoint factor beyond the outermost node."""
+    if flavor not in ("sin", "cos"):
+        raise DomainError(f"flavor must be 'sin' or 'cos', got {flavor!r}")
+    check_pq(p, q)
+    exps = np.asarray(exponent, dtype=float)
+    least = -1.0 if flavor == "sin" else 1.0 - p
+    # written so that NaN fails the test
+    if exps.ndim > 1 or not ((exps > least) & (exps < math.inf)).all():
+        raise DomainError(
+            f"{flavor} moment exponents must be finite and > {least:g}, "
+            f"given as a number or a 1-D sequence; got {exponent!r}")
+    # s^e at s = 0 and tail^(-1/p) at s = 1 ("sin"), or tail^((e-1)/p) at
+    # s = 1 ("cos"); none for a spec without exponents
+    lo = min(exps.reshape(-1).tolist(), default=math.inf)
+    edge = [lo, -1.0 / p] if flavor == "sin" else [(lo - 1.0) / p]
+    for k in edge if lo < math.inf else []:
+        _check_edge_mass(k, 1.0, tol,
+                         f"power_moment p={p:g} q={q:g} flavor={flavor}")
 
 
 def _name_spec(exc, specs, sizes):

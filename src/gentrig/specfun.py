@@ -186,6 +186,55 @@ def _gamma_quotient(num, den) -> float:
     return out
 
 
+def _scaled_quotient(num, den, times: float = 1.0, exp2: int = 0) -> float:
+    """times 2^exp2 prod Gamma(num) / prod Gamma(den), zero where den meets a
+    pole, with every factor and partial product held as a mantissa and a
+    power of two (math.frexp), a Gamma factor beyond the doubles away from a
+    pole from _big_gamma: inf only where the quotient lies beyond the
+    doubles, 0 where it underflows.  Each Gamma factor beyond the doubles
+    costs up to |z| - 170 products."""
+    out, k = math.frexp(times)
+    k += exp2
+    for f, zs, sign in ((_gamma, num, 1), (_rgamma, den, -1)):
+        for z in zs:
+            g = f(z)
+            if _DBL_MIN <= abs(g) < math.inf or _is_nonpos_int(z):
+                g, j = math.frexp(g)
+            else:  # Gamma(z) beyond the doubles, or 1 / Gamma(z) below them
+                g, j = _big_gamma(z)
+                g, j = (g, j) if sign > 0 else (1.0 / g, -j)
+            out, i = math.frexp(out * g)
+            k += i + j
+    try:
+        return math.ldexp(out, k)
+    except OverflowError:
+        return math.copysign(math.inf, out)
+
+
+def _big_gamma(z: float):
+    """(f, k) with Gamma(z) = f 2^k for |z| <= 1024, where Gamma(z) or its
+    reciprocal may lie beyond the doubles.  For z > 0, Gamma(z - n) (z - n)
+    ... (z - 1) with the least n >= 0 that brings z - n to 170 or below:
+    every factor z - i is exact, so the product is within n/2 <= 427 ulps
+    (4.7e-14) of Gamma(z - n) times it.  For z < 0, pi / (sin(pi z)
+    Gamma(1 - z)), sin(pi z) taken at the exact z - round(z).  DomainError
+    beyond |z| = 1024, where hyp2f1's connection formula needs such a
+    factor."""
+    if not abs(z) <= 1024.0:
+        raise DomainError(f"hyp2f1: Gamma({z}) lies beyond the doubles and |{z}| > 1024")
+    if z < 0.0:
+        f, k = _big_gamma(1.0 - z)
+        r = round(z)
+        f, j = math.frexp(math.pi / (math.sin(math.pi * (z - r)) * (-1.0) ** r * f))
+        return f, j - k
+    n = max(0, math.ceil(z - 170.0))
+    f, k = math.frexp(_gamma(z - n))
+    for i in range(1, n + 1):
+        f, j = math.frexp(f * (z - i))
+        k += j
+    return f, k
+
+
 def _gamma_ratio_m1(z: float, e: float, ze: float) -> float:
     """(Gamma(z) / Gamma(ze) - 1) / e with ze = z + e, as accurate as the
     caller knows it; continued by -psi(z) at e = 0.  Near 1 it is one
@@ -768,12 +817,27 @@ def _connection(a: float, b: float, c: float, s: float, y: float):
     gc = _gamma(c)
     f1, f2 = _series(a, b, 1.0 - s, y), _series(c - a, c - b, 1.0 + s, y)
     t1 = gc * _gamma(s) * _rgamma(c - a) * _rgamma(c - b) * f1
-    t2 = gc * _gamma(-s) * _rgamma(a) * _rgamma(b) * f2 * y**s
+    t2 = _times_power(gc * _gamma(-s) * _rgamma(a) * _rgamma(b) * f2, y, s)
     return t1 + t2, abs(t1) + abs(t2)
 
 
+def _times_power(v: float, y: float, s: float) -> float:
+    """v y^s for y in (0, 1): v * y**s, bit for bit, where y**s is a double;
+    where it overflows, (v h) h with h = y^(s/2), so the product is inf
+    only beyond the doubles, and where h overflows too (|v y^s| >= |v|
+    2^2048), +-inf for v != 0."""
+    try:
+        return v * y**s
+    except OverflowError:
+        try:
+            h = y ** (0.5 * s)
+        except OverflowError:
+            return math.copysign(math.inf, v) if v else 0.0
+        return v * h * h
+
+
 def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
-                             y: float, m: int, e: float):
+                             y: float, m: int, e: float, certify: bool = False):
     """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added) for y
     in (0, 1/2) and c - a - b = m + e, m >= 0 an integer and |e| <=
     HYP2F1_REG_EPS; ca and cb are c - a and c - b.
@@ -799,16 +863,25 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     ~2 us), three scalar Gamma calls (seven with the head), and ~1.3 us a
     term of the sum in y, whose tail bound forms delta only once its first
     part passes.
+
+    With certify (m > 170, where m! is beyond the doubles, or where a y^s
+    that multiplies the result is), 1/m! and (-y)^m join the prefactor's
+    Gamma quotient, every Gamma factor is scaled (_scaled_quotient), and
+    DomainError is raised where the magnitudes of the parts, the
+    polynomial's terms included, exceed HYP2F1_CANCEL times the value.
     """
-    head = 0.0
+    head = head_mag = 0.0
     if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
-        term = total = 1.0
+        gq = (_scaled_quotient if certify else _gamma_quotient)((c, m + e), (ca, cb))
+        term = total = head_mag = 1.0
         for n in range(m - 1):
             term *= (a + n) * (b + n) / (((n + 1 - m) - e) * (n + 1.0)) * y
             total += term
-        head = _gamma_quotient((c, m + e), (ca, cb)) * total
+            head_mag += abs(term)
+        head, head_mag = gq * total, abs(gq) * head_mag
 
-    mfact = math.factorial(m)
+    # 1 / m! scales ek and vk, or joins pref where that is certified
+    mfact = 1 if certify else math.factorial(m)
     qa = _gamma_ratio_m1(a + m, e, cb)  # a + m + e = c - b
     qb = _gamma_ratio_m1(b + m, e, ca)
     g1, q1 = _unit_gamma_ratios(m, e)
@@ -857,10 +930,19 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     else:
         raise _budget_spent("logarithmic connection series", a, b, c, 1.0 - y)
 
-    pref = _gamma_quotient((c,), (a, b)) * (-y) ** m
+    if certify:  # with 1 / m!, and (-y)^m as my^m 2^(m ey), -y = my 2^ey
+        my, ey = math.frexp(-y)
+        pref = _scaled_quotient((c,), (a, b, m + 1.0), my**m, ey * m)
+    else:
+        pref = _gamma_quotient((c,), (a, b)) * (-y) ** m
     if e:
         pref *= math.pi * e / math.sin(math.pi * e)
-    return head + pref * total, abs(head) + abs(pref) * mag
+    value = head + pref * total
+    if certify and not head_mag + abs(pref) * mag <= HYP2F1_CANCEL * abs(value):
+        raise DomainError(
+            f"hyp2f1: Gauss's connection formula for F({a}, {b}; {c}; {1.0 - y}) "
+            f"cancels by more than {HYP2F1_CANCEL:g}, beyond what it certifies")
+    return value, abs(head) + abs(pref) * mag
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None) -> float:
@@ -884,6 +966,15 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     HYP2F1_MAX_TERMS terms, so the cost is bounded independently of x; each
     power series, in x or in y, is one _series loop.  NaN or +-inf in a, b
     or c raises DomainError.
+
+    Beyond the doubles: where |c - a - b| rounds to m > 170 (m! overflows),
+    or where the factor y^(c-a-b) of Euler's transformation overflows, the
+    logarithmic connection formula takes its Gamma factors, 1/m! and y^m as
+    mantissas and powers of two, so the value is returned where it is a
+    double (within ~1e-15 of mpmath on a grid of such points) and inf where
+    it lies beyond.  There it raises DomainError where a Gamma factor
+    beyond the doubles has an argument beyond +-1024 (_big_gamma), or
+    where the formula's parts cancel by more than HYP2F1_CANCEL.
     """
     a, b, c, x = float(a), float(b), float(c), float(x)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
@@ -924,10 +1015,15 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     if abs(e) > HYP2F1_REG_EPS:
         value, scale = _connection(a, b, c, s, y)
     elif m >= 0:
-        value, scale = _connection_near_integer(a, b, c, c - a, c - b, y, m, e)
+        value, scale = _connection_near_integer(a, b, c, c - a, c - b, y, m, e, m > 170)
     else:  # Euler's transformation F = y^s F(c-a, c-b; c; 1-y) turns m into -m
-        value, scale = _connection_near_integer(c - a, c - b, c, a, b, y, -m, -e)
-        value, scale = y**s * value, y**s * scale
+        try:
+            ys = y**s
+        except OverflowError:  # F may still be a double
+            ys = math.inf
+        value, scale = _connection_near_integer(c - a, c - b, c, a, b, y, -m, -e,
+                                                m < -170 or ys == math.inf)
+        value, scale = _times_power(value, y, s), _times_power(scale, y, s)
     if y >= 0.25 and not scale <= HYP2F1_CANCEL * abs(value):  # NaN too
         try:
             return _series(a, b, c, x)

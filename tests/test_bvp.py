@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -613,6 +615,32 @@ class TestClosure:
         with pytest.raises(DomainError) as array:
             bvp.nonlocal_mean_square_slope(1.0, ms)
         assert str(array.value) == str(scalar.value)
+
+    def test_value_up_to_the_overflow_bound(self):
+        # the oracle's level sums reach 16 m^2 = 1.44e308 here
+        assert abs(bvp.nonlocal_mean_square_slope(1.0, 3e153) / 9e306 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("H,m", [(1.0, 4e153), (1.0, 6e153), (2.5, 3.4e153),
+                                     (100.0, 2e153)])
+    def test_overflow_rejected(self, H, m):
+        """The oracle's sums overflowed to inf and its estimates to NaN, so
+        these m raised ToleranceError; m^2 max(16, H/2) is not finite."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"m = {m},")):
+                bvp.nonlocal_mean_square_slope(H, m)
+            ms = np.array(VERIFY_M + (m,))
+            with pytest.raises(DomainError, match=re.escape(f"m = {m},")):
+                bvp.nonlocal_mean_square_slope(H, ms)
+
+    def test_bound_follows_H(self):
+        # below the bound at H = 100 (the estimate H m^2 / 2 is finite)
+        m = 1.8e153
+        assert abs(bvp.nonlocal_mean_square_slope(100.0, m) / (m * m) - 1.0) <= 1e-12
+
+    def test_residual_keeps_its_own_bound(self):
+        # the stencil check squares no oracle sum: it still runs at 6e153
+        assert bvp.residual_nonlocal(1.0, 6e153, 0.3) <= 1e-6 * 6e153**2
 
     def test_verify_sees_a_perturbed_slope(self, monkeypatch):
         """A slope 1e-10 too large, relative, fails verify's closure cases,

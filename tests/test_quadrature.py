@@ -515,6 +515,69 @@ class TestPowerMoments:
         assert exc.result.value.shape == (5,)
 
 
+def _assert_rows_equal_spec_calls(specs, tol=1e-10):
+    """power_moments(specs) equals each spec's own call bit for bit: values,
+    error estimates and, summed, evaluations."""
+    res = quadrature.power_moments(specs, tol)
+    alone = [quadrature.power_moments([spec], tol) for spec in specs]
+    assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
+    assert res.err_estimate.tobytes() == np.concatenate(
+        [r.err_estimate for r in alone]).tobytes()
+    assert res.evaluations == sum(r.evaluations for r in alone)
+
+
+class TestPerBatchTables:
+    """power_moments groups its rows once per batch into distinct (base,
+    exponent) powers; no row's value may depend on what it shares."""
+
+    def test_repeated_spec(self):
+        _assert_rows_equal_spec_calls([(2.0, 3.0, "sin", [1.5, 2.0, -0.5, 7.25])] * 4)
+
+    def test_shared_powers_across_p(self):
+        # the cosine rows share the power tail(q = 3)^0.75, the sine rows
+        # the powers s^1.5 and s^7.25, each at every p; their factors
+        # tail^(-1/p) differ
+        specs = [(p, 3.0, "cos", [1.0 + 0.75 * p, 2.0]) for p in (1.5, 2.0, 4.0)]
+        specs += [(p, 3.0, "sin", [1.5, 7.25]) for p in (1.5, 2.5, 4.0)]
+        _assert_rows_equal_spec_calls(specs)
+        _assert_rows_equal_spec_calls(specs[::-1], tol=1e-12)
+
+    def test_fast_powers_across_q(self):
+        # e = 2 and 1/2 for the sine, (e - 1)/p = 2 and 1/2 for the cosine:
+        # numpy's special cases, next to rows that converge at other levels
+        specs = []
+        for q in (1.5, 2.0, 4.0):
+            for p in (2.0, 3.0):
+                specs.append((p, q, "sin", [2.0, 0.5, 3.0, -0.5, 2.0]))
+                specs.append((p, q, "cos", [1.0 + 2.0 * p, 1.0 + 0.5 * p, 1.0, 5.5]))
+        _assert_rows_equal_spec_calls(specs)
+        _assert_rows_equal_spec_calls(specs, tol=1e-13)
+
+    def test_starved_batch(self, monkeypatch):
+        # no tol starves these integrands (two levels agree exactly before
+        # the node table runs out), so the levels are cut instead
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
+        specs = _grid_specs(cli.GRIDS["small"], [2.0, 0.5])
+        with pytest.raises(ToleranceError) as err:
+            quadrature.power_moments(specs)
+        exc = err.value
+        sizes = [len(exps) for *_, exps in specs]
+        starts = np.cumsum([0] + sizes)
+        k = int(np.searchsorted(starts, exc.rows[0], side="right")) - 1
+        own = [r - int(starts[k]) for r in exc.rows if starts[k] <= r < starts[k + 1]]
+        p, q, flavor, _ = specs[k]
+        assert f"for p={p:g} q={q:g} flavor={flavor} in rows {own} of {sizes[k]} " in str(exc)
+        assert 0 < len(exc.rows) < sum(sizes)
+        # every row's best estimate, failed or not, is its own call's
+        best = []
+        for spec in specs:
+            try:
+                best.append(quadrature.power_moments([spec]).value)
+            except ToleranceError as alone:
+                best.append(alone.result.value)
+        assert exc.result.value.tobytes() == np.concatenate(best).tobytes()
+
+
 class TestEndpointMass:
     """The mass of an endpoint factor u^k beyond the outermost node (about
     1e-275 from the endpoint on [0, 1]) is the share c^(k+1) of its mass;

@@ -803,6 +803,54 @@ class TestHyp2F1:
         assert time.perf_counter() - t0 < 0.05
 
 
+class TestHyp2F1BeyondTheDoubles:
+    """c - a - b beyond +-170, where m! leaves the doubles, and the factor
+    y^(c-a-b) of Euler's transformation beyond them: both raised a raw
+    OverflowError inside the domain."""
+
+    @staticmethod
+    def exact(a, b, c, x):
+        with mpmath.workdps(40):
+            return mpmath.hyp2f1(a, b, c, x)
+
+    @pytest.mark.parametrize("a,b,c,x", [
+        (172.0, 1.0, 2.0, 0.6), (200.0, 1.0, 2.0, 0.9), (300.0, 1.0, 2.0, 0.9),
+        (172.25, 1.25, 2.5, 0.6), (200.5, 0.5, 3.0, 0.9), (1.0, 172.25, 2.25, 0.6),
+        (-170.5, 1.5, 2.0, 0.99), (0.5, 0.5, 175.0, 0.9), (2.5, 1.5, 180.0, 0.75)])
+    def test_value_where_m_factorial_overflows(self, a, b, c, x):
+        # each raised "int too large to convert to float" from m!
+        exact = self.exact(a, b, c, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = specfun.hyp2f1(a, b, c, x)
+        assert abs(got - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("a,b,c,x", [
+        (170.0, 1.0, 2.0, 0.99), (169.0, 1.0, 2.0, 0.99), (200.0, 1.0, 2.0, 0.99),
+        (63.5, 1.0, 2.0, 1.0 - 1e-5)])
+    def test_inf_beyond_the_doubles(self, a, b, c, x):
+        # y**s raised "Numerical result out of range"; the true values are
+        # about 6e335, 6e333, 5e395 and 1.6e310
+        assert self.exact(a, b, c, x) > sys.float_info.max
+        assert specfun.hyp2f1(a, b, c, x) == math.inf
+
+    @pytest.mark.parametrize("a,b,c", [(1000.0, 0.5, 970.5), (300.0, 1.5, 271.5)])
+    def test_value_where_only_y_to_the_s_overflows(self, a, b, c):
+        # F = y^s F(c-a, c-b; c; x) with y^s = 1e330: F is 2.5e272 and 1.1e291
+        x = 1.0 - 1e-11
+        exact = self.exact(a, b, c, x)
+        assert exact < sys.float_info.max
+        assert abs(specfun.hyp2f1(a, b, c, x) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("a,b,c,x,what", [
+        (1e5, 1.0, 2.0, 0.7, "Gamma"), (0.5, 0.5, -170.05, 0.6, "cancels")])
+    def test_stated_bounds(self, a, b, c, x, what):
+        # a Gamma factor beyond the doubles at an argument beyond 1024, and
+        # parts that cancel: DomainError, not a wrong value
+        with pytest.raises(DomainError, match=what):
+            specfun.hyp2f1(a, b, c, x)
+
+
 class TestHyp2F1m1:
     """F - 1 for x <= 1/2 as elliott_residual sums it, _series at head = 0:
     without the leading 1, so it keeps its relative accuracy however small
