@@ -293,21 +293,18 @@ def general_checks(p: float, q: float, Hs, fractions):
     """Verify the general problem at (p, q) on [0, H] for each H in Hs, at
     the interior points x = H * fractions, from one gtf call.
 
-    At numbers p and q, returns one (ode, phase, boundary) per H: the
-    arrays that residual_general and phase_curve_residual return for those
-    points (the same evaluator, so equal bit for bit while the arrays take
-    the same gtf lane) and the float max(|u(0)|, |u(H)|).  At arrays p and
-    q, which broadcast to a shape S, every pair takes that one gtf call
-    (gtf's lane for several pairs), and it returns (ode, phase, boundary)
-    stacked, of shapes S + (len(Hs), len(fractions)) twice and S +
-    (len(Hs),): each pair's values equal its own call's bit for bit where
-    that call takes scipy's ufuncs (fewer than specfun.INV_FIT_MIN points).
+    Returns (ode, phase, boundary): the ODE and phase-curve residuals, of
+    shape (len(Hs), len(fractions)), row i what residual_general and
+    phase_curve_residual return at Hs[i] for those points (the same
+    evaluator, so equal bit for bit while the arrays take the same gtf
+    lane), and max(|u(0)|, |u(H)|), of shape (len(Hs),).  Arrays p and q,
+    which broadcast to a shape S, put S in front of those shapes, and every
+    pair takes that one gtf call (gtf's lane for several pairs): each
+    pair's values equal its own call's bit for bit where that call takes
+    scipy's ufuncs (fewer than specfun.INV_FIT_MIN points).
     """
     H = np.array(Hs, dtype=float)
-    ode, phase, bc = _general(p, q, H, H[:, None] * np.asarray(fractions, dtype=float))
-    if _several(p, q):
-        return ode, phase, bc
-    return [(ode[i], phase[i], float(bc[i])) for i in range(len(H))]
+    return _general(p, q, H, H[:, None] * np.asarray(fractions, dtype=float))
 
 
 def _nonlocal_checked(H: float, m: float) -> BvpSolution:

@@ -176,25 +176,16 @@ def _lgamma_diff(z: float, e: float) -> float:
     return _stirling_diff(z + shifts, e, total)
 
 
-def _gamma_quotient(num, den) -> float:
-    """prod Gamma(num) / prod Gamma(den), zero where den meets a pole."""
-    out = 1.0
-    for z in num:
-        out *= _gamma(z)
-    for z in den:
-        out *= _rgamma(z)
-    return out
-
-
 def _scaled_quotient(num, den, times: float = 1.0, exp2: int = 0) -> float:
-    """times 2^exp2 prod Gamma(num) / prod Gamma(den), zero where den meets a
-    pole, with every factor and partial product held as a mantissa and a
+    """prod Gamma(num) / prod Gamma(den) times times 2^exp2, zero where den
+    meets a pole, every factor and partial product held as a mantissa and a
     power of two (math.frexp), a Gamma factor beyond the doubles away from a
     pole from _big_gamma: inf only where the quotient lies beyond the
-    doubles, 0 where it underflows.  Each Gamma factor beyond the doubles
-    costs up to |z| - 170 products."""
-    out, k = math.frexp(times)
-    k += exp2
+    doubles, 0 where it underflows.  times comes last, so where the plain
+    product, times last, has only normal factors and partial products, this
+    is that product bit for bit.  Each Gamma factor beyond the doubles costs
+    up to |z| - 170 products."""
+    out, k = 1.0, exp2
     for f, zs, sign in ((_gamma, num, 1), (_rgamma, den, -1)):
         for z in zs:
             g = f(z)
@@ -205,8 +196,10 @@ def _scaled_quotient(num, den, times: float = 1.0, exp2: int = 0) -> float:
                 g, j = (g, j) if sign > 0 else (1.0 / g, -j)
             out, i = math.frexp(out * g)
             k += i + j
+    g, j = math.frexp(times)
+    out, i = math.frexp(out * g)
     try:
-        return math.ldexp(out, k)
+        return math.ldexp(out, k + i + j)
     except OverflowError:
         return math.copysign(math.inf, out)
 
@@ -244,7 +237,7 @@ def _gamma_ratio_m1(z: float, e: float, ze: float) -> float:
     + 1, which depend on e alone, take _unit_gamma_ratios instead."""
     pole_gap = z if z >= 0.5 else abs(z - round(z))
     if 2.0 * abs(e) > pole_gap:  # the ratio is far from 1: no cancellation
-        return (_gamma_quotient((z,), (ze,)) - 1.0) / e
+        return (_scaled_quotient((z,), (ze,)) - 1.0) / e
     lam = _lgamma_diff(z, e)
     return -lam * _expm1_ratio(-e * lam)
 
@@ -285,7 +278,12 @@ def poch_ratio(a: float, b: float, n: int) -> float:
     where a, b lie in [DBL_MIN, _STIRLING_MIN] (Gamma(b) <= max(1/b, 9!) and
     1 / Gamma(a) in [min(a, 1/9!), 1.13]) and the exp in e^+-708, _lgamma_diff
     elsewhere: ~4 us for any n (14-19 us with two Stirling differences).
-    Every Wallis-type closed form is such a ratio times a generalized pi.
+    Where |a - b| > n those two differences are each of size |a - b| and
+    cancel, so there it is exp(ln a - ln b + (n - 1) (D(a + 1) - D(b + 1))),
+    D(z) = _lgamma_diff(z, n - 1), whose terms are of size n ln max(a, b):
+    within 3.6e-13 of mpmath for a, b in [3e-308, 1e300], 0 or inf beyond
+    the doubles.  Every Wallis-type closed form is such a ratio times a
+    generalized pi (|a - b| <= 1 there).
     DomainError unless a and b are finite and (b)_n is nonzero."""
     a, b, n = float(a), float(b), check_order(n)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -297,11 +295,18 @@ def poch_ratio(a: float, b: float, n: int) -> float:
         if min(a, b) < _DBL_MIN:  # subnormal: (a / b) (a + 1)_{n-1} / (b + 1)_{n-1}
             ratio, q = poch_ratio(a + 1.0, b + 1.0, n - 1), a / b
             return q * ratio if q >= _DBL_MIN else a * (ratio / b)
-        lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
-        if abs(lead) <= 708.0 and max(a, b) <= _STIRLING_MIN:  # min(a, b) >= DBL_MIN
-            return math.exp(lead) * (_gamma(b) * _rgamma(a))
-        try:  # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
-            return math.exp(lead - e * _lgamma_diff(min(a, b), abs(e)))
+        if abs(e) > n:  # ln (a)_n - ln (b)_n from terms of size n, not of size |e|,
+            # and (z)_n = z (z + 1)_(n-1), so that no shift divides n by a tiny z
+            ln_ratio = math.log(a) - math.log(b) + (n - 1) * (
+                _lgamma_diff(a + 1.0, n - 1) - _lgamma_diff(b + 1.0, n - 1))
+        else:
+            lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
+            if abs(lead) <= 708.0 and max(a, b) <= _STIRLING_MIN:  # min(a, b) >= DBL_MIN
+                return math.exp(lead) * (_gamma(b) * _rgamma(a))
+            # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
+            ln_ratio = lead - e * _lgamma_diff(min(a, b), abs(e))
+        try:
+            return math.exp(ln_ratio)
         except OverflowError:  # as the product overflows, to inf
             return math.inf
     if b <= 0.0 and b == math.floor(b) and -b < n:  # b + m = 0 for some m < n
@@ -434,7 +439,7 @@ def _lower_tail(a: float, b: float, g, g_half: float):
     """(lower, c, i_half): I_t(a, b) = t^a c (1 + g(t)) on an array of
     points t <= 1/2, c = 1 / (a B(a, b)) and I_{1/2}(a, b), from (g, g_half)
     = _hyp_m1(a, b)."""
-    c = _gamma_quotient((a + b,), (a + 1.0, b))
+    c = _scaled_quotient((a + b,), (a + 1.0, b))
 
     def lower(t):
         return t**a * c * (1.0 + g(t))
@@ -816,8 +821,12 @@ def _connection(a: float, b: float, c: float, s: float, y: float):
     Gamma calls and the two series in y, each a _series."""
     gc = _gamma(c)
     f1, f2 = _series(a, b, 1.0 - s, y), _series(c - a, c - b, 1.0 + s, y)
-    t1 = gc * _gamma(s) * _rgamma(c - a) * _rgamma(c - b) * f1
-    t2 = _times_power(gc * _gamma(-s) * _rgamma(a) * _rgamma(b) * f2, y, s)
+    g1 = gc * _gamma(s) * _rgamma(c - a) * _rgamma(c - b)
+    g2 = gc * _gamma(-s) * _rgamma(a) * _rgamma(b)
+    if not (_DBL_MIN <= abs(g1) < math.inf and _DBL_MIN <= abs(g2) < math.inf):
+        # a part beyond the doubles (or a pole, where both forms give 0)
+        g1, g2 = _scaled_quotient((c, s), (c - a, c - b)), _scaled_quotient((c, -s), (a, b))
+    t1, t2 = g1 * f1, _times_power(g2 * f2, y, s)
     return t1 + t2, abs(t1) + abs(t2)
 
 
@@ -837,20 +846,21 @@ def _times_power(v: float, y: float, s: float) -> float:
 
 
 def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
-                             y: float, m: int, e: float, certify: bool = False):
-    """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added) for y
-    in (0, 1/2) and c - a - b = m + e, m >= 0 an integer and |e| <=
-    HYP2F1_REG_EPS; ca and cb are c - a and c - b.
+                             y: float, m: int, e: float):
+    """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added, the
+    head polynomial's terms included) for y in (0, 1/2) and c - a - b = m +
+    e, m >= 0 an integer and |e| <= HYP2F1_REG_EPS; ca and cb are c - a and
+    c - b.
 
     A&S 15.3.6 with the poles of Gamma(c-a-b) and Gamma(a+b-c) cancelled
     analytically (Forrey, J. Comput. Phys. 137, 1997; Michel & Stoitsov,
     Comput. Phys. Commun. 178, 2008): the first m terms of the first series,
-    plus (-1)^m y^m Gamma(c) / (Gamma(a) Gamma(b)) (pi e / sin(pi e)) times
-    sum_k y^k E_k with E_k = (u_k - v_k) / e,
+    plus the prefactor Gamma(c) / (Gamma(a) Gamma(b) m!) (-y)^m (pi e /
+    sin(pi e)) times sum_k y^k E_k with E_k = (u_k - v_k) / e,
 
-        u_k = Gamma(a+m+k) Gamma(b+m+k)
+        u_k = m! Gamma(a+m+k) Gamma(b+m+k)
               / (Gamma(a+m+e) Gamma(b+m+e) Gamma(k+1-e) (m+k)!),
-        v_k = y^e Gamma(a+m+k+e) Gamma(b+m+k+e)
+        v_k = m! y^e Gamma(a+m+k+e) Gamma(b+m+k+e)
               / (Gamma(a+m+e) Gamma(b+m+e) Gamma(m+k+1+e) k!).
 
     E_0 is formed from (Gamma(z) / Gamma(z + e) - 1) / e and E_k by the
@@ -860,19 +870,17 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
 
     Cost: two _gamma_ratio_m1 calls (qa and qb, each an _lgamma_diff), the
     e-only ratios g1 and q1 from one 11-term polynomial (_unit_gamma_ratios,
-    ~2 us), three scalar Gamma calls (seven with the head), and ~1.3 us a
-    term of the sum in y, whose tail bound forms delta only once its first
-    part passes.
+    ~2 us), one _scaled_quotient of four Gamma factors (two with the head,
+    ~4 us each), and ~1.3 us a term of the sum in y, whose tail bound forms
+    delta only once its first part passes.
 
-    With certify (m > 170, where m! is beyond the doubles, or where a y^s
-    that multiplies the result is), 1/m! and (-y)^m join the prefactor's
-    Gamma quotient, every Gamma factor is scaled (_scaled_quotient), and
-    DomainError is raised where the magnitudes of the parts, the
-    polynomial's terms included, exceed HYP2F1_CANCEL times the value.
+    Both Gamma quotients, the head's and the prefactor's with its 1/m! and
+    (-y)^m = my^m 2^(ey m), -y = my 2^ey, are _scaled_quotient's, so
+    neither leaves the doubles unless it lies beyond them, for any m.
     """
     head = head_mag = 0.0
     if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
-        gq = (_scaled_quotient if certify else _gamma_quotient)((c, m + e), (ca, cb))
+        gq = _scaled_quotient((c, m + e), (ca, cb))
         term = total = head_mag = 1.0
         for n in range(m - 1):
             term *= (a + n) * (b + n) / (((n + 1 - m) - e) * (n + 1.0)) * y
@@ -880,16 +888,14 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
             head_mag += abs(term)
         head, head_mag = gq * total, abs(gq) * head_mag
 
-    # 1 / m! scales ek and vk, or joins pref where that is certified
-    mfact = 1 if certify else math.factorial(m)
     qa = _gamma_ratio_m1(a + m, e, cb)  # a + m + e = c - b
     qb = _gamma_ratio_m1(b + m, e, ca)
     g1, q1 = _unit_gamma_ratios(m, e)
     ly = math.log(y)
     ey = ly * _expm1_ratio(e * ly)  # y^e = 1 + e ey
     ek = ((qa + qb + g1 - ey - q1) + e * (qa * qb + (qa + qb) * g1 - ey * q1)
-          + e * e * qa * qb * g1) / mfact
-    vk = math.exp(e * ly) * (1.0 + e * q1) / mfact
+          + e * e * qa * qb * g1)
+    vk = math.exp(e * ly) * (1.0 + e * q1)
     al, be, ae = a + m - 1.0, b + m - 1.0, abs(e)
     lead = a + b + m - 2.0
     lead_abs, cross, ab_sum = abs(lead), abs(al * be), abs(al + be)
@@ -930,19 +936,25 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     else:
         raise _budget_spent("logarithmic connection series", a, b, c, 1.0 - y)
 
-    if certify:  # with 1 / m!, and (-y)^m as my^m 2^(m ey), -y = my 2^ey
-        my, ey = math.frexp(-y)
-        pref = _scaled_quotient((c,), (a, b, m + 1.0), my**m, ey * m)
-    else:
-        pref = _gamma_quotient((c,), (a, b)) * (-y) ** m
+    my, ey = math.frexp(-y)
+    pref = _scaled_quotient((c,), (a, b, m + 1.0), my**m, ey * m)
     if e:
         pref *= math.pi * e / math.sin(math.pi * e)
-    value = head + pref * total
-    if certify and not head_mag + abs(pref) * mag <= HYP2F1_CANCEL * abs(value):
-        raise DomainError(
-            f"hyp2f1: Gauss's connection formula for F({a}, {b}; {c}; {1.0 - y}) "
-            f"cancels by more than {HYP2F1_CANCEL:g}, beyond what it certifies")
-    return value, abs(head) + abs(pref) * mag
+    return head + pref * total, head_mag + abs(pref) * mag
+
+
+def _beyond_the_doubles(a: float, b: float, c: float, s: float, y: float) -> bool:
+    """Whether a factor of the connection formulas for F(a, b; c; 1 - y), s
+    = c - a - b, lies beyond the doubles: y^s, or Gamma at a, b, c, c - a,
+    c - b or |s| + 1 (which stands for m! and Gamma(+-s)) away from its
+    poles.  Where one does, only the scaled quotients give the formula a
+    value, and hyp2f1 certifies it."""
+    try:
+        y**s  # raises where y^s lies beyond the doubles
+    except OverflowError:
+        return True
+    return any(not (_DBL_MIN <= abs(_gamma(z)) < math.inf or _is_nonpos_int(z))
+               for z in (a, b, c, c - a, c - b, abs(s) + 1.0))
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None) -> float:
@@ -967,14 +979,19 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     power series, in x or in y, is one _series loop.  NaN or +-inf in a, b
     or c raises DomainError.
 
-    Beyond the doubles: where |c - a - b| rounds to m > 170 (m! overflows),
-    or where the factor y^(c-a-b) of Euler's transformation overflows, the
-    logarithmic connection formula takes its Gamma factors, 1/m! and y^m as
-    mantissas and powers of two, so the value is returned where it is a
-    double (within ~1e-15 of mpmath on a grid of such points) and inf where
-    it lies beyond.  There it raises DomainError where a Gamma factor
-    beyond the doubles has an argument beyond +-1024 (_big_gamma), or
-    where the formula's parts cancel by more than HYP2F1_CANCEL.
+    Beyond the doubles: the logarithmic form takes its Gamma quotients, with
+    1/m! and y^m, as mantissas and powers of two (_scaled_quotient, the
+    plain product's bits wherever that stays normal), and Gauss's form does
+    where its plain product is not a normal double, so the value is
+    returned where it is a double (within ~1e-15 of mpmath on a grid of
+    points with |c - a - b| rounding above 170) and inf where it lies
+    beyond.  The magnitude of the parts, the head polynomial's terms
+    included, makes both cancellation decisions: the series in x above,
+    then DomainError where that fails too and a factor of the formula lies
+    beyond the doubles (m! for |c - a - b| rounding above 170, another
+    Gamma factor, or y^(c-a-b) in Euler's transformation).  A Gamma factor
+    beyond the doubles at an argument beyond +-1024 raises DomainError
+    (_big_gamma).
     """
     a, b, c, x = float(a), float(b), float(c), float(x)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
@@ -1012,24 +1029,26 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
         return _series(a, b, c, x)
     m = round(s)
     e = s - m
+    power = 0.0  # F = y^power times the formula's value
     if abs(e) > HYP2F1_REG_EPS:
         value, scale = _connection(a, b, c, s, y)
     elif m >= 0:
-        value, scale = _connection_near_integer(a, b, c, c - a, c - b, y, m, e, m > 170)
+        value, scale = _connection_near_integer(a, b, c, c - a, c - b, y, m, e)
     else:  # Euler's transformation F = y^s F(c-a, c-b; c; 1-y) turns m into -m
-        try:
-            ys = y**s
-        except OverflowError:  # F may still be a double
-            ys = math.inf
-        value, scale = _connection_near_integer(c - a, c - b, c, a, b, y, -m, -e,
-                                                m < -170 or ys == math.inf)
-        value, scale = _times_power(value, y, s), _times_power(scale, y, s)
-    if y >= 0.25 and not scale <= HYP2F1_CANCEL * abs(value):  # NaN too
-        try:
-            return _series(a, b, c, x)
-        except ConvergenceError:  # parameters too large for the budget
-            pass
-    if math.isnan(value):  # inf * 0 among the Gamma factors of huge parameters
+        value, scale = _connection_near_integer(c - a, c - b, c, a, b, y, -m, -e)
+        power = s
+    if not scale <= HYP2F1_CANCEL * abs(value):  # NaN too
+        if y >= 0.25:
+            try:
+                return _series(a, b, c, x)
+            except ConvergenceError:  # parameters too large for the budget
+                pass
+        if _beyond_the_doubles(a, b, c, s, y):
+            raise DomainError(
+                f"hyp2f1: Gauss's connection formula for F({a}, {b}; {c}; {x}) "
+                f"cancels by more than {HYP2F1_CANCEL:g}, beyond what it certifies")
+    value = _times_power(value, y, power)
+    if math.isnan(value):  # inf - inf between parts beyond the doubles
         raise ConvergenceError(
             f"hyp2f1: connection coefficients overflow (a={a}, b={b}, c={c}, "
             f"x={x})", layer="specfun.hyp2f1")

@@ -312,9 +312,10 @@ class TestGeneralChecks:
         (all in the same lane); the point-by-point reference within
         ode_bound, and both phase residuals within 1e-14."""
         lengths = (1.0, 2.5)
-        checks = bvp.general_checks(p, q, lengths, FRACTIONS)
-        assert len(checks) == len(lengths)
-        for H, (ode, phase, bc) in zip(lengths, checks):
+        odes, phases, bcs = bvp.general_checks(p, q, lengths, FRACTIONS)
+        assert odes.shape == phases.shape == (len(lengths), FRACTIONS.size)
+        assert bcs.shape == (len(lengths),)
+        for H, ode, phase, bc in zip(lengths, odes, phases, bcs.tolist()):
             sol = bvp.solve_general(H, p, q)
             xs = H * FRACTIONS
             assert same_bits(ode, bvp.residual_general(H, p, q, xs))
@@ -379,9 +380,9 @@ class TestGeneralChecks:
         assert bc.shape == (len(grid), len(grid), len(lengths))
         for i, pi in enumerate(grid):
             for j, qj in enumerate(grid):
-                for k, (o, f, b) in enumerate(bvp.general_checks(pi, qj, lengths, FRACTIONS)):
-                    assert same_bits(ode[i, j, k], o) and same_bits(phase[i, j, k], f)
-                    assert same_bits(bc[i, j, k], b), (pi, qj)
+                o, f, b = bvp.general_checks(pi, qj, lengths, FRACTIONS)
+                assert same_bits(ode[i, j], o) and same_bits(phase[i, j], f)
+                assert same_bits(bc[i, j], b), (pi, qj)
 
     @pytest.mark.parametrize("bad", [math.nan, 1.0, 0.5, math.inf, -math.inf])
     def test_grid_rejects_an_invalid_pair_anywhere(self, bad):

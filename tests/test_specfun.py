@@ -12,7 +12,7 @@ import scipy.special as sc
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gentrig import gtf, quadrature, specfun
+from gentrig import gtf, integrals, quadrature, specfun
 from gentrig.errors import ConvergenceError, DomainError
 
 NEXT_10 = math.nextafter(10.0, math.inf)  # just past the Gamma quotient's range
@@ -121,6 +121,29 @@ class TestPochhammer:
             else:
                 scale = max(1.0, abs(float(mpmath.log(exact))))
                 assert abs(got - exact) <= 4 * sys.float_info.epsilon * scale * exact, (a, b, n)
+
+    @pytest.mark.parametrize("a,b,n", [
+        (0.5, 1e6, 64), (1e-300, 1e10, 64), (0.5, 1e17, 100), (1e20, 0.5, 64),
+        (1.0, 1e20, 64), (3.0, 1e6, 64), (1e17, 1e15, 65), (1e-300, 1e10, 10**9),
+        (3e-308, 1e20, 10**6), (1e10, 1e-300, 1000), (100.0, 1e3, 100)])
+    def test_parameters_further_apart_than_n(self, a, b, n):
+        # |a - b| > n: ln Gamma(a + n) - ln Gamma(b + n) and ln Gamma(a) - ln
+        # Gamma(b) are each of size |a - b| and cancelled (4.3e-7 off, NaN,
+        # inf for 0, 1.0 for inf, ValueError); the reference is a difference
+        # of 60-digit ln Gamma values, and the bound the rounding of terms
+        # of size n ln max(a, b)
+        with mpmath.workdps(60):
+            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+            exact = mpmath.exp(mpmath.loggamma(a_ + n) - mpmath.loggamma(a_)
+                               - mpmath.loggamma(b_ + n) + mpmath.loggamma(b_))
+        got = specfun.poch_ratio(a, b, n)
+        if exact > sys.float_info.max:
+            assert got == math.inf
+        elif exact < mpmath.mpf(2) ** -1075:  # below half the least subnormal
+            assert got == 0.0
+        else:
+            bound = 4 * sys.float_info.epsilon * n * max(1.0, math.log(max(a, b)))
+            assert abs(got - exact) <= bound * exact
 
     @pytest.mark.parametrize("a,b", [(0.25, 0.75), (1e-6, 0.5), (0.9, 0.4),
                                      (3.0, 9.99), (1.0, 0.5), (12.0, 150.0)])
@@ -763,10 +786,23 @@ class TestHyp2F1:
         assert err.terms == err.budget == specfun.HYP2F1_MAX_TERMS
         assert f"budget of {specfun.HYP2F1_MAX_TERMS} terms" in str(err)
 
-    def test_overflowing_coefficients_are_reported(self):
-        # Gamma factors of the connection formula overflow: an error, not NaN
-        with pytest.raises(ConvergenceError):
-            specfun.hyp2f1(200.5, -1.5, 0.5, 0.9)
+    def test_overflowing_coefficients(self):
+        # a Gamma factor of the connection formula lies beyond the doubles,
+        # where the plain product of the factors read NaN; F is 1.0051 and
+        # 7.4e193
+        for a, b, c in ((1.0, 1.0, 177.5), (200.5, -1.5, 0.5)):
+            with mpmath.workdps(40):
+                exact = mpmath.hyp2f1(a, b, c, 0.9)
+            assert abs(specfun.hyp2f1(a, b, c, 0.9) - exact) <= 1e-13 * abs(exact), (a, b, c)
+
+    @pytest.mark.parametrize("a,b,c", [(0.2, 0.5, -11.3), (0.2, 0.2, -11.65)])
+    def test_cancelling_head_polynomial(self, a, b, c):
+        # c - a - b near -12: Euler's transformation hands the logarithmic
+        # formula a head polynomial whose terms cancel; its magnitude counts
+        # them, so the series in x takes over (F is 3.0843 and 1.2885)
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(a, b, c, 0.55)
+        assert abs(specfun.hyp2f1(a, b, c, 0.55) - exact) <= 1e-15 * abs(exact)
 
     @pytest.mark.parametrize("comp", [-1e-3, 1.5, math.nan])
     def test_complement_outside_unit_interval(self, comp):
@@ -849,6 +885,42 @@ class TestHyp2F1BeyondTheDoubles:
         # parts that cancel: DomainError, not a wrong value
         with pytest.raises(DomainError, match=what):
             specfun.hyp2f1(a, b, c, x)
+
+    @pytest.mark.parametrize("f", [0.1, 0.5, 0.8, 0.95, 0.99, 0.999, 0.99999])
+    def test_prefactor_below_the_doubles(self, f):
+        # primitive_sin_cos(1.05, 1.05, 40, 150, x): F(39.05, -141.9; 40.05;
+        # .) near x = 1 has m = 143, where (-y)^143 underflowed and the value
+        # read 0 (or a wrong sign at f = 0.1); the integral is 3.5096e-42
+        p = q = 1.05
+        k, l = 40.0, 150.0
+        x = f * gtf.pi_pq(p, q) / 2
+        s, c = gtf.sincos_pq(p, q, x)
+        a = (k + 1.0) / q
+        with mpmath.workdps(40):
+            exact = (mpmath.mpf(s) ** (k + 1) / (k + 1)
+                     * mpmath.hyp2f1(a, (1.0 - l) / p, 1 + a, 1 - mpmath.mpf(c) ** p))
+        got = integrals.primitive_sin_cos(p, q, k, l, x)
+        assert abs(got - exact) <= 1e-13 * exact
+
+
+class TestScaledQuotient:
+    """_scaled_quotient, the one Gamma quotient of specfun, against the plain
+    product of the _gamma and _rgamma factors, then times, wherever every
+    factor and partial product is a normal double."""
+
+    @given(
+        num=st.lists(st.floats(-200.0, 200.0), max_size=3),
+        den=st.lists(st.floats(-200.0, 200.0), max_size=3),
+        times=st.floats(-1e300, 1e300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plain_product_where_it_stays_normal(self, num, den, times):
+        plain, normal = 1.0, True
+        for v in [specfun._gamma(z) for z in num] + [specfun._rgamma(z) for z in den] + [times]:
+            plain *= v
+            normal = normal and all(sys.float_info.min <= abs(w) < math.inf for w in (v, plain))
+        assume(normal)
+        assert specfun._scaled_quotient(num, den, times).hex() == plain.hex()
 
 
 class TestHyp2F1m1:
