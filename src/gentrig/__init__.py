@@ -3,9 +3,10 @@
 Library layout:
 
 - ``specfun``: three public functions, beta, the Pochhammer ratio
-  (a)_n / (b)_n and the Gauss hypergeometric function on [0, 1], plus gtf's
-  private kernels of the regularized incomplete beta function and its
-  inverse for shapes a, b <= 1.
+  (a)_n / (b)_n and the Gauss hypergeometric function on the box the
+  elliptic integrals use, plus private kernels of the regularized
+  incomplete beta function and its inverse: gtf's for shapes a, b <= 1,
+  and the primitives' incomplete beta integral.
 - ``gtf``: pi_pq, sin_pq, cos_pq, the fused pair sincos_pq, the inverse sine,
   and identity residuals.
 - ``integrals``: primitives, definite integrals, Wallis-type formulas, the

@@ -1,5 +1,5 @@
 """Integral formulas for the generalized trigonometric functions: primitives
-via the hypergeometric function, definite integrals via beta, Wallis-type
+as incomplete beta integrals, definite integrals via beta, Wallis-type
 closed forms with their degenerate conventions, the lemniscate catalog,
 generalized complete elliptic integrals with Elliott's identity, and the
 infinite product converging to pi_pq/2.
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, check_order, check_pq
-from .gtf import ParamPair, _as_unit, _pair, conjugate, pi_pq, sin_pq, sincos_pq
+from .gtf import _DBL_MIN, ParamPair, _as_unit, _pair, conjugate, pi_pq
 
 WALLIS_SPECIAL_KINDS = (
     "sin_qn",
@@ -63,25 +63,27 @@ def _check_kl(p: float, k: float, l: float):
 
 
 def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float:
-    """int_0^x sin_pq^k cos_pq^l dt in hypergeometric closed form.
+    """int_0^x sin_pq^k cos_pq^l dt as an incomplete beta integral.
 
-    Valid for k > -1, l > 1-p and x in [0, pi_pq/2]; at the right endpoint
-    the value is the definite beta form (the series argument reaches 1).
-    The series argument s^q comes with its complement 1 - s^q = cos_pq^p,
-    which keeps its accuracy where sin_pq rounds to 1.
+    Valid for k > -1, l > 1-p and x in [0, pi_pq/2].  With t = sin_pq^q the
+    integral is (1/q) B_z(a, b) at z = sin_pq(x)^q, a = (k+1)/q and b = 1 +
+    (l-1)/p (DLMF 8.17.1), taken from specfun._beta_integral with z and its
+    complement cos_pq^p straight from gtf's inversion of x (never re-raised
+    from the sine and the cosine), so it keeps its accuracy where sin_pq
+    rounds to 1, and at any l.  Below x = DBL_MIN^(1/q), where sin_pq(x) is
+    x itself and z underflows, it is x^(k+1)/(k+1); at the right endpoint it
+    is definite_sin_cos.
     """
     p, q, k, l = float(p), float(q), float(k), float(l)
     _check_kl(p, k, l)
-    halfpi = _pair(p, q)[0]
+    halfpi, ia, ib, lo, hi, _, tiny, _ = _pair(p, q)
     x = _as_unit(x, halfpi, "primitive_sin_cos")
     if x >= halfpi:
         return definite_sin_cos(p, q, k, l)
-    s, c = sincos_pq(p, q, x)
-    if s == 0.0:
-        return 0.0
-    a = (k + 1.0) / q
-    f = specfun.hyp2f1(a, (1.0 - l) / p, 1.0 + a, min(s**q, 1.0), comp=c**p)
-    return s ** (k + 1.0) / (k + 1.0) * f
+    if x < tiny:
+        return x ** (k + 1.0) / (k + 1.0)
+    z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi, (True, True))
+    return (1.0 / q) * specfun._beta_integral((k + 1.0) / q, 1.0 + (l - 1.0) / p, z, zc)
 
 
 def definite_sin_cos(p: float, q: float, k: float, l: float) -> float:
@@ -90,25 +92,6 @@ def definite_sin_cos(p: float, q: float, k: float, l: float) -> float:
     check_pq(p, q)
     _check_kl(p, k, l)
     return (1.0 / q) * specfun.beta((k + 1.0) / q, 1.0 + (l - 1.0) / p)
-
-
-def primitive_finite_sum(p: float, q: float, k: float, n: int, x: float) -> float:
-    """int_0^x sin_pq^k cos_pq^(pn+1) dt as the terminating binomial sum.
-
-    Coincides with primitive_sin_cos(k, l = pn+1, x): the hypergeometric
-    series terminates because its second parameter is -n.
-    """
-    q, k = float(q), float(k)
-    if not -1.0 < k < math.inf:
-        raise DomainError(f"need exponent k > -1, finite, got {k}")
-    n = check_order(n)
-    s = sin_pq(p, q, x)
-    total = 0.0
-    for m in range(n + 1):
-        total += (-1.0) ** m / (k + 1.0 + q * m) * math.comb(n, m) * s ** (
-            k + 1.0 + q * m
-        )
-    return total
 
 
 def wallis_sin(query: WallisQuery) -> float:
@@ -240,7 +223,8 @@ def _power_and_complement(k: float, q: float):
 
 def elliptic_K(query: EllipticQuery) -> float:
     """Generalized complete elliptic integral of the first kind,
-    (pi_pq/2) F(1/q, 1/r; 1/p* + 1/q; k^q)."""
+    (pi_pq/2) F(1/q, 1/r; 1/p* + 1/q; k^q).  hyp2f1's box admits every p and
+    r and q up to 2^511: 1/q below 2^-511 is out (DomainError)."""
     p, q, r = float(query.params.p), float(query.params.q), float(query.r)
     c = 1.0 / conjugate(p) + 1.0 / q
     kq, kpr = _power_and_complement(float(query.k), q)
@@ -249,7 +233,8 @@ def elliptic_K(query: EllipticQuery) -> float:
 
 def elliptic_E(query: EllipticQuery) -> float:
     """Generalized complete elliptic integral of the second kind,
-    (pi_pq/2) F(1/q, -1/r*; 1/p* + 1/q; k^q)."""
+    (pi_pq/2) F(1/q, -1/r*; 1/p* + 1/q; k^q).  hyp2f1's box admits every p
+    and r and q up to 2^511: 1/q below 2^-511 is out (DomainError)."""
     p, q, r = float(query.params.p), float(query.params.q), float(query.r)
     c = 1.0 / conjugate(p) + 1.0 / q
     kq, kpr = _power_and_complement(float(query.k), q)
@@ -269,7 +254,19 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     argument, which have opposite signs, so it keeps its relative accuracy
     and the large factor multiplies no rounding error of order 1.  Each
     small-side F - 1 is one specfun._series at head = 0, the loop that sums
-    every power series of hyp2f1.
+    every power series of hyp2f1.  The large side's hyp2f1 calls take a =
+    1/r and b = 1/q* (k^q <= 1/2) or a = 1/q and b = 1/r* (above), and
+    hyp2f1's box needs a >= 2^-511 and b < 1: r or q above 2^511, or above
+    2^53 where 1/q* or 1/r* rounds to 1, raises DomainError there.
+
+    Where k^q < DBL_MIN the residual is the limit |K E' - pi_pq pi_{s,r}/4|
+    with K = pi_pq/2 and E' at k' = 1, Gauss's sum (c - a - b = 1/p* + 1/q
+    > 0 there; K' at k' = 1 has none, since 1/q - 1/p <= 0, and is never
+    taken).  (E - K) K' is of order (k^q)^(1/q + 1/p*) = (k^q)^(1 + 1/q -
+    1/p), which need not be small (at p = 1.001 and q = 1000 the exponent is
+    0.002), but it cancels exactly against E' - E'(1), of the same order:
+    what the limit leaves out is O(k^q) times pi_pq/2 and pi_{p,r}/2, below
+    DBL_MIN times them.
     """
     p, q, r, k = float(p), float(q), float(r), float(k)
     check_pq(p, q)
@@ -286,6 +283,11 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
              kq, kpr, _pair(p, q)[0])
     side2 = (1.0 / r, 1.0 / conjugate(q), -1.0 / q, 1.0 / ps + 1.0 / r,
              kpr, kq, 0.5 * pi_pq(p, r))
+    pi_sr = pi_pq(math.inf if p == q else p * q / (q - p), r)
+    rhs = side1[-1] * pi_sr / 2.0
+    if kq < _DBL_MIN:  # the limit K E' with K = pi_pq/2 and E' at k' = 1
+        a, _, be, c, _, _, half_l = side2
+        return abs(side1[-1] * half_l * specfun.hyp2f1(a, be, c, 1.0) - rhs)
     small, large = (side1, side2) if kq <= 0.5 else (side2, side1)
     a, bk, be, c, x, _, half = small
     gk = specfun._series(a, bk, c, x, head=0.0)  # F - 1, x <= 1/2
@@ -294,6 +296,4 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     K_l = half_l * specfun.hyp2f1(a, bk, c, x, comp=y)
     E_l = half_l * specfun.hyp2f1(a, be, c, x, comp=y)
     lhs = half * (ge - gk) * K_l + half * (1.0 + gk) * E_l
-    pi_sr = pi_pq(math.inf if p == q else p * q / (q - p), r)
-    rhs = side1[-1] * pi_sr / 2.0
     return abs(lhs - rhs)

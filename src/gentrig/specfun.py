@@ -1,11 +1,13 @@
 """Special functions: the three that the closed forms call, beta, the
 Pochhammer ratio poch_ratio = (a)_n / (b)_n and the Gauss hypergeometric
-function hyp2f1 on [0, 1], and every evaluation of the regularized
-incomplete beta function and its inverse that gtf makes.  This is the
-package's only module that imports scipy.
+function hyp2f1 on the box that the elliptic integrals use, and every
+evaluation of the regularized incomplete beta function and its inverse
+that gtf and the primitives make.  This is the package's only module that
+imports scipy.
 
-Every Wallis-type formula is a Pochhammer ratio times a generalized pi, and
-the elliptic integrals and the primitives are 2F1 values.  gtf calls three
+Every Wallis-type formula is a Pochhammer ratio times a generalized pi, the
+elliptic integrals are 2F1 values and the primitives incomplete beta
+integrals (_beta_integral, Boost's scalar kernels).  gtf calls three
 entries at its shapes a = 1/q, b = 1/p* (both at most 1), and each picks
 its lane: _point_tails inverts a point, _inverse_tails an array and
 _inc_beta sums I_t(a, b) on an array.  Arrays of fewer than INV_FIT_MIN
@@ -16,21 +18,22 @@ built once per shape, in bounded caches (_inverse_setup, _forward).  Scalar
 Gamma and Boost calls take scipy's Cython kernels (the ufuncs' own code,
 bit for bit, at a fraction of a ufunc call's cost).  The hypergeometric
 function is evaluated here because call sites need a certified tail bound
-on every series, the exact terminating polynomial when a parameter is a
-nonpositive integer, Gauss summation at argument 1, and a cost that does not
+on every series, Gauss summation at argument 1, and a cost that does not
 grow as the argument approaches 1.  Differences ln Gamma(z + e) - ln
 Gamma(z) come from the Stirling series without per-term transcendentals, and
 a large-n Pochhammer ratio is one exp of such a difference times Gamma(b) /
 Gamma(a), so neither costs more for a larger n or a smaller e.
 
 Costs of hyp2f1 by branch, medians in the slow state of a shared 2-vCPU
-x86-64 VM (BENCH_21.json): the power series at (1/3, 1/2, 0.93) 18 us at x =
-0.3 and 30 us at x = 1/2; Gauss's connection formula at (1/3, 1/2, 1.2),
-its two series in y and seven Gamma calls, 40 us at x = 0.7 and 15 us at
-x = 0.99; the logarithmic (near-integer) form at (1/2, 1/2, 1), K's, 58 us
-at x = 0.7 and 33 us at x = 0.99.  Every power series of F, in x or in y,
-is summed by one loop, _series, which tests its tail after every term; most
-terms settle that test with one inline product (_tail_certified).
+x86-64 VM (BENCH_21.json), all inside its box: the power series at (1/3,
+1/2, 0.93) 18 us at x = 0.3 and 30 us at x = 1/2; Gauss's connection
+formula at (1/3, 1/2, 1.2), its two series in y and seven Gamma calls, 40
+us at x = 0.7 and 15 us at x = 0.99; the logarithmic (near-integer) form at
+(1/2, 1/2, 1), K's, 58 us at x = 0.7 and 33 us at x = 0.99.  Every power
+series of F, in x or in y, is summed by one loop, _series, which tests its
+tail after every term; most terms settle that test with one inline product
+(_tail_certified).  A primitive's _beta_integral is one beta and one or two
+Boost calls, a few us at any exponent.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ HYP2F1_MAX_TERMS = 300
 # connection formula; beyond it the plain one loses at most a factor
 # ~1/HYP2F1_REG_EPS to the cancellation of its two Gamma poles
 HYP2F1_REG_EPS = 0.1
-# where the terms of the connection formula cancel by more than this factor
-# (large parameters near x = 1/2) and x <= 3/4, the series in x is used
-HYP2F1_CANCEL = 16.0
 # below this n poch_ratio is a running product (relative error <= ~n eps)
 POCH_SWITCH = 64
 # arrays of at least INV_FIT_MIN points take the fitted lanes of _inc_beta
@@ -89,9 +89,9 @@ _DBL_MIN = sys.float_info.min
 # Boost's incomplete beta and its inverse: the code the dispatcher picks for
 # a float, bit for bit, without its ~0.2 us a call (the dispatcher itself
 # where a scipy build exposes no signatures)
-_gamma, _rgamma, _betainc, _betaincinv = (
+_gamma, _rgamma, _betainc, _betaincc, _betaincinv = (
     getattr(f, "__signatures__", {}).get("double", f)
-    for f in (_cs.gamma, _cs.rgamma, _cs.betainc, _cs.betaincinv))
+    for f in (_cs.gamma, _cs.rgamma, _cs.betainc, _cs.betaincc, _cs.betaincinv))
 _CHEB_K = np.arange(INV_FIT_DEGREE + 1)
 # Chebyshev points of the second kind mapped to [0, 1], from 1 down to 0, and
 # the DCT-I that takes values there to interpolant coefficients
@@ -112,10 +112,6 @@ _RGAMMA = (-2.013485478078824e-05, 1.280502823881162e-04, -2.1524167411495098e-0
            -1.1651675918590652e-03, 7.2189432466631e-03, -9.621971527876973e-03,
            -4.219773455554433e-02, 1.6653861138229148e-01, -4.200263503409524e-02,
            -6.558780715202539e-01, 5.772156649015329e-01)
-
-
-def _is_nonpos_int(x: float) -> bool:
-    return x <= 0 and x == math.floor(x)
 
 
 def _log1p_ratio(t: float) -> float:
@@ -179,21 +175,15 @@ def _lgamma_diff(z: float, e: float) -> float:
 def _scaled_quotient(num, den, times: float = 1.0, exp2: int = 0) -> float:
     """prod Gamma(num) / prod Gamma(den) times times 2^exp2, zero where den
     meets a pole, every factor and partial product held as a mantissa and a
-    power of two (math.frexp), a Gamma factor beyond the doubles away from a
-    pole from _big_gamma: inf only where the quotient lies beyond the
-    doubles, 0 where it underflows.  times comes last, so where the plain
+    power of two (math.frexp), so that the quotient leaves the doubles only
+    where it lies beyond them, or where a Gamma factor does (inf): never
+    for the factors of hyp2f1's box.  times comes last, so where the plain
     product, times last, has only normal factors and partial products, this
-    is that product bit for bit.  Each Gamma factor beyond the doubles costs
-    up to |z| - 170 products."""
+    is that product bit for bit."""
     out, k = 1.0, exp2
-    for f, zs, sign in ((_gamma, num, 1), (_rgamma, den, -1)):
+    for f, zs in ((_gamma, num), (_rgamma, den)):
         for z in zs:
-            g = f(z)
-            if _DBL_MIN <= abs(g) < math.inf or _is_nonpos_int(z):
-                g, j = math.frexp(g)
-            else:  # Gamma(z) beyond the doubles, or 1 / Gamma(z) below them
-                g, j = _big_gamma(z)
-                g, j = (g, j) if sign > 0 else (1.0 / g, -j)
+            g, j = math.frexp(f(z))
             out, i = math.frexp(out * g)
             k += i + j
     g, j = math.frexp(times)
@@ -202,30 +192,6 @@ def _scaled_quotient(num, den, times: float = 1.0, exp2: int = 0) -> float:
         return math.ldexp(out, k + i + j)
     except OverflowError:
         return math.copysign(math.inf, out)
-
-
-def _big_gamma(z: float):
-    """(f, k) with Gamma(z) = f 2^k for |z| <= 1024, where Gamma(z) or its
-    reciprocal may lie beyond the doubles.  For z > 0, Gamma(z - n) (z - n)
-    ... (z - 1) with the least n >= 0 that brings z - n to 170 or below:
-    every factor z - i is exact, so the product is within n/2 <= 427 ulps
-    (4.7e-14) of Gamma(z - n) times it.  For z < 0, pi / (sin(pi z)
-    Gamma(1 - z)), sin(pi z) taken at the exact z - round(z).  DomainError
-    beyond |z| = 1024, where hyp2f1's connection formula needs such a
-    factor."""
-    if not abs(z) <= 1024.0:
-        raise DomainError(f"hyp2f1: Gamma({z}) lies beyond the doubles and |{z}| > 1024")
-    if z < 0.0:
-        f, k = _big_gamma(1.0 - z)
-        r = round(z)
-        f, j = math.frexp(math.pi / (math.sin(math.pi * (z - r)) * (-1.0) ** r * f))
-        return f, j - k
-    n = max(0, math.ceil(z - 170.0))
-    f, k = math.frexp(_gamma(z - n))
-    for i in range(1, n + 1):
-        f, j = math.frexp(f * (z - i))
-        k += j
-    return f, k
 
 
 def _gamma_ratio_m1(z: float, e: float, ze: float) -> float:
@@ -292,9 +258,8 @@ def poch_ratio(a: float, b: float, n: int) -> float:
         e = a - b
         if not e:
             return 1.0
-        if min(a, b) < _DBL_MIN:  # subnormal: (a / b) (a + 1)_{n-1} / (b + 1)_{n-1}
-            ratio, q = poch_ratio(a + 1.0, b + 1.0, n - 1), a / b
-            return q * ratio if q >= _DBL_MIN else a * (ratio / b)
+        if min(a, b) < _DBL_MIN:  # subnormal
+            return _peeled(a, b, n)
         if abs(e) > n:  # ln (a)_n - ln (b)_n from terms of size n, not of size |e|,
             # and (z)_n = z (z + 1)_(n-1), so that no shift divides n by a tiny z
             ln_ratio = math.log(a) - math.log(b) + (n - 1) * (
@@ -303,6 +268,8 @@ def poch_ratio(a: float, b: float, n: int) -> float:
             lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
             if abs(lead) <= 708.0 and max(a, b) <= _STIRLING_MIN:  # min(a, b) >= DBL_MIN
                 return math.exp(lead) * (_gamma(b) * _rgamma(a))
+            if abs(e) / min(a, b) == math.inf:  # the first shift's t = |e| / min(a, b)
+                return _peeled(a, b, n)
             # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
             ln_ratio = lead - e * _lgamma_diff(min(a, b), abs(e))
         try:
@@ -315,6 +282,15 @@ def poch_ratio(a: float, b: float, n: int) -> float:
     for m in range(n):
         out *= (a + m) / (b + m)
     return out
+
+
+def _peeled(a: float, b: float, n: int) -> float:
+    """(a)_n / (b)_n = (a / b) (a + 1)_{n-1} / (b + 1)_{n-1} for a, b > 0,
+    n >= 1: poch_ratio's form where a or b is so small that a Stirling shift
+    from it would overflow (subnormal, or |a - b| / min(a, b) beyond the
+    doubles).  a / b is formed last where it is subnormal."""
+    ratio, q = poch_ratio(a + 1.0, b + 1.0, n - 1), a / b
+    return q * ratio if q >= _DBL_MIN else a * (ratio / b)
 
 
 def beta(x: float, y: float) -> float:
@@ -341,6 +317,25 @@ def beta(x: float, y: float) -> float:
         return math.exp(ln_b) if ln_b == ln_b else math.inf if max(x, y) < 1.0 else 0.0
     except OverflowError:  # B > 1/x at x, y near 1e-308
         return math.inf
+
+
+def _beta_integral(a: float, b: float, z: float, zc: float) -> float:
+    """The incomplete beta integral B_z(a, b) = int_0^z t^(a-1) (1 - t)^(b-1)
+    dt for a, b > 0 and z in [0, 1], with zc = 1 - z as accurate as the
+    caller knows it (the primitives of integrals: z = sin_pq^q and zc =
+    cos_pq^p from one inversion): B(a, b) I_z(a, b) from Boost's scalar
+    betainc up to z = 1/2, and above it B(a, b) (1 - J), J = I_zc(b, a)
+    (DLMF 8.17.4), so the value keeps the accuracy of zc where z rounds to
+    1.  1 - J is formed as such where J <= 1/2, and by Boost's betaincc,
+    which does not cancel, where J > 1/2 (small b: at b = 1e-12 and zc =
+    1e-15, 1 - J is 3.5e-11).  betaincc itself reads 1.0 for 1 - 3.9e-11 at
+    a = b = 1/2, zc = 3.7e-21, and 1 - betainc lost 3.5e-7 at the former
+    point; against 40-digit mpmath this rule read no error above 1e-13 on
+    4000 random shapes and zc down to 1e-40."""
+    if z <= 0.5:
+        return beta(a, b) * _betainc(a, b, z)
+    j = _betainc(b, a, zc)
+    return beta(a, b) * (1.0 - j if j <= 0.5 else _betaincc(b, a, zc))
 
 
 def _inc_beta_terms(a: float, b: float):
@@ -814,20 +809,18 @@ def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
     raise _budget_spent("series", a, b, c, x)
 
 
-def _connection(a: float, b: float, c: float, s: float, y: float):
-    """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added) for y
-    in (0, 1/2) by Gauss's connection formula (A&S 15.3.6, DLMF 15.8.4), for
-    s = c - a - b at least HYP2F1_REG_EPS from an integer: seven scalar
-    Gamma calls and the two series in y, each a _series."""
+def _connection(a: float, b: float, c: float, s: float, y: float) -> float:
+    """F(a, b; c; 1 - y) for y in (0, 1/2) by Gauss's connection formula
+    (A&S 15.3.6, DLMF 15.8.4), for s = c - a - b at least HYP2F1_REG_EPS
+    from an integer: seven scalar Gamma calls and the two series in y, each
+    a _series.  In hyp2f1's box no Gamma product leaves the doubles (Gamma(c)
+    <= Gamma(2^-511) and the other factors are bounded), and a pole of 1 /
+    Gamma gives its part 0."""
     gc = _gamma(c)
     f1, f2 = _series(a, b, 1.0 - s, y), _series(c - a, c - b, 1.0 + s, y)
     g1 = gc * _gamma(s) * _rgamma(c - a) * _rgamma(c - b)
     g2 = gc * _gamma(-s) * _rgamma(a) * _rgamma(b)
-    if not (_DBL_MIN <= abs(g1) < math.inf and _DBL_MIN <= abs(g2) < math.inf):
-        # a part beyond the doubles (or a pole, where both forms give 0)
-        g1, g2 = _scaled_quotient((c, s), (c - a, c - b)), _scaled_quotient((c, -s), (a, b))
-    t1, t2 = g1 * f1, _times_power(g2 * f2, y, s)
-    return t1 + t2, abs(t1) + abs(t2)
+    return g1 * f1 + _times_power(g2 * f2, y, s)
 
 
 def _times_power(v: float, y: float, s: float) -> float:
@@ -847,10 +840,8 @@ def _times_power(v: float, y: float, s: float) -> float:
 
 def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
                              y: float, m: int, e: float):
-    """(F(a, b; c; 1 - y), sum of the magnitudes of the parts added, the
-    head polynomial's terms included) for y in (0, 1/2) and c - a - b = m +
-    e, m >= 0 an integer and |e| <= HYP2F1_REG_EPS; ca and cb are c - a and
-    c - b.
+    """F(a, b; c; 1 - y) for y in (0, 1/2) and c - a - b = m + e, m >= 0 an
+    integer and |e| <= HYP2F1_REG_EPS; ca and cb are c - a and c - b.
 
     A&S 15.3.6 with the poles of Gamma(c-a-b) and Gamma(a+b-c) cancelled
     analytically (Forrey, J. Comput. Phys. 137, 1997; Michel & Stoitsov,
@@ -876,17 +867,15 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
 
     Both Gamma quotients, the head's and the prefactor's with its 1/m! and
     (-y)^m = my^m 2^(ey m), -y = my 2^ey, are _scaled_quotient's, so
-    neither leaves the doubles unless it lies beyond them, for any m.
+    neither leaves the doubles unless it lies beyond them.
     """
-    head = head_mag = 0.0
+    head = 0.0
     if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
-        gq = _scaled_quotient((c, m + e), (ca, cb))
-        term = total = head_mag = 1.0
+        term = total = 1.0
         for n in range(m - 1):
             term *= (a + n) * (b + n) / (((n + 1 - m) - e) * (n + 1.0)) * y
             total += term
-            head_mag += abs(term)
-        head, head_mag = gq * total, abs(gq) * head_mag
+        head = _scaled_quotient((c, m + e), (ca, cb)) * total
 
     qa = _gamma_ratio_m1(a + m, e, cb)  # a + m + e = c - b
     qb = _gamma_ratio_m1(b + m, e, ca)
@@ -940,64 +929,47 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     pref = _scaled_quotient((c,), (a, b, m + 1.0), my**m, ey * m)
     if e:
         pref *= math.pi * e / math.sin(math.pi * e)
-    return head + pref * total, head_mag + abs(pref) * mag
-
-
-def _beyond_the_doubles(a: float, b: float, c: float, s: float, y: float) -> bool:
-    """Whether a factor of the connection formulas for F(a, b; c; 1 - y), s
-    = c - a - b, lies beyond the doubles: y^s, or Gamma at a, b, c, c - a,
-    c - b or |s| + 1 (which stands for m! and Gamma(+-s)) away from its
-    poles.  Where one does, only the scaled quotients give the formula a
-    value, and hyp2f1 certifies it."""
-    try:
-        y**s  # raises where y^s lies beyond the doubles
-    except OverflowError:
-        return True
-    return any(not (_DBL_MIN <= abs(_gamma(z)) < math.inf or _is_nonpos_int(z))
-               for z in (a, b, c, c - a, c - b, abs(s) + 1.0))
+    return head + pref * total
 
 
 def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None) -> float:
-    """Gauss hypergeometric F(a, b; c; x) for x in [0, 1].
+    """Gauss hypergeometric F(a, b; c; x) on its box: 2^-511 <= a < 1, 0 < c
+    - a < 1, -1 <= b < 1 and x in [0, 1], with c > a + b at x = 1, where F
+    is finite.  That is the family of elliptic_K, elliptic_E and
+    elliott_residual: a = 1/q or 1/r, c - a = 1/p*, and b = +-1/r, 1/r*,
+    -1/q or 1/q* (b = -1 where -1/r* rounds to it, r above 2^53).  Anything
+    else, NaN and +-inf included, raises DomainError.  c > a rules out the
+    zeros F has below a, where the connection formula's two parts cancel; a
+    >= 2^-511 keeps every product of two Gamma factors in the doubles (a and
+    b both near DBL_MIN made their product overflow).
 
     comp, when given, is 1 - x, for callers that know it more accurately
     than 1 - x rounds to (x close to 1).  It must lie in [0, 1] and within
     1e-9 of 1 - x, else DomainError: a bound far above the rounding that
     comp corrects (half an ulp of 1) and above what the package's callers
-    miss 1 - x by (elliptic_K, elliptic_E and elliott_residual 2.2e-16,
-    primitive_sin_cos 5.3e-14 at p, q up to 1000).  When a or b is a
-    nonpositive integer the exact terminating polynomial is returned.  At x = 1
-    (requires c > a + b) the Gauss summation formula is used.  Otherwise,
-    for x <= 1/2 the power series in x, and for x > 1/2 Gauss's connection
-    formula to series in y = 1 - x <= 1/2; when c - a - b lies within
-    HYP2F1_REG_EPS of an integer that formula is taken in a regularized form
-    that is exact at the integer itself (the logarithmic case, e.g. the
-    classical K).  Where the two parts of the connection formula cancel
-    (large parameters, x near 1/2) and x <= 3/4, the series in x is used
-    after all.  Every series stops on a certified tail bound, within
-    HYP2F1_MAX_TERMS terms, so the cost is bounded independently of x; each
-    power series, in x or in y, is one _series loop.  NaN or +-inf in a, b
-    or c raises DomainError.
-
-    Beyond the doubles: the logarithmic form takes its Gamma quotients, with
-    1/m! and y^m, as mantissas and powers of two (_scaled_quotient, the
-    plain product's bits wherever that stays normal), and Gauss's form does
-    where its plain product is not a normal double, so the value is
-    returned where it is a double (within ~1e-15 of mpmath on a grid of
-    points with |c - a - b| rounding above 170) and inf where it lies
-    beyond.  The magnitude of the parts, the head polynomial's terms
-    included, makes both cancellation decisions: the series in x above,
-    then DomainError where that fails too and a factor of the formula lies
-    beyond the doubles (m! for |c - a - b| rounding above 170, another
-    Gamma factor, or y^(c-a-b) in Euler's transformation).  A Gamma factor
-    beyond the doubles at an argument beyond +-1024 raises DomainError
-    (_big_gamma).
+    miss 1 - x by, 2.2e-16.  At x = 1 the Gauss summation formula is used.
+    Where |b| < 2^-64 (b = 0 at x = 1), F is 1: F - 1 is within |b|
+    ln(1/(1 - x)) <= 745 |b| < 2^-54 of 0; at b = -1 it is the polynomial
+    1 - a x / c, formed as (c - a + a y) / c.  Otherwise, for x <= 1/2 the
+    power series in x, and for x > 1/2 Gauss's connection formula to series
+    in y = 1 - x <= 1/2; when c - a - b lies within HYP2F1_REG_EPS of an
+    integer that formula is taken in a regularized form that is exact at the
+    integer itself (the logarithmic case, e.g. the classical K), after
+    Euler's transformation F = y^(c-a-b) F(c - a, c - b; c; x) where that
+    integer is -1.  In the box c - a - b lies in (-1, 2) and the two parts
+    of the connection formula cancel by at most a factor ~28 (a and c - a
+    near 1, b near 0.87, x near 1/2), where the value stays within ~9e-15
+    of mpmath.  F leaves the doubles only where 1 - x is subnormal and c -
+    a - b near -1 (inf).  Every series stops on a certified tail bound,
+    within HYP2F1_MAX_TERMS terms, so the cost is bounded independently of
+    x; each power series, in x or in y, is one _series loop.
     """
     a, b, c, x = float(a), float(b), float(c), float(x)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainError(f"hyp2f1 requires finite a, b and c, got ({a}, {b}, {c})")
-    if _is_nonpos_int(c):
-        raise DomainError("c must not be zero or a negative integer")
+    # written so that NaN fails the test
+    if not (2.0**-511 <= a < 1.0 and 0.0 < c - a < 1.0 and -1.0 <= b < 1.0):
+        raise DomainError(
+            f"hyp2f1 requires 2^-511 <= a < 1, 0 < c - a < 1 and -1 <= b < 1, "
+            f"got ({a}, {b}, {c})")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"hyp2f1 argument must lie in [0, 1], got {x}")
     if comp is None:
@@ -1008,13 +980,10 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
         raise DomainError(
             f"hyp2f1 complement must lie in [0, 1] within 1e-9 of 1 - x, got {comp} at x = {x}")
 
-    if _is_nonpos_int(a) or _is_nonpos_int(b):  # the lower order terminates
-        total = term = 1.0
-        for n in range(int(-max(s for s in (a, b) if _is_nonpos_int(s)))):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-            total += term
-        return total
-
+    if abs(b) < 2.0**-64 and (y or not b):  # at x = 1 F - 1 grows like b / (c - a)
+        return 1.0
+    if b == -1.0:
+        return ((c - a) + a * y) / c
     s = math.fsum((c, -a, -b))
     if y == 0.0:
         if s <= 0:
@@ -1029,27 +998,9 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
         return _series(a, b, c, x)
     m = round(s)
     e = s - m
-    power = 0.0  # F = y^power times the formula's value
     if abs(e) > HYP2F1_REG_EPS:
-        value, scale = _connection(a, b, c, s, y)
-    elif m >= 0:
-        value, scale = _connection_near_integer(a, b, c, c - a, c - b, y, m, e)
-    else:  # Euler's transformation F = y^s F(c-a, c-b; c; 1-y) turns m into -m
-        value, scale = _connection_near_integer(c - a, c - b, c, a, b, y, -m, -e)
-        power = s
-    if not scale <= HYP2F1_CANCEL * abs(value):  # NaN too
-        if y >= 0.25:
-            try:
-                return _series(a, b, c, x)
-            except ConvergenceError:  # parameters too large for the budget
-                pass
-        if _beyond_the_doubles(a, b, c, s, y):
-            raise DomainError(
-                f"hyp2f1: Gauss's connection formula for F({a}, {b}; {c}; {x}) "
-                f"cancels by more than {HYP2F1_CANCEL:g}, beyond what it certifies")
-    value = _times_power(value, y, power)
-    if math.isnan(value):  # inf - inf between parts beyond the doubles
-        raise ConvergenceError(
-            f"hyp2f1: connection coefficients overflow (a={a}, b={b}, c={c}, "
-            f"x={x})", layer="specfun.hyp2f1")
-    return value
+        return _connection(a, b, c, s, y)
+    if m >= 0:
+        return _connection_near_integer(a, b, c, c - a, c - b, y, m, e)
+    # Euler's transformation turns m = -1 into 1
+    return _times_power(_connection_near_integer(c - a, c - b, c, a, b, y, -m, -e), y, s)

@@ -8,6 +8,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -150,8 +151,11 @@ def test_06_primitive_formula():
         n = int(rng.integers(0, 3))
         x = rng.uniform(0.1, 0.9) * gtf.pi_pq(p, q) / 2.0
         a = integrals.primitive_sin_cos(p, q, k, p * n + 1.0, x)
-        b = integrals.primitive_finite_sum(p, q, k, n, x)
-        worst_sum = max(worst_sum, abs(a - b))
+        s = mpmath.mpf(gtf.sin_pq(p, q, x))
+        with mpmath.workdps(40):  # the terminating binomial sum at l = pn + 1
+            b = sum((-1) ** m * mpmath.binomial(n, m) * s ** (k + 1 + q * m) / (k + 1 + q * m)
+                    for m in range(n + 1))
+        worst_sum = max(worst_sum, abs(a - float(b)))
     assert worst_sum <= 1e-11
     report("primitive_formula", worst, 1e-8,
            extra=f"finite_sum_residual={worst_sum:.2e}")

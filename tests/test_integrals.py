@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -251,8 +252,6 @@ ORDER_CALLS = {
     "lemniscate_wallis": lambda n: integrals.lemniscate_wallis(n, 1),
     "wallis_special_cases": lambda n: integrals.wallis_special_cases(
         2.0, 3.0, n, "cos_pn"),
-    "primitive_finite_sum": lambda n: integrals.primitive_finite_sum(
-        2.0, 3.0, 0.5, n, 0.4),
     "product_factors": lambda n: integrals.product_factors(2.0, 3.0, n),
     "poch_ratio": lambda n: specfun.poch_ratio(0.25, 0.75, n),
 }
@@ -299,8 +298,10 @@ class TestExponentAndModulusChecks:
 
     @pytest.mark.parametrize("k", [-1.0, -1.5, math.nan, math.inf])
     def test_finite_sum_k(self, k):
+        # the primitive's k on the terminating family l = pn + 1 that
+        # primitive_finite_sum, now deleted, summed
         with pytest.raises(DomainError, match="need exponent k > -1"):
-            integrals.primitive_finite_sum(2.0, 3.0, k, 2, 0.3)
+            integrals.primitive_sin_cos(2.0, 3.0, k, 2.0 * 2 + 1.0, 0.3)
 
     @pytest.mark.parametrize("r", [1.0, 0.5, math.nan, math.inf])
     def test_elliott_r(self, r):
@@ -362,16 +363,17 @@ class TestPrimitives:
         )
 
     def test_finite_sum_matches_hypergeometric(self):
-        # for l = pn + 1 the hypergeometric series terminates and the
-        # explicit binomial sum must agree to near machine precision
+        # for l = pn + 1 the hypergeometric form terminates in the binomial
+        # sum of (-1)^m C(n, m) s^(k+1+qm) / (k+1+qm) at s = sin_pq(x), here
+        # at 40 digits, and the incomplete beta route must agree to near
+        # machine precision
         p, q, k = 2.0, 3.0, 1.4
         half = gtf.pi_pq(p, q) / 2.0
         for n in (0, 1, 2):
             l = p * n + 1.0
             for x in (0.3 * half, 0.8 * half):
                 a = integrals.primitive_sin_cos(p, q, k, l, x)
-                b = integrals.primitive_finite_sum(p, q, k, n, x)
-                assert a == pytest.approx(b, abs=1e-11)
+                assert a == pytest.approx(finite_sum(p, q, k, n, x), abs=1e-11)
 
     def test_where_the_sine_rounds_to_one(self):
         # p near 1: sin_pq is 1.0 in double precision on much of the interval,
@@ -398,6 +400,44 @@ class TestPrimitives:
     def test_domain(self):
         with pytest.raises(DomainError):
             integrals.primitive_sin_cos(2.0, 2.0, -1.5, 0.0, 0.5)
+
+    def test_incomplete_beta_grid(self):
+        # six pairs, k in {-0.5, 0, 1, 3}, l from 1 - p/2 to 301 and six x up
+        # to (1 - 1e-6) pi_pq/2: 1008 points, each within 1e-13 of (1/q)
+        # B_z(a, b') at 40 digits, z = sin_pq^q and 1 - z = cos_pq^p from
+        # gtf's inversion of x.  The hypergeometric route read 204 of them
+        # worse than 1e-13 (up to 2.2e56 relative at l >= 61) and raised at 4
+        worst = 0.0
+        for p, q in ((1.05, 1.05), (1.05, 2.0), (1.5, 3.0), (2.0, 2.0), (3.0, 1.5), (2.0, 30.0)):
+            halfpi, ia, ib, lo, hi, _, _, _ = gtf._pair(p, q)
+            for f in (0.05, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-6):
+                x = f * halfpi
+                z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi,
+                                             (True, True))
+                for k in (-0.5, 0.0, 1.0, 3.0):
+                    for l in (1.0 - p / 2.0, 1.0, 2.0, 5.0, 61.0, 151.0, 301.0):
+                        a, b = (k + 1.0) / q, 1.0 + (l - 1.0) / p
+                        with mpmath.workdps(40):
+                            u = mpmath.mpf(z) if z <= 0.5 else 1 - mpmath.mpf(zc)
+                            exact = mpmath.betainc(a, b, 0, u) / q
+                        got = integrals.primitive_sin_cos(p, q, k, l, x)
+                        err = float(abs(got - exact) / exact)
+                        assert err <= 1e-13, (p, q, k, l, f, err)
+                        worst = max(worst, err)
+        assert worst > 0.0  # the grid ran
+
+    @pytest.mark.parametrize("p,q,k,l,x,want", [
+        (2.0, 2.0, 0.0, 1.0, 1e-200, 1e-200),  # z = x^2 underflows: 0.0 without the rule
+        (2.0, 2.0, -0.5, 1.0, 1e-170, 2e-85),
+        (1.5, 3.0, 1.0, 2.0, 1e-120, 5e-241),  # 3.96e-206 from z at DBL_MIN
+        (3.0, 1.5, 0.0, 1.0, 1e-300, 1e-300),
+        (2.0, 2.0, 0.0, 1.0, 5e-324, 5e-324),
+        (2.0, 3.0, 1.0, 1.0, 5e-324, 0.0),  # x^2 / 2 underflows
+    ])
+    def test_below_the_sines_underflow(self, p, q, k, l, x, want):
+        # below x = DBL_MIN^(1/q) sin_pq(x) is x, and the primitive is
+        # x^(k+1) / (k+1), where z = sin_pq^q underflows
+        assert integrals.primitive_sin_cos(p, q, k, l, x) == pytest.approx(want, rel=1e-15)
 
 
 class TestInfiniteProduct:
@@ -554,9 +594,54 @@ class TestElliott:
             for k in (d, 1.0 - d):
                 assert integrals.elliott_residual(p, q, r, k) <= 1e-13, (p, q, r, k)
 
+    def test_where_k_to_the_q_underflows(self):
+        # 1 - k^q rounded to 1 and hyp2f1 at x = 1 raised "requires c > a +
+        # b" for K'; the limit K E' with E' from Gauss's sum reads 2.2e-16
+        assert integrals.elliott_residual(2.0, 400.0, 2.0, 0.1) <= 4.4e-16
+
+    def test_grid_where_k_to_the_q_underflows(self):
+        # p <= q and r from ten exponents, ten k: 5500 points, 556 of which
+        # raised; nothing raises now, and where k^q < DBL_MIN the limit's
+        # residual is rounding, within 1e-13 of pi_pq pi_{s,r} / 4 (3.9e-14
+        # at worst), although (E - K) K' alone reaches ~90 there (p = 1.001,
+        # q = 1000): it cancels against E' - E'(1)
+        exps = (1.001, 1.01, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1000.0)
+        for p in exps:
+            for q in (v for v in exps if v >= p):
+                for r in exps:
+                    for k in (1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-8):
+                        value = integrals.elliott_residual(p, q, r, k)
+                        if q * math.log(k) < math.log(sys.float_info.min):
+                            rhs = (gtf.pi_pq(p, q) / 2) * gtf.pi_pq(
+                                math.inf if p == q else p * q / (q - p), r) / 2
+                            assert value <= 1e-13 * rhs, (p, q, r, k)
+                        else:
+                            assert math.isfinite(value), (p, q, r, k)
+
+    @pytest.mark.parametrize("log10_kq", [-300.0, -310.0, -400.0])
+    def test_limit_meets_the_full_form(self, log10_kq):
+        # at p = 1.001, q = 1000, r = 1.2, where (E - K) K' is largest: the
+        # full form at k^q = 1e-300 and the limit below DBL_MIN read the
+        # same rounding-level residual
+        p, q, r = 1.001, 1000.0, 1.2
+        k = 10.0 ** (log10_kq / q)
+        rhs = (gtf.pi_pq(p, q) / 2) * gtf.pi_pq(p * q / (q - p), r) / 2
+        assert integrals.elliott_residual(p, q, r, k) <= 1e-13 * rhs
+
     def test_requires_p_le_q(self):
         with pytest.raises(DomainError):
             integrals.elliott_residual(3.0, 2.0, 2.0, 0.5)
+
+
+def finite_sum(p, q, k, n, x):
+    """int_0^x sin_pq^k cos_pq^(pn+1) dt as its terminating binomial sum in
+    s = sin_pq(x), at 40 digits, where its alternating terms cancel without
+    loss."""
+    s = gtf.sin_pq(p, q, x)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        return float(sum((-1) ** m * mpmath.binomial(n, m) * s ** (k + 1 + q * m) / (k + 1 + q * m)
+                         for m in range(n + 1)))
 
 
 def _integrals_calls():
@@ -571,8 +656,6 @@ def _integrals_calls():
     calls = [
         ("primitive_sin_cos", integrals.primitive_sin_cos, (2.5, 3.0, 0.5, 0.7, 0.9)),
         ("definite_sin_cos", integrals.definite_sin_cos, (2.5, 3.0, 0.5, 0.7)),
-        ("primitive_finite_sum", lambda p, q, k, x: integrals.primitive_finite_sum(
-            p, q, k, 4, x), (2.5, 3.0, 0.5, 0.9)),
         ("wallis_sin", wallis(integrals.wallis_sin), (2.5, 3.0, 0.7)),
         ("wallis_sin_r=q-1", wallis(integrals.wallis_sin), (2.5, 3.0, 2.0)),
         ("wallis_cos", wallis(integrals.wallis_cos), (2.5, 3.0, -1.2)),

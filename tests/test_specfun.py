@@ -169,6 +169,19 @@ class TestPochhammer:
         else:  # within 1e-14, or a least subnormal where the ratio is one
             assert abs(got - exact) <= 1e-14 * exact + 2.0**-1074, (a, b, n)
 
+    @pytest.mark.parametrize("a,b,n", [
+        (1e-307, 50.0, 64), (3e-308, 60.0, 64), (5e-308, 10.5, 64), (3e-308, 12.0, 70),
+        (1e-307, 11.0, 64), (2.5e-308, 20.0, 100), (12.0, 3e-308, 64)])
+    def test_tiny_parameter_whose_shift_overflows(self, a, b, n):
+        # |a - b| / min(a, b) overflows in the first shift of the ln Gamma
+        # difference: NaN before the factor (a)_n = a (a + 1)_(n-1) was
+        # peeled; every value here is subnormal, 0 or inf, as 40-digit
+        # mpmath rounds it
+        with mpmath.workdps(40):
+            exact = float(mpmath.rf(a, n) / mpmath.rf(b, n))
+        got = specfun.poch_ratio(a, b, n)
+        assert got == exact or abs(got - exact) <= 2.0**-1074, (a, b, n, got, exact)
+
     def test_quotient_range_takes_no_shifted_difference(self, monkeypatch):
         # a cost guard without a timer: in the quotient's range the large-n
         # branch must not fall back on the shifted difference
@@ -191,8 +204,8 @@ class TestIntegerParameters:
 
     CALLS = [
         (specfun.poch_ratio, (1, 2, 100)), (specfun.poch_ratio, (3, 5, 10)),
-        (specfun.hyp2f1, (1, 1, 2, 0.9)), (specfun.hyp2f1, (1, 1, 3, 1)),
-        (specfun.hyp2f1, (1, 1, 2, 0)), (specfun.beta, (3, 20)),  # the Stirling form
+        (specfun.hyp2f1, (0.5, 0.5, 1, 0.9)), (specfun.hyp2f1, (0.25, 0.25, 1, 1)),
+        (specfun.hyp2f1, (0.5, 0, 1, 0)), (specfun.beta, (3, 20)),  # the Stirling form
         (specfun.beta, (3, 7)),
     ]
 
@@ -204,8 +217,8 @@ class TestIntegerParameters:
         assert type(got) is float and same_bits(got, want), (fn.__name__, args)
 
     def test_comp(self):
-        assert same_bits(specfun.hyp2f1(0.5, 0.5, 2.0, 1.0, comp=0),
-                         specfun.hyp2f1(0.5, 0.5, 2.0, 1.0, comp=0.0))
+        assert same_bits(specfun.hyp2f1(0.5, 0.5, 1.25, 1.0, comp=0),
+                         specfun.hyp2f1(0.5, 0.5, 1.25, 1.0, comp=0.0))
 
 
 def _lgamma_diff_points(count, seed):
@@ -710,15 +723,74 @@ class TestForwardPolynomial:
         assert np.abs(mono).sum() <= 8.0 * (math.log(2.0) - 0.5) * kappa[0] * (1.0 + 1e-12)
 
 
+def box_points(count, seed):
+    """Seeded (a, b, c, x, comp) inside hyp2f1's box, faces included: each
+    of a, c - a and |b| uniform, within 10^-U(0, 16) of 1 or at 10^-U(0,
+    300) (a down to its face 2^-511), b also near c - a (c - a - b near 0),
+    near c - a - 1 (near -1, Euler's transformation) and near c (c - b near
+    0), and x at 0, at 1 (where c > a + b), uniform, tiny, or 1 - 10^-U(0,
+    20) and 1 - 10^-U(0, 324) with and without its complement."""
+    rng = np.random.default_rng(seed)
+
+    def unit(floor):
+        u = rng.random()
+        if u < 0.4:
+            v = rng.random()
+        elif u < 0.7:
+            v = 10.0 ** rng.uniform(-300.0, 0.0)
+        else:
+            v = 1.0 - 10.0 ** rng.uniform(-16.0, 0.0)
+        return min(max(v, floor), math.nextafter(1.0, 0.0))
+
+    points = []
+    while len(points) < count:
+        a, d = unit(2.0**-511), unit(5e-324)
+        c = a + d
+        delta = 10.0 ** rng.uniform(-300.0, 0.0) * rng.choice((-1.0, 1.0))
+        u = rng.random()
+        if u < 0.05:
+            b = 0.0
+        elif u < 0.1:
+            b = (c - a) + delta
+        elif u < 0.15:
+            b = (c - a) - 1.0 + abs(delta)
+        elif u < 0.2:
+            b = c + delta
+        else:
+            b = unit(5e-324) * rng.choice((-1.0, 1.0))
+        if not (0.0 < c - a < 1.0 and -1.0 < b < 1.0):
+            continue
+        u, comp = rng.random(), None
+        if u < 0.05:
+            x = 0.0
+        elif u < 0.1:
+            if math.fsum((c, -a, -b)) <= 0.0:
+                continue
+            x, comp = 1.0, 0.0
+        elif u < 0.4:
+            x = rng.random()
+        elif u < 0.55:
+            x = 10.0 ** rng.uniform(-300.0, 0.0)
+        else:
+            comp = max(10.0 ** rng.uniform(-324.0 if u < 0.7 else -20.0, 0.0), 5e-324)
+            x = 1.0 - comp
+            if rng.random() < 0.5:
+                comp = None
+            if x == 1.0 and comp is None and math.fsum((c, -a, -b)) <= 0.0:
+                continue
+        points.append((a, b, c, x, comp))
+    return points
+
+
 class TestHyp2F1:
     def test_at_zero(self):
-        assert specfun.hyp2f1(0.3, 1.7, 2.4, 0.0) == 1.0
+        assert specfun.hyp2f1(0.3, 0.7, 1.2, 0.0) == 1.0
 
     def test_arcsin_series(self):
-        z = 0.6
-        assert specfun.hyp2f1(0.5, 0.5, 1.5, z * z) == pytest.approx(
-            math.asin(z) / z, abs=1e-13
-        )
+        # F(1/2, 1/2; 3/2; z^2) = asin(z) / z has c - a = 1, on the face of
+        # the box and outside it
+        with pytest.raises(DomainError, match="0 < c - a < 1"):
+            specfun.hyp2f1(0.5, 0.5, 1.5, 0.36)
 
     def test_gauss_summation(self):
         expected = math.exp(math.lgamma(1.0) + math.lgamma(0.5) - 2.0 * math.lgamma(0.75))
@@ -727,21 +799,39 @@ class TestHyp2F1:
         )
 
     def test_terminating_polynomial(self):
-        # F(-2, b; c; x) = 1 - 2bx/c + b(b+1)x^2/(c(c+1)), exact
-        b, c, x = 1.3, 2.1, 0.8
-        expected = 1.0 - 2 * b * x / c + b * (b + 1) * x**2 / (c * (c + 1))
-        assert specfun.hyp2f1(-2.0, b, c, x) == pytest.approx(expected, rel=1e-15)
+        # in the box only b = 0 terminates, at F = 1 exactly, x = 1 included;
+        # a = -2, whose polynomial F(-2, b; c; x) is, lies outside it
+        for x in (0.0, 0.3, 0.8, 1.0 - 1e-300, 1.0):
+            assert specfun.hyp2f1(0.4, 0.0, 1.1, x) == 1.0
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(-2.0, 1.3, 2.1, 0.8)
+
+    @pytest.mark.parametrize("b", [1e-310, -1e-310, 5e-324, 2.0**-65, -(2.0**-65)])
+    def test_tiny_b_is_one(self, b):
+        # |F - 1| <= |b| ln(1 / (1 - x)) <= 745 |b|: F rounds to 1; a
+        # subnormal b spent the logarithmic series' budget before
+        for a, c, x, comp in ((0.5, 0.6, 0.9, None), (0.3, math.nextafter(0.3, 1.0), 1.0, 5e-324),
+                              (0.9, 1.8, 0.2, None)):
+            assert specfun.hyp2f1(a, b, c, x, comp=comp) == 1.0
+
+    @pytest.mark.parametrize("a,c", [(0.3, 0.9), (0.9, 1.0 - 1e-12), (1e-150, 0.5)])
+    def test_b_minus_one_is_a_polynomial(self, a, c):
+        # elliptic_E's b = -1/r* rounds to -1 for r above 2^53: F = 1 - a x
+        # / c, here against 40-digit mpmath, x = 1 included
+        for y in (0.0, 1e-300, 1e-8, 0.3, 0.9, 1.0):
+            with mpmath.workdps(40):
+                exact = 1 - mpmath.mpf(a) * (1 - mpmath.mpf(y)) / c
+            got = specfun.hyp2f1(a, -1.0, c, 1.0 - y, comp=y)
+            assert abs(got - exact) <= 4.5e-16 * exact, (a, c, y)  # two ulps
 
     def test_log_series(self):
-        # F(1, 1; 2; x) = -ln(1-x)/x
-        x = 0.37
-        assert specfun.hyp2f1(1.0, 1.0, 2.0, x) == pytest.approx(
-            -math.log1p(-x) / x, abs=1e-13
-        )
+        # F(1, 1; 2; x) = -ln(1-x)/x has a = 1 and c - a = 1: outside the box
+        with pytest.raises(DomainError, match="2\\^-511 <= a < 1"):
+            specfun.hyp2f1(1.0, 1.0, 2.0, 0.37)
 
     def test_euler_integral_cross_check(self):
         # F(a,b;c;x) = (1/B(b, c-b)) int_0^1 t^(b-1)(1-t)^(c-b-1)(1-xt)^(-a)
-        a, b, c, x = 0.4, 0.9, 2.3, 0.65
+        a, b, c, x = 0.4, 0.9, 1.3, 0.65
 
         def f(t, da, db):
             return da ** (b - 1.0) * db ** (c - b - 1.0) * (1.0 - x * t) ** (-a)
@@ -754,11 +844,68 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             specfun.hyp2f1(0.5, 0.5, -1.0, 0.5)
         with pytest.raises(DomainError):
-            specfun.hyp2f1(0.5, 0.5, 1.5, 1.2)
+            specfun.hyp2f1(0.5, 0.5, 1.25, 1.2)
         with pytest.raises(DomainError):
-            specfun.hyp2f1(1.0, 1.0, 1.5, 1.0)  # c <= a + b at x = 1
+            specfun.hyp2f1(1.0, 1.0, 1.5, 1.0)
+        with pytest.raises(DomainError, match="requires c > a \\+ b"):
+            specfun.hyp2f1(0.5, 0.9, 1.2, 1.0)  # c - a - b = -0.2 at x = 1
         with pytest.raises(DomainError):
             specfun.hyp2f1(0.5, 0.5, -2.0, 0.5)
+
+    @pytest.mark.parametrize("face,args", [
+        ("a below 2^-511", (math.nextafter(2.0**-511, 0.0), 0.5, 0.5, 0.7)),
+        ("a = 0", (0.0, 0.5, 0.5, 0.7)),
+        ("a = 1", (1.0, 0.5, 1.5, 0.7)),
+        ("c - a = 0", (0.5, 0.5, 0.5, 0.7)),
+        ("c - a < 0", (0.5, 0.5, math.nextafter(0.5, 0.0), 0.7)),
+        ("c - a = 1", (0.5, 0.5, 1.5, 0.7)),
+        ("b = 1", (0.5, 1.0, 1.25, 0.7)),
+        ("b < -1", (0.5, math.nextafter(-1.0, -2.0), 1.25, 0.7)),
+        ("x < 0", (0.5, 0.5, 1.25, -5e-324)),
+        ("x > 1", (0.5, 0.5, 1.25, math.nextafter(1.0, 2.0))),
+        ("c = a + b at x = 1", (0.5, 0.25, 0.75, 1.0)),
+    ])
+    def test_just_outside_each_face(self, face, args):
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(*args)
+
+    @pytest.mark.parametrize("args", [
+        (2.0**-511, 0.5, 0.5 + 2.0**-511, 0.7), (math.nextafter(1.0, 0.0), 0.5, 1.5, 0.7),
+        (0.5, 0.5, math.nextafter(0.5, 1.0), 0.7), (0.5, 0.5, math.nextafter(1.5, 0.0), 0.7),
+        (0.5, math.nextafter(1.0, 0.0), 1.25, 0.7), (0.5, math.nextafter(-1.0, 0.0), 1.25, 0.7),
+        (0.5, -1.0, 1.25, 0.7),
+        (0.5, 0.5, 1.25, 0.0), (0.5, 0.5, 1.25, 1.0), (0.5, 0.25, math.nextafter(0.75, 1.0), 1.0)])
+    def test_just_inside_each_face(self, args):
+        value = specfun.hyp2f1(*args)
+        assert math.isfinite(value) and value > 0.0
+
+    def test_in_box_scan_raises_nothing(self):
+        # no ConvergenceError, DomainError or NaN anywhere in the box, and
+        # inf only where F lies beyond the doubles: 1 - x subnormal and c - a
+        # - b near -1, where F ~ Gamma(c) Gamma(a + b - c) / (Gamma(a)
+        # Gamma(b)) (1 - x)^(c-a-b) (one point of 60 000 on other seeds)
+        for a, b, c, x, comp in box_points(50_000, 31):
+            value = specfun.hyp2f1(a, b, c, x, comp=comp)
+            if value == math.inf:
+                y, s = 1.0 - x if comp is None else comp, math.fsum((c, -a, -b))
+                lead = (math.lgamma(c) + math.lgamma(-s) - math.lgamma(a) - math.lgamma(b)
+                        + s * math.log(y))
+                assert lead > math.log(sys.float_info.max), (a, b, c, x, comp)
+            else:
+                assert math.isfinite(value), (a, b, c, x, comp)
+
+    def test_cancelling_corner(self):
+        # a and c - a near 1, b near 0.87, x near 1/2: the two parts of the
+        # connection formula cancel by up to ~28 (8.7e-15 at worst in a scan
+        # of 20 000 points), the most anywhere in the box
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            a, d = 1.0 - 10.0 ** rng.uniform(-16.0, -2.0), 1.0 - 10.0 ** rng.uniform(-16.0, -2.0)
+            b, x = rng.uniform(0.84, 0.9), rng.uniform(0.5, 0.66)
+            c = a + d
+            with mpmath.workdps(40):
+                exact = mpmath.hyp2f1(a, b, c, x)
+            assert abs(specfun.hyp2f1(a, b, c, x) - exact) <= 1e-13 * abs(exact), (a, b, c, x)
 
     def test_near_one_with_tiny_excess(self):
         # x = 1 - 1e-14 and c - a - b = 0.001: once beyond the series' reach
@@ -770,57 +917,55 @@ class TestHyp2F1:
     @pytest.mark.parametrize("a,b", [(6.0, 0.8), (10.0, 0.5), (3.0, 0.8)])
     @pytest.mark.parametrize("x", [0.55, 0.7, 0.9])
     def test_large_parameters_past_one_half(self, a, b, x):
-        # the two parts of the connection formula cancel by up to 3e3 here
-        # near x = 1/2; there the series in x takes over
-        with mpmath.workdps(40):
-            exact = mpmath.hyp2f1(a, b, 1 + a, x)
-        assert abs(specfun.hyp2f1(a, b, 1.0 + a, x) - exact) <= 1e-13 * exact
+        # a > 1 (and c - a = 1): outside the box, where the two parts of the
+        # connection formula cancelled by up to 3e3 near x = 1/2
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(a, b, 1.0 + a, x)
 
     def test_convergence_failure_is_reported(self):
-        # parameters far beyond any the package builds: the terms grow for
-        # about 700 steps before they decay, past the term budget
+        # parameters far beyond any the package builds, for the series loop
+        # itself (hyp2f1 rejects them): the terms grow for about 700 steps
+        # before they decay, past the term budget
         with pytest.raises(ConvergenceError) as info:
-            specfun.hyp2f1(300.5, 300.5, 1.5, 0.49)
+            specfun._series(300.5, 300.5, 1.5, 0.49)
         err = info.value
         assert err.layer == "specfun.hyp2f1"
         assert err.terms == err.budget == specfun.HYP2F1_MAX_TERMS
         assert f"budget of {specfun.HYP2F1_MAX_TERMS} terms" in str(err)
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(300.5, 300.5, 1.5, 0.49)
 
     def test_overflowing_coefficients(self):
-        # a Gamma factor of the connection formula lies beyond the doubles,
-        # where the plain product of the factors read NaN; F is 1.0051 and
-        # 7.4e193
+        # a Gamma factor of the connection formula beyond the doubles needs
+        # parameters outside the box
         for a, b, c in ((1.0, 1.0, 177.5), (200.5, -1.5, 0.5)):
-            with mpmath.workdps(40):
-                exact = mpmath.hyp2f1(a, b, c, 0.9)
-            assert abs(specfun.hyp2f1(a, b, c, 0.9) - exact) <= 1e-13 * abs(exact), (a, b, c)
+            with pytest.raises(DomainError):
+                specfun.hyp2f1(a, b, c, 0.9)
 
     @pytest.mark.parametrize("a,b,c", [(0.2, 0.5, -11.3), (0.2, 0.2, -11.65)])
     def test_cancelling_head_polynomial(self, a, b, c):
-        # c - a - b near -12: Euler's transformation hands the logarithmic
-        # formula a head polynomial whose terms cancel; its magnitude counts
-        # them, so the series in x takes over (F is 3.0843 and 1.2885)
-        with mpmath.workdps(40):
-            exact = mpmath.hyp2f1(a, b, c, 0.55)
-        assert abs(specfun.hyp2f1(a, b, c, 0.55) - exact) <= 1e-15 * abs(exact)
+        # c - a - b near -12, a head polynomial whose terms cancel: c < a,
+        # outside the box
+        with pytest.raises(DomainError, match="0 < c - a < 1"):
+            specfun.hyp2f1(a, b, c, 0.55)
 
     @pytest.mark.parametrize("comp", [-1e-3, 1.5, math.nan])
     def test_complement_outside_unit_interval(self, comp):
-        with pytest.raises(DomainError):
-            specfun.hyp2f1(0.5, 0.5, 1.5, 0.9, comp=comp)
+        with pytest.raises(DomainError, match="complement"):
+            specfun.hyp2f1(0.5, 0.5, 1.25, 0.9, comp=comp)
 
     @pytest.mark.parametrize("comp", [0.5, 0.1 + 2e-9, 0.1 - 2e-9])
     def test_complement_disagreeing_with_x(self, comp):
         """A comp more than 1e-9 from 1 - x is rejected; (1, 1, 2, 0.9) with
         comp = 0.5 spent the 300-term budget before the check."""
         with pytest.raises(DomainError, match="within 1e-9 of 1 - x"):
-            specfun.hyp2f1(1, 1, 2, 0.9, comp=comp)
+            specfun.hyp2f1(0.5, 0.5, 1.25, 0.9, comp=comp)
 
     def test_complement_within_its_bound(self):
-        # F(1, 1; 2; x) = -ln(1 - x) / x, whose slope in 1 - x is about 11
+        # F(a, b; b; x) = (1 - x)^(-a), whose slope in 1 - x is about 16 here
         for comp in (0.1 - 5e-10, 0.1 + 5e-10):
-            got = specfun.hyp2f1(1, 1, 2, 0.9, comp=comp)
-            assert got == pytest.approx(-math.log(0.1) / 0.9, rel=1e-8)
+            got = specfun.hyp2f1(0.5, 0.75, 0.75, 0.9, comp=comp)
+            assert got == pytest.approx(0.1**-0.5, rel=1e-8)
 
     def test_complement_is_used_near_one(self):
         # 1 - 1e-20 rounds to 1, where c <= a + b has no value; the exact
@@ -840,57 +985,49 @@ class TestHyp2F1:
 
 
 class TestHyp2F1BeyondTheDoubles:
-    """c - a - b beyond +-170, where m! leaves the doubles, and the factor
-    y^(c-a-b) of Euler's transformation beyond them: both raised a raw
-    OverflowError inside the domain."""
-
-    @staticmethod
-    def exact(a, b, c, x):
-        with mpmath.workdps(40):
-            return mpmath.hyp2f1(a, b, c, x)
+    """c - a - b beyond +-170, where m! leaves the doubles, the factor
+    y^(c-a-b) of Euler's transformation beyond them, and Gamma factors
+    beyond them: every such point has a parameter outside hyp2f1's box, so
+    it raises DomainError where it once gave a value, inf or a raw
+    OverflowError."""
 
     @pytest.mark.parametrize("a,b,c,x", [
         (172.0, 1.0, 2.0, 0.6), (200.0, 1.0, 2.0, 0.9), (300.0, 1.0, 2.0, 0.9),
         (172.25, 1.25, 2.5, 0.6), (200.5, 0.5, 3.0, 0.9), (1.0, 172.25, 2.25, 0.6),
         (-170.5, 1.5, 2.0, 0.99), (0.5, 0.5, 175.0, 0.9), (2.5, 1.5, 180.0, 0.75)])
     def test_value_where_m_factorial_overflows(self, a, b, c, x):
-        # each raised "int too large to convert to float" from m!
-        exact = self.exact(a, b, c, x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = specfun.hyp2f1(a, b, c, x)
-        assert abs(got - exact) <= 1e-13 * abs(exact)
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(a, b, c, x)
 
     @pytest.mark.parametrize("a,b,c,x", [
         (170.0, 1.0, 2.0, 0.99), (169.0, 1.0, 2.0, 0.99), (200.0, 1.0, 2.0, 0.99),
         (63.5, 1.0, 2.0, 1.0 - 1e-5)])
     def test_inf_beyond_the_doubles(self, a, b, c, x):
-        # y**s raised "Numerical result out of range"; the true values are
-        # about 6e335, 6e333, 5e395 and 1.6e310
-        assert self.exact(a, b, c, x) > sys.float_info.max
-        assert specfun.hyp2f1(a, b, c, x) == math.inf
+        # the true values are about 6e335, 6e333, 5e395 and 1.6e310
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(a, b, c, x)
 
     @pytest.mark.parametrize("a,b,c", [(1000.0, 0.5, 970.5), (300.0, 1.5, 271.5)])
     def test_value_where_only_y_to_the_s_overflows(self, a, b, c):
-        # F = y^s F(c-a, c-b; c; x) with y^s = 1e330: F is 2.5e272 and 1.1e291
-        x = 1.0 - 1e-11
-        exact = self.exact(a, b, c, x)
-        assert exact < sys.float_info.max
-        assert abs(specfun.hyp2f1(a, b, c, x) - exact) <= 1e-13 * exact
+        with pytest.raises(DomainError):
+            specfun.hyp2f1(a, b, c, 1.0 - 1e-11)
 
     @pytest.mark.parametrize("a,b,c,x,what", [
         (1e5, 1.0, 2.0, 0.7, "Gamma"), (0.5, 0.5, -170.05, 0.6, "cancels")])
     def test_stated_bounds(self, a, b, c, x, what):
-        # a Gamma factor beyond the doubles at an argument beyond 1024, and
-        # parts that cancel: DomainError, not a wrong value
-        with pytest.raises(DomainError, match=what):
+        # what names the old reason, a Gamma factor beyond the doubles at an
+        # argument beyond 1024 and parts that cancel; the box's test is now
+        # the one that rejects them
+        with pytest.raises(DomainError, match="hyp2f1 requires"):
             specfun.hyp2f1(a, b, c, x)
 
     @pytest.mark.parametrize("f", [0.1, 0.5, 0.8, 0.95, 0.99, 0.999, 0.99999])
     def test_prefactor_below_the_doubles(self, f):
-        # primitive_sin_cos(1.05, 1.05, 40, 150, x): F(39.05, -141.9; 40.05;
-        # .) near x = 1 has m = 143, where (-y)^143 underflowed and the value
-        # read 0 (or a wrong sign at f = 0.1); the integral is 3.5096e-42
+        # primitive_sin_cos(1.05, 1.05, 40, 150, x), where hyp2f1's route
+        # met F(39.05, -141.9; 40.05; .) near x = 1 with m = 143, and
+        # (-y)^143 underflowed (the value read 0, or a wrong sign at f =
+        # 0.1); the incomplete beta route reads 4.0e-14 at worst, mostly
+        # specfun.beta's; the integral is 3.5096e-42
         p = q = 1.05
         k, l = 40.0, 150.0
         x = f * gtf.pi_pq(p, q) / 2
@@ -948,10 +1085,20 @@ def elliptic_triple(ca, a, m, offset):
     return a, ca - (m + offset), a + ca
 
 
-def primitive_triple(a, m, offset):
-    """(a, b, c) of primitive_sin_cos: a = (k+1)/q, b = (1-l)/p, c = 1 + a,
-    so c - a - b = 1 - b = m + offset."""
-    return a, 1.0 - (m + offset), 1.0 + a
+def primitive_shapes(a, m, offset):
+    """(a, b') of primitive_sin_cos's B_z(a, b'): a = (k+1)/q and b' = 1 +
+    (l-1)/p = m + offset, the c - a - b of the F(a, 1 - b'; 1 + a; z) that
+    it summed before."""
+    return a, m + offset
+
+
+def assert_beta_integral_matches_mpmath(a, b, y):
+    """specfun._beta_integral(a, b, z, y) at z = 1 - y, the complement
+    given, against 40-digit mpmath's B_z(a, b) within 1e-13 relative."""
+    with mpmath.workdps(40):
+        exact = mpmath.betainc(a, b, 0, 1 - mpmath.mpf(y))
+    got = specfun._beta_integral(a, b, 1.0 - y, y)
+    assert abs(got - exact) <= 1e-13 * abs(exact), (a, b, y)
 
 
 def assert_hyp2f1_matches_mpmath(a, b, c, y):
@@ -974,13 +1121,22 @@ YS = (1e-15, 1e-12, 1e-8, 1e-4, 0.01, 0.2, 0.3, 0.49, 0.5, 0.7)
 
 class TestHyp2F1AgainstMpmath:
     """The parameter families integrals builds, up to 1 - x = 1e-15 and with
-    c - a - b at and near the integers m = 0, 1, 2 (the logarithmic cases)."""
+    c - a - b at and near the integers m = 0, 1, 2 (the logarithmic cases):
+    hyp2f1 for K, E and Elliott's identity, and for the primitives, which no
+    longer reach it, their incomplete beta integral at the same points."""
 
     @pytest.mark.parametrize("m", [-1, -2, -3])
     @pytest.mark.parametrize("e", [0.0, 1e-12, -1e-8, 1e-4, -0.05, 0.09])
     def test_euler_transformation_branch(self, m, e, monkeypatch):
         # c - a - b near a negative integer m: Euler's transformation turns
-        # it into the logarithmic connection formula at -m
+        # it into the logarithmic connection formula at -m.  In the box c -
+        # a - b = (c - a) - b > -1, so only m = -1 with e > 0 lies inside (b
+        # near 1, c - a = e / 2); every other (m, e) raises DomainError, here
+        # at the a = 0.8, b = 1.45 these points once had
+        if m + e <= -1.0:
+            with pytest.raises(DomainError):
+                specfun.hyp2f1(0.8, 1.45, 0.8 + 1.45 + m + e, 0.6)
+            return
         orders = []
         near_integer = specfun._connection_near_integer
 
@@ -989,9 +1145,9 @@ class TestHyp2F1AgainstMpmath:
             return near_integer(*args)
 
         monkeypatch.setattr(specfun, "_connection_near_integer", spy)
-        a, b = 0.8, 1.45
+        a, b = 0.8, 1.0 - e / 2.0
         for y in (0.4, 0.1, 0.01, 1e-6):
-            assert_hyp2f1_matches_mpmath(a, b, a + b + m + e, y)
+            assert_hyp2f1_matches_mpmath(a, b, a + e / 2.0, y)
         assert orders and set(orders) == {-m}
 
     @pytest.mark.parametrize("offset", OFFSETS)
@@ -1005,9 +1161,9 @@ class TestHyp2F1AgainstMpmath:
     @pytest.mark.parametrize(
         "m,offset", [(m, d) for m in (0, 1, 2) for d in OFFSETS if m + d > 0])
     def test_primitive_grid(self, m, offset):
-        a, b, c = primitive_triple(0.75, m, offset)
+        a, b = primitive_shapes(0.75, m, offset)
         for y in YS:
-            assert_hyp2f1_matches_mpmath(a, b, c, y)
+            assert_beta_integral_matches_mpmath(a, b, y)
 
     @given(
         ca=st.floats(0.01, 0.99),
@@ -1031,7 +1187,7 @@ class TestHyp2F1AgainstMpmath:
     @settings(max_examples=150, deadline=None)
     def test_primitive_family(self, a, m, offset, log_y):
         assume(m + offset > 0)
-        assert_hyp2f1_matches_mpmath(*primitive_triple(a, m, offset), 10.0**log_y)
+        assert_beta_integral_matches_mpmath(*primitive_shapes(a, m, offset), 10.0**log_y)
 
 
 def _unit_ratio_points():
@@ -1085,7 +1241,9 @@ class TestUnitGammaRatios:
     ])
     def test_two_lgamma_diff_calls(self, a, b, c, x, monkeypatch):
         # only qa and qb depend on a and b; the e-only ratios take no
-        # ln Gamma difference
+        # ln Gamma difference.  The formula is called with the arguments
+        # hyp2f1 gives it, after Euler's transformation where m < 0, so the
+        # last two points, outside hyp2f1's box, still reach it
         calls = []
         lgamma_diff = specfun._lgamma_diff
 
@@ -1094,18 +1252,11 @@ class TestUnitGammaRatios:
             return lgamma_diff(z, e)
 
         monkeypatch.setattr(specfun, "_lgamma_diff", spy)
-        near_integer = specfun._connection_near_integer
-        runs = []
-
-        def count(*args):
-            runs.append(len(calls))
-            out = near_integer(*args)
-            runs[-1] = len(calls) - runs[-1]
-            return out
-
-        monkeypatch.setattr(specfun, "_connection_near_integer", count)
-        specfun.hyp2f1(a, b, c, x)
-        assert runs == [2]
+        s = math.fsum((c, -a, -b))
+        m = round(s)
+        args = (a, b, c, c - a, c - b) if m >= 0 else (c - a, c - b, c, a, b)
+        specfun._connection_near_integer(*args, 1.0 - x, abs(m), (s - m) if m >= 0 else m - s)
+        assert len(calls) == 2
 
 
 # pairs of (a, b, c) whose series in x converge at very different rates:
