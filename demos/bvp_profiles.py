@@ -17,7 +17,7 @@ print("general problem, finite-difference ODE residuals at midpoints:")
 for p, q in ((1.5, 3.0), (2.0, 2.0), (4.0, 1.5)):
     sol = bvp.solve_general(1.0, p, q)
     xs = np.linspace(0.0, 1.0, 9)[1:-1]
-    worst = bvp.residual_general(1.0, p, q, xs).max()
+    worst = bvp.general_checks(p, q, [1.0], xs)[0][0].max()
     print(f"  (p,q)=({p},{q}): max |residual| = {worst:.2e},"
           f"  u(1/2) = {sol(0.5):.12f}")
 
@@ -28,8 +28,9 @@ gap = np.max(np.abs(sol(xs) - np.sin(math.pi * xs) / (2.0 * math.pi)))
 print(f"  max deviation on [0,1]: {gap:.2e}")
 
 print("\nphase-plane first integral u = C |v+1/p|^(1/p) |v-1/q|^(1/q):")
-for x in (0.5, 1.25, 2.0):
-    print(f"  x={x}: residual = {bvp.phase_curve_residual(2.5, 3.0, 1.5, x):.2e}")
+phase = bvp.general_checks(3.0, 1.5, [2.5], [0.2, 0.5, 0.8])[1][0]
+for x, r in zip((0.5, 1.25, 2.0), phase):
+    print(f"  x={x}: residual = {r:.2e}")
 
 print("\nnonlocal problem: the exponent pair depends on m through")
 print("r(m) = 1/(1/2 + 1/(4 sqrt(m^2+1/4))), and the closure must return m^2:")

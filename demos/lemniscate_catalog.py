@@ -19,8 +19,8 @@ labels = {0: "varpi/2", 1: "pi/4", 2: "pi/(2 varpi)", 3: "1/2"}
 print(f"\n{'k':>3} {'closed form':>20} {'quadrature':>20} {'diff':>9}  constant")
 # int_0^{varpi/2} sl^k dt for k = 0..15, via the substitution s = sl, in one
 # batched quadrature pass
-oracles = quadrature.power_moment(2.0, 4.0, [float(k) for k in range(16)], "sin",
-                                  tol=1e-12)
+oracles = quadrature.power_moments([(2.0, 4.0, "sin", [float(k) for k in range(16)])],
+                                   tol=1e-12).value
 for n in range(4):
     for residue in range(4):
         k = 4 * n + residue

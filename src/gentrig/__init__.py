@@ -8,13 +8,15 @@ Library layout:
   incomplete beta function and its inverse: gtf's for shapes a, b <= 1,
   and the primitives' incomplete beta integral.
 - ``gtf``: pi_pq, sin_pq, cos_pq, the fused pair sincos_pq, the inverse sine,
-  and identity residuals.
-- ``integrals``: primitives, definite integrals, Wallis-type formulas, the
-  lemniscate catalog, generalized elliptic integrals, the infinite product.
-- ``bvp``: closed-form boundary value problem solutions and verifiers.
+  the appendix's reflection residuals and the symmetric extension.
+- ``integrals``: primitives (the definite integral at pi_pq/2), Wallis-type
+  formulas, the lemniscate catalog, generalized elliptic integrals with
+  Elliott's identity, the infinite product.
+- ``bvp``: closed-form boundary value problem solutions, the general
+  problem's one verifier general_checks and the nonlocal closure.
 - ``quadrature``: the independent tanh-sinh integration oracle (one
-  integrand or a batch on shared nodes, one integrand call per level) and
-  its Wallis-moment forms power_moment and power_moments (many (p, q,
+  integrand or a batch on shared nodes, one integrand call per level), its
+  beta-integral form and its Wallis-moment form power_moments (many (p, q,
   flavor) specs in one pass).
 - ``cli``: the ``gentrig`` command (eval / verify / table).
 """

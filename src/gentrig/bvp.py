@@ -16,34 +16,31 @@ collapses, through the multiple-angle formula, to a mirrored sin_{2,p}
 profile.  Every function takes the problem's numbers, H > 0, p, q in
 (1, inf) and m > 0, and rejects the rest with DomainError.
 
-The residual verifiers (residual_general, residual_nonlocal) use central
-finite differences (one Richardson step), so they stay independent of the
-closed forms they check.  The nonlocal closure, nonlocal_mean_square_slope,
-takes no difference step: it integrates the square of the closed form's own
-slope, S v with v = u' the phase variable of the derivation, by the
-tanh-sinh oracle, every m of an array one row of one batch that makes one
-gtf call a level.  solve_pq_equal takes an array p, and its sol(x) makes
-one gtf call for every p.  The residual verifiers take a point or an array
-of points; a point is evaluated as a one-element array, so it gives the
-same bits as one.  The general problem has one evaluator, behind
-residual_general, phase_curve_residual and general_checks: it inverts the
-5-point stencils x, x +- h, x +- h/2 of every point and the ends 0 and H in
-one fused sin/cos call (gtf._sincos_tail), in the gtf lane the array's size
-picks: one inversion gives a point's sine and cosine, two in the band
-between I_{1/2}(1/q, 1/p) and 1/2.  The phase curve's cosine comes from the
-stencil's centre row.  general_checks also takes numpy arrays p and q, and
-then makes that one call for every pair (gtf's lane for several pairs).
-A residual agrees with one computed point by point from scalar sol(x) calls
-to 8 (p + q) eps |u| / h^2 (the ODE residual's second difference divides a
-last-ulp difference of u by h^2).
+The general problem has one public verifier, general_checks, for the ODE
+residual, the phase curve and the boundary values.  Its ODE residual uses
+central finite differences (one Richardson step), so it stays independent of
+the closed form it checks.  It inverts the 5-point stencils x, x +- h,
+x +- h/2 of every point and the ends 0 and H in one fused sin/cos call
+(gtf._sincos_tail), in the gtf lane the array's size picks: one inversion
+gives a point's sine and cosine, two in the band between I_{1/2}(1/q, 1/p)
+and 1/2.  The phase curve's cosine comes from the stencil's centre row.
+general_checks also takes numpy arrays p and q, and then makes that one call
+for every pair (gtf's lane for several pairs).  Its residuals agree with
+ones computed point by point from scalar sol(x) calls to 8 (p + q) eps |u|
+/ h^2 (the ODE residual's second difference divides a last-ulp difference
+of u by h^2).  The nonlocal closure, nonlocal_mean_square_slope, takes no
+difference step: it integrates the square of the closed form's own slope,
+S v with v = u' the phase variable of the derivation, by the tanh-sinh
+oracle, every m of an array one row of one batch that makes one gtf call a
+level.  solve_pq_equal takes an array p, and its sol(x) makes one gtf call
+for every p.
 
 The profile's factor cos^(p*-1) = cos^(1/(p-1)) and the phase curve's
 |v + 1/p|^(1/p) = (1/p + 1/q)^(1/p) cos^(p*-1) come from gtf._cos_power,
-gtf's one rule for that power (its appendix, multiple-angle and
-derivative-identity residuals take it too): where cos_{p*,q} underflows (p
-above ~100 near x = H, above ~300 on much of (0, H); the nonlocal problem
-at m below ~0.1) it is the leading term's base b B(b, a) yc, not a power of
-the underflowed cosine.
+gtf's one rule for that power (its appendix residuals take it too): where
+cos_{p*,q} underflows (p above ~100 near x = H, above ~300 on much of (0,
+H); the nonlocal problem at m below ~0.1) it is the leading term's base b
+B(b, a) yc, not a power of the underflowed cosine.
 """
 
 from __future__ import annotations
@@ -257,90 +254,52 @@ def _general(p, q, Hs, xs):
     return ode.reshape(lead + xx.shape), phase.reshape(lead + xx.shape), bc
 
 
-def _at_points(which: int, H: float, p: float, q: float, x):
-    """Residual `which` (0 ode, 1 phase) of _general at x, a float for a
-    point."""
-    r = _general(p, q, [H], np.atleast_1d(np.asarray(x, dtype=float))[None])[which][0]
-    return float(r[0]) if np.ndim(x) == 0 else r
-
-
-def residual_general(H: float, p: float, q: float, x):
-    """|(p-q)u' - pq(u')^2 + (p+q)uu'' + 1| of solve_general(H, p, q) via
-    finite differences, at one interior point or elementwise on an array."""
-    return _at_points(0, H, p, q, x)
-
-
-def phase_curve_residual(H: float, p: float, q: float, x):
-    """Residual of the first integral u = C |v + 1/p|^(1/p) |v - 1/q|^(1/q).
-
-    v is evaluated in closed form, v = -1/p + (1/p + 1/q) cos_{p*,q}^{p*}(w x),
-    and C = 2H / (p (1/p + 1/q)^(1/p+1/q) pi_{q*,p}); no differentiation
-    enters, so this checks solve_general(H, p, q) against the phase-plane
-    curve of its derivation.  Takes one interior point or an array of them.
-
-    Near x = 0 it false-fails: v -> 1/q and |v - 1/q| = A = (1/p + 1/q)
-    sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1) eps of v, which
-    moves the curve by about eps |u| / (q sin^q(w x)): 4.5e-9 at x = 1e-3 and
-    u itself at 3e-5 for (1.5, 4, H = 1).  Substituting -(1/p + 1/q) sin^q for
-    v - 1/q would reduce the check to q pi_{p*,q} = p pi_{q*,p}; |v + 1/p|^(1/p)
-    is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own definition (gtf._cos_power), so
-    it neither cancels near H nor underflows.  verify samples x/H in [0.1, 0.9].
-    """
-    return _at_points(1, H, p, q, x)
-
-
 def general_checks(p: float, q: float, Hs, fractions):
     """Verify the general problem at (p, q) on [0, H] for each H in Hs, at
     the interior points x = H * fractions, from one gtf call.
 
-    Returns (ode, phase, boundary): the ODE and phase-curve residuals, of
-    shape (len(Hs), len(fractions)), row i what residual_general and
-    phase_curve_residual return at Hs[i] for those points (the same
-    evaluator, so equal bit for bit while the arrays take the same gtf
-    lane), and max(|u(0)|, |u(H)|), of shape (len(Hs),).  Arrays p and q,
-    which broadcast to a shape S, put S in front of those shapes, and every
-    pair takes that one gtf call (gtf's lane for several pairs): each
-    pair's values equal its own call's bit for bit where that call takes
-    scipy's ufuncs (fewer than specfun.INV_FIT_MIN points).
+    Returns (ode, phase, boundary), the first two of shape (len(Hs),
+    len(fractions)) and the last of shape (len(Hs),):
+    - ode, |(p-q)u' - pq(u')^2 + (p+q)uu'' + 1| of solve_general(H, p, q)
+      by finite differences;
+    - phase, the residual of the first integral u = C |v + 1/p|^(1/p)
+      |v - 1/q|^(1/q), with v evaluated in closed form, v = -1/p + (1/p +
+      1/q) cos_{p*,q}^{p*}(w x), and C = 2H / (p (1/p + 1/q)^(1/p+1/q)
+      pi_{q*,p}): no differentiation enters, so this checks the solution
+      against the phase-plane curve of its derivation;
+    - boundary, max(|u(0)|, |u(H)|).
+    Arrays p and q, which broadcast to a shape S, put S in front of those
+    shapes, and every pair takes that one gtf call (gtf's lane for several
+    pairs): each pair's values equal its own call's bit for bit where that
+    call takes scipy's ufuncs (fewer than specfun.INV_FIT_MIN points).
+
+    Near x = 0 the phase check false-fails: v -> 1/q and |v - 1/q| = A =
+    (1/p + 1/q) sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1) eps
+    of v, which moves the curve by about eps |u| / (q sin^q(w x)): 4.5e-9
+    at x = 1e-3 and u itself at 3e-5 for (1.5, 4, H = 1).  Substituting
+    -(1/p + 1/q) sin^q for v - 1/q would reduce the check to q pi_{p*,q} =
+    p pi_{q*,p}; |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own
+    definition (gtf._cos_power), so it neither cancels near H nor
+    underflows.  verify samples x/H in [0.1, 0.9].
     """
     H = np.array(Hs, dtype=float)
     return _general(p, q, H, H[:, None] * np.asarray(fractions, dtype=float))
 
 
-def _nonlocal_checked(H: float, m: float) -> BvpSolution:
-    """solve_nonlocal(H, m) for the two nonlocal checks, which square the
-    slope scale 2 sqrt(m^2 + 1/4) (as m^2 and as (phi')^2): DomainError
-    naming m where that square overflows (m above ~6.7e153)."""
-    sol = solve_nonlocal(H, m)
-    scale = 2.0 * math.hypot(m, 0.5)
-    if not scale * scale < math.inf:
-        raise DomainError(f"the nonlocal checks overflow at m = {m}: m^2 is not finite")
-    return sol
-
-
-def residual_nonlocal(H: float, m: float, x):
-    """|phi' - (phi')^2 + phi phi'' + m^2| of solve_nonlocal(H, m), the local
-    surrogate equation, at one interior point or elementwise on an array."""
-    sol = _nonlocal_checked(H, m)
-    h, rows = _stencil_rows(H, np.atleast_1d(np.asarray(x, dtype=float)))
-    f0, f1, f2 = _richardson(h, sol._eval(rows))
-    r = np.abs(f1 - f1**2 + f0 * f2 + m**2)
-    return float(r[0]) if np.ndim(x) == 0 else r
-
-
 def _closure_scalars(H: float, m: float):
-    """The Python floats of the closure at one m, after _nonlocal_checked(H,
-    m): p, q, P = p* and 1/p + 1/q of the general problem with p = r(m)*
-    and q = r(m) (_general_scalars), its omega, and the slope scale
-    S = 2 sqrt(m^2 + 1/4).
+    """The Python floats of the closure at one m, after solve_nonlocal(H,
+    m) validates both: p, q, P = p* and 1/p + 1/q of the general problem
+    with p = r(m)* and q = r(m) (_general_scalars), its omega, and the slope
+    scale S = 2 sqrt(m^2 + 1/4).
 
     DomainError naming m and H where the oracle would overflow: at level
     L its running sum of weighted (phi')^2 is about 2^L m^2, and it stops
     at level 4 for every m from 0.5 up (the integrand, in the oracle's
     variable, does not depend on H), while its estimate is H m^2 / 2.  So
-    m^2 max(16, H/2) must be finite: m below ~3.35e153 for H <= 32.
+    m^2 max(16, H/2) must be finite: m below ~3.35e153 for H <= 32.  That
+    also keeps S^2 ~ 4 m^2 finite.
     """
-    _nonlocal_checked(H, m)
+    solve_nonlocal(H, m)
     if not m * m * max(16.0, 0.5 * H) < math.inf:
         raise DomainError(f"the nonlocal closure overflows at m = {m}, H = {H}: "
                           f"m^2 max(16, H/2) is not finite")
@@ -361,10 +320,10 @@ def nonlocal_mean_square_slope(H: float, m):
     shape): every m is one row of a single quadrature.integrate batch, each
     level makes one gtf call at the rows still refining (gtf's lane for
     several pairs, also for one m), and each row equals its own call bit for
-    bit.  DomainError as _nonlocal_checked for an invalid H or any invalid
-    m: NaN, m <= 0, inf, or m^2 not finite (m above ~6.7e153); and as
-    _closure_scalars where the oracle's sums overflow, m^2 max(16, H/2)
-    not finite (m above ~3.35e153 for H <= 32, ~1.9e153 at H = 100).
+    bit.  DomainError as solve_nonlocal for an invalid H or any invalid
+    m: NaN, m <= 0 or inf; and as _closure_scalars where the oracle's sums
+    overflow, m^2 max(16, H/2) not finite (m above ~3.35e153 for H <= 32,
+    ~1.9e153 at H = 100).
 
     Bound: the oracle stops once two levels agree to tol = 1e-13 relative to
     the integral H m^2 / 2 where that is at least 1, and absolutely below,

@@ -65,8 +65,7 @@ relative correction is O(tc), whereas the inverse clamps tc near DBL_MIN
 there and tc^(1/p) would be far too large.  Every lane takes this rule,
 sincos_pq's included, and every power cos_pq^(p-1) is that term's base b
 B(b, a) yc there, which does not underflow (_cos_power: the bvp profile and
-phase curve, and the appendix, multiple-angle and derivative-identity
-residuals).
+phase curve, and the appendix residuals).
 """
 
 from __future__ import annotations
@@ -245,9 +244,9 @@ def _cos_power(p: float, q: float, c, yc):
     the leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and the
     power is its base b B(b, a) yc, far from underflow at p near 1
     (1e-308^(1/400) = 0.17).  The package's one rule for this power: the bvp
-    profile and phase curve, the appendix reflections, the multiple-angle
-    formula and the derivative identity all take it from here.  Arrays p
-    and q that broadcast against c give each point its own pair's power."""
+    profile and phase curve and the appendix reflections take it from here.
+    Arrays p and q that broadcast against c give each point its own pair's
+    power."""
     if isinstance(c, float):  # a point: plain float code
         _, _, b, _, _, _, _, B = _pair(p, q)
         return c ** (p - 1.0) if c >= _DBL_MIN else b * B * yc
@@ -355,24 +354,6 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
     return sin, cos, yc
 
 
-def dcos_power_identity_residual(p: float, q: float, x: float) -> float:
-    """Residual of (cos_pq^(p-1))' = -((p-1) q / p) sin_pq^(q-1).
-
-    The left side is a central finite difference (step 1e-5, shrunk when x
-    sits close to an endpoint); the identity carries the minus sign that
-    makes sin_pq solve the p-Laplacian oscillator.
-    """
-    halfpi = _pair(p, q)[0]  # after check_pq(p, q)
-    if not 0.0 < x < halfpi:
-        raise DomainError("x must be interior to (0, pi_pq/2)")
-    h = min(1e-5, 0.5 * x, 0.5 * (halfpi - x))
-    ends = [_cos_power(p, q, *_sincos_tail(p, q, x + d, (False, True), "cos_pq")[1:])
-            for d in (h, -h)]
-    lhs = (ends[0] - ends[1]) / (2.0 * h)
-    rhs = -((p - 1.0) * q / p) * sin_pq(p, q, x) ** (q - 1.0)
-    return abs(lhs - rhs)
-
-
 def sin_symmetry_appendix(p: float, q: float, x01):
     """Signed residuals of the two reflection formulas tying (p, q) to
     the conjugate pair (q*, p*):
@@ -415,21 +396,6 @@ def _reflected(p: float, q: float):
     halfpi = _pair(p, q)[0]
     ps, qs = conjugate(p), conjugate(q)
     return halfpi, ps, qs, _pair(qs, ps)[0]
-
-
-def multiple_angle_residual(p: float, x: float) -> float:
-    """Residual of sin_{2,p}(2^(2/p) x) = 2^(2/p) sin_{p*,p}(x) cos_{p*,p}^(p*-1)(x)
-    for x in [0, pi_{p*,p}/2]."""
-    full = 2.0 * _pair(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
-    ps = conjugate(p)
-    x = _as_unit(x, _pair(ps, p)[0], "multiple_angle_residual")
-    scale = 2.0 ** (2.0 / p)
-    # the doubled argument sweeps the full arch [0, pi_{2,p}] as x sweeps
-    # the half period, since pi_{2,p} = 2^(2/p - 1) pi_{p*,p}
-    lhs = extend_sin_symmetric(p, min(scale * x, full))
-    s, c, yc = _sincos_tail(ps, p, x)
-    rhs = scale * s * _cos_power(ps, p, c, yc)
-    return abs(lhs - rhs)
 
 
 def extend_sin_symmetric(p: float, x):

@@ -1,8 +1,8 @@
 """Integral formulas for the generalized trigonometric functions: primitives
-as incomplete beta integrals, definite integrals via beta, Wallis-type
-closed forms with their degenerate conventions, the lemniscate catalog,
-generalized complete elliptic integrals with Elliott's identity, and the
-infinite product converging to pi_pq/2.
+as incomplete beta integrals (at pi_pq/2 the definite integral, a beta
+value), Wallis-type closed forms with their degenerate conventions, the
+lemniscate catalog, generalized complete elliptic integrals with Elliott's
+identity, and the infinite product converging to pi_pq/2.
 """
 
 from __future__ import annotations
@@ -15,16 +15,6 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, check_order, check_pq
 from .gtf import _DBL_MIN, ParamPair, _as_unit, _pair, conjugate, pi_pq
-
-WALLIS_SPECIAL_KINDS = (
-    "sin_qn",
-    "sin_qn_qm2",
-    "sin_qn_qm1",
-    "cos_pn",
-    "cos_pn_2mp",
-    "cos_pn_1",
-)
-
 
 @dataclass(frozen=True)
 class WallisQuery:
@@ -72,26 +62,19 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
     from the sine and the cosine), so it keeps its accuracy where sin_pq
     rounds to 1, and at any l.  Below x = DBL_MIN^(1/q), where sin_pq(x) is
     x itself and z underflows, it is x^(k+1)/(k+1); at the right endpoint it
-    is definite_sin_cos.
+    is the definite integral (1/q) B(a, b).
     """
     p, q, k, l = float(p), float(q), float(k), float(l)
     _check_kl(p, k, l)
     halfpi, ia, ib, lo, hi, _, tiny, _ = _pair(p, q)
     x = _as_unit(x, halfpi, "primitive_sin_cos")
+    a, b = (k + 1.0) / q, 1.0 + (l - 1.0) / p
     if x >= halfpi:
-        return definite_sin_cos(p, q, k, l)
+        return (1.0 / q) * specfun.beta(a, b)
     if x < tiny:
         return x ** (k + 1.0) / (k + 1.0)
     z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi, (True, True))
-    return (1.0 / q) * specfun._beta_integral((k + 1.0) / q, 1.0 + (l - 1.0) / p, z, zc)
-
-
-def definite_sin_cos(p: float, q: float, k: float, l: float) -> float:
-    """int_0^{pi_pq/2} sin_pq^k cos_pq^l dt = (1/q) B((k+1)/q, 1 + (l-1)/p)."""
-    p, q, k, l = float(p), float(q), float(k), float(l)
-    check_pq(p, q)
-    _check_kl(p, k, l)
-    return (1.0 / q) * specfun.beta((k + 1.0) / q, 1.0 + (l - 1.0) / p)
+    return (1.0 / q) * specfun._beta_integral(a, b, z, zc)
 
 
 def wallis_sin(query: WallisQuery) -> float:
@@ -137,6 +120,17 @@ def _wallis_cos(p: float, q: float, n: int, r: float) -> float:
     return specfun.poch_ratio(iv, iv + 1.0 / q, n) * half
 
 
+# the displayed special cases: kind -> (flavor, r as a function of p and q)
+WALLIS_SPECIAL_KINDS = {
+    "sin_qn": (_wallis_sin, lambda p, q: 0.0),
+    "sin_qn_qm2": (_wallis_sin, lambda p, q: q - 2.0),
+    "sin_qn_qm1": (_wallis_sin, lambda p, q: q - 1.0),
+    "cos_pn": (_wallis_cos, lambda p, q: 0.0),
+    "cos_pn_2mp": (_wallis_cos, lambda p, q: 2.0 - p),
+    "cos_pn_1": (_wallis_cos, lambda p, q: 1.0),
+}
+
+
 def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
     """The six displayed special cases: wallis_sin at r in {0, q-2, q-1} and
     wallis_cos at r in {0, 2-p, 1}.
@@ -147,19 +141,11 @@ def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
     n = 1 check int cos^2 = pi/4 at p = q = 2.
     """
     p, q = float(p), float(q)
-    cases = {
-        "sin_qn": (_wallis_sin, 0.0),
-        "sin_qn_qm2": (_wallis_sin, q - 2.0),
-        "sin_qn_qm1": (_wallis_sin, q - 1.0),
-        "cos_pn": (_wallis_cos, 0.0),
-        "cos_pn_2mp": (_wallis_cos, 2.0 - p),
-        "cos_pn_1": (_wallis_cos, 1.0),
-    }
-    if which not in cases:
+    if which not in WALLIS_SPECIAL_KINDS:
         raise DomainError(f"unknown special case {which!r}")
-    flavor, r = cases[which]
+    flavor, r = WALLIS_SPECIAL_KINDS[which]
     check_pq(p, q)
-    return flavor(p, q, check_order(n), r)
+    return flavor(p, q, check_order(n), r(p, q))
 
 
 def lemniscate_wallis(n: int, residue: int) -> float:
@@ -256,8 +242,8 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     small-side F - 1 is one specfun._series at head = 0, the loop that sums
     every power series of hyp2f1.  The large side's hyp2f1 calls take a =
     1/r and b = 1/q* (k^q <= 1/2) or a = 1/q and b = 1/r* (above), and
-    hyp2f1's box needs a >= 2^-511 and b < 1: r or q above 2^511, or above
-    2^53 where 1/q* or 1/r* rounds to 1, raises DomainError there.
+    hyp2f1's box needs b < 1: so r or q where 1/r* or 1/q* rounds to 1
+    (above ~2^53) raises DomainError naming it, at every k.
 
     Where k^q < DBL_MIN the residual is the limit |K E' - pi_pq pi_{s,r}/4|
     with K = pi_pq/2 and E' at k' = 1, Gauss's sum (c - a - b = 1/p* + 1/q
@@ -276,13 +262,15 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
         raise DomainError(f"need r > 1, finite, got {r}")
     if not 0.0 < k < 1.0:
         raise DomainError("need modulus k in (0, 1)")
-    ps = conjugate(p)
+    ps, iqs, irs = conjugate(p), 1.0 / conjugate(q), 1.0 / conjugate(r)
+    for name, v, inv_conj in (("q", q, iqs), ("r", r, irs)):
+        if not inv_conj < 1.0:
+            raise DomainError(f"need 1/{name}* < 1 in floating point ({name} below ~2^53), "
+                              f"got {name} = {v}")
     kq, kpr = _power_and_complement(k, q)  # kpr = k'^r
     # per side: a, b of K, b of E, c, argument, its complement, pi/2 factor
-    side1 = (1.0 / q, 1.0 / conjugate(r), -1.0 / r, 1.0 / ps + 1.0 / q,
-             kq, kpr, _pair(p, q)[0])
-    side2 = (1.0 / r, 1.0 / conjugate(q), -1.0 / q, 1.0 / ps + 1.0 / r,
-             kpr, kq, 0.5 * pi_pq(p, r))
+    side1 = (1.0 / q, irs, -1.0 / r, 1.0 / ps + 1.0 / q, kq, kpr, _pair(p, q)[0])
+    side2 = (1.0 / r, iqs, -1.0 / q, 1.0 / ps + 1.0 / r, kpr, kq, 0.5 * pi_pq(p, r))
     pi_sr = pi_pq(math.inf if p == q else p * q / (q - p), r)
     rhs = side1[-1] * pi_sr / 2.0
     if kq < _DBL_MIN:  # the limit K E' with K = pi_pq/2 and E' at k' = 1

@@ -18,10 +18,10 @@ reduction sums each row alone, the same way for any number of rows, so a
 batch gives every integrand the same value, bit for bit, as a call of its
 own.  power_moments uses this to take the Wallis moments of any number of
 (p, q, flavor) specs, the whole verify grid included, in one pass with one
-integrand; power_moment is its one-spec call.  It checks its specs and
+integrand, one spec being a batch like any other.  It checks its specs and
 groups their rows into distinct (base, exponent) powers once per batch, so
 its integrand's cost per level grows with those powers, not with its rows
-or specs.  Both refuse exponents whose endpoint mass lies beyond the
+or specs.  It refuses exponents whose endpoint mass lies beyond the
 outermost node (see _edge_share), as integrate_singular_beta does.
 
 This module must not import gtf, integrals or bvp: it is the independent side
@@ -133,7 +133,7 @@ def integrate(
     all _MAX_LEVEL + 1 levels are 49 153 evaluations per integrand.  The
     width rule checks the share of the rule's weight on the nodes skipped
     near the endpoints, not the error: an integrand singular at an endpoint
-    has more of its mass there (power_moment and integrate_singular_beta
+    has more of its mass there (power_moments and integrate_singular_beta
     check that mass).
     """
     # written so that NaN fails each test
@@ -322,24 +322,13 @@ def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadRes
 _FAST_POWERS = (-1.0, 0.5, 2.0)
 
 
-def power_moment(p: float, q: float, exponent, flavor: str,
-                 tol: float = 1e-10):
-    """Oracle for the half-period moments int_0^{pi_pq/2} sin_pq^e dt
-    (flavor "sin") and int_0^{pi_pq/2} cos_pq^e dt (flavor "cos").
-
-    exponent is a number (the moment is returned as a float) or a 1-D
-    sequence (an array of moments is returned, each equal bit for bit to
-    its own scalar call); a sequence is one batched integration.  The
-    one-spec call of power_moments, which documents the domain.
-    """
-    value = power_moments([(p, q, flavor, exponent)], tol).value
-    return value if np.ndim(exponent) else value[0]
-
-
 def power_moments(specs, tol: float = 1e-10) -> QuadResult:
-    """Every moment of a list of specs (p, q, flavor, exponents) in one
-    batched integration; the QuadResult has one row per exponent, spec
-    after spec, each equal bit for bit to its own power_moment call.
+    """Oracle for the half-period moments int_0^{pi_pq/2} sin_pq^e dt
+    (flavor "sin") and int_0^{pi_pq/2} cos_pq^e dt (flavor "cos"): every
+    moment of a list of specs (p, q, flavor, exponents) in one batched
+    integration.  The QuadResult has one row per exponent, spec after spec,
+    each equal bit for bit to a call of its own spec with that exponent
+    alone.
 
     The substitution s = sin_pq turns the moments into
     int_0^1 s^e (1-s^q)^(-1/p) ds ("sin") and int_0^1 (1-s^q)^((e-1)/p) ds
@@ -451,7 +440,7 @@ def _check_spec(p, q, flavor, exponent, tol):
     edge = [lo, -1.0 / p] if flavor == "sin" else [(lo - 1.0) / p]
     for k in edge if lo < math.inf else []:
         _check_edge_mass(k, 1.0, tol,
-                         f"power_moment p={p:g} q={q:g} flavor={flavor}")
+                         f"power_moments p={p:g} q={q:g} flavor={flavor}")
 
 
 def _name_spec(exc, specs, sizes):

@@ -12,6 +12,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from test_gtf import multiple_angle_residual
+
 from gentrig import bvp, gtf, integrals, quadrature
 from gentrig.gtf import ParamPair
 from gentrig.integrals import EllipticQuery, WallisQuery
@@ -72,8 +74,8 @@ def test_04_lemniscate_wallis():
     worst = 0.0
     # the two classical residue classes at (2,2) ...
     cases = [(n, r) for n in range(6) for r in (0.0, 1.0)]
-    oracles = quadrature.power_moment(
-        2.0, 2.0, [2.0 * n + r for n, r in cases], "sin", tol=1e-9)
+    oracles = quadrature.power_moments(
+        [(2.0, 2.0, "sin", [2.0 * n + r for n, r in cases])], tol=1e-9).value
     for (n, r), oracle in zip(cases, oracles):
         if n == 0 and r == 0.0:
             closed = math.pi / 2.0
@@ -84,8 +86,8 @@ def test_04_lemniscate_wallis():
         worst = max(worst, abs(closed - oracle))
     # ... and the four lemniscate classes at (2,4)
     cases = [(n, residue) for n in range(6) for residue in range(4)]
-    oracles = quadrature.power_moment(
-        2.0, 4.0, [4.0 * n + residue for n, residue in cases], "sin", tol=1e-9)
+    oracles = quadrature.power_moments(
+        [(2.0, 4.0, "sin", [4.0 * n + residue for n, residue in cases])], tol=1e-9).value
     for (n, residue), oracle in zip(cases, oracles):
         closed = integrals.lemniscate_wallis(n, residue)
         worst = max(worst, abs(closed - oracle))
@@ -110,8 +112,8 @@ def test_05_general_wallis_grid():
                  integrals.wallis_cos),
             ):
                 cases = [(n, r) for n in range(5) for r in rs]
-                oracles = quadrature.power_moment(
-                    p, q, [base * n + r for n, r in cases], flavor, tol=1e-9)
+                oracles = quadrature.power_moments(
+                    [(p, q, flavor, [base * n + r for n, r in cases])], tol=1e-9).value
                 for (n, r), oracle in zip(cases, oracles):
                     closed = func(WallisQuery(pair, n=n, r=r))
                     worst = max(worst, abs(closed - oracle))
@@ -197,12 +199,8 @@ def test_09_bvp_residuals():
     worst_ode = 0.0
     for p in (1.5, 2.0, 3.0, 4.0):
         for q in (1.5, 2.0, 3.0, 4.0):
-            for H in (1.0, 2.5):
-                xs = np.linspace(0.0, H, 35)[1:-1]
-                worst_ode = max(
-                    worst_ode,
-                    max(abs(bvp.residual_general(H, p, q, x)) for x in xs),
-                )
+            ode = bvp.general_checks(p, q, (1.0, 2.5), np.linspace(0.0, 1.0, 35)[1:-1])[0]
+            worst_ode = max(worst_ode, float(ode.max()))
     assert worst_ode <= 1e-6
 
     worst_closure = 0.0
@@ -213,8 +211,8 @@ def test_09_bvp_residuals():
 
     worst_phase = 0.0
     for p, q, H in ((1.5, 3.0, 1.0), (4.0, 2.0, 2.5), (2.0, 2.0, 1.0)):
-        for x in np.linspace(0.0, H, 21)[1:-1]:
-            worst_phase = max(worst_phase, abs(bvp.phase_curve_residual(H, p, q, x)))
+        phase = bvp.general_checks(p, q, [H], np.linspace(0.0, 1.0, 21)[1:-1])[1]
+        worst_phase = max(worst_phase, float(phase.max()))
     assert worst_phase <= 1e-9
 
     sol = bvp.solve_general(1.0, 2.0, 2.0)
@@ -243,7 +241,7 @@ def test_10_identity_residuals():
     for p in grid:
         half = gtf.pi_pq(gtf.conjugate(p), p) / 2.0
         for x in (0.2 * half, 0.5 * half, 0.8 * half):
-            worst_sym = max(worst_sym, gtf.multiple_angle_residual(p, x))
+            worst_sym = max(worst_sym, multiple_angle_residual(p, x))
     assert worst_sym <= 1e-10
 
     worst_pyth = 0.0

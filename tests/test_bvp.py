@@ -17,8 +17,8 @@ def same_bits(a, b):
 
 
 # Point-by-point verifiers built on scalar sol(x) and cos_pq calls, gtf's
-# float lane: the reference that the fused array verifiers must reproduce to
-# within the rounding of u.
+# float lane: the reference that general_checks must reproduce to within the
+# rounding of u, and the nonlocal problem's surrogate-ODE residual.
 
 EPS = np.finfo(float).eps
 FRACTIONS = np.arange(1, 10) / 10.0  # the verify suite's points
@@ -67,12 +67,12 @@ def ref_phase_curve_residual(sol, p, q, x):
     return abs(sol(x) - rhs)
 
 
+# an even grid plus points so close to the ends that the step shrinks
+INTERIOR = np.concatenate([[1e-6, 3e-5], np.linspace(0.0, 1.0, 35)[1:-1], [1.0 - 3e-5]])
+
+
 def interior_points(H):
-    # an even grid plus points so close to the ends that the step shrinks
-    return np.concatenate(
-        [H * np.array([1e-6, 3e-5]), np.linspace(0.0, H, 35)[1:-1],
-         H * np.array([1.0 - 3e-5])]
-    )
+    return H * INTERIOR
 
 
 class TestSpecs:
@@ -143,15 +143,12 @@ class TestSpecs:
             bvp.solve_nonlocal(10.0, 1e308)
 
     def test_checks_reject_overflowing_square(self):
-        # m^2 overflows: the residual raised OverflowError and the closure
-        # ToleranceError, from (phi')^2 = inf
-        with pytest.raises(DomainError, match="m = 1e"):
-            bvp.residual_nonlocal(1.0, 1e200, 0.5)
+        # m^2 overflows: the closure raised ToleranceError, from (phi')^2 = inf
         with pytest.raises(DomainError, match="m = 1e"):
             bvp.nonlocal_mean_square_slope(1.0, 1e200)
         m = 1e100
         assert bvp.nonlocal_mean_square_slope(1.0, m) == pytest.approx(m * m, rel=1e-9)
-        assert bvp.residual_nonlocal(1.0, m, 0.5) <= 1e-6 * m * m
+        assert ref_residual_nonlocal(bvp.solve_nonlocal(1.0, m), m, 0.5) <= 1e-6 * m * m
 
     def test_tiny_amplitude_rejected(self):
         # r(m) rounds to 1, whose conjugate is inf
@@ -164,9 +161,8 @@ class TestGeneralSolution:
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("H", [1.0, 2.5])
     def test_ode_residual(self, p, q, H):
-        xs = np.linspace(0.0, H, 35)[1:-1]
-        res = np.array([bvp.residual_general(H, p, q, x) for x in xs])
-        assert np.max(np.abs(res)) <= 1e-6
+        ode = bvp.general_checks(p, q, [H], np.linspace(0.0, 1.0, 35)[1:-1])[0]
+        assert np.max(ode) <= 1e-6
 
     def test_boundary_values(self):
         sol = bvp.solve_general(2.5, 3.0, 1.5)
@@ -180,9 +176,8 @@ class TestGeneralSolution:
 
     @pytest.mark.parametrize("p,q,H", [(1.5, 3.0, 1.0), (4.0, 2.0, 2.5)])
     def test_phase_curve(self, p, q, H):
-        xs = np.linspace(0.0, H, 21)[1:-1]
-        res = np.array([bvp.phase_curve_residual(H, p, q, x) for x in xs])
-        assert np.max(np.abs(res)) <= 1e-9
+        phase = bvp.general_checks(p, q, [H], np.linspace(0.0, 1.0, 21)[1:-1])[1]
+        assert np.max(phase) <= 1e-9
 
     def test_classical_case(self):
         # p = q = 2, H = 1: u(x) = sin(pi x)/(2 pi)
@@ -230,37 +225,26 @@ class TestGeneralSolution:
 
 
 class TestFusedVerifiers:
-    """The fused array verifiers against the point-by-point reference: the
-    ODE residual within ode_bound, the phase residual within 1e-14 at the
+    """general_checks against the point-by-point reference: the ODE
+    residual within ode_bound, the phase residual within 1e-14 at the
     verify fractions (near the ends it false-fails: TestPhaseCurveNearEnds);
-    bit for bit against themselves on one-element arrays, on points and
-    reshaped."""
-
-    @staticmethod
-    def assert_pointwise_same_bits(fused, xs):
-        """fused(x) of an array equals its one-element-array calls and its
-        float-point calls bit for bit; a point gives a Python float."""
-        got = fused(xs)
-        assert same_bits(got, [fused(np.array([x]))[0] for x in xs])
-        points = [fused(x) for x in xs.tolist()]
-        assert all(type(r) is float for r in points)
-        assert same_bits(got, points)
-        return got
+    bit for bit against itself one point at a time.  The nonlocal
+    surrogate ODE, point by point, against the general problem's."""
 
     @pytest.mark.parametrize("p,q", [(1.5, 4.0), (4.0, 1.5), (2.0, 2.0), (3.0, 2.5)])
     @pytest.mark.parametrize("H", [1.0, 2.5])
     def test_general_equals_reference(self, p, q, H):
         sol = bvp.solve_general(H, p, q)
         xs = interior_points(H)
-        got = bvp.residual_general(H, p, q, xs)
+        ode, phase, _ = bvp.general_checks(p, q, [H], INTERIOR)
         ref = [ref_residual_general(sol, p, q, x) for x in xs.tolist()]
-        assert np.all(np.abs(got - ref) <= ode_bound(sol, xs, p + q))
+        assert np.all(np.abs(ode[0] - ref) <= ode_bound(sol, xs, p + q))
         at = H * FRACTIONS
-        assert bvp.phase_curve_residual(H, p, q, at).max() <= 1e-14
+        assert bvp.general_checks(p, q, [H], FRACTIONS)[1].max() <= 1e-14
         assert max(ref_phase_curve_residual(sol, p, q, x) for x in at.tolist()) <= 1e-14
-        for fused in (bvp.residual_general, bvp.phase_curve_residual):
-            got = self.assert_pointwise_same_bits(lambda x: fused(H, p, q, x), xs)
-            assert same_bits(fused(H, p, q, xs.reshape(3, -1)), got.reshape(3, -1))
+        alone = [bvp.general_checks(p, q, [H], [f]) for f in INTERIOR.tolist()]
+        assert same_bits(ode[0], [r[0][0][0] for r in alone])
+        assert same_bits(phase[0], [r[1][0][0] for r in alone])
         # the profile itself, in the float and both array lanes
         arrays = (sol(xs), sol(np.resize(xs, N0)))
         for i in range(0, xs.size, 9):
@@ -270,15 +254,19 @@ class TestFusedVerifiers:
 
     @pytest.mark.parametrize("m", [0.5, 2.0])
     def test_nonlocal_equals_reference(self, m):
-        # phi = s u with s = 2 sqrt(m^2 + 1/4), and its residual is s^2/(p q)
-        # times u's general one, p q = p + q: the general bound times s
+        # phi = s u with s = 2 sqrt(m^2 + 1/4) and u the general solution at
+        # (p, q) = (r*, r), and its residual is s^2/(p q) = m^2 times u's
+        # general one: the two bounds, phi's with the factor s of phi phi''
         sol = bvp.solve_nonlocal(1.0, m)
+        r = bvp.nonlocal_exponent(m)
+        p, q = gtf.conjugate(r), r
         xs = interior_points(1.0)
-        got = self.assert_pointwise_same_bits(
-            lambda x: bvp.residual_nonlocal(1.0, m, x), xs)
-        ref = [ref_residual_nonlocal(sol, m, x) for x in xs.tolist()]
+        got = [ref_residual_nonlocal(sol, m, x) for x in xs.tolist()]
         s = 2.0 * math.sqrt(m**2 + 0.25)
-        assert np.all(np.abs(got - ref) <= ode_bound(sol, xs, s))
+        c = s * s / (p * q)
+        general = bvp.general_checks(p, q, [1.0], INTERIOR)[0][0]
+        bound = ode_bound(sol, xs, s) + c * ode_bound(bvp.solve_general(1.0, p, q), xs, p + q)
+        assert np.all(np.abs(got - c * general) <= bound)
 
     def test_mirrored_profile_equals_reference(self):
         # the residuals check solve_general's profile only; the mirrored
@@ -287,20 +275,6 @@ class TestFusedVerifiers:
         xs = interior_points(1.0)
         assert max(ref_residual_general(sol, 1.5, 1.5, x) for x in xs.tolist()) <= 1e-6
 
-    def test_scalar_result_is_float(self):
-        assert type(bvp.residual_general(1.0, 1.5, 4.0, 0.3)) is float
-        assert type(bvp.phase_curve_residual(1.0, 1.5, 4.0, 0.3)) is float
-        assert type(bvp.residual_nonlocal(1.0, 1.0, 0.3)) is float
-
-    def test_rejects_points_off_the_interior(self):
-        for x in (0.0, 1.0, math.nan, np.array([0.5, math.nan]), np.array([0.5, 1.0])):
-            with pytest.raises(DomainError):
-                bvp.residual_general(1.0, 2.0, 3.0, x)
-            with pytest.raises(DomainError):
-                bvp.phase_curve_residual(1.0, 2.0, 3.0, x)
-            with pytest.raises(DomainError):
-                bvp.residual_nonlocal(1.0, 1.0, x)
-
 
 class TestGeneralChecks:
     """bvp.general_checks: every H at one (p, q) from one gtf call."""
@@ -308,9 +282,9 @@ class TestGeneralChecks:
     @pytest.mark.parametrize("p", cli.GRIDS["full"])
     @pytest.mark.parametrize("q", cli.GRIDS["full"])
     def test_equals_point_by_point_reference(self, p, q):
-        """Bit for bit residual_general, phase_curve_residual and the ends
-        (all in the same lane); the point-by-point reference within
-        ode_bound, and both phase residuals within 1e-14."""
+        """The ends bit for bit (in the same lane); the point-by-point
+        reference within ode_bound, and both phase residuals within
+        1e-14."""
         lengths = (1.0, 2.5)
         odes, phases, bcs = bvp.general_checks(p, q, lengths, FRACTIONS)
         assert odes.shape == phases.shape == (len(lengths), FRACTIONS.size)
@@ -318,8 +292,6 @@ class TestGeneralChecks:
         for H, ode, phase, bc in zip(lengths, odes, phases, bcs.tolist()):
             sol = bvp.solve_general(H, p, q)
             xs = H * FRACTIONS
-            assert same_bits(ode, bvp.residual_general(H, p, q, xs))
-            assert same_bits(phase, bvp.phase_curve_residual(H, p, q, xs))
             assert type(bc) is float
             assert same_bits(bc, max(abs(sol(0.0)), abs(sol(H))))
             ref = [ref_residual_general(sol, p, q, x) for x in xs.tolist()]
@@ -340,8 +312,6 @@ class TestGeneralChecks:
             return real(p, q, x, *rest)
 
         monkeypatch.setattr(bvp, "_sincos_tail", spy)
-        for name in ("residual_general", "phase_curve_residual"):
-            monkeypatch.setattr(bvp, name, None)  # the suite must not need them
         cli._suite_bvp(cli.GRIDS["full"])
         return calls
 
@@ -404,7 +374,7 @@ class TestGeneralChecks:
 
 
 def phase_bound(sol, p, q, xs):
-    """phase_curve_residual's stated bound: |u| ((1 + d/A)^(1/q) - 1) with
+    """general_checks' stated phase bound: |u| ((1 + d/A)^(1/q) - 1) with
     A = (1/p + 1/q) sin^q(w x) and d = 2 (p* + 1) eps the rounding of v, the
     like term in (1/p + 1/q) c^{p*} and 1/p, and 4 eps |u| of rounding."""
     H, P = sol.H, gtf.conjugate(p)
@@ -421,20 +391,20 @@ class TestPhaseCurveNearEnds:
 
     def test_measured_false_fails(self):
         sol = bvp.solve_general(1.0, 1.5, 4.0)
-        # v - 1/q is 0, so the residual is u itself (as a one-element array)
-        assert bvp.phase_curve_residual(1.0, 1.5, 4.0, 3e-5) == sol(np.array([3e-5]))[0]
-        assert bvp.phase_curve_residual(1.0, 1.5, 4.0, 1e-3) > 1e-9  # verify's tolerance
-        assert bvp.phase_curve_residual(1.0, 2.5, 3.0, 1e-6) > 1e-7
+        # v - 1/q is 0, so the residual is u itself (in the array lane)
+        phase = bvp.general_checks(1.5, 4.0, [1.0], [3e-5, 1e-3])[1][0]
+        assert phase[0] == sol(np.array([3e-5]))[0]
+        assert phase[1] > 1e-9  # verify's tolerance
+        assert bvp.general_checks(2.5, 3.0, [1.0], [1e-6])[1][0][0] > 1e-7
 
     @pytest.mark.parametrize("p", cli.GRIDS["full"])
     @pytest.mark.parametrize("q", cli.GRIDS["full"])
     def test_stated_bound(self, p, q):
         ends = np.geomspace(1e-14, 1e-3, 40)
         fractions = np.concatenate([ends, np.random.default_rng(1).random(30), 1.0 - ends])
-        for H in (1.0, 2.5):
+        for H, phase in zip((1.0, 2.5), bvp.general_checks(p, q, (1.0, 2.5), fractions)[1]):
             sol = bvp.solve_general(H, p, q)
-            xs = H * fractions
-            assert np.all(bvp.phase_curve_residual(H, p, q, xs) <= phase_bound(sol, p, q, xs))
+            assert np.all(phase <= phase_bound(sol, p, q, H * fractions))
 
 
 def mp_general(H, p, q, x):
@@ -477,7 +447,7 @@ class TestCosineUnderflow:
     @pytest.mark.parametrize("p,q", CASES)
     def test_ode_residual(self, p, q):
         xs = np.concatenate([np.linspace(0.0, 1.0, 41)[1:-1], [0.95, 0.99, 0.999]])
-        assert bvp.residual_general(1.0, p, q, xs).max() <= 1e-6
+        assert bvp.general_checks(p, q, [1.0], xs)[0].max() <= 1e-6
 
     @pytest.mark.parametrize("H", [1.0, 2.0, 2.5])
     def test_nonlocal_closure_small_m(self, H):
@@ -495,17 +465,15 @@ class TestPhaseCurveUnderflow:
     @pytest.mark.parametrize("p,q", TestCosineUnderflow.CASES + [(400.0, 1.0025)])
     @pytest.mark.parametrize("H", [1.0, 2.5])
     def test_underflowed_cosine(self, p, q, H):
-        xs = H * np.array([0.3, 0.5, 0.9, 0.99])
+        fractions = [0.3, 0.5, 0.9, 0.99]
         sol = bvp.solve_general(H, p, q)
-        assert np.all(sol(xs) > 1e-6)  # the residuals read u here before
-        for r in (bvp.phase_curve_residual(H, p, q, xs),
-                  [bvp.phase_curve_residual(H, p, q, float(x)) for x in xs]):
-            assert np.max(r) <= 1e-14
+        assert np.all(sol(H * np.array(fractions)) > 1e-6)  # the residuals read u here before
+        assert bvp.general_checks(p, q, [H], fractions)[1].max() <= 1e-14
 
     def test_near_the_right_end(self):
         # |v + 1/p| cancelled as x -> H: 9.7e-8 here, against u = 6.2e-5
         H = 2.5
-        assert bvp.phase_curve_residual(H, 4.0, 1.5, H * (1.0 - 1e-4)) <= 1e-14
+        assert bvp.general_checks(4.0, 1.5, [H], [1.0 - 1e-4])[1][0][0] <= 1e-14
 
     @pytest.mark.parametrize("p,q", [(400.0, 1.0025), (1.5, 4.0)])
     def test_point_and_array_lanes_agree(self, p, q):
@@ -569,8 +537,8 @@ class TestNonlocal:
 
     def test_residual(self):
         xs = np.linspace(0.0, 1.0, 11)[1:-1]
-        res = np.array([bvp.residual_nonlocal(1.0, 1.0, x) for x in xs])
-        assert np.max(np.abs(res)) <= 1e-5
+        phi = bvp.solve_nonlocal(1.0, 1.0)
+        assert max(ref_residual_nonlocal(phi, 1.0, x) for x in xs.tolist()) <= 1e-5
 
 
 VERIFY_M = (0.5, 1.0, 2.0)  # the verify suite's closure cases
@@ -641,7 +609,8 @@ class TestClosure:
 
     def test_residual_keeps_its_own_bound(self):
         # the stencil check squares no oracle sum: it still runs at 6e153
-        assert bvp.residual_nonlocal(1.0, 6e153, 0.3) <= 1e-6 * 6e153**2
+        m = 6e153
+        assert ref_residual_nonlocal(bvp.solve_nonlocal(1.0, m), m, 0.3) <= 1e-6 * m**2
 
     def test_verify_sees_a_perturbed_slope(self, monkeypatch):
         """A slope 1e-10 too large, relative, fails verify's closure cases,

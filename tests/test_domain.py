@@ -32,7 +32,6 @@ ENTRIES = {
     "poch_ratio": (specfun.poch_ratio, dict(a=0.25, b=0.75, n=100)),
     "hyp2f1": (specfun.hyp2f1, dict(a=0.5, b=0.5, c=1.0, x=0.7, comp=0.3)),
     "primitive_sin_cos": (integrals.primitive_sin_cos, dict(p=2.0, q=3.0, k=0.5, l=1.5, x=0.4)),
-    "definite_sin_cos": (integrals.definite_sin_cos, dict(p=2.0, q=3.0, k=0.5, l=1.5)),
     "wallis_sin": (_wallis(integrals.wallis_sin), dict(p=2.0, q=3.0, n=5, r=0.5)),
     "wallis_cos": (_wallis(integrals.wallis_cos), dict(p=2.0, q=3.0, n=5, r=0.5)),
     "wallis_special_cases": (
@@ -94,10 +93,6 @@ LISTED = [
     (specfun.hyp2f1, (1.0, 1.0, math.inf, 0.5)),  # OverflowError
     (specfun.hyp2f1, (1.0, 1.0, math.nan, 0.5)),  # ConvergenceError
     (integrals.primitive_sin_cos, (2.0, 2.0, 0.0, math.inf, 0.5)),  # OverflowError
-    (integrals.definite_sin_cos, (0.5, 2.0, 0.0, 1.0)),  # 1.0
-    (integrals.definite_sin_cos, (2.0, 0.5, 0.0, 1.0)),  # 1.0
-    (integrals.definite_sin_cos, (2.0, 2.0, math.inf, 1.0)),  # 0.0
-    (integrals.definite_sin_cos, (2.0, 2.0, 0.0, math.inf)),  # inf
 ]
 
 

@@ -237,17 +237,52 @@ class TestNaNRejected:
             gtf.extend_sin_symmetric(2.0, np.array([0.5, math.nan]))
 
 
+# The paper's multiple-angle formula and derivative identity, from public
+# calls.  Both need cos_pq^(p-1) where cos_pq itself may underflow, which
+# the general bvp profile (2H / (q pi_{p*,q})) cos_{p*,q}^(p*-1) sin_{p*,q}(w x)
+# takes by gtf's leading-term rule: on [0, pi_{p*,q}/2] its w is 1 and its
+# scale 1/q.
+
+
+def multiple_angle_residual(p, x):
+    """|sin_{2,p}(2^(2/p) x) - 2^(2/p) sin_{p*,p}(x) cos_{p*,p}^(p*-1)(x)|
+    for x in [0, pi_{p*,p}/2]; the product is p times the general profile
+    at (p, q) = (p, p) on [0, pi_{p*,p}/2]."""
+    half = gtf.pi_pq(gtf.conjugate(p), p) / 2.0
+    scale = 2.0 ** (2.0 / p)
+    # the doubled argument sweeps the full arch [0, pi_{2,p}] as x sweeps
+    # the half period, since pi_{2,p} = 2^(2/p - 1) pi_{p*,p}
+    lhs = gtf.extend_sin_symmetric(p, min(scale * x, gtf.pi_pq(2.0, p)))
+    return abs(lhs - scale * p * bvp.solve_general(half, p, p)(x))
+
+
+def cos_power(p, q, x):
+    """cos_pq^(p-1) at x: q / sin_pq times the general profile at (p*, q) on
+    [0, pi_pq/2], for p whose conjugate's conjugate is p again."""
+    P = gtf.conjugate(p)
+    assert gtf.conjugate(P) == p
+    return q * bvp.solve_general(gtf.pi_pq(p, q) / 2.0, P, q)(x) / gtf.sin_pq(p, q, x)
+
+
+def derivative_identity_residual(p, q, x):
+    """Residual of (cos_pq^(p-1))' = -((p-1) q / p) sin_pq^(q-1), the minus
+    sign that makes sin_pq solve the p-Laplacian oscillator, at x interior
+    to (0, pi_pq/2).  The left side is a central difference (step 1e-5,
+    shrunk when x sits close to an endpoint)."""
+    half = gtf.pi_pq(p, q) / 2.0
+    h = min(1e-5, 0.5 * x, 0.5 * (half - x))
+    lhs = (cos_power(p, q, x + h) - cos_power(p, q, x - h)) / (2.0 * h)
+    rhs = -((p - 1.0) * q / p) * gtf.sin_pq(p, q, x) ** (q - 1.0)
+    return abs(lhs - rhs)
+
+
 class TestDerivativeIdentity:
     @pytest.mark.parametrize(
         "p,q,x,tol",
         [(2.0, 2.0, math.pi / 4, 1e-8), (3.0, 2.0, 0.5, 1e-7), (1.5, 4.0, 0.3, 1e-7)],
     )
     def test_residual(self, p, q, x, tol):
-        assert gtf.dcos_power_identity_residual(p, q, x) <= tol
-
-    def test_interiority(self):
-        with pytest.raises(DomainError):
-            gtf.dcos_power_identity_residual(2.0, 2.0, 0.0)
+        assert derivative_identity_residual(p, q, x) <= tol
 
 
 class TestAppendixSymmetry:
@@ -408,13 +443,13 @@ class TestSeveralPairs:
 
 class TestMultipleAngle:
     def test_classical_double_angle(self):
-        assert gtf.multiple_angle_residual(2.0, math.pi / 6) <= 1e-13
+        assert multiple_angle_residual(2.0, math.pi / 6) <= 1e-13
 
     @pytest.mark.parametrize("p,x", [(3.0, 0.3), (1.5, None)])
     def test_generalized(self, p, x):
         if x is None:
             x = gtf.pi_pq(gtf.conjugate(p), p) / 4.0
-        assert gtf.multiple_angle_residual(p, x) <= 1e-10
+        assert multiple_angle_residual(p, x) <= 1e-10
 
 
 class TestCosinePowerRule:
@@ -437,13 +472,13 @@ class TestCosinePowerRule:
         half = gtf.pi_pq(gtf.conjugate(p), p) / 2.0
         # at p = 300 the cosine underflows only in the top ~5% of the half period
         for f in np.linspace(0.0, 1.0, 201):
-            assert gtf.multiple_angle_residual(p, f * half) <= 1e-12, f
+            assert multiple_angle_residual(p, f * half) <= 1e-12, f
 
     @pytest.mark.parametrize("p,q", [(1.001, 3.0), (1.0025, 2.0)])
     def test_derivative_identity_near_p_one(self, p, q):
         half = gtf.pi_pq(p, q) / 2.0
         for f in (0.1, 0.3, 0.5, 0.7, 0.9):
-            assert gtf.dcos_power_identity_residual(p, q, f * half) <= 1e-10, f
+            assert derivative_identity_residual(p, q, f * half) <= 1e-10, f
 
     @pytest.mark.parametrize("p,q", [(1.001, 3.0), (2.5, 3.0)])
     def test_point_is_float_code_and_matches_arrays(self, p, q):
@@ -768,21 +803,15 @@ def test_scalar_kernels_equal_ufuncs():
 # ---------------------------------------------------------------- one validator
 
 
-@pytest.mark.parametrize("which", ["primitive_sin_cos", "multiple_angle_residual"])
+@pytest.mark.parametrize("which", ["primitive_sin_cos"])
 def test_accepts_exactly_what_sin_pq_accepts(which):
-    """Both validate x with gtf's validator: at -1e-300, at the slack below
-    0 and at the top slack they accept and reject the points sin_pq does on
-    the same half period."""
-    if which == "primitive_sin_cos":
-        p, q = 2.5, 3.0
+    """The primitive validates x with gtf's validator: at -1e-300, at the
+    slack below 0 and at the top slack it accepts and rejects the points
+    sin_pq does on the same half period."""
+    p, q = 2.5, 3.0
 
-        def fn(x):
-            return integrals.primitive_sin_cos(p, q, 1.0, 1.0, x)
-    else:
-        p, q = gtf.conjugate(3.0), 3.0
-
-        def fn(x):
-            return gtf.multiple_angle_residual(3.0, x)
+    def fn(x):
+        return getattr(integrals, which)(p, q, 1.0, 1.0, x)
     top = 0.5 * gtf.pi_pq(p, q)
     slack = 1e-12 * top
 

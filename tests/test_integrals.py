@@ -98,7 +98,7 @@ class TestGeneralWallis:
         got = integrals.wallis_sin(qy)
         assert got == pytest.approx(gtf.conjugate(p) / q, rel=1e-14)
         assert got == pytest.approx(
-            integrals.definite_sin_cos(p, q, q - 1.0, 0.0), rel=1e-13
+            integrals.primitive_sin_cos(p, q, q - 1.0, 0.0, gtf.pi_pq(p, q) / 2.0), rel=1e-13
         )
 
     def test_degenerate_cos_endpoint(self):
@@ -338,7 +338,7 @@ class TestPrimitives:
     def test_definite_value(self):
         # full half-period reduces to a beta function value
         p, q, k, l = 2.0, 2.0, 2.0, 0.0
-        assert integrals.definite_sin_cos(p, q, k, l) == pytest.approx(
+        assert integrals.primitive_sin_cos(p, q, k, l, math.pi / 2.0) == pytest.approx(
             math.pi / 4.0, rel=1e-14
         )
 
@@ -347,19 +347,23 @@ class TestPrimitives:
         # (1/3) B((k + 1)/3, 1) = 1/(k + 1); the three-term ln Gamma form of
         # B was 1.4e-13 and 3.5e-11 off here, now within 8 (1 + |ln B|) eps
         bound = 8.0 * (1.0 + math.log((k + 1.0) / 3.0)) * np.finfo(float).eps
-        got = integrals.definite_sin_cos(2.0, 3.0, k, 1.0)
+        got = integrals.primitive_sin_cos(2.0, 3.0, k, 1.0, gtf.pi_pq(2.0, 3.0) / 2.0)
         assert abs(got * (k + 1.0) - 1.0) <= bound
 
     def test_definite_value_underflows_to_zero(self):
         # (1/2) B(3e305 + 1/2, 3e305 + 1/2), far below the least subnormal:
         # ln B was inf - inf, and the value NaN
-        assert integrals.definite_sin_cos(2.0, 2.0, 6e305, 6e305) == 0.0
+        assert integrals.primitive_sin_cos(2.0, 2.0, 6e305, 6e305, math.pi / 2.0) == 0.0
 
     def test_primitive_at_half_period_matches_definite(self):
+        # the definite integral (1/q) B((k+1)/q, 1 + (l-1)/p), at 40 digits
         p, q, k, l = 2.5, 1.5, 1.2, 0.8
         half = gtf.pi_pq(p, q) / 2.0
+        with mpmath.workdps(40):
+            P, Q, K, L = map(mpmath.mpf, (p, q, k, l))
+            definite = float(mpmath.beta((K + 1) / Q, 1 + (L - 1) / P) / Q)
         assert integrals.primitive_sin_cos(p, q, k, l, half) == pytest.approx(
-            integrals.definite_sin_cos(p, q, k, l), rel=1e-12
+            definite, rel=1e-12
         )
 
     def test_finite_sum_matches_hypergeometric(self):
@@ -632,6 +636,19 @@ class TestElliott:
         with pytest.raises(DomainError):
             integrals.elliott_residual(3.0, 2.0, 2.0, 0.5)
 
+    @pytest.mark.parametrize("name", ["q", "r"])
+    def test_rejects_r_or_q_whose_conjugate_rounds_to_one(self, name):
+        # above ~2^53, 1/r* or 1/q* rounds to 1, outside hyp2f1's box (b < 1)
+        # on the large side: (2, 3, 1e17, 0.5) returned 8.9e-16 while (2, 3,
+        # 1e17, 0.9) and (2, 1e17, 3, 1 - 2^-53) raised hyp2f1's message
+        messages = set()
+        for k in (0.5, 0.9, 1.0 - 2.0**-53):
+            args = (2.0, 1e17, 3.0, k) if name == "q" else (2.0, 3.0, 1e17, k)
+            with pytest.raises(DomainError, match=f"got {name} = 1e") as info:
+                integrals.elliott_residual(*args)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
 
 def finite_sum(p, q, k, n, x):
     """int_0^x sin_pq^k cos_pq^(pn+1) dt as its terminating binomial sum in
@@ -655,7 +672,8 @@ def _integrals_calls():
 
     calls = [
         ("primitive_sin_cos", integrals.primitive_sin_cos, (2.5, 3.0, 0.5, 0.7, 0.9)),
-        ("definite_sin_cos", integrals.definite_sin_cos, (2.5, 3.0, 0.5, 0.7)),
+        ("primitive_sin_cos_at_half_period", integrals.primitive_sin_cos,
+         (2.5, 3.0, 0.5, 0.7, gtf.pi_pq(2.5, 3.0) / 2.0)),
         ("wallis_sin", wallis(integrals.wallis_sin), (2.5, 3.0, 0.7)),
         ("wallis_sin_r=q-1", wallis(integrals.wallis_sin), (2.5, 3.0, 2.0)),
         ("wallis_cos", wallis(integrals.wallis_cos), (2.5, 3.0, -1.2)),

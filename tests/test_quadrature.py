@@ -288,24 +288,29 @@ class TestSingularBeta:
             quadrature.integrate_singular_beta(a_exp, b_exp, upper)
 
 
+def one_spec(p, q, flavor, exponents, tol=1e-10):
+    """The moments of one power_moments spec: an array, one row an exponent."""
+    return quadrature.power_moments([(p, q, flavor, exponents)], tol).value
+
+
 class TestPowerMoment:
     def test_classical_moments(self):
         # int_0^(pi/2) sin^2 = pi/4 and int_0^(pi/2) cos^3 = 2/3
-        assert quadrature.power_moment(2.0, 2.0, 2.0, "sin") == pytest.approx(
+        assert one_spec(2.0, 2.0, "sin", 2.0)[0] == pytest.approx(
             math.pi / 4.0, abs=1e-12)
-        assert quadrature.power_moment(2.0, 2.0, 3.0, "cos") == pytest.approx(
+        assert one_spec(2.0, 2.0, "cos", 3.0)[0] == pytest.approx(
             2.0 / 3.0, abs=1e-12)
 
     def test_half_period_length(self):
         # the zeroth moment is pi_pq/2 = (1/q) B(1/p*, 1/q); p = 3, q = 1.5
         expected = math.gamma(2.0 / 3.0) ** 2 / math.gamma(4.0 / 3.0) / 1.5
         for flavor in ("sin", "cos"):
-            got = quadrature.power_moment(3.0, 1.5, 0.0, flavor)
+            got = one_spec(3.0, 1.5, flavor, 0.0)[0]
             assert got == pytest.approx(expected, rel=1e-10)
 
     def test_unknown_flavor(self):
         with pytest.raises(DomainError):
-            quadrature.power_moment(2.0, 2.0, 1.0, "tan")
+            one_spec(2.0, 2.0, "tan", 1.0)
 
     @pytest.mark.parametrize(
         "p,q,exponent,flavor",
@@ -318,20 +323,22 @@ class TestPowerMoment:
     )
     def test_outside_convergence_range(self, p, q, exponent, flavor):
         with pytest.raises(DomainError):
-            quadrature.power_moment(p, q, exponent, flavor)
+            one_spec(p, q, flavor, exponent)
 
     def test_just_inside_convergence_range(self):
         # int_0^(pi/2) sin^e and cos^e both equal B((e+1)/2, 1/2)/2
         for flavor in ("sin", "cos"):
-            got = quadrature.power_moment(2.0, 2.0, -0.5, flavor)
+            got = one_spec(2.0, 2.0, flavor, -0.5)[0]
             expected = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75) / 2.0
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_scalar_and_batch_types(self):
-        assert isinstance(quadrature.power_moment(2.0, 3.0, 1.5, "sin"), float)
-        batch = quadrature.power_moment(2.0, 3.0, (1.5,), "sin")
-        assert isinstance(batch, np.ndarray) and batch.shape == (1,)
-        assert quadrature.power_moment(2.0, 3.0, [], "cos").shape == (0,)
+        # an exponent given as a number is one row, as in a sequence
+        scalar = one_spec(2.0, 3.0, "sin", 1.5)
+        batch = one_spec(2.0, 3.0, "sin", (1.5,))
+        assert isinstance(batch, np.ndarray) and scalar.shape == batch.shape == (1,)
+        assert scalar.tolist() == batch.tolist()
+        assert one_spec(2.0, 3.0, "cos", []).shape == (0,)
 
     @pytest.mark.parametrize("flavor", ["sin", "cos"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
@@ -346,8 +353,8 @@ class TestPowerMoment:
                     for r in (1.0, 0.5 * (3.0 - p), (3.0 - p) / 2.0,
                               1.0 - 0.75 * (p - 1.0))]
         for tol in (1e-10, 1e-9):
-            batch = quadrature.power_moment(p, q, exps, flavor, tol=tol)
-            scalar = [quadrature.power_moment(p, q, e, flavor, tol=tol) for e in exps]
+            batch = one_spec(p, q, flavor, exps, tol=tol)
+            scalar = [one_spec(p, q, flavor, e, tol=tol)[0] for e in exps]
             assert batch.tolist() == scalar
 
     def test_batch_with_fast_power_exponents(self, monkeypatch):
@@ -364,8 +371,8 @@ class TestPowerMoment:
         monkeypatch.setattr(quadrature, "integrate", spy)
         for p, q, flavor in ((2.0, 2.0, "sin"), (1.5, 4.0, "sin"), (3.0, 2.5, "cos")):
             results.clear()
-            batch = quadrature.power_moment(p, q, exps, flavor, tol=1e-12)
-            scalar = [quadrature.power_moment(p, q, e, flavor, tol=1e-12) for e in exps]
+            batch = one_spec(p, q, flavor, exps, tol=1e-12)
+            scalar = [one_spec(p, q, flavor, e, tol=1e-12)[0] for e in exps]
             assert batch.tolist() == scalar
             evals = [r.evaluations for r in results[1:]]
             assert len(set(evals)) > 1
@@ -471,11 +478,11 @@ class TestPowerMoments:
     def test_grid_equals_pair_and_scalar_calls(self):
         specs = _grid_specs(cli.GRIDS["full"], [2.0, 0.5, -1.0, 1.0, 0.0, -0.5])
         res = quadrature.power_moments(specs)
-        pairs = [quadrature.power_moment(p, q, exps, flavor)
+        pairs = [one_spec(p, q, flavor, exps)
                  for p, q, flavor, exps in specs]
         assert res.value.tolist() == np.concatenate(pairs).tolist()
         assert res.value.shape == res.err_estimate.shape
-        scalar = [quadrature.power_moment(p, q, e, flavor)
+        scalar = [one_spec(p, q, flavor, e)[0]
                   for p, q, flavor, exps in specs for e in exps]
         assert res.value.tolist() == scalar
         # rows whose base exponent numpy's power special-cases occur in
@@ -492,7 +499,7 @@ class TestPowerMoments:
     def test_empty_and_scalar_specs(self):
         res = quadrature.power_moments([(2.0, 3.0, "sin", []),
                                         (2.0, 3.0, "cos", 1.5)])
-        assert res.value.tolist() == [quadrature.power_moment(2.0, 3.0, 1.5, "cos")]
+        assert res.value.tolist() == one_spec(2.0, 3.0, "cos", 1.5).tolist()
         assert quadrature.power_moments([]).value.shape == (0,)
 
     @pytest.mark.parametrize("spec", [(2.0, 2.0, "tan", [1.0]),
@@ -591,14 +598,14 @@ class TestEndpointMass:
 
     def test_near_the_edge_accepted(self):
         ref = self.mp_sin_moment(-0.95)
-        assert abs(quadrature.power_moment(2.0, 2.0, -0.95, "sin") - ref) <= 1e-14 * ref
+        assert abs(one_spec(2.0, 2.0, "sin", -0.95)[0] - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("p,e,flavor", [(2.0, -0.97, "sin"), (2.0, -0.94, "cos"),
                                             (1.03, 1.0, "sin")])
     def test_beyond_the_edge_refused(self, p, e, flavor):
         # at -0.97 the result was 5.3e-9 low (relative) with no error
-        with pytest.raises(DomainError, match="beyond the outermost node"):
-            quadrature.power_moment(p, 2.0, e, flavor)
+        with pytest.raises(DomainError, match="^power_moments p=.* beyond the outermost node"):
+            one_spec(p, 2.0, flavor, e)
 
     def test_narrow_singular_beta_refused(self):
         # was 3.4e-11 low (relative) against tol 1e-12
@@ -615,8 +622,8 @@ class TestEndpointMass:
         # the verify suite's least exponents are -0.5 (sin) and, at p = 4,
         # (1 - p)/2 (cos): far from the edge
         for p in cli.GRIDS["full"]:
-            quadrature.power_moment(p, 2.0, -0.5, "sin")
-            quadrature.power_moment(p, 2.0, 0.5 * (3.0 - p), "cos")
+            one_spec(p, 2.0, "sin", -0.5)
+            one_spec(p, 2.0, "cos", 0.5 * (3.0 - p))
 
 
 def test_oracle_independence():

@@ -1,6 +1,8 @@
 import ast
 import math
 import pathlib
+import re
+import shutil
 import sys
 import time
 import warnings
@@ -1295,35 +1297,97 @@ class TestSeriesPair:
         assert info.value.terms == info.value.budget == specfun.HYP2F1_MAX_TERMS
 
 
-def referenced_names(package, module):
-    """The public functions that package/module.py defines at top level,
-    and the names that the package's other modules take from it, as
-    module.name or by `from .module import name`, found with ast."""
-    defined, used = set(), set()
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        if path.stem == module:
-            defined = {node.name for node in tree.body
-                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-            continue
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == module):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
-                used.update(alias.name for alias in node.names)
-    return defined, used
+REPO = pathlib.Path(__file__).parent.parent
+GUARDED = ("gtf", "integrals", "bvp", "quadrature", "specfun", "errors")
+# public functions allowed without a caller in another module, with the reason
+ALLOWED_UNCALLED = {
+    # the independent reference for asin_pq in tests/test_gtf.py: the
+    # oracle's beta-integral form, which no closed form may be computed by
+    "quadrature.integrate_singular_beta",
+}
+
+
+def public_functions(tree):
+    """The public functions that a module's ast defines at top level."""
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def names_taken_from(tree, module):
+    """The names that an ast takes from module, as module.name or by `from
+    .module import name` (or `from gentrig.module import name`)."""
+    used = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == module):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def uncalled_public_functions(package, demos, workloads):
+    """module.name for every public function of the GUARDED modules of
+    package that has no caller in another module.  Callers are the
+    package's other modules (cli included, __init__'s re-exports not) and
+    the demos/*.py scripts, both by ast, and the benchmark workloads file by
+    name: every identifier and string there counts, since it binds the
+    integrals functions by string."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+    demo_trees = [ast.parse(path.read_text(), filename=str(path))
+                  for path in sorted(demos.glob("*.py"))]
+    bench = ast.parse(workloads.read_text(), filename=str(workloads))
+    by_name = set()
+    for node in ast.walk(bench):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            by_name.add(node.value)
+        elif isinstance(node, ast.Attribute):
+            by_name.add(node.attr)
+        elif isinstance(node, ast.Name):
+            by_name.add(node.id)
+    uncalled = set()
+    for module in GUARDED:
+        used = set(by_name)
+        for tree in [t for stem, t in trees.items() if stem != module] + demo_trees:
+            used |= names_taken_from(tree, module)
+        uncalled |= {f"{module}.{name}" for name in public_functions(trees[module]) - used}
+    return uncalled
 
 
 class TestPublicSurface:
-    """specfun exports only what the rest of the package calls: a public
-    function with no caller in another module is a wrapper to delete."""
+    """Every library module exports only what is called from outside it: a
+    public function with no caller in another module, a demo or the
+    benchmark workloads is a wrapper to delete (classes are not scanned)."""
+
+    PACKAGE = pathlib.Path(specfun.__file__).parent
 
     def test_every_public_function_has_a_caller(self):
-        package = pathlib.Path(specfun.__file__).parent
-        defined, used = referenced_names(package, "specfun")
-        assert {"beta", "poch_ratio", "hyp2f1"} <= defined  # the scan sees them
-        assert sorted(defined - used) == []
+        uncalled = uncalled_public_functions(
+            self.PACKAGE, REPO / "demos", REPO / "benchmarks" / "workloads.py")
+        assert sorted(uncalled) == sorted(ALLOWED_UNCALLED)
+
+    def test_scan_flags_a_planted_function(self, tmp_path):
+        """On a copy of the package with one public gtf function that
+        nothing calls, the scan flags that function and only it."""
+        copy = tmp_path / "gentrig"
+        shutil.copytree(self.PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        gtf_py = copy / "gtf.py"
+        gtf_py.write_text(gtf_py.read_text() + "\n\ndef planted_uncalled(x):\n    return x\n")
+        uncalled = uncalled_public_functions(
+            copy, REPO / "demos", REPO / "benchmarks" / "workloads.py")
+        assert sorted(uncalled - ALLOWED_UNCALLED) == ["gtf.planted_uncalled"]
+
+    def test_readme_names_only_existing_functions(self):
+        """Every `name(` in README.md but the solution call `sol(` is a
+        public function of a gentrig module."""
+        public = set()
+        for path in self.PACKAGE.glob("*.py"):
+            public |= public_functions(ast.parse(path.read_text(), filename=str(path)))
+        named = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_.]*)\(", (REPO / "README.md").read_text()))
+        named = {name.rpartition(".")[2] for name in named} - {"sol"}
+        assert named  # the scan sees the README's calls
+        assert sorted(named - public) == []
 
 
 def modules_that(package, test):
