@@ -18,7 +18,9 @@ Library layout:
   integrand or a batch on shared nodes, one integrand call per level), its
   beta-integral form and its Wallis-moment form power_moments (many (p, q,
   flavor) specs in one pass).
-- ``cli``: the ``gentrig`` command (eval / verify / table).
+- ``verify``: the identity-verification suites, run(name, grid).
+- ``cli``: the ``gentrig`` command (eval / verify / table): it only parses
+  its flags, calls the modules above and prints.
 """
 
 from . import bvp, gtf, integrals, quadrature, specfun

@@ -280,10 +280,14 @@ def general_checks(p: float, q: float, Hs, fractions):
     -(1/p + 1/q) sin^q for v - 1/q would reduce the check to q pi_{p*,q} =
     p pi_{q*,p}; |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own
     definition (gtf._cos_power), so it neither cancels near H nor
-    underflows.  verify samples x/H in [0.1, 0.9].
+    underflows.  verify samples x/H in [0.1, 0.9].  Hs or fractions that
+    are not 1-D sequences raise DomainError.
     """
-    H = np.array(Hs, dtype=float)
-    return _general(p, q, H, H[:, None] * np.asarray(fractions, dtype=float))
+    H, fractions = np.array(Hs, dtype=float), np.asarray(fractions, dtype=float)
+    if H.ndim != 1 or fractions.ndim != 1:
+        raise DomainError(f"general_checks needs 1-D Hs and fractions, got shapes "
+                          f"{H.shape} and {fractions.shape}")
+    return _general(p, q, H, H[:, None] * fractions)
 
 
 def _closure_scalars(H: float, m: float):

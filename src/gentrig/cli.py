@@ -1,6 +1,7 @@
-"""Command line surface: evaluate functions, run identity-verification
-suites, and emit tables (Wallis values, product partials, solution profiles)
-as CSV or JSON records.
+"""Command line surface: parse the flags, call the library, print.  It
+evaluates functions, prints the cases of gentrig.verify's suites with a
+pass/fail summary each, and emits tables (Wallis values, product partials,
+solution profiles) as CSV or JSON records; it computes nothing of its own.
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or domain error.
 """
@@ -15,16 +16,10 @@ import sys
 
 import numpy as np
 
-from . import bvp, gtf, integrals, quadrature
+from . import bvp, gtf, integrals, verify
 from .errors import ConvergenceError, DomainError, ToleranceError, check_order
 from .gtf import ParamPair
 
-GRIDS = {
-    "small": [1.5, 2.0, 3.0],
-    "full": [1.5, 2.0, 2.5, 3.0, 4.0],
-}
-
-SUITES = ("pythagorean", "appendix", "wallis", "product", "elliott", "bvp", "all")
 TABLE_KINDS = ("wallis_sin", "wallis_cos", "lemniscate", "product_partials", "bvp_profile")
 
 
@@ -66,127 +61,13 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-# Each suite returns a list of (case name, residual, tolerance).
-
-
-def _pairs(grid):
-    """p and q of every pair of the grid as arrays that broadcast to
-    (len(grid), len(grid), 1), p first as the suites list the pairs, with a
-    last axis for points: each suite makes one gtf call for all pairs."""
-    g = np.asarray(grid, dtype=float)
-    return g[:, None, None], g[None, :, None]
-
-
-def _suite_pythagorean(grid):
-    xs01 = np.linspace(0.0, 1.0, 33)
-    p, q = _pairs(grid)
-    half = np.array([[0.5 * gtf.pi_pq(pi, qi) for qi in grid] for pi in grid])
-    s, c = gtf.sincos_pq(p, q, half[..., None] * xs01)
-    resid = np.abs(gtf._power(c, p) + gtf._power(s, q) - 1.0).max(axis=-1)
-    return [(f"pythagorean p={pi} q={qi}", float(resid[i, j]), 1e-11)
-            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
-
-
-def _suite_appendix(grid):
-    xs01 = np.array([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
-    r1, r2 = gtf.sin_symmetry_appendix(*_pairs(grid), xs01)
-    worst = np.maximum(np.abs(r1).max(axis=-1), np.abs(r2).max(axis=-1))
-    return [(f"appendix p={pi} q={qi}", float(worst[i, j]), 1e-10)
-            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
-
-
-def _suite_wallis(grid):
-    ns = (0, 1, 3)
-    kinds = {
-        (p, q): (
-            ("sin", q, (q - 1.0, 0.5 * (q - 1.0), -0.5), integrals.wallis_sin),
-            ("cos", p, (1.0, 0.5 * (3.0 - p)), integrals.wallis_cos),
-        )
-        for p in grid for q in grid
-    }
-    specs = [(p, q, flavor, [base * n + r for n in ns for r in rs])
-             for (p, q), pair_kinds in kinds.items()
-             for flavor, base, rs, _ in pair_kinds]
-    # one oracle pass yields every moment of the grid, spec after spec
-    moments = iter(quadrature.power_moments(specs).value)
-    oracles = {(p, q, flavor): iter([next(moments) for _ in exps])
-               for p, q, flavor, exps in specs}
-    cases = []
-    for (p, q), pair_kinds in kinds.items():
-        pair = ParamPair(p, q)
-        for n in ns:
-            for flavor, _, rs, func in pair_kinds:
-                for r in rs:
-                    value = func(integrals.WallisQuery(pair, n, r))
-                    cases.append(
-                        (f"wallis_{flavor} p={p} q={q} n={n} r={r:g}",
-                         abs(value - next(oracles[p, q, flavor])), 1e-7)
-                    )
-    return cases
-
-
-def _suite_product(grid):
-    del grid
-    cases = []
-    for p, q in ((2.0, 2.0), (2.0, 4.0), (3.0, 1.5)):
-        target = 0.5 * gtf.pi_pq(p, q)
-        partial = integrals.pi_product_partial(p, q, 100_000)
-        cases.append((f"product p={p} q={q} N=1e5", abs(partial - target), 1e-3))
-    return cases
-
-
-def _suite_elliott(grid):
-    del grid
-    cases = [("elliott classical p=q=r=2 k=0.5",
-              integrals.elliott_residual(2.0, 2.0, 2.0, 0.5), 1e-9)]
-    for p, q in ((1.5, 2.0), (2.0, 3.0), (2.0, 2.0), (2.5, 4.0), (1.5, 1.5)):
-        for r, k in ((2.0, 0.3), (3.0, 0.7)):
-            resid = integrals.elliott_residual(p, q, r, k)
-            cases.append((f"elliott p={p} q={q} r={r} k={k}", resid, 1e-7))
-    return cases
-
-
-def _suite_bvp(grid):
-    cases = []
-    lengths, fractions = (1.0, 2.5), np.arange(1, 10) / 10.0
-    ode, phase, bc = bvp.general_checks(*(v[..., 0] for v in _pairs(grid)), lengths, fractions)
-    ode, phase, bc = ode.max(axis=-1), phase.max(axis=-1), bc.tolist()
-    for i, p in enumerate(grid):
-        for j, q in enumerate(grid):
-            for k, H in enumerate(lengths):
-                cases.append((f"bvp ode p={p} q={q} H={H}", ode[i, j, k], 1e-6))
-                cases.append((f"bvp phase p={p} q={q} H={H}", phase[i, j, k], 1e-9))
-                cases.append((f"bvp boundary p={p} q={q} H={H}", bc[i][j][k], 1e-10))
-    # the closure's bound (nonlocal_mean_square_slope): the oracle's tol
-    # 1e-13 relative to H m^2 / 2, absolute where that is below 1, is at
-    # most 8e-13 of m^2 here (m = 0.5, H = 1), plus a few roundings of m^2
-    ms = np.array([0.5, 1.0, 2.0])
-    closure = np.abs(bvp.nonlocal_mean_square_slope(1.0, ms) - ms**2) / ms**2
-    cases += [(f"bvp nonlocal closure m={m}", c, 1e-12)
-              for m, c in zip(ms.tolist(), closure.tolist())]
-    xs = np.linspace(0.0, 1.0, 21)
-    u = bvp.solve_pq_equal(np.array(grid)[:, None])(np.concatenate((xs, 1.0 - xs)))
-    sym = np.abs(u[:, :xs.size] - u[:, xs.size:]).max(axis=1)
-    cases += [(f"bvp pq-equal symmetry p={p}", s, 1e-11) for p, s in zip(grid, sym.tolist())]
-    return cases
-
-
-_SUITE_FUNCS = {
-    "pythagorean": _suite_pythagorean,
-    "appendix": _suite_appendix,
-    "wallis": _suite_wallis,
-    "product": _suite_product,
-    "elliott": _suite_elliott,
-    "bvp": _suite_bvp,
-}
-
 
 def cmd_verify(args) -> int:
-    names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
-    grid = GRIDS[args.grid]
+    names = verify.SUITES if args.suite == "all" else [args.suite]
+    grid = verify.GRIDS[args.grid]
     any_fail = False
     for name in names:
-        cases = _SUITE_FUNCS[name](grid)
+        cases = verify.run(name, grid)
         ok = all(resid <= tol for _, resid, tol in cases)
         worst = max([0.0] + [resid for _, resid, _ in cases])
         lines = [f"  {case}: residual={resid:.3e} tol={tol:.1e} "
@@ -294,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=("human", "json"), default="human")
 
     p_verify = sub.add_parser("verify", help="run an identity-verification suite")
-    p_verify.add_argument("--suite", required=True, choices=SUITES)
-    p_verify.add_argument("--grid", choices=tuple(GRIDS), default="small")
+    p_verify.add_argument("--suite", required=True, choices=verify.SUITES + ("all",))
+    p_verify.add_argument("--grid", choices=tuple(verify.GRIDS), default="small")
 
     p_table = sub.add_parser("table", help="emit a CSV/JSON table")
     p_table.add_argument("--kind", required=True, choices=TABLE_KINDS)

@@ -28,9 +28,9 @@ class ToleranceError(RuntimeError):
 
     Carries the best estimate obtained so far in ``result``.  ``layer``
     names the module that gave up, ``levels`` the refinement levels it
-    completed, ``evaluations`` the integrand values each failing integrand
-    used and ``budget`` the number it was allowed; for a batch of
-    integrands, ``rows`` holds the indices of those that failed.
+    completed and ``budget`` the number of levels it was allowed,
+    ``evaluations`` the integrand values each failing integrand used; for
+    a batch of integrands, ``rows`` holds the indices of those that failed.
     """
 
     def __init__(self, message, result=None, *, layer=None, levels=None,

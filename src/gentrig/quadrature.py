@@ -48,7 +48,6 @@ _MIN_OFFSET = 5e-300  # skip nodes whose endpoint distance underflows
 _EDGE = 2.0 / (1.0 + math.exp(math.pi * math.sinh(_T_MAX)))
 
 DEFAULT_TOL = 1e-10
-MAX_EVALS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ def integrate(
     b: float,
     tol: float = DEFAULT_TOL,
     dist: bool = False,
-    max_evals: int = MAX_EVALS,
 ) -> QuadResult:
     """Integrate f over [a, b] with a certified interval-halving estimate.
 
@@ -124,17 +122,15 @@ def integrate(
 
     Raises DomainError unless a <= b are finite and 0 < tol < inf, if
     [a, b] is too narrow for the node table (width below
-    2 _MIN_OFFSET / min(tol, 1), 1e-289 at the default tolerance), or if
-    max_evals is below the nodes level 0 passes to f (13 unless some are
-    skipped or dropped: 10 on [0, 1] in plain mode), all before f is
-    called; and ToleranceError (carrying the best estimates) if the halving
-    disagreement of some integrand does not fall below tol within the
-    refinement and evaluation budgets.  The default MAX_EVALS never binds:
-    all _MAX_LEVEL + 1 levels are 49 153 evaluations per integrand.  The
-    width rule checks the share of the rule's weight on the nodes skipped
-    near the endpoints, not the error: an integrand singular at an endpoint
-    has more of its mass there (power_moments and integrate_singular_beta
-    check that mass).
+    2 _MIN_OFFSET / min(tol, 1), 1e-289 at the default tolerance), both
+    before f is called; and ToleranceError (carrying the best estimates)
+    if the halving disagreement of some integrand does not fall below tol
+    within the budget of _MAX_LEVEL + 1 levels, 49 153 evaluations per
+    integrand where no node is skipped or dropped.  The width rule checks
+    the share of the rule's weight on the nodes skipped near the endpoints,
+    not the error: an integrand singular at an endpoint has more of its
+    mass there (power_moments and integrate_singular_beta check that
+    mass).
     """
     # written so that NaN fails each test
     if not 0.0 < tol < math.inf:
@@ -186,9 +182,6 @@ def integrate(
         # the level's nodes in one call, split back by position below
         x, *args = (np.concatenate(c) for c in zip(*cols))
         if level == 0:
-            if len(x) > max_evals:
-                raise DomainError(f"max_evals {max_evals} is below the "
-                                  f"{len(x)} evaluations of level 0")
             y = np.asarray(f(x, *args), dtype=float)
             batch = y.ndim == 2
             m = len(y) if batch else 1
@@ -201,9 +194,6 @@ def integrate(
             live = np.arange(m)
             est, diff = value, err  # rebound, never written through
         else:
-            if nev + len(x) > max_evals:
-                raise _failure("evaluation budget exceeded", value, err, evals,
-                               batch, live, est, diff, level, nev, max_evals)
             y = np.asarray(f(x, *args, rows=live) if batch else f(x, *args),
                            dtype=float)
         shape = (len(live), len(x))
@@ -232,29 +222,21 @@ def integrate(
         if not len(live):
             return _result(batch, value, err, evals)
 
-    raise _failure(f"tolerance {tol:g} not met", value, err, evals, batch,
-                   live, est, diff, _MAX_LEVEL + 1, nev, max_evals)
+    # every level ran: the rows in live failed with their latest estimates
+    value[live], err[live], evals[live] = est, diff, nev
+    where = _rows_where(live.tolist(), len(value)) if batch else ""
+    levels = _MAX_LEVEL + 1
+    raise ToleranceError(
+        f"quadrature: tolerance {tol:g} not met{where} after {levels} levels, "
+        f"{nev} evaluations per integrand, of a budget of {levels} levels",
+        _result(batch, value, err, evals), layer="quadrature", levels=levels,
+        evaluations=nev, budget=levels, rows=tuple(live.tolist()) if batch else None)
 
 
 def _result(batch, value, err, evals):
     if batch:
         return QuadResult(value, err, int(evals.sum()))
     return QuadResult(value[0], err[0], int(evals[0]))
-
-
-def _failure(what, value, err, evals, batch, live, est, diff, levels, nev,
-             budget):
-    """ToleranceError for the rows in ``live``, whose latest estimates and
-    disagreements are ``est`` and ``diff``, naming where it failed."""
-    value[live], err[live], evals[live] = est, diff, nev
-    where = _rows_where(live.tolist(), len(value)) if batch else ""
-    return ToleranceError(
-        f"quadrature: {what}{where} after {levels} levels, "
-        f"{nev} evaluations per integrand of a budget of {budget}",
-        _result(batch, value, err, evals), layer="quadrature", levels=levels,
-        evaluations=nev, budget=budget,
-        rows=tuple(live.tolist()) if batch else None,
-    )
 
 
 def _rows_where(rows, m):

@@ -1,0 +1,122 @@
+"""The identity-verification suites of ``gentrig verify``: the paper's
+identities and closed forms at the pairs (p, q) of a grid, each case a (case
+name, residual, tolerance) triple that passes where residual <= tolerance."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import bvp, gtf, integrals, quadrature
+
+GRIDS = {
+    "small": [1.5, 2.0, 3.0],
+    "full": [1.5, 2.0, 2.5, 3.0, 4.0],
+}
+
+
+def _pairs(grid):
+    """p and q of every pair of the grid as arrays that broadcast to
+    (len(grid), len(grid), 1), p first as the suites list the pairs, with a
+    last axis for points: each suite makes one gtf call for all pairs."""
+    g = np.asarray(grid, dtype=float)
+    return g[:, None, None], g[None, :, None]
+
+
+def _suite_pythagorean(grid):
+    xs01 = np.linspace(0.0, 1.0, 33)
+    half = np.array([[0.5 * gtf.pi_pq(pi, qi) for qi in grid] for pi in grid])
+    s, c = gtf.sincos_pq(*_pairs(grid), half[..., None] * xs01)
+    # a float exponent a pair: numpy squares at 2.0, where pow differs
+    return [(f"pythagorean p={pi} q={qi}",
+             float(np.abs(c[i, j] ** pi + s[i, j] ** qi - 1.0).max()), 1e-11)
+            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
+
+
+def _suite_appendix(grid):
+    xs01 = np.array([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
+    r1, r2 = gtf.sin_symmetry_appendix(*_pairs(grid), xs01)
+    worst = np.maximum(np.abs(r1).max(axis=-1), np.abs(r2).max(axis=-1))
+    return [(f"appendix p={pi} q={qi}", float(worst[i, j]), 1e-10)
+            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
+
+
+def _suite_wallis(grid):
+    """Every moment of the grid from one oracle pass, which takes a spec
+    per pair and flavor with its exponents n first; the cases list a
+    pair's moments n first, the sine's before the cosine's."""
+    ns = (0, 1, 3)
+    specs, rows = [], []
+    for k, (p, q) in enumerate([(p, q) for p in grid for q in grid]):
+        pair = gtf.ParamPair(p, q)
+        for f, (flavor, base, rs, func) in enumerate((
+                ("sin", q, (q - 1.0, 0.5 * (q - 1.0), -0.5), integrals.wallis_sin),
+                ("cos", p, (1.0, 0.5 * (3.0 - p)), integrals.wallis_cos))):
+            specs.append((p, q, flavor, [base * n + r for n in ns for r in rs]))
+            rows += [((k, n, f, j), f"wallis_{flavor} p={p} q={q} n={n} r={r:g}",
+                      func(integrals.WallisQuery(pair, n, r)))
+                     for n in ns for j, r in enumerate(rs)]
+    moments = quadrature.power_moments(specs).value
+    return [(case, abs(value - moment), 1e-7)
+            for (_, case, value), moment in sorted(zip(rows, moments), key=lambda t: t[0][0])]
+
+
+def _suite_product(_grid):
+    cases = []
+    for p, q in ((2.0, 2.0), (2.0, 4.0), (3.0, 1.5)):
+        target = 0.5 * gtf.pi_pq(p, q)
+        partial = integrals.pi_product_partial(p, q, 100_000)
+        cases.append((f"product p={p} q={q} N=1e5", abs(partial - target), 1e-3))
+    return cases
+
+
+def _suite_elliott(_grid):
+    cases = [("elliott classical p=q=r=2 k=0.5",
+              integrals.elliott_residual(2.0, 2.0, 2.0, 0.5), 1e-9)]
+    for p, q in ((1.5, 2.0), (2.0, 3.0), (2.0, 2.0), (2.5, 4.0), (1.5, 1.5)):
+        for r, k in ((2.0, 0.3), (3.0, 0.7)):
+            resid = integrals.elliott_residual(p, q, r, k)
+            cases.append((f"elliott p={p} q={q} r={r} k={k}", resid, 1e-7))
+    return cases
+
+
+def _suite_bvp(grid):
+    cases = []
+    lengths, fractions = (1.0, 2.5), np.arange(1, 10) / 10.0
+    ode, phase, bc = bvp.general_checks(*(v[..., 0] for v in _pairs(grid)), lengths, fractions)
+    ode, phase, bc = ode.max(axis=-1), phase.max(axis=-1), bc.tolist()
+    for i, p in enumerate(grid):
+        for j, q in enumerate(grid):
+            for k, H in enumerate(lengths):
+                cases.append((f"bvp ode p={p} q={q} H={H}", ode[i, j, k], 1e-6))
+                cases.append((f"bvp phase p={p} q={q} H={H}", phase[i, j, k], 1e-9))
+                cases.append((f"bvp boundary p={p} q={q} H={H}", bc[i][j][k], 1e-10))
+    # the closure's bound (nonlocal_mean_square_slope): the oracle's tol
+    # 1e-13 relative to H m^2 / 2, absolute where that is below 1, is at
+    # most 8e-13 of m^2 here (m = 0.5, H = 1), plus a few roundings of m^2
+    ms = np.array([0.5, 1.0, 2.0])
+    closure = np.abs(bvp.nonlocal_mean_square_slope(1.0, ms) - ms**2) / ms**2
+    cases += [(f"bvp nonlocal closure m={m}", c, 1e-12)
+              for m, c in zip(ms.tolist(), closure.tolist())]
+    xs = np.linspace(0.0, 1.0, 21)
+    u = bvp.solve_pq_equal(np.array(grid)[:, None])(np.concatenate((xs, 1.0 - xs)))
+    sym = np.abs(u[:, :xs.size] - u[:, xs.size:]).max(axis=1)
+    cases += [(f"bvp pq-equal symmetry p={p}", s, 1e-11) for p, s in zip(grid, sym.tolist())]
+    return cases
+
+
+_SUITES = {
+    "pythagorean": _suite_pythagorean,
+    "appendix": _suite_appendix,
+    "wallis": _suite_wallis,
+    "product": _suite_product,
+    "elliott": _suite_elliott,
+    "bvp": _suite_bvp,
+}
+SUITES = tuple(_SUITES)
+
+
+def run(name: str, grid) -> list:
+    """The cases of suite `name` (one of SUITES, in the order ``--suite all``
+    runs them) at the pairs of grid, the values p and q each take (a GRIDS
+    entry), in the order ``gentrig verify`` prints them."""
+    return _SUITES[name](grid)

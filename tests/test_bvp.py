@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_gtf import N0, mp_sincos
 
-from gentrig import bvp, cli, gtf
+from gentrig import bvp, gtf, verify
 from gentrig.errors import DomainError
 
 
@@ -279,8 +279,8 @@ class TestFusedVerifiers:
 class TestGeneralChecks:
     """bvp.general_checks: every H at one (p, q) from one gtf call."""
 
-    @pytest.mark.parametrize("p", cli.GRIDS["full"])
-    @pytest.mark.parametrize("q", cli.GRIDS["full"])
+    @pytest.mark.parametrize("p", verify.GRIDS["full"])
+    @pytest.mark.parametrize("q", verify.GRIDS["full"])
     def test_equals_point_by_point_reference(self, p, q):
         """The ends bit for bit (in the same lane); the point-by-point
         reference within ode_bound, and both phase residuals within
@@ -312,13 +312,13 @@ class TestGeneralChecks:
             return real(p, q, x, *rest)
 
         monkeypatch.setattr(bvp, "_sincos_tail", spy)
-        cli._suite_bvp(cli.GRIDS["full"])
+        verify.run("bvp", verify.GRIDS["full"])
         return calls
 
     def test_one_gtf_call_for_the_grids_general_cases(self, monkeypatch):
         # the general cases take one call at every (p*, q) of the grid, the
         # first; no other call is at a pair of the grid
-        grid = cli.GRIDS["full"]
+        grid = verify.GRIDS["full"]
         general, *rest = self._suite_calls(monkeypatch)
         assert general == [(gtf.conjugate(p), q) for p in grid for q in grid]
         assert not [pair for call in rest for pair in call if pair[1] in grid]
@@ -335,14 +335,14 @@ class TestGeneralChecks:
         calls = []
         real = gtf.sin_pq
         monkeypatch.setattr(gtf, "sin_pq", lambda p, q, x: calls.append(np.shape(x)) or real(p, q, x))
-        cli._suite_bvp(cli.GRIDS["full"])
+        verify.run("bvp", verify.GRIDS["full"])
         assert calls == [(5, 42)]  # the five p, at 21 points and their mirrors
 
     def test_grid_equals_single_pair_calls(self):
         """Arrays p and q: every pair's residuals and ends equal its own
         call's bit for bit (both in scipy's ufunc lane), stacked in the
         shape of the pairs."""
-        grid = cli.GRIDS["full"]
+        grid = verify.GRIDS["full"]
         lengths = (1.0, 2.5)
         p, q = np.array(grid)[:, None], np.array(grid)[None, :]
         ode, phase, bc = bvp.general_checks(p, q, lengths, FRACTIONS)
@@ -372,6 +372,20 @@ class TestGeneralChecks:
             with pytest.raises(DomainError):
                 bvp.general_checks(2.0, 2.0, (1.0,), fractions)
 
+    def test_rejects_shapes_other_than_1d(self, monkeypatch):
+        """Hs and fractions are 1-D sequences.  A 2-D fractions raised
+        numpy's broadcast ValueError with two Hs and gave an ode of shape
+        (3, 4), not (1, 3, 4), with one; both now raise DomainError before
+        any gtf call, as a scalar Hs does."""
+        calls = []
+        monkeypatch.setattr(bvp, "_sincos_tail", lambda *args: calls.append(args))
+        for Hs in ([1.0, 2.0], [1.0]):
+            with pytest.raises(DomainError, match="1-D Hs and fractions"):
+                bvp.general_checks(2.0, 2.0, Hs, np.full((3, 4), 0.5))
+        with pytest.raises(DomainError, match="1-D Hs and fractions"):
+            bvp.general_checks(2.0, 2.0, 1.0, [0.5])
+        assert calls == []
+
 
 def phase_bound(sol, p, q, xs):
     """general_checks' stated phase bound: |u| ((1 + d/A)^(1/q) - 1) with
@@ -397,8 +411,8 @@ class TestPhaseCurveNearEnds:
         assert phase[1] > 1e-9  # verify's tolerance
         assert bvp.general_checks(2.5, 3.0, [1.0], [1e-6])[1][0][0] > 1e-7
 
-    @pytest.mark.parametrize("p", cli.GRIDS["full"])
-    @pytest.mark.parametrize("q", cli.GRIDS["full"])
+    @pytest.mark.parametrize("p", verify.GRIDS["full"])
+    @pytest.mark.parametrize("q", verify.GRIDS["full"])
     def test_stated_bound(self, p, q):
         ends = np.geomspace(1e-14, 1e-3, 40)
         fractions = np.concatenate([ends, np.random.default_rng(1).random(30), 1.0 - ends])
@@ -622,7 +636,7 @@ class TestClosure:
             return (*head, S * (1.0 + 1e-10))
 
         monkeypatch.setattr(bvp, "_closure_scalars", perturbed)
-        cases = [c for c in cli._suite_bvp(cli.GRIDS["small"]) if "closure" in c[0]]
+        cases = [c for c in verify.run("bvp", verify.GRIDS["small"]) if "closure" in c[0]]
         assert len(cases) == len(VERIFY_M)
         for _, resid, tol in cases:
             assert tol <= 1e-12 < resid <= 1e-6
@@ -632,7 +646,7 @@ class TestSymmetryGrid:
     def test_equals_per_p_calls(self):
         """solve_pq_equal at an array p: each row equals its own p's
         solution bit for bit (both in scipy's ufunc lane)."""
-        grid = cli.GRIDS["full"]
+        grid = verify.GRIDS["full"]
         xs = np.linspace(0.0, 1.0, 21)
         rows = bvp.solve_pq_equal(np.array(grid)[:, None])(np.concatenate((xs, 1.0 - xs)))
         assert rows.shape == (len(grid), 2 * xs.size)

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gentrig import bvp, cli, quadrature
+from gentrig import bvp, quadrature, verify
 from gentrig.errors import DomainError, ToleranceError
 
 
@@ -89,48 +89,16 @@ def test_domain_errors():
         quadrature.integrate(lambda t: t, 0.0, 1.0, tol=0.0)
 
 
-def test_eval_cap():
+def test_eval_cap(monkeypatch):
+    # four levels, under 100 evaluations, cannot certify tol 1e-13 at an
+    # endpoint singularity; the error names that budget
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
     with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(
-            lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0,
-            tol=1e-13, max_evals=100,
-        )
-    assert err.value.result is not None
-
-
-@pytest.mark.parametrize("dist", [False, True])
-def test_budget_below_level_zero_rejected(dist):
-    # level 0 passes n nodes to f on [0, 1]: 13 in distance form, 10 in
-    # plain mode, which drops the three that round onto 1; a smaller budget
-    # is refused before the integrand is called, naming the count, and n
-    # runs level 0
-    n = 13 if dist else 10
-    calls = []
-
-    def f(x, *args):
-        calls.append(x.size)
-        return np.ones_like(x)
-
-    with pytest.raises(DomainError,
-                       match=f"max_evals {n - 1} is below the {n} evaluations"):
-        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=n - 1)
-    assert calls == []
-    with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(f, 0.0, 1.0, dist=dist, max_evals=n)
-    assert calls == [n] and err.value.evaluations == n and err.value.levels == 1
-
-
-def test_default_budget_never_binds():
-    # every level of the node table, in distance form, where none is dropped
-    total = sum(2 * len(quadrature._level_nodes(level)[0])
-                for level in range(quadrature._MAX_LEVEL + 1)) - 1
-    assert total == 49_153 < quadrature.MAX_EVALS
-    calls = []
-    with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(_count_calls(lambda x, da, db: 1.0 / da, calls),
-                             0.0, 1.0, tol=1e-10, dist=True)
-    assert len(calls) == quadrature._MAX_LEVEL + 1
-    assert err.value.evaluations == sum(calls) == total
+        quadrature.integrate(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0, tol=1e-13)
+    exc = err.value
+    assert exc.result is not None
+    assert exc.levels == exc.budget == 4 and exc.evaluations <= 100
+    assert "after 4 levels" in str(exc) and "of a budget of 4 levels" in str(exc)
 
 
 @pytest.mark.parametrize(
@@ -175,16 +143,17 @@ def test_tolerance_error_is_structured():
         quadrature.integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
     exc = err.value
     assert exc.layer == "quadrature" and exc.rows is None
-    assert exc.levels == quadrature._MAX_LEVEL + 1
-    assert exc.budget == quadrature.MAX_EVALS
+    assert exc.levels == exc.budget == quadrature._MAX_LEVEL + 1
     assert exc.evaluations == exc.result.evaluations > 0
     assert str(exc).startswith("quadrature: ")
     assert f"{exc.evaluations} evaluations" in str(exc)
+    # every level of the node table, in distance form, where none is dropped
+    calls = []
     with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0,
-                             tol=1e-13, max_evals=100)
-    assert err.value.budget == 100 and err.value.evaluations <= 100
-    assert "budget of 100" in str(err.value)
+        quadrature.integrate(_count_calls(lambda x, da, db: 1.0 / da, calls),
+                             0.0, 1.0, tol=1e-10, dist=True)
+    assert len(calls) == quadrature._MAX_LEVEL + 1
+    assert err.value.evaluations == sum(calls) == 49_153
 
 
 def _batch(funcs):
@@ -244,7 +213,7 @@ class TestBatch:
         assert exc.layer == "quadrature"
         assert exc.rows == (1,)
         assert exc.levels == quadrature._MAX_LEVEL + 1
-        assert exc.budget == quadrature.MAX_EVALS
+        assert exc.budget == quadrature._MAX_LEVEL + 1
         assert "rows [1] of 3" in str(exc)
         for i in (0, 2):
             alone = quadrature.integrate(funcs[i], 0.0, 1.0, tol=1e-10)
@@ -451,7 +420,7 @@ class TestOneCallPerLevel:
 
         monkeypatch.setattr(quadrature, "integrate", spy)
         levels = _count_levels(monkeypatch)
-        cases = cli._suite_wallis(cli.GRIDS["small"])
+        cases = verify.run("wallis", verify.GRIDS["small"])
         assert len(cases) == 135
         assert len(outer) == 1
         assert len(inner) == len(levels)
@@ -476,7 +445,7 @@ def _grid_specs(grid, extra):
 
 class TestPowerMoments:
     def test_grid_equals_pair_and_scalar_calls(self):
-        specs = _grid_specs(cli.GRIDS["full"], [2.0, 0.5, -1.0, 1.0, 0.0, -0.5])
+        specs = _grid_specs(verify.GRIDS["full"], [2.0, 0.5, -1.0, 1.0, 0.0, -0.5])
         res = quadrature.power_moments(specs)
         pairs = [one_spec(p, q, flavor, exps)
                  for p, q, flavor, exps in specs]
@@ -493,7 +462,7 @@ class TestPowerMoments:
                        for e in exps if flavor == "cos"}
 
     def test_verify_grid_has_375_rows(self):
-        specs = _grid_specs(cli.GRIDS["full"], [])
+        specs = _grid_specs(verify.GRIDS["full"], [])
         assert quadrature.power_moments(specs).value.shape == (375,)
 
     def test_empty_and_scalar_specs(self):
@@ -564,7 +533,7 @@ class TestPerBatchTables:
         # no tol starves these integrands (two levels agree exactly before
         # the node table runs out), so the levels are cut instead
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
-        specs = _grid_specs(cli.GRIDS["small"], [2.0, 0.5])
+        specs = _grid_specs(verify.GRIDS["small"], [2.0, 0.5])
         with pytest.raises(ToleranceError) as err:
             quadrature.power_moments(specs)
         exc = err.value
@@ -621,7 +590,7 @@ class TestEndpointMass:
     def test_verify_exponents_untouched(self):
         # the verify suite's least exponents are -0.5 (sin) and, at p = 4,
         # (1 - p)/2 (cos): far from the edge
-        for p in cli.GRIDS["full"]:
+        for p in verify.GRIDS["full"]:
             one_spec(p, 2.0, "sin", -0.5)
             one_spec(p, 2.0, "cos", 0.5 * (3.0 - p))
 

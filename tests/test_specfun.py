@@ -1191,6 +1191,14 @@ class TestHyp2F1AgainstMpmath:
         assume(m + offset > 0)
         assert_beta_integral_matches_mpmath(*primitive_shapes(a, m, offset), 10.0**log_y)
 
+    def test_subnormal_b(self):
+        """b' subnormal, where B(a, b') overflows but B_z is finite: the
+        family's example at z = 0, which read NaN, and two points inside,
+        which read inf and NaN."""
+        assert specfun._beta_integral(1.0, 2.2250738585e-313, 0.0, 1.0) == 0.0
+        for a, b, y in ((1.0, 2.2e-313, 0.9), (2.0, 1e-310, 0.7)):
+            assert_beta_integral_matches_mpmath(a, b, y)
+
 
 def _unit_ratio_points():
     """e for the e-only Gamma ratios: 0, signed powers of ten down to 1e-15,
@@ -1298,7 +1306,7 @@ class TestSeriesPair:
 
 
 REPO = pathlib.Path(__file__).parent.parent
-GUARDED = ("gtf", "integrals", "bvp", "quadrature", "specfun", "errors")
+GUARDED = ("gtf", "integrals", "bvp", "quadrature", "specfun", "errors", "verify")
 # public functions allowed without a caller in another module, with the reason
 ALLOWED_UNCALLED = {
     # the independent reference for asin_pq in tests/test_gtf.py: the
@@ -1413,11 +1421,59 @@ def names_inv_fit_min(node):
             or (isinstance(node, ast.alias) and node.name == "INV_FIT_MIN"))
 
 
+def cli_breaches(cli_py):
+    """What the CLI at cli_py takes from the package that it must not: the
+    quadrature module, whose oracle only verify's suites call, and any
+    _-prefixed name of another package module, as module._name or by `from
+    .module import _name`."""
+    modules = {path.stem for path in TestModuleBoundaries.PACKAGE.glob("*.py")}
+    breaches = set()
+    for node in ast.walk(ast.parse(cli_py.read_text(), filename=str(cli_py))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "gentrig"):
+            source = (node.module or "").rpartition(".")[2]
+            if source in ("", "gentrig"):  # from . import module
+                taken = [(alias.name, None) for alias in node.names]
+            else:
+                taken = [(source, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            taken = [(alias.name.rpartition(".")[2], None) for alias in node.names
+                     if alias.name.startswith("gentrig.")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            taken = [(node.value.id, node.attr)]
+        else:
+            continue
+        for module, name in taken:
+            if module == "quadrature":
+                breaches.add("quadrature")
+            if name and name.startswith("_"):
+                breaches.add(f"{module}.{name}")
+    return breaches
+
+
 class TestModuleBoundaries:
     """specfun owns every incomplete-beta evaluation: it alone imports scipy,
-    and it alone decides which lane an array takes."""
+    and it alone decides which lane an array takes.  The CLI parses, calls
+    the public surface and prints: no oracle, no private name of another
+    module."""
 
     PACKAGE = pathlib.Path(specfun.__file__).parent
+
+    def test_cli_takes_only_public_names(self):
+        assert cli_breaches(self.PACKAGE / "cli.py") == set()
+
+    @pytest.mark.parametrize("planted,breach", [
+        ("def planted(c, p):\n    return gtf._power(c, p)\n", "gtf._power"),
+        ("from .gtf import _power\n", "gtf._power"),
+        ("from . import quadrature\n", "quadrature"),
+    ])
+    def test_scan_flags_a_planted_breach(self, tmp_path, planted, breach):
+        """On a copy of cli.py with one planted private use or oracle
+        import, the scan flags that one."""
+        cli_py = tmp_path / "cli.py"
+        cli_py.write_text((self.PACKAGE / "cli.py").read_text() + "\n\n" + planted)
+        assert cli_breaches(cli_py) == {breach}
 
     def test_only_specfun_imports_scipy(self):
         assert modules_that(self.PACKAGE, imports_scipy) == {"specfun"}
