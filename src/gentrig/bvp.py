@@ -214,24 +214,27 @@ def _phase_curve(H, p, q, P, ssum, den, root, c, yc):
 
 def _general(p, q, Hs, xs):
     """(ode, phase, boundary) of the general problem at (p, q) on [0, H] for
-    each H in Hs, at the interior points xs[i] of [0, Hs[i]]: the ODE and
-    phase-curve residuals, shaped like xs, and max(|u(0)|, |u(H)|) per H.
+    each H in Hs, at the interior points xs[i] of [0, Hs[i]] (xs of shape
+    (len(Hs), n)): the ODE and phase-curve residuals, shaped like xs, and
+    max(|u(0)|, |u(H)|) per H.
     Arrays p and q put the shape S of their broadcast in front of those,
     and each pair's floats (_general_scalars) come from one call a pair.
     One _sincos_tail call inverts every stencil row and both ends of every
     pair."""
     H = np.array(Hs, dtype=float)
     xx = np.asarray(xs, dtype=float)
-    h, rows = _stencil_rows(H[:, None], xx.reshape(len(H), -1))  # rows: (5, len(H), n)
+    h, rows = _stencil_rows(H[:, None], xx)  # rows: (5, len(H), n)
     ends = H[:, None] * np.array([0.0, 1.0])
     fn = functools.partial(_general_scalars, Hs=H.tolist())
     several = _several(p, q)
     if several:
-        P, ssum, den, root, *scales = _per_pair(fn, p, q)
+        fields = _per_pair(fn, p, q)
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     else:
-        P, ssum, den, root, *scales = fn(p, q)
-    omega, amp = np.stack(scales[::2], -1), np.stack(scales[1::2], -1)  # S + (len(H),)
+        fields = fn(p, q)
+    P, ssum, den, root = fields[:4]
+    scales = np.moveaxis(np.asarray(fields[4:]), 0, -1)  # S + (2 len(H),)
+    omega, amp = scales[..., ::2], scales[..., 1::2]  # S + (len(H),)
     lead = omega.shape[:-1]  # S
 
     def lifted(k, *vals):
@@ -281,7 +284,8 @@ def general_checks(p: float, q: float, Hs, fractions):
     p pi_{q*,p}; |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own
     definition (gtf._cos_power), so it neither cancels near H nor
     underflows.  verify samples x/H in [0.1, 0.9].  Hs or fractions that
-    are not 1-D sequences raise DomainError.
+    are not 1-D sequences raise DomainError; an empty one gives empty
+    arrays of those shapes, after p and q are checked.
     """
     H, fractions = np.array(Hs, dtype=float), np.asarray(fractions, dtype=float)
     if H.ndim != 1 or fractions.ndim != 1:
@@ -324,8 +328,9 @@ def nonlocal_mean_square_slope(H: float, m):
     shape): every m is one row of a single quadrature.integrate batch, each
     level makes one gtf call at the rows still refining (gtf's lane for
     several pairs, also for one m), and each row equals its own call bit for
-    bit.  DomainError as solve_nonlocal for an invalid H or any invalid
-    m: NaN, m <= 0 or inf; and as _closure_scalars where the oracle's sums
+    bit; an empty array gives an empty array.  DomainError as solve_nonlocal
+    for an invalid H (at m = 1 where m is empty) or any invalid m: NaN, m <=
+    0 or inf; and as _closure_scalars where the oracle's sums
     overflow, m^2 max(16, H/2) not finite (m above ~3.35e153 for H <= 32,
     ~1.9e153 at H = 100).
 
@@ -339,6 +344,9 @@ def nonlocal_mean_square_slope(H: float, m):
     absolute.
     """
     ms = np.asarray(m, dtype=float)
+    if not ms.size:  # nothing to integrate; H is checked as at m = 1
+        solve_nonlocal(H, 1.0)
+        return np.empty(ms.shape)
     p, q, P, ssum, omega, S = np.array(
         [_closure_scalars(H, v) for v in ms.ravel().tolist()]).T[..., None]
 

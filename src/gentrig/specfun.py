@@ -172,28 +172,6 @@ def _lgamma_diff(z: float, e: float) -> float:
     return _stirling_diff(z + shifts, e, total)
 
 
-def _scaled_quotient(num, den, times: float = 1.0, exp2: int = 0) -> float:
-    """prod Gamma(num) / prod Gamma(den) times times 2^exp2, zero where den
-    meets a pole, every factor and partial product held as a mantissa and a
-    power of two (math.frexp), so that the quotient leaves the doubles only
-    where it lies beyond them, or where a Gamma factor does (inf): never
-    for the factors of hyp2f1's box.  times comes last, so where the plain
-    product, times last, has only normal factors and partial products, this
-    is that product bit for bit."""
-    out, k = 1.0, exp2
-    for f, zs in ((_gamma, num), (_rgamma, den)):
-        for z in zs:
-            g, j = math.frexp(f(z))
-            out, i = math.frexp(out * g)
-            k += i + j
-    g, j = math.frexp(times)
-    out, i = math.frexp(out * g)
-    try:
-        return math.ldexp(out, k + i + j)
-    except OverflowError:
-        return math.copysign(math.inf, out)
-
-
 def _gamma_ratio_m1(z: float, e: float, ze: float) -> float:
     """(Gamma(z) / Gamma(ze) - 1) / e with ze = z + e, as accurate as the
     caller knows it; continued by -psi(z) at e = 0.  Near 1 it is one
@@ -203,7 +181,7 @@ def _gamma_ratio_m1(z: float, e: float, ze: float) -> float:
     + 1, which depend on e alone, take _unit_gamma_ratios instead."""
     pole_gap = z if z >= 0.5 else abs(z - round(z))
     if 2.0 * abs(e) > pole_gap:  # the ratio is far from 1: no cancellation
-        return (_scaled_quotient((z,), (ze,)) - 1.0) / e
+        return (_gamma(z) * _rgamma(ze) - 1.0) / e
     lam = _lgamma_diff(z, e)
     return -lam * _expm1_ratio(-e * lam)
 
@@ -236,59 +214,50 @@ def _unit_gamma_ratios(m: int, e: float):
 
 
 def poch_ratio(a: float, b: float, n: int) -> float:
-    """(a)_n / (b)_n for a nonnegative integer n; the empty product n = 0 is 1.
+    """(a)_n / (b)_n for a nonnegative integer n on its callers' box: a, b > 0
+    and finite with |a - b| <= 1 (every Wallis-type closed form is such a
+    ratio times a generalized pi, and |a - b| reaches 1 where 1/p* rounds to
+    it); the empty product n = 0 is 1.  Anything else, NaN and +-inf
+    included, raises DomainError.
 
-    Below POCH_SWITCH, or unless a, b > 0, a running product of the factor
-    ratios (a + m) / (b + m).  Above, Gamma(a + n) / Gamma(b + n), one exp of
-    _stirling_diff, times Gamma(b) / Gamma(a) (DLMF 5.2.5), two Gamma calls
-    where a, b lie in [DBL_MIN, _STIRLING_MIN] (Gamma(b) <= max(1/b, 9!) and
-    1 / Gamma(a) in [min(a, 1/9!), 1.13]) and the exp in e^+-708, _lgamma_diff
-    elsewhere: ~4 us for any n (14-19 us with two Stirling differences).
-    Where |a - b| > n those two differences are each of size |a - b| and
-    cancel, so there it is exp(ln a - ln b + (n - 1) (D(a + 1) - D(b + 1))),
-    D(z) = _lgamma_diff(z, n - 1), whose terms are of size n ln max(a, b):
-    within 3.6e-13 of mpmath for a, b in [3e-308, 1e300], 0 or inf beyond
-    the doubles.  Every Wallis-type closed form is such a ratio times a
-    generalized pi (|a - b| <= 1 there).
-    DomainError unless a and b are finite and (b)_n is nonzero."""
+    Below POCH_SWITCH, a running product of the factor ratios (a + m) / (b +
+    m).  Above, Gamma(a + n) / Gamma(b + n), one exp of _stirling_diff, times
+    Gamma(b) / Gamma(a) (DLMF 5.2.5), two Gamma calls where a, b lie in
+    [DBL_MIN, _STIRLING_MIN] (Gamma(b) <= max(1/b, 9!) and 1 / Gamma(a) in
+    [min(a, 1/9!), 1.13]) and the exp in e^+-708, _lgamma_diff elsewhere:
+    ~4 us for any n (14-19 us with two Stirling differences).  A subnormal a
+    or b takes _peeled; the ratio is inf where it overflows."""
     a, b, n = float(a), float(b), check_order(n)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"poch_ratio requires finite a and b, got ({a}, {b})")
-    if n >= POCH_SWITCH and a > 0 and b > 0:
-        e = a - b
-        if not e:
-            return 1.0
-        if min(a, b) < _DBL_MIN:  # subnormal
-            return _peeled(a, b, n)
-        if abs(e) > n:  # ln (a)_n - ln (b)_n from terms of size n, not of size |e|,
-            # and (z)_n = z (z + 1)_(n-1), so that no shift divides n by a tiny z
-            ln_ratio = math.log(a) - math.log(b) + (n - 1) * (
-                _lgamma_diff(a + 1.0, n - 1) - _lgamma_diff(b + 1.0, n - 1))
-        else:
-            lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
-            if abs(lead) <= 708.0 and max(a, b) <= _STIRLING_MIN:  # min(a, b) >= DBL_MIN
-                return math.exp(lead) * (_gamma(b) * _rgamma(a))
-            if abs(e) / min(a, b) == math.inf:  # the first shift's t = |e| / min(a, b)
-                return _peeled(a, b, n)
-            # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
-            ln_ratio = lead - e * _lgamma_diff(min(a, b), abs(e))
-        try:
-            return math.exp(ln_ratio)
-        except OverflowError:  # as the product overflows, to inf
-            return math.inf
-    if b <= 0.0 and b == math.floor(b) and -b < n:  # b + m = 0 for some m < n
-        raise DomainError(f"poch_ratio: (b)_n has a zero factor at b = {b}, n = {n}")
-    out = 1.0
-    for m in range(n):
-        out *= (a + m) / (b + m)
-    return out
+    # written so that NaN fails the test
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and abs(a - b) <= 1.0):
+        raise DomainError(
+            f"poch_ratio requires finite a, b > 0 with |a - b| <= 1, got ({a}, {b})")
+    if n < POCH_SWITCH:
+        out = 1.0
+        for m in range(n):
+            out *= (a + m) / (b + m)
+        return out
+    e = a - b
+    if not e:
+        return 1.0
+    if min(a, b) < _DBL_MIN:  # subnormal
+        return _peeled(a, b, n)
+    lead = e * _stirling_diff(b + n, e)  # ln Gamma(a + n) - ln Gamma(b + n)
+    if abs(lead) <= 708.0 and max(a, b) <= _STIRLING_MIN:
+        return math.exp(lead) * (_gamma(b) * _rgamma(a))
+    # ln Gamma(a) - ln Gamma(b), shifted up from the smaller: every t > 0
+    ln_ratio = lead - e * _lgamma_diff(min(a, b), abs(e))
+    try:
+        return math.exp(ln_ratio)
+    except OverflowError:  # as the product overflows, to inf
+        return math.inf
 
 
 def _peeled(a: float, b: float, n: int) -> float:
-    """(a)_n / (b)_n = (a / b) (a + 1)_{n-1} / (b + 1)_{n-1} for a, b > 0,
-    n >= 1: poch_ratio's form where a or b is so small that a Stirling shift
-    from it would overflow (subnormal, or |a - b| / min(a, b) beyond the
-    doubles).  a / b is formed last where it is subnormal."""
+    """(a)_n / (b)_n = (a / b) (a + 1)_{n-1} / (b + 1)_{n-1} for n >= 1 and a
+    or b subnormal, where a Stirling shift from it would overflow; a + 1 and
+    b + 1 stay in poch_ratio's box.  a / b is formed last where it is
+    subnormal."""
     ratio, q = poch_ratio(a + 1.0, b + 1.0, n - 1), a / b
     return q * ratio if q >= _DBL_MIN else a * (ratio / b)
 
@@ -442,7 +411,7 @@ def _lower_tail(a: float, b: float, g, g_half: float):
     """(lower, c, i_half): I_t(a, b) = t^a c (1 + g(t)) on an array of
     points t <= 1/2, c = 1 / (a B(a, b)) and I_{1/2}(a, b), from (g, g_half)
     = _hyp_m1(a, b)."""
-    c = _scaled_quotient((a + b,), (a + 1.0, b))
+    c = _gamma(a + b) * _rgamma(a + 1.0) * _rgamma(b)
 
     def lower(t):
         return t**a * c * (1.0 + g(t))
@@ -869,13 +838,14 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
 
     Cost: two _gamma_ratio_m1 calls (qa and qb, each an _lgamma_diff), the
     e-only ratios g1 and q1 from one 11-term polynomial (_unit_gamma_ratios,
-    ~2 us), one _scaled_quotient of four Gamma factors (two with the head,
-    ~4 us each), and ~1.3 us a term of the sum in y, whose tail bound forms
-    delta only once its first part passes.
+    ~2 us), one product of four scalar Gamma calls (and one more with the
+    head), and ~1.3 us a term of the sum in y, whose tail bound forms delta
+    only once its first part passes.
 
     Both Gamma quotients, the head's and the prefactor's with its 1/m! and
-    (-y)^m = my^m 2^(ey m), -y = my 2^ey, are _scaled_quotient's, so
-    neither leaves the doubles unless it lies beyond them.
+    (-y)^m, are plain products: in hyp2f1's box no factor leaves the
+    doubles, and (-y)^m underflows only at m = 2 with y below ~1e-154, where
+    the head, of size ~1, holds the value to its last bit.
     """
     head = 0.0
     if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
@@ -883,7 +853,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
         for n in range(m - 1):
             term *= (a + n) * (b + n) / (((n + 1 - m) - e) * (n + 1.0)) * y
             total += term
-        head = _scaled_quotient((c, m + e), (ca, cb)) * total
+        head = _gamma(c) * _gamma(m + e) * _rgamma(ca) * _rgamma(cb) * total
 
     qa = _gamma_ratio_m1(a + m, e, cb)  # a + m + e = c - b
     qb = _gamma_ratio_m1(b + m, e, ca)
@@ -933,8 +903,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     else:
         raise _budget_spent("logarithmic connection series", a, b, c, 1.0 - y)
 
-    my, ey = math.frexp(-y)
-    pref = _scaled_quotient((c,), (a, b, m + 1.0), my**m, ey * m)
+    pref = _gamma(c) * _rgamma(a) * _rgamma(b) * _rgamma(m + 1.0) * (-y) ** m
     if e:
         pref *= math.pi * e / math.sin(math.pi * e)
     return head + pref * total

@@ -387,6 +387,24 @@ class TestGeneralChecks:
         assert calls == []
 
 
+    def test_empty_inputs(self):
+        """An empty Hs or fractions gives (ode, phase, boundary) of the
+        documented shapes (an empty Hs raised numpy's reshape error before),
+        for numbers and for arrays p and q; an invalid H, p or q is still
+        rejected."""
+        p, q = np.array([2.0, 3.0])[:, None], np.array([2.0, 2.5, 4.0])
+        for pq, lead in (((2.0, 2.0), ()), ((p, q), (2, 3))):
+            for Hs, fractions in (([], [0.5]), ([], []), ([1.0, 2.5], [])):
+                ode, phase, bc = bvp.general_checks(*pq, Hs, np.array(fractions))
+                assert ode.shape == phase.shape == lead + (len(Hs), len(fractions))
+                assert bc.shape == lead + (len(Hs),)
+        with pytest.raises(DomainError, match="H = -1"):
+            bvp.general_checks(2.0, 2.0, [-1.0], [])
+        for pq in ((1.0, 2.0), (np.array([2.0, 1.0]), 2.0), (2.0, np.array([math.nan]))):
+            with pytest.raises(DomainError, match="need p, q"):
+                bvp.general_checks(*pq, [], [0.5])
+
+
 def phase_bound(sol, p, q, xs):
     """general_checks' stated phase bound: |u| ((1 + d/A)^(1/q) - 1) with
     A = (1/p + 1/q) sin^q(w x) and d = 2 (p* + 1) eps the rounding of v, the
@@ -587,6 +605,16 @@ class TestClosure:
     def test_float_for_a_number(self):
         for m in (1.0, 1, np.float64(1.0)):
             assert type(bvp.nonlocal_mean_square_slope(1.0, m)) is float
+
+    def test_empty_array(self):
+        """An empty m is an empty array of its shape (numpy's unpacking
+        error before), and an invalid H is still rejected."""
+        for shape in ((0,), (2, 0)):
+            got = bvp.nonlocal_mean_square_slope(1.0, np.empty(shape))
+            assert got.shape == shape and got.dtype == float
+        for H in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="H = "):
+                bvp.nonlocal_mean_square_slope(H, np.array([]))
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, 1e200])
     @pytest.mark.parametrize("at", [0, 2])

@@ -25,34 +25,46 @@ LGAMMA_DIFF_TOL = 1.5e-15
 STIRLING_DIFF_TOL = 6e-16
 
 
+def poch_outside_the_box(a, b, n):
+    """poch_ratio raises DomainError at (a, b, n): its box is a, b > 0 and
+    finite with |a - b| <= 1, for every n."""
+    with pytest.raises(DomainError, match="poch_ratio requires"):
+        specfun.poch_ratio(a, b, n)
+
+
 class TestPochhammer:
-    """The Pochhammer ratio (a)_n / (b)_n."""
+    """The Pochhammer ratio (a)_n / (b)_n on its box, a, b > 0 and finite
+    with |a - b| <= 1: the points of earlier tests outside it raise
+    DomainError."""
 
     def test_empty_product(self):
-        assert specfun.poch_ratio(3.0, 5.0, 0) == 1.0
+        assert specfun.poch_ratio(3.0, 3.5, 0) == 1.0
+        poch_outside_the_box(3.0, 5.0, 0)  # the box is tested before n
 
     def test_pole_of_the_denominator(self):
-        # (b)_n = 0 once b + m = 0 for some m < n
-        with pytest.raises(DomainError, match="b = -2.0, n = 5"):
-            specfun.poch_ratio(1.0, -2.0, 5)
-        assert specfun.poch_ratio(1.0, -2.0, 2) == 1.0  # (1)_2 / (-2)_2 = 2 / 2
-        assert specfun.poch_ratio(1.0, -2.5, 5) == pytest.approx(
-            math.prod((1.0 + m) / (-2.5 + m) for m in range(5)), rel=1e-15)
+        # (b)_n = 0 once b + m = 0 for some m < n: every such b <= 0 lies
+        # outside the box, as do the b < 0 with no zero factor
+        for a, b, n in ((1.0, -2.0, 5), (1.0, -2.0, 2), (1.0, -2.5, 5), (1.0, 0.0, 1)):
+            poch_outside_the_box(a, b, n)
 
     def test_factorial(self):
         # (1)_4 / (2)_4 = 4! / (5!/1!) = 1/5
         assert specfun.poch_ratio(1.0, 2.0, 4) == 0.2
 
     def test_vanishing_factor(self):
-        assert specfun.poch_ratio(-2.0, 0.5, 3) == 0.0
+        # (a)_n vanishes only at an a <= 0, outside the box
+        poch_outside_the_box(-2.0, 0.5, 3)
+        poch_outside_the_box(0.0, 0.5, 3)
 
     @given(
-        a=st.floats(-5, 5, allow_nan=False),
         b=st.floats(0.1, 5, allow_nan=False),
+        d=st.floats(-1, 1, allow_nan=False),
         n=st.integers(min_value=0, max_value=50),
     )
     @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, a, b, n):
+    def test_recurrence(self, b, d, n):
+        a = b + d
+        assume(a > 0.0 and abs(a - b) <= 1.0)
         lhs = specfun.poch_ratio(a, b, n + 1)
         rhs = specfun.poch_ratio(a, b, n) * (a + n) / (b + n)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -110,47 +122,28 @@ class TestPochhammer:
         (10.0, 1e-6), (1e-6, 10.0), (NEXT_10, 1e-6), (1e-6, NEXT_10),
         (150.0, 1e-6), (1e-6, 150.0), (200.0, 1e-6), (1e-6, 200.0)])
     def test_far_apart_parameters(self, a, b):
-        # exp turns the rounding of its argument L = ln((a)_n / (b)_n) into
-        # a relative error of a few eps |L|; past the float range, inf or 0
+        # |a - b| near 10, 150 and 200: outside the box at every n
         for n in (64, 10**4, 10**9):
-            with mpmath.workdps(40):
-                exact = mpmath.rf(a, n) / mpmath.rf(b, n)
-            got = specfun.poch_ratio(a, b, n)
-            if exact > sys.float_info.max:
-                assert got == math.inf, (a, b, n)
-            elif exact < mpmath.mpf(2) ** -1075:  # below half the least subnormal
-                assert got == 0.0, (a, b, n)
-            else:
-                scale = max(1.0, abs(float(mpmath.log(exact))))
-                assert abs(got - exact) <= 4 * sys.float_info.epsilon * scale * exact, (a, b, n)
+            poch_outside_the_box(a, b, n)
 
     @pytest.mark.parametrize("a,b,n", [
         (0.5, 1e6, 64), (1e-300, 1e10, 64), (0.5, 1e17, 100), (1e20, 0.5, 64),
         (1.0, 1e20, 64), (3.0, 1e6, 64), (1e17, 1e15, 65), (1e-300, 1e10, 10**9),
         (3e-308, 1e20, 10**6), (1e10, 1e-300, 1000), (100.0, 1e3, 100)])
     def test_parameters_further_apart_than_n(self, a, b, n):
-        # |a - b| > n: ln Gamma(a + n) - ln Gamma(b + n) and ln Gamma(a) - ln
-        # Gamma(b) are each of size |a - b| and cancelled (4.3e-7 off, NaN,
-        # inf for 0, 1.0 for inf, ValueError); the reference is a difference
-        # of 60-digit ln Gamma values, and the bound the rounding of terms
-        # of size n ln max(a, b)
-        with mpmath.workdps(60):
-            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
-            exact = mpmath.exp(mpmath.loggamma(a_ + n) - mpmath.loggamma(a_)
-                               - mpmath.loggamma(b_ + n) + mpmath.loggamma(b_))
-        got = specfun.poch_ratio(a, b, n)
-        if exact > sys.float_info.max:
-            assert got == math.inf
-        elif exact < mpmath.mpf(2) ** -1075:  # below half the least subnormal
-            assert got == 0.0
-        else:
-            bound = 4 * sys.float_info.epsilon * n * max(1.0, math.log(max(a, b)))
-            assert abs(got - exact) <= bound * exact
+        # |a - b| > n, where the two ln Gamma differences would cancel: no
+        # caller comes near, and the box rejects it
+        poch_outside_the_box(a, b, n)
 
     @pytest.mark.parametrize("a,b", [(0.25, 0.75), (1e-6, 0.5), (0.9, 0.4),
-                                     (3.0, 9.99), (1.0, 0.5), (12.0, 150.0)])
+                                     (3.0, 9.99), (1.0, 0.5), (12.0, 150.0),
+                                     (8.99, 9.99), (149.0, 150.0)])
     def test_continuous_across_the_switch(self, a, b):
         n = specfun.POCH_SWITCH
+        if abs(a - b) > 1.0:  # outside the box on both sides of the switch
+            poch_outside_the_box(a, b, n - 1)
+            poch_outside_the_box(a, b, n)
+            return
         below = specfun.poch_ratio(a, b, n - 1)
         above = specfun.poch_ratio(a, b, n)
         assert above == pytest.approx(below * (a + n - 1) / (b + n - 1), rel=1e-14)
@@ -161,35 +154,25 @@ class TestPochhammer:
         (1e-10, 1e-310, 100), (0.3, 5e-324, 10**6), (5e-324, 0.3, 10**9)])
     def test_subnormal_parameters(self, a, b, n):
         # the Gamma quotient and the shifted difference read NaN or 0 here
-        with mpmath.workdps(50):
-            exact = mpmath.rf(a, n) / mpmath.rf(b, n)
-        got = specfun.poch_ratio(a, b, n)
-        if exact > sys.float_info.max:
-            assert got == math.inf, (a, b, n)
-        elif exact < mpmath.mpf(2) ** -1075:  # below half the least subnormal
-            assert got == 0.0, (a, b, n)
-        else:  # within 1e-14, or a least subnormal where the ratio is one
-            assert abs(got - exact) <= 1e-14 * exact + 2.0**-1074, (a, b, n)
+        assert_poch_rounds_as_mpmath(a, b, n)
 
     @pytest.mark.parametrize("a,b,n", [
         (1e-307, 50.0, 64), (3e-308, 60.0, 64), (5e-308, 10.5, 64), (3e-308, 12.0, 70),
         (1e-307, 11.0, 64), (2.5e-308, 20.0, 100), (12.0, 3e-308, 64)])
     def test_tiny_parameter_whose_shift_overflows(self, a, b, n):
-        # |a - b| / min(a, b) overflows in the first shift of the ln Gamma
-        # difference: NaN before the factor (a)_n = a (a + 1)_(n-1) was
-        # peeled; every value here is subnormal, 0 or inf, as 40-digit
-        # mpmath rounds it
-        with mpmath.workdps(40):
-            exact = float(mpmath.rf(a, n) / mpmath.rf(b, n))
-        got = specfun.poch_ratio(a, b, n)
-        assert got == exact or abs(got - exact) <= 2.0**-1074, (a, b, n, got, exact)
+        # |a - b| / min(a, b) would overflow in the first shift of the ln
+        # Gamma difference; within the box it is at most 1 / DBL_MIN, and
+        # these points, with |a - b| >= 10, lie outside it
+        poch_outside_the_box(a, b, n)
 
     def test_quotient_range_takes_no_shifted_difference(self, monkeypatch):
         # a cost guard without a timer: in the quotient's range the large-n
         # branch must not fall back on the shifted difference
         want = {(a, b, n): specfun.poch_ratio(a, b, n)
-                for a, b in ((0.4, 0.9), (1e-6, 10.0), (10.0, 0.3), (1.0, 0.75))
+                for a, b in ((0.4, 0.9), (1e-6, 1.0), (10.0, 9.0), (1.0, 0.75))
                 for n in (64, 10**4, 10**9)}
+        for a, b in ((1e-6, 10.0), (10.0, 0.3)):  # once in that range, now outside the box
+            poch_outside_the_box(a, b, 64)
 
         def shifted(z, e):
             raise AssertionError("poch_ratio took the shifted difference")
@@ -198,6 +181,76 @@ class TestPochhammer:
         for (a, b, n), value in want.items():
             assert specfun.poch_ratio(a, b, n) == value
 
+    @pytest.mark.parametrize("face,a,b", [
+        ("a = 0", 0.0, 0.5), ("b = 0", 0.5, 0.0), ("a < 0", -5e-324, 0.5),
+        ("b < 0", 0.5, -5e-324), ("a = inf", math.inf, 0.5), ("b = inf", 0.5, math.inf),
+        ("a = NaN", math.nan, 0.5), ("b = NaN", 0.5, math.nan),
+        ("a - b one ulp above 1", math.nextafter(1.5, 2.0), 0.5),
+        ("b - a one ulp above 1", 0.5, math.nextafter(1.5, 2.0))])
+    def test_just_outside_each_face(self, face, a, b):
+        for n in (0, 10, specfun.POCH_SWITCH, 10**9):
+            poch_outside_the_box(a, b, n)
+
+    @pytest.mark.parametrize("a,b", [
+        (0.5, 1.5), (1.5, 0.5), (1.0, 2.0), (149.0, 150.0), (150.0, 149.0),
+        (5e-324, 0.5), (0.5, 5e-324), (5e-324, 1.0), (sys.float_info.min, 1.0),
+        (1.0, sys.float_info.min), (sys.float_info.max, sys.float_info.max)])
+    def test_just_inside_each_face(self, a, b):
+        # |a - b| = 1 exactly, the least subnormal and normal a or b, and
+        # the largest double
+        for n in (64, 10**6, 10**9):
+            assert_poch_rounds_as_mpmath(a, b, n)
+
+    def test_every_caller_stays_in_the_box(self, monkeypatch):
+        """Every poch_ratio call that seeded Wallis, special-case,
+        lemniscate and product queries make, at p and q from 1 + 3e-16 to
+        1e17 and n up to 1e9, lies in the box, and |a - b| reaches 1: 1/p*
+        rounds to 1 once p passes ~1e16.  A query its own caller rejects
+        (the cosine flavor's r at the end of its range) makes no call."""
+        calls, real = [], specfun.poch_ratio
+
+        def spy(a, b, n):
+            calls.append((a, b))
+            return real(a, b, n)
+
+        monkeypatch.setattr(specfun, "poch_ratio", spy)
+        rng = np.random.default_rng(35)
+        for k in range(300):
+            p, q = 1.0 + 10.0 ** rng.uniform(-15.5, 17.0, 2)
+            n = int(10.0 ** rng.uniform(0.0, 9.0))
+            pair = gtf.ParamPair(p, q)
+            queries = [
+                (integrals.wallis_sin, integrals.WallisQuery(pair, n, q - 1.0 - q * rng.random())),
+                (integrals.wallis_cos, integrals.WallisQuery(pair, n, 1.0 - p * rng.random())),
+                (integrals.wallis_special_cases, p, q, n, sorted(integrals.WALLIS_SPECIAL_KINDS)[k % 6]),
+                (integrals.lemniscate_wallis, n, k % 4),
+                (integrals.pi_product_partial, p, q, max(n, 1))]
+            for fn, *args in queries:
+                try:
+                    fn(*args)
+                except DomainError:
+                    pass
+        assert len(calls) > 1000
+        outside = [(a, b) for a, b in calls
+                   if not (0.0 < a < math.inf and 0.0 < b < math.inf and abs(a - b) <= 1.0)]
+        assert outside == []
+        assert max(abs(a - b) for a, b in calls) == 1.0
+
+
+def assert_poch_rounds_as_mpmath(a, b, n):
+    """poch_ratio(a, b, n) within 1e-14 of 50-digit mpmath, or a least
+    subnormal where the ratio is one; inf beyond the doubles and 0 below
+    half the least subnormal."""
+    with mpmath.workdps(50):
+        exact = mpmath.rf(a, n) / mpmath.rf(b, n)
+    got = specfun.poch_ratio(a, b, n)
+    if exact > sys.float_info.max:
+        assert got == math.inf, (a, b, n)
+    elif exact < mpmath.mpf(2) ** -1075:  # below half the least subnormal
+        assert got == 0.0, (a, b, n)
+    else:
+        assert abs(got - exact) <= 1e-14 * exact + 2.0**-1074, (a, b, n)
+
 
 class TestIntegerParameters:
     """A Python int, an np.int64 and a float of the same value give the same
@@ -205,7 +258,7 @@ class TestIntegerParameters:
     integer signature, which raised TypeError before."""
 
     CALLS = [
-        (specfun.poch_ratio, (1, 2, 100)), (specfun.poch_ratio, (3, 5, 10)),
+        (specfun.poch_ratio, (1, 2, 100)), (specfun.poch_ratio, (3, 4, 10)),
         (specfun.hyp2f1, (0.5, 0.5, 1, 0.9)), (specfun.hyp2f1, (0.25, 0.25, 1, 1)),
         (specfun.hyp2f1, (0.5, 0, 1, 0)), (specfun.beta, (3, 20)),  # the Stirling form
         (specfun.beta, (3, 7)),
@@ -1042,24 +1095,61 @@ class TestHyp2F1BeyondTheDoubles:
         assert abs(got - exact) <= 1e-13 * exact
 
 
-class TestScaledQuotient:
-    """_scaled_quotient, the one Gamma quotient of specfun, against the plain
-    product of the _gamma and _rgamma factors, then times, wherever every
-    factor and partial product is a normal double."""
+def assert_within_stated_accuracy(a, b, c, x, comp=None):
+    """hyp2f1 against 40-digit mpmath at x, or at 1 - comp where comp is
+    given, within the ~9e-15 its docstring states for the box."""
+    with mpmath.workdps(40):
+        exact = mpmath.hyp2f1(a, b, c, mpmath.mpf(x) if comp is None else 1 - mpmath.mpf(comp))
+    got = specfun.hyp2f1(a, b, c, x, comp=comp)
+    assert abs(got - exact) <= 9e-15 * abs(exact), (a, b, c, x, comp)
 
-    @given(
-        num=st.lists(st.floats(-200.0, 200.0), max_size=3),
-        den=st.lists(st.floats(-200.0, 200.0), max_size=3),
-        times=st.floats(-1e300, 1e300),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_plain_product_where_it_stays_normal(self, num, den, times):
-        plain, normal = 1.0, True
-        for v in [specfun._gamma(z) for z in num] + [specfun._rgamma(z) for z in den] + [times]:
-            plain *= v
-            normal = normal and all(sys.float_info.min <= abs(w) < math.inf for w in (v, plain))
-        assume(normal)
-        assert specfun._scaled_quotient(num, den, times).hex() == plain.hex()
+
+class TestHyp2F1GammaProducts:
+    """hyp2f1 at each plain Gamma product of its connection formulas, which
+    the family tests reach rarely or not at all: _gamma_ratio_m1's far
+    branch, the m = 2 head and prefactor where (-y)^2 underflows, and
+    Euler's transformation."""
+
+    def test_far_branch_of_the_gamma_ratio(self, monkeypatch):
+        # c - a - b = 0.05 and a = 0.001: 2|e| exceeds the gap from a to the
+        # pole at 0, so Gamma(a) / Gamma(c - b) is two Gamma calls
+        far, ratio_m1 = [], specfun._gamma_ratio_m1
+
+        def spy(z, e, ze):
+            far.append(2.0 * abs(e) > (z if z >= 0.5 else abs(z - round(z))))
+            return ratio_m1(z, e, ze)
+
+        monkeypatch.setattr(specfun, "_gamma_ratio_m1", spy)
+        assert_within_stated_accuracy(0.001, 0.45, 0.501, 0.9)
+        assert any(far)
+
+    @pytest.mark.parametrize("y", [1e-200, 1e-160, 1e-100])
+    def test_head_and_prefactor_at_order_two(self, y, monkeypatch):
+        # c - a - b = 2.01: the head polynomial's two terms, and (-y)^2,
+        # which underflows (to 0 or a subnormal) at the first two y
+        orders, near_integer = [], specfun._connection_near_integer
+
+        def spy(*args):
+            orders.append(args[6])
+            return near_integer(*args)
+
+        monkeypatch.setattr(specfun, "_connection_near_integer", spy)
+        assert_within_stated_accuracy(0.5, -0.98, 1.49, 1.0 - y, comp=y)
+        assert orders == [2]
+
+    @pytest.mark.parametrize("x", [0.55, 0.8, 0.99])
+    def test_euler_transformation(self, x, monkeypatch):
+        # c - a - b = -0.94, near -1: F = y^(c-a-b) F(c - a, c - b; c; x),
+        # whose own c - a - b is near 1
+        orders, near_integer = [], specfun._connection_near_integer
+
+        def spy(*args):
+            orders.append(args[6])
+            return near_integer(*args)
+
+        monkeypatch.setattr(specfun, "_connection_near_integer", spy)
+        assert_within_stated_accuracy(0.3, 0.99, 0.35, x)
+        assert orders == [1]
 
 
 class TestHyp2F1m1:
