@@ -351,7 +351,7 @@ def nonlocal_mean_square_slope(H: float, m):
         [_closure_scalars(H, v) for v in ms.ravel().tolist()]).T[..., None]
 
     def f(x, rows=slice(None)):
-        _, c, _ = _sincos_tail(P[rows], q[rows], omega[rows] * x, (False, True))
+        _, c, _ = _sincos_tail(P[rows], q[rows], omega[rows] * x, (False, True, False))
         slope = S[rows] * _slope(p[rows], ssum[rows], P[rows], c)
         return slope * slope
 

@@ -17,18 +17,22 @@ picks the lane.  A point (a float, an int, a numpy scalar or a 0-d array)
 takes the float lane: straight-line float code on the pair's record, Boost's
 scalar kernels (specfun._point_tails, specfun._betainc), Python float
 powers, no array, and a Python float back (about 1 us a sin_pq call at a
-pair met before; BENCH_18.json).  An array takes specfun's array entries,
-specfun._inverse_tails and specfun._inc_beta, and numpy's powers; they take
-scipy's ufuncs on small arrays and fitted, Newton-polished kernels on large
-ones (the per-call and per-point costs are in BENCH_16.json and
-BENCH_17.json).  All lanes share every other formula and one accuracy
-contract: at every point each is within 2e-15 of 50-digit mpmath, relative
-and divided by the condition number of its inversion, or no further than
-scipy's raw inverse (tests/test_gtf.py, TestFittedInverse).  Lanes may
-differ in the last ulps (numpy's power and the C library's pow differ on a
-few percent of points); bits match between sincos_pq and sin_pq, cos_pq,
-between the scalar kernels and the ufuncs, and wherever a point sits in an
-array of a given lane.
+pair met before; BENCH_18.json).  An array takes the same steps on arrays, a
+block of specfun.INV_FIT_BLOCK points at a time (_sincos_block,
+_asin_array): the test and clip, y and yc, specfun's per-block inversion
+(specfun._tails_block) or sum (specfun._inc_beta_block) and numpy's powers,
+with the small-x and DBL_MIN rules, each block written into the preallocated
+outputs and every intermediate result in the call's block-sized buffers
+(specfun._Scratch).  specfun takes scipy's ufuncs on small arrays and
+fitted, Newton-polished kernels on large ones (the per-point costs and
+allocation peaks are in BENCH_36.json).  All lanes share every other formula
+and one accuracy contract: at every point each is within 2e-15 of 50-digit
+mpmath, relative and divided by the condition number of its inversion, or no
+further than scipy's raw inverse (tests/test_gtf.py, TestFittedInverse).
+Lanes may differ in the last ulps (numpy's power and the C library's pow
+differ on a few percent of points); bits match between sincos_pq and sin_pq,
+cos_pq, between the scalar kernels and the ufuncs, and wherever a point sits
+in an array of a given lane.
 
 sin_pq, cos_pq, sincos_pq and sin_symmetry_appendix also take numpy arrays
 p and q (of at least one dimension) that broadcast against x, and
@@ -125,10 +129,11 @@ def pi_pq(p: float, q: float) -> float:
     return (2.0 / q) * specfun.beta(1.0 / conjugate(p), 1.0 / q)
 
 
-def _as_unit(x, top: float, what: str):
+def _as_unit(x, top: float, what: str, out=None):
     """Validate x in [0, top], with a tiny relative slack, and clip it to
     [0, top].  A float or an int, a numpy scalar or a 0-d array (the float
-    lane) comes back as a Python float, anything else as a float array; the
+    lane) comes back as a Python float, anything else as a float array,
+    written into out where given (a block of the array lanes); the
     comparisons and the clip are the same in both, so the lanes accept the
     same points and give the same values, -0.0 included.  NaN and
     infinities raise DomainError."""
@@ -137,13 +142,13 @@ def _as_unit(x, top: float, what: str):
         x = np.asarray(x, dtype=float)
         if not ((x >= -slack) & (x <= top + slack)).all():  # NaN fails too
             raise DomainError(f"{what} requires argument in [0, pi_pq/2] of its pair")
-        return x.clip(0.0, top)
+        return x.clip(0.0, top, out=out)
     if not isinstance(x, (float, int)):
         x = np.asarray(x, dtype=float)
         if x.ndim:
             if not within(x, -slack, top + slack):
                 raise DomainError(f"{what} requires argument in [0, {top}]")
-            return x.clip(0.0, top)  # np.clip's method, without its dispatch
+            return x.clip(0.0, top, out=out)  # np.clip's method, without its dispatch
     x = float(x)
     # written so that NaN fails the test
     if not -slack <= x <= top + slack:
@@ -194,43 +199,49 @@ def _records(p, q):
     return _per_pair(_pair, p, q) if _several(p, q) else _pair(p, q)
 
 
-def _power(base, e):
+def _power(base, e, out=None):
     """base ** e at an array base, e a float or an array of exponents that
-    broadcasts against it, equal at every point bit for bit to base ** e
-    with that point's exponent given as a float: numpy takes a float
-    exponent of _FAST_POWERS (-1, 1/2, 2) by a special case (reciprocal,
-    sqrt, square), which differs from pow in the last ulp on a few percent
-    of points, and every other exponent, a float or an array, by pow.  base
-    has the shape of the result."""
+    broadcasts against it, into out where given (which may be base itself),
+    equal at every point bit for bit to base ** e with that point's exponent
+    given as a float: numpy takes a float exponent of _FAST_POWERS (-1, 1/2,
+    2) by a special case (reciprocal, sqrt, square), which differs from pow
+    in the last ulp on a few percent of points, and every other exponent, a
+    float or an array, by pow.  base has the shape of the result."""
     if not isinstance(e, np.ndarray):
-        return base ** e
-    out = base ** e
+        return base ** e if out is None else np.power(base, e, out)
+    fast = []
     for f in _FAST_POWERS:
         at = e == f
         if at.any():
-            np.copyto(out, base ** f, where=at)
-    return out
-
-
-def _small_x(x, v, under, z=None, d=None):
-    """An array v of sin_pq or asin_pq at x, changed in place to its series
-    where x > 0 and `under` says that x^q is too small for the
-    incomplete-beta form: x itself, or x + x z / d where d is given (z =
-    x^q)."""
-    small = under & (x > 0.0)
-    if small.any():
-        xs = x[small]
-        v[small] = xs if d is None else xs + xs * z[small] / d
+            fast.append((at, base ** f))  # before out overwrites base
+    v = np.power(base, e, out)
+    for at, value in fast:
+        np.copyto(v, value, where=at)
     return v
 
 
-def _cos_from_tail(p, b, B, tc, yc):
-    """cos_pq = tc^(1/p) from the swapped-tail inverse tc at yc, an array,
-    or its leading term (b B yc)^(1/(p-1)) where tc < DBL_MIN, with b = 1/p*
-    and B = B(b, 1/q); p, b and B are floats or arrays that broadcast
-    against tc."""
-    c = _power(tc, 1.0 / p)
-    under = tc < _DBL_MIN
+def _small_x(x, v, under, ws, z=None, d=None):
+    """An array v of sin_pq or asin_pq at x, changed in place to its series
+    where x > 0 and the mask `under` (overwritten) says that x^q is too
+    small for the incomplete-beta form: x itself, or x + x z / d where d is
+    given (z = x^q); ws is the call's specfun._Scratch."""
+    if under.any():  # else skip the second mask: most blocks have no such point
+        positive = np.greater(x, 0.0, ws.m["gtf.positive"][:x.size].reshape(x.shape))
+        small = np.logical_and(under, positive, under)
+        if small.any():  # x = 0 alone is under too
+            at = small.nonzero()
+            xs = x[at]
+            v[at] = xs if d is None else xs + xs * z[at] / d
+    return v
+
+
+def _cos_from_tail(p, b, B, c, yc, ws):
+    """cos_pq = tc^(1/p) in place in c, which holds the swapped-tail
+    inverse tc at yc (an array), or its leading term (b B yc)^(1/(p-1))
+    where tc < DBL_MIN, with b = 1/p* and B = B(b, 1/q); p, b and B are
+    floats or arrays of c's shape, and ws is the call's specfun._Scratch."""
+    under = np.less(c, _DBL_MIN, ws.m["gtf.under"][:c.size].reshape(c.shape))
+    _power(c, 1.0 / p, c)
     if under.any():
         at = specfun._at
         c[under] = _power(at(b, under) * at(B, under) * yc[under], 1.0 / (at(p, under) - 1.0))
@@ -270,17 +281,39 @@ def asin_pq(p: float, q: float, x):
         if 0.0 < x and xq < _ASIN_SERIES_MAX:
             return float(x + x * xq / (p * (q + 1.0)))
         return a * B * specfun._betainc(a, b, xq)
-    xx = _as_unit(x, 1.0, "asin_pq")
-    if isinstance(xx, float):  # a numpy scalar or a 0-d array
-        return asin_pq(p, q, xx)
-    xq = xx**q
-    val = a * B * specfun._inc_beta(a, b, xq)
-    return _small_x(xx, val, xq < _ASIN_SERIES_MAX, xq, p * (q + 1.0))
+    x = np.asarray(x, dtype=float)
+    if not x.ndim:  # a numpy scalar or a 0-d array
+        return asin_pq(p, q, float(x))
+    return _asin_array(p, q, a, b, B, x)
+
+
+def _asin_array(p: float, q: float, a: float, b: float, B: float, x):
+    """asin_pq's array lane at a float array x, a new array of its shape,
+    a block of specfun.INV_FIT_BLOCK points at a time (specfun._blockwise):
+    _as_unit's test and clip, z = x^q, specfun._inc_beta_block and the
+    series rule, each block written into the output and every intermediate
+    result in one specfun._Scratch of block-sized buffers.  A function of
+    its own, so that the float lane's locals stay plain ones."""
+    out = np.empty(x.shape)
+    lane = specfun._series_lane(a, b, x.size)
+    scale, d = a * B, p * (q + 1.0)
+
+    def block(x, v, ws):
+        n = x.size
+        xx = _as_unit(x, 1.0, "asin_pq", out=ws.f["x"][:n])
+        xq = np.power(xx, q, ws.f["y"][:n])
+        specfun._inc_beta_block(a, b, xq, v, lane, ws)
+        np.multiply(v, scale, v)  # (a B) I_z(a, b)
+        under = np.less(xq, _ASIN_SERIES_MAX, ws.m["gtf.small"][:n])
+        _small_x(xx, v, under, ws, xq, d)
+
+    specfun._blockwise(block, x.size, x.reshape(-1), out.reshape(-1))
+    return out
 
 
 def sin_pq(p: float, q: float, x):
     """Generalized sine on the principal interval [0, pi_pq/2]."""
-    return _sincos_tail(p, q, x, (True, False), "sin_pq")[0]
+    return _sincos_tail(p, q, x, (True, False, False), "sin_pq")[0]
 
 
 def cos_pq(p: float, q: float, x):
@@ -290,9 +323,9 @@ def cos_pq(p: float, q: float, x):
     I_{1-s}(a, b) above y = min(I_{1/2}(a, b), 1/2), so that accuracy is
     retained where sin_pq is close to 1, and below it is 1 - t from the
     sine's t <= 1/2, one inversion a point either way
-    (specfun._inverse_tails).
+    (specfun._tails_block).
     """
-    return _sincos_tail(p, q, x, (False, True), "cos_pq")[1]
+    return _sincos_tail(p, q, x, (False, True, False), "cos_pq")[1]
 
 
 def sincos_pq(p: float, q: float, x):
@@ -301,42 +334,38 @@ def sincos_pq(p: float, q: float, x):
 
     Outside the band a point is inverted once, in the tail whose argument is
     the smaller, and the sine and the cosine both come from that inversion
-    (specfun._inverse_tails), in the lane the input's type and size select
+    (specfun._tails_block), in the lane the input's type and size select
     (see the module docstring).  sin_pq and cos_pq take the same path, so
     the pair equals the two separate calls bit for bit, for scalars and for
     arrays.
     """
-    return _sincos_tail(p, q, x)[:2]
+    return _sincos_tail(p, q, x, (True, True, False))[:2]
 
 
-def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
+def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_pq"):
     """(sin, cos, yc) at x, yc = 1 - x/(pi_pq/2) the argument of the
-    swapped-tail inversion, which _cos_power needs, with the sine and the
-    cosine only where tails says so (None for the other).  A point takes
-    the float lane, straight-line float code on the pair's record (_pair):
-    _as_unit's test and clip, at most one scalar inversion a tail, the
-    small-x rule and the DBL_MIN rule; an array one specfun._inverse_tails
-    call.  Arrays p and q (the lane for several pairs) give every point
-    of the broadcast of p, q and x its own pair's record, and take the
-    array code: one specfun._inverse_tails call for every pair."""
+    swapped-tail inversion, which _cos_power needs; tails = (want_sin,
+    want_cos, want_yc) says which to compute, None for the others (yc is a
+    float at a point whatever tails says).  A point takes the float lane,
+    straight-line float code on the pair's record (_pair): _as_unit's test
+    and clip, at most one scalar inversion a tail, the small-x rule and the
+    DBL_MIN rule.  An array takes the same steps on arrays, block by block
+    (_sincos_block).  Arrays p and q (the lane for several pairs) give every
+    point of the broadcast of p, q and x its own pair's record, and take the
+    array code with scipy's ufunc for every pair."""
     try:
-        halfpi, a, b, lo, hi, inv_p, tiny, B = _pair(p, q)
+        rec = _pair(p, q)
     except TypeError:  # no cache hashes an array
         if not _several(p, q):
             raise
-        halfpi, a, b, lo, hi, inv_p, tiny, B = _per_pair(_pair, p, q)
-        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
-    want_sin, want_cos = tails
+        return _sincos_arrays(p, _per_pair(_pair, p, q), x, tails, what)
     if not isinstance(x, (float, int)):
-        xx = _as_unit(x, halfpi, what)
-        if isinstance(xx, float):  # a numpy scalar or a 0-d array
-            return _sincos_tail(p, q, xx, tails, what)
-        yc = (halfpi - xx) / halfpi
-        t, s = specfun._inverse_tails(a, b, lo, hi, xx / halfpi, yc, tails)
-        sin = _small_x(xx, _power(t, a), xx < tiny) if want_sin else None
-        cos = _cos_from_tail(p, b, B, s, yc) if want_cos else None
-        return sin, cos, yc
-    x = float(x)
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return _sincos_arrays(p, rec, x, tails, what)
+        x = float(x)  # a numpy scalar or a 0-d array
+    halfpi, a, b, lo, hi, inv_p, tiny, B = rec
+    want_sin, want_cos, _ = tails
     slack = _REL_SLACK * halfpi
     if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
         raise DomainError(f"{what} requires argument in [0, {halfpi}]")
@@ -352,6 +381,55 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True), what="sincos_pq"):
         else:
             cos = s**inv_p
     return sin, cos, yc
+
+
+def _sincos_arrays(p, rec, x, tails, what):
+    """_sincos_tail's array lane: new arrays shaped like x, filled by
+    _sincos_block a block of specfun.INV_FIT_BLOCK points at a time
+    (specfun._blockwise), with one specfun._Scratch of block-sized buffers
+    for every intermediate result, in the lane of specfun._inverse_lane,
+    chosen once for the whole array.  Where the fields of rec are arrays
+    (several pairs) the outputs take the broadcast of x and the pairs, and
+    _sincos_block runs once on it, x broadcast and each field a value a
+    pair: scipy's ufunc broadcasts them, so nothing is copied to a value a
+    point."""
+    halfpi, a, b, lo, hi, _, tiny, B = rec
+    x = np.asarray(x, dtype=float)
+    if isinstance(halfpi, np.ndarray):  # halfpi's shape is p's and q's broadcast
+        full = np.empty(np.broadcast(x, halfpi).shape)
+        np.copyto(full, x)
+        x = full
+        out = [np.empty(x.shape) if want else None for want in tails]
+        _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, np.asarray(p, dtype=float),
+                      *out, what, None, specfun._Scratch(x.size))
+        return tuple(out)
+    out = [np.empty(x.shape) if want else None for want in tails]
+    flat = [None if v is None else v.reshape(-1) for v in out]
+    specfun._blockwise(_sincos_block, x.size, x.reshape(-1), halfpi, a, b, lo, hi, tiny, B, p,
+                       *flat, what, specfun._inverse_lane(a, b, x.size))
+    return tuple(out)
+
+
+def _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, p, sin, cos, yc, what, lane, ws):
+    """The array lane at a block x: _as_unit's test and clip, y and yc,
+    specfun._tails_block's inversion and the powers, with the small-x and
+    DBL_MIN rules, written into the blocks sin, cos and yc (None where not
+    asked for); every intermediate result in ws's buffers, shaped like x.
+    The per-pair values are floats, or arrays that broadcast against x (the
+    lane for several pairs, one block of any shape)."""
+    n, shape = x.size, x.shape
+    xx = _as_unit(x, halfpi, what, out=ws.f["x"][:n].reshape(shape))
+    if yc is None:
+        yc = ws.f["yc"][:n].reshape(shape)
+    np.subtract(halfpi, xx, yc)
+    np.divide(yc, halfpi, yc)
+    y = np.divide(xx, halfpi, ws.f["y"][:n].reshape(shape))
+    specfun._tails_block(a, b, lo, hi, y, yc, sin, cos, lane, ws)  # t and s
+    if sin is not None:
+        _power(sin, a, sin)
+        _small_x(xx, sin, np.less(xx, tiny, ws.m["gtf.small"][:n].reshape(shape)), ws)
+    if cos is not None:
+        _cos_from_tail(p, b, B, cos, yc, ws)
 
 
 def sin_symmetry_appendix(p: float, q: float, x01):

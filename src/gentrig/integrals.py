@@ -113,21 +113,27 @@ def _wallis_cos(p: float, q: float, n: int, r: float) -> float:
     if not 1.0 - p < r <= 1.0:
         raise DomainError("cosine flavor requires r in (1-p, 1]")
     if r == 1.0:
-        iv, half = 1.0, 1.0
-    else:
-        iv = (r + (p - 1.0)) / p  # p - 1 is exact, and so is the sum near 1 - p
-        half = (1.0 / q) * specfun.beta(iv, 1.0 / q)
-    return specfun.poch_ratio(iv, iv + 1.0 / q, n) * half
+        return specfun.poch_ratio(1.0, 1.0 + 1.0 / q, n)  # pi_{inf,q}/2 = 1
+    # p - 1 is exact, and so is the sum near 1 - p
+    return _cos_moment((r + (p - 1.0)) / p, q, n)
 
 
-# the displayed special cases: kind -> (flavor, r as a function of p and q)
+def _cos_moment(iv: float, q: float, n: int) -> float:
+    """(1/v)_n / (1/v + 1/q)_n pi_{v*,q}/2 at iv = 1/v < 1, with pi_{v*,q}/2
+    = (1/q) B(1/v, 1/q): wallis_cos's value."""
+    return specfun.poch_ratio(iv, iv + 1.0 / q, n) * ((1.0 / q) * specfun.beta(iv, 1.0 / q))
+
+
+# the displayed special cases: kind -> the value at (p, q, n).  For
+# cos_pn_2mp, r = 2 - p gives 1/v = (r + (p - 1))/p = 1/p exactly, and 1/p
+# is taken as such: above p = 2^53 the rounded r lands on 1 - p
 WALLIS_SPECIAL_KINDS = {
-    "sin_qn": (_wallis_sin, lambda p, q: 0.0),
-    "sin_qn_qm2": (_wallis_sin, lambda p, q: q - 2.0),
-    "sin_qn_qm1": (_wallis_sin, lambda p, q: q - 1.0),
-    "cos_pn": (_wallis_cos, lambda p, q: 0.0),
-    "cos_pn_2mp": (_wallis_cos, lambda p, q: 2.0 - p),
-    "cos_pn_1": (_wallis_cos, lambda p, q: 1.0),
+    "sin_qn": lambda p, q, n: _wallis_sin(p, q, n, 0.0),
+    "sin_qn_qm2": lambda p, q, n: _wallis_sin(p, q, n, q - 2.0),
+    "sin_qn_qm1": lambda p, q, n: _wallis_sin(p, q, n, q - 1.0),
+    "cos_pn": lambda p, q, n: _wallis_cos(p, q, n, 0.0),
+    "cos_pn_2mp": lambda p, q, n: _cos_moment(1.0 / p, q, n),
+    "cos_pn_1": lambda p, q, n: _wallis_cos(p, q, n, 1.0),
 }
 
 
@@ -138,14 +144,17 @@ def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
     Each is a Pochhammer ratio times a generalized pi value; kind cos_pn_2mp
     is the ratio (1/p)_n / (1/p + 1/q)_n times pi_{p*,q}/2, consistent with
     the recurrence seed J_{2-p} = (1/q) B(1/q, 1/p) and with the classical
-    n = 1 check int cos^2 = pi/4 at p = q = 2.
+    n = 1 check int cos^2 = pi/4 at p = q = 2.  Its 1/v = (r + (p - 1))/p
+    is 1/p exactly and is taken as 1/p, so every p of the domain is
+    accepted: where p is above 2^53, r = 2 - p rounds onto 1 - p and
+    wallis_cos itself would reject it.  Below 2^53 both roads give the same
+    bits, since 2 - p and p - 1 are exact there.
     """
     p, q = float(p), float(q)
     if which not in WALLIS_SPECIAL_KINDS:
         raise DomainError(f"unknown special case {which!r}")
-    flavor, r = WALLIS_SPECIAL_KINDS[which]
     check_pq(p, q)
-    return flavor(p, q, check_order(n), r(p, q))
+    return WALLIS_SPECIAL_KINDS[which](p, q, check_order(n))
 
 
 def lemniscate_wallis(n: int, residue: int) -> float:

@@ -8,21 +8,24 @@ imports scipy.
 Every Wallis-type formula is a Pochhammer ratio times a generalized pi, the
 elliptic integrals are 2F1 values and the primitives incomplete beta
 integrals (_beta_integral, Boost's scalar kernels).  gtf calls three
-entries at its shapes a = 1/q, b = 1/p* (both at most 1), and each picks
-its lane: _point_tails inverts a point, _inverse_tails an array and
-_inc_beta sums I_t(a, b) on an array.  Arrays of fewer than INV_FIT_MIN
-points take scipy's ufuncs, larger ones the fitted lane: _inc_beta's
-polynomial of about 20 terms economized from its series, and inverses from
-Chebyshev fits, one Newton step on that sum (_fitted_tails).  Both are
-built once per shape, in bounded caches (_inverse_setup, _forward).  Scalar
-Gamma and Boost calls take scipy's Cython kernels (the ufuncs' own code,
-bit for bit, at a fraction of a ufunc call's cost).  The hypergeometric
-function is evaluated here because call sites need a certified tail bound
-on every series, Gauss summation at argument 1, and a cost that does not
-grow as the argument approaches 1.  Differences ln Gamma(z + e) - ln
-Gamma(z) come from the Stirling series without per-term transcendentals, and
-a large-n Pochhammer ratio is one exp of such a difference times Gamma(b) /
-Gamma(a), so neither costs more for a larger n or a smaller e.
+entries at its shapes a = 1/q, b = 1/p* (both at most 1): _point_tails
+inverts a point, and on an array's blocks _tails_block inverts and
+_inc_beta_block sums I_t(a, b), each into the caller's outputs with every
+intermediate result in the call's block-sized buffers (_Scratch; one block
+loop, _blockwise).  An array of fewer than INV_FIT_MIN points takes scipy's
+ufuncs, a larger one the fitted lane, chosen once a call (_inverse_lane,
+_series_lane): the sum's polynomial of about 20 terms economized from its
+series, and inverses from Chebyshev fits, one Newton step on that sum
+(_fitted_block).  Both are built once per shape, in bounded caches
+(_inverse_setup, _forward).  Scalar Gamma and Boost calls take scipy's
+Cython kernels (the ufuncs' own code, bit for bit, at a fraction of a ufunc
+call's cost).  The hypergeometric function is evaluated here because call
+sites need a certified tail bound on every series, Gauss summation at
+argument 1, and a cost that does not grow as the argument approaches 1.
+Differences ln Gamma(z + e) - ln Gamma(z) come from the Stirling series
+without per-term transcendentals, and a large-n Pochhammer ratio is one exp
+of such a difference times Gamma(b) / Gamma(a), so neither costs more for a
+larger n or a smaller e.
 
 Costs of hyp2f1 by branch, medians in the slow state of a shared 2-vCPU
 x86-64 VM (BENCH_21.json), all inside its box: the power series at (1/3,
@@ -38,6 +41,7 @@ Boost calls, a few us at any exponent.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
@@ -58,13 +62,15 @@ HYP2F1_MAX_TERMS = 300
 HYP2F1_REG_EPS = 0.1
 # below this n poch_ratio is a running product (relative error <= ~n eps)
 POCH_SWITCH = 64
-# arrays of at least INV_FIT_MIN points take the fitted lanes of _inc_beta
-# and _inverse_tails, fewer scipy's ufuncs.  Inversions start from Chebyshev
-# fits of degree INV_FIT_DEGREE, certified when their trailing coefficients
-# are within INV_FIT_TOL; both lanes run INV_FIT_BLOCK points at a time.  A
-# shape's setup (_inverse_setup, _forward) costs about 200 us once and is
-# cached.  INV_FIT_MIN is where a call that builds its setup broke even with
-# the ufuncs (400-700 points by shape, BENCH_7.json); a cached shape wins far
+# arrays of at least INV_FIT_MIN points take the fitted lanes of
+# _inc_beta_block and _tails_block, fewer scipy's ufuncs.  Inversions start
+# from Chebyshev fits of degree INV_FIT_DEGREE, certified when their
+# trailing coefficients are within INV_FIT_TOL; every array lane runs
+# INV_FIT_BLOCK points at a time.  A shape's setup (_inverse_setup,
+# _forward) costs 0.35-0.6 ms once (medians over 40 random pairs in a
+# shared VM's fast and slow states; BENCH_36.json) and is cached.
+# INV_FIT_MIN is where a call that builds its setup broke even with the
+# ufuncs (400-700 points by shape, BENCH_7.json); a cached shape wins far
 # below it
 INV_FIT_MIN = 600
 INV_FIT_DEGREE = 24
@@ -74,7 +80,7 @@ INV_FIT_BLOCK = 1 << 15
 # most this fraction of its smallest node value: with the fit's own error
 # its start is within 2^-30, relative, which one Newton step squares
 INV_FIT_TRUNC = 2.0**-31
-# _inc_beta's coefficients come from this many terms of F(a, 1 - b;
+# the sum's coefficients come from this many terms of F(a, 1 - b;
 # a + 1; u), u <= 1/2: for shapes a, b <= 1 the n-th term is positive and
 # below u^n, so the terms left out add less than 2^-56 / (1 - 1/2) = 2^-55
 # of the sum (whose first is 1).  They are summed as their economized
@@ -371,13 +377,64 @@ def _economize(kappa):
     return _monomial(cheb[:keep])
 
 
-def _horner(coef, x):
-    """sum_j coef[j] x^j on an array x by Horner's rule, in place on one new
-    array."""
-    acc = np.full_like(x, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= x
-        acc += c
+# _Scratch's float buffers, one row each of one allocation: gtf's clipped x,
+# its y (asin_pq's x^q) and yc; the gathered argument w, the band's wb, the
+# values v and the residual r of _solve and _inc_beta_block (which never run
+# at once); the leaf kernels' temporaries t0-t3
+_FLOAT_BUFFERS = ("x", "y", "yc", "w", "wb", "v", "r", "t0", "t1", "t2", "t3")
+
+
+class _Scratch:
+    """The buffers that every block of one array call reuses, so that no
+    intermediate result of a block allocates: ws.f[name] is a float buffer
+    and ws.m[name] a mask, each ws.size (the call's block) long and cut by
+    its user to the points at hand.  A routine names its own buffers,
+    except the leaf kernels, which share four temporaries by the phase they
+    run in: t0 and t1 hold _inv_fit_eval's z and x, _newton_step's density
+    and its log1p term, lower's 1 + g and upper's (2s)^b - 1 and g; t2 is
+    g's x and then upper's (2s)^b, and t3 upper's (2s)^b g.  So a kernel
+    that runs inside another (g in lower and upper, lower in upper) takes
+    none that its caller holds.  A routine given no _Scratch takes a fresh
+    one of its argument's size.
+
+    The float buffers are the rows of one array, named in _FLOAT_BUFFERS
+    (a name not listed raises KeyError).  Separate arrays, one a name,
+    scattered the allocator's heap: in about half of gtf_eval's runs its
+    peak RSS rose by 6 MB, at the same speed per call (BENCH_36.json).  The
+    masks are taken on first use."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.f = dict(zip(_FLOAT_BUFFERS, np.empty((len(_FLOAT_BUFFERS), size))))
+        self.m = collections.defaultdict(functools.partial(np.empty, size, bool))
+
+
+def _blockwise(body, size: int, *args):
+    """body(*args, ws) once per block of INV_FIT_BLOCK points of flat arrays
+    of size points, with every array among args (the inputs, the outputs
+    and the per-point values alike) cut to the block, anything else (a
+    float, None) passed as it is, and ws one _Scratch of a block that every
+    block reuses: the array lanes' one block loop.  An array of fewer
+    points is one block."""
+    ws = _Scratch(min(size, INV_FIT_BLOCK))
+    if size <= INV_FIT_BLOCK:
+        return body(*args, ws)
+    for start in range(0, size, INV_FIT_BLOCK):
+        cut = slice(start, start + INV_FIT_BLOCK)
+        body(*(v[cut] if isinstance(v, np.ndarray) else v for v in args), ws)
+
+
+def _horner(coef, x, out=None):
+    """sum_j coef[j] x^j on an array x by Horner's rule, coef an array,
+    into out (a new array by default).  The coefficients are taken as
+    Python floats and every out positionally: at a block of a thousand
+    points each ufunc call costs about as much as its arithmetic."""
+    acc = np.empty_like(x) if out is None else out
+    *rest, last = coef.tolist()
+    acc.fill(last)
+    for c in reversed(rest):
+        np.multiply(acc, x, acc)
+        np.add(acc, c, acc)
     return acc
 
 
@@ -385,26 +442,19 @@ def _hyp_m1(a: float, b: float):
     """(g, g(1/2)) for g(u) = F(a, 1 - b; a + 1; u) - 1 = u k(u) on arrays
     of points u <= 1/2, shapes a, b <= 1: k is the _INC_TERMS-term series,
     economized to a polynomial in x = 4u - 1 (_economize), and g(1/2) is g
-    itself at u = 1/2.  The coefficients are read-only: _forward's cache
-    shares them between calls."""
+    itself at u = 1/2.  g(u, out, ws) writes into out (a new array by
+    default).  The coefficients are read-only: _forward's cache shares them
+    between calls."""
     mono = _economize(_inc_beta_terms(a, b))
     mono.flags.writeable = False
 
-    def g(u):
-        x = 4.0 * u
-        x -= 1.0
-        k = _horner(mono, x)
-        k *= u
-        return k
+    def g(u, out=None, ws=None):
+        x = np.multiply(u, 4.0, (ws or _Scratch(u.size)).f["t2"][:u.size])
+        np.subtract(x, 1.0, x)
+        k = _horner(mono, x, out)
+        return np.multiply(k, u, k)
 
     return g, float(g(np.array([0.5]))[0])
-
-
-def _split(mask):
-    """The indices where mask is true and where it is false: each branch of
-    a block is gathered with take and scattered back once, which on shuffled
-    points costs a fraction of a boolean-mask gather or scatter."""
-    return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 def _lower_tail(a: float, b: float, g, g_half: float):
@@ -413,8 +463,13 @@ def _lower_tail(a: float, b: float, g, g_half: float):
     = _hyp_m1(a, b)."""
     c = _gamma(a + b) * _rgamma(a + 1.0) * _rgamma(b)
 
-    def lower(t):
-        return t**a * c * (1.0 + g(t))
+    def lower(t, out=None, ws=None):
+        ws = ws or _Scratch(t.size)
+        v = np.power(t, a, out)
+        np.multiply(v, c, v)
+        h = g(t, ws.f["t0"][:t.size], ws)
+        np.add(h, 1.0, h)
+        return np.multiply(v, h, v)  # (t^a c) (1 + g(t)), in that order
 
     return lower, c, 0.5**a * c * (1.0 + g_half)
 
@@ -432,22 +487,37 @@ def _upper_tail(b: float, i_half: float, swapped, c_sw: float, g_sw, g_sw_half: 
 
     with g = F(b, 1 - a; b + 1; .) - 1: both parts are nonnegative and
     (2s)^b - 1 is an expm1, so nothing cancels; I_{1/2}(a, b) and g(1/2)
-    come from the same polynomials, so the two branches meet at t = 1/2."""
+    come from the same polynomials, so the two branches meet at t = 1/2.
+    upper(s, out, ws) writes into out (a new array by default)."""
     if i_half >= 0.5:
-        def upper(s):
-            j = swapped(s)
-            return np.subtract(1.0, j, out=j)
+        def upper(s, out=None, ws=None):
+            j = swapped(s, out, ws)
+            return np.subtract(1.0, j, j)
         return upper
     c_hi = 0.5**b * c_sw
 
-    def upper(s):
+    def upper(s, out=None, ws=None):
+        n = s.size
+        ws = ws or _Scratch(n)
+        e = np.add(s, s, ws.f["t0"][:n])
         with np.errstate(divide="ignore"):  # log(0) at s = 0
-            e = np.expm1(b * np.log(s + s))  # (2s)^b - 1
-        g = g_sw(s)
-        s2b = 1.0 + e  # (2s)^b
-        j = c_hi * s2b * (1.0 + g)  # I_s(b, a) = 1 - I_t(a, b)
-        anchored = i_half + c_hi * ((g_sw_half - e) - s2b * g)
-        return np.where(j > 0.5, anchored, 1.0 - j)
+            np.log(e, e)
+        np.multiply(e, b, e)
+        np.expm1(e, e)  # (2s)^b - 1
+        g = g_sw(s, ws.f["t1"][:n], ws)
+        s2b = np.add(e, 1.0, ws.f["t2"][:n])  # (2s)^b
+        s2b_g = np.multiply(s2b, g, ws.f["t3"][:n])
+        anchored = np.subtract(g_sw_half, e, e)
+        np.subtract(anchored, s2b_g, anchored)
+        np.multiply(anchored, c_hi, anchored)
+        np.add(anchored, i_half, anchored)
+        np.add(g, 1.0, g)
+        j = np.multiply(s2b, c_hi, out)  # I_s(b, a) = 1 - I_t(a, b)
+        np.multiply(j, g, j)
+        far = np.greater(j, 0.5, ws.m["upper.far"][:n])
+        v = np.subtract(1.0, j, j)
+        np.putmask(v, far, anchored)
+        return v
 
     return upper
 
@@ -457,9 +527,9 @@ def _forward(a: float, b: float):
     """(lower, swapped, upper, upper_swapped): I_t(a, b) on an array of
     points t <= 1/2, I_s(b, a) on an array of points s <= 1/2, I_t(a, b) on
     an array of points s = 1 - t <= 1/2 and I_s(b, a) on an array of points
-    t = 1 - s <= 1/2, for shapes a, b <= 1 (_lower_tail, _upper_tail).  Each
-    tail is accurate relative to its own value, so the inverses of both
-    tails of a shape take their steps here.
+    t = 1 - s <= 1/2, for shapes a, b <= 1 (_lower_tail, _upper_tail), each
+    f(x, out, ws) into out.  Each tail is accurate relative to its own
+    value, so the inverses of both tails of a shape take their steps here.
 
     Built once per shape and cached (two economizations, ~80 us; a few kB
     an entry), since gtf repeats its shapes from call to call."""
@@ -470,49 +540,73 @@ def _forward(a: float, b: float):
             _upper_tail(a, j_half, lower, c_lo, g_lo, g_lo_half))
 
 
-def _inc_beta(a: float, b: float, t):
-    """I_t(a, b) on an array t of points of [0, 1] for shapes a, b <= 1,
-    owning its memory, so that numpy can reuse it in place as a temporary:
-    gtf.asin_pq's arrays, validated there.  Fewer than INV_FIT_MIN points
-    take scipy's ufunc (the float lane's Boost code, bit for bit), more the
-    series below.
+def _series_lane(a: float, b: float, size: int):
+    """_forward(a, b) for an array of size points, the series that
+    _inc_beta_block sums; None, scipy's ufunc, below INV_FIT_MIN points
+    (where no series is built)."""
+    return None if size < INV_FIT_MIN else _forward(a, b)
+
+
+def _inc_beta_block(a: float, b: float, t, out, forward, ws):
+    """I_t(a, b) into out at a block t of points of [0, 1], shapes a, b <=
+    1, in the lane of _series_lane (forward): scipy's ufunc (the float
+    lane's Boost code, bit for bit) or the series below, with ws the
+    call's _Scratch.
 
     For t <= 1/2, I_t(a, b) = t^a F(a, 1 - b; a + 1; t) / (a B(a, b)) (DLMF
     8.17.7); above, the same series of the swapped tail J = I_s(b, a) = 1 -
     I_t(a, b), s = 1 - t (DLMF 8.17.4), anchored at t = 1/2 where 1 - J
     would cancel (_upper_tail).  Every term is positive and below half the
     one before, and F - 1 = u k(u) is summed as k's economized polynomial in
-    x = 4u - 1 (_hyp_m1).  The array is split once at t = 1/2 per block of
-    INV_FIT_BLOCK points.  Against 50-digit mpmath, over 300 shapes (a and b
+    x = 4u - 1 (_hyp_m1).  The block is split once at t = 1/2 into the
+    index lists of its two branches, each gathered with take and scattered
+    back once, which on shuffled points costs a fraction of a boolean-mask
+    gather or scatter.  Against 50-digit mpmath, over 300 shapes (a and b
     down to 1e-6) at 45 points each, the relative error is at most 9.4e-16,
     most of it from the Gamma quotient in front, where Boost's betainc
     reaches 2.9e-15."""
-    if t.size < INV_FIT_MIN:
-        return sc.betainc(a, b, t)
-    lower, _, upper, _ = _forward(a, b)
-    out = np.empty(t.shape)
-    flat_t, flat_out = t.reshape(-1), out.reshape(-1)  # the latter a view
-    for start in range(0, t.size, INV_FIT_BLOCK):
-        tb = flat_t[start:start + INV_FIT_BLOCK]
-        ob = flat_out[start:start + INV_FIT_BLOCK]
-        below, above = _split(tb <= 0.5)
-        ob[below] = lower(tb.take(below))
-        ob[above] = upper(1.0 - tb.take(above))  # 1 - t is exact here
+    if forward is None:
+        np.copyto(out, sc.betainc(a, b, t))
+        return out
+    lower, _, upper, _ = forward
+    below = np.less_equal(t, 0.5, ws.m["inc.below"][:t.size])
+    at = below.nonzero()[0]
+    w = t.take(at, out=ws.f["w"][:at.size], mode="clip")
+    out[at] = lower(w, ws.f["v"][:at.size], ws)
+    at = np.logical_not(below, below).nonzero()[0]
+    w = t.take(at, out=ws.f["w"][:at.size], mode="clip")
+    np.subtract(1.0, w, w)  # 1 - t is exact here
+    out[at] = upper(w, ws.f["v"][:at.size], ws)
     return out
 
 
-def _newton_step(a: float, b: float, lnb: float, x, resid):
+def _newton_step(a: float, b: float, lnb: float, x, resid, ws=None):
     """x after one guarded Newton step on I_x(a, b) = y, clipped to [0, 1],
     where resid = I_x(a, b) - y and the derivative is the beta density, lnb
-    = ln B(a, b).  Where the density is 0, infinite or NaN (x at 0 or 1) x
-    is kept.  With the shapes swapped it steps s = 1 - x: I_s(b, a) - (1 -
-    y) = -resid, and the density is the same."""
+    = ln B(a, b): in place in x, with resid overwritten.  Where the density
+    is 0, infinite or NaN (x at 0 or 1) x is kept; the masks that keep it
+    are formed only where the block has such a point.  With the shapes
+    swapped it steps s = 1 - x: I_s(b, a) - (1 - y) = -resid, and the
+    density is the same."""
+    n = x.size
+    ws = ws or _Scratch(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dens = np.exp((a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - lnb)
-        step = np.where(np.isfinite(dens) & (dens > 0), resid / dens, 0.0)
-    np.subtract(x, step, out=step)
-    np.maximum(0.0, step, out=step)  # the bits of np.clip, -0.0 included
-    return np.minimum(1.0, step, out=step)
+        dens = np.log(x, ws.f["t0"][:n])
+        np.multiply(dens, a - 1, dens)
+        v = np.negative(x, ws.f["t1"][:n])
+        np.log1p(v, v)
+        np.multiply(v, b - 1, v)
+        np.add(dens, v, dens)
+        np.subtract(dens, lnb, dens)
+        np.exp(dens, dens)
+        step = np.divide(resid, dens, resid)
+    if not (n and 0.0 < dens.min() and dens.max() < math.inf):  # NaN fails too
+        held = np.isfinite(dens, ws.m["newton.held"][:n])
+        np.logical_and(held, np.greater(dens, 0.0, ws.m["newton.pos"][:n]), held)
+        np.putmask(step, np.logical_not(held, held), 0.0)
+    np.subtract(x, step, x)
+    np.maximum(0.0, x, out=x)  # the bits of np.clip, -0.0 included
+    return np.minimum(1.0, x, out=x)
 
 
 def _inv_fit(a: float, b: float, lnb: float, w_half: float, lower):
@@ -569,25 +663,21 @@ def _inv_fit(a: float, b: float, lnb: float, w_half: float, lower):
     return a, lnab, z_max, mono
 
 
-def _inv_fit_eval(fit, w):
+def _inv_fit_eval(fit, w, out=None, ws=None):
     """t with I_t(a, b) = w (w <= I_{1/2}(a, b)) from a fit of _inv_fit:
-    z (a power of w) times h(z), a polynomial in x = 2 z / z_max - 1."""
+    z (a power of w) times h(z), a polynomial in x = 2 z / z_max - 1, into
+    out (a new array by default)."""
     a, lnab, z_max, mono = fit
-    z = np.exp((np.log(w) + lnab) / a)
-    x = z * (2.0 / z_max)
-    x -= 1.0
-    t = _horner(mono, x)
-    t *= z
-    return t
-
-
-def _fit_step(fit, a: float, b: float, lnb: float, w, resid):
-    """x with I_x(a, b) = w on an array w: the start of a fit of _inv_fit
-    and one Newton step, where resid(x) is I_x(a, b) - w as the caller
-    evaluates it (from the argument it knows exactly, where 1 - w is
-    rounded)."""
-    x = _inv_fit_eval(fit, w)
-    return _newton_step(a, b, lnb, x, resid(x))
+    n = w.size
+    ws = ws or _Scratch(n)
+    z = np.log(w, ws.f["t0"][:n])
+    np.add(z, lnab, z)
+    np.divide(z, a, z)
+    np.exp(z, z)
+    x = np.multiply(z, 2.0 / z_max, ws.f["t1"][:n])
+    np.subtract(x, 1.0, x)
+    t = _horner(mono, x, out)
+    return np.multiply(t, z, t)
 
 
 def _half_mass(a: float, b: float) -> float:
@@ -604,7 +694,7 @@ def _inverse_setup(a: float, b: float):
     _forward is.  lnb = ln B(a, b), y_half = _half_mass(a, b), and fits the
     two fits of _inv_fit, of (a, b) below y_half and of (b, a) above it, or
     None unless both are certified.  One entry serves both tails, t and s =
-    1 - t (_inverse_tails).  An entry holds a few kB of coefficients, never
+    1 - t (_tails_block).  An entry holds a few kB of coefficients, never
     a result."""
     lnb = float(sc.betaln(a, b))
     lower, swapped, _, _ = _forward(a, b)
@@ -615,7 +705,7 @@ def _inverse_setup(a: float, b: float):
 
 
 def _point_tails(a: float, b: float, lo: float, hi: float, y: float, yc: float, tails):
-    """(t, s) of _inverse_tails at one point, Python floats from Boost's
+    """(t, s) of _tails_block at one point, Python floats from Boost's
     scalar kernel (the ufunc's code, bit for bit): gtf's float lane.  A tail
     not asked for is 1 minus the other."""
     t = s = None
@@ -626,35 +716,44 @@ def _point_tails(a: float, b: float, lo: float, hi: float, y: float, yc: float, 
     return 1.0 - s if t is None else t, 1.0 - t if s is None else s
 
 
-def _inverse_tails(a: float, b: float, lo: float, hi: float, y, yc, tails):
-    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, at arrays y
-    and yc = 1 - y (rounded on its own) of points of [0, 1], shapes a, b <=
+def _inverse_lane(a: float, b: float, size: int):
+    """What _tails_block needs to take the fitted lane at an array of size
+    points of the shapes (a, b), (lnb, y_half, fits, _forward(a, b)) from
+    _inverse_setup, one cache lookup a call; None, scipy's ufunc, below
+    INV_FIT_MIN points (where no setup is built), at arrays of shapes and
+    where the fits are not certified."""
+    if size < INV_FIT_MIN or isinstance(a, np.ndarray):
+        return None
+    lnb, y_half, fits = _inverse_setup(a, b)
+    return None if fits is None else (lnb, y_half, fits, _forward(a, b))
+
+
+def _tails_block(a: float, b: float, lo: float, hi: float, y, yc, t, s, lane, ws):
+    """(t, s) with I_t(a, b) = y and s = 1 - t, I_s(b, a) = yc, at a block
+    of points y and yc = 1 - y (rounded on its own) of [0, 1], shapes a, b <=
     1, and lo, hi the smaller and the larger of 1/2 and I_{1/2}(a, b)
-    (gtf._pair): those that tails = (want_t, want_s) asks for (None for the
-    other), each accurate relative to its own argument.  a, b, lo and hi are
-    floats, or arrays that broadcast against y with a point's own values
-    (gtf's lane for several pairs), and each rule below then holds per
-    point.
+    (gtf._pair), written into the arrays t and s, each None where it is not
+    asked for; each accurate relative to its own argument.  a, b, lo and hi
+    are floats, or arrays of y's shape (gtf's lane for several pairs), and
+    each rule below then holds per point.  lane is _inverse_lane's, and ws
+    the call's _Scratch.
 
     One solved value serves both tails, the other being 1 minus it (DLMF
     8.17.4), where it is <= 1/2 and its argument is the smaller of y and yc,
     so that its complement carries no larger error than that argument's
     rounding: t up to y = lo, s above hi.  In the band between them each
     tail is solved from its own argument, so a point is inverted twice only
-    there, and only when both tails are asked for.  Fewer than INV_FIT_MIN
-    points, arrays of shapes, and shapes whose fits are not certified, take
-    scipy's ufunc with the shapes swapped point by point (the float lane's
-    Boost code, bit for bit, whether the shapes are floats or arrays); a
-    small array never builds a setup.  More take _fitted_tails.  At a = b a
-    tail's argument 1/2 gives 1/2 in every lane, since I_{1/2}(a, a) = 1/2,
-    where Boost's inverse misses it by up to 1.3e-8 at some a (68 of 4000
-    random p in (1, 100) at a = 1/p*)."""
-    t_top = hi if tails[0] else lo  # t is solved from y where y <= t_top
-    s_bottom = lo if tails[1] else hi  # s from yc where y > s_bottom
-    if y.size >= INV_FIT_MIN and not isinstance(a, np.ndarray):
-        lnb, y_half, fits = _inverse_setup(a, b)
-        if fits is not None:
-            return _fitted_tails(a, b, lnb, y_half, fits, y, yc, t_top, s_bottom, tails)
+    there, and only when both tails are asked for.  Without a fitted lane
+    the block takes scipy's ufunc with the shapes swapped point by point
+    (the float lane's Boost code, bit for bit, whether the shapes are floats
+    or arrays); otherwise _fitted_block.  At a = b a tail's argument 1/2
+    gives 1/2 in every lane, since I_{1/2}(a, a) = 1/2, where Boost's
+    inverse misses it by up to 1.3e-8 at some a (68 of 4000 random p in (1,
+    100) at a = 1/p*)."""
+    t_top = hi if t is not None else lo  # t is solved from y where y <= t_top
+    s_bottom = lo if s is not None else hi  # s from yc where y > s_bottom
+    if lane is not None:
+        return _fitted_block(lane, a, b, y, yc, t, s, t_top, s_bottom, ws)
     up = y > t_top
     w = np.where(up, yc, y)
     r = sc.betaincinv(np.where(up, b, a), np.where(up, a, b), w)
@@ -662,12 +761,13 @@ def _inverse_tails(a: float, b: float, lo: float, hi: float, y, yc, tails):
     if _anywhere(equal):
         r[(w == 0.5) & equal] = 0.5
     rc = 1.0 - r
-    t = np.where(up, rc, r) if tails[0] else None
-    s = np.where(up, r, rc) if tails[1] else None
+    if t is not None:
+        np.copyto(t, np.where(up, rc, r))
+    if s is not None:
+        np.copyto(s, np.where(up, r, rc))
     if _anywhere(s_bottom < t_top):  # both asked for, and a band: its s from yc
         band = (y > s_bottom) & ~up
         s[band] = sc.betaincinv(_at(b, band), _at(a, band), yc[band])
-    return t, s
 
 
 def _anywhere(cond) -> bool:
@@ -683,62 +783,75 @@ def _at(v, mask):
     return v if isinstance(v, float) else np.broadcast_to(v, mask.shape)[mask]
 
 
-def _fitted_tails(a: float, b: float, lnb: float, y_half: float, fits, y, yc,
-                  t_top: float, s_bottom: float, tails):
-    """_inverse_tails' fitted lane, on a certified setup (lnb, y_half, fits)
-    of _inverse_setup(a, b): t from y where y <= t_top, s from yc where y >
-    s_bottom.  Each branch solves a value <= 1/2: t below y_half (the fit of
-    (a, b), one Newton step on lower), s' = 1 - t above it from 1 - y (the
-    fit of (b, a), a step on upper, anchored where 1 - I_s(b, a) would
-    cancel); likewise s above y_half (the fit of (b, a) at yc, a step on
-    swapped) and t' = 1 - s below it from 1 - yc (upper_swapped).  Blocks of
-    INV_FIT_BLOCK points keep temporaries small, each split once into the
-    index lists of its branches."""
-    lower, swapped, upper, upper_swapped = _forward(a, b)
-    flat, flat_c = y.ravel(), yc.ravel()
-    t = np.empty_like(flat) if tails[0] else None
-    s = np.empty_like(flat) if tails[1] else None
+def _fitted_block(lane, a: float, b: float, y, yc, t, s, t_top: float, s_bottom: float, ws):
+    """_tails_block's fitted lane, on the certified setup lane =
+    (lnb, y_half, fits, _forward(a, b)) of _inverse_lane: t from y where y
+    <= t_top, s from yc where y > s_bottom.  Each branch solves a value <=
+    1/2: t below y_half (the fit of (a, b), one Newton step on lower), s' =
+    1 - t above it from 1 - y (the fit of (b, a), a step on upper, anchored
+    where 1 - I_s(b, a) would cancel); likewise s above y_half (the fit of
+    (b, a) at yc, a step on swapped) and t' = 1 - s below it from 1 - yc
+    (upper_swapped).  The band's branch shares its fit and its Newton step
+    with the branch of the same fit (_solve), so a block evaluates each fit
+    once."""
+    lnb, y_half, fits, (lower, swapped, upper, upper_swapped) = lane
     with np.errstate(divide="ignore", under="ignore"):  # log(0) at y = 0, 1
-        for start in range(0, flat.size, INV_FIT_BLOCK):
-            block = slice(start, start + INV_FIT_BLOCK)
-            yb, cb = flat[block], flat_c[block]
-            tb = None if t is None else t[block]
-            sb = None if s is None else s[block]
+        # t <= 1/2 from y up to y_half, and where y_half > 1/2 the band's s
+        # > 1/2 from yc as 1 - t'
+        own = np.less_equal(y, min(y_half, t_top), ws.m["tails.own"][:y.size]).nonzero()[0]
+        band = _points_in(y, s_bottom, y_half, ws) if s_bottom < y_half else None
+        _solve(fits[0], a, b, lnb, y, own, lower, yc, band, upper_swapped, t, s, ws)
+        # s <= 1/2 from yc above y_half, and where y_half < 1/2 the band's t
+        # > 1/2 from y as 1 - s'
+        own = np.greater(y, max(y_half, s_bottom), ws.m["tails.own"][:y.size]).nonzero()[0]
+        band = _points_in(y, y_half, t_top, ws) if y_half < t_top else None
+        _solve(fits[1], b, a, lnb, yc, own, swapped, y, band, upper, s, t, ws)
 
-            def put(idx, x, solved_t):
-                """x, solved for t or for s at the points idx, and 1 - x
-                for the other."""
-                if tb is not None:
-                    tb[idx] = x if solved_t else 1.0 - x
-                if sb is not None:
-                    sb[idx] = 1.0 - x if solved_t else x
 
-            # t <= 1/2 from y up to y_half, s <= 1/2 from yc above it
-            own = np.flatnonzero(yb <= min(y_half, t_top))
-            w = yb.take(own)
-            x = _fit_step(fits[0], a, b, lnb, w, lambda x: lower(x) - w)
-            if a == b:
-                x[w == 0.5] = 0.5
-            put(own, x, True)
-            own = np.flatnonzero(yb > max(y_half, s_bottom))
-            w = cb.take(own)
-            x = _fit_step(fits[1], b, a, lnb, w, lambda x: swapped(x) - w)
-            if a == b:
-                x[w == 0.5] = 0.5
-            put(own, x, False)
-            # the band, over the complements just put: t > 1/2 from y as 1
-            # - s' (the fit of (b, a) at 1 - y), or s > 1/2 from yc as 1 - t'
-            if y_half < t_top:
-                band = np.flatnonzero((yb > y_half) & (yb <= t_top))
-                w = yb.take(band)
-                tb[band] = 1.0 - _fit_step(fits[1], b, a, lnb, 1.0 - w,
-                                           lambda x: w - upper(x))
-            if s_bottom < y_half:
-                band = np.flatnonzero((yb > s_bottom) & (yb <= y_half))
-                w = cb.take(band)
-                sb[band] = 1.0 - _fit_step(fits[0], a, b, lnb, 1.0 - w,
-                                           lambda x: w - upper_swapped(x))
-    return tuple(None if v is None else v.reshape(y.shape) for v in (t, s))
+def _points_in(y, lo: float, hi: float, ws):
+    """The indices of the points of y in (lo, hi]."""
+    inside = np.greater(y, lo, ws.m["tails.in"][:y.size])
+    np.logical_and(inside, np.less_equal(y, hi, ws.m["tails.below"][:y.size]), inside)
+    return inside.nonzero()[0]
+
+
+def _solve(fit, a: float, b: float, lnb: float, arg, own, own_sum, band_arg, band,
+           band_sum, solved, other, ws):
+    """One fit of _inv_fit and one Newton step (_newton_step) on the
+    shapes (a, b) for a branch and, behind it, the band's branch of the same
+    fit: x <= 1/2 with I_x(a, b) = w at the points own, w = arg there, its
+    residual own_sum(x) - w, written into solved and 1 - x into other; and
+    at the points band (or None), x' from 1 - w', w' = band_arg there, its
+    residual w' - band_sum(x'), with 1 - x' written into other after the
+    branch's.  Each array is None where it is not asked for."""
+    k = own.size
+    kb = 0 if band is None else band.size
+    if k + kb > ws.size:  # sincos_pq's band beside a longer branch: one after the other
+        _solve(fit, a, b, lnb, arg, own, own_sum, band_arg, None, band_sum, solved, other, ws)
+        return _solve(fit, a, b, lnb, arg, own[:0], own_sum, band_arg, band, band_sum,
+                      solved, other, ws)
+    w = ws.f["w"][:k + kb]
+    arg.take(own, out=w[:k], mode="clip")
+    if kb:
+        wb = band_arg.take(band, out=ws.f["wb"][:kb], mode="clip")
+        np.subtract(1.0, wb, w[k:])
+    x = _inv_fit_eval(fit, w, out=ws.f["v"][:k + kb], ws=ws)
+    resid = ws.f["r"][:k + kb]
+    own_sum(x[:k], resid[:k], ws)
+    np.subtract(resid[:k], w[:k], resid[:k])
+    if kb:
+        band_sum(x[k:], resid[k:], ws)
+        np.subtract(wb, resid[k:], resid[k:])
+    _newton_step(a, b, lnb, x, resid, ws)
+    if a == b:  # no band here: y_half = 1/2
+        np.putmask(x, np.equal(w, 0.5, ws.m["solve.half"][:k]), 0.5)
+    if solved is not None:
+        solved[own] = x[:k]
+    if other is not None:
+        complement = np.subtract(1.0, x, resid)
+        other[own] = complement[:k]
+        if kb:
+            other[band] = complement[k:]
 
 
 def _budget_spent(what: str, a, b, c, x):

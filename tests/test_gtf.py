@@ -175,6 +175,17 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def tails_block(a, b, lo, hi, y, yc, tails):
+    """(t, s) of specfun._tails_block at one flat block y, new arrays (None
+    for a tail not asked for), in the lane of specfun._inverse_lane, as gtf
+    runs it.  a, b, lo and hi are floats, or arrays that broadcast against
+    y."""
+    out = [np.empty(y.shape) if want else None for want in tails]
+    specfun._tails_block(a, b, lo, hi, y, yc, *out, specfun._inverse_lane(a, b, y.size),
+                         specfun._Scratch(y.size))
+    return tuple(out)
+
+
 def within_ulps(a, b, n):
     """a and b of one shape, elementwise at most n ulps apart."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -426,7 +437,7 @@ class TestSeveralPairs:
                 gtf.sin_pq(p, q, x)
 
     def test_inverse_tails_at_shapes_a_point(self):
-        """specfun._inverse_tails at arrays of shapes equals its calls at
+        """specfun._tails_block at arrays of shapes equals its calls at
         each point's floats, bit for bit: the a = b fix at y = 1/2 and the
         band lo < y <= hi per point."""
         pairs = [(2.0, 2.0), (2.5, 3.0), (1.5, 3.0), (4.0, 1.5)]
@@ -434,11 +445,11 @@ class TestSeveralPairs:
         fields = np.array([gtf._pair(p, q) for p, q in pairs])[:, 1:5].T  # a, b, lo, hi
         for tails in [(True, True), (True, False), (False, True)]:
             for i, (a, b, lo, hi) in enumerate(fields.T.tolist()):
-                got = specfun._inverse_tails(*(v[i][None] for v in fields), y[None], 1.0 - y[None], tails)
-                one = specfun._inverse_tails(a, b, lo, hi, y, 1.0 - y, tails)
+                got = tails_block(*(v[i][None] for v in fields), y, 1.0 - y, tails)
+                one = tails_block(a, b, lo, hi, y, 1.0 - y, tails)
                 for g, o in zip(got, one):
                     assert (g is None) == (o is None)
-                    assert g is None or same_bits(g[0], o)
+                    assert g is None or same_bits(g, o)
 
 
 class TestMultipleAngle:
@@ -1086,7 +1097,7 @@ def _raw_scipy(p, q, xs):
 
 class TestFittedInverse:
     """gtf's accuracy contract, the same in every lane, and the fitted,
-    Newton-polished lane (specfun._fitted_tails) that specfun._inverse_tails
+    Newton-polished lane (specfun._fitted_block) that specfun._tails_block
     takes on arrays of at least specfun.INV_FIT_MIN points."""
 
     def test_against_mpmath(self):
@@ -1218,7 +1229,7 @@ class TestFittedInverse:
 
     def test_asin_against_mpmath(self):
         """The same contract for asin_pq, whose arrays of N0 points sum
-        specfun._inc_beta's series: floats, 2-point arrays and arrays of
+        specfun._inc_beta_block's series: floats, 2-point arrays and arrays of
         N0 points at x^q uniform, near 0 and near 1, within 2e-15 of mpmath
         or no further than scipy's raw incomplete beta at every point, and
         the fitted lane's worst error no larger than the ufunc lane's.
@@ -1288,9 +1299,9 @@ class TestFittedInverse:
     def test_fit_min_takes_the_polished_inverse(self, monkeypatch):
         # one call each: sincos_pq takes both tails from one call
         calls = []
-        real = specfun._fitted_tails
-        monkeypatch.setattr(specfun, "_fitted_tails",
-                            lambda *args: calls.append(args[5].size) or real(*args))
+        real = specfun._fitted_block
+        monkeypatch.setattr(specfun, "_fitted_block",
+                            lambda *args: calls.append(args[3].size) or real(*args))
         xs = np.linspace(0.0, 1.0, N0)
         gtf.sincos_pq(2.5, 3.0, xs)
         gtf.sin_pq(2.5, 3.0, xs)
@@ -1339,9 +1350,9 @@ class TestOneInversionPerPoint:
         def count(module, name):
             real = getattr(module, name)
 
-            def counted(*args):
-                seen.append(np.size(args[-1]))  # the points are the last argument
-                return real(*args)
+            def counted(*args, **kwargs):
+                seen.append(np.size(args[-1]))  # the points are the last positional argument
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
 
@@ -1381,3 +1392,146 @@ class TestOneInversionPerPoint:
         setup = specfun._inverse_setup.cache_info()
         assert (setup.currsize, setup.misses, setup.hits) == (1, 1, 1)
         assert specfun._forward.cache_info().currsize == 1
+
+
+# ---------------------------------------------------------------- block pipeline
+
+BLOCK = specfun.INV_FIT_BLOCK
+# the band on the sine's side (y_half < 1/2) and on the cosine's, and p
+# near 1, where the cosine takes its DBL_MIN rule near the top
+BLOCK_PAIRS = [(3.3, 2.2), (1.4, 5.1), (1.01, 2.0)]
+
+
+def block_points(p, q, rng):
+    """2 INV_FIT_BLOCK + 1 points of [0, pi_pq/2], shuffled: both ends,
+    points under the small-x rule, points near the top (the cosine's
+    DBL_MIN rule at p near 1), the band between y_half and 1/2, and
+    uniform ones."""
+    half, _, _, lo, hi, _, tiny, _ = gtf._pair(p, q)
+    special = [0.0, half, 0.5 * tiny, 1e-3 * tiny, 5e-324]
+    near_top = half * (1.0 - 10.0 ** -rng.uniform(2.0, 15.0, 2000))
+    band = half * rng.uniform(lo, hi, 2000)
+    rest = half * rng.random(2 * BLOCK + 1 - len(special) - 4000)
+    return rng.permutation(np.concatenate([special, near_top, band, rest]))
+
+
+class TestBlockPipeline:
+    """gtf's array lanes run one routine a block of INV_FIT_BLOCK points at
+    a time, every intermediate result in the call's block-sized buffers:
+    every point gets the same bits wherever it sits, across block edges,
+    in 2-D and non-contiguous arrays, under the small-x and DBL_MIN rules
+    and in the band, and an invalid point in the last block raises the
+    DomainError of the whole array."""
+
+    @staticmethod
+    def calls(p, q):
+        """{name: f of an array x of [0, pi_pq/2], returning arrays}"""
+        half = gtf._pair(p, q)[0]
+        return {
+            "sin_pq": lambda x: (gtf.sin_pq(p, q, x),),
+            "cos_pq": lambda x: (gtf.cos_pq(p, q, x),),
+            "sincos_pq": lambda x: gtf.sincos_pq(p, q, x),
+            "_sincos_tail": lambda x: gtf._sincos_tail(p, q, x),
+            # asin_pq on [0, 1]: x / half covers it, both ends included
+            "asin_pq": lambda x: (gtf.asin_pq(p, q, np.minimum(x / half, 1.0)),),
+        }
+
+    @pytest.mark.parametrize("pq", BLOCK_PAIRS, ids=str)
+    def test_rules_and_band_present(self, pq):
+        p, q = pq
+        half, a, b, lo, hi, _, tiny, _ = gtf._pair(p, q)
+        x = block_points(p, q, np.random.default_rng(36))
+        y = x / half
+        assert x.size == 2 * BLOCK + 1 and np.any((x > 0.0) & (x < tiny))
+        assert lo < hi and np.count_nonzero((y > lo) & (y <= hi)) >= 2000
+        if p == 1.01:
+            s = tails_block(a, b, lo, hi, y, (half - x) / half, (False, True))[1]
+            assert np.count_nonzero(s < sys.float_info.min) > 100
+
+    @pytest.mark.parametrize("pq", BLOCK_PAIRS, ids=str)
+    def test_position_free_across_blocks(self, pq):
+        p, q = pq
+        rng = np.random.default_rng(3601)
+        x = block_points(p, q, rng)
+        perm = rng.permutation(x.size)
+        chunks = np.split(x, range(1000, x.size, 1000))[:-1]  # the fitted lane each
+        cut = sum(v.size for v in chunks)
+        for name, f in self.calls(p, q).items():
+            whole, shuffled = f(x), f(x[perm])
+            pieces = [f(v) for v in chunks]
+            for j, v in enumerate(whole):
+                assert v.shape == x.shape, name
+                assert same_bits(v[perm], shuffled[j]), name
+                assert same_bits(v[:cut], np.concatenate([piece[j] for piece in pieces])), name
+
+    @pytest.mark.parametrize("pq", BLOCK_PAIRS, ids=str)
+    def test_layouts(self, pq):
+        """A 2-D array, a Fortran-ordered one, a strided view and a
+        reversed one give each point the bits of the flat array."""
+        p, q = pq
+        x = block_points(p, q, np.random.default_rng(3602))
+        flat = x[:2 * BLOCK]
+        layouts = [flat.reshape(2, -1), np.asfortranarray(flat.reshape(4, -1)),
+                   x[::2], x[::-1]]
+        for name, f in self.calls(p, q).items():
+            for arr in layouts:
+                got, want = f(arr), f(np.ascontiguousarray(arr).ravel())
+                for g, w in zip(got, want):
+                    assert g.shape == arr.shape and same_bits(g.ravel(), w), name
+
+    @pytest.mark.parametrize("pq", BLOCK_PAIRS, ids=str)
+    def test_sincos_equals_the_two_calls(self, pq):
+        p, q = pq
+        x = block_points(p, q, np.random.default_rng(3603))
+        s, c = gtf.sincos_pq(p, q, x)
+        tail = gtf._sincos_tail(p, q, x)
+        assert same_bits(s, gtf.sin_pq(p, q, x)) and same_bits(c, gtf.cos_pq(p, q, x))
+        assert same_bits(s, tail[0]) and same_bits(c, tail[1])
+        half = gtf._pair(p, q)[0]
+        assert same_bits(tail[2], (half - x) / half)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 10.0])
+    def test_invalid_point_in_the_last_block(self, bad):
+        p, q = BLOCK_PAIRS[0]
+        half = gtf._pair(p, q)[0]
+        x = block_points(p, q, np.random.default_rng(3604))
+        x[-1] = bad * half if math.isfinite(bad) else bad
+        u = np.minimum(x / half, 1.0)
+        u[-1] = x[-1] / half if math.isfinite(bad) else bad
+        for name, f, arg, top in (("sin_pq", gtf.sin_pq, x, half), ("cos_pq", gtf.cos_pq, x, half),
+                                  ("sincos_pq", gtf.sincos_pq, x, half),
+                                  ("asin_pq", gtf.asin_pq, u, 1.0)):
+            with pytest.raises(DomainError) as err:
+                f(p, q, arg)
+            assert str(err.value) == f"{name} requires argument in [0, {top}]"
+
+
+class TestAllocationBound:
+    """An array call allocates its outputs, and beyond them a fixed number
+    of block-sized buffers whatever its length: the call's specfun._Scratch
+    and each block's index lists.  tracemalloc's peak over a 2^18-point
+    call at a cached pair is within the outputs plus 16 blocks of
+    INV_FIT_BLOCK floats (12-14 are taken), where a path with full-size
+    temporaries takes 19-33 such blocks beyond its outputs at this
+    length, and more at any longer one."""
+
+    CALLS = {"sin_pq": (gtf.sin_pq, 1), "cos_pq": (gtf.cos_pq, 1),
+             "sincos_pq": (gtf.sincos_pq, 2), "asin_pq": (gtf.asin_pq, 1)}
+
+    @pytest.mark.parametrize("pq", BLOCK_PAIRS, ids=str)
+    @pytest.mark.parametrize("name", CALLS)
+    def test_peak(self, name, pq):
+        import tracemalloc
+
+        p, q = pq
+        fn, outputs = self.CALLS[name]
+        u = np.random.default_rng(3605).random(1 << 18)
+        x = u if name == "asin_pq" else u * gtf._pair(p, q)[0]
+        fn(p, q, x)  # the pair's setup, cached
+        tracemalloc.start()
+        try:
+            fn(p, q, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= outputs * x.nbytes + 16 * BLOCK * 8, peak / (BLOCK * 8)

@@ -172,6 +172,32 @@ class TestSpecialCaseTables:
         with pytest.raises(DomainError):
             integrals.wallis_special_cases(2.0, 2.0, 1, "nope")
 
+    @pytest.mark.parametrize("p", [2.0**53 + 2.0, 3e16, 1e17])
+    def test_cos_pn_2mp_above_two_to_53(self, p):
+        """Above 2^53, r = 2 - p rounds onto 1 - p, which wallis_cos
+        rejects; the special case takes 1/v = 1/p exactly and stays within
+        1e-13 of 50-digit mpmath, (1/p)_n / (1/p + 1/q)_n (1/q) B(1/p, 1/q)."""
+        q, n = 3.0, 5
+        with pytest.raises(DomainError):
+            integrals.wallis_cos(WallisQuery(ParamPair(p, q), n=n, r=2.0 - p))
+        got = integrals.wallis_special_cases(p, q, n, "cos_pn_2mp")
+        with mpmath.workdps(50):
+            a, b = 1 / mpmath.mpf(p), 1 / mpmath.mpf(q)
+            ref = mpmath.rf(a, n) / mpmath.rf(a + b, n) * b * mpmath.beta(a, b)
+        assert abs(got - ref) <= 1e-13 * ref, (p, got, ref)
+
+    def test_cos_pn_2mp_keeps_its_bits_up_to_six(self):
+        """For p up to 6 (every closed_forms query) 1/p is the 1/v that the
+        general cosine formula forms from r = 2 - p, so the value is its
+        value bit for bit."""
+        rng = np.random.default_rng(2053)
+        ps = np.concatenate([1.0 + 5.0 * rng.random(300), [1.0 + 2.0**-52, 1.5, 2.0, 4.0, 6.0]])
+        for p, q, n in zip(ps.tolist(), (1.0 + 5.0 * rng.random(ps.size)).tolist(),
+                           rng.integers(0, 200, ps.size).tolist()):
+            got = integrals.wallis_special_cases(p, q, n, "cos_pn_2mp")
+            general = integrals.wallis_cos(WallisQuery(ParamPair(p, q), n=n, r=2.0 - p))
+            assert got == general or math.isnan(got) and math.isnan(general), (p, q, n)
+
 
 class TestLemniscate:
     @pytest.mark.parametrize("residue", [0, 1, 2, 3])

@@ -453,27 +453,50 @@ def split_points(a, b):
     return min(y_half, 0.5), max(y_half, 0.5)
 
 
+def inverse_tails(a, b, lo, hi, y, yc, tails):
+    """(t, s) of specfun._tails_block at arrays y and yc = 1 - y of any
+    shape, new arrays (None for a tail that tails = (want_t, want_s) does
+    not ask for), block by block (specfun._blockwise) in the lane of
+    specfun._inverse_lane, as gtf runs it.  a, b, lo and hi are floats, or
+    arrays that broadcast against a single block y."""
+    out = [np.empty(y.shape) if want else None for want in tails]
+    flat = [None if v is None else v.reshape(-1) for v in out]
+    specfun._blockwise(specfun._tails_block, y.size, a, b, lo, hi, y.reshape(-1),
+                       yc.reshape(-1), *flat, specfun._inverse_lane(a, b, y.size))
+    return tuple(out)
+
+
+def inc_beta(a, b, t):
+    """I_t(a, b) at an array t of any shape, a new array: specfun's
+    _inc_beta_block block by block (specfun._blockwise) in the lane of
+    specfun._series_lane, as asin_pq runs it."""
+    out = np.empty(t.shape)
+    specfun._blockwise(specfun._inc_beta_block, t.size, a, b, t.reshape(-1), out.reshape(-1),
+                       specfun._series_lane(a, b, t.size))
+    return out
+
+
 def inverse_t(a, b, y):
     """t with I_t(a, b) = y at an array y of at least INV_FIT_MIN points,
     from the fitted lane of gtf's inversions, at a shape whose fits are
     certified."""
     assert y.size >= specfun.INV_FIT_MIN and specfun._inverse_setup(a, b)[2] is not None
-    return specfun._inverse_tails(a, b, *split_points(a, b), y, 1.0 - y, (True, False))[0]
+    return inverse_tails(a, b, *split_points(a, b), y, 1.0 - y, (True, False))[0]
 
 
 def series(a, b, t):
-    """_inc_beta's series at an array t of any size: t tiled to
+    """inc_beta's series at an array t of any size: t tiled to
     INV_FIT_MIN points, where the size rule picks the series, and cut back
     (every point gets the same bits wherever it sits; TestBlockSplit)."""
     n = max(t.size, specfun.INV_FIT_MIN)
-    return specfun._inc_beta(a, b, np.resize(t, n))[:t.size].reshape(t.shape)
+    return inc_beta(a, b, np.resize(t, n))[:t.size].reshape(t.shape)
 
 
 class TestIncBeta:
     """The regularized incomplete beta function I_x(a, b): scipy's betainc
     as gtf's float lane and small arrays call it, and gtf's kernels for
-    shapes a, b <= 1, the sum specfun._inc_beta and the inverse
-    specfun._inverse_tails in their fitted lanes."""
+    shapes a, b <= 1, the sum specfun._inc_beta_block and the inverse
+    specfun._tails_block in their fitted lanes."""
 
     def test_endpoints(self):
         assert sc.betainc(0.7, 1.3, 0.0) == 0.0
@@ -493,7 +516,7 @@ class TestIncBeta:
     def test_inverse_endpoints(self):
         y = np.resize([0.0, 1.0], specfun.INV_FIT_MIN)
         lo, hi = split_points(0.7, 0.3)
-        t, s = specfun._inverse_tails(0.7, 0.3, lo, hi, y, 1.0 - y, (True, True))
+        t, s = inverse_tails(0.7, 0.3, lo, hi, y, 1.0 - y, (True, True))
         assert np.array_equal(t, y) and np.array_equal(s, 1.0 - y)
 
     @pytest.mark.parametrize("a", [0.3, 1.0])
@@ -523,12 +546,12 @@ class TestIncBeta:
     def test_series_endpoints_and_lanes(self):
         # six rows of the same 101 points, enough for the series
         ts = np.resize(np.linspace(0.0, 1.0, 101), (6, 101))
-        got = specfun._inc_beta(0.7, 0.3, ts)
+        got = inc_beta(0.7, 0.3, ts)
         assert got.shape == (6, 101) and np.all(np.diff(got) > 0.0)
         assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 1.0)
         assert got.base is None  # owns its memory
         # below INV_FIT_MIN points, scipy's ufunc: the float lane's bits
-        small = specfun._inc_beta(0.7, 0.3, ts[0])
+        small = inc_beta(0.7, 0.3, ts[0])
         assert same_bits(small, [specfun._betainc(0.7, 0.3, t) for t in ts[0].tolist()])
 
     @given(
@@ -608,7 +631,7 @@ class TestBlockSplit:
     def test_series(self, a, b):
         rng = np.random.default_rng(1518)
         for name, t in self.cases(0.5, rng).items():
-            v = self.assert_position_free(lambda u: specfun._inc_beta(a, b, u), t, rng)
+            v = self.assert_position_free(lambda u: inc_beta(a, b, u), t, rng)
             assert np.allclose(v, sc.betainc(a, b, t), rtol=1e-14, atol=0.0), name
 
 
@@ -678,12 +701,12 @@ class TestShapeCache:
             assert 0 < cache.cache_info().maxsize <= 1024
         rng = np.random.default_rng(17)
         y = rng.random(specfun.INV_FIT_MIN)
-        before = inverse_t(a, b, y), specfun._inc_beta(a, b, y)
+        before = inverse_t(a, b, y), inc_beta(a, b, y)
         size = max(cache.cache_info().maxsize for cache in self.CACHES)
         for s in np.linspace(0.1, 0.9, size).tolist():
             specfun._inverse_setup(s, 0.7)
         misses = [cache.cache_info().misses for cache in self.CACHES]
-        after = inverse_t(a, b, y), specfun._inc_beta(a, b, y)
+        after = inverse_t(a, b, y), inc_beta(a, b, y)
         assert [cache.cache_info().misses for cache in self.CACHES] == [m + 1 for m in misses]
         assert same_bits(before[0], after[0]) and same_bits(before[1], after[1])
 
@@ -722,8 +745,8 @@ class TestFitTruncation:
         assert None in fits
         assert specfun._inverse_setup(a, b)[2] is None
         lo, hi = sorted((float(sc.betainc(a, b, 0.5)), 0.5))
-        whole = specfun._inverse_tails(a, b, lo, hi, y, 1.0 - y, (True, True))
-        parts = [specfun._inverse_tails(a, b, lo, hi, v, 1.0 - v, (True, True))
+        whole = inverse_tails(a, b, lo, hi, y, 1.0 - y, (True, True))
+        parts = [inverse_tails(a, b, lo, hi, v, 1.0 - v, (True, True))
                  for v in np.split(y, range(100, y.size, 100))]
         for j in (0, 1):
             assert same_bits(whole[j], np.concatenate([v[j] for v in parts]))
@@ -733,7 +756,7 @@ EPS = np.finfo(float).eps
 
 
 class TestForwardPolynomial:
-    """For shapes a, b <= 1 _inc_beta sums a polynomial of about 20 terms
+    """For shapes a, b <= 1 _inc_beta_block sums a polynomial of about 20 terms
     in x = 4u - 1, economized from the _INC_TERMS-term series."""
 
     def test_against_mpmath(self):
