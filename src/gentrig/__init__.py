@@ -15,9 +15,9 @@ Library layout:
 - ``bvp``: closed-form boundary value problem solutions, the general
   problem's one verifier general_checks and the nonlocal closure.
 - ``quadrature``: the independent tanh-sinh integration oracle (one
-  integrand or a batch on shared nodes, one integrand call per level), its
-  beta-integral form and its Wallis-moment form power_moments (many (p, q,
-  flavor) specs in one pass).
+  integrand or a batch on shared nodes, one integrand call per level) and
+  beta_integrals, any number of beta integrals B(a, b) in one pass (the
+  Wallis moments are such rows).
 - ``verify``: the identity-verification suites, run(name, grid).
 - ``cli``: the ``gentrig`` command (eval / verify / table): it only parses
   its flags, calls the modules above and prints.

@@ -46,9 +46,9 @@ call for all pairs plus one for the band.  A power whose exponent varies
 with the pair is numpy's pow at every point, except at the exponents -1,
 1/2 and 2, which numpy takes by a special case (reciprocal, sqrt, square)
 when given as a float: those points are raised to a float exponent (_power;
-quadrature._FAST_POWERS holds the three).  So each point equals its own
-pair's call in scipy's ufunc lane (an array of fewer than
-specfun.INV_FIT_MIN points) bit for bit.  asin_pq and pi_pq take one pair.
+_FAST_POWERS holds the three).  So each point equals its own pair's call in
+scipy's ufunc lane (an array of fewer than specfun.INV_FIT_MIN points) bit
+for bit.  asin_pq and pi_pq take one pair.
 
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
@@ -83,11 +83,15 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, check_pq, within
-from .quadrature import _FAST_POWERS
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 _DBL_MIN = sys.float_info.min
 _ASIN_SERIES_MAX = 2.0**-27  # asin_pq(x) is its two-term series below this x^q
+# exponents that numpy's power takes by a special case (reciprocal, sqrt,
+# square) when given as a scalar or a one-element array, and by pow when
+# given in an array of several points: the two differ in the last ulp on a
+# few percent of points
+_FAST_POWERS = (-1.0, 0.5, 2.0)
 
 
 def conjugate(p: float) -> float:

@@ -16,16 +16,14 @@ is refined until it alone meets the tolerance, and the others stop being
 evaluated once they have.  A lone integrand is a batch of one row, and the
 reduction sums each row alone, the same way for any number of rows, so a
 batch gives every integrand the same value, bit for bit, as a call of its
-own.  power_moments uses this to take the Wallis moments of any number of
-(p, q, flavor) specs, the whole verify grid included, in one pass with one
-integrand, one spec being a batch like any other.  It checks its specs and
-groups their rows into distinct (base, exponent) powers once per batch, so
-its integrand's cost per level grows with those powers, not with its rows
-or specs.  It refuses exponents whose endpoint mass lies beyond the
-outermost node (see _edge_share), as integrate_singular_beta does.
+own.  beta_integrals uses this to take any number of beta integrals B(a, b),
+the Wallis moments of the whole verify grid included, in one pass: each is
+two half-rows that an endpoint substitution makes bounded, so that no mass
+of a singular endpoint lies beyond the outermost node, however small a or b.
 
-This module must not import gtf, integrals or bvp: it is the independent side
-of every closed-form-versus-quadrature check in the package.
+This module must not import gtf, integrals, bvp or specfun, nor scipy: it is
+the independent side of every closed-form-versus-quadrature check in the
+package, and computes no Gamma or Beta function.
 """
 
 from __future__ import annotations
@@ -37,15 +35,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, check_pq
+from .errors import DomainError, ToleranceError
 
 # Truncation of the transformed axis.  At t = 6 the node weight is below
 # 1e-17 even against an endpoint singularity as strong as t^(-0.9).
 _T_MAX = 6.0
 _MAX_LEVEL = 12
 _MIN_OFFSET = 5e-300  # skip nodes whose endpoint distance underflows
-# distance of the outermost node, at t = _T_MAX, from an end of [-1, 1]
-_EDGE = 2.0 / (1.0 + math.exp(math.pi * math.sinh(_T_MAX)))
 
 DEFAULT_TOL = 1e-10
 
@@ -129,8 +125,7 @@ def integrate(
     integrand where no node is skipped or dropped.  The width rule checks
     the share of the rule's weight on the nodes skipped near the endpoints,
     not the error: an integrand singular at an endpoint has more of its
-    mass there (power_moments and integrate_singular_beta check that
-    mass).
+    mass there (beta_integrals substitutes its singularities away).
     """
     # written so that NaN fails each test
     if not 0.0 < tol < math.inf:
@@ -243,198 +238,64 @@ def _rows_where(rows, m):
     return f" in rows {rows} of {m}"
 
 
-def _edge_share(k: float, width: float) -> float:
-    """The share of the mass of the endpoint factor u^k (u the distance
-    from that endpoint, k > -1) that lies, on an interval of this width,
-    nearer the endpoint than the outermost node.
+def beta_integrals(a, b, tol: float = DEFAULT_TOL) -> QuadResult:
+    """B(a, b) = int_0^1 t^(a-1) (1-t)^(b-1) dt for each row of the 1-D
+    arrays a and b, all in one integrate batch, each row equal bit for bit
+    to a call of its own.
 
-    The nodes stop at the offset c = max(_MIN_OFFSET, _EDGE width/2) from
-    each endpoint, about 7e-276 on [0, 1]; the factor's mass within c of
-    the endpoint is c^(k+1)/(k+1) of width^(k+1)/(k+1), and no refinement
-    sees it, so the stopping test can pass with that much missing.
+    Each row is split at t = 1/2 and each half substituted at its own end,
+    t = tau^(1/a) / 2 (Davis and Rabinowitz):
+
+        B(a, b) = (2^-a / a) int_0^1 (1 - tau^(1/a) / 2)^(b-1) dtau
+                  + the same term with a and b swapped.
+
+    Both integrands lie between 1 and 2^(1-b): no endpoint singularity,
+    however near 0 a or b is.  Per level, tau^(1/a) is formed once per
+    distinct a among the live half-rows, and every power elementwise as the
+    exp of a log: numpy's power special-cases some scalar exponents, so a
+    lone row would differ from the same row in a batch.
+
+    DomainError unless a and b are 1-D of one length with every entry in
+    (0, inf), NaN failing.  A ToleranceError names the failing rows of a
+    and b, and carries every row's best estimate.
     """
-    edge = max(_MIN_OFFSET, _EDGE * 0.5 * width)
-    return (edge / width) ** (k + 1.0)
-
-
-def _check_edge_mass(k: float, width: float, tol: float, what: str):
-    """DomainError if the endpoint factor u^k has more than the share tol
-    of its mass beyond the outermost node (see _edge_share)."""
-    share = _edge_share(k, width)
-    if share > tol:
-        raise DomainError(
-            f"{what}: the endpoint factor u^{k:g} has the share {share:.2g} "
-            f"of its mass beyond the outermost node, more than tol {tol:g}")
-
-
-def integrate_singular_beta(a_exp: float, b_exp: float, upper: float) -> QuadResult:
-    """Oracle for beta-type integrals: int_0^upper t^(a-1) (1-t)^(b-1) dt.
-
-    Evaluates the integrand from exact endpoint distances, so both exponents
-    may sit close to 0 without precision loss near t = 0 or 1.  Raises
-    DomainError for exponents outside (0, inf) or upper outside [0, 1], and
-    where an endpoint factor has more than 1e-12 of its mass beyond the
-    outermost node (an exponent near 0, or a tiny upper limit).
-    """
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DomainError("beta_integrals needs 1-D arrays a, b of one length, "
+                          f"got shapes {a.shape} and {b.shape}")
     # written so that NaN fails the test
-    if not (0.0 < a_exp < math.inf and 0.0 < b_exp < math.inf):
-        raise DomainError(
-            f"beta exponents must be positive and finite, got ({a_exp}, {b_exp})")
-    if not 0.0 <= upper <= 1.0:
-        raise DomainError("upper limit must lie in [0, 1]")
-    if upper == 0.0:
-        return QuadResult(0.0, 0.0, 0)
+    bad = ~((a > 0.0) & (a < math.inf) & (b > 0.0) & (b < math.inf))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"beta_integrals needs a, b in (0, inf), got "
+                          f"({a[i]}, {b[i]}) in row {i}")
+    m = len(a)
+    # half-row i < m is row i's half at t < 1/2, half-row m + i its other half
+    x, y = np.concatenate((a, b)), np.concatenate((b, a))
+    xs, at = np.unique(x, return_inverse=True)
+    y1 = (y - 1.0)[:, None]
+    scale = np.exp2(-x) / x
 
-    gap = 1.0 - upper
-    tol = 1e-12
-    _check_edge_mass(a_exp - 1.0, upper, tol, "integrate_singular_beta")
-    if gap == 0.0:
-        _check_edge_mass(b_exp - 1.0, upper, tol, "integrate_singular_beta")
+    def f(tau, rows=np.arange(2 * m)):
+        used, index = np.unique(at[rows], return_inverse=True)
+        ln = np.log1p(-0.5 * np.exp(np.log(tau) / xs[used, None]))
+        out = ln.take(index, axis=0)
+        out *= y1[rows]
+        return np.exp(out, out=out)
 
-    def f(x, da, db):
-        return da ** (a_exp - 1.0) * (gap + db) ** (b_exp - 1.0)
-
-    return integrate(f, 0.0, upper, tol=tol, dist=True)
-
-
-# exponents that numpy's power takes by a special case (reciprocal, sqrt,
-# square) when given as a scalar or a one-element array, and by pow when
-# given in an array of several rows: the two differ in the last ulp on a
-# few percent of points
-_FAST_POWERS = (-1.0, 0.5, 2.0)
-
-
-def power_moments(specs, tol: float = 1e-10) -> QuadResult:
-    """Oracle for the half-period moments int_0^{pi_pq/2} sin_pq^e dt
-    (flavor "sin") and int_0^{pi_pq/2} cos_pq^e dt (flavor "cos"): every
-    moment of a list of specs (p, q, flavor, exponents) in one batched
-    integration.  The QuadResult has one row per exponent, spec after spec,
-    each equal bit for bit to a call of its own spec with that exponent
-    alone.
-
-    The substitution s = sin_pq turns the moments into
-    int_0^1 s^e (1-s^q)^(-1/p) ds ("sin") and int_0^1 (1-s^q)^((e-1)/p) ds
-    ("cos"), whose endpoint factors are exact in distance form; the floors
-    keep negative powers finite at zero-weight nodes.  Each row is a power
-    of its base (s, or the tail 1 - s^q of its q) times a factor, another
-    such power: tail^(-1/p) for a sine row, s^0 = 1.0 exactly for a cosine
-    row.  Per batch the rows' powers and factors are grouped once into the
-    distinct (base, exponent) powers, 132 for verify's 375 rows on the full
-    grid, with each row's index into them; the grouping is redone only
-    when rows stop.  Per node set the integrand then takes one log1p, one
-    expm1 for the tails of the live rows' q, one broadcast power for all
-    their distinct powers, each power whose exponent is in _FAST_POWERS
-    again with a Python float (numpy's special cases, so that no moment
-    depends on its batch), and two row gathers and a product.
-
-    Needs each flavor "sin" or "cos", p, q in (1, inf) and every exponent
-    finite with e > -1 ("sin") or e > 1 - p ("cos"), where the integral
-    converges, given as a number or a 1-D sequence; DomainError otherwise,
-    NaN included, and also where an endpoint factor has more than the share
-    tol of its mass beyond the outermost node (e near -1, or p near 1).
-    The checks run over all specs as arrays; the error names the first
-    failing spec and its first failing check, as _check_spec does.  A
-    ToleranceError names the first failing spec and its own failing rows;
-    its ``rows`` are indices into the whole batch.
-    """
-    # one row an exponent; a spec of more dimensions gets a NaN row, which fails
-    flat = [x.reshape(-1) if x.ndim < 2 else np.full(1, np.nan)
-            for x in (np.asarray(s[3], dtype=float) for s in specs)]
-    sizes = [len(x) for x in flat]
-    spec = np.repeat(np.arange(len(flat)), np.array(sizes, dtype=int))
-    e = np.concatenate([np.empty(0)] + flat)
-    p, q = pq = np.array([s[:2] for s in specs], dtype=float).reshape(-1, 2).T
-    sin, cos = (np.array([s[2] == f for s in specs], dtype=bool)
-                for f in ("sin", "cos"))
-    # written so that NaN fails the test
-    if not ((sin | cos) & (pq.min(axis=0) > 1.0) & (pq.max(axis=0) < math.inf)).all():
-        for s in specs:
-            _check_spec(*s, tol)
-
-    # row i is bases[b] ** k * bases[b2] ** k2, where bases[0] = s and
-    # bases[1 + j] is the tail of qs[j]: its power (b, k) is (0, e) ("sin")
-    # or (1 + j, (e-1)/p) ("cos"), its factor (b2, k2) is (1 + j, -1/p)
-    # ("sin") or (0, 0), exactly 1.0 ("cos")
-    qs, spec_q = np.unique(q, return_inverse=True)
-    rsin, tail, rp = sin[spec], 1 + spec_q[spec], p[spec]
-    power = np.where(rsin, e, (e - 1.0) / rp)
-    factor = np.where(rsin, -1.0 / rp, 0.0)
-    # rows out of range or with too much endpoint mass, give or take a
-    # rounding error: _check_spec decides, spec by spec
-    kmin = np.maximum(np.minimum(power, factor), -1.0)
-    least = np.where(sin, -1.0, 1.0 - p)[spec]
-    bad = ~((e > least) & (e < math.inf)) | (_edge_share(kmin, 1.0) > tol * (1 - 1e-9))
-    for j in np.unique(spec[bad]).tolist():
-        _check_spec(*specs[j], tol)
-    # the distinct powers, as b + 1j k sorted by base, then exponent
-    keys, at = np.unique(np.concatenate([np.where(rsin, 0, tail), np.where(rsin, tail, 0)])
-                         + 1j * np.concatenate([power, factor]), return_inverse=True)
-    kb, kp, row_keys = keys.real.astype(int), keys.imag, at.reshape(2, -1)
-    fast = np.any(kp[:, None] == _FAST_POWERS, axis=1)
-
-    def group(rows):
-        """The bases and powers that these rows use, and the index of each
-        row's power and factor among those powers."""
-        used, index = np.unique(row_keys[:, rows].reshape(-1), return_inverse=True)
-        tails = np.unique(kb[used])
-        again = [(i, kb[u], kp[u]) for i, u in enumerate(used.tolist()) if fast[u]]
-        return tails[tails > 0], kb[used], kp[used, None], again, index.reshape(2, -1)
-
-    groups = {}  # by the number of live rows, which only ever shrinks
-
-    def f(s, da, db, rows=np.arange(len(e))):
-        tails, b, k, again, (pw, fc) = (
-            groups.get(len(rows)) or groups.setdefault(len(rows), group(rows)))
-        bases = np.empty((len(qs) + 1, len(s)))
-        bases[0] = np.maximum(s, 5e-324)
-        bases[tails] = np.maximum(-np.expm1(qs[tails - 1, None] * np.log1p(-db)), 5e-324)
-        table = bases[b] ** k
-        for i, bi, ki in again:  # a fast power, taken again with a Python float
-            table[i] = bases[bi] ** ki
-        y = table.take(pw, axis=0)
-        y *= table.take(fc, axis=0)
-        return y
-
-    with np.errstate(divide="ignore"):
-        try:
-            return integrate(f, 0.0, 1.0, tol=tol, dist=True)
-        except ToleranceError as exc:
-            raise _name_spec(exc, specs, sizes) from None
+    try:
+        return _join_halves(integrate(f, 0.0, 1.0, tol=tol), scale, m)
+    except ToleranceError as exc:
+        rows = sorted({r % m for r in exc.rows})
+        message = str(exc).replace(_rows_where(list(exc.rows), 2 * m),
+                                   _rows_where(rows, m))
+        raise ToleranceError(message, _join_halves(exc.result, scale, m),
+                             layer=exc.layer, levels=exc.levels,
+                             evaluations=exc.evaluations, budget=exc.budget,
+                             rows=tuple(rows)) from None
 
 
-def _check_spec(p, q, flavor, exponent, tol):
-    """DomainError for the first fault of one power_moments spec: its
-    flavor, p and q, its exponents' shape and range, then the mass of each
-    singular endpoint factor beyond the outermost node."""
-    if flavor not in ("sin", "cos"):
-        raise DomainError(f"flavor must be 'sin' or 'cos', got {flavor!r}")
-    check_pq(p, q)
-    exps = np.asarray(exponent, dtype=float)
-    least = -1.0 if flavor == "sin" else 1.0 - p
-    # written so that NaN fails the test
-    if exps.ndim > 1 or not ((exps > least) & (exps < math.inf)).all():
-        raise DomainError(
-            f"{flavor} moment exponents must be finite and > {least:g}, "
-            f"given as a number or a 1-D sequence; got {exponent!r}")
-    # s^e at s = 0 and tail^(-1/p) at s = 1 ("sin"), or tail^((e-1)/p) at
-    # s = 1 ("cos"); none for a spec without exponents
-    lo = min(exps.reshape(-1).tolist(), default=math.inf)
-    edge = [lo, -1.0 / p] if flavor == "sin" else [(lo - 1.0) / p]
-    for k in edge if lo < math.inf else []:
-        _check_edge_mass(k, 1.0, tol,
-                         f"power_moments p={p:g} q={q:g} flavor={flavor}")
-
-
-def _name_spec(exc, specs, sizes):
-    """exc, a ToleranceError of power_moments, naming the first failing
-    spec and that spec's failing rows counted within the spec."""
-    starts = np.cumsum([0] + sizes)
-    k = int(np.searchsorted(starts, exc.rows[0], side="right")) - 1
-    p, q, flavor, _ = specs[k]
-    own = [r - int(starts[k]) for r in exc.rows if starts[k] <= r < starts[k + 1]]
-    where = f" for p={p:g} q={q:g} flavor={flavor}" + _rows_where(own, sizes[k])
-    message = str(exc).replace(_rows_where(list(exc.rows), int(starts[-1])),
-                               where)
-    return ToleranceError(message, exc.result, layer=exc.layer,
-                          levels=exc.levels, evaluations=exc.evaluations,
-                          budget=exc.budget, rows=exc.rows)
+def _join_halves(res, scale, m):
+    """beta_integrals' result from integrate's on its 2m half-rows."""
+    value, err = scale * res.value, scale * res.err_estimate
+    return QuadResult(value[:m] + value[m:], err[:m] + err[m:], res.evaluations)

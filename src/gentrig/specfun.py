@@ -161,20 +161,19 @@ def _lgamma_diff(z: float, e: float) -> float:
     """(ln|Gamma(z + e)| - ln|Gamma(z)|) / e, continued by psi(z) at e = 0.
 
     Both arguments are shifted up to _stirling_diff's range with Gamma(z + 1)
-    = z Gamma(z), each shift j adding ln(1 + t) / e, t = e / (z + j), as
-    ln((z + j + e) / (z + j)), whose numerator is exact, where t < -1/2.
-    Needs no pole between z and z + e.  Within ~1.3e-15 of mpmath relative to
-    max(1, |value|) for z in [1e-3, 1e6], |e| in [1e-12, 3]; ~2 us plus
-    ~0.45 us a shift (at most 10)."""
+    = z Gamma(z), each shift j adding ln(1 + t) / e, t = e / (z + j).  Needs
+    t >= -1/2 at every shift, as both callers keep it: _gamma_ratio_m1 takes
+    it only where 2|e| is at most the gap from z to its nearest pole, so
+    |t| <= 1/2, and poch_ratio passes z, e > 0 (below -1/2 the log1p of a
+    rounded t would lose digits as z + e nears the pole at 0).  Within
+    ~1.3e-15 of mpmath relative to max(1, |value|) for z in [1e-3, 1e6], |e|
+    in [1e-12, 3] on that domain; ~2 us plus ~0.45 us a shift (at most 10)."""
     total = 0.0
     shifts = max(0, math.ceil(_STIRLING_MIN - min(z, z + e)))
     for j in range(shifts):  # _log1p_ratio(t) / zj, inlined
         zj = z + j
         t = e / zj
-        if t < -0.5:
-            total -= math.log((zj + e) / zj) / e
-        else:
-            total -= (math.log1p(t) / t if t else 1.0) / zj
+        total -= (math.log1p(t) / t if t else 1.0) / zj
     return _stirling_diff(z + shifts, e, total)
 
 

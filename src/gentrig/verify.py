@@ -41,23 +41,27 @@ def _suite_appendix(grid):
 
 
 def _suite_wallis(grid):
-    """Every moment of the grid from one oracle pass, which takes a spec
-    per pair and flavor with its exponents n first; the cases list a
-    pair's moments n first, the sine's before the cosine's."""
-    ns = (0, 1, 3)
-    specs, rows = [], []
-    for k, (p, q) in enumerate([(p, q) for p in grid for q in grid]):
-        pair = gtf.ParamPair(p, q)
-        for f, (flavor, base, rs, func) in enumerate((
-                ("sin", q, (q - 1.0, 0.5 * (q - 1.0), -0.5), integrals.wallis_sin),
-                ("cos", p, (1.0, 0.5 * (3.0 - p)), integrals.wallis_cos))):
-            specs.append((p, q, flavor, [base * n + r for n in ns for r in rs]))
-            rows += [((k, n, f, j), f"wallis_{flavor} p={p} q={q} n={n} r={r:g}",
-                      func(integrals.WallisQuery(pair, n, r)))
-                     for n in ns for j, r in enumerate(rs)]
-    moments = quadrature.power_moments(specs).value
+    """Every moment of the grid from one oracle pass.  With u = s^q, the
+    sine moment int_0^{pi_pq/2} sin_pq^e is (1/q) B((e + 1)/q, 1/p*) and
+    the cosine moment (1/q) B(1/q, (e - 1)/p + 1); the closed forms take
+    Pochhammer ratios, the oracle no Gamma or Beta function."""
+    cases, rows = [], []
+    for p in grid:
+        for q in grid:
+            pair = gtf.ParamPair(p, q)
+            for n in (0, 1, 3):
+                for r in (q - 1.0, 0.5 * (q - 1.0), -0.5):
+                    cases.append((f"wallis_sin p={p} q={q} n={n} r={r:g}",
+                                  integrals.wallis_sin(integrals.WallisQuery(pair, n, r))))
+                    rows.append(((q * n + r + 1.0) / q, (p - 1.0) / p, q))
+                for r in (1.0, 0.5 * (3.0 - p)):
+                    cases.append((f"wallis_cos p={p} q={q} n={n} r={r:g}",
+                                  integrals.wallis_cos(integrals.WallisQuery(pair, n, r))))
+                    rows.append((1.0 / q, (p * n + r - 1.0) / p + 1.0, q))
+    a, b, qs = np.array(rows).T
+    moments = quadrature.beta_integrals(a, b).value / qs
     return [(case, abs(value - moment), 1e-7)
-            for (_, case, value), moment in sorted(zip(rows, moments), key=lambda t: t[0][0])]
+            for (case, value), moment in zip(cases, moments)]
 
 
 def _suite_product(_grid):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from test_gtf import multiple_angle_residual
+from test_quadrature import one_spec
 
 from gentrig import bvp, gtf, integrals, quadrature
 from gentrig.gtf import ParamPair
@@ -74,8 +75,7 @@ def test_04_lemniscate_wallis():
     worst = 0.0
     # the two classical residue classes at (2,2) ...
     cases = [(n, r) for n in range(6) for r in (0.0, 1.0)]
-    oracles = quadrature.power_moments(
-        [(2.0, 2.0, "sin", [2.0 * n + r for n, r in cases])], tol=1e-9).value
+    oracles = one_spec(2.0, 2.0, "sin", [2.0 * n + r for n, r in cases], tol=1e-9)
     for (n, r), oracle in zip(cases, oracles):
         if n == 0 and r == 0.0:
             closed = math.pi / 2.0
@@ -86,8 +86,8 @@ def test_04_lemniscate_wallis():
         worst = max(worst, abs(closed - oracle))
     # ... and the four lemniscate classes at (2,4)
     cases = [(n, residue) for n in range(6) for residue in range(4)]
-    oracles = quadrature.power_moments(
-        [(2.0, 4.0, "sin", [4.0 * n + residue for n, residue in cases])], tol=1e-9).value
+    oracles = one_spec(2.0, 4.0, "sin", [4.0 * n + residue for n, residue in cases],
+                       tol=1e-9)
     for (n, residue), oracle in zip(cases, oracles):
         closed = integrals.lemniscate_wallis(n, residue)
         worst = max(worst, abs(closed - oracle))
@@ -112,8 +112,7 @@ def test_05_general_wallis_grid():
                  integrals.wallis_cos),
             ):
                 cases = [(n, r) for n in range(5) for r in rs]
-                oracles = quadrature.power_moments(
-                    [(p, q, flavor, [base * n + r for n, r in cases])], tol=1e-9).value
+                oracles = one_spec(p, q, flavor, [base * n + r for n, r in cases], tol=1e-9)
                 for (n, r), oracle in zip(cases, oracles):
                     closed = func(WallisQuery(pair, n=n, r=r))
                     worst = max(worst, abs(closed - oracle))

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import mpmath as mp
@@ -221,76 +222,107 @@ class TestBatch:
         assert exc.result.evaluations > exc.evaluations
 
 
+def beta(a, b, tol=1e-10):
+    """B(a, b) from a lone beta_integrals row."""
+    return quadrature.beta_integrals([a], [b], tol).value[0]
+
+
+def mp_beta(a, b):
+    """B(a, b) at the given doubles, to 40 digits."""
+    with mp.workdps(40):
+        return mp.beta(mp.mpf(float(a)), mp.mpf(float(b)))
+
+
 class TestSingularBeta:
+    """beta_integrals where an endpoint factor of t^(a-1) (1-t)^(b-1) is
+    singular, against closed forms."""
+
     def test_full_uniform(self):
-        assert quadrature.integrate_singular_beta(1.0, 1.0, 1.0).value == pytest.approx(
-            1.0, abs=1e-13
-        )
+        assert beta(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_arcsine_density(self):
-        res = quadrature.integrate_singular_beta(0.5, 0.5, 1.0)
-        assert abs(res.value - math.pi) <= 1e-11
+        assert abs(beta(0.5, 0.5) - math.pi) <= 4e-15
 
     def test_lemniscate_beta(self):
         # B(5/4, 1/2) = 2*varpi/3
-        res = quadrature.integrate_singular_beta(1.25, 0.5, 1.0)
-        assert abs(res.value - 2.0 * 2.622057554292119 / 3.0) <= 1e-12
-
-    def test_partial_upper(self):
-        # t^0 integrand: plain length
-        res = quadrature.integrate_singular_beta(1.0, 1.0, 0.3)
-        assert abs(res.value - 0.3) <= 1e-13
+        assert abs(beta(1.25, 0.5) - 2.0 * 2.622057554292119 / 3.0) <= 4e-15
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            quadrature.integrate_singular_beta(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            quadrature.integrate_singular_beta(1.0, 1.0, 1.5)
+        for bad in (0.0, -5e-324, -1.0, -math.inf):
+            for a, b in (([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, bad])):
+                with pytest.raises(DomainError):
+                    quadrature.beta_integrals(a, b)
+        with pytest.raises(DomainError):  # arrays of two lengths
+            quadrature.beta_integrals([1.0, 2.0], [1.0])
+        with pytest.raises(DomainError):  # not 1-D
+            quadrature.beta_integrals(1.0, 1.0)
 
     @pytest.mark.parametrize(
-        "a_exp,b_exp,upper",
+        "a0,b0,a1",
         [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
          (math.inf, 0.5, 0.5), (0.5, math.inf, 1.0)],
     )
-    def test_nan_and_inf_rejected(self, a_exp, b_exp, upper):
+    def test_nan_and_inf_rejected(self, a0, b0, a1):
+        # in either row of a batch of two: (a0, b0) and (a1, 1/2)
         with pytest.raises(DomainError):
-            quadrature.integrate_singular_beta(a_exp, b_exp, upper)
+            quadrature.beta_integrals([a0, a1], [b0, 0.5])
+
+
+def wallis_rows(p, q, flavor, exponents):
+    """beta_integrals' rows (a, b) for the half-period moments
+    int_0^{pi_pq/2} sin_pq^e dt ("sin") or cos_pq^e dt ("cos"), one row an
+    exponent, given as a number or a sequence; each moment is its row's
+    B(a, b) / q.  With u = s^q these are B((e + 1)/q, 1/p*) and B(1/q,
+    (e - 1)/p + 1), the rows verify's wallis suite takes."""
+    e = np.atleast_1d(np.asarray(exponents, dtype=float))
+    if flavor == "sin":
+        return (e + 1.0) / q, np.full(e.shape, (p - 1.0) / p)
+    assert flavor == "cos"
+    return np.full(e.shape, 1.0 / q), (e - 1.0) / p + 1.0
 
 
 def one_spec(p, q, flavor, exponents, tol=1e-10):
-    """The moments of one power_moments spec: an array, one row an exponent."""
-    return quadrature.power_moments([(p, q, flavor, exponents)], tol).value
+    """The moments of one spec (p, q, flavor, exponents): an array, one row
+    an exponent."""
+    return quadrature.beta_integrals(*wallis_rows(p, q, flavor, exponents), tol).value / q
+
+
+def spec_batch(specs, tol=1e-10):
+    """The rows of every spec, spec after spec, in one beta_integrals call:
+    its QuadResult, whose values are beta integrals, not yet moments."""
+    rows = [wallis_rows(*spec) for spec in specs]
+    a, b = (np.concatenate([np.empty(0)] + [row[k] for row in rows]) for k in (0, 1))
+    return quadrature.beta_integrals(a, b, tol)
 
 
 class TestPowerMoment:
+    """The Wallis moments of one (p, q, flavor) as beta_integrals rows."""
+
     def test_classical_moments(self):
         # int_0^(pi/2) sin^2 = pi/4 and int_0^(pi/2) cos^3 = 2/3
         assert one_spec(2.0, 2.0, "sin", 2.0)[0] == pytest.approx(
-            math.pi / 4.0, abs=1e-12)
+            math.pi / 4.0, abs=1e-15)
         assert one_spec(2.0, 2.0, "cos", 3.0)[0] == pytest.approx(
-            2.0 / 3.0, abs=1e-12)
+            2.0 / 3.0, abs=1e-15)
 
     def test_half_period_length(self):
         # the zeroth moment is pi_pq/2 = (1/q) B(1/p*, 1/q); p = 3, q = 1.5
         expected = math.gamma(2.0 / 3.0) ** 2 / math.gamma(4.0 / 3.0) / 1.5
         for flavor in ("sin", "cos"):
             got = one_spec(3.0, 1.5, flavor, 0.0)[0]
-            assert got == pytest.approx(expected, rel=1e-10)
-
-    def test_unknown_flavor(self):
-        with pytest.raises(DomainError):
-            one_spec(2.0, 2.0, "tan", 1.0)
+            assert got == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize(
         "p,q,exponent,flavor",
         [(0.5, 2.0, 1.0, "sin"), (math.nan, 2.0, 1.0, "sin"),
-         (2.0, math.nan, 1.0, "cos"), (2.0, 1.0, 1.0, "sin"),
+         (2.0, math.nan, 1.0, "cos"), (2.0, -1.0, 1.0, "sin"),
          (2.0, 2.0, -1.0, "sin"), (2.0, 2.0, math.nan, "sin"),
          (2.0, 2.0, math.inf, "sin"), (3.0, 2.0, -2.0, "cos"),
          (3.0, 2.0, math.nan, "cos"), (2.0, 2.0, [1.0, -1.5, 2.0], "sin"),
          (2.0, 2.0, [1.0, math.nan], "cos"), (2.0, 2.0, [[1.0, 2.0]], "sin")],
     )
     def test_outside_convergence_range(self, p, q, exponent, flavor):
+        # a row with a or b outside (0, inf), or rows that are not 1-D
         with pytest.raises(DomainError):
             one_spec(p, q, flavor, exponent)
 
@@ -299,7 +331,7 @@ class TestPowerMoment:
         for flavor in ("sin", "cos"):
             got = one_spec(2.0, 2.0, flavor, -0.5)[0]
             expected = math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75) / 2.0
-            assert got == pytest.approx(expected, rel=1e-9)
+            assert got == pytest.approx(expected, rel=1e-14)
 
     def test_scalar_and_batch_types(self):
         # an exponent given as a number is one row, as in a sequence
@@ -327,8 +359,8 @@ class TestPowerMoment:
             assert batch.tolist() == scalar
 
     def test_batch_with_fast_power_exponents(self, monkeypatch):
-        # exponents numpy raises by special cases (square, sqrt, reciprocal,
-        # copy), next to rows that converge at other levels
+        # exponents whose a or b numpy's power would special-case (1/a = 2,
+        # 1/2 or 1), next to rows that converge at other levels
         exps = [2.0, 0.5, 1.0, 0.0, -0.5, 7.25, 3.0, 15.0]
         results = []
         integrate = quadrature.integrate
@@ -444,58 +476,61 @@ def _grid_specs(grid, extra):
 
 
 class TestPowerMoments:
+    """The Wallis moments of many (p, q, flavor) specs in one batch."""
+
     def test_grid_equals_pair_and_scalar_calls(self):
         specs = _grid_specs(verify.GRIDS["full"], [2.0, 0.5, -1.0, 1.0, 0.0, -0.5])
-        res = quadrature.power_moments(specs)
+        res = spec_batch(specs)
+        moments = res.value / np.concatenate([np.full(len(exps), q) for _, q, _, exps in specs])
         pairs = [one_spec(p, q, flavor, exps)
                  for p, q, flavor, exps in specs]
-        assert res.value.tolist() == np.concatenate(pairs).tolist()
+        assert moments.tolist() == np.concatenate(pairs).tolist()
         assert res.value.shape == res.err_estimate.shape
         scalar = [one_spec(p, q, flavor, e)[0]
                   for p, q, flavor, exps in specs for e in exps]
-        assert res.value.tolist() == scalar
-        # rows whose base exponent numpy's power special-cases occur in
-        # both flavors: e for the sine, (e - 1)/p for the cosine
-        assert {0.5, 2.0} <= {e for _, _, flavor, exps in specs
-                              for e in exps if flavor == "sin"}
-        assert 0.5 in {(e - 1.0) / p for p, _, flavor, exps in specs
-                       for e in exps if flavor == "cos"}
+        assert moments.tolist() == scalar
+        # rows whose a or b is one of numpy's special-cased exponents
+        rows = np.concatenate([wallis_rows(*spec) for spec in specs], axis=1)
+        assert {0.5, 1.0, 2.0} <= set(rows.reshape(-1).tolist())
 
     def test_verify_grid_has_375_rows(self):
         specs = _grid_specs(verify.GRIDS["full"], [])
-        assert quadrature.power_moments(specs).value.shape == (375,)
+        assert spec_batch(specs).value.shape == (375,)
 
     def test_empty_and_scalar_specs(self):
-        res = quadrature.power_moments([(2.0, 3.0, "sin", []),
-                                        (2.0, 3.0, "cos", 1.5)])
-        assert res.value.tolist() == one_spec(2.0, 3.0, "cos", 1.5).tolist()
-        assert quadrature.power_moments([]).value.shape == (0,)
+        res = spec_batch([(2.0, 3.0, "sin", []), (2.0, 3.0, "cos", 1.5)])
+        assert (res.value / 3.0).tolist() == one_spec(2.0, 3.0, "cos", 1.5).tolist()
+        empty = spec_batch([])
+        assert empty.value.shape == empty.err_estimate.shape == (0,)
+        assert empty.evaluations == 0
 
-    @pytest.mark.parametrize("spec", [(2.0, 2.0, "tan", [1.0]),
+    @pytest.mark.parametrize("spec", [(2.0, 2.0, "cos", [-1.0]),
                                       (0.5, 2.0, "sin", [1.0]),
                                       (2.0, 2.0, "sin", [1.0, -1.0]),
-                                      (3.0, 2.0, "cos", [[1.0]])])
+                                      (3.0, 2.0, "cos", [math.inf])])
     def test_any_bad_spec_rejected(self, spec):
         with pytest.raises(DomainError):
-            quadrature.power_moments([(2.0, 2.0, "sin", [1.0]), spec])
+            spec_batch([(2.0, 2.0, "sin", [1.0]), spec])
 
-    def test_failure_names_the_spec(self, monkeypatch):
+    def test_failure_names_the_callers_rows(self, monkeypatch):
+        # two levels certify nothing: every row fails, named among the
+        # caller's five rows, not integrate's ten half-rows
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", 1)
         specs = [(2.0, 2.0, "sin", [1.0, 2.0]), (3.0, 1.5, "cos", [1.0, 2.0, 4.0])]
         with pytest.raises(ToleranceError) as err:
-            quadrature.power_moments(specs)
+            spec_batch(specs)
         exc = err.value
         assert exc.rows == (0, 1, 2, 3, 4)
         assert exc.levels == 2 and exc.layer == "quadrature"
-        assert "not met for p=2 q=2 flavor=sin in rows [0, 1] of 2 after 2 levels" in str(exc)
-        assert exc.result.value.shape == (5,)
+        assert "not met in rows [0, 1, 2, 3, 4] of 5 after 2 levels" in str(exc)
+        assert exc.result.value.shape == exc.result.err_estimate.shape == (5,)
 
 
 def _assert_rows_equal_spec_calls(specs, tol=1e-10):
-    """power_moments(specs) equals each spec's own call bit for bit: values,
-    error estimates and, summed, evaluations."""
-    res = quadrature.power_moments(specs, tol)
-    alone = [quadrature.power_moments([spec], tol) for spec in specs]
+    """The rows of specs in one batch equal each spec's own call bit for
+    bit: values, error estimates and, summed, evaluations."""
+    res = spec_batch(specs, tol)
+    alone = [spec_batch([spec], tol) for spec in specs]
     assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
     assert res.err_estimate.tobytes() == np.concatenate(
         [r.err_estimate for r in alone]).tobytes()
@@ -503,28 +538,26 @@ def _assert_rows_equal_spec_calls(specs, tol=1e-10):
 
 
 class TestPerBatchTables:
-    """power_moments groups its rows once per batch into distinct (base,
-    exponent) powers; no row's value may depend on what it shares."""
+    """beta_integrals groups its half-rows by their distinct a once per
+    level; no row's value may depend on what it shares."""
 
     def test_repeated_spec(self):
         _assert_rows_equal_spec_calls([(2.0, 3.0, "sin", [1.5, 2.0, -0.5, 7.25])] * 4)
 
     def test_shared_powers_across_p(self):
-        # the cosine rows share the power tail(q = 3)^0.75, the sine rows
-        # the powers s^1.5 and s^7.25, each at every p; their factors
-        # tail^(-1/p) differ
+        # the cosine rows share a = 1/3, the sine rows a = 2.5/3 and
+        # 8.25/3, each at every p; their b differ
         specs = [(p, 3.0, "cos", [1.0 + 0.75 * p, 2.0]) for p in (1.5, 2.0, 4.0)]
         specs += [(p, 3.0, "sin", [1.5, 7.25]) for p in (1.5, 2.5, 4.0)]
         _assert_rows_equal_spec_calls(specs)
         _assert_rows_equal_spec_calls(specs[::-1], tol=1e-12)
 
     def test_fast_powers_across_q(self):
-        # e = 2 and 1/2 for the sine, (e - 1)/p = 2 and 1/2 for the cosine:
-        # numpy's special cases, next to rows that converge at other levels
+        # a or b = 2, 1/2 and 1 among rows that converge at other levels
         specs = []
         for q in (1.5, 2.0, 4.0):
             for p in (2.0, 3.0):
-                specs.append((p, q, "sin", [2.0, 0.5, 3.0, -0.5, 2.0]))
+                specs.append((p, q, "sin", [2.0, 0.5, 3.0, -0.5, 2.0, q - 1.0]))
                 specs.append((p, q, "cos", [1.0 + 2.0 * p, 1.0 + 0.5 * p, 1.0, 5.5]))
         _assert_rows_equal_spec_calls(specs)
         _assert_rows_equal_spec_calls(specs, tol=1e-13)
@@ -535,73 +568,104 @@ class TestPerBatchTables:
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
         specs = _grid_specs(verify.GRIDS["small"], [2.0, 0.5])
         with pytest.raises(ToleranceError) as err:
-            quadrature.power_moments(specs)
+            spec_batch(specs)
         exc = err.value
-        sizes = [len(exps) for *_, exps in specs]
-        starts = np.cumsum([0] + sizes)
-        k = int(np.searchsorted(starts, exc.rows[0], side="right")) - 1
-        own = [r - int(starts[k]) for r in exc.rows if starts[k] <= r < starts[k + 1]]
-        p, q, flavor, _ = specs[k]
-        assert f"for p={p:g} q={q:g} flavor={flavor} in rows {own} of {sizes[k]} " in str(exc)
-        assert 0 < len(exc.rows) < sum(sizes)
+        total = sum(len(exps) for *_, exps in specs)
+        assert f"in rows {list(exc.rows)} of {total} " in str(exc)
+        assert 0 < len(exc.rows) < total
         # every row's best estimate, failed or not, is its own call's
         best = []
         for spec in specs:
             try:
-                best.append(quadrature.power_moments([spec]).value)
+                best.append(spec_batch([spec]).value)
             except ToleranceError as alone:
                 best.append(alone.result.value)
         assert exc.result.value.tobytes() == np.concatenate(best).tobytes()
 
 
 class TestEndpointMass:
-    """The mass of an endpoint factor u^k beyond the outermost node (about
-    1e-275 from the endpoint on [0, 1]) is the share c^(k+1) of its mass;
-    more than tol of it is refused rather than silently left out."""
+    """The substitution t = tau^(1/a)/2 leaves no mass of a singular endpoint
+    factor beyond the outermost node (about 1e-275 from the endpoint on
+    [0, 1]): the exponents the untransformed integrand had to refuse, a
+    or b near 0, are as accurate as any other."""
 
     @staticmethod
-    def mp_sin_moment(e):
-        # int_0^(pi/2) sin^e = B((e+1)/2, 1/2)/2 at p = q = 2
-        with mp.workdps(30):
-            return float(mp.beta((mp.mpf(e) + 1) / 2, mp.mpf(0.5)) / 2)
+    def rel_error(p, q, flavor, e):
+        a, b = wallis_rows(p, q, flavor, e)
+        exact = mp_beta(a[0], b[0]) / q
+        return float(abs(one_spec(p, q, flavor, e)[0] - exact) / exact)
 
     def test_near_the_edge_accepted(self):
-        ref = self.mp_sin_moment(-0.95)
-        assert abs(one_spec(2.0, 2.0, "sin", -0.95)[0] - ref) <= 1e-14 * ref
+        assert self.rel_error(2.0, 2.0, "sin", -0.95) <= 1e-14
 
     @pytest.mark.parametrize("p,e,flavor", [(2.0, -0.97, "sin"), (2.0, -0.94, "cos"),
                                             (1.03, 1.0, "sin")])
-    def test_beyond_the_edge_refused(self, p, e, flavor):
-        # at -0.97 the result was 5.3e-9 low (relative) with no error
-        with pytest.raises(DomainError, match="^power_moments p=.* beyond the outermost node"):
-            one_spec(p, 2.0, flavor, e)
-
-    def test_narrow_singular_beta_refused(self):
-        # was 3.4e-11 low (relative) against tol 1e-12
-        with pytest.raises(DomainError, match="beyond the outermost node"):
-            quadrature.integrate_singular_beta(0.5, 0.5, 1e-280)
-
-    def test_less_narrow_singular_beta_accepted(self):
-        with mp.workdps(30):
-            ref = float(2 * mp.asin(mp.sqrt(mp.mpf(1e-200))))
-        res = quadrature.integrate_singular_beta(0.5, 0.5, 1e-200)
-        assert abs(res.value - ref) <= 1e-12 * ref
+    def test_beyond_the_old_edge_accepted(self, p, e, flavor):
+        # each was refused; at -0.97 the untransformed integrand read 5.3e-9
+        # low (relative) with no error
+        assert self.rel_error(p, 2.0, flavor, e) <= 1e-14
 
     def test_verify_exponents_untouched(self):
         # the verify suite's least exponents are -0.5 (sin) and, at p = 4,
-        # (1 - p)/2 (cos): far from the edge
+        # (1 - p)/2 (cos)
         for p in verify.GRIDS["full"]:
-            one_spec(p, 2.0, "sin", -0.5)
-            one_spec(p, 2.0, "cos", 0.5 * (3.0 - p))
+            assert self.rel_error(p, 2.0, "sin", -0.5) <= 1e-14
+            assert self.rel_error(p, 2.0, "cos", 0.5 * (3.0 - p)) <= 1e-14
+
+
+class TestBetaIntegrals:
+    @pytest.mark.parametrize("a,b", [(1e-3, 1e-3), (1e-3, 1.0), (1e-3, 50.0),
+                                     (1e-6, 0.5), (30.0, 0.01), (0.5, 1000.0)])
+    def test_against_mpmath(self, a, b):
+        exact = mp_beta(a, b)
+        assert float(abs(beta(a, b) - exact) / exact) <= 1e-14
+
+    def test_rows_equal_lone_calls(self):
+        # 1/a in {2, 1/2, 1} among random rows, as a and as b; numpy's power
+        # would make the row (1/2, 3.7) differ from its lone call
+        rng = np.random.default_rng(7)
+        fixed = [(0.5, 2.0), (2.0, 0.5), (1.0, 0.5), (0.5, 0.5), (2.0, 2.0), (0.5, 3.7),
+                 (3.7, 0.5), (2.0, 0.3)]
+        a, b = (np.concatenate((row, 10.0 ** rng.uniform(-3.0, 2.0, 40))) for row in zip(*fixed))
+        for tol in (1e-10, 1e-13):
+            res = quadrature.beta_integrals(a, b, tol)
+            alone = [quadrature.beta_integrals([x], [y], tol) for x, y in zip(a, b)]
+            assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
+            assert res.err_estimate.tobytes() == np.concatenate(
+                [r.err_estimate for r in alone]).tobytes()
+            assert res.evaluations == sum(r.evaluations for r in alone)
+
+    def test_wallis_suite_on_the_extreme_grid(self, monkeypatch):
+        results = []
+        beta_integrals = quadrature.beta_integrals
+
+        def spy(*args, **kwargs):
+            results.append(beta_integrals(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(quadrature, "beta_integrals", spy)
+        cases = verify.run("wallis", [1.01, 1.5, 30.0, 1000.0])
+        assert len(cases) == 240
+        assert all(residual <= tol for _, residual, tol in cases)
+        # the estimates of B(a, b), at least q times those of the moments
+        (res,) = results
+        assert res.err_estimate.max() <= min(tol for *_, tol in cases)
 
 
 def test_oracle_independence():
-    # the oracle must not import the modules it is used to check
+    # the oracle must not import the modules it is used to check, nor
+    # specfun or scipy, whose Gamma and Beta functions those modules use
     import gentrig.quadrature as q
 
-    src = open(q.__file__).read()
-    for banned in ("from .gtf", "from .integrals", "from .bvp",
-                   "from . import gtf", "from . import integrals",
-                   "from . import bvp", "import gentrig.gtf",
-                   "import gentrig.integrals", "import gentrig.bvp"):
-        assert banned not in src
+    tree = ast.parse(open(q.__file__).read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+            imported.add(node.module or "")
+    for name in imported:
+        parts = set(name.split("."))
+        assert not parts & {"gtf", "integrals", "bvp", "specfun", "verify", "cli", "scipy"}, name
+    assert {"numpy", "errors"} <= {part for name in imported for part in name.split(".")}
