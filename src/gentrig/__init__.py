@@ -24,7 +24,7 @@ Library layout:
 """
 
 from . import bvp, gtf, integrals, quadrature, specfun
-from .errors import ConvergenceError, DomainError, ToleranceError
+from .errors import DomainError, ToleranceError
 from .gtf import (
     ParamPair,
     asin_pq,
@@ -40,7 +40,6 @@ from .quadrature import QuadResult, integrate
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "DomainError",
     "ParamPair",
     "QuadResult",

@@ -149,7 +149,10 @@ def solve_pq_equal(p: float) -> BvpSolution:
     call (gtf's lane for several pairs), each value equal bit for bit to its
     own p's solution in scipy's ufunc lane.
     """
-    pi_val = 2.0 * _records(2.0, p)[0]  # pi_pq(2, p) bit for bit, after check_pq(2, p)
+    try:
+        pi_val = 2.0 * _records(2.0, p)[0]  # pi_pq(2, p) bit for bit, after check_pq(2, p)
+    except TypeError:  # a 0-d p: no cache hashes an array
+        return solve_pq_equal(float(p))
     amp = 1.0 / (p * pi_val)
 
     def u(x):

@@ -1,4 +1,9 @@
-"""Exception types and domain checks shared across the package."""
+"""Exception types and domain checks shared across the package.
+
+Two exceptions: DomainError for an argument outside a function's domain,
+and ToleranceError, the quadrature oracle's failure to certify a
+tolerance.  No other loop of the package gives up on a budget: hyp2f1's
+series stop within term counts proved for its box (specfun)."""
 
 from __future__ import annotations
 
@@ -7,20 +12,6 @@ import math
 
 class DomainError(ValueError):
     """An argument lies outside the domain of the requested operation."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative evaluation failed to meet its accuracy target.
-
-    ``layer`` names the function that gave up, ``terms`` the number of
-    terms (or steps) it used and ``budget`` the number it was allowed.
-    """
-
-    def __init__(self, message, *, layer=None, terms=None, budget=None):
-        super().__init__(message)
-        self.layer = layer
-        self.terms = terms
-        self.budget = budget
 
 
 class ToleranceError(RuntimeError):

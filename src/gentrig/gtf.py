@@ -48,7 +48,10 @@ with the pair is numpy's pow at every point, except at the exponents -1,
 when given as a float: those points are raised to a float exponent (_power;
 _FAST_POWERS holds the three).  So each point equals its own pair's call in
 scipy's ufunc lane (an array of fewer than specfun.INV_FIT_MIN points) bit
-for bit.  asin_pq and pi_pq take one pair.
+for bit.  asin_pq and pi_pq take one pair.  A 0-d p or q is a point, as a
+0-d x is: _pair's cache hashes no array, and each entry point retries with
+its float in the TypeError arm of its lookup, so the float lane does no
+work for it and returns its float call's bits.
 
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
@@ -275,7 +278,10 @@ def _cos_power(p: float, q: float, c, yc):
 
 def asin_pq(p: float, q: float, x):
     """Inverse generalized sine on [0, 1], via the incomplete beta form."""
-    _, a, b, _, _, _, _, B = _pair(p, q)
+    try:
+        _, a, b, _, _, _, _, B = _pair(p, q)
+    except TypeError:  # a 0-d p or q: no cache hashes an array
+        return asin_pq(float(p), float(q), x)
     if isinstance(x, (float, int)):  # the float lane: _as_unit's test inline
         x = float(x)
         if not -_REL_SLACK <= x <= 1.0 + _REL_SLACK:
@@ -360,9 +366,9 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_p
     try:
         rec = _pair(p, q)
     except TypeError:  # no cache hashes an array
-        if not _several(p, q):
-            raise
-        return _sincos_arrays(p, _per_pair(_pair, p, q), x, tails, what)
+        if _several(p, q):
+            return _sincos_arrays(p, _per_pair(_pair, p, q), x, tails, what)
+        return _sincos_tail(float(p), float(q), x, tails, what)  # a 0-d p or q
     if not isinstance(x, (float, int)):
         x = np.asarray(x, dtype=float)
         if x.ndim:
@@ -458,7 +464,10 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         halfpi, ps, qs, halfpi_c = _per_pair(_reflected, p, q)
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     else:
-        halfpi, ps, qs, halfpi_c = _reflected(p, q)
+        try:
+            halfpi, ps, qs, halfpi_c = _reflected(p, q)
+        except TypeError:  # a 0-d p or q: no cache hashes an array
+            return sin_symmetry_appendix(float(p), float(q), x01)
     if isinstance(x01, (float, int)) and not several:
         xx = float(x01)
         ok = 0.0 <= xx <= 1.0
@@ -486,7 +495,10 @@ def extend_sin_symmetric(p: float, x):
     An array p that broadcasts against x takes the lane for several pairs:
     one sin_pq call, each point equal bit for bit to its own p's call in
     scipy's ufunc lane."""
-    full = 2.0 * _records(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
+    try:
+        full = 2.0 * _records(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
+    except TypeError:  # a 0-d p: no cache hashes an array
+        return extend_sin_symmetric(float(p), x)
     xx = _as_unit(x, full, "extend_sin_symmetric")
     folded = min(xx, full - xx) if isinstance(xx, float) else np.minimum(xx, full - xx)
     return sin_pq(2.0, p, folded)

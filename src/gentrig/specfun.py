@@ -35,14 +35,18 @@ us at x = 0.7 and 15 us at x = 0.99; the logarithmic (near-integer) form at
 (1/2, 1/2, 1), K's, 58 us at x = 0.7 and 33 us at x = 0.99.  Every power
 series of F, in x or in y, is summed by one loop, _series, which tests its
 tail after every term; most terms settle that test with one inline product
-(_tail_certified).  A primitive's _beta_integral is one beta and one or two
-Boost calls, a few us at any exponent.
+(_tail_certified).  No loop keeps a term budget: in the box each stops on
+its certified tail within a term count proved in its docstring (at most 57,
+in _series and in the logarithmic sum of _connection_near_integer), so no
+loop of hyp2f1 raises.  A primitive's _beta_integral is one beta and one or
+two Boost calls, a few us at any exponent.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import sys
 
@@ -50,12 +54,11 @@ import numpy as np
 import scipy.special as sc
 from scipy.special import cython_special as _cs
 
-from .errors import ConvergenceError, DomainError, check_order
+from .errors import DomainError, check_order
 
 # a series stops once its certified tail is below this fraction of the sum
 # of the magnitudes of its terms, the scale of its own rounding error
 HYP2F1_TAIL_TOL = 2.0**-53
-HYP2F1_MAX_TERMS = 300
 # within this distance of an integer m, c - a - b takes the regularized
 # connection formula; beyond it the plain one loses at most a factor
 # ~1/HYP2F1_REG_EPS to the cancellation of its two Gamma poles
@@ -853,14 +856,6 @@ def _solve(fit, a: float, b: float, lnb: float, arg, own, own_sum, band_arg, ban
             other[band] = complement[k:]
 
 
-def _budget_spent(what: str, a, b, c, x):
-    return ConvergenceError(
-        f"hyp2f1: {what} at argument {x} spent its budget of "
-        f"{HYP2F1_MAX_TERMS} terms (a={a}, b={b}, c={c})",
-        layer="specfun.hyp2f1", terms=HYP2F1_MAX_TERMS, budget=HYP2F1_MAX_TERMS,
-    )
-
-
 def _tail_certified(size: float, mag: float, m: float, aa: float, ab: float,
                     ac: float, x: float) -> bool:
     """The ratio test that stops a power series after term m >= |c| + 2 of
@@ -868,8 +863,10 @@ def _tail_certified(size: float, mag: float, m: float, aa: float, ab: float,
     = |a|, |b|, |c|: rho = (m + |a|)(m + |b|) / ((m - |c|)(m + 1)) x bounds
     the next ratios, and the tail size rho / (1 - rho) must be within
     HYP2F1_TAIL_TOL mag.  rho >= m x / (m + 1) >= 2x/3 there, so the test
-    cannot pass unless size x / 2 <= HYP2F1_TAIL_TOL mag, which the loops
-    check first, inline, so that most terms skip this call."""
+    cannot pass unless size x / 2 <= HYP2F1_TAIL_TOL mag, which _series
+    checks first, inline, so that most terms skip this call; the stop is
+    _series' only one, and its docstring bounds the term at which it
+    comes."""
     rho = (m + aa) * (m + ab) / ((m - ac) * (m + 1.0)) * x
     return rho < 1.0 and size * rho / (1.0 - rho) <= HYP2F1_TAIL_TOL * mag
 
@@ -878,12 +875,43 @@ def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
     """head - 1 plus the power series of F(a, b; c; x), x in [0, 1), summed
     with Kahan compensation until _tail_certified (c not a nonpositive
     integer): F itself at head = 1, and at head = 0 F - 1 without the leading
-    1, so that it keeps its relative accuracy however small x is."""
+    1, so that it keeps its relative accuracy however small x is.
+
+    The loop keeps no budget: on every parameter set its callers pass it
+    stops after at most 57 terms.  After term m, of size t_m, the test
+    passes once t_m rho / (1 - rho) <= 2^-53 mag, rho = (m + |a|)(m + |b|) /
+    ((m - |c|)(m + 1)) x, where mag, the sum of the magnitudes, is at least
+    1 at head = 1.  On each caller's set:
+    - hyp2f1's series at x <= 1/2 in its box (0 < a < c < a + 1, |b| < 1):
+      every term ratio (a + j)/(c + j) |b + j|/(j + 1) x is at most x, so
+      t_m <= 2^-m, and rho <= (m + 1) / (2 (m - 2)): the test passes by m =
+      54 (the bound there is 0.56 of its threshold).
+    - _connection's two series in y < 1/2, (a, b; 1 - s) and (c - a, c - b;
+      1 + s), s at least HYP2F1_REG_EPS from an integer: each is (alpha,
+      gamma - delta; gamma) with alpha, delta in (0, 1) (alpha = a, delta =
+      1 - (c - a); alpha = c - a, delta = 1 - a) and gamma = 1 -+ s at least
+      0.1 from an integer.  Its ratio is (alpha + j)/(j + 1) < 1 times
+      |gamma + j - delta| / |gamma + j|, below 1 wherever gamma + j >=
+      delta.  At gamma in [0.1, 0.9] only j = 0 can exceed 1, by less than
+      1/gamma - 1 <= 9; at gamma in [-0.9, -0.1] (the first series only) b
+      = gamma - delta > -1 puts gamma + 1 above delta, so again only j = 0,
+      by 1 + delta/|gamma| < 1/|gamma| <= 10.  So t_m < 10 y^m, and with
+      |c - b|, |1 + s| < 3, rho <= (m + 3) / (2 (m - 3)): the test passes
+      by m = 57 (0.78).
+    - elliott_residual's small side, F - 1 at head = 0 and x <= 1/2, on the
+      same box as hyp2f1's: mag >= t_1 and, by the ratio bound of the first
+      case, t_m <= t_1 x^(m - 1): the test passes by m = 55 (0.56).
+    Each bound is increasing in x and keeps room for an argument a few ulps
+    (or hyp2f1's 1e-9 of comp) above 1/2 and for the relative error, ~m eps,
+    of the computed terms.  NaN and +-inf never reach the loop: hyp2f1's box
+    and elliott_residual's checks reject them first.  Other parameters
+    (tests call it with |a|, |b| above 1) still stop, since at an argument
+    below 1 the terms decay geometrically once m passes |a|, |b| and |c|."""
     aa, ab, ac = abs(a), abs(b), abs(c)
     n_safe = int(math.ceil(max(aa, ab, ac))) + 2  # the test's first term
     term, total, comp, mag = 1.0, head, 0.0, head
     tol, hx = HYP2F1_TAIL_TOL, 0.5 * x
-    for n in range(HYP2F1_MAX_TERMS):
+    for n in itertools.count():
         m = n + 1.0
         term *= (a + n) * (b + n) / ((c + n) * m) * x
         y = term - comp
@@ -895,7 +923,6 @@ def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
         if m >= n_safe and size * hx <= tol * mag and _tail_certified(
                 size, mag, m, aa, ab, ac, x):
             return total
-    raise _budget_spent("series", a, b, c, x)
 
 
 def _connection(a: float, b: float, c: float, s: float, y: float) -> float:
@@ -958,6 +985,32 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     (-y)^m, are plain products: in hyp2f1's box no factor leaves the
     doubles, and (-y)^m underflows only at m = 2 with y below ~1e-154, where
     the head, of size ~1, holds the value to its last bit.
+
+    The sum in y keeps no budget: on every parameter set hyp2f1 passes (m in
+    {0, 1, 2}, |e| <= HYP2F1_REG_EPS, y < 1/2, also after Euler's
+    transformation, where a, b are c - a, c - b) it stops after at most 57
+    terms, E_0 .. E_56.  With A = a + m + k, B = b + m + k and K0 = m! /
+    (Gamma(a + m + e) Gamma(b + m + e)), let w_k(t) = y^t Gamma(A + t)
+    Gamma(B + t) / (Gamma(k + 1 - e + t) Gamma(m + k + 1 + t)): u_k = K0
+    w_k(0), v_k = K0 w_k(e), and E_k = -K0 w_k'(theta_k), theta_k between
+    0 and e.  From k1 = 2 - m on, every Gamma argument exceeds z = m + k -
+    1.2 >= 0.8, and since a < 1 and b + m + e = c - a < 1, A + t < m + k +
+    1 + t and B + t < k + 1 - e + t: so w_k > 0 falls as k grows, and its
+    log-derivative L_k lies in [ln y - D_k, ln y], D_k = 2 (1/z + 1/z^2)
+    (psi' <= 1/z + 1/z^2).  Hence from k1 on every E_k has K0's sign, mag >=
+    y^k1 |E_k1| >= y^k1 |K0| w_k1(theta_k1) |ln y|, |E_k| <= |K0|
+    w_k(theta_k) (|ln y| + D_k), |v_k| = |K0| w_k(e), w_k <= w_k1 and
+    w_k(t) / w_k(t') <= (e^D_k / y)^|e|.  The loop's stop bound at k (g =
+    rho / (1 - rho), with its rm, rho and delta), over mag, is then at most
+
+        y^(k - k1) (e^D_k / y)^|e| [(1 + D_k / |ln y|) g
+                                     + delta (e^D_k / y)^|e| g / (rm (1 - rho) |ln y|)],
+
+    increasing in y and |e|, and in the rm and delta bounds, here taken at
+    their largest in the box (|a + m - 1|, |b + m - 1| <= 2, |a + b + m - 2|
+    <= 3).  At y = 1/2 and |e| = 0.1 it is below 2^-53 by 57, 56 and 55
+    terms at m = 0, 1 and 2 (0.67 of the threshold at most), with room for
+    the relative error, ~k eps, of the computed terms.
     """
     head = 0.0
     if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
@@ -982,7 +1035,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
 
     total = mag = 0.0
     yk = 1.0
-    for k in range(HYP2F1_MAX_TERMS):
+    for k in itertools.count():
         t = yk * ek
         total += t
         mag += abs(t)
@@ -1012,8 +1065,6 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
         ek = r_u * ek + d_uv * vk
         vk *= r_v
         yk *= y
-    else:
-        raise _budget_spent("logarithmic connection series", a, b, c, 1.0 - y)
 
     pref = _gamma(c) * _rgamma(a) * _rgamma(b) * _rgamma(m + 1.0) * (-y) ** m
     if e:
@@ -1049,9 +1100,11 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     of the connection formula cancel by at most a factor ~28 (a and c - a
     near 1, b near 0.87, x near 1/2), where the value stays within ~9e-15
     of mpmath.  F leaves the doubles only where 1 - x is subnormal and c -
-    a - b near -1 (inf).  Every series stops on a certified tail bound,
-    within HYP2F1_MAX_TERMS terms, so the cost is bounded independently of
-    x; each power series, in x or in y, is one _series loop.
+    a - b near -1 (inf).  Every series stops on a certified tail bound and
+    keeps no budget: each loop's term count is proved for the box, at most
+    57 terms in _series and in the logarithmic sum of
+    _connection_near_integer, so the cost is bounded independently of x;
+    each power series, in x or in y, is one _series loop.
     """
     a, b, c, x = float(a), float(b), float(c), float(x)
     # written so that NaN fails the test

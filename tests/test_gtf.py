@@ -695,6 +695,49 @@ class TestFloatLane:
                 gtf.extend_sin_symmetric(3.0, arg)
 
 
+# the entry points that build a pair's record at a scalar p (and q), each at
+# one point of its domain
+POINT_PAIR_CALLS = {
+    "sin_pq": lambda p, q: gtf.sin_pq(p, q, 0.5),
+    "cos_pq": lambda p, q: gtf.cos_pq(p, q, 0.5),
+    "asin_pq": lambda p, q: gtf.asin_pq(p, q, 0.5),
+    "sin_symmetry_appendix": lambda p, q: gtf.sin_symmetry_appendix(p, q, 0.3),
+    "extend_sin_symmetric": lambda p, q: gtf.extend_sin_symmetric(p, 2.0),
+    "solve_pq_equal": lambda p, q: bvp.solve_pq_equal(p)(0.3),
+}
+
+
+class TestZeroDimPair:
+    """A 0-d p or q is a point, as a 0-d x is: each entry point gives its
+    float call's value bit for bit, and a Python float, where the pair cache
+    (which hashes no array) refused it; an array of at least one dimension
+    still takes the lane for several pairs."""
+
+    @pytest.mark.parametrize("name,which", [
+        (name, which) for name in POINT_PAIR_CALLS
+        for which in (("p",) if name in ("extend_sin_symmetric", "solve_pq_equal")
+                      else ("p", "q", "both"))])
+    def test_equals_float_call(self, name, which):
+        p, q = 2.5, 3.0
+        if which != "q":
+            p = np.array(p)
+        if which != "p":
+            q = np.array(q)
+        call = POINT_PAIR_CALLS[name]
+        value, expected = call(p, q), call(2.5, 3.0)
+        assert same_bits(value, expected)
+        assert all(type(v) is float for v in (value if isinstance(value, tuple) else (value,)))
+
+    def test_one_dimensional_p_takes_several_pairs(self):
+        p = np.array([2.5, 4.0])
+        value = gtf.sin_pq(p, 3.0, 0.5)
+        assert value.shape == (2,)
+        assert same_bits(value, [gtf._sincos_tail(v, 3.0, np.array([0.5]))[0][0] for v in p])
+        assert gtf.extend_sin_symmetric(p[:1], 2.0).shape == (1,)
+        with pytest.raises(TypeError):  # asin_pq takes one pair
+            gtf.asin_pq(p[:1], 3.0, 0.5)
+
+
 class TestNoZeroDimArrays:
     """The float lane must not build arrays: a cost guard that needs no timer."""
 

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import inspect
 import math
 import pathlib
 import re
@@ -15,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gentrig import gtf, integrals, quadrature, specfun
-from gentrig.errors import ConvergenceError, DomainError
+from gentrig.errors import DomainError
 
 NEXT_10 = math.nextafter(10.0, math.inf)  # just past the Gamma quotient's range
 # bounds on |error| / max(1, |value|) of the ln Gamma differences in
@@ -935,6 +937,8 @@ class TestHyp2F1:
         ("x < 0", (0.5, 0.5, 1.25, -5e-324)),
         ("x > 1", (0.5, 0.5, 1.25, math.nextafter(1.0, 2.0))),
         ("c = a + b at x = 1", (0.5, 0.25, 0.75, 1.0)),
+        # where the series' terms would grow for ~700 steps before they decay
+        ("a, b and c far above 1", (300.5, 300.5, 1.5, 0.49)),
     ])
     def test_just_outside_each_face(self, face, args):
         with pytest.raises(DomainError):
@@ -992,19 +996,6 @@ class TestHyp2F1:
         # connection formula cancelled by up to 3e3 near x = 1/2
         with pytest.raises(DomainError):
             specfun.hyp2f1(a, b, 1.0 + a, x)
-
-    def test_convergence_failure_is_reported(self):
-        # parameters far beyond any the package builds, for the series loop
-        # itself (hyp2f1 rejects them): the terms grow for about 700 steps
-        # before they decay, past the term budget
-        with pytest.raises(ConvergenceError) as info:
-            specfun._series(300.5, 300.5, 1.5, 0.49)
-        err = info.value
-        assert err.layer == "specfun.hyp2f1"
-        assert err.terms == err.budget == specfun.HYP2F1_MAX_TERMS
-        assert f"budget of {specfun.HYP2F1_MAX_TERMS} terms" in str(err)
-        with pytest.raises(DomainError):
-            specfun.hyp2f1(300.5, 300.5, 1.5, 0.49)
 
     def test_overflowing_coefficients(self):
         # a Gamma factor of the connection formula beyond the doubles needs
@@ -1403,12 +1394,161 @@ class TestSeriesPair:
             assert abs(f - exact) <= 1e-13 * abs(exact), (a, b, c, x)
             assert abs(g - exact_m1) <= 1e-15 * abs(exact_m1), (a, b, c, x)
 
-    @pytest.mark.parametrize("leading_one", [True, False])
-    def test_budget_failure_names_its_series(self, leading_one):
-        with pytest.raises(ConvergenceError) as info:
-            specfun._series(300.5, 300.5, 1.5, 0.49, head=1.0 if leading_one else 0.0)
-        assert "a=300.5, b=300.5, c=1.5" in str(info.value)
-        assert info.value.terms == info.value.budget == specfun.HYP2F1_MAX_TERMS
+
+# hyp2f1's two loops, by the function each runs in and the first statement
+# of its body: every power series (_series) and the logarithmic sum in y
+LOOPS = {"series": (specfun._series, "term *= (a + n)"),
+         "log": (specfun._connection_near_integer, "t = yk * ek")}
+# the most terms each loop took in a scan of 80 000 box points, the x = 1/2
+# face and Elliott's small side before its count was proved
+SCANNED_MAX = {"series": 54, "log": 54}
+
+
+def stated_terms(fn):
+    """The term count N that fn's docstring proves for the loop."""
+    return int(re.search(r"stops\s+after\s+at\s+most\s+(\d+)\s+terms", fn.__doc__).group(1))
+
+
+def loop_line(fn, statement):
+    """The line number of the first line of fn holding statement."""
+    lines, start = inspect.getsourcelines(fn)
+    return start + next(i for i, line in enumerate(lines) if statement in line)
+
+
+@contextlib.contextmanager
+def counted_terms():
+    """A spy on hyp2f1's loops: while it is active, counts[name] gets one
+    entry a run of loop name, the number of terms it summed (the times its
+    body's first statement ran), by a line tracer on the two functions."""
+    where = {fn.__code__: (name, loop_line(fn, statement))
+             for name, (fn, statement) in LOOPS.items()}
+    counts = {name: [] for name in LOOPS}
+
+    def tracer(frame, event, arg):
+        if frame.f_code not in where:
+            return None
+        name, line = where[frame.f_code]
+        runs = counts[name]
+        runs.append(0)
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == line:
+                runs[-1] += 1
+            return local
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)
+
+
+def face_points():
+    """(a, b, c, x) on the faces of hyp2f1's box: a and c - a within 1e-16
+    .. 0.9 of 1, b near +-1, and c - a - b near -1, 0, 1 and 2 and on both
+    sides of each +-HYP2F1_REG_EPS around them; x = 1/2, y = 1 - x just
+    below 1/2, and one point inside each branch."""
+    near_one = (1e-16, 1e-8, 1e-4, 1e-2, 0.3, 0.9)
+    eps = specfun.HYP2F1_REG_EPS
+    excess = [m + off + d for m in (-1.0, 0.0, 1.0, 2.0)
+              for off, ds in ((0.0, (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)),
+                              (-eps, (-1e-3, -1e-12, 1e-12, 1e-3)),
+                              (eps, (-1e-3, -1e-12, 1e-12, 1e-3)))
+              for d in ds]
+    xs = (0.5, math.nextafter(0.5, 1.0), 0.3, 0.7)
+    for da in near_one:
+        for dd in near_one:
+            a, d = 1.0 - da, 1.0 - dd
+            bs = [d - s for s in excess] + [sign * (1.0 - db) for sign in (1.0, -1.0)
+                                            for db in near_one]
+            for b in bs:
+                if -1.0 < b < 1.0:
+                    for x in xs:
+                        yield a, b, a + d, x
+
+
+class TestTermCounts:
+    """Each hyp2f1 loop stops within the term count N its docstring proves
+    (_series, _connection_near_integer), counted by a spy on each face of
+    the box, on Elliott's small side and on box_points: no budget is
+    needed."""
+
+    def assert_within_stated(self, counts):
+        for name, (fn, _) in LOOPS.items():
+            assert counts[name], name  # the loop ran
+            assert max(counts[name]) <= stated_terms(fn), name
+
+    def test_stated_counts_cover_the_scans(self):
+        for name, (fn, _) in LOOPS.items():
+            assert stated_terms(fn) >= SCANNED_MAX[name], name
+
+    def test_faces(self):
+        with counted_terms() as counts:
+            for a, b, c, x in face_points():
+                specfun.hyp2f1(a, b, c, x)
+        self.assert_within_stated(counts)
+        # the faces reach the slow corners, within a few terms of N
+        assert min(max(runs) for runs in counts.values()) >= 50
+
+    def test_elliott_small_side(self):
+        exponents = (1.0 + 1e-9, 1.001, 1.5, 2.0, 5.0, 1e3, 1e8)
+        with counted_terms() as counts:
+            for p in exponents:
+                for q in (v for v in exponents if v >= p):
+                    for r in exponents:
+                        for kq in (math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)):
+                            integrals.elliott_residual(p, q, r, kq ** (1.0 / q))
+        self.assert_within_stated(counts)
+        assert max(counts["series"]) >= 50
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_box_points(self, seed):
+        points = box_points(5_000, seed)
+        with counted_terms() as counts:
+            for a, b, c, x, comp in points:
+                specfun.hyp2f1(a, b, c, x, comp=comp)
+        self.assert_within_stated(counts)
+
+    def test_derivations_reach_the_stated_counts(self):
+        """The bounds of the two docstrings, evaluated: the first term count
+        at which each passes the loop's test is the stated N."""
+        tol = specfun.HYP2F1_TAIL_TOL
+
+        def series_passes(m, scale, aa, ab, ac, x=0.5):
+            # term m <= scale x^m (mag >= 1), or <= t_1 x^(m - 1) with mag >= t_1
+            if m < ac + 2:
+                return False
+            rho = (m + aa) * (m + ab) / ((m - ac) * (m + 1.0)) * x
+            return rho < 1.0 and scale * x**m * rho / (1.0 - rho) <= tol
+
+        def log_passes(k, m, y=0.5, ae=specfun.HYP2F1_REG_EPS):
+            # k >= k1 = 2 - m; |a + m - 1|, |b + m - 1| <= 2, |a + b + m - 2| <= 3
+            K, C, z = k + 1.0, k + 1.0 + m, k + m - 1.2
+            rm = (1.0 + 2.1 / K) ** 2 / (1.0 - ae / K)
+            rho = y * rm
+            if k < 2 - m or rho >= 1.0:
+                return False
+            g, ly, dk = rho / (1.0 - rho), -math.log(y), 2.0 * (1.0 / z + 1.0 / z**2)
+            delta = (3.0 * K * K + 8.0 * K + 4.0 * m + C * ae * (K + 4.0 + ae)) / (
+                (K - ae) ** 2 * K * K)
+            shift = (math.exp(dk) / y) ** ae
+            bound = y ** (k - 2 + m) * shift * (
+                (1.0 + dk / ly) * g + delta * shift * g / (rm * (1.0 - rho) * ly))
+            return bound <= tol
+
+        def first(passes):
+            return next(n for n in range(1, 200) if passes(n))
+
+        # hyp2f1's, _connection's and Elliott's (t_1 x^(m - 1) = 2 t_1 x^m)
+        series_counts = tuple(first(lambda m: series_passes(m, *args)) for args in (
+            (1.0, 1.0, 1.0, 2.0), (10.0, 1.0, 3.0, 3.0), (2.0, 1.0, 1.0, 2.0)))
+        assert series_counts == (54, 57, 55)
+        assert max(series_counts) == stated_terms(specfun._series)
+        log_counts = tuple(first(lambda k: log_passes(k, m)) + 1 for m in (0, 1, 2))
+        assert log_counts == (57, 56, 55)
+        assert max(log_counts) == stated_terms(specfun._connection_near_integer)
 
 
 REPO = pathlib.Path(__file__).parent.parent
@@ -1488,6 +1628,17 @@ class TestPublicSurface:
             copy, REPO / "demos", REPO / "benchmarks" / "workloads.py")
         assert sorted(uncalled - ALLOWED_UNCALLED) == ["gtf.planted_uncalled"]
 
+    def test_exports_no_convergence_error(self):
+        """hyp2f1's loops stop within proved term counts, so no budget error
+        exists: every name gentrig exports is defined, and ConvergenceError
+        is none of them."""
+        import gentrig
+
+        assert "ConvergenceError" not in gentrig.__all__
+        assert all(hasattr(gentrig, name) for name in gentrig.__all__)
+        with pytest.raises(AttributeError):
+            gentrig.ConvergenceError
+
     def test_readme_names_only_existing_functions(self):
         """Every `name(` in README.md but the solution call `sol(` is a
         public function of a gentrig module."""
@@ -1521,6 +1672,16 @@ def names_inv_fit_min(node):
     return ((isinstance(node, ast.Name) and node.id == "INV_FIT_MIN")
             or (isinstance(node, ast.Attribute) and node.attr == "INV_FIT_MIN")
             or (isinstance(node, ast.alias) and node.name == "INV_FIT_MIN"))
+
+
+def names_convergence_error(node):
+    """A definition, import, raise, use or export (a string in __all__) of
+    ConvergenceError."""
+    name = "ConvergenceError"
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, (ast.alias, ast.ClassDef)) and node.name == name)
+            or (isinstance(node, ast.Constant) and node.value == name))
 
 
 def cli_breaches(cli_py):
@@ -1582,3 +1743,21 @@ class TestModuleBoundaries:
 
     def test_only_specfun_names_inv_fit_min(self):
         assert modules_that(self.PACKAGE, names_inv_fit_min) == {"specfun"}
+
+    def test_no_module_names_convergence_error(self):
+        assert modules_that(self.PACKAGE, names_convergence_error) == set()
+
+    @pytest.mark.parametrize("planted", [
+        "class ConvergenceError(RuntimeError):\n    pass\n",
+        "from .errors import ConvergenceError\n",
+        "def planted():\n    raise errors.ConvergenceError('budget spent')\n",
+        "__all__ = ['ConvergenceError']\n",
+    ])
+    def test_scan_flags_a_planted_convergence_error(self, tmp_path, planted):
+        """On a copy of the package with ConvergenceError defined, imported,
+        raised or exported in one module, the scan flags that module."""
+        copy = tmp_path / "gentrig"
+        shutil.copytree(self.PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        specfun_py = copy / "specfun.py"
+        specfun_py.write_text(specfun_py.read_text() + "\n\n" + planted)
+        assert modules_that(copy, names_convergence_error) == {"specfun"}
