@@ -4,7 +4,9 @@ The ODE (p-q) u' - pq (u')^2 + (p+q) u u'' + 1 = 0 with u(0) = u(H) = 0 is
 solved exactly by a product of generalized sine and cosine powers.  A
 related nonlocal problem, whose coefficient involves int (phi')^2 over the
 whole interval, is solved by rescaling the same profile; the closure
-relation m^2 = (2/H) int (phi')^2 then holds to roundoff.
+relation m^2 = (2/H) int (phi')^2 then holds to roundoff.  The ODE is
+checked as the paper solves it, by the travel time x/H = I_{sin^q(w x)}(1/q,
+1/p), an incomplete beta function from the tanh-sinh oracle.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 
 from gentrig import bvp
 
-print("general problem, finite-difference ODE residuals at midpoints:")
+print("general problem, travel-time residuals |x/H - I_{sin^q(w x)}(1/q, 1/p)| at midpoints:")
 for p, q in ((1.5, 3.0), (2.0, 2.0), (4.0, 1.5)):
     sol = bvp.solve_general(1.0, p, q)
     xs = np.linspace(0.0, 1.0, 9)[1:-1]

@@ -13,11 +13,14 @@ Library layout:
   formulas, the lemniscate catalog, generalized elliptic integrals with
   Elliott's identity, the infinite product.
 - ``bvp``: closed-form boundary value problem solutions, the general
-  problem's one verifier general_checks and the nonlocal closure.
+  problem's one verifier general_checks (the ODE as the paper solves it: a
+  phase-plane first integral and the travel time x/H = I_{sin^q(w x)}(1/q,
+  1/p) from the oracle, within 2e-13 plus rounding) and the nonlocal
+  closure.
 - ``quadrature``: the independent tanh-sinh integration oracle (one
   integrand or a batch on shared nodes, one integrand call per level) and
-  beta_integrals, any number of beta integrals B(a, b) in one pass (the
-  Wallis moments are such rows).
+  beta_integrals, any number of complete or incomplete beta integrals in
+  one pass (the Wallis moments and bvp's travel times are such rows).
 - ``verify``: the identity-verification suites, run(name, grid).
 - ``cli``: the ``gentrig`` command (eval / verify / table): it only parses
   its flags, calls the modules above and prints.

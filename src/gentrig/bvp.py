@@ -16,24 +16,25 @@ collapses, through the multiple-angle formula, to a mirrored sin_{2,p}
 profile.  Every function takes the problem's numbers, H > 0, p, q in
 (1, inf) and m > 0, and rejects the rest with DomainError.
 
-The general problem has one public verifier, general_checks, for the ODE
-residual, the phase curve and the boundary values.  Its ODE residual uses
-central finite differences (one Richardson step), so it stays independent of
-the closed form it checks.  It inverts the 5-point stencils x, x +- h,
-x +- h/2 of every point and the ends 0 and H in one fused sin/cos call
-(gtf._sincos_tail), in the gtf lane the array's size picks: one inversion
-gives a point's sine and cosine, two in the band between I_{1/2}(1/q, 1/p)
-and 1/2.  The phase curve's cosine comes from the stencil's centre row.
-general_checks also takes numpy arrays p and q, and then makes that one call
-for every pair (gtf's lane for several pairs).  Its residuals agree with
-ones computed point by point from scalar sol(x) calls to 8 (p + q) eps |u|
-/ h^2 (the ODE residual's second difference divides a last-ulp difference
-of u by h^2).  The nonlocal closure, nonlocal_mean_square_slope, takes no
-difference step: it integrates the square of the closed form's own slope,
-S v with v = u' the phase variable of the derivation, by the tanh-sinh
-oracle, every m of an array one row of one batch that makes one gtf call a
-level.  solve_pq_equal takes an array p, and its sol(x) makes one gtf call
-for every p.
+The general problem has one public verifier, general_checks, for the ODE,
+the phase curve and the boundary values.  The ODE is checked as the paper
+solves it: by the phase-plane first integral u = U(v), v = u', and by the
+travel time dx = du / v, which integrates to x / H = I_{sin^q(w x)}(1/q,
+1/p), sin = sin_{p*,q}, a regularized incomplete beta function that the
+tanh-sinh oracle evaluates (quadrature.beta_integrals).  The two relations
+together imply the ODE, and no difference step enters.
+general_checks inverts every point and the ends 0 and H in one fused
+sin/cos call (gtf._sincos_tail), in the gtf lane the array's size picks:
+one inversion gives a point's sine and cosine, two in the band between
+I_{1/2}(1/q, 1/p) and 1/2.  All travel times, and one complete beta
+integral a pair, are one oracle batch.  general_checks also takes numpy
+arrays p and q, and then makes that one gtf call and that one batch for
+every pair (gtf's lane for several pairs).  The nonlocal closure,
+nonlocal_mean_square_slope, integrates the square of the closed form's own
+slope, S v with v = u' the phase variable of the derivation, by the
+tanh-sinh oracle, every m of an array one row of one batch that makes one
+gtf call a level.  solve_pq_equal takes an array p, and its sol(x) makes
+one gtf call for every p.
 
 The profile's factor cos^(p*-1) = cos^(1/(p-1)) and the phase curve's
 |v + 1/p|^(1/p) = (1/p + 1/q)^(1/p) cos^(p*-1) come from gtf._cos_power,
@@ -92,19 +93,17 @@ def _profile_scales(H: float, P: float, q: float):
     raise DomainError(f"need H > 0 with finite nonzero profile scales, got H = {H}")
 
 
-def _profile(P: float, q: float, amp, s, c, yc):
-    """amp cos^(P-1) sin from _sincos_tail's (s, c, yc) at (P, q)."""
-    return amp * _cos_power(P, q, c, yc) * s
-
-
 def solve_general(H: float, p: float, q: float) -> BvpSolution:
-    """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H]."""
+    """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H].
+    A 0-d H, p or q is taken as its float, as gtf's entry points take it."""
+    H, p, q = float(H), float(p), float(q)
     check_pq(p, q)
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
 
     def u(x):
-        return _profile(P, q, amp, *_sincos_tail(P, q, omega * x))
+        s, c, yc = _sincos_tail(P, q, omega * x)
+        return amp * _cos_power(P, q, c, yc) * s
 
     return BvpSolution(H=H, _eval=u)
 
@@ -161,33 +160,12 @@ def solve_pq_equal(p: float) -> BvpSolution:
     return BvpSolution(H=1.0, _eval=u)
 
 
-def _stencil_rows(H, xx):
-    """The step h and the stencil rows x, x + h, x - h, x + h/2, x - h/2
-    (stacked on a new first axis) of points xx interior to (0, H), else
-    DomainError; H may be an array that broadcasts against xx."""
-    if not ((xx > 0.0) & (xx < H)).all():
-        raise DomainError("x must be interior to (0, H)")
-    h = np.minimum(1e-4 * H, np.minimum(0.5 * xx, 0.5 * (H - xx)))
-    return h, np.stack((xx, xx + h, xx - h, xx + h / 2, xx - h / 2))
-
-
-def _richardson(h, rows):
-    """f, f' and f'' at the centre from values f on the stencil rows: central
-    differences with one Richardson extrapolation each."""
-    f0, fp, fm, fph, fmh = rows
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fph - fmh) / h
-    e1 = (fp - 2.0 * f0 + fm) / h**2
-    e2 = (fph - 2.0 * f0 + fmh) / (h / 2) ** 2
-    return f0, (4.0 * d2 - d1) / 3.0, (4.0 * e2 - e1) / 3.0
-
-
 def _general_scalars(p: float, q: float, Hs):
-    """The Python floats of the general problem at one pair that _general
-    needs, after check_pq(p, q): P = p*; then the phase curve's 1/p + 1/q,
-    the denominator p (1/p + 1/q)^(1/p + 1/q) pi_{q*,p} of its constant and
-    its factor (1/p + 1/q)^(1/p); then omega and amp at each H in Hs
-    (_profile_scales)."""
+    """The Python floats of the general problem at one pair that
+    general_checks needs, after check_pq(p, q): P = p*; then the phase
+    curve's 1/p + 1/q, the denominator p (1/p + 1/q)^(1/p + 1/q) pi_{q*,p}
+    of its constant and its factor (1/p + 1/q)^(1/p); then omega and amp at
+    each H in Hs (_profile_scales)."""
     check_pq(p, q)
     P = conjugate(p)
     ssum = 1.0 / p + 1.0 / q
@@ -203,81 +181,53 @@ def _slope(p, ssum, P, c):
     return -1.0 / p + ssum * _power(c, P)
 
 
-def _phase_curve(H, p, q, P, ssum, den, root, c, yc):
+def _phase_curve(H, p, q, P, ssum, den, root, c, cp):
     """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
     v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*,
-    and C = 2H / den; the first factor is root c^(P-1), root = (1/p +
-    1/q)^(1/p) and P/p = P - 1, from c and the argument yc of its inversion
-    (gtf._cos_power).  The per-pair values are floats, or arrays that
-    broadcast against c."""
+    and C = 2H / den; the first factor is root cp, root = (1/p + 1/q)^(1/p)
+    and cp = c^(P-1) from gtf._cos_power (P/p = P - 1).  The per-pair
+    values are floats, or arrays that broadcast against c."""
     v = _slope(p, ssum, P, c)
     C = 2.0 * H / den
-    return C * root * _cos_power(P, q, c, yc) * _power(np.abs(v - 1.0 / q), 1.0 / q)
-
-
-def _general(p, q, Hs, xs):
-    """(ode, phase, boundary) of the general problem at (p, q) on [0, H] for
-    each H in Hs, at the interior points xs[i] of [0, Hs[i]] (xs of shape
-    (len(Hs), n)): the ODE and phase-curve residuals, shaped like xs, and
-    max(|u(0)|, |u(H)|) per H.
-    Arrays p and q put the shape S of their broadcast in front of those,
-    and each pair's floats (_general_scalars) come from one call a pair.
-    One _sincos_tail call inverts every stencil row and both ends of every
-    pair."""
-    H = np.array(Hs, dtype=float)
-    xx = np.asarray(xs, dtype=float)
-    h, rows = _stencil_rows(H[:, None], xx)  # rows: (5, len(H), n)
-    ends = H[:, None] * np.array([0.0, 1.0])
-    fn = functools.partial(_general_scalars, Hs=H.tolist())
-    several = _several(p, q)
-    if several:
-        fields = _per_pair(fn, p, q)
-        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    else:
-        fields = fn(p, q)
-    P, ssum, den, root = fields[:4]
-    scales = np.moveaxis(np.asarray(fields[4:]), 0, -1)  # S + (2 len(H),)
-    omega, amp = scales[..., ::2], scales[..., 1::2]  # S + (len(H),)
-    lead = omega.shape[:-1]  # S
-
-    def lifted(k, *vals):
-        """The per-pair vals with k trailing axes, against the points."""
-        return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
-
-    args = np.concatenate(((omega[..., None, :, None] * rows).reshape(lead + (-1,)),
-                           (omega[..., None] * ends).reshape(lead + (-1,))), axis=-1)
-    sincos = _sincos_tail(*lifted(1, P, q), args)  # (s, c, yc)
-    cut = rows.size
-    at_rows = [v[..., :cut].reshape(lead + rows.shape) for v in sincos]
-    at_ends = [v[..., cut:].reshape(lead + ends.shape) for v in sincos]
-    profile = _profile(*lifted(3, P, q), amp[..., None, :, None], *at_rows)
-    u0, u1, u2 = _richardson(h, np.moveaxis(profile, -3, 0))
-    p, q, P, ssum, den, root = lifted(2, p, q, P, ssum, den, root)
-    ode = np.abs((p - q) * u1 - p * q * u1**2 + (p + q) * u0 * u2 + 1.0)
-    c0, yc0 = at_rows[1][..., 0, :, :], at_rows[2][..., 0, :, :]
-    phase = np.abs(u0 - _phase_curve(H[:, None], p, q, P, ssum, den, root, c0, yc0))
-    bc = np.abs(_profile(P, q, amp[..., None], *at_ends)).max(axis=-1)
-    return ode.reshape(lead + xx.shape), phase.reshape(lead + xx.shape), bc
+    return C * root * cp * _power(np.abs(v - 1.0 / q), 1.0 / q)
 
 
 def general_checks(p: float, q: float, Hs, fractions):
     """Verify the general problem at (p, q) on [0, H] for each H in Hs, at
-    the interior points x = H * fractions, from one gtf call.
+    the interior points x = H * fractions, from one gtf call and one oracle
+    batch.
 
     Returns (ode, phase, boundary), the first two of shape (len(Hs),
     len(fractions)) and the last of shape (len(Hs),):
-    - ode, |(p-q)u' - pq(u')^2 + (p+q)uu'' + 1| of solve_general(H, p, q)
-      by finite differences;
+    - ode, the travel-time residual |x/H - I_{sin^q(w x)}(1/q, 1/p)|, sin =
+      sin_{p*,q}, which with the phase curve implies the ODE (p-q)u' -
+      pq(u')^2 + (p+q)uu'' + 1 = 0 of solve_general(H, p, q).  The
+      incomplete beta function is the tanh-sinh oracle's
+      (quadrature.beta_integrals at tol 1e-13), each point's in its smaller
+      tail: B_{sin^q}(1/q, 1/p) / B(1/q, 1/p), or one minus B_{cos^{p*}}(1/p,
+      1/q) / B(1/q, 1/p), each given by its root, sin or cos^(p*-1)
+      (gtf._cos_power), so nothing underflows.  Bound: the oracle stops once
+      two levels agree to 1e-13 of its substituted integrals, which are at
+      least 1 (every exponent b - 1 = 1/p - 1 or 1/q - 1 is negative), so
+      the error estimate of each beta value is below 1e-13 of the value.
+      The point's row and its pair's complete row then move I by at most
+      1e-13 each, and the residual is within 2e-13 plus a few roundings of
+      x/H and of the inversion (it reads at most 6.7e-16 on verify's full
+      grid, 2.2e-14 at p, q in {1.001, 1.01, 1.5, 30, 1000});
     - phase, the residual of the first integral u = C |v + 1/p|^(1/p)
       |v - 1/q|^(1/q), with v evaluated in closed form, v = -1/p + (1/p +
       1/q) cos_{p*,q}^{p*}(w x), and C = 2H / (p (1/p + 1/q)^(1/p+1/q)
       pi_{q*,p}): no differentiation enters, so this checks the solution
       against the phase-plane curve of its derivation;
     - boundary, max(|u(0)|, |u(H)|).
+    One _sincos_tail call inverts every point and both ends of every pair,
+    and one beta_integrals batch takes every travel time, with one complete
+    B(1/q, 1/p) a pair (_general_scalars gives each pair's floats).
     Arrays p and q, which broadcast to a shape S, put S in front of those
     shapes, and every pair takes that one gtf call (gtf's lane for several
-    pairs): each pair's values equal its own call's bit for bit where that
-    call takes scipy's ufuncs (fewer than specfun.INV_FIT_MIN points).
+    pairs) and that one batch: each pair's values equal its own call's bit
+    for bit where that call takes scipy's ufuncs (fewer than
+    specfun.INV_FIT_MIN points).  A 0-d p or q is taken as its float.
 
     Near x = 0 the phase check false-fails: v -> 1/q and |v - 1/q| = A =
     (1/p + 1/q) sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1) eps
@@ -287,14 +237,54 @@ def general_checks(p: float, q: float, Hs, fractions):
     p pi_{q*,p}; |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own
     definition (gtf._cos_power), so it neither cancels near H nor
     underflows.  verify samples x/H in [0.1, 0.9].  Hs or fractions that
-    are not 1-D sequences raise DomainError; an empty one gives empty
-    arrays of those shapes, after p and q are checked.
+    are not 1-D sequences raise DomainError, and so do points not interior
+    to (0, H); an empty one gives empty arrays of those shapes, after p and
+    q are checked.
     """
+    several = _several(p, q)
+    p, q = ((np.asarray(p, dtype=float), np.asarray(q, dtype=float)) if several
+            else (float(p), float(q)))
     H, fractions = np.array(Hs, dtype=float), np.asarray(fractions, dtype=float)
     if H.ndim != 1 or fractions.ndim != 1:
         raise DomainError(f"general_checks needs 1-D Hs and fractions, got shapes "
                           f"{H.shape} and {fractions.shape}")
-    return _general(p, q, H, H[:, None] * fractions)
+    xx = H[:, None] * fractions
+    if not ((xx > 0.0) & (xx < H[:, None])).all():
+        raise DomainError("x must be interior to (0, H)")
+    xx = np.concatenate((xx, H[:, None] * np.array([0.0, 1.0])), axis=1)  # both ends last
+    fn = functools.partial(_general_scalars, Hs=H.tolist())
+    fields = _per_pair(fn, p, q) if several else fn(p, q)
+    P, ssum, den, root = fields[:4]
+    scales = np.moveaxis(np.asarray(fields[4:]), 0, -1)  # S + (2 len(H),)
+    omega, amp = scales[..., ::2], scales[..., 1::2]  # S + (len(H),)
+    lead = omega.shape[:-1]  # S
+    # the complete B(1/q, 1/p) of each pair, which every travel time divides
+    whole = [np.broadcast_to(1.0 / v, lead).ravel() for v in (q, p)]
+
+    def lifted(k, *vals):
+        """The per-pair vals with k trailing axes, against the points."""
+        return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
+
+    sincos = _sincos_tail(*lifted(1, P, q), (omega[..., None] * xx).reshape(lead + (-1,)))
+    s, c, yc = (v.reshape(lead + xx.shape) for v in sincos)
+    p, q, P, ssum, den, root = lifted(2, p, q, P, ssum, den, root)
+    cp = _cos_power(P, q, c, yc)
+    u = amp[..., None] * cp * s
+    bc = np.abs(u[..., -2:]).max(axis=-1)
+    s, c, cp, u, xx = (v[..., :-2] for v in (s, c, cp, u, xx))
+    phase = np.abs(u - _phase_curve(H[:, None], p, q, P, ssum, den, root, c, cp))
+    # each point's travel time in its smaller tail: B_{sin^q}(1/q, 1/p) at
+    # the root sin where sin^q <= 1/2, else B_{cos^P}(1/p, 1/q) at the root
+    # cos^(P-1) = cp, which stays exact where cos^P underflows
+    low = s <= np.exp2(-1.0 / q)
+    tail = [np.where(low, *ab).ravel() for ab in ((1.0 / q, 1.0 / p), (1.0 / p, 1.0 / q))]
+    rows = [np.concatenate(v) for v in zip(tail, whole)]
+    upper = np.concatenate((np.where(low, s, cp).ravel(), np.ones(whole[0].size)))
+    # the oracle at tol 1e-13: verify's bvp ode tolerance derives from it
+    beta = quadrature.beta_integrals(*rows, tol=1e-13, upper=upper).value
+    ratio = beta[:s.size].reshape(s.shape) / beta[s.size:].reshape(lead + (1, 1))
+    ode = np.abs(xx / H[:, None] - np.where(low, ratio, 1.0 - ratio))
+    return ode, phase, bc
 
 
 def _closure_scalars(H: float, m: float):

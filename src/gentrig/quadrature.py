@@ -16,10 +16,11 @@ is refined until it alone meets the tolerance, and the others stop being
 evaluated once they have.  A lone integrand is a batch of one row, and the
 reduction sums each row alone, the same way for any number of rows, so a
 batch gives every integrand the same value, bit for bit, as a call of its
-own.  beta_integrals uses this to take any number of beta integrals B(a, b),
-the Wallis moments of the whole verify grid included, in one pass: each is
-two half-rows that an endpoint substitution makes bounded, so that no mass
-of a singular endpoint lies beyond the outermost node, however small a or b.
+own.  beta_integrals uses this to take any number of complete or incomplete
+beta integrals in one pass, the Wallis moments and the bvp travel times of
+the whole verify grid included: each is one to three half-rows that an
+endpoint substitution makes bounded, so that no mass of a singular endpoint
+lies beyond the outermost node, however small a or b.
 
 This module must not import gtf, integrals, bvp or specfun, nor scipy: it is
 the independent side of every closed-form-versus-quadrature check in the
@@ -219,13 +220,8 @@ def integrate(
 
     # every level ran: the rows in live failed with their latest estimates
     value[live], err[live], evals[live] = est, diff, nev
-    where = _rows_where(live.tolist(), len(value)) if batch else ""
-    levels = _MAX_LEVEL + 1
-    raise ToleranceError(
-        f"quadrature: tolerance {tol:g} not met{where} after {levels} levels, "
-        f"{nev} evaluations per integrand, of a budget of {levels} levels",
-        _result(batch, value, err, evals), layer="quadrature", levels=levels,
-        evaluations=nev, budget=levels, rows=tuple(live.tolist()) if batch else None)
+    raise _not_met(tol, _result(batch, value, err, evals), nev,
+                   (live.tolist(), len(value)) if batch else None)
 
 
 def _result(batch, value, err, evals):
@@ -234,68 +230,109 @@ def _result(batch, value, err, evals):
     return QuadResult(value[0], err[0], int(evals[0]))
 
 
-def _rows_where(rows, m):
-    return f" in rows {rows} of {m}"
+def _not_met(tol, result, evaluations, failed=None):
+    """integrate's ToleranceError after its budget of levels; failed is
+    (rows, m) for a batch, the indices of its failed rows and its number of
+    rows, and None for a lone integrand."""
+    where = "" if failed is None else " in rows {} of {}".format(*failed)
+    levels = _MAX_LEVEL + 1
+    return ToleranceError(
+        f"quadrature: tolerance {tol:g} not met{where} after {levels} levels, "
+        f"{evaluations} evaluations per integrand, of a budget of {levels} levels",
+        result, layer="quadrature", levels=levels, evaluations=evaluations,
+        budget=levels, rows=None if failed is None else tuple(failed[0]))
 
 
-def beta_integrals(a, b, tol: float = DEFAULT_TOL) -> QuadResult:
-    """B(a, b) = int_0^1 t^(a-1) (1-t)^(b-1) dt for each row of the 1-D
+def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
+    """B_Y(a, b) = int_0^Y t^(a-1) (1-t)^(b-1) dt for each row of the 1-D
     arrays a and b, all in one integrate batch, each row equal bit for bit
-    to a call of its own.
+    to a call of its own.  The 1-D array upper gives each row's limit Y by
+    its root Y^a in (0, 1]; the default, None, is 1 in every row, the
+    complete integral B(a, b).  The root keeps a limit exact where Y itself
+    underflows: sin_pq^q at q = 1000 is below 1e-308 where sin_pq is not
+    (bvp.general_checks).
 
-    Each row is split at t = 1/2 and each half substituted at its own end,
-    t = tau^(1/a) / 2 (Davis and Rabinowitz):
+    Each row is a sum of half-rows whose limit Z <= 1/2 is carried as its
+    root R = Z^a, substituted at t = 0 by t = (R tau)^(1/a) (Davis and
+    Rabinowitz):
 
-        B(a, b) = (2^-a / a) int_0^1 (1 - tau^(1/a) / 2)^(b-1) dtau
-                  + the same term with a and b swapped.
+        B_Z(a, b) = (R / a) int_0^1 (1 - Z tau^(1/a))^(b-1) dtau,
 
-    Both integrands lie between 1 and 2^(1-b): no endpoint singularity,
-    however near 0 a or b is.  Per level, tau^(1/a) is formed once per
-    distinct a among the live half-rows, and every power elementwise as the
-    exp of a log: numpy's power special-cases some scalar exponents, so a
-    lone row would differ from the same row in a batch.
+    an integrand between 1 and 2^(1-b): no endpoint singularity, however
+    near 0 a or b is.  A row with Y <= 1/2 is one half-row, at R = upper.
+    A row with Y > 1/2 is B(a, b) = B_{1/2}(a, b) + B_{1/2}(b, a), two
+    half-rows at R = 2^-a and 2^-b, minus B_{1-Y}(b, a) where Y < 1; its
+    1 - Y is formed from Y = upper^(1/a), whose rounding it carries, so a
+    caller near Y = 1 passes the other tail's row instead.  Per level,
+    tau^(1/a) is formed once per distinct a among the live half-rows, Z
+    tau^(1/a) and its log1p once per distinct (a, Z), and every power
+    elementwise as the exp of a log: numpy's power special-cases some
+    scalar exponents, so a lone row would differ from the same row in a
+    batch.
 
-    DomainError unless a and b are 1-D of one length with every entry in
-    (0, inf), NaN failing.  A ToleranceError names the failing rows of a
-    and b, and carries every row's best estimate.
+    DomainError unless a, b and upper are 1-D of one length, with a and b
+    in (0, inf) and upper in (0, 1], NaN failing.  A ToleranceError names
+    the failing rows of a and b, and carries every row's best estimate.
     """
     a, b = (np.asarray(v, dtype=float) for v in (a, b))
-    if a.ndim != 1 or a.shape != b.shape:
-        raise DomainError("beta_integrals needs 1-D arrays a, b of one length, "
-                          f"got shapes {a.shape} and {b.shape}")
+    root = np.ones(a.shape) if upper is None else np.asarray(upper, dtype=float)
+    if a.ndim != 1 or not a.shape == b.shape == root.shape:
+        raise DomainError("beta_integrals needs 1-D arrays a, b and upper of one length, "
+                          f"got shapes {a.shape}, {b.shape} and {root.shape}")
     # written so that NaN fails the test
-    bad = ~((a > 0.0) & (a < math.inf) & (b > 0.0) & (b < math.inf))
+    bad = ~((a > 0.0) & (a < math.inf) & (b > 0.0) & (b < math.inf)
+            & (root > 0.0) & (root <= 1.0))
     if bad.any():
         i = int(bad.argmax())
-        raise DomainError(f"beta_integrals needs a, b in (0, inf), got "
-                          f"({a[i]}, {b[i]}) in row {i}")
+        raise DomainError(f"beta_integrals needs a, b in (0, inf) and upper in (0, 1], got "
+                          f"({a[i]}, {b[i]}, {root[i]}) in row {i}")
     m = len(a)
-    # half-row i < m is row i's half at t < 1/2, half-row m + i its other half
-    x, y = np.concatenate((a, b)), np.concatenate((b, a))
-    xs, at = np.unique(x, return_inverse=True)
+    lim = np.exp(np.log(root) / a)  # Y, 1 exactly at upper = 1
+    whole = np.flatnonzero(lim > 0.5)
+    cut = whole[lim[whole] < 1.0]
+    rest = 1.0 - lim[cut]  # exact: Y > 1/2 (Sterbenz)
+    # the half-rows, each row's in the order they are summed: every row's
+    # half from t = 0 up to min(Y, 1/2), the half t > 1/2 of the rows with Y >
+    # 1/2, and the tails beyond Y < 1 of those, taken away
+    row = np.concatenate((np.arange(m), whole, cut))
+    x = np.concatenate((a, b[whole], b[cut]))
+    y = np.concatenate((b, a[whole], a[cut]))
+    z = np.concatenate((np.minimum(lim, 0.5), np.full(len(whole), 0.5), rest))
+    scale = np.concatenate((np.where(lim > 0.5, np.exp2(-a), root), np.exp2(-b[whole]),
+                            -np.exp(b[cut] * np.log(rest)))) / x
+    # each distinct (a, Z) as one complex key, both parts exact, and the
+    # distinct a among the keys
+    keys, at = np.unique(x + 1j * z, return_inverse=True)
+    powers, of = np.unique(keys.real, return_inverse=True)
     y1 = (y - 1.0)[:, None]
-    scale = np.exp2(-x) / x
 
-    def f(tau, rows=np.arange(2 * m)):
-        used, index = np.unique(at[rows], return_inverse=True)
-        ln = np.log1p(-0.5 * np.exp(np.log(tau) / xs[used, None]))
-        out = ln.take(index, axis=0)
+    def f(tau, rows=np.arange(len(x))):
+        used, index = _distinct(at[rows], len(keys))
+        need, which = _distinct(of[used], len(powers))
+        ln = np.exp(np.log(tau) / powers[need, None]).take(which, axis=0)
+        ln *= -keys.imag[used, None]
+        out = np.log1p(ln, out=ln).take(index, axis=0)
         out *= y1[rows]
         return np.exp(out, out=out)
 
     try:
-        return _join_halves(integrate(f, 0.0, 1.0, tol=tol), scale, m)
+        return _sum_halves(integrate(f, 0.0, 1.0, tol=tol), row, scale, m)
     except ToleranceError as exc:
-        rows = sorted({r % m for r in exc.rows})
-        message = str(exc).replace(_rows_where(list(exc.rows), 2 * m),
-                                   _rows_where(rows, m))
-        raise ToleranceError(message, _join_halves(exc.result, scale, m),
-                             layer=exc.layer, levels=exc.levels,
-                             evaluations=exc.evaluations, budget=exc.budget,
-                             rows=tuple(rows)) from None
+        raise _not_met(tol, _sum_halves(exc.result, row, scale, m), exc.evaluations,
+                       (np.unique(row[list(exc.rows)]).tolist(), m)) from None
 
 
-def _join_halves(res, scale, m):
-    """beta_integrals' result from integrate's on its 2m half-rows."""
-    value, err = scale * res.value, scale * res.err_estimate
-    return QuadResult(value[:m] + value[m:], err[:m] + err[m:], res.evaluations)
+def _distinct(ids, n):
+    """np.unique(ids, return_inverse=True) for an int array ids of values
+    in [0, n), by a mask of those values instead of a sort."""
+    seen = np.bincount(ids, minlength=n) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
+
+
+def _sum_halves(res, row, scale, m):
+    """beta_integrals' result from integrate's on its half-rows: row i's
+    value sums scale times value over its half-rows, in their order, and
+    its estimate |scale| times theirs."""
+    value = np.bincount(row, scale * res.value, m)
+    err = np.bincount(row, np.abs(scale) * res.err_estimate, m)
+    return QuadResult(value, err, res.evaluations)

@@ -200,7 +200,7 @@ def test_09_bvp_residuals():
         for q in (1.5, 2.0, 3.0, 4.0):
             ode = bvp.general_checks(p, q, (1.0, 2.5), np.linspace(0.0, 1.0, 35)[1:-1])[0]
             worst_ode = max(worst_ode, float(ode.max()))
-    assert worst_ode <= 1e-6
+    assert worst_ode <= 1e-12  # the travel time's, verify's bvp ode tolerance
 
     worst_closure = 0.0
     for m in (0.5, 1.0, 2.0, 10.0):
@@ -221,7 +221,7 @@ def test_09_bvp_residuals():
     report(
         "bvp_residuals",
         worst_ode,
-        1e-6,
+        1e-12,
         extra=(
             f"closure={worst_closure:.2e} phase={worst_phase:.2e} "
             f"classical={classical:.2e}"

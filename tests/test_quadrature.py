@@ -8,6 +8,8 @@ import pytest
 from gentrig import bvp, quadrature, verify
 from gentrig.errors import DomainError, ToleranceError
 
+EPS = np.finfo(float).eps
+
 
 def test_constant_exact():
     res = quadrature.integrate(lambda t: np.ones_like(t), 0.0, 1.0, tol=1e-14)
@@ -256,6 +258,15 @@ class TestSingularBeta:
             quadrature.beta_integrals([1.0, 2.0], [1.0])
         with pytest.raises(DomainError):  # not 1-D
             quadrature.beta_integrals(1.0, 1.0)
+
+    def test_upper_domain(self):
+        # upper is a root Y^a in (0, 1], one entry a row
+        for bad in (0.0, -0.5, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="upper in"):
+                quadrature.beta_integrals([1.0, 2.0], [1.0, 1.0], upper=[0.5, bad])
+        for shape in ((), (1,), (3,), (2, 1)):
+            with pytest.raises(DomainError, match="shapes"):
+                quadrature.beta_integrals([1.0, 2.0], [1.0, 1.0], upper=np.full(shape, 0.5))
 
     @pytest.mark.parametrize(
         "a0,b0,a1",
@@ -634,6 +645,72 @@ class TestBetaIntegrals:
             assert res.err_estimate.tobytes() == np.concatenate(
                 [r.err_estimate for r in alone]).tobytes()
             assert res.evaluations == sum(r.evaluations for r in alone)
+
+    @pytest.mark.parametrize("a,b,root", [
+        (1e-3, 1.0, 0.5),  # Y = 2^-1000
+        (1e-3, 1e-3, 0.1),  # Y = 1e-1000 underflows; its root does not
+        (0.5, 0.5, 0.5**0.5),  # Y = 1/2, one half-row
+        (1.0 / 3.0, 2.0 / 3.0, 0.2),
+        (2.0, 0.3, 0.6),
+        (30.0, 0.01, 0.9),  # Y > 1/2: B(a, b) less the tail beyond Y
+        (0.7, 1e-3, 0.95),
+        (0.5, 4.0, 0.99),
+    ])
+    def test_incomplete_against_mpmath(self, a, b, root):
+        """B_Y(a, b) with Y = root^(1/a), within its own estimate plus a few
+        roundings; above Y = 1/2 the rounding of 1 - Y, which cancels
+        against B(a, b), is part of it."""
+        res = quadrature.beta_integrals([a], [b], 1e-13, upper=[root])
+        with mp.workdps(40):
+            limit = mp.mpf(root) ** (1 / mp.mpf(a))
+            exact = mp.betainc(mp.mpf(a), mp.mpf(b), 0, limit)
+            err = float(abs(res.value[0] - exact))
+            # d B_Y / dY = Y^(a-1) (1-Y)^(b-1) times 1 - Y's rounding
+            carried = float(limit ** (a - 1) * (1 - limit) ** (b - 1)) * EPS if limit > 0.5 else 0.0
+        assert err <= res.err_estimate[0] + carried + 4 * EPS * res.value[0]
+        assert err <= 1e-13 * res.value[0] + carried
+
+    def test_incomplete_rows_equal_lone_calls(self):
+        # limits below 1/2, above it, at 1 and underflowing, in one batch
+        rng = np.random.default_rng(11)
+        a, b = 10.0 ** rng.uniform(-3.0, 1.0, (2, 40))
+        limits = np.concatenate((rng.uniform(0.0, 0.5, 14), rng.uniform(0.5, 1.0, 14),
+                                 np.ones(10), [0.5, 1e-310]))
+        root = limits ** a
+        root[-1] = 1e-3  # Y = 1e-3^(1/a), zero in doubles at a below ~0.0043
+        a[-1] = 1e-3
+        for tol in (1e-10, 1e-13):
+            res = quadrature.beta_integrals(a, b, tol, upper=root)
+            alone = [quadrature.beta_integrals([x], [y], tol, upper=[r])
+                     for x, y, r in zip(a, b, root)]
+            assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
+            assert res.err_estimate.tobytes() == np.concatenate(
+                [r.err_estimate for r in alone]).tobytes()
+            assert res.evaluations == sum(r.evaluations for r in alone)
+
+    def test_starved_rows_are_the_callers(self, monkeypatch):
+        """ToleranceError.rows and its message name the caller's rows, of
+        one, two or three half-rows each: the half-row -> row index maps
+        them back (r % m named row 0 here, whose lone call passes)."""
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
+        rows = [(1.0, 1.0, 0.3), (0.3, 0.05, 0.9**0.3), (1e-3, 0.5, 0.1),
+                (0.5, 1e-3, 0.4**0.5), (2.0, 3.0, 1.0), (5.0, 5.0, 0.99**5)]
+        a, b, root = (np.array(v) for v in zip(*rows))
+        with pytest.raises(ToleranceError) as err:
+            quadrature.beta_integrals(a, b, 1e-13, upper=root)
+        exc = err.value
+        failing, best = [], []
+        for i, row in enumerate(rows):
+            try:
+                best.append(quadrature.beta_integrals(*([v] for v in row[:2]), 1e-13,
+                                                      upper=[row[2]]).value)
+            except ToleranceError as alone:
+                failing.append(i)
+                best.append(alone.result.value)
+        assert failing == [1, 3, 4]
+        assert exc.rows == tuple(failing)
+        assert f"in rows {failing} of {len(rows)} " in str(exc)
+        assert exc.result.value.tobytes() == np.concatenate(best).tobytes()
 
     def test_wallis_suite_on_the_extreme_grid(self, monkeypatch):
         results = []
