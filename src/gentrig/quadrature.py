@@ -20,7 +20,8 @@ own.  beta_integrals uses this to take any number of complete or incomplete
 beta integrals in one pass, the Wallis moments and the bvp travel times of
 the whole verify grid included: each is one to three half-rows that an
 endpoint substitution makes bounded, so that no mass of a singular endpoint
-lies beyond the outermost node, however small a or b.
+lies beyond the outermost node, however small a or b.  The batch holds each
+distinct half-row once, and rows that repeat or share halves read its value.
 
 This module must not import gtf, integrals, bvp or specfun, nor scipy: it is
 the independent side of every closed-form-versus-quadrature check in the
@@ -51,7 +52,9 @@ DEFAULT_TOL = 1e-10
 class QuadResult:
     """value and err_estimate are floats for one integrand and arrays of
     shape (m,) for a batch of m; evaluations counts the nodes passed to
-    the integrand, summed over the rows of a batch."""
+    the integrand, summed over the rows of a batch.  For beta_integrals
+    those rows are its distinct half-rows, so where half-rows repeat the
+    count is below the sum of the rows' lone calls."""
 
     value: float | np.ndarray
     err_estimate: float | np.ndarray
@@ -263,16 +266,20 @@ def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
     A row with Y > 1/2 is B(a, b) = B_{1/2}(a, b) + B_{1/2}(b, a), two
     half-rows at R = 2^-a and 2^-b, minus B_{1-Y}(b, a) where Y < 1; its
     1 - Y is formed from Y = upper^(1/a), whose rounding it carries, so a
-    caller near Y = 1 passes the other tail's row instead.  Per level,
-    tau^(1/a) is formed once per distinct a among the live half-rows, Z
-    tau^(1/a) and its log1p once per distinct (a, Z), and every power
-    elementwise as the exp of a log: numpy's power special-cases some
-    scalar exponents, so a lone row would differ from the same row in a
-    batch.
+    caller near Y = 1 passes the other tail's row instead.  The integrand
+    of a half-row depends on (a, Z, b) alone, so integrate takes each
+    distinct half-row once (B(a, b) and B(b, a) share both halves, and a
+    repeated row all of its own), and the result's evaluations count only
+    those.  Per level, tau^(1/a) is formed once per distinct a among the
+    live half-rows, Z tau^(1/a) and its log1p once per distinct (a, Z), and
+    every power elementwise as the exp of a log: numpy's power
+    special-cases some scalar exponents, so a lone row would differ from
+    the same row in a batch.
 
     DomainError unless a, b and upper are 1-D of one length, with a and b
     in (0, inf) and upper in (0, 1], NaN failing.  A ToleranceError names
-    the failing rows of a and b, and carries every row's best estimate.
+    the failing rows of a and b, every row holding a failed half-row, and
+    carries every row's best estimate.
     """
     a, b = (np.asarray(v, dtype=float) for v in (a, b))
     root = np.ones(a.shape) if upper is None else np.asarray(upper, dtype=float)
@@ -300,26 +307,37 @@ def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
     z = np.concatenate((np.minimum(lim, 0.5), np.full(len(whole), 0.5), rest))
     scale = np.concatenate((np.where(lim > 0.5, np.exp2(-a), root), np.exp2(-b[whole]),
                             -np.exp(b[cut] * np.log(rest)))) / x
-    # each distinct (a, Z) as one complex key, both parts exact, and the
-    # distinct a among the keys
-    keys, at = np.unique(x + 1j * z, return_inverse=True)
-    powers, of = np.unique(keys.real, return_inverse=True)
-    y1 = (y - 1.0)[:, None]
+    # one sort of the half-rows by (a, Z, b) marks where a, (a, Z) and the
+    # half-row change: integrate takes each distinct half-row once, its
+    # duplicates (B(a, b) and B(b, a) share both halves) read its value
+    order = np.lexsort((y, z, x))
+    x, z, y = x[order], z[order], y[order]
+    new = np.ones((3, len(x)), dtype=bool)  # a new a, (a, Z) and half-row
+    new[0, 1:] = x[1:] != x[:-1]
+    new[1, 1:] = new[0, 1:] | (z[1:] != z[:-1])
+    new[2, 1:] = new[1, 1:] | (y[1:] != y[:-1])
+    ids = np.cumsum(new, axis=1) - 1
+    half = np.empty_like(order)
+    half[order] = ids[2]  # each half-row's distinct half-row
+    at = ids[1][new[2]]  # each distinct half-row's (a, Z)
+    of = ids[0][new[1]]  # each (a, Z)'s a
+    powers, limits, y1 = x[new[0]], z[new[1]], (y[new[2]] - 1.0)[:, None]
 
-    def f(tau, rows=np.arange(len(x))):
-        used, index = _distinct(at[rows], len(keys))
+    def f(tau, rows=np.arange(len(at))):
+        used, index = _distinct(at[rows], len(limits))
         need, which = _distinct(of[used], len(powers))
         ln = np.exp(np.log(tau) / powers[need, None]).take(which, axis=0)
-        ln *= -keys.imag[used, None]
+        ln *= -limits[used, None]
         out = np.log1p(ln, out=ln).take(index, axis=0)
         out *= y1[rows]
         return np.exp(out, out=out)
 
     try:
-        return _sum_halves(integrate(f, 0.0, 1.0, tol=tol), row, scale, m)
+        return _sum_halves(integrate(f, 0.0, 1.0, tol=tol), half, row, scale, m)
     except ToleranceError as exc:
-        raise _not_met(tol, _sum_halves(exc.result, row, scale, m), exc.evaluations,
-                       (np.unique(row[list(exc.rows)]).tolist(), m)) from None
+        failed = row[np.isin(half, exc.rows)]
+        raise _not_met(tol, _sum_halves(exc.result, half, row, scale, m), exc.evaluations,
+                       (np.unique(failed).tolist(), m)) from None
 
 
 def _distinct(ids, n):
@@ -329,10 +347,11 @@ def _distinct(ids, n):
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
 
 
-def _sum_halves(res, row, scale, m):
-    """beta_integrals' result from integrate's on its half-rows: row i's
-    value sums scale times value over its half-rows, in their order, and
-    its estimate |scale| times theirs."""
-    value = np.bincount(row, scale * res.value, m)
-    err = np.bincount(row, np.abs(scale) * res.err_estimate, m)
+def _sum_halves(res, half, row, scale, m):
+    """beta_integrals' result from integrate's on its distinct half-rows:
+    half maps each half-row to its distinct one, and row i's value sums
+    scale times value over its half-rows, in their order, and its estimate
+    |scale| times theirs."""
+    value = np.bincount(row, scale * res.value[half], m)
+    err = np.bincount(row, np.abs(scale) * res.err_estimate[half], m)
     return QuadResult(value, err, res.evaluations)

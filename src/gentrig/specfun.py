@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import sys
 
@@ -911,7 +910,8 @@ def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
     n_safe = int(math.ceil(max(aa, ab, ac))) + 2  # the test's first term
     term, total, comp, mag = 1.0, head, 0.0, head
     tol, hx = HYP2F1_TAIL_TOL, 0.5 * x
-    for n in itertools.count():
+    n = 0.0  # a float counter: the same values as an int n, at less cost
+    while True:
         m = n + 1.0
         term *= (a + n) * (b + n) / ((c + n) * m) * x
         y = term - comp
@@ -923,6 +923,7 @@ def _series(a: float, b: float, c: float, x: float, head: float = 1.0) -> float:
         if m >= n_safe and size * hx <= tol * mag and _tail_certified(
                 size, mag, m, aa, ab, ac, x):
             return total
+        n = m
 
 
 def _connection(a: float, b: float, c: float, s: float, y: float) -> float:
@@ -1034,8 +1035,8 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     two_albe, m_albe, ra, rb = 2.0 * al * be, m * al * be, abs(al) + ae, abs(be) + ae
 
     total = mag = 0.0
-    yk = 1.0
-    for k in itertools.count():
+    yk, k = 1.0, 0.0  # a float counter, as in _series
+    while True:
         t = yk * ek
         total += t
         mag += abs(t)
@@ -1065,6 +1066,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
         ek = r_u * ek + d_uv * vk
         vk *= r_v
         yk *= y
+        k = K
 
     pref = _gamma(c) * _rgamma(a) * _rgamma(b) * _rgamma(m + 1.0) * (-y) ** m
     if e:

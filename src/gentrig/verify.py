@@ -2,9 +2,10 @@
 identities and closed forms at the pairs (p, q) of a grid, each case a (case
 name, residual, tolerance) triple that passes where residual <= tolerance.
 Two suites compare against the tanh-sinh oracle, in one beta_integrals
-batch each: wallis its moments, and bvp its ODE cases, as the travel time
-x/H = I_{sin^q(w x)}(1/q, 1/p) of the general problem (bvp.general_checks)
-within 1e-12, the oracle's 2e-13 plus rounding."""
+batch each: wallis its moments, against the closed forms of the plain
+cores integrals._wallis_sin and _wallis_cos, and bvp its ODE cases, as the
+travel time x/H = I_{sin^q(w x)}(1/q, 1/p) of the general problem
+(bvp.general_checks) within 1e-12, the oracle's 2e-13 plus rounding."""
 
 from __future__ import annotations
 
@@ -48,19 +49,20 @@ def _suite_wallis(grid):
     """Every moment of the grid from one oracle pass.  With u = s^q, the
     sine moment int_0^{pi_pq/2} sin_pq^e is (1/q) B((e + 1)/q, 1/p*) and
     the cosine moment (1/q) B(1/q, (e - 1)/p + 1); the closed forms take
-    Pochhammer ratios, the oracle no Gamma or Beta function."""
+    Pochhammer ratios, the oracle no Gamma or Beta function.  The closed
+    forms come from wallis_sin's and wallis_cos's plain cores at (p, q, n,
+    r), as wallis_special_cases takes them, with no query record a case."""
     cases, rows = [], []
     for p in grid:
         for q in grid:
-            pair = gtf.ParamPair(p, q)
             for n in (0, 1, 3):
                 for r in (q - 1.0, 0.5 * (q - 1.0), -0.5):
                     cases.append((f"wallis_sin p={p} q={q} n={n} r={r:g}",
-                                  integrals.wallis_sin(integrals.WallisQuery(pair, n, r))))
+                                  integrals._wallis_sin(p, q, n, r)))
                     rows.append(((q * n + r + 1.0) / q, (p - 1.0) / p, q))
                 for r in (1.0, 0.5 * (3.0 - p)):
                     cases.append((f"wallis_cos p={p} q={q} n={n} r={r:g}",
-                                  integrals.wallis_cos(integrals.WallisQuery(pair, n, r))))
+                                  integrals._wallis_cos(p, q, n, r)))
                     rows.append((1.0 / q, (p * n + r - 1.0) / p + 1.0, q))
     a, b, qs = np.array(rows).T
     moments = quadrature.beta_integrals(a, b).value / qs

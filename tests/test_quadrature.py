@@ -537,27 +537,45 @@ class TestPowerMoments:
         assert exc.result.value.shape == exc.result.err_estimate.shape == (5,)
 
 
+def _assert_distinct_work(res, a, b, alone, tol, upper=None):
+    """A batch of the rows a, b (and upper) integrates each distinct
+    half-row once: its evaluations are those of a batch of its distinct
+    rows, which hold the same half-rows, and at most the sum of the lone
+    calls' (below it where half-rows repeat)."""
+    rows = np.stack([a, b] + ([] if upper is None else [upper]))
+    distinct = np.unique(rows, axis=1)
+    again = quadrature.beta_integrals(*distinct[:2], tol,
+                                      upper=None if upper is None else distinct[2])
+    assert res.evaluations == again.evaluations
+    assert res.evaluations <= sum(r.evaluations for r in alone)
+
+
 def _assert_rows_equal_spec_calls(specs, tol=1e-10):
     """The rows of specs in one batch equal each spec's own call bit for
-    bit: values, error estimates and, summed, evaluations."""
+    bit, values and error estimates, at the evaluations of its distinct
+    rows."""
     res = spec_batch(specs, tol)
     alone = [spec_batch([spec], tol) for spec in specs]
     assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
     assert res.err_estimate.tobytes() == np.concatenate(
         [r.err_estimate for r in alone]).tobytes()
-    assert res.evaluations == sum(r.evaluations for r in alone)
+    rows = [wallis_rows(*spec) for spec in specs]
+    a, b = (np.concatenate([row[k] for row in rows]) for k in (0, 1))
+    _assert_distinct_work(res, a, b, alone, tol)
 
 
 class TestPerBatchTables:
     """beta_integrals groups its half-rows by their distinct a once per
-    level; no row's value may depend on what it shares."""
+    level, and integrates each distinct half-row once; no row's value may
+    depend on what it shares."""
 
     def test_repeated_spec(self):
         _assert_rows_equal_spec_calls([(2.0, 3.0, "sin", [1.5, 2.0, -0.5, 7.25])] * 4)
 
     def test_shared_powers_across_p(self):
         # the cosine rows share a = 1/3, the sine rows a = 2.5/3 and
-        # 8.25/3, each at every p; their b differ
+        # 8.25/3, each at every p; their b differ, but for the cosine row
+        # at 1 + 0.75 p, (1/3, 1.75) at every p
         specs = [(p, 3.0, "cos", [1.0 + 0.75 * p, 2.0]) for p in (1.5, 2.0, 4.0)]
         specs += [(p, 3.0, "sin", [1.5, 7.25]) for p in (1.5, 2.5, 4.0)]
         _assert_rows_equal_spec_calls(specs)
@@ -644,7 +662,9 @@ class TestBetaIntegrals:
             assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
             assert res.err_estimate.tobytes() == np.concatenate(
                 [r.err_estimate for r in alone]).tobytes()
-            assert res.evaluations == sum(r.evaluations for r in alone)
+            # (0.5, 2) and (2, 0.5) share both halves
+            _assert_distinct_work(res, a, b, alone, tol)
+            assert res.evaluations < sum(r.evaluations for r in alone)
 
     @pytest.mark.parametrize("a,b,root", [
         (1e-3, 1.0, 0.5),  # Y = 2^-1000
@@ -727,6 +747,110 @@ class TestBetaIntegrals:
         # the estimates of B(a, b), at least q times those of the moments
         (res,) = results
         assert res.err_estimate.max() <= min(tol for *_, tol in cases)
+
+
+def _level_zero_rows(monkeypatch):
+    """A spy on beta_integrals' integrate: the rows of each batch's level-0
+    integrand values, one array per integrate call."""
+    integrate, seen = quadrature.integrate, []
+
+    def spy(f, *args, **kwargs):
+        def g(x, **rows):
+            y = f(x, **rows)
+            if not rows:  # level 0's call asks for every row
+                seen.append(y)
+            return y
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", spy)
+    return seen
+
+
+class TestDistinctHalfRows:
+    """Each distinct half-row (a, Z, b) is integrated once per batch; rows
+    that repeat, or that share halves, read its value."""
+
+    # B(0.5, 2) and B(2, 0.5) share both halves, B(1, 1) and B(3, 3) are
+    # each one half twice, and B_{1/4}(0.5, 2) is the tail of B_{3/4}(2, 0.5)
+    # (both limits exact from their roots)
+    ROWS = [(0.5, 2.0, 1.0), (2.0, 0.5, 1.0), (0.5, 2.0, 1.0), (1.0, 1.0, 1.0),
+            (3.0, 3.0, 1.0), (2.0, 0.5, 0.75**2), (0.5, 2.0, 0.5), (1.0, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_rows_equal_lone_calls(self, tol):
+        a, b, root = (np.array(v) for v in zip(*self.ROWS))
+        res = quadrature.beta_integrals(a, b, tol, upper=root)
+        alone = [quadrature.beta_integrals([x], [y], tol, upper=[r]) for x, y, r in self.ROWS]
+        assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
+        assert res.err_estimate.tobytes() == np.concatenate(
+            [r.err_estimate for r in alone]).tobytes()
+        _assert_distinct_work(res, a, b, alone, tol, upper=root)
+        assert res.evaluations < sum(r.evaluations for r in alone)
+
+    def test_integrate_gets_the_distinct_half_rows(self, monkeypatch):
+        seen = _level_zero_rows(monkeypatch)
+        a, b, root = (np.array(v) for v in zip(*self.ROWS))
+        quadrature.beta_integrals(a, b, upper=root)
+        # of 16 half-rows (a, Z, b), 5 distinct: (0.5, 1/2, 2), (2, 1/2,
+        # 0.5), (1, 1/2, 1), (3, 1/2, 3) and (0.5, 1/4, 2), the tail of the
+        # sixth row and the seventh row's one half-row
+        (y,) = seen
+        assert len(y) == 5
+        assert len({row.tobytes() for row in y}) == 5
+        # a lone row of two equal halves passes one
+        seen.clear()
+        quadrature.beta_integrals([3.0], [3.0])
+        assert [len(y) for y in seen] == [1]
+
+    def test_starved_batch_names_every_caller_row(self, monkeypatch):
+        # rows 1, 3 and 4 of TestBetaIntegrals' starved batch fail alone;
+        # their repeats, and (3, 2), whose halves are row 4's, fail with them
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
+        rows = [(1.0, 1.0, 0.3), (0.3, 0.05, 0.9**0.3), (1e-3, 0.5, 0.1),
+                (0.5, 1e-3, 0.4**0.5), (2.0, 3.0, 1.0), (5.0, 5.0, 0.99**5),
+                (0.3, 0.05, 0.9**0.3), (3.0, 2.0, 1.0), (1.0, 1.0, 0.3), (2.0, 3.0, 1.0)]
+        a, b, root = (np.array(v) for v in zip(*rows))
+        with pytest.raises(ToleranceError) as err:
+            quadrature.beta_integrals(a, b, 1e-13, upper=root)
+        exc = err.value
+        failing, best = [], []
+        for i, row in enumerate(rows):
+            try:
+                best.append(quadrature.beta_integrals([row[0]], [row[1]], 1e-13,
+                                                      upper=[row[2]]).value)
+            except ToleranceError as alone:
+                failing.append(i)
+                best.append(alone.result.value)
+        assert failing == [1, 3, 4, 6, 7, 9]
+        assert exc.rows == tuple(failing)
+        assert f"in rows {failing} of {len(rows)} " in str(exc)
+        assert exc.result.value.tobytes() == np.concatenate(best).tobytes()
+
+
+class TestVerifyOracleWork:
+    """The full grid's two oracle batches integrate their distinct
+    half-rows once: 409 of the wallis suite's 750 (B(a, b) and B(b, a)
+    share both halves) and 257 of the bvp suite's 508 (H = 1 and H = 2.5
+    give most points the same sine).  A batch that lost the deduplication
+    would pass every half-row and about twice the evaluations."""
+
+    @pytest.mark.parametrize("suite,half_rows,evaluations",
+                             [("wallis", 409, 35_011), ("bvp", 257, 35_370)])
+    def test_full_grid(self, suite, half_rows, evaluations, monkeypatch):
+        beta_integrals, results = quadrature.beta_integrals, []
+
+        def spy(*args, **kwargs):
+            results.append(beta_integrals(*args, **kwargs))
+            return results[-1]
+
+        seen = _level_zero_rows(monkeypatch)
+        monkeypatch.setattr(quadrature, "beta_integrals", spy)
+        verify.run(suite, verify.GRIDS["full"])
+        # the batch's integrate call comes first; the bvp suite's nonlocal
+        # closures then call integrate on their own
+        (res,) = results
+        assert [len(y) for y in seen][:1] == [half_rows]
+        assert res.evaluations == evaluations
 
 
 def test_oracle_independence():
