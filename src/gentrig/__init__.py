@@ -17,10 +17,11 @@ Library layout:
   phase-plane first integral and the travel time x/H = I_{sin^q(w x)}(1/q,
   1/p) from the oracle, within 2e-13 plus rounding) and the nonlocal
   closure.
-- ``quadrature``: the independent tanh-sinh integration oracle (one
-  integrand or a batch on shared nodes, one integrand call per level) and
-  beta_integrals, any number of complete or incomplete beta integrals in
-  one pass (the Wallis moments and bvp's travel times are such rows).
+- ``quadrature``: the independent tanh-sinh integration oracle integrate
+  (f(x), or f(x, rows=live) for a batch on shared nodes, one call per
+  level) and beta_integrals, any number of complete or incomplete beta
+  integrals in one pass (the Wallis moments and bvp's travel times are
+  such rows); neither is re-exported at the top level.
 - ``verify``: the identity-verification suites, run(name, grid).
 - ``cli``: the ``gentrig`` command (eval / verify / table): it only parses
   its flags, calls the modules above and prints.
@@ -38,14 +39,12 @@ from .gtf import (
     sin_pq,
     sincos_pq,
 )
-from .quadrature import QuadResult, integrate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
     "ParamPair",
-    "QuadResult",
     "ToleranceError",
     "asin_pq",
     "bvp",
@@ -54,7 +53,6 @@ __all__ = [
     "extend_sin_symmetric",
     "gtf",
     "integrals",
-    "integrate",
     "pi_pq",
     "quadrature",
     "sin_pq",

@@ -18,18 +18,17 @@ class ToleranceError(RuntimeError):
     """Quadrature could not certify the requested tolerance.
 
     Carries the best estimate obtained so far in ``result``.  ``layer``
-    names the module that gave up, ``levels`` the refinement levels it
-    completed and ``budget`` the number of levels it was allowed,
+    names the module that gave up, ``budget`` the number of refinement
+    levels it was allowed (and ran: it gives up only after the last),
     ``evaluations`` the integrand values each failing integrand used; for
     a batch of integrands, ``rows`` holds the indices of those that failed.
     """
 
-    def __init__(self, message, result=None, *, layer=None, levels=None,
-                 evaluations=None, budget=None, rows=None):
+    def __init__(self, message, result=None, *, layer=None, evaluations=None,
+                 budget=None, rows=None):
         super().__init__(message)
         self.result = result
         self.layer = layer
-        self.levels = levels
         self.evaluations = evaluations
         self.budget = budget
         self.rows = rows

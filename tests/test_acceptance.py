@@ -31,11 +31,8 @@ def test_01_lemniscate_constant():
     varpi = gtf.pi_pq(2.0, 4.0)
     assert f"{varpi:.4f}" == "2.6221"
 
-    def f(t, da, db):
-        with np.errstate(divide="ignore"):
-            return (-np.expm1(4.0 * np.log1p(-db))) ** -0.5
-
-    oracle = 2.0 * quadrature.integrate(f, 0.0, 1.0, tol=1e-12, dist=True).value
+    # varpi = 2 int_0^1 (1 - t^4)^(-1/2) dt = B(1/4, 1/2) / 2
+    oracle = quadrature.beta_integrals([0.25], [0.5], tol=1e-12).value[0] / 2.0
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report("lemniscate_constant", abs(varpi - oracle), 1e-10,
@@ -133,15 +130,16 @@ def test_06_primitive_formula():
         x = rng.uniform(0.1, 0.9) * half
         closed = integrals.primitive_sin_cos(p, q, k, l, x)
 
-        def f(t, da, db):
+        def f(t):
             t = np.minimum(t, x)
             s = gtf.sin_pq(p, q, t)
-            small = da < 1e-280
+            # sin_pq(t) = t to double precision there; the nodes near 0 are exact
+            small = t < 1e-280
             if np.any(small):
-                s = np.where(small, da, s)
+                s = np.where(small, t, s)
             return s**k * gtf.cos_pq(p, q, t) ** l
 
-        oracle = quadrature.integrate(f, 0.0, x, tol=1e-10, dist=True).value
+        oracle = quadrature.integrate(f, 0.0, x, tol=1e-10).value
         worst = max(worst, abs(closed - oracle))
 
     worst_sum = 0.0

@@ -66,14 +66,10 @@ class TestPi:
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_against_defining_integral(self):
+        # pi_pq = 2 int_0^1 (1 - t^q)^(-1/p) dt = (2/q) B(1/q, 1/p*), u = t^q
         for p, q in ((2.0, 3.0), (3.0, 1.5), (1.5, 4.0)):
-
-            def f(t, da, db, q=q, p=p):
-                # 1 - t**q evaluated through the distance to the endpoint
-                with np.errstate(divide="ignore"):
-                    return (-np.expm1(q * np.log1p(-db))) ** (-1.0 / p)
-
-            oracle = quadrature.integrate(f, 0.0, 1.0, tol=1e-11, dist=True).value
+            row = quadrature.beta_integrals([1.0 / q], [(p - 1.0) / p], tol=1e-11)
+            oracle = row.value[0] / q
             assert gtf.pi_pq(p, q) == pytest.approx(2.0 * oracle, abs=1e-10)
 
     def test_domain(self):
@@ -102,15 +98,11 @@ class TestAsin:
         assert np.all(np.diff(vals) > 0.0)
 
     def test_incomplete_beta_form_against_oracle(self):
-        # (1/q) int_0^(x^q) s^(1/q-1)(1-s)^(1/p*-1) ds
+        # (1/q) int_0^(x^q) s^(1/q-1)(1-s)^(1/p*-1) ds: the row (1/q, 1/p*)
+        # at the limit x^q, given by its root (x^q)^(1/q) = x
         p, q, x = 2.0, 4.0, 0.7
-        a, b, upper = 1.0 / q, 1.0 / gtf.conjugate(p), x**q
-
-        def f(s, da, db):
-            return da ** (a - 1.0) * (1.0 - upper + db) ** (b - 1.0)
-
-        res = quadrature.integrate(f, 0.0, upper, tol=1e-12, dist=True)
-        assert gtf.asin_pq(p, q, x) == pytest.approx(res.value / q, abs=1e-12)
+        res = quadrature.beta_integrals([1.0 / q], [(p - 1.0) / p], tol=1e-12, upper=[x])
+        assert gtf.asin_pq(p, q, x) == pytest.approx(res.value[0] / q, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -17,15 +17,16 @@ def quad_sin_power(p, q, exponent, tol=1e-10):
     """Quadrature oracle for the half-period integral of sin_pq**exponent."""
     half = gtf.pi_pq(p, q) / 2.0
 
-    def f(x, da, db):
+    def f(x):
         s = gtf.sin_pq(p, q, np.minimum(x, half))
-        # near the left endpoint the integrand behaves like x**exponent
-        small = da < 1e-280
+        # near the left endpoint, where the nodes are exact, the integrand
+        # behaves like x**exponent
+        small = x < 1e-280
         if np.any(small):
-            s = np.where(small, da, s)
+            s = np.where(small, x, s)
         return s**exponent
 
-    return quadrature.integrate(f, 0.0, half, tol=tol, dist=True).value
+    return quadrature.integrate(f, 0.0, half, tol=tol).value
 
 
 def quad_cos_power(p, q, exponent, tol=1e-10):

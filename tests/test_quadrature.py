@@ -18,12 +18,10 @@ def test_constant_exact():
 
 
 def test_arcsin_integral():
-    # int_0^1 (1 - t^2)^(-1/2) = pi/2; distance form reaches 1e-12
-    res = quadrature.integrate(
-        lambda x, da, db: 1.0 / np.sqrt(db * (1.0 + x)), 0.0, 1.0,
-        tol=1e-12, dist=True,
-    )
-    assert abs(res.value - math.pi / 2) <= 1e-12
+    # int_0^1 (1 - t^2)^(-1/2) = B(1/2, 1/2)/2 = pi/2; as a beta row, with
+    # its endpoint singularity substituted away, it reaches 1e-12
+    res = quadrature.beta_integrals([0.5], [0.5], tol=1e-12)
+    assert abs(res.value[0] / 2.0 - math.pi / 2) <= 1e-12
 
 
 def test_arcsin_integral_plain_mode():
@@ -32,12 +30,9 @@ def test_arcsin_integral_plain_mode():
 
 
 def test_lemniscate_integral():
-    # int_0^1 (1 - t^4)^(-1/2) = varpi/2 = 1.31102877714605...
-    res = quadrature.integrate(
-        lambda x, da, db: 1.0 / np.sqrt(db * (1.0 + x) * (1.0 + x * x)),
-        0.0, 1.0, tol=1e-12, dist=True,
-    )
-    assert abs(res.value - 1.3110287771460598) <= 1e-12
+    # int_0^1 (1 - t^4)^(-1/2) = B(1/4, 1/2)/4 = varpi/2 = 1.31102877714605...
+    res = quadrature.beta_integrals([0.25], [0.5], tol=1e-12)
+    assert abs(res.value[0] / 4.0 - 1.3110287771460598) <= 1e-12
 
 
 def test_sin_squared():
@@ -100,8 +95,10 @@ def test_eval_cap(monkeypatch):
         quadrature.integrate(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0, tol=1e-13)
     exc = err.value
     assert exc.result is not None
-    assert exc.levels == exc.budget == 4 and exc.evaluations <= 100
-    assert "after 4 levels" in str(exc) and "of a budget of 4 levels" in str(exc)
+    assert exc.budget == 4 and exc.evaluations <= 100
+    # the budget is named once: every level ran before the error
+    assert "after its budget of 4 levels" in str(exc)
+    assert str(exc).count("levels") == 1
 
 
 @pytest.mark.parametrize(
@@ -115,30 +112,26 @@ def test_bad_limits_and_tolerances_rejected(a, b, tol):
         quadrature.integrate(lambda t: np.ones_like(t), a, b, tol=tol)
 
 
-def _ones(dist):
-    if dist:
-        return lambda x, da, db: np.ones_like(x)
-    return lambda x: np.ones_like(x)
+def _ones(x):
+    return np.ones_like(x)
 
 
-@pytest.mark.parametrize("dist", [False, True])
 @pytest.mark.parametrize("width", [1e-290, 1e-298, 1e-300, 5e-324])
-def test_too_narrow_interval_rejected(width, dist):
+def test_too_narrow_interval_rejected(width):
     # the nodes skipped near the endpoints would carry more than tol of the
     # rule's weight: the result would be low (8% at 1e-298) or not exist
     with pytest.raises(DomainError, match=f"width {width:g} "):
-        quadrature.integrate(_ones(dist), 0.0, width, dist=dist)
+        quadrature.integrate(_ones, 0.0, width)
 
 
-@pytest.mark.parametrize("dist", [False, True])
-def test_narrow_interval_still_integrated(dist):
-    res = quadrature.integrate(_ones(dist), 0.0, 1e-280, dist=dist)
+def test_narrow_interval_still_integrated():
+    res = quadrature.integrate(_ones, 0.0, 1e-280)
     assert abs(res.value / 1e-280 - 1.0) <= 1e-10
 
 
 def test_no_node_left_is_a_domain_error_at_any_tolerance():
     with pytest.raises(DomainError):
-        quadrature.integrate(_ones(False), 0.0, 1e-300, tol=10.0)
+        quadrature.integrate(_ones, 0.0, 1e-300, tol=10.0)
 
 
 def test_tolerance_error_is_structured():
@@ -146,17 +139,25 @@ def test_tolerance_error_is_structured():
         quadrature.integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
     exc = err.value
     assert exc.layer == "quadrature" and exc.rows is None
-    assert exc.levels == exc.budget == quadrature._MAX_LEVEL + 1
+    assert exc.budget == quadrature._MAX_LEVEL + 1
     assert exc.evaluations == exc.result.evaluations > 0
     assert str(exc).startswith("quadrature: ")
     assert f"{exc.evaluations} evaluations" in str(exc)
-    # every level of the node table, in distance form, where none is dropped
+    # every level of the node table ran: its 49 153 nodes on [0, 1] but the
+    # 11 581 that round onto 1 and are dropped (none is skipped there)
+    table = dropped = 0
+    for level in range(quadrature._MAX_LEVEL + 1):
+        off = 0.5 * quadrature._level_nodes(level)[1]
+        assert off.min() >= quadrature._MIN_OFFSET
+        upper = off[1:] if level == 0 else off  # t = 0 is the centre, 1/2
+        table += 2 * len(upper) + (level == 0)
+        dropped += np.count_nonzero(1.0 - upper == 1.0)
+    assert (table, dropped) == (49_153, 11_581)
     calls = []
     with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(_count_calls(lambda x, da, db: 1.0 / da, calls),
-                             0.0, 1.0, tol=1e-10, dist=True)
+        quadrature.integrate(_count_calls(lambda t: 1.0 / t, calls), 0.0, 1.0, tol=1e-10)
     assert len(calls) == quadrature._MAX_LEVEL + 1
-    assert err.value.evaluations == sum(calls) == 49_153
+    assert err.value.evaluations == sum(calls) == table - dropped == 37_572
 
 
 def _batch(funcs):
@@ -164,9 +165,9 @@ def _batch(funcs):
     rows each call asks for."""
     asked = []
 
-    def f(x, *args, rows=range(len(funcs))):
+    def f(x, rows=range(len(funcs))):
         asked.append(list(rows))
-        return np.array([funcs[i](x, *args) for i in rows])
+        return np.array([funcs[i](x) for i in rows])
 
     return f, asked
 
@@ -176,18 +177,13 @@ class TestBatch:
     # endpoint-singular integrands
     PLAIN = [lambda t: t * t, lambda t: np.exp(-t) * np.cos(3 * t),
              lambda t: 1.0 / np.sqrt(t), lambda t: t ** -0.9]
-    DIST = [lambda x, da, db: np.ones_like(x),
-            lambda x, da, db: 1.0 / np.sqrt(db * (1.0 + x)),
-            lambda x, da, db: da ** -0.75 * db ** -0.5,
-            lambda x, da, db: np.cos(40.0 * x)]
 
-    @pytest.mark.parametrize("dist", [False, True])
     @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
-    def test_rows_equal_single_calls(self, dist, tol):
-        funcs = self.DIST if dist else self.PLAIN
+    def test_rows_equal_single_calls(self, tol):
+        funcs = self.PLAIN
         f, asked = _batch(funcs)
-        res = quadrature.integrate(f, 0.0, 1.0, tol=tol, dist=dist)
-        alone = [quadrature.integrate(g, 0.0, 1.0, tol=tol, dist=dist) for g in funcs]
+        res = quadrature.integrate(f, 0.0, 1.0, tol=tol)
+        alone = [quadrature.integrate(g, 0.0, 1.0, tol=tol) for g in funcs]
         assert res.value.shape == res.err_estimate.shape == (len(funcs),)
         assert np.array_equal(res.value, [r.value for r in alone])
         assert np.array_equal(res.err_estimate, [r.err_estimate for r in alone])
@@ -215,7 +211,6 @@ class TestBatch:
         exc = err.value
         assert exc.layer == "quadrature"
         assert exc.rows == (1,)
-        assert exc.levels == quadrature._MAX_LEVEL + 1
         assert exc.budget == quadrature._MAX_LEVEL + 1
         assert "rows [1] of 3" in str(exc)
         for i in (0, 2):
@@ -407,21 +402,18 @@ def _count_levels(monkeypatch):
 
 
 class TestOneCallPerLevel:
-    @pytest.mark.parametrize("dist", [False, True])
     @pytest.mark.parametrize("batch", [False, True])
-    def test_integrand_called_once_per_level(self, dist, batch, monkeypatch):
-        funcs = TestBatch.DIST if dist else TestBatch.PLAIN
-        f = _batch(funcs)[0] if batch else funcs[1]
+    def test_integrand_called_once_per_level(self, batch, monkeypatch):
+        f = _batch(TestBatch.PLAIN)[0] if batch else TestBatch.PLAIN[1]
         calls = []
         levels = _count_levels(monkeypatch)
-        res = quadrature.integrate(_count_calls(f, calls), 0.0, 1.0, tol=1e-12,
-                                   dist=dist)
+        res = quadrature.integrate(_count_calls(f, calls), 0.0, 1.0, tol=1e-12)
         assert len(calls) == len(levels) == max(levels) + 1 >= 3
-        if dist:
-            # level 0's call holds the centre and both half-axes' nodes
-            assert calls[0] == 13
+        # level 0's call holds the centre and both half-axes' 6 nodes, but
+        # the 3 upper ones that round onto 1
+        assert calls[0] == 10
         if not batch:
-            # the count is the nodes passed to f, in plain mode too
+            # the count is the nodes passed to f, the dropped ones not
             assert sum(calls) == res.evaluations
 
     @pytest.mark.parametrize("H,m", [(1.0, 0.5), (2.5, 1.0)])
@@ -532,8 +524,8 @@ class TestPowerMoments:
             spec_batch(specs)
         exc = err.value
         assert exc.rows == (0, 1, 2, 3, 4)
-        assert exc.levels == 2 and exc.layer == "quadrature"
-        assert "not met in rows [0, 1, 2, 3, 4] of 5 after 2 levels" in str(exc)
+        assert exc.budget == 2 and exc.layer == "quadrature"
+        assert "not met in rows [0, 1, 2, 3, 4] of 5 after its budget of 2 levels" in str(exc)
         assert exc.result.value.shape == exc.result.err_estimate.shape == (5,)
 
 

@@ -903,13 +903,18 @@ class TestHyp2F1:
             specfun.hyp2f1(1.0, 1.0, 2.0, 0.37)
 
     def test_euler_integral_cross_check(self):
-        # F(a,b;c;x) = (1/B(b, c-b)) int_0^1 t^(b-1)(1-t)^(c-b-1)(1-xt)^(-a)
+        # F(a,b;c;x) = (1/B(b, c-b)) int_0^1 t^(b-1)(1-t)^(c-b-1)(1-xt)^(-a),
+        # split at 1/2 and the upper half reflected, u = 1 - t, so that each
+        # half is singular only at 0, where the oracle's nodes are exact
         a, b, c, x = 0.4, 0.9, 1.3, 0.65
 
-        def f(t, da, db):
-            return da ** (b - 1.0) * db ** (c - b - 1.0) * (1.0 - x * t) ** (-a)
+        def lower(t):
+            return t ** (b - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - x * t) ** (-a)
 
-        oracle = quadrature.integrate(f, 0.0, 1.0, tol=1e-12, dist=True).value
+        def upper(u):
+            return u ** (c - b - 1.0) * (1.0 - u) ** (b - 1.0) * (1.0 - x * (1.0 - u)) ** (-a)
+
+        oracle = sum(quadrature.integrate(f, 0.0, 0.5, tol=1e-12).value for f in (lower, upper))
         oracle /= specfun.beta(b, c - b)
         assert specfun.hyp2f1(a, b, c, x) == pytest.approx(oracle, abs=1e-12)
 
@@ -1605,6 +1610,60 @@ def uncalled_public_functions(package, demos, workloads):
     return uncalled
 
 
+# defaulted parameters allowed without a non-test caller that passes them,
+# "module.function(parameter)" to the reason
+ALLOWED_UNPASSED = {}
+
+
+def defaulted_parameters(tree):
+    """{name: (positional parameters, defaulted parameters)} for every public
+    function that a module's ast defines at top level and that has a
+    parameter with a default."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = [arg.arg for arg in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            if defaulted:
+                found[node.name] = (positional, defaulted)
+    return found
+
+
+def unpassed_parameters(package, demos, workloads):
+    """module.function(parameter) for every defaulted parameter of a public
+    function of the GUARDED modules and cli (whose main takes argv) that no
+    call in a non-test caller passes, by keyword or by position.  Callers
+    are the package's modules, the defining one included, the demos/*.py
+    scripts and the benchmark workloads file, all by ast; a call counts by
+    the function's name, bare or as an attribute (self.cli.main(argv)), so
+    a name that two modules define counts a call for both, and positions
+    after a *args count for none."""
+    sources = [path for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sources + sorted(demos.glob("*.py")) + [workloads]]
+    defined = {}  # name -> [(module, positional, defaulted)]
+    for path, tree in zip(sources, trees):
+        if path.stem in GUARDED + ("cli",):
+            for name, (positional, defaulted) in defaulted_parameters(tree).items():
+                defined.setdefault(name, []).append((path.stem, positional, defaulted))
+    passed = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        keywords = {kw.arg for kw in node.keywords if kw.arg}
+        count = next((i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)),
+                     len(node.args))
+        for module, positional, _ in defined.get(name, ()):
+            passed |= {(module, name, param) for param in keywords | set(positional[:count])}
+    return {f"{module}.{name}({param})" for name, entries in defined.items()
+            for module, _, defaulted in entries for param in defaulted
+            if (module, name, param) not in passed}
+
+
 class TestPublicSurface:
     """Every library module exports only what is called from outside it: a
     public function with no caller in another module, a demo or the
@@ -1627,6 +1686,27 @@ class TestPublicSurface:
         uncalled = uncalled_public_functions(
             copy, REPO / "demos", REPO / "benchmarks" / "workloads.py")
         assert sorted(uncalled - ALLOWED_UNCALLED) == ["gtf.planted_uncalled"]
+
+    def test_every_defaulted_parameter_is_passed(self):
+        unpassed = unpassed_parameters(
+            self.PACKAGE, REPO / "demos", REPO / "benchmarks" / "workloads.py")
+        assert sorted(unpassed) == sorted(ALLOWED_UNPASSED)
+
+    def test_scan_flags_a_planted_keyword(self, tmp_path):
+        """On a copy of the package where beta_integrals takes one more
+        keyword that no caller passes, the scan flags that keyword and only
+        it."""
+        copy = tmp_path / "gentrig"
+        shutil.copytree(self.PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        quadrature_py = copy / "quadrature.py"
+        source = quadrature_py.read_text()
+        signature = "def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None)"
+        assert source.count(signature) == 1
+        quadrature_py.write_text(source.replace(
+            signature, signature[:-1] + ", planted: bool = False)"))
+        unpassed = unpassed_parameters(
+            copy, REPO / "demos", REPO / "benchmarks" / "workloads.py")
+        assert sorted(unpassed - set(ALLOWED_UNPASSED)) == ["quadrature.beta_integrals(planted)"]
 
     def test_exports_no_convergence_error(self):
         """hyp2f1's loops stop within proved term counts, so no budget error
