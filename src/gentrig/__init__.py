@@ -17,11 +17,11 @@ Library layout:
   phase-plane first integral and the travel time x/H = I_{sin^q(w x)}(1/q,
   1/p) from the oracle, within 2e-13 plus rounding) and the nonlocal
   closure.
-- ``quadrature``: the independent tanh-sinh integration oracle integrate
-  (f(x), or f(x, rows=live) for a batch on shared nodes, one call per
-  level) and beta_integrals, any number of complete or incomplete beta
-  integrals in one pass (the Wallis moments and bvp's travel times are
-  such rows); neither is re-exported at the top level.
+- ``quadrature``: the independent tanh-sinh integration oracle integrate,
+  a batch of m integrands over [0, 1] on shared nodes (f(x, rows), one
+  call per level), and beta_integrals, any number of complete or
+  incomplete beta integrals in one pass (the Wallis moments and bvp's
+  travel times are such rows); neither is re-exported at the top level.
 - ``verify``: the identity-verification suites, run(name, grid).
 - ``cli``: the ``gentrig`` command (eval / verify / table): it only parses
   its flags, calls the modules above and prints.

@@ -32,9 +32,9 @@ arrays p and q, and then makes that one gtf call and that one batch for
 every pair (gtf's lane for several pairs).  The nonlocal closure,
 nonlocal_mean_square_slope, integrates the square of the closed form's own
 slope, S v with v = u' the phase variable of the derivation, by the
-tanh-sinh oracle, every m of an array one row of one batch that makes one
-gtf call a level.  solve_pq_equal takes an array p, and its sol(x) makes
-one gtf call for every p.
+tanh-sinh oracle on [0, 1] in u = x/H, every m of an array one row of one
+batch that makes one gtf call a level.  solve_pq_equal takes an array p,
+and its sol(x) makes one gtf call for every p.
 
 The profile's factor cos^(p*-1) = cos^(1/(p-1)) and the phase curve's
 |v + 1/p|^(1/p) = (1/p + 1/q)^(1/p) cos^(p*-1) come from gtf._cos_power,
@@ -293,17 +293,18 @@ def _closure_scalars(H: float, m: float):
     with p = r(m)* and q = r(m) (_general_scalars), its omega, and the slope
     scale S = 2 sqrt(m^2 + 1/4).
 
-    DomainError naming m and H where the oracle would overflow: at level
-    L its running sum of weighted (phi')^2 is about 2^L m^2, and it stops
-    at level 4 for every m from 0.5 up (the integrand, in the oracle's
-    variable, does not depend on H), while its estimate is H m^2 / 2.  So
-    m^2 max(16, H/2) must be finite: m below ~3.35e153 for H <= 32.  That
-    also keeps S^2 ~ 4 m^2 finite.
+    DomainError naming m and H where the oracle would overflow.  It
+    integrates (phi')^2 at x = H u over u in [0, 1], an integrand that does
+    not depend on H, so its estimate is m^2 / 2 at every H, and at level L
+    its running sum of weighted (phi')^2 is about 2^(L+1) times that,
+    2^L m^2.  It stops at level 4 for every m from 0.5 up, so 16 m^2 must
+    be finite: m below ~3.35e153, at every H.  That also keeps the
+    integrand, at most S^2 ~ 4 m^2, finite.
     """
     solve_nonlocal(H, m)
-    if not m * m * max(16.0, 0.5 * H) < math.inf:
+    if not 16.0 * m * m < math.inf:
         raise DomainError(f"the nonlocal closure overflows at m = {m}, H = {H}: "
-                          f"m^2 max(16, H/2) is not finite")
+                          f"16 m^2 is not finite")
     q = nonlocal_exponent(m)
     p = conjugate(q)
     P, ssum, _, _, omega, _ = _general_scalars(p, q, [H])
@@ -317,20 +318,21 @@ def nonlocal_mean_square_slope(H: float, m):
     v = -1/p + (1/p + 1/q) cos_{P,q}^P(w x), p = r(m)*, q = P = r(m), which
     the phase curve takes too (_slope).  No difference step enters.
 
-    m is a number (a float is returned) or a numpy array (an array of its
-    shape): every m is one row of a single quadrature.integrate batch, each
-    level makes one gtf call at the rows still refining (gtf's lane for
-    several pairs, also for one m), and each row equals its own call bit for
-    bit; an empty array gives an empty array.  DomainError as solve_nonlocal
-    for an invalid H (at m = 1 where m is empty) or any invalid m: NaN, m <=
-    0 or inf; and as _closure_scalars where the oracle's sums
-    overflow, m^2 max(16, H/2) not finite (m above ~3.35e153 for H <= 32,
-    ~1.9e153 at H = 100).
+    The oracle integrates (phi')^2 at x = H u over u in [0, 1], and the
+    value is twice its integral.  m is a number (a float is returned) or a
+    numpy array (an array of its shape): every m is one row of a single
+    quadrature.integrate batch, each level makes one gtf call at the rows
+    still refining (gtf's lane for several pairs, also for one m), and each
+    row equals its own call bit for bit; an empty array gives an empty
+    array.  DomainError as solve_nonlocal for an invalid H (at m = 1 where
+    m is empty) or any invalid m: NaN, m <= 0 or inf; and as
+    _closure_scalars where the oracle's sums overflow, 16 m^2 not finite (m
+    above ~3.35e153, at every H).
 
     Bound: the oracle stops once two levels agree to tol = 1e-13 relative to
-    the integral H m^2 / 2 where that is at least 1, and absolutely below,
-    so |value - m^2| <= 1e-13 max(m^2, 2/H) plus a few roundings of m^2.
-    The stop test is pessimistic: at H in {1, 2, 2.5} the value reads within
+    the integral m^2 / 2 where that is at least 1, and absolutely below, so
+    |value - m^2| <= 1e-13 max(m^2, 2) plus a few roundings of m^2.  The
+    stop test is pessimistic: at H in {1, 2, 2.5} the value reads within
     6.1e-14 of m^2, relative, at m = 0.05 and within 3.3e-16 from m = 0.5
     to 1e100.  At small m the absolute bound rules: the value reads 1.9e-10
     off, relative, at m = 1e-3 and up to 2.8e-2 at m = 1e-6, at most 2.8e-14
@@ -343,10 +345,10 @@ def nonlocal_mean_square_slope(H: float, m):
     p, q, P, ssum, omega, S = np.array(
         [_closure_scalars(H, v) for v in ms.ravel().tolist()]).T[..., None]
 
-    def f(x, rows=slice(None)):
-        _, c, _ = _sincos_tail(P[rows], q[rows], omega[rows] * x, (False, True, False))
+    def f(u, rows):  # (phi')^2 at x = H u
+        _, c, _ = _sincos_tail(P[rows], q[rows], omega[rows] * (H * u), (False, True, False))
         slope = S[rows] * _slope(p[rows], ssum[rows], P[rows], c)
         return slope * slope
 
-    value = 2.0 / H * quadrature.integrate(f, 0.0, H, tol=1e-13).value
+    value = 2.0 * quadrature.integrate(f, ms.size, tol=1e-13).value
     return float(value[0]) if ms.ndim == 0 else value.reshape(ms.shape)

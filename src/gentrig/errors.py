@@ -20,8 +20,8 @@ class ToleranceError(RuntimeError):
     Carries the best estimate obtained so far in ``result``.  ``layer``
     names the module that gave up, ``budget`` the number of refinement
     levels it was allowed (and ran: it gives up only after the last),
-    ``evaluations`` the integrand values each failing integrand used; for
-    a batch of integrands, ``rows`` holds the indices of those that failed.
+    ``evaluations`` the integrand values each failing integrand used, and
+    ``rows`` the indices of those that failed in their batch.
     """
 
     def __init__(self, message, result=None, *, layer=None, evaluations=None,

@@ -1,27 +1,26 @@
 """Independent integration oracle: tanh-sinh (double-exponential) quadrature.
 
-The substitution x = tanh((pi/2) sinh t) maps (-1, 1) to the real line and
-turns algebraic endpoint singularities with exponent > -1 into a transformed
-integrand that decays double-exponentially, so the trapezoidal rule in t
-converges geometrically.  Interval halving of the step gives an a-posteriori
-error estimate for free.
+The substitution x = (1 + tanh((pi/2) sinh t)) / 2 maps [0, 1] onto the real
+line and turns algebraic endpoint singularities with exponent > -1 into a
+transformed integrand that decays double-exponentially, so the trapezoidal
+rule in t converges geometrically.  Interval halving of the step gives an
+a-posteriori error estimate for free.
 
-The integrand is called once per refinement level, on the nodes of both
-half-axes together (level 0's call also holds the centre), and the level
-is summed by one reduction per half-axis, so the Python overhead is paid a
-handful of times per integral; f must act elementwise on its array of nodes.
-
-One call can integrate a batch of integrands that share the nodes: each
-is refined until it alone meets the tolerance, and the others stop being
-evaluated once they have.  A lone integrand is a batch of one row, and the
-reduction sums each row alone, the same way for any number of rows, so a
-batch gives every integrand the same value, bit for bit, as a call of its
-own.  beta_integrals uses this to take any number of complete or incomplete
-beta integrals in one pass, the Wallis moments and the bvp travel times of
-the whole verify grid included: each is one to three half-rows that an
-endpoint substitution makes bounded, so that no mass of a singular endpoint
-lies beyond the outermost node, however small a or b.  The batch holds each
-distinct half-row once, and rows that repeat or share halves read its value.
+integrate takes a batch of integrands on [0, 1] that share the nodes, and
+calls them once per refinement level, on the nodes of both half-axes
+together (level 0's call also holds the centre); each level is summed by
+one reduction per half-axis, so the Python overhead is paid a handful of
+times per batch, and f must act elementwise on its array of nodes.  Each
+integrand is refined until it alone meets the tolerance, and stops being
+evaluated once it has.  The reduction sums each row alone, the same way
+for any number of rows, so a batch gives every integrand the same value,
+bit for bit, as a batch of its own.  beta_integrals uses this to take any
+number of complete or incomplete beta integrals in one pass, the Wallis
+moments and the bvp travel times of the whole verify grid included: each
+is one to three half-rows that an endpoint substitution makes bounded, so
+that no mass of a singular endpoint lies beyond the outermost node, however
+small a or b.  The batch holds each distinct half-row once, and rows that
+repeat or share halves read its value.
 
 This module must not import gtf, integrals, bvp or specfun, nor scipy: it is
 the independent side of every closed-form-versus-quadrature check in the
@@ -43,34 +42,39 @@ from .errors import DomainError, ToleranceError
 # 1e-17 even against an endpoint singularity as strong as t^(-0.9).
 _T_MAX = 6.0
 _MAX_LEVEL = 12
-_MIN_OFFSET = 5e-300  # skip nodes whose endpoint distance underflows
 
 DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """value and err_estimate are floats for one integrand and arrays of
-    shape (m,) for a batch of m; evaluations counts the nodes passed to
-    the integrand, summed over the rows of a batch.  For beta_integrals
-    those rows are its distinct half-rows, so where half-rows repeat the
-    count is below the sum of the rows' lone calls."""
+    """value and err_estimate are arrays of shape (m,) for a batch of m
+    integrands; evaluations counts the nodes passed to the integrand,
+    summed over the rows.  For beta_integrals those rows are its distinct
+    half-rows, so where half-rows repeat the count is below the sum of the
+    rows' lone calls."""
 
-    value: float | np.ndarray
-    err_estimate: float | np.ndarray
+    value: np.ndarray
+    err_estimate: np.ndarray
     evaluations: int
 
 
 @functools.lru_cache(maxsize=None)
 def _level_nodes(level: int):
-    """Weights and endpoint distances of the nodes added at ``level``.
+    """The nodes x in (0, 1) added at ``level``, their weights w and the
+    index n where the lower half-axis starts in both.
 
     The trapezoidal step is h = 2**-level; level 0 contributes all integer
-    t >= 0, later levels the odd multiples of h.  Returns (w, delta) for the
-    positive half-axis, where delta = 1 - tanh((pi/2) sinh t) is the node's
-    distance from the endpoint of the reference interval [-1, 1].
+    t >= 0, later levels the odd multiples of h, up to _T_MAX.  A node t > 0
+    lies at 1 - d and at d, d = 1 / (1 + exp(pi sinh t)), with weight (pi/2)
+    cosh t / cosh^2((pi/2) sinh t) at both; x holds the upper nodes first,
+    headed at level 0 by the centre t = 0, x = 1/2.  The upper nodes that
+    round onto 1 are dropped, neither evaluated nor counted: 11 581 of the
+    table's 24 576 (3 of the 6 at level 0), and the bits and evaluation
+    counts of beta_integrals' batches rest on that.  The least lower node,
+    at t = 6, is 6.1e-276, so no node's distance from 0 underflows.
 
-    Cached on first use (all levels together hold about 0.4 MB); the arrays
+    Cached on first use (all levels together hold about 0.6 MB); the arrays
     are shared by every call and therefore read-only.
     """
     h = 2.0 ** (-level)
@@ -80,118 +84,65 @@ def _level_nodes(level: int):
         t = np.arange(1, int(_T_MAX / h) + 1, 2) * h
     u = 0.5 * np.pi * np.sinh(t)
     w = 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
-    with np.errstate(over="ignore"):
-        delta = 2.0 / (1.0 + np.exp(2.0 * u))
+    lo = 1.0 / (1.0 + np.exp(2.0 * u))
+    up = 1.0 - lo < 1.0
+    below = slice(1 if level == 0 else 0, None)  # the centre is in the upper part
+    x = np.concatenate((1.0 - lo[up], lo[below]))
+    w = np.concatenate((w[up], w[below]))
+    x.flags.writeable = False
     w.flags.writeable = False
-    delta.flags.writeable = False
-    return w, delta
+    return x, w, int(up.sum())
 
 
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = DEFAULT_TOL,
-) -> QuadResult:
-    """Integrate f over [a, b] with a certified interval-halving estimate.
+def integrate(f: Callable, m: int, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Integrate a batch of m integrands over [0, 1] on shared nodes, each
+    with a certified interval-halving estimate.
 
-    f is called with a numpy array of abscissas and must return an array of
-    the same shape.  Nodes closer to a nonzero endpoint than one ulp round
-    onto it and are dropped, neither evaluated nor counted; near an
-    endpoint equal to 0 every node is exact.  f is called once per
-    refinement level, with the nodes of both half-axes in one array (level
-    0's call starts with the centre of [a, b]); it must act elementwise, so
-    that a node's value does not depend on its neighbours.
-
-    A batch of m integrands on the same nodes is one f that returns shape
-    (m, len(x)).  Its first call asks for every row; that shape fixes m.
-    Every later call passes the keyword ``rows``, the ascending indices of
-    the integrands still refining, and wants shape (len(rows), len(x)).
+    f(x, rows) is called once per refinement level with the level's nodes
+    in one array x (level 0's starts with the centre 1/2) and rows, the
+    ascending indices of the integrands still refining: np.arange(m) at
+    level 0.  It returns shape (len(rows), len(x)) and must act
+    elementwise, so that a node's value does not depend on its neighbours.
     Each row stops at the level where it would stop alone, with the same
-    arithmetic, so its value and error estimate equal those of a
-    single-integrand call bit for bit; ``value`` and ``err_estimate`` are
-    then arrays of shape (m,) and ``evaluations`` the total over the rows.
-    An empty interval returns 0.0 whatever f is.
+    arithmetic, so its value and error estimate equal those of a batch of
+    its own bit for bit; ``evaluations`` is the total over the rows.  At
+    m = 0 the result is empty and f is not called.
 
-    Raises DomainError unless a <= b are finite and 0 < tol < inf, if
-    [a, b] is too narrow for the node table (width below
-    2 _MIN_OFFSET / min(tol, 1), 1e-289 at the default tolerance), both
-    before f is called; and ToleranceError (carrying the best estimates)
-    if the halving disagreement of some integrand does not fall below tol
-    within the budget of _MAX_LEVEL + 1 levels, at most 49 153 evaluations
-    per integrand.  The width rule checks the share of the rule's weight on
-    the nodes skipped near the endpoints, not the error: an integrand
-    singular at an endpoint has more of its mass there (beta_integrals
-    substitutes its singularities away).
+    A row stops once the halving disagreement is within tol max(1,
+    |estimate|): relative for integrals of at least 1, absolute below.
+    Raises DomainError unless 0 < tol < inf, before f is called; and
+    ToleranceError (carrying the best estimates) if some row does not stop
+    within the budget of _MAX_LEVEL + 1 levels, at most 37 572 evaluations
+    per integrand.
     """
-    # written so that NaN fails each test
+    # written so that NaN fails the test
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    if not -math.inf < a <= b < math.inf:
-        raise DomainError(f"need finite limits a <= b, got [{a}, {b}]")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
 
-    halfw = 0.5 * (b - a)
-    # the nodes skipped for lying within _MIN_OFFSET of an endpoint carry the
-    # share _MIN_OFFSET / halfw of the rule's weight; more than tol of it (or
-    # all of it, the centre node included) cannot be certified.  A share of
-    # the weight, not an error bound: t^(e-1) leaves (_MIN_OFFSET/halfw)^e of
-    # its mass there, and being relative the rule also rejects widths whose
-    # result met the stopping test, which is absolute while |est| < 1
-    if _MIN_OFFSET > min(tol, 1.0) * halfw:
-        raise DomainError(
-            f"interval width {b - a:g} is too narrow for tolerance {tol:g}: "
-            f"the nodes skipped within {_MIN_OFFSET:g} of an endpoint carry "
-            f"more than that share of the rule's weight")
-
+    # results of every row, filled in as rows stop
+    value = np.full(m, np.nan)
+    err = np.full(m, np.inf)
+    evals = np.zeros(m, dtype=int)
+    # the rows still refining: their indices, sums of w_j * f(x_j) over all
+    # nodes seen so far, latest estimates and disagreements
+    live = np.arange(m)
+    est, diff = value, err  # rebound, never written through
     nev = 0  # integrand values per row so far
     for level in range(_MAX_LEVEL + 1):
-        w, delta = _level_nodes(level)
-        off = delta * halfw
-        keep = off >= _MIN_OFFSET
-        w, off = w[keep], off[keep]
+        if not len(live):
+            break
+        x, w, n = _level_nodes(level)
+        y = np.asarray(f(x, live), dtype=float)
+        k = 0
         if level == 0:
-            # t = 0 sits at the interval centre, shared by both half-axes; it
-            # heads level 0's call, whose shape fixes the number of rows
-            xc = b - off[:1]
-            wc, w, off = w[0], w[1:], off[1:]
-        x_hi, x_lo = b - off, a + off
-        # drop the nodes that round onto an endpoint: on [0, 1], 11 581 of
-        # the table's 24 576 upper nodes round onto 1 (3 of the 6 at level
-        # 0), and beta_integrals' bits and evaluation counts rest on that
-        m_hi = x_hi != b
-        m_lo = x_lo != a
-        w_hi, w_lo = w[m_hi], w[m_lo]
-        # the level's nodes in one call, split back by position below
-        halves = (x_hi[m_hi], x_lo[m_lo])
-        x = np.concatenate((xc, *halves) if level == 0 else halves)
-        if level == 0:
-            y = np.asarray(f(x), dtype=float)
-            batch = y.ndim == 2
-            m = len(y) if batch else 1
-            # results of every row, filled in as rows stop
-            value = np.full(m, np.nan)
-            err = np.full(m, np.inf)
-            evals = np.zeros(m, dtype=int)
-            # the rows still refining: their indices, sums of w_j * f(x_j)
-            # over all nodes seen so far, latest estimates and disagreements
-            live = np.arange(m)
-            est, diff = value, err  # rebound, never written through
-        else:
-            y = np.asarray(f(x, rows=live) if batch else f(x), dtype=float)
-        shape = (len(live), len(x))
-        y = y if y.shape == shape else np.broadcast_to(y, shape)
-        if level == 0:
-            raw = wc * y[:, 0] + 0.0  # as a sum from 0.0: -0.0 becomes 0.0
-            y = y[:, 1:]
-        # one reduction a half-axis sums each row as a lone call would
-        n_hi = len(w_hi)
-        raw += (y[:, :n_hi] * w_hi).sum(axis=1) + (y[:, n_hi:] * w_lo).sum(axis=1)
+            # the centre, as a sum from 0.0: -0.0 becomes 0.0
+            raw = w[0] * y[:, 0] + 0.0
+            k = 1
+        # one reduction a half-axis sums each row as a batch of its own would
+        raw += (y[:, k:n] * w[k:n]).sum(axis=1) + (y[:, n:] * w[n:]).sum(axis=1)
         nev += len(x)
 
-        h = 2.0 ** (-level)
-        est, prev = h * halfw * raw, est
+        est, prev = 2.0 ** (-level - 1) * raw, est
         if level < 2:
             continue
         diff = np.abs(est - prev)
@@ -203,32 +154,21 @@ def integrate(
             evals[stop] = nev
             go = ~done
             live, raw, est, diff = live[go], raw[go], est[go], diff[go]
-        if not len(live):
-            return _result(batch, value, err, evals)
 
-    # every level ran: the rows in live failed with their latest estimates
-    value[live], err[live], evals[live] = est, diff, nev
-    raise _not_met(tol, _result(batch, value, err, evals), nev,
-                   (live.tolist(), len(value)) if batch else None)
+    if len(live):  # every level ran: these rows failed with their latest estimates
+        value[live], err[live], evals[live] = est, diff, nev
+        raise _not_met(tol, QuadResult(value, err, int(evals.sum())), nev, live.tolist(), m)
+    return QuadResult(value, err, int(evals.sum()))
 
 
-def _result(batch, value, err, evals):
-    if batch:
-        return QuadResult(value, err, int(evals.sum()))
-    return QuadResult(value[0], err[0], int(evals[0]))
-
-
-def _not_met(tol, result, evaluations, failed=None):
-    """integrate's ToleranceError after its budget of levels; failed is
-    (rows, m) for a batch, the indices of its failed rows and its number of
-    rows, and None for a lone integrand."""
-    where = "" if failed is None else " in rows {} of {}".format(*failed)
+def _not_met(tol, result, evaluations, rows, m):
+    """integrate's ToleranceError after its budget of levels, naming rows,
+    the indices of the failed rows, among m."""
     budget = _MAX_LEVEL + 1
     return ToleranceError(
-        f"quadrature: tolerance {tol:g} not met{where} after its budget of "
-        f"{budget} levels, {evaluations} evaluations per integrand",
-        result, layer="quadrature", evaluations=evaluations, budget=budget,
-        rows=None if failed is None else tuple(failed[0]))
+        f"quadrature: tolerance {tol:g} not met in rows {rows} of {m} after its budget "
+        f"of {budget} levels, {evaluations} evaluations per integrand",
+        result, layer="quadrature", evaluations=evaluations, budget=budget, rows=tuple(rows))
 
 
 def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
@@ -292,6 +232,11 @@ def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
     z = np.concatenate((np.minimum(lim, 0.5), np.full(len(whole), 0.5), rest))
     scale = np.concatenate((np.where(lim > 0.5, np.exp2(-a), root), np.exp2(-b[whole]),
                             -np.exp(b[cut] * np.log(rest)))) / x
+    # each half-row's rounding, in units of |term|: 2 eps for the term and
+    # the signed sum, plus its integrand's amplification of a rounding in
+    # its exponent (b - 1) log1p(-Z tau^(1/a)) or in Z: at most that
+    # exponent's size at tau = 1, and below a averaged over the integrand
+    slack = np.finfo(float).eps * (2.0 + np.minimum(np.abs((y - 1.0) * np.log1p(-z)), x))
     # one sort of the half-rows by (a, Z, b) marks where a, (a, Z) and the
     # half-row change: integrate takes each distinct half-row once, its
     # duplicates (B(a, b) and B(b, a) share both halves) read its value
@@ -308,7 +253,7 @@ def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
     of = ids[0][new[1]]  # each (a, Z)'s a
     powers, limits, y1 = x[new[0]], z[new[1]], (y[new[2]] - 1.0)[:, None]
 
-    def f(tau, rows=np.arange(len(at))):
+    def f(tau, rows):
         used, index = _distinct(at[rows], len(limits))
         need, which = _distinct(of[used], len(powers))
         ln = np.exp(np.log(tau) / powers[need, None]).take(which, axis=0)
@@ -318,11 +263,11 @@ def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
         return np.exp(out, out=out)
 
     try:
-        return _sum_halves(integrate(f, 0.0, 1.0, tol=tol), half, row, scale, m)
+        return _sum_halves(integrate(f, len(at), tol), half, row, scale, slack, m)
     except ToleranceError as exc:
         failed = row[np.isin(half, exc.rows)]
-        raise _not_met(tol, _sum_halves(exc.result, half, row, scale, m), exc.evaluations,
-                       (np.unique(failed).tolist(), m)) from None
+        raise _not_met(tol, _sum_halves(exc.result, half, row, scale, slack, m), exc.evaluations,
+                       np.unique(failed).tolist(), m) from None
 
 
 def _distinct(ids, n):
@@ -332,11 +277,16 @@ def _distinct(ids, n):
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
 
 
-def _sum_halves(res, half, row, scale, m):
+def _sum_halves(res, half, row, scale, slack, m):
     """beta_integrals' result from integrate's on its distinct half-rows:
-    half maps each half-row to its distinct one, and row i's value sums
-    scale times value over its half-rows, in their order, and its estimate
-    |scale| times theirs."""
-    value = np.bincount(row, scale * res.value[half], m)
-    err = np.bincount(row, np.abs(scale) * res.err_estimate[half], m)
+    half maps each half-row to its distinct one, and row i's value sums the
+    terms scale times value over its half-rows, in their order.  Its
+    estimate sums |scale| times theirs plus slack |term|, the rounding
+    that the level difference does not see: of the terms and their signed
+    sum, which cancels where a row with Y > 1/2 is small against B(a, b),
+    and of each integrand's evaluation."""
+    terms = scale * res.value[half]
+    err = np.abs(scale) * res.err_estimate[half] + slack * np.abs(terms)
+    # as floats also for m = 0, where bincount returns integers
+    value, err = (np.bincount(row, v, m).astype(float, copy=False) for v in (terms, err))
     return QuadResult(value, err, res.evaluations)

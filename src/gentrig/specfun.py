@@ -72,8 +72,12 @@ POCH_SWITCH = 64
 # _forward) costs 0.35-0.6 ms once (medians over 40 random pairs in a
 # shared VM's fast and slow states; BENCH_36.json) and is cached.
 # INV_FIT_MIN is where a call that builds its setup broke even with the
-# ufuncs (400-700 points by shape, BENCH_7.json); a cached shape wins far
-# below it
+# ufuncs (400-700 points by shape, BENCH_7.json).  A cached shape breaks
+# even lower, but not far below: at (2.5, 3), best of 7 x 200 calls on a
+# shared 2-vCPU Xeon VM, ufunc against fitted lane, sincos_pq took 34 vs
+# 124 us at 5 points, 120 vs 165 us at 101 and 554 vs 188 us at 599;
+# asin_pq 15 vs 86 us at 5, 27 vs 63 us at 101 and 88 vs 73 us at 599; and
+# sincos_pq at a fresh pair a call, 101 points, 185 vs 535 us
 INV_FIT_MIN = 600
 INV_FIT_DEGREE = 24
 INV_FIT_TOL = 1e-12

@@ -104,7 +104,7 @@ def _suite_bvp(grid):
                 cases.append((f"bvp phase p={p} q={q} H={H}", phase[i, j, k], 1e-9))
                 cases.append((f"bvp boundary p={p} q={q} H={H}", bc[i][j][k], 1e-10))
     # the closure's bound (nonlocal_mean_square_slope): the oracle's tol
-    # 1e-13 relative to H m^2 / 2, absolute where that is below 1, is at
+    # 1e-13 relative to m^2 / 2, absolute where that is below 1, is at
     # most 8e-13 of m^2 here (m = 0.5, H = 1), plus a few roundings of m^2
     ms = np.array([0.5, 1.0, 2.0])
     closure = np.abs(bvp.nonlocal_mean_square_slope(1.0, ms) - ms**2) / ms**2

@@ -663,8 +663,10 @@ class TestClosure:
     @pytest.mark.parametrize("H", [1.0, 2.5])
     @pytest.mark.parametrize("m", [1e-3, 1e-6])
     def test_stated_bound_at_small_m(self, m, H):
-        # the oracle's stop test is absolute while the integral H m^2 / 2
-        # is below 1: the stencil read 0.95 off, relative, at m = 1e-3
+        # the oracle's stop test is absolute while the integral m^2 / 2 is
+        # below 1, and the stated bound is 1e-13 max(m^2, 2); this holds the
+        # value to its bound before the oracle took [0, H] onto [0, 1], 2/H
+        # in place of 2: the stencil read 0.95 off, relative, at m = 1e-3
         err = abs(bvp.nonlocal_mean_square_slope(H, m) - m * m)
         assert err <= 1e-13 * max(m * m, 2.0 / H) + 8.0 * EPS * m * m
 
@@ -706,10 +708,10 @@ class TestClosure:
         assert abs(bvp.nonlocal_mean_square_slope(1.0, 3e153) / 9e306 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("H,m", [(1.0, 4e153), (1.0, 6e153), (2.5, 3.4e153),
-                                     (100.0, 2e153)])
+                                     (100.0, 3.4e153)])
     def test_overflow_rejected(self, H, m):
         """The oracle's sums overflowed to inf and its estimates to NaN, so
-        these m raised ToleranceError; m^2 max(16, H/2) is not finite."""
+        these m raised ToleranceError; 16 m^2 is not finite."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=re.escape(f"m = {m},")):
@@ -718,10 +720,13 @@ class TestClosure:
             with pytest.raises(DomainError, match=re.escape(f"m = {m},")):
                 bvp.nonlocal_mean_square_slope(H, ms)
 
-    def test_bound_follows_H(self):
-        # below the bound at H = 100 (the estimate H m^2 / 2 is finite)
-        m = 1.8e153
-        assert abs(bvp.nonlocal_mean_square_slope(100.0, m) / (m * m) - 1.0) <= 1e-12
+    @pytest.mark.parametrize("H", [0.01, 100.0, 1e6])
+    def test_bound_is_the_same_at_every_H(self, H):
+        # the oracle integrates over [0, 1] at every H, so m up to the bound
+        # is integrated at any H, within the stated bound; at H = 100 m
+        # above ~1.9e153 was rejected while the estimate was H m^2 / 2
+        m = 3.35e153
+        assert abs(bvp.nonlocal_mean_square_slope(H, m) - m * m) <= 1e-13 * m * m + 8.0 * EPS * m * m
 
     def test_residual_keeps_its_own_bound(self):
         # the stencil check squares no oracle sum: it still runs at 6e153

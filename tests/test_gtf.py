@@ -8,6 +8,7 @@ import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import cython_special
+from test_quadrature import integrate_over
 
 from gentrig import bvp, gtf, integrals, quadrature, specfun
 from gentrig.errors import DomainError
@@ -346,12 +347,10 @@ class TestAppendixSymmetry:
         p, k = 3.0, 1.7
         ps = gtf.conjugate(p)
         half = gtf.pi_pq(ps, p) / 2.0
-        lhs = quadrature.integrate(
-            lambda t: gtf.sin_pq(ps, p, t) ** k, 0.0, half, tol=1e-9
-        ).value
-        rhs = quadrature.integrate(
-            lambda t: gtf.cos_pq(ps, p, t) ** ((ps - 1.0) * k), 0.0, half, tol=1e-9
-        ).value
+        lhs = integrate_over(lambda t: gtf.sin_pq(ps, p, t) ** k, 0.0, half, 1e-9).value[0]
+        rhs = integrate_over(
+            lambda t: gtf.cos_pq(ps, p, t) ** ((ps - 1.0) * k), 0.0, half, 1e-9
+        ).value[0]
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 

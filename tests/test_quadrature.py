@@ -11,10 +11,18 @@ from gentrig.errors import DomainError, ToleranceError
 EPS = np.finfo(float).eps
 
 
+def integrate_over(f, a, b, tol):
+    """quadrature.integrate of the lone integrand f over [a, b], as a batch
+    of one row mapped onto [0, 1]: (b - a) f(a + (b - a) u), whose integral
+    and stopping test are those of f on [a, b]."""
+    width = b - a
+    return quadrature.integrate(lambda u, rows: width * f(a + width * u)[None], 1, tol)
+
+
 def test_constant_exact():
-    res = quadrature.integrate(lambda t: np.ones_like(t), 0.0, 1.0, tol=1e-14)
-    assert abs(res.value - 1.0) <= 1e-15
-    assert res.err_estimate <= 1e-14
+    res = quadrature.integrate(lambda x, rows: np.ones((len(rows), len(x))), 1, tol=1e-14)
+    assert abs(res.value[0] - 1.0) <= 1e-15
+    assert res.err_estimate[0] <= 1e-14
 
 
 def test_arcsin_integral():
@@ -25,8 +33,8 @@ def test_arcsin_integral():
 
 
 def test_arcsin_integral_plain_mode():
-    res = quadrature.integrate(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0, tol=1e-7)
-    assert abs(res.value - math.pi / 2) <= 1e-7
+    res = integrate_over(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0, tol=1e-7)
+    assert abs(res.value[0] - math.pi / 2) <= 1e-7
 
 
 def test_lemniscate_integral():
@@ -36,55 +44,86 @@ def test_lemniscate_integral():
 
 
 def test_sin_squared():
-    res = quadrature.integrate(lambda t: np.sin(t) ** 2, 0.0, math.pi / 2, tol=1e-12)
-    assert abs(res.value - math.pi / 4) <= 1e-12
+    res = integrate_over(lambda t: np.sin(t) ** 2, 0.0, math.pi / 2, tol=1e-12)
+    assert abs(res.value[0] - math.pi / 4) <= 1e-12
 
 
 def test_additivity():
+    # int_0^2 f = int_0^0.7 f + int_0.7^2 f, the three mapped onto [0, 1]
+    # as the rows of one batch, within their own estimates
     f = lambda t: np.exp(-t) * np.cos(3 * t)
-    whole = quadrature.integrate(f, 0.0, 2.0, tol=1e-12)
-    left = quadrature.integrate(f, 0.0, 0.7, tol=1e-12)
-    right = quadrature.integrate(f, 0.7, 2.0, tol=1e-12)
-    gap = abs(left.value + right.value - whole.value)
-    assert gap <= left.err_estimate + right.err_estimate + whole.err_estimate
+    parts = [(0.0, 2.0), (0.0, 0.7), (0.7, 2.0)]
 
+    def g(u, rows):
+        return np.array([(b - a) * f(a + (b - a) * u) for a, b in (parts[i] for i in rows)])
 
-def test_empty_interval():
-    res = quadrature.integrate(lambda t: t, 1.0, 1.0)
-    assert res.value == 0.0 and res.evaluations == 0
+    res = quadrature.integrate(g, 3, tol=1e-12)
+    whole, left, right = res.value
+    assert abs(left + right - whole) <= res.err_estimate.sum()
 
 
 def test_refinement_stability():
     # value changes by less than 2 * err_estimate under one extra refinement
     f = lambda t: 1.0 / (1.0 + t * t)
-    loose = quadrature.integrate(f, 0.0, 1.0, tol=1e-6)
-    tight = quadrature.integrate(f, 0.0, 1.0, tol=1e-12)
-    assert abs(loose.value - tight.value) <= 2.0 * loose.err_estimate + 1e-15
+    loose = integrate_over(f, 0.0, 1.0, tol=1e-6)
+    tight = integrate_over(f, 0.0, 1.0, tol=1e-12)
+    assert abs(loose.value[0] - tight.value[0]) <= 2.0 * loose.err_estimate[0] + 1e-15
 
 
 def test_node_cache_repeats_results():
     f = lambda t: np.sqrt(1.0 - t * t)
-    first = quadrature.integrate(f, -1.0, 1.0, tol=1e-12)
-    assert quadrature.integrate(f, -1.0, 1.0, tol=1e-12) == first
-    assert quadrature.integrate(f, -1.0, 1.0, tol=1e-12) == first
+    first = integrate_over(f, -1.0, 1.0, tol=1e-12)
+    for _ in range(2):
+        again = integrate_over(f, -1.0, 1.0, tol=1e-12)
+        assert again.value.tobytes() == first.value.tobytes()
+        assert again.err_estimate.tobytes() == first.err_estimate.tobytes()
+        assert again.evaluations == first.evaluations
 
 
 def test_node_cache_is_read_only():
     for level in (0, 1, 5):
-        w, delta = quadrature._level_nodes(level)
-        assert quadrature._level_nodes(level)[0] is w
-        fresh_w, fresh_delta = quadrature._level_nodes.__wrapped__(level)
-        assert np.array_equal(w, fresh_w) and np.array_equal(delta, fresh_delta)
-        assert not w.flags.writeable and not delta.flags.writeable
+        x, w, n = quadrature._level_nodes(level)
+        assert quadrature._level_nodes(level)[0] is x
+        fresh_x, fresh_w, fresh_n = quadrature._level_nodes.__wrapped__(level)
+        assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w) and n == fresh_n
+        assert not x.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 0.0
 
 
+def test_node_table():
+    """The facts of the node table that the verify batches' bits and
+    evaluation counts rest on, read from _level_nodes itself."""
+    upper = dropped = 0  # the table's upper nodes, and those that round onto 1
+    least = math.inf
+    for level in range(quadrature._MAX_LEVEL + 1):
+        x, w, n = quadrature._level_nodes(level)
+        assert len(x) == len(w)
+        assert not x.flags.writeable and not w.flags.writeable
+        centre = level == 0
+        if centre:  # t = 0 heads level 0, at 1/2
+            assert x[0] == 0.5 and w[0] == 0.5 * math.pi
+        # the upper nodes that are kept, then every lower node, ascending in t
+        # (upper nodes next to 1 may round onto one double)
+        assert np.all(np.diff(x[centre:n]) >= 0.0) and np.all(np.diff(x[n:]) < 0.0)
+        assert 0.5 < x[centre:n].min() and x[:n].max() < 1.0
+        # every lower node is kept: as many as the table has upper nodes
+        table, kept = len(x) - n, n - centre
+        if centre:
+            assert (table, table - kept) == (6, 3)
+        upper += table
+        dropped += table - kept
+        least = min(least, x[n:].min())
+    # no lower node's distance from 0 underflows: the least is level 0's
+    # last, at t = 6
+    assert least == quadrature._level_nodes(0)[0][-1]
+    assert 6.1e-276 <= least < 6.2e-276
+    assert (upper, dropped) == (24_576, 11_581)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
-        quadrature.integrate(lambda t: t, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        quadrature.integrate(lambda t: t, 0.0, 1.0, tol=0.0)
+        quadrature.integrate(lambda x, rows: x[None], 1, tol=0.0)
 
 
 def test_eval_cap(monkeypatch):
@@ -92,7 +131,7 @@ def test_eval_cap(monkeypatch):
     # endpoint singularity; the error names that budget
     monkeypatch.setattr(quadrature, "_MAX_LEVEL", 3)
     with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0, tol=1e-13)
+        integrate_over(lambda t: 1.0 / np.sqrt(1.0 - t * t), 0.0, 1.0, tol=1e-13)
     exc = err.value
     assert exc.result is not None
     assert exc.budget == 4 and exc.evaluations <= 100
@@ -101,63 +140,30 @@ def test_eval_cap(monkeypatch):
     assert str(exc).count("levels") == 1
 
 
-@pytest.mark.parametrize(
-    "a,b,tol",
-    [(math.nan, 1.0, 1e-10), (0.0, math.nan, 1e-10), (0.0, math.inf, 1e-10),
-     (-math.inf, 0.0, 1e-10), (-math.inf, math.inf, 1e-10),
-     (0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (0.0, 1.0, -1e-10)],
-)
-def test_bad_limits_and_tolerances_rejected(a, b, tol):
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_bad_tolerances_rejected(tol):
+    calls = []
     with pytest.raises(DomainError):
-        quadrature.integrate(lambda t: np.ones_like(t), a, b, tol=tol)
-
-
-def _ones(x):
-    return np.ones_like(x)
-
-
-@pytest.mark.parametrize("width", [1e-290, 1e-298, 1e-300, 5e-324])
-def test_too_narrow_interval_rejected(width):
-    # the nodes skipped near the endpoints would carry more than tol of the
-    # rule's weight: the result would be low (8% at 1e-298) or not exist
-    with pytest.raises(DomainError, match=f"width {width:g} "):
-        quadrature.integrate(_ones, 0.0, width)
-
-
-def test_narrow_interval_still_integrated():
-    res = quadrature.integrate(_ones, 0.0, 1e-280)
-    assert abs(res.value / 1e-280 - 1.0) <= 1e-10
-
-
-def test_no_node_left_is_a_domain_error_at_any_tolerance():
-    with pytest.raises(DomainError):
-        quadrature.integrate(_ones, 0.0, 1e-300, tol=10.0)
+        quadrature.integrate(lambda x, rows: calls.append(rows) or x[None], 1, tol=tol)
+    assert not calls
 
 
 def test_tolerance_error_is_structured():
+    calls = []
     with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(lambda t: 1.0 / t, 0.0, 1.0, tol=1e-10)
+        integrate_over(_count_calls(lambda t: 1.0 / t, calls), 0.0, 1.0, tol=1e-10)
     exc = err.value
-    assert exc.layer == "quadrature" and exc.rows is None
+    assert exc.layer == "quadrature" and exc.rows == (0,)
     assert exc.budget == quadrature._MAX_LEVEL + 1
     assert exc.evaluations == exc.result.evaluations > 0
     assert str(exc).startswith("quadrature: ")
+    assert "not met in rows [0] of 1 " in str(exc)
     assert f"{exc.evaluations} evaluations" in str(exc)
-    # every level of the node table ran: its 49 153 nodes on [0, 1] but the
-    # 11 581 that round onto 1 and are dropped (none is skipped there)
-    table = dropped = 0
-    for level in range(quadrature._MAX_LEVEL + 1):
-        off = 0.5 * quadrature._level_nodes(level)[1]
-        assert off.min() >= quadrature._MIN_OFFSET
-        upper = off[1:] if level == 0 else off  # t = 0 is the centre, 1/2
-        table += 2 * len(upper) + (level == 0)
-        dropped += np.count_nonzero(1.0 - upper == 1.0)
-    assert (table, dropped) == (49_153, 11_581)
-    calls = []
-    with pytest.raises(ToleranceError) as err:
-        quadrature.integrate(_count_calls(lambda t: 1.0 / t, calls), 0.0, 1.0, tol=1e-10)
+    # every level ran, on the node table's 49 153 nodes but the 11 581
+    # upper ones that round onto 1
     assert len(calls) == quadrature._MAX_LEVEL + 1
-    assert err.value.evaluations == sum(calls) == table - dropped == 37_572
+    table = sum(len(quadrature._level_nodes(level)[0]) for level in range(len(calls)))
+    assert exc.evaluations == sum(calls) == table == 49_153 - 11_581 == 37_572
 
 
 def _batch(funcs):
@@ -165,7 +171,7 @@ def _batch(funcs):
     rows each call asks for."""
     asked = []
 
-    def f(x, rows=range(len(funcs))):
+    def f(x, rows):
         asked.append(list(rows))
         return np.array([funcs[i](x) for i in rows])
 
@@ -182,11 +188,12 @@ class TestBatch:
     def test_rows_equal_single_calls(self, tol):
         funcs = self.PLAIN
         f, asked = _batch(funcs)
-        res = quadrature.integrate(f, 0.0, 1.0, tol=tol)
-        alone = [quadrature.integrate(g, 0.0, 1.0, tol=tol) for g in funcs]
+        res = quadrature.integrate(f, len(funcs), tol=tol)
+        alone = [integrate_over(g, 0.0, 1.0, tol) for g in funcs]
         assert res.value.shape == res.err_estimate.shape == (len(funcs),)
-        assert np.array_equal(res.value, [r.value for r in alone])
-        assert np.array_equal(res.err_estimate, [r.err_estimate for r in alone])
+        assert res.value.tobytes() == np.concatenate([r.value for r in alone]).tobytes()
+        assert res.err_estimate.tobytes() == np.concatenate(
+            [r.err_estimate for r in alone]).tobytes()
         assert type(res.evaluations) is int
         assert res.evaluations == sum(r.evaluations for r in alone)
         # rows stop at different levels, and a stopped row is not evaluated again
@@ -196,27 +203,30 @@ class TestBatch:
                    for earlier, later in zip(asked, asked[1:]))
         assert asked[-1] != asked[0]
 
-    def test_single_row_batch_equals_scalar(self):
-        f, _ = _batch([self.PLAIN[1]])
-        res = quadrature.integrate(f, 0.0, 2.0, tol=1e-12)
-        alone = quadrature.integrate(self.PLAIN[1], 0.0, 2.0, tol=1e-12)
-        assert res.value.tolist() == [alone.value]
-        assert res.evaluations == alone.evaluations
-
     def test_one_diverging_row(self):
         funcs = [self.PLAIN[0], lambda t: 1.0 / t, self.PLAIN[1]]
         f, _ = _batch(funcs)
         with pytest.raises(ToleranceError) as err:
-            quadrature.integrate(f, 0.0, 1.0, tol=1e-10)
+            quadrature.integrate(f, len(funcs), tol=1e-10)
         exc = err.value
         assert exc.layer == "quadrature"
         assert exc.rows == (1,)
         assert exc.budget == quadrature._MAX_LEVEL + 1
         assert "rows [1] of 3" in str(exc)
         for i in (0, 2):
-            alone = quadrature.integrate(funcs[i], 0.0, 1.0, tol=1e-10)
-            assert exc.result.value[i] == alone.value
+            assert exc.result.value[i] == integrate_over(funcs[i], 0.0, 1.0, 1e-10).value[0]
         assert exc.result.evaluations > exc.evaluations
+
+    def test_empty_batch(self):
+        """m = 0 returns empty float arrays at once, without calling f; an
+        empty beta_integrals batch too (its sums were integers before)."""
+        def f(x, rows):
+            raise AssertionError("f called")
+
+        for res in (quadrature.integrate(f, 0), quadrature.beta_integrals([], [])):
+            assert res.value.shape == res.err_estimate.shape == (0,)
+            assert res.value.dtype == res.err_estimate.dtype == float
+            assert res.evaluations == 0
 
 
 def beta(a, b, tol=1e-10):
@@ -387,9 +397,9 @@ class TestPowerMoment:
 
 
 def _count_calls(f, calls):
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return f(*args, **kwargs)
+    def counted(x, *args):
+        calls.append(len(x))
+        return f(x, *args)
     return counted
 
 
@@ -404,10 +414,11 @@ def _count_levels(monkeypatch):
 class TestOneCallPerLevel:
     @pytest.mark.parametrize("batch", [False, True])
     def test_integrand_called_once_per_level(self, batch, monkeypatch):
-        f = _batch(TestBatch.PLAIN)[0] if batch else TestBatch.PLAIN[1]
+        # one row, or the four of TestBatch
+        f, _ = _batch(TestBatch.PLAIN if batch else TestBatch.PLAIN[1:2])
         calls = []
         levels = _count_levels(monkeypatch)
-        res = quadrature.integrate(_count_calls(f, calls), 0.0, 1.0, tol=1e-12)
+        res = quadrature.integrate(_count_calls(f, calls), 4 if batch else 1, tol=1e-12)
         assert len(calls) == len(levels) == max(levels) + 1 >= 3
         # level 0's call holds the centre and both half-axes' 6 nodes, but
         # the 3 upper ones that round onto 1
@@ -415,6 +426,25 @@ class TestOneCallPerLevel:
         if not batch:
             # the count is the nodes passed to f, the dropped ones not
             assert sum(calls) == res.evaluations
+
+    def test_rows_on_every_call(self):
+        """f gets rows on every call, np.arange(m) at level 0 and the
+        ascending live rows after, one call a level."""
+        funcs = TestBatch.PLAIN
+        f, asked = _batch(funcs)
+        seen = []
+
+        def g(x, rows):
+            seen.append((len(x), rows.copy()))
+            return f(x, rows)
+
+        quadrature.integrate(g, len(funcs), tol=1e-10)
+        assert np.array_equal(seen[0][1], np.arange(len(funcs)))
+        assert all(rows.dtype.kind == "i" and np.all(np.diff(rows) > 0) for _, rows in seen)
+        # one call a level: level L's 6 2^(L-1) upper and lower nodes, but
+        # the upper ones that round onto 1
+        assert [n for n, _ in seen] == [len(quadrature._level_nodes(level)[0])
+                                        for level in range(len(seen))]
 
     @pytest.mark.parametrize("H,m", [(1.0, 0.5), (2.5, 1.0)])
     def test_nonlocal_closure_is_one_profile_call_per_level(self, H, m,
@@ -434,9 +464,9 @@ class TestOneCallPerLevel:
         ms = m * np.array([1.0, 2.0, 4.0])
 
         def counted(f, *args, **kwargs):
-            def g(x, **rows):  # the first call asks for every row
-                live.append(len(rows.get("rows", ms)))
-                return f(x, **rows)
+            def g(x, rows):
+                live.append(len(rows))
+                return f(x, rows)
             return integrate(_count_calls(g, calls), *args, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate", counted)
@@ -682,6 +712,27 @@ class TestBetaIntegrals:
         assert err <= res.err_estimate[0] + carried + 4 * EPS * res.value[0]
         assert err <= 1e-13 * res.value[0] + carried
 
+    def test_estimate_covers_the_error(self):
+        """On 1500 seeded rows, every other one incomplete, each row's value
+        is within its own estimate of 30-digit mpmath (or within 4 eps), at
+        the limit Y = upper^(1/a) that the row is given by.  Without the
+        estimate's rounding terms 21 rows failed, by up to 1.9x: rows with Y
+        > 1/2 whose terms cancel, and rows whose integrand's exponent (b -
+        1) log1p(-Y) amplifies a rounding, (a, b, Y) = (6.13, 39.4, 0.35)
+        5.9 eps off with an estimate of 0.9 eps (2.9 eps with 2 eps for the
+        sum's rounding alone)."""
+        n = 1500
+        rng = np.random.default_rng(7)
+        a, b = 10.0 ** rng.uniform(-3.0, 2.0, (2, n))
+        y = rng.uniform(0.0, 1.0, n)
+        upper = np.where(np.arange(n) % 2 == 0, y ** a, 1.0)
+        res = quadrature.beta_integrals(a, b, 1e-13, upper=upper)
+        with mp.workdps(30):
+            ref = np.array([float(mp.betainc(x, z, 0, mp.mpf(r) ** (1 / mp.mpf(x))))
+                            for x, z, r in zip(a.tolist(), b.tolist(), upper.tolist())])
+        err = np.abs(res.value - ref)
+        assert np.all(err <= np.maximum(res.err_estimate, 4 * EPS * np.abs(ref)))
+
     def test_incomplete_rows_equal_lone_calls(self):
         # limits below 1/2, above it, at 1 and underflowing, in one batch
         rng = np.random.default_rng(11)
@@ -747,10 +798,13 @@ def _level_zero_rows(monkeypatch):
     integrate, seen = quadrature.integrate, []
 
     def spy(f, *args, **kwargs):
-        def g(x, **rows):
-            y = f(x, **rows)
-            if not rows:  # level 0's call asks for every row
+        levels = []
+
+        def g(x, rows):
+            y = f(x, rows)
+            if not levels:  # level 0's call
                 seen.append(y)
+            levels.append(len(x))
             return y
         return integrate(g, *args, **kwargs)
 
