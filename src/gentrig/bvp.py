@@ -46,7 +46,6 @@ B(b, a) yc, not a power of the underflowed cosine.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -252,8 +251,8 @@ def general_checks(p: float, q: float, Hs, fractions):
     if not ((xx > 0.0) & (xx < H[:, None])).all():
         raise DomainError("x must be interior to (0, H)")
     xx = np.concatenate((xx, H[:, None] * np.array([0.0, 1.0])), axis=1)  # both ends last
-    fn = functools.partial(_general_scalars, Hs=H.tolist())
-    fields = _per_pair(fn, p, q) if several else fn(p, q)
+    Hs = tuple(H.tolist())  # hashable: gtf keeps the grid's records by it
+    fields = _per_pair(_general_scalars, p, q, Hs) if several else _general_scalars(p, q, Hs)
     P, ssum, den, root = fields[:4]
     scales = np.moveaxis(np.asarray(fields[4:]), 0, -1)  # S + (2 len(H),)
     omega, amp = scales[..., ::2], scales[..., 1::2]  # S + (len(H),)

@@ -72,7 +72,8 @@ def cmd_verify(args) -> int:
         cases = verify.run(name, grid)
         ok = all(resid <= tol for _, resid, tol in cases)
         worst = max([0.0] + [resid for _, resid, _ in cases])
-        lines = [f"  {case}: residual={resid:.3e} tol={tol:.1e} "
+        tols = {tol: f"{tol:.1e}" for tol in {tol for _, _, tol in cases}}  # a suite has few
+        lines = [f"  {case}: residual={resid:.3e} tol={tols[tol]} "
                  f"{'ok' if resid <= tol else 'FAIL'}\n" for case, resid, tol in cases]
         lines.append(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_residual={worst:.3e}\n")
         sys.stdout.write("".join(lines))  # the suite's lines in one write

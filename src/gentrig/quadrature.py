@@ -201,6 +201,14 @@ def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
     special-cases some scalar exponents, so a lone row would differ from
     the same row in a batch.
 
+    integrate stops a half-row once two levels agree to tol max(1,
+    |estimate|), so a row whose value is below 1 is certified to tol
+    absolutely, not relatively: its err_estimate covers its error, which
+    may be large against the value.  B(10, 1000) reads 4.19e-25 for
+    3.47e-25, 21% high, with an estimate of 4.0e-25, and B(2, 1e6) is
+    1.0e-11 off, relative.  A caller that needs relative accuracy there
+    scales its rows.
+
     DomainError unless a, b and upper are 1-D of one length, with a and b
     in (0, inf) and upper in (0, 1], NaN failing.  A ToleranceError names
     the failing rows of a and b, every row holding a failed half-row, and

@@ -1016,6 +1016,18 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     <= 3).  At y = 1/2 and |e| = 0.1 it is below 2^-53 by 57, 56 and 55
     terms at m = 0, 1 and 2 (0.67 of the threshold at most), with room for
     the relative error, ~k eps, of the computed terms.
+
+    The loop screens that stop test first, at rm = 1: the first part,
+    yk (|E_k| g) with g = rho / (1 - rho), can be within HYP2F1_TAIL_TOL
+    mag only if yk (|E_k| y / (1 - y)) is.  That holds in floating point:
+    each factor of fl(rm) is at least 1 (1 + ra/K and 1 + rb/K with ra, rb
+    >= 0, and a division by 1 - ae/K <= 1), so fl(rm) >= 1, and rounding is
+    monotone, so fl(rho) = fl(y fl(rm)) >= y, fl(1 - rho) <= fl(1 - y) and
+    fl(g) >= fl(y / fl(1 - y)); the screen's product is formed as the
+    test's is.  A term the screen fails cannot stop the loop, and rm, rho
+    and g are formed only where it passes (as _series screens
+    _tail_certified), so the loop stops at the same term with the same
+    bits.
     """
     head = 0.0
     if m:  # sum_{n<m} (a)_n (b)_n / ((1-m-e)_n n!) y^n, a polynomial
@@ -1039,6 +1051,7 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
     two_albe, m_albe, ra, rb = 2.0 * al * be, m * al * be, abs(al) + ae, abs(be) + ae
 
     total = mag = 0.0
+    g_y = y / (1.0 - y)  # the screen's g, at rm = 1
     yk, k = 1.0, 0.0  # a float counter, as in _series
     while True:
         t = yk * ek
@@ -1054,19 +1067,21 @@ def _connection_near_integer(a: float, b: float, c: float, ca: float, cb: float,
                 + C * e * (K + al + be + e)) / (kc * (C + e) * K)
         # certified tail: for j >= k, |r_u|, |r_v| <= rm and |(r_u - r_v)/e|
         # <= delta (both bounds decrease in K), so |E_j| <= (|E_k| + (j-k)
-        # delta |v_k| / rm) rm^(j-k); its first part alone, below, decides
-        # most terms, and delta is formed only where that part passes
-        rm = (1.0 + ra / K) * (1.0 + rb / K) / (1.0 - ae / K)
-        rho = y * rm
-        if rho < 1.0:
-            g = rho / (1.0 - rho)
-            tail = yk * (abs(ek) * g)
-            thr = HYP2F1_TAIL_TOL * mag
-            if tail <= thr:
-                delta = (lead_abs * K * K + 2.0 * cross * K + m * cross
-                         + C * ae * (K + ab_sum + ae)) / ((K - ae) ** 2 * K * K)
-                if yk * (abs(ek) * g + delta * abs(vk) / rm * g / (1.0 - rho)) <= thr:
-                    break
+        # delta |v_k| / rm) rm^(j-k); its first part alone decides most
+        # terms, and before it the screen at rm = 1, which it cannot pass
+        # unless the screen does (see the docstring), so rm, rho and g are
+        # formed only where the screen passes, and delta where the part does
+        thr = HYP2F1_TAIL_TOL * mag
+        if yk * (abs(ek) * g_y) <= thr:
+            rm = (1.0 + ra / K) * (1.0 + rb / K) / (1.0 - ae / K)
+            rho = y * rm
+            if rho < 1.0:
+                g = rho / (1.0 - rho)
+                if yk * (abs(ek) * g) <= thr:
+                    delta = (lead_abs * K * K + 2.0 * cross * K + m * cross
+                             + C * ae * (K + ab_sum + ae)) / ((K - ae) ** 2 * K * K)
+                    if yk * (abs(ek) * g + delta * abs(vk) / rm * g / (1.0 - rho)) <= thr:
+                        break
         ek = r_u * ek + d_uv * vk
         vk *= r_v
         yk *= y

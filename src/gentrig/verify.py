@@ -9,9 +9,12 @@ travel time x/H = I_{sin^q(w x)}(1/q, 1/p) of the general problem
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import bvp, gtf, integrals, quadrature
+from .errors import DomainError
 
 GRIDS = {
     "small": [1.5, 2.0, 3.0],
@@ -27,22 +30,28 @@ def _pairs(grid):
     return g[:, None, None], g[None, :, None]
 
 
+def _named(grid):
+    """(p, q, "p=... q=...") of every pair of the grid, in the order the
+    suites list the pairs: the head of each of a pair's case names."""
+    return [(p, q, f"p={p} q={q}") for p in grid for q in grid]
+
+
 def _suite_pythagorean(grid):
     xs01 = np.linspace(0.0, 1.0, 33)
-    half = np.array([[0.5 * gtf.pi_pq(pi, qi) for qi in grid] for pi in grid])
-    s, c = gtf.sincos_pq(*_pairs(grid), half[..., None] * xs01)
-    # a float exponent a pair: numpy squares at 2.0, where pow differs
-    return [(f"pythagorean p={pi} q={qi}",
-             float(np.abs(c[i, j] ** pi + s[i, j] ** qi - 1.0).max()), 1e-11)
-            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
+    p, q = _pairs(grid)
+    half = gtf._records(p, q)[0]  # pi_pq/2 of each pair, the grid sincos_pq meets
+    s, c = gtf.sincos_pq(p, q, half * xs01)
+    # each pair's powers as at a float exponent: numpy squares at 2.0, where
+    # pow differs (gtf._power)
+    worst = np.abs(gtf._power(c, p) + gtf._power(s, q) - 1.0).max(axis=-1).ravel().tolist()
+    return [(f"pythagorean {pq}", w, 1e-11) for (_, _, pq), w in zip(_named(grid), worst)]
 
 
 def _suite_appendix(grid):
     xs01 = np.array([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
     r1, r2 = gtf.sin_symmetry_appendix(*_pairs(grid), xs01)
-    worst = np.maximum(np.abs(r1).max(axis=-1), np.abs(r2).max(axis=-1))
-    return [(f"appendix p={pi} q={qi}", float(worst[i, j]), 1e-10)
-            for i, pi in enumerate(grid) for j, qi in enumerate(grid)]
+    worst = np.maximum(np.abs(r1).max(axis=-1), np.abs(r2).max(axis=-1)).ravel().tolist()
+    return [(f"appendix {pq}", w, 1e-10) for (_, _, pq), w in zip(_named(grid), worst)]
 
 
 def _suite_wallis(grid):
@@ -52,20 +61,22 @@ def _suite_wallis(grid):
     Pochhammer ratios, the oracle no Gamma or Beta function.  The closed
     forms come from wallis_sin's and wallis_cos's plain cores at (p, q, n,
     r), as wallis_special_cases takes them, with no query record a case."""
+    # each r with its name: the sine's depend on q only, the cosine's on p
+    sin_r = {q: [(r, f"{r:g}") for r in (q - 1.0, 0.5 * (q - 1.0), -0.5)] for q in grid}
+    cos_r = {p: [(r, f"{r:g}") for r in (1.0, 0.5 * (3.0 - p))] for p in grid}
     cases, rows = [], []
-    for p in grid:
-        for q in grid:
-            for n in (0, 1, 3):
-                for r in (q - 1.0, 0.5 * (q - 1.0), -0.5):
-                    cases.append((f"wallis_sin p={p} q={q} n={n} r={r:g}",
-                                  integrals._wallis_sin(p, q, n, r)))
-                    rows.append(((q * n + r + 1.0) / q, (p - 1.0) / p, q))
-                for r in (1.0, 0.5 * (3.0 - p)):
-                    cases.append((f"wallis_cos p={p} q={q} n={n} r={r:g}",
-                                  integrals._wallis_cos(p, q, n, r)))
-                    rows.append((1.0 / q, (p * n + r - 1.0) / p + 1.0, q))
+    for p, q, pq in _named(grid):
+        for n in (0, 1, 3):
+            for r, rs in sin_r[q]:
+                cases.append((f"wallis_sin {pq} n={n} r={rs}",
+                              integrals._wallis_sin(p, q, n, r)))
+                rows.append(((q * n + r + 1.0) / q, (p - 1.0) / p, q))
+            for r, rs in cos_r[p]:
+                cases.append((f"wallis_cos {pq} n={n} r={rs}",
+                              integrals._wallis_cos(p, q, n, r)))
+                rows.append((1.0 / q, (p * n + r - 1.0) / p + 1.0, q))
     a, b, qs = np.array(rows).T
-    moments = quadrature.beta_integrals(a, b).value / qs
+    moments = (quadrature.beta_integrals(a, b).value / qs).tolist()
     return [(case, abs(value - moment), 1e-7)
             for (case, value), moment in zip(cases, moments)]
 
@@ -93,16 +104,16 @@ def _suite_bvp(grid):
     cases = []
     lengths, fractions = (1.0, 2.5), np.arange(1, 10) / 10.0
     ode, phase, bc = bvp.general_checks(*(v[..., 0] for v in _pairs(grid)), lengths, fractions)
-    ode, phase, bc = ode.max(axis=-1), phase.max(axis=-1), bc.tolist()
+    ode, phase, bc = (v.reshape(-1, len(lengths)).tolist()
+                      for v in (ode.max(axis=-1), phase.max(axis=-1), bc))
     # the travel time's bound (general_checks): the oracle's tol 1e-13 on
     # each beta value, relative, is at most 2e-13 of x/H, plus a few
     # roundings of x/H and of the inversion
-    for i, p in enumerate(grid):
-        for j, q in enumerate(grid):
-            for k, H in enumerate(lengths):
-                cases.append((f"bvp ode p={p} q={q} H={H}", ode[i, j, k], 1e-12))
-                cases.append((f"bvp phase p={p} q={q} H={H}", phase[i, j, k], 1e-9))
-                cases.append((f"bvp boundary p={p} q={q} H={H}", bc[i][j][k], 1e-10))
+    for (_, _, pq), o, f, b in zip(_named(grid), ode, phase, bc):
+        for k, H in enumerate(lengths):
+            cases.append((f"bvp ode {pq} H={H}", o[k], 1e-12))
+            cases.append((f"bvp phase {pq} H={H}", f[k], 1e-9))
+            cases.append((f"bvp boundary {pq} H={H}", b[k], 1e-10))
     # the closure's bound (nonlocal_mean_square_slope): the oracle's tol
     # 1e-13 relative to m^2 / 2, absolute where that is below 1, is at
     # most 8e-13 of m^2 here (m = 0.5, H = 1), plus a few roundings of m^2
@@ -131,5 +142,14 @@ SUITES = tuple(_SUITES)
 def run(name: str, grid) -> list:
     """The cases of suite `name` (one of SUITES, in the order ``--suite all``
     runs them) at the pairs of grid, the values p and q each take (a GRIDS
-    entry), in the order ``gentrig verify`` prints them."""
+    entry), in the order ``gentrig verify`` prints them.  DomainError, before
+    any suite runs, for an unknown suite, or a grid that is not a nonempty
+    sequence of values in (1, inf), naming the suite or the value."""
+    if name not in _SUITES:
+        raise DomainError(f"unknown verify suite {name!r}; the suites are {', '.join(SUITES)}")
+    if not len(grid):
+        raise DomainError("a verify grid needs at least one value")
+    for v in grid:
+        if not 1.0 < v < math.inf:  # written so that NaN fails the test
+            raise DomainError(f"verify grid value {v} is not in (1, inf)")
     return _SUITES[name](grid)

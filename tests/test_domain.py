@@ -1,13 +1,15 @@
 """The domain edges of every public entry of specfun and integrals, the
 query dataclasses included: NaN, +inf and -inf in any scalar argument raise
 DomainError, and nothing else (no other exception, no silent NaN or inf),
-except at the infinite ends that an entry documents (DOCUMENTED)."""
+except at the infinite ends that an entry documents (DOCUMENTED).  And
+verify.run's bad suites and grids, rejected before any suite runs."""
 
 import math
+import re
 
 import pytest
 
-from gentrig import integrals, specfun
+from gentrig import integrals, specfun, verify
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 from gentrig.integrals import EllipticQuery, WallisQuery
@@ -102,3 +104,31 @@ def test_listed_inputs_raise_domain_error(call, args):
     with pytest.raises(DomainError):
         call(*args)
 
+
+
+# verify.run's bad input: (suite, grid, what the message names).  Each once
+# raised another exception from inside a suite: KeyError for the unknown
+# suite, ValueError from a reshape for the empty grid, pi_pq's "q = 1"
+# message for the grid value 1.0
+VERIFY_INPUTS = [
+    ("bogus", [2.0], "'bogus'"),
+    ("pythagorean", [], "at least one value"),
+    ("pythagorean", [1.5, 1.0], "value 1.0 "),
+    ("appendix", [2.0, math.nan], "value nan "),
+    ("wallis", [math.inf], "value inf "),
+    ("product", [0.5], "value 0.5 "),
+    ("bvp", [3.0, -2.0], "value -2.0 "),
+]
+
+
+@pytest.mark.parametrize("name,grid,named", VERIFY_INPUTS,
+                         ids=[f"{name}{grid}" for name, grid, _ in VERIFY_INPUTS])
+def test_verify_rejects_bad_input_before_any_suite(monkeypatch, name, grid, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        verify.run(name, grid)
+    ran = []
+    monkeypatch.setattr(verify, "_SUITES", {
+        suite: (lambda g, suite=suite: ran.append(suite)) for suite in verify.SUITES})
+    with pytest.raises(DomainError):
+        verify.run(name, grid)
+    assert ran == []

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import cython_special
 from test_quadrature import integrate_over
 
-from gentrig import bvp, gtf, integrals, quadrature, specfun
+from gentrig import bvp, cli, gtf, integrals, quadrature, specfun
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 
@@ -814,6 +815,92 @@ class TestPairRecord:
             for name, fn in SCALAR_FNS.items():
                 fn(p, q, u if name == "asin_pq" else u * half)
             sol(2.0 * u)
+
+
+class TestGridRecords:
+    """gtf._per_pair keeps each grid's assembled records (gtf._GRIDS):
+    the same bits as a fresh build, read-only, never an invalid pair's,
+    within its bound, and a verify run meets each of its grids once."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(gtf, "_GRIDS", {})
+
+    @pytest.mark.parametrize("fn,args", [(gtf._pair, ()), (gtf._reflected, ()),
+                                         (bvp._general_scalars, ((1.0, 2.5),))])
+    def test_cached_grid_equals_a_fresh_build(self, fn, args):
+        p, q = np.array(GRID)[:, None], np.array([1.5, 3.0, 1.5, 4.0])
+        first = gtf._per_pair(fn, p, q, *args)
+        again = gtf._per_pair(fn, p.copy(), q.copy(), *args)
+        assert again is first and len(gtf._GRIDS) == 1
+        gtf._GRIDS.clear()
+        fresh = gtf._per_pair(fn, p, q, *args)
+        assert fresh is not first and same_bits(fresh, first)
+        for i, pi in enumerate(GRID):
+            for j, qj in enumerate(q.tolist()):
+                assert same_bits(first[:, i, j], fn(pi, qj, *args))
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            first[1][...] = 0.0  # a field unpacked by a caller
+
+    def test_key_is_the_shapes_and_values(self):
+        p = np.array([2.0, 3.0])
+        col = gtf._per_pair(gtf._pair, p[:, None], 2.5)
+        row = gtf._per_pair(gtf._pair, p[None, :], 2.5)
+        assert col.shape[1:] == (2, 1) and row.shape[1:] == (1, 2)
+        # the same broadcast from other shapes of q: another key, the same bits
+        assert same_bits(gtf._per_pair(gtf._pair, p[:, None], np.array([2.5])), col)
+        swapped = gtf._per_pair(gtf._pair, 2.5, p)
+        assert not same_bits(swapped, gtf._per_pair(gtf._pair, p, 2.5))
+        other = gtf._per_pair(bvp._general_scalars, p, 2.5, (1.0,))
+        assert gtf._per_pair(bvp._general_scalars, p, 2.5, (2.0,))[4:].tolist() \
+            != other[4:].tolist()  # the lengths are part of the key
+        assert len(gtf._GRIDS) == 7
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, math.inf, 0.5])
+    def test_invalid_pair_raises_on_every_call(self, bad):
+        p = np.array([2.0, bad, 3.0])
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                gtf._per_pair(gtf._pair, p, 2.5)
+            with pytest.raises(DomainError):
+                gtf.sincos_pq(p, 2.5, 0.1)
+        assert gtf._GRIDS == {}
+
+    def test_within_its_bound(self):
+        grids = []
+        for k in range(gtf._GRIDS_KEPT + 10):
+            grids.append(gtf._per_pair(gtf._pair, np.array([2.0, 2.0 + k / 64.0]), 3.0))
+            assert len(gtf._GRIDS) <= gtf._GRIDS_KEPT
+        # the oldest went first
+        kept = [any(v is g for v in gtf._GRIDS.values()) for g in grids]
+        assert kept == [False] * 10 + [True] * gtf._GRIDS_KEPT
+        gtf._GRIDS.clear()
+        big = np.full(gtf._GRID_PAIRS_KEPT + 1, 2.0)
+        fields = gtf._per_pair(gtf._pair, big, 3.0)
+        assert fields.shape == (8, big.size) and gtf._GRIDS == {}
+
+    def test_verify_assembles_each_grid_once(self, monkeypatch, capsys):
+        """A spy on the cache's stores: a cold verify --suite all --grid full
+        assembles its 8 grids (17 calls of _per_pair a run), a second run
+        none, and both print the reference output byte for byte."""
+
+        class Spy(dict):
+            stores = 0
+
+            def __setitem__(self, key, value):
+                Spy.stores += 1
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(gtf, "_GRIDS", Spy())
+        expected = (Path(__file__).parent / "data" / "verify_full.txt").read_text()
+        for assemblies in (8, 0):  # cold, then hot
+            Spy.stores = 0
+            assert cli.main(["verify", "--suite", "all", "--grid", "full"]) == 0
+            assert capsys.readouterr().out == expected
+            assert Spy.stores == assemblies
 
 
 def test_scalar_kernels_equal_ufuncs():

@@ -733,6 +733,17 @@ class TestBetaIntegrals:
         err = np.abs(res.value - ref)
         assert np.all(err <= np.maximum(res.err_estimate, 4 * EPS * np.abs(ref)))
 
+    @pytest.mark.parametrize("a,b", [(10.0, 1000.0), (2.0, 1e6), (30.0, 30.0)])
+    def test_small_values_are_certified_absolutely(self, a, b):
+        """Below 1 a row is certified to tol absolutely, not relatively, and
+        its estimate covers the error against 40-digit mpmath: B(10, 1000)
+        reads 4.19e-25 for 3.47e-25, 21% high, with an estimate of 4.0e-25;
+        B(2, 1e6) is 1.0e-11 off, relative, and B(30, 30) 2.3e-11."""
+        res = quadrature.beta_integrals([a], [b], 1e-13)
+        with mp.workdps(40):
+            err = float(abs(res.value[0] - mp_beta(a, b)))
+        assert err <= res.err_estimate[0] <= 1e-13
+
     def test_incomplete_rows_equal_lone_calls(self):
         # limits below 1/2, above it, at 1 and underflowing, in one batch
         rng = np.random.default_rng(11)
