@@ -251,7 +251,7 @@ def general_checks(p: float, q: float, Hs, fractions):
     if not ((xx > 0.0) & (xx < H[:, None])).all():
         raise DomainError("x must be interior to (0, H)")
     xx = np.concatenate((xx, H[:, None] * np.array([0.0, 1.0])), axis=1)  # both ends last
-    Hs = tuple(H.tolist())  # hashable: gtf keeps the grid's records by it
+    Hs = H.tolist()  # Python floats for _profile_scales' float code
     fields = _per_pair(_general_scalars, p, q, Hs) if several else _general_scalars(p, q, Hs)
     P, ssum, den, root = fields[:4]
     scales = np.moveaxis(np.asarray(fields[4:]), 0, -1)  # S + (2 len(H),)
@@ -264,7 +264,7 @@ def general_checks(p: float, q: float, Hs, fractions):
         """The per-pair vals with k trailing axes, against the points."""
         return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
 
-    sincos = _sincos_tail(*lifted(1, P, q), (omega[..., None] * xx).reshape(lead + (-1,)))
+    sincos = _sincos_tail(*lifted(1, P, q), (omega[..., None] * xx).reshape(*lead, xx.size))
     s, c, yc = (v.reshape(lead + xx.shape) for v in sincos)
     p, q, P, ssum, den, root = lifted(2, p, q, P, ssum, den, root)
     cp = _cos_power(P, q, c, yc)

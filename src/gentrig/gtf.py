@@ -40,15 +40,11 @@ extend_sin_symmetric an array p: the lane for several pairs, one call for a
 whole grid of pairs (the verify suites).  It builds each distinct pair's
 record once through _pair, which validates it, so an invalid pair anywhere
 raises DomainError; every other per-pair value is computed as the Python
-float of a single-pair call and broadcast afterwards (_per_pair).  A grid's
-assembled records are kept, read-only, for the next call at the same p and
-q (_GRIDS: at most _GRIDS_KEPT = 32 grids, each of at most
-_GRID_PAIRS_KEPT = 4096 pairs; per-pair setup only, never a value at a
-point), so a verify run assembles each of its grids once and a second run
-none.  Its inversions take Boost's ufunc with each point's own shapes at
-any size, one call for all pairs plus one for the band.  A power whose
-exponent varies with the pair is numpy's pow at every point, except at the
-exponents -1, 1/2 and 2, which numpy takes by a special case (reciprocal,
+float of a single-pair call and broadcast afterwards (_per_pair).  Its
+inversions take Boost's ufunc with each point's own shapes at any size,
+one call for all pairs plus one for the band.  A power whose exponent
+varies with the pair is numpy's pow at every point, except at the exponents
+-1, 1/2 and 2, which numpy takes by a special case (reciprocal,
 sqrt, square) when given as a float: those points are raised to a float
 exponent (_power; _FAST_POWERS holds the three).  So each point equals its own pair's call in
 scipy's ufunc lane (an array of fewer than specfun.INV_FIT_MIN points) bit
@@ -191,43 +187,19 @@ def _several(p, q) -> bool:
     return bool(isinstance(p, np.ndarray) and p.ndim or isinstance(q, np.ndarray) and q.ndim)
 
 
-_GRIDS = {}  # _per_pair's records: (fn, args, p and q shapes and bytes) -> fields
-_GRIDS_KEPT = 32  # the bound of _GRIDS, in grids; a full verify run meets 8
-_GRID_PAIRS_KEPT = 4096  # the largest broadcast of p and q whose records are kept
-
-
 def _per_pair(fn, p, q, *args):
     """fn(p, q, *args), a tuple of Python floats at one pair that validates
     the pair (as _pair does), at every pair of the broadcast of the arrays p
-    and q: one float array a field, shaped like that broadcast, stacked in
-    one read-only array.  fn runs once per distinct pair, so that each value
-    is its single-pair float, bit for bit, and an invalid pair anywhere
-    raises its DomainError before anything is kept.
-
-    The assembled records of a grid are kept in _GRIDS, keyed by fn, args
-    (hashable: floats or tuples of them) and the shapes and values of p and
-    q, which fix the broadcast and its pairs, and returned again, read-only,
-    when the same grid comes back: each verify suite meets its grids once a run, and a run meets them
-    all again.  _GRIDS keeps at most _GRIDS_KEPT grids, the oldest dropped
-    first, and only those of at most _GRID_PAIRS_KEPT pairs.  fn must be a
-    pure function of the pair and args, with per-pair setup only (_pair,
-    _reflected, bvp._general_scalars): no value at a point is kept."""
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    key = (fn, args, p.shape, p.tobytes(), q.shape, q.tobytes())
-    fields = _GRIDS.get(key)
-    if fields is None:
-        pp, qq = np.broadcast_arrays(p, q)
-        index = {}
-        at = [index.setdefault(k, len(index))
-              for k in zip(pp.ravel().tolist(), qq.ravel().tolist())]
-        table = np.array([fn(*k, *args) for k in index], dtype=float)
-        fields = table[at].T.reshape((-1,) + pp.shape)
-        fields.flags.writeable = False
-        if pp.size <= _GRID_PAIRS_KEPT:
-            if len(_GRIDS) >= _GRIDS_KEPT:
-                _GRIDS.pop(next(iter(_GRIDS), None), None)  # the oldest
-            _GRIDS[key] = fields
-    return fields
+    and q: one float array a field, shaped like that broadcast.  fn runs
+    once per distinct pair, so that each value is its single-pair float, bit
+    for bit, and an invalid pair anywhere raises its DomainError.  An empty
+    broadcast gives empty fields; fn then runs once at the stand-in pair (2,
+    2), which counts the fields and checks args."""
+    pp, qq = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    index = {}
+    at = [index.setdefault(k, len(index)) for k in zip(pp.ravel().tolist(), qq.ravel().tolist())]
+    table = np.array([fn(*k, *args) for k in index or [(2.0, 2.0)]], dtype=float)
+    return table[at].T.reshape(table.shape[1:] + pp.shape)
 
 
 def _records(p, q):

@@ -818,46 +818,22 @@ class TestPairRecord:
 
 
 class TestGridRecords:
-    """gtf._per_pair keeps each grid's assembled records (gtf._GRIDS):
-    the same bits as a fresh build, read-only, never an invalid pair's,
-    within its bound, and a verify run meets each of its grids once."""
-
-    @pytest.fixture(autouse=True)
-    def cold(self, monkeypatch):
-        monkeypatch.setattr(gtf, "_GRIDS", {})
+    """gtf._per_pair assembles a grid's records on every call: each pair's
+    own fn call bit for bit, fn once per distinct pair, never an invalid
+    pair's, empty fields for an empty grid, and no grid kept between
+    calls."""
 
     @pytest.mark.parametrize("fn,args", [(gtf._pair, ()), (gtf._reflected, ()),
                                          (bvp._general_scalars, ((1.0, 2.5),))])
-    def test_cached_grid_equals_a_fresh_build(self, fn, args):
+    def test_fields_equal_each_pairs_call(self, fn, args):
         p, q = np.array(GRID)[:, None], np.array([1.5, 3.0, 1.5, 4.0])
-        first = gtf._per_pair(fn, p, q, *args)
-        again = gtf._per_pair(fn, p.copy(), q.copy(), *args)
-        assert again is first and len(gtf._GRIDS) == 1
-        gtf._GRIDS.clear()
-        fresh = gtf._per_pair(fn, p, q, *args)
-        assert fresh is not first and same_bits(fresh, first)
+        seen = []
+        fields = gtf._per_pair(lambda *k: seen.append(k[:2]) or fn(*k), p, q, *args)
+        assert len(seen) == len(set(seen)) == 3 * len(GRID)  # q repeats 1.5
+        assert fields.shape[1:] == (len(GRID), 4)
         for i, pi in enumerate(GRID):
             for j, qj in enumerate(q.tolist()):
-                assert same_bits(first[:, i, j], fn(pi, qj, *args))
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            first[1][...] = 0.0  # a field unpacked by a caller
-
-    def test_key_is_the_shapes_and_values(self):
-        p = np.array([2.0, 3.0])
-        col = gtf._per_pair(gtf._pair, p[:, None], 2.5)
-        row = gtf._per_pair(gtf._pair, p[None, :], 2.5)
-        assert col.shape[1:] == (2, 1) and row.shape[1:] == (1, 2)
-        # the same broadcast from other shapes of q: another key, the same bits
-        assert same_bits(gtf._per_pair(gtf._pair, p[:, None], np.array([2.5])), col)
-        swapped = gtf._per_pair(gtf._pair, 2.5, p)
-        assert not same_bits(swapped, gtf._per_pair(gtf._pair, p, 2.5))
-        other = gtf._per_pair(bvp._general_scalars, p, 2.5, (1.0,))
-        assert gtf._per_pair(bvp._general_scalars, p, 2.5, (2.0,))[4:].tolist() \
-            != other[4:].tolist()  # the lengths are part of the key
-        assert len(gtf._GRIDS) == 7
+                assert same_bits(fields[:, i, j], fn(pi, qj, *args))
 
     @pytest.mark.parametrize("bad", [math.nan, 1.0, math.inf, 0.5])
     def test_invalid_pair_raises_on_every_call(self, bad):
@@ -867,40 +843,59 @@ class TestGridRecords:
                 gtf._per_pair(gtf._pair, p, 2.5)
             with pytest.raises(DomainError):
                 gtf.sincos_pq(p, 2.5, 0.1)
-        assert gtf._GRIDS == {}
 
-    def test_within_its_bound(self):
-        grids = []
-        for k in range(gtf._GRIDS_KEPT + 10):
-            grids.append(gtf._per_pair(gtf._pair, np.array([2.0, 2.0 + k / 64.0]), 3.0))
-            assert len(gtf._GRIDS) <= gtf._GRIDS_KEPT
-        # the oldest went first
-        kept = [any(v is g for v in gtf._GRIDS.values()) for g in grids]
-        assert kept == [False] * 10 + [True] * gtf._GRIDS_KEPT
-        gtf._GRIDS.clear()
-        big = np.full(gtf._GRID_PAIRS_KEPT + 1, 2.0)
-        fields = gtf._per_pair(gtf._pair, big, 3.0)
-        assert fields.shape == (8, big.size) and gtf._GRIDS == {}
+    # each entry point of the lane for several pairs at an empty p of shape
+    # (0, 1) and q = [2, 3] (p alone where it takes no q): its results' shapes
+    EMPTY = {
+        "sin_pq": (lambda p, q: gtf.sin_pq(p, q, 0.5), [(0, 2)]),
+        "cos_pq": (lambda p, q: gtf.cos_pq(p, q, 0.5), [(0, 2)]),
+        "sincos_pq": (lambda p, q: gtf.sincos_pq(p, q, 0.5), [(0, 2)] * 2),
+        "sin_symmetry_appendix": (lambda p, q: gtf.sin_symmetry_appendix(p, q, 0.5),
+                                  [(0, 2)] * 2),
+        "extend_sin_symmetric": (lambda p, q: gtf.extend_sin_symmetric(p, 0.5), [(0, 1)]),
+        "general_checks": (lambda p, q: bvp.general_checks(p, q, [1.0], [0.5]),
+                           [(0, 2, 1, 1), (0, 2, 1, 1), (0, 2, 1)]),
+        "solve_pq_equal": (lambda p, q: bvp.solve_pq_equal(p)(0.5), [(0, 1)]),
+    }
 
-    def test_verify_assembles_each_grid_once(self, monkeypatch, capsys):
-        """A spy on the cache's stores: a cold verify --suite all --grid full
-        assembles its 8 grids (17 calls of _per_pair a run), a second run
-        none, and both print the reference output byte for byte."""
+    @pytest.mark.parametrize("name", EMPTY)
+    def test_empty_grid_gives_empty_results(self, name):
+        """An empty broadcast of p and q gives empty results of its shape, as
+        an empty x does (numpy's reshape error before)."""
+        call, shapes = self.EMPTY[name]
+        got = call(np.empty((0, 1)), np.array([2.0, 3.0]))
+        got = got if isinstance(got, tuple) else (got,)
+        assert [v.shape for v in got] == shapes
+        assert all(isinstance(v, np.ndarray) and v.dtype == float for v in got)
 
-        class Spy(dict):
-            stores = 0
+    def test_empty_grid_still_checks_the_lengths(self):
+        """_general_scalars runs at a stand-in pair, so an H whose profile
+        scales overflow raises at an empty grid too."""
+        with pytest.raises(DomainError):
+            bvp.general_checks(np.array([]), 2.0, [1e308], [0.5])
 
-            def __setitem__(self, key, value):
-                Spy.stores += 1
-                super().__setitem__(key, value)
+    def test_verify_repeats_its_per_pair_work(self, monkeypatch, capsys):
+        """A spy on _per_pair's fn calls: a second verify --suite all --grid
+        full in one process does as much per-pair work as the first, since
+        no grid is kept between calls, and both print the reference output
+        byte for byte."""
+        real, counted, calls = gtf._per_pair, {}, []
 
-        monkeypatch.setattr(gtf, "_GRIDS", Spy())
+        def spy(fn, p, q, *args):
+            if fn not in counted:  # one counting fn each, as a cache would key it
+                counted[fn] = lambda *k: calls.append(fn) or fn(*k)
+            return real(counted[fn], p, q, *args)
+
+        monkeypatch.setattr(gtf, "_per_pair", spy)
+        monkeypatch.setattr(bvp, "_per_pair", spy)
         expected = (Path(__file__).parent / "data" / "verify_full.txt").read_text()
-        for assemblies in (8, 0):  # cold, then hot
-            Spy.stores = 0
+        work = []
+        for _ in range(2):
+            calls.clear()
             assert cli.main(["verify", "--suite", "all", "--grid", "full"]) == 0
             assert capsys.readouterr().out == expected
-            assert Spy.stores == assemblies
+            work.append(len(calls))
+        assert work[0] == work[1] > 0
 
 
 def test_scalar_kernels_equal_ufuncs():
