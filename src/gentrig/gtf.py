@@ -15,9 +15,12 @@ points, built once per pair) and the formulas around the inverse.
 Every evaluator takes a point or an array of points, and the input alone
 picks the lane.  A point (a float, an int, a numpy scalar or a 0-d array)
 takes the float lane: straight-line float code on the pair's record, Boost's
-scalar kernels (specfun._point_tails, specfun._betainc), Python float
-powers, no array, and a Python float back (about 1 us a sin_pq call at a
-pair met before; BENCH_18.json).  An array takes the same steps on arrays, a
+scalar kernels, Python float powers, no array, and a Python float back.
+sin_pq and cos_pq each take a float or an int x on a path of their own,
+which solves only the tail its value needs (specfun._betaincinv; about 1.2
+us a call at a pair met before, BENCH_47.json, in_process); sincos_pq and
+the other callers that want both tails take specfun._point_tails, and
+asin_pq specfun._betainc.  An array takes the same steps on arrays, a
 block of specfun.INV_FIT_BLOCK points at a time (_sincos_block,
 _asin_array): the test and clip, y and yc, specfun's per-block inversion
 (specfun._tails_block) or sum (specfun._inc_beta_block) and numpy's powers,
@@ -156,11 +159,12 @@ def _as_unit(x, top: float, what: str, out=None):
             if not within(x, -slack, top + slack):
                 raise DomainError(f"{what} requires argument in [0, {top}]")
             return x.clip(0.0, top, out=out)  # np.clip's method, without its dispatch
-    x = float(x)
-    # written so that NaN fails the test
+        x = float(x)
+    # written so that NaN fails the test, and before float() would overflow
+    # at an int beyond the doubles
     if not -slack <= x <= top + slack:
         raise DomainError(f"{what} requires argument in [0, {top}]")
-    return min(max(x, 0.0), top)
+    return min(max(float(x), 0.0), top)
 
 
 @functools.lru_cache(maxsize=128)
@@ -285,10 +289,9 @@ def asin_pq(p: float, q: float, x):
     except TypeError:  # a 0-d p or q: no cache hashes an array
         return asin_pq(float(p), float(q), x)
     if isinstance(x, (float, int)):  # the float lane: _as_unit's test inline
-        x = float(x)
         if not -_REL_SLACK <= x <= 1.0 + _REL_SLACK:
             raise DomainError("asin_pq requires argument in [0, 1.0]")
-        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x  # -0.0 kept
+        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else float(x)  # -0.0 kept
         xq = x**q
         if 0.0 < x and xq < _ASIN_SERIES_MAX:
             return float(x + x * xq / (p * (q + 1.0)))
@@ -324,8 +327,32 @@ def _asin_array(p: float, q: float, a: float, b: float, B: float, x):
 
 
 def sin_pq(p: float, q: float, x):
-    """Generalized sine on the principal interval [0, pi_pq/2]."""
-    return _sincos_tail(p, q, x, (True, False, False), "sin_pq")[0]
+    """Generalized sine on the principal interval [0, pi_pq/2].
+
+    A float or an int x goes straight to Boost's scalar inverse: the pair's
+    record, _as_unit's test and clip, the small-x rule, and t from y up to
+    hi, else 1 - s from yc, one inversion (specfun._point_tails' t, bit for
+    bit).  Any other x, and arrays p or q, take _sincos_tail.  Above hi
+    there is no rule for yc = 1/2 at a = b, which cannot occur: hi is 1/2
+    there, and y > 1/2 makes x/(pi_pq/2) - 1/2 > 2^-54 and pi_pq/2 - x
+    exact, so yc < 1/2 (likewise in cos_pq and specfun._point_tails).
+    """
+    try:
+        halfpi, a, b, _, hi, _, tiny, _ = _pair(p, q)
+    except TypeError:  # no cache hashes an array
+        return _sincos_tail(p, q, x, (True, False, False), "sin_pq")[0]
+    if not isinstance(x, (float, int)):
+        return _sincos_tail(p, q, x, (True, False, False), "sin_pq")[0]
+    slack = _REL_SLACK * halfpi
+    if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
+        raise DomainError(f"sin_pq requires argument in [0, {halfpi}]")
+    x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
+    if 0.0 < x < tiny:
+        return x
+    y = x / halfpi
+    if y <= hi:
+        return (0.5 if a == b and y == 0.5 else specfun._betaincinv(a, b, y)) ** a
+    return (1.0 - specfun._betaincinv(b, a, (halfpi - x) / halfpi)) ** a
 
 
 def cos_pq(p: float, q: float, x):
@@ -335,9 +362,27 @@ def cos_pq(p: float, q: float, x):
     I_{1-s}(a, b) above y = min(I_{1/2}(a, b), 1/2), so that accuracy is
     retained where sin_pq is close to 1, and below it is 1 - t from the
     sine's t <= 1/2, one inversion a point either way
-    (specfun._tails_block).
+    (specfun._tails_block).  A float or an int x goes straight to Boost's
+    scalar inverse, as in sin_pq, with the DBL_MIN rule.
     """
-    return _sincos_tail(p, q, x, (False, True, False), "cos_pq")[1]
+    try:
+        halfpi, a, b, lo, _, inv_p, _, B = _pair(p, q)
+    except TypeError:  # no cache hashes an array
+        return _sincos_tail(p, q, x, (False, True, False), "cos_pq")[1]
+    if not isinstance(x, (float, int)):
+        return _sincos_tail(p, q, x, (False, True, False), "cos_pq")[1]
+    slack = _REL_SLACK * halfpi
+    if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
+        raise DomainError(f"cos_pq requires argument in [0, {halfpi}]")
+    x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
+    y = x / halfpi
+    if y <= lo:
+        return (1.0 - (0.5 if a == b and y == 0.5 else specfun._betaincinv(a, b, y))) ** inv_p
+    yc = (halfpi - x) / halfpi
+    s = specfun._betaincinv(b, a, yc)
+    if s < _DBL_MIN:  # the leading term, as in _cos_from_tail
+        return float((b * B * yc) ** (1.0 / (p - 1.0)))
+    return s**inv_p
 
 
 def sincos_pq(p: float, q: float, x):
@@ -356,13 +401,13 @@ def sincos_pq(p: float, q: float, x):
 
 def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_pq"):
     """(sin, cos, yc) at x, yc = 1 - x/(pi_pq/2) the argument of the
-    swapped-tail inversion, which _cos_power needs; tails = (want_sin,
-    want_cos, want_yc) says which to compute, None for the others (yc is a
-    float at a point whatever tails says).  A point takes the float lane,
-    straight-line float code on the pair's record (_pair): _as_unit's test
-    and clip, at most one scalar inversion a tail, the small-x rule and the
-    DBL_MIN rule.  An array takes the same steps on arrays, block by block
-    (_sincos_block).  Arrays p and q (the lane for several pairs) give every
+    swapped-tail inversion, which _cos_power needs.  A point takes the float
+    lane, which computes all three whatever tails says: straight-line float
+    code on the pair's record (_pair), _as_unit's test and clip, both tails
+    of specfun._point_tails, the small-x rule and the DBL_MIN rule.  An
+    array takes the same steps on arrays, block by block (_sincos_block),
+    and computes only what tails = (want_sin, want_cos, want_yc) asks for,
+    None for the others.  Arrays p and q (the lane for several pairs) give every
     point of the broadcast of p, q and x its own pair's record, and take the
     array code with scipy's ufunc for every pair."""
     try:
@@ -377,22 +422,16 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_p
             return _sincos_arrays(p, rec, x, tails, what)
         x = float(x)  # a numpy scalar or a 0-d array
     halfpi, a, b, lo, hi, inv_p, tiny, B = rec
-    want_sin, want_cos, _ = tails
     slack = _REL_SLACK * halfpi
     if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
         raise DomainError(f"{what} requires argument in [0, {halfpi}]")
     x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
     yc = (halfpi - x) / halfpi
-    t, s = specfun._point_tails(a, b, lo, hi, x / halfpi, yc, tails)
-    sin = cos = None
-    if want_sin:
-        sin = x if 0.0 < x < tiny else t**a
-    if want_cos:
-        if s < _DBL_MIN:  # the leading term, as in _cos_from_tail
-            cos = float((b * B * yc) ** (1.0 / (p - 1.0)))
-        else:
-            cos = s**inv_p
-    return sin, cos, yc
+    t, s = specfun._point_tails(a, b, lo, hi, x / halfpi, yc)
+    sin = x if 0.0 < x < tiny else t**a
+    if s < _DBL_MIN:  # the leading term, as in _cos_from_tail
+        return sin, float((b * B * yc) ** (1.0 / (p - 1.0))), yc
+    return sin, s**inv_p, yc
 
 
 def _sincos_arrays(p, rec, x, tails, what):
@@ -471,8 +510,8 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         except TypeError:  # a 0-d p or q: no cache hashes an array
             return sin_symmetry_appendix(float(p), float(q), x01)
     if isinstance(x01, (float, int)) and not several:
-        xx = float(x01)
-        ok = 0.0 <= xx <= 1.0
+        ok = 0.0 <= x01 <= 1.0  # before float() would overflow beyond the doubles
+        xx = float(x01) if ok else x01
     else:
         xx = np.asarray(x01, dtype=float)
         ok = within(xx, 0.0, 1.0)

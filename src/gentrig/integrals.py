@@ -73,7 +73,7 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
         return (1.0 / q) * specfun.beta(a, b)
     if x < tiny:
         return x ** (k + 1.0) / (k + 1.0)
-    z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi, (True, True))
+    z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi)
     return (1.0 / q) * specfun._beta_integral(a, b, z, zc)
 
 

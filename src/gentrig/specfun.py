@@ -709,15 +709,19 @@ def _inverse_setup(a: float, b: float):
     return lnb, y_half, None if None in fits else fits
 
 
-def _point_tails(a: float, b: float, lo: float, hi: float, y: float, yc: float, tails):
-    """(t, s) of _tails_block at one point, Python floats from Boost's
-    scalar kernel (the ufunc's code, bit for bit): gtf's float lane.  A tail
-    not asked for is 1 minus the other."""
+def _point_tails(a: float, b: float, lo: float, hi: float, y: float, yc: float):
+    """(t, s) of _tails_block at one point with both tails asked for,
+    always: Python floats from Boost's scalar kernel (the ufunc's code, bit
+    for bit), for the float lane's callers that want both.  t is solved from
+    y up to hi and s from yc above lo, so one inversion serves both outside
+    the band between them (the other tail is 1 minus it) and each is solved
+    from its own argument inside it.  At a = b, y = 1/2 gives t = 1/2; yc
+    is never 1/2 where s is solved (gtf.sin_pq)."""
     t = s = None
-    if y <= (hi if tails[0] else lo):
+    if y <= hi:
         t = 0.5 if a == b and y == 0.5 else _betaincinv(a, b, y)
-    if y > (lo if tails[1] else hi):
-        s = 0.5 if a == b and yc == 0.5 else _betaincinv(b, a, yc)
+    if y > lo:
+        s = _betaincinv(b, a, yc)
     return 1.0 - s if t is None else t, 1.0 - t if s is None else s
 
 

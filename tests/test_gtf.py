@@ -602,6 +602,12 @@ _points = st.one_of(
 )
 
 
+def _at_ratio(y, top):
+    """A float x within 8 ulps of y top with x / top exactly y."""
+    x, ulp = y * top, math.ulp(y * top)
+    return next(v for k in range(9) for v in (x - k * ulp, x + k * ulp) if v / top == y)
+
+
 def _point(how, u, top):
     return {
         "uniform": u * top, "near 0": u * top, "near top": (1.0 - u) * top,
@@ -645,17 +651,27 @@ class TestFloatLane:
         assert same_bits(value, gtf.extend_sin_symmetric(p, np.float64(x)))
 
     def test_seeded_sweep_equals_ufunc_formula(self):
+        """sin_pq and cos_pq equal the formula and sincos_pq at seeded points
+        and at the rule edges, which random points seldom meet: y =
+        x/(pi_pq/2) exactly lo and exactly hi (exactly 1/2 at a = b), x just
+        below DBL_MIN^(1/q), the small-x rule, and at (1.001, 7.0) x = 0.511
+        pi_pq/2, a cosine's leading term that is a normal float (1.7e-308).
+        At (2.5, 3.0) the two tails give t^a different bits at y = hi."""
         rng = np.random.default_rng(20261018)
         pairs = [(2.0, 2.0), (30.0, 30.0 / 29.0), (1.001, 7.0), (7.0, 1.001)]
-        pairs += [tuple(1.0 + 49.0 * rng.random(2)) for _ in range(8)]
+        pairs += [tuple(1.0 + 49.0 * rng.random(2)) for _ in range(8)] + [(2.5, 3.0)]
         for p, q in pairs:
-            half = 0.5 * gtf.pi_pq(p, q)
+            half, _, _, lo, hi, _, tiny, _ = gtf._pair(p, q)
             xs = np.concatenate([rng.random(40), 1.0 - 10.0 ** -rng.uniform(1, 15, 20)])
+            edges = [_at_ratio(lo, half), _at_ratio(hi, half), math.nextafter(tiny, 0.0), 0.511 * half]
+            for x in [u * half for u in xs.tolist()] + edges:
+                s, c = gtf.sin_pq(p, q, x), gtf.cos_pq(p, q, x)
+                assert same_float(s, ufunc_formula("sin", p, q, x))
+                assert same_float(c, ufunc_formula("cos", p, q, x))
+                assert same_bits(gtf.sincos_pq(p, q, x), (s, c))
             for u in xs.tolist():
-                x = u * half
-                assert same_float(gtf.sin_pq(p, q, x), ufunc_formula("sin", p, q, x))
-                assert same_float(gtf.cos_pq(p, q, x), ufunc_formula("cos", p, q, x))
                 assert same_float(gtf.asin_pq(p, q, u), ufunc_formula("asin", p, q, u))
+
     @pytest.mark.parametrize(
         "x", [0.3, np.float64(0.3), 1, 0, np.array(0.3), np.float32(0.3), np.int64(0)],
         ids=["float", "float64", "int", "int0", "0-d", "float32", "int64"])
@@ -664,7 +680,7 @@ class TestFloatLane:
         outs = [gtf.sin_pq(p, q, x), gtf.cos_pq(p, q, x), gtf.asin_pq(p, q, x),
                 gtf.extend_sin_symmetric(q, x), *gtf.sincos_pq(p, q, x)]
         assert all(type(v) is float for v in outs)
-        assert same_bits(outs[0], gtf.sin_pq(p, q, float(x)))
+        assert same_bits(outs[:2], (gtf.sin_pq(p, q, float(x)), gtf.cos_pq(p, q, float(x))))
         assert type(gtf.pi_pq(p, q)) is float
 
     @pytest.mark.parametrize(
@@ -679,6 +695,24 @@ class TestFloatLane:
             x = x * 0.5 * gtf.pi_pq(p, q)
         with pytest.raises(DomainError):
             fn(p, q, x if lane == "float" else np.array([0.5, x]))
+
+    @pytest.mark.parametrize("call", [
+        lambda x: gtf.sin_pq(2.5, 3.0, x),
+        lambda x: gtf.cos_pq(2.5, 3.0, x),
+        lambda x: gtf.sincos_pq(2.5, 3.0, x),
+        lambda x: gtf.asin_pq(2.5, 3.0, x),
+        lambda x: gtf.sin_symmetry_appendix(2.5, 3.0, x),
+        lambda x: gtf.extend_sin_symmetric(3.0, x),
+        lambda x: integrals.primitive_sin_cos(2.5, 3.0, 0.5, 1.5, x),
+        lambda x: bvp.solve_general(2.0, 2.5, 3.0)(x),
+    ], ids=["sin_pq", "cos_pq", "sincos_pq", "asin_pq", "sin_symmetry_appendix",
+            "extend_sin_symmetric", "primitive_sin_cos", "sol"])
+    @pytest.mark.parametrize("x", [10**400, -10**400], ids=["+1e400", "-1e400"])
+    def test_int_beyond_the_doubles_rejected(self, call, x):
+        """A Python int beyond the doubles is out of every domain: the range
+        test comes before float(), which would raise OverflowError."""
+        with pytest.raises(DomainError):
+            call(x)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -1e-11])
     def test_extension_out_of_domain_rejected(self, x):

@@ -444,8 +444,7 @@ class TestPrimitives:
             halfpi, ia, ib, lo, hi, _, _, _ = gtf._pair(p, q)
             for f in (0.05, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-6):
                 x = f * halfpi
-                z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi,
-                                             (True, True))
+                z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi)
                 for k in (-0.5, 0.0, 1.0, 3.0):
                     for l in (1.0 - p / 2.0, 1.0, 2.0, 5.0, 61.0, 151.0, 301.0):
                         a, b = (k + 1.0) / q, 1.0 + (l - 1.0) / p
