@@ -8,20 +8,23 @@ inverse (DLMF 8.17.4): with a = 1/q, b = 1/p*, y = x/(pi_pq/2) and yc = 1 -
 y, t = sin_pq^q solves I_t(a, b) = y and s = cos_pq^p = 1 - t solves I_s(b,
 a) = yc.  specfun owns every such evaluation: which tail a point is solved
 in (one inversion a point, two for sincos_pq in the band between y_half =
-I_{1/2}(a, b) and 1/2), and which lane solves it.  This module keeps the
-validation, the pair's record (_pair: pi_pq/2, the shapes and the split
-points, built once per pair) and the formulas around the inverse.
+I_{1/2}(a, b) and 1/2), and which lane solves it; only sin_pq and cos_pq,
+at a point, choose their one tail themselves, as specfun._point_tails
+does, and call Boost's scalar inverse.  This module keeps the validation,
+the pair's record (_pair: pi_pq/2, the shapes and the split points, built
+once per pair) and the formulas around the inverse.
 
 Every evaluator takes a point or an array of points, and the input alone
 picks the lane.  A point (a float, an int, a numpy scalar or a 0-d array)
 takes the float lane: straight-line float code on the pair's record, Boost's
 scalar kernels, Python float powers, no array, and a Python float back.
-sin_pq and cos_pq each take a float or an int x on a path of their own,
-which solves only the tail its value needs (specfun._betaincinv; about 1.2
-us a call at a pair met before, BENCH_47.json, in_process); sincos_pq and
-the other callers that want both tails take specfun._point_tails, and
-asin_pq specfun._betainc.  An array takes the same steps on arrays, a
-block of specfun.INV_FIT_BLOCK points at a time (_sincos_block,
+sin_pq and cos_pq each take a point on a path of their own, a numpy scalar
+or a 0-d array as its float, which solves only the tail its value needs
+(specfun._betaincinv; about 1.25 us a call at a pair met before,
+BENCH_47.json, in_process); sincos_pq and the other callers that want both
+tails take specfun._point_tails, and asin_pq specfun._betainc.  An array
+takes the same steps on arrays, a block of specfun.INV_FIT_BLOCK points at
+a time (_sincos_block,
 _asin_array): the test and clip, y and yc, specfun's per-block inversion
 (specfun._tails_block) or sum (specfun._inc_beta_block) and numpy's powers,
 with the small-x and DBL_MIN rules, each block written into the preallocated
@@ -332,17 +335,20 @@ def sin_pq(p: float, q: float, x):
     A float or an int x goes straight to Boost's scalar inverse: the pair's
     record, _as_unit's test and clip, the small-x rule, and t from y up to
     hi, else 1 - s from yc, one inversion (specfun._point_tails' t, bit for
-    bit).  Any other x, and arrays p or q, take _sincos_tail.  Above hi
-    there is no rule for yc = 1/2 at a = b, which cannot occur: hi is 1/2
-    there, and y > 1/2 makes x/(pi_pq/2) - 1/2 > 2^-54 and pi_pq/2 - x
-    exact, so yc < 1/2 (likewise in cos_pq and specfun._point_tails).
+    bit).  This path and cos_pq's are the one-tail copies of _point_tails'
+    choice of tail, written out because a shared helper's frame cost them
+    5-8% a call (BENCH_47.json, shared_tail_helpers).  Any other input
+    takes _off_point.  Above hi there is no rule for yc = 1/2 at a = b,
+    which cannot occur: hi is 1/2 there, and y > 1/2 makes x/(pi_pq/2) -
+    1/2 > 2^-54 and pi_pq/2 - x exact, so yc < 1/2 (likewise in cos_pq and
+    specfun._point_tails).
     """
     try:
         halfpi, a, b, _, hi, _, tiny, _ = _pair(p, q)
     except TypeError:  # no cache hashes an array
-        return _sincos_tail(p, q, x, (True, False, False), "sin_pq")[0]
+        return _off_point(sin_pq, p, q, x, 0)
     if not isinstance(x, (float, int)):
-        return _sincos_tail(p, q, x, (True, False, False), "sin_pq")[0]
+        return _off_point(sin_pq, p, q, x, 0)
     slack = _REL_SLACK * halfpi
     if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
         raise DomainError(f"sin_pq requires argument in [0, {halfpi}]")
@@ -362,15 +368,15 @@ def cos_pq(p: float, q: float, x):
     I_{1-s}(a, b) above y = min(I_{1/2}(a, b), 1/2), so that accuracy is
     retained where sin_pq is close to 1, and below it is 1 - t from the
     sine's t <= 1/2, one inversion a point either way
-    (specfun._tails_block).  A float or an int x goes straight to Boost's
-    scalar inverse, as in sin_pq, with the DBL_MIN rule.
+    (specfun._tails_block).  A point takes a path like sin_pq's, with the
+    DBL_MIN rule.
     """
     try:
         halfpi, a, b, lo, _, inv_p, _, B = _pair(p, q)
     except TypeError:  # no cache hashes an array
-        return _sincos_tail(p, q, x, (False, True, False), "cos_pq")[1]
+        return _off_point(cos_pq, p, q, x, 1)
     if not isinstance(x, (float, int)):
-        return _sincos_tail(p, q, x, (False, True, False), "cos_pq")[1]
+        return _off_point(cos_pq, p, q, x, 1)
     slack = _REL_SLACK * halfpi
     if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
         raise DomainError(f"cos_pq requires argument in [0, {halfpi}]")
@@ -385,6 +391,16 @@ def cos_pq(p: float, q: float, x):
     return s**inv_p
 
 
+def _off_point(fn, p, q, x, want: int):
+    """sin_pq or cos_pq (fn, whose value is _sincos_tail's output want) at
+    any input but a float or an int x at a pair of floats: arrays p, q or x
+    take the array lane, and a 0-d p, q or x (a numpy scalar too) re-enters
+    fn with its float, so that every point takes fn's own path."""
+    if _several(p, q) or np.ndim(x):
+        return _sincos_tail(p, q, x, (want == 0, want == 1, False), fn.__name__)[want]
+    return fn(float(p), float(q), x if isinstance(x, (float, int)) else float(x))
+
+
 def sincos_pq(p: float, q: float, x):
     """(sin_pq(p, q, x), cos_pq(p, q, x)) from one validation and one
     inversion a point, two in the band between I_{1/2}(a, b) and 1/2.
@@ -392,9 +408,9 @@ def sincos_pq(p: float, q: float, x):
     Outside the band a point is inverted once, in the tail whose argument is
     the smaller, and the sine and the cosine both come from that inversion
     (specfun._tails_block), in the lane the input's type and size select
-    (see the module docstring).  sin_pq and cos_pq take the same path, so
-    the pair equals the two separate calls bit for bit, for scalars and for
-    arrays.
+    (see the module docstring).  sin_pq and cos_pq solve each tail from the
+    same argument, so the pair equals the two separate calls bit for bit,
+    for scalars and for arrays.
     """
     return _sincos_tail(p, q, x, (True, True, False))[:2]
 
@@ -510,13 +526,15 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         except TypeError:  # a 0-d p or q: no cache hashes an array
             return sin_symmetry_appendix(float(p), float(q), x01)
     if isinstance(x01, (float, int)) and not several:
-        ok = 0.0 <= x01 <= 1.0  # before float() would overflow beyond the doubles
-        xx = float(x01) if ok else x01
+        # written so that NaN fails, and before float() would overflow at an
+        # int beyond the doubles
+        if not 0.0 <= x01 <= 1.0:
+            raise DomainError("x01 must lie in [0, 1]")
+        xx = float(x01)
     else:
         xx = np.asarray(x01, dtype=float)
-        ok = within(xx, 0.0, 1.0)
-    if not ok:  # written so that NaN fails
-        raise DomainError("x01 must lie in [0, 1]")
+        if not within(xx, 0.0, 1.0):  # NaN fails too
+            raise DomainError("x01 must lie in [0, 1]")
     s_a, c_a = sincos_pq(p, q, halfpi * xx)
     s_b, c_b, yc_b = _sincos_tail(qs, ps, halfpi_c * (1.0 - xx))
     return s_a - _cos_power(qs, ps, c_b, yc_b), c_a - _power(s_b, ps - 1.0)

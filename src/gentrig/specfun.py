@@ -9,10 +9,13 @@ Every Wallis-type formula is a Pochhammer ratio times a generalized pi, the
 elliptic integrals are 2F1 values and the primitives incomplete beta
 integrals (_beta_integral, Boost's scalar kernels).  gtf calls three
 entries at its shapes a = 1/q, b = 1/p* (both at most 1): _point_tails
-inverts a point, and on an array's blocks _tails_block inverts and
-_inc_beta_block sums I_t(a, b), each into the caller's outputs with every
-intermediate result in the call's block-sized buffers (_Scratch; one block
-loop, _blockwise).  An array of fewer than INV_FIT_MIN points takes scipy's
+inverts a point for the callers that want both tails, and on an array's
+blocks _tails_block inverts and _inc_beta_block sums I_t(a, b), each into
+the caller's outputs with every intermediate result in the call's
+block-sized buffers (_Scratch; one block loop, _blockwise).  At a point,
+gtf.sin_pq and gtf.cos_pq call the scalar inverse _betaincinv themselves,
+for the one tail each needs, chosen as _point_tails chooses it, and
+gtf.asin_pq the scalar sum _betainc.  An array of fewer than INV_FIT_MIN points takes scipy's
 ufuncs, a larger one the fitted lane, chosen once a call (_inverse_lane,
 _series_lane): the sum's polynomial of about 20 terms economized from its
 series, and inverses from Chebyshev fits, one Newton step on that sum
@@ -716,7 +719,9 @@ def _point_tails(a: float, b: float, lo: float, hi: float, y: float, yc: float):
     y up to hi and s from yc above lo, so one inversion serves both outside
     the band between them (the other tail is 1 minus it) and each is solved
     from its own argument inside it.  At a = b, y = 1/2 gives t = 1/2; yc
-    is never 1/2 where s is solved (gtf.sin_pq)."""
+    is never 1/2 where s is solved (gtf.sin_pq).  gtf.sin_pq and gtf.cos_pq
+    make the same choice for their one tail at a point, inline, and call
+    _betaincinv themselves."""
     t = s = None
     if y <= hi:
         t = 0.5 if a == b and y == 0.5 else _betaincinv(a, b, y)

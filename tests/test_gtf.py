@@ -1534,6 +1534,20 @@ class TestOneInversionPerPoint:
             fn(p, q, u * half)
         assert sum(points) == u.size + (band.sum() if name == "sincos_pq" else 0), points
 
+    @pytest.mark.parametrize("name", ["sin_pq", "cos_pq"])
+    @pytest.mark.parametrize("wrap", [np.float32, np.array, "0-d p"])
+    def test_numpy_point_inverted_once(self, points, name, wrap):
+        """A point that is not a Python float or int (a numpy scalar, a 0-d
+        x or a 0-d p) re-enters sin_pq's or cos_pq's own path with its
+        float, so a point of the band is inverted once too."""
+        p, q = self.PAIRS[0]
+        x = 0.58 * 0.5 * gtf.pi_pq(p, q)  # in the band, as above
+        if wrap == "0-d p":
+            self.FNS[name](np.array(p), q, x)
+        else:
+            self.FNS[name](p, q, wrap(x))
+        assert points == [1]
+
     def test_one_setup_per_fresh_pair(self):
         """A sine and then a cosine call at a fresh pair build one setup
         and one set of forward sums, of the shapes (1/q, 1/p*), and the
