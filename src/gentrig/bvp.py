@@ -95,8 +95,11 @@ def _profile_scales(H: float, P: float, q: float):
 def solve_general(H: float, p: float, q: float) -> BvpSolution:
     """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H].
     A 0-d H, p or q is taken as its float, as gtf's entry points take it."""
-    H, p, q = float(H), float(p), float(q)
-    check_pq(p, q)
+    try:
+        H = float(H)
+    except OverflowError:  # an int beyond the doubles
+        raise DomainError(f"need H > 0 with finite nonzero profile scales, got H = {H}") from None
+    p, q = check_pq(p, q)
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
 

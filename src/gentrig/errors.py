@@ -34,10 +34,16 @@ class ToleranceError(RuntimeError):
         self.rows = rows
 
 
-def check_pq(p: float, q: float):
-    """Raise DomainError unless p and q both lie in (1, inf); NaN fails."""
-    if not (1.0 < p < math.inf and 1.0 < q < math.inf):
-        raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
+def check_pq(p: float, q: float) -> tuple[float, float]:
+    """(float(p), float(q)) where p and q both lie in (1, inf); DomainError
+    otherwise.  NaN fails the test, and so does an int beyond the doubles,
+    which passes it (10**400 < inf holds) but not float()."""
+    try:
+        if 1.0 < p < math.inf and 1.0 < q < math.inf:  # written so that NaN fails
+            return float(p), float(q)
+    except OverflowError:  # an int beyond the doubles
+        pass
+    raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
 
 
 def within(x, lo: float, hi: float) -> bool:
@@ -50,9 +56,13 @@ def within(x, lo: float, hi: float) -> bool:
 
 def check_order(n, least: int = 0, what: str | None = None) -> int:
     """Return int(n) for a finite integer n >= least (an integral float is
-    accepted); raise DomainError otherwise, NaN and inf included.  what, if
-    given, names the rejected argument at the head of the message."""
-    if not (math.isfinite(n) and n >= least) or n != int(n):
-        head = f"{what}: " if what else ""
-        raise DomainError(f"{head}need an integer >= {least}, got {n}")
-    return int(n)
+    accepted); raise DomainError otherwise, NaN, inf and an int beyond the
+    doubles included.  what, if given, names the rejected argument at the
+    head of the message."""
+    try:
+        if math.isfinite(n) and n >= least and n == int(n):
+            return int(n)
+    except OverflowError:  # math.isfinite of an int beyond the doubles
+        pass
+    head = f"{what}: " if what else ""
+    raise DomainError(f"{head}need an integer >= {least}, got {n}")

@@ -18,16 +18,24 @@ Every evaluator takes a point or an array of points, and the input alone
 picks the lane.  A point (a float, an int, a numpy scalar or a 0-d array)
 takes the float lane: straight-line float code on the pair's record, Boost's
 scalar kernels, Python float powers, no array, and a Python float back.
+Each entry point of that lane first makes one comparison: a Python float
+within its range (for sin_pq from DBL_MIN^(1/q) up, below which the
+small-x rule holds) goes straight to its kernel, and every other point,
+an int or a bool, a numpy scalar, a point of the slack, NaN, an infinity or
+an int beyond the doubles, goes through _as_unit, the one scalar validator,
+which returns the clipped Python float or raises DomainError (sin_pq and
+cos_pq first hand a numpy scalar but np.float64, or a 0-d array, to
+_off_point, which re-enters with its float).
 sin_pq and cos_pq each take a point on a path of their own, a numpy scalar
 or a 0-d array as its float, which solves only the tail its value needs
-(specfun._betaincinv; about 1.25 us a call at a pair met before,
-BENCH_47.json, in_process); sincos_pq and the other callers that want both
-tails take specfun._point_tails, and asin_pq specfun._betainc.  An array
-takes the same steps on arrays, a block of specfun.INV_FIT_BLOCK points at
-a time (_sincos_block,
-_asin_array): the test and clip, y and yc, specfun's per-block inversion
-(specfun._tails_block) or sum (specfun._inc_beta_block) and numpy's powers,
-with the small-x and DBL_MIN rules, each block written into the preallocated
+(specfun._betaincinv; about 1.25 us a call at a pair met before, 8-9%
+below the parent's in interleaved loops, BENCH_48.json, in_process);
+sincos_pq and the other callers that want both tails take
+specfun._point_tails, and asin_pq specfun._betainc.  An array takes the
+same steps on arrays, a block of specfun.INV_FIT_BLOCK points at a time
+(_sincos_block, _asin_array): the test and clip, y and yc, specfun's
+per-block inversion (specfun._tails_block) or sum (specfun._inc_beta_block)
+and numpy's powers, with the small-x and DBL_MIN rules, each block written into the preallocated
 outputs and every intermediate result in the call's block-sized buffers
 (specfun._Scratch).  specfun takes scipy's ufuncs on small arrays and
 fitted, Newton-polished kernels on large ones (the per-point costs and
@@ -105,13 +113,13 @@ _FAST_POWERS = (-1.0, 0.5, 2.0)
 
 def conjugate(p: float) -> float:
     """Hoelder conjugate p* = p / (p - 1) on [1, inf]; 1* = inf, inf* = 1."""
-    if not 1.0 <= p <= math.inf:  # written so that NaN fails the test
-        raise DomainError(f"conjugate requires p in [1, inf], got {p}")
+    if 1.0 < p < math.inf:  # written so that NaN fails the test
+        return p / (p - 1)  # exact at an int, 1.0 at one beyond the doubles
     if p == 1.0:
         return math.inf
     if p == math.inf:
         return 1.0
-    return p / (p - 1.0)
+    raise DomainError(f"conjugate requires p in [1, inf], got {p}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +137,21 @@ def pi_pq(p: float, q: float) -> float:
     """Generalized pi: pi_pq = (2/q) B(1/p*, 1/q).
 
     The degenerate conventions pi_{s,1} = 2 s* and pi_{inf,s} = 2 are
-    accepted here (and only here).
+    accepted here (and only here).  Two Python floats in (1, inf) take one
+    test to the formula; any other p and q take the conventions and
+    check_pq's floats, so that an int beyond the doubles raises DomainError
+    and a numpy float32 is computed in double precision.
     """
-    if q == 1.0:
-        if not 1.0 < p:
-            raise DomainError("pi_pq with q = 1 requires p > 1")
-        return 2.0 * conjugate(p)
-    if math.isinf(p):
-        check_pq(2.0, q)  # the convention needs q in (1, inf)
-        return 2.0
-    check_pq(p, q)
+    if not (p.__class__ is float and q.__class__ is float
+            and 1.0 < p < math.inf and 1.0 < q < math.inf):
+        if q == 1.0:
+            if not 1.0 < p:
+                raise DomainError("pi_pq with q = 1 requires p > 1")
+            return 2.0 * conjugate(p)
+        if p == math.inf:
+            check_pq(2.0, q)  # the convention needs q in (1, inf)
+            return 2.0
+        p, q = check_pq(p, q)
     return (2.0 / q) * specfun.beta(1.0 / conjugate(p), 1.0 / q)
 
 
@@ -180,8 +193,7 @@ def _pair(p: float, q: float):
     a), the factor of pi_pq, asin_pq and the cosine's leading term
     (specfun.beta is symmetric bit for bit).  Kept for 128 pairs; 2, 2.0 and np.float64(2.0)
     are one key."""
-    check_pq(p, q)
-    p, q = float(p), float(q)
+    p, q = check_pq(p, q)
     a, b = 1.0 / q, 1.0 / conjugate(p)
     B, y_half = specfun.beta(b, a), specfun._half_mass(a, b)
     lo, hi = min(y_half, 0.5), max(y_half, 0.5)
@@ -286,23 +298,25 @@ def _cos_power(p: float, q: float, c, yc):
 
 
 def asin_pq(p: float, q: float, x):
-    """Inverse generalized sine on [0, 1], via the incomplete beta form."""
+    """Inverse generalized sine on [0, 1], via the incomplete beta form.
+
+    A Python float in [0, 1] goes straight to the series rule and Boost's
+    scalar incomplete beta; any other point (an int, a numpy scalar, a 0-d
+    array, a point of the slack, NaN, an infinity) through _as_unit first,
+    and an array to _asin_array.
+    """
     try:
         _, a, b, _, _, _, _, B = _pair(p, q)
     except TypeError:  # a 0-d p or q: no cache hashes an array
         return asin_pq(float(p), float(q), x)
-    if isinstance(x, (float, int)):  # the float lane: _as_unit's test inline
-        if not -_REL_SLACK <= x <= 1.0 + _REL_SLACK:
-            raise DomainError("asin_pq requires argument in [0, 1.0]")
-        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else float(x)  # -0.0 kept
-        xq = x**q
-        if 0.0 < x and xq < _ASIN_SERIES_MAX:
-            return float(x + x * xq / (p * (q + 1.0)))
-        return a * B * specfun._betainc(a, b, xq)
-    x = np.asarray(x, dtype=float)
-    if not x.ndim:  # a numpy scalar or a 0-d array
-        return asin_pq(p, q, float(x))
-    return _asin_array(p, q, a, b, B, x)
+    if not (x.__class__ is float and 0.0 <= x <= 1.0):
+        if not isinstance(x, (float, int)) and np.ndim(x):
+            return _asin_array(p, q, a, b, B, np.asarray(x, dtype=float))
+        x = _as_unit(x, 1.0, "asin_pq")
+    xq = x**q
+    if 0.0 < x and xq < _ASIN_SERIES_MAX:
+        return float(x + x * xq / (p * (q + 1.0)))
+    return a * B * specfun._betainc(a, b, xq)
 
 
 def _asin_array(p: float, q: float, a: float, b: float, B: float, x):
@@ -332,29 +346,28 @@ def _asin_array(p: float, q: float, a: float, b: float, B: float, x):
 def sin_pq(p: float, q: float, x):
     """Generalized sine on the principal interval [0, pi_pq/2].
 
-    A float or an int x goes straight to Boost's scalar inverse: the pair's
-    record, _as_unit's test and clip, the small-x rule, and t from y up to
-    hi, else 1 - s from yc, one inversion (specfun._point_tails' t, bit for
-    bit).  This path and cos_pq's are the one-tail copies of _point_tails'
-    choice of tail, written out because a shared helper's frame cost them
-    5-8% a call (BENCH_47.json, shared_tail_helpers).  Any other input
-    takes _off_point.  Above hi there is no rule for yc = 1/2 at a = b,
-    which cannot occur: hi is 1/2 there, and y > 1/2 makes x/(pi_pq/2) -
-    1/2 > 2^-54 and pi_pq/2 - x exact, so yc < 1/2 (likewise in cos_pq and
-    specfun._point_tails).
+    A point goes straight to Boost's scalar inverse: the pair's record, one
+    comparison, and t from y up to hi, else 1 - s from yc, one inversion
+    (specfun._point_tails' t, bit for bit).  The comparison passes a Python
+    float in [DBL_MIN^(1/q), pi_pq/2]; any other float or int takes
+    _as_unit's test and clip and then the small-x rule, and any other input
+    _off_point.  This path and cos_pq's are the one-tail copies of
+    _point_tails' choice of tail, written out because a shared helper's
+    frame cost them 5-8% a call (BENCH_47.json, shared_tail_helpers).  Above
+    hi there is no rule for yc = 1/2 at a = b, which cannot occur: hi is
+    1/2 there, and y > 1/2 makes x/(pi_pq/2) - 1/2 > 2^-54 and pi_pq/2 - x
+    exact, so yc < 1/2 (likewise in cos_pq and specfun._point_tails).
     """
     try:
         halfpi, a, b, _, hi, _, tiny, _ = _pair(p, q)
     except TypeError:  # no cache hashes an array
         return _off_point(sin_pq, p, q, x, 0)
-    if not isinstance(x, (float, int)):
-        return _off_point(sin_pq, p, q, x, 0)
-    slack = _REL_SLACK * halfpi
-    if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
-        raise DomainError(f"sin_pq requires argument in [0, {halfpi}]")
-    x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
-    if 0.0 < x < tiny:
-        return x
+    if not (x.__class__ is float and tiny <= x <= halfpi):
+        if not isinstance(x, (float, int)):
+            return _off_point(sin_pq, p, q, x, 0)
+        x = _as_unit(x, halfpi, "sin_pq")
+        if 0.0 < x < tiny:
+            return x
     y = x / halfpi
     if y <= hi:
         return (0.5 if a == b and y == 0.5 else specfun._betaincinv(a, b, y)) ** a
@@ -369,18 +382,18 @@ def cos_pq(p: float, q: float, x):
     retained where sin_pq is close to 1, and below it is 1 - t from the
     sine's t <= 1/2, one inversion a point either way
     (specfun._tails_block).  A point takes a path like sin_pq's, with the
-    DBL_MIN rule.
+    DBL_MIN rule: a Python float in [0, pi_pq/2] goes straight to the
+    kernel, any other float or int through _as_unit, any other input
+    through _off_point.
     """
     try:
         halfpi, a, b, lo, _, inv_p, _, B = _pair(p, q)
     except TypeError:  # no cache hashes an array
         return _off_point(cos_pq, p, q, x, 1)
-    if not isinstance(x, (float, int)):
-        return _off_point(cos_pq, p, q, x, 1)
-    slack = _REL_SLACK * halfpi
-    if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
-        raise DomainError(f"cos_pq requires argument in [0, {halfpi}]")
-    x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
+    if not (x.__class__ is float and 0.0 <= x <= halfpi):
+        if not isinstance(x, (float, int)):
+            return _off_point(cos_pq, p, q, x, 1)
+        x = _as_unit(x, halfpi, "cos_pq")
     y = x / halfpi
     if y <= lo:
         return (1.0 - (0.5 if a == b and y == 0.5 else specfun._betaincinv(a, b, y))) ** inv_p
@@ -419,8 +432,10 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_p
     """(sin, cos, yc) at x, yc = 1 - x/(pi_pq/2) the argument of the
     swapped-tail inversion, which _cos_power needs.  A point takes the float
     lane, which computes all three whatever tails says: straight-line float
-    code on the pair's record (_pair), _as_unit's test and clip, both tails
-    of specfun._point_tails, the small-x rule and the DBL_MIN rule.  An
+    code on the pair's record (_pair), one comparison that passes a Python
+    float in [0, pi_pq/2] (any other point takes _as_unit's test and clip),
+    both tails of specfun._point_tails, the small-x rule and the DBL_MIN
+    rule.  An
     array takes the same steps on arrays, block by block (_sincos_block),
     and computes only what tails = (want_sin, want_cos, want_yc) asks for,
     None for the others.  Arrays p and q (the lane for several pairs) give every
@@ -432,16 +447,11 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_p
         if _several(p, q):
             return _sincos_arrays(p, _per_pair(_pair, p, q), x, tails, what)
         return _sincos_tail(float(p), float(q), x, tails, what)  # a 0-d p or q
-    if not isinstance(x, (float, int)):
-        x = np.asarray(x, dtype=float)
-        if x.ndim:
-            return _sincos_arrays(p, rec, x, tails, what)
-        x = float(x)  # a numpy scalar or a 0-d array
     halfpi, a, b, lo, hi, inv_p, tiny, B = rec
-    slack = _REL_SLACK * halfpi
-    if not -slack <= x <= halfpi + slack:  # written so that NaN fails the test
-        raise DomainError(f"{what} requires argument in [0, {halfpi}]")
-    x = 0.0 if x < 0.0 else halfpi if x > halfpi else x  # -0.0 kept
+    if not (x.__class__ is float and 0.0 <= x <= halfpi):
+        if not isinstance(x, (float, int)) and np.ndim(x):
+            return _sincos_arrays(p, rec, x, tails, what)
+        x = _as_unit(x, halfpi, what)
     yc = (halfpi - x) / halfpi
     t, s = specfun._point_tails(a, b, lo, hi, x / halfpi, yc)
     sin = x if 0.0 < x < tiny else t**a

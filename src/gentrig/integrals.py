@@ -64,7 +64,10 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
     x itself and z underflows, it is x^(k+1)/(k+1); at the right endpoint it
     is the definite integral (1/q) B(a, b).
     """
-    p, q, k, l = float(p), float(q), float(k), float(l)
+    try:
+        p, q, k, l = float(p), float(q), float(k), float(l)
+    except OverflowError:  # an int beyond the doubles
+        raise DomainError("need p, q, k and l within the doubles") from None
     _check_kl(p, k, l)
     halfpi, ia, ib, lo, hi, _, tiny, _ = _pair(p, q)
     x = _as_unit(x, halfpi, "primitive_sin_cos")
@@ -150,10 +153,9 @@ def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
     wallis_cos itself would reject it.  Below 2^53 both roads give the same
     bits, since 2 - p and p - 1 are exact there.
     """
-    p, q = float(p), float(q)
     if which not in WALLIS_SPECIAL_KINDS:
         raise DomainError(f"unknown special case {which!r}")
-    check_pq(p, q)
+    p, q = check_pq(p, q)
     return WALLIS_SPECIAL_KINDS[which](p, q, check_order(n))
 
 

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from gentrig import integrals, specfun, verify
+from gentrig import bvp, gtf, integrals, specfun, verify
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 from gentrig.integrals import EllipticQuery, WallisQuery
@@ -104,6 +104,34 @@ def test_listed_inputs_raise_domain_error(call, args):
     with pytest.raises(DomainError):
         call(*args)
 
+
+# a Python int beyond the doubles as a parameter: each call once raised
+# OverflowError, from float() or from math.isfinite, where the range test
+# came after the conversion or passed the int (10**400 < inf holds)
+HUGE = 10**400
+BEYOND_THE_DOUBLES = {
+    "sin_pq p": lambda: gtf.sin_pq(HUGE, 2, 0.5),
+    "pi_pq q": lambda: gtf.pi_pq(2, HUGE),
+    "wallis_special_cases n": lambda: integrals.wallis_special_cases(2.5, 3, HUGE, "sin_qn"),
+    "wallis_special_cases p": lambda: integrals.wallis_special_cases(HUGE, 3, 5, "sin_qn"),
+    "solve_general H": lambda: bvp.solve_general(HUGE, 2, 3),
+    "solve_general p": lambda: bvp.solve_general(2, -HUGE, 3),
+    "primitive_sin_cos k": lambda: integrals.primitive_sin_cos(2.5, 3, HUGE, 1.5, 0.5),
+    "primitive_sin_cos l": lambda: integrals.primitive_sin_cos(2.5, 3, 0.5, -HUGE, 0.5),
+    "ParamPair q": lambda: ParamPair(2, HUGE),
+}
+
+
+@pytest.mark.parametrize("name", BEYOND_THE_DOUBLES)
+def test_int_beyond_the_doubles_raises_domain_error(name):
+    with pytest.raises(DomainError):
+        BEYOND_THE_DOUBLES[name]()
+
+
+def test_conjugate_of_an_int_beyond_the_doubles():
+    """p* = p / (p - 1) rounds to 1 there, and pi_{p,1} = 2 p* to 2: the
+    division of two ints is exact, where float() would overflow."""
+    assert gtf.conjugate(HUGE) == 1.0 and gtf.pi_pq(HUGE, 1) == 2.0
 
 
 # verify.run's bad input: (suite, grid, what the message names).  Each once

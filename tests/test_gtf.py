@@ -673,15 +673,85 @@ class TestFloatLane:
                 assert same_float(gtf.asin_pq(p, q, u), ufunc_formula("asin", p, q, u))
 
     @pytest.mark.parametrize(
-        "x", [0.3, np.float64(0.3), 1, 0, np.array(0.3), np.float32(0.3), np.int64(0)],
-        ids=["float", "float64", "int", "int0", "0-d", "float32", "int64"])
+        "x", [0.3, np.float64(0.3), 1, 0, np.array(0.3), np.float32(0.3), np.int64(0),
+              np.float64(1e-110)],
+        ids=["float", "float64", "int", "int0", "0-d", "float32", "int64", "float64 small"])
     def test_scalar_input_returns_float(self, x):
+        """float64 small is below DBL_MIN^(1/q) = 2.8e-103, where the sine is
+        x itself: a Python float too, not the numpy scalar given."""
         p, q = 2.5, 3.0
         outs = [gtf.sin_pq(p, q, x), gtf.cos_pq(p, q, x), gtf.asin_pq(p, q, x),
                 gtf.extend_sin_symmetric(q, x), *gtf.sincos_pq(p, q, x)]
         assert all(type(v) is float for v in outs)
         assert same_bits(outs[:2], (gtf.sin_pq(p, q, float(x)), gtf.cos_pq(p, q, float(x))))
         assert type(gtf.pi_pq(p, q)) is float
+
+    @pytest.mark.parametrize("p,q", [(2.5, 3.0), (2.5, 30.0), (2.0, 2.0)])
+    def test_edge_parity(self, p, q):
+        """Every point that the float lane's one comparison (a Python float
+        within its range: from DBL_MIN^(1/q) up for the sine) hands on to
+        _as_unit or to _off_point gives ufunc_formula's bits as a Python
+        float, or raises the DomainError message that names the entry point
+        and its range: ints and bools, numpy scalars and 0-d arrays, zero and
+        -0.0, the top, both slack edges and the points just beyond them, the
+        sine's small-x threshold and its neighbours, NaN, the infinities and
+        ints beyond the doubles."""
+        half, tiny = gtf._pair(p, q)[0], gtf._pair(p, q)[6]
+        for name in ("sin", "cos", "asin", "sincos"):
+            fn = getattr(gtf, f"{name}_pq")
+            top = 1.0 if name == "asin" else half
+            slack = 1e-12 * top
+            xs = [0, 0.0, -0.0, True, False, 1, 2, np.int64(1), np.float64(0.3 * top),
+                  np.float64(1e-110), np.float32(0.3), np.array(0.3 * top), np.array(-0.0),
+                  top, math.nextafter(top, 0.0), math.nextafter(top, math.inf),
+                  -slack, math.nextafter(-slack, -math.inf),
+                  top + slack, math.nextafter(top + slack, math.inf),
+                  math.nextafter(tiny, 0.0), tiny, math.nextafter(tiny, 1.0),
+                  math.nan, math.inf, -math.inf, 10**400, -10**400]
+            for x in xs:
+                try:
+                    want = (ufunc_formula("sin", p, q, x), ufunc_formula("cos", p, q, x)) \
+                        if name == "sincos" else ufunc_formula(name, p, q, x)
+                except (DomainError, OverflowError):  # OverflowError: an int beyond the doubles
+                    with pytest.raises(DomainError) as info:
+                        fn(p, q, x)
+                    assert str(info.value) == f"{fn.__name__} requires argument in [0, {top}]"
+                    continue
+                got = fn(p, q, x)
+                if name == "sincos":
+                    assert same_float(got[0], want[0]) and same_float(got[1], want[1]), x
+                else:
+                    assert same_float(got, want), (name, x)
+
+    @pytest.mark.parametrize("p,q,want", [
+        (2.5, 3.0, (2.5, 3.0)), (2, 3, (2.0, 3.0)), (np.float64(2.5), 3.0, (2.5, 3.0)),
+        (2.5, np.array(3.0), (2.5, 3.0)), (np.float32(2.5), np.float32(3.0), (2.5, 3.0)),
+        (math.nextafter(1.0, 2.0), 1e300, (math.nextafter(1.0, 2.0), 1e300)),
+        (2.5, 1.0, 2.0 * (2.5 / 1.5)), (2.5, True, 2.0 * (2.5 / 1.5)),
+        (math.inf, 3.0, 2.0), (math.inf, 1.0, 2.0),
+        (1.0, 1.0, "pi_pq with q = 1 requires p > 1"),
+        (math.inf, math.inf, "(2.0, inf)"), (math.inf, math.nan, "(2.0, nan)"),
+        (1.0, 3.0, "(1.0, 3.0)"), (2.5, math.inf, "(2.5, inf)"), (math.nan, 3.0, "(nan, 3.0)"),
+        (2.5, math.nan, "(2.5, nan)"), (-math.inf, 3.0, "(-inf, 3.0)"),
+        pytest.param(10**400, 3.0, f"({10**400}, 3.0)", id="1e400-3.0"),
+        pytest.param(2.5, 10**400, f"(2.5, {10**400})", id="2.5-1e400")])
+    def test_pi_pq_edge_parity(self, p, q, want):
+        """pi_pq's one test takes two Python floats in (1, inf) to the
+        formula (2/q) B(1/p*, 1/q); every other pair gives the formula's bits
+        at its floats (a tuple want), a convention (pi_{s,1} = 2 s*, pi_{inf,s}
+        = 2) as a Python float, or raises the message of the convention or
+        of check_pq (whose "got" part a string want ends with).  A float32 p
+        or q is computed in double precision, and p = -inf is rejected: it
+        once took the pi_{inf,s} convention."""
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as info:
+                gtf.pi_pq(p, q)
+            assert str(info.value).endswith(want)
+            return
+        if isinstance(want, tuple):
+            fp, fq = want
+            want = (2.0 / fq) * specfun.beta(1.0 / (fp / (fp - 1.0)), 1.0 / fq)
+        assert same_float(gtf.pi_pq(p, q), want)
 
     @pytest.mark.parametrize(
         "fn", [gtf.sin_pq, gtf.cos_pq, gtf.asin_pq, gtf.sincos_pq],
