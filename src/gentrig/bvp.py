@@ -37,11 +37,11 @@ batch that makes one gtf call a level.  solve_pq_equal takes an array p,
 and its sol(x) makes one gtf call for every p.
 
 The profile's factor cos^(p*-1) = cos^(1/(p-1)) and the phase curve's
-|v + 1/p|^(1/p) = (1/p + 1/q)^(1/p) cos^(p*-1) come from gtf._cos_power,
-gtf's one rule for that power (its appendix residuals take it too): where
-cos_{p*,q} underflows (p above ~100 near x = H, above ~300 on much of (0,
-H); the nonlocal problem at m below ~0.1) it is the leading term's base b
-B(b, a) yc, not a power of the underflowed cosine.
+|v + 1/p|^(1/p) = (1/p + 1/q)^(1/p) cos^(p*-1) are the third output of
+gtf._sincos_tail, gtf's one rule for that power (its appendix residuals
+take it too): where cos_{p*,q} underflows (p above ~100 near x = H, above
+~300 on much of (0, H); the nonlocal problem at m below ~0.1) it is the
+leading term's base b B(b, a) yc, not a power of the underflowed cosine.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, check_pq
+from .errors import DomainError, as_floats, check_pq
 from .gtf import (
-    _as_unit, _cos_power, _pair, _per_pair, _power, _records, _several,
+    _as_unit, _pair, _per_pair, _power, _records, _several,
     _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
 )
 
@@ -95,17 +95,14 @@ def _profile_scales(H: float, P: float, q: float):
 def solve_general(H: float, p: float, q: float) -> BvpSolution:
     """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H].
     A 0-d H, p or q is taken as its float, as gtf's entry points take it."""
-    try:
-        H = float(H)
-    except OverflowError:  # an int beyond the doubles
-        raise DomainError(f"need H > 0 with finite nonzero profile scales, got H = {H}") from None
+    H = float(as_floats(H, "H"))
     p, q = check_pq(p, q)
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
 
     def u(x):
-        s, c, yc = _sincos_tail(P, q, omega * x)
-        return amp * _cos_power(P, q, c, yc) * s
+        s, _, cp = _sincos_tail(P, q, omega * x)
+        return amp * cp * s
 
     return BvpSolution(H=H, _eval=u)
 
@@ -114,7 +111,7 @@ def nonlocal_exponent(m: float) -> float:
     """r(m) = 1 / (1/2 + 1 / (4 sqrt(m^2 + 1/4))) in (1, 2): both p* and q of
     the general problem that the nonlocal one rescales.  Needs m in (0, inf)
     large enough that r(m) > 1 in floating point (m above ~1e-8)."""
-    r = 1.0 / (0.5 + 0.25 / math.hypot(m, 0.5))
+    r = 1.0 / (0.5 + 0.25 / math.hypot(as_floats(m, "m"), 0.5))
     # written so that NaN fails the test
     if not (0.0 < m < math.inf and r > 1.0):
         raise DomainError(f"need m > 0 with r(m) > 1, got m = {m}")
@@ -187,7 +184,7 @@ def _phase_curve(H, p, q, P, ssum, den, root, c, cp):
     """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
     v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*,
     and C = 2H / den; the first factor is root cp, root = (1/p + 1/q)^(1/p)
-    and cp = c^(P-1) from gtf._cos_power (P/p = P - 1).  The per-pair
+    and cp = c^(P-1) from gtf._sincos_tail (P/p = P - 1).  The per-pair
     values are floats, or arrays that broadcast against c."""
     v = _slope(p, ssum, P, c)
     C = 2.0 * H / den
@@ -208,10 +205,11 @@ def general_checks(p: float, q: float, Hs, fractions):
       (quadrature.beta_integrals at tol 1e-13), each point's in its smaller
       tail: B_{sin^q}(1/q, 1/p) / B(1/q, 1/p), or one minus B_{cos^{p*}}(1/p,
       1/q) / B(1/q, 1/p), each given by its root, sin or cos^(p*-1)
-      (gtf._cos_power), so nothing underflows.  Bound: the oracle stops once
-      two levels agree to 1e-13 of its substituted integrals, which are at
-      least 1 (every exponent b - 1 = 1/p - 1 or 1/q - 1 is negative), so
-      the error estimate of each beta value is below 1e-13 of the value.
+      (gtf._sincos_tail's third output), so nothing underflows.  Bound:
+      the oracle stops once two levels agree to 1e-13 of its substituted
+      integrals, which are at least 1 (every exponent b - 1 = 1/p - 1 or
+      1/q - 1 is negative), so the error estimate of each beta value is
+      below 1e-13 of the value.
       The point's row and its pair's complete row then move I by at most
       1e-13 each, and the residual is within 2e-13 plus a few roundings of
       x/H and of the inversion (it reads at most 6.7e-16 on verify's full
@@ -237,16 +235,15 @@ def general_checks(p: float, q: float, Hs, fractions):
     at x = 1e-3 and u itself at 3e-5 for (1.5, 4, H = 1).  Substituting
     -(1/p + 1/q) sin^q for v - 1/q would reduce the check to q pi_{p*,q} =
     p pi_{q*,p}; |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own
-    definition (gtf._cos_power), so it neither cancels near H nor
-    underflows.  verify samples x/H in [0.1, 0.9].  Hs or fractions that
+    definition (gtf._sincos_tail's power), so it neither cancels near H
+    nor underflows.  verify samples x/H in [0.1, 0.9].  Hs or fractions that
     are not 1-D sequences raise DomainError, and so do points not interior
     to (0, H); an empty one gives empty arrays of those shapes, after p and
     q are checked.
     """
     several = _several(p, q)
-    p, q = ((np.asarray(p, dtype=float), np.asarray(q, dtype=float)) if several
-            else (float(p), float(q)))
-    H, fractions = np.array(Hs, dtype=float), np.asarray(fractions, dtype=float)
+    p, q = (np.asarray(p, dtype=float), np.asarray(q, dtype=float)) if several else check_pq(p, q)
+    H, fractions = as_floats(Hs, "Hs"), as_floats(fractions, "fractions")
     if H.ndim != 1 or fractions.ndim != 1:
         raise DomainError(f"general_checks needs 1-D Hs and fractions, got shapes "
                           f"{H.shape} and {fractions.shape}")
@@ -268,9 +265,8 @@ def general_checks(p: float, q: float, Hs, fractions):
         return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
 
     sincos = _sincos_tail(*lifted(1, P, q), (omega[..., None] * xx).reshape(*lead, xx.size))
-    s, c, yc = (v.reshape(lead + xx.shape) for v in sincos)
+    s, c, cp = (v.reshape(lead + xx.shape) for v in sincos)
     p, q, P, ssum, den, root = lifted(2, p, q, P, ssum, den, root)
-    cp = _cos_power(P, q, c, yc)
     u = amp[..., None] * cp * s
     bc = np.abs(u[..., -2:]).max(axis=-1)
     s, c, cp, u, xx = (v[..., :-2] for v in (s, c, cp, u, xx))
@@ -340,7 +336,7 @@ def nonlocal_mean_square_slope(H: float, m):
     off, relative, at m = 1e-3 and up to 2.8e-2 at m = 1e-6, at most 2.8e-14
     absolute.
     """
-    ms = np.asarray(m, dtype=float)
+    ms = as_floats(m, "m")
     if not ms.size:  # nothing to integrate; H is checked as at m = 1
         solve_nonlocal(H, 1.0)
         return np.empty(ms.shape)

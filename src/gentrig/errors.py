@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain of the requested operation."""
@@ -44,6 +46,17 @@ def check_pq(p: float, q: float) -> tuple[float, float]:
     except OverflowError:  # an int beyond the doubles
         pass
     raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
+
+
+def as_floats(x, what: str):
+    """np.array(x, dtype=float), a new float array (0-d at a number), or
+    DomainError naming what where x is or holds an int beyond the doubles,
+    whose conversion overflows: a range test may pass such an int (10**400
+    < inf holds), so the callers convert first."""
+    try:
+        return np.array(x, dtype=float)
+    except OverflowError:
+        raise DomainError(f"need {what} within the doubles") from None
 
 
 def within(x, lo: float, hi: float) -> bool:

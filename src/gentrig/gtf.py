@@ -80,13 +80,15 @@ the value; the bound reaches half an ulp only near z = sqrt(3) 2^-27.
 Below z = 2^-53 the second term is below half an ulp of x too, and the
 value is x; above 2^-27 asin_pq is specfun's incomplete beta.  Likewise,
 where the swapped-tail inverse tc = cos_pq^p falls below DBL_MIN (near the
-top of the interval at p near 1), cos_pq is its leading term (b B(b, a)
-yc)^(1/(p-1)), with yc = 1 - x/(pi_pq/2), a = 1/q and b = 1/p*: its
-relative correction is O(tc), whereas the inverse clamps tc near DBL_MIN
-there and tc^(1/p) would be far too large.  Every lane takes this rule,
-sincos_pq's included, and every power cos_pq^(p-1) is that term's base b
-B(b, a) yc there, which does not underflow (_cos_power: the bvp profile and
-phase curve, and the appendix residuals).
+top of the interval at p near 1, and from about its middle at p = 1.001),
+cos_pq is its leading term (b B(b, a) yc)^(1/(p-1)), with yc = 1 -
+x/(pi_pq/2), a = 1/q and b = 1/p*: its relative correction is O(tc),
+whereas the inverse clamps tc near DBL_MIN there and tc^(1/p) would be far
+too large.  Every lane takes this rule, sincos_pq's included.  The power
+cos_pq^(p-1), the bvp profile's and phase curve's factor and the appendix
+residuals', is _sincos_tail's third output: c^(p-1) of the cosine c,
+except where c < DBL_MIN, where it is that term's base b B(b, a) yc,
+which does not underflow.
 """
 
 from __future__ import annotations
@@ -263,40 +265,6 @@ def _small_x(x, v, under, ws, z=None, d=None):
     return v
 
 
-def _cos_from_tail(p, b, B, c, yc, ws):
-    """cos_pq = tc^(1/p) in place in c, which holds the swapped-tail
-    inverse tc at yc (an array), or its leading term (b B yc)^(1/(p-1))
-    where tc < DBL_MIN, with b = 1/p* and B = B(b, 1/q); p, b and B are
-    floats or arrays of c's shape, and ws is the call's specfun._Scratch."""
-    under = np.less(c, _DBL_MIN, ws.m["gtf.under"][:c.size].reshape(c.shape))
-    _power(c, 1.0 / p, c)
-    if under.any():
-        at = specfun._at
-        c[under] = _power(at(b, under) * at(B, under) * yc[under], 1.0 / (at(p, under) - 1.0))
-    return c
-
-
-def _cos_power(p: float, q: float, c, yc):
-    """cos_pq^(p-1) from the cosine c of _sincos_tail, a point or an array,
-    and the argument yc of its inversion: c^(p-1), except where c < DBL_MIN.
-    There tc = cos_pq^p is below DBL_MIN too (c = tc^(1/p) >= tc), so c is
-    the leading term (b B(b, a) yc)^(1/(p-1)), perhaps underflowed, and the
-    power is its base b B(b, a) yc, far from underflow at p near 1
-    (1e-308^(1/400) = 0.17).  The package's one rule for this power: the bvp
-    profile and phase curve and the appendix reflections take it from here.
-    Arrays p and q that broadcast against c give each point its own pair's
-    power."""
-    if isinstance(c, float):  # a point: plain float code
-        _, _, b, _, _, _, _, B = _pair(p, q)
-        return c ** (p - 1.0) if c >= _DBL_MIN else b * B * yc
-    _, _, b, _, _, _, _, B = _records(p, q)
-    cp = _power(c, p - 1.0)
-    under = c < _DBL_MIN
-    if under.any():
-        cp[under] = specfun._at(b, under) * specfun._at(B, under) * yc[under]
-    return cp
-
-
 def asin_pq(p: float, q: float, x):
     """Inverse generalized sine on [0, 1], via the incomplete beta form.
 
@@ -399,7 +367,7 @@ def cos_pq(p: float, q: float, x):
         return (1.0 - (0.5 if a == b and y == 0.5 else specfun._betaincinv(a, b, y))) ** inv_p
     yc = (halfpi - x) / halfpi
     s = specfun._betaincinv(b, a, yc)
-    if s < _DBL_MIN:  # the leading term, as in _cos_from_tail
+    if s < _DBL_MIN:  # the leading term, as in _sincos_block
         return float((b * B * yc) ** (1.0 / (p - 1.0)))
     return s**inv_p
 
@@ -429,18 +397,20 @@ def sincos_pq(p: float, q: float, x):
 
 
 def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_pq"):
-    """(sin, cos, yc) at x, yc = 1 - x/(pi_pq/2) the argument of the
-    swapped-tail inversion, which _cos_power needs.  A point takes the float
-    lane, which computes all three whatever tails says: straight-line float
-    code on the pair's record (_pair), one comparison that passes a Python
-    float in [0, pi_pq/2] (any other point takes _as_unit's test and clip),
-    both tails of specfun._point_tails, the small-x rule and the DBL_MIN
-    rule.  An
-    array takes the same steps on arrays, block by block (_sincos_block),
-    and computes only what tails = (want_sin, want_cos, want_yc) asks for,
-    None for the others.  Arrays p and q (the lane for several pairs) give every
-    point of the broadcast of p, q and x its own pair's record, and take the
-    array code with scipy's ufunc for every pair."""
+    """(sin, cos, cp) at x, cp = cos_pq^(p-1): c^(p-1) of the cosine c, or
+    where c < DBL_MIN (and so the inverse tc < DBL_MIN) the base b B(b, a)
+    yc of c's leading term, yc = 1 - x/(pi_pq/2), far from underflow at p
+    near 1 (1e-308^(1/400) = 0.17).  A point takes the float lane, which
+    computes sin and cos whatever tails says, and cp where asked for:
+    straight-line float code on the pair's record (_pair), one comparison
+    that passes a Python float in [0, pi_pq/2] (any other point takes
+    _as_unit's test and clip), both tails of specfun._point_tails, the
+    small-x rule and the DBL_MIN rule.  An array takes the same steps on
+    arrays, block by block (_sincos_block), and computes only what tails =
+    (want_sin, want_cos, want_cp) asks for, None for the others; asking for
+    cp computes cos too.  Arrays p and q (the lane for several pairs) give
+    every point of the broadcast of p, q and x its own pair's record, and
+    take the array code with scipy's ufunc for every pair."""
     try:
         rec = _pair(p, q)
     except TypeError:  # no cache hashes an array
@@ -455,9 +425,11 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_p
     yc = (halfpi - x) / halfpi
     t, s = specfun._point_tails(a, b, lo, hi, x / halfpi, yc)
     sin = x if 0.0 < x < tiny else t**a
-    if s < _DBL_MIN:  # the leading term, as in _cos_from_tail
-        return sin, float((b * B * yc) ** (1.0 / (p - 1.0))), yc
-    return sin, s**inv_p, yc
+    # the leading term where s < DBL_MIN, as in _sincos_block
+    cos = float((b * B * yc) ** (1.0 / (p - 1.0))) if s < _DBL_MIN else s**inv_p
+    if not tails[2]:
+        return sin, cos, None
+    return sin, cos, cos ** (p - 1.0) if cos >= _DBL_MIN else b * B * yc
 
 
 def _sincos_arrays(p, rec, x, tails, what):
@@ -467,46 +439,53 @@ def _sincos_arrays(p, rec, x, tails, what):
     for every intermediate result, in the lane of specfun._inverse_lane,
     chosen once for the whole array.  Where the fields of rec are arrays
     (several pairs) the outputs take the broadcast of x and the pairs, and
-    _sincos_block runs once on it, x broadcast and each field a value a
-    pair: scipy's ufunc broadcasts them, so nothing is copied to a value a
-    point."""
+    _sincos_block runs once on it, x a broadcast view and each field a
+    value a pair: scipy's ufunc broadcasts them, so nothing is copied to a
+    value a point."""
     halfpi, a, b, lo, hi, _, tiny, B = rec
     x = np.asarray(x, dtype=float)
-    if isinstance(halfpi, np.ndarray):  # halfpi's shape is p's and q's broadcast
-        full = np.empty(np.broadcast(x, halfpi).shape)
-        np.copyto(full, x)
-        x = full
-        out = [np.empty(x.shape) if want else None for want in tails]
+    several = isinstance(halfpi, np.ndarray)  # halfpi's shape is p's and q's broadcast
+    if several:
+        x = np.broadcast_to(x, np.broadcast(x, halfpi).shape)
+    # the power is taken from the cosine, which asking for it computes too
+    out = [np.empty(x.shape) if w else None for w in (tails[0], tails[1] or tails[2], tails[2])]
+    if several:
         _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, np.asarray(p, dtype=float),
                       *out, what, None, specfun._Scratch(x.size))
-        return tuple(out)
-    out = [np.empty(x.shape) if want else None for want in tails]
-    flat = [None if v is None else v.reshape(-1) for v in out]
-    specfun._blockwise(_sincos_block, x.size, x.reshape(-1), halfpi, a, b, lo, hi, tiny, B, p,
-                       *flat, what, specfun._inverse_lane(a, b, x.size))
+    else:
+        flat = [None if v is None else v.reshape(-1) for v in out]
+        specfun._blockwise(_sincos_block, x.size, x.reshape(-1), halfpi, a, b, lo, hi, tiny, B,
+                           p, *flat, what, specfun._inverse_lane(a, b, x.size))
     return tuple(out)
 
 
-def _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, p, sin, cos, yc, what, lane, ws):
+def _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, p, sin, cos, cp, what, lane, ws):
     """The array lane at a block x: _as_unit's test and clip, y and yc,
     specfun._tails_block's inversion and the powers, with the small-x and
-    DBL_MIN rules, written into the blocks sin, cos and yc (None where not
-    asked for); every intermediate result in ws's buffers, shaped like x.
-    The per-pair values are floats, or arrays that broadcast against x (the
-    lane for several pairs, one block of any shape)."""
+    DBL_MIN rules, written into the blocks sin, cos and cp = cos^(p-1)
+    (None where not asked for; cp needs cos); every intermediate result in
+    ws's buffers, shaped like x.  The per-pair values are floats, or arrays
+    that broadcast against x (the lane for several pairs, one block of any
+    shape)."""
     n, shape = x.size, x.shape
     xx = _as_unit(x, halfpi, what, out=ws.f["x"][:n].reshape(shape))
-    if yc is None:
-        yc = ws.f["yc"][:n].reshape(shape)
-    np.subtract(halfpi, xx, yc)
+    yc = np.subtract(halfpi, xx, ws.f["yc"][:n].reshape(shape))
     np.divide(yc, halfpi, yc)
     y = np.divide(xx, halfpi, ws.f["y"][:n].reshape(shape))
     specfun._tails_block(a, b, lo, hi, y, yc, sin, cos, lane, ws)  # t and s
     if sin is not None:
         _power(sin, a, sin)
         _small_x(xx, sin, np.less(xx, tiny, ws.m["gtf.small"][:n].reshape(shape)), ws)
-    if cos is not None:
-        _cos_from_tail(p, b, B, cos, yc, ws)
+    if cos is not None:  # tc^(1/p), or the leading term where tc < DBL_MIN
+        under = np.less(cos, _DBL_MIN, ws.m["gtf.under"][:n].reshape(shape))
+        _power(cos, 1.0 / p, cos)
+        if under.any():
+            base = specfun._at(b, under) * specfun._at(B, under) * yc[under]
+            cos[under] = _power(base, 1.0 / (specfun._at(p, under) - 1.0))
+    if cp is not None:  # c^(p-1), or the base where c < DBL_MIN (so tc < DBL_MIN)
+        np.copyto(cp, _power(cos, p - 1.0))  # no out=: numpy's scalar special cases hold
+        if under.any():
+            cp[under] = np.where(cos[under] < _DBL_MIN, base, cp[under])
 
 
 def sin_symmetry_appendix(p: float, q: float, x01):
@@ -546,8 +525,8 @@ def sin_symmetry_appendix(p: float, q: float, x01):
         if not within(xx, 0.0, 1.0):  # NaN fails too
             raise DomainError("x01 must lie in [0, 1]")
     s_a, c_a = sincos_pq(p, q, halfpi * xx)
-    s_b, c_b, yc_b = _sincos_tail(qs, ps, halfpi_c * (1.0 - xx))
-    return s_a - _cos_power(qs, ps, c_b, yc_b), c_a - _power(s_b, ps - 1.0)
+    s_b, _, cp_b = _sincos_tail(qs, ps, halfpi_c * (1.0 - xx))
+    return s_a - cp_b, c_a - _power(s_b, ps - 1.0)
 
 
 def _reflected(p: float, q: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, check_order, check_pq
+from .errors import DomainError, as_floats, check_order, check_pq
 from .gtf import _DBL_MIN, ParamPair, _as_unit, _pair, conjugate, pi_pq
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class WallisQuery:
 
     def __post_init__(self):
         check_order(self.n)
+        as_floats(self.r, "r")  # its range is the flavor's
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class EllipticQuery:
     k: float
 
     def __post_init__(self):
-        if not 1.0 < self.r < math.inf:
+        if not 1.0 < as_floats(self.r, "r") < math.inf:
             raise DomainError(f"need r > 1, finite, got {self.r}")
         if not 0.0 <= self.k < 1.0:
             raise DomainError("need modulus k in [0, 1)")
@@ -263,8 +264,8 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     what the limit leaves out is O(k^q) times pi_pq/2 and pi_{p,r}/2, below
     DBL_MIN times them.
     """
-    p, q, r, k = float(p), float(q), float(r), float(k)
-    check_pq(p, q)
+    p, q = check_pq(p, q)
+    r, k = as_floats([r, k], "r and k").tolist()
     if p > q:
         raise DomainError("Elliott's identity requires p <= q")
     if not 1.0 < r < math.inf:

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, as_floats
 
 # Truncation of the transformed axis.  At t = 6 the node weight is below
 # 1e-17 even against an endpoint singularity as strong as t^(-0.9).
@@ -115,8 +115,8 @@ def integrate(f: Callable, m: int, tol: float = DEFAULT_TOL) -> QuadResult:
     within the budget of _MAX_LEVEL + 1 levels, at most 37 572 evaluations
     per integrand.
     """
-    # written so that NaN fails the test
-    if not 0.0 < tol < math.inf:
+    # written so that NaN fails the test; as_floats rejects an int beyond the doubles
+    if not 0.0 < as_floats(tol, "tol") < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
     # results of every row, filled in as rows stop
@@ -214,8 +214,8 @@ def beta_integrals(a, b, tol: float = DEFAULT_TOL, upper=None) -> QuadResult:
     the failing rows of a and b, every row holding a failed half-row, and
     carries every row's best estimate.
     """
-    a, b = (np.asarray(v, dtype=float) for v in (a, b))
-    root = np.ones(a.shape) if upper is None else np.asarray(upper, dtype=float)
+    a, b = as_floats(a, "a"), as_floats(b, "b")
+    root = np.ones(a.shape) if upper is None else as_floats(upper, "upper")
     if a.ndim != 1 or not a.shape == b.shape == root.shape:
         raise DomainError("beta_integrals needs 1-D arrays a, b and upper of one length, "
                           f"got shapes {a.shape}, {b.shape} and {root.shape}")

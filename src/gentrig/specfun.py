@@ -241,7 +241,10 @@ def poch_ratio(a: float, b: float, n: int) -> float:
     [min(a, 1/9!), 1.13]) and the exp in e^+-708, _lgamma_diff elsewhere:
     ~4 us for any n (14-19 us with two Stirling differences).  A subnormal a
     or b takes _peeled; the ratio is inf where it overflows."""
-    a, b, n = float(a), float(b), check_order(n)
+    try:
+        a, b, n = float(a), float(b), check_order(n)
+    except OverflowError:  # an int beyond the doubles
+        raise DomainError(f"poch_ratio requires a, b within the doubles, got ({a}, {b})") from None
     # written so that NaN fails the test
     if not (0.0 < a < math.inf and 0.0 < b < math.inf and abs(a - b) <= 1.0):
         raise DomainError(
@@ -289,17 +292,19 @@ def beta(x: float, y: float) -> float:
     1e300.  inf where B is beyond the doubles, 0 where it underflows."""
     if not (x > 0 and y > 0):
         raise DomainError("beta requires positive arguments")
-    if x < _STIRLING_MIN and y < _STIRLING_MIN:
-        ln_b = _cs.gammaln(x) + _cs.gammaln(y) - _cs.gammaln(x + y)
-    else:
-        s = min(x, y)
-        ln_b = _cs.gammaln(s) - s * _stirling_diff(max(x, y), s)
-    # NaN is inf - inf: x, y both below ~5.6e-309 (B = inf), or both above
-    # ~2.5e305 or one of them inf (B = 0)
     try:
+        if x < _STIRLING_MIN and y < _STIRLING_MIN:
+            ln_b = _cs.gammaln(x) + _cs.gammaln(y) - _cs.gammaln(x + y)
+        else:
+            s = min(x, y)
+            ln_b = _cs.gammaln(s) - s * _stirling_diff(max(x, y), s)
+        # NaN is inf - inf: x, y both below ~5.6e-309 (B = inf), or both
+        # above ~2.5e305 or one of them inf (B = 0)
         return math.exp(ln_b) if ln_b == ln_b else math.inf if max(x, y) < 1.0 else 0.0
-    except OverflowError:  # B > 1/x at x, y near 1e-308
-        return math.inf
+    except OverflowError:  # B > 1/x at x, y near 1e-308, or an int beyond the doubles
+        if max(x, y) < 1.0:
+            return math.inf
+        raise DomainError(f"beta requires arguments within the doubles, got ({x}, {y})") from None
 
 
 def _beta_integral(a: float, b: float, z: float, zc: float) -> float:
@@ -1136,7 +1141,10 @@ def hyp2f1(a: float, b: float, c: float, x: float, *, comp: float | None = None)
     _connection_near_integer, so the cost is bounded independently of x;
     each power series, in x or in y, is one _series loop.
     """
-    a, b, c, x = float(a), float(b), float(c), float(x)
+    try:
+        a, b, c, x = float(a), float(b), float(c), float(x)
+    except OverflowError:  # an int beyond the doubles
+        raise DomainError("hyp2f1 requires a, b, c and x within the doubles") from None
     # written so that NaN fails the test
     if not (2.0**-511 <= a < 1.0 and 0.0 < c - a < 1.0 and -1.0 <= b < 1.0):
         raise DomainError(

@@ -466,8 +466,8 @@ class TestTravelTime:
         real = bvp._sincos_tail
 
         def perturbed(*args):
-            s, c, yc = real(*args)
-            return (None if s is None else s * (1.0 + 1e-10)), c, yc
+            s, c, cp = real(*args)
+            return (None if s is None else s * (1.0 + 1e-10)), c, cp
 
         monkeypatch.setattr(bvp, "_sincos_tail", perturbed)
         ode = [c for c in verify.run("bvp", verify.GRIDS["small"]) if c[0].startswith("bvp ode")]
@@ -565,7 +565,7 @@ class TestCosineUnderflow:
 
 class TestPhaseCurveUnderflow:
     """The phase curve's |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1),
-    from gtf._cos_power: where cos^{p*} underflows, v + 1/p no longer
+    the third output of gtf._sincos_tail: where cos^{p*} underflows, v + 1/p no longer
     collapses to 0, so the residual no longer reads u itself."""
 
     @pytest.mark.parametrize("p,q", TestCosineUnderflow.CASES + [(400.0, 1.0025)])
@@ -583,8 +583,8 @@ class TestPhaseCurveUnderflow:
 
     @pytest.mark.parametrize("p,q", [(400.0, 1.0025), (1.5, 4.0)])
     def test_point_and_array_lanes_agree(self, p, q):
-        # solve_general's point lane is gtf._cos_power's float code, its
-        # array lane the array code: both within 2e-15 of 50 digits
+        # solve_general's point lane takes the power from gtf's float
+        # lane, its array lane from the block: both within 2e-15 of 50 digits
         sol = bvp.solve_general(1.0, p, q)
         xs = [0.1, 0.5, 0.9, 0.999]
         arr = sol(np.array(xs))

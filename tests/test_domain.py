@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from gentrig import bvp, gtf, integrals, specfun, verify
+from gentrig import bvp, gtf, integrals, quadrature, specfun, verify
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 from gentrig.integrals import EllipticQuery, WallisQuery
@@ -119,6 +119,17 @@ BEYOND_THE_DOUBLES = {
     "primitive_sin_cos k": lambda: integrals.primitive_sin_cos(2.5, 3, HUGE, 1.5, 0.5),
     "primitive_sin_cos l": lambda: integrals.primitive_sin_cos(2.5, 3, 0.5, -HUGE, 0.5),
     "ParamPair q": lambda: ParamPair(2, HUGE),
+    "nonlocal_exponent m": lambda: bvp.nonlocal_exponent(HUGE),
+    "solve_nonlocal m": lambda: bvp.solve_nonlocal(1.0, -HUGE),
+    "nonlocal_mean_square_slope m": lambda: bvp.nonlocal_mean_square_slope(1.0, [HUGE]),
+    "beta_integrals a": lambda: quadrature.beta_integrals([HUGE], [2.0]),
+    "beta_integrals b": lambda: quadrature.beta_integrals([2.0], [-HUGE]),
+    "beta_integrals upper": lambda: quadrature.beta_integrals([2.0], [2.0], upper=[HUGE]),
+    "integrate tol": lambda: quadrature.integrate(lambda x, rows: x + 0.0 * rows[:, None], 1,
+                                                  tol=HUGE),
+    "general_checks p": lambda: bvp.general_checks(HUGE, 3.0, [1.0], [0.5]),
+    "general_checks Hs": lambda: bvp.general_checks(2.0, 3.0, [HUGE], [0.5]),
+    "general_checks fractions": lambda: bvp.general_checks(2.0, 3.0, [1.0], [-HUGE]),
 }
 
 
@@ -126,6 +137,17 @@ BEYOND_THE_DOUBLES = {
 def test_int_beyond_the_doubles_raises_domain_error(name):
     with pytest.raises(DomainError):
         BEYOND_THE_DOUBLES[name]()
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_every_slot_rejects_ints_beyond_the_doubles(name):
+    """+-10**400 in each scalar argument of an entry raises DomainError:
+    every range test comes after a conversion that turns the OverflowError
+    of float() into DomainError, or rejects the int itself."""
+    call, base = ENTRIES[name]
+    wrong = [(arg, sign, got) for arg in base for sign in (1, -1)
+             if (got := outcome(call, {**base, arg: sign * HUGE})) != "DomainError"]
+    assert wrong == []
 
 
 def test_conjugate_of_an_int_beyond_the_doubles():

@@ -174,6 +174,20 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def cos_power_formula(p, q, c, yc):
+    """cos_pq^(p-1) as gtf's rule states it at one pair (p, q), from a
+    cosine c (a Python float or an array) and the argument yc = 1 -
+    x/(pi_pq/2) of its inversion: c ** (p - 1) (the C library's pow at a
+    float, numpy's power with a float exponent at an array, so its special
+    cases at 1/2 and 2 hold), except where c < DBL_MIN, where it is the
+    cosine's leading term's base b B(b, a) yc, a = 1/q and b = 1/p*."""
+    b = 1.0 / gtf.conjugate(p)
+    B = specfun.beta(b, 1.0 / q)
+    if isinstance(c, float):
+        return c ** (p - 1.0) if c >= sys.float_info.min else b * B * yc
+    return np.where(c < sys.float_info.min, b * B * yc, c ** (p - 1.0))
+
+
 def tails_block(a, b, lo, hi, y, yc, tails):
     """(t, s) of specfun._tails_block at one flat block y, new arrays (None
     for a tail not asked for), in the lane of specfun._inverse_lane, as gtf
@@ -377,7 +391,7 @@ class TestSeveralPairs:
                "cos_pq": gtf.cos_pq(self.P, self.Q, xs)}
         assert tails[0].shape == (len(GRID), len(GRID), self.X01.size)
         s, c = got["sincos_pq"]
-        power, cos_power = gtf._power(c, self.P), gtf._cos_power(self.P, self.Q, c, tails[2])
+        power, cos_power = gtf._power(c, self.P), tails[2]
         for i, p in enumerate(GRID):
             for j, q in enumerate(GRID):
                 one = gtf._sincos_tail(p, q, xs[i, j])
@@ -386,7 +400,9 @@ class TestSeveralPairs:
                 assert same_bits(got["sin_pq"][i, j], one[0])
                 assert same_bits(got["cos_pq"][i, j], one[1])
                 assert same_bits(power[i, j], one[1] ** p)
-                assert same_bits(cos_power[i, j], gtf._cos_power(p, q, one[1], one[2]))
+                half = gtf._pair(p, q)[0]
+                yc = (half - xs[i, j]) / half
+                assert same_bits(cos_power[i, j], cos_power_formula(p, q, one[1], yc))
 
     def test_appendix_equals_single_pair_calls(self):
         x01 = np.linspace(0.0, 1.0, 41)
@@ -461,9 +477,30 @@ class TestMultipleAngle:
 
 
 class TestCosinePowerRule:
-    """Every cos_pq^(p-1) goes through gtf._cos_power, whose leading-term
-    rule holds where cos_pq underflows; the residuals below raised the
-    underflowed cosine to p - 1 and read 0.40, 0.40 and 3.0e-3 there."""
+    """Every cos_pq^(p-1) is the third output of gtf._sincos_tail, whose
+    leading-term rule holds where cos_pq underflows; the residuals below
+    raised the underflowed cosine to p - 1 and read 0.40, 0.40 and 3.0e-3
+    there."""
+
+    # p near 1, where the inverse tc = cos^p falls below DBL_MIN while the
+    # cosine does not, on a window that moves to the top as p grows; and
+    # p - 1 = 1/2 and 2, which numpy powers by a special case
+    PAIRS = [(1.001, 3.0), (1.01, 3.0), (1.03, 3.0), (1.5, 2.0), (3.0, 2.0), (2.5, 3.0)]
+
+    @staticmethod
+    def points(p, q):
+        """Fewer than INV_FIT_MIN points of [0, pi_pq/2]: the ends, 0.9 and
+        1 - 1e-9 of it, uniform ones and, at p < 1.05, 64 where the leading
+        term's base b B yc lies in [DBL_MIN^(p-1), DBL_MIN^((p-1)/p)), so
+        that tc ~ (b B yc)^(p/(p-1)) is below DBL_MIN and the cosine (b B
+        yc)^(1/(p-1)) is not."""
+        half, _, b, _, _, _, _, B = gtf._pair(p, q)
+        u = [0.0, 0.9, 1.0 - 1e-9, 1.0, *np.random.default_rng(49).uniform(0.0, 1.0, 200)]
+        if p < 1.05:
+            dm = sys.float_info.min
+            base = np.geomspace(dm ** (p - 1.0), dm ** ((p - 1.0) / p), 66)[1:-1]
+            u.extend(1.0 - base / (b * B))
+        return half * np.array(u)
 
     @pytest.mark.parametrize("p", [1.001, 100.0, 1000.0])
     def test_appendix_at_large_q(self, p):
@@ -492,15 +529,46 @@ class TestCosinePowerRule:
     def test_point_is_float_code_and_matches_arrays(self, p, q):
         half = gtf.pi_pq(p, q) / 2.0
         xs = half * np.array([0.0, 0.3, 0.9, 1.0 - 1e-9, 1.0])
-        _, c, yc = gtf._sincos_tail(p, q, xs)
-        arr = gtf._cos_power(p, q, c, yc)
+        _, c, arr = gtf._sincos_tail(p, q, xs)
+        assert same_bits(arr, cos_power_formula(p, q, c, (half - xs) / half))
         for i, x in enumerate(xs.tolist()):
-            _, ci, yci = gtf._sincos_tail(p, q, x)
-            point = gtf._cos_power(p, q, ci, yci)
+            _, ci, point = gtf._sincos_tail(p, q, x)
             assert type(point) is float
+            assert same_bits(point, cos_power_formula(p, q, ci, (half - x) / half))
             assert abs(point - arr[i]) <= 4e-16 * arr[i]
         if p < 2.0:  # the leading term's base, reached in both lanes
             assert (c < sys.float_info.min).any()
+
+    @pytest.mark.parametrize("p,q", PAIRS)
+    def test_every_lane_is_the_rule(self, p, q):
+        """The power is cos_power_formula at the lane's own cosine in the
+        float lane, the ufunc lane (fewer than INV_FIT_MIN points), the
+        fitted lane (INV_FIT_MIN points) and the lane for several pairs,
+        which equals the ufunc lane bit for bit.  The rule's mask is the
+        cosine's, not the inverse's: where tc < DBL_MIN <= c, c^(p-1) and b
+        B yc differ in the last bits at p = 1.01 and 1.03."""
+        half, a, b, _, _, _, _, B = gtf._pair(p, q)
+        x = self.points(p, q)
+        for xs in (x, np.resize(x, N0)):
+            _, c, cp = gtf._sincos_tail(p, q, xs)
+            assert same_bits(cp, cos_power_formula(p, q, c, (half - xs) / half))
+        _, c, cp = gtf._sincos_tail(p, q, x)
+        alone = gtf._sincos_tail(p, q, x, (False, False, True))  # the cosine comes too
+        assert alone[0] is None and same_bits(alone[1], c) and same_bits(alone[2], cp)
+        for v in x.tolist():
+            _, ci, point = gtf._sincos_tail(p, q, v)
+            assert type(point) is float
+            assert same_bits(point, cos_power_formula(p, q, ci, (half - v) / half))
+        other = gtf._pair(2.0, 2.0)[0] * x / half
+        several = gtf._sincos_tail(np.array([[p], [2.0]]), np.array([[q], [2.0]]),
+                                   np.stack((x, other)))
+        assert same_bits(several[1][0], c) and same_bits(several[2][0], cp)
+        assert same_bits(several[2][1], gtf._sincos_tail(2.0, 2.0, other)[2])
+        yc = (half - x) / half
+        window = (sc.betaincinv(b, a, yc) < sys.float_info.min) & (c >= sys.float_info.min)
+        assert window.any() == (p < 1.05)
+        if p in (1.01, 1.03):
+            assert (cp[window] != b * B * yc[window]).any()
 
 
 class TestSymmetricExtension:
@@ -1727,7 +1795,7 @@ class TestBlockPipeline:
         assert same_bits(s, gtf.sin_pq(p, q, x)) and same_bits(c, gtf.cos_pq(p, q, x))
         assert same_bits(s, tail[0]) and same_bits(c, tail[1])
         half = gtf._pair(p, q)[0]
-        assert same_bits(tail[2], (half - x) / half)
+        assert same_bits(tail[2], cos_power_formula(p, q, c, (half - x) / half))
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, 10.0])
     def test_invalid_point_in_the_last_block(self, bad):
