@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, as_floats, check_pq
+from .errors import DomainError, as_float, as_floats, check_pq
 from .gtf import (
     _as_unit, _pair, _per_pair, _power, _records, _several,
     _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
@@ -95,7 +95,7 @@ def _profile_scales(H: float, P: float, q: float):
 def solve_general(H: float, p: float, q: float) -> BvpSolution:
     """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H].
     A 0-d H, p or q is taken as its float, as gtf's entry points take it."""
-    H = float(as_floats(H, "H"))
+    H = as_float(H, "H")
     p, q = check_pq(p, q)
     P = conjugate(p)
     omega, amp = _profile_scales(H, P, q)
@@ -111,7 +111,7 @@ def nonlocal_exponent(m: float) -> float:
     """r(m) = 1 / (1/2 + 1 / (4 sqrt(m^2 + 1/4))) in (1, 2): both p* and q of
     the general problem that the nonlocal one rescales.  Needs m in (0, inf)
     large enough that r(m) > 1 in floating point (m above ~1e-8)."""
-    r = 1.0 / (0.5 + 0.25 / math.hypot(as_floats(m, "m"), 0.5))
+    r = 1.0 / (0.5 + 0.25 / math.hypot(as_float(m, "m"), 0.5))
     # written so that NaN fails the test
     if not (0.0 < m < math.inf and r > 1.0):
         raise DomainError(f"need m > 0 with r(m) > 1, got m = {m}")

@@ -48,11 +48,18 @@ def check_pq(p: float, q: float) -> tuple[float, float]:
     raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
 
 
+def as_float(x, what: str) -> float:
+    """float(x), or DomainError naming what where x is an int beyond the
+    doubles, which a range test may pass (10**400 < inf holds)."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"need {what} within the doubles") from None
+
+
 def as_floats(x, what: str):
-    """np.array(x, dtype=float), a new float array (0-d at a number), or
-    DomainError naming what where x is or holds an int beyond the doubles,
-    whose conversion overflows: a range test may pass such an int (10**400
-    < inf holds), so the callers convert first."""
+    """as_float for arrays: np.array(x, dtype=float), a new float array (0-d
+    at a number), or DomainError where x holds an int beyond the doubles."""
     try:
         return np.array(x, dtype=float)
     except OverflowError:

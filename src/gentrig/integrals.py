@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, as_floats, check_order, check_pq
+from .errors import DomainError, as_float, check_order, check_pq
 from .gtf import _DBL_MIN, ParamPair, _as_unit, _pair, conjugate, pi_pq
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class WallisQuery:
 
     def __post_init__(self):
         check_order(self.n)
-        as_floats(self.r, "r")  # its range is the flavor's
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class EllipticQuery:
     k: float
 
     def __post_init__(self):
-        if not 1.0 < as_floats(self.r, "r") < math.inf:
+        if not 1.0 < as_float(self.r, "r") < math.inf:
             raise DomainError(f"need r > 1, finite, got {self.r}")
         if not 0.0 <= self.k < 1.0:
             raise DomainError("need modulus k in [0, 1)")
@@ -88,7 +87,7 @@ def wallis_sin(query: WallisQuery) -> float:
     exponent u equals 1 and pi_{p,1} = 2 p* by convention.
     """
     params = query.params
-    return _wallis_sin(float(params.p), float(params.q), query.n, float(query.r))
+    return _wallis_sin(float(params.p), float(params.q), query.n, as_float(query.r, "r"))
 
 
 def _wallis_sin(p: float, q: float, n: int, r: float) -> float:
@@ -110,7 +109,7 @@ def wallis_cos(query: WallisQuery) -> float:
     equals 1, v* = inf, and pi_{inf,q} = 2.
     """
     params = query.params
-    return _wallis_cos(float(params.p), float(params.q), query.n, float(query.r))
+    return _wallis_cos(float(params.p), float(params.q), query.n, as_float(query.r, "r"))
 
 
 def _wallis_cos(p: float, q: float, n: int, r: float) -> float:
@@ -265,7 +264,7 @@ def elliott_residual(p: float, q: float, r: float, k: float) -> float:
     DBL_MIN times them.
     """
     p, q = check_pq(p, q)
-    r, k = as_floats([r, k], "r and k").tolist()
+    r, k = as_float(r, "r"), as_float(k, "k")
     if p > q:
         raise DomainError("Elliott's identity requires p <= q")
     if not 1.0 < r < math.inf:

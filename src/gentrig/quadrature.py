@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, as_floats
+from .errors import DomainError, ToleranceError, as_float, as_floats
 
 # Truncation of the transformed axis.  At t = 6 the node weight is below
 # 1e-17 even against an endpoint singularity as strong as t^(-0.9).
@@ -115,8 +115,8 @@ def integrate(f: Callable, m: int, tol: float = DEFAULT_TOL) -> QuadResult:
     within the budget of _MAX_LEVEL + 1 levels, at most 37 572 evaluations
     per integrand.
     """
-    # written so that NaN fails the test; as_floats rejects an int beyond the doubles
-    if not 0.0 < as_floats(tol, "tol") < math.inf:
+    # written so that NaN fails the test; as_float rejects an int beyond the doubles
+    if not 0.0 < as_float(tol, "tol") < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
     # results of every row, filled in as rows stop

@@ -289,7 +289,9 @@ def beta(x: float, y: float) -> float:
     max(x, y), ln B = ln Gamma(s) - s D, where D = (ln Gamma(g + s) - ln
     Gamma(g)) / s is _lgamma_diff(g, s), which needs no shift here
     (_stirling_diff): within ~4.2 (1 + |ln B|) eps of mpmath for 10 <= g <=
-    1e300.  inf where B is beyond the doubles, 0 where it underflows."""
+    1e300.  inf where B is beyond the doubles (min(x, y) near 1e-308 and
+    below), 0 where it underflows; an int whose own arithmetic overflows is
+    taken as its float, and one beyond the doubles raises DomainError."""
     if not (x > 0 and y > 0):
         raise DomainError("beta requires positive arguments")
     try:
@@ -301,10 +303,10 @@ def beta(x: float, y: float) -> float:
         # NaN is inf - inf: x, y both below ~5.6e-309 (B = inf), or both
         # above ~2.5e305 or one of them inf (B = 0)
         return math.exp(ln_b) if ln_b == ln_b else math.inf if max(x, y) < 1.0 else 0.0
-    except OverflowError:  # B > 1/x at x, y near 1e-308, or an int beyond the doubles
-        if max(x, y) < 1.0:
-            return math.inf
-        raise DomainError(f"beta requires arguments within the doubles, got ({x}, {y})") from None
+    except OverflowError:  # exp's, B ~ 1/min(x, y) beyond the doubles, or an int's own
+        if max(x, y) > sys.float_info.max:  # an int beyond the doubles, compared exactly
+            raise DomainError(f"beta requires x, y within the doubles, got ({x}, {y})") from None
+        return beta(float(x), float(y)) if int in (type(x), type(y)) else math.inf
 
 
 def _beta_integral(a: float, b: float, z: float, zc: float) -> float:

@@ -420,6 +420,43 @@ class TestBeta:
         self.assert_beta_matches_mpmath(x, y)
         self.assert_beta_matches_mpmath(y, x)
 
+    @pytest.mark.parametrize("x,y", [(1.0, 1e-310), (2.0, 1e-310), (20.0, 1e-310),
+                                     (1e300, 5e-309), (0.5, 5e-324)])
+    def test_one_subnormal_argument_is_inf(self, x, y):
+        # B ~ 1/y is beyond the doubles whatever x
+        assert specfun.beta(x, y) == specfun.beta(y, x) == math.inf
+
+    @pytest.mark.parametrize("x,y", [(1.0, 1e-310), (2.0, 1e-310), (20.0, 1e-310),
+                                     (1e300, 5e-309)])
+    def test_exp_overflow_is_inf_whatever_the_larger_argument(self, monkeypatch, x, y):
+        # scipy's gammaln is inf at a subnormal, so exp(ln B) does not
+        # overflow there; a log-gamma that stays finite (math.lgamma: 713.8
+        # at 1e-310) takes exp's OverflowError, which is B beyond the doubles
+        # at any larger argument, not a domain error
+        class FiniteLogGamma:
+            gammaln = staticmethod(math.lgamma)
+
+        monkeypatch.setattr(specfun, "_cs", FiniteLogGamma)
+        assert specfun.beta(x, y) == specfun.beta(y, x) == math.inf
+
+    @pytest.mark.parametrize("x,y", [(2**1023, 1.0), (10**308, 0.5), (3, 10**308),
+                                     (2**1023, 1e-310), (10**300, 2**1000)],
+                             ids=["2^1023-1.0", "1e308-0.5", "3-1e308", "2^1023-1e-310",
+                                  "1e300-2^1000"])
+    def test_int_arguments_within_the_doubles_are_their_floats(self, x, y):
+        # g * g of an int g overflowed the float conversion in _stirling_diff
+        # (OverflowError) from g ~ 1.3e154 on
+        expected = specfun.beta(float(x), float(y))
+        assert specfun.beta(x, y) == specfun.beta(y, x) == expected
+
+    @pytest.mark.parametrize("x,y", [(10**400, 1.0), (10**400, 1e-310), (10**400, math.inf),
+                                     (10**400, 10**400)],
+                             ids=["1e400-1.0", "1e400-1e-310", "1e400-inf", "1e400-1e400"])
+    def test_int_arguments_beyond_the_doubles_raise(self, x, y):
+        for args in ((x, y), (y, x)):
+            with pytest.raises(DomainError):
+                specfun.beta(*args)
+
     def test_large_argument_scan(self):
         # max(x, y) log-uniform in [10, 1e300]; min(x, y) log-uniform below
         # 1 or in [1, 700 / ln max], where B is mostly within the doubles
