@@ -13,10 +13,10 @@ Library layout:
   formulas, the lemniscate catalog, generalized elliptic integrals with
   Elliott's identity, the infinite product.
 - ``bvp``: closed-form boundary value problem solutions, the general
-  problem's one verifier general_checks (the ODE as the paper solves it: a
-  phase-plane first integral and the travel time x/H = I_{sin^q(w x)}(1/q,
-  1/p) from the oracle, within 2e-13 plus rounding) and the nonlocal
-  closure.
+  problem's one verifier general_checks (the ODE as the paper solves it:
+  the travel time x/H = I_{sin^q(w x)}(1/q, 1/p), within 2e-13 plus
+  rounding, and the phase-plane first integral, both from the oracle) and
+  the nonlocal closure.
 - ``quadrature``: the independent tanh-sinh integration oracle integrate,
   a batch of m integrands over [0, 1] on shared nodes (f(x, rows), one
   call per level), and beta_integrals, any number of complete or

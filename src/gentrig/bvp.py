@@ -17,16 +17,26 @@ profile.  Every function takes the problem's numbers, H > 0, p, q in
 (1, inf) and m > 0, and rejects the rest with DomainError.
 
 The general problem has one public verifier, general_checks, for the ODE,
-the phase curve and the boundary values.  The ODE is checked as the paper
-solves it: by the phase-plane first integral u = U(v), v = u', and by the
-travel time dx = du / v, which integrates to x / H = I_{sin^q(w x)}(1/q,
-1/p), sin = sin_{p*,q}, a regularized incomplete beta function that the
-tanh-sinh oracle evaluates (quadrature.beta_integrals).  The two relations
-together imply the ODE, and no difference step enters.
+the phase-plane first integral and the boundary values.  The ODE is checked
+as the paper solves it, in the travel-time variable t = sin^q(w x), sin =
+sin_{p*,q}: with a = 1/q, b = 1/p and B = B(a, b), u' = v = a - (a + b) t
+and dx = (H/B) t^(a-1) (1-t)^(b-1) dt, so the travel time is x / H =
+I_t(a, b), and the first integral u = U(v) is the integral of v,
+
+    U = (H/B) [(a + b) B_t(a, b + 1) - b B_t(a, b)]           (t <= 1/2),
+    U = (H/B) [(a + b) B_{1-t}(b, a + 1) - a B_{1-t}(b, a)]   (t > 1/2),
+
+the second integrated back from u(H) = 0.  The tanh-sinh oracle evaluates
+both in the point's smaller tail (quadrature.beta_integrals); the two
+relations together imply the ODE, and no difference step enters.  U's two
+terms cancel by a factor F of at most (1 + q/p) 2^(1/p) below t = 1/2 and
+(1 + p/q) 2^(1/q) above (its limits are 1 + q/p as t -> 0 and 1 + p/q as
+t -> 1): 6.6e-14 of u, relative, at (p, q) = (1.01, 1000), where F is
+near 1970.
 general_checks inverts every point and the ends 0 and H in one fused
 sin/cos call (gtf._sincos_tail), in the gtf lane the array's size picks:
 one inversion gives a point's sine and cosine, two in the band between
-I_{1/2}(1/q, 1/p) and 1/2.  All travel times, and one complete beta
+I_{1/2}(1/q, 1/p) and 1/2.  Every travel time and U, and one complete beta
 integral a pair, are one oracle batch.  general_checks also takes numpy
 arrays p and q, and then makes that one gtf call and that one batch for
 every pair (gtf's lane for several pairs).  The nonlocal closure,
@@ -36,12 +46,16 @@ tanh-sinh oracle on [0, 1] in u = x/H, every m of an array one row of one
 batch that makes one gtf call a level.  solve_pq_equal takes an array p,
 and its sol(x) makes one gtf call for every p.
 
-The profile's factor cos^(p*-1) = cos^(1/(p-1)) and the phase curve's
-|v + 1/p|^(1/p) = (1/p + 1/q)^(1/p) cos^(p*-1) are the third output of
+The profile's factor cos^(p*-1) = cos^(1/(p-1)) is the third output of
 gtf._sincos_tail, gtf's one rule for that power (its appendix residuals
 take it too): where cos_{p*,q} underflows (p above ~100 near x = H, above
 ~300 on much of (0, H); the nonlocal problem at m below ~0.1) it is the
 leading term's base b B(b, a) yc, not a power of the underflowed cosine.
+Elsewhere it is a power of the rounded cosine, which magnifies that
+rounding (p* - 1)-fold near p = 1, and the phase case sees it, since U
+depends on the point through one root alone: at p - 1 = 1.2e-6, q =
+1.0001 the factor is 6.3e-11 off relative to (1 - sin^q)^(1/p), and the
+phase case reads up to 3.7e-11 there, inside verify's 1e-9.
 """
 
 from __future__ import annotations
@@ -56,7 +70,7 @@ from . import quadrature
 from .errors import DomainError, as_float, as_floats, check_pq
 from .gtf import (
     _as_unit, _pair, _per_pair, _power, _records, _several,
-    _sincos_tail, conjugate, extend_sin_symmetric, pi_pq,
+    _sincos_tail, conjugate, extend_sin_symmetric,
 )
 
 
@@ -161,34 +175,11 @@ def solve_pq_equal(p: float) -> BvpSolution:
 
 def _general_scalars(p: float, q: float, Hs):
     """The Python floats of the general problem at one pair that
-    general_checks needs, after check_pq(p, q): P = p*; then the phase
-    curve's 1/p + 1/q, the denominator p (1/p + 1/q)^(1/p + 1/q) pi_{q*,p}
-    of its constant and its factor (1/p + 1/q)^(1/p); then omega and amp at
-    each H in Hs (_profile_scales)."""
+    general_checks needs, after check_pq(p, q): P = p*, then omega and amp
+    at each H in Hs (_profile_scales)."""
     check_pq(p, q)
     P = conjugate(p)
-    ssum = 1.0 / p + 1.0 / q
-    den = p * ssum**ssum * pi_pq(conjugate(q), p)
-    return (P, ssum, den, ssum ** (1.0 / p),
-            *[v for H in Hs for v in _profile_scales(H, P, q)])
-
-
-def _slope(p, ssum, P, c):
-    """u' = v = -1/p + (1/p + 1/q) c^P of the general profile, from its
-    cosine c = cos_{P,q}(w x), P = p*, and ssum = 1/p + 1/q: the phase
-    variable of the derivation."""
-    return -1.0 / p + ssum * _power(c, P)
-
-
-def _phase_curve(H, p, q, P, ssum, den, root, c, cp):
-    """C |v + 1/p|^(1/p) |v - 1/q|^(1/q), the phase-plane value of u, with
-    v = -1/p + (1/p + 1/q) c^P from the cosine c = cos_{P,q}(w x), P = p*,
-    and C = 2H / den; the first factor is root cp, root = (1/p + 1/q)^(1/p)
-    and cp = c^(P-1) from gtf._sincos_tail (P/p = P - 1).  The per-pair
-    values are floats, or arrays that broadcast against c."""
-    v = _slope(p, ssum, P, c)
-    C = 2.0 * H / den
-    return C * root * cp * _power(np.abs(v - 1.0 / q), 1.0 / q)
+    return (P, *[v for H in Hs for v in _profile_scales(H, P, q)])
 
 
 def general_checks(p: float, q: float, Hs, fractions):
@@ -197,14 +188,12 @@ def general_checks(p: float, q: float, Hs, fractions):
     batch.
 
     Returns (ode, phase, boundary), the first two of shape (len(Hs),
-    len(fractions)) and the last of shape (len(Hs),):
-    - ode, the travel-time residual |x/H - I_{sin^q(w x)}(1/q, 1/p)|, sin =
-      sin_{p*,q}, which with the phase curve implies the ODE (p-q)u' -
-      pq(u')^2 + (p+q)uu'' + 1 = 0 of solve_general(H, p, q).  The
-      incomplete beta function is the tanh-sinh oracle's
-      (quadrature.beta_integrals at tol 1e-13), each point's in its smaller
-      tail: B_{sin^q}(1/q, 1/p) / B(1/q, 1/p), or one minus B_{cos^{p*}}(1/p,
-      1/q) / B(1/q, 1/p), each given by its root, sin or cos^(p*-1)
+    len(fractions)) and the last of shape (len(Hs),), with a = 1/q, b = 1/p,
+    B = B(a, b) and t = sin^q(w x), sin = sin_{p*,q}:
+    - ode, the travel-time residual |x/H - I_t(a, b)|.  The incomplete beta
+      function is the tanh-sinh oracle's (quadrature.beta_integrals at tol
+      1e-13), each point's in its smaller tail: B_t(a, b) / B, or one minus
+      B_{1-t}(b, a) / B, each given by its root, sin or cos^(p*-1)
       (gtf._sincos_tail's third output), so nothing underflows.  Bound:
       the oracle stops once two levels agree to 1e-13 of its substituted
       integrals, which are at least 1 (every exponent b - 1 = 1/p - 1 or
@@ -214,32 +203,35 @@ def general_checks(p: float, q: float, Hs, fractions):
       1e-13 each, and the residual is within 2e-13 plus a few roundings of
       x/H and of the inversion (it reads at most 6.7e-16 on verify's full
       grid, 2.2e-14 at p, q in {1.001, 1.01, 1.5, 30, 1000});
-    - phase, the residual of the first integral u = C |v + 1/p|^(1/p)
-      |v - 1/q|^(1/q), with v evaluated in closed form, v = -1/p + (1/p +
-      1/q) cos_{p*,q}^{p*}(w x), and C = 2H / (p (1/p + 1/q)^(1/p+1/q)
-      pi_{q*,p}): no differentiation enters, so this checks the solution
-      against the phase-plane curve of its derivation;
+    - phase, |u - U| with U = (H/B) [(a + b) B_t(a, b + 1) - b B_t(a, b)]
+      where t <= 1/2, else (H/B) [(a + b) B_{1-t}(b, a + 1) - a B_{1-t}(b,
+      a)]: the point's travel-time row and that row with its second shape
+      raised by 1, at the same root.  With the travel time it implies the
+      ODE (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 of solve_general(H, p, q):
+      dx/dt = (H/B) t^(a-1) (1-t)^(b-1) and dU/dt = (a - (a + b) t) dx/dt
+      give u' = a - (a + b) t = v, and u = U(v) = (H/B) t^a (1-t)^b (by
+      parts) = C |v - 1/q|^(1/q) |v + 1/p|^(1/p), the phase-plane curve of
+      the derivation, along which u'' = v / U'(v) = (v - 1/q) (v + 1/p) /
+      ((1/p + 1/q) u), the ODE.  Bound: U's terms cancel by F = (a + b)
+      B_t(a, b + 1) / (t^a (1-t)^b) <= (1 + q/p) 2^(1/p) below t = 1/2, and
+      (1 + p/q) 2^(1/q) above, with b and a swapped; the raised row's
+      substituted integrand lies in [2^-b, 1], so its estimate is below
+      2e-13 of it, and |u - U| is within 3 F 1e-13 |u| plus F times a few
+      roundings.  |u| <= H a below t = 1/2 (B >= 2^-a / a) and H b above,
+      so that is at most 1.2e-12 H.  It reads at most 6.1e-16 on verify's
+      full grid, 2.9e-14 at p, q in {1.001, 1.01, 1.5, 30, 1000};
     - boundary, max(|u(0)|, |u(H)|).
     One _sincos_tail call inverts every point and both ends of every pair,
-    and one beta_integrals batch takes every travel time, with one complete
-    B(1/q, 1/p) a pair (_general_scalars gives each pair's floats).
+    and one beta_integrals batch takes every point's two rows, with one
+    complete B(a, b) a pair (_general_scalars gives each pair's floats).
     Arrays p and q, which broadcast to a shape S, put S in front of those
     shapes, and every pair takes that one gtf call (gtf's lane for several
     pairs) and that one batch: each pair's values equal its own call's bit
     for bit where that call takes scipy's ufuncs (fewer than
     specfun.INV_FIT_MIN points).  A 0-d p or q is taken as its float.
-
-    Near x = 0 the phase check false-fails: v -> 1/q and |v - 1/q| = A =
-    (1/p + 1/q) sin^q(w x) cancels down to the rounding d ~ 2 (p* + 1) eps
-    of v, which moves the curve by about eps |u| / (q sin^q(w x)): 4.5e-9
-    at x = 1e-3 and u itself at 3e-5 for (1.5, 4, H = 1).  Substituting
-    -(1/p + 1/q) sin^q for v - 1/q would reduce the check to q pi_{p*,q} =
-    p pi_{q*,p}; |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1) by v's own
-    definition (gtf._sincos_tail's power), so it neither cancels near H
-    nor underflows.  verify samples x/H in [0.1, 0.9].  Hs or fractions that
-    are not 1-D sequences raise DomainError, and so do points not interior
-    to (0, H); an empty one gives empty arrays of those shapes, after p and
-    q are checked.
+    Hs or fractions that are not 1-D sequences raise DomainError, and so
+    do points not interior to (0, H); an empty one gives empty arrays of
+    those shapes, after p and q are checked.
     """
     several = _several(p, q)
     p, q = (np.asarray(p, dtype=float), np.asarray(q, dtype=float)) if several else check_pq(p, q)
@@ -253,11 +245,11 @@ def general_checks(p: float, q: float, Hs, fractions):
     xx = np.concatenate((xx, H[:, None] * np.array([0.0, 1.0])), axis=1)  # both ends last
     Hs = H.tolist()  # Python floats for _profile_scales' float code
     fields = _per_pair(_general_scalars, p, q, Hs) if several else _general_scalars(p, q, Hs)
-    P, ssum, den, root = fields[:4]
-    scales = np.moveaxis(np.asarray(fields[4:]), 0, -1)  # S + (2 len(H),)
+    P = fields[0]
+    scales = np.moveaxis(np.asarray(fields[1:]), 0, -1)  # S + (2 len(H),)
     omega, amp = scales[..., ::2], scales[..., 1::2]  # S + (len(H),)
     lead = omega.shape[:-1]  # S
-    # the complete B(1/q, 1/p) of each pair, which every travel time divides
+    # the complete B(1/q, 1/p) of each pair, which every travel time and U divides
     whole = [np.broadcast_to(1.0 / v, lead).ravel() for v in (q, p)]
 
     def lifted(k, *vals):
@@ -265,30 +257,35 @@ def general_checks(p: float, q: float, Hs, fractions):
         return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
 
     sincos = _sincos_tail(*lifted(1, P, q), (omega[..., None] * xx).reshape(*lead, xx.size))
-    s, c, cp = (v.reshape(lead + xx.shape) for v in sincos)
-    p, q, P, ssum, den, root = lifted(2, p, q, P, ssum, den, root)
+    s, _, cp = (v.reshape(lead + xx.shape) for v in sincos)
+    p, q = lifted(2, p, q)
     u = amp[..., None] * cp * s
     bc = np.abs(u[..., -2:]).max(axis=-1)
-    s, c, cp, u, xx = (v[..., :-2] for v in (s, c, cp, u, xx))
-    phase = np.abs(u - _phase_curve(H[:, None], p, q, P, ssum, den, root, c, cp))
-    # each point's travel time in its smaller tail: B_{sin^q}(1/q, 1/p) at
-    # the root sin where sin^q <= 1/2, else B_{cos^P}(1/p, 1/q) at the root
-    # cos^(P-1) = cp, which stays exact where cos^P underflows
+    s, cp, u, xx = (v[..., :-2] for v in (s, cp, u, xx))
+    # each point's rows in its smaller tail, t = sin^q or 1 - t = cos^P,
+    # both at its root: B_t(1/q, 1/p) and B_t(1/q, 1/p + 1) at sin where t
+    # <= 1/2, else B_{1-t}(1/p, 1/q) and B_{1-t}(1/p, 1/q + 1) at cos^(P-1)
+    # = cp, which stays exact where cos^P underflows
     low = s <= np.exp2(-1.0 / q)
-    tail = [np.where(low, *ab).ravel() for ab in ((1.0 / q, 1.0 / p), (1.0 / p, 1.0 / q))]
-    rows = [np.concatenate(v) for v in zip(tail, whole)]
-    upper = np.concatenate((np.where(low, s, cp).ravel(), np.ones(whole[0].size)))
+    first, second = (np.where(low, *ab) for ab in ((1.0 / q, 1.0 / p), (1.0 / p, 1.0 / q)))
+    rows = [np.concatenate((first.ravel(), first.ravel(), whole[0])),
+            np.concatenate((second.ravel(), (second + 1.0).ravel(), whole[1]))]
+    root = np.where(low, s, cp).ravel()
+    upper = np.concatenate((root, root, np.ones(whole[0].size)))
     # the oracle at tol 1e-13: verify's bvp ode tolerance derives from it
     beta = quadrature.beta_integrals(*rows, tol=1e-13, upper=upper).value
-    ratio = beta[:s.size].reshape(s.shape) / beta[s.size:].reshape(lead + (1, 1))
+    tail, raised = beta[:2 * s.size].reshape((2,) + s.shape)
+    complete = beta[2 * s.size:].reshape(lead + (1, 1))
+    ratio = tail / complete
     ode = np.abs(xx / H[:, None] - np.where(low, ratio, 1.0 - ratio))
+    phase = np.abs(u - H[:, None] / complete * ((1.0 / p + 1.0 / q) * raised - second * tail))
     return ode, phase, bc
 
 
 def _closure_scalars(H: float, m: float):
     """The Python floats of the closure at one m, after solve_nonlocal(H,
     m) validates both: p, q, P = p* and 1/p + 1/q of the general problem
-    with p = r(m)* and q = r(m) (_general_scalars), its omega, and the slope
+    with p = r(m)* and q = r(m), its omega (_general_scalars), and the slope
     scale S = 2 sqrt(m^2 + 1/4).
 
     DomainError naming m and H where the oracle would overflow.  It
@@ -305,16 +302,16 @@ def _closure_scalars(H: float, m: float):
                           f"16 m^2 is not finite")
     q = nonlocal_exponent(m)
     p = conjugate(q)
-    P, ssum, _, _, omega, _ = _general_scalars(p, q, [H])
-    return p, q, P, ssum, omega, 2.0 * math.hypot(m, 0.5)
+    P, omega, _ = _general_scalars(p, q, [H])
+    return p, q, P, 1.0 / p + 1.0 / q, omega, 2.0 * math.hypot(m, 0.5)
 
 
 def nonlocal_mean_square_slope(H: float, m):
     """(2/H) int_0^H (phi')^2 dt of solve_nonlocal(H, m), which reproduces
     m^2, by the tanh-sinh oracle (Takahasi and Mori 1974) at tol 1e-13 from
     the closed form's own slope: phi' = S v with S = 2 sqrt(m^2 + 1/4) and
-    v = -1/p + (1/p + 1/q) cos_{P,q}^P(w x), p = r(m)*, q = P = r(m), which
-    the phase curve takes too (_slope).  No difference step enters.
+    v = -1/p + (1/p + 1/q) cos_{P,q}^P(w x), p = r(m)*, q = P = r(m).  No
+    difference step enters.
 
     The oracle integrates (phi')^2 at x = H u over u in [0, 1], and the
     value is twice its integral.  m is a number (a float is returned) or a
@@ -345,7 +342,7 @@ def nonlocal_mean_square_slope(H: float, m):
 
     def f(u, rows):  # (phi')^2 at x = H u
         _, c, _ = _sincos_tail(P[rows], q[rows], omega[rows] * (H * u), (False, True, False))
-        slope = S[rows] * _slope(p[rows], ssum[rows], P[rows], c)
+        slope = S[rows] * (-1.0 / p[rows] + ssum[rows] * _power(c, P[rows]))
         return slope * slope
 
     value = 2.0 * quadrature.integrate(f, ms.size, tol=1e-13).value

@@ -85,8 +85,8 @@ cos_pq is its leading term (b B(b, a) yc)^(1/(p-1)), with yc = 1 -
 x/(pi_pq/2), a = 1/q and b = 1/p*: its relative correction is O(tc),
 whereas the inverse clamps tc near DBL_MIN there and tc^(1/p) would be far
 too large.  Every lane takes this rule, sincos_pq's included.  The power
-cos_pq^(p-1), the bvp profile's and phase curve's factor and the appendix
-residuals', is _sincos_tail's third output: c^(p-1) of the cosine c,
+cos_pq^(p-1), the bvp profile's factor and the appendix residuals', is
+_sincos_tail's third output: c^(p-1) of the cosine c,
 except where c < DBL_MIN, where it is that term's base b B(b, a) yc,
 which does not underflow.
 """

@@ -16,11 +16,12 @@ evaluated once it has.  The reduction sums each row alone, the same way
 for any number of rows, so a batch gives every integrand the same value,
 bit for bit, as a batch of its own.  beta_integrals uses this to take any
 number of complete or incomplete beta integrals in one pass, the Wallis
-moments and the bvp travel times of the whole verify grid included: each
-is one to three half-rows that an endpoint substitution makes bounded, so
-that no mass of a singular endpoint lies beyond the outermost node, however
-small a or b.  The batch holds each distinct half-row once, and rows that
-repeat or share halves read its value.
+moments and the bvp travel times and first integrals of the whole verify
+grid included: each is one to three half-rows that an endpoint
+substitution makes bounded, so that no mass of a singular endpoint lies
+beyond the outermost node, however small a or b.  The batch holds each
+distinct half-row once, and rows that repeat or share halves read its
+value.
 
 This module must not import gtf, integrals, bvp or specfun, nor scipy: it is
 the independent side of every closed-form-versus-quadrature check in the
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, as_float, as_floats
+from .errors import DomainError, ToleranceError, as_float, as_floats, check_order
 
 # Truncation of the transformed axis.  At t = 6 the node weight is below
 # 1e-17 even against an endpoint singularity as strong as t^(-0.9).
@@ -110,7 +111,8 @@ def integrate(f: Callable, m: int, tol: float = DEFAULT_TOL) -> QuadResult:
 
     A row stops once the halving disagreement is within tol max(1,
     |estimate|): relative for integrals of at least 1, absolute below.
-    Raises DomainError unless 0 < tol < inf, before f is called; and
+    Raises DomainError unless m is an integer >= 0 (an integral float
+    passes) and 0 < tol < inf, before f is called; and
     ToleranceError (carrying the best estimates) if some row does not stop
     within the budget of _MAX_LEVEL + 1 levels, at most 37 572 evaluations
     per integrand.
@@ -118,6 +120,7 @@ def integrate(f: Callable, m: int, tol: float = DEFAULT_TOL) -> QuadResult:
     # written so that NaN fails the test; as_float rejects an int beyond the doubles
     if not 0.0 < as_float(tol, "tol") < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
+    m = check_order(m, what="integrate's row count m")
 
     # results of every row, filled in as rows stop
     value = np.full(m, np.nan)

@@ -290,23 +290,25 @@ def beta(x: float, y: float) -> float:
     Gamma(g)) / s is _lgamma_diff(g, s), which needs no shift here
     (_stirling_diff): within ~4.2 (1 + |ln B|) eps of mpmath for 10 <= g <=
     1e300.  inf where B is beyond the doubles (min(x, y) near 1e-308 and
-    below), 0 where it underflows; an int whose own arithmetic overflows is
-    taken as its float, and one beyond the doubles raises DomainError."""
+    below), 0 where it underflows.  That branch takes s and g as floats, so
+    an int or an np.int64 gives its float's bits (w * w would overflow a
+    large int and wrap an np.int64), and an int beyond the doubles raises
+    DomainError."""
     if not (x > 0 and y > 0):
         raise DomainError("beta requires positive arguments")
     try:
         if x < _STIRLING_MIN and y < _STIRLING_MIN:
             ln_b = _cs.gammaln(x) + _cs.gammaln(y) - _cs.gammaln(x + y)
         else:
-            s = min(x, y)
-            ln_b = _cs.gammaln(s) - s * _stirling_diff(max(x, y), s)
+            s = float(min(x, y))
+            ln_b = _cs.gammaln(s) - s * _stirling_diff(float(max(x, y)), s)
         # NaN is inf - inf: x, y both below ~5.6e-309 (B = inf), or both
         # above ~2.5e305 or one of them inf (B = 0)
         return math.exp(ln_b) if ln_b == ln_b else math.inf if max(x, y) < 1.0 else 0.0
-    except OverflowError:  # exp's, B ~ 1/min(x, y) beyond the doubles, or an int's own
+    except OverflowError:  # exp's, B ~ 1/min(x, y) beyond the doubles, or an int's float()
         if max(x, y) > sys.float_info.max:  # an int beyond the doubles, compared exactly
             raise DomainError(f"beta requires x, y within the doubles, got ({x}, {y})") from None
-        return beta(float(x), float(y)) if int in (type(x), type(y)) else math.inf
+        return math.inf
 
 
 def _beta_integral(a: float, b: float, z: float, zc: float) -> float:

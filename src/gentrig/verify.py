@@ -3,9 +3,10 @@ identities and closed forms at the pairs (p, q) of a grid, each case a (case
 name, residual, tolerance) triple that passes where residual <= tolerance.
 Two suites compare against the tanh-sinh oracle, in one beta_integrals
 batch each: wallis its moments, against the closed forms of the plain
-cores integrals._wallis_sin and _wallis_cos, and bvp its ODE cases, as the
-travel time x/H = I_{sin^q(w x)}(1/q, 1/p) of the general problem
-(bvp.general_checks) within 1e-12, the oracle's 2e-13 plus rounding."""
+cores integrals._wallis_sin and _wallis_cos, and bvp its ODE and phase
+cases, the travel time x/H = I_{sin^q(w x)}(1/q, 1/p) of the general
+problem within 1e-12, the oracle's 2e-13 plus rounding, and its first
+integral u = U(v) within 1e-9 (bvp.general_checks)."""
 
 from __future__ import annotations
 

@@ -18,8 +18,9 @@ def same_bits(a, b):
 
 # Point-by-point verifiers built on scalar sol(x), sin_pq and cos_pq calls,
 # gtf's float lane: a check of the ODE by finite differences, independent of
-# general_checks' travel time, the phase curve that general_checks must
-# reproduce, the travel time at 30 digits and the nonlocal problem's
+# general_checks' travel time, the closed-form phase-plane curve, an
+# independent check of the first integral that general_checks takes from
+# the oracle, the travel time at 30 digits and the nonlocal problem's
 # surrogate-ODE residual.
 
 EPS = np.finfo(float).eps
@@ -269,9 +270,10 @@ class TestGeneralSolution:
 
 class TestFusedVerifiers:
     """general_checks: the travel time within its bound, near the ends too;
-    the phase residual within 1e-14 of the point-by-point reference at the
-    verify fractions (near the ends it false-fails: TestPhaseCurveNearEnds);
-    bit for bit against itself one point at a time.  The nonlocal
+    the phase residual, and the closed-form phase curve point by point,
+    within 1e-14 at the verify fractions (near the ends the closed form
+    cancels, the oracle's U does not: TestPhaseCurveNearEnds); bit for bit
+    against itself one point at a time.  The nonlocal
     surrogate ODE, point by point, against the general problem's."""
 
     @pytest.mark.parametrize("p,q", [(1.5, 4.0), (4.0, 1.5), (2.0, 2.0), (3.0, 2.5)])
@@ -452,15 +454,33 @@ class TestTravelTime:
     """verify's bvp ode cases, the travel time x/H = I_{sin^q(w x)}(1/q, 1/p)
     by the oracle: they pass at the edges of the domain, where the stencil
     read 8.4e-6 (p = 1.001) and 1.11e-6 (p = q = 1000) against 1e-6, and
-    they see a sine 1e-10 off, which the stencil's 1e-6 let pass."""
+    they see a sine 1e-10 off, which the stencil's 1e-6 let pass.  The
+    phase cases, U from the same batch, pass there too and see an amplitude
+    1e-8 off."""
 
     EXTREME = [1.001, 1.01, 1.5, 30.0, 1000.0]
 
     def test_extreme_grid(self):
-        # the phase cases at q >= 30 cancel (ROADMAP item 6): not asserted
-        ode = [c for c in verify.run("bvp", self.EXTREME) if c[0].startswith("bvp ode")]
-        assert len(ode) == 2 * len(self.EXTREME) ** 2
-        assert all(resid <= tol for _, resid, tol in ode), max(ode, key=lambda c: c[1])
+        # every case, the phase cases included: 18 of them read up to 1.6e-2
+        # from the closed-form phase curve, which cancels where sin^q is small
+        cases = verify.run("bvp", self.EXTREME)
+        for kind in ("ode", "phase", "boundary"):
+            assert sum(c[0].startswith(f"bvp {kind} ") for c in cases) == 2 * len(self.EXTREME) ** 2
+        assert all(resid <= tol for _, resid, tol in cases), max(cases, key=lambda c: c[1] / c[2])
+
+    def test_perturbed_amplitude_fails(self, monkeypatch):
+        """A profile amplitude 1e-8 too large, relative, fails full-grid
+        phase cases and no other case: U checks u itself, not only an
+        identity among beta integrals."""
+        real = bvp._profile_scales
+
+        def scaled(H, P, q):
+            omega, amp = real(H, P, q)
+            return omega, amp * (1.0 + 1e-8)
+
+        monkeypatch.setattr(bvp, "_profile_scales", scaled)
+        failed = [c[0] for c in verify.run("bvp", verify.GRIDS["full"]) if not c[1] <= c[2]]
+        assert failed and all(name.startswith("bvp phase ") for name in failed)
 
     def test_perturbed_sine_fails(self, monkeypatch):
         real = bvp._sincos_tail
@@ -480,28 +500,31 @@ class TestTravelTime:
 
 
 def phase_bound(sol, p, q, xs):
-    """general_checks' stated phase bound: |u| ((1 + d/A)^(1/q) - 1) with
-    A = (1/p + 1/q) sin^q(w x) and d = 2 (p* + 1) eps the rounding of v, the
-    like term in (1/p + 1/q) c^{p*} and 1/p, and 4 eps |u| of rounding."""
+    """general_checks' stated phase bound: 3 F 1e-13 |u| for the oracle's
+    estimates, plus F times 4 eps |u| of rounding, where F = (1 + q/p)
+    2^(1/p) bounds the cancellation of U's two terms below t = sin^q = 1/2
+    and (1 + p/q) 2^(1/q) above.  Also checks F |u| <= 4 H, which makes
+    the bound at most about 1.2e-12 H."""
     H, P = sol.H, gtf.conjugate(p)
-    s, c = gtf.sincos_pq(P, q, gtf.pi_pq(P, q) / (2.0 * H) * xs)
-    ssum, d = 1.0 / p + 1.0 / q, 2.0 * (P + 1.0) * EPS
-    near_0 = (1.0 + d / (ssum * s**q)) ** (1.0 / q) - 1.0
-    near_h = (1.0 + d / (ssum * c**P)) ** (1.0 / p) - 1.0
-    return np.abs(sol(xs)) * (near_0 + near_h + 4.0 * EPS)
+    s = gtf.sin_pq(P, q, gtf.pi_pq(P, q) / (2.0 * H) * xs)
+    F = np.where(s**q <= 0.5, (1.0 + q / p) * 2.0 ** (1.0 / p), (1.0 + p / q) * 2.0 ** (1.0 / q))
+    u = np.abs(sol(xs))
+    assert np.all(F * u <= 4.0 * H)
+    return F * u * (3e-13 + 4.0 * EPS)
 
 
 class TestPhaseCurveNearEnds:
-    """Near x = 0 and x = H the phase-curve check loses accuracy (v - 1/q
-    and v + 1/p cancel) and false-fails; its docstring states the bound."""
+    """Near x = 0 and x = H the closed-form phase curve cancels (v - 1/q
+    and v + 1/p) and read up to u itself; U from the oracle takes each
+    point in its smaller tail and keeps a few eps of u there."""
 
-    def test_measured_false_fails(self):
-        sol = bvp.solve_general(1.0, 1.5, 4.0)
-        # v - 1/q is 0, so the residual is u itself (in the array lane)
-        phase = bvp.general_checks(1.5, 4.0, [1.0], [3e-5, 1e-3])[1][0]
-        assert phase[0] == sol(np.array([3e-5]))[0]
-        assert phase[1] > 1e-9  # verify's tolerance
-        assert bvp.general_checks(2.5, 3.0, [1.0], [1e-6])[1][0][0] > 1e-7
+    def test_measured_near_the_ends(self):
+        # the closed form read 1.0 and 1.8e-5 of u at (1.5, 4), and 1.7 of
+        # u, 5.6e-7 absolute, at (2.5, 3)
+        for (p, q), fractions in (((1.5, 4.0), [3e-5, 1e-3]), ((2.5, 3.0), [1e-6])):
+            phase = bvp.general_checks(p, q, [1.0], fractions)[1][0]
+            u = bvp.solve_general(1.0, p, q)(np.array(fractions))
+            assert np.all(phase <= 4.0 * EPS * u), (p, q, phase / u)
 
     @pytest.mark.parametrize("p", verify.GRIDS["full"])
     @pytest.mark.parametrize("q", verify.GRIDS["full"])
@@ -564,9 +587,10 @@ class TestCosineUnderflow:
 
 
 class TestPhaseCurveUnderflow:
-    """The phase curve's |v + 1/p|^(1/p) is (1/p + 1/q)^(1/p) cos^(p*-1),
-    the third output of gtf._sincos_tail: where cos^{p*} underflows, v + 1/p no longer
-    collapses to 0, so the residual no longer reads u itself."""
+    """U's rows at a point with sin^q > 1/2 take the root cos^(p*-1), the
+    third output of gtf._sincos_tail, which does not underflow where
+    cos^{p*} does: U does not collapse to 0 there, so the residual does not
+    read u itself, as the closed-form curve's |v + 1/p| made it."""
 
     @pytest.mark.parametrize("p,q", TestCosineUnderflow.CASES + [(400.0, 1.0025)])
     @pytest.mark.parametrize("H", [1.0, 2.5])

@@ -148,6 +148,23 @@ def test_bad_tolerances_rejected(tol):
     assert not calls
 
 
+@pytest.mark.parametrize("m", [-1, 10**400, 2.5, math.nan], ids=["-1", "10**400", "2.5", "nan"])
+def test_bad_row_counts_rejected(m):
+    # numpy's ValueError at -1 and 10**400, a TypeError at 2.5 and NaN before
+    calls = []
+    with pytest.raises(DomainError, match="row count m"):
+        quadrature.integrate(lambda x, rows: calls.append(rows) or x[None], m)
+    assert not calls
+
+
+def test_integral_float_row_count():
+    def f(x, rows):
+        return np.sqrt(x) * (1.0 + rows[:, None])
+
+    got, want = quadrature.integrate(f, 2.0), quadrature.integrate(f, 2)
+    assert np.array_equal(got.value, want.value) and got.evaluations == want.evaluations
+
+
 def test_tolerance_error_is_structured():
     calls = []
     with pytest.raises(ToleranceError) as err:
@@ -887,12 +904,13 @@ class TestDistinctHalfRows:
 class TestVerifyOracleWork:
     """The full grid's two oracle batches integrate their distinct
     half-rows once: 409 of the wallis suite's 750 (B(a, b) and B(b, a)
-    share both halves) and 257 of the bvp suite's 508 (H = 1 and H = 2.5
-    give most points the same sine).  A batch that lost the deduplication
-    would pass every half-row and about twice the evaluations."""
+    share both halves) and 494 of the bvp suite's 966 (H = 1 and H = 2.5
+    give most points the same sine, and so the same travel-time and U
+    rows).  A batch that lost the deduplication would pass every half-row
+    and about twice the evaluations."""
 
     @pytest.mark.parametrize("suite,half_rows,evaluations",
-                             [("wallis", 409, 35_011), ("bvp", 257, 35_370)])
+                             [("wallis", 409, 35_011), ("bvp", 494, 68_822)])
     def test_full_grid(self, suite, half_rows, evaluations, monkeypatch):
         beta_integrals, results = quadrature.beta_integrals, []
 

@@ -265,6 +265,9 @@ class TestIntegerParameters:
         (specfun.hyp2f1, (0.5, 0.5, 1, 0.9)), (specfun.hyp2f1, (0.25, 0.25, 1, 1)),
         (specfun.hyp2f1, (0.5, 0, 1, 0)), (specfun.beta, (3, 20)),  # the Stirling form
         (specfun.beta, (3, 7)),
+        # the Stirling form's w * w wrapped an np.int64 from w = 2**32 on
+        (specfun.beta, (2**40, 0.5)), (specfun.beta, (2**62, 0.5)),
+        (specfun.beta, (2**32 + 5, 0.5)),
     ]
 
     @pytest.mark.parametrize("kind", [int, np.int64])
