@@ -29,7 +29,8 @@ xs = np.linspace(0.0, 1.0, 11)
 gap = np.max(np.abs(sol(xs) - np.sin(math.pi * xs) / (2.0 * math.pi)))
 print(f"  max deviation on [0,1]: {gap:.2e}")
 
-print("\nphase-plane first integral u = C |v+1/p|^(1/p) |v-1/q|^(1/q):")
+print("\nphase-plane first integral |u - U(v)|, U the integral of v = u' in t = sin^q(w x),")
+print("from the same oracle batch as the travel time:")
 phase = bvp.general_checks(3.0, 1.5, [2.5], [0.2, 0.5, 0.8])[1][0]
 for x, r in zip((0.5, 1.25, 2.0), phase):
     print(f"  x={x}: residual = {r:.2e}")

@@ -9,11 +9,16 @@ has the single positive solution
 
     u(x) = (2H / (q pi_{p*,q})) cos_{p*,q}^(p*-1)(w x) sin_{p*,q}(w x),
 
-with w = pi_{p*,q} / (2H).  The nonlocal variant replaces the constant
-forcing by (2/H) int (phi')^2 and is solved by rescaling the general
-solution with p* = q = r(m) (nonlocal_exponent); the p = q case on [0, 1]
-collapses, through the multiple-angle formula, to a mirrored sin_{2,p}
-profile.  Every function takes the problem's numbers, H > 0, p, q in
+with w = pi_{p*,q} / (2H).  With a = 1/q, b = 1/p, B = B(a, b) and t =
+sin^q(w x), that is u = (H/B) t^a (1 - t)^b, where t solves I_t(a, b) =
+x/H: every solver and verifier evaluates it on gtf's record of the
+problem's own shapes (a, b) (gtf._shapes), with the exponents 1/p* =
+(p - 1)/p and 1/(p* - 1) = p - 1, and never forms p* itself.  The
+nonlocal variant replaces the constant forcing by (2/H) int (phi')^2 and
+is solved by rescaling the general solution with p* = q = r(m)
+(nonlocal_exponent), at the shapes 1/r and (r - 1)/r; the p = q case on
+[0, 1] collapses, through the multiple-angle formula, to a mirrored
+sin_{2,p} profile.  Every function takes the problem's numbers, H > 0, p, q in
 (1, inf) and m > 0, and rejects the rest with DomainError.
 
 The general problem has one public verifier, general_checks, for the ODE,
@@ -34,7 +39,7 @@ terms cancel by a factor F of at most (1 + q/p) 2^(1/p) below t = 1/2 and
 t -> 1): 6.6e-14 of u, relative, at (p, q) = (1.01, 1000), where F is
 near 1970.
 general_checks inverts every point and the ends 0 and H in one fused
-sin/cos call (gtf._sincos_tail), in the gtf lane the array's size picks:
+sin/cos call (gtf._sincos), in the gtf lane the array's size picks:
 one inversion gives a point's sine and cosine, two in the band between
 I_{1/2}(1/q, 1/p) and 1/2.  Every travel time and U, and one complete beta
 integral a pair, are one oracle batch.  general_checks also takes numpy
@@ -46,16 +51,14 @@ tanh-sinh oracle on [0, 1] in u = x/H, every m of an array one row of one
 batch that makes one gtf call a level.  solve_pq_equal takes an array p,
 and its sol(x) makes one gtf call for every p.
 
-The profile's factor cos^(p*-1) = cos^(1/(p-1)) is the third output of
-gtf._sincos_tail, gtf's one rule for that power (its appendix residuals
-take it too): where cos_{p*,q} underflows (p above ~100 near x = H, above
+The profile's factor cos^(p*-1) = (1 - t)^b is the third output of
+gtf._sincos, gtf's one rule for that power (its appendix residuals take
+it too): tc^b of the swapped-tail inverse tc = 1 - t = cos^(p*), taken
+before the cosine tc^(1/p*) is, so no rounding of the cosine is
+magnified; where tc falls below DBL_MIN (p above ~100 near x = H, above
 ~300 on much of (0, H); the nonlocal problem at m below ~0.1) it is the
-leading term's base b B(b, a) yc, not a power of the underflowed cosine.
-Elsewhere it is a power of the rounded cosine, which magnifies that
-rounding (p* - 1)-fold near p = 1, and the phase case sees it, since U
-depends on the point through one root alone: at p - 1 = 1.2e-6, q =
-1.0001 the factor is 6.3e-11 off relative to (1 - sin^q)^(1/p), and the
-phase case reads up to 3.7e-11 there, inside verify's 1e-9.
+leading term's base b B(b, a) yc, which does not underflow.  U depends on
+the point through that root alone, so the phase case sees the factor.
 """
 
 from __future__ import annotations
@@ -69,8 +72,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, as_float, as_floats, check_pq
 from .gtf import (
-    _as_unit, _pair, _per_pair, _power, _records, _several,
-    _sincos_tail, conjugate, extend_sin_symmetric,
+    _as_unit, _per_pair, _power, _records, _several, _shapes, _sincos, extend_sin_symmetric,
 )
 
 
@@ -80,9 +82,13 @@ class BvpSolution:
     vectorized in x.
 
     A float x gives a float from gtf's float lane, an array an array from
-    the lane its size selects; both are within 2e-15 of the profile at 50
-    digits, relative.  ``_eval(x)`` evaluates the profile at points already
-    in [0, H].
+    the lane its size selects; both are within 2e-15, relative, of the
+    profile at 50 digits taken at the code's own argument w x and
+    amplitude.  Against the exact profile at the doubles' shapes 1/q and
+    1/p, with x alone rounded, they read within 1.2e-15 up to x/H = 0.9 at
+    p from 1 + 1.25e-9 to 1e9 (tests/test_bvp.py, TestProblemShapes);
+    nearer H the rounding of 1 - x/H is magnified, up to 1.2e-14 at x/H =
+    0.99.  ``_eval(x)`` evaluates the profile at points already in [0, H].
     """
 
     H: float
@@ -93,32 +99,43 @@ class BvpSolution:
         return self._eval(_as_unit(x, self.H, "sol(x)"))
 
 
-def _profile_scales(H: float, P: float, q: float):
-    """(omega, amp) of the general profile amp cos^(P-1)(omega x) sin(omega x)
-    on [0, H], with P = p*: omega = pi_{P,q} / (2H), amp = 2H / (q pi_{P,q}).
-    The validator of H: both must be finite and nonzero, which rejects H <= 0,
-    NaN, inf, and H so large or so small that either overflows."""
-    pi_val = 2.0 * _pair(P, q)[0]  # pi_pq(P, q) bit for bit, and the profile's record
+def _general_record(p: float, q: float):
+    """gtf's record of the general problem at (p, q), after check_pq: the
+    shapes a = 1/q and b = 1/p of its travel time (gtf._shapes), with the
+    exponents 1/p* = (p - 1)/p and 1/(p* - 1) = p - 1 of sin_{p*,q}'s
+    cosine."""
+    p, q = check_pq(p, q)
+    return _shapes(1.0 / q, 1.0 / p, (p - 1.0) / p, p - 1.0)
+
+
+def _profile_scales(H: float, rec):
+    """(omega, amp) of the general profile amp cos^(p*-1)(omega x) sin(omega
+    x) on [0, H] at its record rec: omega = pi_{p*,q} / (2H) and amp = 2H /
+    (q pi_{p*,q}) = H / B, since q pi_{p*,q} = 2 B(1/q, 1/p).  The validator
+    of H: both must be finite and nonzero, which rejects H <= 0, NaN, inf,
+    and H so large that 2H overflows, or so small that omega does."""
     if H > 0.0:  # written so that NaN fails the test, and before dividing
-        omega, amp = pi_val / (2.0 * H), 2.0 * H / (q * pi_val)
+        omega, amp = 2.0 * rec[0] / (2.0 * H), H / rec[-1]  # 2 rec[0] = pi_{p*,q}
         if 0.0 < omega < math.inf and 0.0 < amp < math.inf:
             return omega, amp
     raise DomainError(f"need H > 0 with finite nonzero profile scales, got H = {H}")
 
 
-def solve_general(H: float, p: float, q: float) -> BvpSolution:
-    """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H].
-    A 0-d H, p or q is taken as its float, as gtf's entry points take it."""
-    H = as_float(H, "H")
-    p, q = check_pq(p, q)
-    P = conjugate(p)
-    omega, amp = _profile_scales(H, P, q)
+def _solution(H: float, rec) -> BvpSolution:
+    """The general profile on [0, H] at its record rec (_general_record)."""
+    omega, amp = _profile_scales(H, rec)
 
     def u(x):
-        s, _, cp = _sincos_tail(P, q, omega * x)
+        s, _, cp = _sincos(rec, omega * x)
         return amp * cp * s
 
     return BvpSolution(H=H, _eval=u)
+
+
+def solve_general(H: float, p: float, q: float) -> BvpSolution:
+    """Positive solution of (p-q)u' - pq(u')^2 + (p+q)uu'' + 1 = 0 on [0, H].
+    A 0-d H, p or q is taken as its float, as gtf's entry points take it."""
+    return _solution(as_float(H, "H"), _general_record(p, q))
 
 
 def nonlocal_exponent(m: float) -> float:
@@ -141,7 +158,10 @@ def solve_nonlocal(H: float, m: float) -> BvpSolution:
     product of its scale and H is.
     """
     r = nonlocal_exponent(m)
-    inner = solve_general(H, conjugate(r), r)
+    # the record (_general_record) of p* = q = r from r itself: the shapes
+    # 1/q = 1/r and 1/p = (r - 1)/r, and the exponents 1/p* = 1/r and
+    # 1/(p* - 1)
+    inner = _solution(H, _shapes(1.0 / r, (r - 1.0) / r, 1.0 / r, 1.0 / (r - 1.0)))
     scale = 2.0 * math.hypot(m, 0.5)  # m^2 would overflow from m ~ 1e154
     if not scale * H < math.inf:
         raise DomainError(f"the nonlocal profile overflows at m = {m}, H = {H}")
@@ -175,11 +195,10 @@ def solve_pq_equal(p: float) -> BvpSolution:
 
 def _general_scalars(p: float, q: float, Hs):
     """The Python floats of the general problem at one pair that
-    general_checks needs, after check_pq(p, q): P = p*, then omega and amp
-    at each H in Hs (_profile_scales)."""
-    check_pq(p, q)
-    P = conjugate(p)
-    return (P, *[v for H in Hs for v in _profile_scales(H, P, q)])
+    general_checks needs: omega and amp at each H in Hs (_profile_scales),
+    then the pair's record (_general_record)."""
+    rec = _general_record(p, q)
+    return (*[v for H in Hs for v in _profile_scales(H, rec)], *rec)
 
 
 def general_checks(p: float, q: float, Hs, fractions):
@@ -193,8 +212,8 @@ def general_checks(p: float, q: float, Hs, fractions):
     - ode, the travel-time residual |x/H - I_t(a, b)|.  The incomplete beta
       function is the tanh-sinh oracle's (quadrature.beta_integrals at tol
       1e-13), each point's in its smaller tail: B_t(a, b) / B, or one minus
-      B_{1-t}(b, a) / B, each given by its root, sin or cos^(p*-1)
-      (gtf._sincos_tail's third output), so nothing underflows.  Bound:
+      B_{1-t}(b, a) / B, each given by its root, sin or cos^(p*-1) = (1 -
+      t)^b (gtf._sincos's third output), so nothing underflows.  Bound:
       the oracle stops once two levels agree to 1e-13 of its substituted
       integrals, which are at least 1 (every exponent b - 1 = 1/p - 1 or
       1/q - 1 is negative), so the error estimate of each beta value is
@@ -202,7 +221,8 @@ def general_checks(p: float, q: float, Hs, fractions):
       The point's row and its pair's complete row then move I by at most
       1e-13 each, and the residual is within 2e-13 plus a few roundings of
       x/H and of the inversion (it reads at most 6.7e-16 on verify's full
-      grid, 2.2e-14 at p, q in {1.001, 1.01, 1.5, 30, 1000});
+      grid, 5.6e-16 at p, q in {1.001, 1.01, 1.5, 30, 1000} and 5.6e-16
+      over p - 1 in [1e-10, 1e-3]);
     - phase, |u - U| with U = (H/B) [(a + b) B_t(a, b + 1) - b B_t(a, b)]
       where t <= 1/2, else (H/B) [(a + b) B_{1-t}(b, a + 1) - a B_{1-t}(b,
       a)]: the point's travel-time row and that row with its second shape
@@ -218,12 +238,15 @@ def general_checks(p: float, q: float, Hs, fractions):
       substituted integrand lies in [2^-b, 1], so its estimate is below
       2e-13 of it, and |u - U| is within 3 F 1e-13 |u| plus F times a few
       roundings.  |u| <= H a below t = 1/2 (B >= 2^-a / a) and H b above,
-      so that is at most 1.2e-12 H.  It reads at most 6.1e-16 on verify's
-      full grid, 2.9e-14 at p, q in {1.001, 1.01, 1.5, 30, 1000};
+      so that is at most 1.2e-12 H, verify's tolerance 4H (3e-13 + 4 eps).
+      It reads at most 2.5e-16 H on verify's full grid, 2.7e-16 H at p, q
+      in {1.001, 1.01, 1.5, 30, 1000} and 4.9e-16 H on 60 random two-value
+      grids (p - 1 and q - 1 log-uniform in [1e-6, 1e6]);
     - boundary, max(|u(0)|, |u(H)|).
-    One _sincos_tail call inverts every point and both ends of every pair,
-    and one beta_integrals batch takes every point's two rows, with one
-    complete B(a, b) a pair (_general_scalars gives each pair's floats).
+    One gtf._sincos call on the pairs' records (_general_record) inverts
+    every point and both ends of every pair, and one beta_integrals batch
+    takes every point's two rows, with one complete B(a, b) a pair
+    (_general_scalars gives each pair's floats).
     Arrays p and q, which broadcast to a shape S, put S in front of those
     shapes, and every pair takes that one gtf call (gtf's lane for several
     pairs) and that one batch: each pair's values equal its own call's bit
@@ -234,7 +257,6 @@ def general_checks(p: float, q: float, Hs, fractions):
     those shapes, after p and q are checked.
     """
     several = _several(p, q)
-    p, q = (np.asarray(p, dtype=float), np.asarray(q, dtype=float)) if several else check_pq(p, q)
     H, fractions = as_floats(Hs, "Hs"), as_floats(fractions, "fractions")
     if H.ndim != 1 or fractions.ndim != 1:
         raise DomainError(f"general_checks needs 1-D Hs and fractions, got shapes "
@@ -245,29 +267,29 @@ def general_checks(p: float, q: float, Hs, fractions):
     xx = np.concatenate((xx, H[:, None] * np.array([0.0, 1.0])), axis=1)  # both ends last
     Hs = H.tolist()  # Python floats for _profile_scales' float code
     fields = _per_pair(_general_scalars, p, q, Hs) if several else _general_scalars(p, q, Hs)
-    P = fields[0]
-    scales = np.moveaxis(np.asarray(fields[1:]), 0, -1)  # S + (2 len(H),)
+    scales = np.moveaxis(np.asarray(fields[:2 * len(Hs)]), 0, -1)  # S + (2 len(H),)
     omega, amp = scales[..., ::2], scales[..., 1::2]  # S + (len(H),)
     lead = omega.shape[:-1]  # S
-    # the complete B(1/q, 1/p) of each pair, which every travel time and U divides
-    whole = [np.broadcast_to(1.0 / v, lead).ravel() for v in (q, p)]
+    rec = fields[2 * len(Hs):]  # a = 1/q and b = 1/p are rec[1] and rec[2]
+    # the complete B(a, b) of each pair, which every travel time and U divides
+    whole = [np.broadcast_to(v, lead).ravel() for v in rec[1:3]]
 
     def lifted(k, *vals):
         """The per-pair vals with k trailing axes, against the points."""
         return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
 
-    sincos = _sincos_tail(*lifted(1, P, q), (omega[..., None] * xx).reshape(*lead, xx.size))
+    sincos = _sincos(lifted(1, *rec), (omega[..., None] * xx).reshape(*lead, xx.size))
     s, _, cp = (v.reshape(lead + xx.shape) for v in sincos)
-    p, q = lifted(2, p, q)
+    a, b = lifted(2, *rec[1:3])
     u = amp[..., None] * cp * s
     bc = np.abs(u[..., -2:]).max(axis=-1)
     s, cp, u, xx = (v[..., :-2] for v in (s, cp, u, xx))
-    # each point's rows in its smaller tail, t = sin^q or 1 - t = cos^P,
-    # both at its root: B_t(1/q, 1/p) and B_t(1/q, 1/p + 1) at sin where t
-    # <= 1/2, else B_{1-t}(1/p, 1/q) and B_{1-t}(1/p, 1/q + 1) at cos^(P-1)
-    # = cp, which stays exact where cos^P underflows
-    low = s <= np.exp2(-1.0 / q)
-    first, second = (np.where(low, *ab) for ab in ((1.0 / q, 1.0 / p), (1.0 / p, 1.0 / q)))
+    # each point's rows in its smaller tail, t = sin^q or 1 - t = cos^(p*),
+    # both at its root: B_t(a, b) and B_t(a, b + 1) at sin where t <= 1/2,
+    # else B_{1-t}(b, a) and B_{1-t}(b, a + 1) at (1 - t)^b = cos^(p*-1) =
+    # cp, taken from the inverse, which stays exact where cos^(p*) underflows
+    low = s <= np.exp2(-a)
+    first, second = (np.where(low, *ab) for ab in ((a, b), (b, a)))
     rows = [np.concatenate((first.ravel(), first.ravel(), whole[0])),
             np.concatenate((second.ravel(), (second + 1.0).ravel(), whole[1]))]
     root = np.where(low, s, cp).ravel()
@@ -278,15 +300,16 @@ def general_checks(p: float, q: float, Hs, fractions):
     complete = beta[2 * s.size:].reshape(lead + (1, 1))
     ratio = tail / complete
     ode = np.abs(xx / H[:, None] - np.where(low, ratio, 1.0 - ratio))
-    phase = np.abs(u - H[:, None] / complete * ((1.0 / p + 1.0 / q) * raised - second * tail))
+    phase = np.abs(u - H[:, None] / complete * ((a + b) * raised - second * tail))
     return ode, phase, bc
 
 
 def _closure_scalars(H: float, m: float):
     """The Python floats of the closure at one m, after solve_nonlocal(H,
-    m) validates both: p, q, P = p* and 1/p + 1/q of the general problem
-    with p = r(m)* and q = r(m), its omega (_general_scalars), and the slope
-    scale S = 2 sqrt(m^2 + 1/4).
+    m) validates both: the record of the general problem it rescales
+    (solve_nonlocal's, with b = 1/p = (r - 1)/r and a + b = 1/p + 1/q), r =
+    r(m) = p*, the profile's omega and the slope scale S = 2 sqrt(m^2 +
+    1/4).
 
     DomainError naming m and H where the oracle would overflow.  It
     integrates (phi')^2 at x = H u over u in [0, 1], an integrand that does
@@ -300,17 +323,17 @@ def _closure_scalars(H: float, m: float):
     if not 16.0 * m * m < math.inf:
         raise DomainError(f"the nonlocal closure overflows at m = {m}, H = {H}: "
                           f"16 m^2 is not finite")
-    q = nonlocal_exponent(m)
-    p = conjugate(q)
-    P, omega, _ = _general_scalars(p, q, [H])
-    return p, q, P, 1.0 / p + 1.0 / q, omega, 2.0 * math.hypot(m, 0.5)
+    r = nonlocal_exponent(m)
+    rec = _shapes(1.0 / r, (r - 1.0) / r, 1.0 / r, 1.0 / (r - 1.0))  # as solve_nonlocal's
+    return (*rec, r, _profile_scales(H, rec)[0], 2.0 * math.hypot(m, 0.5))
 
 
 def nonlocal_mean_square_slope(H: float, m):
     """(2/H) int_0^H (phi')^2 dt of solve_nonlocal(H, m), which reproduces
     m^2, by the tanh-sinh oracle (Takahasi and Mori 1974) at tol 1e-13 from
     the closed form's own slope: phi' = S v with S = 2 sqrt(m^2 + 1/4) and
-    v = -1/p + (1/p + 1/q) cos_{P,q}^P(w x), p = r(m)*, q = P = r(m).  No
+    v = -1/p + (1/p + 1/q) cos_{r,r}^r(w x), p = r(m)*, q = p* = r = r(m),
+    on the record of the shapes 1/q = 1/r and 1/p = (r - 1)/r.  No
     difference step enters.
 
     The oracle integrates (phi')^2 at x = H u over u in [0, 1], and the
@@ -337,12 +360,12 @@ def nonlocal_mean_square_slope(H: float, m):
     if not ms.size:  # nothing to integrate; H is checked as at m = 1
         solve_nonlocal(H, 1.0)
         return np.empty(ms.shape)
-    p, q, P, ssum, omega, S = np.array(
+    *rec, r, omega, S = np.array(
         [_closure_scalars(H, v) for v in ms.ravel().tolist()]).T[..., None]
 
-    def f(u, rows):  # (phi')^2 at x = H u
-        _, c, _ = _sincos_tail(P[rows], q[rows], omega[rows] * (H * u), (False, True, False))
-        slope = S[rows] * (-1.0 / p[rows] + ssum[rows] * _power(c, P[rows]))
+    def f(u, rows):  # (phi')^2 at x = H u, with a = rec[1] = 1/q and b = rec[2] = 1/p
+        _, c, _ = _sincos([v[rows] for v in rec], omega[rows] * (H * u), (False, True, False))
+        slope = S[rows] * (-rec[2][rows] + (rec[1] + rec[2])[rows] * _power(c, r[rows]))
         return slope * slope
 
     value = 2.0 * quadrature.integrate(f, ms.size, tol=1e-13).value

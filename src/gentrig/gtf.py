@@ -86,9 +86,14 @@ x/(pi_pq/2), a = 1/q and b = 1/p*: its relative correction is O(tc),
 whereas the inverse clamps tc near DBL_MIN there and tc^(1/p) would be far
 too large.  Every lane takes this rule, sincos_pq's included.  The power
 cos_pq^(p-1), the bvp profile's factor and the appendix residuals', is
-_sincos_tail's third output: c^(p-1) of the cosine c,
-except where c < DBL_MIN, where it is that term's base b B(b, a) yc,
-which does not underflow.
+_sincos's third output, taken from the inverse as tc^b (c^(p-1) =
+tc^((p-1)/p), and b = 1/p*) before tc^(1/p) forms the cosine, so it
+magnifies no rounding of c; where tc < DBL_MIN, the one test of the rule,
+it is the leading term's base b B(b, a) yc, which does not underflow.
+The record is built from the shapes (_shapes): _pair gives it (1/q,
+1/p*) with the exponents 1/p and 1/(p - 1) of a pair, bvp its problem's
+own shapes, so no conjugate is rounded between the problem and the
+inversion.
 """
 
 from __future__ import annotations
@@ -187,19 +192,28 @@ def _as_unit(x, top: float, what: str, out=None):
 
 @functools.lru_cache(maxsize=128)
 def _pair(p: float, q: float):
-    """The record of a pair (p, q), Python floats built after check_pq on a
-    miss only, so no invalid pair is kept: (pi_pq/2, a, b, lo, hi, 1/p,
-    DBL_MIN^a, B), the shapes a = 1/q, b = 1/p* of the incomplete-beta form,
-    lo and hi the smaller and the larger of 1/2 and y_half = I_{1/2}(a, b),
-    where specfun splits the inversion (1/2 exactly at a = b), and B = B(b,
-    a), the factor of pi_pq, asin_pq and the cosine's leading term
-    (specfun.beta is symmetric bit for bit).  Kept for 128 pairs; 2, 2.0 and np.float64(2.0)
-    are one key."""
+    """The record of a pair (p, q), built by _shapes after check_pq on a
+    miss only, so no invalid pair is kept: the shapes a = 1/q and b = 1/p*
+    with the exponents 1/p and 1/(p - 1).  Kept for 128 pairs; 2, 2.0 and
+    np.float64(2.0) are one key."""
     p, q = check_pq(p, q)
-    a, b = 1.0 / q, 1.0 / conjugate(p)
+    return _shapes(1.0 / q, 1.0 / conjugate(p), 1.0 / p, 1.0 / (p - 1.0))
+
+
+def _shapes(a: float, b: float, inv_p: float, inv_pm1: float):
+    """The record of the incomplete-beta form at the shapes (a, b), Python
+    floats: (pi_pq/2, a, b, lo, hi, 1/p, 1/(p - 1), DBL_MIN^a, B), with
+    1/p and 1/(p - 1) given as inv_p and inv_pm1 (the cosine's power of the
+    inverse tc = cos^p, and its leading term's), lo and hi the smaller and
+    the larger of 1/2 and y_half = I_{1/2}(a, b), where specfun splits the
+    inversion (1/2 exactly at a = b), and B = B(b, a), the factor of pi_pq
+    = 2 a B, asin_pq and the cosine's leading term (specfun.beta is
+    symmetric bit for bit).  a B is pi_pq(p, q)/2 bit for bit wherever a =
+    1/q is a normal double (q below 2^1022).  _pair gives a pair's; bvp
+    gives its problem's own shapes (1/q, 1/p), with no conjugate rounded in
+    between."""
     B, y_half = specfun.beta(b, a), specfun._half_mass(a, b)
-    lo, hi = min(y_half, 0.5), max(y_half, 0.5)
-    return 0.5 * (2.0 / q * B), a, b, lo, hi, 1.0 / p, _DBL_MIN**a, B
+    return a * B, a, b, min(y_half, 0.5), max(y_half, 0.5), inv_p, inv_pm1, _DBL_MIN**a, B
 
 
 def _several(p, q) -> bool:
@@ -274,7 +288,7 @@ def asin_pq(p: float, q: float, x):
     and an array to _asin_array.
     """
     try:
-        _, a, b, _, _, _, _, B = _pair(p, q)
+        _, a, b, _, _, _, _, _, B = _pair(p, q)
     except TypeError:  # a 0-d p or q: no cache hashes an array
         return asin_pq(float(p), float(q), x)
     if not (x.__class__ is float and 0.0 <= x <= 1.0):
@@ -327,7 +341,7 @@ def sin_pq(p: float, q: float, x):
     exact, so yc < 1/2 (likewise in cos_pq and specfun._point_tails).
     """
     try:
-        halfpi, a, b, _, hi, _, tiny, _ = _pair(p, q)
+        halfpi, a, b, _, hi, _, _, tiny, _ = _pair(p, q)
     except TypeError:  # no cache hashes an array
         return _off_point(sin_pq, p, q, x, 0)
     if not (x.__class__ is float and tiny <= x <= halfpi):
@@ -355,7 +369,7 @@ def cos_pq(p: float, q: float, x):
     through _off_point.
     """
     try:
-        halfpi, a, b, lo, _, inv_p, _, B = _pair(p, q)
+        halfpi, a, b, lo, _, inv_p, inv_pm1, _, B = _pair(p, q)
     except TypeError:  # no cache hashes an array
         return _off_point(cos_pq, p, q, x, 1)
     if not (x.__class__ is float and 0.0 <= x <= halfpi):
@@ -368,7 +382,7 @@ def cos_pq(p: float, q: float, x):
     yc = (halfpi - x) / halfpi
     s = specfun._betaincinv(b, a, yc)
     if s < _DBL_MIN:  # the leading term, as in _sincos_block
-        return float((b * B * yc) ** (1.0 / (p - 1.0)))
+        return float((b * B * yc) ** inv_pm1)
     return s**inv_p
 
 
@@ -393,47 +407,57 @@ def sincos_pq(p: float, q: float, x):
     same argument, so the pair equals the two separate calls bit for bit,
     for scalars and for arrays.
     """
-    return _sincos_tail(p, q, x, (True, True, False))[:2]
+    try:
+        rec = _pair(p, q)
+    except TypeError:  # no cache hashes an array
+        return _sincos_tail(p, q, x, (True, True, False))[:2]
+    return _sincos(rec, x, (True, True, False))[:2]
 
 
 def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_pq"):
-    """(sin, cos, cp) at x, cp = cos_pq^(p-1): c^(p-1) of the cosine c, or
-    where c < DBL_MIN (and so the inverse tc < DBL_MIN) the base b B(b, a)
-    yc of c's leading term, yc = 1 - x/(pi_pq/2), far from underflow at p
-    near 1 (1e-308^(1/400) = 0.17).  A point takes the float lane, which
-    computes sin and cos whatever tails says, and cp where asked for:
-    straight-line float code on the pair's record (_pair), one comparison
-    that passes a Python float in [0, pi_pq/2] (any other point takes
-    _as_unit's test and clip), both tails of specfun._point_tails, the
-    small-x rule and the DBL_MIN rule.  An array takes the same steps on
-    arrays, block by block (_sincos_block), and computes only what tails =
-    (want_sin, want_cos, want_cp) asks for, None for the others; asking for
-    cp computes cos too.  Arrays p and q (the lane for several pairs) give
-    every point of the broadcast of p, q and x its own pair's record, and
-    take the array code with scipy's ufunc for every pair."""
+    """_sincos at the pair (p, q): its record (_pair), or at arrays p and q
+    (the lane for several pairs) every point of the broadcast of p, q and x
+    its own pair's record, which takes the array code with scipy's ufunc
+    for every pair; a 0-d p or q is taken as its float."""
     try:
         rec = _pair(p, q)
     except TypeError:  # no cache hashes an array
         if _several(p, q):
-            return _sincos_arrays(p, _per_pair(_pair, p, q), x, tails, what)
-        return _sincos_tail(float(p), float(q), x, tails, what)  # a 0-d p or q
-    halfpi, a, b, lo, hi, inv_p, tiny, B = rec
+            return _sincos_arrays(_per_pair(_pair, p, q), x, tails, what)
+        rec = _pair(float(p), float(q))  # a 0-d p or q
+    return _sincos(rec, x, tails, what)
+
+
+def _sincos(rec, x, tails=(True, True, True), what="sincos_pq"):
+    """(sin, cos, cp) at x on the record rec (_shapes), cp = cos_pq^(p-1):
+    tc^b of the swapped-tail inverse tc = cos_pq^p, taken before tc^(1/p)
+    (c^(p-1) = tc^((p-1)/p) and b = 1/p*), or where tc < DBL_MIN the base
+    b B(b, a) yc of the cosine's leading term, yc = 1 - x/(pi_pq/2), far
+    from underflow at p near 1 (1e-308^(1/400) = 0.17).  A point takes the
+    float lane, which computes sin and cos whatever tails says, and cp
+    where asked for or where it is that base: straight-line float code on
+    the record, one comparison that passes a Python float in [0, pi_pq/2]
+    (any other point takes _as_unit's test and clip), both tails of
+    specfun._point_tails, the small-x rule and the DBL_MIN rule.  An array
+    takes the same steps on arrays, block by block (_sincos_block), and
+    computes only what tails = (want_sin, want_cos, want_cp) asks for, None
+    for the others; asking for cp computes cos too.  A record of arrays
+    (the lane for several pairs) needs an array x."""
+    halfpi, a, b, lo, hi, inv_p, inv_pm1, tiny, B = rec
     if not (x.__class__ is float and 0.0 <= x <= halfpi):
         if not isinstance(x, (float, int)) and np.ndim(x):
-            return _sincos_arrays(p, rec, x, tails, what)
+            return _sincos_arrays(rec, x, tails, what)
         x = _as_unit(x, halfpi, what)
     yc = (halfpi - x) / halfpi
     t, s = specfun._point_tails(a, b, lo, hi, x / halfpi, yc)
     sin = x if 0.0 < x < tiny else t**a
-    # the leading term where s < DBL_MIN, as in _sincos_block
-    cos = float((b * B * yc) ** (1.0 / (p - 1.0))) if s < _DBL_MIN else s**inv_p
-    if not tails[2]:
-        return sin, cos, None
-    return sin, cos, cos ** (p - 1.0) if cos >= _DBL_MIN else b * B * yc
+    if s < _DBL_MIN:  # the leading term and its base, as in _sincos_block
+        return sin, float((b * B * yc) ** inv_pm1), b * B * yc
+    return sin, s**inv_p, s**b if tails[2] else None
 
 
-def _sincos_arrays(p, rec, x, tails, what):
-    """_sincos_tail's array lane: new arrays shaped like x, filled by
+def _sincos_arrays(rec, x, tails, what):
+    """_sincos's array lane: new arrays shaped like x, filled by
     _sincos_block a block of specfun.INV_FIT_BLOCK points at a time
     (specfun._blockwise), with one specfun._Scratch of block-sized buffers
     for every intermediate result, in the lane of specfun._inverse_lane,
@@ -442,29 +466,27 @@ def _sincos_arrays(p, rec, x, tails, what):
     _sincos_block runs once on it, x a broadcast view and each field a
     value a pair: scipy's ufunc broadcasts them, so nothing is copied to a
     value a point."""
-    halfpi, a, b, lo, hi, _, tiny, B = rec
     x = np.asarray(x, dtype=float)
-    several = isinstance(halfpi, np.ndarray)  # halfpi's shape is p's and q's broadcast
+    several = isinstance(rec[0], np.ndarray)  # pi_pq/2 of every pair
     if several:
-        x = np.broadcast_to(x, np.broadcast(x, halfpi).shape)
-    # the power is taken from the cosine, which asking for it computes too
+        x = np.broadcast_to(x, np.broadcast(x, rec[0]).shape)
+    # cp is taken from tc, which the cosine's block holds: asking for it computes cos too
     out = [np.empty(x.shape) if w else None for w in (tails[0], tails[1] or tails[2], tails[2])]
     if several:
-        _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, np.asarray(p, dtype=float),
-                      *out, what, None, specfun._Scratch(x.size))
+        _sincos_block(x, *rec, *out, what, None, specfun._Scratch(x.size))
     else:
         flat = [None if v is None else v.reshape(-1) for v in out]
-        specfun._blockwise(_sincos_block, x.size, x.reshape(-1), halfpi, a, b, lo, hi, tiny, B,
-                           p, *flat, what, specfun._inverse_lane(a, b, x.size))
+        specfun._blockwise(_sincos_block, x.size, x.reshape(-1), *rec, *flat, what,
+                           specfun._inverse_lane(rec[1], rec[2], x.size))
     return tuple(out)
 
 
-def _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, p, sin, cos, cp, what, lane, ws):
+def _sincos_block(x, halfpi, a, b, lo, hi, inv_p, inv_pm1, tiny, B, sin, cos, cp, what, lane, ws):
     """The array lane at a block x: _as_unit's test and clip, y and yc,
     specfun._tails_block's inversion and the powers, with the small-x and
     DBL_MIN rules, written into the blocks sin, cos and cp = cos^(p-1)
     (None where not asked for; cp needs cos); every intermediate result in
-    ws's buffers, shaped like x.  The per-pair values are floats, or arrays
+    ws's buffers, shaped like x.  The record's values are floats, or arrays
     that broadcast against x (the lane for several pairs, one block of any
     shape)."""
     n, shape = x.size, x.shape
@@ -472,20 +494,20 @@ def _sincos_block(x, halfpi, a, b, lo, hi, tiny, B, p, sin, cos, cp, what, lane,
     yc = np.subtract(halfpi, xx, ws.f["yc"][:n].reshape(shape))
     np.divide(yc, halfpi, yc)
     y = np.divide(xx, halfpi, ws.f["y"][:n].reshape(shape))
-    specfun._tails_block(a, b, lo, hi, y, yc, sin, cos, lane, ws)  # t and s
+    specfun._tails_block(a, b, lo, hi, y, yc, sin, cos, lane, ws)  # t and tc
     if sin is not None:
         _power(sin, a, sin)
         _small_x(xx, sin, np.less(xx, tiny, ws.m["gtf.small"][:n].reshape(shape)), ws)
     if cos is not None:  # tc^(1/p), or the leading term where tc < DBL_MIN
         under = np.less(cos, _DBL_MIN, ws.m["gtf.under"][:n].reshape(shape))
-        _power(cos, 1.0 / p, cos)
-        if under.any():
+        if cp is not None:  # tc^b = c^(p-1), before tc^(1/p) overwrites tc
+            _power(cos, b, cp)
+        _power(cos, inv_p, cos)
+        if under.any():  # cp is the leading term's base there
             base = specfun._at(b, under) * specfun._at(B, under) * yc[under]
-            cos[under] = _power(base, 1.0 / (specfun._at(p, under) - 1.0))
-    if cp is not None:  # c^(p-1), or the base where c < DBL_MIN (so tc < DBL_MIN)
-        np.copyto(cp, _power(cos, p - 1.0))  # no out=: numpy's scalar special cases hold
-        if under.any():
-            cp[under] = np.where(cos[under] < _DBL_MIN, base, cp[under])
+            cos[under] = _power(base, specfun._at(inv_pm1, under))
+            if cp is not None:
+                cp[under] = base
 
 
 def sin_symmetry_appendix(p: float, q: float, x01):

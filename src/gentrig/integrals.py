@@ -69,7 +69,7 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
     except OverflowError:  # an int beyond the doubles
         raise DomainError("need p, q, k and l within the doubles") from None
     _check_kl(p, k, l)
-    halfpi, ia, ib, lo, hi, _, tiny, _ = _pair(p, q)
+    halfpi, ia, ib, lo, hi, _, _, tiny, _ = _pair(p, q)
     x = _as_unit(x, halfpi, "primitive_sin_cos")
     a, b = (k + 1.0) / q, 1.0 + (l - 1.0) / p
     if x >= halfpi:

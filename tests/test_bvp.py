@@ -5,7 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from test_gtf import N0, mp_sincos
+from test_gtf import N0, _mp_inverse
 
 from gentrig import bvp, gtf, verify
 from gentrig.errors import DomainError
@@ -58,12 +58,19 @@ def ref_residual_nonlocal(sol, m, x):
     return abs(f1 - f1**2 + f0 * f2 + m**2)
 
 
+def profile_sincos(H, p, q, x):
+    """(sin, cos, cos^(p*-1)) of sin_{p*,q} at w x on [0, H], from gtf's
+    evaluator on the record of the problem's own shapes a = 1/q and b = 1/p
+    (bvp._general_record), as solve_general and general_checks take them."""
+    rec = bvp._general_record(p, q)
+    return gtf._sincos(rec, bvp._profile_scales(H, rec)[0] * x)
+
+
 def mp_travel_time(H, p, q, x):
     """|x/H - I_{s^q}(1/q, 1/p)| at 30 digits, s = sin_{p*,q}(w x) from
-    gtf's float lane and the shapes the doubles 1/q and 1/p: the residual
+    gtf's float lane at the shapes the doubles 1/q and 1/p: the residual
     general_checks reports, with an exact incomplete beta function."""
-    P = gtf.conjugate(p)
-    s = gtf.sin_pq(P, q, gtf.pi_pq(P, q) / (2.0 * H) * x)
+    s = profile_sincos(H, p, q, x)[0]
     with mp.workdps(30):
         travel = mp.betainc(mp.mpf(1.0 / q), mp.mpf(1.0 / p), 0, mp.mpf(s) ** q,
                             regularized=True)
@@ -76,12 +83,13 @@ TRAVEL_BOUND = 2e-13 + 16 * EPS
 
 
 def ref_phase_curve_residual(sol, p, q, x):
+    """|u - C |v + 1/p|^(1/p) |v - 1/q|^(1/q)|, the closed-form phase curve,
+    with v = -1/p + (1/p + 1/q) cos^(p*) from the problem's own record and
+    C = 2H / (p s^s pi_{q*,p}) = H / (s^s B(1/q, 1/p)), s = 1/p + 1/q."""
     H = sol.H
-    P = gtf.conjugate(p)
-    omega = gtf.pi_pq(P, q) / (2.0 * H)
-    v = -1.0 / p + (1.0 / p + 1.0 / q) * gtf.cos_pq(P, q, omega * x) ** P
     ssum = 1.0 / p + 1.0 / q
-    C = 2.0 * H / (p * ssum**ssum * gtf.pi_pq(gtf.conjugate(q), p))
+    v = -1.0 / p + ssum * profile_sincos(H, p, q, x)[1] ** (p / (p - 1.0))
+    C = H / (ssum**ssum * bvp._general_record(p, q)[-1])
     rhs = C * abs(v + 1.0 / p) ** (1.0 / p) * abs(v - 1.0 / q) ** (1.0 / q)
     return abs(sol(x) - rhs)
 
@@ -346,35 +354,37 @@ class TestGeneralChecks:
 
     @staticmethod
     def _suite_calls(monkeypatch):
-        """The pairs (P, q) of every bvp._sincos_tail call of the full
-        grid's bvp suite, flattened, in call order."""
+        """The shapes (a, b) of the records of every bvp._sincos call of
+        the full grid's bvp suite, flattened, in call order."""
         calls = []
-        real = bvp._sincos_tail
+        real = bvp._sincos
 
-        def spy(p, q, x, *rest):
-            P, Q = (v.reshape(-1).tolist() for v in np.broadcast_arrays(p, q))
-            calls.append(list(zip(P, Q)))
-            return real(p, q, x, *rest)
+        def spy(rec, x, *rest):
+            a, b = (v.reshape(-1).tolist() for v in np.broadcast_arrays(*rec[1:3]))
+            calls.append(list(zip(a, b)))
+            return real(rec, x, *rest)
 
-        monkeypatch.setattr(bvp, "_sincos_tail", spy)
+        monkeypatch.setattr(bvp, "_sincos", spy)
         verify.run("bvp", verify.GRIDS["full"])
         return calls
 
     def test_one_gtf_call_for_the_grids_general_cases(self, monkeypatch):
-        # the general cases take one call at every (p*, q) of the grid, the
-        # first; no other call is at a pair of the grid
+        # the general cases take one call at the shapes (1/q, 1/p) of every
+        # pair of the grid, the first, with no conjugate rounded in between;
+        # no other call is at the grid's shapes
         grid = verify.GRIDS["full"]
         general, *rest = self._suite_calls(monkeypatch)
-        assert general == [(gtf.conjugate(p), q) for p in grid for q in grid]
-        assert not [pair for call in rest for pair in call if pair[1] in grid]
+        assert general == [(1.0 / q, 1.0 / p) for p in grid for q in grid]
+        assert not set(general) & {shapes for call in rest for shapes in call}
 
     def test_closure_calls_apart_from_the_grids(self, monkeypatch):
         # every later call is the closure's: one an oracle level, at the
-        # pairs (r(m), r(m)) of the m still refining, all three at first
+        # shapes (1/r, (r - 1)/r) of p* = q = r(m) of the m still refining,
+        # all three at first
         rest = self._suite_calls(monkeypatch)[1:]
-        pairs = [(r, r) for r in map(bvp.nonlocal_exponent, (0.5, 1.0, 2.0))]
-        assert len(rest) >= 3 and rest[0] == pairs
-        assert all(call and set(call) <= set(pairs) for call in rest)
+        shapes = [(1.0 / r, (r - 1.0) / r) for r in map(bvp.nonlocal_exponent, (0.5, 1.0, 2.0))]
+        assert len(rest) >= 3 and rest[0] == shapes
+        assert all(call and set(call) <= set(shapes) for call in rest)
 
     def test_symmetry_is_one_sin_call(self, monkeypatch):
         calls = []
@@ -423,7 +433,7 @@ class TestGeneralChecks:
         (3, 4), not (1, 3, 4), with one; both now raise DomainError before
         any gtf call, as a scalar Hs does."""
         calls = []
-        monkeypatch.setattr(bvp, "_sincos_tail", lambda *args: calls.append(args))
+        monkeypatch.setattr(bvp, "_sincos", lambda *args: calls.append(args))
         for Hs in ([1.0, 2.0], [1.0]):
             with pytest.raises(DomainError, match="1-D Hs and fractions"):
                 bvp.general_checks(2.0, 2.0, Hs, np.full((3, 4), 0.5))
@@ -450,6 +460,64 @@ class TestGeneralChecks:
                 bvp.general_checks(*pq, [], [0.5])
 
 
+class TestProblemShapes:
+    """The general problem solved at its own shapes a = 1/q and b = 1/p,
+    with cos^(p*-1) taken as (1 - t)^b from the inverse: gtf's pair
+    record at P = conjugate(p) rounded p* twice and raised the rounded
+    cosine to P - 1, which read ode 1.3e-7 and phase 2.2e-7 near p = 1,
+    and a solution 8.2e-8 off at p = 1e9."""
+
+    def test_near_one_sweep(self):
+        """p - 1 in [1e-10, 1e-3] against q in {1 + 1e-6, 1.5, 5.62, 1e3},
+        one call for every pair: the travel time within its bound and U
+        within the phase case's stated bound 4H (3e-13 + 4 eps)."""
+        p = 1.0 + np.geomspace(1e-10, 1e-3, 8)[:, None]
+        q = np.array([1.0 + 1e-6, 1.5, 5.62, 1e3])
+        lengths = np.array([1.0, 2.5])
+        ode, phase, bc = bvp.general_checks(p, q, lengths, FRACTIONS)
+        assert ode.max() <= TRAVEL_BOUND
+        assert np.all(phase <= 4.0 * lengths[:, None] * (3e-13 + 4.0 * EPS))
+        assert bc.max() <= 1e-10
+
+    def test_random_grids(self):
+        """Every bvp case passes on 20 seeded random two-value grids, p - 1
+        and q - 1 log-uniform in [1e-6, 1e6]; 24 cases failed on 9 of
+        them."""
+        rng = np.random.default_rng(7)
+        for grid in (1.0 + 10.0 ** rng.uniform(-6.0, 6.0, (20, 2))).tolist():
+            failed = [c for c in verify.run("bvp", grid) if not c[1] <= c[2]]
+            assert not failed, (grid, failed)
+
+    def test_equal_shapes_at_a_conjugate_pair(self):
+        """p = q = 5.2454 gives the shapes a = b exactly, and x/H = 1/2 the
+        inverse's argument 1/2: the ode case read 3.1e-11 at H = 2.5, where
+        P = conjugate(p) made the shapes differ a few ulps from 1/2 and
+        Boost's inverse was wrong."""
+        p = 5.245392535864569
+        rec = bvp._general_record(p, p)
+        assert rec[1] == rec[2] and rec[3] == rec[4] == 0.5
+        ode = bvp.general_checks(p, p, (1.0, 2.5), [0.5])[0]
+        assert ode.max() <= TRAVEL_BOUND
+
+    @pytest.mark.parametrize("p,q", [(1e9, 2.0), (1.0 + 1.25e-9, 5.62), (4.1e5, 1.001),
+                                     (1e5, 1.5), (300.0, 2.0), (400.0, 400.0 / 399.0),
+                                     (1000.0, 3.0)])
+    def test_solution_against_the_exact_profile(self, p, q):
+        """sol(x) within 2e-15 of the profile at 60 digits at the doubles'
+        shapes, x alone the code's, in the float lane and both array lanes
+        (they read at most 1.2e-15 here; nearer H the rounding of 1 - x/H
+        is magnified, up to 1.2e-14 at x/H = 0.99)."""
+        xs = [0.1, 0.5, 0.9]
+        for H in (1.0, 2.5):
+            sol = bvp.solve_general(H, p, q)
+            at = [f * H for f in xs]
+            arrays = (sol(np.array(at)), sol(np.resize(at, N0)))
+            for i, x in enumerate(at):
+                ref = mp_exact(H, p, q, x)
+                for value in (sol(x), arrays[0][i], arrays[1][i]):
+                    assert abs(value - ref) <= 2e-15 * ref, (H, x, value, ref)
+
+
 class TestTravelTime:
     """verify's bvp ode cases, the travel time x/H = I_{sin^q(w x)}(1/q, 1/p)
     by the oracle: they pass at the edges of the domain, where the stencil
@@ -474,22 +542,40 @@ class TestTravelTime:
         identity among beta integrals."""
         real = bvp._profile_scales
 
-        def scaled(H, P, q):
-            omega, amp = real(H, P, q)
+        def scaled(H, rec):
+            omega, amp = real(H, rec)
             return omega, amp * (1.0 + 1e-8)
 
         monkeypatch.setattr(bvp, "_profile_scales", scaled)
         failed = [c[0] for c in verify.run("bvp", verify.GRIDS["full"]) if not c[1] <= c[2]]
         assert failed and all(name.startswith("bvp phase ") for name in failed)
 
+    def test_perturbed_amplitude_fails_the_stated_phase_bound(self, monkeypatch):
+        """A profile amplitude 1e-10 too large, relative, fails every
+        full-grid phase case at its stated bound 4H (3e-13 + 4 eps), and no
+        other case, while each of them reads below the former tolerance
+        1e-9, which let it pass."""
+        real = bvp._profile_scales
+
+        def scaled(H, rec):
+            omega, amp = real(H, rec)
+            return omega, amp * (1.0 + 1e-10)
+
+        monkeypatch.setattr(bvp, "_profile_scales", scaled)
+        cases = verify.run("bvp", verify.GRIDS["full"])
+        phase = [c for c in cases if c[0].startswith("bvp phase ")]
+        assert len(phase) == 2 * len(verify.GRIDS["full"]) ** 2
+        assert all(tol < resid <= 1e-9 for _, resid, tol in phase)
+        assert all(resid <= tol for name, resid, tol in cases if not name.startswith("bvp phase "))
+
     def test_perturbed_sine_fails(self, monkeypatch):
-        real = bvp._sincos_tail
+        real = bvp._sincos
 
         def perturbed(*args):
             s, c, cp = real(*args)
             return (None if s is None else s * (1.0 + 1e-10)), c, cp
 
-        monkeypatch.setattr(bvp, "_sincos_tail", perturbed)
+        monkeypatch.setattr(bvp, "_sincos", perturbed)
         ode = [c for c in verify.run("bvp", verify.GRIDS["small"]) if c[0].startswith("bvp ode")]
         assert len(ode) == 2 * len(verify.GRIDS["small"]) ** 2
         assert all(tol <= 1e-12 < resid <= 1e-6 for _, resid, tol in ode)
@@ -505,8 +591,8 @@ def phase_bound(sol, p, q, xs):
     2^(1/p) bounds the cancellation of U's two terms below t = sin^q = 1/2
     and (1 + p/q) 2^(1/q) above.  Also checks F |u| <= 4 H, which makes
     the bound at most about 1.2e-12 H."""
-    H, P = sol.H, gtf.conjugate(p)
-    s = gtf.sin_pq(P, q, gtf.pi_pq(P, q) / (2.0 * H) * xs)
+    H = sol.H
+    s = profile_sincos(H, p, q, xs)[0]
     F = np.where(s**q <= 0.5, (1.0 + q / p) * 2.0 ** (1.0 / p), (1.0 + p / q) * 2.0 ** (1.0 / q))
     u = np.abs(sol(xs))
     assert np.all(F * u <= 4.0 * H)
@@ -537,17 +623,32 @@ class TestPhaseCurveNearEnds:
 
 
 def mp_general(H, p, q, x):
-    """u(x) of the general problem at 50 digits, with cos^(p*-1) taken as
-    tc^((p*-1)/p*) from the swapped-tail inverse tc = cos^(p*), which stays
-    representable where cos_{p*,q} itself underflows.  Scale and argument
-    are rounded as the code rounds them."""
-    P = gtf.conjugate(p)
-    pi_val = gtf.pi_pq(P, q)
-    amp, arg = 2.0 * H / (q * pi_val), pi_val / (2.0 * H) * x
-    s, _, tc, _, _ = mp_sincos(P, q, arg)
+    """u(x) = (H/B) t^a (1 - t)^b of the general problem at 50 digits, at
+    the problem's own shapes a = 1/q and b = 1/p (the doubles the code
+    forms), B = B(a, b): t from I_t(a, b) = y and 1 - t from the swapped
+    tail I_{1-t}(b, a) = yc, which stays representable where cos_{p*,q}
+    itself underflows (its power b is cos^(p*-1)).  Scale and argument, and
+    yc, are rounded as the code rounds them."""
+    rec = bvp._general_record(p, q)
+    omega, amp = bvp._profile_scales(H, rec)
+    half, arg = rec[0], omega * x
+    y_cos = (half - arg) / half
     with mp.workdps(50):
-        Pm = mp.mpf(P)
-        return amp * tc ** ((Pm - 1) / Pm) * s
+        a, b = mp.mpf(rec[1]), mp.mpf(rec[2])
+        t = _mp_inverse(a, b, mp.mpf(arg) / (a * mp.beta(a, b)))
+        return amp * t**a * _mp_inverse(b, a, mp.mpf(y_cos)) ** b
+
+
+def mp_exact(H, p, q, x):
+    """u(x) of the general problem at 60 digits: (H/B) t^a (1 - t)^b at a =
+    1/q and b = 1/p of the doubles p and q, B = B(a, b), with t from I_t(a,
+    b) = x/H and 1 - t from I_{1-t}(b, a) = 1 - x/H, x alone as the code
+    has it."""
+    with mp.workdps(60):
+        a, b = 1 / mp.mpf(q), 1 / mp.mpf(p)
+        y = mp.mpf(x) / mp.mpf(H)
+        t, tc = _mp_inverse(a, b, y), _mp_inverse(b, a, 1 - y)
+        return float(H / mp.beta(a, b) * t**a * tc**b)
 
 
 class TestCosineUnderflow:

@@ -174,18 +174,23 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def cos_power_formula(p, q, c, yc):
-    """cos_pq^(p-1) as gtf's rule states it at one pair (p, q), from a
-    cosine c (a Python float or an array) and the argument yc = 1 -
-    x/(pi_pq/2) of its inversion: c ** (p - 1) (the C library's pow at a
-    float, numpy's power with a float exponent at an array, so its special
-    cases at 1/2 and 2 hold), except where c < DBL_MIN, where it is the
-    cosine's leading term's base b B(b, a) yc, a = 1/q and b = 1/p*."""
-    b = 1.0 / gtf.conjugate(p)
-    B = specfun.beta(b, 1.0 / q)
-    if isinstance(c, float):
-        return c ** (p - 1.0) if c >= sys.float_info.min else b * B * yc
-    return np.where(c < sys.float_info.min, b * B * yc, c ** (p - 1.0))
+def cos_power_formula(p, q, x):
+    """cos_pq^(p-1) as gtf's rule states it at one pair (p, q) at x in [0,
+    pi_pq/2] (a Python float, or an array in the lane of its size): tc ** b
+    of the swapped-tail inverse tc = cos_pq^p at yc = 1 - x/(pi_pq/2), a =
+    1/q and b = 1/p*, since c^(p-1) = tc^((p-1)/p) (the C library's pow at
+    a float, numpy's power with a float exponent at an array, so its special
+    cases at 1/2 and 2 hold), except where tc < DBL_MIN, where it is the
+    cosine's leading term's base b B(b, a) yc.  tc comes from
+    specfun._point_tails at a float and from specfun._tails_block (the
+    tails_block helper) at an array, as gtf solves it."""
+    half, a, b, lo, hi, _, _, _, B = gtf._pair(p, q)
+    yc = (half - x) / half
+    if isinstance(x, float):
+        tc = specfun._point_tails(a, b, lo, hi, x / half, yc)[1]
+        return tc**b if tc >= sys.float_info.min else b * B * yc
+    tc = tails_block(a, b, lo, hi, x / half, yc, (False, True))[1]
+    return np.where(tc < sys.float_info.min, b * B * yc, tc**b)
 
 
 def tails_block(a, b, lo, hi, y, yc, tails):
@@ -400,9 +405,7 @@ class TestSeveralPairs:
                 assert same_bits(got["sin_pq"][i, j], one[0])
                 assert same_bits(got["cos_pq"][i, j], one[1])
                 assert same_bits(power[i, j], one[1] ** p)
-                half = gtf._pair(p, q)[0]
-                yc = (half - xs[i, j]) / half
-                assert same_bits(cos_power[i, j], cos_power_formula(p, q, one[1], yc))
+                assert same_bits(cos_power[i, j], cos_power_formula(p, q, xs[i, j]))
 
     def test_appendix_equals_single_pair_calls(self):
         x01 = np.linspace(0.0, 1.0, 41)
@@ -494,7 +497,7 @@ class TestCosinePowerRule:
         term's base b B yc lies in [DBL_MIN^(p-1), DBL_MIN^((p-1)/p)), so
         that tc ~ (b B yc)^(p/(p-1)) is below DBL_MIN and the cosine (b B
         yc)^(1/(p-1)) is not."""
-        half, _, b, _, _, _, _, B = gtf._pair(p, q)
+        half, _, b, _, _, _, _, _, B = gtf._pair(p, q)
         u = [0.0, 0.9, 1.0 - 1e-9, 1.0, *np.random.default_rng(49).uniform(0.0, 1.0, 200)]
         if p < 1.05:
             dm = sys.float_info.min
@@ -530,35 +533,36 @@ class TestCosinePowerRule:
         half = gtf.pi_pq(p, q) / 2.0
         xs = half * np.array([0.0, 0.3, 0.9, 1.0 - 1e-9, 1.0])
         _, c, arr = gtf._sincos_tail(p, q, xs)
-        assert same_bits(arr, cos_power_formula(p, q, c, (half - xs) / half))
+        assert same_bits(arr, cos_power_formula(p, q, xs))
         for i, x in enumerate(xs.tolist()):
-            _, ci, point = gtf._sincos_tail(p, q, x)
+            point = gtf._sincos_tail(p, q, x)[2]
             assert type(point) is float
-            assert same_bits(point, cos_power_formula(p, q, ci, (half - x) / half))
+            assert same_bits(point, cos_power_formula(p, q, x))
             assert abs(point - arr[i]) <= 4e-16 * arr[i]
         if p < 2.0:  # the leading term's base, reached in both lanes
             assert (c < sys.float_info.min).any()
 
     @pytest.mark.parametrize("p,q", PAIRS)
     def test_every_lane_is_the_rule(self, p, q):
-        """The power is cos_power_formula at the lane's own cosine in the
+        """The power is cos_power_formula at the lane's own inverse in the
         float lane, the ufunc lane (fewer than INV_FIT_MIN points), the
         fitted lane (INV_FIT_MIN points) and the lane for several pairs,
         which equals the ufunc lane bit for bit.  The rule's mask is the
-        cosine's, not the inverse's: where tc < DBL_MIN <= c, c^(p-1) and b
-        B yc differ in the last bits at p = 1.01 and 1.03."""
-        half, a, b, _, _, _, _, B = gtf._pair(p, q)
+        inverse's, not the cosine's: where tc < DBL_MIN <= c, the power is
+        b B yc itself, which c^(p-1) missed in the last bits at p = 1.01 and
+        1.03."""
+        half, a, b, _, _, _, _, _, B = gtf._pair(p, q)
         x = self.points(p, q)
         for xs in (x, np.resize(x, N0)):
-            _, c, cp = gtf._sincos_tail(p, q, xs)
-            assert same_bits(cp, cos_power_formula(p, q, c, (half - xs) / half))
+            cp = gtf._sincos_tail(p, q, xs)[2]
+            assert same_bits(cp, cos_power_formula(p, q, xs))
         _, c, cp = gtf._sincos_tail(p, q, x)
         alone = gtf._sincos_tail(p, q, x, (False, False, True))  # the cosine comes too
         assert alone[0] is None and same_bits(alone[1], c) and same_bits(alone[2], cp)
         for v in x.tolist():
-            _, ci, point = gtf._sincos_tail(p, q, v)
+            point = gtf._sincos_tail(p, q, v)[2]
             assert type(point) is float
-            assert same_bits(point, cos_power_formula(p, q, ci, (half - v) / half))
+            assert same_bits(point, cos_power_formula(p, q, v))
         other = gtf._pair(2.0, 2.0)[0] * x / half
         several = gtf._sincos_tail(np.array([[p], [2.0]]), np.array([[q], [2.0]]),
                                    np.stack((x, other)))
@@ -567,8 +571,9 @@ class TestCosinePowerRule:
         yc = (half - x) / half
         window = (sc.betaincinv(b, a, yc) < sys.float_info.min) & (c >= sys.float_info.min)
         assert window.any() == (p < 1.05)
+        assert same_bits(cp[window], b * B * yc[window])
         if p in (1.01, 1.03):
-            assert (cp[window] != b * B * yc[window]).any()
+            assert (c[window] ** (p - 1.0) != cp[window]).any()
 
 
 class TestSymmetricExtension:
@@ -729,7 +734,7 @@ class TestFloatLane:
         pairs = [(2.0, 2.0), (30.0, 30.0 / 29.0), (1.001, 7.0), (7.0, 1.001)]
         pairs += [tuple(1.0 + 49.0 * rng.random(2)) for _ in range(8)] + [(2.5, 3.0)]
         for p, q in pairs:
-            half, _, _, lo, hi, _, tiny, _ = gtf._pair(p, q)
+            half, _, _, lo, hi, _, _, tiny, _ = gtf._pair(p, q)
             xs = np.concatenate([rng.random(40), 1.0 - 10.0 ** -rng.uniform(1, 15, 20)])
             edges = [_at_ratio(lo, half), _at_ratio(hi, half), math.nextafter(tiny, 0.0), 0.511 * half]
             for x in [u * half for u in xs.tolist()] + edges:
@@ -764,7 +769,7 @@ class TestFloatLane:
         -0.0, the top, both slack edges and the points just beyond them, the
         sine's small-x threshold and its neighbours, NaN, the infinities and
         ints beyond the doubles."""
-        half, tiny = gtf._pair(p, q)[0], gtf._pair(p, q)[6]
+        half, tiny = gtf._pair(p, q)[0], gtf._pair(p, q)[7]
         for name in ("sin", "cos", "asin", "sincos"):
             fn = getattr(gtf, f"{name}_pq")
             top = 1.0 if name == "asin" else half
@@ -1714,7 +1719,7 @@ def block_points(p, q, rng):
     points under the small-x rule, points near the top (the cosine's
     DBL_MIN rule at p near 1), the band between y_half and 1/2, and
     uniform ones."""
-    half, _, _, lo, hi, _, tiny, _ = gtf._pair(p, q)
+    half, _, _, lo, hi, _, _, tiny, _ = gtf._pair(p, q)
     special = [0.0, half, 0.5 * tiny, 1e-3 * tiny, 5e-324]
     near_top = half * (1.0 - 10.0 ** -rng.uniform(2.0, 15.0, 2000))
     band = half * rng.uniform(lo, hi, 2000)
@@ -1746,7 +1751,7 @@ class TestBlockPipeline:
     @pytest.mark.parametrize("pq", BLOCK_PAIRS, ids=str)
     def test_rules_and_band_present(self, pq):
         p, q = pq
-        half, a, b, lo, hi, _, tiny, _ = gtf._pair(p, q)
+        half, a, b, lo, hi, _, _, tiny, _ = gtf._pair(p, q)
         x = block_points(p, q, np.random.default_rng(36))
         y = x / half
         assert x.size == 2 * BLOCK + 1 and np.any((x > 0.0) & (x < tiny))
@@ -1794,8 +1799,7 @@ class TestBlockPipeline:
         tail = gtf._sincos_tail(p, q, x)
         assert same_bits(s, gtf.sin_pq(p, q, x)) and same_bits(c, gtf.cos_pq(p, q, x))
         assert same_bits(s, tail[0]) and same_bits(c, tail[1])
-        half = gtf._pair(p, q)[0]
-        assert same_bits(tail[2], cos_power_formula(p, q, c, (half - x) / half))
+        assert same_bits(tail[2], cos_power_formula(p, q, x))
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, 10.0])
     def test_invalid_point_in_the_last_block(self, bad):

@@ -441,7 +441,7 @@ class TestPrimitives:
         # worse than 1e-13 (up to 2.2e56 relative at l >= 61) and raised at 4
         worst = 0.0
         for p, q in ((1.05, 1.05), (1.05, 2.0), (1.5, 3.0), (2.0, 2.0), (3.0, 1.5), (2.0, 30.0)):
-            halfpi, ia, ib, lo, hi, _, _, _ = gtf._pair(p, q)
+            halfpi, ia, ib, lo, hi, _, _, _, _ = gtf._pair(p, q)
             for f in (0.05, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-6):
                 x = f * halfpi
                 z, zc = specfun._point_tails(ia, ib, lo, hi, x / halfpi, (halfpi - x) / halfpi)

@@ -468,13 +468,13 @@ class TestOneCallPerLevel:
                                                             monkeypatch):
         # the closure at m, 2m and 4m (at m = 0.5 verify's three) is one
         # batch: each oracle level makes one gtf call, n nodes a live row
-        sincos_tail, shapes = bvp._sincos_tail, []
+        sincos, shapes = bvp._sincos, []
 
-        def spy(p, q, x, *args):
+        def spy(rec, x, *args):
             shapes.append(np.shape(x))
-            return sincos_tail(p, q, x, *args)
+            return sincos(rec, x, *args)
 
-        monkeypatch.setattr(bvp, "_sincos_tail", spy)
+        monkeypatch.setattr(bvp, "_sincos", spy)
         calls, live = [], []
         integrate = quadrature.integrate
 
@@ -904,13 +904,13 @@ class TestDistinctHalfRows:
 class TestVerifyOracleWork:
     """The full grid's two oracle batches integrate their distinct
     half-rows once: 409 of the wallis suite's 750 (B(a, b) and B(b, a)
-    share both halves) and 494 of the bvp suite's 966 (H = 1 and H = 2.5
+    share both halves) and 438 of the bvp suite's 966 (H = 1 and H = 2.5
     give most points the same sine, and so the same travel-time and U
     rows).  A batch that lost the deduplication would pass every half-row
     and about twice the evaluations."""
 
     @pytest.mark.parametrize("suite,half_rows,evaluations",
-                             [("wallis", 409, 35_011), ("bvp", 494, 68_822)])
+                             [("wallis", 409, 35_011), ("bvp", 438, 60_882)])
     def test_full_grid(self, suite, half_rows, evaluations, monkeypatch):
         beta_integrals, results = quadrature.beta_integrals, []
 
