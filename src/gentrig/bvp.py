@@ -13,13 +13,17 @@ with w = pi_{p*,q} / (2H).  With a = 1/q, b = 1/p, B = B(a, b) and t =
 sin^q(w x), that is u = (H/B) t^a (1 - t)^b, where t solves I_t(a, b) =
 x/H: every solver and verifier evaluates it on gtf's record of the
 problem's own shapes (a, b) (gtf._shapes), with the exponents 1/p* =
-(p - 1)/p and 1/(p* - 1) = p - 1, and never forms p* itself.  The
-nonlocal variant replaces the constant forcing by (2/H) int (phi')^2 and
-is solved by rescaling the general solution with p* = q = r(m)
-(nonlocal_exponent), at the shapes 1/r and (r - 1)/r; the p = q case on
-[0, 1] collapses, through the multiple-angle formula, to a mirrored
-sin_{2,p} profile.  Every function takes the problem's numbers, H > 0, p, q in
-(1, inf) and m > 0, and rejects the rest with DomainError.
+(p - 1)/p and 1/(p* - 1) = p - 1, and never forms p* itself.  It hands
+gtf the fraction x/H of the half period and its complement (H - x)/H
+(H - x is exact from x = H/2 up), which gtf inverts as they are; w x is
+never formed, since dividing it back by pi_{p*,q}/2 magnifies its
+rounding by x/(H - x) near x = H.  The nonlocal variant replaces the
+constant forcing by (2/H) int (phi')^2 and is solved by rescaling the
+general solution with p* = q = r(m) (nonlocal_exponent), at the shapes 1/r
+and (r - 1)/r; the p = q case on [0, 1] collapses, through the
+multiple-angle formula, to a mirrored sin_{2,p} profile.  Every function
+takes the problem's numbers, H > 0, p, q in (1, inf) and m > 0, and
+rejects the rest with DomainError.
 
 The general problem has one public verifier, general_checks, for the ODE,
 the phase-plane first integral and the boundary values.  The ODE is checked
@@ -38,16 +42,18 @@ terms cancel by a factor F of at most (1 + q/p) 2^(1/p) below t = 1/2 and
 (1 + p/q) 2^(1/q) above (its limits are 1 + q/p as t -> 0 and 1 + p/q as
 t -> 1): 6.6e-14 of u, relative, at (p, q) = (1.01, 1000), where F is
 near 1970.
-general_checks inverts every point and the ends 0 and H in one fused
-sin/cos call (gtf._sincos), in the gtf lane the array's size picks:
-one inversion gives a point's sine and cosine, two in the band between
-I_{1/2}(1/q, 1/p) and 1/2.  Every travel time and U, and one complete beta
-integral a pair, are one oracle batch.  general_checks also takes numpy
-arrays p and q, and then makes that one gtf call and that one batch for
-every pair (gtf's lane for several pairs).  The nonlocal closure,
+general_checks inverts every fraction x/H and the ends 0 and 1 once, for
+every H, in one fused sin/cos call (gtf._sincos, in gtf's lane for several
+pairs): one inversion gives a point's sine and cosine, two in the band
+between I_{1/2}(1/q, 1/p) and 1/2.  Every fraction's travel time and U,
+and one complete beta integral a pair, are one oracle batch; the travel
+time does not depend on H, and u, U and the ends scale by H/B.  Numpy
+arrays p and q take that one gtf call and that one batch for every pair,
+and a single pair is their one-pair case.  The nonlocal closure,
 nonlocal_mean_square_slope, integrates the square of the closed form's own
 slope, S v with v = u' the phase variable of the derivation, by the
-tanh-sinh oracle on [0, 1] in u = x/H, every m of an array one row of one
+tanh-sinh oracle on [0, 1] in u = x/H, its nodes u and 1 - u the
+fractions, so the integrand holds no H, every m of an array one row of one
 batch that makes one gtf call a level.  solve_pq_equal takes an array p,
 and its sol(x) makes one gtf call for every p.
 
@@ -83,12 +89,13 @@ class BvpSolution:
 
     A float x gives a float from gtf's float lane, an array an array from
     the lane its size selects; both are within 2e-15, relative, of the
-    profile at 50 digits taken at the code's own argument w x and
-    amplitude.  Against the exact profile at the doubles' shapes 1/q and
-    1/p, with x alone rounded, they read within 1.2e-15 up to x/H = 0.9 at
-    p from 1 + 1.25e-9 to 1e9 (tests/test_bvp.py, TestProblemShapes);
-    nearer H the rounding of 1 - x/H is magnified, up to 1.2e-14 at x/H =
-    0.99.  ``_eval(x)`` evaluates the profile at points already in [0, H].
+    profile at 50 digits taken at the code's own fractions x/H and (H -
+    x)/H and amplitude.  Against the exact profile at the doubles' shapes
+    1/q and 1/p, with x alone rounded, they read within 1.2e-15 up to x/H
+    = 0.9 at p from 1 + 1.25e-9 to 1e9 (tests/test_bvp.py,
+    TestProblemShapes), and within 6.1e-16 up to x/H = 0.999 at (2.5, 3)
+    and (1.5, 4) (TestNearTheRightEnd).  ``_eval(x)`` evaluates the
+    profile at points already in [0, H].
     """
 
     H: float
@@ -108,25 +115,27 @@ def _general_record(p: float, q: float):
     return _shapes(1.0 / q, 1.0 / p, (p - 1.0) / p, p - 1.0)
 
 
-def _profile_scales(H: float, rec):
-    """(omega, amp) of the general profile amp cos^(p*-1)(omega x) sin(omega
-    x) on [0, H] at its record rec: omega = pi_{p*,q} / (2H) and amp = 2H /
-    (q pi_{p*,q}) = H / B, since q pi_{p*,q} = 2 B(1/q, 1/p).  The validator
-    of H: both must be finite and nonzero, which rejects H <= 0, NaN, inf,
-    and H so large that 2H overflows, or so small that omega does."""
+def _amplitude(H: float, rec) -> float:
+    """amp = H / B = 2H / (q pi_{p*,q}) of the general profile amp t^a (1 -
+    t)^b on [0, H] at its record rec, B = B(1/q, 1/p) = rec[-1].  The
+    validator of H: DomainError for H <= 0, NaN and inf, for H so large
+    that 2H overflows or so small that pi_{p*,q} / (2H) = rec[0] / H does,
+    and for H whose amp underflows to 0."""
     if H > 0.0:  # written so that NaN fails the test, and before dividing
-        omega, amp = 2.0 * rec[0] / (2.0 * H), H / rec[-1]  # 2 rec[0] = pi_{p*,q}
-        if 0.0 < omega < math.inf and 0.0 < amp < math.inf:
-            return omega, amp
+        amp = H / rec[-1]
+        if 2.0 * H < math.inf and rec[0] / H < math.inf and amp > 0.0:
+            return amp
     raise DomainError(f"need H > 0 with finite nonzero profile scales, got H = {H}")
 
 
 def _solution(H: float, rec) -> BvpSolution:
-    """The general profile on [0, H] at its record rec (_general_record)."""
-    omega, amp = _profile_scales(H, rec)
+    """The general profile on [0, H] at its record rec (_general_record),
+    evaluated at the fraction x/H of the travel time and its complement
+    (H - x)/H."""
+    amp = _amplitude(H, rec)
 
     def u(x):
-        s, _, cp = _sincos(rec, omega * x)
+        s, _, cp = _sincos(rec, x / H, yc=(H - x) / H)
         return amp * cp * s
 
     return BvpSolution(H=H, _eval=u)
@@ -195,15 +204,15 @@ def solve_pq_equal(p: float) -> BvpSolution:
 
 def _general_scalars(p: float, q: float, Hs):
     """The Python floats of the general problem at one pair that
-    general_checks needs: omega and amp at each H in Hs (_profile_scales),
-    then the pair's record (_general_record)."""
+    general_checks needs: amp at each H in Hs (_amplitude), then the pair's
+    record (_general_record)."""
     rec = _general_record(p, q)
-    return (*[v for H in Hs for v in _profile_scales(H, rec)], *rec)
+    return (*[_amplitude(H, rec) for H in Hs], *rec)
 
 
 def general_checks(p: float, q: float, Hs, fractions):
     """Verify the general problem at (p, q) on [0, H] for each H in Hs, at
-    the interior points x = H * fractions, from one gtf call and one oracle
+    the interior points x/H = fractions, from one gtf call and one oracle
     batch.
 
     Returns (ode, phase, boundary), the first two of shape (len(Hs),
@@ -220,9 +229,10 @@ def general_checks(p: float, q: float, Hs, fractions):
       below 1e-13 of the value.
       The point's row and its pair's complete row then move I by at most
       1e-13 each, and the residual is within 2e-13 plus a few roundings of
-      x/H and of the inversion (it reads at most 6.7e-16 on verify's full
-      grid, 5.6e-16 at p, q in {1.001, 1.01, 1.5, 30, 1000} and 5.6e-16
-      over p - 1 in [1e-10, 1e-3]);
+      the inversion (it reads at most 4.4e-16 on verify's full grid, 5.6e-16
+      on its extreme grid and 5.6e-16 over p - 1 in [1e-10, 1e-3]).  The
+      travel time does not depend on H, so every H's row is the same, bit
+      for bit;
     - phase, |u - U| with U = (H/B) [(a + b) B_t(a, b + 1) - b B_t(a, b)]
       where t <= 1/2, else (H/B) [(a + b) B_{1-t}(b, a + 1) - a B_{1-t}(b,
       a)]: the point's travel-time row and that row with its second shape
@@ -239,80 +249,70 @@ def general_checks(p: float, q: float, Hs, fractions):
       2e-13 of it, and |u - U| is within 3 F 1e-13 |u| plus F times a few
       roundings.  |u| <= H a below t = 1/2 (B >= 2^-a / a) and H b above,
       so that is at most 1.2e-12 H, verify's tolerance 4H (3e-13 + 4 eps).
-      It reads at most 2.5e-16 H on verify's full grid, 2.7e-16 H at p, q
-      in {1.001, 1.01, 1.5, 30, 1000} and 4.9e-16 H on 60 random two-value
+      It reads at most 2.5e-16 H on verify's full grid, 3.1e-16 H on its
+      extreme grid and 4.9e-16 H on 60 random two-value
       grids (p - 1 and q - 1 log-uniform in [1e-6, 1e6]);
     - boundary, max(|u(0)|, |u(H)|).
     One gtf._sincos call on the pairs' records (_general_record) inverts
-    every point and both ends of every pair, and one beta_integrals batch
-    takes every point's two rows, with one complete B(a, b) a pair
-    (_general_scalars gives each pair's floats).
+    every fraction and both ends, 0 and 1, of every pair once, at the
+    fraction and its complement 1 - fraction, and one beta_integrals batch
+    takes every fraction's two rows, with one complete B(a, b) a pair: the
+    travel time does not depend on H, and u, U and the ends scale by amp =
+    H/B (_general_scalars gives each pair's floats).
     Arrays p and q, which broadcast to a shape S, put S in front of those
-    shapes, and every pair takes that one gtf call (gtf's lane for several
-    pairs) and that one batch: each pair's values equal its own call's bit
-    for bit where that call takes scipy's ufuncs (fewer than
-    specfun.INV_FIT_MIN points).  A 0-d p or q is taken as its float.
+    shapes; a pair is the one-pair case of that lane (gtf's lane for
+    several pairs, scipy's ufuncs at any size), so each pair's values equal
+    its own call's bit for bit.  A 0-d p or q is taken as its float.
     Hs or fractions that are not 1-D sequences raise DomainError, and so
-    do points not interior to (0, H); an empty one gives empty arrays of
-    those shapes, after p and q are checked.
+    do fractions not interior to (0, 1); an empty one gives empty arrays of
+    those shapes, after p, q and every H are checked.
     """
-    several = _several(p, q)
     H, fractions = as_floats(Hs, "Hs"), as_floats(fractions, "fractions")
     if H.ndim != 1 or fractions.ndim != 1:
         raise DomainError(f"general_checks needs 1-D Hs and fractions, got shapes "
                           f"{H.shape} and {fractions.shape}")
-    xx = H[:, None] * fractions
-    if not ((xx > 0.0) & (xx < H[:, None])).all():
-        raise DomainError("x must be interior to (0, H)")
-    xx = np.concatenate((xx, H[:, None] * np.array([0.0, 1.0])), axis=1)  # both ends last
-    Hs = H.tolist()  # Python floats for _profile_scales' float code
-    fields = _per_pair(_general_scalars, p, q, Hs) if several else _general_scalars(p, q, Hs)
-    scales = np.moveaxis(np.asarray(fields[:2 * len(Hs)]), 0, -1)  # S + (2 len(H),)
-    omega, amp = scales[..., ::2], scales[..., 1::2]  # S + (len(H),)
-    lead = omega.shape[:-1]  # S
-    rec = fields[2 * len(Hs):]  # a = 1/q and b = 1/p are rec[1] and rec[2]
-    # the complete B(a, b) of each pair, which every travel time and U divides
-    whole = [np.broadcast_to(v, lead).ravel() for v in rec[1:3]]
-
-    def lifted(k, *vals):
-        """The per-pair vals with k trailing axes, against the points."""
-        return [v.reshape(v.shape + (1,) * k) if several else v for v in vals]
-
-    sincos = _sincos(lifted(1, *rec), (omega[..., None] * xx).reshape(*lead, xx.size))
-    s, _, cp = (v.reshape(lead + xx.shape) for v in sincos)
-    a, b = lifted(2, *rec[1:3])
-    u = amp[..., None] * cp * s
+    if not ((fractions > 0.0) & (fractions < 1.0)).all():
+        raise DomainError("x/H must be interior to (0, 1)")
+    fields = _per_pair(_general_scalars, p, q, H.tolist())  # Python floats for _amplitude
+    amp = np.moveaxis(fields[:H.size], 0, -1)[..., None]  # S + (len(H), 1)
+    # every pair's record with a trailing axis against the points
+    rec = [v[..., None] for v in fields[H.size:]]  # a = 1/q and b = 1/p are rec[1] and rec[2]
+    a, b = rec[1:3]
+    y = np.concatenate((fractions, [0.0, 1.0]))  # both ends last
+    s, _, cp = _sincos(rec, y, yc=1.0 - y)
+    u = amp * (cp * s)[..., None, :]  # S + (len(H), len(fractions) + 2)
     bc = np.abs(u[..., -2:]).max(axis=-1)
-    s, cp, u, xx = (v[..., :-2] for v in (s, cp, u, xx))
+    s, cp, u = s[..., :-2], cp[..., :-2], u[..., :-2]
     # each point's rows in its smaller tail, t = sin^q or 1 - t = cos^(p*),
     # both at its root: B_t(a, b) and B_t(a, b + 1) at sin where t <= 1/2,
     # else B_{1-t}(b, a) and B_{1-t}(b, a + 1) at (1 - t)^b = cos^(p*-1) =
     # cp, taken from the inverse, which stays exact where cos^(p*) underflows
     low = s <= np.exp2(-a)
     first, second = (np.where(low, *ab) for ab in ((a, b), (b, a)))
-    rows = [np.concatenate((first.ravel(), first.ravel(), whole[0])),
-            np.concatenate((second.ravel(), (second + 1.0).ravel(), whole[1]))]
+    # every point's two rows, then each pair's complete B(a, b)
+    rows = [np.concatenate((first.ravel(), first.ravel(), a.ravel())),
+            np.concatenate((second.ravel(), (second + 1.0).ravel(), b.ravel()))]
     root = np.where(low, s, cp).ravel()
-    upper = np.concatenate((root, root, np.ones(whole[0].size)))
+    upper = np.concatenate((root, root, np.ones(a.size)))
     # the oracle at tol 1e-13: verify's bvp ode tolerance derives from it
     beta = quadrature.beta_integrals(*rows, tol=1e-13, upper=upper).value
     tail, raised = beta[:2 * s.size].reshape((2,) + s.shape)
-    complete = beta[2 * s.size:].reshape(lead + (1, 1))
+    complete = beta[2 * s.size:].reshape(a.shape)
     ratio = tail / complete
-    ode = np.abs(xx / H[:, None] - np.where(low, ratio, 1.0 - ratio))
-    phase = np.abs(u - H[:, None] / complete * ((a + b) * raised - second * tail))
-    return ode, phase, bc
+    ode = np.abs(fractions - np.where(low, ratio, 1.0 - ratio))[..., None, :]
+    U = ((a + b) * raised - second * tail)[..., None, :]
+    phase = np.abs(u - H[:, None] / complete[..., None] * U)
+    return np.broadcast_to(ode, phase.shape).copy(), phase, bc
 
 
 def _closure_scalars(H: float, m: float):
     """The Python floats of the closure at one m, after solve_nonlocal(H,
     m) validates both: the record of the general problem it rescales
     (solve_nonlocal's, with b = 1/p = (r - 1)/r and a + b = 1/p + 1/q), r =
-    r(m) = p*, the profile's omega and the slope scale S = 2 sqrt(m^2 +
-    1/4).
+    r(m) = p* and the slope scale S = 2 sqrt(m^2 + 1/4).
 
     DomainError naming m and H where the oracle would overflow.  It
-    integrates (phi')^2 at x = H u over u in [0, 1], an integrand that does
+    integrates (phi')^2 at x/H = u over u in [0, 1], an integrand that does
     not depend on H, so its estimate is m^2 / 2 at every H, and at level L
     its running sum of weighted (phi')^2 is about 2^(L+1) times that,
     2^L m^2.  It stops at level 4 for every m from 0.5 up, so 16 m^2 must
@@ -325,7 +325,7 @@ def _closure_scalars(H: float, m: float):
                           f"16 m^2 is not finite")
     r = nonlocal_exponent(m)
     rec = _shapes(1.0 / r, (r - 1.0) / r, 1.0 / r, 1.0 / (r - 1.0))  # as solve_nonlocal's
-    return (*rec, r, _profile_scales(H, rec)[0], 2.0 * math.hypot(m, 0.5))
+    return (*rec, r, 2.0 * math.hypot(m, 0.5))
 
 
 def nonlocal_mean_square_slope(H: float, m):
@@ -360,11 +360,10 @@ def nonlocal_mean_square_slope(H: float, m):
     if not ms.size:  # nothing to integrate; H is checked as at m = 1
         solve_nonlocal(H, 1.0)
         return np.empty(ms.shape)
-    *rec, r, omega, S = np.array(
-        [_closure_scalars(H, v) for v in ms.ravel().tolist()]).T[..., None]
+    *rec, r, S = np.array([_closure_scalars(H, v) for v in ms.ravel().tolist()]).T[..., None]
 
-    def f(u, rows):  # (phi')^2 at x = H u, with a = rec[1] = 1/q and b = rec[2] = 1/p
-        _, c, _ = _sincos([v[rows] for v in rec], omega[rows] * (H * u), (False, True, False))
+    def f(u, rows):  # (phi')^2 at x/H = u, with a = rec[1] = 1/q and b = rec[2] = 1/p
+        _, c, _ = _sincos([v[rows] for v in rec], u, (False, True, False), yc=1.0 - u)
         slope = S[rows] * (-rec[2][rows] + (rec[1] + rec[2])[rows] * _power(c, r[rows]))
         return slope * slope
 

@@ -58,10 +58,11 @@ def as_float(x, what: str) -> float:
 
 
 def as_floats(x, what: str):
-    """as_float for arrays: np.array(x, dtype=float), a new float array (0-d
-    at a number), or DomainError where x holds an int beyond the doubles."""
+    """as_float for arrays: np.asarray(x, dtype=float), a float array as it
+    is and anything else converted (0-d at a number), or DomainError where
+    x holds an int beyond the doubles.  No caller writes into the result."""
     try:
-        return np.array(x, dtype=float)
+        return np.asarray(x, dtype=float)
     except OverflowError:
         raise DomainError(f"need {what} within the doubles") from None
 

@@ -93,7 +93,12 @@ it is the leading term's base b B(b, a) yc, which does not underflow.
 The record is built from the shapes (_shapes): _pair gives it (1/q,
 1/p*) with the exponents 1/p and 1/(p - 1) of a pair, bvp its problem's
 own shapes, so no conjugate is rounded between the problem and the
-inversion.
+inversion.  The record's evaluator, _sincos, takes a point x, whose y and
+yc it forms, or a fraction y of the half period with its complement yc as
+the caller knows them: bvp's x/H and (H - x)/H and the appendix's x01 and
+1 - x01.  So no product (pi_pq/2) y is rounded and divided back, whose
+rounding yc = 1 - y magnifies by y/yc near the top of the interval.  The
+x-level entry points keep their arithmetic and their bits.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, check_pq, within
+from .errors import DomainError, as_floats, check_pq, within
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 _DBL_MIN = sys.float_info.min
@@ -172,12 +177,12 @@ def _as_unit(x, top: float, what: str, out=None):
     infinities raise DomainError."""
     slack = _REL_SLACK * top
     if isinstance(top, np.ndarray):  # a top a point, from several pairs
-        x = np.asarray(x, dtype=float)
+        x = as_floats(x, "x")
         if not ((x >= -slack) & (x <= top + slack)).all():  # NaN fails too
             raise DomainError(f"{what} requires argument in [0, pi_pq/2] of its pair")
         return x.clip(0.0, top, out=out)
     if not isinstance(x, (float, int)):
-        x = np.asarray(x, dtype=float)
+        x = as_floats(x, "x")
         if x.ndim:
             if not within(x, -slack, top + slack):
                 raise DomainError(f"{what} requires argument in [0, {top}]")
@@ -230,7 +235,7 @@ def _per_pair(fn, p, q, *args):
     for bit, and an invalid pair anywhere raises its DomainError.  An empty
     broadcast gives empty fields; fn then runs once at the stand-in pair (2,
     2), which counts the fields and checks args."""
-    pp, qq = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    pp, qq = np.broadcast_arrays(as_floats(p, "p"), as_floats(q, "q"))
     index = {}
     at = [index.setdefault(k, len(index)) for k in zip(pp.ravel().tolist(), qq.ravel().tolist())]
     table = np.array([fn(*k, *args) for k in index or [(2.0, 2.0)]], dtype=float)
@@ -293,7 +298,7 @@ def asin_pq(p: float, q: float, x):
         return asin_pq(float(p), float(q), x)
     if not (x.__class__ is float and 0.0 <= x <= 1.0):
         if not isinstance(x, (float, int)) and np.ndim(x):
-            return _asin_array(p, q, a, b, B, np.asarray(x, dtype=float))
+            return _asin_array(p, q, a, b, B, as_floats(x, "x"))
         x = _as_unit(x, 1.0, "asin_pq")
     xq = x**q
     if 0.0 < x and xq < _ASIN_SERIES_MAX:
@@ -428,35 +433,47 @@ def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_p
     return _sincos(rec, x, tails, what)
 
 
-def _sincos(rec, x, tails=(True, True, True), what="sincos_pq"):
+def _sincos(rec, x, tails=(True, True, True), what="sincos_pq", yc=None):
     """(sin, cos, cp) at x on the record rec (_shapes), cp = cos_pq^(p-1):
     tc^b of the swapped-tail inverse tc = cos_pq^p, taken before tc^(1/p)
     (c^(p-1) = tc^((p-1)/p) and b = 1/p*), or where tc < DBL_MIN the base
     b B(b, a) yc of the cosine's leading term, yc = 1 - x/(pi_pq/2), far
-    from underflow at p near 1 (1e-308^(1/400) = 0.17).  A point takes the
-    float lane, which computes sin and cos whatever tails says, and cp
-    where asked for or where it is that base: straight-line float code on
-    the record, one comparison that passes a Python float in [0, pi_pq/2]
-    (any other point takes _as_unit's test and clip), both tails of
-    specfun._point_tails, the small-x rule and the DBL_MIN rule.  An array
-    takes the same steps on arrays, block by block (_sincos_block), and
-    computes only what tails = (want_sin, want_cos, want_cp) asks for, None
-    for the others; asking for cp computes cos too.  A record of arrays
-    (the lane for several pairs) needs an array x."""
+    from underflow at p near 1 (1e-308^(1/400) = 0.17).  Where yc is given,
+    x is not a point but the fraction y = x/(pi_pq/2) of the half period,
+    in [0, 1], and yc its complement 1 - y as the caller knows it (bvp's
+    x/H and (H - x)/H, the appendix's x01 and 1 - x01): the inversion takes
+    both as given, unchecked, so no product with pi_pq/2 is rounded and
+    divided back, and only the small-x rule forms the point (pi_pq/2) y.  A
+    point, or a float fraction on a record of floats, takes the float lane,
+    which computes sin and cos whatever tails says, and cp where asked for
+    or where it is that base: straight-line float code on the record, one
+    comparison that passes a Python float in [0, pi_pq/2] (any other point
+    takes _as_unit's test and clip), both tails of specfun._point_tails,
+    the small-x rule and the DBL_MIN rule.  An array takes the same steps
+    on arrays, block by block (_sincos_block), and computes only what tails
+    = (want_sin, want_cos, want_cp) asks for, None for the others; asking
+    for cp computes cos too.  A record of arrays (the lane for several
+    pairs) needs an array x, or a fraction, which then takes the array
+    lane."""
     halfpi, a, b, lo, hi, inv_p, inv_pm1, tiny, B = rec
-    if not (x.__class__ is float and 0.0 <= x <= halfpi):
-        if not isinstance(x, (float, int)) and np.ndim(x):
-            return _sincos_arrays(rec, x, tails, what)
-        x = _as_unit(x, halfpi, what)
-    yc = (halfpi - x) / halfpi
-    t, s = specfun._point_tails(a, b, lo, hi, x / halfpi, yc)
+    if yc is None:
+        if not (x.__class__ is float and 0.0 <= x <= halfpi):
+            if not isinstance(x, (float, int)) and np.ndim(x):
+                return _sincos_arrays(rec, x, tails, what)
+            x = _as_unit(x, halfpi, what)
+        y, yc = x / halfpi, (halfpi - x) / halfpi
+    elif x.__class__ is float and halfpi.__class__ is float:
+        y, x = x, halfpi * x
+    else:
+        return _sincos_arrays(rec, x, tails, what, yc)
+    t, s = specfun._point_tails(a, b, lo, hi, y, yc)
     sin = x if 0.0 < x < tiny else t**a
     if s < _DBL_MIN:  # the leading term and its base, as in _sincos_block
         return sin, float((b * B * yc) ** inv_pm1), b * B * yc
     return sin, s**inv_p, s**b if tails[2] else None
 
 
-def _sincos_arrays(rec, x, tails, what):
+def _sincos_arrays(rec, x, tails, what, yc=None):
     """_sincos's array lane: new arrays shaped like x, filled by
     _sincos_block a block of specfun.INV_FIT_BLOCK points at a time
     (specfun._blockwise), with one specfun._Scratch of block-sized buffers
@@ -465,24 +482,28 @@ def _sincos_arrays(rec, x, tails, what):
     (several pairs) the outputs take the broadcast of x and the pairs, and
     _sincos_block runs once on it, x a broadcast view and each field a
     value a pair: scipy's ufunc broadcasts them, so nothing is copied to a
-    value a point."""
-    x = np.asarray(x, dtype=float)
+    value a point.  A fraction's yc is taken on x's shape."""
+    x = as_floats(x, "x")
     several = isinstance(rec[0], np.ndarray)  # pi_pq/2 of every pair
     if several:
         x = np.broadcast_to(x, np.broadcast(x, rec[0]).shape)
+    yc = None if yc is None else np.broadcast_to(yc, x.shape)
     # cp is taken from tc, which the cosine's block holds: asking for it computes cos too
     out = [np.empty(x.shape) if w else None for w in (tails[0], tails[1] or tails[2], tails[2])]
     if several:
-        _sincos_block(x, *rec, *out, what, None, specfun._Scratch(x.size))
+        _sincos_block(x, yc, *rec, *out, what, None, specfun._Scratch(x.size))
     else:
-        flat = [None if v is None else v.reshape(-1) for v in out]
-        specfun._blockwise(_sincos_block, x.size, x.reshape(-1), *rec, *flat, what,
+        flat = [None if v is None else v.reshape(-1) for v in (x, yc, *out)]
+        specfun._blockwise(_sincos_block, x.size, *flat[:2], *rec, *flat[2:], what,
                            specfun._inverse_lane(rec[1], rec[2], x.size))
     return tuple(out)
 
 
-def _sincos_block(x, halfpi, a, b, lo, hi, inv_p, inv_pm1, tiny, B, sin, cos, cp, what, lane, ws):
-    """The array lane at a block x: _as_unit's test and clip, y and yc,
+def _sincos_block(x, yc, halfpi, a, b, lo, hi, inv_p, inv_pm1, tiny, B, sin, cos, cp, what,
+                  lane, ws):
+    """The array lane at a block x: _as_unit's test and clip, y and yc, or
+    where yc is given (not None) the fraction y = x and its complement yc
+    as they are, with the point (pi_pq/2) y for the small-x rule alone;
     specfun._tails_block's inversion and the powers, with the small-x and
     DBL_MIN rules, written into the blocks sin, cos and cp = cos^(p-1)
     (None where not asked for; cp needs cos); every intermediate result in
@@ -490,10 +511,13 @@ def _sincos_block(x, halfpi, a, b, lo, hi, inv_p, inv_pm1, tiny, B, sin, cos, cp
     that broadcast against x (the lane for several pairs, one block of any
     shape)."""
     n, shape = x.size, x.shape
-    xx = _as_unit(x, halfpi, what, out=ws.f["x"][:n].reshape(shape))
-    yc = np.subtract(halfpi, xx, ws.f["yc"][:n].reshape(shape))
-    np.divide(yc, halfpi, yc)
-    y = np.divide(xx, halfpi, ws.f["y"][:n].reshape(shape))
+    if yc is None:
+        xx = _as_unit(x, halfpi, what, out=ws.f["x"][:n].reshape(shape))
+        yc = np.subtract(halfpi, xx, ws.f["yc"][:n].reshape(shape))
+        np.divide(yc, halfpi, yc)
+        y = np.divide(xx, halfpi, ws.f["y"][:n].reshape(shape))
+    else:
+        y, xx = x, np.multiply(halfpi, x, ws.f["x"][:n].reshape(shape))
     specfun._tails_block(a, b, lo, hi, y, yc, sin, cos, lane, ws)  # t and tc
     if sin is not None:
         _power(sin, a, sin)
@@ -520,43 +544,40 @@ def sin_symmetry_appendix(p: float, q: float, x01):
     x01 is one point of [0, 1] (two floats are returned; a float or an int
     takes the float lane) or an array of them (two arrays, in the lane the
     array's size selects); the lanes agree to within gtf's accuracy
-    contract, not bit for bit.  A residual is a few ulps except near x01 =
-    1, where the rounding of pi_pq/2 - x in the cosine dominates.  Unlike
-    sin_pq, x01 gets no slack beyond [0, 1].  Arrays p and q that broadcast
-    against x01 take the lane for several pairs: two gtf calls for all of
-    them, each point equal bit for bit to its own pair's call in scipy's
-    ufunc lane.
+    contract, not bit for bit.  Each side is evaluated at its fraction of
+    the half period, the pair's at (x01, 1 - x01) and the reflected pair's
+    at (1 - x01, x01) (_sincos), so no product with pi_pq/2 is rounded and
+    divided back, and a residual is a few ulps up to x01 = 1.  The
+    reflected pair is (q*, p*) with both conjugates rounded, as a caller
+    forms it.  Unlike sin_pq, x01 gets no slack beyond [0, 1].  Arrays p
+    and q that broadcast against x01 take the lane for several pairs: two
+    gtf calls for all of them, each point equal bit for bit to its own
+    pair's call in scipy's ufunc lane.
     """
     several = _several(p, q)
     if several:
-        halfpi, ps, qs, halfpi_c = _per_pair(_reflected, p, q)
-        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    else:
-        try:
-            halfpi, ps, qs, halfpi_c = _reflected(p, q)
-        except TypeError:  # a 0-d p or q: no cache hashes an array
-            return sin_symmetry_appendix(float(p), float(q), x01)
-    if isinstance(x01, (float, int)) and not several:
-        # written so that NaN fails, and before float() would overflow at an
-        # int beyond the doubles
+        p, q = as_floats(p, "p"), as_floats(q, "q")
+    try:
+        rec = _records(p, q)  # after check_pq at every pair
+    except TypeError:  # a 0-d p or q: no cache hashes an array
+        return sin_symmetry_appendix(float(p), float(q), x01)
+    # the reflected pair as a caller forms it, each conjugate rounded
+    ps, qs = (p / (p - 1.0), q / (q - 1.0)) if several else (conjugate(p), conjugate(q))
+    rec_c = _records(qs, ps)
+    if isinstance(x01, (float, int)) or not np.ndim(x01):
+        # a point: written so that NaN fails, and before float() would
+        # overflow at an int beyond the doubles
         if not 0.0 <= x01 <= 1.0:
             raise DomainError("x01 must lie in [0, 1]")
         xx = float(x01)
     else:
-        xx = np.asarray(x01, dtype=float)
+        xx = as_floats(x01, "x01")
         if not within(xx, 0.0, 1.0):  # NaN fails too
             raise DomainError("x01 must lie in [0, 1]")
-    s_a, c_a = sincos_pq(p, q, halfpi * xx)
-    s_b, _, cp_b = _sincos_tail(qs, ps, halfpi_c * (1.0 - xx))
+    xc = 1.0 - xx
+    s_a, c_a, _ = _sincos(rec, xx, (True, True, False), yc=xc)
+    s_b, _, cp_b = _sincos(rec_c, xc, yc=xx)
     return s_a - cp_b, c_a - _power(s_b, ps - 1.0)
-
-
-def _reflected(p: float, q: float):
-    """(pi_pq/2, p*, q*, pi_{q*,p*}/2) of sin_symmetry_appendix, after
-    check_pq(p, q)."""
-    halfpi = _pair(p, q)[0]
-    ps, qs = conjugate(p), conjugate(q)
-    return halfpi, ps, qs, _pair(qs, ps)[0]
 
 
 def extend_sin_symmetric(p: float, x):

@@ -22,6 +22,8 @@ from .errors import DomainError
 GRIDS = {
     "small": [1.5, 2.0, 3.0],
     "full": [1.5, 2.0, 2.5, 3.0, 4.0],
+    # the documented domain's edges: p or q near 1, and large
+    "extreme": [1.001, 1.01, 1.5, 30.0, 1000.0],
 }
 
 

@@ -61,9 +61,10 @@ def ref_residual_nonlocal(sol, m, x):
 def profile_sincos(H, p, q, x):
     """(sin, cos, cos^(p*-1)) of sin_{p*,q} at w x on [0, H], from gtf's
     evaluator on the record of the problem's own shapes a = 1/q and b = 1/p
-    (bvp._general_record), as solve_general and general_checks take them."""
+    (bvp._general_record), at the fraction x/H and its complement (H - x)/H,
+    as solve_general takes them."""
     rec = bvp._general_record(p, q)
-    return gtf._sincos(rec, bvp._profile_scales(H, rec)[0] * x)
+    return gtf._sincos(rec, x / H, (True, True, True), "sol(x)", (H - x) / H)
 
 
 def mp_travel_time(H, p, q, x):
@@ -359,10 +360,10 @@ class TestGeneralChecks:
         calls = []
         real = bvp._sincos
 
-        def spy(rec, x, *rest):
+        def spy(rec, x, *rest, **kwargs):
             a, b = (v.reshape(-1).tolist() for v in np.broadcast_arrays(*rec[1:3]))
             calls.append(list(zip(a, b)))
-            return real(rec, x, *rest)
+            return real(rec, x, *rest, **kwargs)
 
         monkeypatch.setattr(bvp, "_sincos", spy)
         verify.run("bvp", verify.GRIDS["full"])
@@ -433,7 +434,7 @@ class TestGeneralChecks:
         (3, 4), not (1, 3, 4), with one; both now raise DomainError before
         any gtf call, as a scalar Hs does."""
         calls = []
-        monkeypatch.setattr(bvp, "_sincos", lambda *args: calls.append(args))
+        monkeypatch.setattr(bvp, "_sincos", lambda *args, **kwargs: calls.append(args))
         for Hs in ([1.0, 2.0], [1.0]):
             with pytest.raises(DomainError, match="1-D Hs and fractions"):
                 bvp.general_checks(2.0, 2.0, Hs, np.full((3, 4), 0.5))
@@ -505,8 +506,7 @@ class TestProblemShapes:
     def test_solution_against_the_exact_profile(self, p, q):
         """sol(x) within 2e-15 of the profile at 60 digits at the doubles'
         shapes, x alone the code's, in the float lane and both array lanes
-        (they read at most 1.2e-15 here; nearer H the rounding of 1 - x/H
-        is magnified, up to 1.2e-14 at x/H = 0.99)."""
+        (they read at most 1.2e-15 here)."""
         xs = [0.1, 0.5, 0.9]
         for H in (1.0, 2.5):
             sol = bvp.solve_general(H, p, q)
@@ -526,7 +526,7 @@ class TestTravelTime:
     phase cases, U from the same batch, pass there too and see an amplitude
     1e-8 off."""
 
-    EXTREME = [1.001, 1.01, 1.5, 30.0, 1000.0]
+    EXTREME = verify.GRIDS["extreme"]
 
     def test_extreme_grid(self):
         # every case, the phase cases included: 18 of them read up to 1.6e-2
@@ -540,13 +540,8 @@ class TestTravelTime:
         """A profile amplitude 1e-8 too large, relative, fails full-grid
         phase cases and no other case: U checks u itself, not only an
         identity among beta integrals."""
-        real = bvp._profile_scales
-
-        def scaled(H, rec):
-            omega, amp = real(H, rec)
-            return omega, amp * (1.0 + 1e-8)
-
-        monkeypatch.setattr(bvp, "_profile_scales", scaled)
+        real = bvp._amplitude
+        monkeypatch.setattr(bvp, "_amplitude", lambda H, rec: real(H, rec) * (1.0 + 1e-8))
         failed = [c[0] for c in verify.run("bvp", verify.GRIDS["full"]) if not c[1] <= c[2]]
         assert failed and all(name.startswith("bvp phase ") for name in failed)
 
@@ -555,13 +550,8 @@ class TestTravelTime:
         full-grid phase case at its stated bound 4H (3e-13 + 4 eps), and no
         other case, while each of them reads below the former tolerance
         1e-9, which let it pass."""
-        real = bvp._profile_scales
-
-        def scaled(H, rec):
-            omega, amp = real(H, rec)
-            return omega, amp * (1.0 + 1e-10)
-
-        monkeypatch.setattr(bvp, "_profile_scales", scaled)
+        real = bvp._amplitude
+        monkeypatch.setattr(bvp, "_amplitude", lambda H, rec: real(H, rec) * (1.0 + 1e-10))
         cases = verify.run("bvp", verify.GRIDS["full"])
         phase = [c for c in cases if c[0].startswith("bvp phase ")]
         assert len(phase) == 2 * len(verify.GRIDS["full"]) ** 2
@@ -571,8 +561,8 @@ class TestTravelTime:
     def test_perturbed_sine_fails(self, monkeypatch):
         real = bvp._sincos
 
-        def perturbed(*args):
-            s, c, cp = real(*args)
+        def perturbed(*args, **kwargs):
+            s, c, cp = real(*args, **kwargs)
             return (None if s is None else s * (1.0 + 1e-10)), c, cp
 
         monkeypatch.setattr(bvp, "_sincos", perturbed)
@@ -627,15 +617,15 @@ def mp_general(H, p, q, x):
     the problem's own shapes a = 1/q and b = 1/p (the doubles the code
     forms), B = B(a, b): t from I_t(a, b) = y and 1 - t from the swapped
     tail I_{1-t}(b, a) = yc, which stays representable where cos_{p*,q}
-    itself underflows (its power b is cos^(p*-1)).  Scale and argument, and
-    yc, are rounded as the code rounds them."""
+    itself underflows (its power b is cos^(p*-1)).  The scale and both
+    arguments, y = x/H and yc = (H - x)/H, are rounded as the code rounds
+    them."""
     rec = bvp._general_record(p, q)
-    omega, amp = bvp._profile_scales(H, rec)
-    half, arg = rec[0], omega * x
-    y_cos = (half - arg) / half
+    amp = bvp._amplitude(H, rec)
+    y, y_cos = x / H, (H - x) / H
     with mp.workdps(50):
         a, b = mp.mpf(rec[1]), mp.mpf(rec[2])
-        t = _mp_inverse(a, b, mp.mpf(arg) / (a * mp.beta(a, b)))
+        t = _mp_inverse(a, b, mp.mpf(y))
         return amp * t**a * _mp_inverse(b, a, mp.mpf(y_cos)) ** b
 
 
@@ -649,6 +639,42 @@ def mp_exact(H, p, q, x):
         y = mp.mpf(x) / mp.mpf(H)
         t, tc = _mp_inverse(a, b, y), _mp_inverse(b, a, 1 - y)
         return float(H / mp.beta(a, b) * t**a * tc**b)
+
+
+class TestNearTheRightEnd:
+    """The profile is evaluated at the fraction x/H and its complement
+    (H - x)/H, which is exact for x >= H/2: sol(x) at w x read up to 1.3e-14
+    off the exact profile at x/H = 0.99 and 6.3e-14 at 0.999, where the
+    rounding of w x is magnified by x/(H - x)."""
+
+    @pytest.mark.parametrize("p,q", [(2.5, 3.0), (1.5, 4.0)])
+    @pytest.mark.parametrize("H", [1.0, 2.5])
+    def test_solution_against_the_exact_profile(self, p, q, H):
+        sol = bvp.solve_general(H, p, q)
+        at = [f * H for f in (0.99, 0.999)]
+        arrays = (sol(np.array(at)), sol(np.resize(at, N0)))
+        for i, x in enumerate(at):
+            ref = mp_exact(H, p, q, x)
+            for value in (sol(x), arrays[0][i], arrays[1][i]):
+                assert abs(value - ref) <= 2e-15 * ref, (x, value, ref)
+
+    def test_ode_rows_equal_across_lengths(self):
+        """The travel time does not depend on H: general_checks inverts each
+        fraction once, and every H's ode row is the same, bit for bit."""
+        grid = verify.GRIDS["full"]
+        p, q = np.array(grid)[:, None], np.array(grid)
+        ode = bvp.general_checks(p, q, (1.0, 2.5, 1e-3, 7.0), FRACTIONS)[0]
+        for k in range(1, 4):
+            assert same_bits(ode[..., k, :], ode[..., 0, :])
+
+    def test_closure_is_the_same_at_every_length(self):
+        """The closure integrates over the fraction u = x/H, so its value
+        does not depend on H, bit for bit (at m = 0.7 it read one ulp apart
+        at H = 2.5, through w (H u))."""
+        ms = np.array(VERIFY_M + (0.05, 0.1, 0.7, 10.0))
+        at_one = bvp.nonlocal_mean_square_slope(1.0, ms)
+        for H in (2.0, 2.5):
+            assert same_bits(bvp.nonlocal_mean_square_slope(H, ms), at_one)
 
 
 class TestCosineUnderflow:
@@ -689,7 +715,7 @@ class TestCosineUnderflow:
 
 class TestPhaseCurveUnderflow:
     """U's rows at a point with sin^q > 1/2 take the root cos^(p*-1), the
-    third output of gtf._sincos_tail, which does not underflow where
+    third output of gtf._sincos, which does not underflow where
     cos^{p*} does: U does not collapse to 0 there, so the residual does not
     read u itself, as the closed-form curve's |v + 1/p| made it."""
 

@@ -117,11 +117,17 @@ class TestVerify:
     @pytest.mark.parametrize("suite,calls", [("pythagorean", 1), ("appendix", 2)])
     def test_one_gtf_call_for_all_pairs(self, monkeypatch, suite, calls):
         """The pythagorean suite inverts every pair of the grid in one gtf
-        call, the appendix in two (the pair and its reflection)."""
+        call, the appendix in two (the pair and its reflection): each call
+        of gtf's array lane gives values for all 25 pairs."""
         seen = []
-        real = gtf._sincos_tail
-        monkeypatch.setattr(gtf, "_sincos_tail",
-                            lambda p, q, x, *rest: seen.append(np.shape(x)) or real(p, q, x, *rest))
+        real = gtf._sincos_arrays
+
+        def spy(*args):
+            out = real(*args)
+            seen.append(out[0].shape)
+            return out
+
+        monkeypatch.setattr(gtf, "_sincos_arrays", spy)
         verify.run(suite, verify.GRIDS["full"])
         assert len(seen) == calls and all(shape[:2] == (5, 5) for shape in seen)
 

@@ -7,6 +7,7 @@ verify.run's bad suites and grids, rejected before any suite runs."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 from gentrig import bvp, gtf, integrals, quadrature, specfun, verify
@@ -131,6 +132,25 @@ BEYOND_THE_DOUBLES = {
     "general_checks Hs": lambda: bvp.general_checks(2.0, 3.0, [HUGE], [0.5]),
     "general_checks fractions": lambda: bvp.general_checks(2.0, 3.0, [1.0], [-HUGE]),
 }
+# the same int in an array slot, an x or an object array of pairs, which
+# raised OverflowError from numpy's float conversion
+XS, PS = [0.1, HUGE], np.array([2.0, HUGE], dtype=object)
+BEYOND_THE_DOUBLES.update({
+    "sin_pq x array": lambda: gtf.sin_pq(2.0, 3.0, XS),
+    "cos_pq x array": lambda: gtf.cos_pq(2.0, 3.0, XS),
+    "sincos_pq x array": lambda: gtf.sincos_pq(2.0, 3.0, XS),
+    "asin_pq x array": lambda: gtf.asin_pq(2.0, 3.0, XS),
+    "sincos_pq p array": lambda: gtf.sincos_pq(PS, 3.0, 0.5),
+    "cos_pq q array": lambda: gtf.cos_pq(2.0, PS, 0.5),
+    "sin_symmetry_appendix p array": lambda: gtf.sin_symmetry_appendix(PS, 3.0, 0.5),
+    "sin_symmetry_appendix q array": lambda: gtf.sin_symmetry_appendix(2.0, PS, 0.5),
+    "sin_symmetry_appendix x01 array": lambda: gtf.sin_symmetry_appendix(2.0, 3.0, [0.5, HUGE]),
+    "extend_sin_symmetric p array": lambda: gtf.extend_sin_symmetric(PS, 0.5),
+    "extend_sin_symmetric x array": lambda: gtf.extend_sin_symmetric(3.0, [0.5, HUGE]),
+    "general_checks p array": lambda: bvp.general_checks(PS, 3.0, [1.0], [0.5]),
+    "general_checks q array": lambda: bvp.general_checks(2.0, PS, [1.0], [0.5]),
+    "solve_general sol(x) array": lambda: bvp.solve_general(1.0, 2.0, 3.0)([0.5, HUGE]),
+})
 
 
 @pytest.mark.parametrize("name", BEYOND_THE_DOUBLES)

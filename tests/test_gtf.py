@@ -331,19 +331,31 @@ class TestAppendixSymmetry:
         """The array and the float lanes agree to within gtf's contract, not
         bit for bit: at the same points the residuals as floats, in a small
         array and in an array of INV_FIT_MIN points are within 2e-15 of each
-        other and of 0.  At 1 - 1e-12 the rounding of pi_pq/2 - x in the
-        cosine sets the residual, up to 3.8e-9 at (4, 3), in every lane
-        alike."""
+        other and of 0, at 1 - 1e-12 too, where each side takes its own
+        fraction of the half period (the rounding of pi_pq/2 - x in the
+        cosine read up to 3.8e-9 there at (4, 3), in every lane alike)."""
         xs = np.array([0.0, 1e-12, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0 - 1e-12, 1.0,
                        0.123456789, 0.987654321])
         scalar = [gtf.sin_symmetry_appendix(p, q, float(x)) for x in xs]
         assert all(type(a) is float and type(b) is float for a, b in scalar)
         lanes = [np.array(scalar).T, gtf.sin_symmetry_appendix(p, q, xs),
                  [r[:xs.size] for r in gtf.sin_symmetry_appendix(p, q, np.resize(xs, N0))]]
-        near_top = xs == 1.0 - 1e-12
         for r in lanes:
-            assert np.abs(np.asarray(r)[:, ~near_top]).max() <= 2e-15
+            assert np.abs(np.asarray(r)).max() <= 2e-15
             assert np.abs(np.asarray(r) - lanes[0]).max() <= 2e-15
+
+    def test_near_the_top_on_the_full_grid(self):
+        """At x01 = 1 - 1e-12 and 1 - 1e-9 every full-grid pair's residuals
+        are within 1e-15, as floats and in the lane for several pairs (3.8e-9
+        at (4, 3) when the cosine took pi_pq/2 - (pi_pq/2) x01)."""
+        top = np.array([1.0 - 1e-12, 1.0 - 1e-9])
+        grid = np.array(GRID)
+        for r in gtf.sin_symmetry_appendix(grid[:, None, None], grid[None, :, None], top):
+            assert np.abs(r).max() <= 1e-15
+        for p in GRID:
+            for q in GRID:
+                for x in top.tolist():
+                    assert max(map(abs, gtf.sin_symmetry_appendix(p, q, x))) <= 1e-15
 
     @pytest.mark.parametrize(
         "x01", [math.nan, -1e-300, 1.0 + 1e-15, np.array([0.5, math.nan]),
@@ -1000,8 +1012,8 @@ class TestGridRecords:
     pair's, empty fields for an empty grid, and no grid kept between
     calls."""
 
-    @pytest.mark.parametrize("fn,args", [(gtf._pair, ()), (gtf._reflected, ()),
-                                         (bvp._general_scalars, ((1.0, 2.5),))])
+    @pytest.mark.parametrize("fn,args", [(gtf._pair, ()), (bvp._general_scalars, ((1.0, 2.5),))],
+                             ids=["_pair-args0", "_general_scalars-args2"])
     def test_fields_equal_each_pairs_call(self, fn, args):
         p, q = np.array(GRID)[:, None], np.array([1.5, 3.0, 1.5, 4.0])
         seen = []

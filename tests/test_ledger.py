@@ -1,13 +1,13 @@
-r"""The residual ledger: `gentrig verify --suite all` on both grids, committed
-as tests/data/verify_small.txt and tests/data/verify_full.txt, against a
-fresh in-process run.  A run fails the ledger if a case is added, missing
+r"""The residual ledger: `gentrig verify --suite all` on every grid, committed
+as tests/data/verify_small.txt, verify_full.txt and verify_extreme.txt,
+against a fresh in-process run.  A run fails the ledger if a case is added, missing
 or moved, if a tolerance changes, or if a residual rises above max(4 x its
 ledger value, 64 eps x its suite's scale), so a residual that grows inside
 its tolerance shows up before the check goes red.  A change that moves
 residuals rewrites the ledger in the same commit; the ledger's diff is then
 the record of what moved.  From the repository root, this rewrites it:
 
-    for grid in small full; do
+    for grid in small full extreme; do
         PYTHONPATH=src python -m gentrig.cli verify --suite all --grid $grid \
             > tests/data/verify_$grid.txt
     done
@@ -69,7 +69,7 @@ def verify_text(grid):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("grid", ["small", "full"])
+@pytest.mark.parametrize("grid", ["small", "full", "extreme"])
 def test_residuals_within_the_ledger(grid):
     now = parse(verify_text(grid))
     ledger = parse((DATA / f"verify_{grid}.txt").read_text())

@@ -470,9 +470,10 @@ class TestOneCallPerLevel:
         # batch: each oracle level makes one gtf call, n nodes a live row
         sincos, shapes = bvp._sincos, []
 
-        def spy(rec, x, *args):
-            shapes.append(np.shape(x))
-            return sincos(rec, x, *args)
+        def spy(rec, x, *args, **kwargs):
+            out = sincos(rec, x, *args, **kwargs)
+            shapes.append(out[1].shape)
+            return out
 
         monkeypatch.setattr(bvp, "_sincos", spy)
         calls, live = [], []
@@ -904,13 +905,13 @@ class TestDistinctHalfRows:
 class TestVerifyOracleWork:
     """The full grid's two oracle batches integrate their distinct
     half-rows once: 409 of the wallis suite's 750 (B(a, b) and B(b, a)
-    share both halves) and 438 of the bvp suite's 966 (H = 1 and H = 2.5
-    give most points the same sine, and so the same travel-time and U
-    rows).  A batch that lost the deduplication would pass every half-row
-    and about twice the evaluations."""
+    share both halves) and 376 of the bvp suite's 508 (its 475 rows are a
+    travel-time row and a U row a fraction, the same for every H, and a
+    complete row a pair).  A batch that lost the deduplication would pass
+    every half-row and more evaluations."""
 
     @pytest.mark.parametrize("suite,half_rows,evaluations",
-                             [("wallis", 409, 35_011), ("bvp", 438, 60_882)])
+                             [("wallis", 409, 35_011), ("bvp", 376, 51_622)])
     def test_full_grid(self, suite, half_rows, evaluations, monkeypatch):
         beta_integrals, results = quadrature.beta_integrals, []
 
