@@ -47,15 +47,15 @@ every H, in one fused sin/cos call (gtf._sincos, in gtf's lane for several
 pairs): one inversion gives a point's sine and cosine, two in the band
 between I_{1/2}(1/q, 1/p) and 1/2.  Every fraction's travel time and U,
 and one complete beta integral a pair, are one oracle batch; the travel
-time does not depend on H, and u, U and the ends scale by H/B.  Numpy
-arrays p and q take that one gtf call and that one batch for every pair,
-and a single pair is their one-pair case.  The nonlocal closure,
+time does not depend on H, and u, U and the ends scale by H/B.  Arrays or
+sequences p and q take that one gtf call and that one batch for every
+pair, and a single pair is their one-pair case.  The nonlocal closure,
 nonlocal_mean_square_slope, integrates the square of the closed form's own
 slope, S v with v = u' the phase variable of the derivation, by the
 tanh-sinh oracle on [0, 1] in u = x/H, its nodes u and 1 - u the
 fractions, so the integrand holds no H, every m of an array one row of one
-batch that makes one gtf call a level.  solve_pq_equal takes an array p,
-and its sol(x) makes one gtf call for every p.
+batch that makes one gtf call a level.  solve_pq_equal takes an array or
+a sequence p, and its sol(x) makes one gtf call for every p.
 
 The profile's factor cos^(p*-1) = (1 - t)^b is the third output of
 gtf._sincos, gtf's one rule for that power (its appendix residuals take
@@ -78,7 +78,7 @@ import numpy as np
 from . import quadrature
 from .errors import DomainError, as_float, as_floats, check_pq
 from .gtf import (
-    _as_unit, _per_pair, _power, _records, _several, _shapes, _sincos, extend_sin_symmetric,
+    _as_unit, _per_pair, _power, _records, _shapes, _sincos, extend_sin_symmetric,
 )
 
 
@@ -185,15 +185,14 @@ def solve_pq_equal(p: float) -> BvpSolution:
     """Positive solution of -p^2(u')^2 + 2p u u'' + 1 = 0 on [0, 1].
 
     Equals sin_{2,p}(pi_{2,p} x) / (p pi_{2,p}) with the mirror extension on
-    [1/2, 1]; symmetric about x = 1/2.  A numpy array p gives the solutions
-    of all its p at once: sol(x) broadcasts p against x and makes one gtf
-    call (gtf's lane for several pairs), each value equal bit for bit to its
-    own p's solution in scipy's ufunc lane.
+    [1/2, 1]; symmetric about x = 1/2.  An array or a sequence p gives the
+    solutions of all its p at once: sol(x) broadcasts p against x and makes
+    one gtf call (gtf's lane for several pairs), each value equal bit for
+    bit to its own p's solution in scipy's ufunc lane.  A number p, a numpy
+    scalar or a 0-d array too, gives Python floats at a float x.
     """
-    try:
-        pi_val = 2.0 * _records(2.0, p)[0]  # pi_pq(2, p) bit for bit, after check_pq(2, p)
-    except TypeError:  # a 0-d p: no cache hashes an array
-        return solve_pq_equal(float(p))
+    pi_val = 2.0 * _records(2.0, p)[0]  # pi_pq(2, p) bit for bit, after check_pq(2, p)
+    p = as_float(p, "p") if isinstance(pi_val, float) else as_floats(p, "p")
     amp = 1.0 / (p * pi_val)
 
     def u(x):
@@ -259,10 +258,11 @@ def general_checks(p: float, q: float, Hs, fractions):
     takes every fraction's two rows, with one complete B(a, b) a pair: the
     travel time does not depend on H, and u, U and the ends scale by amp =
     H/B (_general_scalars gives each pair's floats).
-    Arrays p and q, which broadcast to a shape S, put S in front of those
-    shapes; a pair is the one-pair case of that lane (gtf's lane for
-    several pairs, scipy's ufuncs at any size), so each pair's values equal
-    its own call's bit for bit.  A 0-d p or q is taken as its float.
+    Arrays or sequences p and q, which broadcast to a shape S, put S in
+    front of those shapes; a pair is the one-pair case of that lane (gtf's
+    lane for several pairs, scipy's ufuncs at any size), so each pair's
+    values equal its own call's bit for bit.  A 0-d p or q is taken as its
+    float.
     Hs or fractions that are not 1-D sequences raise DomainError, and so
     do fractions not interior to (0, 1); an empty one gives empty arrays of
     those shapes, after p, q and every H are checked.

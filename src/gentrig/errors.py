@@ -37,13 +37,21 @@ class ToleranceError(RuntimeError):
 
 
 def check_pq(p: float, q: float) -> tuple[float, float]:
-    """(float(p), float(q)) where p and q both lie in (1, inf); DomainError
-    otherwise.  NaN fails the test, and so does an int beyond the doubles,
-    which passes it (10**400 < inf holds) but not float()."""
+    """(float(p), float(q)) where p and q are two real numbers in (1, inf),
+    a 0-d array taken as its number; DomainError otherwise.  NaN fails the
+    test, and so does an int beyond the doubles, which passes it (10**400 <
+    inf holds) but not float().  So do a list or a tuple, whose comparison
+    raises TypeError, an array of several values, whose truth value raises
+    ValueError, and an array of one value, which passes the test.  Two
+    Python floats take one test, as in gtf.pi_pq."""
+    if p.__class__ is float and q.__class__ is float and 1.0 < p < math.inf and 1.0 < q < math.inf:
+        return p, q
     try:
-        if 1.0 < p < math.inf and 1.0 < q < math.inf:  # written so that NaN fails
+        if (1.0 < p < math.inf and 1.0 < q < math.inf  # written so that NaN fails
+                and not (isinstance(p, np.ndarray) and p.ndim
+                         or isinstance(q, np.ndarray) and q.ndim)):
             return float(p), float(q)
-    except OverflowError:  # an int beyond the doubles
+    except (OverflowError, TypeError, ValueError):  # not two numbers within the doubles
         pass
     raise DomainError(f"need p, q in (1, inf), got ({p}, {q})")
 

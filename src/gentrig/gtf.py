@@ -48,24 +48,29 @@ differ on a few percent of points); bits match between sincos_pq and sin_pq,
 cos_pq, between the scalar kernels and the ufuncs, and wherever a point sits
 in an array of a given lane.
 
-sin_pq, cos_pq, sincos_pq and sin_symmetry_appendix also take numpy arrays
-p and q (of at least one dimension) that broadcast against x, and
-extend_sin_symmetric an array p: the lane for several pairs, one call for a
-whole grid of pairs (the verify suites).  It builds each distinct pair's
-record once through _pair, which validates it, so an invalid pair anywhere
-raises DomainError; every other per-pair value is computed as the Python
-float of a single-pair call and broadcast afterwards (_per_pair).  Its
-inversions take Boost's ufunc with each point's own shapes at any size,
-one call for all pairs plus one for the band.  A power whose exponent
-varies with the pair is numpy's pow at every point, except at the exponents
--1, 1/2 and 2, which numpy takes by a special case (reciprocal,
-sqrt, square) when given as a float: those points are raised to a float
-exponent (_power; _FAST_POWERS holds the three).  So each point equals its own pair's call in
-scipy's ufunc lane (an array of fewer than specfun.INV_FIT_MIN points) bit
-for bit.  asin_pq and pi_pq take one pair.  A 0-d p or q is a point, as a
-0-d x is: _pair's cache hashes no array, and each entry point retries with
-its float in the TypeError arm of its lookup, so the float lane does no
-work for it and returns its float call's bits.
+sin_pq, cos_pq, sincos_pq and sin_symmetry_appendix also take arrays or
+sequences p and q (numpy arrays, lists or tuples, of at least one
+dimension) that broadcast against x, and extend_sin_symmetric such a p: the
+lane for several pairs, one call for a whole grid of pairs (the verify
+suites).  _records is the one door from a pair to its record: two numbers
+go to _pair, a 0-d p or q as its float, and a p or q of one or more
+dimensions to _per_pair, which builds each distinct pair's record once
+through _pair, which validates it, so an invalid pair anywhere raises
+DomainError; every other per-pair value is computed as the Python float of
+a single-pair call and broadcast afterwards.  _sincos evaluates any point
+or array on any record.  Its inversions take Boost's ufunc with each
+point's own shapes at any size, one call for all pairs plus one for the
+band.  A power whose exponent varies with the pair is numpy's pow at every
+point, except at the exponents -1, 1/2 and 2, which numpy takes by a
+special case (reciprocal, sqrt, square) when given as a float: those
+points are raised to a float exponent (_power; _FAST_POWERS holds the
+three).  So each point equals its own pair's call in scipy's ufunc lane (an
+array of fewer than specfun.INV_FIT_MIN points) bit for bit.  asin_pq and
+pi_pq take one pair, and reject several values with DomainError, as
+check_pq does.  A 0-d p or q is a point, as a 0-d x is: sin_pq, cos_pq and
+asin_pq look their pair up in _pair first, whose cache hashes no array and
+refuses a tuple, and hand whatever it refuses to _records' rules, so the
+float lane does no work for a 0-d p or q and returns its float call's bits.
 
 Where x^q underflows, sin_pq(x) is x: its next term is O(x^(q+1)), while
 the incomplete-beta form has nothing left to resolve there (the test is
@@ -121,10 +126,14 @@ _ASIN_SERIES_MAX = 2.0**-27  # asin_pq(x) is its two-term series below this x^q
 # given in an array of several points: the two differ in the last ulp on a
 # few percent of points
 _FAST_POWERS = (-1.0, 0.5, 2.0)
+_SEQUENCES = (np.ndarray, list, tuple)  # what may hold several p or q
 
 
 def conjugate(p: float) -> float:
-    """Hoelder conjugate p* = p / (p - 1) on [1, inf]; 1* = inf, inf* = 1."""
+    """Hoelder conjugate p* = p / (p - 1) on [1, inf]; 1* = inf, inf* = 1.
+    An array or a sequence p raises DomainError."""
+    if p.__class__ is not float and _several(p):  # before any comparison
+        raise DomainError(f"conjugate takes one number p, got {p!r}")
     if 1.0 < p < math.inf:  # written so that NaN fails the test
         return p / (p - 1)  # exact at an int, 1.0 at one beyond the doubles
     if p == 1.0:
@@ -152,10 +161,13 @@ def pi_pq(p: float, q: float) -> float:
     accepted here (and only here).  Two Python floats in (1, inf) take one
     test to the formula; any other p and q take the conventions and
     check_pq's floats, so that an int beyond the doubles raises DomainError
-    and a numpy float32 is computed in double precision.
+    and a numpy float32 is computed in double precision.  An array or a
+    sequence p or q raises DomainError before the conventions compare it.
     """
     if not (p.__class__ is float and q.__class__ is float
             and 1.0 < p < math.inf and 1.0 < q < math.inf):
+        if _several(p, q):
+            raise DomainError(f"pi_pq takes one pair, got ({p!r}, {q!r})")
         if q == 1.0:
             if not 1.0 < p:
                 raise DomainError("pi_pq with q = 1 requires p > 1")
@@ -200,7 +212,11 @@ def _pair(p: float, q: float):
     """The record of a pair (p, q), built by _shapes after check_pq on a
     miss only, so no invalid pair is kept: the shapes a = 1/q and b = 1/p*
     with the exponents 1/p and 1/(p - 1).  Kept for 128 pairs; 2, 2.0 and
-    np.float64(2.0) are one key."""
+    np.float64(2.0) are one key.  A tuple p or q raises TypeError, as an
+    array or a list does in the cache's hash, so that the entry points that
+    look a pair up here take all three to _records alike."""
+    if isinstance(p, tuple) or isinstance(q, tuple):
+        raise TypeError("_pair takes one pair; several go through _records")
     p, q = check_pq(p, q)
     return _shapes(1.0 / q, 1.0 / conjugate(p), 1.0 / p, 1.0 / (p - 1.0))
 
@@ -221,10 +237,12 @@ def _shapes(a: float, b: float, inv_p: float, inv_pm1: float):
     return a * B, a, b, min(y_half, 0.5), max(y_half, 0.5), inv_p, inv_pm1, _DBL_MIN**a, B
 
 
-def _several(p, q) -> bool:
-    """Whether p or q is an array of at least one dimension, the lane for
-    several pairs, tested without building an array."""
-    return bool(isinstance(p, np.ndarray) and p.ndim or isinstance(q, np.ndarray) and q.ndim)
+def _several(p, q=None) -> bool:
+    """Whether p or q (where given) is an array, a list or a tuple of at
+    least one dimension, the lane for several pairs; a number takes two
+    isinstance tests and builds no array."""
+    return bool(isinstance(p, _SEQUENCES) and np.ndim(p)
+                or isinstance(q, _SEQUENCES) and np.ndim(q))
 
 
 def _per_pair(fn, p, q, *args):
@@ -243,9 +261,16 @@ def _per_pair(fn, p, q, *args):
 
 
 def _records(p, q):
-    """_pair(p, q), or at arrays p and q (the lane for several pairs) its
-    fields as arrays over their broadcast (_per_pair)."""
-    return _per_pair(_pair, p, q) if _several(p, q) else _pair(p, q)
+    """The record of the pair (p, q), the one door to it: _pair's at two
+    numbers, one cache lookup at a pair met before; of what _pair refuses,
+    a 0-d p or q is taken as its float (check_pq), and a p or q of one or
+    more dimensions (arrays, lists and tuples: the lane for several pairs)
+    gives _pair's fields as arrays over their broadcast (_per_pair).
+    DomainError for an invalid pair anywhere."""
+    try:
+        return _pair(p, q)
+    except TypeError:  # _pair refuses arrays, lists and tuples
+        return _per_pair(_pair, p, q) if _several(p, q) else _pair(*check_pq(p, q))
 
 
 def _power(base, e, out=None):
@@ -290,12 +315,13 @@ def asin_pq(p: float, q: float, x):
     A Python float in [0, 1] goes straight to the series rule and Boost's
     scalar incomplete beta; any other point (an int, a numpy scalar, a 0-d
     array, a point of the slack, NaN, an infinity) through _as_unit first,
-    and an array to _asin_array.
+    and an array to _asin_array.  A 0-d p or q is taken as its float; an
+    array or a sequence p or q raises DomainError (check_pq).
     """
     try:
         _, a, b, _, _, _, _, _, B = _pair(p, q)
-    except TypeError:  # a 0-d p or q: no cache hashes an array
-        return asin_pq(float(p), float(q), x)
+    except TypeError:  # _pair refuses arrays, lists and tuples
+        return asin_pq(*check_pq(p, q), x)
     if not (x.__class__ is float and 0.0 <= x <= 1.0):
         if not isinstance(x, (float, int)) and np.ndim(x):
             return _asin_array(p, q, a, b, B, as_floats(x, "x"))
@@ -347,7 +373,7 @@ def sin_pq(p: float, q: float, x):
     """
     try:
         halfpi, a, b, _, hi, _, _, tiny, _ = _pair(p, q)
-    except TypeError:  # no cache hashes an array
+    except TypeError:  # _pair refuses arrays, lists and tuples
         return _off_point(sin_pq, p, q, x, 0)
     if not (x.__class__ is float and tiny <= x <= halfpi):
         if not isinstance(x, (float, int)):
@@ -375,7 +401,7 @@ def cos_pq(p: float, q: float, x):
     """
     try:
         halfpi, a, b, lo, _, inv_p, inv_pm1, _, B = _pair(p, q)
-    except TypeError:  # no cache hashes an array
+    except TypeError:  # _pair refuses arrays, lists and tuples
         return _off_point(cos_pq, p, q, x, 1)
     if not (x.__class__ is float and 0.0 <= x <= halfpi):
         if not isinstance(x, (float, int)):
@@ -392,13 +418,14 @@ def cos_pq(p: float, q: float, x):
 
 
 def _off_point(fn, p, q, x, want: int):
-    """sin_pq or cos_pq (fn, whose value is _sincos_tail's output want) at
-    any input but a float or an int x at a pair of floats: arrays p, q or x
-    take the array lane, and a 0-d p, q or x (a numpy scalar too) re-enters
-    fn with its float, so that every point takes fn's own path."""
+    """sin_pq or cos_pq (fn, whose value is _sincos's output want) at any
+    input but a float or an int x at a pair of numbers: p, q or x of one or
+    more dimensions take the array lane on _records' record, and a 0-d p, q
+    or x (a numpy scalar too) re-enters fn with its float, so that every
+    point takes fn's own path."""
     if _several(p, q) or np.ndim(x):
-        return _sincos_tail(p, q, x, (want == 0, want == 1, False), fn.__name__)[want]
-    return fn(float(p), float(q), x if isinstance(x, (float, int)) else float(x))
+        return _sincos(_records(p, q), x, (want == 0, want == 1, False), fn.__name__)[want]
+    return fn(*check_pq(p, q), x if isinstance(x, (float, int)) else float(x))
 
 
 def sincos_pq(p: float, q: float, x):
@@ -412,25 +439,7 @@ def sincos_pq(p: float, q: float, x):
     same argument, so the pair equals the two separate calls bit for bit,
     for scalars and for arrays.
     """
-    try:
-        rec = _pair(p, q)
-    except TypeError:  # no cache hashes an array
-        return _sincos_tail(p, q, x, (True, True, False))[:2]
-    return _sincos(rec, x, (True, True, False))[:2]
-
-
-def _sincos_tail(p: float, q: float, x, tails=(True, True, True), what="sincos_pq"):
-    """_sincos at the pair (p, q): its record (_pair), or at arrays p and q
-    (the lane for several pairs) every point of the broadcast of p, q and x
-    its own pair's record, which takes the array code with scipy's ufunc
-    for every pair; a 0-d p or q is taken as its float."""
-    try:
-        rec = _pair(p, q)
-    except TypeError:  # no cache hashes an array
-        if _several(p, q):
-            return _sincos_arrays(_per_pair(_pair, p, q), x, tails, what)
-        rec = _pair(float(p), float(q))  # a 0-d p or q
-    return _sincos(rec, x, tails, what)
+    return _sincos(_records(p, q), x, (True, True, False))[:2]
 
 
 def _sincos(rec, x, tails=(True, True, True), what="sincos_pq", yc=None):
@@ -443,26 +452,28 @@ def _sincos(rec, x, tails=(True, True, True), what="sincos_pq", yc=None):
     in [0, 1], and yc its complement 1 - y as the caller knows it (bvp's
     x/H and (H - x)/H, the appendix's x01 and 1 - x01): the inversion takes
     both as given, unchecked, so no product with pi_pq/2 is rounded and
-    divided back, and only the small-x rule forms the point (pi_pq/2) y.  A
-    point, or a float fraction on a record of floats, takes the float lane,
-    which computes sin and cos whatever tails says, and cp where asked for
-    or where it is that base: straight-line float code on the record, one
-    comparison that passes a Python float in [0, pi_pq/2] (any other point
-    takes _as_unit's test and clip), both tails of specfun._point_tails,
-    the small-x rule and the DBL_MIN rule.  An array takes the same steps
-    on arrays, block by block (_sincos_block), and computes only what tails
-    = (want_sin, want_cos, want_cp) asks for, None for the others; asking
-    for cp computes cos too.  A record of arrays (the lane for several
-    pairs) needs an array x, or a fraction, which then takes the array
-    lane."""
+    divided back, and only the small-x rule forms the point (pi_pq/2) y.
+    rec is any record _records gives, or one built by _shapes, and x any
+    point or array.  A point, or a float fraction, on a record of floats
+    takes the float lane, which computes sin and cos whatever tails says,
+    and cp where asked for or where it is that base: straight-line float
+    code on the record, one comparison that passes a Python float in [0,
+    pi_pq/2] (any other point takes _as_unit's test and clip), both tails of
+    specfun._point_tails, the small-x rule and the DBL_MIN rule.  An array,
+    or any x on a record of arrays (the lane for several pairs), takes the
+    same steps on arrays, block by block (_sincos_block), and computes only
+    what tails = (want_sin, want_cos, want_cp) asks for, None for the
+    others; asking for cp computes cos too."""
     halfpi, a, b, lo, hi, inv_p, inv_pm1, tiny, B = rec
+    if halfpi.__class__ is not float:  # a record of arrays: the array lane at any x
+        return _sincos_arrays(rec, x, tails, what, yc)
     if yc is None:
         if not (x.__class__ is float and 0.0 <= x <= halfpi):
             if not isinstance(x, (float, int)) and np.ndim(x):
                 return _sincos_arrays(rec, x, tails, what)
             x = _as_unit(x, halfpi, what)
         y, yc = x / halfpi, (halfpi - x) / halfpi
-    elif x.__class__ is float and halfpi.__class__ is float:
+    elif x.__class__ is float:
         y, x = x, halfpi * x
     else:
         return _sincos_arrays(rec, x, tails, what, yc)
@@ -549,20 +560,15 @@ def sin_symmetry_appendix(p: float, q: float, x01):
     at (1 - x01, x01) (_sincos), so no product with pi_pq/2 is rounded and
     divided back, and a residual is a few ulps up to x01 = 1.  The
     reflected pair is (q*, p*) with both conjugates rounded, as a caller
-    forms it.  Unlike sin_pq, x01 gets no slack beyond [0, 1].  Arrays p
-    and q that broadcast against x01 take the lane for several pairs: two
-    gtf calls for all of them, each point equal bit for bit to its own
-    pair's call in scipy's ufunc lane.
+    forms it.  Unlike sin_pq, x01 gets no slack beyond [0, 1].  Arrays or
+    sequences p and q that broadcast against x01 take the lane for several
+    pairs: two gtf calls for all of them, each point equal bit for bit to
+    its own pair's call in scipy's ufunc lane.
     """
-    several = _several(p, q)
-    if several:
-        p, q = as_floats(p, "p"), as_floats(q, "q")
-    try:
-        rec = _records(p, q)  # after check_pq at every pair
-    except TypeError:  # a 0-d p or q: no cache hashes an array
-        return sin_symmetry_appendix(float(p), float(q), x01)
+    rec = _records(p, q)  # after check_pq at every pair
+    p, q = check_pq(p, q) if isinstance(rec[0], float) else (as_floats(p, "p"), as_floats(q, "q"))
     # the reflected pair as a caller forms it, each conjugate rounded
-    ps, qs = (p / (p - 1.0), q / (q - 1.0)) if several else (conjugate(p), conjugate(q))
+    ps, qs = p / (p - 1.0), q / (q - 1.0)
     rec_c = _records(qs, ps)
     if isinstance(x01, (float, int)) or not np.ndim(x01):
         # a point: written so that NaN fails, and before float() would
@@ -583,13 +589,11 @@ def sin_symmetry_appendix(p: float, q: float, x01):
 def extend_sin_symmetric(p: float, x):
     """sin_{2,p} on [0, pi_{2,p}], mirrored about the midpoint on the
     second half.  This is the only family the extension is defined for.
-    An array p that broadcasts against x takes the lane for several pairs:
-    one sin_pq call, each point equal bit for bit to its own p's call in
-    scipy's ufunc lane."""
-    try:
-        full = 2.0 * _records(2.0, p)[0]  # pi_{2,p}, after check_pq(2, p)
-    except TypeError:  # a 0-d p: no cache hashes an array
-        return extend_sin_symmetric(float(p), x)
+    An array or a sequence p that broadcasts against x takes the lane for
+    several pairs: one evaluation of the record it builds, each point equal
+    bit for bit to its own p's sin_pq call in scipy's ufunc lane."""
+    rec = _records(2.0, p)  # after check_pq(2, p) at every p
+    full = 2.0 * rec[0]  # pi_{2,p}
     xx = _as_unit(x, full, "extend_sin_symmetric")
     folded = min(xx, full - xx) if isinstance(xx, float) else np.minimum(xx, full - xx)
-    return sin_pq(2.0, p, folded)
+    return _sincos(rec, folded, (True, False, False), "extend_sin_symmetric")[0]

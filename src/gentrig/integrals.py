@@ -64,10 +64,8 @@ def primitive_sin_cos(p: float, q: float, k: float, l: float, x: float) -> float
     x itself and z underflows, it is x^(k+1)/(k+1); at the right endpoint it
     is the definite integral (1/q) B(a, b).
     """
-    try:
-        p, q, k, l = float(p), float(q), float(k), float(l)
-    except OverflowError:  # an int beyond the doubles
-        raise DomainError("need p, q, k and l within the doubles") from None
+    p, q = check_pq(p, q)
+    k, l = as_float(k, "k"), as_float(l, "l")
     _check_kl(p, k, l)
     halfpi, ia, ib, lo, hi, _, _, tiny, _ = _pair(p, q)
     x = _as_unit(x, halfpi, "primitive_sin_cos")
@@ -153,7 +151,7 @@ def wallis_special_cases(p: float, q: float, n: int, which: str) -> float:
     wallis_cos itself would reject it.  Below 2^53 both roads give the same
     bits, since 2 - p and p - 1 are exact there.
     """
-    if which not in WALLIS_SPECIAL_KINDS:
+    if not isinstance(which, str) or which not in WALLIS_SPECIAL_KINDS:  # hashes no list
         raise DomainError(f"unknown special case {which!r}")
     p, q = check_pq(p, q)
     return WALLIS_SPECIAL_KINDS[which](p, q, check_order(n))

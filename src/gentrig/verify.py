@@ -12,12 +12,10 @@ rounding, with F |u| <= 4H (bvp.general_checks)."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import bvp, gtf, integrals, quadrature
-from .errors import DomainError
+from .errors import DomainError, check_pq
 
 GRIDS = {
     "small": [1.5, 2.0, 3.0],
@@ -44,7 +42,9 @@ def _named(grid):
 def _suite_pythagorean(grid):
     xs01 = np.linspace(0.0, 1.0, 33)
     p, q = _pairs(grid)
-    half = gtf._records(p, q)[0]  # pi_pq/2 of each pair, bit for bit 0.5 * pi_pq
+    # pi_pq/2 of each pair, bit for bit the first field of its record
+    half = np.reshape([0.5 * gtf.pi_pq(pv, qv) for pv, qv, _ in _named(grid)],
+                      (len(grid), len(grid), 1))
     s, c = gtf.sincos_pq(p, q, half * xs01)
     # each pair's powers as at a float exponent: numpy squares at 2.0, where
     # pow differs (gtf._power)
@@ -150,12 +150,14 @@ def run(name: str, grid) -> list:
     runs them) at the pairs of grid, the values p and q each take (a GRIDS
     entry), in the order ``gentrig verify`` prints them.  DomainError, before
     any suite runs, for an unknown suite, or a grid that is not a nonempty
-    sequence of values in (1, inf), naming the suite or the value."""
-    if name not in _SUITES:
+    sequence of numbers in (1, inf), naming the suite or the value."""
+    if not isinstance(name, str) or name not in _SUITES:  # hashes no list
         raise DomainError(f"unknown verify suite {name!r}; the suites are {', '.join(SUITES)}")
     if not len(grid):
         raise DomainError("a verify grid needs at least one value")
     for v in grid:
-        if not 1.0 < v < math.inf:  # written so that NaN fails the test
-            raise DomainError(f"verify grid value {v} is not in (1, inf)")
+        try:
+            check_pq(v, v)  # a number, and NaN fails
+        except DomainError:
+            raise DomainError(f"verify grid value {v} is not in (1, inf)") from None
     return _SUITES[name](grid)

@@ -217,6 +217,14 @@ class TestGeneralSolution:
         for g, r in zip(got, bvp.general_checks(2.5, 3.0, [1.0], FRACTIONS)):
             assert same_bits(g, r)
 
+    @pytest.mark.parametrize("p", [np.float64(3.0), np.array(3.0)], ids=["float64", "0-d"])
+    def test_pq_equal_scalar_p_gives_floats(self, p):
+        """A numpy scalar or a 0-d p is its float: solve_pq_equal returned
+        numpy.float64 at np.float64(3.0) and a Python float at a 0-d p."""
+        sol, ref = bvp.solve_pq_equal(p), bvp.solve_pq_equal(3.0)
+        for x in (0.3, 0.5, 0.8):
+            assert type(sol(x)) is float and same_bits(sol(x), ref(x))
+
     def test_boundary_values(self):
         sol = bvp.solve_general(2.5, 3.0, 1.5)
         assert sol(0.0) == pytest.approx(0.0, abs=1e-12)
@@ -388,11 +396,19 @@ class TestGeneralChecks:
         assert all(call and set(call) <= set(shapes) for call in rest)
 
     def test_symmetry_is_one_sin_call(self, monkeypatch):
+        """extend_sin_symmetric evaluates the record it built, sin alone;
+        general_checks and the closure call bvp's own _sincos."""
         calls = []
-        real = gtf.sin_pq
-        monkeypatch.setattr(gtf, "sin_pq", lambda p, q, x: calls.append(np.shape(x)) or real(p, q, x))
+        real = gtf._sincos
+
+        def spy(rec, x, *args):
+            calls.append((np.shape(x), args[0]))
+            return real(rec, x, *args)
+
+        monkeypatch.setattr(gtf, "_sincos", spy)
         verify.run("bvp", verify.GRIDS["full"])
-        assert calls == [(5, 42)]  # the five p, at 21 points and their mirrors
+        # the five p, at 21 points and their mirrors
+        assert calls == [((5, 42), (True, False, False))]
 
     def test_grid_equals_single_pair_calls(self):
         """Arrays p and q: every pair's residuals and ends equal its own

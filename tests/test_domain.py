@@ -1,7 +1,8 @@
 """The domain edges of every public entry of specfun and integrals, the
 query dataclasses included: NaN, +inf and -inf in any scalar argument raise
 DomainError, and nothing else (no other exception, no silent NaN or inf),
-except at the infinite ends that an entry documents (DOCUMENTED).  And
+except at the infinite ends that an entry documents (DOCUMENTED).  Every
+slot that takes a single pair rejects an array or a sequence there.  And
 verify.run's bad suites and grids, rejected before any suite runs."""
 
 import math
@@ -96,6 +97,7 @@ LISTED = [
     (specfun.hyp2f1, (1.0, 1.0, math.inf, 0.5)),  # OverflowError
     (specfun.hyp2f1, (1.0, 1.0, math.nan, 0.5)),  # a spent term budget; a = 1 is outside the box
     (integrals.primitive_sin_cos, (2.0, 2.0, 0.0, math.inf, 0.5)),  # OverflowError
+    (integrals.wallis_special_cases, (2, 2, 1, ["sin_qn"])),  # TypeError: unhashable which
 ]
 
 
@@ -176,12 +178,39 @@ def test_conjugate_of_an_int_beyond_the_doubles():
     assert gtf.conjugate(HUGE) == 1.0 and gtf.pi_pq(HUGE, 1) == 2.0
 
 
+# every slot that takes a single pair, with p or q given several values:
+# each raised numpy's ValueError or a TypeError (from a comparison, a hash
+# or float()) before check_pq rejected anything but two real numbers
+SINGLE_PAIR_SLOTS = {
+    **{name: entry for name, entry in ENTRIES.items() if "p" in entry[1]},
+    "pi_pq": (gtf.pi_pq, dict(p=2.0, q=3.0)),
+    "asin_pq": (gtf.asin_pq, dict(p=2.0, q=3.0, x=0.5)),
+    "conjugate": (gtf.conjugate, dict(p=2.0)),
+    "solve_general": (bvp.solve_general, dict(H=1.0, p=2.0, q=3.0)),
+}
+SEVERAL_VALUES = {"array": np.array([2.0, 3.0]), "one-value array": np.array([2.5]),
+                  "list": [2.0, 3.0], "tuple": (2.0, 3.0)}
+
+
+@pytest.mark.parametrize("name", SINGLE_PAIR_SLOTS)
+def test_single_pair_slots_reject_several_values(name):
+    call, base = SINGLE_PAIR_SLOTS[name]
+    call(**base)  # in the domain
+    wrong = [(arg, kind, got) for arg in ("p", "q") if arg in base
+             for kind, bad in SEVERAL_VALUES.items()
+             if (got := outcome(call, {**base, arg: bad})) != "DomainError"]
+    assert wrong == []
+
+
 # verify.run's bad input: (suite, grid, what the message names).  Each once
 # raised another exception from inside a suite: KeyError for the unknown
 # suite, ValueError from a reshape for the empty grid, pi_pq's "q = 1"
-# message for the grid value 1.0
+# message for the grid value 1.0; or before any suite ran, TypeError from
+# hashing a list suite name and from comparing a string's characters
 VERIFY_INPUTS = [
     ("bogus", [2.0], "'bogus'"),
+    (["x"], [2.0], "['x']"),
+    ("product", "abc", "value a "),
     ("pythagorean", [], "at least one value"),
     ("pythagorean", [1.5, 1.0], "value 1.0 "),
     ("appendix", [2.0, math.nan], "value nan "),

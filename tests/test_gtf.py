@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import cython_special
 from test_quadrature import integrate_over
 
-from gentrig import bvp, cli, gtf, integrals, quadrature, specfun
+from gentrig import bvp, cli, gtf, integrals, quadrature, specfun, verify
 from gentrig.errors import DomainError
 from gentrig.gtf import ParamPair
 
@@ -402,7 +402,7 @@ class TestSeveralPairs:
 
     def test_sincos_equals_single_pair_calls(self):
         xs = self.halves() * self.X01
-        tails = gtf._sincos_tail(self.P, self.Q, xs)
+        tails = gtf._sincos(gtf._records(self.P, self.Q), xs)
         got = {"sincos_pq": gtf.sincos_pq(self.P, self.Q, xs),
                "sin_pq": gtf.sin_pq(self.P, self.Q, xs),
                "cos_pq": gtf.cos_pq(self.P, self.Q, xs)}
@@ -411,7 +411,7 @@ class TestSeveralPairs:
         power, cos_power = gtf._power(c, self.P), tails[2]
         for i, p in enumerate(GRID):
             for j, q in enumerate(GRID):
-                one = gtf._sincos_tail(p, q, xs[i, j])
+                one = gtf._sincos(gtf._records(p, q), xs[i, j])
                 assert all(same_bits(v[i, j], w) for v, w in zip(tails, one)), (p, q)
                 assert same_bits(s[i, j], one[0]) and same_bits(c[i, j], one[1])
                 assert same_bits(got["sin_pq"][i, j], one[0])
@@ -464,6 +464,45 @@ class TestSeveralPairs:
             with pytest.raises(DomainError):
                 gtf.sin_pq(p, q, x)
 
+    # each entry point of the lane for several pairs, as a tuple of its
+    # outputs, at p (and q where it takes one)
+    SEQUENCE_CALLS = {
+        "sin_pq": lambda p, q: (gtf.sin_pq(p, q, 0.5),),
+        "cos_pq": lambda p, q: (gtf.cos_pq(p, q, 0.5),),
+        "sincos_pq": lambda p, q: gtf.sincos_pq(p, q, 0.3),
+        "sin_symmetry_appendix": lambda p, q: gtf.sin_symmetry_appendix(p, q, 0.2),
+        "extend_sin_symmetric": lambda p, q: (gtf.extend_sin_symmetric(p, 2.0),),
+        "solve_pq_equal": lambda p, q: (bvp.solve_pq_equal(p)(0.3),),
+        "general_checks": lambda p, q: bvp.general_checks(p, q, [1.0, 2.5], [0.3, 0.7]),
+    }
+
+    @pytest.mark.parametrize("name,which", [
+        (name, which) for name in SEQUENCE_CALLS
+        for which in (("p",) if name in ("extend_sin_symmetric", "solve_pq_equal")
+                      else ("p", "q", "both"))])
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize("layout", ["grid", "flat"])
+    def test_a_sequence_equals_its_array(self, name, which, kind, layout):
+        """A list or a tuple p or q gives the ndarray call's bits, each
+        output of the same shape: sin_pq, cos_pq, sincos_pq and the appendix
+        raised a bare TypeError at a list.  In the grid layout p is a
+        column and q a row; in the flat one each sequence is 1-D, the other
+        parameter the number 2.5 where it is not a sequence, so that a
+        tuple of numbers, which the pair cache hashes, is met too."""
+        if layout == "grid":
+            p, q = [[3.0], [4.0], [1.5]], [3.0, 1.5]
+        else:
+            p = [3.0, 4.0, 1.5] if which != "q" else 2.5
+            q = [3.0, 4.0, 1.5] if which != "p" else 2.5
+        other = np.array if layout == "grid" else float  # the parameter that is no sequence
+        seq = {"p": kind(p) if which != "q" else other(p),
+               "q": kind(q) if which != "p" else other(q)}
+        call = self.SEQUENCE_CALLS[name]
+        got, want = call(seq["p"], seq["q"]), call(np.array(p), np.array(q))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray) and g.shape == w.shape and same_bits(g, w)
+
     def test_inverse_tails_at_shapes_a_point(self):
         """specfun._tails_block at arrays of shapes equals its calls at
         each point's floats, bit for bit: the a = b fix at y = 1/2 and the
@@ -492,7 +531,7 @@ class TestMultipleAngle:
 
 
 class TestCosinePowerRule:
-    """Every cos_pq^(p-1) is the third output of gtf._sincos_tail, whose
+    """Every cos_pq^(p-1) is the third output of gtf._sincos, whose
     leading-term rule holds where cos_pq underflows; the residuals below
     raised the underflowed cosine to p - 1 and read 0.40, 0.40 and 3.0e-3
     there."""
@@ -544,10 +583,10 @@ class TestCosinePowerRule:
     def test_point_is_float_code_and_matches_arrays(self, p, q):
         half = gtf.pi_pq(p, q) / 2.0
         xs = half * np.array([0.0, 0.3, 0.9, 1.0 - 1e-9, 1.0])
-        _, c, arr = gtf._sincos_tail(p, q, xs)
+        _, c, arr = gtf._sincos(gtf._records(p, q), xs)
         assert same_bits(arr, cos_power_formula(p, q, xs))
         for i, x in enumerate(xs.tolist()):
-            point = gtf._sincos_tail(p, q, x)[2]
+            point = gtf._sincos(gtf._records(p, q), x)[2]
             assert type(point) is float
             assert same_bits(point, cos_power_formula(p, q, x))
             assert abs(point - arr[i]) <= 4e-16 * arr[i]
@@ -566,20 +605,20 @@ class TestCosinePowerRule:
         half, a, b, _, _, _, _, _, B = gtf._pair(p, q)
         x = self.points(p, q)
         for xs in (x, np.resize(x, N0)):
-            cp = gtf._sincos_tail(p, q, xs)[2]
+            cp = gtf._sincos(gtf._records(p, q), xs)[2]
             assert same_bits(cp, cos_power_formula(p, q, xs))
-        _, c, cp = gtf._sincos_tail(p, q, x)
-        alone = gtf._sincos_tail(p, q, x, (False, False, True))  # the cosine comes too
+        _, c, cp = gtf._sincos(gtf._records(p, q), x)
+        alone = gtf._sincos(gtf._records(p, q), x, (False, False, True))  # the cosine comes too
         assert alone[0] is None and same_bits(alone[1], c) and same_bits(alone[2], cp)
         for v in x.tolist():
-            point = gtf._sincos_tail(p, q, v)[2]
+            point = gtf._sincos(gtf._records(p, q), v)[2]
             assert type(point) is float
             assert same_bits(point, cos_power_formula(p, q, v))
         other = gtf._pair(2.0, 2.0)[0] * x / half
-        several = gtf._sincos_tail(np.array([[p], [2.0]]), np.array([[q], [2.0]]),
-                                   np.stack((x, other)))
+        several = gtf._sincos(gtf._records(np.array([[p], [2.0]]), np.array([[q], [2.0]])),
+                              np.stack((x, other)))
         assert same_bits(several[1][0], c) and same_bits(several[2][0], cp)
-        assert same_bits(several[2][1], gtf._sincos_tail(2.0, 2.0, other)[2])
+        assert same_bits(several[2][1], gtf._sincos(gtf._records(2.0, 2.0), other)[2])
         yc = (half - x) / half
         window = (sc.betaincinv(b, a, yc) < sys.float_info.min) & (c >= sys.float_info.min)
         assert window.any() == (p < 1.05)
@@ -913,9 +952,10 @@ class TestZeroDimPair:
         p = np.array([2.5, 4.0])
         value = gtf.sin_pq(p, 3.0, 0.5)
         assert value.shape == (2,)
-        assert same_bits(value, [gtf._sincos_tail(v, 3.0, np.array([0.5]))[0][0] for v in p])
+        one = [gtf._sincos(gtf._records(v, 3.0), np.array([0.5]))[0][0] for v in p]
+        assert same_bits(value, one)
         assert gtf.extend_sin_symmetric(p[:1], 2.0).shape == (1,)
-        with pytest.raises(TypeError):  # asin_pq takes one pair
+        with pytest.raises(DomainError):  # asin_pq takes one pair
             gtf.asin_pq(p[:1], 3.0, 0.5)
 
 
@@ -1064,15 +1104,20 @@ class TestGridRecords:
             bvp.general_checks(np.array([]), 2.0, [1e308], [0.5])
 
     def test_verify_repeats_its_per_pair_work(self, monkeypatch, capsys):
-        """A spy on _per_pair's fn calls: a second verify --suite all --grid
-        full in one process does as much per-pair work as the first, since
-        no grid is kept between calls, and both print the reference output
-        byte for byte."""
-        real, counted, calls = gtf._per_pair, {}, []
+        """A spy on _per_pair's passes and fn calls: a second verify --suite
+        all --grid full in one process does as much per-pair work as the
+        first, since no grid is kept between calls, and both print the
+        reference output byte for byte.  Each run makes 6 passes: sincos_pq's
+        in the pythagorean suite, which takes pi_pq/2 from pi_pq, the
+        appendix's pair and reflected pair, general_checks', and
+        solve_pq_equal's and extend_sin_symmetric's, which evaluates the
+        record it built."""
+        real, counted, calls, passes = gtf._per_pair, {}, [], []
 
         def spy(fn, p, q, *args):
             if fn not in counted:  # one counting fn each, as a cache would key it
                 counted[fn] = lambda *k: calls.append(fn) or fn(*k)
+            passes.append(fn)
             return real(counted[fn], p, q, *args)
 
         monkeypatch.setattr(gtf, "_per_pair", spy)
@@ -1081,10 +1126,20 @@ class TestGridRecords:
         work = []
         for _ in range(2):
             calls.clear()
+            passes.clear()
             assert cli.main(["verify", "--suite", "all", "--grid", "full"]) == 0
             assert capsys.readouterr().out == expected
-            work.append(len(calls))
-        assert work[0] == work[1] > 0
+            work.append((len(passes), len(calls)))
+        assert work[0] == work[1] and work[0][0] == 6 and work[0][1] > 0
+
+    @pytest.mark.parametrize("grid", verify.GRIDS)
+    def test_half_periods_from_pi_pq_are_the_records(self, grid):
+        """The pythagorean suite's 0.5 * pi_pq(p, q) is the first field of
+        the grid's records bit for bit, on every grid verify runs."""
+        values = verify.GRIDS[grid]
+        p, q = np.array(values)[:, None], np.array(values)
+        half = [[0.5 * gtf.pi_pq(pv, qv) for qv in values] for pv in values]
+        assert same_bits(np.array(half), gtf._records(p, q)[0])
 
 
 def test_scalar_kernels_equal_ufuncs():
@@ -1755,7 +1810,7 @@ class TestBlockPipeline:
             "sin_pq": lambda x: (gtf.sin_pq(p, q, x),),
             "cos_pq": lambda x: (gtf.cos_pq(p, q, x),),
             "sincos_pq": lambda x: gtf.sincos_pq(p, q, x),
-            "_sincos_tail": lambda x: gtf._sincos_tail(p, q, x),
+            "_sincos": lambda x: gtf._sincos(gtf._records(p, q), x),
             # asin_pq on [0, 1]: x / half covers it, both ends included
             "asin_pq": lambda x: (gtf.asin_pq(p, q, np.minimum(x / half, 1.0)),),
         }
@@ -1808,7 +1863,7 @@ class TestBlockPipeline:
         p, q = pq
         x = block_points(p, q, np.random.default_rng(3603))
         s, c = gtf.sincos_pq(p, q, x)
-        tail = gtf._sincos_tail(p, q, x)
+        tail = gtf._sincos(gtf._records(p, q), x)
         assert same_bits(s, gtf.sin_pq(p, q, x)) and same_bits(c, gtf.cos_pq(p, q, x))
         assert same_bits(s, tail[0]) and same_bits(c, tail[1])
         assert same_bits(tail[2], cos_power_formula(p, q, x))
