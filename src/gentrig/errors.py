@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+_SEQUENCES = (np.ndarray, list, tuple)  # what may hold several values
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain of the requested operation."""
@@ -36,20 +38,24 @@ class ToleranceError(RuntimeError):
         self.rows = rows
 
 
+def several(p, q=None) -> bool:
+    """Whether p or q (where given) holds several values: an array, a list
+    or a tuple of at least one dimension.  A number takes two isinstance
+    tests and builds no array.  The one rule for what takes gtf's lane for
+    several pairs, and what a slot for one pair refuses (check_pq)."""
+    return bool(isinstance(p, _SEQUENCES) and np.ndim(p)
+                or isinstance(q, _SEQUENCES) and np.ndim(q))
+
+
 def check_pq(p: float, q: float) -> tuple[float, float]:
     """(float(p), float(q)) where p and q are two real numbers in (1, inf),
     a 0-d array taken as its number; DomainError otherwise.  NaN fails the
     test, and so does an int beyond the doubles, which passes it (10**400 <
     inf holds) but not float().  So do a list or a tuple, whose comparison
     raises TypeError, an array of several values, whose truth value raises
-    ValueError, and an array of one value, which passes the test.  Two
-    Python floats take one test, as in gtf.pi_pq."""
-    if p.__class__ is float and q.__class__ is float and 1.0 < p < math.inf and 1.0 < q < math.inf:
-        return p, q
+    ValueError, and an array of one value (several)."""
     try:
-        if (1.0 < p < math.inf and 1.0 < q < math.inf  # written so that NaN fails
-                and not (isinstance(p, np.ndarray) and p.ndim
-                         or isinstance(q, np.ndarray) and q.ndim)):
+        if 1.0 < p < math.inf and 1.0 < q < math.inf and not several(p, q):  # NaN fails
             return float(p), float(q)
     except (OverflowError, TypeError, ValueError):  # not two numbers within the doubles
         pass

@@ -53,22 +53,23 @@ sequences p and q (numpy arrays, lists or tuples, of at least one
 dimension) that broadcast against x, and extend_sin_symmetric such a p: the
 lane for several pairs, one call for a whole grid of pairs (the verify
 suites).  _records is the one door from a pair to its record: two numbers
-go to _pair, a 0-d p or q as its float, and a p or q of one or more
-dimensions to _per_pair, which builds each distinct pair's record once
-through _pair, which validates it, so an invalid pair anywhere raises
-DomainError; every other per-pair value is computed as the Python float of
-a single-pair call and broadcast afterwards.  _sincos evaluates any point
-or array on any record.  Its inversions take Boost's ufunc with each
-point's own shapes at any size, one call for all pairs plus one for the
-band.  A power whose exponent varies with the pair is numpy's pow at every
-point, except at the exponents -1, 1/2 and 2, which numpy takes by a
-special case (reciprocal, sqrt, square) when given as a float: those
-points are raised to a float exponent (_power; _FAST_POWERS holds the
-three).  So each point equals its own pair's call in scipy's ufunc lane (an
-array of fewer than specfun.INV_FIT_MIN points) bit for bit.  asin_pq and
-pi_pq take one pair, and reject several values with DomainError, as
-check_pq does.  A 0-d p or q is a point, as a 0-d x is: sin_pq, cos_pq and
-asin_pq look their pair up in _pair first, whose cache hashes no array and
+go to _pair, and of what _pair refuses, a p or q of one or more dimensions
+(errors.several, the one rule for it) goes to _per_pair and a 0-d p or q
+as its float.  _per_pair builds each distinct pair's record once through
+_pair, which validates it, so an invalid pair anywhere raises DomainError;
+every other per-pair value is computed as the Python float of a
+single-pair call and broadcast afterwards.  _sincos evaluates any point or
+array on any record.  Its inversions take Boost's ufunc with each point's
+own shapes at any size, one call for all pairs plus one for the band.  A
+power whose exponent varies with the pair is numpy's pow at every point,
+except at the exponents -1, 1/2 and 2, which numpy takes by a special case
+(reciprocal, sqrt, square) when given as a float: those points are raised
+to a float exponent (_power; _FAST_POWERS holds the three).  So each point
+equals its own pair's call in scipy's ufunc lane (an array of fewer than
+specfun.INV_FIT_MIN points) bit for bit.  asin_pq and pi_pq take one pair,
+and reject several values with DomainError, as check_pq does.  A 0-d p or
+q is a point, as a 0-d x is: sin_pq, cos_pq and asin_pq look their pair up
+in _pair first, whose cache hashes no array or list and whose check_pq
 refuses a tuple, and hand whatever it refuses to _records' rules, so the
 float lane does no work for a 0-d p or q and returns its float call's bits.
 
@@ -116,7 +117,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, as_floats, check_pq, within
+from .errors import DomainError, as_floats, check_pq, several, within
 
 _REL_SLACK = 1e-12  # tolerated floating overshoot of a domain endpoint
 _DBL_MIN = sys.float_info.min
@@ -126,13 +127,12 @@ _ASIN_SERIES_MAX = 2.0**-27  # asin_pq(x) is its two-term series below this x^q
 # given in an array of several points: the two differ in the last ulp on a
 # few percent of points
 _FAST_POWERS = (-1.0, 0.5, 2.0)
-_SEQUENCES = (np.ndarray, list, tuple)  # what may hold several p or q
 
 
 def conjugate(p: float) -> float:
     """Hoelder conjugate p* = p / (p - 1) on [1, inf]; 1* = inf, inf* = 1.
     An array or a sequence p raises DomainError."""
-    if p.__class__ is not float and _several(p):  # before any comparison
+    if p.__class__ is not float and several(p):  # before any comparison
         raise DomainError(f"conjugate takes one number p, got {p!r}")
     if 1.0 < p < math.inf:  # written so that NaN fails the test
         return p / (p - 1)  # exact at an int, 1.0 at one beyond the doubles
@@ -166,7 +166,7 @@ def pi_pq(p: float, q: float) -> float:
     """
     if not (p.__class__ is float and q.__class__ is float
             and 1.0 < p < math.inf and 1.0 < q < math.inf):
-        if _several(p, q):
+        if several(p, q):
             raise DomainError(f"pi_pq takes one pair, got ({p!r}, {q!r})")
         if q == 1.0:
             if not 1.0 < p:
@@ -212,11 +212,8 @@ def _pair(p: float, q: float):
     """The record of a pair (p, q), built by _shapes after check_pq on a
     miss only, so no invalid pair is kept: the shapes a = 1/q and b = 1/p*
     with the exponents 1/p and 1/(p - 1).  Kept for 128 pairs; 2, 2.0 and
-    np.float64(2.0) are one key.  A tuple p or q raises TypeError, as an
-    array or a list does in the cache's hash, so that the entry points that
-    look a pair up here take all three to _records alike."""
-    if isinstance(p, tuple) or isinstance(q, tuple):
-        raise TypeError("_pair takes one pair; several go through _records")
+    np.float64(2.0) are one key.  An array or a list raises TypeError in
+    the cache's hash; a tuple, which hashes, raises check_pq's DomainError."""
     p, q = check_pq(p, q)
     return _shapes(1.0 / q, 1.0 / conjugate(p), 1.0 / p, 1.0 / (p - 1.0))
 
@@ -237,14 +234,6 @@ def _shapes(a: float, b: float, inv_p: float, inv_pm1: float):
     return a * B, a, b, min(y_half, 0.5), max(y_half, 0.5), inv_p, inv_pm1, _DBL_MIN**a, B
 
 
-def _several(p, q=None) -> bool:
-    """Whether p or q (where given) is an array, a list or a tuple of at
-    least one dimension, the lane for several pairs; a number takes two
-    isinstance tests and builds no array."""
-    return bool(isinstance(p, _SEQUENCES) and np.ndim(p)
-                or isinstance(q, _SEQUENCES) and np.ndim(q))
-
-
 def _per_pair(fn, p, q, *args):
     """fn(p, q, *args), a tuple of Python floats at one pair that validates
     the pair (as _pair does), at every pair of the broadcast of the arrays p
@@ -262,15 +251,18 @@ def _per_pair(fn, p, q, *args):
 
 def _records(p, q):
     """The record of the pair (p, q), the one door to it: _pair's at two
-    numbers, one cache lookup at a pair met before; of what _pair refuses,
-    a 0-d p or q is taken as its float (check_pq), and a p or q of one or
-    more dimensions (arrays, lists and tuples: the lane for several pairs)
-    gives _pair's fields as arrays over their broadcast (_per_pair).
-    DomainError for an invalid pair anywhere."""
+    numbers, one cache lookup at a pair met before.  Of what _pair refuses
+    (an array or a list, which no cache hashes, and a tuple or an invalid
+    pair, which check_pq refuses), a p or q of one or more dimensions
+    (errors.several) gives _pair's fields as arrays over their broadcast
+    (_per_pair, the lane for several pairs), and anything else its
+    float's: a 0-d p or q, or check_pq's DomainError.  _pair is tried
+    first because several's isinstance tests cost a scalar sincos_pq about
+    a tenth of its time (BENCH_54.json, in_process)."""
     try:
         return _pair(p, q)
-    except TypeError:  # _pair refuses arrays, lists and tuples
-        return _per_pair(_pair, p, q) if _several(p, q) else _pair(*check_pq(p, q))
+    except (TypeError, DomainError):
+        return _per_pair(_pair, p, q) if several(p, q) else _pair(*check_pq(p, q))
 
 
 def _power(base, e, out=None):
@@ -320,7 +312,7 @@ def asin_pq(p: float, q: float, x):
     """
     try:
         _, a, b, _, _, _, _, _, B = _pair(p, q)
-    except TypeError:  # _pair refuses arrays, lists and tuples
+    except TypeError:  # no cache hashes an array or a list
         return asin_pq(*check_pq(p, q), x)
     if not (x.__class__ is float and 0.0 <= x <= 1.0):
         if not isinstance(x, (float, int)) and np.ndim(x):
@@ -373,7 +365,7 @@ def sin_pq(p: float, q: float, x):
     """
     try:
         halfpi, a, b, _, hi, _, _, tiny, _ = _pair(p, q)
-    except TypeError:  # _pair refuses arrays, lists and tuples
+    except (TypeError, DomainError):  # not one pair of numbers: several, 0-d or invalid
         return _off_point(sin_pq, p, q, x, 0)
     if not (x.__class__ is float and tiny <= x <= halfpi):
         if not isinstance(x, (float, int)):
@@ -401,7 +393,7 @@ def cos_pq(p: float, q: float, x):
     """
     try:
         halfpi, a, b, lo, _, inv_p, inv_pm1, _, B = _pair(p, q)
-    except TypeError:  # _pair refuses arrays, lists and tuples
+    except (TypeError, DomainError):  # not one pair of numbers: several, 0-d or invalid
         return _off_point(cos_pq, p, q, x, 1)
     if not (x.__class__ is float and 0.0 <= x <= halfpi):
         if not isinstance(x, (float, int)):
@@ -423,7 +415,7 @@ def _off_point(fn, p, q, x, want: int):
     more dimensions take the array lane on _records' record, and a 0-d p, q
     or x (a numpy scalar too) re-enters fn with its float, so that every
     point takes fn's own path."""
-    if _several(p, q) or np.ndim(x):
+    if several(p, q) or np.ndim(x):
         return _sincos(_records(p, q), x, (want == 0, want == 1, False), fn.__name__)[want]
     return fn(*check_pq(p, q), x if isinstance(x, (float, int)) else float(x))
 
@@ -495,13 +487,13 @@ def _sincos_arrays(rec, x, tails, what, yc=None):
     value a pair: scipy's ufunc broadcasts them, so nothing is copied to a
     value a point.  A fraction's yc is taken on x's shape."""
     x = as_floats(x, "x")
-    several = isinstance(rec[0], np.ndarray)  # pi_pq/2 of every pair
-    if several:
+    pairs = isinstance(rec[0], np.ndarray)  # pi_pq/2 of every pair
+    if pairs:
         x = np.broadcast_to(x, np.broadcast(x, rec[0]).shape)
     yc = None if yc is None else np.broadcast_to(yc, x.shape)
     # cp is taken from tc, which the cosine's block holds: asking for it computes cos too
     out = [np.empty(x.shape) if w else None for w in (tails[0], tails[1] or tails[2], tails[2])]
-    if several:
+    if pairs:
         _sincos_block(x, yc, *rec, *out, what, None, specfun._Scratch(x.size))
     else:
         flat = [None if v is None else v.reshape(-1) for v in (x, yc, *out)]
@@ -595,5 +587,7 @@ def extend_sin_symmetric(p: float, x):
     rec = _records(2.0, p)  # after check_pq(2, p) at every p
     full = 2.0 * rec[0]  # pi_{2,p}
     xx = _as_unit(x, full, "extend_sin_symmetric")
-    folded = min(xx, full - xx) if isinstance(xx, float) else np.minimum(xx, full - xx)
-    return _sincos(rec, folded, (True, False, False), "extend_sin_symmetric")[0]
+    if isinstance(xx, float):  # a point at one p: sin_pq's one-tail path
+        return sin_pq(2.0, p, min(xx, full - xx))
+    return _sincos(rec, np.minimum(xx, full - xx), (True, False, False),
+                   "extend_sin_symmetric")[0]

@@ -42,9 +42,7 @@ def _named(grid):
 def _suite_pythagorean(grid):
     xs01 = np.linspace(0.0, 1.0, 33)
     p, q = _pairs(grid)
-    # pi_pq/2 of each pair, bit for bit the first field of its record
-    half = np.reshape([0.5 * gtf.pi_pq(pv, qv) for pv, qv, _ in _named(grid)],
-                      (len(grid), len(grid), 1))
+    half = gtf._records(p, q)[0]  # pi_pq/2 of each pair, bit for bit 0.5 * pi_pq
     s, c = gtf.sincos_pq(p, q, half * xs01)
     # each pair's powers as at a float exponent: numpy squares at 2.0, where
     # pow differs (gtf._power)

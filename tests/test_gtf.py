@@ -637,6 +637,16 @@ class TestSymmetricExtension:
             assert left == pytest.approx(1.0, abs=1e-8)
             assert right == pytest.approx(1.0, abs=1e-8)
 
+    def test_point_takes_sin_pq(self, monkeypatch):
+        """A point at one p takes sin_pq's one-tail path: _sincos's float
+        lane solves both tails in the band between I_{1/2}(a, b) and 1/2."""
+        real, calls = gtf.sin_pq, []
+        monkeypatch.setattr(gtf, "sin_pq", lambda *args: calls.append(args) or real(*args))
+        full = gtf.pi_pq(2.0, 4.0)
+        x = 0.7 * full
+        assert same_bits(gtf.extend_sin_symmetric(4.0, x), real(2.0, 4.0, full - x))
+        assert calls == [(2.0, 4.0, full - x)]
+
     def test_classical(self):
         assert gtf.extend_sin_symmetric(2.0, 3.0 * math.pi / 4.0) == pytest.approx(
             math.sqrt(2) / 2, abs=1e-14
@@ -1107,11 +1117,11 @@ class TestGridRecords:
         """A spy on _per_pair's passes and fn calls: a second verify --suite
         all --grid full in one process does as much per-pair work as the
         first, since no grid is kept between calls, and both print the
-        reference output byte for byte.  Each run makes 6 passes: sincos_pq's
-        in the pythagorean suite, which takes pi_pq/2 from pi_pq, the
+        reference output byte for byte.  Each run makes 7 passes: the
+        pythagorean suite's two, its half periods and sincos_pq's, the
         appendix's pair and reflected pair, general_checks', and
         solve_pq_equal's and extend_sin_symmetric's, which evaluates the
-        record it built."""
+        record it built (8 when it re-entered sin_pq)."""
         real, counted, calls, passes = gtf._per_pair, {}, [], []
 
         def spy(fn, p, q, *args):
@@ -1130,16 +1140,7 @@ class TestGridRecords:
             assert cli.main(["verify", "--suite", "all", "--grid", "full"]) == 0
             assert capsys.readouterr().out == expected
             work.append((len(passes), len(calls)))
-        assert work[0] == work[1] and work[0][0] == 6 and work[0][1] > 0
-
-    @pytest.mark.parametrize("grid", verify.GRIDS)
-    def test_half_periods_from_pi_pq_are_the_records(self, grid):
-        """The pythagorean suite's 0.5 * pi_pq(p, q) is the first field of
-        the grid's records bit for bit, on every grid verify runs."""
-        values = verify.GRIDS[grid]
-        p, q = np.array(values)[:, None], np.array(values)
-        half = [[0.5 * gtf.pi_pq(pv, qv) for qv in values] for pv in values]
-        assert same_bits(np.array(half), gtf._records(p, q)[0])
+        assert work[0] == work[1] and work[0][0] == 7 and work[0][1] > 0
 
 
 def test_scalar_kernels_equal_ufuncs():
